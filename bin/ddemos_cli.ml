@@ -393,20 +393,7 @@ let serve_cmd =
       (* deployment self-test: real ballots from the sealed segments,
          real frames through the real sockets *)
       let cast = if cast > voters then voters else cast in
-      let ballot_cache =
-        Segment.Cache.create ~slots:2 (devices Election_store.ballots_segment)
-          layout.Election_store.l_ballots
-      in
-      let ballot_for serial =
-        match Segment.Cache.record ballot_cache serial with
-        | Some payload ->
-          (match Election_store.decode_voter_ballot payload with
-           | Some b -> b
-           (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-           | None -> invalid_arg "serve: ballot record undecodable")
-        (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-        | None -> invalid_arg "serve: ballot segment unreadable"
-      in
+      let ballot_for = source.Runtime.sv_ballot_for in
       let votes =
         List.init cast (fun i ->
             { Loadgen.serial = i * (voters / cast); Loadgen.choice = i mod m })

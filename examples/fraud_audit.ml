@@ -51,7 +51,7 @@ let seed_with_part_b (s : Ea.setup) =
   let rec go k =
     let seed = Printf.sprintf "fraud-run-%d" k in
     let rng = Drbg.create ~seed:(Printf.sprintf "client|%s|0" seed) in
-    let plan = Voter.make_plan ~patience:20. rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
+    let plan = Voter.make_plan rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
     if plan.Voter.part = Types.B then (seed, plan) else go (k + 1)
   in
   go 0

@@ -327,7 +327,7 @@ let wire_exhaustive ~constructors =
               end)
            structure) }
 
-(* === R5: vartime-public-only =========================================== *)
+(* === the variable-time surface (R7 sinks) ================================= *)
 
 (* The documented variable-time surface of the group layer
    (lib/group/curve.mli "timing contract"): [Curve.mul_vartime],
@@ -335,66 +335,12 @@ let wire_exhaustive ~constructors =
    verifiers built on them. Their running time depends on their scalar
    inputs (wNAF digit patterns, GLV splits, bucket occupancy), so only
    public data — signatures, proof transcripts, published commitments
-   and their openings — may flow in. A secret-named value reaching one
-   is a timing side channel; secret-dependent scalars must use the
+   and their openings — may flow in. R7 [secret-taint] reports any
+   secret reaching one; secret-dependent scalars must use the
    fixed-window [Curve.mul] / [mul_base_table] paths instead. *)
 let vartime_callees =
   [ "mul_vartime"; "mul2"; "msm"; "msm_pre";
     "verify_batch"; "verify_batch_find"; "verify_shares_batch" ]
-
-let vartime_secret_exact = [ "sk"; "secret"; "witness"; "nonce"; "msk"; "seed" ]
-let vartime_secret_suffixes = [ "_sk"; "_secret"; "_witness"; "_nonce"; "_msk"; "_seed" ]
-
-let vartime_secret_name n =
-  let n = String.lowercase_ascii n in
-  List.mem n vartime_secret_exact || List.exists (has_suffix n) vartime_secret_suffixes
-
-(* The MSM APIs take their scalars inside arrays of pairs, so the scan
-   descends through tuple/array/list/record literals to the identifiers
-   and field accesses they carry — and through the wrappers that leave
-   the carried value unchanged: a type annotation [(sk : Scalar.t)], a
-   local open [Module.(sk)], and the tail of a sequence [(log (); sk)]
-   all expose the same name. *)
-let rec exposed_names e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> [ last_component txt ]
-  | Pexp_field (_, { txt; _ }) -> [ last_component txt ]
-  | Pexp_tuple es | Pexp_array es -> List.concat_map exposed_names es
-  | Pexp_construct (_, Some a) -> exposed_names a
-  | Pexp_record (fields, _) -> List.concat_map (fun (_, v) -> exposed_names v) fields
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
-  | Pexp_sequence (_, e) ->
-    exposed_names e
-  | _ -> []
-
-let vartime_public_only =
-  { name = "vartime-public-only";
-    short = "no secret-named values into the variable-time group operations";
-    applies = (fun p -> under [ "lib" ] p);
-    check =
-      (fun ~file structure ->
-         over_expressions ~file
-           (fun ~file e ->
-              match e.pexp_desc with
-              | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-                when List.mem (last_component txt) vartime_callees ->
-                List.concat_map
-                  (fun (_, a) ->
-                     List.filter_map
-                       (fun name ->
-                          if not (vartime_secret_name name) then None
-                          else
-                            Some
-                              (finding ~rule:"vartime-public-only" ~file ~loc:a.pexp_loc
-                                 "secret-bearing value `%s` flows into variable-time \
-                                  `%s`; the vartime surface is for public data only — \
-                                  use the constant-time Curve.mul / comb-table paths \
-                                  for secrets"
-                                 name (String.concat "." (flatten txt))))
-                       (List.sort_uniq compare (exposed_names a)))
-                  args
-              | _ -> [])
-           structure) }
 
 (* === R6: domain-safe-state ============================================= *)
 
@@ -745,5 +691,4 @@ let domain_escape =
 
 let all ?(wire_constructors = default_wire_constructors) () =
   [ ct_equality; sans_io; exception_hygiene;
-    wire_exhaustive ~constructors:wire_constructors; vartime_public_only;
-    domain_safe_state; domain_escape ]
+    wire_exhaustive ~constructors:wire_constructors; domain_safe_state; domain_escape ]

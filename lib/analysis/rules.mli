@@ -40,11 +40,6 @@ val default_wire_constructors : string list
 (** Names of the type declarations whose constructors R4 protects. *)
 val wire_type_names : string list
 
-(** R5: variable-time group operations take public data only —
-    secret-named values must not reach [mul_vartime]/[mul2]/[msm*]/
-    [verify_batch*]. Scope: lib/**. *)
-val vartime_public_only : t
-
 (** R6: no top-level mutable state ([ref]/[Array.make]/[Bytes.create]/
     [Hashtbl.create]/...) or [lazy] in the domain-shared arithmetic
     stack; use [Domain.DLS] for scratch and [Dd_parallel.Once] /
@@ -63,7 +58,7 @@ val domain_escape : t
 val all : ?wire_constructors:string list -> unit -> t list
 
 (** {2 Shared syntactic helpers} — used by the interprocedural taint
-    engine ({!Taint}), kept here so R5/R7 agree on the sink surface. *)
+    engine ({!Taint}), kept here so the rules agree on names and sinks. *)
 
 (** Is [path] under one of the given top-level directories
     (["lib/crypto"], ...)? Tolerant of [../] prefixes and absolute
@@ -77,11 +72,11 @@ val last_component : Longident.t -> string
     longident against the dotted name, ignoring a [Stdlib.] prefix. *)
 val matches_name : Longident.t -> string -> bool
 
-(** Callees of the variable-time group surface (R5/R7 sinks). *)
+(** Callees of the variable-time group surface (R7 sinks). *)
 val vartime_callees : string list
 
-(** Does this identifier look secret-bearing by name (R5 heuristic)? *)
-val vartime_secret_name : string -> bool
+(** Does [s] end with [suffix]? *)
+val has_suffix : string -> string -> bool
 
 (** The operator name when this callee is a banned early-exit
     comparison ([=], [compare], [String.equal], ...). *)

@@ -8,12 +8,11 @@
      (EA msk derivations, VSS dealing, ...);
    - any record field annotated [(* lint: secret *)] in a [.mli]
      (trustee share fields of [Ea.setup]'s output, share payloads);
-   - the R5 name heuristic, kept as a fallback: identifiers and fields
-     named [sk]/[witness]/[nonce]/[msk]/[seed]/[secret] (or suffixed).
+   - a name heuristic: identifiers and fields named
+     [sk]/[witness]/[nonce]/[msk]/[seed]/[secret] (or suffixed).
 
    Sinks:
-   - the variable-time group surface ([Rules.vartime_callees] — R5's
-     sink set, now reached by value flow instead of by name);
+   - the variable-time group surface ([Rules.vartime_callees]);
    - wire encoders ([Dd_codec.Wire.put_*]);
    - polymorphic / early-exit comparison ([=], [compare],
      [String.equal], ... — R1's operator set, taint-directed);
@@ -291,7 +290,14 @@ let pass_through =
     "List.map"; "List.mapi"; "List.filter"; "List.to_seq";
     "Option.get"; "Option.value"; "Option.some" ]
 
-let secret_named n = Rules.vartime_secret_name n
+(* The name heuristic, a source alongside the facts: identifiers and
+   fields that look secret-bearing by name. *)
+let secret_exact = [ "sk"; "secret"; "witness"; "nonce"; "msk"; "seed" ]
+let secret_suffixes = [ "_sk"; "_secret"; "_witness"; "_nonce"; "_msk"; "_seed" ]
+
+let secret_named n =
+  let n = String.lowercase_ascii n in
+  List.mem n secret_exact || List.exists (Rules.has_suffix n) secret_suffixes
 
 (* Qualify a callee against the current module for fact lookups:
    [Lident f] inside Ea -> "Ea.f"; [M.f] (however deep) -> "M.f". *)

@@ -3,9 +3,9 @@
     [.mli] values and record fields, secret-named identifiers as a
     fallback) to the sinks where a secret must never arrive (the
     variable-time group surface, [Dd_codec.Wire] encoders, early-exit
-    comparison, formatted output). Supersedes R5's name heuristic with
-    real value flow: rebinding, destructuring, and cross-function
-    flows via per-function summaries over the {!Callgraph}.
+    comparison, formatted output), by real value flow: rebinding,
+    destructuring, and cross-function flows via per-function
+    summaries over the {!Callgraph}.
     docs/INVARIANTS.md §R7 states the threat model, the source/sink
     tables, the summary semantics and the known approximations. *)
 

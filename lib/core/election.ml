@@ -71,15 +71,9 @@ type params = {
   byzantine_vc : (int * byzantine_behavior) list;
   byzantine_bb : int list;  (* BB nodes answering with tampered state *)
   faults : Fault_plan.t;    (* timed partitions, crashes, link faults *)
+  (* the voters' retry policy (see Voter.policy) *)
   voter_patience : float;
-  (* exponential backoff on top of [d]-patience: attempt k waits
-     patience * min(backoff^(k-1), cap) * (1 + U[0,jitter)) *)
-  retry_backoff : float;
   retry_cap : float;
-  retry_jitter : float;
-  (* how many times a voter may clear an exhausted blacklist and start
-     over (after a backoff wait) before giving up; 1 = the original
-     single pass over the nodes *)
   blacklist_rounds : int;
   coin : Binary_batch.coin;
   vc_machines : int;        (* physical machines hosting VC nodes *)
@@ -107,9 +101,9 @@ let default_params ?(fidelity = Modeled) cfg ~votes =
     concurrent_clients = 40; votes;
     byzantine_vc = []; byzantine_bb = [];
     faults = Fault_plan.none;
-    voter_patience = 20.;
-    retry_backoff = 2.0; retry_cap = 8.0; retry_jitter = 0.1;
-    blacklist_rounds = 1;
+    voter_patience = Voter.default_policy.Voter.patience;
+    retry_cap = Voter.default_policy.Voter.cap;
+    blacklist_rounds = Voter.default_policy.Voter.blacklist_rounds;
     coin = Binary_batch.Local;
     vc_machines = 4; vc_cores = 6;
     max_sim_time = 500_000.;
@@ -237,56 +231,17 @@ let run (p : params) : result =
   } in
   let election_end = ref infinity in
 
-  (* --- authenticator scheme and stores --- *)
-  let scheme, setup_opt, stored_opt =
+  (* --- election data: keys, stores, boards, trustees, ballots --- *)
+  let src =
     match p.fidelity with
-    | Full setup -> setup.Ea.vc_keys.(0).Auth.scheme, Some setup, None
+    | Full setup -> Node_source.of_setup ~coin:p.coin setup
     | Stored sd ->
-      sd.sd_layout.Election_store.l_static.Ea.st_vc_keys.(0).Auth.scheme, None, Some sd
-    | Modeled -> Auth.Mac_scheme, None, None
+      Node_source.of_layout ~devices:sd.sd_devices ~coin:p.coin ~seed:p.seed sd.sd_layout
+    | Modeled -> Node_source.prf ~scheme:Auth.Mac_scheme ~coin:p.coin cfg ~seed:p.seed
   in
   (* full cryptography, whether served from RAM or from segments *)
-  let full_mode = setup_opt <> None || stored_opt <> None in
-  let static_of sd = sd.sd_layout.Election_store.l_static in
-  let gctx =
-    match setup_opt, stored_opt with
-    | Some s, _ -> s.Ea.gctx
-    | _, Some sd -> (static_of sd).Ea.st_gctx
-    | _ -> Dd_group.Group_ctx.default ()
-  in
-  let vc_keys =
-    match setup_opt, stored_opt with
-    | Some s, _ -> s.Ea.vc_keys
-    | _, Some sd -> (static_of sd).Ea.st_vc_keys
-    | _ -> Auth.deal_clique ~scheme ~gctx ~seed:("vc-keys|" ^ p.seed) ~n:(cfg.Types.nv + 1)
-  in
-  let store_for node =
-    match setup_opt, stored_opt with
-    | Some s, _ -> Ballot_store.materialized s.Ea.vc_init.(node)
-    | _, Some sd ->
-      Ballot_store.segmented ~gctx ~cfg
-        ~msk_share:(static_of sd).Ea.st_msk_shares.(node)
-        (sd.sd_devices (Election_store.vc_segment node))
-        sd.sd_layout.Election_store.l_vc.(node)
-    | _ -> Ballot_store.virtual_prf ~seed:p.seed ~cfg ~node
-  in
-  (* the BB nodes' shared init record and (segmented mode) their board
-     backing; each node gets its own bounded chunk cache *)
-  let bb_init_opt, bb_board_for =
-    match setup_opt, stored_opt with
-    | Some s, _ -> Some s.Ea.bb_init, fun (_ : int) -> None
-    | _, Some sd ->
-      let st = static_of sd in
-      ( Some
-          { Ea.hmsk = st.Ea.st_hmsk; Ea.salt_msk = st.Ea.st_salt_msk;
-            Ea.bb_ballots = [||] },
-        fun (_ : int) ->
-          Some
-            (Board.segmented gctx
-               (sd.sd_devices Election_store.bb_segment)
-               sd.sd_layout.Election_store.l_bb) )
-    | _ -> None, fun (_ : int) -> None
-  in
+  let full_mode = Option.is_some src.Node_source.sv_bb in
+  let gctx = src.Node_source.sv_gctx in
 
   (* --- durable devices --- *)
   let crash_specs = Fault_plan.crash_specs p.faults in
@@ -315,13 +270,13 @@ let run (p : params) : result =
   (* slot array rather than captured objects: a cold restart swaps the
      slot, and every delivery path reads it at delivery time *)
   let bb_arr : Bb_node.t option array = Array.make cfg.Types.nb None in
-  (match bb_init_opt with
-   | Some init ->
+  (match src.Node_source.sv_bb with
+   | Some (init, board_for) ->
      for j = 0 to cfg.Types.nb - 1 do
        bb_arr.(j) <-
          Some
            (Bb_node.create ?durable:(device_of bb_backing.(j))
-              ?board:(bb_board_for j) ~cfg ~gctx ~init ~me:j ())
+              ?board:(board_for j) ~cfg ~gctx ~init ~me:j ())
      done
    | None -> ());
   let live_bbs () = Array.to_list bb_arr |> List.filter_map Fun.id in
@@ -336,10 +291,6 @@ let run (p : params) : result =
   (* --- forward declarations for mutually recursive wiring --- *)
   let vc_nodes : Vc_node.t option array = Array.make cfg.Types.nv None in
   let adversaries : Adversary.t option array = Array.make cfg.Types.nv None in
-  let client_reply :
-    (client:int -> req:int -> Types.vote_outcome -> unit) ref =
-    ref (fun ~client:_ ~req:_ _ -> ())
-  in
 
   (* Deliver a VC message: Byzantine destinations see it through their
      adversary wrapper (which may act on it, forward it, or eat it). *)
@@ -351,6 +302,55 @@ let run (p : params) : result =
        | Some adv ->
          Adversary.handle_incoming adv ~honest:(fun m -> Vc_node.handle node m) msg
        | None -> Vc_node.handle node msg)
+  in
+
+  let end_election () =
+    if !election_end = infinity then begin
+      election_end := Net.now net;
+      phases.t_end <- Net.now net;
+      if p.run_vsc then
+        Array.iteri
+          (fun i _ ->
+             let participates =
+               match byz i with
+               | None -> true
+               | Some b -> Adversary.runs_vsc b
+             in
+             if participates then
+               (* re-read the slot when the exec fires, and skip crashed
+                  nodes ([Net.exec] does not model loss): a node down at
+                  election end starts VSC itself on recovery *)
+               Net.exec net ~dst:vc_net.(i) ~cost:0.001
+                 (fun () ->
+                    if Net.node_up net vc_net.(i) then
+                      match vc_nodes.(i) with
+                      | Some node -> Vc_node.start_vote_set_consensus node
+                      | None -> ()))
+          vc_net
+    end
+  in
+
+  (* --- clients: the paper's closed-loop voters --- *)
+  let after ~delay k = Engine.schedule_after engine ~delay k in
+  let pool =
+    Voter.Pool.create
+      ~policy:
+        { Voter.patience = p.voter_patience; cap = p.retry_cap;
+          blacklist_rounds = p.blacklist_rounds }
+      ~seed:p.seed ~clients:n_clients ~nv:cfg.Types.nv
+      ~ballot_for:src.Node_source.sv_ballot_for
+      { Voter.Pool.send =
+          (fun ~client ~node ~req ~serial ~vote_code ->
+             let msg = Messages.Vote { serial; vote_code; client; req } in
+             Net.send net ~src:client_net.(client) ~dst:vc_net.(node)
+               ~size:(Messages.vc_msg_size msg) ~cost:(vc_msg_cost p.costs cfg msg)
+               (fun () -> deliver_vc node msg));
+        arm_patience = after;
+        wait = after;
+        now = (fun () -> Net.now net);
+        (* everything cast: election end, as in the paper's runs *)
+        finished = end_election }
+      (List.map (fun v -> { Voter.Pool.serial = v.vi_serial; choice = v.vi_choice }) p.votes)
   in
 
   let vc_submitted = ref 0 in
@@ -416,7 +416,7 @@ let run (p : params) : result =
       if suppressed then ()
       else
         Net.send net ~src:vc_net.(i) ~dst:client_net.(client) ~size:64 ~cost:0.00001
-          (fun () -> !client_reply ~client ~req outcome)
+          (fun () -> Voter.Pool.on_reply pool ~client ~req outcome)
     in
     let send_bb ~dst msg =
       (match msg with
@@ -501,8 +501,8 @@ let run (p : params) : result =
     in
     { Vc_node.me = i;
       cfg;
-      keys = vc_keys.(i);
-      store = store_for i;
+      keys = src.Node_source.sv_keys.(i);
+      store = src.Node_source.sv_store_for i;
       now = (fun () -> Net.now net);
       election_start = 0.;
       election_end = (fun () -> !election_end);
@@ -514,8 +514,8 @@ let run (p : params) : result =
           ~seed:
             (if gen = 0 then Printf.sprintf "vc-rng|%s|%d" p.seed i
              else Printf.sprintf "vc-rng|%s|%d|g%d" p.seed i gen);
-      consensus_coin = p.coin;
-      verify_share_tags = full_mode;
+      consensus_coin = src.Node_source.sv_coin;
+      verify_share_tags = src.Node_source.sv_verify_share_tags;
       verify_tag = None;
       durable = device_of vc_backing.(i) }
   in
@@ -537,39 +537,9 @@ let run (p : params) : result =
   done;
 
   (* --- full-mode trustees --- *)
-  let trustee_data =
-    match setup_opt, stored_opt with
-    | Some s, _ -> Some (s.Ea.trustee_keys, fun i -> s.Ea.trustee_init.(i))
-    | _, Some sd ->
-      let st = static_of sd in
-      Some
-        ( st.Ea.st_trustee_keys,
-          fun i ->
-            (* trustees materialize their own segment on startup — the
-               publish phase walks every serial's unused part anyway *)
-            let dev = sd.sd_devices (Election_store.trustee_segment i) in
-            let m = sd.sd_layout.Election_store.l_trustee.(i) in
-            let records =
-              match Dd_segment.Segment.read_all dev m with
-              | Some r -> r
-              (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-              | None -> invalid_arg "Election.run: trustee segment unreadable"
-            in
-            { Ea.t_id = i;
-              Ea.t_ballots =
-                Array.map
-                  (fun payload ->
-                     match Election_store.decode_trustee_record gctx payload with
-                     | Some parts -> parts
-                     | None ->
-                       (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-                       invalid_arg "Election.run: trustee record undecodable")
-                  records } )
-    | _ -> None
-  in
   let trustee_objs : Trustee.t option array = Array.make cfg.Types.nt None in
   let restart_trustee = ref (fun (_ : int) -> ()) in
-  (match trustee_data with
+  (match src.Node_source.sv_trustees with
    | None ->
      (* modeled publish phase: charged from the cost model *)
      start_trustees_full :=
@@ -649,178 +619,11 @@ let run (p : params) : result =
        (fun j bb -> match bb with Some bb -> watch_bb j bb | None -> ())
        bb_arr);
 
-  (* --- clients --- *)
-  let latencies = Stats.sample_set () in
-  let receipts_ok = ref 0 and receipts_bad = ref 0 and rejections = ref 0 in
-  let exhausted = ref 0 in
-  let clients_done = ref 0 in
-  let successes = ref [] in
-
-  (* distribute intents round-robin over clients, like the paper's
-     client threads loading their ballot files *)
-  let queues = Array.make n_clients [] in
-  List.iteri (fun k v -> queues.(k mod n_clients) <- v :: queues.(k mod n_clients)) p.votes;
-  Array.iteri (fun c q -> queues.(c) <- List.rev q) queues;
-
-  let stored_ballot_cache =
-    match stored_opt with
-    | Some sd ->
-      Some
-        (Dd_segment.Segment.Cache.create ~slots:2
-           (sd.sd_devices Election_store.ballots_segment)
-           sd.sd_layout.Election_store.l_ballots)
-    | None -> None
-  in
-  let ballot_for serial =
-    match setup_opt, stored_ballot_cache with
-    | Some s, _ -> s.Ea.ballots.(serial)
-    | _, Some cache ->
-      (match Dd_segment.Segment.Cache.record cache serial with
-       | Some payload ->
-         (match Election_store.decode_voter_ballot payload with
-          | Some b -> b
-          (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-          | None -> invalid_arg "Election.run: ballot record undecodable")
-       (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-       | None -> invalid_arg "Election.run: ballot segment unreadable")
-    | _ -> Ballot_gen.voter_ballot ~seed:p.seed ~serial ~m:cfg.Types.m_options
-  in
-
-  let next_req = ref 0 in
-  (* req -> (client, plan, target VC node, submit time, attempt#) *)
-  let pending : (int, int * Voter.plan * int * float * int) Hashtbl.t = Hashtbl.create 64 in
-  let blacklists = Array.make n_clients [] in
-  let attempt_hist = Hashtbl.create 8 in
-  let record_attempts k =
-    Hashtbl.replace attempt_hist k (1 + Option.value ~default:0 (Hashtbl.find_opt attempt_hist k))
-  in
-
-  let end_election () =
-    if !election_end = infinity then begin
-      election_end := Net.now net;
-      phases.t_end <- Net.now net;
-      if p.run_vsc then
-        Array.iteri
-          (fun i _ ->
-             let participates =
-               match byz i with
-               | None -> true
-               | Some b -> Adversary.runs_vsc b
-             in
-             if participates then
-               (* re-read the slot when the exec fires, and skip crashed
-                  nodes ([Net.exec] does not model loss): a node down at
-                  election end starts VSC itself on recovery *)
-               Net.exec net ~dst:vc_net.(i) ~cost:0.001
-                 (fun () ->
-                    if Net.node_up net vc_net.(i) then
-                      match vc_nodes.(i) with
-                      | Some node -> Vc_node.start_vote_set_consensus node
-                      | None -> ()))
-          vc_net
-    end
-  in
-
-  let client_rng c = Drbg.create ~seed:(Printf.sprintf "client|%s|%d" p.seed c) in
-  let client_rngs = Array.init n_clients client_rng in
-
-  let retry_delay c ~attempt =
-    Voter.retry_delay ~backoff:p.retry_backoff ~cap:p.retry_cap
-      ~jitter:p.retry_jitter client_rngs.(c) ~patience:p.voter_patience ~attempt
-  in
-
-  let rec start_next c =
-    match queues.(c) with
-    | [] ->
-      incr clients_done;
-      if !clients_done >= n_clients then
-        (* everything cast: election end, as in the paper's runs *)
-        end_election ()
-    | intent :: rest ->
-      queues.(c) <- rest;
-      blacklists.(c) <- [];
-      let rng = client_rngs.(c) in
-      let plan =
-        Voter.make_plan ~patience:p.voter_patience rng ~ballot:(ballot_for intent.vi_serial)
-          ~choice:intent.vi_choice
-      in
-      submit c plan ~attempt:1 ~round:1
-
-  and submit c plan ~attempt ~round =
-    let rng = client_rngs.(c) in
-    match Voter.pick_node rng ~nv:cfg.Types.nv ~blacklist:blacklists.(c) with
-    | None ->
-      if round < p.blacklist_rounds then begin
-        (* every node timed out once: forget the blacklist and try the
-           whole cluster again after a backoff wait (the cluster may be
-           partitioned or crashed-and-recovering, not Byzantine) *)
-        blacklists.(c) <- [];
-        Engine.schedule_after engine ~delay:(retry_delay c ~attempt)
-          (fun () -> submit c plan ~attempt:(attempt + 1) ~round:(round + 1))
-      end else begin
-        incr exhausted;
-        start_next c
-      end
-    | Some node ->
-      incr next_req;
-      let req = !next_req in
-      let now = Net.now net in
-      if now < phases.t_first_submit then phases.t_first_submit <- now;
-      Hashtbl.replace pending req (c, plan, node, now, attempt);
-      let msg =
-        Messages.Vote
-          { serial = plan.Voter.ballot.Types.serial;
-            vote_code = Voter.vote_code plan;
-            client = c; req }
-      in
-      let cost = vc_msg_cost p.costs cfg msg in
-      Net.send net ~src:client_net.(c) ~dst:vc_net.(node) ~size:(Messages.vc_msg_size msg)
-        ~cost
-        (fun () -> deliver_vc node msg);
-      (* [d]-patience with exponential backoff: blacklist and resubmit
-         on timeout *)
-      Engine.schedule_after engine ~delay:(retry_delay c ~attempt)
-        (fun () ->
-           if Hashtbl.mem pending req then begin
-             Hashtbl.remove pending req;
-             blacklists.(c) <- node :: blacklists.(c);
-             submit c plan ~attempt:(attempt + 1) ~round
-           end)
-  in
-
-  client_reply :=
-    (fun ~client ~req outcome ->
-       match Hashtbl.find_opt pending req with
-       | None -> ()   (* stale reply after patience expired *)
-       | Some (c, _, _, _, _) when c <> client -> ()  (* misrouted reply: drop *)
-       | Some (c, plan, node, t_submit, attempt) ->
-         Hashtbl.remove pending req;
-         match outcome with
-         | Types.Receipt r ->
-           if Voter.receipt_valid plan r then begin
-             incr receipts_ok;
-             record_attempts attempt;
-             successes :=
-               (plan.Voter.ballot.Types.serial, Voter.vote_code plan) :: !successes;
-             let now = Net.now net in
-             Stats.record latencies (now -. t_submit);
-             if now > phases.t_last_receipt then phases.t_last_receipt <- now;
-             start_next c
-           end else begin
-             incr receipts_bad;
-             (* a bad receipt means a malicious responder: blacklist, retry *)
-             blacklists.(c) <- node :: blacklists.(c);
-             submit c plan ~attempt:(attempt + 1) ~round:1
-           end
-         | Types.Rejected _ ->
-           incr rejections;
-           start_next c);
-
   (* kick off the clients, staggered like ramping load generators *)
   Array.iteri
     (fun c _ ->
        Engine.schedule_at engine ~at:(0.001 +. (0.0001 *. float_of_int c))
-         (fun () -> start_next c))
+         (fun () -> Voter.Pool.start pool c))
     client_net;
   (* fixed voting hours, if requested *)
   (match p.end_after with
@@ -848,13 +651,13 @@ let run (p : params) : result =
         Vc_node.start_vote_set_consensus node
     in
     let restart_bb j =
-      match bb_init_opt with
+      match src.Node_source.sv_bb with
       | None -> ()
-      | Some init ->
+      | Some (init, board_for) ->
         let bb =
           (* lint: allow secret-taint — salt_msk is part of the BB node's own durable at-rest state, not a network message *)
           Bb_node.recover ?durable:(device_of bb_backing.(j))
-            ?board:(bb_board_for j) ~cfg ~gctx ~init ~me:j ()
+            ?board:(board_for j) ~cfg ~gctx ~init ~me:j ()
         in
         bb_arr.(j) <- Some bb;
         watch_bb j bb;
@@ -917,7 +720,7 @@ let run (p : params) : result =
          let t = Array.make cfg.Types.m_options 0 in
          List.iter
            (fun (serial, code) ->
-              let ballot = ballot_for serial in
+              let ballot = src.Node_source.sv_ballot_for serial in
               List.iter
                 (fun part ->
                    Array.iteri
@@ -933,29 +736,29 @@ let run (p : params) : result =
        | Bb_reader.Agreed t -> Some t
        | Bb_reader.No_majority -> None)
   in
+  phases.t_first_submit <- Voter.Pool.first_submit pool;
+  phases.t_last_receipt <- Voter.Pool.last_receipt pool;
+  let receipts_ok = Voter.Pool.receipts_ok pool in
   let vote_duration =
     if phases.t_last_receipt > phases.t_first_submit then
       phases.t_last_receipt -. phases.t_first_submit
     else 1.
   in
-  { latencies;
-    receipts_ok = !receipts_ok;
-    receipts_bad = !receipts_bad;
-    rejections = !rejections;
-    exhausted = !exhausted;
+  { latencies = Voter.Pool.latencies pool;
+    receipts_ok;
+    receipts_bad = Voter.Pool.receipts_bad pool;
+    rejections = Voter.Pool.rejections pool;
+    exhausted = Voter.Pool.exhausted pool;
     phases;
-    throughput = Stats.throughput ~completed:!receipts_ok ~duration:vote_duration;
+    throughput = Stats.throughput ~completed:receipts_ok ~duration:vote_duration;
     tally;
     expected_tally = expected_tally cfg p.votes;
-    successes = !successes;
-    attempt_counts =
-      (let max_a = Hashtbl.fold (fun k _ m -> max k m) attempt_hist 0 in
-       Array.init max_a (fun i ->
-           Option.value ~default:0 (Hashtbl.find_opt attempt_hist (i + 1))));
+    successes = Voter.Pool.successes pool;
+    attempt_counts = Voter.Pool.attempt_counts pool;
     messages = Net.messages_sent net;
     bytes = Net.bytes_sent net;
     bb_nodes = live_bbs ();
-    setup = setup_opt;
+    setup = (match p.fidelity with Full s -> Some s | Stored _ | Modeled -> None);
     devices =
       (let tag pre arr =
          Array.to_list arr

@@ -5,9 +5,10 @@
 
     Fidelity levels share the identical vote-collection protocol:
     [Full] runs real cryptography end to end (tests, examples);
-    [Modeled] PRF-derives ballots and charges the post-election crypto
+    [Stored] does the same from sealed segments; [Modeled] PRF-derives ballots and charges the post-election crypto
     to the simulated clock from {!Cost_model}, scaling to hundreds of
-    millions of registered ballots. *)
+    millions of registered ballots. Each fidelity maps to one
+    {!Node_source} constructor, and the voters are a {!Voter.Pool}. *)
 
 module Net = Dd_sim.Net
 module Stats = Dd_sim.Stats
@@ -55,9 +56,7 @@ type params = {
   byzantine_bb : int list;      (** BB nodes serving tampered state (majority reads must mask them) *)
   faults : Dd_sim.Fault_plan.t; (** timed partitions, crashes, link faults *)
   voter_patience : float;       (** the [d] of [d]-patience *)
-  retry_backoff : float;        (** attempt k waits patience * min(backoff^(k-1), cap) *)
-  retry_cap : float;
-  retry_jitter : float;         (** relative jitter in [0, retry_jitter) per wait *)
+  retry_cap : float;            (** attempt k waits patience * min(2^(k-1), cap) *)
   blacklist_rounds : int;       (** full passes over the cluster before a voter gives up *)
   coin : Dd_consensus.Binary_batch.coin;
   vc_machines : int;            (** physical machines hosting VC nodes *)

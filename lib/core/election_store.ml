@@ -309,6 +309,42 @@ let load_layout devices cfg ~seed =
             l_trustee = Array.of_list (List.map Option.get tr) })
   | _ -> None
 
+(* --- readers over a sealed layout ----------------------------------------- *)
+
+let read_trustee_init devices layout i =
+  let gctx = layout.l_static.Ea.st_gctx in
+  let records =
+    match Segment.read_all (devices (trustee_segment i)) layout.l_trustee.(i) with
+    | Some r -> r
+    (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+    | None -> invalid_arg "Election_store: trustee segment unreadable"
+  in
+  { Ea.t_id = i;
+    Ea.t_ballots =
+      Array.map
+        (fun payload ->
+           match decode_trustee_record gctx payload with
+           | Some parts -> parts
+           (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+           | None -> invalid_arg "Election_store: trustee record undecodable")
+        records }
+
+let voter_ballot_reader devices layout =
+  (* the device is opened on first use: a cluster that never reads a
+     voter's ballot never touches the segment *)
+  let cache =
+    lazy (Segment.Cache.create ~slots:2 (devices ballots_segment) layout.l_ballots)
+  in
+  fun serial ->
+    match Segment.Cache.record (Lazy.force cache) serial with
+    | Some payload ->
+      (match decode_voter_ballot payload with
+       | Some b -> b
+       (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+       | None -> invalid_arg "Election_store: ballot record undecodable")
+    (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+    | None -> invalid_arg "Election_store: ballot segment unreadable"
+
 (* --- plain profile -------------------------------------------------------- *)
 
 let encode_plain_record ~code_hashes ~salts =

@@ -88,6 +88,17 @@ val resume_setup :
 val load_layout :
   (string -> Device.t) -> Types.config -> seed:string -> layout option
 
+(** Trustee [i]'s init data, read and decoded from its whole segment.
+    Raises [Invalid_argument] on an unreadable or undecodable segment
+    (local-disk corruption, not network input). *)
+val read_trustee_init : (string -> Device.t) -> layout -> int -> Ea.trustee_init
+
+(** [voter_ballot_reader devices layout] reads voters' printed ballots
+    by serial through a two-chunk cache over the ["ballots"] segment,
+    which is opened on the first read. Raises [Invalid_argument] on an
+    unreadable or undecodable record. *)
+val voter_ballot_reader : (string -> Device.t) -> layout -> int -> Types.ballot
+
 (* --- plain profile ----------------------------------------------------- *)
 
 (** One serial's plain validation record: part -> position ->

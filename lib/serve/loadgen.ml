@@ -1,29 +1,15 @@
 module Types = Ddemos.Types
-module Voter = Ddemos.Voter
-module Drbg = Dd_crypto.Drbg
+module Pool = Ddemos.Voter.Pool
 
 type params = {
   lg_clients : int;
   lg_seed : string;
-  lg_patience : float;
-  lg_backoff : float;
-  lg_cap : float;
-  lg_jitter : float;
-  lg_blacklist_rounds : int;
   lg_max_steps : int;
 }
 
-let default_params =
-  { lg_clients = 40;
-    lg_seed = "election-seed";
-    lg_patience = 20.;
-    lg_backoff = 2.0;
-    lg_cap = 8.0;
-    lg_jitter = 0.1;
-    lg_blacklist_rounds = 1;
-    lg_max_steps = 1_000_000 }
+let default_params = { lg_clients = 40; lg_seed = "election-seed"; lg_max_steps = 1_000_000 }
 
-type vote_intent = { serial : int; choice : int }
+type vote_intent = Pool.intent = { serial : int; choice : int }
 
 type result = {
   receipts_ok : int;
@@ -39,6 +25,7 @@ type result = {
    an outbound buffer so a transport's partial accept never tears a
    frame (sockets accept what their kernel buffer holds). *)
 type chan = {
+  ch_client : int;
   ch_conn : Transport.conn;
   ch_dec : Frame.decoder;
   ch_out : Buffer.t;
@@ -57,109 +44,9 @@ let flush_chan ch =
     end
   end
 
-type state = {
-  p : params;
-  gctx : Dd_group.Group_ctx.t;
-  conn_for : client:int -> node:int -> Transport.conn;
-  ballot_for : int -> Types.ballot;
-  nv : int;
-  rngs : Drbg.t array;
-  queues : vote_intent list array;
-  blacklists : int list array;
-  chans : (int * int, chan) Hashtbl.t;            (* client, node *)
-  (* req -> (client, plan, node, attempt, round) *)
-  pending : (int, int * Voter.plan * int * int * int) Hashtbl.t;
-  mutable next_req : int;
-  mutable receipts_ok : int;
-  mutable receipts_bad : int;
-  mutable rejections : int;
-  mutable exhausted : int;
-  mutable done_clients : int;
-  mutable successes : (int * string) list;
-}
-
-let chan_of s ~client ~node =
-  match Hashtbl.find_opt s.chans (client, node) with
-  | Some ch -> ch
-  | None ->
-    let ch =
-      { ch_conn = s.conn_for ~client ~node; ch_dec = Frame.create ();
-        ch_out = Buffer.create 256; ch_opos = 0 }
-    in
-    Hashtbl.replace s.chans (client, node) ch;
-    ch
-
-(* The simulator draws retry_delay at every submit (to arm the
-   [d]-patience timer). The closed loop has no timers, but the draw
-   must still happen or the DRBG streams diverge from the sim's. *)
-let burn_retry_delay s c ~attempt =
-  ignore
-    (Voter.retry_delay ~backoff:s.p.lg_backoff ~cap:s.p.lg_cap
-       ~jitter:s.p.lg_jitter s.rngs.(c) ~patience:s.p.lg_patience ~attempt
-      : float)
-
-let rec start_next s c =
-  match s.queues.(c) with
-  | [] -> s.done_clients <- s.done_clients + 1
-  | intent :: rest ->
-    s.queues.(c) <- rest;
-    s.blacklists.(c) <- [];
-    let plan =
-      Voter.make_plan ~patience:s.p.lg_patience s.rngs.(c)
-        ~ballot:(s.ballot_for intent.serial) ~choice:intent.choice
-    in
-    submit s c plan ~attempt:1 ~round:1
-
-and submit s c plan ~attempt ~round =
-  match Voter.pick_node s.rngs.(c) ~nv:s.nv ~blacklist:s.blacklists.(c) with
-  | None ->
-    if round < s.p.lg_blacklist_rounds then begin
-      s.blacklists.(c) <- [];
-      burn_retry_delay s c ~attempt;
-      submit s c plan ~attempt:(attempt + 1) ~round:(round + 1)
-    end
-    else begin
-      s.exhausted <- s.exhausted + 1;
-      start_next s c
-    end
-  | Some node ->
-    s.next_req <- s.next_req + 1;
-    let req = s.next_req in
-    Hashtbl.replace s.pending req (c, plan, node, attempt, round);
-    let ch = chan_of s ~client:c ~node in
-    Buffer.add_string ch.ch_out
-      (Frame.encode
-         (Mux.encode s.gctx
-            (Mux.Client_vote
-               { channel = c; req;
-                 serial = plan.Voter.ballot.Types.serial;
-                 vote_code = Voter.vote_code plan })));
-    burn_retry_delay s c ~attempt
-
-let on_reply s req outcome =
-  match Hashtbl.find_opt s.pending req with
-  | None -> ()
-  | Some (c, plan, node, attempt, _round) ->
-    Hashtbl.remove s.pending req;
-    (match outcome with
-     | Types.Receipt r ->
-       if Voter.receipt_valid plan r then begin
-         s.receipts_ok <- s.receipts_ok + 1;
-         s.successes <-
-           (plan.Voter.ballot.Types.serial, Voter.vote_code plan) :: s.successes;
-         start_next s c
-       end
-       else begin
-         s.receipts_bad <- s.receipts_bad + 1;
-         s.blacklists.(c) <- node :: s.blacklists.(c);
-         submit s c plan ~attempt:(attempt + 1) ~round:1
-       end
-     | Types.Rejected _ ->
-       s.rejections <- s.rejections + 1;
-       start_next s c)
-
-(* Drain one channel: returns the replies processed. *)
-let pump_chan s ch =
+(* Drain one channel into the pool, as replies to the client that owns
+   the connection; returns the replies processed. *)
+let pump_chan gctx pool ch =
   let n = ref 0 in
   let rec feed () =
     let bytes = ch.ch_conn.Transport.recv () in
@@ -173,10 +60,10 @@ let pump_chan s ch =
     match Frame.pop ch.ch_dec with
     | None -> ()
     | Some payload ->
-      (match Mux.decode s.gctx payload with
+      (match Mux.decode gctx payload with
        | Some (Mux.Client_reply { channel = _; req; outcome }) ->
          incr n;
-         on_reply s req outcome
+         Pool.on_reply pool ~client:ch.ch_client ~req outcome
        | Some _ | None -> ());
       pop ()
   in
@@ -184,51 +71,53 @@ let pump_chan s ch =
   !n
 
 let run ?(params = default_params) ~conn_for ~step ~ballot_for ~nv ~votes () =
-  let n_clients = max 1 params.lg_clients in
-  let queues = Array.make n_clients [] in
-  List.iteri (fun k v -> queues.(k mod n_clients) <- v :: queues.(k mod n_clients)) votes;
-  Array.iteri (fun c q -> queues.(c) <- List.rev q) queues;
-  let s =
-    { p = params;
-      gctx = Dd_group.Group_ctx.default ();
-      conn_for;
-      ballot_for;
-      nv;
-      rngs =
-        Array.init n_clients (fun c ->
-            Drbg.create ~seed:(Printf.sprintf "client|%s|%d" params.lg_seed c));
-      queues;
-      blacklists = Array.make n_clients [];
-      chans = Hashtbl.create 64;
-      pending = Hashtbl.create 64;
-      next_req = 0;
-      receipts_ok = 0;
-      receipts_bad = 0;
-      rejections = 0;
-      exhausted = 0;
-      done_clients = 0;
-      successes = [] }
+  let gctx = Dd_group.Group_ctx.default () in
+  let chans : (int * int, chan) Hashtbl.t = Hashtbl.create 64 in
+  let chan_of ~client ~node =
+    match Hashtbl.find_opt chans (client, node) with
+    | Some ch -> ch
+    | None ->
+      let ch =
+        { ch_client = client; ch_conn = conn_for ~client ~node; ch_dec = Frame.create ();
+          ch_out = Buffer.create 256; ch_opos = 0 }
+      in
+      Hashtbl.replace chans (client, node) ch;
+      ch
   in
-  for c = 0 to n_clients - 1 do
-    start_next s c
+  let finished = ref false in
+  (* closed loop: no timers, so patience is never armed and a backoff
+     wait restarts at once — every voter draw still happens *)
+  let pool =
+    Pool.create ~seed:params.lg_seed ~clients:params.lg_clients ~nv ~ballot_for
+      { Pool.send =
+          (fun ~client ~node ~req ~serial ~vote_code ->
+             Buffer.add_string (chan_of ~client ~node).ch_out
+               (Frame.encode
+                  (Mux.encode gctx (Mux.Client_vote { channel = client; req; serial; vote_code }))));
+        arm_patience = (fun ~delay:_ _ -> ());
+        wait = (fun ~delay:_ k -> k ());
+        now = (fun () -> 0.);
+        finished = (fun () -> finished := true) }
+      votes
+  in
+  for c = 0 to Pool.clients pool - 1 do
+    Pool.start pool c
   done;
   let steps = ref 0 in
   let stalled = ref 0 in
-  while
-    s.done_clients < n_clients && !steps < params.lg_max_steps && !stalled < 64
-  do
+  while (not !finished) && !steps < params.lg_max_steps && !stalled < 64 do
     incr steps;
     (* snapshot: replies can open new channels mid-pump *)
-    let chans = Hashtbl.fold (fun _ ch acc -> ch :: acc) s.chans [] in
-    List.iter flush_chan chans;
+    let snapshot = Hashtbl.fold (fun _ ch acc -> ch :: acc) chans [] in
+    List.iter flush_chan snapshot;
     let server_work = step () in
-    let replies = List.fold_left (fun acc ch -> acc + pump_chan s ch) 0 chans in
+    let replies = List.fold_left (fun acc ch -> acc + pump_chan gctx pool ch) 0 snapshot in
     if server_work = 0 && replies = 0 then incr stalled else stalled := 0
   done;
-  { receipts_ok = s.receipts_ok;
-    receipts_bad = s.receipts_bad;
-    rejections = s.rejections;
-    exhausted = s.exhausted;
-    lost = Hashtbl.length s.pending;
-    successes = s.successes;
+  { receipts_ok = Pool.receipts_ok pool;
+    receipts_bad = Pool.receipts_bad pool;
+    rejections = Pool.rejections pool;
+    exhausted = Pool.exhausted pool;
+    lost = Pool.in_flight pool;
+    successes = Pool.successes pool;
     steps = !steps }

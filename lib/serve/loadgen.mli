@@ -1,33 +1,30 @@
 (** Closed-loop deterministic load generator for the serving runtime.
 
-    Drives the same voter model as the simulator's client threads —
-    per-client DRBGs seeded ["client|<seed>|<c>"], [Voter.make_plan] /
-    [Voter.pick_node] / [Voter.retry_delay] drawn in exactly the
-    simulator's order — so a serve run and an [Election.run] with the
-    same seed and vote list cast the same codes at the same nodes.
-    That is what makes transcript equivalence testable: the backends
-    must agree because their inputs agree bit-for-bit.
+    Drives the simulator's own voter clients, {!Ddemos.Voter.Pool}, so
+    a serve run and an [Election.run] with the same seed and vote list
+    cast the same codes at the same nodes. That is what makes
+    transcript equivalence testable: the backends must agree because
+    their inputs agree bit-for-bit. This module only frames,
+    multiplexes and decodes.
 
     Closed loop: each client keeps exactly one vote in flight and
     submits its next one the moment the reply lands. Offered load is
-    set by the client count, the paper's Fig.-4 methodology. *)
+    set by the client count, the paper's Fig.-4 methodology. There are
+    no timers: [d]-patience is never armed and a blacklist round
+    restarts at once. A reply counts only for the client whose
+    connection carried it. *)
 
 type params = {
   lg_clients : int;
   lg_seed : string;
-  lg_patience : float;
-  lg_backoff : float;
-  lg_cap : float;
-  lg_jitter : float;
-  lg_blacklist_rounds : int;
   lg_max_steps : int;     (** driver iterations before declaring a stall *)
 }
 
-(** The simulator's defaults: 40 clients, seed "election-seed",
-    patience 20s, backoff 2 cap 8 jitter 0.1, one blacklist round. *)
+(** The simulator's defaults: 40 clients, seed "election-seed"; the
+    retry policy is {!Ddemos.Voter.default_policy}. *)
 val default_params : params
 
-type vote_intent = { serial : int; choice : int }
+type vote_intent = Ddemos.Voter.Pool.intent = { serial : int; choice : int }
 
 type result = {
   receipts_ok : int;

@@ -40,34 +40,32 @@ type params = {
 
 val default_params : params
 
-(** Where the cluster's election state comes from. *)
-type source = {
+(** Where the cluster's election state comes from: the simulator's
+    {!Ddemos.Node_source}, re-exported. The runtime hosts no trustees
+    and ignores [sv_trustees] and [sv_ballot_for]. *)
+type source = Ddemos.Node_source.t = {
   sv_cfg : Ddemos.Types.config;
   sv_gctx : Dd_group.Group_ctx.t;
-  sv_keys : Ddemos.Auth.keys array;           (** VC clique; index nv = EA *)
+  sv_keys : Ddemos.Auth.keys array;
   sv_store_for : int -> Ddemos.Ballot_store.t;
   sv_bb : (Ddemos.Ea.bb_init * (int -> Ddemos.Board.t option)) option;
-      (** BB init + per-node board; [None] runs without BB nodes
-          (vote-collection-only benchmarks) *)
+  sv_trustees : (Ddemos.Auth.keys array * (int -> Ddemos.Ea.trustee_init)) option;
+  sv_ballot_for : int -> Ddemos.Types.ballot;
   sv_verify_share_tags : bool;
   sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
 }
 
-(** Full-fidelity source from an EA setup (tests, small deployments). *)
+(** {!Ddemos.Node_source.of_setup}. *)
 val source_of_setup : ?coin:Dd_consensus.Binary_batch.coin -> Ddemos.Ea.setup -> source
 
-(** PRF-derived ballots with a real signature clique — the realistic
-    hot path (every endorsement and UCERT check is a genuine Schnorr
-    verification) without the full EA setup cost. Share tags are
-    modeled away, as in the simulator's modeled runs. *)
+(** {!Ddemos.Node_source.prf}: PRF ballots, a Schnorr clique by default. *)
 val source_prf :
   ?scheme:Ddemos.Auth.scheme ->
   ?coin:Dd_consensus.Binary_batch.coin ->
   Ddemos.Types.config -> seed:string -> source
 
-(** Serve from an {!Ddemos.Election_store} state dir: full crypto from
-    sealed segments (the long-running deployment mode). *)
+(** {!Ddemos.Node_source.of_layout}: full crypto from sealed segments. *)
 val source_of_layout :
   devices:(string -> Dd_store.Device.t) ->
   ?coin:Dd_consensus.Binary_batch.coin ->

@@ -141,6 +141,95 @@ let test_voter_blacklist_exhaustion () =
   | Some 3 -> ()
   | _ -> Alcotest.fail "must pick the only remaining node"
 
+(* --- the voter pool, driven with fake effects --------------------------------- *)
+
+module Pool = Voter.Pool
+
+let pool_ballot serial = Ballot_gen.voter_ballot ~seed:"pool-test" ~serial ~m:3
+
+(* A pool whose sends are recorded (newest first), whose patience
+   timers queue up until a test fires them, and whose backoff waits
+   run at once. *)
+let fake_pool ?policy ?(clients = 1) ~nv intents =
+  let sent = ref [] and timers = Queue.create () and finished = ref false in
+  let fx =
+    { Pool.send =
+        (fun ~client ~node ~req ~serial ~vote_code ->
+           sent := (client, node, req, serial, vote_code) :: !sent);
+      arm_patience = (fun ~delay:_ k -> Queue.add k timers);
+      wait = (fun ~delay:_ k -> k ());
+      now = (fun () -> 0.);
+      finished = (fun () -> finished := true) }
+  in
+  let pool =
+    Pool.create ?policy ~seed:"pool-test" ~clients ~nv ~ballot_for:pool_ballot fx
+      (List.map (fun (serial, choice) -> { Pool.serial; choice }) intents)
+  in
+  for c = 0 to Pool.clients pool - 1 do
+    Pool.start pool c
+  done;
+  (pool, sent, timers, finished)
+
+(* the receipt printed next to [code] on [serial]'s ballot *)
+let printed_receipt serial code =
+  let b = pool_ballot serial in
+  let lines =
+    Array.append (Types.ballot_part b Types.A).Types.lines
+      (Types.ballot_part b Types.B).Types.lines
+  in
+  match Array.find_opt (fun l -> l.Types.vote_code = code) lines with
+  | Some l -> l.Types.receipt
+  | None -> Alcotest.fail "code not on the ballot"
+
+let test_pool_bad_receipt_resubmits () =
+  let pool, sent, _, finished = fake_pool ~nv:4 [ (0, 1) ] in
+  let c, node1, req1, serial, code = List.hd !sent in
+  Pool.on_reply pool ~client:c ~req:req1 (Types.Receipt "forged!!");
+  Alcotest.(check int) "bad receipt counted" 1 (Pool.receipts_bad pool);
+  let _, node2, req2, _, code2 = List.hd !sent in
+  Alcotest.(check bool) "resubmitted to another node" true (node2 <> node1);
+  Alcotest.(check bool) "as a new request" true (req2 <> req1);
+  Alcotest.(check string) "same vote code" code code2;
+  Pool.on_reply pool ~client:c ~req:req2 (Types.Receipt (printed_receipt serial code));
+  Alcotest.(check int) "receipt verified" 1 (Pool.receipts_ok pool);
+  Alcotest.(check (list (pair int string))) "cast" [ (serial, code) ] (Pool.successes pool);
+  Alcotest.(check (array int)) "second attempt" [| 0; 1 |] (Pool.attempt_counts pool);
+  Alcotest.(check bool) "finished" true !finished
+
+let test_pool_exhausted_after_rounds () =
+  let policy = { Voter.patience = 1.; cap = 8.; blacklist_rounds = 2 } in
+  let pool, sent, timers, finished = fake_pool ~policy ~nv:3 [ (0, 0) ] in
+  (* every submission times out *)
+  while not (Queue.is_empty timers) do
+    (Queue.pop timers) ()
+  done;
+  let nodes = List.rev_map (fun (_, node, _, _, _) -> node) !sent in
+  Alcotest.(check int) "every node, once per round" 6 (List.length nodes);
+  let round k = List.sort compare (List.filteri (fun i _ -> i / 3 = k) nodes) in
+  Alcotest.(check (list int)) "round 1" [ 0; 1; 2 ] (round 0);
+  Alcotest.(check (list int)) "round 2" [ 0; 1; 2 ] (round 1);
+  Alcotest.(check int) "abandoned" 1 (Pool.exhausted pool);
+  Alcotest.(check int) "nothing in flight" 0 (Pool.in_flight pool);
+  Alcotest.(check bool) "finished" true !finished
+
+let test_pool_stale_and_misrouted_replies () =
+  let pool, sent, timers, _ = fake_pool ~clients:2 ~nv:4 [ (0, 1); (1, 2) ] in
+  let mine (c, _, _, _, _) = c = 0 in
+  let _, _, req1, serial, code = List.find mine !sent in
+  (* client 0's patience expires first: it resubmits elsewhere *)
+  (Queue.pop timers) ();
+  let _, _, req2, _, _ = List.find mine !sent in
+  Alcotest.(check bool) "resubmitted" true (req2 <> req1);
+  let receipt = Types.Receipt (printed_receipt serial code) in
+  Pool.on_reply pool ~client:0 ~req:req1 receipt;
+  Alcotest.(check int) "stale reply ignored" 0 (Pool.receipts_ok pool);
+  Pool.on_reply pool ~client:1 ~req:req2 receipt;
+  Alcotest.(check int) "misrouted reply ignored" 0 (Pool.receipts_ok pool);
+  Alcotest.(check int) "both still in flight" 2 (Pool.in_flight pool);
+  Pool.on_reply pool ~client:0 ~req:req2 receipt;
+  Alcotest.(check int) "the live request counts" 1 (Pool.receipts_ok pool);
+  Alcotest.(check (array int)) "second attempt" [| 0; 1 |] (Pool.attempt_counts pool)
+
 (* --- malicious EA caught by audit (E2E verifiability) ------------------------ *)
 
 let tampered_setup () =
@@ -180,7 +269,7 @@ let test_malicious_ea_detected () =
       let seed = Printf.sprintf "evilrun%d" k in
       let rng = Drbg.create ~seed:(Printf.sprintf "client|%s|0" seed) in
       let ballot = s.Ea.ballots.(0) in
-      let plan = Voter.make_plan ~patience:20. rng ~ballot ~choice:1 in
+      let plan = Voter.make_plan rng ~ballot ~choice:1 in
       if plan.Voter.part = Types.B then (seed, plan) else find_seed (k + 1)
     end
   in
@@ -204,7 +293,7 @@ let test_honest_ea_passes_delegated_audit () =
   let r = run_full ~seed:"delegated" [ (0, 1); (1, 0) ] in
   let s = Lazy.force setup in
   let rng = Drbg.create ~seed:"client|delegated|0" in
-  let plan = Voter.make_plan ~patience:20. rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
+  let plan = Voter.make_plan rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
   match Auditor.assemble ~cfg:small_cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
   | None -> Alcotest.fail "no view"
   | Some view ->
@@ -457,7 +546,11 @@ let () =
          Alcotest.test_case "interrupted: agreement" `Quick test_interrupted_election_agreement ]);
       ("voter",
        [ Alcotest.test_case "receipt validation" `Quick test_invalid_vote_code_rejected;
-         Alcotest.test_case "blacklist" `Quick test_voter_blacklist_exhaustion ]);
+         Alcotest.test_case "blacklist" `Quick test_voter_blacklist_exhaustion;
+         Alcotest.test_case "pool: bad receipt resubmits" `Quick test_pool_bad_receipt_resubmits;
+         Alcotest.test_case "pool: exhausted after rounds" `Quick test_pool_exhausted_after_rounds;
+         Alcotest.test_case "pool: stale and misrouted replies" `Quick
+           test_pool_stale_and_misrouted_replies ]);
       ("verifiability",
        [ Alcotest.test_case "malicious EA detected" `Quick test_malicious_ea_detected;
          Alcotest.test_case "honest EA passes delegated audit" `Quick test_honest_ea_passes_delegated_audit;

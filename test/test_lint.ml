@@ -163,38 +163,6 @@ let test_wire_exhaustive () =
   check_clean "matches over other types may use wildcards"
     {|let f x = match x with Some (1, _) -> 1 | _ -> 0|}
 
-(* --- R5: vartime-public-only ------------------------------------------- *)
-
-let test_vartime_public_only () =
-  check_fires "sk into mul_vartime" "vartime-public-only"
-    ~file:"lib/sig/fixture.ml"
-    "let leak c sk g = Curve.mul_vartime c sk g";
-  check_fires "witness into msm" "vartime-public-only"
-    ~file:"lib/zkp/fixture.ml"
-    "let leak c witness p = Curve.msm c [| (witness, p) |]";
-  check_fires "suffixed name into mul2" "vartime-public-only"
-    ~file:"lib/sig/fixture.ml"
-    "let leak c table trustee_sk e pk = Curve.mul2 c table trustee_sk e pk";
-  check_fires "record field" "vartime-public-only"
-    ~file:"lib/vss/fixture.ml"
-    "let leak c st p = Curve.mul_vartime c st.nonce p";
-  (* the former blind spots: wrappers that leave the value unchanged *)
-  check_fires "type-annotated secret" "vartime-public-only"
-    ~file:"lib/sig/fixture.ml"
-    "let leak c sk g = Curve.mul_vartime c (sk : Scalar.t) g";
-  check_fires "local open around secret" "vartime-public-only"
-    ~file:"lib/sig/fixture.ml"
-    "let leak c sk g = Curve.mul_vartime c Scalar.(sk) g";
-  check_fires "sequence tail exposes secret" "vartime-public-only"
-    ~file:"lib/sig/fixture.ml"
-    "let leak c sk g tick = Curve.mul_vartime c (tick (); sk) g";
-  check_clean "public scalars are fine" ~file:"lib/sig/fixture.ml"
-    "let verify c s e pk = Curve.mul2 c table s e pk";
-  check_clean "constant-time mul is the fix" ~file:"lib/sig/fixture.ml"
-    "let ok c sk g = Curve.mul c sk g";
-  check_clean "unrelated callee with secret arg" ~file:"lib/sig/fixture.ml"
-    "let derive sk = Dd_crypto.Sha256.digest sk"
-
 (* --- R6: domain-safe-state --------------------------------------------- *)
 
 let test_domain_safe_state () =
@@ -243,31 +211,44 @@ let test_domain_safe_state () =
 (* --- R7: secret-taint (interprocedural) -------------------------------- *)
 
 let test_secret_taint () =
-  (* everything R5 catches by name, R7 re-finds by value flow *)
-  check_fires "R5 fixture: sk into mul_vartime" "secret-taint"
+  (* secret-named values into the variable-time surface *)
+  check_fires "sk into mul_vartime" "secret-taint"
     ~file:"lib/sig/fixture.ml"
     "let leak c sk g = Curve.mul_vartime c sk g";
-  check_fires "R5 fixture: witness into msm" "secret-taint"
+  check_fires "witness into msm" "secret-taint"
     ~file:"lib/zkp/fixture.ml"
     "let leak c witness p = Curve.msm c [| (witness, p) |]";
-  check_fires "R5 fixture: suffixed name into mul2" "secret-taint"
+  check_fires "suffixed name into mul2" "secret-taint"
     ~file:"lib/sig/fixture.ml"
     "let leak c table trustee_sk e pk = Curve.mul2 c table trustee_sk e pk";
-  check_fires "R5 fixture: record field" "secret-taint"
+  check_fires "record field" "secret-taint"
     ~file:"lib/vss/fixture.ml"
     "let leak c st p = Curve.mul_vartime c st.nonce p";
-  (* flows R5's per-expression name scan cannot see: *)
+  (* wrappers that leave the value unchanged *)
+  check_fires "type-annotated secret" "secret-taint"
+    ~file:"lib/sig/fixture.ml"
+    "let leak c sk g = Curve.mul_vartime c (sk : Scalar.t) g";
+  check_fires "local open around secret" "secret-taint"
+    ~file:"lib/sig/fixture.ml"
+    "let leak c sk g = Curve.mul_vartime c Scalar.(sk) g";
+  check_fires "sequence tail exposes secret" "secret-taint"
+    ~file:"lib/sig/fixture.ml"
+    "let leak c sk g tick = Curve.mul_vartime c (tick (); sk) g";
+  check_clean "public scalars are fine" ~file:"lib/sig/fixture.ml"
+    "let verify c s e pk = Curve.mul2 c table s e pk";
+  check_clean "constant-time mul is the fix" ~file:"lib/sig/fixture.ml"
+    "let ok c sk g = Curve.mul c sk g";
+  check_clean "unrelated callee with secret arg" ~file:"lib/sig/fixture.ml"
+    "let derive sk = Dd_crypto.Sha256.digest sk";
+  (* flows a per-expression name scan cannot see: *)
   (* 1. rebinding launders the name *)
   let rebind = "let leak c sk g = let k2 = sk in Curve.mul_vartime c k2 g" in
-  check_silent "rebind evades R5" "vartime-public-only" ~file:"lib/sig/fixture.ml" rebind;
   check_fires "rebind does not evade R7" "secret-taint" ~file:"lib/sig/fixture.ml" rebind;
   (* 2. the sink is inside a helper; the caller's argument is the secret *)
   let via_helper =
     "let helper c x p = Curve.mul_vartime c x p\n\
      let outer c sk p = helper c sk p"
   in
-  check_silent "helper param evades R5" "vartime-public-only"
-    ~file:"lib/sig/fixture.ml" via_helper;
   check_fires "helper param sink crosses the call" "secret-taint"
     ~file:"lib/sig/fixture.ml" via_helper;
   (* 3. a returned DRBG output is tainted through the call *)
@@ -584,6 +565,23 @@ let test_tree_clean () =
     Alcotest.(check int) "tree findings" 0 (List.length fs)
   end
 
+(* Every rule the driver runs has a "## Rn `name`" section in
+   docs/INVARIANTS.md, and every such section names a rule it runs. *)
+let test_docs_cover_rules () =
+  let doc =
+    match List.find_opt Sys.file_exists [ "../docs/INVARIANTS.md"; "docs/INVARIANTS.md" ] with
+    | Some path -> In_channel.with_open_bin path In_channel.input_all
+    | None -> Alcotest.fail "docs/INVARIANTS.md not found"
+  in
+  let headings =
+    String.split_on_char '\n' doc
+    |> List.filter_map (fun line ->
+        Scanf.sscanf_opt line "## R%d `%[^`]`" (fun _ name -> name))
+  in
+  let names = List.map (fun r -> r.Rules.name) rules @ [ Dd_analysis.Taint.rule_name ] in
+  Alcotest.(check (list string)) "one section per rule"
+    (List.sort compare names) (List.sort compare headings)
+
 let () =
   Alcotest.run "lint"
     [ ("rules",
@@ -591,7 +589,6 @@ let () =
          Alcotest.test_case "R2 sans-io" `Quick test_sans_io;
          Alcotest.test_case "R3 exception-hygiene" `Quick test_exception_hygiene;
          Alcotest.test_case "R4 wire-exhaustive" `Quick test_wire_exhaustive;
-         Alcotest.test_case "R5 vartime-public-only" `Quick test_vartime_public_only;
          Alcotest.test_case "R6 domain-safe-state" `Quick test_domain_safe_state;
          Alcotest.test_case "R7 secret-taint" `Quick test_secret_taint;
          Alcotest.test_case "R7 cross-file" `Quick test_secret_taint_cross_file;
@@ -606,4 +603,5 @@ let () =
          Alcotest.test_case "fingerprint stability" `Quick test_fingerprint_stability;
          Alcotest.test_case "baseline round-trip" `Quick test_baseline_roundtrip;
          Alcotest.test_case "sarif shape" `Quick test_sarif;
-         Alcotest.test_case "shipped tree is clean" `Quick test_tree_clean ]) ]
+         Alcotest.test_case "shipped tree is clean" `Quick test_tree_clean;
+         Alcotest.test_case "docs cover every rule" `Quick test_docs_cover_rules ]) ]

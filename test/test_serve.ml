@@ -193,8 +193,7 @@ let run_pipe_election ?(batching = true) ?(chopped = false) ~seed ~clients n_vot
     else Runtime.client_conn t ~node
   in
   let lg =
-    { Loadgen.default_params with
-      Loadgen.lg_clients = clients; lg_seed = seed; lg_max_steps = 200_000 }
+    { Loadgen.lg_clients = clients; lg_seed = seed; lg_max_steps = 200_000 }
   in
   let r =
     Loadgen.run ~params:lg ~conn_for ~step:(fun () -> Runtime.step t)
@@ -262,6 +261,42 @@ let test_backpressure_sheds_votes () =
   pop ();
   Alcotest.(check int) "every vote answered" 8 !replies;
   Alcotest.(check bool) "sheds say overloaded" true (!overloaded > 0)
+
+(* A reply is the business of the client whose connection carried it:
+   a frame on client 1's connection naming client 0's request (here a
+   forged rejection) must not settle client 0's vote. *)
+let test_misrouted_reply_dropped () =
+  let seed = "misroute" in
+  let t = Runtime.create (Runtime.source_prf serve_cfg ~seed) in
+  let forged = ref false in
+  let conn_for ~client ~node =
+    let conn = Runtime.client_conn t ~node in
+    if client <> 1 then conn
+    else
+      { conn with
+        Transport.recv =
+          (fun () ->
+             if !forged then conn.Transport.recv ()
+             else begin
+               forged := true;
+               (* request 1 is client 0's first vote *)
+               Frame.encode
+                 (Mux.encode gctx
+                    (Mux.Client_reply
+                       { channel = 0; req = 1; outcome = Types.Rejected "forged" }))
+             end) }
+  in
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.default_params with Loadgen.lg_clients = 2; lg_seed = seed }
+      ~conn_for ~step:(fun () -> Runtime.step t)
+      ~ballot_for:(fun serial ->
+          Ballot_gen.voter_ballot ~seed ~serial ~m:serve_cfg.Types.m_options)
+      ~nv:serve_cfg.Types.nv ~votes:(intents 4) ()
+  in
+  Alcotest.(check bool) "the forged frame was delivered" true !forged;
+  Alcotest.(check int) "no rejection accepted" 0 r.Loadgen.rejections;
+  Alcotest.(check int) "every vote verified" 4 r.Loadgen.receipts_ok
 
 (* --- transcript equivalence against the simulator ----------------------- *)
 
@@ -356,7 +391,8 @@ let () =
       ("runtime",
        [ Alcotest.test_case "all receipts" `Quick test_pipe_serving_all_receipts;
          Alcotest.test_case "backpressure sheds" `Quick test_backpressure_sheds_votes;
-         Alcotest.test_case "batching transparent" `Quick test_batching_transparent ]
+         Alcotest.test_case "batching transparent" `Quick test_batching_transparent;
+         Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_pipe_serving_torn ]);
       ("equivalence",
        [ Alcotest.test_case "serve = sim" `Quick test_transcript_equivalence ]) ]
