@@ -98,6 +98,7 @@ module Pool = struct
     pd_plan : plan;
     pd_node : int;
     pd_attempt : int;
+    pd_round : int;     (* blacklist round the request was sent in *)
     pd_sent : float;
   }
 
@@ -185,7 +186,7 @@ module Pool = struct
       if now < t.first_submit then t.first_submit <- now;
       Hashtbl.replace t.pending req
         { pd_client = c; pd_plan = plan; pd_node = node; pd_attempt = attempt;
-          pd_sent = now };
+          pd_round = round; pd_sent = now };
       t.fx.send ~client:c ~node ~req ~serial:plan.ballot.Types.serial
         ~vote_code:(vote_code plan);
       (* [d]-patience: blacklist the node and resubmit on timeout *)
@@ -216,7 +217,7 @@ module Pool = struct
          (* a bad receipt means a malicious responder: blacklist, retry *)
          t.receipts_bad <- t.receipts_bad + 1;
          t.blacklists.(c) <- pd.pd_node :: t.blacklists.(c);
-         submit t c plan ~attempt:(pd.pd_attempt + 1) ~round:1
+         submit t c plan ~attempt:(pd.pd_attempt + 1) ~round:pd.pd_round
        | Types.Rejected _ ->
          t.rejections <- t.rejections + 1;
          start t c)

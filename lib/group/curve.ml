@@ -114,38 +114,48 @@ let to_affine t = function
     let zi2 = Modular.sqr fp zi in
     Some (Modular.mul fp x zi2, Modular.mul fp y (Modular.mul fp zi2 zi))
 
-(* Montgomery-trick batch normalization: one modular inversion for the
-   whole array instead of one per point. prefix.(i) is the product of
-   the Z coordinates of the finite points before index i; the backward
-   pass peels per-point inverses off the inverted total. *)
+(* Montgomery's trick: invert every element of [xs] (all nonzero) with
+   one modular inversion. prefix.(i) is the product of the elements
+   before index i; the backward pass peels per-element inverses off the
+   inverted total, ~3 field mults per element. *)
+let batch_inv fp xs =
+  let n = Array.length xs in
+  let prefix = Array.make n Nat.one in
+  let running = ref Nat.one in
+  for i = 0 to n - 1 do
+    prefix.(i) <- !running;
+    running := Modular.mul fp !running xs.(i)
+  done;
+  let inv_run = ref (if n = 0 then Nat.one else Modular.inv fp !running) in
+  let out = Array.make n Nat.one in
+  for i = n - 1 downto 0 do
+    out.(i) <- Modular.mul fp !inv_run prefix.(i);
+    inv_run := Modular.mul fp !inv_run xs.(i)
+  done;
+  out
+
+(* Batch normalization: only finite points off Z = 1 need an inverse,
+   and they share one inversion through [batch_inv]. *)
 let to_affine_batch t pts =
   let fp = t.fp in
-  let n = Array.length pts in
-  if n = 0 then [||]
-  else begin
-    let prefix = Array.make n Nat.one in
-    let running = ref Nat.one in
-    for i = 0 to n - 1 do
-      prefix.(i) <- !running;
-      match pts.(i) with
-      | Infinity -> ()
-      | Jacobian (_, _, z) when Nat.equal z Nat.one -> ()  (* already affine *)
-      | Jacobian (_, _, z) -> running := Modular.mul fp !running z
-    done;
-    let inv_run = ref (Modular.inv fp !running) in
-    let out = Array.make n None in
-    for i = n - 1 downto 0 do
-      match pts.(i) with
-      | Infinity -> ()
-      | Jacobian (x, y, z) when Nat.equal z Nat.one -> out.(i) <- Some (x, y)
-      | Jacobian (x, y, z) ->
-        let zi = Modular.mul fp !inv_run prefix.(i) in
-        inv_run := Modular.mul fp !inv_run z;
-        let zi2 = Modular.sqr fp zi in
-        out.(i) <- Some (Modular.mul fp x zi2, Modular.mul fp y (Modular.mul fp zi2 zi))
-    done;
-    out
-  end
+  let pending_z = function
+    | Jacobian (_, _, z) when not (Nat.equal z Nat.one) -> Some z
+    | Jacobian _ | Infinity -> None
+  in
+  let zis = batch_inv fp (Array.of_list (List.filter_map pending_z (Array.to_list pts))) in
+  let out = Array.make (Array.length pts) None in
+  let k = ref 0 in
+  for i = 0 to Array.length pts - 1 do
+    match pts.(i), pending_z pts.(i) with
+    | Infinity, _ -> ()
+    | Jacobian (x, y, _), None -> out.(i) <- Some (x, y)
+    | Jacobian (x, y, _), Some _ ->
+      let zi = zis.(!k) in
+      incr k;
+      let zi2 = Modular.sqr fp zi in
+      out.(i) <- Some (Modular.mul fp x zi2, Modular.mul fp y (Modular.mul fp zi2 zi))
+  done;
+  out
 
 let of_affine _t (x, y) = Jacobian (x, y, Nat.one)
 
@@ -385,69 +395,11 @@ let create ?(fast = true) params =
   then { t with endo = Some secp256k1_endo }
   else t
 
-(* Fixed-base multiplication with a per-curve precomputed window table
-   for the generator: 4-bit windows over the 256-bit scalar. *)
-type base_table = point array array (* table.(w).(d) = d * 16^w * G *)
-
-let make_base_table t pt =
-  let windows = (Nat.bit_length t.params.order + 3) / 4 in
-  let table = Array.make windows [||] in
-  let base = ref pt in
-  for w = 0 to windows - 1 do
-    let row = Array.make 16 Infinity in
-    for d = 1 to 15 do row.(d) <- add t row.(d - 1) !base done;
-    table.(w) <- row;
-    base := add t row.(15) !base  (* 16^( w+1 ) * pt *)
-  done;
-  table
-
-(* Fixed-base multiplication off the comb table: no doublings at all
-   (each row already carries its 16^w factor). Every window performs a
-   lookup and an add unconditionally — row slot 0 holds Infinity — so
-   the group-operation sequence is scalar-independent, making this safe
-   for secret scalars (signing nonces, VSS evaluation points). *)
-let mul_base_table t (table : base_table) k =
-  let k = Modular.reduce t.fn k in
-  let acc = ref Infinity in
-  let windows = Array.length table in
-  for w = 0 to windows - 1 do
-    acc := add t !acc table.(w).(window4 k w)
-  done;
-  !acc
-
-(* Strauss-Shamir shared-accumulator computation of u*B + v*P, where B
-   is the fixed base behind [table]. The v*P half runs width-5 wNAF
-   (doublings + sparse adds); the u*B half needs no doublings of its
-   own, so its comb-table adds simply fold into the same accumulator —
-   one joint chain instead of two multiplications plus a final add.
-   Variable time; public inputs only. *)
-let mul2 t (table : base_table) u v p =
-  let u = Modular.reduce t.fn u in
-  let v = Modular.reduce t.fn v in
-  let acc = ref Infinity in
-  if not (Nat.is_zero v || is_infinity p) then begin
-    let tbl, ntbl = odd_multiples t p in
-    List.iter
-      (fun d ->
-        acc := double t !acc;
-        if d > 0 then acc := add t !acc tbl.(d / 2)
-        else if d < 0 then acc := add t !acc ntbl.((-d) / 2))
-      (wnaf5 v)
-  end;
-  let windows = Array.length table in
-  for w = 0 to windows - 1 do
-    let d = window4 u w in
-    if d <> 0 then acc := add t !acc table.(w).(d)
-  done;
-  !acc
-
-(* --- multi-scalar multiplication (batch verification kernel) ---------- *)
-
 (* Mixed addition p + q where q is affine-normalized (Z = 1), by
    madd-2007-bl: drops the Z2 arithmetic of the general formula (~30%
    fewer field mults per add). Callers must only pass a [q] built by
-   [of_affine] (or Infinity); both are exactly what [normalize_batch]
-   below produces. *)
+   [of_affine] (or Infinity); both are exactly what the comb tables and
+   [normalize_batch] below hold. *)
 let add_mixed t p q =
   match p, q with
   | Infinity, r | r, Infinity -> r
@@ -473,6 +425,111 @@ let add_mixed t p q =
       let z3 = Modular.double fp (Modular.mul fp z1 h) in
       if Nat.is_zero z3 then Infinity else Jacobian (x3, y3, z3)
     end
+
+(* Fixed-base comb tables: 4-bit windows over the scalar, row w holding
+   d * 16^w * B for d = 0..15 with every finite entry affine (Z = 1), so
+   the multiplication loops below take [add_mixed]. *)
+type base_table = point array array (* table.(w).(d) = d * 16^w * B *)
+
+(* The table is built in affine coordinates one step d at a time across
+   all windows, so every step shares one inversion ([batch_inv]): the
+   window bases 16^w * B come from doubling and one batch normalization,
+   d = 2 is the tangent at each base and d = 3..15 the chord through
+   (d-1) * 16^w * B and the base. In a group of odd prime order no
+   denominator vanishes: y = 0 would make a base 2-torsion, and
+   x((d-1)B) = x(B) would need d - 1 = +-1 mod n. *)
+let make_base_table t pt =
+  let windows = (Nat.bit_length t.params.order + 3) / 4 in
+  let table = Array.init windows (fun _ -> Array.make 16 Infinity) in
+  if not (is_infinity pt) then begin
+    let fp = t.fp in
+    let bases = Array.make windows pt in
+    for w = 1 to windows - 1 do
+      bases.(w) <- double t (double t (double t (double t bases.(w - 1))))
+    done;
+    let bx, by =
+      Array.split
+        (Array.map
+           (function Some xy -> xy | None -> assert false (* odd order *))
+           (to_affine_batch t bases))
+    in
+    (* cx, cy: d * 16^w * B for the current step d *)
+    let cx = Array.copy bx and cy = Array.copy by in
+    let record d = Array.iteri (fun w row -> row.(d) <- of_affine t (cx.(w), cy.(w))) table in
+    (* P + Q = (l^2 - x_P - x_Q, l (x_P - x_3) - y_P) for the slope l = num / den *)
+    let step ~num ~den =
+      let inv = batch_inv fp den in
+      for w = 0 to windows - 1 do
+        let l = Modular.mul fp num.(w) inv.(w) in
+        let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp l) cx.(w)) bx.(w) in
+        cy.(w) <- Modular.sub fp (Modular.mul fp l (Modular.sub fp cx.(w) x3)) cy.(w);
+        cx.(w) <- x3
+      done
+    in
+    record 1;
+    (* tangent slope (3x^2 + a) / 2y: the a term is -3 on P-256 *)
+    step
+      ~num:(Array.map (fun x ->
+          let xx = Modular.sqr fp x in
+          Modular.add fp (Modular.add fp (Modular.double fp xx) xx) t.params.a) bx)
+      ~den:(Array.map (Modular.double fp) by);
+    record 2;
+    for d = 3 to 15 do
+      step
+        ~num:(Array.map2 (Modular.sub fp) by cy)
+        ~den:(Array.map2 (Modular.sub fp) bx cx);
+      record d
+    done
+  end;
+  table
+
+let base_table_rows (table : base_table) = Array.map Array.copy table
+
+let is_affine = function
+  | Jacobian (_, _, z) -> Nat.equal z Nat.one
+  | Infinity -> false
+
+(* Fixed-base multiplication off the comb table: no doublings at all
+   (each row already carries its 16^w factor). Every window performs a
+   lookup and a mixed add unconditionally — row slot 0 holds Infinity —
+   so the group-operation sequence is scalar-independent, making this
+   safe for secret scalars (signing nonces, VSS evaluation points). *)
+let mul_base_table t (table : base_table) k =
+  let k = Modular.reduce t.fn k in
+  let acc = ref Infinity in
+  let windows = Array.length table in
+  for w = 0 to windows - 1 do
+    acc := add_mixed t !acc table.(w).(window4 k w)
+  done;
+  !acc
+
+(* Strauss-Shamir shared-accumulator computation of u*B + v*P, where B
+   is the fixed base behind [table]. The v*P half runs width-5 wNAF
+   (doublings + sparse adds); the u*B half needs no doublings of its
+   own, so its comb-table mixed adds simply fold into the same
+   accumulator — one joint chain instead of two multiplications plus a
+   final add. Variable time; public inputs only. *)
+let mul2 t (table : base_table) u v p =
+  let u = Modular.reduce t.fn u in
+  let v = Modular.reduce t.fn v in
+  let acc = ref Infinity in
+  if not (Nat.is_zero v || is_infinity p) then begin
+    let tbl, ntbl = odd_multiples t p in
+    List.iter
+      (fun d ->
+        acc := double t !acc;
+        if d > 0 then acc := add t !acc tbl.(d / 2)
+        else if d < 0 then acc := add t !acc ntbl.((-d) / 2))
+      (wnaf5 v)
+  end;
+  let windows = Array.length table in
+  for w = 0 to windows - 1 do
+    let d = window4 u w in
+    if d <> 0 then acc := add_mixed t !acc table.(w).(d)
+  done;
+  !acc
+
+(* --- multi-scalar multiplication (batch verification kernel) ---------- *)
 
 (* Re-express every point with Z = 1 (one inversion total, Montgomery's
    trick), so the msm inner loops can take [add_mixed]. Infinity maps to

@@ -103,17 +103,29 @@ val mul_vartime : t -> Nat.t -> point -> point
 
 (** Precomputed comb table for a fixed base: [table.(w).(d)] holds
     [d * 16^w * B], so fixed-base multiplication needs no doublings at
-    all. Safe for secret scalars — every window does one lookup and
-    one add unconditionally. *)
+    all. Every finite entry is stored affine (Z = 1). The build works in
+    affine coordinates one step [d] at a time across all windows, so
+    each step costs one shared field inversion. *)
 type base_table
 val make_base_table : t -> point -> base_table
+
+(** A copy of the table's entries, [(base_table_rows tbl).(w).(d) =
+    d * 16^w * B] (slot 0 of every row is infinity). *)
+val base_table_rows : base_table -> point array array
+
+(** [is_affine p] holds iff [p] is finite and stored with Z = 1, the
+    form the comb tables' mixed additions rely on. *)
+val is_affine : point -> bool
+
+(** [mul_base_table t tbl k] is [k * B]. Safe for secret scalars: every
+    window does one lookup and one mixed addition unconditionally. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
 val mul_base_table : t -> base_table -> Nat.t -> point
 
 (** [mul2 t table u v p] is [u*B + v*p] (B the fixed base behind
-    [table]) by Strauss-Shamir: the wNAF chain for [v*p] and the comb
-    adds for [u*B] share one accumulator. {b Variable time}: public
-    inputs only — this is the verifier's kernel ([s*G + e*PK]). *)
+    [table]) by Strauss-Shamir: the wNAF chain for [v*p] and the comb's
+    mixed adds for [u*B] share one accumulator. {b Variable time}:
+    public inputs only — this is the verifier's kernel ([s*G + e*PK]). *)
 val mul2 : t -> base_table -> Nat.t -> Nat.t -> point -> point
 
 (** [msm t pairs] is the multi-scalar multiplication

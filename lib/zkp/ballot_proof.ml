@@ -74,7 +74,24 @@ let sum_statement ?(k = 1) gctx (commitments : Elgamal.t array) : Chaum_pedersen
   let total = Elgamal.sum gctx (Array.to_list commitments) in
   let c1, c2 = Elgamal.components total in
   { g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx; h1 = c1;
-    h2 = Curve.sub curve c2 (Curve.mul_int curve k (Group_ctx.g gctx)) }
+    h2 = Curve.sub curve c2 (Group_ctx.mul_g gctx (Nat.of_int k)) }
+
+(* The first move Chaum_pedersen.simulate would give the branch that
+   [opening] does not satisfy, for challenge c and response z, computed
+   from the witness instead of the statement. That branch claims
+   h1 = r*G and h2 = (2b-1)*G + r*H (b the committed bit), so
+   t1 = z*G - c*h1 = (z - c*r)*G and
+   t2 = z*H - c*h2 = (z - c*r)*H + c*(1-2b)*G:
+   three comb multiplications instead of two combs and two general
+   ones. The coefficient c*(1-2b) comes from scalar arithmetic, so the
+   group operations are the same for either bit. *)
+let simulated_move gctx (o : Elgamal.opening) ~challenge ~response : Chaum_pedersen.first_move =
+  let fn = Group_ctx.scalar_field gctx in
+  let s = Modular.sub fn response (Modular.mul fn challenge o.Elgamal.rand) in
+  let sign = Modular.sub fn Nat.one (Modular.add fn o.Elgamal.msg o.Elgamal.msg) in
+  { t1 = Group_ctx.mul_g gctx s;
+    t2 = Curve.add (Group_ctx.curve gctx) (Group_ctx.mul_h gctx s)
+        (Group_ctx.mul_g gctx (Modular.mul fn challenge sign)) }
 
 (* Build the first move and the prover state for a ballot part. The
    openings must commit to a unit vector (this is the honest-prover
@@ -91,11 +108,12 @@ let prove_commit ?(k = 1) gctx rng ~(commitments : Elgamal.t array)
          let branch = Nat.to_int o.Elgamal.msg in
          if branch <> 0 && branch <> 1 then
            invalid_arg "Ballot_proof.prove_commit: message not 0/1";
-         let real_stmt = branch_statement gctx c branch in
-         let sim_stmt = branch_statement gctx c (1 - branch) in
-         let w, real_fm = Chaum_pedersen.commit gctx rng real_stmt in
+         let w, real_fm = Chaum_pedersen.commit gctx rng (branch_statement gctx c branch) in
+         (* drawn in Chaum_pedersen.simulate's order: challenge, then
+            response *)
          let c_sim = Group_ctx.random_scalar gctx rng in
-         let sim_fm, z_sim = Chaum_pedersen.simulate gctx rng sim_stmt ~challenge:c_sim in
+         let z_sim = Group_ctx.random_scalar gctx rng in
+         let sim_fm = simulated_move gctx o ~challenge:c_sim ~response:z_sim in
          let state = { branch; w; c_sim; z_sim; witness = o.Elgamal.rand } in
          let move =
            if branch = 0 then { a0 = real_fm; a1 = sim_fm }

@@ -15,11 +15,26 @@ type final_move
 (** Build the first move; the openings must be a 0/1 vector summing to
     [k] (default 1 — the paper's single-choice elections; larger [k]
     implements the k-out-of-m extension from the paper's conclusion).
-    Raises [Invalid_argument] on a non-0/1 message. *)
+    Precondition: [openings.(i)] opens [commitments.(i)]. The simulated
+    OR branch of each row is computed from that opening
+    ({!simulated_move}), not from the commitment, so a mismatched pair
+    yields a proof that does not verify. Raises [Invalid_argument] on a
+    non-0/1 message or an arity mismatch. *)
 val prove_commit :
   ?k:int -> Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
   commitments:Elgamal.t array -> openings:Elgamal.opening array ->
   prover_state * first_move
+
+(** [simulated_move gctx o ~challenge ~response] is the first move of
+    the OR branch that the opening [o] (message 0 or 1) does not
+    satisfy, for the given simulated challenge and response: equal to
+    what [Chaum_pedersen.simulate] derives from that branch's statement
+    with the same [(challenge, response)], but computed from the
+    witness with three fixed-base multiplications. Its operation
+    sequence does not depend on the message. *)
+val simulated_move :
+  Dd_group.Group_ctx.t -> Elgamal.opening -> challenge:Nat.t -> response:Nat.t ->
+  Chaum_pedersen.first_move
 
 (** Compute the response for the (voter-coin-derived) challenge. *)
 val finalize : Dd_group.Group_ctx.t -> prover_state -> challenge:Nat.t -> final_move

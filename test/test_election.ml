@@ -212,6 +212,27 @@ let test_pool_exhausted_after_rounds () =
   Alcotest.(check int) "nothing in flight" 0 (Pool.in_flight pool);
   Alcotest.(check bool) "finished" true !finished
 
+(* Byzantine nodes answering with forged receipts use up the rounds
+   exactly like silent ones: the bad-receipt resubmission stays in its
+   round, so the voter gives up after [blacklist_rounds] passes. *)
+let test_pool_bad_receipts_exhaust_rounds () =
+  let policy = { Voter.patience = 1.; cap = 8.; blacklist_rounds = 2 } in
+  let pool, sent, _, finished = fake_pool ~policy ~nv:3 [ (0, 0) ] in
+  let max_sends = 20 in
+  let rec forge answered =
+    if Pool.exhausted pool = 0 && answered < max_sends then begin
+      let c, _, req, _, _ = List.hd !sent in
+      Pool.on_reply pool ~client:c ~req (Types.Receipt "forged!!");
+      forge (answered + 1)
+    end
+  in
+  forge 0;
+  Alcotest.(check int) "abandoned" 1 (Pool.exhausted pool);
+  Alcotest.(check int) "every node, once per round" 6 (List.length !sent);
+  Alcotest.(check int) "every receipt bad" 6 (Pool.receipts_bad pool);
+  Alcotest.(check int) "nothing in flight" 0 (Pool.in_flight pool);
+  Alcotest.(check bool) "finished" true !finished
+
 let test_pool_stale_and_misrouted_replies () =
   let pool, sent, timers, _ = fake_pool ~clients:2 ~nv:4 [ (0, 1); (1, 2) ] in
   let mine (c, _, _, _, _) = c = 0 in
@@ -549,6 +570,8 @@ let () =
          Alcotest.test_case "blacklist" `Quick test_voter_blacklist_exhaustion;
          Alcotest.test_case "pool: bad receipt resubmits" `Quick test_pool_bad_receipt_resubmits;
          Alcotest.test_case "pool: exhausted after rounds" `Quick test_pool_exhausted_after_rounds;
+         Alcotest.test_case "pool: bad receipts exhaust rounds" `Quick
+           test_pool_bad_receipts_exhaust_rounds;
          Alcotest.test_case "pool: stale and misrouted replies" `Quick
            test_pool_stale_and_misrouted_replies ]);
       ("verifiability",

@@ -74,6 +74,34 @@ let test_chunked_equals_monolithic () =
          (Array.map Election_store.encode_voter_ballot ballots))
     [ 1; 4; 100 ]
 
+(* --- EA output pinned across revisions ---------------------------------- *)
+
+(* Every other test here compares setups with each other; this one pins
+   the bytes themselves. The digest covers every segment of a small
+   full-crypto election (name, length and durable log, in name order),
+   so a change to any commitment, proof first move, VSS share,
+   signature or encoding shows up. It changes only when the EA's output
+   is meant to change. *)
+let golden_cfg =
+  { Types.default_config with
+    Types.n_voters = 4; Types.m_options = 3; Types.election_id = "estore-golden" }
+
+let golden_digest = "29d2aad1c649863a5ae9c5bed2b6e414eeb8c19222d9e46ffb57f16c43f8db0a"
+
+let test_segments_golden () =
+  let tbl, dev = mem_family () in
+  let _layout = Election_store.write_setup ~chunk_size:2 dev golden_cfg ~seed:"golden" in
+  let names = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
+  let parts =
+    List.concat_map
+      (fun name ->
+         let log = Device.Mem.durable_log (Hashtbl.find tbl name) in
+         [ name; string_of_int (String.length log); log ])
+      names
+  in
+  Alcotest.(check string) "segment digest" golden_digest
+    (Dd_crypto.Sha256.hex_of_string (Dd_crypto.Sha256.digest_list parts))
+
 (* --- board roots agree across backings --------------------------------- *)
 
 let test_board_root_cross_backing () =
@@ -214,7 +242,8 @@ let () =
   Alcotest.run "election_store"
     [ ( "streaming-setup",
         [ Alcotest.test_case "chunked = monolithic" `Quick test_chunked_equals_monolithic;
-          Alcotest.test_case "crash-resume is bit-identical" `Quick test_resume_bit_identical ] );
+          Alcotest.test_case "crash-resume is bit-identical" `Quick test_resume_bit_identical;
+          Alcotest.test_case "segments match the golden digest" `Quick test_segments_golden ] );
       ( "board",
         [ Alcotest.test_case "roots agree across backings" `Quick test_board_root_cross_backing ] );
       ( "audit",

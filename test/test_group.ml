@@ -83,15 +83,6 @@ let test_hash_to_scalar () =
   Alcotest.(check bool) "part boundaries matter" false (Nat.equal s1 s3);
   Alcotest.(check bool) "reduced" true (Nat.compare s1 (Curve.order c) < 0)
 
-let test_base_table_matches () =
-  let table = Curve.make_base_table c g in
-  List.iter
-    (fun k ->
-       let k = Nat.of_hex k in
-       Alcotest.check point (Nat.to_hex k) (Curve.mul c k g) (Curve.mul_base_table c table k))
-    [ "1"; "2"; "ff"; "deadbeefcafebabe";
-      "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364140" (* n-1 *) ]
-
 let test_group_ctx_mul_fast_path () =
   let k = Nat.of_hex "123456789abcdef123456789abcdef" in
   Alcotest.check point "mul g" (Curve.mul c k g) (Group_ctx.mul gctx k g);
@@ -232,6 +223,61 @@ let naive_mul curve k pt =
    on P-256, the wNAF path covers negated-point table entries. *)
 let curves = [ ("secp256k1", c, g); ("p256", p256, Curve.generator p256) ]
 
+(* One comb table per curve, over its generator. *)
+let tables = List.map (fun (_, cv, gv) -> Curve.make_base_table cv gv) curves
+
+(* The table's layout on both curves: slot 0 is infinity, every other
+   entry is stored affine and equals d * 16^w * B, with the reference
+   rows walked by general adds. A table over the identity is all
+   infinity. *)
+let test_base_table_matches () =
+  List.iter2
+    (fun (name, cv, gv) table ->
+       let rows = Curve.base_table_rows table in
+       let base = ref gv in
+       Array.iteri
+         (fun w row ->
+            Alcotest.(check int) "16 slots" 16 (Array.length row);
+            Alcotest.(check bool) (Printf.sprintf "%s row %d slot 0" name w) true
+              (Curve.is_infinity row.(0));
+            let want = ref Curve.infinity in
+            for d = 1 to 15 do
+              want := Curve.add cv !want !base;
+              if not (Curve.is_affine row.(d) && Curve.equal cv !want row.(d)) then
+                Alcotest.failf "%s: entry (%d, %d) is not affine d*16^w*B" name w d
+            done;
+            base := Curve.add cv !want !base)
+         rows)
+    curves tables;
+  let rows = Curve.base_table_rows (Curve.make_base_table c Curve.infinity) in
+  Alcotest.(check bool) "identity table is all infinity" true
+    (Array.for_all (Array.for_all Curve.is_infinity) rows)
+
+(* mul_base_table against the fixed-window [mul] on both curves, at the
+   scalars that touch the table's edges: 0, 1, n-1 and a top digit in
+   every window. *)
+let table_matches_mul k =
+  List.for_all2
+    (fun (_, cv, gv) table -> Curve.equal cv (Curve.mul cv k gv) (Curve.mul_base_table cv table k))
+    curves tables
+
+let test_base_table_edge_scalars () =
+  List.iter
+    (fun (name, cv, _) ->
+       let order = Curve.order cv in
+       let windows = (Nat.bit_length order + 3) / 4 in
+       let top w = Nat.mul (Nat.of_int 15) (Nat.shift_left Nat.one (4 * w)) in
+       List.iter
+         (fun k ->
+            Alcotest.(check bool) (Printf.sprintf "%s k = %s" name (Nat.to_hex k)) true
+              (table_matches_mul k))
+         (Nat.zero :: Nat.one :: Nat.sub order Nat.one :: List.init windows top))
+    curves
+
+let prop_base_table_matches_mul =
+  QCheck.Test.make ~name:"mul_base_table = mul on both curves" ~count:20 arb_scalar
+    table_matches_mul
+
 let prop_mul_matches_naive =
   QCheck.Test.make ~name:"mul and mul_vartime = naive double-and-add" ~count:25
     (QCheck.pair arb_scalar arb_scalar)
@@ -248,11 +294,13 @@ let prop_mul2_matches_parts =
   QCheck.Test.make ~name:"mul2 table u v P = uG + vP" ~count:25
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (u, v, a) ->
-       let p = Curve.mul c a g in
-       let table = Group_ctx.g_table gctx in
-       Curve.equal c
-         (Curve.mul2 c table u v p)
-         (Curve.add c (naive_mul c u g) (naive_mul c v p)))
+       List.for_all2
+         (fun (_, cv, gv) table ->
+            let p = Curve.mul cv a gv in
+            Curve.equal cv
+              (Curve.mul2 cv table u v p)
+              (Curve.add cv (Curve.mul cv u gv) (Curve.mul cv v p)))
+         curves tables)
 
 let prop_to_affine_batch_matches =
   QCheck.Test.make ~name:"to_affine_batch = pointwise to_affine" ~count:20
@@ -436,9 +484,10 @@ let () =
            prop_neg_inverse; prop_codec_roundtrip; prop_table_matches_plain ]);
       ("scalar-mul-differential",
        Alcotest.test_case "edge cases" `Quick test_mul_edge_cases
+       :: Alcotest.test_case "base table edge scalars" `Quick test_base_table_edge_scalars
        :: Alcotest.test_case "batch normalization edges" `Quick test_to_affine_batch_edges
        :: List.map QCheck_alcotest.to_alcotest
-            [ prop_mul_matches_naive; prop_mul2_matches_parts;
+            [ prop_mul_matches_naive; prop_base_table_matches_mul; prop_mul2_matches_parts;
               prop_to_affine_batch_matches ]);
       ("msm-differential",
        Alcotest.test_case "edge cases" `Quick test_msm_edge_cases
