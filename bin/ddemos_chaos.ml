@@ -365,18 +365,16 @@ let check_safe sc (p : Election.params) (r : Election.result) : string list =
         | Some t' when t = t' -> ()
         | Some _ -> add "board tally read disagrees with the run's tally"
         | None -> ()));
-    match r.Election.setup with
-    | None -> add "full-crypto run returned no setup"
-    | Some s -> (
-      match Auditor.assemble ~cfg:p.Election.cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
-      | None -> add "auditor could not assemble a majority view"
-      | Some view ->
-        let checks = Auditor.audit view in
-        if not (Auditor.all_ok checks) then
-          List.iter
-            (fun c ->
-               if not c.Auditor.ok then add "audit check failed: %s — %s" c.Auditor.name c.Auditor.detail)
-            checks)
+    match Auditor.assemble ~cfg:p.Election.cfg ~gctx:(Lazy.force f_setup).Ea.gctx
+            r.Election.bb_nodes with
+    | None -> add "auditor could not assemble a majority view"
+    | Some view ->
+      let checks = Auditor.audit view in
+      if not (Auditor.all_ok checks) then
+        List.iter
+          (fun c ->
+             if not c.Auditor.ok then add "audit check failed: %s — %s" c.Auditor.name c.Auditor.detail)
+          checks
   end;
   List.rev !errs
 
@@ -411,12 +409,10 @@ let detection_signals sc (p : Election.params) (r : Election.result) : string li
         | (_, first) :: _ when sorted_set set <> sorted_set first ->
           add "board final set disagrees with the collectors' set"
         | _ -> ()));
-    match r.Election.setup with
-    | None -> ()
-    | Some s -> (
-      match Auditor.assemble ~cfg:p.Election.cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
-      | None -> add "auditor could not assemble a majority view"
-      | Some view -> if not (Auditor.all_ok (Auditor.audit view)) then add "end-to-end audit failed")
+    match Auditor.assemble ~cfg:p.Election.cfg ~gctx:(Lazy.force f_setup).Ea.gctx
+            r.Election.bb_nodes with
+    | None -> add "auditor could not assemble a majority view"
+    | Some view -> if not (Auditor.all_ok (Auditor.audit view)) then add "end-to-end audit failed"
   end;
   List.rev !signals
 

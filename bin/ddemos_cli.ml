@@ -74,12 +74,15 @@ let run_cmd =
       List.init turnout (fun i ->
           { Election.vi_serial = i * (voters / turnout); Election.vi_choice = i mod m })
     in
-    let fidelity =
-      if modeled then Election.Modeled
+    let setup =
+      if modeled then None
       else begin
         Printf.printf "EA setup (%d ballots, real crypto)...\n%!" voters;
-        Election.Full (Ea.setup cfg ~seed)
+        Some (Ea.setup cfg ~seed)
       end
+    in
+    let fidelity =
+      match setup with Some s -> Election.Full s | None -> Election.Modeled
     in
     let p = Election.default_params ~fidelity cfg ~votes in
     let p =
@@ -115,7 +118,7 @@ let run_cmd =
        print_newline ()
      | None -> print_endline "tally: none published");
     if audit then begin
-      match r.Election.setup with
+      match setup with
       | None -> print_endline "audit: only available for full-crypto runs"
       | Some s ->
         match Auditor.assemble ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
@@ -228,7 +231,7 @@ let deploy_cmd =
         layout.Election_store.l_trustee;
       let gctx = layout.Election_store.l_static.Ea.st_gctx in
       let board () =
-        Board.segmented gctx (devices Election_store.bb_segment)
+        Board.create gctx (devices Election_store.bb_segment)
           layout.Election_store.l_bb
       in
       if audit_slice >= 0 then begin

@@ -10,6 +10,9 @@
    We run the honest control first, then the attack, then print the
    detection probability curve.
 
+   Exits non-zero unless the honest run audits CLEAN and the tampered
+   run is caught.
+
    Run with:  dune exec examples/fraud_audit.exe *)
 
 module Types = Ddemos.Types
@@ -32,7 +35,7 @@ let votes =
    the trustee shares, leaving the encrypted vote codes in place: vote
    codes now point at the wrong option encodings. *)
 let tamper (s : Ea.setup) =
-  let parts = s.Ea.bb_init.Ea.bb_ballots.(0).Ea.bb_parts in
+  let parts = s.Ea.bb_ballots.(0).Ea.bb_parts in
   let a = parts.(0) in
   let e0 = a.(0) and e1 = a.(1) in
   a.(0) <- { e1 with Ea.enc_code = e0.Ea.enc_code };
@@ -66,7 +69,7 @@ let run_and_audit ~label (s : Ea.setup) =
   Printf.printf "%s: %d receipts issued — the voter sees nothing wrong\n%!" label
     r.Election.receipts_ok;
   match Auditor.assemble ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
-  | None -> print_endline "  (no majority view)"
+  | None -> print_endline "  (no majority view)"; None
   | Some view ->
     let checks = Auditor.audit ~voter_audits:[ Voter.audit_info plan ] view in
     List.iter
@@ -74,18 +77,20 @@ let run_and_audit ~label (s : Ea.setup) =
          if not c.Auditor.ok then
            Printf.printf "  [FAIL] %s — %s\n" c.Auditor.name c.Auditor.detail)
       checks;
+    let clean = Auditor.all_ok checks in
     Printf.printf "  delegated audit verdict: %s\n\n"
-      (if Auditor.all_ok checks then "CLEAN" else "FRAUD DETECTED")
+      (if clean then "CLEAN" else "FRAUD DETECTED");
+    Some clean
 
 let () =
   print_endline "=== honest Election Authority (control) ===";
   let honest = Ea.setup cfg ~seed:"fraud-honest" in
-  run_and_audit ~label:"honest run" honest;
+  let honest_verdict = run_and_audit ~label:"honest run" honest in
 
   print_endline "=== malicious Election Authority (modification attack) ===";
   let evil = Ea.setup cfg ~seed:"fraud-evil" in
   tamper evil;
-  run_and_audit ~label:"tampered run" evil;
+  let evil_verdict = run_and_audit ~label:"tampered run" evil in
 
   (* the paper's amplification argument *)
   print_endline "detection probability as auditors accumulate (Theorem 3):";
@@ -93,4 +98,7 @@ let () =
     (fun theta ->
        Printf.printf "  %2d auditing voters: fraud escapes with probability %.6f\n" theta
          (2. ** float_of_int (-theta)))
-    [ 1; 2; 5; 10; 20 ]
+    [ 1; 2; 5; 10; 20 ];
+  (* the demo is also a check: the honest board must audit clean and
+     the tampered one must not *)
+  if honest_verdict <> Some true || evil_verdict <> Some false then exit 1

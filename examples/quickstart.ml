@@ -65,7 +65,7 @@ let () =
 
   (* anyone can audit *)
   match Auditor.assemble ~cfg ~gctx:setup.Ea.gctx r.Election.bb_nodes with
-  | None -> print_endline "auditor could not assemble a majority view"
+  | None -> print_endline "auditor could not assemble a majority view"; exit 1
   | Some view ->
     let checks = Auditor.audit view in
     print_endline "\nAudit of the public bulletin board:";
@@ -74,4 +74,5 @@ let () =
          Printf.printf "  [%s] %s — %s\n" (if c.Auditor.ok then "PASS" else "FAIL")
            c.Auditor.name c.Auditor.detail)
       checks;
-    Printf.printf "\nelection verified end-to-end: %b\n" (Auditor.all_ok checks)
+    Printf.printf "\nelection verified end-to-end: %b\n" (Auditor.all_ok checks);
+    if not (Auditor.all_ok checks) then exit 1

@@ -22,8 +22,8 @@
    [.mli] states that its *result* is public even when its inputs are
    secret — one-way functions ([Sha256.digest], [Hmac.mac]),
    ciphertext ([Aes128]), and computing in the exponent
-   ([Curve.mul]: a public key or Pedersen commitment does not reveal
-   its scalar under DL). Their results carry no taint; their bodies
+   ([Curve.mul]: a public key or commitment does not reveal its scalar
+   under DL). Their results carry no taint; their bodies
    are still analyzed.
 
    Propagation is {!Dataflow} (let/pattern/aggregate flow) plus

@@ -53,7 +53,7 @@ val equal : Group_ctx.t -> t -> t -> bool
 val encode : Group_ctx.t -> t -> string
 
 (** Inverse of {!encode}, with full point validation; [None] on any
-    malformed or off-curve input (used by the segmented board codec). *)
+    malformed or off-curve input (used by the board's segment codec). *)
 val decode : Group_ctx.t -> string -> t option
 
 (** Raw component access, used by the ZK proof module. *)

@@ -43,7 +43,7 @@ let assemble ~cfg ~gctx (nodes : Bb_node.t list) =
     (* initialization data is replicated; cross-check by majority on
        the boards' Merkle roots before adopting one copy. The root
        covers every encoded ballot record (not just a commitment
-       sample), is O(1) to read off a segmented node, and is the same
+       sample), is O(1) to read off a node, and is the same
        value slice auditors later verify chunks against. *)
     let fingerprint (bb : Bb_node.t) = Board.root (Bb_node.board bb) in
     (match
@@ -99,8 +99,8 @@ let assemble ~cfg ~gctx (nodes : Bb_node.t list) =
   | _ -> None
 
 (* (a) within each opened ballot, all vote codes are distinct.
-   Streams the board (one chunk resident at a time when segmented); a
-   board chunk that fails verification fails the check. *)
+   Streams the board (one chunk resident at a time); a board chunk
+   that fails verification fails the check. *)
 let check_distinct_codes v =
   let ok = ref true in
   let streamed =
@@ -367,10 +367,10 @@ let check_zk ?(batch = true) ?pool v =
 
 (* Slice auditing: many independent auditors, one board root. Each
    auditor takes a disjoint chunk range and verifies its chunks against
-   the shared root using only those chunks' bytes — on a segmented
-   board nothing outside the chunk's byte span is read, so auditing
-   parallelizes across parties with per-party work O(n / n_chunks)
-   (pinned by test: every other chunk of the device can be corrupt). *)
+   the shared root using only those chunks' bytes — nothing outside
+   the chunk's byte span is read, so auditing parallelizes across
+   parties with per-party work O(n / n_chunks) (pinned by test: every
+   other chunk of the device can be corrupt). *)
 let audit_slice ?root v ~chunk =
   let root = match root with Some r -> r | None -> Board.root v.board in
   match Board.slice_proof v.board chunk with

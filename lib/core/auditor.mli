@@ -14,8 +14,8 @@ type check = {
 
 (** A coherent election view assembled from the BB majority. The
     ballot table arrives as a {!Board} — the auditor streams it rather
-    than holding it, so auditing a segmented node keeps peak memory
-    flat in the electorate size. *)
+    than holding it, so auditing keeps peak memory flat in the
+    electorate size. *)
 type view = {
   cfg : Types.config;
   gctx : Dd_group.Group_ctx.t;
@@ -36,12 +36,12 @@ val assemble :
 
 (** Slice auditing: verify one chunk of the view's board against the
     trusted board root ([?root] defaults to the view's own), reading
-    only that chunk's bytes on a segmented board — so independent
-    auditors can split the electorate into disjoint chunk ranges and
-    each audit theirs against the same root. Checks: the chunk root
-    commits into the board root ([s:slice-in-root]), the chunk's bytes
-    verify and decode ([s:slice-readable]), and check (a) restricted
-    to the slice's serials. *)
+    only that chunk's bytes — so independent auditors can split the
+    electorate into disjoint chunk ranges and each audit theirs against
+    the same root. Checks: the chunk root commits into the board root
+    ([s:slice-in-root]), the chunk's bytes verify and decode
+    ([s:slice-readable]), and check (a) restricted to the slice's
+    serials. *)
 val audit_slice : ?root:string -> view -> chunk:int -> check list
 
 (** Run every check: (a) distinct codes per ballot, (b) one submission

@@ -1,11 +1,10 @@
 (* A VC node's view of the election data: salted vote-code hashes and
    receipt shares per ballot line, plus this node's msk share.
 
-   Three backings:
-   - [materialized]: real EA initialization data (full-crypto runs);
-   - [segmented]: a sealed on-disk ["vc-<i>"] segment served through a
-     bounded chunk cache — real long-running deployments where the
-     line table must not live in RAM;
+   Two backings:
+   - [segmented]: real EA initialization data, a sealed ["vc-<i>"]
+     segment served through a bounded chunk cache (every full-crypto
+     run, whether the segment lives on disk or in memory);
    - [virtual_prf]: data derived on demand from the setup seed, with a
      bounded cache — the stand-in for the prototype's PostgreSQL table
      that lets the Fig. 5a experiments cover electorates of hundreds of
@@ -15,7 +14,6 @@
 module Shamir_bytes = Dd_vss.Shamir_bytes
 
 type t =
-  | Materialized of Ea.vc_node_init
   | Segmented of {
       sg_cfg : Types.config;
       sg_gctx : Dd_group.Group_ctx.t;
@@ -31,12 +29,10 @@ type t =
       mutable cache_cap : int;
     }
 
-let materialized init = Materialized init
-
-let segmented ?(cache_slots = 4) ~gctx ~cfg ~msk_share device manifest =
+let segmented ~gctx ~cfg ~msk_share device manifest =
   Segmented
     { sg_cfg = cfg; sg_gctx = gctx; sg_msk_share = msk_share;
-      sg_cache = Dd_segment.Segment.Cache.create ~slots:cache_slots device manifest }
+      sg_cache = Dd_segment.Segment.Cache.create device manifest }
 
 let virtual_prf ~seed ~cfg ~node =
   let msk_shares =
@@ -47,15 +43,11 @@ let virtual_prf ~seed ~cfg ~node =
       cache = Hashtbl.create 4096; cache_cap = 100_000 }
 
 let n_voters = function
-  | Materialized init -> Array.length init.Ea.vc_lines
   | Segmented s -> s.sg_cfg.Types.n_voters
   | Virtual v -> v.cfg.Types.n_voters
 
 let lines t ~serial ~part =
   match t with
-  | Materialized init ->
-    if serial < 0 || serial >= Array.length init.Ea.vc_lines then [||]
-    else init.Ea.vc_lines.(serial).(Types.part_index part)
   | Segmented s ->
     (match Dd_segment.Segment.Cache.record s.sg_cache serial with
      | None -> [||]
@@ -81,7 +73,6 @@ let lines t ~serial ~part =
     end
 
 let msk_share = function
-  | Materialized init -> init.Ea.vc_msk_share
   | Segmented s -> s.sg_msk_share
   | Virtual v -> v.msk_share
 

@@ -2,20 +2,19 @@
     the salted vote-code hash and this node's receipt share, plus the
     node's msk share.
 
-    [materialized] wraps real EA initialization data; [virtual_prf]
-    derives everything on demand from the setup seed with a bounded
-    cache, standing in for the prototype's PostgreSQL table so that
-    experiments can register hundreds of millions of ballots. *)
+    [segmented] serves real EA initialization data from a sealed
+    segment; [virtual_prf] derives everything on demand from the setup
+    seed with a bounded cache, standing in for the prototype's
+    PostgreSQL table so that experiments can register hundreds of
+    millions of ballots. *)
 
 type t
 
-val materialized : Ea.vc_node_init -> t
-
 (** Serve this node's line table from a sealed ["vc-<i>"] segment
-    (see {!Election_store}) through a bounded LRU of [cache_slots]
-    decoded chunks (default 4). *)
+    (see {!Election_store}) through a {!Dd_segment.Segment.Cache} LRU
+    of its default size. *)
 val segmented :
-  ?cache_slots:int -> gctx:Dd_group.Group_ctx.t -> cfg:Types.config ->
+  gctx:Dd_group.Group_ctx.t -> cfg:Types.config ->
   msk_share:Dd_vss.Shamir_bytes.share ->
   Dd_store.Device.t -> Dd_segment.Segment.manifest -> t
 

@@ -45,10 +45,8 @@ type t = {
   cfg : Types.config;
   gctx : Group_ctx.t;
   init : Ea.bb_init;
-  (* the ballot table itself is served through [board]: the same array
-     as [init.bb_ballots] on the materialized path, or a sealed on-disk
-     segment for million-voter deployments (init then carries an empty
-     array; hmsk/salt_msk remain authoritative) *)
+  (* the ballot table: this node's sealed "bb" segment, one chunk
+     resident at a time *)
   board : Board.t;
   (* submissions *)
   mutable vote_sets : (int * (int * string) list) list;   (* VC node -> set *)
@@ -64,12 +62,7 @@ type t = {
   mutable journal : Store.t option;
 }
 
-let create_bare ?board ~cfg ~gctx ~init ~me () =
-  let board =
-    match board with
-    | Some b -> b
-    | None -> Board.materialized gctx init.Ea.bb_ballots
-  in
+let create_bare ~board ~cfg ~gctx ~init ~me () =
   { me; cfg; gctx; init; board;
     vote_sets = []; msk_shares = [];
     posts = { openings = Hashtbl.create 64; tally_shares = []; zk_posts = Hashtbl.create 64 };
@@ -88,8 +81,8 @@ let attach_journal t durable =
        the protocol (nv submissions + a few posts per trustee) *)
     t.journal <- Some (Store.create ~snapshot:(fun () -> "") device)
 
-let create ?durable ?board ~cfg ~gctx ~init ~me () =
-  let t = create_bare ?board ~cfg ~gctx ~init ~me () in
+let create ?durable ~board ~cfg ~gctx ~init ~me () =
+  let t = create_bare ~board ~cfg ~gctx ~init ~me () in
   attach_journal t durable;
   t
 
@@ -120,9 +113,8 @@ let sets_equal a b =
    reconstructed msk and publish the mapping. *)
 let open_codes t msk =
   let table = Hashtbl.create (Board.n_ballots t.board * 2) in
-  (* one chunk resident at a time on a segmented board; a chunk that
-     fails verification leaves its codes unopened, which downstream
-     checks then surface *)
+  (* one chunk resident at a time; a chunk that fails verification
+     leaves its codes unopened, which downstream checks then surface *)
   ignore
     (Board.iter t.board (fun (b : Ea.bb_ballot) ->
          List.iter
@@ -364,8 +356,8 @@ let handle t (msg : Messages.bb_msg) =
 (* Cold restart: replay the journaled writes through the live handlers
    (deterministic, no sends) with no subscribers attached yet, then
    re-attach the journal so new writes append after the replayed ones. *)
-let recover ?durable ?board ~cfg ~gctx ~init ~me () =
-  let t = create_bare ?board ~cfg ~gctx ~init ~me () in
+let recover ?durable ~board ~cfg ~gctx ~init ~me () =
+  let t = create_bare ~board ~cfg ~gctx ~init ~me () in
   (match durable with
    | None -> ()
    | Some device ->

@@ -23,16 +23,14 @@ type published = {
 
 type t
 
-(** With [?durable], every accepted write is appended to an input
-    journal on the device before its effects become observable — the
-    board is event-sourced, so {!recover} rebuilds it by replay.
+(** The node serves its ballot table from [board] and takes the msk
+    commitment from [init].
 
-    With [?board], the ballot table is served through the given
-    {!Board} (e.g. a sealed on-disk segment) instead of
-    [init.bb_ballots]; [init] may then carry an empty ballot array, and
-    only its [hmsk]/[salt_msk] are used. *)
+    With [?durable], every accepted write is appended to an input
+    journal on the device before its effects become observable — the
+    board is event-sourced, so {!recover} rebuilds it by replay. *)
 val create :
-  ?durable:Dd_store.Device.t -> ?board:Board.t ->
+  ?durable:Dd_store.Device.t -> board:Board.t ->
   cfg:Types.config -> gctx:Dd_group.Group_ctx.t -> init:Ea.bb_init -> me:int ->
   unit -> t
 
@@ -40,7 +38,7 @@ val create :
     through the handlers (with no subscribers attached), then resumes
     journaling. Equivalent to {!create} without a device. *)
 val recover :
-  ?durable:Dd_store.Device.t -> ?board:Board.t ->
+  ?durable:Dd_store.Device.t -> board:Board.t ->
   cfg:Types.config -> gctx:Dd_group.Group_ctx.t -> init:Ea.bb_init -> me:int ->
   unit -> t
 
@@ -48,9 +46,8 @@ val recover :
     for recovery-equivalence checks. *)
 val observable : t -> string
 
-(** The (replicated) initialization data this node serves. On a
-    segmented node the ballot array in here may be empty — use
-    {!board} for the ballot table. *)
+(** The (replicated) msk commitment this node checks against; the
+    ballot table is {!board}. *)
 val init : t -> Ea.bb_init
 
 (** The ballot table this node serves from (see {!Board}). *)

@@ -1,60 +1,28 @@
-(* The BB ballot table behind one interface (see board.mli): an array
-   in RAM or a sealed segment on disk, with one Merkle root computed
-   identically on both paths so boards can be compared across
-   backings. *)
+(* The BB ballot table (see board.mli): a sealed segment behind a
+   bounded chunk cache, committed to by the manifest's Merkle root. *)
 
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
-module Merkle = Dd_crypto.Merkle
 module Group_ctx = Dd_group.Group_ctx
 
-type t =
-  | Materialized of {
-      gctx : Group_ctx.t;
-      ballots : Ea.bb_ballot array;
-      m_chunk_size : int;
-      mutable m_root : string option;  (* derived lazily, then cached *)
-    }
-  | Segmented of {
-      gctx : Group_ctx.t;
-      device : Device.t;
-      manifest : Segment.manifest;
-      cache : Segment.Cache.t;
-    }
+type t = {
+  gctx : Group_ctx.t;
+  manifest : Segment.manifest;
+  cache : Segment.Cache.t;
+}
 
-let materialized ?(chunk_size = Segment.default_chunk_size) gctx ballots =
-  (* lint: allow exception-hygiene — constructor precondition on local config, not peer input *)
-  if chunk_size <= 0 then invalid_arg "Board.materialized: chunk_size";
-  Materialized { gctx; ballots; m_chunk_size = chunk_size; m_root = None }
+let create gctx device manifest =
+  { gctx; manifest; cache = Segment.Cache.create device manifest }
 
-let segmented ?(cache_slots = 4) gctx device manifest =
-  Segmented
-    { gctx; device; manifest;
-      cache = Segment.Cache.create ~slots:cache_slots device manifest }
-
-let n_ballots = function
-  | Materialized m -> Array.length m.ballots
-  | Segmented s -> s.manifest.Segment.total
-
-let chunk_size = function
-  | Materialized m -> m.m_chunk_size
-  | Segmented s -> s.manifest.Segment.chunk_size
-
-let n_chunks = function
-  | Materialized m ->
-    let n = Array.length m.ballots in
-    if n = 0 then 0 else (n + m.m_chunk_size - 1) / m.m_chunk_size
-  | Segmented s -> Segment.n_chunks s.manifest
+let n_ballots t = t.manifest.Segment.total
+let chunk_size t = t.manifest.Segment.chunk_size
+let n_chunks t = Segment.n_chunks t.manifest
+let root t = t.manifest.Segment.root
 
 let ballot t serial =
-  match t with
-  | Materialized m ->
-    if serial < 0 || serial >= Array.length m.ballots then None
-    else Some m.ballots.(serial)
-  | Segmented s ->
-    (match Segment.Cache.record s.cache serial with
-     | None -> None
-     | Some payload -> Election_store.decode_bb_ballot s.gctx payload)
+  match Segment.Cache.record t.cache serial with
+  | None -> None
+  | Some payload -> Election_store.decode_bb_ballot t.gctx payload
 
 let entries t ~serial ~part =
   match ballot t serial with
@@ -65,94 +33,38 @@ let entries t ~serial ~part =
     else Some b.Ea.bb_parts.(p)
 
 let iter t f =
-  match t with
-  | Materialized m -> Array.iter f m.ballots; true
-  | Segmented s ->
-    let ok = ref true in
-    let nc = Segment.n_chunks s.manifest in
-    (try
-       for c = 0 to nc - 1 do
-         match Segment.Cache.chunk s.cache c with
-         | None -> ok := false; raise Exit
-         | Some payloads ->
-           Array.iter
-             (fun payload ->
-                match Election_store.decode_bb_ballot s.gctx payload with
-                | Some b -> f b
-                | None -> ok := false; raise Exit)
-             payloads
-       done
-     with Exit -> ());
-    !ok
-
-(* The materialized root re-derives exactly what a segment writer would
-   have committed to: encode each ballot, leaf-hash per-chunk, then
-   leaf-hash the chunk roots into the top tree. *)
-let materialized_chunk_roots gctx ballots ~chunk_size =
-  let n = Array.length ballots in
-  let nc = if n = 0 then 0 else (n + chunk_size - 1) / chunk_size in
-  Array.init nc (fun c ->
-      let first = c * chunk_size in
-      let count = min chunk_size (n - first) in
-      let b = Merkle.create () in
-      for i = first to first + count - 1 do
-        Merkle.add b (Election_store.encode_bb_ballot gctx ballots.(i))
-      done;
-      Merkle.root b)
-
-let root t =
-  match t with
-  | Segmented s -> s.manifest.Segment.root
-  | Materialized m ->
-    (match m.m_root with
-     | Some r -> r
-     | None ->
-       let roots =
-         materialized_chunk_roots m.gctx m.ballots ~chunk_size:m.m_chunk_size
-       in
-       let r = Segment.root_of_chunk_roots roots in
-       m.m_root <- Some r;
-       r)
+  let ok = ref true in
+  (try
+     for c = 0 to n_chunks t - 1 do
+       match Segment.Cache.chunk t.cache c with
+       | None -> ok := false; raise Exit
+       | Some payloads ->
+         Array.iter
+           (fun payload ->
+              match Election_store.decode_bb_ballot t.gctx payload with
+              | Some b -> f b
+              | None -> ok := false; raise Exit)
+           payloads
+     done
+   with Exit -> ());
+  !ok
 
 let slice t c =
   if c < 0 || c >= n_chunks t then None
   else
-    match t with
-    | Materialized m ->
-      let n = Array.length m.ballots in
-      let first = c * m.m_chunk_size in
-      let count = min m.m_chunk_size (n - first) in
-      Some (first, Array.sub m.ballots first count)
-    | Segmented s ->
-      (match Segment.Cache.chunk s.cache c with
-       | None -> None
-       | Some payloads ->
-         let out = Array.make (Array.length payloads) None in
-         Array.iteri
-           (fun i p -> out.(i) <- Election_store.decode_bb_ballot s.gctx p)
-           payloads;
-         if Array.exists Option.is_none out then None
-         else
-           Some
-             (s.manifest.Segment.chunk_first.(c),
-              (* lint: allow exception-hygiene — all-Some guarded three lines up *)
-              Array.map Option.get out))
+    match Segment.Cache.chunk t.cache c with
+    | None -> None
+    | Some payloads ->
+      let out = Array.map (Election_store.decode_bb_ballot t.gctx) payloads in
+      if Array.exists Option.is_none out then None
+      else
+        Some
+          (t.manifest.Segment.chunk_first.(c),
+           (* lint: allow exception-hygiene — all-Some guarded two lines up *)
+           Array.map Option.get out)
 
 let slice_proof t c =
   if c < 0 || c >= n_chunks t then None
-  else
-    match t with
-    | Materialized m ->
-      let roots =
-        materialized_chunk_roots m.gctx m.ballots ~chunk_size:m.m_chunk_size
-      in
-      Some
-        (roots.(c),
-         Merkle.proof_of_hashes
-           (Array.to_list (Array.map Merkle.leaf_hash roots)) c)
-    | Segmented s ->
-      Some (s.manifest.Segment.chunk_root.(c), Segment.slice_proof s.manifest c)
+  else Some (t.manifest.Segment.chunk_root.(c), Segment.slice_proof t.manifest c)
 
-let cache_stats = function
-  | Materialized _ -> None
-  | Segmented s -> Some (Segment.Cache.stats s.cache)
+let cache_stats t = Some (Segment.Cache.stats t.cache)

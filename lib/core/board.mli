@@ -1,57 +1,39 @@
-(** The bulletin board's ballot table behind one interface, so
-    {!Bb_node} and {!Auditor} are indifferent to whether the election's
-    initialization data lives in RAM or in a sealed {!Dd_segment}
-    segment on disk.
+(** The bulletin board's ballot table: a sealed ["bb"] {!Dd_segment}
+    segment written by {!Election_store}, served through a bounded
+    {!Segment.Cache}, so a BB node's memory stays flat in the
+    electorate size. {!Bb_node} and {!Auditor} read ballots only
+    through this interface.
 
-    Two backings:
-    - [materialized]: the [Ea.bb_ballot array] straight out of
-      {!Ea.setup} — small and mid-size elections, and every existing
-      test;
-    - [segmented]: a sealed ["bb"] segment served through a bounded
-      {!Segment.Cache} — million-voter deployments, where peak memory
-      must stay flat in the electorate size.
-
-    Both backings expose the same Merkle [root]: the segmented board
-    reads it from the manifest, the materialized board re-derives it by
-    encoding its ballots with the {!Election_store} codec and chunking
-    exactly as a segment writer would. Equal data therefore yields an
-    equal root on either path, which is what lets an auditor compare a
-    disk-backed node against an in-memory one. *)
+    The board's Merkle [root] is the sealed manifest's: every BB node
+    serving the same segment bytes commits to the same root, whichever
+    writer produced them ({!Election_store.write_setup} streaming from
+    the EA, or {!Election_store.store_setup} from an in-memory setup). *)
 
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
 
 type t
 
-(** [materialized ?chunk_size gctx ballots] — serves from the array.
-    [chunk_size] (default {!Segment.default_chunk_size}) only affects
-    the derived [root]'s chunking, and must match the segment layout it
-    is compared against. *)
-val materialized : ?chunk_size:int -> Dd_group.Group_ctx.t -> Ea.bb_ballot array -> t
-
-(** [segmented ?cache_slots gctx device manifest] — serves decoded
-    chunks through an LRU of [cache_slots] (default 4) resident
-    chunks. *)
-val segmented :
-  ?cache_slots:int -> Dd_group.Group_ctx.t -> Device.t -> Segment.manifest -> t
+(** [create gctx device manifest] — serves decoded chunks through a
+    {!Segment.Cache} LRU of its default size. *)
+val create : Dd_group.Group_ctx.t -> Device.t -> Segment.manifest -> t
 
 val n_ballots : t -> int
 
-(** The ballot with this serial; [None] when out of range or (segmented
-    only) when the backing chunk fails CRC/Merkle/decode verification. *)
+(** The ballot with this serial; [None] when out of range or when the
+    backing chunk fails CRC/Merkle/decode verification. *)
 val ballot : t -> int -> Ea.bb_ballot option
 
 (** One part's entries of one ballot — the random-access shape the BB
     handlers need. *)
 val entries : t -> serial:int -> part:Types.part_id -> Ea.bb_part_entry array option
 
-(** Stream every ballot in serial order, one chunk resident at a time
-    on the segmented path. Returns [false] if a chunk failed
-    verification (the surviving prefix has been visited). *)
+(** Stream every ballot in serial order, one chunk resident at a time.
+    Returns [false] if a chunk failed verification (the surviving
+    prefix has been visited). *)
 val iter : t -> (Ea.bb_ballot -> unit) -> bool
 
-(** The board's Merkle commitment (see the module preamble). Computed
-    lazily and cached on the materialized path. *)
+(** The board's Merkle commitment: the sealed manifest's root. *)
 val root : t -> string
 
 val chunk_size : t -> int
@@ -64,6 +46,5 @@ val slice : t -> int -> (int * Ea.bb_ballot array) option
     with {!Segment.verify_slice}. *)
 val slice_proof : t -> int -> (string * Segment.Merkle.step list) option
 
-(** (hits, misses) of the chunk cache; [None] on the materialized
-    path. *)
+(** (hits, misses) of the chunk cache; always [Some]. *)
 val cache_stats : t -> (int * int) option

@@ -32,7 +32,6 @@ type bb_ballot = {
 type bb_init = {
   hmsk : string;
   salt_msk : string;
-  bb_ballots : bb_ballot array;
 }
 
 type vc_node_init = {
@@ -66,6 +65,7 @@ type setup = {
   trustee_keys : Auth.keys array;
   vc_init : vc_node_init array;
   bb_init : bb_init;
+  bb_ballots : bb_ballot array;
   trustee_init : trustee_init array;
 }
 
@@ -279,7 +279,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
     st_n_chunks = n_chunks;
     st_chunk_size = chunk_size }
 
-(* Materialized setup: the chunked pass with an emit that fills arrays.
+(* In-memory setup: the chunked pass with an emit that fills arrays.
    Identical output to the pre-streaming implementation for any chunk
    size (the fork-order argument above). *)
 let setup ?(scheme = Auth.Schnorr_scheme) ?pool ?chunk_size (cfg : Types.config) ~seed =
@@ -316,6 +316,6 @@ let setup ?(scheme = Auth.Schnorr_scheme) ?pool ?chunk_size (cfg : Types.config)
     vc_init =
       Array.init nv (fun i ->
           { vc_id = i; vc_msk_share = st.st_msk_shares.(i); vc_lines = vc_lines.(i) });
-    bb_init =
-      { hmsk = st.st_hmsk; salt_msk = st.st_salt_msk; bb_ballots };
+    bb_init = { hmsk = st.st_hmsk; salt_msk = st.st_salt_msk };
+    bb_ballots;
     trustee_init = Array.init nt (fun i -> { t_id = i; t_ballots = trustee_ballots.(i) }) }

@@ -26,10 +26,11 @@ type bb_ballot = {
   bb_parts : bb_part_entry array array;  (** part (A=0, B=1) -> position *)
 }
 
+(** What every BB node holds besides its ballot table, which it serves
+    from a sealed ["bb"] segment (see {!Board}). *)
 type bb_init = {
   hmsk : string;       (** SHA256(msk || salt): commits the BB to the key *)
   salt_msk : string;
-  bb_ballots : bb_ballot array;
 }
 
 type vc_node_init = {
@@ -58,6 +59,7 @@ type setup = {
   trustee_keys : Auth.keys array;    (** clique of nt+1; index nt is the EA *)
   vc_init : vc_node_init array;
   bb_init : bb_init;
+  bb_ballots : bb_ballot array;      (** the BB's ballot table, by serial *)
   trustee_init : trustee_init array;
 }
 

@@ -1,12 +1,17 @@
 (* End-to-end election harness over the discrete-event simulator.
 
-   Two fidelity levels share the identical vote-collection protocol
+   Three fidelity levels share the identical vote-collection protocol
    (real salted-hash validation, real GF(256) receipt shares, real
    Bracha consensus):
 
    - [Full]: an [Ea.setup] provides real commitments, ZK proofs, VSS
      shares and Schnorr/MAC authenticators end-to-end, including the
-     trustee and audit phases. Used by tests and examples.
+     trustee and audit phases. Used by tests and examples. The setup is
+     first written into in-memory segments, so every node serves from
+     its own sealed store exactly as under [Stored].
+
+   - [Stored]: the same, from segments an earlier setup sealed (on
+     disk, for long-running deployments).
 
    - [Modeled]: ballots come from the PRF-backed virtual store, node
      authenticators are pairwise MACs, and the post-election crypto is
@@ -46,10 +51,9 @@ type byzantine_behavior = Adversary.behavior =
 
 (* On-disk election state for long-running deployments: one device per
    segment name (see Election_store.segment_names), all sealed. Every
-   node serves from its own segment with bounded chunk caches instead
-   of materialized init arrays — except trustees, which materialize
-   their (per-trustee) segment on startup since the publish phase walks
-   every serial anyway. *)
+   node serves from its own segment with bounded chunk caches — except
+   trustees, which decode their (per-trustee) segment on startup since
+   the publish phase walks every serial anyway. *)
 type stored = {
   sd_devices : string -> Dd_store.Device.t;
   sd_layout : Election_store.layout;
@@ -139,7 +143,6 @@ type result = {
   bytes : int;
   (* full-fidelity artifacts for auditing *)
   bb_nodes : Bb_node.t list;
-  setup : Ea.setup option;
   vc_submit_sets : (int * (int * string) list) list;  (* per honest VC node *)
   (* [true] when the run hit [max_sim_time] with events still queued —
      timeout, as opposed to quiescence *)
@@ -239,7 +242,7 @@ let run (p : params) : result =
       Node_source.of_layout ~devices:sd.sd_devices ~coin:p.coin ~seed:p.seed sd.sd_layout
     | Modeled -> Node_source.prf ~scheme:Auth.Mac_scheme ~coin:p.coin cfg ~seed:p.seed
   in
-  (* full cryptography, whether served from RAM or from segments *)
+  (* full cryptography, [Full] or [Stored] *)
   let full_mode = Option.is_some src.Node_source.sv_bb in
   let gctx = src.Node_source.sv_gctx in
 
@@ -276,7 +279,7 @@ let run (p : params) : result =
        bb_arr.(j) <-
          Some
            (Bb_node.create ?durable:(device_of bb_backing.(j))
-              ?board:(board_for j) ~cfg ~gctx ~init ~me:j ())
+              ~board:(board_for j) ~cfg ~gctx ~init ~me:j ())
      done
    | None -> ());
   let live_bbs () = Array.to_list bb_arr |> List.filter_map Fun.id in
@@ -657,7 +660,7 @@ let run (p : params) : result =
         let bb =
           (* lint: allow secret-taint — salt_msk is part of the BB node's own durable at-rest state, not a network message *)
           Bb_node.recover ?durable:(device_of bb_backing.(j))
-            ?board:(board_for j) ~cfg ~gctx ~init ~me:j ()
+            ~board:(board_for j) ~cfg ~gctx ~init ~me:j ()
         in
         bb_arr.(j) <- Some bb;
         watch_bb j bb;
@@ -758,7 +761,6 @@ let run (p : params) : result =
     messages = Net.messages_sent net;
     bytes = Net.bytes_sent net;
     bb_nodes = live_bbs ();
-    setup = (match p.fidelity with Full s -> Some s | Stored _ | Modeled -> None);
     devices =
       (let tag pre arr =
          Array.to_list arr

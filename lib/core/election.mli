@@ -3,9 +3,11 @@
     clients, with Byzantine fault injection and the paper's measurement
     points.
 
-    Fidelity levels share the identical vote-collection protocol:
-    [Full] runs real cryptography end to end (tests, examples);
-    [Stored] does the same from sealed segments; [Modeled] PRF-derives ballots and charges the post-election crypto
+    Fidelity levels share the identical vote-collection protocol.
+    [Stored] runs real cryptography end to end, every node serving from
+    its own sealed segment; [Full] writes an in-memory EA setup into
+    such segments first (tests, examples) and then runs the same way.
+    [Modeled] PRF-derives ballots and charges the post-election crypto
     to the simulated clock from {!Cost_model}, scaling to hundreds of
     millions of registered ballots. Each fidelity maps to one
     {!Node_source} constructor, and the voters are a {!Voter.Pool}. *)
@@ -30,18 +32,18 @@ type byzantine_behavior = Adversary.behavior =
 
 (** On-disk election state for long-running deployments: a device per
     segment name (see {!Election_store.segment_names}), all sealed —
-    typically [File_device]s under a [--state-dir]. Nodes then serve
-    from their segments with bounded chunk caches instead of
-    materialized init arrays (trustees materialize their own segment
-    at startup, since the publish phase walks every serial anyway). *)
+    typically [File_device]s under a [--state-dir]. Nodes serve from
+    their segments with bounded chunk caches (trustees decode their own
+    segment at startup, since the publish phase walks every serial
+    anyway). *)
 type stored = {
   sd_devices : string -> Dd_store.Device.t;
   sd_layout : Election_store.layout;
 }
 
 type fidelity =
-  | Full of Ea.setup
-  | Stored of stored  (** full cryptography, served from segments *)
+  | Full of Ea.setup  (** full cryptography, via in-memory segments *)
+  | Stored of stored  (** full cryptography, served from sealed segments *)
   | Modeled
 
 type params = {
@@ -98,7 +100,6 @@ type result = {
   messages : int;
   bytes : int;
   bb_nodes : Bb_node.t list;      (** full mode only (for auditing) *)
-  setup : Ea.setup option;
   vc_submit_sets : (int * (int * string) list) list;
   timed_out : bool;               (** hit [max_sim_time] with events still queued *)
   dropped : int;                  (** messages lost to drops, cuts, crashes *)

@@ -173,33 +173,32 @@ let seal_slot = function
   | Done m -> m
   | Writing w -> Segment.seal w
 
-let run_setup ?scheme ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
-  let gctx = Group_ctx.default () in
-  (* lint: allow exception-hygiene — slot names come from segment_names, not a peer *)
-  let slot name = List.assoc name slots in
-  let emit (ck : Ea.chunk) =
-    let count = Array.length ck.Ea.ck_ballots in
-    for i = 0 to count - 1 do
-      let index = ck.Ea.ck_first + i in
-      append_once (slot bb_segment) ~index
-        (encode_bb_ballot gctx ck.Ea.ck_bb.(i));
-      (* lint: allow secret-taint the printed-ballot segment is the EA's at-rest spool for the printing facility, not a network message *)
-      append_once (slot ballots_segment) ~index
-        (encode_voter_ballot ck.Ea.ck_ballots.(i));
-      for node = 0 to cfg.Types.nv - 1 do
-        append_once (slot (vc_segment node)) ~index
-          (encode_vc_record gctx ck.Ea.ck_vc.(node).(i))
-      done;
-      for t = 0 to cfg.Types.nt - 1 do
-        (* lint: allow secret-taint trustee segments are per-trustee at-rest state, delivered out of band like the paper's initialization data *)
-        append_once (slot (trustee_segment t)) ~index
-          (encode_trustee_record gctx ck.Ea.ck_trustee.(t).(i))
-      done
+(* lint: allow exception-hygiene — slot names come from segment_names, not a peer *)
+let slot_of slots name = List.assoc name slots
+
+(* Append one chunk's records to every segment: the one encoder of
+   election data, shared by the streamed and the in-memory writer. *)
+let append_chunk gctx cfg slot (ck : Ea.chunk) =
+  let count = Array.length ck.Ea.ck_ballots in
+  for i = 0 to count - 1 do
+    let index = ck.Ea.ck_first + i in
+    append_once (slot bb_segment) ~index
+      (encode_bb_ballot gctx ck.Ea.ck_bb.(i));
+    (* lint: allow secret-taint the printed-ballot segment is the EA's at-rest spool for the printing facility, not a network message *)
+    append_once (slot ballots_segment) ~index
+      (encode_voter_ballot ck.Ea.ck_ballots.(i));
+    for node = 0 to cfg.Types.nv - 1 do
+      append_once (slot (vc_segment node)) ~index
+        (encode_vc_record gctx ck.Ea.ck_vc.(node).(i))
+    done;
+    for t = 0 to cfg.Types.nt - 1 do
+      (* lint: allow secret-taint trustee segments are per-trustee at-rest state, delivered out of band like the paper's initialization data *)
+      append_once (slot (trustee_segment t)) ~index
+        (encode_trustee_record gctx ck.Ea.ck_trustee.(t).(i))
     done
-  in
-  let static =
-    Ea.setup_chunks ?scheme ?pool ~chunk_size ~from_chunk cfg ~seed ~emit
-  in
+  done
+
+let seal_layout cfg slot static =
   let manifest name = seal_slot (slot name) in
   { l_static = static;
     l_bb = manifest bb_segment;
@@ -207,15 +206,48 @@ let run_setup ?scheme ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
     l_vc = Array.init cfg.Types.nv (fun i -> manifest (vc_segment i));
     l_trustee = Array.init cfg.Types.nt (fun i -> manifest (trustee_segment i)) }
 
+let fresh_slots ~chunk_size devices cfg =
+  List.map
+    (fun name ->
+      (name, Writing (Segment.create_writer ~chunk_size (devices name) ~kind:name)))
+    (segment_names cfg)
+
+let run_setup ?scheme ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
+  let slot = slot_of slots in
+  let static =
+    Ea.setup_chunks ?scheme ?pool ~chunk_size ~from_chunk cfg ~seed
+      ~emit:(append_chunk (Group_ctx.default ()) cfg slot)
+  in
+  seal_layout cfg slot static
+
 let write_setup ?scheme ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
     ~seed =
-  let slots =
-    List.map
-      (fun name ->
-        (name, Writing (Segment.create_writer ~chunk_size (devices name) ~kind:name)))
-      (segment_names cfg)
-  in
-  run_setup ?scheme ?pool ~chunk_size ~slots cfg ~seed ~from_chunk:0
+  run_setup ?scheme ?pool ~chunk_size ~slots:(fresh_slots ~chunk_size devices cfg)
+    cfg ~seed ~from_chunk:0
+
+(* The whole in-memory setup goes through [append_chunk] as one chunk;
+   the segment writers cut it at [chunk_size] themselves, so the bytes
+   equal a streamed run's. *)
+let store_setup ?(chunk_size = Ea.default_setup_chunk) devices (s : Ea.setup) =
+  let cfg = s.Ea.cfg in
+  let slot = slot_of (fresh_slots ~chunk_size devices cfg) in
+  append_chunk s.Ea.gctx cfg slot
+    { Ea.ck_index = 0;
+      ck_first = 0;
+      ck_ballots = s.Ea.ballots;
+      ck_bb = s.Ea.bb_ballots;
+      ck_vc = Array.map (fun (v : Ea.vc_node_init) -> v.Ea.vc_lines) s.Ea.vc_init;
+      ck_trustee = Array.map (fun (t : Ea.trustee_init) -> t.Ea.t_ballots) s.Ea.trustee_init };
+  seal_layout cfg slot
+    { Ea.st_cfg = cfg;
+      st_gctx = s.Ea.gctx;
+      st_vc_keys = s.Ea.vc_keys;
+      st_trustee_keys = s.Ea.trustee_keys;
+      st_hmsk = s.Ea.bb_init.Ea.hmsk;
+      st_salt_msk = s.Ea.bb_init.Ea.salt_msk;
+      st_msk_shares = Array.map (fun (v : Ea.vc_node_init) -> v.Ea.vc_msk_share) s.Ea.vc_init;
+      st_n_chunks = (cfg.Types.n_voters + chunk_size - 1) / chunk_size;
+      st_chunk_size = chunk_size }
 
 let resume_setup ?scheme ?pool ?chunk_size devices cfg ~seed =
   (* classify every segment, discovering the on-disk chunk size *)

@@ -72,6 +72,14 @@ val write_setup :
   ?scheme:Auth.scheme -> ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   (string -> Device.t) -> Types.config -> seed:string -> layout
 
+(** [store_setup devices s] writes an EA setup already held in memory
+    into the same segments, through the same record encoder and
+    chunking: the files equal those of [write_setup] for the same seed
+    and [chunk_size]. This is how a full-crypto election run in one
+    process hands each node its own store. *)
+val store_setup :
+  ?chunk_size:int -> (string -> Device.t) -> Ea.setup -> layout
+
 (** Resume a crashed [write_setup] over the same devices: truncates each
     segment to its last durable checkpoint, regenerates from the
     least-complete one (skipping appends already durable elsewhere), and

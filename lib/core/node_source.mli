@@ -1,15 +1,16 @@
 (** Where a cluster's election state comes from: keys, per-collector
     ballot stores, BB boards, trustee data and the voters' printed
-    ballots. One constructor per backing, shared by both backends — the
-    simulator's {!Election.run} and the serving runtime build their
-    nodes from the same record. *)
+    ballots. Two backings, shared by both backends — the simulator's
+    {!Election.run} and the serving runtime build their nodes from the
+    same record: sealed segments for real cryptography ({!of_layout},
+    and {!of_setup} on top of it) and PRF-derived data ({!prf}). *)
 
 type t = {
   sv_cfg : Types.config;
   sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;           (** VC clique; index nv = EA *)
   sv_store_for : int -> Ballot_store.t;
-  sv_bb : (Ea.bb_init * (int -> Board.t option)) option;
+  sv_bb : (Ea.bb_init * (int -> Board.t)) option;
       (** BB init + per-node board; [None] runs without BB nodes
           (vote-collection-only benchmarks) *)
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
@@ -20,10 +21,6 @@ type t = {
   sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
 }
-
-(** Full fidelity from an EA setup held in memory (tests, small
-    deployments). *)
-val of_setup : ?coin:Dd_consensus.Binary_batch.coin -> Ea.setup -> t
 
 (** PRF-derived ballots with a real authenticator clique (Schnorr by
     default) — the realistic vote-collection hot path without the full
@@ -42,3 +39,8 @@ val of_layout :
   ?coin:Dd_consensus.Binary_batch.coin ->
   ?seed:string ->
   Election_store.layout -> t
+
+(** Full fidelity from an EA setup held in memory (tests, examples):
+    {!Election_store.store_setup} writes it into in-memory segments,
+    which {!of_layout} then serves with [seed] = the setup's seed. *)
+val of_setup : ?coin:Dd_consensus.Binary_batch.coin -> Ea.setup -> t

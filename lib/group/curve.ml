@@ -930,7 +930,7 @@ let decode_compressed t s =
 
 (* Hash-to-point by try-and-increment on SHA-256 outputs: used to derive
    a second generator H with unknown discrete log w.r.t. G (needed by
-   Pedersen commitments and the lifted-ElGamal commitment key). *)
+   the lifted-ElGamal commitment key). *)
 let hash_to_point t label =
   let fp = t.fp in
   let rec try_counter i =

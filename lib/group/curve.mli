@@ -3,7 +3,7 @@
 
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,
-    Pedersen VSS, and Schnorr signatures.
+    ElGamal-opening VSS, and Schnorr signatures.
 
     {2 Timing contract}
 

@@ -36,9 +36,7 @@
 module Device = Dd_store.Device
 module Merkle = Dd_crypto.Merkle
 
-(** Records per chunk used when the caller does not choose one. Shared
-    by writers and by materialized re-derivations of segment roots so
-    both sides of an equality land on the same chunking. *)
+(** Records per chunk used when the caller does not choose one. *)
 val default_chunk_size : int
 
 (** Sealed-segment summary: everything a reader needs to fetch and
@@ -135,7 +133,7 @@ val slice_proof : manifest -> int -> Merkle.step list
 val verify_slice : root:string -> chunk_root:string -> Merkle.step list -> bool
 
 (** Bounded LRU of decoded chunks, fronting {!read_chunk} for serving
-    layers that revisit records (the segmented ballot store / board). *)
+    layers that revisit records (the segment-backed ballot store / board). *)
 module Cache : sig
   type t
 

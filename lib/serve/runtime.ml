@@ -7,7 +7,6 @@ module Ballot_store = Ddemos.Ballot_store
 module Ea = Ddemos.Ea
 module Board = Ddemos.Board
 module Drbg = Dd_crypto.Drbg
-module Pool = Dd_parallel.Pool
 
 type params = {
   batching : bool;
@@ -16,7 +15,6 @@ type params = {
   batch_max : int;
   out_cap : int;
   max_frame : int;
-  pool : Pool.t option;
 }
 
 let default_params =
@@ -25,15 +23,14 @@ let default_params =
     mailbox_cap = 4096;
     batch_max = 256;
     out_cap = 1 lsl 22;
-    max_frame = Frame.max_frame_default;
-    pool = None }
+    max_frame = Frame.max_frame_default }
 
 type source = Ddemos.Node_source.t = {
   sv_cfg : Types.config;
   sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;
   sv_store_for : int -> Ballot_store.t;
-  sv_bb : (Ea.bb_init * (int -> Board.t option)) option;
+  sv_bb : (Ea.bb_init * (int -> Board.t)) option;
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
   sv_ballot_for : int -> Types.ballot;
   sv_verify_share_tags : bool;
@@ -215,7 +212,7 @@ let create ?(params = default_params) src =
    | Some (init, board_for) ->
      t.bb <-
        Array.init nb (fun j ->
-           Bb_node.create ?board:(board_for j) ~cfg ~gctx:src.sv_gctx ~init ~me:j ());
+           Bb_node.create ~board:(board_for j) ~cfg ~gctx:src.sv_gctx ~init ~me:j ());
      for i = 0 to nv - 1 do
        for j = 0 to nb - 1 do
          let evc, ebb = Pipe.pair () in
@@ -387,16 +384,9 @@ let step t =
   t.clock.cnow <- t.clock.cnow +. 1e-6;
   let pumped = List.fold_left (fun acc c -> acc + pump_conn t c) 0 t.conns in
   let processed = ref 0 in
-  (match t.p.pool with
-   | Some pool when Pool.size pool > 1 && t.nv > 1 ->
-     let counts = Array.make t.nv 0 in
-     Pool.parallel_for pool ~chunk:1 t.nv
-       (fun i -> counts.(i) <- process_vc t i);
-     Array.iter (fun c -> processed := !processed + c) counts
-   | Some _ | None ->
-     for i = 0 to t.nv - 1 do
-       processed := !processed + process_vc t i
-     done);
+  for i = 0 to t.nv - 1 do
+    processed := !processed + process_vc t i
+  done;
   for j = 0 to t.nb - 1 do
     processed := !processed + process_bb t j
   done;

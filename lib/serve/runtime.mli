@@ -13,10 +13,9 @@
       [batch_max] messages; with batching enabled the {!Batcher}
       settles the batch's signature obligations through one
       [Auth.verify_batch] first, then the unchanged sans-IO state
-      machines consume the messages. Node sends are staged, not
-      transmitted — VC processing is free of cross-node writes, so it
-      can shard over the {!Dd_parallel.Pool} with deterministic
-      results.
+      machines consume the messages. Node sends are staged per node,
+      not transmitted, so no node's output reaches another within the
+      tick.
     + {b flush} — staged sends encode into per-connection bounded
       outbound queues (in node index order: deterministic byte
       streams), then every queue writes as much as its transport
@@ -35,7 +34,6 @@ type params = {
   batch_max : int;           (** messages a node drains per tick *)
   out_cap : int;             (** outbound bytes buffered per client conn *)
   max_frame : int;
-  pool : Dd_parallel.Pool.t option;  (** shards VC processing when present *)
 }
 
 val default_params : params
@@ -48,7 +46,7 @@ type source = Ddemos.Node_source.t = {
   sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Ddemos.Auth.keys array;
   sv_store_for : int -> Ddemos.Ballot_store.t;
-  sv_bb : (Ddemos.Ea.bb_init * (int -> Ddemos.Board.t option)) option;
+  sv_bb : (Ddemos.Ea.bb_init * (int -> Ddemos.Board.t)) option;
   sv_trustees : (Ddemos.Auth.keys array * (int -> Ddemos.Ea.trustee_init)) option;
   sv_ballot_for : int -> Ddemos.Types.ballot;
   sv_verify_share_tags : bool;

@@ -106,8 +106,11 @@ let verify_shares_serial gctx rng (items : (Elgamal.t * aux * share) array) =
       items;
     Group_ctx.acc_check acc
 
-(* Sharded variant; see Pedersen_vss.verify_shares_batch — same
-   verdict-preservation argument, same serial fork discipline. *)
+(* With a multi-domain [?pool] and a large enough batch, shard the
+   items and AND the per-shard randomized batches: a batch that holds
+   under one weighting holds under any, so the verdict is unchanged.
+   Shard DRBGs are forked serially up front — weights cannot depend on
+   the schedule. *)
 let verify_shares_batch ?pool gctx rng (items : (Elgamal.t * aux * share) array) =
   let n = Array.length items in
   let psize = match pool with Some p -> Dd_parallel.Pool.size p | None -> 1 in

@@ -12,7 +12,7 @@ type share = {
 
 (** [split fn rng ~secret ~threshold ~shares] returns the polynomial
     coefficients (constant term = the reduced secret, needed by
-    Pedersen-VSS on top) and the shares at [x = 1..shares]. *)
+    {!Elgamal_vss} on top) and the shares at [x = 1..shares]. *)
 val split :
   Modular.ctx -> Dd_crypto.Drbg.t -> secret:Nat.t -> threshold:int -> shares:int ->
   Nat.t array * share array

@@ -65,7 +65,7 @@ val decode_state : string -> prover_state option
 val encode_first_move : Dd_group.Group_ctx.t -> first_move -> string
 
 (** Inverse of {!encode_first_move}, with full point validation; [None]
-    on malformed input (used by the segmented board codec). *)
+    on malformed input (used by the board's segment codec). *)
 val decode_first_move : Dd_group.Group_ctx.t -> string -> first_move option
 
 val encode_final_move : final_move -> string

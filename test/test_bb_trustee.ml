@@ -5,6 +5,7 @@
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Bb_node = Ddemos.Bb_node
+module Node_source = Ddemos.Node_source
 module Bb_reader = Ddemos.Bb_reader
 module Trustee = Ddemos.Trustee
 module Messages = Ddemos.Messages
@@ -15,9 +16,15 @@ let cfg = { Types.default_config with Types.n_voters = 3; Types.m_options = 2 }
 let seed = "bbtest"
 let setup = lazy (Ea.setup cfg ~seed)
 
+(* BB nodes are built the way every full-crypto run builds them: from
+   the node source's sealed board segment *)
+let bb_source = lazy (Option.get (Node_source.of_setup (Lazy.force setup)).Node_source.sv_bb)
+
 let make_bbs () =
   let s = Lazy.force setup in
-  List.init cfg.Types.nb (fun i -> Bb_node.create ~cfg ~gctx:s.Ea.gctx ~init:s.Ea.bb_init ~me:i ())
+  let init, board_for = Lazy.force bb_source in
+  List.init cfg.Types.nb (fun i ->
+      Bb_node.create ~board:(board_for i) ~cfg ~gctx:s.Ea.gctx ~init ~me:i ())
 
 (* the canonical vote set: ballot 0 votes part A option 1, ballot 2
    votes part B option 0 *)

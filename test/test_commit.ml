@@ -1,11 +1,10 @@
 (* Commitment-scheme tests: lifted ElGamal (hiding/binding interface,
-   homomorphism), unit-vector encodings, Pedersen commitments. *)
+   homomorphism), unit-vector encodings. *)
 
 module Nat = Dd_bignum.Nat
 module Group_ctx = Dd_group.Group_ctx
 module Elgamal = Dd_commit.Elgamal
 module Unit_vector = Dd_commit.Unit_vector
-module Pedersen = Dd_commit.Pedersen
 module Drbg = Dd_crypto.Drbg
 
 let gctx = Group_ctx.default ()
@@ -84,58 +83,6 @@ let test_unit_vector_length_mismatch () =
   let c4, _ = Unit_vector.commit gctx rng ~options:4 ~choice:0 in
   Alcotest.check_raises "mismatch" (Invalid_argument "Unit_vector.add: length mismatch")
     (fun () -> ignore (Unit_vector.add gctx c3 c4))
-
-(* --- Pedersen ------------------------------------------------------------ *)
-
-let test_pedersen () =
-  let m = Nat.of_int 42 and r = Nat.of_int 99 in
-  let c = Pedersen.commit gctx ~msg:m ~rand:r in
-  Alcotest.(check bool) "verifies" true (Pedersen.verify gctx c ~msg:m ~rand:r);
-  Alcotest.(check bool) "wrong msg" false (Pedersen.verify gctx c ~msg:(Nat.of_int 43) ~rand:r)
-
-let test_pedersen_homomorphic () =
-  let c1 = Pedersen.commit gctx ~msg:(Nat.of_int 2) ~rand:(Nat.of_int 3) in
-  let c2 = Pedersen.commit gctx ~msg:(Nat.of_int 5) ~rand:(Nat.of_int 7) in
-  Alcotest.(check bool) "add" true
-    (Pedersen.verify gctx (Pedersen.add gctx c1 c2) ~msg:(Nat.of_int 7) ~rand:(Nat.of_int 10));
-  Alcotest.(check bool) "scalar mul" true
-    (Pedersen.verify gctx (Pedersen.mul gctx (Nat.of_int 3) c1) ~msg:(Nat.of_int 6)
-       ~rand:(Nat.of_int 9))
-
-let test_pedersen_codec () =
-  let c = Pedersen.commit gctx ~msg:(Nat.of_int 13) ~rand:(Nat.of_int 17) in
-  match Pedersen.decode gctx (Pedersen.encode gctx c) with
-  | Some c' -> Alcotest.(check bool) "roundtrip" true (Pedersen.equal gctx c c')
-  | None -> Alcotest.fail "decode failed"
-
-(* --- DEMOS encoding baseline ------------------------------------------------ *)
-
-module Demos_encoding = Dd_commit.Demos_encoding
-
-let test_demos_encoding_tally () =
-  let rng = rng () in
-  let p = Demos_encoding.make_params gctx ~n_voters:100 ~options:4 in
-  let votes = [ 0; 1; 1; 3; 1; 0; 2 ] in
-  let pairs = List.map (fun v -> Demos_encoding.commit gctx rng p ~choice:v) votes in
-  (* single-commitment-per-ballot homomorphic sum *)
-  let csum = Elgamal.sum gctx (List.map fst pairs) in
-  let osum = Elgamal.sum_openings gctx (List.map snd pairs) in
-  Alcotest.(check bool) "sum opens" true (Elgamal.verify gctx csum osum);
-  Alcotest.(check (array int)) "base-N decode" [| 2; 3; 1; 1 |]
-    (Demos_encoding.tally gctx p (List.map snd pairs))
-
-let test_demos_encoding_scalability_wall () =
-  (* the paper's criticism: with a large electorate the encoding runs
-     out of message space quickly, while the unit-vector scheme has no
-     such cap *)
-  let small = Demos_encoding.max_options gctx ~n_voters:100 in
-  let huge = Demos_encoding.max_options gctx ~n_voters:200_000_000 in
-  Alcotest.(check bool) "small electorate: plenty of options" true (small > 30);
-  Alcotest.(check bool) "US-scale electorate: under 10 options" true (huge < 10);
-  Alcotest.check_raises "over the wall"
-    (Invalid_argument "Demos_encoding.make_params: N^m exceeds the message space")
-    (fun () ->
-       ignore (Demos_encoding.make_params gctx ~n_voters:200_000_000 ~options:(huge + 1)))
 
 (* --- batch verification ------------------------------------------------------ *)
 
@@ -237,16 +184,9 @@ let () =
          Alcotest.test_case "range check" `Quick test_unit_vector_out_of_range;
          Alcotest.test_case "homomorphic tally" `Quick test_unit_vector_tally;
          Alcotest.test_case "length mismatch" `Quick test_unit_vector_length_mismatch ]);
-      ("pedersen",
-       [ Alcotest.test_case "commit/verify" `Quick test_pedersen;
-         Alcotest.test_case "homomorphic" `Quick test_pedersen_homomorphic;
-         Alcotest.test_case "codec" `Quick test_pedersen_codec ]);
       ("batch",
        [ Alcotest.test_case "elgamal openings" `Quick test_elgamal_batch;
          Alcotest.test_case "unit vectors" `Quick test_unit_vector_batch ]);
-      ("demos-encoding",
-       [ Alcotest.test_case "homomorphic tally" `Quick test_demos_encoding_tally;
-         Alcotest.test_case "scalability wall" `Quick test_demos_encoding_scalability_wall ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_commit_verify; prop_homomorphic; prop_unit_vector_sum_counts ]) ]

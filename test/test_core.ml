@@ -184,7 +184,7 @@ let test_ea_shapes () =
   Alcotest.(check int) "vc inits" cfg.Types.nv (Array.length s.Ea.vc_init);
   Alcotest.(check int) "trustee inits" cfg.Types.nt (Array.length s.Ea.trustee_init);
   Alcotest.(check int) "bb ballots" cfg.Types.n_voters
-    (Array.length s.Ea.bb_init.Ea.bb_ballots)
+    (Array.length s.Ea.bb_ballots)
 
 let test_ea_commitments_match_printed_options () =
   (* the trustee opening shares reconstruct unit vectors consistent
@@ -192,7 +192,7 @@ let test_ea_commitments_match_printed_options () =
   let s = Lazy.force setup in
   let serial = 0 in
   let mat = Ballot_gen.gen_part ~seed:"ea-test" ~serial ~part:Types.A ~m:cfg.Types.m_options in
-  let entries = s.Ea.bb_init.Ea.bb_ballots.(serial).Ea.bb_parts.(0) in
+  let entries = s.Ea.bb_ballots.(serial).Ea.bb_parts.(0) in
   for pos = 0 to cfg.Types.m_options - 1 do
     (* reconstruct opening from ht trustee shares *)
     let shares =
@@ -224,7 +224,7 @@ let test_ea_encrypted_codes_decrypt () =
   let msk = Ballot_gen.msk ~seed:"ea-test" in
   let serial = 1 in
   let mat = Ballot_gen.gen_part ~seed:"ea-test" ~serial ~part:Types.B ~m:cfg.Types.m_options in
-  let entries = s.Ea.bb_init.Ea.bb_ballots.(serial).Ea.bb_parts.(1) in
+  let entries = s.Ea.bb_ballots.(serial).Ea.bb_parts.(1) in
   Array.iteri
     (fun pos (e : Ea.bb_part_entry) ->
        let iv, ct = e.Ea.enc_code in

@@ -266,7 +266,7 @@ let tampered_setup () =
     a.(0) <- { e1 with Ea.enc_code = e0.Ea.enc_code };
     a.(1) <- { e0 with Ea.enc_code = e1.Ea.enc_code }
   in
-  swap_bb s.Ea.bb_init.Ea.bb_ballots.(0).Ea.bb_parts;
+  swap_bb s.Ea.bb_ballots.(0).Ea.bb_parts;
   Array.iter
     (fun (ti : Ea.trustee_init) ->
        let part = ti.Ea.t_ballots.(0).(0) in

@@ -6,9 +6,12 @@
    - a slice audit needs only its own chunk's bytes: every other chunk
      of the device can be garbage (the independent-auditor soundness
      pin, see docs/INVARIANTS.md);
+   - the in-memory writer (store_setup) and the streamed one
+     (write_setup) produce the same segment bytes;
    - an election served from sealed segments (Election.Stored) matches
-     its RAM twin (Election.Full): same receipts, same tally, same
-     board root, and the full audit plus a slice audit pass. *)
+     its twin run from an in-memory setup (Election.Full): same
+     receipts, same tally, same board root, and the full audit plus a
+     slice audit pass. *)
 
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
@@ -54,7 +57,7 @@ let votes_of l =
 let test_chunked_equals_monolithic () =
   let s = Lazy.force setup in
   let enc = Election_store.encode_bb_ballot s.Ea.gctx in
-  let mono = Array.map enc s.Ea.bb_init.Ea.bb_ballots in
+  let mono = Array.map enc s.Ea.bb_ballots in
   List.iter
     (fun chunk_size ->
        let bb = ref [] and ballots = ref [] in
@@ -88,9 +91,7 @@ let golden_cfg =
 
 let golden_digest = "29d2aad1c649863a5ae9c5bed2b6e414eeb8c19222d9e46ffb57f16c43f8db0a"
 
-let test_segments_golden () =
-  let tbl, dev = mem_family () in
-  let _layout = Election_store.write_setup ~chunk_size:2 dev golden_cfg ~seed:"golden" in
+let segments_digest tbl =
   let names = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
   let parts =
     List.concat_map
@@ -99,38 +100,48 @@ let test_segments_golden () =
          [ name; string_of_int (String.length log); log ])
       names
   in
-  Alcotest.(check string) "segment digest" golden_digest
-    (Dd_crypto.Sha256.hex_of_string (Dd_crypto.Sha256.digest_list parts))
+  Dd_crypto.Sha256.hex_of_string (Dd_crypto.Sha256.digest_list parts)
 
-(* --- board roots agree across backings --------------------------------- *)
+(* both writers: streamed from the EA, and from an in-memory setup *)
+let test_segments_golden () =
+  let tbl, dev = mem_family () in
+  let _layout = Election_store.write_setup ~chunk_size:2 dev golden_cfg ~seed:"golden" in
+  Alcotest.(check string) "streamed segment digest" golden_digest (segments_digest tbl);
+  let tbl, dev = mem_family () in
+  let _layout =
+    Election_store.store_setup ~chunk_size:2 dev (Ea.setup golden_cfg ~seed:"golden")
+  in
+  Alcotest.(check string) "in-memory segment digest" golden_digest (segments_digest tbl)
 
-let test_board_root_cross_backing () =
+(* --- the two writers serve the same board -------------------------------- *)
+
+let test_writers_agree () =
   let s = Lazy.force setup in
   let _tbl, dev = mem_family () in
-  let layout = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
-  let mat = Board.materialized ~chunk_size:2 s.Ea.gctx s.Ea.bb_init.Ea.bb_ballots in
-  Alcotest.(check string) "materialized root = sealed manifest root"
-    layout.Election_store.l_bb.Segment.root (Board.root mat);
-  let seg =
-    Board.segmented s.Ea.gctx
-      (dev Election_store.bb_segment)
-      layout.Election_store.l_bb
+  let streamed = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
+  let _tbl, mem_dev = mem_family () in
+  let stored = Election_store.store_setup ~chunk_size:2 mem_dev s in
+  let board dev layout =
+    Board.create s.Ea.gctx (dev Election_store.bb_segment) layout.Election_store.l_bb
   in
-  Alcotest.(check string) "segmented root = materialized root"
-    (Board.root mat) (Board.root seg);
+  let seg = board dev streamed and mem = board mem_dev stored in
+  Alcotest.(check string) "streamed root = in-memory root" (Board.root seg) (Board.root mem);
   let enc = Election_store.encode_bb_ballot s.Ea.gctx in
   for i = 0 to cfg.Types.n_voters - 1 do
     Alcotest.(check string)
-      (Printf.sprintf "ballot %d identical through both backings" i)
-      (enc (req "materialized ballot" (Board.ballot mat i)))
-      (enc (req "segmented ballot" (Board.ballot seg i)))
+      (Printf.sprintf "ballot %d identical through both writers" i)
+      (enc (req "streamed ballot" (Board.ballot seg i)))
+      (enc (req "in-memory ballot" (Board.ballot mem i)))
   done;
   (* the slice proof of every chunk checks out against the shared root *)
-  for c = 0 to Board.n_chunks seg - 1 do
-    let chunk_root, path = req "slice proof" (Board.slice_proof seg c) in
-    Alcotest.(check bool) (Printf.sprintf "chunk %d proof" c) true
-      (Segment.verify_slice ~root:(Board.root seg) ~chunk_root path)
-  done
+  List.iter
+    (fun b ->
+       for c = 0 to Board.n_chunks b - 1 do
+         let chunk_root, path = req "slice proof" (Board.slice_proof b c) in
+         Alcotest.(check bool) (Printf.sprintf "chunk %d proof" c) true
+           (Segment.verify_slice ~root:(Board.root seg) ~chunk_root path)
+       done)
+    [ seg; mem ]
 
 (* --- crash-resume bit-identity ----------------------------------------- *)
 
@@ -223,9 +234,9 @@ let test_stored_election_matches_full () =
     (req "stored tally" r_stored.Election.tally);
   (* the disk-served node's commitment equals the RAM derivation *)
   let stored_bb = List.hd r_stored.Election.bb_nodes in
-  let mat = Board.materialized ~chunk_size:2 s.Ea.gctx s.Ea.bb_init.Ea.bb_ballots in
-  Alcotest.(check string) "stored board root = materialized root"
-    (Board.root mat) (Board.root (Bb_node.board stored_bb));
+  let mem = Election_store.store_setup ~chunk_size:2 (snd (mem_family ())) s in
+  Alcotest.(check string) "stored board root = in-memory writer's root"
+    mem.Election_store.l_bb.Segment.root (Board.root (Bb_node.board stored_bb));
   (* full audit and an independent single-slice audit both pass *)
   let view =
     req "audit view"
@@ -245,7 +256,7 @@ let () =
           Alcotest.test_case "crash-resume is bit-identical" `Quick test_resume_bit_identical;
           Alcotest.test_case "segments match the golden digest" `Quick test_segments_golden ] );
       ( "board",
-        [ Alcotest.test_case "roots agree across backings" `Quick test_board_root_cross_backing ] );
+        [ Alcotest.test_case "streamed and in-memory writers agree" `Quick test_writers_agree ] );
       ( "audit",
         [ Alcotest.test_case "slice audit ignores other chunks" `Quick
             test_slice_audit_ignores_other_chunks;

@@ -124,6 +124,8 @@ let test_ea_setup_deterministic () =
      must be structurally identical whatever the pool size *)
   Alcotest.(check bool) "ballots identical" true (s1.Ddemos.Ea.ballots = s4.Ddemos.Ea.ballots);
   Alcotest.(check bool) "bb_init identical" true (s1.Ddemos.Ea.bb_init = s4.Ddemos.Ea.bb_init);
+  Alcotest.(check bool) "bb_ballots identical" true
+    (s1.Ddemos.Ea.bb_ballots = s4.Ddemos.Ea.bb_ballots);
   Alcotest.(check bool) "vc_init identical" true (s1.Ddemos.Ea.vc_init = s4.Ddemos.Ea.vc_init);
   Alcotest.(check bool) "trustee_init identical" true
     (s1.Ddemos.Ea.trustee_init = s4.Ddemos.Ea.trustee_init)

@@ -19,6 +19,7 @@ module Messages = Ddemos.Messages
 module Auth = Ddemos.Auth
 module Ballot_store = Ddemos.Ballot_store
 module Ballot_gen = Ddemos.Ballot_gen
+module Node_source = Ddemos.Node_source
 module Drbg = Dd_crypto.Drbg
 
 (* --- WAL framing --------------------------------------------------------- *)
@@ -327,6 +328,20 @@ let bb_cfg = { Types.default_config with Types.n_voters = 3; Types.m_options = 2
 let bb_seed = "storage-bb"
 let bb_setup = lazy (Ea.setup bb_cfg ~seed:bb_seed)
 
+(* BB init and boards from the node source, as in every full-crypto run *)
+let bb_source =
+  lazy (Option.get (Node_source.of_setup (Lazy.force bb_setup)).Node_source.sv_bb)
+
+let bb_create ?durable i =
+  let s = Lazy.force bb_setup in
+  let init, board_for = Lazy.force bb_source in
+  Bb_node.create ?durable ~board:(board_for i) ~cfg:bb_cfg ~gctx:s.Ea.gctx ~init ~me:i ()
+
+let bb_recover ?durable i =
+  let s = Lazy.force bb_setup in
+  let init, board_for = Lazy.force bb_source in
+  Bb_node.recover ?durable ~board:(board_for i) ~cfg:bb_cfg ~gctx:s.Ea.gctx ~init ~me:i ()
+
 let bb_code ~serial ~part ~option =
   let s = Lazy.force bb_setup in
   (Types.ballot_part s.Ea.ballots.(serial) part).Types.lines.(option).Types.vote_code
@@ -343,13 +358,9 @@ let prop_bb_journal_replay =
   QCheck.Test.make ~name:"Bb_node: journal replay = live board" ~count:10
     QCheck.(int_range 0 1_000_000)
     (fun n ->
-       let s = Lazy.force bb_setup in
        let rng = Drbg.create ~seed:(Printf.sprintf "bb|%d" n) in
        let b = Mem.create () in
-       let bb =
-         Bb_node.create ~durable:(Mem.device b) ~cfg:bb_cfg ~gctx:s.Ea.gctx
-           ~init:s.Ea.bb_init ~me:0 ()
-       in
+       let bb = bb_create ~durable:(Mem.device b) 0 in
        let shares = msk_shares () in
        (* a random subset of senders in a random order, with duplicates *)
        let k = Drbg.int rng (bb_cfg.Types.nv + 2) in
@@ -358,10 +369,7 @@ let prop_bb_journal_replay =
          Bb_node.on_vote_set_submit bb ~sender ~set:(bb_set ())
            ~msk_share:shares.(sender)
        done;
-       let bb' =
-         Bb_node.recover ~durable:(Mem.device b) ~cfg:bb_cfg ~gctx:s.Ea.gctx
-           ~init:s.Ea.bb_init ~me:0 ()
-       in
+       let bb' = bb_recover ~durable:(Mem.device b) 0 in
        String.equal (Bb_node.observable bb) (Bb_node.observable bb'))
 
 let test_full_pipeline_recovery () =
@@ -370,8 +378,7 @@ let test_full_pipeline_recovery () =
   let bb_backings = Array.init bb_cfg.Types.nb (fun _ -> Mem.create ()) in
   let bbs =
     List.init bb_cfg.Types.nb (fun i ->
-        Bb_node.create ~durable:(Mem.device bb_backings.(i)) ~cfg:bb_cfg
-          ~gctx:s.Ea.gctx ~init:s.Ea.bb_init ~me:i ())
+        bb_create ~durable:(Mem.device bb_backings.(i)) i)
   in
   List.iter
     (fun bb ->
@@ -406,10 +413,7 @@ let test_full_pipeline_recovery () =
   (* every board cold-restarts to an observably identical board *)
   List.iteri
     (fun i bb ->
-       let bb' =
-         Bb_node.recover ~durable:(Mem.device bb_backings.(i)) ~cfg:bb_cfg
-           ~gctx:s.Ea.gctx ~init:s.Ea.bb_init ~me:i ()
-       in
+       let bb' = bb_recover ~durable:(Mem.device bb_backings.(i)) i in
        Alcotest.(check string)
          (Printf.sprintf "bb %d observable" i)
          (Bb_node.observable bb) (Bb_node.observable bb'))

@@ -1,11 +1,10 @@
 (* Secret-sharing tests: GF(256) field, byte-wise Shamir, scalar Shamir,
-   Pedersen VSS, ElGamal-opening VSS — reconstruction, threshold
-   secrecy sanity, verifiability, homomorphism. *)
+   ElGamal-opening VSS — reconstruction, threshold secrecy sanity,
+   verifiability, homomorphism. *)
 
 module Gf256 = Dd_vss.Gf256
 module Shamir_bytes = Dd_vss.Shamir_bytes
 module Shamir_scalar = Dd_vss.Shamir_scalar
-module Pedersen_vss = Dd_vss.Pedersen_vss
 module Elgamal_vss = Dd_vss.Elgamal_vss
 module Nat = Dd_bignum.Nat
 module Drbg = Dd_crypto.Drbg
@@ -114,50 +113,6 @@ let test_shamir_scalar_mismatched_x () =
     (Invalid_argument "Shamir_scalar.add: mismatched evaluation points")
     (fun () -> ignore (Shamir_scalar.add fn sa.(0) sa.(1)))
 
-(* --- Pedersen VSS ------------------------------------------------------------ *)
-
-let test_pedersen_vss_verify_and_reconstruct () =
-  let rng = rng () in
-  let secret = Nat.of_int 424242 in
-  let commitments, shares = Pedersen_vss.deal gctx rng ~secret ~threshold:3 ~shares:5 in
-  Array.iter
-    (fun s ->
-       Alcotest.(check bool) "share verifies" true
-         (Pedersen_vss.verify_share gctx commitments s))
-    shares;
-  let recon =
-    Pedersen_vss.reconstruct gctx ~threshold:3 [ shares.(0); shares.(2); shares.(4) ]
-  in
-  Alcotest.(check bool) "reconstructs" true (Nat.equal secret recon);
-  (* the reconstructed pair re-opens the constant-term commitment *)
-  let f, g = Pedersen_vss.reconstruct_with_blinding gctx ~threshold:3
-      [ shares.(1); shares.(2); shares.(3) ]
-  in
-  Alcotest.(check bool) "opens secret commitment" true
-    (Dd_commit.Pedersen.verify gctx (Pedersen_vss.secret_commitment commitments) ~msg:f ~rand:g)
-
-let test_pedersen_vss_detects_tampering () =
-  let rng = rng () in
-  let commitments, shares = Pedersen_vss.deal gctx rng ~secret:Nat.one ~threshold:2 ~shares:4 in
-  let bad = { shares.(0) with Pedersen_vss.f = Nat.add shares.(0).Pedersen_vss.f Nat.one } in
-  Alcotest.(check bool) "tampered share rejected" false
-    (Pedersen_vss.verify_share gctx commitments bad)
-
-let test_pedersen_vss_homomorphic () =
-  let rng = rng () in
-  let ca, sa = Pedersen_vss.deal gctx rng ~secret:(Nat.of_int 10) ~threshold:2 ~shares:3 in
-  let cb, sb = Pedersen_vss.deal gctx rng ~secret:(Nat.of_int 32) ~threshold:2 ~shares:3 in
-  let csum = Pedersen_vss.add_commitments gctx ca cb in
-  let ssum = Array.init 3 (fun i -> Pedersen_vss.add_shares gctx sa.(i) sb.(i)) in
-  Array.iter
-    (fun s ->
-       Alcotest.(check bool) "summed share verifies vs summed commitments" true
-         (Pedersen_vss.verify_share gctx csum s))
-    ssum;
-  Alcotest.(check bool) "sums to 42" true
-    (Nat.equal (Nat.of_int 42)
-       (Pedersen_vss.reconstruct gctx ~threshold:2 [ ssum.(0); ssum.(2) ]))
-
 (* --- ElGamal-opening VSS ------------------------------------------------------ *)
 
 let test_elgamal_vss_end_to_end () =
@@ -208,28 +163,6 @@ let test_elgamal_vss_homomorphic_tally () =
 (* --- batch share verification ------------------------------------------------ *)
 
 module Batch = Dd_group.Batch
-
-let test_pedersen_vss_batch () =
-  let rng = rng () in
-  let commitments, shares =
-    Pedersen_vss.deal gctx rng ~secret:(Nat.of_int 7) ~threshold:3 ~shares:6
-  in
-  let items = Array.map (fun s -> (commitments, s)) shares in
-  Alcotest.(check bool) "all shares verify" true
-    (Pedersen_vss.verify_shares_batch gctx rng items);
-  let bad = Array.copy items in
-  bad.(2) <-
-    (commitments, { shares.(2) with Pedersen_vss.g = Nat.add shares.(2).Pedersen_vss.g Nat.one });
-  Alcotest.(check bool) "one bad share fails the batch" false
-    (Pedersen_vss.verify_shares_batch gctx rng bad);
-  let found =
-    Batch.find_failures ~n:(Array.length bad)
-      ~check:(fun ~lo ~len ->
-          Pedersen_vss.verify_shares_batch gctx
-            (Drbg.create ~seed:(Printf.sprintf "pvb%d.%d" lo len))
-            (Array.sub bad lo len))
-  in
-  Alcotest.(check (list int)) "bisection names share 2" [ 2 ] found
 
 let test_elgamal_vss_batch () =
   let rng = rng () in
@@ -283,14 +216,9 @@ let () =
          Alcotest.test_case "additive homomorphism" `Quick test_shamir_scalar_homomorphic;
          Alcotest.test_case "mismatched x" `Quick test_shamir_scalar_mismatched_x;
          QCheck_alcotest.to_alcotest prop_scalar_shamir ]);
-      ("pedersen-vss",
-       [ Alcotest.test_case "verify + reconstruct" `Quick test_pedersen_vss_verify_and_reconstruct;
-         Alcotest.test_case "tamper detection" `Quick test_pedersen_vss_detects_tampering;
-         Alcotest.test_case "homomorphic" `Quick test_pedersen_vss_homomorphic ]);
       ("elgamal-vss",
        [ Alcotest.test_case "end to end" `Quick test_elgamal_vss_end_to_end;
          Alcotest.test_case "tamper detection" `Quick test_elgamal_vss_tamper;
          Alcotest.test_case "homomorphic tally" `Quick test_elgamal_vss_homomorphic_tally ]);
       ("batch",
-       [ Alcotest.test_case "pedersen shares" `Quick test_pedersen_vss_batch;
-         Alcotest.test_case "elgamal-opening shares" `Quick test_elgamal_vss_batch ]) ]
+       [ Alcotest.test_case "elgamal-opening shares" `Quick test_elgamal_vss_batch ]) ]
