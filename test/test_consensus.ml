@@ -361,7 +361,7 @@ let test_bc_random_value_byzantine () =
   check_agreement_validity ~n ~byzantine:[ byz ] ~slots ~initials !decisions
 
 let prop_bc_random_initials =
-  QCheck.Test.make ~name:"consensus under random opinions and orders" ~count:15
+  QCheck.Test.make ~name:"consensus under random opinion" ~count:15
     QCheck.(pair (int_range 0 1000) (int_range 1 6))
     (fun (seed, slots) ->
        let n = 4 and f = 1 in
