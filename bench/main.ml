@@ -383,6 +383,11 @@ let micro () =
            (Curve.mul_int curve (i + 2) (Curve.generator curve))))
   in
   let msm64 = msm_pairs 64 and msm512 = msm_pairs 512 in
+  (* one lockstep group of fixed-base multiplications on G *)
+  let comb_jobs =
+    Array.init Curve.batch_group (fun _ ->
+        [ (Dd_group.Group_ctx.g_table gctx, Dd_group.Group_ctx.random_scalar gctx rng) ])
+  in
   (* UCERT fixture: a 16-collector Schnorr clique at quorum Nv - fv = 11,
      the worst-case Table I verification load *)
   let ucert_keys =
@@ -495,6 +500,9 @@ let micro () =
         (Staged.stage (fun () -> Curve.mul_vartime curve scalar point));
       Test.make ~name:"arith.point-mul.seed-baseline"
         (Staged.stage (fun () -> Seed_baseline.point_mul sc scalar spoint));
+      (* per multiplication: the measured group is divided by its size below *)
+      Test.make ~name:"arith.comb-batch"
+        (Staged.stage (fun () -> Dd_group.Group_ctx.mul_batch gctx comb_jobs));
       Test.make ~name:"arith.mul2-strauss-shamir"
         (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g gctx sig_s sig_e point));
       (* arithmetic stack: batch normalization (64 points) *)
@@ -529,7 +537,13 @@ let micro () =
         | Some [ est ] -> Some (name, est)
         | _ -> None)
   in
-  let rows = measure tests in
+  let rows =
+    List.map
+      (fun (name, est) ->
+         if name = "micro arith.comb-batch" then (name, est /. float_of_int Curve.batch_group)
+         else (name, est))
+      (measure tests)
+  in
   (* Multicore scaling points: the same audit and EA-setup workloads
      driven through explicit pools of 1/2/4 domains. Each domain count
      is measured in its OWN Benchmark.all phase with only its own pool

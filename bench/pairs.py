@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change benchmark pairs, printed as a Markdown table.
+
+    python3 bench/pairs.py PARENT_REV WORKLOAD METRIC --seeds 2 3 4 ...
+
+Exports the committed trees of PARENT_REV and of the change (--change,
+default HEAD) into two temporary directories with `git archive`, builds
+perfbench in each, then runs `perfbench/run.py --workload WORKLOAD
+--seed S --seconds N --trace 0` once per tree for every seed, the two
+runs of a pair back to back in alternating order (parent first on the
+first pair, change first on the second, and so on), so host drift hits
+both sides alike. It prints the per-pair values, how many pairs the
+change won, both medians with their quartiles, the ratio of the medians
+and the gap in units of the parent's quartile distance: the figures a
+wall-clock claim needs (ROADMAP.md, "How to claim a gain here").
+
+Which direction is better comes from BENCHMARK.json's metric list, or
+from --better for a metric it does not name. A run that fails or prints
+no value for METRIC is reported and leaves its pair out of the counts.
+Uncommitted edits are not benchmarked: commit first, or pass --change.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def export(rev, dest):
+    """Write the tree of commit REV into DEST (no .git, no build state)."""
+    os.makedirs(dest)
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def build(tree):
+    env = dict(os.environ, DUNE_CACHE="disabled")
+    done = subprocess.run(["dune", "build", "--root", ".", "./perfbench/main.exe"],
+                          cwd=tree, env=env, stdout=sys.stderr, stderr=sys.stderr)
+    if done.returncode != 0:
+        sys.exit(f"pairs: build failed in {tree}")
+
+
+def run(tree, workload, seed, seconds):
+    """The result object of one perfbench run, or None if it failed."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        return None
+    return json.loads(lines[-1])
+
+
+def value_of(result, metric):
+    if result is None or result.get("failed", 0) != 0:
+        return None
+    value = result.get("metrics", {}).get(metric, {}).get("value")
+    return float(value) if value is not None else None
+
+
+def better_of(tree, metric, override):
+    if override:
+        return override
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    for m in spec.get("end_to_end", []) + spec.get("per_layer", []):
+        if m["name"] == metric:
+            return m["better"]
+    sys.exit(f"pairs: BENCHMARK.json does not name {metric}; pass --better")
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q1, q3
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", metavar="PARENT_REV")
+    p.add_argument("workload", metavar="WORKLOAD")
+    p.add_argument("metric", metavar="METRIC")
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--change", default="HEAD", help="revision of the change (default HEAD)")
+    p.add_argument("--seconds", type=int, help="run length (default: BENCHMARK.json run_seconds)")
+    p.add_argument("--better", choices=("lower", "higher"))
+    p.add_argument("--keep", action="store_true", help="keep the exported trees")
+    args = p.parse_args()
+
+    root = tempfile.mkdtemp(prefix="pairs-")
+    trees = {"parent": os.path.join(root, "parent"), "change": os.path.join(root, "change")}
+    try:
+        export(args.parent, trees["parent"])
+        export(args.change, trees["change"])
+        better = better_of(trees["change"], args.metric, args.better)
+        seconds = args.seconds
+        if seconds is None:
+            with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
+                seconds = json.load(f)["run_seconds"]
+        for tree in trees.values():
+            build(tree)
+
+        rows = []
+        for i, seed in enumerate(args.seeds):
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            got = {}
+            for side in order:
+                result = run(trees[side], args.workload, seed, seconds)
+                got[side] = value_of(result, args.metric)
+                # every run's whole result, for the metrics not tabulated
+                print(f"# seed {seed} {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
+            rows.append((seed, order[0], got["parent"], got["change"]))
+    finally:
+        if not args.keep:
+            shutil.rmtree(root, ignore_errors=True)
+
+    def wins(par, chg):
+        return chg < par if better == "lower" else chg > par
+
+    fmt = lambda v: "failed" if v is None else f"{v:.4g}"
+    print(f"`{args.workload}` `{args.metric}` ({better} is better), {seconds} s runs, "
+          f"parent {args.parent} vs change {args.change}:\n")
+    print("| pair | seed | first | parent | change | change better |")
+    print("|---:|---:|---|---:|---:|---|")
+    done = []
+    for n, (seed, first, par, chg) in enumerate(rows, 1):
+        ok = par is not None and chg is not None
+        if ok:
+            done.append((par, chg))
+        print(f"| {n} | {seed} | {first} | {fmt(par)} | {fmt(chg)} | "
+              f"{('yes' if wins(par, chg) else 'no') if ok else '-'} |")
+    if not done:
+        print("\nno complete pair")
+        return 1
+    pars = [a for a, _ in done]
+    chgs = [b for _, b in done]
+    pm, cm = statistics.median(pars), statistics.median(chgs)
+    (p1, p3), (c1, c3) = quartiles(pars), quartiles(chgs)
+    iqr = p3 - p1
+    print()
+    print("| | parent | change |")
+    print("|---|---:|---:|")
+    print(f"| median [quartiles] | {pm:.4g} [{p1:.4g}, {p3:.4g}] | {cm:.4g} [{c1:.4g}, {c3:.4g}] |")
+    print(f"| pairs won by the change | | {sum(wins(a, b) for a, b in done)} / {len(done)} |")
+    ratio = pm / cm if better == "lower" else cm / pm
+    gap = abs(pm - cm) / iqr if iqr > 0 else float("inf")
+    print(f"\nMedians {ratio:.2f}x apart in the change's favour; the gap "
+          f"{abs(pm - cm):.4g} is {gap:.1f}x the parent's quartile distance ({iqr:.4g}).")
+    failed = len(rows) - len(done)
+    if failed:
+        print(f"{failed} pair(s) left out: a run failed or printed no value.")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

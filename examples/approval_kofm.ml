@@ -29,7 +29,7 @@ let () =
     List.mapi
       (fun i choices ->
          let commitments, openings = Unit_vector.commit_k gctx rng ~options:m ~choices in
-         let state, first = Ballot_proof.prove_commit ~k gctx rng ~commitments ~openings in
+         let state, first = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
          let challenge = Group_ctx.random_scalar gctx rng in
          let final = Ballot_proof.finalize gctx state ~challenge in
          let ok = Ballot_proof.verify ~k gctx ~commitments first ~challenge final in
@@ -43,7 +43,7 @@ let () =
   let cheat_commitments, cheat_openings =
     Unit_vector.commit_k gctx rng ~options:m ~choices:[ 0; 1; 2 ]
   in
-  let state, first = Ballot_proof.prove_commit ~k:3 gctx rng ~commitments:cheat_commitments
+  let state, first = Ballot_proof.prove_commit gctx rng ~commitments:cheat_commitments
       ~openings:cheat_openings
   in
   let challenge = Group_ctx.random_scalar gctx rng in

@@ -27,6 +27,12 @@ let commit gctx ~msg ~rand =
   { c1 = Group_ctx.mul_g gctx rand;
     c2 = Curve.add (Group_ctx.curve gctx) (Group_ctx.mul_g gctx msg) (Group_ctx.mul_h gctx rand) }
 
+(* [commit]'s two points as comb jobs, for callers that evaluate many
+   at once with [Group_ctx.mul_batch]. *)
+let commit_jobs gctx (o : opening) : Curve.comb_job * Curve.comb_job =
+  let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
+  ([ (g, o.rand) ], [ (g, o.msg); (h, o.rand) ])
+
 let commit_random gctx rng ~msg =
   let rand = Group_ctx.random_scalar gctx rng in
   (commit gctx ~msg ~rand, { msg; rand })

@@ -17,6 +17,10 @@ type opening = {
 (** Commit to [msg] with explicit randomness. *)
 val commit : Group_ctx.t -> msg:Nat.t -> rand:Nat.t -> t
 
+(** The comb jobs of [(c1, c2)] for an opening, [rand*G] and
+    [msg*G + rand*H], to evaluate with {!Group_ctx.mul_batch}. *)
+val commit_jobs : Group_ctx.t -> opening -> Curve.comb_job * Curve.comb_job
+
 (** Commit with fresh randomness drawn from the DRBG. *)
 val commit_random : Group_ctx.t -> Dd_crypto.Drbg.t -> msg:Nat.t -> t * opening
 

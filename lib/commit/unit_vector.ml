@@ -10,14 +10,15 @@ type t = Elgamal.t array
 
 type opening = Elgamal.opening array
 
-let commit gctx rng ~options ~choice =
+let openings gctx rng ~options ~choice =
   if choice < 0 || choice >= options then invalid_arg "Unit_vector.commit: choice out of range";
-  let pairs =
-    Array.init options (fun i ->
-        let msg = if i = choice then Nat.one else Nat.zero in
-        Elgamal.commit_random gctx rng ~msg)
-  in
-  (Array.map fst pairs, Array.map snd pairs)
+  Array.init options (fun i ->
+      { Elgamal.msg = (if i = choice then Nat.one else Nat.zero);
+        rand = Dd_group.Group_ctx.random_scalar gctx rng })
+
+let commit gctx rng ~options ~choice =
+  let o = openings gctx rng ~options ~choice in
+  (Array.map (fun (oi : Elgamal.opening) -> Elgamal.commit gctx ~msg:oi.msg ~rand:oi.rand) o, o)
 
 (* k-out-of-m selection (the extension sketched in the paper's
    conclusion): commit to a 0/1 vector with ones exactly at [choices]. *)

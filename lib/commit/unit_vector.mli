@@ -12,6 +12,12 @@ type opening = Elgamal.opening array
 val commit :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> options:int -> choice:int -> t * opening
 
+(** The openings {!commit} would draw, in the same DRBG order, without
+    computing the commitments (batched set-up computes them with
+    {!Elgamal.commit_jobs}). *)
+val openings :
+  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> options:int -> choice:int -> opening
+
 (** k-out-of-m selection: ones exactly at the (distinct) [choices].
     Raises [Invalid_argument] on out-of-range or duplicate choices. *)
 val commit_k :

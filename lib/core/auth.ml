@@ -53,7 +53,15 @@ let deal_clique ~scheme ~gctx ~seed ~n =
     Array.init n (fun i ->
         Schnorr.keygen gctx (Dd_crypto.Drbg.fork master ~label:(Printf.sprintf "sk%d" i)))
   in
-  let pks = Array.map snd key_pairs in
+  (* one shared inversion puts every key in affine form, so encoding a
+     key into a Schnorr challenge (every sign and verify) is free *)
+  let pks =
+    let curve = Dd_group.Group_ctx.curve gctx in
+    Array.map2
+      (fun (_, pk) xy -> match xy with Some xy -> Dd_group.Curve.of_affine curve xy | None -> pk)
+      key_pairs
+      (Dd_group.Curve.to_affine_batch curve (Array.map snd key_pairs))
+  in
   let pair_key i j =
     let lo = min i j and hi = max i j in
     Dd_crypto.Sha256.digest_list [ "mac-key"; seed; string_of_int lo; string_of_int hi ]
@@ -87,6 +95,24 @@ let sign ?rng (k : keys) msg =
     Schnorr_tag (Schnorr.sign k.gctx rng ~sk:k.sk ~pk:k.pks.(k.me) msg)
   | Mac_scheme ->
     Mac_tag (Array.map (fun key -> Dd_crypto.Hmac.sha256 ~key msg) k.mac_keys)
+
+(* Signing in two halves for batched signers (Ea): the nonce is drawn
+   in transcript order, its commitment R = k*G computed with everyone
+   else's in one lockstep batch. MAC tags draw nothing. *)
+let draw_nonce ~rng (k : keys) =
+  match k.scheme with
+  | Schnorr_scheme -> Some (Schnorr.nonce k.gctx rng)
+  | Mac_scheme -> None
+
+let sign_prepared (k : keys) ~nonce msg =
+  match k.scheme, nonce with
+  | Schnorr_scheme, Some (nonce, commitment) ->
+    Schnorr_tag
+      (Schnorr.sign_with_nonce k.gctx ~nonce ~commitment ~sk:k.sk ~pk:k.pks.(k.me) msg)
+  | Schnorr_scheme, None ->
+    (* lint: allow exception-hygiene — a programming error in the EA, never peer input *)
+    invalid_arg "Auth.sign_prepared: Schnorr tag without a nonce"
+  | Mac_scheme, _ -> sign k msg
 
 (* [verify k ~signer msg tag]: does [tag] authenticate [msg] as coming
    from [signer], from the point of view of node [k.me]? *)

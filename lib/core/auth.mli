@@ -41,6 +41,17 @@ val deal_clique :
     streams so output is independent of scheduling. *)
 val sign : ?rng:Dd_crypto.Drbg.t -> keys -> string -> tag
 
+(** {!sign} in two halves, for a signer that batches its nonce
+    commitments: [draw_nonce ~rng k] draws the Schnorr nonce exactly as
+    [sign ~rng] would ([None] under [Mac_scheme], which draws nothing),
+    and [sign_prepared k ~nonce:(Some (n, r)) msg] finishes the tag given
+    [r = n*G] in affine form. Under [Mac_scheme] it is {!sign}. Raises
+    [Invalid_argument] on a Schnorr key without a nonce. *)
+val draw_nonce : rng:Dd_crypto.Drbg.t -> keys -> Dd_bignum.Nat.t option
+
+val sign_prepared :
+  keys -> nonce:(Dd_bignum.Nat.t * Dd_group.Curve.point) option -> string -> tag
+
 (** [verify k ~signer msg tag]: does [tag] authenticate [msg] from
     [signer], as seen by node [k.me]? Cross-scheme tags never verify. *)
 val verify : keys -> signer:int -> string -> tag -> bool

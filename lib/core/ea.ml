@@ -114,6 +114,170 @@ type chunk = {
 
 let default_setup_chunk = 1024
 
+(* --- one ballot part in three passes ---------------------------------- *)
+
+(* Everything a (serial, part) draws from its DRBG, drawn in the order
+   of the single-pass EA this replaced: the VC share-tag nonces (node by
+   node, position by position), then per position the commitment
+   openings, the ballot proof's prover state, the VSS coefficients and
+   the code's IV, then the ZK-state shares and the trustee tag nonces.
+   Nothing here is a curve point: those come from [part_jobs]. *)
+type drawn_part = {
+  d_serial : int;
+  d_part : Types.part_id;
+  d_mat : Ballot_gen.part_material;
+  d_receipt_shares : Shamir_bytes.share array array;     (* pos -> node *)
+  d_vc_nonces : Dd_bignum.Nat.t option array array;      (* node -> pos *)
+  d_openings : Elgamal.opening array array;              (* pos -> coordinate *)
+  d_states : Ballot_proof.prover_state array;            (* pos *)
+  d_vss : (Elgamal.opening array * Elgamal_vss.share array) array array;
+  (* pos -> coordinate -> (aux coefficient pairs, trustee shares) *)
+  d_ivs : string array;                                  (* pos *)
+  d_state_shares : Shamir_bytes.share array;             (* trustee *)
+  d_trustee_nonces : Dd_bignum.Nat.t option array;       (* trustee *)
+}
+
+let draw_part cfg gctx ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
+  let m = cfg.Types.m_options in
+  let nv = cfg.Types.nv and fv = cfg.Types.fv in
+  let nt = cfg.Types.nt and ht = cfg.Types.ht in
+  let mat = Ballot_gen.gen_part ~seed ~serial ~part ~m in
+  let inv = inverse_perm mat.Ballot_gen.perm in
+  let receipt_shares =
+    Array.init m (fun pos ->
+        Ballot_gen.receipt_shares ~seed ~serial ~part ~pos
+          ~receipt:mat.Ballot_gen.receipts.(pos) ~threshold:(nv - fv) ~shares:nv)
+  in
+  let vc_nonces =
+    Array.init nv (fun _ -> Array.init m (fun _ -> Auth.draw_nonce ~rng ea_vc))
+  in
+  let per_pos =
+    Array.init m (fun pos ->
+        let openings = Unit_vector.openings gctx rng ~options:m ~choice:inv.(pos) in
+        let state = Ballot_proof.draw_state gctx rng ~openings in
+        let vss =
+          Array.map
+            (fun o ->
+               Elgamal_vss.deal_coefficients gctx rng ~opening:o ~threshold:ht ~shares:nt)
+            openings
+        in
+        let iv = Drbg.bytes rng 16 in
+        (openings, state, vss, iv))
+  in
+  let states = Array.map (fun (_, st, _, _) -> st) per_pos in
+  (* share the part's ZK states (all positions, concatenated) *)
+  let state_blob =
+    String.concat ""
+      (Array.to_list
+         (Array.map
+            (fun st ->
+               let s = Ballot_proof.encode_state st in
+               Printf.sprintf "%08d" (String.length s) ^ s)
+            states))
+  in
+  let state_shares = Shamir_bytes.split rng ~secret:state_blob ~threshold:ht ~shares:nt in
+  { d_serial = serial;
+    d_part = part;
+    d_mat = mat;
+    d_receipt_shares = receipt_shares;
+    d_vc_nonces = vc_nonces;
+    d_openings = Array.map (fun (o, _, _, _) -> o) per_pos;
+    d_states = states;
+    d_vss = Array.map (fun (_, _, v, _) -> v) per_pos;
+    d_ivs = Array.map (fun (_, _, _, iv) -> iv) per_pos;
+    d_state_shares = state_shares;
+    d_trustee_nonces = Array.init nt (fun _ -> Auth.draw_nonce ~rng ea_trustee) }
+
+(* The part's curve points as comb jobs, in the order [finish_part]
+   takes them back: the VC tag nonce commitments; per position the m
+   commitments (c1, c2), the ballot proof's first move and the aux
+   commitments (c1, c2 per coefficient pair, coordinate by
+   coordinate); the trustee tag nonce commitments. *)
+let part_jobs gctx d =
+  let nonce = function
+    | Some k -> [ [ (Group_ctx.g_table gctx, k) ] ]
+    | None -> []
+  in
+  let commit o = let c1, c2 = Elgamal.commit_jobs gctx o in [ c1; c2 ] in
+  let per_pos pos =
+    List.concat_map commit (Array.to_list d.d_openings.(pos))
+    @ Array.to_list (Ballot_proof.first_move_jobs gctx d.d_states.(pos) d.d_openings.(pos))
+    @ List.concat_map
+        (fun (coeffs, _) -> List.concat_map commit (Array.to_list coeffs))
+        (Array.to_list d.d_vss.(pos))
+  in
+  List.concat_map nonce (List.concat_map Array.to_list (Array.to_list d.d_vc_nonces))
+  @ List.concat (List.init (Array.length d.d_openings) per_pos)
+  @ List.concat_map nonce (Array.to_list d.d_trustee_nonces)
+
+(* Comb jobs per ballot part, as [part_jobs] lists them: one per EA
+   signature, and per position 2m for the commitments, 4m + 2 for the
+   first move and 2 per aux coefficient pair. It only sizes the
+   lockstep groups. *)
+let jobs_per_part ~scheme cfg =
+  let m = cfg.Types.m_options in
+  let signatures =
+    match scheme with
+    | Auth.Schnorr_scheme -> (cfg.Types.nv * m) + cfg.Types.nt
+    | Auth.Mac_scheme -> 0
+  in
+  signatures + (m * ((2 * m) + (4 * m) + 2 + (2 * m * (cfg.Types.ht - 1))))
+
+(* Assemble one part's records from its evaluated points, taken in
+   [part_jobs] order through [next]: the Schnorr challenges are hashed
+   here. *)
+let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
+  let m = cfg.Types.m_options in
+  let election_id = cfg.Types.election_id in
+  let serial = d.d_serial and part = d.d_part in
+  let mat = d.d_mat in
+  let with_point = Option.map (fun k -> (k, next ())) in
+  let vc_nonces = Array.map (Array.map with_point) d.d_vc_nonces in
+  let next_commitment _ =
+    let c1 = next () in
+    Elgamal.make ~c1 ~c2:(next ())
+  in
+  let bb_entries =
+    Array.init m (fun pos ->
+        let commitment = Array.map next_commitment d.d_openings.(pos) in
+        let zk_first =
+          Ballot_proof.first_move_of_points
+            (Array.init ((4 * m) + 2) (fun _ -> next ()))
+        in
+        let vss_aux =
+          Array.map (fun (coeffs, _) -> Array.map next_commitment coeffs) d.d_vss.(pos)
+        in
+        let iv = d.d_ivs.(pos) in
+        let ct = Dd_crypto.Aes128.cbc_encrypt ~key:msk ~iv mat.Ballot_gen.codes.(pos) in
+        { enc_code = (iv, ct); commitment; vss_aux; zk_first })
+  in
+  let trustee_nonces = Array.map with_point d.d_trustee_nonces in
+  (* VC validation lines with EA-signed receipt shares *)
+  let vc_lines =
+    Array.mapi
+      (fun node nonces ->
+         Array.init m (fun pos ->
+             let share = d.d_receipt_shares.(pos).(node) in
+             let body = Messages.share_body ~election_id ~serial ~part ~pos ~node ~share in
+             { Types.code_hash = mat.Ballot_gen.hashes.(pos);
+               Types.salt = mat.Ballot_gen.salts.(pos);
+               Types.receipt_share = share;
+               Types.share_tag = Some (Auth.sign_prepared ea_vc ~nonce:nonces.(pos) body) }))
+      vc_nonces
+  in
+  let trustee_data =
+    Array.mapi
+      (fun trustee nonce ->
+         let share = d.d_state_shares.(trustee) in
+         { t_shares = Array.map (Array.map (fun (_, shares) -> shares.(trustee))) d.d_vss;
+           t_zk_state_share = share;
+           t_zk_state_tag =
+             Auth.sign_prepared ea_trustee ~nonce
+               (zk_state_body ~election_id ~serial ~part ~trustee share) })
+      trustee_nonces
+  in
+  (vc_lines, bb_entries, trustee_data)
+
 (* Full-crypto setup, streamed chunk by chunk. Cost grows with
    n_voters * m^2; intended for the tests, the examples, and the
    post-election-phase benchmarks. The large-scale vote-collection
@@ -128,6 +292,13 @@ let default_setup_chunk = 1024
    chunks of any size, and per-ballot work happens on the forked child
    DRBGs inside the [?pool]-parallel region, every write landing in a
    slot indexed by (serial, part).
+
+   Within a chunk the ballot parts go in groups of about
+   [Curve.batch_group] comb jobs, sharded over the pool; each group
+   draws its parts' scalars ([draw_part]), computes every curve point
+   of the group in one affine lockstep batch ([part_jobs],
+   [Group_ctx.mul_batch]) and assembles the records ([finish_part]).
+   Every emitted point is affine.
 
    [from_chunk] supports crash-resume: chunks below it are not
    regenerated, but their (serial, part) forks are still drawn from
@@ -145,7 +316,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
   let gctx = Group_ctx.default () in
   let n = cfg.Types.n_voters and m = cfg.Types.m_options in
   let nv = cfg.Types.nv and fv = cfg.Types.fv in
-  let nt = cfg.Types.nt and ht = cfg.Types.ht in
+  let nt = cfg.Types.nt in
   let rng = Drbg.create ~seed:("ea|" ^ seed) in
   let vc_keys = Auth.deal_clique ~scheme ~gctx ~seed:("vc-keys|" ^ seed) ~n:(nv + 1) in
   let trustee_keys =
@@ -155,6 +326,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
   let msk = Ballot_gen.msk ~seed in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   let n_chunks = (n + chunk_size - 1) / chunk_size in
+  let parts_per_group = max 1 (Dd_group.Curve.batch_group / jobs_per_part ~scheme cfg) in
   for ck_index = 0 to n_chunks - 1 do
     let ck_first = ck_index * chunk_size in
     let count = min chunk_size (n - ck_first) in
@@ -174,7 +346,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
       let ck_vc =
         Array.init nv (fun _ -> Array.init count (fun _ -> Array.make 2 [||]))
       in
-      let ck_bb = Array.make count { bb_serial = 0; bb_parts = [||] } in
+      let bb_parts = Array.init count (fun _ -> Array.make 2 [||]) in
       let ck_trustee =
         Array.init nt (fun _ -> Array.init count (fun _ ->
             Array.make 2
@@ -182,90 +354,37 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
                 t_zk_state_share = { Shamir_bytes.x = 0; Shamir_bytes.data = "" };
                 t_zk_state_tag = Auth.Mac_tag [||] }))
       in
-      Pool.parallel_for pool count (fun i ->
-        let serial = ck_first + i in
-        let bb_parts = Array.make 2 [||] in
-        List.iter
-          (fun part ->
-             let pi = Types.part_index part in
-             let rng = part_rngs.(i).(pi) in
-             let mat = Ballot_gen.gen_part ~seed ~serial ~part ~m in
-             let inv = inverse_perm mat.Ballot_gen.perm in
-             (* VC validation lines with EA-signed receipt shares *)
-             let all_shares =
-               Array.init m (fun pos ->
-                   Ballot_gen.receipt_shares ~seed ~serial ~part ~pos
-                     ~receipt:mat.Ballot_gen.receipts.(pos) ~threshold:(nv - fv) ~shares:nv)
+      (* part p of the chunk is serial ck_first + p / 2, part p mod 2 *)
+      let n_parts = 2 * count in
+      let n_groups = (n_parts + parts_per_group - 1) / parts_per_group in
+      Pool.parallel_for pool ~chunk:1 n_groups (fun g ->
+        let first = g * parts_per_group in
+        let drawn =
+          Array.init (min parts_per_group (n_parts - first)) (fun a ->
+              let p = first + a in
+              let part = if p mod 2 = 0 then Types.A else Types.B in
+              draw_part cfg gctx ~seed ~ea_vc ~ea_trustee part_rngs.(p / 2).(p mod 2)
+                ~serial:(ck_first + (p / 2)) ~part)
+        in
+        let points =
+          Group_ctx.mul_batch gctx
+            (Array.of_list (List.concat_map (part_jobs gctx) (Array.to_list drawn)))
+        in
+        let cursor = ref 0 in
+        let next () = let pt = points.(!cursor) in incr cursor; pt in
+        Array.iteri
+          (fun a d ->
+             let i = (first + a) / 2 and pi = (first + a) mod 2 in
+             let vc_lines, entries, trustee_data =
+               finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next
              in
-             for node = 0 to nv - 1 do
-               ck_vc.(node).(i).(pi) <-
-                 Array.init m (fun pos ->
-                     let share = all_shares.(pos).(node) in
-                     let body =
-                       Messages.share_body ~election_id:cfg.Types.election_id ~serial ~part
-                         ~pos ~node ~share
-                     in
-                     { Types.code_hash = mat.Ballot_gen.hashes.(pos);
-                       Types.salt = mat.Ballot_gen.salts.(pos);
-                       Types.receipt_share = share;
-                       Types.share_tag = Some (Auth.sign ~rng ea_vc body) })
-             done;
-             (* commitments, proofs, encrypted codes, trustee shares *)
-             let entries =
-               Array.init m (fun pos ->
-                   let option = inv.(pos) in
-                   let commitment, opening =
-                     Unit_vector.commit gctx rng ~options:m ~choice:option
-                   in
-                   let state, zk_first =
-                     Ballot_proof.prove_commit gctx rng ~commitments:commitment
-                       ~openings:opening
-                   in
-                   let per_coord =
-                     Array.map
-                       (fun o -> Elgamal_vss.deal gctx rng ~opening:o ~threshold:ht ~shares:nt)
-                       opening
-                   in
-                   let iv = Drbg.bytes rng 16 in
-                   let ct = Dd_crypto.Aes128.cbc_encrypt ~key:msk ~iv mat.Ballot_gen.codes.(pos) in
-                   (* stash trustee shares *)
-                   (pos, commitment, per_coord, state, zk_first, (iv, ct)))
-             in
-             (* share the part's ZK states (all positions, concatenated) *)
-             let state_blob =
-               String.concat ""
-                 (Array.to_list
-                    (Array.map
-                       (fun (_, _, _, state, _, _) ->
-                          let s = Ballot_proof.encode_state state in
-                          Printf.sprintf "%08d" (String.length s) ^ s)
-                       entries))
-             in
-             let state_shares = Shamir_bytes.split rng ~secret:state_blob ~threshold:ht ~shares:nt in
-             for trustee = 0 to nt - 1 do
-               let t_shares =
-                 Array.map (fun (_, _, per_coord, _, _, _) ->
-                     Array.map (fun (_, shares) -> shares.(trustee)) per_coord)
-                   entries
-               in
-               let share = state_shares.(trustee) in
-               let tag =
-                 Auth.sign ~rng ea_trustee
-                   (zk_state_body ~election_id:cfg.Types.election_id ~serial ~part ~trustee share)
-               in
-               ck_trustee.(trustee).(i).(pi) <-
-                 { t_shares; t_zk_state_share = share; t_zk_state_tag = tag }
-             done;
-             bb_parts.(pi) <-
-               Array.map
-                 (fun (_, commitment, per_coord, _, zk_first, enc_code) ->
-                    { enc_code;
-                      commitment;
-                      vss_aux = Array.map fst per_coord;
-                      zk_first })
-                 entries)
-          [ Types.A; Types.B ];
-        ck_bb.(i) <- { bb_serial = serial; bb_parts });
+             Array.iteri (fun node lines -> ck_vc.(node).(i).(pi) <- lines) vc_lines;
+             Array.iteri (fun t data -> ck_trustee.(t).(i).(pi) <- data) trustee_data;
+             bb_parts.(i).(pi) <- entries)
+          drawn);
+      let ck_bb =
+        Array.mapi (fun i parts -> { bb_serial = ck_first + i; bb_parts = parts }) bb_parts
+      in
       emit { ck_index; ck_first; ck_ballots; ck_bb; ck_vc; ck_trustee }
     end
   done;

@@ -426,26 +426,135 @@ let add_mixed t p q =
       if Nat.is_zero z3 then Infinity else Jacobian (x3, y3, z3)
     end
 
-(* Fixed-base comb tables: 4-bit windows over the scalar, row w holding
-   d * 16^w * B for d = 0..15 with every finite entry affine (Z = 1), so
-   the multiplication loops below take [add_mixed]. *)
-type base_table = point array array (* table.(w).(d) = d * 16^w * B *)
+(* --- signed-odd comb tables -------------------------------------------- *)
 
-(* The table is built in affine coordinates one step d at a time across
-   all windows, so every step shares one inversion ([batch_inv]): the
-   window bases 16^w * B come from doubling and one batch normalization,
-   d = 2 is the tangent at each base and d = 3..15 the chord through
-   (d-1) * 16^w * B and the base. In a group of odd prime order no
-   denominator vanishes: y = 0 would make a base 2-torsion, and
-   x((d-1)B) = x(B) would need d - 1 = +-1 mod n. *)
-let make_base_table t pt =
-  let windows = (Nat.bit_length t.params.order + 3) / 4 in
-  let table = Array.init windows (fun _ -> Array.make 16 Infinity) in
-  if not (is_infinity pt) then begin
-    let fp = t.fp in
-    let bases = Array.make windows pt in
-    for w = 1 to windows - 1 do
-      bases.(w) <- double t (double t (double t (double t bases.(w - 1))))
+(* A comb table of width w over a fixed base B has W = ceil(bits(n) / w)
+   rows; row i holds the odd multiples (2j+1) * 2^(w*i) * B for
+   j = 0 .. 2^(w-1) - 1, every entry finite and affine.
+
+   Recoding. For d = (k + 2^(wW) - 1) / 2 mod n with base-2^w digits
+   b_i, the signed digits e_i = 2 b_i - (2^w - 1) are odd, lie in
+   [-(2^w - 1), 2^w - 1], and satisfy sum_i e_i 2^(wi) = 2d - (2^(wW) - 1)
+   = k (mod n). The top bit of b_i is the sign of e_i and the low w-1
+   bits, flipped for a negative digit, give j with |e_i| = 2j + 1; the
+   lookup is index arithmetic plus a select between y and -y, with no
+   branch on the digit.
+
+   Why the comb's additions are safe. Summing rows from i = 0 up, the
+   accumulator before row j (1 <= j <= W-2) is S_j * B with
+   S_j = sum_{i<j} e_i 2^(wi), an odd integer with |S_j| <= 2^(wj) - 1,
+   and the addend is T_j = e_j 2^(wj) * B with |e_j 2^(wj)| >= 2^(wj).
+   So S_j -+ e_j 2^(wj) is nonzero and smaller than 2^(w(j+1))
+   <= 2^(w(W-1)) <= 2^(bits-1) <= n in absolute value: never a multiple
+   of n, so the accumulator is never the identity, never equal to T_j
+   and never its negation. Only the last row can meet an exceptional
+   case: the opposite one iff k = 0, the equal one iff
+   k = +-2 (2^w - 1) 2^(w(W-1)) mod n. *)
+type base_table = {
+  width : int;
+  tx : Nat.t array array;  (* tx.(i).(j) = x of (2j+1) * 2^(w*i) * B *)
+  ty : Nat.t array array;  (* rows empty iff B is the identity *)
+  offset : Nat.t;          (* 2^(wW) - 1 mod n *)
+  half : Nat.t;            (* 1/2 mod n *)
+}
+
+(* Affine additions P_i + Q_i with slopes num.(i) / den.(i), every den
+   nonzero, sharing one inversion ([batch_inv]): x3 = l^2 - x1 - x2 and
+   y3 = l (x1 - x3) - y1 overwrite (x1.(i), y1.(i)). A chord has slope
+   (y2 - y1) / (x2 - x1), a tangent (3 x1^2 + a) / (2 y1) with x2 = x1. *)
+let slope_step t ~num ~den x1 y1 x2 =
+  let fp = t.fp in
+  let inv = batch_inv fp den in
+  for i = 0 to Array.length den - 1 do
+    let l = Modular.mul fp num.(i) inv.(i) in
+    let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp l) x1.(i)) x2.(i) in
+    y1.(i) <- Modular.sub fp (Modular.mul fp l (Modular.sub fp x1.(i) x3)) y1.(i);
+    x1.(i) <- x3
+  done
+
+let chord_step t ax ay bx by =
+  let fp = t.fp in
+  slope_step t
+    ~num:(Array.map2 (Modular.sub fp) by ay)
+    ~den:(Array.map2 (Modular.sub fp) bx ax)
+    ax ay bx
+
+let tangent_step t ax ay =
+  let fp = t.fp in
+  slope_step t
+    ~num:(Array.map (fun x ->
+        let xx = Modular.sqr fp x in
+        Modular.add fp (Modular.add fp (Modular.double fp xx) xx) t.params.a) ax)
+    ~den:(Array.map (Modular.double fp) ay)
+    ax ay ax
+
+(* Complete affine additions (ax, ay, ainf) += (bx, by, binf), where a
+   set [inf] flag marks the identity. The unified slope
+   (x1^2 + x1 x2 + x2^2 + a) / (y1 + y2) serves both P <> +-Q and P = Q;
+   when y1 + y2 = 0 the chord slope takes over, and a zero chord
+   denominator as well means P = -Q, whose sum is the identity (its
+   denominator is replaced by 1 so the shared inversion stays defined).
+   Every lane runs the same field operations; the flags only pick among
+   the computed values. *)
+let complete_step t ax ay ainf bx by binf =
+  let fp = t.fp in
+  let n = Array.length ax in
+  let x0 = Array.copy ax and y0 = Array.copy ay in
+  let num = Array.make n Nat.zero and den = Array.make n Nat.one in
+  let opposite = Array.make n false in
+  for i = 0 to n - 1 do
+    let x1 = ax.(i) and y1 = ay.(i) and x2 = bx.(i) and y2 = by.(i) in
+    let du = Modular.add fp y1 y2 in
+    let nu =
+      Modular.add fp
+        (Modular.sub fp (Modular.sqr fp (Modular.add fp x1 x2)) (Modular.mul fp x1 x2))
+        t.params.a
+    in
+    let dc = Modular.sub fp x2 x1 and nc = Modular.sub fp y2 y1 in
+    let chord = Nat.is_zero du in
+    let d = if chord then dc else du in
+    opposite.(i) <- Nat.is_zero d;
+    num.(i) <- (if chord then nc else nu);
+    den.(i) <- (if opposite.(i) then Nat.one else d)
+  done;
+  slope_step t ~num ~den ax ay bx;
+  for i = 0 to n - 1 do
+    if binf.(i) then begin
+      ax.(i) <- x0.(i);
+      ay.(i) <- y0.(i)
+    end
+    else if ainf.(i) then begin
+      ax.(i) <- bx.(i);
+      ay.(i) <- by.(i);
+      ainf.(i) <- false
+    end
+    else if opposite.(i) then ainf.(i) <- true
+  done
+
+(* The table is built in affine coordinates across all rows at once, so
+   each step shares one inversion: the row bases 2^(w*i) * B come from
+   doubling and one batch normalization; then, with D = 2c * B_i
+   (a tangent, starting at c = 1), entries c .. 2c-1 are the chords
+   entries 0 .. c-1 plus D. No denominator vanishes in a group of odd
+   prime order: y = 0 would make a point 2-torsion, and a chord through
+   (2j+1) B_i and 2c B_i with 2j+1 < 2c <= 2^(w-1) would need
+   2j+1 = +-2c mod n. *)
+let make_base_table t ~width pt =
+  if width < 2 || width > 10 then invalid_arg "Curve.make_base_table: width";
+  let fn = t.fn in
+  let order = t.params.order in
+  let rows = (Nat.bit_length order + width - 1) / width in
+  let offset =
+    Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
+  in
+  let half = Nat.shift_right (Nat.add order Nat.one) 1 in
+  if is_infinity pt then { width; tx = [||]; ty = [||]; offset; half }
+  else begin
+    let bases = Array.make rows pt in
+    for i = 1 to rows - 1 do
+      let b = ref bases.(i - 1) in
+      for _ = 1 to width do b := double t !b done;
+      bases.(i) <- !b
     done;
     let bx, by =
       Array.split
@@ -453,55 +562,105 @@ let make_base_table t pt =
            (function Some xy -> xy | None -> assert false (* odd order *))
            (to_affine_batch t bases))
     in
-    (* cx, cy: d * 16^w * B for the current step d *)
-    let cx = Array.copy bx and cy = Array.copy by in
-    let record d = Array.iteri (fun w row -> row.(d) <- of_affine t (cx.(w), cy.(w))) table in
-    (* P + Q = (l^2 - x_P - x_Q, l (x_P - x_3) - y_P) for the slope l = num / den *)
-    let step ~num ~den =
-      let inv = batch_inv fp den in
-      for w = 0 to windows - 1 do
-        let l = Modular.mul fp num.(w) inv.(w) in
-        let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp l) cx.(w)) bx.(w) in
-        cy.(w) <- Modular.sub fp (Modular.mul fp l (Modular.sub fp cx.(w) x3)) cy.(w);
-        cx.(w) <- x3
-      done
-    in
-    record 1;
-    (* tangent slope (3x^2 + a) / 2y: the a term is -3 on P-256 *)
-    step
-      ~num:(Array.map (fun x ->
-          let xx = Modular.sqr fp x in
-          Modular.add fp (Modular.add fp (Modular.double fp xx) xx) t.params.a) bx)
-      ~den:(Array.map (Modular.double fp) by);
-    record 2;
-    for d = 3 to 15 do
-      step
-        ~num:(Array.map2 (Modular.sub fp) by cy)
-        ~den:(Array.map2 (Modular.sub fp) bx cx);
-      record d
-    done
-  end;
-  table
+    let h = 1 lsl (width - 1) in
+    let tx = Array.init rows (fun i -> Array.make h bx.(i)) in
+    let ty = Array.init rows (fun i -> Array.make h by.(i)) in
+    let dx = Array.copy bx and dy = Array.copy by in
+    tangent_step t dx dy;
+    let c = ref 1 in
+    while !c < h do
+      (* one chord step over all rows * c0 new entries *)
+      let c0 = !c in
+      let at a = (a / c0, a mod c0) in
+      let sweep f = Array.init (rows * c0) (fun a -> let i, j = at a in f i j) in
+      let ex = sweep (fun i j -> tx.(i).(j)) and ey = sweep (fun i j -> ty.(i).(j)) in
+      chord_step t ex ey (sweep (fun i _ -> dx.(i))) (sweep (fun i _ -> dy.(i)));
+      Array.iteri (fun a x -> let i, j = at a in tx.(i).(c0 + j) <- x) ex;
+      Array.iteri (fun a y -> let i, j = at a in ty.(i).(c0 + j) <- y) ey;
+      if 2 * c0 < h then tangent_step t dx dy;
+      c := 2 * c0
+    done;
+    { width; tx; ty; offset; half }
+  end
 
-let base_table_rows (table : base_table) = Array.map Array.copy table
+let base_table_rows (table : base_table) =
+  Array.map2 (Array.map2 (fun x y -> Jacobian (x, y, Nat.one))) table.tx table.ty
 
 let is_affine = function
   | Jacobian (_, _, z) -> Nat.equal z Nat.one
   | Infinity -> false
 
-(* Fixed-base multiplication off the comb table: no doublings at all
-   (each row already carries its 16^w factor). Every window performs a
-   lookup and a mixed add unconditionally — row slot 0 holds Infinity —
-   so the group-operation sequence is scalar-independent, making this
-   safe for secret scalars (signing nonces, VSS evaluation points). *)
+(* The table's recoded digits b_i of [k] (see above), least significant
+   row first. Only called on tables with rows. *)
+let comb_digits t (table : base_table) k =
+  let fn = t.fn in
+  let w = table.width in
+  let rows = Array.length table.tx in
+  let d = Modular.mul fn (Modular.add fn (Modular.reduce fn k) table.offset) table.half in
+  let bytes = Nat.to_bytes_be ~len:(((w * rows) + 7) / 8) d in
+  let nb = String.length bytes in
+  let bit i = (Char.code (String.unsafe_get bytes (nb - 1 - (i lsr 3))) lsr (i land 7)) land 1 in
+  Array.init rows (fun i ->
+      let b = ref 0 in
+      for j = w - 1 downto 0 do b := (!b lsl 1) lor bit ((w * i) + j) done;
+      !b)
+
+(* Row i's point for recoded digit b: e * 2^(w*i) * B, e = 2b - (2^w - 1). *)
+let comb_entry t (table : base_table) i b =
+  let h = 1 lsl (table.width - 1) in
+  let s = b lsr (table.width - 1) in
+  let j = b land (h - 1) lxor ((s - 1) land (h - 1)) in
+  let y = table.ty.(i).(j) in
+  (table.tx.(i).(j), [| Modular.neg t.fp y; y |].(s))
+
+(* A lockstep lane's running values live in cells: field elements kept
+   as raw limbs in int arrays allocated once per group and overwritten
+   in place. A minor collection then finds nothing of the lanes to
+   promote; boxed values stored into a group-sized array would all be
+   copied to the major heap at every collection, and the major heap
+   would grow with them. *)
+let cell t = Array.make ((Nat.bit_length t.params.p + Nat.base_bits - 1) / Nat.base_bits) 0
+let cell_get c = Nat.of_limbs c (Array.length c)
+let cell_set c v = let n = Nat.to_limbs_into v c in Array.fill c n (Array.length c - n) 0
+
+(* One chord row of a lockstep group: lane a adds [entry a] to its
+   cells (cx.(a), cy.(a)), every lane sharing one inversion. Only the
+   prefix products are kept between the two passes; the backward pass
+   recomputes each lane's entry and denominator. *)
+let comb_row t cx cy prefix entry =
+  let fp = t.fp in
+  let running = ref Nat.one in
+  Array.iteri
+    (fun a p ->
+       cell_set p !running;
+       running := Modular.mul fp !running (Modular.sub fp (fst (entry a)) (cell_get cx.(a))))
+    prefix;
+  let inv = ref (Modular.inv fp !running) in
+  for a = Array.length prefix - 1 downto 0 do
+    let x2, y2 = entry a in
+    let x1 = cell_get cx.(a) and y1 = cell_get cy.(a) in
+    let l = Modular.mul fp (Modular.mul fp !inv (cell_get prefix.(a))) (Modular.sub fp y2 y1) in
+    inv := Modular.mul fp !inv (Modular.sub fp x2 x1);
+    let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp l) x1) x2 in
+    cell_set cy.(a) (Modular.sub fp (Modular.mul fp l (Modular.sub fp x1 x3)) y1);
+    cell_set cx.(a) x3
+  done
+
+(* Fixed-base multiplication off the comb table: no doublings (each row
+   carries its 2^(w*i) factor) and one mixed add per row after the
+   first. Every row does a lookup and an add, so the group-operation
+   sequence does not depend on the scalar; only the last add can meet
+   the equal or opposite case (see above), which [add_mixed] handles. *)
 let mul_base_table t (table : base_table) k =
-  let k = Modular.reduce t.fn k in
-  let acc = ref Infinity in
-  let windows = Array.length table in
-  for w = 0 to windows - 1 do
-    acc := add_mixed t !acc table.(w).(window4 k w)
-  done;
-  !acc
+  let rows = Array.length table.tx in
+  if rows = 0 then Infinity
+  else begin
+    let digits = comb_digits t table k in
+    let entry i = let x, y = comb_entry t table i digits.(i) in Jacobian (x, y, Nat.one) in
+    let acc = ref (entry 0) in
+    for i = 1 to rows - 1 do acc := add_mixed t !acc (entry i) done;
+    !acc
+  end
 
 (* Strauss-Shamir shared-accumulator computation of u*B + v*P, where B
    is the fixed base behind [table]. The v*P half runs width-5 wNAF
@@ -510,7 +669,6 @@ let mul_base_table t (table : base_table) k =
    accumulator — one joint chain instead of two multiplications plus a
    final add. Variable time; public inputs only. *)
 let mul2 t (table : base_table) u v p =
-  let u = Modular.reduce t.fn u in
   let v = Modular.reduce t.fn v in
   let acc = ref Infinity in
   if not (Nat.is_zero v || is_infinity p) then begin
@@ -522,12 +680,100 @@ let mul2 t (table : base_table) u v p =
         else if d < 0 then acc := add t !acc ntbl.((-d) / 2))
       (wnaf5 v)
   end;
-  let windows = Array.length table in
-  for w = 0 to windows - 1 do
-    let d = window4 u w in
-    if d <> 0 then acc := add_mixed t !acc table.(w).(d)
-  done;
+  let rows = Array.length table.tx in
+  if rows > 0 then begin
+    let digits = comb_digits t table u in
+    for i = 0 to rows - 1 do
+      let x, y = comb_entry t table i digits.(i) in
+      acc := add_mixed t !acc (Jacobian (x, y, Nat.one))
+    done
+  end;
   !acc
+
+(* --- lockstep batch of fixed-base multiplications ---------------------- *)
+
+type comb_job = (base_table * Nat.t) list
+
+let batch_group = 1024
+
+(* One lockstep group: a lane per (job, term) walks its table's rows in
+   affine coordinates, every lane of a row count together, so each row
+   costs one inversion shared by the whole group. Rows 1 .. W-2 are
+   chords, safe by the recoding argument above; row W-1 is a complete
+   step. The terms of a multi-term job then merge with complete steps,
+   one round per extra term. *)
+let lockstep_group t (jobs : comb_job array) lo hi out =
+  let lanes =
+    Array.of_list
+      (List.concat
+         (List.init (hi - lo) (fun q ->
+              List.map (fun (table, k) -> (q, table, k)) jobs.(lo + q))))
+  in
+  let nl = Array.length lanes in
+  let rx = Array.make nl Nat.zero and ry = Array.make nl Nat.zero in
+  let rinf = Array.make nl true in
+  let row_counts =
+    List.sort_uniq Int.compare
+      (Array.to_list (Array.map (fun (_, table, _) -> Array.length table.tx) lanes))
+  in
+  List.iter
+    (fun rows ->
+       let idx =
+         List.filter (fun l -> let _, table, _ = lanes.(l) in Array.length table.tx = rows)
+           (List.init nl Fun.id)
+         |> Array.of_list
+       in
+       if rows > 0 then begin
+         let digits = Array.map (fun l -> let _, table, k = lanes.(l) in comb_digits t table k) idx in
+         let entry i a = let _, table, _ = lanes.(idx.(a)) in comb_entry t table i digits.(a).(i) in
+         let entries i = Array.split (Array.init (Array.length idx) (entry i)) in
+         let cells () = Array.map (fun _ -> cell t) idx in
+         let cx = cells () and cy = cells () and prefix = cells () in
+         Array.iteri
+           (fun a _ -> let x, y = entry 0 a in cell_set cx.(a) x; cell_set cy.(a) y)
+           idx;
+         for i = 1 to rows - 2 do comb_row t cx cy prefix (entry i) done;
+         let ax = Array.map cell_get cx and ay = Array.map cell_get cy in
+         let ainf = Array.make (Array.length idx) false in
+         if rows >= 2 then begin
+           let bx, by = entries (rows - 1) in
+           complete_step t ax ay ainf bx by (Array.make (Array.length idx) false)
+         end;
+         Array.iteri
+           (fun a l -> rx.(l) <- ax.(a); ry.(l) <- ay.(a); rinf.(l) <- ainf.(a))
+           idx
+       end)
+    row_counts;
+  (* merge: job q's terms are the consecutive lanes first.(q) .. *)
+  let n = hi - lo in
+  let first = Array.make n 0 and nterms = Array.make n 0 in
+  Array.iteri
+    (fun l (q, _, _) -> if nterms.(q) = 0 then first.(q) <- l; nterms.(q) <- nterms.(q) + 1)
+    lanes;
+  let jx = Array.init n (fun q -> if nterms.(q) = 0 then Nat.zero else rx.(first.(q))) in
+  let jy = Array.init n (fun q -> if nterms.(q) = 0 then Nat.zero else ry.(first.(q))) in
+  let jinf = Array.init n (fun q -> nterms.(q) = 0 || rinf.(first.(q))) in
+  let max_terms = Array.fold_left max 0 nterms in
+  for r = 1 to max_terms - 1 do
+    let idx = Array.of_list (List.filter (fun q -> nterms.(q) > r) (List.init n Fun.id)) in
+    let gather a = Array.map (fun q -> a.(q)) idx in
+    let term a = Array.map (fun q -> a.(first.(q) + r)) idx in
+    let ax = gather jx and ay = gather jy and ainf = gather jinf in
+    complete_step t ax ay ainf (term rx) (term ry) (term rinf);
+    Array.iteri (fun a q -> jx.(q) <- ax.(a); jy.(q) <- ay.(a); jinf.(q) <- ainf.(a)) idx
+  done;
+  for q = 0 to n - 1 do
+    out.(lo + q) <- (if jinf.(q) then Infinity else Jacobian (jx.(q), jy.(q), Nat.one))
+  done
+
+let mul_base_batch t (jobs : comb_job array) =
+  let n = Array.length jobs in
+  let out = Array.make n Infinity in
+  let groups = (n + batch_group - 1) / batch_group in
+  for g = 0 to groups - 1 do
+    lockstep_group t jobs (g * n / groups) ((g + 1) * n / groups) out
+  done;
+  out
 
 (* --- multi-scalar multiplication (batch verification kernel) ---------- *)
 

@@ -11,13 +11,24 @@
     the secrecy of the scalar, not by speed alone:
 
     - {b Secret scalars} (signing nonces, VSS shares and evaluation
-      points, ElGamal randomness): use {!mul} or {!mul_base_table}.
-      Both process a fixed number of 4-bit windows determined by the
-      group order's bit length, performing one table lookup and one
-      add per window unconditionally — the sequence of group
-      operations does not depend on the scalar. (The underlying bignum
-      ops are not constant-time, so this is uniformity of operation
-      sequence, not a full constant-time guarantee.)
+      points, ElGamal randomness): use {!mul}, {!mul_base_table} or
+      {!mul_base_batch}. Each processes a fixed number of windows
+      determined by the group order's bit length, performing one table
+      lookup and one add per window unconditionally — the sequence of
+      group operations does not depend on the scalar. (The underlying
+      bignum ops are not constant-time, so this is uniformity of
+      operation sequence, not a full constant-time guarantee.)
+    - The comb tables ({!base_table}) use signed odd digits. A digit
+      picks its entry by index arithmetic and its sign by a select
+      between y and -y, with no branch on the digit. Every entry is
+      finite, and the recoding bounds the accumulator so that no add
+      but the last one of a comb can meet the equal or opposite point
+      case (the proof is at [base_table] in curve.ml). The last add
+      is the mixed addition in {!mul_base_table}, whose equal and
+      opposite cases fall back to doubling and the identity, and a
+      complete affine addition in {!mul_base_batch}, which runs the
+      same field operations for every lane and only selects among the
+      results; that is also how the batch merges the terms of a job.
     - {b Public data} (signature verification, proof verification,
       checking commitments already on the wire): {!mul_vartime},
       {!mul2} and {!msm} are substantially faster but their operation
@@ -101,16 +112,21 @@ val mul_int : t -> int -> point -> point
     of signatures, proofs, and other on-the-wire data). *)
 val mul_vartime : t -> Nat.t -> point -> point
 
-(** Precomputed comb table for a fixed base: [table.(w).(d)] holds
-    [d * 16^w * B], so fixed-base multiplication needs no doublings at
-    all. Every finite entry is stored affine (Z = 1). The build works in
-    affine coordinates one step [d] at a time across all windows, so
-    each step costs one shared field inversion. *)
+(** Precomputed signed-odd comb table for a fixed base B, of window
+    width w: row i (of [ceil (bits n / w)]) holds the odd multiples
+    [(2j+1) * 2^(w*i) * B] for [j = 0 .. 2^(w-1) - 1], every entry
+    finite and stored affine (Z = 1), so fixed-base multiplication needs
+    no doublings and every table add is a mixed addition. A scalar is
+    recoded into one signed odd digit per row. The build works in affine
+    coordinates across all rows at once, one shared field inversion per
+    step. The group generators use width 8 (32 rows of 128 entries);
+    per-signer verification tables, built during cast set-up, width 4. *)
 type base_table
-val make_base_table : t -> point -> base_table
+val make_base_table : t -> width:int -> point -> base_table
 
-(** A copy of the table's entries, [(base_table_rows tbl).(w).(d) =
-    d * 16^w * B] (slot 0 of every row is infinity). *)
+(** A copy of the table's entries,
+    [(base_table_rows tbl).(i).(j) = (2j+1) * 2^(w*i) * B]. A table over
+    the identity has no rows. *)
 val base_table_rows : base_table -> point array array
 
 (** [is_affine p] holds iff [p] is finite and stored with Z = 1, the
@@ -118,9 +134,30 @@ val base_table_rows : base_table -> point array array
 val is_affine : point -> bool
 
 (** [mul_base_table t tbl k] is [k * B]. Safe for secret scalars: every
-    window does one lookup and one mixed addition unconditionally. *)
+    row does one lookup and, after the first, one mixed addition
+    unconditionally. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
 val mul_base_table : t -> base_table -> Nat.t -> point
+
+(** One job of {!mul_base_batch}: the sum of [k * B] over its
+    (table, scalar) terms, e.g. [[ (g, m); (h, r) ]] for [m*G + r*H]. *)
+type comb_job = (base_table * Nat.t) list
+
+(** The most jobs per lockstep group of {!mul_base_batch}: [n] jobs run
+    in [ceil (n / batch_group)] groups of near-equal size. *)
+val batch_group : int
+
+(** [mul_base_batch t jobs] evaluates every job, each result affine
+    (Z = 1) or the identity. Jobs run in lockstep groups of about
+    {!batch_group}: per row, every term of every job in the group adds
+    its table entry in affine coordinates and the whole group shares one
+    field inversion, so a multiplication costs about five field
+    multiplications per row and no per-point inversion. A group of a
+    few jobs pays one inversion per row, slower than {!mul_base_table};
+    batch hundreds. Safe for secret scalars, under the same contract as
+    {!mul_base_table}. *)
+(* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
+val mul_base_batch : t -> comb_job array -> point array
 
 (** [mul2 t table u v p] is [u*B + v*p] (B the fixed base behind
     [table]) by Strauss-Shamir: the wNAF chain for [v*p] and the comb's

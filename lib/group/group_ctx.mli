@@ -21,12 +21,18 @@ val curve : t -> Curve.t
 val g : t -> Curve.point
 val h : t -> Curve.point
 
-(** The precomputed comb table for G (for {!Curve.mul2} callers). *)
+(** The precomputed width-8 comb tables for G and H (for {!Curve.mul2}
+    callers and {!mul_batch} jobs). *)
 val g_table : t -> Curve.base_table
+val h_table : t -> Curve.base_table
 
 (** Fixed-base multiplications by G and H using the precomputed tables. *)
 val mul_g : t -> Nat.t -> Curve.point
 val mul_h : t -> Nat.t -> Curve.point
+
+(** {!Curve.mul_base_batch} over the shared curve: every job's result
+    comes out affine (or the identity). Safe for secret scalars. *)
+val mul_batch : t -> Curve.comb_job array -> Curve.point array
 
 (** General multiplication; physically-equal G or H arguments take the
     fixed-base fast path. Safe for secret scalars. *)

@@ -36,21 +36,26 @@ let challenge gctx ~commitment ~pk msg =
   Curve.hash_to_scalar curve
     [ domain; Curve.encode curve commitment; Curve.encode curve pk; msg ]
 
-let sign gctx rng ~sk ~pk msg =
+let nonce gctx rng = Group_ctx.random_scalar gctx rng
+
+(* [commitment] is R = nonce * G in affine form: R travels on the wire,
+   and a decoded signature must compare structurally equal to the
+   original. *)
+let sign_with_nonce gctx ~nonce ~commitment ~sk ~pk msg =
   let fn = Group_ctx.scalar_field gctx in
-  let k = Group_ctx.random_scalar gctx rng in
+  let e = challenge gctx ~commitment ~pk msg in
+  { s = Modular.sub fn nonce (Modular.mul fn e sk); r = commitment }
+
+let sign gctx rng ~sk ~pk msg =
+  let k = nonce gctx rng in
   let r =
-    (* store R in canonical affine form: it travels on the wire, and a
-       decoded signature must compare structurally equal to the
-       original (k is nonzero mod n, so R is never the identity) *)
+    (* k is nonzero mod n, so R is never the identity *)
     let curve = Group_ctx.curve gctx in
     match Curve.to_affine curve (Group_ctx.mul_g gctx k) with
     | Some xy -> Curve.of_affine curve xy
     | None -> Curve.infinity
   in
-  let e = challenge gctx ~commitment:r ~pk msg in
-  let s = Modular.sub fn k (Modular.mul fn e sk) in
-  { s; r }
+  sign_with_nonce gctx ~nonce:k ~commitment:r ~sk ~pk msg
 
 (* Verification works on public data only, so it may take the
    variable-time multi-scalar paths (see the timing contract in
@@ -61,10 +66,12 @@ let verify gctx ~pk msg { s; r } =
 
 (* A comb table for PK turns e*PK into doubling-free comb adds; with
    many signatures under one key (every endorsement a node checks
-   carries the same VC signer set) the table amortizes fast. *)
+   carries the same VC signer set) the table amortizes fast. Width 4,
+   not the generators' 8: every cast set-up builds one per signer, and
+   a width-4 table costs a sixteenth of the entries. *)
 type pk_table = Curve.base_table
 
-let make_pk_table gctx pk = Curve.make_base_table (Group_ctx.curve gctx) pk
+let make_pk_table gctx pk = Curve.make_base_table (Group_ctx.curve gctx) ~width:4 pk
 
 let verify_with_table gctx ~pk ~pk_table msg { s; r } =
   let curve = Group_ctx.curve gctx in
@@ -149,6 +156,8 @@ let verify_batch_find gctx rng items =
     ~check:(fun ~lo ~len ->
         if len = 1 then (let pk, msg, sg = items.(lo) in verify gctx ~pk msg sg)
         else verify_batch gctx rng (Array.sub items lo len))
+
+let commitment { r; _ } = r
 
 let encode gctx { s; r } =
   let curve = Group_ctx.curve gctx in

@@ -15,6 +15,18 @@ val keygen : Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> secret_key * public_key
 val sign :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> sk:secret_key -> pk:public_key -> string -> signature
 
+(** Signing in two halves, for signers that compute many nonce
+    commitments in one {!Dd_group.Group_ctx.mul_batch}: [nonce] draws k
+    exactly as {!sign} does, and [sign_with_nonce ~nonce:k ~commitment]
+    finishes the signature given [commitment = k*G] in affine form
+    (Z = 1). [sign] is [nonce], one comb, one normalization and
+    [sign_with_nonce]. *)
+val nonce : Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> Nat.t
+
+val sign_with_nonce :
+  Dd_group.Group_ctx.t -> nonce:Nat.t -> commitment:Curve.point -> sk:secret_key ->
+  pk:public_key -> string -> signature
+
 (** [challenge gctx ~commitment ~pk msg] is the Fiat-Shamir challenge
     scalar. Exposed so benchmarks and tests can reconstruct the
     verification equation from its parts. *)
@@ -59,6 +71,9 @@ val verify_batch :
 val verify_batch_find :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
   (public_key * string * signature) array -> int list
+
+(** The nonce commitment R a signature carries. *)
+val commitment : signature -> Curve.point
 
 val encode : Dd_group.Group_ctx.t -> signature -> string
 val decode : Dd_group.Group_ctx.t -> string -> signature option

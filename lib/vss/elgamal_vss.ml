@@ -30,7 +30,7 @@ type share = {
    C_0 is the commitment being shared and is carried separately. *)
 type aux = Elgamal.t array
 
-let deal gctx rng ~(opening : Elgamal.opening) ~threshold ~shares =
+let deal_coefficients gctx rng ~(opening : Elgamal.opening) ~threshold ~shares =
   let fn = Group_ctx.scalar_field gctx in
   let mcoeffs, mshares =
     Shamir_scalar.split fn rng ~secret:opening.Elgamal.msg ~threshold ~shares
@@ -38,9 +38,9 @@ let deal gctx rng ~(opening : Elgamal.opening) ~threshold ~shares =
   let rcoeffs, rshares =
     Shamir_scalar.split fn rng ~secret:opening.Elgamal.rand ~threshold ~shares
   in
-  let aux =
+  let coeffs =
     Array.init (threshold - 1) (fun j ->
-        Elgamal.commit gctx ~msg:mcoeffs.(j + 1) ~rand:rcoeffs.(j + 1))
+        { Elgamal.msg = mcoeffs.(j + 1); rand = rcoeffs.(j + 1) })
   in
   let shares =
     Array.init shares (fun i ->
@@ -48,7 +48,12 @@ let deal gctx rng ~(opening : Elgamal.opening) ~threshold ~shares =
           msg = mshares.(i).Shamir_scalar.value;
           rand = rshares.(i).Shamir_scalar.value })
   in
-  (aux, shares)
+  (coeffs, shares)
+
+let deal gctx rng ~opening ~threshold ~shares =
+  let coeffs, shares = deal_coefficients gctx rng ~opening ~threshold ~shares in
+  (Array.map (fun (o : Elgamal.opening) -> Elgamal.commit gctx ~msg:o.msg ~rand:o.rand) coeffs,
+   shares)
 
 let verify_share gctx ~(commitment : Elgamal.t) ~(aux : aux) (s : share) =
   let fn = Group_ctx.scalar_field gctx in

@@ -20,6 +20,15 @@ val deal :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> opening:Elgamal.opening ->
   threshold:int -> shares:int -> aux * share array
 
+(** {!deal} without the aux commitments: the coefficient pairs
+    [(m_j, r_j)], [j = 1 .. threshold-1], as openings whose commitments
+    ({!Elgamal.commit_jobs}) form the aux vector, and the shares. Draws
+    exactly what {!deal} draws. *)
+(* lint: secret *)
+val deal_coefficients :
+  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> opening:Elgamal.opening ->
+  threshold:int -> shares:int -> Elgamal.opening array * share array
+
 (** Verify a share against the shared commitment and its aux vector. *)
 val verify_share :
   Dd_group.Group_ctx.t -> commitment:Elgamal.t -> aux:aux -> share -> bool

@@ -82,52 +82,82 @@ let sum_statement ?(k = 1) gctx (commitments : Elgamal.t array) : Chaum_pedersen
    h1 = r*G and h2 = (2b-1)*G + r*H (b the committed bit), so
    t1 = z*G - c*h1 = (z - c*r)*G and
    t2 = z*H - c*h2 = (z - c*r)*H + c*(1-2b)*G:
-   three comb multiplications instead of two combs and two general
-   ones. The coefficient c*(1-2b) comes from scalar arithmetic, so the
-   group operations are the same for either bit. *)
-let simulated_move gctx (o : Elgamal.opening) ~challenge ~response : Chaum_pedersen.first_move =
+   fixed-base comb jobs only. The coefficient c*(1-2b) comes from
+   scalar arithmetic, so the group operations are the same for either
+   bit. *)
+let simulated_jobs gctx (o : Elgamal.opening) ~challenge ~response =
   let fn = Group_ctx.scalar_field gctx in
+  let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
   let s = Modular.sub fn response (Modular.mul fn challenge o.Elgamal.rand) in
   let sign = Modular.sub fn Nat.one (Modular.add fn o.Elgamal.msg o.Elgamal.msg) in
-  { t1 = Group_ctx.mul_g gctx s;
-    t2 = Curve.add (Group_ctx.curve gctx) (Group_ctx.mul_h gctx s)
-        (Group_ctx.mul_g gctx (Modular.mul fn challenge sign)) }
+  ([ (g, s) ], [ (h, s); (g, Modular.mul fn challenge sign) ])
 
-(* Build the first move and the prover state for a ballot part. The
-   openings must commit to a unit vector (this is the honest-prover
-   path; EA misbehaviour is exactly what verification later catches). *)
-let prove_commit ?(k = 1) gctx rng ~(commitments : Elgamal.t array)
-    ~(openings : Elgamal.opening array) =
-  if Array.length commitments <> Array.length openings then
-    invalid_arg "Ballot_proof.prove_commit: arity mismatch";
+let simulated_move gctx o ~challenge ~response : Chaum_pedersen.first_move =
+  let t1, t2 = simulated_jobs gctx o ~challenge ~response in
+  let pts = Group_ctx.mul_batch gctx [| t1; t2 |] in
+  { t1 = pts.(0); t2 = pts.(1) }
+
+(* Draw the prover's randomness for a ballot part: per row the real
+   branch's nonce w, then the simulated branch's challenge and response
+   (Chaum_pedersen.commit's and simulate's draw order), then the sum
+   proof's nonce. The openings must commit to a unit vector (this is
+   the honest-prover path; EA misbehaviour is exactly what verification
+   later catches). *)
+let draw_state gctx rng ~(openings : Elgamal.opening array) =
   let fn = Group_ctx.scalar_field gctx in
   let rows =
-    Array.mapi
-      (fun i c ->
-         let o = openings.(i) in
+    Array.map
+      (fun (o : Elgamal.opening) ->
          let branch = Nat.to_int o.Elgamal.msg in
          if branch <> 0 && branch <> 1 then
            invalid_arg "Ballot_proof.prove_commit: message not 0/1";
-         let w, real_fm = Chaum_pedersen.commit gctx rng (branch_statement gctx c branch) in
-         (* drawn in Chaum_pedersen.simulate's order: challenge, then
-            response *)
+         let w = Group_ctx.random_scalar gctx rng in
          let c_sim = Group_ctx.random_scalar gctx rng in
          let z_sim = Group_ctx.random_scalar gctx rng in
-         let sim_fm = simulated_move gctx o ~challenge:c_sim ~response:z_sim in
-         let state = { branch; w; c_sim; z_sim; witness = o.Elgamal.rand } in
-         let move =
-           if branch = 0 then { a0 = real_fm; a1 = sim_fm }
-           else { a0 = sim_fm; a1 = real_fm }
-         in
-         (state, move))
-      commitments
+         { branch; w; c_sim; z_sim; witness = o.Elgamal.rand })
+      openings
   in
   let sum_witness =
     Array.fold_left (fun acc o -> Modular.add fn acc o.Elgamal.rand) Nat.zero openings
   in
-  let sum_w, sum_move = Chaum_pedersen.commit gctx rng (sum_statement ~k gctx commitments) in
-  ( { rows = Array.map fst rows; sum_w; sum_witness },
-    { row_moves = Array.map snd rows; sum_move } )
+  { rows; sum_w = Group_ctx.random_scalar gctx rng; sum_witness }
+
+(* The first move's points as comb jobs: per row a0.t1, a0.t2, a1.t1,
+   a1.t2 (the real branch w*G, w*H; the simulated one from
+   [simulated_jobs]), then the sum move's w*G, w*H. The statements are
+   not needed: a Chaum-Pedersen first move reads only the bases. *)
+let first_move_jobs gctx (st : prover_state) (openings : Elgamal.opening array) =
+  let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
+  let rows =
+    Array.mapi
+      (fun i r ->
+         let real = [ [ (g, r.w) ]; [ (h, r.w) ] ] in
+         let s1, s2 =
+           simulated_jobs gctx openings.(i) ~challenge:r.c_sim ~response:r.z_sim
+         in
+         if r.branch = 0 then real @ [ s1; s2 ] else [ s1; s2 ] @ real)
+      st.rows
+  in
+  Array.of_list (List.concat (Array.to_list rows) @ [ [ (g, st.sum_w) ]; [ (h, st.sum_w) ] ])
+
+let first_move_of_points (pts : Curve.point array) =
+  let cp i = { Chaum_pedersen.t1 = pts.(i); Chaum_pedersen.t2 = pts.(i + 1) } in
+  let rows = (Array.length pts - 2) / 4 in
+  { row_moves = Array.init rows (fun r -> { a0 = cp (4 * r); a1 = cp ((4 * r) + 2) });
+    sum_move = cp (4 * rows) }
+
+let first_move_points (fm : first_move) =
+  let cp (m : Chaum_pedersen.first_move) = [ m.t1; m.t2 ] in
+  Array.of_list
+    (List.concat_map (fun r -> cp r.a0 @ cp r.a1) (Array.to_list fm.row_moves)
+     @ cp fm.sum_move)
+
+let prove_commit gctx rng ~(commitments : Elgamal.t array)
+    ~(openings : Elgamal.opening array) =
+  if Array.length commitments <> Array.length openings then
+    invalid_arg "Ballot_proof.prove_commit: arity mismatch";
+  let st = draw_state gctx rng ~openings in
+  (st, first_move_of_points (Group_ctx.mul_batch gctx (first_move_jobs gctx st openings)))
 
 (* Third move, given the challenge extracted from the voters' coins. *)
 let finalize gctx (state : prover_state) ~challenge : final_move =

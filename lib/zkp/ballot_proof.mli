@@ -13,17 +13,37 @@ type first_move
 type final_move
 
 (** Build the first move; the openings must be a 0/1 vector summing to
-    [k] (default 1 — the paper's single-choice elections; larger [k]
-    implements the k-out-of-m extension from the paper's conclusion).
-    Precondition: [openings.(i)] opens [commitments.(i)]. The simulated
-    OR branch of each row is computed from that opening
-    ({!simulated_move}), not from the commitment, so a mismatched pair
-    yields a proof that does not verify. Raises [Invalid_argument] on a
+    the [k] the verifier checks (1 in the paper's single-choice
+    elections; larger [k] implements the k-out-of-m extension from the
+    paper's conclusion). Precondition: [openings.(i)] opens
+    [commitments.(i)]. The simulated OR branch of each row is computed
+    from that opening ({!simulated_move}), not from the commitment, so a
+    mismatched pair yields a proof that does not verify. Every point of
+    the first move comes out affine. Raises [Invalid_argument] on a
     non-0/1 message or an arity mismatch. *)
 val prove_commit :
-  ?k:int -> Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
+  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
   commitments:Elgamal.t array -> openings:Elgamal.opening array ->
   prover_state * first_move
+
+(** {!prove_commit} in three steps, for a prover that batches the
+    curve work of many ballot parts: [draw_state] draws exactly what
+    {!prove_commit} draws, in the same order; [first_move_jobs] lists
+    the first move's [4m + 2] points as comb jobs (per row [a0.t1],
+    [a0.t2], [a1.t1], [a1.t2], then the sum move's two); and
+    [first_move_of_points] assembles the evaluated points. Raises
+    [Invalid_argument] on a non-0/1 message. *)
+val draw_state :
+  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> openings:Elgamal.opening array -> prover_state
+
+val first_move_jobs :
+  Dd_group.Group_ctx.t -> prover_state -> Elgamal.opening array ->
+  Dd_group.Curve.comb_job array
+
+val first_move_of_points : Dd_group.Curve.point array -> first_move
+
+(** Inverse of {!first_move_of_points}. *)
+val first_move_points : first_move -> Dd_group.Curve.point array
 
 (** [simulated_move gctx o ~challenge ~response] is the first move of
     the OR branch that the opening [o] (message 0 or 1) does not

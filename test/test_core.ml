@@ -131,6 +131,19 @@ let test_auth_schnorr_clique () =
   Alcotest.(check bool) "wrong signer" false (Auth.verify keys.(2) ~signer:0 "msg" tag);
   Alcotest.(check bool) "wrong msg" false (Auth.verify keys.(2) ~signer:1 "msG" tag)
 
+(* Dealt keys are normalized once at dealing, so encoding one into a
+   Schnorr challenge costs no inversion. *)
+let test_auth_keys_affine () =
+  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"clique" ~n:5 in
+  Array.iter
+    (fun (k : Auth.keys) ->
+       Array.iteri
+         (fun i pk ->
+            Alcotest.(check bool) (Printf.sprintf "pk %d affine" i) true
+              (Dd_group.Curve.is_affine pk))
+         k.Auth.pks)
+    keys
+
 let test_auth_mac_clique () =
   let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:"clique" ~n:4 in
   let tag = Auth.sign keys.(3) "m" in
@@ -233,6 +246,52 @@ let test_ea_encrypted_codes_decrypt () =
          (Dd_crypto.Aes128.cbc_decrypt ~key:msk ~iv ct))
     entries
 
+(* Every curve point a streamed chunk carries (commitments, aux
+   commitments, ZK first moves, signature nonce commitments) comes out
+   of the lockstep batch affine, so the segment encoder inverts
+   nothing. *)
+let test_ea_chunk_points_affine () =
+  let points = ref 0 in
+  let check what p =
+    incr points;
+    if not (Dd_group.Curve.is_affine p) then Alcotest.failf "%s point is not affine" what
+  in
+  let tag what = function
+    | Auth.Schnorr_tag s -> check what (Dd_sig.Schnorr.commitment s)
+    | Auth.Mac_tag _ -> Alcotest.failf "%s: expected a Schnorr tag" what
+  in
+  let elgamal what c = let c1, c2 = Dd_commit.Elgamal.components c in check what c1; check what c2 in
+  let _ =
+    Ea.setup_chunks ~chunk_size:3 cfg ~seed:"ea-affine" ~emit:(fun ck ->
+        Array.iter
+          (fun (b : Ea.bb_ballot) ->
+             Array.iter
+               (Array.iter (fun (e : Ea.bb_part_entry) ->
+                    Array.iter (elgamal "commitment") e.Ea.commitment;
+                    Array.iter (Array.iter (elgamal "aux")) e.Ea.vss_aux;
+                    Array.iter (check "zk first move")
+                      (Dd_zkp.Ballot_proof.first_move_points e.Ea.zk_first)))
+               b.Ea.bb_parts)
+          ck.Ea.ck_bb;
+        Array.iter
+          (Array.iter
+             (Array.iter
+                (Array.iter (fun (l : Types.vc_line) ->
+                     Option.iter (tag "share tag") l.Types.share_tag))))
+          ck.Ea.ck_vc;
+        Array.iter
+          (Array.iter (Array.iter (fun (d : Ea.trustee_part_data) ->
+               tag "zk state tag" d.Ea.t_zk_state_tag)))
+          ck.Ea.ck_trustee)
+  in
+  (* per part: m (2m + 4m + 2 + 2m(ht - 1)) points and nv m + nt tags *)
+  let m = cfg.Types.m_options in
+  let per_part =
+    (m * ((2 * m) + (4 * m) + 2 + (2 * m * (cfg.Types.ht - 1))))
+    + (cfg.Types.nv * m) + cfg.Types.nt
+  in
+  Alcotest.(check int) "points checked" (2 * cfg.Types.n_voters * per_part) !points
+
 let test_ea_rejects_bad_config () =
   Alcotest.check_raises "bad config" (Invalid_argument "Ea.setup: need Nv >= 3 fv + 1")
     (fun () -> ignore (Ea.setup { cfg with Types.nv = 2 } ~seed:"x"))
@@ -285,6 +344,7 @@ let () =
          Alcotest.test_case "share reconstruction" `Quick test_virtual_store_shares_reconstruct ]);
       ("auth",
        [ Alcotest.test_case "schnorr clique" `Quick test_auth_schnorr_clique;
+         Alcotest.test_case "dealt keys affine" `Quick test_auth_keys_affine;
          Alcotest.test_case "mac clique" `Quick test_auth_mac_clique;
          Alcotest.test_case "scheme separation" `Quick test_auth_schemes_not_interchangeable ]);
       ("ucert", [ Alcotest.test_case "verification" `Quick test_ucert_verification ]);
@@ -292,7 +352,8 @@ let () =
        [ Alcotest.test_case "shapes" `Quick test_ea_shapes;
          Alcotest.test_case "commitments match ballots" `Quick test_ea_commitments_match_printed_options;
          Alcotest.test_case "encrypted codes" `Quick test_ea_encrypted_codes_decrypt;
-         Alcotest.test_case "config check" `Quick test_ea_rejects_bad_config ]);
+         Alcotest.test_case "config check" `Quick test_ea_rejects_bad_config;
+         Alcotest.test_case "chunk points affine" `Quick test_ea_chunk_points_affine ]);
       ("liveness",
        [ Alcotest.test_case "Twait formula" `Quick test_twait_formula;
          Alcotest.test_case "Table I monotone" `Quick test_table1_monotone;

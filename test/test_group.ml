@@ -223,39 +223,74 @@ let naive_mul curve k pt =
    on P-256, the wNAF path covers negated-point table entries. *)
 let curves = [ ("secp256k1", c, g); ("p256", p256, Curve.generator p256) ]
 
-(* One comb table per curve, over its generator. *)
-let tables = List.map (fun (_, cv, gv) -> Curve.make_base_table cv gv) curves
+(* Comb tables over each curve's generator: width 8 (the Group_ctx
+   generator format) and width 4 (the per-signer verification format). *)
+let tables = List.map (fun (_, cv, gv) -> Curve.make_base_table cv ~width:8 gv) curves
+let narrow_tables = List.map (fun (_, cv, gv) -> Curve.make_base_table cv ~width:4 gv) curves
 
-(* The table's layout on both curves: slot 0 is infinity, every other
-   entry is stored affine and equals d * 16^w * B, with the reference
-   rows walked by general adds. A table over the identity is all
-   infinity. *)
-let test_base_table_matches () =
+(* A table's layout on both curves: ceil(bits/w) rows of 2^(w-1)
+   entries, every entry affine and equal to (2j+1) * 2^(w*i) * B, with
+   the reference rows walked by general adds. A table over the identity
+   has no rows. *)
+let check_table_layout ~width tables =
   List.iter2
     (fun (name, cv, gv) table ->
        let rows = Curve.base_table_rows table in
+       Alcotest.(check int) (name ^ " rows")
+         ((Nat.bit_length (Curve.order cv) + width - 1) / width) (Array.length rows);
        let base = ref gv in
        Array.iteri
-         (fun w row ->
-            Alcotest.(check int) "16 slots" 16 (Array.length row);
-            Alcotest.(check bool) (Printf.sprintf "%s row %d slot 0" name w) true
-              (Curve.is_infinity row.(0));
-            let want = ref Curve.infinity in
-            for d = 1 to 15 do
-              want := Curve.add cv !want !base;
-              if not (Curve.is_affine row.(d) && Curve.equal cv !want row.(d)) then
-                Alcotest.failf "%s: entry (%d, %d) is not affine d*16^w*B" name w d
-            done;
-            base := Curve.add cv !want !base)
+         (fun i row ->
+            Alcotest.(check int) "entries" (1 lsl (width - 1)) (Array.length row);
+            let twice = Curve.double cv !base in
+            let want = ref !base in
+            Array.iteri
+              (fun j e ->
+                 if not (Curve.is_affine e && Curve.equal cv !want e) then
+                   Alcotest.failf "%s: entry (%d, %d) is not affine (2j+1)*2^(%d*i)*B"
+                     name i j width;
+                 want := Curve.add cv !want twice)
+              row;
+            for _ = 1 to width do base := Curve.double cv !base done)
          rows)
     curves tables;
-  let rows = Curve.base_table_rows (Curve.make_base_table c Curve.infinity) in
-  Alcotest.(check bool) "identity table is all infinity" true
-    (Array.for_all (Array.for_all Curve.is_infinity) rows)
+  let rows = Curve.base_table_rows (Curve.make_base_table c ~width Curve.infinity) in
+  Alcotest.(check int) "identity table has no rows" 0 (Array.length rows)
 
-(* mul_base_table against the fixed-window [mul] on both curves, at the
-   scalars that touch the table's edges: 0, 1, n-1 and a top digit in
-   every window. *)
+let test_base_table_matches () = check_table_layout ~width:4 narrow_tables
+let test_wide_table_matches () = check_table_layout ~width:8 tables
+
+(* The scalar whose recoded digits come from d (curve.ml: the signed
+   digits of k are 2 b_i - (2^w - 1) for the base-2^w digits b_i of d =
+   (k + 2^(wW) - 1) / 2 mod n): k = 2d - (2^(wW) - 1) mod n. *)
+let scalar_of_recoded cv ~width d =
+  let fn = Curve.scalar_field cv in
+  let bits = Nat.bit_length (Curve.order cv) in
+  let ww = width * ((bits + width - 1) / width) in
+  Dd_bignum.Modular.sub fn (Dd_bignum.Modular.add fn d d)
+    (Dd_bignum.Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one ww) Nat.one))
+
+(* Scalars at the table's edges, for a width-w table: 0, 1, 2, n-1,
+   n-2; a top recoded digit of +max and -max (d = n-1 and d = 0); the
+   two scalars whose last comb add meets the equal-point case,
+   +-2 (2^w - 1) 2^(w(W-1)) mod n; and a maximal digit in every row. *)
+let edge_scalars cv ~width =
+  let order = Curve.order cv in
+  let fn = Curve.scalar_field cv in
+  let rows = (Nat.bit_length order + width - 1) / width in
+  let top = 2 * ((1 lsl width) - 1) in
+  let equal_case =
+    Dd_bignum.Modular.reduce fn
+      (Nat.mul (Nat.of_int top) (Nat.shift_left Nat.one (width * (rows - 1))))
+  in
+  [ Nat.zero; Nat.one; Nat.two; Nat.sub order Nat.one; Nat.sub order Nat.two;
+    scalar_of_recoded cv ~width (Nat.sub order Nat.one);
+    scalar_of_recoded cv ~width Nat.zero;
+    equal_case; Dd_bignum.Modular.neg fn equal_case ]
+  @ List.init rows (fun i ->
+      Nat.mul (Nat.of_int ((1 lsl width) - 1)) (Nat.shift_left Nat.one (width * i)))
+
+(* mul_base_table against the fixed-window [mul] on both curves. *)
 let table_matches_mul k =
   List.for_all2
     (fun (_, cv, gv) table -> Curve.equal cv (Curve.mul cv k gv) (Curve.mul_base_table cv table k))
@@ -263,20 +298,113 @@ let table_matches_mul k =
 
 let test_base_table_edge_scalars () =
   List.iter
-    (fun (name, cv, _) ->
-       let order = Curve.order cv in
-       let windows = (Nat.bit_length order + 3) / 4 in
-       let top w = Nat.mul (Nat.of_int 15) (Nat.shift_left Nat.one (4 * w)) in
-       List.iter
-         (fun k ->
-            Alcotest.(check bool) (Printf.sprintf "%s k = %s" name (Nat.to_hex k)) true
-              (table_matches_mul k))
-         (Nat.zero :: Nat.one :: Nat.sub order Nat.one :: List.init windows top))
-    curves
+    (fun width ->
+       List.iter2
+         (fun (name, cv, gv) table ->
+            List.iter
+              (fun k ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s w%d k = %s" name width (Nat.to_hex k)) true
+                   (Curve.equal cv (Curve.mul cv k gv) (Curve.mul_base_table cv table k)))
+              (edge_scalars cv ~width))
+         curves
+         (if width = 8 then tables else narrow_tables))
+    [ 4; 8 ]
 
 let prop_base_table_matches_mul =
   QCheck.Test.make ~name:"mul_base_table = mul on both curves" ~count:20 arb_scalar
     table_matches_mul
+
+(* --- lockstep batch ------------------------------------------------------- *)
+
+let h_of cv = Curve.hash_to_point cv "d-demos second generator H"
+let h_tables = List.map (fun (_, cv, _) -> Curve.make_base_table cv ~width:8 (h_of cv)) curves
+
+(* The reference sum of a job, by the fixed-window [mul]. *)
+let job_by_mul cv bases job =
+  List.fold_left (fun acc (b, k) -> Curve.add cv acc (Curve.mul cv k b)) Curve.infinity
+    (List.map2 (fun b (_, k) -> (b, k)) bases job)
+
+let batch_matches cv jobs bases =
+  let got = Curve.mul_base_batch cv (Array.of_list jobs) in
+  Array.length got = List.length jobs
+  && List.for_all2
+    (fun (job, bs) p ->
+       (Curve.is_infinity p || Curve.is_affine p) && Curve.equal cv (job_by_mul cv bs job) p)
+    (List.combine jobs bases) (Array.to_list got)
+
+(* Every edge scalar alone on G (both widths), and as the randomness of
+   m*G + r*H with m in {0, 1} (and as m with a random r), on both
+   curves. *)
+let test_batch_edge_scalars () =
+  List.iteri
+    (fun ci (name, cv, gv) ->
+       let gt = List.nth tables ci and g4 = List.nth narrow_tables ci in
+       let ht = List.nth h_tables ci and hv = h_of cv in
+       let r = Nat.of_hex "3b9ac9ff5a5a5a5a0123456789abcdef0fedcba9876543210aa55aa55aa55aa5" in
+       let wide = edge_scalars cv ~width:8 in
+       let edges = wide @ edge_scalars cv ~width:4 in
+       let single = List.map (fun k -> ([ (gt, k) ], [ gv ])) edges in
+       let narrow = List.map (fun k -> ([ (g4, k) ], [ gv ])) edges in
+       let two =
+         List.concat_map
+           (fun k ->
+              [ ([ (gt, Nat.zero); (ht, k) ], [ gv; hv ]);
+                ([ (gt, Nat.one); (ht, k) ], [ gv; hv ]);
+                ([ (gt, k); (ht, r) ], [ gv; hv ]);
+                (* the same base twice: the merge meets P + P and P + (-P) *)
+                ([ (gt, k); (gt, k) ], [ gv; gv ]);
+                ([ (gt, k); (gt, Dd_bignum.Modular.neg (Curve.scalar_field cv) k) ], [ gv; gv ]) ])
+           wide
+       in
+       let cases = single @ narrow @ two @ [ ([], []) ] in
+       Alcotest.(check bool) (name ^ " edge-scalar batch") true
+         (batch_matches cv (List.map fst cases) (List.map snd cases)))
+    curves
+
+(* Batch sizes 0 and 1, and one group's size plus and minus one (the
+   last against mul_base_table, itself pinned to [mul] above). *)
+let test_batch_sizes () =
+  let gt = List.hd tables and ht = List.hd h_tables in
+  Alcotest.(check int) "empty batch" 0 (Array.length (Curve.mul_base_batch c [||]));
+  Alcotest.(check bool) "one job" true
+    (batch_matches c [ [ (gt, Nat.of_int 12345) ] ] [ [ g ] ]);
+  let rng = Dd_crypto.Drbg.create ~seed:"comb-batch sizes" in
+  List.iter
+    (fun n ->
+       let jobs =
+         Array.init n (fun i ->
+             let k = Group_ctx.random_scalar gctx rng in
+             if i mod 3 = 0 then [ (gt, Nat.of_int (i land 1)); (ht, k) ] else [ (gt, k) ])
+       in
+       let got = Curve.mul_base_batch c jobs in
+       Array.iteri
+         (fun i job ->
+            let want =
+              List.fold_left (fun acc (tb, k) -> Curve.add c acc (Curve.mul_base_table c tb k))
+                Curve.infinity job
+            in
+            if not (Curve.is_affine got.(i) && Curve.equal c want got.(i)) then
+              Alcotest.failf "batch of %d: job %d differs" n i)
+         jobs)
+    [ Curve.batch_group - 1; Curve.batch_group + 1 ]
+
+let prop_batch_matches_mul =
+  QCheck.Test.make ~name:"mul_base_batch = mul on both curves" ~count:10
+    (QCheck.list_of_size (QCheck.Gen.int_range 0 6) (QCheck.triple QCheck.bool arb_scalar arb_scalar))
+    (fun specs ->
+       List.for_all
+         (fun (ci, (_, cv, gv)) ->
+            let gt = List.nth tables ci and ht = List.nth h_tables ci in
+            let hv = h_of cv in
+            let cases =
+              List.map
+                (fun (two, a, b) ->
+                   if two then ([ (gt, a); (ht, b) ], [ gv; hv ]) else ([ (ht, a) ], [ hv ]))
+                specs
+            in
+            batch_matches cv (List.map fst cases) (List.map snd cases))
+         (List.mapi (fun i cv -> (i, cv)) curves))
 
 let prop_mul_matches_naive =
   QCheck.Test.make ~name:"mul and mul_vartime = naive double-and-add" ~count:25
@@ -471,6 +599,7 @@ let () =
          Alcotest.test_case "hash to point" `Quick test_hash_to_point;
          Alcotest.test_case "hash to scalar" `Quick test_hash_to_scalar;
          Alcotest.test_case "base table" `Quick test_base_table_matches;
+         Alcotest.test_case "wide base table" `Quick test_wide_table_matches;
          Alcotest.test_case "Group_ctx.mul fast path" `Quick test_group_ctx_mul_fast_path;
          Alcotest.test_case "compressed codec" `Quick test_compressed_codec;
          Alcotest.test_case "field sqrt" `Quick test_field_sqrt ]);
@@ -489,6 +618,10 @@ let () =
        :: List.map QCheck_alcotest.to_alcotest
             [ prop_mul_matches_naive; prop_base_table_matches_mul; prop_mul2_matches_parts;
               prop_to_affine_batch_matches ]);
+      ("comb-batch",
+       [ Alcotest.test_case "batch edge scalars" `Quick test_batch_edge_scalars;
+         Alcotest.test_case "batch sizes" `Quick test_batch_sizes;
+         QCheck_alcotest.to_alcotest prop_batch_matches_mul ]);
       ("msm-differential",
        Alcotest.test_case "edge cases" `Quick test_msm_edge_cases
        :: List.map QCheck_alcotest.to_alcotest

@@ -212,7 +212,7 @@ let test_k_of_m_proof () =
   let commitments, openings =
     Unit_vector.commit_k gctx rng ~options:5 ~choices:[ 1; 3 ]
   in
-  let state, fm = Ballot_proof.prove_commit ~k:2 gctx rng ~commitments ~openings in
+  let state, fm = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
   let challenge = Group_ctx.random_scalar gctx rng in
   let fin = Ballot_proof.finalize gctx state ~challenge in
   Alcotest.(check bool) "2-of-5 proof verifies" true
