@@ -42,6 +42,17 @@ let cfg_of ~voters ~m ~nv ~fv =
   { Types.default_config with
     Types.n_voters = voters; Types.m_options = m; Types.nv; Types.fv }
 
+(* Audit the boards' majority view and print every check; exit 1 when no
+   majority view assembles or a check fails. *)
+let audit_or_exit ~cfg ~gctx bb_nodes =
+  match Auditor.assemble ~cfg ~gctx bb_nodes with
+  | None -> print_endline "audit: no majority view"; exit 1
+  | Some view ->
+    let checks = Auditor.audit view in
+    Auditor.pp_checks Format.std_formatter checks;
+    Printf.printf "audit: %s\n" (if Auditor.all_ok checks then "PASS" else "FAIL");
+    if not (Auditor.all_ok checks) then exit 1
+
 (* --- run ---------------------------------------------------------------- *)
 
 let run_cmd =
@@ -121,16 +132,7 @@ let run_cmd =
       match setup with
       | None -> print_endline "audit: only available for full-crypto runs"
       | Some s ->
-        match Auditor.assemble ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
-        | None -> print_endline "audit: no majority view"
-        | Some view ->
-          let checks = Auditor.audit view in
-          List.iter
-            (fun c ->
-               Printf.printf "  [%s] %s — %s\n" (if c.Auditor.ok then "PASS" else "FAIL")
-                 c.Auditor.name c.Auditor.detail)
-            checks;
-          Printf.printf "audit: %s\n" (if Auditor.all_ok checks then "PASS" else "FAIL")
+        audit_or_exit ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes
     end
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a complete election.")
@@ -279,17 +281,7 @@ let deploy_cmd =
            Array.iteri (fun i c -> Printf.printf "option%d=%d " i c) t;
            print_newline ()
          | None -> print_endline "tally: none published");
-        match Auditor.assemble ~cfg ~gctx r.Election.bb_nodes with
-        | None -> print_endline "audit: no majority view"; exit 1
-        | Some view ->
-          let checks = Auditor.audit view in
-          List.iter
-            (fun c ->
-               Printf.printf "  [%s] %s — %s\n" (if c.Auditor.ok then "PASS" else "FAIL")
-                 c.Auditor.name c.Auditor.detail)
-            checks;
-          Printf.printf "audit: %s\n" (if Auditor.all_ok checks then "PASS" else "FAIL");
-          if not (Auditor.all_ok checks) then exit 1
+        audit_or_exit ~cfg ~gctx r.Election.bb_nodes
       end
     end
   in

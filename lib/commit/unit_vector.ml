@@ -75,6 +75,29 @@ let verify_batch gctx rng (items : (t * opening) list) =
   in
   !ok && Elgamal.verify_batch gctx rng (Array.of_list coords)
 
+let encode gctx (c : t) =
+  String.concat "" (Array.to_list (Array.map (Elgamal.encode gctx) c))
+
+(* The check for published openings, shared by the bulletin board and
+   the auditor: [verify_batch] under Fiat-Shamir weights seeded from
+   [label] and the items themselves, so every party re-checking the
+   same data derives the same weights without an entropy source. Sound
+   because the data is fixed before the weights exist. *)
+let verify_published gctx ~label (items : (t * opening) array) =
+  let scalar n =
+    let b = Nat.to_bytes_be n in
+    string_of_int (String.length b) ^ ":" ^ b
+  in
+  let item_parts ((c : t), (o : opening)) =
+    encode gctx c
+    :: List.concat_map
+      (fun (op : Elgamal.opening) -> [ scalar op.Elgamal.msg; scalar op.Elgamal.rand ])
+      (Array.to_list o)
+  in
+  let items = Array.to_list items in
+  let rng = Dd_group.Batch.derive_rng ~label (List.concat_map item_parts items) in
+  verify_batch gctx rng items
+
 (* Check an opening decodes to the unit vector for [choice]. *)
 let opening_is_unit (o : opening) ~choice =
   Array.length o > choice
@@ -90,9 +113,6 @@ let opening_is_unit (o : opening) ~choice =
 (* Read a tally vector out of openings of a homomorphic sum. *)
 let counts_of_opening (o : opening) =
   Array.map (fun oi -> Nat.to_int oi.Elgamal.msg) o
-
-let encode gctx (c : t) =
-  String.concat "" (Array.to_list (Array.map (Elgamal.encode gctx) c))
 
 let equal gctx (a : t) (b : t) =
   Array.length a = Array.length b

@@ -39,6 +39,15 @@ val verify : Dd_group.Group_ctx.t -> t -> opening -> bool
 val verify_batch :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> (t * opening) list -> bool
 
+(** The one check for openings published on the bulletin board (the
+    board's reconstructions and the auditor's check (d)):
+    {!verify_batch} under Fiat-Shamir weights derived from [label] (the
+    election id) and the items themselves — deterministic, so every party re-checking
+    the same data derives the same weights. {b Variable time} —
+    published data only. *)
+val verify_published :
+  Dd_group.Group_ctx.t -> label:string -> (t * opening) array -> bool
+
 (** Does the opening carry exactly the unit vector for [choice]? *)
 val opening_is_unit : opening -> choice:int -> bool
 

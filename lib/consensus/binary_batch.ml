@@ -138,8 +138,6 @@ let start t = send_step t ~step:1 t.est
 
 let decided t = Array.copy t.decided
 let all_decided t = t.n_decided = t.slots
-let current_round t = t.round
-let halted t = t.halted
 
 let coin_flip t ~round ~slot =
   match t.coin with

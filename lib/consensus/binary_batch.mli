@@ -30,12 +30,6 @@ val start : t -> unit
 val on_deliver : t -> from:int -> string -> unit
 
 val decided : t -> bool option array
-val all_decided : t -> bool
-val current_round : t -> int
-
-(** True once the node has decided everything and run the two grace
-    rounds that let laggards catch up. *)
-val halted : t -> bool
 
 (** Wire helpers, exposed for tests. *)
 val encode_payload : round:int -> step:int -> int array -> string

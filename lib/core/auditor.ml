@@ -200,10 +200,11 @@ let par_find_first pool ~n ~check =
 (* (d) openings of unused parts are valid unit vectors.
 
    With [batch] (the default), all opening equations fold into one MSM
-   under Fiat-Shamir-derived random weights (the auditor holds no
-   entropy source; seeding the weights from the verified data itself
-   keeps audits replayable and is sound because the EA commits to the
-   data before the weights exist). A failing batch is bisected to name
+   through [Unit_vector.verify_published], the check the bulletin
+   board ran on the same openings before publishing them: its
+   Fiat-Shamir weights come from the verified data itself (the
+   auditor holds no entropy source), so audits replay. A failing
+   batch (or sub-range of it) is bisected to name
    the first offending (serial, part). The unit-ness of the committed
    vectors is a cheap scalar check and stays serial on both paths.
    [?pool] shards the batch across domains (see [par_find_first]). *)
@@ -243,29 +244,9 @@ let check_openings ?(batch = true) ?pool v =
     items;
   let crypto = Array.of_list (List.rev !crypto) in
   if batch then begin
-    let seed_parts =
-      v.cfg.Types.election_id
-      :: List.concat_map
-        (fun (serial, part, pos, ((c : Unit_vector.t), (o : Unit_vector.opening))) ->
-           Printf.sprintf "%d:%s:%d" serial (Types.part_label part) pos
-           :: Unit_vector.encode v.gctx c
-           :: Array.to_list
-             (Array.map
-                (fun (op : Elgamal.opening) ->
-                   Nat.to_bytes_be ~len:32 op.Elgamal.msg
-                   ^ Nat.to_bytes_be ~len:32 op.Elgamal.rand)
-                o))
-        (Array.to_list crypto)
-    in
+    let items = Array.map (fun (_, _, _, cv) -> cv) crypto in
     let check_range ~lo ~len =
-      if len = 1 then
-        (let _, _, _, (c, o) = crypto.(lo) in Unit_vector.verify v.gctx c o)
-      else
-        let rng =
-          Batch.derive_rng ~label:(Printf.sprintf "audit-openings:%d:%d" lo len) seed_parts
-        in
-        Unit_vector.verify_batch v.gctx rng
-          (Array.to_list (Array.map (fun (_, _, _, cv) -> cv) (Array.sub crypto lo len)))
+      Unit_vector.verify_published v.gctx ~label:v.cfg.Types.election_id (Array.sub items lo len)
     in
     match par_find_first pool ~n:(Array.length crypto) ~check:check_range with
     | None -> ()

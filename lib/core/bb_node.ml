@@ -1,9 +1,12 @@
 (* Bulletin Board node (Section III-G): an isolated public repository.
    BB nodes never talk to each other; readers query all of them and
    trust the majority answer (see Bb_reader). Writes are restricted:
-   vote sets must arrive identically from fv+1 VC nodes, msk shares
-   must reconstruct the committed msk, trustee posts are accepted from
-   authenticated trustees and cross-checked where possible.
+   vote sets must arrive identically from fv+1 VC nodes, and the msk,
+   each unused part's openings and the tally are rebuilt from shares by
+   one threshold path, [reconstruct]: shares keyed by poster (VC sender
+   or trustee), a fixed-order quorum subset search checked against
+   Hmsk or by [Unit_vector.verify_published], re-run on every accepted
+   post and, for the tally, whenever Esum is computed.
 
    The node publishes, in order: its initialization data (implicitly,
    it is constructed with it), the agreed final vote-code set, the
@@ -14,15 +17,21 @@
 module Shamir_bytes = Dd_vss.Shamir_bytes
 module Elgamal = Dd_commit.Elgamal
 module Elgamal_vss = Dd_vss.Elgamal_vss
+module Unit_vector = Dd_commit.Unit_vector
 module Ballot_proof = Dd_zkp.Ballot_proof
 module Group_ctx = Dd_group.Group_ctx
 module Store = Dd_store.Store
 module Wire = Dd_codec.Wire
 
+(* Shares posted toward one reconstructed value, as (poster, share) in
+   ascending poster order; a poster's first share wins. *)
+type 'a shares = (int * 'a) list
+
 type trustee_posts = {
-  openings : (int * Types.part_id, Elgamal_vss.share array array) Hashtbl.t;
-    (* key: serial, part; per trustee entries appended under distinct x *)
-  mutable tally_shares : (int * Elgamal_vss.share array) list;  (* trustee -> per-coordinate *)
+  openings : (int * Types.part_id, Elgamal_vss.share array array shares) Hashtbl.t;
+    (* (serial, part) -> per trustee, position -> coordinate *)
+  mutable tally_shares : Elgamal_vss.share array array shares;
+    (* per trustee, one vector: Esum's coordinates *)
   zk_posts : (int * Types.part_id, (int * string) list ref) Hashtbl.t;
     (* (serial, part) -> (trustee, encoded final moves) for identical-copy matching *)
 }
@@ -50,7 +59,7 @@ type t = {
   board : Board.t;
   (* submissions *)
   mutable vote_sets : (int * (int * string) list) list;   (* VC node -> set *)
-  mutable msk_shares : Shamir_bytes.share list;
+  mutable msk_shares : Shamir_bytes.share shares;   (* VC node -> share *)
   posts : trustee_posts;
   pub : published;
   (* observability callbacks for the harness *)
@@ -101,6 +110,60 @@ let subscribe_tally t f = t.on_tally <- f :: t.on_tally
 
 let published t = t.pub
 
+(* --- threshold reconstruction ----------------------------------------- *)
+
+let add_share poster share (shares : 'a shares) : 'a shares =
+  List.merge (fun (a, _) (b, _) -> compare a b) shares [ (poster, share) ]
+
+(* Deterministic subset search shared by every value the board rebuilds
+   from shares: [threshold]-subsets of the posted shares are tried in
+   lexicographic poster order, at most [max_attempts] of them, until
+   [attempt] (reconstruct, then check) accepts one. A subset a Byzantine
+   poster made malformed (duplicate or bad x, wrong shapes) is rejected
+   like one that fails its check. *)
+let max_attempts = 64
+
+let reconstruct ~threshold (shares : 'a shares) ~(attempt : 'a list -> 'b option) =
+  let arr = Array.of_list (List.map snd shares) in
+  let n = Array.length arr and tried = ref 0 in
+  let rec search start k acc =
+    if k = 0 then begin
+      incr tried;
+      match attempt (List.rev acc) with
+      | found -> found
+      | exception Invalid_argument _ -> None
+    end
+    else
+      let rec next i =
+        if i > n - k || !tried >= max_attempts then None
+        else
+          match search (i + 1) (k - 1) (arr.(i) :: acc) with
+          | None -> next (i + 1)
+          | found -> found
+      in
+      next start
+  in
+  if threshold < 1 then None else search 0 threshold []
+
+(* The [attempt] for trustee-shared openings: reconstruct every
+   coordinate opening of [commitments] from the [selected] trustees'
+   shares (vector -> coordinate), then check them all in one batch. *)
+let open_commitments t (commitments : Unit_vector.t array) selected =
+  let openings =
+    Array.mapi
+      (fun v (c : Unit_vector.t) ->
+         Array.mapi
+           (fun j _ ->
+              Elgamal_vss.reconstruct t.gctx ~threshold:t.cfg.Types.ht
+                (List.map (fun (sh : Elgamal_vss.share array array) -> sh.(v).(j)) selected))
+           c)
+      commitments
+  in
+  let items = Array.map2 (fun c o -> (c, o)) commitments openings in
+  if Unit_vector.verify_published t.gctx ~label:t.cfg.Types.election_id items
+  then Some openings
+  else None
+
 (* --- vote set agreement ---------------------------------------------- *)
 
 let sets_equal a b =
@@ -147,7 +210,21 @@ let locate_code t ~serial ~code =
       [ Types.A; Types.B ];
     !found
 
-(* Homomorphic sum of the commitments selected by the final vote set. *)
+(* The tally: ht trustee shares of Esum's opening, one per coordinate,
+   reconstruct an opening that must verify against Esum. *)
+let try_tally t =
+  match t.pub.encrypted_tally with
+  | Some esum when t.pub.tally = None ->
+    Option.iter
+      (fun (openings : Elgamal.opening array array) ->
+         t.pub.tally <- Some (Unit_vector.counts_of_opening openings.(0));
+         List.iter (fun f -> f t) t.on_tally)
+      (reconstruct ~threshold:t.cfg.Types.ht t.posts.tally_shares
+         ~attempt:(open_commitments t [| esum |]))
+  | _ -> ()
+
+(* Homomorphic sum of the commitments selected by the final vote set;
+   tally shares already posted are tried against it at once. *)
 let compute_encrypted_tally t =
   match t.pub.final_set with
   | None -> ()
@@ -167,46 +244,35 @@ let compute_encrypted_tally t =
               | _ -> acc))
         zero set
     in
-    t.pub.encrypted_tally <- Some esum
+    t.pub.encrypted_tally <- Some esum;
+    try_tally t
 
+(* The msk: Nv - fv VC shares whose reconstruction hashes to Hmsk. *)
 let try_reconstruct_msk t =
   if Option.is_none t.pub.msk then begin
     let quorum = t.cfg.Types.nv - t.cfg.Types.fv in
-    let shares = t.msk_shares in
-    if List.length shares >= quorum then begin
-      (* try a bounded number of quorum subsets: Byzantine VC nodes may
-         have contributed garbage shares *)
-      let arr = Array.of_list shares in
-      let n = Array.length arr in
-      let attempts = ref 0 in
-      let rec try_from start acc k =
-        if Option.is_some t.pub.msk || !attempts > 64 then ()
-        else if k = 0 then begin
-          incr attempts;
-          let candidate = Shamir_bytes.reconstruct ~threshold:quorum (List.rev acc) in
+    let found =
+      reconstruct ~threshold:quorum t.msk_shares ~attempt:(fun selected ->
+          let candidate = Shamir_bytes.reconstruct ~threshold:quorum selected in
           if Dd_crypto.Ct.equal
               (Dd_crypto.Sha256.digest_list [ candidate; t.init.Ea.salt_msk ])
               t.init.Ea.hmsk
-          then begin
-            t.pub.msk <- Some candidate;
-            open_codes t candidate;
-            compute_encrypted_tally t
-          end
-        end else
-          for i = start to n - k do
-            if Option.is_none t.pub.msk then try_from (i + 1) (arr.(i) :: acc) (k - 1)
-          done
-      in
-      try_from 0 [] quorum
-    end
+          then Some candidate
+          else None)
+    in
+    Option.iter
+      (fun msk ->
+         t.pub.msk <- Some msk;
+         open_codes t msk;
+         compute_encrypted_tally t)
+      found
   end
 
 let on_vote_set_submit t ~sender ~set ~msk_share =
   if not (List.mem_assoc sender t.vote_sets) then begin
     journal_input t (Messages.Vote_set_submit { sender; set; msk_share });
     t.vote_sets <- (sender, set) :: t.vote_sets;
-    if not (List.exists (fun s -> s.Shamir_bytes.x = msk_share.Shamir_bytes.x) t.msk_shares)
-    then t.msk_shares <- msk_share :: t.msk_shares;
+    t.msk_shares <- add_share sender msk_share t.msk_shares;
     (* publish the final set once fv+1 identical copies arrived *)
     if t.pub.final_set = None then begin
       let matching = List.filter (fun (_, s) -> sets_equal s set) t.vote_sets in
@@ -222,67 +288,35 @@ let on_vote_set_submit t ~sender ~set ~msk_share =
 
 (* --- trustee posts ----------------------------------------------------- *)
 
-let ht t = t.cfg.Types.ht
-
-(* Openings of unused (or fully unvoted) parts: accumulate trustee
-   shares; at ht shares per (serial, part), reconstruct every position's
-   coordinate openings and verify them against the BB's commitments. *)
+(* Openings of unused (or fully unvoted) parts: ht trustee shares per
+   (serial, part) reconstruct every position's coordinate openings,
+   which must verify against the board's commitments. *)
 let accept_openings t ~trustee entries =
-  ignore trustee;
   List.iter
     (fun (e : Trustee_payload.opening_entry) ->
-       let key = (e.Trustee_payload.o_serial, e.Trustee_payload.o_part) in
-       if not (Hashtbl.mem t.pub.unused_openings key) then begin
-         let existing = Hashtbl.find_all t.posts.openings key in
-         (* avoid double-posting by the same trustee: shares carry x *)
-         let dup =
-           List.exists
-             (fun (prev : Elgamal_vss.share array array) ->
-                Array.length prev > 0 && Array.length e.Trustee_payload.o_shares > 0
-                && Array.length prev.(0) > 0 && Array.length e.Trustee_payload.o_shares.(0) > 0
-                && prev.(0).(0).Elgamal_vss.x = e.Trustee_payload.o_shares.(0).(0).Elgamal_vss.x)
-             existing
-         in
-         if not dup then begin
-           Hashtbl.add t.posts.openings key e.Trustee_payload.o_shares;
-           let all = Hashtbl.find_all t.posts.openings key in
-           if List.length all >= ht t then begin
-             let serial = e.Trustee_payload.o_serial and part = e.Trustee_payload.o_part in
-             match Board.entries t.board ~serial ~part with
-             | None -> ()   (* unknown serial (or unreadable chunk): ignore the post *)
-             | Some bb_entries ->
-             let positions = Array.length bb_entries in
-             let m = t.cfg.Types.m_options in
-             let selected = List.filteri (fun i _ -> i < ht t) all in
-             let openings =
-               Array.init positions (fun pos ->
-                   Array.init m (fun j ->
-                       let shares = List.map (fun sh -> sh.(pos).(j)) selected in
-                       Elgamal_vss.reconstruct t.gctx ~threshold:(ht t) shares))
-             in
-             (* verify each reconstructed opening against the commitment *)
-             let ok = ref true in
-             Array.iteri
-               (fun pos per_coord ->
-                  Array.iteri
-                    (fun j opening ->
-                       if not (Elgamal.verify t.gctx bb_entries.(pos).Ea.commitment.(j) opening)
-                       then ok := false)
-                    per_coord)
-               openings;
-             if !ok then Hashtbl.replace t.pub.unused_openings key openings
-             else
-               (* some share was corrupt: drop the first post and wait
-                  for more trustees *)
-               ()
-           end
-         end
-       end)
+       let serial = e.Trustee_payload.o_serial and part = e.Trustee_payload.o_part in
+       let key = (serial, part) in
+       let posted = Option.value ~default:[] (Hashtbl.find_opt t.posts.openings key) in
+       if not (Hashtbl.mem t.pub.unused_openings key || List.mem_assoc trustee posted) then
+         match Board.entries t.board ~serial ~part with
+         | None -> ()   (* unknown serial (or unreadable chunk): ignore the post *)
+         | Some bb_entries ->
+           let posted = add_share trustee e.Trustee_payload.o_shares posted in
+           Hashtbl.replace t.posts.openings key posted;
+           let commitments =
+             Array.map (fun (e : Ea.bb_part_entry) -> e.Ea.commitment) bb_entries
+           in
+           Option.iter
+             (fun openings ->
+                Hashtbl.replace t.pub.unused_openings key openings;
+                Hashtbl.remove t.posts.openings key)
+             (reconstruct ~threshold:t.cfg.Types.ht posted
+                ~attempt:(open_commitments t commitments)))
     entries
 
 (* ZK final moves: published once ft+1 trustees post identical bytes. *)
 let accept_zk t ~trustee entries =
-  let ft = t.cfg.Types.nt - ht t in
+  let ft = t.cfg.Types.nt - t.cfg.Types.ht in
   List.iter
     (fun (e : Trustee_payload.zk_entry) ->
        let key = (e.Trustee_payload.z_serial, e.Trustee_payload.z_part) in
@@ -305,37 +339,10 @@ let accept_zk t ~trustee entries =
        end)
     entries
 
-(* Tally shares: at ht distinct shares, reconstruct the opening of Esum
-   per coordinate, verify, publish the counts. *)
 let accept_tally_share t ~trustee ~shares =
   if t.pub.tally = None && not (List.mem_assoc trustee t.posts.tally_shares) then begin
-    t.posts.tally_shares <- (trustee, shares) :: t.posts.tally_shares;
-    match t.pub.encrypted_tally with
-    | None -> ()
-    | Some esum ->
-      let m = t.cfg.Types.m_options in
-      if List.length t.posts.tally_shares >= ht t then begin
-        let selected = List.filteri (fun i _ -> i < ht t) t.posts.tally_shares in
-        match
-          Array.init m (fun j ->
-              let coordinate_shares = List.map (fun (_, sh) -> sh.(j)) selected in
-              Elgamal_vss.reconstruct t.gctx ~threshold:(ht t) coordinate_shares)
-        with
-        | openings ->
-          let ok = ref true in
-          Array.iteri
-            (fun j opening ->
-               if not (Elgamal.verify t.gctx esum.(j) opening) then ok := false)
-            openings;
-          if !ok then begin
-            let counts =
-              Array.map (fun (o : Elgamal.opening) -> Dd_bignum.Nat.to_int o.Elgamal.msg) openings
-            in
-            t.pub.tally <- Some counts;
-            List.iter (fun f -> f t) t.on_tally
-          end
-        | exception Invalid_argument _ -> ()
-      end
+    t.posts.tally_shares <- add_share trustee [| shares |] t.posts.tally_shares;
+    try_tally t
   end
 
 let on_trustee_post t ~trustee (payload : Trustee_payload.t) =
@@ -389,10 +396,11 @@ let observable t =
          set)
     (List.sort compare t.vote_sets);
   Wire.put_list w
-    (fun w (s : Shamir_bytes.share) ->
+    (fun w (sender, (s : Shamir_bytes.share)) ->
+       Wire.put_varint w sender;
        Wire.put_varint w s.Shamir_bytes.x;
        Wire.put_bytes w s.Shamir_bytes.data)
-    (List.sort (fun a b -> compare a.Shamir_bytes.x b.Shamir_bytes.x) t.msk_shares);
+    t.msk_shares;
   (* lint: allow secret-taint pub.msk is published on the board post-election by protocol design; fingerprinting an already-public value *)
   Wire.put_option w Wire.put_bytes t.pub.msk;
   Wire.put_option w

@@ -1,11 +1,21 @@
 (** Bulletin Board node (Section III-G): an isolated public repository.
     BB nodes never contact each other; readers take the majority
     ({!Bb_reader}). Writes are verified: a final vote set publishes at
-    [fv + 1] identical VC submissions, the master key reconstructs from
-    [Nv - fv] shares and must match the committed [Hmsk], unused-part
-    openings reconstruct and verify from [ht] trustee shares, ZK final
-    moves publish at [ft + 1] identical trustee posts, and the tally
-    publishes when [ht] verifiable shares open Esum. *)
+    [fv + 1] identical VC submissions, and ZK final moves at [ft + 1]
+    identical trustee posts.
+
+    Everything the node rebuilds from shares takes one threshold path:
+    the master key from [Nv - fv] VC shares, checked against the
+    committed [Hmsk]; each unused part's openings and the tally (the
+    opening of Esum) from [ht] trustee shares, checked with
+    {!Dd_commit.Unit_vector.verify_published}, the batch check the
+    auditor runs on the same openings. Shares are keyed by poster (VC
+    sender or trustee; the first post wins), so one poster counts once
+    whatever share x it claims. Quorum subsets are searched in a fixed
+    order, at most 64 per search, on every accepted post and, for the
+    tally, again whenever Esum is computed — so one Byzantine poster
+    cannot block a value, and tally shares posted before Esum exists
+    still count. *)
 
 module Elgamal = Dd_commit.Elgamal
 module Elgamal_vss = Dd_vss.Elgamal_vss

@@ -108,7 +108,7 @@ let measured = {
   zk_finalize_row = 0.0000048;
 }
 
-let with_disk ?(enabled = true) t = { t with disk_enabled = enabled }
+let with_disk t = { t with disk_enabled = true }
 
 (* Per-lookup database cost for an electorate of [n] ballots: a fixed
    cost plus a sublinear cache-miss term. Calibrated so the 50M -> 250M

@@ -38,7 +38,7 @@ val default : t
 val measured : t
 
 (** Enable the PostgreSQL-style disk cost (figures 5a-5c). *)
-val with_disk : ?enabled:bool -> t -> t
+val with_disk : t -> t
 
 (** Per-lookup database cost for an electorate of [n] ballots. *)
 val disk_lookup : t -> n:int -> float

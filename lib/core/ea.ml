@@ -69,9 +69,6 @@ type setup = {
   trustee_init : trustee_init array;
 }
 
-let ea_vc_index cfg = cfg.Types.nv
-let ea_trustee_index cfg = cfg.Types.nt
-
 let zk_state_body ~election_id ~serial ~part ~trustee (share : Shamir_bytes.share) =
   String.concat "|"
     [ "zkstate"; election_id; string_of_int serial; Types.part_label part;
@@ -214,14 +211,9 @@ let part_jobs gctx d =
    signature, and per position 2m for the commitments, 4m + 2 for the
    first move and 2 per aux coefficient pair. It only sizes the
    lockstep groups. *)
-let jobs_per_part ~scheme cfg =
+let jobs_per_part cfg =
   let m = cfg.Types.m_options in
-  let signatures =
-    match scheme with
-    | Auth.Schnorr_scheme -> (cfg.Types.nv * m) + cfg.Types.nt
-    | Auth.Mac_scheme -> 0
-  in
-  signatures + (m * ((2 * m) + (4 * m) + 2 + (2 * m * (cfg.Types.ht - 1))))
+  (cfg.Types.nv * m) + cfg.Types.nt + (m * ((2 * m) + (4 * m) + 2 + (2 * m * (cfg.Types.ht - 1))))
 
 (* Assemble one part's records from its evaluated points, taken in
    [part_jobs] order through [next]: the Schnorr challenges are hashed
@@ -304,7 +296,7 @@ let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
    regenerated, but their (serial, part) forks are still drawn from
    the parent in order and discarded, so the chunks that are
    regenerated see bit-identical DRBGs. *)
-let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
+let setup_chunks ?pool
     ?(chunk_size = default_setup_chunk) ?(from_chunk = 0)
     (cfg : Types.config) ~seed ~emit =
   (match Types.validate_config cfg with
@@ -318,6 +310,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
   let nv = cfg.Types.nv and fv = cfg.Types.fv in
   let nt = cfg.Types.nt in
   let rng = Drbg.create ~seed:("ea|" ^ seed) in
+  let scheme = Auth.Schnorr_scheme in
   let vc_keys = Auth.deal_clique ~scheme ~gctx ~seed:("vc-keys|" ^ seed) ~n:(nv + 1) in
   let trustee_keys =
     Auth.deal_clique ~scheme ~gctx ~seed:("trustee-keys|" ^ seed) ~n:(nt + 1)
@@ -326,7 +319,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
   let msk = Ballot_gen.msk ~seed in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   let n_chunks = (n + chunk_size - 1) / chunk_size in
-  let parts_per_group = max 1 (Dd_group.Curve.batch_group / jobs_per_part ~scheme cfg) in
+  let parts_per_group = max 1 (Dd_group.Curve.batch_group / jobs_per_part cfg) in
   for ck_index = 0 to n_chunks - 1 do
     let ck_first = ck_index * chunk_size in
     let count = min chunk_size (n - ck_first) in
@@ -401,7 +394,7 @@ let setup_chunks ?(scheme = Auth.Schnorr_scheme) ?pool
 (* In-memory setup: the chunked pass with an emit that fills arrays.
    Identical output to the pre-streaming implementation for any chunk
    size (the fork-order argument above). *)
-let setup ?(scheme = Auth.Schnorr_scheme) ?pool ?chunk_size (cfg : Types.config) ~seed =
+let setup ?pool ?chunk_size (cfg : Types.config) ~seed =
   let n = cfg.Types.n_voters in
   let nv = cfg.Types.nv and nt = cfg.Types.nt in
   let ballots = Array.make n { Types.serial = 0;
@@ -429,7 +422,7 @@ let setup ?(scheme = Auth.Schnorr_scheme) ?pool ?chunk_size (cfg : Types.config)
       Array.blit ck.ck_trustee.(t) 0 trustee_ballots.(t) ck.ck_first count
     done
   in
-  let st = setup_chunks ~scheme ?pool ?chunk_size cfg ~seed ~emit in
+  let st = setup_chunks ?pool ?chunk_size cfg ~seed ~emit in
   { cfg; seed; gctx = st.st_gctx; ballots;
     vc_keys = st.st_vc_keys; trustee_keys = st.st_trustee_keys;
     vc_init =

@@ -63,9 +63,6 @@ type setup = {
   trustee_init : trustee_init array;
 }
 
-val ea_vc_index : Types.config -> int
-val ea_trustee_index : Types.config -> int
-
 (** The EA-authenticated body binding a trustee's ZK-state share. *)
 val zk_state_body :
   election_id:string -> serial:int -> part:Types.part_id -> trustee:int ->
@@ -117,7 +114,7 @@ val default_setup_chunk : int
     transcript aligned) and emission starts at that chunk.
     Raises [Invalid_argument] on an invalid configuration. *)
 val setup_chunks :
-  ?scheme:Auth.scheme -> ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
+  ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   ?from_chunk:int -> Types.config -> seed:string -> emit:(chunk -> unit) ->
   static
 
@@ -131,5 +128,5 @@ val setup_chunks :
     part) draws from its own serially pre-forked DRBG.
     Raises [Invalid_argument] on an invalid configuration. *)
 val setup :
-  ?scheme:Auth.scheme -> ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
+  ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   Types.config -> seed:string -> setup

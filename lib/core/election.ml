@@ -80,9 +80,6 @@ type params = {
   retry_cap : float;
   blacklist_rounds : int;
   coin : Binary_batch.coin;
-  vc_machines : int;        (* physical machines hosting VC nodes *)
-  vc_cores : int;
-  max_sim_time : float;
   (* force election end at a fixed virtual time even if clients are
      still voting (paper-style fixed voting hours); [None] ends when
      every client finishes, like the paper's measurement runs *)
@@ -90,13 +87,6 @@ type params = {
   (* when false, stop after vote collection (the paper's Fig. 4 and
      5a/5b measurements cover only that phase) *)
   run_vsc : bool;
-  (* give every node a durable in-memory device (WAL + snapshot) and
-     turn Crash{recover} specs into true power-loss cold restarts.
-     Defaults off — the scale benchmarks must not pay the logging cost.
-     Auto-enabled whenever the fault plan contains a recovering crash
-     of a protocol node, since recovery then needs a device to restart
-     from. *)
-  durability : bool;
 }
 
 let default_params ?(fidelity = Modeled) cfg ~votes =
@@ -109,11 +99,15 @@ let default_params ?(fidelity = Modeled) cfg ~votes =
     retry_cap = Voter.default_policy.Voter.cap;
     blacklist_rounds = Voter.default_policy.Voter.blacklist_rounds;
     coin = Binary_batch.Local;
-    vc_machines = 4; vc_cores = 6;
-    max_sim_time = 500_000.;
     end_after = None;
-    run_vsc = true;
-    durability = false }
+    run_vsc = true }
+
+(* The simulated deployment: VC nodes share [vc_machines] physical
+   machines of [vc_cores] cores each, and a run stops at [max_sim_time]
+   virtual seconds even with events still queued. *)
+let vc_machines = 4
+let vc_cores = 6
+let max_sim_time = 500_000.
 
 type phase_times = {
   mutable t_first_submit : float;
@@ -165,8 +159,7 @@ type result = {
 let vc_net_node (_ : params) i = i
 let bb_net_node p j = p.cfg.Types.nv + j
 let trustee_net_node p k = p.cfg.Types.nv + p.cfg.Types.nb + k
-let client_net_node p c = p.cfg.Types.nv + p.cfg.Types.nb + p.cfg.Types.nt + c
-let vc_machine p i = i mod p.vc_machines
+let vc_machine (_ : params) i = i mod vc_machines
 
 (* ---------------------------------------------------------------- *)
 
@@ -215,7 +208,7 @@ let run (p : params) : result =
 
   (* --- node ids on the simulated network --- *)
   let vc_net = Array.init cfg.Types.nv (fun i ->
-      Net.add_node net ~machine:(i mod p.vc_machines) ~cores:p.vc_cores)
+      Net.add_node net ~machine:(i mod vc_machines) ~cores:vc_cores)
   in
   let bb_net = Array.init cfg.Types.nb (fun i ->
       Net.add_node net ~machine:(100 + i) ~cores:4)
@@ -248,12 +241,13 @@ let run (p : params) : result =
 
   (* --- durable devices --- *)
   let crash_specs = Fault_plan.crash_specs p.faults in
+  (* durable devices exactly when the fault plan crashes and recovers a
+     protocol node, since recovery then needs a device to restart from *)
   let durability =
-    p.durability
-    || List.exists
-         (fun (node, _, recover) ->
-            recover <> None && node < cfg.Types.nv + cfg.Types.nb + cfg.Types.nt)
-         crash_specs
+    List.exists
+      (fun (node, _, recover) ->
+         recover <> None && node < cfg.Types.nv + cfg.Types.nb + cfg.Types.nt)
+      crash_specs
   in
   let vc_backing =
     Array.init cfg.Types.nv
@@ -710,7 +704,7 @@ let run (p : params) : result =
   end;
 
   (* run everything *)
-  let _, run_outcome = Engine.run ~until:p.max_sim_time engine in
+  let _, run_outcome = Engine.run ~until:max_sim_time engine in
 
   (* --- results --- *)
   let tally =

@@ -61,18 +61,14 @@ type params = {
   retry_cap : float;            (** attempt k waits patience * min(2^(k-1), cap) *)
   blacklist_rounds : int;       (** full passes over the cluster before a voter gives up *)
   coin : Dd_consensus.Binary_batch.coin;
-  vc_machines : int;            (** physical machines hosting VC nodes *)
-  vc_cores : int;
-  max_sim_time : float;
   end_after : float option;     (** fixed voting hours; [None] = end when all clients finish *)
   run_vsc : bool;               (** [false] stops after vote collection (Fig. 4 measurements) *)
-  durability : bool;
-  (** give every node a durable in-memory device (WAL + snapshot) and
-      turn [Crash { recover = Some _ }] specs into true power-loss cold
-      restarts. Defaults off (the scale benchmarks must not pay the
-      logging cost); auto-enabled when the fault plan contains a
-      recovering crash of a protocol node. *)
 }
+(** Durability follows the fault plan: when it holds a recovering crash
+    of a protocol node, every node gets a durable in-memory device
+    (WAL + snapshot) and [Crash { recover = Some _ }] specs become true
+    power-loss cold restarts; otherwise nodes run memory-only (the
+    scale benchmarks must not pay the logging cost). *)
 
 val default_params : ?fidelity:fidelity -> Types.config -> votes:vote_intent list -> params
 
@@ -101,7 +97,7 @@ type result = {
   bytes : int;
   bb_nodes : Bb_node.t list;      (** full mode only (for auditing) *)
   vc_submit_sets : (int * (int * string) list) list;
-  timed_out : bool;               (** hit [max_sim_time] with events still queued *)
+  timed_out : bool;               (** hit the virtual-time cap with events still queued *)
   dropped : int;                  (** messages lost to drops, cuts, crashes *)
   ucert_conflicts : (int * string * string) list;
   (** conflicting valid UCERTs observed by honest nodes, as (serial,
@@ -118,14 +114,13 @@ type result = {
 
     [run] registers network nodes densely in creation order — VC nodes
     first, then BB nodes, trustees, and clients — so fault plans can
-    target them by id. VC [i] lives on machine [i mod vc_machines], BB
+    target them by id. VC [i] lives on machine [i mod 4] (six cores each), BB
     [j] on machine [100 + j], trustee [k] on [200 + k], client [c] on
     [1000 + c]. *)
 
 val vc_net_node : params -> int -> Dd_sim.Net.node_id
 val bb_net_node : params -> int -> Dd_sim.Net.node_id
 val trustee_net_node : params -> int -> Dd_sim.Net.node_id
-val client_net_node : params -> int -> Dd_sim.Net.node_id
 
 (** The physical machine hosting VC node [i]. *)
 val vc_machine : params -> int -> int

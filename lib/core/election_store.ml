@@ -212,17 +212,17 @@ let fresh_slots ~chunk_size devices cfg =
       (name, Writing (Segment.create_writer ~chunk_size (devices name) ~kind:name)))
     (segment_names cfg)
 
-let run_setup ?scheme ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
+let run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
   let slot = slot_of slots in
   let static =
-    Ea.setup_chunks ?scheme ?pool ~chunk_size ~from_chunk cfg ~seed
+    Ea.setup_chunks ?pool ~chunk_size ~from_chunk cfg ~seed
       ~emit:(append_chunk (Group_ctx.default ()) cfg slot)
   in
   seal_layout cfg slot static
 
-let write_setup ?scheme ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
+let write_setup ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
     ~seed =
-  run_setup ?scheme ?pool ~chunk_size ~slots:(fresh_slots ~chunk_size devices cfg)
+  run_setup ?pool ~chunk_size ~slots:(fresh_slots ~chunk_size devices cfg)
     cfg ~seed ~from_chunk:0
 
 (* The whole in-memory setup goes through [append_chunk] as one chunk;
@@ -249,7 +249,7 @@ let store_setup ?(chunk_size = Ea.default_setup_chunk) devices (s : Ea.setup) =
       st_n_chunks = (cfg.Types.n_voters + chunk_size - 1) / chunk_size;
       st_chunk_size = chunk_size }
 
-let resume_setup ?scheme ?pool ?chunk_size devices cfg ~seed =
+let resume_setup ?pool ?chunk_size devices cfg ~seed =
   (* classify every segment, discovering the on-disk chunk size *)
   let discovered = ref None in
   let see cs =
@@ -312,7 +312,7 @@ let resume_setup ?scheme ?pool ?chunk_size devices cfg ~seed =
   (* from_chunk = max_int means every slot is already sealed: keep it,
      so setup_chunks generates nothing (an O(1) static re-derivation)
      and run_setup merely returns the existing manifests *)
-  run_setup ?scheme ?pool ~chunk_size ~slots cfg ~seed ~from_chunk
+  run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk
 
 let load_layout devices cfg ~seed =
   let manifest name =

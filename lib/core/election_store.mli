@@ -69,7 +69,7 @@ type layout = {
     material at a time. [devices name] supplies the device backing each
     segment (all must be empty). *)
 val write_setup :
-  ?scheme:Auth.scheme -> ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
+  ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   (string -> Device.t) -> Types.config -> seed:string -> layout
 
 (** [store_setup devices s] writes an EA setup already held in memory
@@ -87,7 +87,7 @@ val store_setup :
     run. Also callable over untouched devices (full run) or fully
     sealed ones (no-op reload). *)
 val resume_setup :
-  ?scheme:Auth.scheme -> ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
+  ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   (string -> Device.t) -> Types.config -> seed:string -> layout
 
 (** Reload the manifests of a previously sealed layout without

@@ -26,5 +26,3 @@ let force t =
       | Some w -> w
       | None -> v (* unreachable: the cell is never reset *)
     end
-
-let is_forced t = Atomic.get t.cell <> None

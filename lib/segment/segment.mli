@@ -57,9 +57,6 @@ type manifest = {
 
 val n_chunks : manifest -> int
 
-(** The chunk holding record [index], by binary search. *)
-val chunk_of_index : manifest -> int -> int
-
 (** Top root a sealed segment with these chunk roots must carry. *)
 (* lint: public — a hash commitment over hash commitments *)
 val root_of_chunk_roots : string array -> string
@@ -76,9 +73,6 @@ val create_writer : ?chunk_size:int -> Device.t -> kind:string -> writer
 
 (** Records appended so far (including ones already durable). *)
 val written : writer -> int
-
-(** The writer's chunk size (from the header when resumed). *)
-val writer_chunk_size : writer -> int
 
 val append : writer -> string -> unit
 

@@ -16,15 +16,14 @@ type t = {
   ea_signer : int;                   (* the EA's clique index: cfg.nv *)
   share_tags : bool;
   min_batch : int;
-  cache_cap : int;
   cache : (string, bool) Hashtbl.t;
   st : stats;
 }
 
-let create ?(cache_cap = 65536) ?(min_batch = 4) ~keys ~gctx ~election_id
+let create ?(min_batch = 4) ~keys ~gctx ~election_id
     ~ea_signer ~share_tags () =
   { keys; gctx; election_id; ea_signer; share_tags;
-    min_batch = max 2 min_batch; cache_cap = max 16 cache_cap;
+    min_batch = max 2 min_batch;
     cache = Hashtbl.create 1024;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
 
@@ -39,10 +38,13 @@ let obligation_key t ~signer body tag =
   Messages.put_tag t.gctx w tag;
   Wire.contents w
 
-(* The cache is bounded by epoch flush: past capacity it restarts
-   empty. Misses only cost a serial re-verify, never correctness. *)
+(* The cache is bounded by epoch flush: past [cache_cap] verdicts it
+   restarts empty. Misses only cost a serial re-verify, never
+   correctness. *)
+let cache_cap = 65536
+
 let remember t key v =
-  if Hashtbl.length t.cache >= t.cache_cap then Hashtbl.reset t.cache;
+  if Hashtbl.length t.cache >= cache_cap then Hashtbl.reset t.cache;
   Hashtbl.replace t.cache key v
 
 let verify t ~signer body tag =

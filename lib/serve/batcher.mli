@@ -27,7 +27,6 @@ type stats = {
 type t
 
 val create :
-  ?cache_cap:int ->
   ?min_batch:int ->
   keys:Ddemos.Auth.keys ->
   gctx:Dd_group.Group_ctx.t ->

@@ -394,11 +394,11 @@ let step t =
   write_out t;
   pumped + !processed
 
-let run_until_idle ?(max_steps = 100_000) t =
+let run_until_idle t =
   let total = ref 0 in
   let continue = ref true in
   let steps = ref 0 in
-  while !continue && !steps < max_steps do
+  while !continue && !steps < 100_000 do
     incr steps;
     let n = step t in
     total := !total + n;

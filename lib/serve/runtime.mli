@@ -86,8 +86,8 @@ val accept : t -> node:int -> Transport.conn -> unit
 val step : t -> int
 
 (** Step until a tick processes nothing and all queues drained (or
-    [max_steps]); returns total frames processed. *)
-val run_until_idle : ?max_steps:int -> t -> int
+    100,000 ticks pass); returns total frames processed. *)
+val run_until_idle : t -> int
 
 (** Close the voting phase and start Vote Set Consensus on every VC
     node; keep stepping afterwards to drive it to BB submission. *)

@@ -49,11 +49,11 @@ let conn_of_fd fd : Transport.conn =
     alive = (fun () -> not !dead);
     close = kill }
 
-let listen ?(backlog = 64) ~path () =
+let listen ~path () =
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind fd (ADDR_UNIX path);
-  Unix.listen fd backlog;
+  Unix.listen fd 64 (* backlog *);
   Unix.set_nonblock fd;
   { l_fd = fd; l_path = path; l_open = true }
 

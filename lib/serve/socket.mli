@@ -15,7 +15,7 @@ type listener
 (** Bind and listen on a filesystem path, replacing any stale socket
     file left by a previous run. Raises [Unix.Unix_error] on operator
     errors (bad path, permissions). *)
-val listen : ?backlog:int -> path:string -> unit -> listener
+val listen : path:string -> unit -> listener
 
 (** Accept one pending connection, if any. *)
 val accept : listener -> Transport.conn option

@@ -51,21 +51,20 @@ type t = {
   faults : Fault_plan.t;
   mutable nodes : node array;
   machine_population : (int, int) Hashtbl.t; (* machine -> node count *)
-  contention : int -> float;  (* co-located node count -> service multiplier *)
   mutable messages_sent : int;
   mutable bytes_sent : int;
   mutable messages_dropped : int;  (* drops, cuts, and crash losses *)
 }
 
-(* Default contention curve: up to 3 nodes per machine run at full
-   speed; a 4th overloads the shared memory bus. *)
-let default_contention k = if k <= 3 then 1.0 else 1.0 +. 0.35 *. float_of_int (k - 3)
+(* Contention curve, co-located node count -> service multiplier: up to
+   3 nodes per machine run at full speed; a 4th overloads the shared
+   memory bus. *)
+let contention k = if k <= 3 then 1.0 else 1.0 +. 0.35 *. float_of_int (k - 3)
 
-let create ?(latency = lan) ?(contention = default_contention)
-    ?(faults = Fault_plan.none) engine =
+let create ?(latency = lan) ?(faults = Fault_plan.none) engine =
   { engine; latency; faults; nodes = [||];
     machine_population = Hashtbl.create 16;
-    contention; messages_sent = 0; bytes_sent = 0; messages_dropped = 0 }
+    messages_sent = 0; bytes_sent = 0; messages_dropped = 0 }
 
 let engine t = t.engine
 let now t = Engine.now t.engine
@@ -83,7 +82,7 @@ let node t id =
   t.nodes.(id)
 
 let service_multiplier t n =
-  t.contention (Option.value ~default:1 (Hashtbl.find_opt t.machine_population n.machine))
+  contention (Option.value ~default:1 (Hashtbl.find_opt t.machine_population n.machine))
 
 (* Occupy the earliest-free core of [n] starting no earlier than [from]
    for [cost] seconds; returns the completion time. *)
@@ -114,8 +113,6 @@ let sample_latency t ~src ~dst =
     let base = t.latency.lan_base +. jitter in
     base +. t.latency.wan_extra
   end
-
-let machine_of t id = (node t id).machine
 
 let node_up t id = not (Fault_plan.crashed t.faults ~node:id ~at:(now t))
 

@@ -33,8 +33,7 @@ val wan : ?extra:float -> unit -> latency_model
 type t
 
 val create :
-  ?latency:latency_model -> ?contention:(int -> float) ->
-  ?faults:Fault_plan.t -> Engine.t -> t
+  ?latency:latency_model -> ?faults:Fault_plan.t -> Engine.t -> t
 
 val engine : t -> Engine.t
 val now : t -> float
@@ -46,7 +45,6 @@ val add_node : t -> machine:int -> cores:int -> node_id
 (** Run [action] on [dst]'s CPU for [cost] seconds of service time
     (queued behind earlier work; subject to contention). *)
 val exec : t -> dst:node_id -> cost:float -> (unit -> unit) -> unit
-val exec_at : t -> dst:node_id -> at:float -> cost:float -> (unit -> unit) -> unit
 
 (** Send a message of [size] bytes whose handling costs [cost] CPU
     seconds at the destination; [action] runs at handling completion.
@@ -54,9 +52,6 @@ val exec_at : t -> dst:node_id -> at:float -> cost:float -> (unit -> unit) -> un
     duplication, and the fault plan; same-machine sends only to
     loopback latency (and endpoint crashes). *)
 val send : t -> src:node_id -> dst:node_id -> size:int -> cost:float -> (unit -> unit) -> unit
-
-(** The physical machine a node was registered on. *)
-val machine_of : t -> node_id -> int
 
 (** Is the node not crashed (per the fault plan) at the current virtual
     time? *)

@@ -38,19 +38,3 @@ let min_sample s = List.fold_left min infinity s.samples
 (* Throughput over an explicit window of virtual time. *)
 let throughput ~completed ~duration =
   if duration <= 0. then 0. else float_of_int completed /. duration
-
-type summary = {
-  n : int;
-  mean_v : float;
-  median_v : float;
-  p99_v : float;
-  max_v : float;
-}
-
-let summarize s =
-  { n = s.count; mean_v = mean s; median_v = median s; p99_v = p99 s;
-    max_v = (if s.count = 0 then 0. else max_sample s) }
-
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.4f median=%.4f p99=%.4f max=%.4f"
-    s.n s.mean_v s.median_v s.p99_v s.max_v

@@ -156,11 +156,3 @@ let add_shares gctx a b =
 
 let sum_shares gctx ~x l =
   List.fold_left (add_shares gctx) { x; msg = Nat.zero; rand = Nat.zero } l
-
-let add_aux gctx (a : aux) (b : aux) : aux =
-  if Array.length a <> Array.length b then invalid_arg "Elgamal_vss.add_aux: degree mismatch";
-  Array.mapi (fun i ai -> Elgamal.add gctx ai b.(i)) a
-
-let sum_aux gctx ~threshold l =
-  let zero = Array.make (threshold - 1) (Elgamal.zero_commitment gctx) in
-  List.fold_left (add_aux gctx) zero l

@@ -1,7 +1,7 @@
 (** Verifiable secret sharing of lifted-ElGamal commitment openings:
     shares verify against the public commitment itself (constant term)
-    plus published auxiliary coefficient commitments, and both shares
-    and aux vectors add homomorphically. The trustees' sharing of
+    plus published auxiliary coefficient commitments, and shares add
+    homomorphically. The trustees' sharing of
     option-encoding openings. *)
 
 module Nat = Dd_bignum.Nat
@@ -44,7 +44,4 @@ val verify_shares_batch :
 val reconstruct :
   Dd_group.Group_ctx.t -> threshold:int -> share list -> Elgamal.opening
 
-val add_shares : Dd_group.Group_ctx.t -> share -> share -> share
 val sum_shares : Dd_group.Group_ctx.t -> x:int -> share list -> share
-val add_aux : Dd_group.Group_ctx.t -> aux -> aux -> aux
-val sum_aux : Dd_group.Group_ctx.t -> threshold:int -> aux list -> aux

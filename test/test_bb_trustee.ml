@@ -96,8 +96,7 @@ let test_corrupt_msk_share_tolerated () =
   Bb_node.on_vote_set_submit bb ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
   Bb_node.on_vote_set_submit bb ~sender:1 ~set:(the_set ()) ~msk_share:msk_shares.(1);
   Alcotest.(check bool) "not yet (one bad among three)" true
-    ((Bb_node.published bb).Bb_node.msk <> Some (Ballot_gen.msk ~seed)
-     || (Bb_node.published bb).Bb_node.msk = Some (Ballot_gen.msk ~seed));
+    ((Bb_node.published bb).Bb_node.msk = None);
   Bb_node.on_vote_set_submit bb ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
   match (Bb_node.published bb).Bb_node.msk with
   | Some msk -> Alcotest.(check string) "recovered despite corrupt share" (Ballot_gen.msk ~seed) msk
@@ -171,6 +170,150 @@ let test_full_audit_after_direct_pipeline () =
            (Printf.sprintf "check %s" c.Ddemos.Auditor.name) true c.Ddemos.Auditor.ok)
       checks
 
+(* --- trustee posts in adversarial orders --------------------------------- *)
+
+module Trustee_payload = Ddemos.Trustee_payload
+module Elgamal = Dd_commit.Elgamal
+module Nat = Dd_bignum.Nat
+
+(* Every trustee's posts of an honest run, per trustee in posting order,
+   captured instead of delivered. *)
+let honest_posts =
+  lazy
+    (let posts = Array.make cfg.Types.nt [] in
+     let bbs = make_bbs () in
+     List.iter (fun bb -> submit_all bb) bbs;
+     let s = Lazy.force setup in
+     let exchanges = ref [] in
+     let trustees =
+       Array.init cfg.Types.nt (fun i ->
+           Trustee.create
+             { Trustee.me = i; cfg; gctx = s.Ea.gctx;
+               init = s.Ea.trustee_init.(i);
+               keys = s.Ea.trustee_keys.(i);
+               send_trustee = (fun ~dst ex -> exchanges := (dst, ex) :: !exchanges);
+               post_bb = (fun payload -> posts.(i) <- posts.(i) @ [ payload ]);
+               durable = None })
+     in
+     (match Bb_reader.voted_positions ~cfg bbs with
+      | Bb_reader.Agreed voted -> Array.iter (Trustee.on_election_data ~voted) trustees
+      | Bb_reader.No_majority -> Alcotest.fail "no majority voted view");
+     List.iter (fun (dst, ex) -> Trustee.on_exchange trustees.(dst) ex) (List.rev !exchanges);
+     posts)
+
+(* A Byzantine trustee's version of a post: every opening and tally
+   share carries a wrong message scalar. *)
+let corrupt (payload : Trustee_payload.t) =
+  let bad (sh : Dd_vss.Elgamal_vss.share) = { sh with Dd_vss.Elgamal_vss.msg = Nat.of_int 7 } in
+  match payload with
+  | Trustee_payload.Openings entries ->
+    Trustee_payload.Openings
+      (List.map
+         (fun (e : Trustee_payload.opening_entry) ->
+            { e with
+              Trustee_payload.o_shares = Array.map (Array.map bad) e.Trustee_payload.o_shares })
+         entries)
+  | Trustee_payload.Tally_share { shares; ballots_counted } ->
+    Trustee_payload.Tally_share { shares = Array.map bad shares; ballots_counted }
+  | Trustee_payload.Zk_final _ -> payload
+
+let post bb ~trustee payloads =
+  List.iter (Bb_node.on_trustee_post bb ~trustee) payloads
+
+(* The board state these tests compare: sorted unused-part openings and
+   the tally. *)
+let openings_and_tally bb =
+  let pub = Bb_node.published bb in
+  let openings =
+    Hashtbl.fold
+      (fun (serial, part) (o : Elgamal.opening array array) acc ->
+         let scalars =
+           Array.map
+             (Array.map (fun (op : Elgamal.opening) ->
+                  (Nat.to_hex op.Elgamal.msg, Nat.to_hex op.Elgamal.rand)))
+             o
+         in
+         ((serial, Types.part_index part), scalars) :: acc)
+      pub.Bb_node.unused_openings []
+    |> List.sort compare
+  in
+  (openings, pub.Bb_node.tally)
+
+let honest_board () =
+  let bb = List.hd (make_bbs ()) in
+  submit_all bb;
+  Array.iteri (fun i payloads -> post bb ~trustee:i payloads) (Lazy.force honest_posts);
+  bb
+
+(* Honest, corrupted, honest: the board must search past the newest
+   ht posts to the honest pair. *)
+let post_honest_corrupt_honest bb =
+  let posts = Lazy.force honest_posts in
+  post bb ~trustee:0 posts.(0);
+  post bb ~trustee:1 (List.map corrupt posts.(1));
+  post bb ~trustee:2 posts.(2)
+
+let test_corrupt_trustee_between_honest () =
+  let bb = List.hd (make_bbs ()) in
+  submit_all bb;
+  post_honest_corrupt_honest bb;
+  let openings, tally = openings_and_tally bb in
+  let ref_openings, ref_tally = openings_and_tally (honest_board ()) in
+  Alcotest.(check int) "every unused part opened" (List.length ref_openings)
+    (List.length openings);
+  Alcotest.(check bool) "openings = honest run's" true (openings = ref_openings);
+  Alcotest.(check (option (array int))) "tally = honest run's" ref_tally tally;
+  Alcotest.(check (option (array int))) "tally" (Some [| 1; 1 |]) tally
+
+let test_tally_shares_before_esum () =
+  let bb = List.hd (make_bbs ()) in
+  Array.iteri
+    (fun i payloads ->
+       post bb ~trustee:i
+         (List.filter
+            (function Trustee_payload.Tally_share _ -> true | _ -> false)
+            payloads))
+    (Lazy.force honest_posts);
+  Alcotest.(check bool) "no Esum yet: no tally" true
+    ((Bb_node.published bb).Bb_node.tally = None);
+  submit_all bb;
+  Alcotest.(check (option (array int))) "tally once Esum is computed" (Some [| 1; 1 |])
+    (Bb_node.published bb).Bb_node.tally
+
+let test_trustee_counted_once () =
+  let bb = List.hd (make_bbs ()) in
+  submit_all bb;
+  let openings_of payloads =
+    List.filter (function Trustee_payload.Openings _ -> true | _ -> false) payloads
+  in
+  let posts = Lazy.force honest_posts in
+  (* trustee 0 posts its own shares, then trustee 1's (a different x) *)
+  post bb ~trustee:0 (openings_of posts.(0));
+  post bb ~trustee:0 (openings_of posts.(1));
+  Alcotest.(check int) "one trustee: nothing opened" 0
+    (Hashtbl.length (Bb_node.published bb).Bb_node.unused_openings);
+  post bb ~trustee:2 (openings_of posts.(2));
+  Alcotest.(check bool) "a second trustee opens" true
+    (Hashtbl.mem (Bb_node.published bb).Bb_node.unused_openings (1, Types.A))
+
+let test_recover_replays_trustee_search () =
+  let s = Lazy.force setup in
+  let init, board_for = Lazy.force bb_source in
+  let backing = Dd_store.Device.Mem.create () in
+  let bb =
+    Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
+      ~gctx:s.Ea.gctx ~init ~me:0 ()
+  in
+  submit_all bb;
+  post_honest_corrupt_honest bb;
+  let bb' =
+    Bb_node.recover ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
+      ~gctx:s.Ea.gctx ~init ~me:0 ()
+  in
+  Alcotest.(check bool) "live board published the tally" true
+    ((Bb_node.published bb).Bb_node.tally <> None);
+  Alcotest.(check string) "replay = live" (Bb_node.observable bb) (Bb_node.observable bb')
+
 (* --- majority reader ------------------------------------------------------ *)
 
 let test_reader_majority () =
@@ -207,7 +350,13 @@ let () =
          Alcotest.test_case "corrupt msk share" `Quick test_corrupt_msk_share_tolerated ]);
       ("trustees",
        [ Alcotest.test_case "tally production" `Quick test_trustees_produce_tally;
-         Alcotest.test_case "audit after pipeline" `Quick test_full_audit_after_direct_pipeline ]);
+         Alcotest.test_case "audit after pipeline" `Quick test_full_audit_after_direct_pipeline;
+         Alcotest.test_case "corrupt trustee between honest" `Quick
+           test_corrupt_trustee_between_honest;
+         Alcotest.test_case "tally shares before Esum" `Quick test_tally_shares_before_esum;
+         Alcotest.test_case "trustee counted once" `Quick test_trustee_counted_once;
+         Alcotest.test_case "recover replays trustee posts" `Quick
+           test_recover_replays_trustee_search ]);
       ("bb-reader",
        [ Alcotest.test_case "majority" `Quick test_reader_majority;
          Alcotest.test_case "no majority" `Quick test_reader_no_majority ]) ]
