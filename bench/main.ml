@@ -27,6 +27,7 @@
 
 module Types = Ddemos.Types
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Cost_model = Ddemos.Cost_model
 module Liveness = Ddemos.Liveness
 module Ballot_gen = Ddemos.Ballot_gen
@@ -412,7 +413,8 @@ let micro () =
     let votes =
       List.init 100 (fun i -> { Election.vi_serial = i; Election.vi_choice = i mod 2 })
     in
-    let p = Election.default_params ~fidelity:(Election.Full setup) cfg ~votes in
+    let fidelity = Election.Source (Node_source.of_setup setup) in
+    let p = Election.default_params ~fidelity cfg ~votes in
     let r = Election.run { p with Election.seed = "bench-audit"; concurrent_clients = 16 } in
     match Ddemos.Auditor.assemble ~cfg ~gctx:setup.Ddemos.Ea.gctx r.Election.bb_nodes with
     | Some v -> v

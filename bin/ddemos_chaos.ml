@@ -15,6 +15,7 @@
 
 module Types = Ddemos.Types
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Ea = Ddemos.Ea
 module Auditor = Ddemos.Auditor
 module Bb_reader = Ddemos.Bb_reader
@@ -79,7 +80,9 @@ let f_votes = List.init 5 (fun s -> { Election.vi_serial = s; vi_choice = s mod 
 
 let f_params ~seed =
   let p =
-    Election.default_params ~fidelity:(Election.Full (Lazy.force f_setup)) f_cfg ~votes:f_votes
+    Election.default_params
+      ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force f_setup)))
+      f_cfg ~votes:f_votes
   in
   { p with Election.seed; concurrent_clients = 3; voter_patience = 2.0 }
 

@@ -12,6 +12,7 @@
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Election_store = Ddemos.Election_store
 module Board = Ddemos.Board
 module Auditor = Ddemos.Auditor
@@ -42,6 +43,14 @@ let cfg_of ~voters ~m ~nv ~fv =
   { Types.default_config with
     Types.n_voters = voters; Types.m_options = m; Types.nv; Types.fv }
 
+(* [turnout] voters (all when out of range) spread evenly over the
+   serials, choosing the options round-robin. *)
+let votes_of ~voters ~m turnout =
+  let turnout = if turnout <= 0 || turnout > voters then voters else turnout in
+  ( turnout,
+    List.init turnout (fun i ->
+        { Election.vi_serial = i * (voters / turnout); Election.vi_choice = i mod m }) )
+
 (* Audit the boards' majority view and print every check; exit 1 when no
    majority view assembles or a check fails. *)
 let audit_or_exit ~cfg ~gctx bb_nodes =
@@ -52,6 +61,40 @@ let audit_or_exit ~cfg ~gctx bb_nodes =
     Auditor.pp_checks Format.std_formatter checks;
     Printf.printf "audit: %s\n" (if Auditor.all_ok checks then "PASS" else "FAIL");
     if not (Auditor.all_ok checks) then exit 1
+
+(* Run the election and print its receipts and tally; [detail] adds the
+   latency, phase and expected-tally lines. With [audit], audit the
+   boards of a full-crypto run (exiting 1 on failure). *)
+let run_and_report ~detail ~audit ~turnout (p : Election.params) =
+  let r = Election.run p in
+  Printf.printf "receipts: %d/%d  (bad %d, rejected %d)\n" r.Election.receipts_ok turnout
+    r.Election.receipts_bad r.Election.rejections;
+  if detail then begin
+    Printf.printf "latency: mean %.4fs p99 %.4fs | throughput %.1f votes/s | %d messages\n"
+      (Stats.mean r.Election.latencies) (Stats.p99 r.Election.latencies)
+      r.Election.throughput r.Election.messages;
+    let ph = r.Election.phases in
+    Printf.printf "phases: collection %.3fs, consensus %.3fs, tally %.3fs, publish %.3fs\n"
+      (ph.Election.t_end -. ph.Election.t_first_submit)
+      (ph.Election.t_vsc_done -. ph.Election.t_end)
+      (ph.Election.t_encrypted_tally -. ph.Election.t_vsc_done)
+      (ph.Election.t_published -. ph.Election.t_encrypted_tally)
+  end;
+  let print_counts label counts =
+    print_string label;
+    Array.iteri (fun i c -> Printf.printf "option%d=%d " i c) counts;
+    print_newline ()
+  in
+  (match r.Election.tally with
+   | Some t ->
+     print_counts "tally:   " t;
+     if detail then print_counts "expected " r.Election.expected_tally
+   | None -> print_endline "tally: none published");
+  if audit then
+    match p.Election.fidelity with
+    | Election.Source src ->
+      audit_or_exit ~cfg:p.Election.cfg ~gctx:src.Node_source.sv_gctx r.Election.bb_nodes
+    | Election.Modeled -> print_endline "audit: only available for full-crypto runs"
 
 (* --- run ---------------------------------------------------------------- *)
 
@@ -80,20 +123,13 @@ let run_cmd =
     (match Types.validate_config cfg with
      | Error e -> prerr_endline ("invalid configuration: " ^ e); exit 1
      | Ok () -> ());
-    let turnout = if turnout <= 0 || turnout > voters then voters else turnout in
-    let votes =
-      List.init turnout (fun i ->
-          { Election.vi_serial = i * (voters / turnout); Election.vi_choice = i mod m })
-    in
-    let setup =
-      if modeled then None
+    let turnout, votes = votes_of ~voters ~m turnout in
+    let fidelity =
+      if modeled then Election.Modeled
       else begin
         Printf.printf "EA setup (%d ballots, real crypto)...\n%!" voters;
-        Some (Ea.setup cfg ~seed)
+        Election.Source (Node_source.of_setup (Ea.setup cfg ~seed))
       end
-    in
-    let fidelity =
-      match setup with Some s -> Election.Full s | None -> Election.Modeled
     in
     let p = Election.default_params ~fidelity cfg ~votes in
     let p =
@@ -107,33 +143,7 @@ let run_cmd =
     Printf.printf "running election: n=%d m=%d Nv=%d fv=%d byz=%d cc=%d %s %s\n%!"
       voters m nv fv byzantine clients (if wan then "WAN" else "LAN")
       (if modeled then "(modeled)" else "(full crypto)");
-    let r = Election.run p in
-    Printf.printf "receipts: %d/%d  (bad %d, rejected %d)\n" r.Election.receipts_ok turnout
-      r.Election.receipts_bad r.Election.rejections;
-    Printf.printf "latency: mean %.4fs p99 %.4fs | throughput %.1f votes/s | %d messages\n"
-      (Stats.mean r.Election.latencies) (Stats.p99 r.Election.latencies)
-      r.Election.throughput r.Election.messages;
-    let ph = r.Election.phases in
-    Printf.printf "phases: collection %.3fs, consensus %.3fs, tally %.3fs, publish %.3fs\n"
-      (ph.Election.t_end -. ph.Election.t_first_submit)
-      (ph.Election.t_vsc_done -. ph.Election.t_end)
-      (ph.Election.t_encrypted_tally -. ph.Election.t_vsc_done)
-      (ph.Election.t_published -. ph.Election.t_encrypted_tally);
-    (match r.Election.tally with
-     | Some t ->
-       Printf.printf "tally:   ";
-       Array.iteri (fun i c -> Printf.printf "option%d=%d " i c) t;
-       print_newline ();
-       Printf.printf "expected ";
-       Array.iteri (fun i c -> Printf.printf "option%d=%d " i c) r.Election.expected_tally;
-       print_newline ()
-     | None -> print_endline "tally: none published");
-    if audit then begin
-      match setup with
-      | None -> print_endline "audit: only available for full-crypto runs"
-      | Some s ->
-        audit_or_exit ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes
-    end
+    run_and_report ~detail:true ~audit ~turnout p
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a complete election.")
     Term.(const run $ voters $ options_ $ nv $ fv $ seed
@@ -261,27 +271,12 @@ let deploy_cmd =
         end
       end;
       if run_election then begin
-        let turnout = if turnout <= 0 || turnout > voters then voters else turnout in
-        let votes =
-          List.init turnout (fun i ->
-              { Election.vi_serial = i * (voters / turnout); Election.vi_choice = i mod m })
-        in
-        let fidelity =
-          Election.Stored { Election.sd_devices = devices; Election.sd_layout = layout }
-        in
+        let turnout, votes = votes_of ~voters ~m turnout in
+        let fidelity = Election.Source (Node_source.of_layout ~devices layout) in
         let p = Election.default_params ~fidelity cfg ~votes in
         let p = { p with Election.seed; voter_patience = 5. } in
         Printf.printf "running election from on-disk state: n=%d turnout=%d\n%!" voters turnout;
-        let r = Election.run p in
-        Printf.printf "receipts: %d/%d  (bad %d, rejected %d)\n" r.Election.receipts_ok turnout
-          r.Election.receipts_bad r.Election.rejections;
-        (match r.Election.tally with
-         | Some t ->
-           Printf.printf "tally:   ";
-           Array.iteri (fun i c -> Printf.printf "option%d=%d " i c) t;
-           print_newline ()
-         | None -> print_endline "tally: none published");
-        audit_or_exit ~cfg ~gctx r.Election.bb_nodes
+        run_and_report ~detail:false ~audit:true ~turnout p
       end
     end
   in
@@ -357,7 +352,7 @@ let serve_cmd =
           state_dir state_dir;
         exit 1
     in
-    let source = Runtime.source_of_layout ~devices ~seed layout in
+    let source = Runtime.source_of_layout ~devices layout in
     let params = { Runtime.default_params with Runtime.batching = not no_batch } in
     let t = Runtime.create ~params source in
     let sock_dir = match socket_dir with Some d -> d | None -> state_dir in

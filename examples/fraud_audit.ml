@@ -18,6 +18,7 @@
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
 module Voter = Ddemos.Voter
 module Drbg = Dd_crypto.Drbg
@@ -63,7 +64,8 @@ let run_and_audit ~label (s : Ea.setup) =
   let seed, plan = seed_with_part_b s in
   let r =
     Election.run
-      { (Election.default_params ~fidelity:(Election.Full s) cfg ~votes) with
+      { (Election.default_params
+           ~fidelity:(Election.Source (Node_source.of_setup s)) cfg ~votes) with
         Election.seed; concurrent_clients = 1 }
   in
   Printf.printf "%s: %d receipts issued — the voter sees nothing wrong\n%!" label

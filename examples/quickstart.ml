@@ -15,6 +15,7 @@
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
 
 let () =
@@ -50,7 +51,8 @@ let () =
   Printf.printf "\nRunning the election (5 votes)...\n%!";
   let r =
     Election.run
-      { (Election.default_params ~fidelity:(Election.Full setup) cfg ~votes) with
+      { (Election.default_params
+           ~fidelity:(Election.Source (Node_source.of_setup setup)) cfg ~votes) with
         Election.concurrent_clients = 2; seed = "quickstart-run" }
   in
   Printf.printf "receipts issued and verified by voters: %d/5\n" r.Election.receipts_ok;

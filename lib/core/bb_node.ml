@@ -223,12 +223,13 @@ let try_tally t =
          ~attempt:(open_commitments t [| esum |]))
   | _ -> ()
 
-(* Homomorphic sum of the commitments selected by the final vote set;
-   tally shares already posted are tried against it at once. *)
+(* Homomorphic sum of the commitments selected by the final vote set,
+   once the msk has opened the codes that locate them; tally shares
+   already posted are tried against it at once. *)
 let compute_encrypted_tally t =
-  match t.pub.final_set with
-  | None -> ()
-  | Some set ->
+  match t.pub.final_set, t.pub.opened_codes with
+  | None, _ | _, None -> ()
+  | Some set, Some _ ->
     let m = t.cfg.Types.m_options in
     let zero = Array.make m (Elgamal.zero_commitment t.gctx) in
     let esum =

@@ -57,7 +57,6 @@ type trustee_init = {
 
 type setup = {
   cfg : Types.config;
-  seed : string;
   gctx : Group_ctx.t;
   ballots : Types.ballot array;
   (* authenticator cliques; index nv (resp. nt) is the EA itself *)
@@ -423,7 +422,7 @@ let setup ?pool ?chunk_size (cfg : Types.config) ~seed =
     done
   in
   let st = setup_chunks ?pool ?chunk_size cfg ~seed ~emit in
-  { cfg; seed; gctx = st.st_gctx; ballots;
+  { cfg; gctx = st.st_gctx; ballots;
     vc_keys = st.st_vc_keys; trustee_keys = st.st_trustee_keys;
     vc_init =
       Array.init nv (fun i ->

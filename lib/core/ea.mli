@@ -4,7 +4,8 @@
     with encrypted vote codes and ZK first moves, trustee opening
     shares and ZK prover-state shares — after which the EA is
     destroyed (drop the [setup] value; the malicious-EA tests
-    deliberately keep and corrupt it instead). *)
+    deliberately keep and corrupt it instead). The {!setup} value
+    carries no master seed: it holds only what the EA hands out. *)
 
 module Elgamal = Dd_commit.Elgamal
 module Elgamal_vss = Dd_vss.Elgamal_vss
@@ -52,7 +53,6 @@ type trustee_init = {
 
 type setup = {
   cfg : Types.config;
-  seed : string;  (* lint: secret *)
   gctx : Dd_group.Group_ctx.t;
   ballots : Types.ballot array;      (** distributed to voters *)
   vc_keys : Auth.keys array;         (** clique of nv+1; index nv is the EA *)

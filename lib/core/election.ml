@@ -1,30 +1,32 @@
 (* End-to-end election harness over the discrete-event simulator.
 
-   Three fidelity levels share the identical vote-collection protocol
+   Two fidelity levels share the identical vote-collection protocol
    (real salted-hash validation, real GF(256) receipt shares, real
    Bracha consensus):
 
-   - [Full]: an [Ea.setup] provides real commitments, ZK proofs, VSS
-     shares and Schnorr/MAC authenticators end-to-end, including the
-     trustee and audit phases. Used by tests and examples. The setup is
-     first written into in-memory segments, so every node serves from
-     its own sealed store exactly as under [Stored].
+   - [Source src]: the cluster's election data comes from a
+     [Node_source.t], consumed as-is, as the serving runtime does. Full
+     cryptography comes from sealed segments — an EA setup held in
+     memory ([Node_source.of_setup], tests and examples) or a state dir
+     an earlier setup sealed ([Node_source.of_layout], long-running
+     deployments) — with real commitments, ZK proofs, VSS shares and
+     Schnorr/MAC authenticators end to end, including the trustee and
+     audit phases. Every node serves from its own sealed store.
 
-   - [Stored]: the same, from segments an earlier setup sealed (on
-     disk, for long-running deployments).
+   - [Modeled]: ballots come from the PRF-backed virtual store keyed by
+     the run seed, node authenticators are pairwise MACs, and the
+     post-election crypto is charged to the simulated clock from the
+     cost model without being executed. This is what lets the benchmark
+     sweep the paper's 200,000-ballot (and 250-million-ballot)
+     configurations; the simulated service times always model the
+     paper's signature-based implementation regardless of which
+     authenticator actually runs.
 
-   - [Modeled]: ballots come from the PRF-backed virtual store, node
-     authenticators are pairwise MACs, and the post-election crypto is
-     charged to the simulated clock from the cost model without being
-     executed. This is what lets the benchmark sweep the paper's
-     200,000-ballot (and 250-million-ballot) configurations; the
-     simulated service times always model the paper's signature-based
-     implementation regardless of which authenticator actually runs.
-
-   Clients behave like the paper's load generator: [cc] concurrent
-   closed-loop voters, each submitting its next ballot as soon as the
-   previous receipt arrives, with [d]-patient retry against unresponsive
-   (Byzantine) VC nodes. *)
+   Node RNGs and the consensus coin come from the run's [params], never
+   from the source. Clients behave like the paper's load generator:
+   [cc] concurrent closed-loop voters, each submitting its next ballot
+   as soon as the previous receipt arrives, with [d]-patient retry
+   against unresponsive (Byzantine) VC nodes. *)
 
 module Engine = Dd_sim.Engine
 module Net = Dd_sim.Net
@@ -49,19 +51,8 @@ type byzantine_behavior = Adversary.behavior =
   | Byzantine_consensus
   | Malformed_wire
 
-(* On-disk election state for long-running deployments: one device per
-   segment name (see Election_store.segment_names), all sealed. Every
-   node serves from its own segment with bounded chunk caches — except
-   trustees, which decode their (per-trustee) segment on startup since
-   the publish phase walks every serial anyway. *)
-type stored = {
-  sd_devices : string -> Dd_store.Device.t;
-  sd_layout : Election_store.layout;
-}
-
 type fidelity =
-  | Full of Ea.setup
-  | Stored of stored
+  | Source of Node_source.t
   | Modeled
 
 type params = {
@@ -230,12 +221,10 @@ let run (p : params) : result =
   (* --- election data: keys, stores, boards, trustees, ballots --- *)
   let src =
     match p.fidelity with
-    | Full setup -> Node_source.of_setup ~coin:p.coin setup
-    | Stored sd ->
-      Node_source.of_layout ~devices:sd.sd_devices ~coin:p.coin ~seed:p.seed sd.sd_layout
-    | Modeled -> Node_source.prf ~scheme:Auth.Mac_scheme ~coin:p.coin cfg ~seed:p.seed
+    | Source src -> src
+    | Modeled -> Node_source.prf ~scheme:Auth.Mac_scheme cfg ~seed:p.seed
   in
-  (* full cryptography, [Full] or [Stored] *)
+  (* full cryptography: a source with BB boards *)
   let full_mode = Option.is_some src.Node_source.sv_bb in
   let gctx = src.Node_source.sv_gctx in
 
@@ -511,7 +500,7 @@ let run (p : params) : result =
           ~seed:
             (if gen = 0 then Printf.sprintf "vc-rng|%s|%d" p.seed i
              else Printf.sprintf "vc-rng|%s|%d|g%d" p.seed i gen);
-      consensus_coin = src.Node_source.sv_coin;
+      consensus_coin = p.coin;
       verify_share_tags = src.Node_source.sv_verify_share_tags;
       verify_tag = None;
       durable = device_of vc_backing.(i) }

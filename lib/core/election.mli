@@ -3,14 +3,16 @@
     clients, with Byzantine fault injection and the paper's measurement
     points.
 
-    Fidelity levels share the identical vote-collection protocol.
-    [Stored] runs real cryptography end to end, every node serving from
-    its own sealed segment; [Full] writes an in-memory EA setup into
-    such segments first (tests, examples) and then runs the same way.
-    [Modeled] PRF-derives ballots and charges the post-election crypto
-    to the simulated clock from {!Cost_model}, scaling to hundreds of
-    millions of registered ballots. Each fidelity maps to one
-    {!Node_source} constructor, and the voters are a {!Voter.Pool}. *)
+    Both fidelity levels share the identical vote-collection protocol.
+    [Source] consumes a {!Node_source.t} as-is, exactly as the serving
+    runtime does: {!Node_source.of_setup} serves an in-memory EA setup
+    (tests, examples) and {!Node_source.of_layout} a sealed state dir,
+    both with real cryptography end to end and every node serving from
+    its own sealed segment. [Modeled] PRF-derives ballots from the run
+    seed and charges the post-election crypto to the simulated clock
+    from {!Cost_model}, scaling to hundreds of millions of registered
+    ballots. The node RNGs and the consensus coin come from {!params},
+    never from the source; the voters are a {!Voter.Pool}. *)
 
 module Net = Dd_sim.Net
 module Stats = Dd_sim.Stats
@@ -30,21 +32,11 @@ type byzantine_behavior = Adversary.behavior =
   | Byzantine_consensus  (** corrupts/withholds Vote Set Consensus traffic *)
   | Malformed_wire  (** re-encodes outgoing messages with a flipped byte *)
 
-(** On-disk election state for long-running deployments: a device per
-    segment name (see {!Election_store.segment_names}), all sealed —
-    typically [File_device]s under a [--state-dir]. Nodes serve from
-    their segments with bounded chunk caches (trustees decode their own
-    segment at startup, since the publish phase walks every serial
-    anyway). *)
-type stored = {
-  sd_devices : string -> Dd_store.Device.t;
-  sd_layout : Election_store.layout;
-}
-
 type fidelity =
-  | Full of Ea.setup  (** full cryptography, via in-memory segments *)
-  | Stored of stored  (** full cryptography, served from sealed segments *)
-  | Modeled
+  | Source of Node_source.t
+      (** real election data, e.g. {!Node_source.of_setup} or
+          {!Node_source.of_layout} *)
+  | Modeled  (** PRF ballots keyed by [params.seed], MAC authenticators *)
 
 type params = {
   cfg : Types.config;

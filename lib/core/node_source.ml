@@ -7,11 +7,10 @@ type t = {
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
   sv_ballot_for : int -> Types.ballot;
   sv_verify_share_tags : bool;
-  sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
 }
 
-let prf ?(scheme = Auth.Schnorr_scheme) ?(coin = Dd_consensus.Binary_batch.Local) cfg ~seed =
+let prf ?(scheme = Auth.Schnorr_scheme) cfg ~seed =
   let gctx = Dd_group.Group_ctx.default () in
   { sv_cfg = cfg;
     sv_gctx = gctx;
@@ -23,19 +22,11 @@ let prf ?(scheme = Auth.Schnorr_scheme) ?(coin = Dd_consensus.Binary_batch.Local
     sv_ballot_for =
       (fun serial -> Ballot_gen.voter_ballot ~seed ~serial ~m:cfg.Types.m_options);
     sv_verify_share_tags = false;
-    sv_coin = coin;
     sv_seed = seed }
 
-let of_layout ~devices ?(coin = Dd_consensus.Binary_batch.Local) ?seed
-    (layout : Election_store.layout) =
+let of_layout ~devices (layout : Election_store.layout) =
   let st = layout.Election_store.l_static in
   let cfg = st.Ea.st_cfg in
-  (* the sealed static state does not retain the EA seed (a secret);
-     the node RNG seed only drives timers and coin draws, so any
-     per-deployment string works *)
-  let seed =
-    match seed with Some s -> s | None -> "serve|" ^ cfg.Types.election_id
-  in
   let gctx = st.Ea.st_gctx in
   { sv_cfg = cfg;
     sv_gctx = gctx;
@@ -56,13 +47,15 @@ let of_layout ~devices ?(coin = Dd_consensus.Binary_batch.Local) ?seed
       Some (st.Ea.st_trustee_keys, Election_store.read_trustee_init devices layout);
     sv_ballot_for = Election_store.voter_ballot_reader devices layout;
     sv_verify_share_tags = true;
-    sv_coin = coin;
-    sv_seed = seed }
+    (* no node is seeded from an EA secret: the node RNG seed only
+       drives timers and coin draws, so a public per-election string
+       works *)
+    sv_seed = "serve|" ^ cfg.Types.election_id }
 
 (* Every node reads its own sealed segment, as in the paper, where the
    EA writes each node's initialization data into that node's store;
    here the store is a family of in-memory devices. *)
-let of_setup ?coin (s : Ea.setup) =
+let of_setup (s : Ea.setup) =
   let backings = Hashtbl.create 16 in
   let devices name =
     let b =
@@ -76,4 +69,4 @@ let of_setup ?coin (s : Ea.setup) =
     Dd_store.Device.Mem.device b
   in
   (* lint: allow secret-taint the layout is tainted as a whole by its msk shares, which of_layout hands each to its own collector's store; the flagged comparisons are segment readers checking public manifest roots and lengths *)
-  of_layout ~devices ?coin ~seed:s.Ea.seed (Election_store.store_setup devices s)
+  of_layout ~devices (Election_store.store_setup devices s)

@@ -1,9 +1,12 @@
 (** Where a cluster's election state comes from: keys, per-collector
     ballot stores, BB boards, trustee data and the voters' printed
-    ballots. Two backings, shared by both backends — the simulator's
-    {!Election.run} and the serving runtime build their nodes from the
-    same record: sealed segments for real cryptography ({!of_layout},
-    and {!of_setup} on top of it) and PRF-derived data ({!prf}). *)
+    ballots. This is the one way a cluster receives its election data:
+    the simulator's {!Election.run} and the serving runtime both build
+    their nodes from this record as-is. Two backings: sealed segments
+    for real cryptography ({!of_layout}, and {!of_setup} on top of it)
+    and PRF-derived data ({!prf}). The record carries election data
+    only — the consensus coin is the driver's choice, and no node RNG is
+    seeded from an EA secret. *)
 
 type t = {
   sv_cfg : Types.config;
@@ -18,29 +21,26 @@ type t = {
           [None] without full cryptography *)
   sv_ballot_for : int -> Types.ballot;  (** a voter's printed ballot *)
   sv_verify_share_tags : bool;
-  sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
+      (** seeds node timers and coin draws on the serving runtime (the
+          simulator seeds them from its run seed); public, never an EA
+          secret *)
 }
 
 (** PRF-derived ballots with a real authenticator clique (Schnorr by
     default) — the realistic vote-collection hot path without the full
     EA setup cost. Share tags are modeled away and there are no BB
     nodes or trustees. *)
-val prf :
-  ?scheme:Auth.scheme -> ?coin:Dd_consensus.Binary_batch.coin ->
-  Types.config -> seed:string -> t
+val prf : ?scheme:Auth.scheme -> Types.config -> seed:string -> t
 
 (** Full cryptography served from an {!Election_store} state dir's
-    sealed segments (the long-running deployment mode). [seed] only
-    drives node timers and coin draws; it defaults to a string derived
-    from the election id. *)
-val of_layout :
-  devices:(string -> Dd_store.Device.t) ->
-  ?coin:Dd_consensus.Binary_batch.coin ->
-  ?seed:string ->
-  Election_store.layout -> t
+    sealed segments (the long-running deployment mode). [sv_seed] is
+    ["serve|" ^ election_id]: the sealed state does not retain the EA
+    seed, a secret. *)
+val of_layout : devices:(string -> Dd_store.Device.t) -> Election_store.layout -> t
 
-(** Full fidelity from an EA setup held in memory (tests, examples):
+(** Full cryptography from an EA setup held in memory (tests, examples):
     {!Election_store.store_setup} writes it into in-memory segments,
-    which {!of_layout} then serves with [seed] = the setup's seed. *)
-val of_setup : ?coin:Dd_consensus.Binary_batch.coin -> Ea.setup -> t
+    which {!of_layout} then serves — so this equals {!of_layout} over
+    the same setup written to disk. *)
+val of_setup : Ea.setup -> t

@@ -34,11 +34,9 @@ type source = Ddemos.Node_source.t = {
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
   sv_ballot_for : int -> Types.ballot;
   sv_verify_share_tags : bool;
-  sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
 }
 
-let source_of_setup = Ddemos.Node_source.of_setup
 let source_prf = Ddemos.Node_source.prf
 let source_of_layout = Ddemos.Node_source.of_layout
 
@@ -158,7 +156,7 @@ let make_env t i : Vc_node.env =
          t.staging.(i) := S_client (client, req, outcome) :: !(t.staging.(i)));
     send_bb = (fun ~dst msg -> t.staging.(i) := S_bb (dst, msg) :: !(t.staging.(i)));
     rng = Drbg.create ~seed:(Printf.sprintf "vc-rng|%s|%d" t.src.sv_seed i);
-    consensus_coin = t.src.sv_coin;
+    consensus_coin = Dd_consensus.Binary_batch.Local;
     verify_share_tags = t.src.sv_verify_share_tags;
     verify_tag =
       (if t.p.batching then Some (Batcher.verify t.batchers.(i)) else None);

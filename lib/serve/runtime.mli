@@ -39,8 +39,11 @@ type params = {
 val default_params : params
 
 (** Where the cluster's election state comes from: the simulator's
-    {!Ddemos.Node_source}, re-exported. The runtime hosts no trustees
-    and ignores [sv_trustees] and [sv_ballot_for]. *)
+    {!Ddemos.Node_source}, re-exported and consumed as-is. The runtime
+    hosts no trustees and ignores [sv_trustees] and [sv_ballot_for];
+    its VC nodes seed their RNGs from [sv_seed] and run Vote Set
+    Consensus with the {!Dd_consensus.Binary_batch.Local} coin. An
+    in-memory EA setup is served through {!Ddemos.Node_source.of_setup}. *)
 type source = Ddemos.Node_source.t = {
   sv_cfg : Ddemos.Types.config;
   sv_gctx : Dd_group.Group_ctx.t;
@@ -50,25 +53,16 @@ type source = Ddemos.Node_source.t = {
   sv_trustees : (Ddemos.Auth.keys array * (int -> Ddemos.Ea.trustee_init)) option;
   sv_ballot_for : int -> Ddemos.Types.ballot;
   sv_verify_share_tags : bool;
-  sv_coin : Dd_consensus.Binary_batch.coin;
   sv_seed : string;
 }
 
-(** {!Ddemos.Node_source.of_setup}. *)
-val source_of_setup : ?coin:Dd_consensus.Binary_batch.coin -> Ddemos.Ea.setup -> source
-
 (** {!Ddemos.Node_source.prf}: PRF ballots, a Schnorr clique by default. *)
 val source_prf :
-  ?scheme:Ddemos.Auth.scheme ->
-  ?coin:Dd_consensus.Binary_batch.coin ->
-  Ddemos.Types.config -> seed:string -> source
+  ?scheme:Ddemos.Auth.scheme -> Ddemos.Types.config -> seed:string -> source
 
 (** {!Ddemos.Node_source.of_layout}: full crypto from sealed segments. *)
 val source_of_layout :
-  devices:(string -> Dd_store.Device.t) ->
-  ?coin:Dd_consensus.Binary_batch.coin ->
-  ?seed:string ->
-  Ddemos.Election_store.layout -> source
+  devices:(string -> Dd_store.Device.t) -> Ddemos.Election_store.layout -> source
 
 type t
 

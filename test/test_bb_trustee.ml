@@ -102,6 +102,43 @@ let test_corrupt_msk_share_tolerated () =
   | Some msk -> Alcotest.(check string) "recovered despite corrupt share" (Ballot_gen.msk ~seed) msk
   | None -> Alcotest.fail "msk not reconstructed"
 
+(* Esum sums the commitments the final set's codes select, so it waits
+   for the msk to open those codes: a final set published first must not
+   yield an all-zero Esum. *)
+let test_esum_waits_for_opened_codes () =
+  let s = Lazy.force setup in
+  let init, board_for = Lazy.force bb_source in
+  let backing = Dd_store.Device.Mem.create () in
+  let bb =
+    Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
+      ~gctx:s.Ea.gctx ~init ~me:0 ()
+  in
+  submit_all ~senders:[ 0; 1 ] bb;
+  let pub = Bb_node.published bb in
+  Alcotest.(check bool) "final set published" true (pub.Bb_node.final_set <> None);
+  Alcotest.(check bool) "msk not yet" true (pub.Bb_node.msk = None);
+  Alcotest.(check bool) "no Esum before the msk" true (pub.Bb_node.encrypted_tally = None);
+  submit_all ~senders:[ 2 ] bb;
+  (* a board whose final set and msk complete on the same submission *)
+  let once = List.hd (make_bbs ()) in
+  let msk_shares =
+    Ballot_gen.msk_shares ~seed ~threshold:(cfg.Types.nv - cfg.Types.fv) ~shares:cfg.Types.nv
+  in
+  Bb_node.on_vote_set_submit once ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
+  Bb_node.on_vote_set_submit once ~sender:1 ~set:[] ~msk_share:msk_shares.(1);
+  Bb_node.on_vote_set_submit once ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
+  let esum b =
+    match (Bb_node.published b).Bb_node.encrypted_tally with
+    | Some e -> Array.to_list (Array.map (Dd_commit.Elgamal.encode s.Ea.gctx) e)
+    | None -> Alcotest.fail "no Esum"
+  in
+  Alcotest.(check (list string)) "Esum = all-at-once board's" (esum once) (esum bb);
+  let bb' =
+    Bb_node.recover ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
+      ~gctx:s.Ea.gctx ~init ~me:0 ()
+  in
+  Alcotest.(check string) "replay = live" (Bb_node.observable bb) (Bb_node.observable bb')
+
 (* --- trustees end-to-end over direct wiring ------------------------------ *)
 
 let run_trustee_phase bbs =
@@ -347,7 +384,9 @@ let () =
        [ Alcotest.test_case "final set quorum" `Quick test_final_set_needs_quorum;
          Alcotest.test_case "disagreeing sets" `Quick test_disagreeing_sets_do_not_publish;
          Alcotest.test_case "msk + code opening" `Quick test_msk_reconstruction_and_code_opening;
-         Alcotest.test_case "corrupt msk share" `Quick test_corrupt_msk_share_tolerated ]);
+         Alcotest.test_case "corrupt msk share" `Quick test_corrupt_msk_share_tolerated;
+         Alcotest.test_case "Esum waits for opened codes" `Quick
+           test_esum_waits_for_opened_codes ]);
       ("trustees",
        [ Alcotest.test_case "tally production" `Quick test_trustees_produce_tally;
          Alcotest.test_case "audit after pipeline" `Quick test_full_audit_after_direct_pipeline;

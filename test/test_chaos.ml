@@ -11,6 +11,7 @@
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
 module Bb_reader = Ddemos.Bb_reader
 module Voter = Ddemos.Voter
@@ -26,8 +27,9 @@ let setup = lazy (Ea.setup small_cfg ~seed:"chaos-test")
 
 let run_full ?(seed = "chaos-run") ?(byzantine_vc = []) ?(byzantine_bb = []) votes =
   let p =
-    Election.default_params ~fidelity:(Election.Full (Lazy.force setup)) small_cfg
-      ~votes:(votes_of votes)
+    Election.default_params
+      ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force setup)))
+      small_cfg ~votes:(votes_of votes)
   in
   Election.run
     { p with Election.seed; concurrent_clients = 3; byzantine_vc; byzantine_bb;

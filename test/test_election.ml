@@ -8,6 +8,7 @@
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
 module Voter = Ddemos.Voter
 module Ballot_gen = Ddemos.Ballot_gen
@@ -27,8 +28,9 @@ let setup = lazy (Ea.setup small_cfg ~seed:"itest")
 
 let run_full ?(seed = "run") ?byzantine_vc ?patience ?end_after votes =
   let p =
-    Election.default_params ~fidelity:(Election.Full (Lazy.force setup)) small_cfg
-      ~votes:(votes_of votes)
+    Election.default_params
+      ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force setup)))
+      small_cfg ~votes:(votes_of votes)
   in
   let p = { p with Election.seed; concurrent_clients = 3 } in
   let p = match byzantine_vc with Some b -> { p with Election.byzantine_vc = b } | None -> p in
@@ -281,7 +283,10 @@ let test_malicious_ea_detected () =
   let s = tampered_setup () in
   (* voter 0 votes with part B (so part A is audited), others as usual *)
   let votes = votes_of [ (0, 1); (1, 0); (2, 2) ] in
-  let p = Election.default_params ~fidelity:(Election.Full s) small_cfg ~votes in
+  let p =
+    Election.default_params ~fidelity:(Election.Source (Node_source.of_setup s)) small_cfg
+      ~votes
+  in
   (* try a few seeds until voter 0's coin picks part B; the plan
      derivation is deterministic per seed *)
   let rec find_seed k =
@@ -392,7 +397,8 @@ let test_parallel_audit_at_scale () =
   let s = Ea.setup cfg ~seed:"par-audit" in
   let votes = List.init 32 (fun i -> (i, i mod 2)) in
   let p =
-    Election.default_params ~fidelity:(Election.Full s) cfg ~votes:(votes_of votes)
+    Election.default_params ~fidelity:(Election.Source (Node_source.of_setup s)) cfg
+      ~votes:(votes_of votes)
   in
   let r = Election.run { p with Election.seed = "par-audit"; concurrent_clients = 8 } in
   match Auditor.assemble ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with

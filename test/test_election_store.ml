@@ -8,20 +8,26 @@
      pin, see docs/INVARIANTS.md);
    - the in-memory writer (store_setup) and the streamed one
      (write_setup) produce the same segment bytes;
-   - an election served from sealed segments (Election.Stored) matches
-     its twin run from an in-memory setup (Election.Full): same
-     receipts, same tally, same board root, and the full audit plus a
-     slice audit pass. *)
+   - an election served from sealed segments (Node_source.of_layout)
+     matches its twin run from an in-memory setup (Node_source.of_setup):
+     same receipts, same tally, same board root, and the full audit plus
+     a slice audit pass;
+   - the two sources are one: same node seed and board root, and the
+     serving runtime over either casts the same codes and agrees on the
+     same final sets. *)
 
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
 module Election_store = Ddemos.Election_store
+module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
 module Bb_node = Ddemos.Bb_node
 module Board = Ddemos.Board
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
+module Runtime = Dd_serve.Runtime
+module Loadgen = Dd_serve.Loadgen
 
 let cfg =
   { Types.default_config with
@@ -212,7 +218,7 @@ let test_slice_audit_ignores_other_chunks () =
   | Ok _ -> Alcotest.fail "whole-segment audit must fail"
   | Error _ -> ()
 
-(* --- a Stored election matches its Full twin ---------------------------- *)
+(* --- a sealed-segment election matches its in-memory twin --------------- *)
 
 let test_stored_election_matches_full () =
   let s = Lazy.force setup in
@@ -221,12 +227,10 @@ let test_stored_election_matches_full () =
     let p = Election.default_params ~fidelity cfg ~votes in
     Election.run { p with Election.seed = "stored-run"; concurrent_clients = 3 }
   in
-  let r_full = run (Election.Full s) in
+  let r_full = run (Election.Source (Node_source.of_setup s)) in
   let _tbl, dev = mem_family () in
   let layout = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
-  let r_stored =
-    run (Election.Stored { Election.sd_devices = dev; sd_layout = layout })
-  in
+  let r_stored = run (Election.Source (Node_source.of_layout ~devices:dev layout)) in
   Alcotest.(check int) "same receipts"
     r_full.Election.receipts_ok r_stored.Election.receipts_ok;
   Alcotest.(check (array int)) "same tally"
@@ -249,6 +253,51 @@ let test_stored_election_matches_full () =
       (Auditor.all_ok (Auditor.audit_slice view ~chunk:c))
   done
 
+(* --- one source, however the segments were written ------------------------ *)
+
+(* Serve votes through the runtime, close the election and drive Vote
+   Set Consensus to the boards: the cast codes and every BB's final set. *)
+let serve_run (src : Node_source.t) votes =
+  let t = Runtime.create src in
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.default_params with Loadgen.lg_clients = 3; lg_seed = "sources" }
+      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
+      ~step:(fun () -> Runtime.step t)
+      ~ballot_for:src.Node_source.sv_ballot_for ~nv:cfg.Types.nv
+      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) votes)
+      ()
+  in
+  Runtime.end_election t;
+  ignore (Runtime.run_until_idle t : int);
+  let final_set j =
+    Option.bind (Runtime.bb_node t j) (fun bb -> (Bb_node.published bb).Bb_node.final_set)
+  in
+  (List.sort compare r.Loadgen.successes, List.init cfg.Types.nb final_set)
+
+let test_setup_and_layout_sources_agree () =
+  let mem = Node_source.of_setup (Lazy.force setup) in
+  let _tbl, dev = mem_family () in
+  let disk =
+    Node_source.of_layout ~devices:dev (Election_store.write_setup dev cfg ~seed:"estore")
+  in
+  Alcotest.(check string) "same node seed"
+    mem.Node_source.sv_seed disk.Node_source.sv_seed;
+  let root (src : Node_source.t) =
+    let _init, board_for = req "boards" src.Node_source.sv_bb in
+    Board.root (board_for 0)
+  in
+  Alcotest.(check string) "same board root" (root mem) (root disk);
+  let votes = [ (0, 0); (1, 1); (2, 1); (3, 0); (4, 1); (5, 0) ] in
+  let codes_mem, finals_mem = serve_run mem votes in
+  let codes_disk, finals_disk = serve_run disk votes in
+  Alcotest.(check int) "every vote served" (List.length votes) (List.length codes_mem);
+  Alcotest.(check (list (pair int string))) "same cast codes" codes_mem codes_disk;
+  Alcotest.(check bool) "every BB has a final set" true
+    (List.for_all Option.is_some finals_mem);
+  Alcotest.(check (list (option (list (pair int string))))) "same BB final sets"
+    finals_mem finals_disk
+
 let () =
   Alcotest.run "election_store"
     [ ( "streaming-setup",
@@ -261,4 +310,6 @@ let () =
         [ Alcotest.test_case "slice audit ignores other chunks" `Quick
             test_slice_audit_ignores_other_chunks;
           Alcotest.test_case "stored election matches full" `Quick
-            test_stored_election_matches_full ] ) ]
+            test_stored_election_matches_full;
+          Alcotest.test_case "setup and layout sources agree" `Quick
+            test_setup_and_layout_sources_agree ] ) ]

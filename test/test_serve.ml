@@ -9,6 +9,7 @@ module Ea = Ddemos.Ea
 module Auth = Ddemos.Auth
 module Messages = Ddemos.Messages
 module Election = Ddemos.Election
+module Node_source = Ddemos.Node_source
 module Ballot_gen = Ddemos.Ballot_gen
 module Drbg = Dd_crypto.Drbg
 module Frame = Dd_serve.Frame
@@ -308,20 +309,22 @@ let sorted l = List.sort compare l
 
 (* The same seeded workload through the simulator and through the
    serving runtime must cast the same codes and agree on the final
-   set: the backends share the sans-IO nodes and the voter model, so
-   any divergence is a serving-layer bug. *)
+   set: the backends consume one node source and share the sans-IO
+   nodes and the voter model, so any divergence is a serving-layer
+   bug. *)
 let test_transcript_equivalence () =
   let setup = Lazy.force eq_setup in
+  let src = Node_source.of_setup setup in
   let seed = "serve-eq" in
   let clients = 3 in
   (* simulator run *)
   let p =
-    Election.default_params ~fidelity:(Election.Full setup) eq_cfg
+    Election.default_params ~fidelity:(Election.Source src) eq_cfg
       ~votes:(List.map (fun (s, c) -> { Election.vi_serial = s; Election.vi_choice = c }) eq_votes)
   in
   let sim = Election.run { p with Election.seed; concurrent_clients = clients } in
   (* serving run over duplex pipes, batching on *)
-  let t = Runtime.create (Runtime.source_of_setup setup) in
+  let t = Runtime.create src in
   let lg = { Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = seed } in
   let r =
     Loadgen.run ~params:lg
