@@ -12,7 +12,10 @@ first pair, change first on the second, and so on), so host drift hits
 both sides alike. It prints the per-pair values, how many pairs the
 change won, both medians with their quartiles, the ratio of the medians
 and the gap in units of the parent's quartile distance: the figures a
-wall-clock claim needs (ROADMAP.md, "How to claim a gain here").
+wall-clock claim needs (ROADMAP.md, "How to claim a gain here"). A second
+table follows with both sides' medians and quartiles of every
+`end_to_end` metric BENCHMARK.json names, from the same runs, so one
+command also shows whether anything else got worse.
 
 Which direction is better comes from BENCHMARK.json's metric list, or
 from --better for a metric it does not name. A run that fails or prints
@@ -65,11 +68,14 @@ def value_of(result, metric):
     return float(value) if value is not None else None
 
 
-def better_of(tree, metric, override):
+def spec_of(tree):
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def better_of(spec, metric, override):
     if override:
         return override
-    with open(os.path.join(tree, "BENCHMARK.json")) as f:
-        spec = json.load(f)
     for m in spec.get("end_to_end", []) + spec.get("per_layer", []):
         if m["name"] == metric:
             return m["better"]
@@ -100,21 +106,21 @@ def main():
     try:
         export(args.parent, trees["parent"])
         export(args.change, trees["change"])
-        better = better_of(trees["change"], args.metric, args.better)
-        seconds = args.seconds
-        if seconds is None:
-            with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
-                seconds = json.load(f)["run_seconds"]
+        spec = spec_of(trees["change"])
+        better = better_of(spec, args.metric, args.better)
+        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
         for tree in trees.values():
             build(tree)
 
         rows = []
+        results = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             got = {}
             for side in order:
                 result = run(trees[side], args.workload, seed, seconds)
                 got[side] = value_of(result, args.metric)
+                results[side].append(result)
                 # every run's whole result, for the metrics not tabulated
                 print(f"# seed {seed} {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
             rows.append((seed, order[0], got["parent"], got["change"]))
@@ -157,7 +163,29 @@ def main():
     failed = len(rows) - len(done)
     if failed:
         print(f"{failed} pair(s) left out: a run failed or printed no value.")
+    print_end_to_end(spec, results)
     return 0
+
+
+def print_end_to_end(spec, results):
+    """Median [quartiles] of every end_to_end metric on both sides."""
+    def summary(side, metric):
+        xs = [v for v in (value_of(r, metric) for r in results[side]) if v is not None]
+        if not xs:
+            return "-"
+        q1, q3 = quartiles(xs)
+        return f"{statistics.median(xs):.4g} [{q1:.4g}, {q3:.4g}]"
+
+    print("\nEvery `end_to_end` metric over the same runs, median [quartiles]:\n")
+    print("| metric | better | parent | change |")
+    print("|---|---|---:|---:|")
+    for m in spec.get("end_to_end", []):
+        print(f"| `{m['name']}` ({m['unit']}) | {m['better']} | "
+              f"{summary('parent', m['name'])} | {summary('change', m['name'])} |")
+    for side in ("parent", "change"):
+        bad = sum(1 for r in results[side] if r is None or r.get("failed", 0) != 0)
+        if bad:
+            print(f"\n{side}: {bad} run(s) failed or reported failed operations.")
 
 
 if __name__ == "__main__":

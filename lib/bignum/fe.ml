@@ -1,0 +1,514 @@
+(* Fixed-width field elements for the two curve primes, secp256k1's
+   p = 2^256 - 2^32 - 977 and NIST P-256's
+   p = 2^256 - 2^224 + 2^192 + 2^96 - 1.
+
+   An element is ten 26-bit limbs, little-endian, in an [int array] the
+   caller owns, always fully reduced (in [0, p), every limb < 2^26).
+   26 bits leave room in a 63-bit native int for a whole column of the
+   10 x 10 schoolbook product (ten 52-bit partial products, < 2^56), so
+   a product is 100 multiplications into 19 column sums with no
+   splitting into halves, held in locals: [mul], [sqr], [add], [sub],
+   [neg] and [select] allocate nothing and use no scratch, and [dst]
+   may alias any input.
+
+   Reduction:
+
+   - secp256k1 folds twice: the high columns, carried into ten 26-bit
+     limbs, come down onto the low columns by 2^260 = 2^36 + 15632
+     (mod p), then the few bits above 256 by 2^256 = 2^32 + 977. The
+     value is then below 2p.
+   - P-256 carries the columns into twenty 26-bit limbs, regroups them
+     into sixteen 32-bit words and runs the
+     FIPS 186-4 D.2.3 word-sliding sum; the signed carry out of the top
+     word folds back twice through 2^256 = 2^224 - 2^192 - 2^96 + 1.
+     The value is then below 2^256 < 2p.
+
+   Both end with one conditional subtraction of p done as a mask
+   select, as do [add] and [sub]: no branch anywhere on a value. The
+   limb counts, shifts and carry chains are the same for every input. *)
+
+let mask = (1 lsl 26) - 1
+
+(* The product columns are summed in int64 locals, which the compiler
+   keeps unboxed: no tagging work per multiply. *)
+external ( +! ) : int64 -> int64 -> int64 = "%int64_add"
+external ( *! ) : int64 -> int64 -> int64 = "%int64_mul"
+
+type kind = Secp256k1 | P256
+
+(* The prime's limbs are fields, not an array: a field is immutable
+   shared data. *)
+type field = {
+  kind : kind;
+  prime : Nat.t;
+  p0 : int; p1 : int; p2 : int; p3 : int; p4 : int;
+  p5 : int; p6 : int; p7 : int; p8 : int; p9 : int;
+  inv_e : Nat.t;   (* p - 2 *)
+  sqrt_e : Nat.t;  (* (p + 1) / 4; both primes are 3 mod 4 *)
+}
+
+type t = int array
+
+let make () = Array.make 10 0
+
+(* The ten 26-bit limbs of a value below 2^260, from Nat's (at most
+   five) 62-bit limbs, which are first copied into [dst] itself. *)
+let limbs_of_nat (x : Nat.t) (dst : t) =
+  Array.fill dst 0 10 0;
+  ignore (Nat.to_limbs_into x dst);
+  let l0 = dst.(0) and l1 = dst.(1) and l2 = dst.(2) and l3 = dst.(3) and l4 = dst.(4) in
+  dst.(0) <- l0 land mask;
+  dst.(1) <- (l0 lsr 26) land mask;
+  dst.(2) <- ((l0 lsr 52) lor (l1 lsl 10)) land mask;
+  dst.(3) <- (l1 lsr 16) land mask;
+  dst.(4) <- ((l1 lsr 42) lor (l2 lsl 20)) land mask;
+  dst.(5) <- (l2 lsr 6) land mask;
+  dst.(6) <- (l2 lsr 32) land mask;
+  dst.(7) <- ((l2 lsr 58) lor (l3 lsl 4)) land mask;
+  dst.(8) <- (l3 lsr 22) land mask;
+  dst.(9) <- ((l3 lsr 48) lor (l4 lsl 14)) land mask
+
+let make_field kind hex =
+  let prime = Nat.of_hex hex in
+  let l = make () in
+  limbs_of_nat prime l;
+  { kind; prime;
+    p0 = l.(0); p1 = l.(1); p2 = l.(2); p3 = l.(3); p4 = l.(4);
+    p5 = l.(5); p6 = l.(6); p7 = l.(7); p8 = l.(8); p9 = l.(9);
+    inv_e = Nat.sub prime Nat.two;
+    sqrt_e = Nat.shift_right (Nat.add prime Nat.one) 2 }
+
+let secp256k1 =
+  make_field Secp256k1 "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
+
+let p256 =
+  make_field P256 "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
+
+let of_prime p =
+  if Nat.equal p secp256k1.prime then Some secp256k1
+  else if Nat.equal p p256.prime then Some p256
+  else None
+
+let reduce_secp256k1 (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 =
+  (* the high columns (each < 2^56) carried into ten 26-bit limbs *)
+  let h0_ = c10 in let h0 = h0_ land mask in
+  let h1_ = c11 + (h0_ lsr 26) in let h1 = h1_ land mask in
+  let h2_ = c12 + (h1_ lsr 26) in let h2 = h2_ land mask in
+  let h3_ = c13 + (h2_ lsr 26) in let h3 = h3_ land mask in
+  let h4_ = c14 + (h3_ lsr 26) in let h4 = h4_ land mask in
+  let h5_ = c15 + (h4_ lsr 26) in let h5 = h5_ land mask in
+  let h6_ = c16 + (h5_ lsr 26) in let h6 = h6_ land mask in
+  let h7_ = c17 + (h6_ lsr 26) in let h7 = h7_ land mask in
+  let h8_ = c18 + (h7_ lsr 26) in let h8 = h8_ land mask in
+  let h9 = h8_ lsr 26 in
+  (* fold 1, into the low columns: high limb i lands on column i
+     (x 15632) and column i + 1 (x 2^10); every r_i < 2^57 *)
+  let r0 = c0 + (15632 * h0) in
+  let r1 = c1 + (15632 * h1) + (h0 lsl 10) in
+  let r2 = c2 + (15632 * h2) + (h1 lsl 10) in
+  let r3 = c3 + (15632 * h3) + (h2 lsl 10) in
+  let r4 = c4 + (15632 * h4) + (h3 lsl 10) in
+  let r5 = c5 + (15632 * h5) + (h4 lsl 10) in
+  let r6 = c6 + (15632 * h6) + (h5 lsl 10) in
+  let r7 = c7 + (15632 * h7) + (h6 lsl 10) in
+  let r8 = c8 + (15632 * h8) + (h7 lsl 10) in
+  let r9 = c9 + (15632 * h9) + (h8 lsl 10) in
+  let r10 = h9 lsl 10 in
+  let s0 = r0 land mask in
+  let r1 = r1 + (r0 lsr 26) in let s1 = r1 land mask in
+  let r2 = r2 + (r1 lsr 26) in let s2 = r2 land mask in
+  let r3 = r3 + (r2 lsr 26) in let s3 = r3 land mask in
+  let r4 = r4 + (r3 lsr 26) in let s4 = r4 land mask in
+  let r5 = r5 + (r4 lsr 26) in let s5 = r5 land mask in
+  let r6 = r6 + (r5 lsr 26) in let s6 = r6 land mask in
+  let r7 = r7 + (r6 lsr 26) in let s7 = r7 land mask in
+  let r8 = r8 + (r7 lsr 26) in let s8 = r8 land mask in
+  let r9 = r9 + (r8 lsr 26) in let s9 = r9 land mask in
+  let s10 = r10 + (r9 lsr 26) in
+  (* fold 2, at 2^256 = 2^32 + 977: h < 2^37 leaves v < 2^256 + 2^70 *)
+  let h = (s9 lsr 22) + (s10 lsl 4) in
+  let v0 = s0 + (977 * h) in
+  let v1 = s1 + (h lsl 6) + (v0 lsr 26) in
+  let v0 = v0 land mask in
+  let v2 = s2 + (v1 lsr 26) in let v1 = v1 land mask in
+  let v3 = s3 + (v2 lsr 26) in let v2 = v2 land mask in
+  let v4 = s4 + (v3 lsr 26) in let v3 = v3 land mask in
+  let v5 = s5 + (v4 lsr 26) in let v4 = v4 land mask in
+  let v6 = s6 + (v5 lsr 26) in let v5 = v5 land mask in
+  let v7 = s7 + (v6 lsr 26) in let v6 = v6 land mask in
+  let v8 = s8 + (v7 lsr 26) in let v7 = v7 land mask in
+  let v9 = (s9 land 0x3fffff) + (v8 lsr 26) in let v8 = v8 land mask in
+  (* v < 2p: v >= p iff v + 2^32 + 977 reaches 2^256 *)
+  let t0 = v0 + 977 in
+  let t1 = v1 + 64 + (t0 lsr 26) in
+  let t2 = v2 + (t1 lsr 26) in let t3 = v3 + (t2 lsr 26) in let t4 = v4 + (t3 lsr 26) in let t5 = v5 + (t4 lsr 26) in
+  let t6 = v6 + (t5 lsr 26) in let t7 = v7 + (t6 lsr 26) in let t8 = v8 + (t7 lsr 26) in let t9 = v9 + (t8 lsr 26) in
+  let m = - (t9 lsr 22) in
+  Array.unsafe_set dst 0 ((t0 land mask land m) lor (v0 land lnot m));
+  Array.unsafe_set dst 1 ((t1 land mask land m) lor (v1 land lnot m));
+  Array.unsafe_set dst 2 ((t2 land mask land m) lor (v2 land lnot m));
+  Array.unsafe_set dst 3 ((t3 land mask land m) lor (v3 land lnot m));
+  Array.unsafe_set dst 4 ((t4 land mask land m) lor (v4 land lnot m));
+  Array.unsafe_set dst 5 ((t5 land mask land m) lor (v5 land lnot m));
+  Array.unsafe_set dst 6 ((t6 land mask land m) lor (v6 land lnot m));
+  Array.unsafe_set dst 7 ((t7 land mask land m) lor (v7 land lnot m));
+  Array.unsafe_set dst 8 ((t8 land mask land m) lor (v8 land lnot m));
+  Array.unsafe_set dst 9 ((t9 land 0x3fffff land m) lor (v9 land lnot m))
+
+let reduce_p256 (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 =
+  (* the columns (each < 2^56) carried into twenty 26-bit limbs *)
+  let l0_ = c0 in let l0 = l0_ land mask in
+  let l1_ = c1 + (l0_ lsr 26) in let l1 = l1_ land mask in
+  let l2_ = c2 + (l1_ lsr 26) in let l2 = l2_ land mask in
+  let l3_ = c3 + (l2_ lsr 26) in let l3 = l3_ land mask in
+  let l4_ = c4 + (l3_ lsr 26) in let l4 = l4_ land mask in
+  let l5_ = c5 + (l4_ lsr 26) in let l5 = l5_ land mask in
+  let l6_ = c6 + (l5_ lsr 26) in let l6 = l6_ land mask in
+  let l7_ = c7 + (l6_ lsr 26) in let l7 = l7_ land mask in
+  let l8_ = c8 + (l7_ lsr 26) in let l8 = l8_ land mask in
+  let l9_ = c9 + (l8_ lsr 26) in let l9 = l9_ land mask in
+  let l10_ = c10 + (l9_ lsr 26) in let l10 = l10_ land mask in
+  let l11_ = c11 + (l10_ lsr 26) in let l11 = l11_ land mask in
+  let l12_ = c12 + (l11_ lsr 26) in let l12 = l12_ land mask in
+  let l13_ = c13 + (l12_ lsr 26) in let l13 = l13_ land mask in
+  let l14_ = c14 + (l13_ lsr 26) in let l14 = l14_ land mask in
+  let l15_ = c15 + (l14_ lsr 26) in let l15 = l15_ land mask in
+  let l16_ = c16 + (l15_ lsr 26) in let l16 = l16_ land mask in
+  let l17_ = c17 + (l16_ lsr 26) in let l17 = l17_ land mask in
+  let l18_ = c18 + (l17_ lsr 26) in let l18 = l18_ land mask in
+  let l19 = l18_ lsr 26 in
+  (* the 16 32-bit words of the product *)
+  let w0 = (l0 lor (l1 lsl 26)) land 0xffffffff in
+  let w1 = ((l1 lsr 6) lor (l2 lsl 20)) land 0xffffffff in
+  let w2 = ((l2 lsr 12) lor (l3 lsl 14)) land 0xffffffff in
+  let w3 = ((l3 lsr 18) lor (l4 lsl 8)) land 0xffffffff in
+  let w4 = ((l4 lsr 24) lor (l5 lsl 2) lor (l6 lsl 28)) land 0xffffffff in
+  let w5 = ((l6 lsr 4) lor (l7 lsl 22)) land 0xffffffff in
+  let w6 = ((l7 lsr 10) lor (l8 lsl 16)) land 0xffffffff in
+  let w7 = ((l8 lsr 16) lor (l9 lsl 10)) land 0xffffffff in
+  let w8 = ((l9 lsr 22) lor (l10 lsl 4) lor (l11 lsl 30)) land 0xffffffff in
+  let w9 = ((l11 lsr 2) lor (l12 lsl 24)) land 0xffffffff in
+  let w10 = ((l12 lsr 8) lor (l13 lsl 18)) land 0xffffffff in
+  let w11 = ((l13 lsr 14) lor (l14 lsl 12)) land 0xffffffff in
+  let w12 = ((l14 lsr 20) lor (l15 lsl 6)) land 0xffffffff in
+  let w13 = (l16 lor (l17 lsl 26)) land 0xffffffff in
+  let w14 = ((l17 lsr 6) lor (l18 lsl 20)) land 0xffffffff in
+  let w15 = ((l18 lsr 12) lor (l19 lsl 14)) land 0xffffffff in
+  (* FIPS 186-4 D.2.3: signed per-word sums, each of magnitude < 2^35 *)
+  let d0 = w0 + w8 + w9 - w11 - w12 - w13 - w14 in
+  let d1 = w1 + w9 + w10 - w12 - w13 - w14 - w15 in
+  let d2 = w2 + w10 + w11 - w13 - w14 - w15 in
+  let d3 = w3 + (2 * w11) + (2 * w12) + w13 - w15 - w8 - w9 in
+  let d4 = w4 + (2 * w12) + (2 * w13) + w14 - w9 - w10 in
+  let d5 = w5 + (2 * w13) + (2 * w14) + w15 - w10 - w11 in
+  let d6 = w6 + w13 + (3 * w14) + (2 * w15) - w8 - w9 in
+  let d7 = w7 + w8 + (3 * w15) - w10 - w11 - w12 - w13 in
+  (* the signed carry out of the top word is -4 <= e1 <= 6 *)
+  let g0 = d0 land 0xffffffff and k = d0 asr 32 in
+  let x = d1 + k in let g1 = x land 0xffffffff and k = x asr 32 in
+  let x = d2 + k in let g2 = x land 0xffffffff and k = x asr 32 in
+  let x = d3 + k in let g3 = x land 0xffffffff and k = x asr 32 in
+  let x = d4 + k in let g4 = x land 0xffffffff and k = x asr 32 in
+  let x = d5 + k in let g5 = x land 0xffffffff and k = x asr 32 in
+  let x = d6 + k in let g6 = x land 0xffffffff and k = x asr 32 in
+  let x = d7 + k in let g7 = x land 0xffffffff and e1 = x asr 32 in
+  (* fold e1 * 2^256 = e1 * (2^224 - 2^192 - 2^96 + 1), twice *)
+  let g0 = g0 + e1 and g3 = g3 - e1 and g6 = g6 - e1 and g7 = g7 + e1 in
+  let h0 = g0 land 0xffffffff and k = g0 asr 32 in
+  let x = g1 + k in let h1 = x land 0xffffffff and k = x asr 32 in
+  let x = g2 + k in let h2 = x land 0xffffffff and k = x asr 32 in
+  let x = g3 + k in let h3 = x land 0xffffffff and k = x asr 32 in
+  let x = g4 + k in let h4 = x land 0xffffffff and k = x asr 32 in
+  let x = g5 + k in let h5 = x land 0xffffffff and k = x asr 32 in
+  let x = g6 + k in let h6 = x land 0xffffffff and k = x asr 32 in
+  let x = g7 + k in let h7 = x land 0xffffffff and e2 = x asr 32 in
+  let h0 = h0 + e2 and h3 = h3 - e2 and h6 = h6 - e2 and h7 = h7 + e2 in
+  let v0 = h0 land 0xffffffff and k = h0 asr 32 in
+  let x = h1 + k in let v1 = x land 0xffffffff and k = x asr 32 in
+  let x = h2 + k in let v2 = x land 0xffffffff and k = x asr 32 in
+  let x = h3 + k in let v3 = x land 0xffffffff and k = x asr 32 in
+  let x = h4 + k in let v4 = x land 0xffffffff and k = x asr 32 in
+  let x = h5 + k in let v5 = x land 0xffffffff and k = x asr 32 in
+  let x = h6 + k in let v6 = x land 0xffffffff and k = x asr 32 in
+  let x = h7 + k in let v7 = x land 0xffffffff and _e3 = x asr 32 in
+  (* v < 2p: v >= p iff v + 2^256 - p reaches 2^256 *)
+  let u0 = v0 + 1 and u3 = v3 - 1 and u6 = v6 - 1 and u7 = v7 + 1 in
+  let u1 = v1 and u2 = v2 and u4 = v4 and u5 = v5 in
+  let t0 = u0 land 0xffffffff and k = u0 asr 32 in
+  let x = u1 + k in let t1 = x land 0xffffffff and k = x asr 32 in
+  let x = u2 + k in let t2 = x land 0xffffffff and k = x asr 32 in
+  let x = u3 + k in let t3 = x land 0xffffffff and k = x asr 32 in
+  let x = u4 + k in let t4 = x land 0xffffffff and k = x asr 32 in
+  let x = u5 + k in let t5 = x land 0xffffffff and k = x asr 32 in
+  let x = u6 + k in let t6 = x land 0xffffffff and k = x asr 32 in
+  let x = u7 + k in let t7 = x land 0xffffffff and top = x asr 32 in
+  let m = - top in
+  let z0 = (t0 land m) lor (v0 land lnot m) and z1 = (t1 land m) lor (v1 land lnot m) and z2 = (t2 land m) lor (v2 land lnot m) and z3 = (t3 land m) lor (v3 land lnot m) in
+  let z4 = (t4 land m) lor (v4 land lnot m) and z5 = (t5 land m) lor (v5 land lnot m) and z6 = (t6 land m) lor (v6 land lnot m) and z7 = (t7 land m) lor (v7 land lnot m) in
+  Array.unsafe_set dst 0 ((z0) land mask);
+  Array.unsafe_set dst 1 (((z0 lsr 26) lor (z1 lsl 6)) land mask);
+  Array.unsafe_set dst 2 (((z1 lsr 20) lor (z2 lsl 12)) land mask);
+  Array.unsafe_set dst 3 (((z2 lsr 14) lor (z3 lsl 18)) land mask);
+  Array.unsafe_set dst 4 (((z3 lsr 8) lor (z4 lsl 24)) land mask);
+  Array.unsafe_set dst 5 (((z4 lsr 2)) land mask);
+  Array.unsafe_set dst 6 (((z4 lsr 28) lor (z5 lsl 4)) land mask);
+  Array.unsafe_set dst 7 (((z5 lsr 22) lor (z6 lsl 10)) land mask);
+  Array.unsafe_set dst 8 (((z6 lsr 16) lor (z7 lsl 16)) land mask);
+  Array.unsafe_set dst 9 (((z7 lsr 10)) land mask)
+
+let mul f (dst : t) (a : t) (b : t) =
+  let a0 = Int64.of_int (Array.unsafe_get a 0) and a1 = Int64.of_int (Array.unsafe_get a 1) and a2 = Int64.of_int (Array.unsafe_get a 2) and a3 = Int64.of_int (Array.unsafe_get a 3) and a4 = Int64.of_int (Array.unsafe_get a 4) in
+  let a5 = Int64.of_int (Array.unsafe_get a 5) and a6 = Int64.of_int (Array.unsafe_get a 6) and a7 = Int64.of_int (Array.unsafe_get a 7) and a8 = Int64.of_int (Array.unsafe_get a 8) and a9 = Int64.of_int (Array.unsafe_get a 9) in
+  let b0 = Int64.of_int (Array.unsafe_get b 0) and b1 = Int64.of_int (Array.unsafe_get b 1) and b2 = Int64.of_int (Array.unsafe_get b 2) and b3 = Int64.of_int (Array.unsafe_get b 3) and b4 = Int64.of_int (Array.unsafe_get b 4) in
+  let b5 = Int64.of_int (Array.unsafe_get b 5) and b6 = Int64.of_int (Array.unsafe_get b 6) and b7 = Int64.of_int (Array.unsafe_get b 7) and b8 = Int64.of_int (Array.unsafe_get b 8) and b9 = Int64.of_int (Array.unsafe_get b 9) in
+  let c0 = Int64.to_int (a0 *! b0) in
+  let c1 = Int64.to_int (a0 *! b1 +! a1 *! b0) in
+  let c2 = Int64.to_int (a0 *! b2 +! a1 *! b1 +! a2 *! b0) in
+  let c3 = Int64.to_int (a0 *! b3 +! a1 *! b2 +! a2 *! b1 +! a3 *! b0) in
+  let c4 = Int64.to_int (a0 *! b4 +! a1 *! b3 +! a2 *! b2 +! a3 *! b1 +! a4 *! b0) in
+  let c5 = Int64.to_int (a0 *! b5 +! a1 *! b4 +! a2 *! b3 +! a3 *! b2 +! a4 *! b1 +! a5 *! b0) in
+  let c6 = Int64.to_int (a0 *! b6 +! a1 *! b5 +! a2 *! b4 +! a3 *! b3 +! a4 *! b2 +! a5 *! b1 +! a6 *! b0) in
+  let c7 = Int64.to_int (a0 *! b7 +! a1 *! b6 +! a2 *! b5 +! a3 *! b4 +! a4 *! b3 +! a5 *! b2 +! a6 *! b1 +! a7 *! b0) in
+  let c8 = Int64.to_int (a0 *! b8 +! a1 *! b7 +! a2 *! b6 +! a3 *! b5 +! a4 *! b4 +! a5 *! b3 +! a6 *! b2 +! a7 *! b1 +! a8 *! b0) in
+  let c9 = Int64.to_int (a0 *! b9 +! a1 *! b8 +! a2 *! b7 +! a3 *! b6 +! a4 *! b5 +! a5 *! b4 +! a6 *! b3 +! a7 *! b2 +! a8 *! b1 +! a9 *! b0) in
+  let c10 = Int64.to_int (a1 *! b9 +! a2 *! b8 +! a3 *! b7 +! a4 *! b6 +! a5 *! b5 +! a6 *! b4 +! a7 *! b3 +! a8 *! b2 +! a9 *! b1) in
+  let c11 = Int64.to_int (a2 *! b9 +! a3 *! b8 +! a4 *! b7 +! a5 *! b6 +! a6 *! b5 +! a7 *! b4 +! a8 *! b3 +! a9 *! b2) in
+  let c12 = Int64.to_int (a3 *! b9 +! a4 *! b8 +! a5 *! b7 +! a6 *! b6 +! a7 *! b5 +! a8 *! b4 +! a9 *! b3) in
+  let c13 = Int64.to_int (a4 *! b9 +! a5 *! b8 +! a6 *! b7 +! a7 *! b6 +! a8 *! b5 +! a9 *! b4) in
+  let c14 = Int64.to_int (a5 *! b9 +! a6 *! b8 +! a7 *! b7 +! a8 *! b6 +! a9 *! b5) in
+  let c15 = Int64.to_int (a6 *! b9 +! a7 *! b8 +! a8 *! b7 +! a9 *! b6) in
+  let c16 = Int64.to_int (a7 *! b9 +! a8 *! b8 +! a9 *! b7) in
+  let c17 = Int64.to_int (a8 *! b9 +! a9 *! b8) in
+  let c18 = Int64.to_int (a9 *! b9) in
+  match f.kind with
+  | Secp256k1 -> reduce_secp256k1 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
+  | P256 -> reduce_p256 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
+
+let sqr f (dst : t) (a : t) =
+  let a0 = Int64.of_int (Array.unsafe_get a 0) and a1 = Int64.of_int (Array.unsafe_get a 1) and a2 = Int64.of_int (Array.unsafe_get a 2) and a3 = Int64.of_int (Array.unsafe_get a 3) and a4 = Int64.of_int (Array.unsafe_get a 4) in
+  let a5 = Int64.of_int (Array.unsafe_get a 5) and a6 = Int64.of_int (Array.unsafe_get a 6) and a7 = Int64.of_int (Array.unsafe_get a 7) and a8 = Int64.of_int (Array.unsafe_get a 8) and a9 = Int64.of_int (Array.unsafe_get a 9) in
+  let d0 = a0 +! a0 in
+  let d1 = a1 +! a1 in
+  let d2 = a2 +! a2 in
+  let d3 = a3 +! a3 in
+  let d4 = a4 +! a4 in
+  let d5 = a5 +! a5 in
+  let d6 = a6 +! a6 in
+  let d7 = a7 +! a7 in
+  let d8 = a8 +! a8 in
+  let c0 = Int64.to_int (a0 *! a0) in
+  let c1 = Int64.to_int (d0 *! a1) in
+  let c2 = Int64.to_int (d0 *! a2 +! a1 *! a1) in
+  let c3 = Int64.to_int (d0 *! a3 +! d1 *! a2) in
+  let c4 = Int64.to_int (d0 *! a4 +! d1 *! a3 +! a2 *! a2) in
+  let c5 = Int64.to_int (d0 *! a5 +! d1 *! a4 +! d2 *! a3) in
+  let c6 = Int64.to_int (d0 *! a6 +! d1 *! a5 +! d2 *! a4 +! a3 *! a3) in
+  let c7 = Int64.to_int (d0 *! a7 +! d1 *! a6 +! d2 *! a5 +! d3 *! a4) in
+  let c8 = Int64.to_int (d0 *! a8 +! d1 *! a7 +! d2 *! a6 +! d3 *! a5 +! a4 *! a4) in
+  let c9 = Int64.to_int (d0 *! a9 +! d1 *! a8 +! d2 *! a7 +! d3 *! a6 +! d4 *! a5) in
+  let c10 = Int64.to_int (d1 *! a9 +! d2 *! a8 +! d3 *! a7 +! d4 *! a6 +! a5 *! a5) in
+  let c11 = Int64.to_int (d2 *! a9 +! d3 *! a8 +! d4 *! a7 +! d5 *! a6) in
+  let c12 = Int64.to_int (d3 *! a9 +! d4 *! a8 +! d5 *! a7 +! a6 *! a6) in
+  let c13 = Int64.to_int (d4 *! a9 +! d5 *! a8 +! d6 *! a7) in
+  let c14 = Int64.to_int (d5 *! a9 +! d6 *! a8 +! a7 *! a7) in
+  let c15 = Int64.to_int (d6 *! a9 +! d7 *! a8) in
+  let c16 = Int64.to_int (d7 *! a9 +! a8 *! a8) in
+  let c17 = Int64.to_int (d8 *! a9) in
+  let c18 = Int64.to_int (a9 *! a9) in
+  match f.kind with
+  | Secp256k1 -> reduce_secp256k1 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
+  | P256 -> reduce_p256 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
+
+let add f (dst : t) (a : t) (b : t) =
+  let s0 = Array.unsafe_get a 0 + Array.unsafe_get b 0 in
+  let s1 = Array.unsafe_get a 1 + Array.unsafe_get b 1 + (s0 lsr 26) in
+  let s2 = Array.unsafe_get a 2 + Array.unsafe_get b 2 + (s1 lsr 26) in
+  let s3 = Array.unsafe_get a 3 + Array.unsafe_get b 3 + (s2 lsr 26) in
+  let s4 = Array.unsafe_get a 4 + Array.unsafe_get b 4 + (s3 lsr 26) in
+  let s5 = Array.unsafe_get a 5 + Array.unsafe_get b 5 + (s4 lsr 26) in
+  let s6 = Array.unsafe_get a 6 + Array.unsafe_get b 6 + (s5 lsr 26) in
+  let s7 = Array.unsafe_get a 7 + Array.unsafe_get b 7 + (s6 lsr 26) in
+  let s8 = Array.unsafe_get a 8 + Array.unsafe_get b 8 + (s7 lsr 26) in
+  let s9 = Array.unsafe_get a 9 + Array.unsafe_get b 9 + (s8 lsr 26) in
+  let s0 = s0 land mask in
+  let s1 = s1 land mask in
+  let s2 = s2 land mask in
+  let s3 = s3 land mask in
+  let s4 = s4 land mask in
+  let s5 = s5 land mask in
+  let s6 = s6 land mask in
+  let s7 = s7 land mask in
+  let s8 = s8 land mask in
+  let t0 = s0 - f.p0 in
+  let t1 = s1 - f.p1 + (t0 asr 26) in
+  let t2 = s2 - f.p2 + (t1 asr 26) in
+  let t3 = s3 - f.p3 + (t2 asr 26) in
+  let t4 = s4 - f.p4 + (t3 asr 26) in
+  let t5 = s5 - f.p5 + (t4 asr 26) in
+  let t6 = s6 - f.p6 + (t5 asr 26) in
+  let t7 = s7 - f.p7 + (t6 asr 26) in
+  let t8 = s8 - f.p8 + (t7 asr 26) in
+  let t9 = s9 - f.p9 + (t8 asr 26) in
+  let m = t9 asr 26 in
+  Array.unsafe_set dst 0 ((s0 land m) lor (t0 land mask land lnot m));
+  Array.unsafe_set dst 1 ((s1 land m) lor (t1 land mask land lnot m));
+  Array.unsafe_set dst 2 ((s2 land m) lor (t2 land mask land lnot m));
+  Array.unsafe_set dst 3 ((s3 land m) lor (t3 land mask land lnot m));
+  Array.unsafe_set dst 4 ((s4 land m) lor (t4 land mask land lnot m));
+  Array.unsafe_set dst 5 ((s5 land m) lor (t5 land mask land lnot m));
+  Array.unsafe_set dst 6 ((s6 land m) lor (t6 land mask land lnot m));
+  Array.unsafe_set dst 7 ((s7 land m) lor (t7 land mask land lnot m));
+  Array.unsafe_set dst 8 ((s8 land m) lor (t8 land mask land lnot m));
+  Array.unsafe_set dst 9 ((s9 land m) lor (t9 land mask land lnot m))
+
+let sub f (dst : t) (a : t) (b : t) =
+  let d0 = Array.unsafe_get a 0 - Array.unsafe_get b 0 in
+  let d1 = Array.unsafe_get a 1 - Array.unsafe_get b 1 + (d0 asr 26) in
+  let d2 = Array.unsafe_get a 2 - Array.unsafe_get b 2 + (d1 asr 26) in
+  let d3 = Array.unsafe_get a 3 - Array.unsafe_get b 3 + (d2 asr 26) in
+  let d4 = Array.unsafe_get a 4 - Array.unsafe_get b 4 + (d3 asr 26) in
+  let d5 = Array.unsafe_get a 5 - Array.unsafe_get b 5 + (d4 asr 26) in
+  let d6 = Array.unsafe_get a 6 - Array.unsafe_get b 6 + (d5 asr 26) in
+  let d7 = Array.unsafe_get a 7 - Array.unsafe_get b 7 + (d6 asr 26) in
+  let d8 = Array.unsafe_get a 8 - Array.unsafe_get b 8 + (d7 asr 26) in
+  let d9 = Array.unsafe_get a 9 - Array.unsafe_get b 9 + (d8 asr 26) in
+  let m = d9 asr 26 in
+  let t0 = (d0 land mask) + (f.p0 land m) in
+  let t1 = (d1 land mask) + (f.p1 land m) + (t0 lsr 26) in
+  let t2 = (d2 land mask) + (f.p2 land m) + (t1 lsr 26) in
+  let t3 = (d3 land mask) + (f.p3 land m) + (t2 lsr 26) in
+  let t4 = (d4 land mask) + (f.p4 land m) + (t3 lsr 26) in
+  let t5 = (d5 land mask) + (f.p5 land m) + (t4 lsr 26) in
+  let t6 = (d6 land mask) + (f.p6 land m) + (t5 lsr 26) in
+  let t7 = (d7 land mask) + (f.p7 land m) + (t6 lsr 26) in
+  let t8 = (d8 land mask) + (f.p8 land m) + (t7 lsr 26) in
+  let t9 = (d9 land mask) + (f.p9 land m) + (t8 lsr 26) in
+  Array.unsafe_set dst 0 (t0 land mask);
+  Array.unsafe_set dst 1 (t1 land mask);
+  Array.unsafe_set dst 2 (t2 land mask);
+  Array.unsafe_set dst 3 (t3 land mask);
+  Array.unsafe_set dst 4 (t4 land mask);
+  Array.unsafe_set dst 5 (t5 land mask);
+  Array.unsafe_set dst 6 (t6 land mask);
+  Array.unsafe_set dst 7 (t7 land mask);
+  Array.unsafe_set dst 8 (t8 land mask);
+  Array.unsafe_set dst 9 (t9 land mask)
+
+let neg f (dst : t) (a : t) =
+  let d0 = - Array.unsafe_get a 0 in
+  let d1 = (d0 asr 26) - Array.unsafe_get a 1 in
+  let d2 = (d1 asr 26) - Array.unsafe_get a 2 in
+  let d3 = (d2 asr 26) - Array.unsafe_get a 3 in
+  let d4 = (d3 asr 26) - Array.unsafe_get a 4 in
+  let d5 = (d4 asr 26) - Array.unsafe_get a 5 in
+  let d6 = (d5 asr 26) - Array.unsafe_get a 6 in
+  let d7 = (d6 asr 26) - Array.unsafe_get a 7 in
+  let d8 = (d7 asr 26) - Array.unsafe_get a 8 in
+  let d9 = (d8 asr 26) - Array.unsafe_get a 9 in
+  let m = d9 asr 26 in
+  let t0 = (d0 land mask) + (f.p0 land m) in
+  let t1 = (d1 land mask) + (f.p1 land m) + (t0 lsr 26) in
+  let t2 = (d2 land mask) + (f.p2 land m) + (t1 lsr 26) in
+  let t3 = (d3 land mask) + (f.p3 land m) + (t2 lsr 26) in
+  let t4 = (d4 land mask) + (f.p4 land m) + (t3 lsr 26) in
+  let t5 = (d5 land mask) + (f.p5 land m) + (t4 lsr 26) in
+  let t6 = (d6 land mask) + (f.p6 land m) + (t5 lsr 26) in
+  let t7 = (d7 land mask) + (f.p7 land m) + (t6 lsr 26) in
+  let t8 = (d8 land mask) + (f.p8 land m) + (t7 lsr 26) in
+  let t9 = (d9 land mask) + (f.p9 land m) + (t8 lsr 26) in
+  Array.unsafe_set dst 0 (t0 land mask);
+  Array.unsafe_set dst 1 (t1 land mask);
+  Array.unsafe_set dst 2 (t2 land mask);
+  Array.unsafe_set dst 3 (t3 land mask);
+  Array.unsafe_set dst 4 (t4 land mask);
+  Array.unsafe_set dst 5 (t5 land mask);
+  Array.unsafe_set dst 6 (t6 land mask);
+  Array.unsafe_set dst 7 (t7 land mask);
+  Array.unsafe_set dst 8 (t8 land mask);
+  Array.unsafe_set dst 9 (t9 land mask)
+
+let set (dst : t) (src : t) = Array.blit src 0 dst 0 10
+
+(* Long-lived copies (the comb tables) hold two limbs per word: five
+   words at [buf.(off .. off + 4)], limb 2k in the low 26 bits of word
+   k and limb 2k + 1 above it. *)
+let pack (x : t) (buf : int array) off =
+  for k = 0 to 4 do
+    buf.(off + k) <- Array.unsafe_get x (2 * k) lor (Array.unsafe_get x ((2 * k) + 1) lsl 26)
+  done
+
+let unpack (buf : int array) off (dst : t) =
+  for k = 0 to 4 do
+    let w = buf.(off + k) in
+    Array.unsafe_set dst (2 * k) (w land mask);
+    Array.unsafe_set dst ((2 * k) + 1) (w lsr 26)
+  done
+
+let set_one (dst : t) =
+  Array.fill dst 1 9 0;
+  dst.(0) <- 1
+
+(* dst := a if c = 1, b if c = 0. *)
+let select (dst : t) c (a : t) (b : t) =
+  let m = - c in
+  for i = 0 to 9 do
+    Array.unsafe_set dst i
+      ((Array.unsafe_get a i land m) lor (Array.unsafe_get b i land lnot m))
+  done
+
+(* Accumulate the limbs (of a difference) before the one comparison,
+   so the scan has no early exit. *)
+let is_zero (x : t) =
+  let acc = ref 0 in
+  for i = 0 to 9 do acc := !acc lor Array.unsafe_get x i done;
+  !acc = 0
+
+let equal (x : t) (y : t) =
+  let acc = ref 0 in
+  for i = 0 to 9 do acc := !acc lor (Array.unsafe_get x i lxor Array.unsafe_get y i) done;
+  !acc = 0
+
+let set_nat f (dst : t) x =
+  limbs_of_nat (if Nat.compare x f.prime >= 0 then Nat.rem x f.prime else x) dst
+
+let of_nat f x = let r = make () in set_nat f r x; r
+
+let to_limbs (x : t) (buf : int array) =
+  buf.(0) <- x.(0) lor (x.(1) lsl 26) lor ((x.(2) land 0x3ff) lsl 52);
+  buf.(1) <- (x.(2) lsr 10) lor (x.(3) lsl 16) lor ((x.(4) land 0xfffff) lsl 42);
+  buf.(2) <- (x.(4) lsr 20) lor (x.(5) lsl 6) lor (x.(6) lsl 32) lor ((x.(7) land 0xf) lsl 58);
+  buf.(3) <- (x.(7) lsr 4) lor (x.(8) lsl 22) lor ((x.(9) land 0x3fff) lsl 48);
+  buf.(4) <- x.(9) lsr 14
+
+let to_nat x =
+  let buf = Array.make 5 0 in
+  to_limbs x buf;
+  Nat.of_limbs buf 5
+
+(* dst := a^e for a public exponent, by fixed 4-bit windows: four
+   squarings and one multiplication per window, the window's power
+   read from a table of a^0 .. a^15. *)
+let pow f (dst : t) (a : t) e =
+  let tbl = Array.init 16 (fun _ -> make ()) in
+  set_one tbl.(0);
+  for d = 1 to 15 do mul f tbl.(d) tbl.(d - 1) a done;
+  let acc = make () in
+  set_one acc;
+  for w = (Nat.bit_length e + 3) / 4 - 1 downto 0 do
+    for _ = 1 to 4 do sqr f acc acc done;
+    let d = ref 0 in
+    for j = 3 downto 0 do d := (2 * !d) + Bool.to_int (Nat.testbit e ((4 * w) + j)) done;
+    mul f acc acc tbl.(!d)
+  done;
+  set dst acc
+
+let inv f dst a = pow f dst a f.inv_e
+
+let sqrt f dst a =
+  let y = make () in
+  pow f y a f.sqrt_e;
+  let yy = make () in
+  sqr f yy y;
+  let root = equal yy a in
+  set dst y;
+  root

@@ -1,0 +1,95 @@
+(** Fixed-width field elements for the two curve primes (secp256k1 and
+    NIST P-256).
+
+    An element is ten 26-bit limbs in a caller-owned [int array], kept
+    fully reduced. The arithmetic writes into a destination given first,
+    which may alias any operand. [mul], [sqr], [add], [sub], [neg] and
+    [select] allocate nothing, use no [Domain.DLS] scratch and have no
+    branch on a value: their limb loops, carry chains and the final
+    conditional subtraction of p (a mask select) run the same for every
+    input. secp256k1 reduces by folding 2^260 = 2^36 + 15632 and then
+    2^256 = 2^32 + 977; P-256 by the FIPS 186-4 word-sliding sum.
+
+    The module holds no mutable state of its own: a {!field} is
+    immutable, and every element belongs to its caller. An element
+    stands for the same residue whatever produced it, so the entry
+    points are taint sources for R7: a secret's limbs are as secret as
+    the secret. *)
+
+type field
+
+(** An element: ten 26-bit limbs, least significant first. *)
+type t = int array
+
+val secp256k1 : field
+val p256 : field
+
+(** [of_prime p] is the field for [p], if [p] is one of the two. *)
+val of_prime : Nat.t -> field option
+
+(** A fresh element holding zero. *)
+val make : unit -> t
+
+(** [of_nat f x] is [x mod p] as a fresh element; [set_nat f dst x]
+    writes it into [dst]. *)
+(* lint: secret *)
+val of_nat : field -> Nat.t -> t
+val set_nat : field -> t -> Nat.t -> unit
+
+(** The residue an element holds. *)
+(* lint: secret *)
+val to_nat : t -> Nat.t
+
+(** [to_limbs x buf] writes the residue as [Nat]'s five 62-bit limbs
+    into [buf.(0 .. 4)], for a caller that builds the [Nat] itself. *)
+(* lint: secret *)
+val to_limbs : t -> int array -> unit
+
+(** [set dst src] copies [src]'s limbs into [dst]. *)
+val set : t -> t -> unit
+
+val set_one : t -> unit
+
+(** [pack x buf off] stores [x] in the five words [buf.(off .. off + 4)],
+    two limbs per word, for long-lived copies such as the comb tables;
+    [unpack buf off dst] reads it back. *)
+(* lint: secret *)
+val pack : t -> int array -> int -> unit
+val unpack : int array -> int -> t -> unit
+
+(** [mul f dst a b]: [dst := a * b mod p]. *)
+(* lint: secret *)
+val mul : field -> t -> t -> t -> unit
+
+(** [sqr f dst a]: [dst := a^2 mod p], 55 limb products instead of 100. *)
+(* lint: secret *)
+val sqr : field -> t -> t -> unit
+
+(* lint: secret *)
+val add : field -> t -> t -> t -> unit
+
+(* lint: secret *)
+val sub : field -> t -> t -> t -> unit
+
+(* lint: secret *)
+val neg : field -> t -> t -> unit
+
+(** [select dst c a b]: [dst := a] if [c = 1], [b] if [c = 0], by masks. *)
+(* lint: secret *)
+val select : t -> int -> t -> t -> unit
+
+(** Whether an element is zero; the limbs are or-ed together first, so
+    the scan has no early exit. *)
+val is_zero : t -> bool
+val equal : t -> t -> bool
+
+(** [inv f dst a]: [dst := a^(p-2)], the inverse of a nonzero [a] (zero
+    maps to zero), by a fixed-window square-and-multiply chain over the
+    public exponent. *)
+(* lint: secret *)
+val inv : field -> t -> t -> unit
+
+(** [sqrt f dst a] writes [a^((p+1)/4)] into [dst] and tells whether it
+    is a square root of [a] (p = 3 mod 4 for both primes). *)
+(* lint: secret *)
+val sqrt : field -> t -> t -> bool

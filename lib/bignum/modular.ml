@@ -1,14 +1,10 @@
 (* Modular arithmetic with a reduction strategy chosen at [create] time:
 
-   - secp256k1's field prime is pseudo-Mersenne (p = 2^256 - 2^32 - 977),
-     so reduction is two fold-and-add passes: x = hi*2^256 + lo means
-     x = hi*(2^32 + 977) + lo (mod p). No division, no big products.
-
-   - NIST P-256's prime is a generalized-Mersenne word-sliding prime
-     (p = 2^256 - 2^224 + 2^192 + 2^96 - 1): each 32-bit word of the
-     512-bit product above position 8 reduces to a small signed
-     combination of lower words (FIPS 186-4 D.2.3), so reduction is one
-     signed accumulation pass over 16 words plus a small correction.
+   - The two curve field primes, secp256k1's p = 2^256 - 2^32 - 977 and
+     NIST P-256's p = 2^256 - 2^224 + 2^192 + 2^96 - 1, multiply through
+     [Fe]'s fixed-width 26-bit limbs: a pseudo-Mersenne fold for
+     secp256k1, the FIPS 186-4 word-sliding sum for P-256. [mul]/[sqr]
+     convert the operands in, run one [Fe] product and convert out.
 
    - Any other odd modulus (notably both curve orders) gets a Montgomery
      domain: residues are multiplied as x*y*R^-1 mod m (R = 2^(31*hk))
@@ -18,20 +14,22 @@
      Barrett); [pow] and Fermat [inv] enter the domain once and run the
      whole square-and-multiply chain inside it. The explicit domain API
      ([to_mont]/[of_mont]/[mul_mont]/[sqr_mont]) exposes the raw form
-     for callers that want to batch conversions.
+     for callers that want to batch conversions. The curve fields have a
+     domain too, which their [pow] and [inv] use.
 
    - Everything else (even moduli, oversized moduli, and every modulus
      under [~fast:false]) uses Barrett: the slow Nat.divmod runs once to
      compute the Barrett constant, and each reduction costs two
-     multiplications. This is the differential-test reference.
+     multiplications. This is the differential-test reference, and
+     [reduce] uses it for the curve fields as well.
 
-   All multiplicative kernels run over 31-bit half-limbs of Nat's 62-bit
+   The Montgomery kernels run over 31-bit half-limbs of Nat's 62-bit
    limbs (a 62x62 partial product does not fit a 63-bit native int; a
-   31x31 product plus accumulator exactly does). The two 256-bit curve
-   fields and both curve orders are 9 half-limbs wide, so they share the
-   unrolled [mul9]/[sqr9] kernels below; other widths use generic loops.
+   31x31 product plus accumulator exactly does). Both curve orders are 9
+   half-limbs wide, so they share the unrolled [mul9]/[sqr9] kernels
+   below; other widths use generic loops.
 
-   The fast paths run on reused scratch buffers, so a field
+   The Montgomery paths run on reused scratch buffers, so a
    multiplication performs one flattened product and a couple of linear
    passes without intermediate allocations. The scratch lives in
    Domain.DLS — one set of buffers per domain, shared by every context
@@ -44,18 +42,17 @@
 let hbits = Nat.base_bits / 2
 let hmask = (1 lsl hbits) - 1
 
-(* Scratch for the fast paths, sized for Montgomery moduli up to 33
-   half-limbs (1023 bits) and fold inputs up to 576 bits; larger ad-hoc
-   inputs fall back to Nat-level arithmetic. All buffers hold 31-bit
-   halves except [limbs] (62-bit limbs, used to cross the Nat boundary). *)
+(* Scratch for the Montgomery paths, sized for moduli up to 33
+   half-limbs (1023 bits), and for the curve fields' trip through [Fe].
+   The int buffers hold 31-bit halves except [limbs] (62-bit limbs, used
+   to cross the Nat boundary). *)
 type scratch = {
   xa : int array;     (* 36 halves: operand a / Montgomery base *)
   xb : int array;     (* 36 halves: operand b *)
   ra : int array;     (* 36 halves: Montgomery accumulator / results *)
   prod : int array;   (* 70 halves: product + REDC headroom (2k + 2) *)
-  aux : int array;    (* 12 halves: secp256k1 fold's hi = x >> 256 *)
-  words : int array;  (* P-256: 16 32-bit words of the input *)
-  acc : int array;    (* P-256: 8 signed per-word accumulators *)
+  fa : Fe.t;          (* curve fields: the operands, then the product *)
+  fb : Fe.t;
   limbs : int array;  (* 20 62-bit limbs: Nat <-> half-limb crossings *)
 }
 
@@ -64,9 +61,8 @@ let make_scratch () = {
   xb = Array.make 36 0;
   ra = Array.make 36 0;
   prod = Array.make 70 0;
-  aux = Array.make 12 0;
-  words = Array.make 16 0;
-  acc = Array.make 8 0;
+  fa = Fe.make ();
+  fb = Fe.make ();
   limbs = Array.make 20 0;
 }
 
@@ -77,8 +73,7 @@ let scratch_key = Domain.DLS.new_key make_scratch
 
 type strategy =
   | Barrett
-  | Secp256k1
-  | P256
+  | Curve_field of Fe.field
   | Montgomery
 
 (* Montgomery constants for an odd modulus m < R = 2^(31 * hk):
@@ -100,19 +95,7 @@ type ctx = {
   mu : Nat.t;               (* Barrett constant floor(B^2kl / m) *)
   mh : int array;           (* modulus as halves (fast paths) *)
   mont : mont option;       (* Montgomery domain (odd modulus, fast) *)
-  u_mults : int array array; (* P-256: e * (2^256 mod p), 0 <= e <= 8,
-                                as 9 zero-padded halves each *)
 }
-
-let secp256k1_p =
-  Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
-
-let nist_p256_p =
-  Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
-
-(* 2^256 mod p256 = 2^224 - 2^192 - 2^96 + 1 *)
-let nist_p256_u =
-  Nat.sub (Nat.shift_left Nat.one 256) nist_p256_p
 
 (* Largest modulus the Montgomery scratch is sized for (33 halves). *)
 let mont_max_halves = 33
@@ -123,10 +106,10 @@ let create ?(prime = true) ?(fast = true) modulus =
   let kl = (bits + Nat.base_bits - 1) / Nat.base_bits in
   let hk = (bits + hbits - 1) / hbits in
   let strategy =
-    if fast && Nat.equal modulus secp256k1_p then Secp256k1
-    else if fast && Nat.equal modulus nist_p256_p then P256
-    else if fast && Nat.is_odd modulus && hk <= mont_max_halves then Montgomery
-    else Barrett
+    match (if fast then Fe.of_prime modulus else None) with
+    | Some f -> Curve_field f
+    | None when fast && Nat.is_odd modulus && hk <= mont_max_halves -> Montgomery
+    | None -> Barrett
   in
   let mu =
     let b2k = Nat.shift_left Nat.one (2 * kl * Nat.base_bits) in
@@ -167,31 +150,15 @@ let create ?(prime = true) ?(fast = true) modulus =
     end
     else None
   in
-  let u_mults =
-    match strategy with
-    | P256 ->
-      Array.init 9 (fun e ->
-          (* u * e < 2^227: 8 significant halves, padded to 9 *)
-          let v = Nat.mul nist_p256_u (Nat.of_int e) in
-          let h = Array.make 9 0 in
-          let vl = Array.make 5 0 in
-          let nl = Nat.to_limbs_into v vl in
-          for i = 0 to nl - 1 do
-            h.(2 * i) <- vl.(i) land hmask;
-            if (2 * i) + 1 < 9 then h.((2 * i) + 1) <- vl.(i) lsr hbits
-          done;
-          h)
-    | _ -> [||]
-  in
-  { modulus; kl; hk; strategy; prime; mu; mh; mont; u_mults }
+  { modulus; kl; hk; strategy; prime; mu; mh; mont }
 
 let modulus ctx = ctx.modulus
 
 let reduction_name ctx =
   match ctx.strategy with
   | Barrett -> "barrett"
-  | Secp256k1 -> "pseudo-mersenne-secp256k1"
-  | P256 -> "word-sliding-p256"
+  | Curve_field f when f == Fe.secp256k1 -> "pseudo-mersenne-secp256k1"
+  | Curve_field _ -> "word-sliding-p256"
   | Montgomery -> "montgomery"
 
 (* --- Nat <-> half-limb crossings --------------------------------------- *)
@@ -220,34 +187,6 @@ let pack_halves st (h : int array) ~off nh =
   Nat.of_limbs st.limbs nl
 
 (* --- half-limb linear kernels ------------------------------------------ *)
-
-let half_bits (buf : int array) n =
-  if n = 0 then 0
-  else begin
-    let rec width v = if v = 0 then 0 else 1 + width (v lsr 1) in
-    ((n - 1) * hbits) + width buf.(n - 1)
-  end
-
-(* dst := dst + (src * m) << (shift halves); requires 0 <= m < 2^31. *)
-let half_addmul1 (dst : int array) ndst (src : int array) nsrc ~shift m =
-  for j = ndst to shift - 1 do dst.(j) <- 0 done;
-  let carry = ref 0 in
-  for i = 0 to nsrc - 1 do
-    let j = i + shift in
-    let cur = if j < ndst then Array.unsafe_get dst j else 0 in
-    let t = cur + (m * Array.unsafe_get src i) + !carry in
-    Array.unsafe_set dst j (t land hmask);
-    carry := t lsr hbits
-  done;
-  let j = ref (nsrc + shift) in
-  while !carry <> 0 do
-    let cur = if !j < ndst then Array.unsafe_get dst !j else 0 in
-    let t = cur + !carry in
-    Array.unsafe_set dst !j (t land hmask);
-    carry := t lsr hbits;
-    incr j
-  done;
-  Nat.trim_limbs dst (if !j > ndst then !j else ndst)
 
 (* dst := dst - src; requires dst >= src numerically. *)
 let half_sub_into (dst : int array) ndst (src : int array) nsrc =
@@ -668,170 +607,6 @@ let reduce_barrett ctx x =
     if Nat.compare r ctx.modulus >= 0 then Nat.rem r ctx.modulus else r
   end
 
-(* --- secp256k1 pseudo-Mersenne ----------------------------------------- *)
-
-(* Reduce (st.prod, n) mod p = 2^256 - c, c = 2^32 + 977, by folding the
-   part above bit 256 down: x = hi*2^256 + lo = hi*c + lo (mod p). Bit
-   256 sits at half 8, offset 8 (256 = 8*31 + 8). The fold accumulates
-   hi*c directly into the low part as two fused add-multiply passes —
-   c = 977 + 2*2^31, so hi*c is hi*977 at half 0 plus hi*2 at half 1.
-   Two folds bring any 558-bit product below ~2^257; one conditional
-   subtract finishes. *)
-let reduce_secp256k1 ctx st n =
-  let buf = st.prod in
-  if n > 18 then begin
-    (* wider than a product of residues: generic fold loop *)
-    let n = ref n in
-    while half_bits buf !n > 256 do
-      let nh0 = !n - 8 in
-      for i = 0 to nh0 - 1 do
-        let lo = buf.(i + 8) lsr 8 in
-        let hi =
-          if i + 9 < !n then (buf.(i + 9) lsl (hbits - 8)) land hmask else 0
-        in
-        st.aux.(i) <- lo lor hi
-      done;
-      let nh = Nat.trim_limbs st.aux nh0 in
-      buf.(8) <- buf.(8) land 0xff;
-      let nl = Nat.trim_limbs buf 9 in
-      let n1 = half_addmul1 buf nl st.aux nh ~shift:0 977 in
-      n := half_addmul1 buf n1 st.aux nh ~shift:1 2
-    done;
-    while Nat.compare_limbs buf !n ctx.mh ctx.hk >= 0 do
-      n := half_sub_into buf !n ctx.mh ctx.hk
-    done;
-    pack_halves st buf ~off:0 !n
-  end
-  else begin
-    (* the hot shape (a full mul9/sqr9 product, <= 18 halves), folded
-       flat: each pass rewrites buf 0..11 as
-       lo + hi*977 + hi*2^32 (the 2^32 term is 2*hi shifted one half),
-       all in one fused carry chain — no subroutine calls, no trims.
-       hi < 2^302 here, so one pass lands under 2^336, two under
-       2^257, and the loop runs at most three times. *)
-    let h = st.aux in
-    for i = n to 17 do buf.(i) <- 0 done;
-    let above = ref 0 in
-    above := buf.(8) lsr 8;
-    for i = 9 to 17 do above := !above lor buf.(i) done;
-    while !above <> 0 do
-      for i = 0 to 9 do
-        let lo = Array.unsafe_get buf (8 + i) lsr 8 in
-        let hi =
-          if i < 9 then (Array.unsafe_get buf (9 + i) lsl (hbits - 8)) land hmask
-          else 0
-        in
-        Array.unsafe_set h i (lo lor hi)
-      done;
-      buf.(8) <- buf.(8) land 0xff;
-      for i = 9 to 17 do buf.(i) <- 0 done;
-      let c = ref 0 in
-      for i = 0 to 10 do
-        let hv = if i <= 9 then Array.unsafe_get h i else 0 in
-        let pv = if i >= 1 then Array.unsafe_get h (i - 1) else 0 in
-        let t = Array.unsafe_get buf i + (977 * hv) + (2 * pv) + !c in
-        Array.unsafe_set buf i (t land hmask);
-        c := t lsr hbits
-      done;
-      if !c <> 0 then buf.(11) <- !c;
-      above := buf.(8) lsr 8;
-      for i = 9 to 11 do above := !above lor buf.(i) done
-    done;
-    while Nat.compare_limbs buf 9 ctx.mh ctx.hk >= 0 do
-      ignore (half_sub_into buf 9 ctx.mh ctx.hk)
-    done;
-    pack_halves st buf ~off:0 9
-  end
-
-(* --- NIST P-256 word-sliding ------------------------------------------- *)
-
-(* 32-bit word j of (buf, n): bits [32j, 32j + 32). Since
-   32j = 31j + j, word j starts in half j at bit offset j (for the
-   j <= 15 this reduction uses), spanning at most two halves
-   (j + 32 <= 62) — no division needed to locate it. *)
-let word32 (buf : int array) n j =
-  let v = if j < n then Array.unsafe_get buf j lsr j else 0 in
-  let v =
-    if j + 1 < n then v lor (Array.unsafe_get buf (j + 1) lsl (hbits - j))
-    else v
-  in
-  v land 0xffffffff
-
-(* FIPS 186-4 D.2.3: with the 512-bit input split into 32-bit words
-   c0..c15, the reduction is s1 + 2*s2 + 2*s3 + s4 + s5 - s6 - s7 - s8
-   - s9, expanded below into one signed sum per output word. The final
-   signed carry e is folded back via 2^256 = u (mod p). The whole tail
-   stays in half-limbs: words repack into halves with one fused pass
-   (word j lands in halves j, j+1 at offset j, as in [word32]), and the
-   e-fold adds or subtracts the precomputed u*|e| half vector in place —
-   no Nat allocation until the final pack. *)
-let reduce_p256 ctx st n =
-  let c = st.words and d = st.acc in
-  for j = 0 to 15 do c.(j) <- word32 st.prod n j done;
-  d.(0) <- c.(0) + c.(8) + c.(9) - c.(11) - c.(12) - c.(13) - c.(14);
-  d.(1) <- c.(1) + c.(9) + c.(10) - c.(12) - c.(13) - c.(14) - c.(15);
-  d.(2) <- c.(2) + c.(10) + c.(11) - c.(13) - c.(14) - c.(15);
-  d.(3) <- c.(3) + (2 * c.(11)) + (2 * c.(12)) + c.(13) - c.(15) - c.(8) - c.(9);
-  d.(4) <- c.(4) + (2 * c.(12)) + (2 * c.(13)) + c.(14) - c.(9) - c.(10);
-  d.(5) <- c.(5) + (2 * c.(13)) + (2 * c.(14)) + c.(15) - c.(10) - c.(11);
-  d.(6) <- c.(6) + c.(13) + (3 * c.(14)) + (2 * c.(15)) - c.(8) - c.(9);
-  d.(7) <- c.(7) + c.(8) + (3 * c.(15)) - c.(10) - c.(11) - c.(12) - c.(13);
-  let carry = ref 0 in
-  for i = 0 to 7 do
-    let t = d.(i) + !carry in
-    let w = t land 0xffffffff in
-    d.(i) <- w;
-    carry := (t - w) asr 32
-  done;
-  let e = !carry in     (* |e| <= 8: each d.(i) sums at most 7 words *)
-  let h = st.ra in
-  Array.fill h 0 10 0;
-  for j = 0 to 7 do
-    let v = Array.unsafe_get d j in
-    Array.unsafe_set h j (Array.unsafe_get h j + ((v lsl j) land hmask));
-    Array.unsafe_set h (j + 1) (Array.unsafe_get h (j + 1) + (v lsr (hbits - j)))
-  done;
-  let cc = ref 0 in
-  for i = 0 to 8 do
-    let t = Array.unsafe_get h i + !cc in
-    Array.unsafe_set h i (t land hmask);
-    cc := t lsr hbits
-  done;
-  if e > 0 then begin
-    (* v + u*e < 2^256 + 2^227: still fits nine halves *)
-    let u = ctx.u_mults.(e) in
-    let cc = ref 0 in
-    for i = 0 to 8 do
-      let t = Array.unsafe_get h i + Array.unsafe_get u i + !cc in
-      Array.unsafe_set h i (t land hmask);
-      cc := t lsr hbits
-    done
-  end
-  else if e < 0 then begin
-    let u = ctx.u_mults.(-e) in
-    let br = ref 0 in
-    for i = 0 to 8 do
-      let t = Array.unsafe_get h i - Array.unsafe_get u i - !br in
-      Array.unsafe_set h i (t land hmask);
-      br := (t lsr hbits) land 1
-    done;
-    if !br <> 0 then begin
-      (* v - u*e went negative; |v - u*e| < 2^227 < p, so adding p
-         back once lands in (0, p) — the final carry out cancels the
-         borrow and is dropped *)
-      let cc = ref 0 in
-      for i = 0 to 8 do
-        let t = Array.unsafe_get h i + Array.unsafe_get ctx.mh i + !cc in
-        Array.unsafe_set h i (t land hmask);
-        cc := t lsr hbits
-      done
-    end
-  end;
-  while Nat.compare_limbs h 9 ctx.mh ctx.hk >= 0 do
-    ignore (half_sub_into h 9 ctx.mh ctx.hk)
-  done;
-  pack_halves st h ~off:0 9
-
 (* --- Montgomery engine ------------------------------------------------- *)
 
 (* In-place Montgomery reduction of the 2k-half product in [p]: for each
@@ -928,21 +703,7 @@ let mont_exit ctx mo st (x : int array) (dst : int array) =
 
 (* --- dispatch ----------------------------------------------------------- *)
 
-let reduce ctx x =
-  if Nat.compare x ctx.modulus < 0 then x
-  else begin
-    match ctx.strategy with
-    | Barrett | Montgomery -> reduce_barrett ctx x
-    | Secp256k1 | P256 ->
-      if Nat.bit_length x > 512 then Nat.rem x ctx.modulus
-      else begin
-        let st = Domain.DLS.get scratch_key in
-        let n = unpack_halves st x st.prod ~pad:0 in
-        match ctx.strategy with
-        | Secp256k1 -> reduce_secp256k1 ctx st n
-        | _ -> reduce_p256 ctx st n
-      end
-  end
+let reduce ctx x = if Nat.compare x ctx.modulus < 0 then x else reduce_barrett ctx x
 
 let add ctx a b =
   let s = Nat.add a b in
@@ -968,25 +729,22 @@ let mul_via_mont ctx mo st ~square a b =
   let n = mont_mul ctx mo st st.ra mo.rr_h st.ra in
   pack_halves st st.ra ~off:0 n
 
-(* Multiplication of residues: the fast paths write the flattened
-   product straight into the reduction scratch, skipping the
-   intermediate Nat allocation that the Barrett path pays. *)
+(* Through [Fe] on the curve fields: operands in (reduced when out of
+   contract, >= p), one product, the result out through the limb
+   scratch, so the result Nat is the only allocation. *)
+let fe_out st (x : Fe.t) =
+  Fe.to_limbs x st.limbs;
+  Nat.of_limbs st.limbs 5
+
 let mul ctx a b =
   match ctx.strategy with
   | Barrett -> reduce_barrett ctx (Nat.mul a b)
-  | Secp256k1 | P256 ->
-    if Nat.compare a ctx.modulus >= 0 || Nat.compare b ctx.modulus >= 0 then
-      (* out-of-contract inputs: reduce first, stay correct *)
-      Nat.rem (Nat.mul a b) ctx.modulus
-    else begin
-      let st = Domain.DLS.get scratch_key in
-      let _ = unpack_halves st a st.xa ~pad:9 in
-      let _ = unpack_halves st b st.xb ~pad:9 in
-      mul9 st.prod st.xa st.xb;
-      (* mul9 writes all 18 halves; no need to trim before folding *)
-      if ctx.strategy == Secp256k1 then reduce_secp256k1 ctx st 18
-      else reduce_p256 ctx st 18
-    end
+  | Curve_field f ->
+    let st = Domain.DLS.get scratch_key in
+    Fe.set_nat f st.fa a;
+    Fe.set_nat f st.fb b;
+    Fe.mul f st.fa st.fa st.fb;
+    fe_out st st.fa
   | Montgomery ->
     let mo = match ctx.mont with Some m -> m | None -> assert false in
     let a = if Nat.compare a ctx.modulus >= 0 then reduce ctx a else a in
@@ -994,21 +752,16 @@ let mul ctx a b =
     let st = Domain.DLS.get scratch_key in
     mul_via_mont ctx mo st ~square:false a b
 
-(* Dedicated squaring: the fast curve fields use the unrolled [sqr9]
-   (45 + 9 multiplications instead of 81); Montgomery moduli route the
-   first REDC through the squaring kernel. *)
+(* Dedicated squaring: [Fe.sqr] for the curve fields; Montgomery moduli
+   route the first REDC through the squaring kernel. *)
 let sqr ctx a =
   match ctx.strategy with
   | Barrett -> reduce_barrett ctx (Nat.mul a a)
-  | Secp256k1 | P256 ->
-    if Nat.compare a ctx.modulus >= 0 then Nat.rem (Nat.mul a a) ctx.modulus
-    else begin
-      let st = Domain.DLS.get scratch_key in
-      let _ = unpack_halves st a st.xa ~pad:9 in
-      sqr9 st.prod st.xa;
-      if ctx.strategy == Secp256k1 then reduce_secp256k1 ctx st 18
-      else reduce_p256 ctx st 18
-    end
+  | Curve_field f ->
+    let st = Domain.DLS.get scratch_key in
+    Fe.set_nat f st.fa a;
+    Fe.sqr f st.fa st.fa;
+    fe_out st st.fa
   | Montgomery ->
     let mo = match ctx.mont with Some m -> m | None -> assert false in
     let a = if Nat.compare a ctx.modulus >= 0 then reduce ctx a else a in

@@ -1,11 +1,12 @@
 (** Modular arithmetic over a fixed modulus, with a reduction strategy
     selected at [create] time.
 
-    The two curve field primes the system uses get specialized
-    reductions — pseudo-Mersenne folding for secp256k1's
+    The two curve field primes the system uses multiply through {!Fe}'s
+    fixed-width limbs — pseudo-Mersenne folding for secp256k1's
     [p = 2^256 - 2^32 - 977] and the FIPS 186-4 word-sliding reduction
-    for NIST P-256 — running over reused scratch buffers (no per-op
-    allocation in the inner loop). Any other odd modulus (notably both
+    for NIST P-256 — converting the operands in and the product out on
+    every call; code that chains many field operations uses {!Fe}
+    directly. Any other odd modulus (notably both
     curve orders) gets a Montgomery domain: products are reduced by
     absorbing one quotient digit per 31-bit half-limb instead of by
     Barrett's double multiplication, and [pow]/[inv] run their whole
@@ -14,7 +15,7 @@
     Barrett reduction. A [ctx] captures the modulus plus the precomputed
     constants; create it once and reuse it for every operation.
 
-    The fast paths' scratch buffers are domain-local ([Domain.DLS]),
+    The Montgomery paths' scratch buffers are domain-local ([Domain.DLS]),
     so a [ctx] is immutable shared data: any number of domains may use
     the same context concurrently, each borrowing its own domain's
     scratch per call.
@@ -27,8 +28,8 @@ type ctx
 (** [create ?prime ?fast m] builds a context for modulus [m >= 2]. When
     [prime] is [true] (the default), [inv] uses Fermat's little theorem;
     pass [~prime:false] for composite moduli to use extended Euclid
-    instead. When [fast] is [true] (the default) the specialized
-    reduction is selected for recognized primes and a Montgomery domain
+    instead. When [fast] is [true] (the default) {!Fe} is selected for
+    the two curve field primes and a Montgomery domain
     for other odd moduli; [~fast:false] forces Barrett everywhere — the
     reference the differential tests and the seed-baseline benchmarks
     compare against. *)
@@ -41,8 +42,8 @@ val modulus : ctx -> Nat.t
     ["montgomery"]. *)
 val reduction_name : ctx -> string
 
-(** Reduce an arbitrary natural modulo the modulus. Fast for any
-    product of two residues; falls back to long division beyond that. *)
+(** Reduce an arbitrary natural modulo the modulus (Barrett for any
+    product of two residues, long division beyond that). *)
 val reduce : ctx -> Nat.t -> Nat.t
 
 val add : ctx -> Nat.t -> Nat.t -> Nat.t

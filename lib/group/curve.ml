@@ -5,6 +5,7 @@
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
+module Fe = Dd_bignum.Fe
 
 type params = {
   p : Nat.t;            (* field prime *)
@@ -55,8 +56,8 @@ type t = {
   params : params;
   fp : Modular.ctx;     (* arithmetic mod p *)
   fn : Modular.ctx;     (* arithmetic mod order *)
+  fe : Fe.field;        (* fixed-width arithmetic mod p, for the affine kernels *)
   byte_len : int;       (* field element encoding length *)
-  sqrt_e : Nat.t;       (* (p+1)/4, cached for field_sqrt (p = 3 mod 4) *)
   endo : endo option;   (* GLV split for the msm path, where applicable *)
   gen_tables : precomp option Atomic.t;
   (* generator table cache, published once via compare-and-set: a race
@@ -101,73 +102,72 @@ let generator t = Jacobian (t.params.gx, t.params.gy, Nat.one)
 
 let is_infinity = function Infinity -> true | Jacobian _ -> false
 
-let to_affine t = function
-  | Infinity -> None
-  | Jacobian (x, y, z) when Nat.equal z Nat.one ->
-    (* already affine: skip the Fermat inversion. Decoded points and
-       precomputed tables all sit at z = 1, so the serving hot path
-       (tag re-encoding, cache keys) hits this arm constantly. *)
-    Some (Modular.reduce t.fp x, Modular.reduce t.fp y)
-  | Jacobian (x, y, z) ->
-    let fp = t.fp in
-    let zi = Modular.inv fp z in
-    let zi2 = Modular.sqr fp zi in
-    Some (Modular.mul fp x zi2, Modular.mul fp y (Modular.mul fp zi2 zi))
-
 (* Montgomery's trick: invert every element of [xs] (all nonzero) with
-   one modular inversion. prefix.(i) is the product of the elements
+   one field inversion. out.(i) first holds the product of the elements
    before index i; the backward pass peels per-element inverses off the
    inverted total, ~3 field mults per element. *)
-let batch_inv fp xs =
+let batch_inv t (xs : Fe.t array) =
+  let f = t.fe in
   let n = Array.length xs in
-  let prefix = Array.make n Nat.one in
-  let running = ref Nat.one in
+  let out = Array.init n (fun _ -> Fe.make ()) in
+  let run = Fe.make () in
+  Fe.set_one run;
   for i = 0 to n - 1 do
-    prefix.(i) <- !running;
-    running := Modular.mul fp !running xs.(i)
+    Fe.set out.(i) run;
+    Fe.mul f run run xs.(i)
   done;
-  let inv_run = ref (if n = 0 then Nat.one else Modular.inv fp !running) in
-  let out = Array.make n Nat.one in
+  if n > 0 then Fe.inv f run run;
   for i = n - 1 downto 0 do
-    out.(i) <- Modular.mul fp !inv_run prefix.(i);
-    inv_run := Modular.mul fp !inv_run xs.(i)
+    Fe.mul f out.(i) out.(i) run;
+    Fe.mul f run run xs.(i)
   done;
   out
 
 (* Batch normalization: only finite points off Z = 1 need an inverse,
-   and they share one inversion through [batch_inv]. *)
+   and they share one inversion through [batch_inv]. Points already at
+   Z = 1 (decoded points, table entries) skip the field work. *)
 let to_affine_batch t pts =
-  let fp = t.fp in
+  let f = t.fe in
   let pending_z = function
-    | Jacobian (_, _, z) when not (Nat.equal z Nat.one) -> Some z
+    | Jacobian (_, _, z) when not (Nat.equal z Nat.one) -> Some (Fe.of_nat f z)
     | Jacobian _ | Infinity -> None
   in
-  let zis = batch_inv fp (Array.of_list (List.filter_map pending_z (Array.to_list pts))) in
-  let out = Array.make (Array.length pts) None in
+  let zis = batch_inv t (Array.of_list (List.filter_map pending_z (Array.to_list pts))) in
   let k = ref 0 in
-  for i = 0 to Array.length pts - 1 do
-    match pts.(i), pending_z pts.(i) with
-    | Infinity, _ -> ()
-    | Jacobian (x, y, _), None -> out.(i) <- Some (x, y)
-    | Jacobian (x, y, _), Some _ ->
-      let zi = zis.(!k) in
-      incr k;
-      let zi2 = Modular.sqr fp zi in
-      out.(i) <- Some (Modular.mul fp x zi2, Modular.mul fp y (Modular.mul fp zi2 zi))
-  done;
-  out
+  Array.map
+    (function
+      | Infinity -> None
+      | Jacobian (x, y, z) when Nat.equal z Nat.one ->
+        Some (Modular.reduce t.fp x, Modular.reduce t.fp y)
+      | Jacobian (x, y, _) ->
+        let zi = zis.(!k) in
+        incr k;
+        let zz = Fe.make () and x = Fe.of_nat f x and y = Fe.of_nat f y in
+        Fe.sqr f zz zi;
+        Fe.mul f x x zz;
+        Fe.mul f zz zz zi;
+        Fe.mul f y y zz;
+        Some (Fe.to_nat x, Fe.to_nat y))
+    pts
+
+let to_affine t pt = (to_affine_batch t [| pt |]).(0)
 
 let of_affine _t (x, y) = Jacobian (x, y, Nat.one)
 
+(* dst := x^3 + a x + b, as (x^2 + a) x + b. *)
+let curve_rhs t dst x =
+  let f = t.fe in
+  Fe.sqr f dst x;
+  Fe.add f dst dst (Fe.of_nat f t.params.a);
+  Fe.mul f dst dst x;
+  Fe.add f dst dst (Fe.of_nat f t.params.b)
+
 let on_curve t (x, y) =
-  let fp = t.fp in
-  let lhs = Modular.sqr fp y in
-  let rhs =
-    Modular.add fp
-      (Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) (Modular.mul fp t.params.a x))
-      t.params.b
-  in
-  Nat.equal lhs rhs
+  let f = t.fe in
+  let lhs = Fe.of_nat f y and rhs = Fe.make () in
+  Fe.sqr f lhs lhs;
+  curve_rhs t rhs (Fe.of_nat f x);
+  Fe.equal lhs rhs
 
 let double t pt =
   match pt with
@@ -382,12 +382,17 @@ let endo_valid t e =
       | None -> false)
 
 let create ?(fast = true) params =
+  let fe =
+    match Fe.of_prime params.p with
+    | Some fe -> fe
+    | None -> invalid_arg "Curve.create: the field prime is neither secp256k1's nor P-256's"
+  in
   let t = {
     params;
     fp = Modular.create ~fast params.p;
     fn = Modular.create ~fast params.order;
+    fe;
     byte_len = (Nat.bit_length params.p + 7) / 8;
-    sqrt_e = Nat.shift_right (Nat.add params.p Nat.one) 2;
     endo = None;
     gen_tables = Atomic.make None;
   } in
@@ -452,41 +457,49 @@ let add_mixed t p q =
    k = +-2 (2^w - 1) 2^(w(W-1)) mod n. *)
 type base_table = {
   width : int;
-  tx : Nat.t array array;  (* tx.(i).(j) = x of (2j+1) * 2^(w*i) * B *)
-  ty : Nat.t array array;  (* rows empty iff B is the identity *)
+  entries : int array array;
+  (* row i holds (2j+1) * 2^(w*i) * B for each j: x at 10 j and y at
+     10 j + 5, packed by [Fe.pack]; no rows iff B is the identity *)
   offset : Nat.t;          (* 2^(wW) - 1 mod n *)
   half : Nat.t;            (* 1/2 mod n *)
 }
 
 (* Affine additions P_i + Q_i with slopes num.(i) / den.(i), every den
    nonzero, sharing one inversion ([batch_inv]): x3 = l^2 - x1 - x2 and
-   y3 = l (x1 - x3) - y1 overwrite (x1.(i), y1.(i)). A chord has slope
-   (y2 - y1) / (x2 - x1), a tangent (3 x1^2 + a) / (2 y1) with x2 = x1. *)
-let slope_step t ~num ~den x1 y1 x2 =
-  let fp = t.fp in
-  let inv = batch_inv fp den in
+   y3 = l (x1 - x3) - y1 go to (x3s.(i), y3s.(i)), which may be
+   (x1.(i), y1.(i)) or (num.(i), den.(i)). A tangent has slope
+   (3 x1^2 + a) / (2 y1) with x2 = x1. *)
+let slope_step t ~num ~den x1 y1 x2 ~x3s ~y3s =
+  let f = t.fe in
+  let inv = batch_inv t den in
+  let l = Fe.make () and x3 = Fe.make () and d = Fe.make () in
   for i = 0 to Array.length den - 1 do
-    let l = Modular.mul fp num.(i) inv.(i) in
-    let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp l) x1.(i)) x2.(i) in
-    y1.(i) <- Modular.sub fp (Modular.mul fp l (Modular.sub fp x1.(i) x3)) y1.(i);
-    x1.(i) <- x3
+    Fe.mul f l num.(i) inv.(i);
+    Fe.sqr f x3 l;
+    Fe.sub f x3 x3 x1.(i);
+    Fe.sub f x3 x3 x2.(i);
+    Fe.sub f d x1.(i) x3;
+    Fe.mul f d l d;
+    Fe.sub f y3s.(i) d y1.(i);
+    Fe.set x3s.(i) x3
   done
 
-let chord_step t ax ay bx by =
-  let fp = t.fp in
-  slope_step t
-    ~num:(Array.map2 (Modular.sub fp) by ay)
-    ~den:(Array.map2 (Modular.sub fp) bx ax)
-    ax ay bx
-
 let tangent_step t ax ay =
-  let fp = t.fp in
-  slope_step t
-    ~num:(Array.map (fun x ->
-        let xx = Modular.sqr fp x in
-        Modular.add fp (Modular.add fp (Modular.double fp xx) xx) t.params.a) ax)
-    ~den:(Array.map (Modular.double fp) ay)
-    ax ay ax
+  let f = t.fe in
+  let a = Fe.of_nat f t.params.a in
+  let num =
+    Array.map
+      (fun x ->
+         let d = Fe.make () and xx = Fe.make () in
+         Fe.sqr f xx x;
+         Fe.add f d xx xx;
+         Fe.add f d d xx;
+         Fe.add f d d a;
+         d)
+      ax
+  in
+  let den = Array.map (fun y -> let d = Fe.make () in Fe.add f d y y; d) ay in
+  slope_step t ~num ~den ax ay ax ~x3s:ax ~y3s:ay
 
 (* Complete affine additions (ax, ay, ainf) += (bx, by, binf), where a
    set [inf] flag marks the identity. The unified slope
@@ -494,41 +507,77 @@ let tangent_step t ax ay =
    when y1 + y2 = 0 the chord slope takes over, and a zero chord
    denominator as well means P = -Q, whose sum is the identity (its
    denominator is replaced by 1 so the shared inversion stays defined).
-   Every lane runs the same field operations; the flags only pick among
-   the computed values. *)
+   Every lane runs the same field operations, and the flags only pick
+   among the computed values through mask selects. *)
 let complete_step t ax ay ainf bx by binf =
-  let fp = t.fp in
+  let f = t.fe in
   let n = Array.length ax in
-  let x0 = Array.copy ax and y0 = Array.copy ay in
-  let num = Array.make n Nat.zero and den = Array.make n Nat.one in
-  let opposite = Array.make n false in
+  let num = Array.init n (fun _ -> Fe.make ()) and den = Array.init n (fun _ -> Fe.make ()) in
+  let opposite = Array.make n 0 in
+  let du = Fe.make () and dc = Fe.make () and nc = Fe.make () and one = Fe.make () in
+  let a = Fe.of_nat f t.params.a in
+  Fe.set_one one;
   for i = 0 to n - 1 do
-    let x1 = ax.(i) and y1 = ay.(i) and x2 = bx.(i) and y2 = by.(i) in
-    let du = Modular.add fp y1 y2 in
-    let nu =
-      Modular.add fp
-        (Modular.sub fp (Modular.sqr fp (Modular.add fp x1 x2)) (Modular.mul fp x1 x2))
-        t.params.a
-    in
-    let dc = Modular.sub fp x2 x1 and nc = Modular.sub fp y2 y1 in
-    let chord = Nat.is_zero du in
-    let d = if chord then dc else du in
-    opposite.(i) <- Nat.is_zero d;
-    num.(i) <- (if chord then nc else nu);
-    den.(i) <- (if opposite.(i) then Nat.one else d)
+    let x1 = ax.(i) and y1 = ay.(i) and x2 = bx.(i) and y2 = by.(i) and nu = num.(i) in
+    Fe.add f du y1 y2;
+    Fe.add f nu x1 x2;
+    Fe.sqr f nu nu;
+    Fe.mul f nc x1 x2;
+    Fe.sub f nu nu nc;
+    Fe.add f nu nu a;
+    Fe.sub f dc x2 x1;
+    Fe.sub f nc y2 y1;
+    let chord = Bool.to_int (Fe.is_zero du) in
+    Fe.select num.(i) chord nc nu;
+    Fe.select den.(i) chord dc du;
+    opposite.(i) <- Bool.to_int (Fe.is_zero den.(i));
+    Fe.select den.(i) opposite.(i) one den.(i)
   done;
-  slope_step t ~num ~den ax ay bx;
+  (* the sums replace the slopes' numerators and denominators *)
+  slope_step t ~num ~den ax ay bx ~x3s:num ~y3s:den;
   for i = 0 to n - 1 do
-    if binf.(i) then begin
-      ax.(i) <- x0.(i);
-      ay.(i) <- y0.(i)
-    end
-    else if ainf.(i) then begin
-      ax.(i) <- bx.(i);
-      ay.(i) <- by.(i);
-      ainf.(i) <- false
-    end
-    else if opposite.(i) then ainf.(i) <- true
+    (* b = O keeps a; else a = O takes b; else the sum, O if opposite *)
+    let bi = Bool.to_int binf.(i) and ai = Bool.to_int ainf.(i) in
+    Fe.select num.(i) ai bx.(i) num.(i);
+    Fe.select den.(i) ai by.(i) den.(i);
+    Fe.select ax.(i) bi ax.(i) num.(i);
+    Fe.select ay.(i) bi ay.(i) den.(i);
+    ainf.(i) <- (bi land ai) lor ((1 - bi) land (1 - ai) land opposite.(i)) = 1
+  done
+
+(* One chord row of a lockstep group: lane a adds its row entry ([ex a x]
+   writes its x, [ey a y] its signed y) to (cx.(a), cy.(a)) in place,
+   every lane sharing one inversion. Only the prefix products are kept
+   between the two passes; the backward pass recomputes each lane's
+   slope. The table build runs its chord steps through it too. *)
+let comb_row t cx cy prefix ex ey =
+  let f = t.fe in
+  let run = Fe.make () and d = Fe.make () and l = Fe.make () in
+  let x2 = Fe.make () and y2 = Fe.make () and x3 = Fe.make () in
+  Fe.set_one run;
+  for a = 0 to Array.length prefix - 1 do
+    Fe.set prefix.(a) run;
+    ex a x2;
+    Fe.sub f d x2 cx.(a);
+    Fe.mul f run run d
+  done;
+  Fe.inv f run run;
+  for a = Array.length prefix - 1 downto 0 do
+    let x1 = cx.(a) and y1 = cy.(a) in
+    ex a x2;
+    ey a y2;
+    Fe.mul f l run prefix.(a);
+    Fe.sub f d x2 x1;
+    Fe.mul f run run d;
+    Fe.sub f d y2 y1;
+    Fe.mul f l l d;
+    Fe.sqr f x3 l;
+    Fe.sub f x3 x3 x1;
+    Fe.sub f x3 x3 x2;
+    Fe.sub f d x1 x3;
+    Fe.mul f d l d;
+    Fe.sub f y1 d y1;
+    Fe.set x1 x3
   done
 
 (* The table is built in affine coordinates across all rows at once, so
@@ -548,7 +597,7 @@ let make_base_table t ~width pt =
     Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
   in
   let half = Nat.shift_right (Nat.add order Nat.one) 1 in
-  if is_infinity pt then { width; tx = [||]; ty = [||]; offset; half }
+  if is_infinity pt then { width; entries = [||]; offset; half }
   else begin
     let bases = Array.make rows pt in
     for i = 1 to rows - 1 do
@@ -556,95 +605,95 @@ let make_base_table t ~width pt =
       for _ = 1 to width do b := double t !b done;
       bases.(i) <- !b
     done;
-    let bx, by =
+    (* (dx, dy) starts at the row bases and becomes D *)
+    let dx, dy =
       Array.split
         (Array.map
-           (function Some xy -> xy | None -> assert false (* odd order *))
+           (function
+             | Some (x, y) -> (Fe.of_nat t.fe x, Fe.of_nat t.fe y)
+             | None -> assert false (* odd order *))
            (to_affine_batch t bases))
     in
     let h = 1 lsl (width - 1) in
-    let tx = Array.init rows (fun i -> Array.make h bx.(i)) in
-    let ty = Array.init rows (fun i -> Array.make h by.(i)) in
-    let dx = Array.copy bx and dy = Array.copy by in
+    let entries = Array.init rows (fun _ -> Array.make (10 * h) 0) in
+    Array.iteri (fun i row -> Fe.pack dx.(i) row 0; Fe.pack dy.(i) row 5) entries;
     tangent_step t dx dy;
     let c = ref 1 in
     while !c < h do
-      (* one chord step over all rows * c0 new entries *)
+      (* one chord step: lane a = i * c0 + j makes entry c0 + j of row i *)
       let c0 = !c in
-      let at a = (a / c0, a mod c0) in
-      let sweep f = Array.init (rows * c0) (fun a -> let i, j = at a in f i j) in
-      let ex = sweep (fun i j -> tx.(i).(j)) and ey = sweep (fun i j -> ty.(i).(j)) in
-      chord_step t ex ey (sweep (fun i _ -> dx.(i))) (sweep (fun i _ -> dy.(i)));
-      Array.iteri (fun a x -> let i, j = at a in tx.(i).(c0 + j) <- x) ex;
-      Array.iteri (fun a y -> let i, j = at a in ty.(i).(c0 + j) <- y) ey;
+      let lanes f = Array.init (rows * c0) (fun a -> f entries.(a / c0) (10 * (a mod c0))) in
+      let read off = lanes (fun row at -> let v = Fe.make () in Fe.unpack row (at + off) v; v) in
+      let ex = read 0 and ey = read 5 in
+      comb_row t ex ey (lanes (fun _ _ -> Fe.make ()))
+        (fun a x -> Fe.set x dx.(a / c0)) (fun a y -> Fe.set y dy.(a / c0));
+      let write off =
+        Array.iteri (fun a v -> Fe.pack v entries.(a / c0) ((10 * (c0 + (a mod c0))) + off))
+      in
+      write 0 ex;
+      write 5 ey;
       if 2 * c0 < h then tangent_step t dx dy;
       c := 2 * c0
     done;
-    { width; tx; ty; offset; half }
+    { width; entries; offset; half }
   end
 
 let base_table_rows (table : base_table) =
-  Array.map2 (Array.map2 (fun x y -> Jacobian (x, y, Nat.one))) table.tx table.ty
+  Array.map
+    (fun row ->
+       Array.init (Array.length row / 10) (fun j ->
+           let x = Fe.make () and y = Fe.make () in
+           Fe.unpack row (10 * j) x;
+           Fe.unpack row ((10 * j) + 5) y;
+           Jacobian (Fe.to_nat x, Fe.to_nat y, Nat.one)))
+    table.entries
 
 let is_affine = function
   | Jacobian (_, _, z) -> Nat.equal z Nat.one
   | Infinity -> false
 
-(* The table's recoded digits b_i of [k] (see above), least significant
-   row first. Only called on tables with rows. *)
+(* The recoding d of [k] (see above) as big-endian bytes, which hold the
+   table's digits b_i: b_i is bits w*i .. w*i + w - 1 of d. Only called
+   on tables with rows. A lane of a lockstep group keeps these few bytes
+   rather than an array of its digits. *)
 let comb_digits t (table : base_table) k =
   let fn = t.fn in
-  let w = table.width in
-  let rows = Array.length table.tx in
   let d = Modular.mul fn (Modular.add fn (Modular.reduce fn k) table.offset) table.half in
-  let bytes = Nat.to_bytes_be ~len:(((w * rows) + 7) / 8) d in
-  let nb = String.length bytes in
-  let bit i = (Char.code (String.unsafe_get bytes (nb - 1 - (i lsr 3))) lsr (i land 7)) land 1 in
-  Array.init rows (fun i ->
-      let b = ref 0 in
-      for j = w - 1 downto 0 do b := (!b lsl 1) lor bit ((w * i) + j) done;
-      !b)
+  Nat.to_bytes_be ~len:(((table.width * Array.length table.entries) + 7) / 8) d
 
-(* Row i's point for recoded digit b: e * 2^(w*i) * B, e = 2b - (2^w - 1). *)
-let comb_entry t (table : base_table) i b =
+(* Digit b_i: w <= 10 bits at offset w*i span at most three bytes. *)
+let comb_digit (table : base_table) digits i =
+  let nb = String.length digits in
+  let o = table.width * i in
+  let v = ref 0 in
+  for j = min (nb - 1) ((o lsr 3) + 2) downto o lsr 3 do
+    v := (!v lsl 8) lor Char.code (String.unsafe_get digits (nb - 1 - j))
+  done;
+  (!v lsr (o land 7)) land ((1 lsl table.width) - 1)
+
+(* Row i's entry for recoded digit b is e * 2^(w*i) * B with
+   e = 2b - (2^w - 1): column j of the row, where |e| = 2j + 1, and its
+   y negated when the top bit of b is clear. [comb_x] unpacks the x into
+   [x]; [comb_y] unpacks the y into [y] and negates it or not by a select,
+   with [tmp] as scratch. *)
+let comb_column (table : base_table) b =
   let h = 1 lsl (table.width - 1) in
   let s = b lsr (table.width - 1) in
-  let j = b land (h - 1) lxor ((s - 1) land (h - 1)) in
-  let y = table.ty.(i).(j) in
-  (table.tx.(i).(j), [| Modular.neg t.fp y; y |].(s))
+  b land (h - 1) lxor ((s - 1) land (h - 1))
 
-(* A lockstep lane's running values live in cells: field elements kept
-   as raw limbs in int arrays allocated once per group and overwritten
-   in place. A minor collection then finds nothing of the lanes to
-   promote; boxed values stored into a group-sized array would all be
-   copied to the major heap at every collection, and the major heap
-   would grow with them. *)
-let cell t = Array.make ((Nat.bit_length t.params.p + Nat.base_bits - 1) / Nat.base_bits) 0
-let cell_get c = Nat.of_limbs c (Array.length c)
-let cell_set c v = let n = Nat.to_limbs_into v c in Array.fill c n (Array.length c - n) 0
+let comb_x (table : base_table) i b x = Fe.unpack table.entries.(i) (10 * comb_column table b) x
 
-(* One chord row of a lockstep group: lane a adds [entry a] to its
-   cells (cx.(a), cy.(a)), every lane sharing one inversion. Only the
-   prefix products are kept between the two passes; the backward pass
-   recomputes each lane's entry and denominator. *)
-let comb_row t cx cy prefix entry =
-  let fp = t.fp in
-  let running = ref Nat.one in
-  Array.iteri
-    (fun a p ->
-       cell_set p !running;
-       running := Modular.mul fp !running (Modular.sub fp (fst (entry a)) (cell_get cx.(a))))
-    prefix;
-  let inv = ref (Modular.inv fp !running) in
-  for a = Array.length prefix - 1 downto 0 do
-    let x2, y2 = entry a in
-    let x1 = cell_get cx.(a) and y1 = cell_get cy.(a) in
-    let l = Modular.mul fp (Modular.mul fp !inv (cell_get prefix.(a))) (Modular.sub fp y2 y1) in
-    inv := Modular.mul fp !inv (Modular.sub fp x2 x1);
-    let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp l) x1) x2 in
-    cell_set cy.(a) (Modular.sub fp (Modular.mul fp l (Modular.sub fp x1 x3)) y1);
-    cell_set cx.(a) x3
-  done
+let comb_y t (table : base_table) i b y tmp =
+  Fe.unpack table.entries.(i) ((10 * comb_column table b) + 5) y;
+  Fe.neg t.fe tmp y;
+  Fe.select y (b lsr (table.width - 1)) y tmp
+
+(* The entry as a Jacobian point, for the readers outside the kernels. *)
+let comb_point t (table : base_table) i b =
+  let x = Fe.make () and y = Fe.make () and tmp = Fe.make () in
+  comb_x table i b x;
+  comb_y t table i b y tmp;
+  Jacobian (Fe.to_nat x, Fe.to_nat y, Nat.one)
 
 (* Fixed-base multiplication off the comb table: no doublings (each row
    carries its 2^(w*i) factor) and one mixed add per row after the
@@ -652,11 +701,11 @@ let comb_row t cx cy prefix entry =
    sequence does not depend on the scalar; only the last add can meet
    the equal or opposite case (see above), which [add_mixed] handles. *)
 let mul_base_table t (table : base_table) k =
-  let rows = Array.length table.tx in
+  let rows = Array.length table.entries in
   if rows = 0 then Infinity
   else begin
     let digits = comb_digits t table k in
-    let entry i = let x, y = comb_entry t table i digits.(i) in Jacobian (x, y, Nat.one) in
+    let entry i = comb_point t table i (comb_digit table digits i) in
     let acc = ref (entry 0) in
     for i = 1 to rows - 1 do acc := add_mixed t !acc (entry i) done;
     !acc
@@ -680,12 +729,11 @@ let mul2 t (table : base_table) u v p =
         else if d < 0 then acc := add t !acc ntbl.((-d) / 2))
       (wnaf5 v)
   end;
-  let rows = Array.length table.tx in
+  let rows = Array.length table.entries in
   if rows > 0 then begin
     let digits = comb_digits t table u in
     for i = 0 to rows - 1 do
-      let x, y = comb_entry t table i digits.(i) in
-      acc := add_mixed t !acc (Jacobian (x, y, Nat.one))
+      acc := add_mixed t !acc (comb_point t table i (comb_digit table digits i))
     done
   end;
   !acc
@@ -701,7 +749,8 @@ let batch_group = 1024
    costs one inversion shared by the whole group. Rows 1 .. W-2 are
    chords, safe by the recoding argument above; row W-1 is a complete
    step. The terms of a multi-term job then merge with complete steps,
-   one round per extra term. *)
+   one round per extra term. Lane values are Fe elements allocated once
+   per group and overwritten in place. *)
 let lockstep_group t (jobs : comb_job array) lo hi out =
   let lanes =
     Array.of_list
@@ -710,39 +759,39 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
               List.map (fun (table, k) -> (q, table, k)) jobs.(lo + q))))
   in
   let nl = Array.length lanes in
-  let rx = Array.make nl Nat.zero and ry = Array.make nl Nat.zero in
+  (* every slot is replaced below, by a lane's accumulator or a fresh
+     identity for a table without rows *)
+  let rx = Array.make nl [||] and ry = Array.make nl [||] in
   let rinf = Array.make nl true in
   let row_counts =
     List.sort_uniq Int.compare
-      (Array.to_list (Array.map (fun (_, table, _) -> Array.length table.tx) lanes))
+      (Array.to_list (Array.map (fun (_, table, _) -> Array.length table.entries) lanes))
   in
   List.iter
     (fun rows ->
        let idx =
-         List.filter (fun l -> let _, table, _ = lanes.(l) in Array.length table.tx = rows)
+         List.filter (fun l -> let _, table, _ = lanes.(l) in Array.length table.entries = rows)
            (List.init nl Fun.id)
          |> Array.of_list
        in
        if rows > 0 then begin
+         let na = Array.length idx in
+         let tables = Array.map (fun l -> let _, table, _ = lanes.(l) in table) idx in
          let digits = Array.map (fun l -> let _, table, k = lanes.(l) in comb_digits t table k) idx in
-         let entry i a = let _, table, _ = lanes.(idx.(a)) in comb_entry t table i digits.(a).(i) in
-         let entries i = Array.split (Array.init (Array.length idx) (entry i)) in
-         let cells () = Array.map (fun _ -> cell t) idx in
-         let cx = cells () and cy = cells () and prefix = cells () in
-         Array.iteri
-           (fun a _ -> let x, y = entry 0 a in cell_set cx.(a) x; cell_set cy.(a) y)
-           idx;
-         for i = 1 to rows - 2 do comb_row t cx cy prefix (entry i) done;
-         let ax = Array.map cell_get cx and ay = Array.map cell_get cy in
-         let ainf = Array.make (Array.length idx) false in
-         if rows >= 2 then begin
-           let bx, by = entries (rows - 1) in
-           complete_step t ax ay ainf bx by (Array.make (Array.length idx) false)
-         end;
-         Array.iteri
-           (fun a l -> rx.(l) <- ax.(a); ry.(l) <- ay.(a); rinf.(l) <- ainf.(a))
-           idx
-       end)
+         let tmp = Fe.make () in
+         let ex i a x = comb_x tables.(a) i (comb_digit tables.(a) digits.(a) i) x in
+         let ey i a y = comb_y t tables.(a) i (comb_digit tables.(a) digits.(a) i) y tmp in
+         let fresh read i = Array.init na (fun a -> let v = Fe.make () in read i a v; v) in
+         let cx = fresh ex 0 and cy = fresh ey 0 in
+         let prefix = Array.init na (fun _ -> Fe.make ()) in
+         for i = 1 to rows - 2 do comb_row t cx cy prefix (ex i) (ey i) done;
+         let ainf = Array.make na false in
+         if rows >= 2 then
+           complete_step t cx cy ainf (fresh ex (rows - 1)) (fresh ey (rows - 1))
+             (Array.make na false);
+         Array.iteri (fun a l -> rx.(l) <- cx.(a); ry.(l) <- cy.(a); rinf.(l) <- ainf.(a)) idx
+       end
+       else Array.iter (fun l -> rx.(l) <- Fe.make (); ry.(l) <- Fe.make ()) idx)
     row_counts;
   (* merge: job q's terms are the consecutive lanes first.(q) .. *)
   let n = hi - lo in
@@ -750,20 +799,23 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
   Array.iteri
     (fun l (q, _, _) -> if nterms.(q) = 0 then first.(q) <- l; nterms.(q) <- nterms.(q) + 1)
     lanes;
-  let jx = Array.init n (fun q -> if nterms.(q) = 0 then Nat.zero else rx.(first.(q))) in
-  let jy = Array.init n (fun q -> if nterms.(q) = 0 then Nat.zero else ry.(first.(q))) in
+  let lead r = Array.init n (fun q -> if nterms.(q) = 0 then Fe.make () else r.(first.(q))) in
+  let jx = lead rx and jy = lead ry in
   let jinf = Array.init n (fun q -> nterms.(q) = 0 || rinf.(first.(q))) in
   let max_terms = Array.fold_left max 0 nterms in
   for r = 1 to max_terms - 1 do
     let idx = Array.of_list (List.filter (fun q -> nterms.(q) > r) (List.init n Fun.id)) in
     let gather a = Array.map (fun q -> a.(q)) idx in
     let term a = Array.map (fun q -> a.(first.(q) + r)) idx in
-    let ax = gather jx and ay = gather jy and ainf = gather jinf in
-    complete_step t ax ay ainf (term rx) (term ry) (term rinf);
-    Array.iteri (fun a q -> jx.(q) <- ax.(a); jy.(q) <- ay.(a); jinf.(q) <- ainf.(a)) idx
+    let ainf = gather jinf in
+    (* jx and jy hold the accumulators themselves, updated in place *)
+    complete_step t (gather jx) (gather jy) ainf (term rx) (term ry) (term rinf);
+    Array.iteri (fun a q -> jinf.(q) <- ainf.(a)) idx
   done;
   for q = 0 to n - 1 do
-    out.(lo + q) <- (if jinf.(q) then Infinity else Jacobian (jx.(q), jy.(q), Nat.one))
+    out.(lo + q) <-
+      (if jinf.(q) then Infinity
+       else Jacobian (Fe.to_nat jx.(q), Fe.to_nat jy.(q), Nat.one))
   done
 
 let mul_base_batch t (jobs : comb_job array) =
@@ -1136,12 +1188,16 @@ let decode t s =
   else None
 
 (* Square root mod p for p = 3 mod 4 (both supported curves):
-   sqrt(a) = a^((p+1)/4) when a is a quadratic residue. The exponent is
-   cached in [t] — recomputing it per probe used to cost a 256-bit
-   add+shift on every decode_compressed and hash_to_point attempt. *)
+   sqrt(a) = a^((p+1)/4) when a is a quadratic residue, by [Fe.sqrt]. *)
 let field_sqrt t a =
-  let y = Modular.pow t.fp a t.sqrt_e in
-  if Nat.equal (Modular.sqr t.fp y) (Modular.reduce t.fp a) then Some y else None
+  let y = Fe.of_nat t.fe a in
+  if Fe.sqrt t.fe y y then Some (Fe.to_nat y) else None
+
+(* A y with y^2 = x^3 + a x + b, if x is on the curve. *)
+let lift_x t x =
+  let y = Fe.make () in
+  curve_rhs t y (Fe.of_nat t.fe x);
+  if Fe.sqrt t.fe y y then Some (Fe.to_nat y) else None
 
 (* Compressed encoding: 0x00 for infinity, else 0x02/0x03 (y parity)
    followed by X — half the bytes of the uncompressed form. *)
@@ -1157,20 +1213,13 @@ let decode_compressed t s =
   else if String.length s = 1 + t.byte_len && (s.[0] = '\x02' || s.[0] = '\x03') then begin
     let x = Nat.of_bytes_be (String.sub s 1 t.byte_len) in
     if Nat.compare x t.params.p >= 0 then None
-    else begin
-      let fp = t.fp in
-      let rhs =
-        Modular.add fp
-          (Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) (Modular.mul fp t.params.a x))
-          t.params.b
-      in
-      match field_sqrt t rhs with
+    else
+      match lift_x t x with
       | None -> None
       | Some y ->
         let want_odd = s.[0] = '\x03' in
-        let y = if Nat.is_odd y = want_odd then y else Modular.neg fp y in
+        let y = if Nat.is_odd y = want_odd then y else Modular.neg t.fp y in
         Some (of_affine t (x, y))
-    end
   end
   else None
 
@@ -1178,17 +1227,11 @@ let decode_compressed t s =
    a second generator H with unknown discrete log w.r.t. G (needed by
    the lifted-ElGamal commitment key). *)
 let hash_to_point t label =
-  let fp = t.fp in
   let rec try_counter i =
     if i > 1000 then failwith "Curve.hash_to_point: no point found";
     let h = Dd_crypto.Sha256.digest_list [ label; string_of_int i ] in
-    let x = Modular.of_bytes_be fp h in
-    let rhs =
-      Modular.add fp
-        (Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) (Modular.mul fp t.params.a x))
-        t.params.b
-    in
-    match field_sqrt t rhs with
+    let x = Modular.of_bytes_be t.fp h in
+    match lift_x t x with
     | Some y -> of_affine t (x, y)
     | None -> try_counter (i + 1)
   in

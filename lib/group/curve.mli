@@ -15,20 +15,30 @@
       {!mul_base_batch}. Each processes a fixed number of windows
       determined by the group order's bit length, performing one table
       lookup and one add per window unconditionally — the sequence of
-      group operations does not depend on the scalar. (The underlying
-      bignum ops are not constant-time, so this is uniformity of
-      operation sequence, not a full constant-time guarantee.)
+      group operations does not depend on the scalar.
+    - The field arithmetic under that sequence differs by path.
+      {!mul_base_batch} (the EA's set-up) runs every lane on
+      {!Dd_bignum.Fe}: fixed-width limbs, fully reduced after every
+      operation, with no branch on a value and no length-trimmed
+      values: its lanes take none of [Modular.add]/[sub]'s
+      compare-and-branch. {!mul} and the Jacobian readers of the comb
+      tables ({!mul_base_table}, {!mul2}) compute on [Nat] through
+      [Modular], whose add, sub and value trimming are not
+      constant-time: there the guarantee is uniformity of the operation
+      sequence, not a full constant-time one.
     - The comb tables ({!base_table}) use signed odd digits. A digit
-      picks its entry by index arithmetic and its sign by a select
-      between y and -y, with no branch on the digit. Every entry is
-      finite, and the recoding bounds the accumulator so that no add
-      but the last one of a comb can meet the equal or opposite point
-      case (the proof is at [base_table] in curve.ml). The last add
+      picks its entry by index arithmetic and its sign by a mask select
+      between y and -y ([Fe.select]), with no branch on the digit.
+      Every entry is finite, and the recoding bounds the accumulator so
+      that no add but the last one of a comb can meet the equal or
+      opposite point case (the proof is at [base_table] in curve.ml).
+      The last add
       is the mixed addition in {!mul_base_table}, whose equal and
       opposite cases fall back to doubling and the identity, and a
       complete affine addition in {!mul_base_batch}, which runs the
       same field operations for every lane and only selects among the
-      results; that is also how the batch merges the terms of a job.
+      results by masks; that is also how the batch merges the terms of
+      a job.
     - {b Public data} (signature verification, proof verification,
       checking commitments already on the wire): {!mul_vartime},
       {!mul2} and {!msm} are substantially faster but their operation
@@ -64,13 +74,16 @@ val secp256k1 : params
 val nist_p256 : params
 
 (** [create ?fast params] builds the group context, precomputing the
-    field contexts and the cached [(p+1)/4] square-root exponent.
-    [~fast:false] forces Barrett reduction in both fields (reference
-    path for differential tests and seed-baseline benchmarks). *)
+    field contexts. [~fast:false] forces Barrett reduction in both
+    [Modular] fields (reference path for differential tests and
+    seed-baseline benchmarks); the affine kernels, inversions and square
+    roots always use {!Dd_bignum.Fe}, so [params.p] must be secp256k1's
+    or P-256's prime ([Invalid_argument] otherwise). *)
 val create : ?fast:bool -> params -> t
 
-(** Modular context for the base field F_p (specialized reduction when
-    the prime is recognized, Barrett otherwise — see {!Modular}). *)
+(** Modular context for the base field F_p ({!Dd_bignum.Fe} behind
+    [mul]/[sqr] for the two curve primes, Barrett under [~fast:false] —
+    see {!Modular}). *)
 val field : t -> Modular.ctx
 
 (** Modular context for Z_n, n the group order. *)
@@ -86,10 +99,10 @@ val is_infinity : point -> bool
 (** [to_affine t p] is [None] for infinity and [Some (x, y)] otherwise. *)
 val to_affine : t -> point -> (Nat.t * Nat.t) option
 
-(** Normalize a whole array with a single modular inversion
-    (Montgomery's trick); element [i] is [None] iff [pts.(i)] is
-    infinity. Cost: one [inv] plus ~3 field mults per point, versus
-    one [inv] per point for repeated {!to_affine}. *)
+(** Normalize a whole array with a single field inversion
+    (Montgomery's trick, in {!Dd_bignum.Fe}); element [i] is [None] iff
+    [pts.(i)] is infinity. Cost: one inversion plus ~3 field mults per
+    point, versus one inversion per point for repeated {!to_affine}. *)
 val to_affine_batch : t -> point array -> (Nat.t * Nat.t) option array
 
 val of_affine : t -> Nat.t * Nat.t -> point
@@ -115,12 +128,15 @@ val mul_vartime : t -> Nat.t -> point -> point
 (** Precomputed signed-odd comb table for a fixed base B, of window
     width w: row i (of [ceil (bits n / w)]) holds the odd multiples
     [(2j+1) * 2^(w*i) * B] for [j = 0 .. 2^(w-1) - 1], every entry
-    finite and stored affine (Z = 1), so fixed-base multiplication needs
-    no doublings and every table add is a mixed addition. A scalar is
-    recoded into one signed odd digit per row. The build works in affine
-    coordinates across all rows at once, one shared field inversion per
-    step. The group generators use width 8 (32 rows of 128 entries);
-    per-signer verification tables, built during cast set-up, width 4. *)
+    finite and affine, so fixed-base multiplication needs no doublings
+    and every table add is a mixed addition. Entries are stored once, as
+    {!Dd_bignum.Fe} limbs packed two per word (about 330 KB for a width-8
+    table); the Jacobian readers convert the entries they read. A scalar
+    is recoded into one signed odd digit per row. The build works in
+    affine coordinates across all rows at once, one shared field
+    inversion per step. The group generators use width 8 (32 rows of
+    128 entries); per-signer verification tables, built during cast
+    set-up, width 4. *)
 type base_table
 val make_base_table : t -> width:int -> point -> base_table
 
@@ -150,8 +166,9 @@ val batch_group : int
 (** [mul_base_batch t jobs] evaluates every job, each result affine
     (Z = 1) or the identity. Jobs run in lockstep groups of about
     {!batch_group}: per row, every term of every job in the group adds
-    its table entry in affine coordinates and the whole group shares one
-    field inversion, so a multiplication costs about five field
+    its table entry in affine coordinates, on {!Dd_bignum.Fe} values
+    held per lane and overwritten in place, and the whole group shares
+    one field inversion, so a multiplication costs about six field
     multiplications per row and no per-point inversion. A group of a
     few jobs pays one inversion per row, slower than {!mul_base_table};
     batch hundreds. Safe for secret scalars, under the same contract as
@@ -208,8 +225,8 @@ val equal : t -> point -> point -> bool
 val encode : t -> point -> string
 val decode : t -> string -> point option
 
-(** Square root in F_p (requires p = 3 mod 4, true of both supported
-    curves); [None] for non-residues. *)
+(** Square root in F_p by {!Dd_bignum.Fe.sqrt} (requires p = 3 mod 4,
+    true of both supported curves); [None] for non-residues. *)
 val field_sqrt : t -> Nat.t -> Nat.t option
 
 (** Compressed encoding: [0x02/0x03 || X] (33 bytes on 256-bit curves),

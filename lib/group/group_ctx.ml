@@ -15,7 +15,7 @@ type t = {
 }
 
 (* Width-8 comb tables for G and H: 32 rows of 128 entries, one mixed
-   add per row (half the adds of width 4) for about 0.45 MB each. *)
+   add per row (half the adds of width 4) for about 0.33 MB each. *)
 let generator_width = 8
 
 let create ?(fast = true) ?(params = Curve.secp256k1) () =

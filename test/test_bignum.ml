@@ -4,6 +4,7 @@
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
+module Fe = Dd_bignum.Fe
 
 let nat = Alcotest.testable Nat.pp Nat.equal
 
@@ -436,6 +437,131 @@ let test_barrett_edges () =
   Alcotest.check nat "x^1" x (Modular.pow ctx x Nat.one);
   Alcotest.check nat "x^2 = sqr" (Modular.sqr ctx x) (Modular.pow ctx x Nat.two)
 
+(* --- Fe against the Barrett reference ------------------------------- *)
+
+(* Residues that stress the 26-bit limb layout and the final
+   conditional subtraction: 0, 1, p - 1, p - 2, 2^(26k) and its
+   neighbours, and the largest residue whose low nine limbs are all
+   ones. *)
+let fe_edges prime =
+  let pow2 k = Nat.shift_left Nat.one k in
+  let around k = [ Nat.sub (pow2 k) Nat.one; pow2 k; Nat.add (pow2 k) Nat.one ] in
+  let all_ones =
+    Nat.add
+      (Nat.shift_left (Nat.sub (Nat.shift_right prime 234) Nat.one) 234)
+      (Nat.sub (pow2 234) Nat.one)
+  in
+  [ Nat.zero; Nat.one; Nat.sub prime Nat.one; Nat.sub prime Nat.two; all_ones ]
+  @ List.concat_map (fun k -> around (26 * k)) (List.init 9 (fun k -> k + 1))
+  |> List.map (fun x -> Nat.rem x prime)
+
+let fe_fields =
+  [ ("secp256k1", Fe.secp256k1, slow_secp); ("p256", Fe.p256, slow_p256) ]
+
+(* A residue of either field, as a seed: half the draws are edge values. *)
+let arb_fe_seed =
+  QCheck.make ~print:Nat.to_decimal
+    QCheck.Gen.(
+      oneof
+        [ gen_nat_bits 256;
+          map2 (fun i _ -> List.nth (fe_edges secp_p @ fe_edges p256_p) i)
+            (int_bound (2 * List.length (fe_edges secp_p) - 1)) unit ])
+
+(* Run [check] on every field with both operands reduced into it. *)
+let on_fields check (a, b) =
+  List.for_all
+    (fun (_, f, slow) -> check f slow (Modular.reduce slow a) (Modular.reduce slow b))
+    fe_fields
+
+let prop_fe_arith =
+  QCheck.Test.make ~name:"Fe arithmetic = Barrett" ~count:1000
+    (QCheck.pair arb_fe_seed arb_fe_seed)
+    (on_fields (fun f slow a b ->
+         let x = Fe.of_nat f a and y = Fe.of_nat f b and d = Fe.make () in
+         let is op want = op (); Nat.equal (Fe.to_nat d) want in
+         is (fun () -> Fe.mul f d x y) (Modular.mul slow a b)
+         && is (fun () -> Fe.sqr f d x) (Modular.mul slow a a)
+         && is (fun () -> Fe.add f d x y) (Modular.add slow a b)
+         && is (fun () -> Fe.sub f d x y) (Modular.sub slow a b)
+         && is (fun () -> Fe.neg f d x) (Modular.neg slow a)
+         && is (fun () -> Fe.select d 1 x y) a
+         && is (fun () -> Fe.select d 0 x y) b
+         && Fe.equal x y = Nat.equal a b
+         && Fe.is_zero x = Nat.is_zero a))
+
+(* The destination may alias either operand. *)
+let prop_fe_aliasing =
+  QCheck.Test.make ~name:"Fe dst may alias operand" ~count:300
+    (QCheck.pair arb_fe_seed arb_fe_seed)
+    (on_fields (fun f slow a b ->
+         let into op want = let x = Fe.of_nat f a in op x; Nat.equal (Fe.to_nat x) want in
+         into (fun x -> Fe.mul f x x (Fe.of_nat f b)) (Modular.mul slow a b)
+         && into (fun x -> Fe.mul f x (Fe.of_nat f b) x) (Modular.mul slow a b)
+         && into (fun x -> Fe.mul f x x x) (Modular.mul slow a a)
+         && into (fun x -> Fe.sqr f x x) (Modular.mul slow a a)
+         && into (fun x -> Fe.sub f x (Fe.of_nat f b) x) (Modular.sub slow b a)
+         && into (fun x -> Fe.add f x x x) (Modular.add slow a a)
+         && into (fun x -> Fe.neg f x x) (Modular.neg slow a)))
+
+let prop_fe_inv_sqrt =
+  QCheck.Test.make ~name:"Fe inv/sqrt = Barrett pow" ~count:60
+    (QCheck.pair arb_fe_seed arb_fe_seed)
+    (on_fields (fun f slow a _ ->
+         let p = Modular.modulus slow in
+         let x = Fe.of_nat f a and d = Fe.make () in
+         Fe.inv f d x;
+         let inv_ok =
+           Nat.equal (Fe.to_nat d)
+             (if Nat.is_zero a then Nat.zero else Modular.pow slow a (Nat.sub p Nat.two))
+         in
+         let want = Modular.pow slow a (Nat.shift_right (Nat.add p Nat.one) 2) in
+         let root = Fe.sqrt f d x in
+         inv_ok
+         && Nat.equal (Fe.to_nat d) want
+         && root = Nat.equal (Modular.mul slow want want) a))
+
+(* Every edge residue on both fields, pairwise, plus conversions of
+   out-of-range naturals. *)
+let test_fe_edges () =
+  List.iter
+    (fun (name, f, slow) ->
+       let p = Modular.modulus slow in
+       let edges = fe_edges p in
+       List.iter
+         (fun a ->
+            let x = Fe.of_nat f a in
+            Alcotest.check nat (name ^ " roundtrip") a (Fe.to_nat x);
+            Alcotest.(check bool) (name ^ " limbs below 2^26") true
+              (Array.for_all (fun l -> l >= 0 && l < 1 lsl 26) x);
+            List.iter
+              (fun b ->
+                 let y = Fe.of_nat f b and d = Fe.make () in
+                 Fe.mul f d x y;
+                 Alcotest.check nat (name ^ " mul") (Modular.mul slow a b) (Fe.to_nat d);
+                 Fe.add f d x y;
+                 Alcotest.check nat (name ^ " add") (Modular.add slow a b) (Fe.to_nat d);
+                 Fe.sub f d x y;
+                 Alcotest.check nat (name ^ " sub") (Modular.sub slow a b) (Fe.to_nat d))
+              edges;
+            let d = Fe.make () in
+            Fe.sqr f d x;
+            Alcotest.check nat (name ^ " sqr") (Modular.mul slow a a) (Fe.to_nat d);
+            Fe.neg f d x;
+            Alcotest.check nat (name ^ " neg") (Modular.neg slow a) (Fe.to_nat d);
+            if not (Nat.is_zero a) then begin
+              Fe.inv f d x;
+              Fe.mul f d d x;
+              Alcotest.check nat (name ^ " a * inv a") Nat.one (Fe.to_nat d)
+            end)
+         edges;
+       Alcotest.check nat (name ^ " of_nat p") Nat.zero (Fe.to_nat (Fe.of_nat f p));
+       Alcotest.check nat (name ^ " of_nat 2^300")
+         (Modular.reduce slow (Nat.shift_left Nat.one 300))
+         (Fe.to_nat (Fe.of_nat f (Nat.shift_left Nat.one 300)));
+       Alcotest.(check bool) (name ^ " of_prime") true (Fe.of_prime p = Some f))
+    fe_fields;
+  Alcotest.(check bool) "of_prime on another modulus" true (Fe.of_prime secp_n = None)
+
 let () =
   Alcotest.run "bignum"
     [ ("nat-unit",
@@ -470,4 +596,8 @@ let () =
          [ prop_fast_reduce_secp; prop_fast_reduce_p256;
            prop_fast_mul_secp; prop_fast_mul_p256;
            prop_mont_mul_orders; prop_mont_roundtrip; prop_sqr_aliasing;
-           prop_limb_kernels ]) ]
+           prop_limb_kernels ]);
+      ("fe-differential",
+       Alcotest.test_case "edge residues" `Quick test_fe_edges
+       :: List.map QCheck_alcotest.to_alcotest
+            [ prop_fe_arith; prop_fe_aliasing; prop_fe_inv_sqrt ]) ]
