@@ -296,7 +296,6 @@ let json_mode = Array.exists (( = ) "--json") Sys.argv
 let json_rows : (string * float) list ref = ref []
 
 module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
 module Curve = Dd_group.Curve
 
 (* Write the microbenchmark rows as a JSON baseline artifact. The
@@ -346,14 +345,16 @@ let micro () =
   let enc = Dd_crypto.Aes128.cbc_encrypt ~key:aes_key ~iv:(Dd_crypto.Drbg.bytes rng 16) code in
   ignore enc;
   (* arithmetic-stack operands: fast contexts vs frozen seed baselines *)
-  let fp_secp = Curve.field (Dd_group.Group_ctx.curve gctx) in
-  let fp_p256 = Modular.create Curve.nist_p256.Curve.p in
+  let fe_secp = Dd_bignum.Fe.secp256k1 and fe_p256 = Dd_bignum.Fe.p256 in
   let bar_secp = Seed_baseline.barrett Curve.secp256k1.Curve.p in
   let bar_p256 = Seed_baseline.barrett Curve.nist_p256.Curve.p in
-  let fx = Modular.of_bytes_be fp_secp (Dd_crypto.Drbg.bytes rng 32) in
-  let fy = Modular.of_bytes_be fp_secp (Dd_crypto.Drbg.bytes rng 32) in
-  let px = Modular.of_bytes_be fp_p256 (Dd_crypto.Drbg.bytes rng 32) in
-  let py = Modular.of_bytes_be fp_p256 (Dd_crypto.Drbg.bytes rng 32) in
+  let draw p = Nat.rem (Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 32)) p in
+  let fx = draw Curve.secp256k1.Curve.p and fy = draw Curve.secp256k1.Curve.p in
+  let px = draw Curve.nist_p256.Curve.p and py = draw Curve.nist_p256.Curve.p in
+  (* the field rows time Fe, the arithmetic Curve runs on *)
+  let fe_of f x = Dd_bignum.Fe.of_nat f x in
+  let efx = fe_of fe_secp fx and efy = fe_of fe_secp fy and edst = Dd_bignum.Fe.make () in
+  let epx = fe_of fe_p256 px and epy = fe_of fe_p256 py in
   let curve = Dd_group.Group_ctx.curve gctx in
   (* the full seed arithmetic stack, replicated (see seed_baseline.ml) *)
   let sc = Seed_baseline.scurve Curve.secp256k1 in
@@ -478,23 +479,22 @@ let micro () =
                ~quorum:ucert_quorum ucert));
       (* arithmetic stack: field multiplication, before/after *)
       Test.make ~name:"arith.field-mul.secp256k1"
-        (Staged.stage (fun () -> Modular.mul fp_secp fx fy));
+        (Staged.stage (fun () -> Dd_bignum.Fe.mul fe_secp edst efx efy));
       Test.make ~name:"arith.field-mul.secp256k1.seed-baseline"
         (Staged.stage (fun () -> Seed_baseline.field_mul bar_secp fx fy));
       Test.make ~name:"arith.field-mul.p256"
-        (Staged.stage (fun () -> Modular.mul fp_p256 px py));
+        (Staged.stage (fun () -> Dd_bignum.Fe.mul fe_p256 edst epx epy));
       Test.make ~name:"arith.field-mul.p256.seed-baseline"
         (Staged.stage (fun () -> Seed_baseline.field_mul bar_p256 px py));
-      (* arithmetic stack: dedicated squaring kernel and Fermat inversion
-         (the Montgomery-domain square-and-multiply chain) *)
+      (* arithmetic stack: squaring kernel and Fermat inversion *)
       Test.make ~name:"arith.field-sqr.secp256k1"
-        (Staged.stage (fun () -> Modular.sqr fp_secp fx));
+        (Staged.stage (fun () -> Dd_bignum.Fe.sqr fe_secp edst efx));
       Test.make ~name:"arith.field-sqr.p256"
-        (Staged.stage (fun () -> Modular.sqr fp_p256 px));
+        (Staged.stage (fun () -> Dd_bignum.Fe.sqr fe_p256 edst epx));
       Test.make ~name:"arith.field-inv.secp256k1"
-        (Staged.stage (fun () -> Modular.inv fp_secp fx));
+        (Staged.stage (fun () -> Dd_bignum.Fe.inv fe_secp edst efx));
       Test.make ~name:"arith.field-inv.p256"
-        (Staged.stage (fun () -> Modular.inv fp_p256 px));
+        (Staged.stage (fun () -> Dd_bignum.Fe.inv fe_p256 edst epx));
       (* arithmetic stack: scalar multiplication variants *)
       Test.make ~name:"arith.point-mul.fixed-window"
         (Staged.stage (fun () -> Curve.mul curve scalar point));

@@ -17,9 +17,14 @@ table follows with both sides' medians and quartiles of every
 `end_to_end` metric BENCHMARK.json names, from the same runs, so one
 command also shows whether anything else got worse.
 
-Which direction is better comes from BENCHMARK.json's metric list, or
-from --better for a metric it does not name. A run that fails or prints
-no value for METRIC is reported and leaves its pair out of the counts.
+METRIC may also be one of the `run.*` timings (run.votes_per_s,
+run.cast_p50_ms, run.cast_p95_ms, run.results_s): an untraced result
+object does not carry them, so they are read from the `# run.NAME=VALUE`
+notes line perfbench prints before it. Which direction is better comes
+from BENCHMARK.json's metric list, which names those four (votes_per_s
+higher-is-better, the others lower), or from --better for a metric it
+does not name. A run that fails or prints no value for METRIC is reported and
+leaves its pair out of the counts.
 Uncommitted edits are not benchmarked: commit first, or pass --change.
 """
 
@@ -31,6 +36,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+# The timings perfbench prints only on its notes line, as
+# `# run.votes_per_s=122.31/s run.cast_p50_ms=210.5ms ...`: each value
+# runs straight into its unit, so the unit is stripped by name.
+NOTES_UNITS = {
+    "run.votes_per_s": "1/s",
+    "run.cast_p50_ms": "ms",
+    "run.cast_p95_ms": "ms",
+    "run.results_s": "s",
+}
 
 
 def export(rev, dest):
@@ -49,8 +64,27 @@ def build(tree):
         sys.exit(f"pairs: build failed in {tree}")
 
 
+def notes_metrics(lines):
+    """The run.* timings on perfbench's notes lines, as {name: value}."""
+    found = {}
+    for line in lines:
+        if not line.startswith("# "):
+            continue
+        for token in line[2:].split():
+            name, sep, text = token.partition("=")
+            unit = NOTES_UNITS.get(name)
+            if not sep or unit is None or not text.endswith(unit):
+                continue
+            try:
+                found[name] = float(text[: -len(unit)])
+            except ValueError:
+                pass
+    return found
+
+
 def run(tree, workload, seed, seconds):
-    """The result object of one perfbench run, or None if it failed."""
+    """The result object of one perfbench run, or None if it failed; the
+    notes line's run.* timings join its metrics where it lacks them."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -58,7 +92,11 @@ def run(tree, workload, seed, seconds):
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         return None
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    metrics = result.setdefault("metrics", {})
+    for name, value in notes_metrics(lines[:-1]).items():
+        metrics.setdefault(name, {"value": value, "unit": NOTES_UNITS[name]})
+    return result
 
 
 def value_of(result, metric):

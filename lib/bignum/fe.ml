@@ -468,21 +468,19 @@ let equal (x : t) (y : t) =
   for i = 0 to 9 do acc := !acc lor (Array.unsafe_get x i lxor Array.unsafe_get y i) done;
   !acc = 0
 
-let set_nat f (dst : t) x =
-  limbs_of_nat (if Nat.compare x f.prime >= 0 then Nat.rem x f.prime else x) dst
+let of_nat f x =
+  let r = make () in
+  limbs_of_nat (if Nat.compare x f.prime >= 0 then Nat.rem x f.prime else x) r;
+  r
 
-let of_nat f x = let r = make () in set_nat f r x; r
-
-let to_limbs (x : t) (buf : int array) =
+(* The residue as Nat's five 62-bit limbs. *)
+let to_nat (x : t) =
+  let buf = Array.make 5 0 in
   buf.(0) <- x.(0) lor (x.(1) lsl 26) lor ((x.(2) land 0x3ff) lsl 52);
   buf.(1) <- (x.(2) lsr 10) lor (x.(3) lsl 16) lor ((x.(4) land 0xfffff) lsl 42);
   buf.(2) <- (x.(4) lsr 20) lor (x.(5) lsl 6) lor (x.(6) lsl 32) lor ((x.(7) land 0xf) lsl 58);
   buf.(3) <- (x.(7) lsr 4) lor (x.(8) lsl 22) lor ((x.(9) land 0x3fff) lsl 48);
-  buf.(4) <- x.(9) lsr 14
-
-let to_nat x =
-  let buf = Array.make 5 0 in
-  to_limbs x buf;
+  buf.(4) <- x.(9) lsr 14;
   Nat.of_limbs buf 5
 
 (* dst := a^e for a public exponent, by fixed 4-bit windows: four

@@ -30,20 +30,13 @@ val of_prime : Nat.t -> field option
 (** A fresh element holding zero. *)
 val make : unit -> t
 
-(** [of_nat f x] is [x mod p] as a fresh element; [set_nat f dst x]
-    writes it into [dst]. *)
+(** [of_nat f x] is [x mod p] as a fresh element. *)
 (* lint: secret *)
 val of_nat : field -> Nat.t -> t
-val set_nat : field -> t -> Nat.t -> unit
 
 (** The residue an element holds. *)
 (* lint: secret *)
 val to_nat : t -> Nat.t
-
-(** [to_limbs x buf] writes the residue as [Nat]'s five 62-bit limbs
-    into [buf.(0 .. 4)], for a caller that builds the [Nat] itself. *)
-(* lint: secret *)
-val to_limbs : t -> int array -> unit
 
 (** [set dst src] copies [src]'s limbs into [dst]. *)
 val set : t -> t -> unit

@@ -1,27 +1,21 @@
 (* Modular arithmetic with a reduction strategy chosen at [create] time:
 
-   - The two curve field primes, secp256k1's p = 2^256 - 2^32 - 977 and
-     NIST P-256's p = 2^256 - 2^224 + 2^192 + 2^96 - 1, multiply through
-     [Fe]'s fixed-width 26-bit limbs: a pseudo-Mersenne fold for
-     secp256k1, the FIPS 186-4 word-sliding sum for P-256. [mul]/[sqr]
-     convert the operands in, run one [Fe] product and convert out.
-
-   - Any other odd modulus (notably both curve orders) gets a Montgomery
-     domain: residues are multiplied as x*y*R^-1 mod m (R = 2^(31*hk))
-     with the quotient digit m' = -m^-1 mod 2^31 absorbed limb by limb —
-     no division and no Barrett product. The standard mul/sqr API stays
-     in the standard domain (enter/exit per call, still ~3x cheaper than
-     Barrett); [pow] and Fermat [inv] enter the domain once and run the
-     whole square-and-multiply chain inside it. The explicit domain API
-     ([to_mont]/[of_mont]/[mul_mont]/[sqr_mont]) exposes the raw form
-     for callers that want to batch conversions. The curve fields have a
-     domain too, which their [pow] and [inv] use.
+   - Any odd modulus up to 1023 bits (notably both curve orders) gets a
+     Montgomery domain: residues are multiplied as x*y*R^-1 mod m
+     (R = 2^(31*hk)) with the quotient digit m' = -m^-1 mod 2^31
+     absorbed limb by limb — no division and no Barrett product. The
+     mul/sqr API stays in the standard domain (enter/exit per call,
+     still ~3x cheaper than Barrett); [pow] and Fermat [inv] enter the
+     domain once and run the whole square-and-multiply chain inside it.
 
    - Everything else (even moduli, oversized moduli, and every modulus
      under [~fast:false]) uses Barrett: the slow Nat.divmod runs once to
      compute the Barrett constant, and each reduction costs two
      multiplications. This is the differential-test reference, and
-     [reduce] uses it for the curve fields as well.
+     [reduce] uses it for every modulus.
+
+   The curves' base fields are not computed here: the group runs them
+   on its own fixed-width limbs.
 
    The Montgomery kernels run over 31-bit half-limbs of Nat's 62-bit
    limbs (a 62x62 partial product does not fit a 63-bit native int; a
@@ -42,18 +36,13 @@
 let hbits = Nat.base_bits / 2
 let hmask = (1 lsl hbits) - 1
 
-(* Scratch for the Montgomery paths, sized for moduli up to 33
-   half-limbs (1023 bits), and for the curve fields' trip through [Fe].
-   The int buffers hold 31-bit halves except [limbs] (62-bit limbs, used
-   to cross the Nat boundary). *)
+(* Scratch for the Montgomery paths, in 31-bit halves, sized for moduli
+   up to 33 half-limbs (1023 bits). *)
 type scratch = {
   xa : int array;     (* 36 halves: operand a / Montgomery base *)
   xb : int array;     (* 36 halves: operand b *)
   ra : int array;     (* 36 halves: Montgomery accumulator / results *)
   prod : int array;   (* 70 halves: product + REDC headroom (2k + 2) *)
-  fa : Fe.t;          (* curve fields: the operands, then the product *)
-  fb : Fe.t;
-  limbs : int array;  (* 20 62-bit limbs: Nat <-> half-limb crossings *)
 }
 
 let make_scratch () = {
@@ -61,9 +50,6 @@ let make_scratch () = {
   xb = Array.make 36 0;
   ra = Array.make 36 0;
   prod = Array.make 70 0;
-  fa = Fe.make ();
-  fb = Fe.make ();
-  limbs = Array.make 20 0;
 }
 
 (* One scratch per domain, shared by all contexts in that domain. A
@@ -73,7 +59,6 @@ let scratch_key = Domain.DLS.new_key make_scratch
 
 type strategy =
   | Barrett
-  | Curve_field of Fe.field
   | Montgomery
 
 (* Montgomery constants for an odd modulus m < R = 2^(31 * hk):
@@ -106,10 +91,7 @@ let create ?(prime = true) ?(fast = true) modulus =
   let kl = (bits + Nat.base_bits - 1) / Nat.base_bits in
   let hk = (bits + hbits - 1) / hbits in
   let strategy =
-    match (if fast then Fe.of_prime modulus else None) with
-    | Some f -> Curve_field f
-    | None when fast && Nat.is_odd modulus && hk <= mont_max_halves -> Montgomery
-    | None -> Barrett
+    if fast && Nat.is_odd modulus && hk <= mont_max_halves then Montgomery else Barrett
   in
   let mu =
     let b2k = Nat.shift_left Nat.one (2 * kl * Nat.base_bits) in
@@ -157,34 +139,34 @@ let modulus ctx = ctx.modulus
 let reduction_name ctx =
   match ctx.strategy with
   | Barrett -> "barrett"
-  | Curve_field f when f == Fe.secp256k1 -> "pseudo-mersenne-secp256k1"
-  | Curve_field _ -> "word-sliding-p256"
   | Montgomery -> "montgomery"
 
 (* --- Nat <-> half-limb crossings --------------------------------------- *)
 
 (* Write [a]'s 31-bit halves into [h], zero-filling up to [pad] entries;
    returns the significant half count. [h] needs room for
-   max(pad, 2 * limbs(a)) entries. *)
-let unpack_halves st (a : Nat.t) (h : int array) ~pad =
-  let nl = Nat.to_limbs_into a st.limbs in
-  for i = 0 to nl - 1 do
-    let v = Array.unsafe_get st.limbs i in
-    Array.unsafe_set h (2 * i) (v land hmask);
-    Array.unsafe_set h ((2 * i) + 1) (v lsr hbits)
+   max(pad, 2 * limbs(a)) entries. The limbs land in [h] first and are
+   split in place from the top, so no write overtakes an unread limb. *)
+let unpack_halves (a : Nat.t) (h : int array) ~pad =
+  let nl = Nat.to_limbs_into a h in
+  for i = nl - 1 downto 0 do
+    let v = Array.unsafe_get h i in
+    Array.unsafe_set h ((2 * i) + 1) (v lsr hbits);
+    Array.unsafe_set h (2 * i) (v land hmask)
   done;
   for i = 2 * nl to pad - 1 do h.(i) <- 0 done;
   Nat.trim_limbs h (2 * nl)
 
-(* Pack halves [h.(off .. off + nh - 1)] back into a value. *)
-let pack_halves st (h : int array) ~off nh =
+(* The value of halves [h.(0 .. nh - 1)], joined into limbs in place
+   from the bottom (so [h] is clobbered). *)
+let pack_halves (h : int array) nh =
   let nl = (nh + 1) / 2 in
   for i = 0 to nl - 1 do
-    let lo = if 2 * i < nh then h.(off + (2 * i)) else 0 in
-    let hi = if (2 * i) + 1 < nh then h.(off + (2 * i) + 1) else 0 in
-    st.limbs.(i) <- lo lor (hi lsl hbits)
+    let lo = if 2 * i < nh then h.(2 * i) else 0 in
+    let hi = if (2 * i) + 1 < nh then h.((2 * i) + 1) else 0 in
+    h.(i) <- lo lor (hi lsl hbits)
   done;
-  Nat.of_limbs st.limbs nl
+  Nat.of_limbs h nl
 
 (* --- half-limb linear kernels ------------------------------------------ *)
 
@@ -719,32 +701,19 @@ let neg ctx a = if Nat.is_zero a then a else Nat.sub ctx.modulus a
    REDC(REDC(a*b) * RR) = a*b mod m. The first REDC may use the
    squaring kernel when a == b. *)
 let mul_via_mont ctx mo st ~square a b =
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
+  let _ = unpack_halves a st.xa ~pad:ctx.hk in
   ignore
     (if square then mont_sqr ctx mo st st.xa st.ra
      else begin
-       let _ = unpack_halves st b st.xb ~pad:ctx.hk in
+       let _ = unpack_halves b st.xb ~pad:ctx.hk in
        mont_mul ctx mo st st.xa st.xb st.ra
      end);
   let n = mont_mul ctx mo st st.ra mo.rr_h st.ra in
-  pack_halves st st.ra ~off:0 n
-
-(* Through [Fe] on the curve fields: operands in (reduced when out of
-   contract, >= p), one product, the result out through the limb
-   scratch, so the result Nat is the only allocation. *)
-let fe_out st (x : Fe.t) =
-  Fe.to_limbs x st.limbs;
-  Nat.of_limbs st.limbs 5
+  pack_halves st.ra n
 
 let mul ctx a b =
   match ctx.strategy with
   | Barrett -> reduce_barrett ctx (Nat.mul a b)
-  | Curve_field f ->
-    let st = Domain.DLS.get scratch_key in
-    Fe.set_nat f st.fa a;
-    Fe.set_nat f st.fb b;
-    Fe.mul f st.fa st.fa st.fb;
-    fe_out st st.fa
   | Montgomery ->
     let mo = match ctx.mont with Some m -> m | None -> assert false in
     let a = if Nat.compare a ctx.modulus >= 0 then reduce ctx a else a in
@@ -752,16 +721,11 @@ let mul ctx a b =
     let st = Domain.DLS.get scratch_key in
     mul_via_mont ctx mo st ~square:false a b
 
-(* Dedicated squaring: [Fe.sqr] for the curve fields; Montgomery moduli
-   route the first REDC through the squaring kernel. *)
+(* Dedicated squaring: Montgomery moduli route the first REDC through
+   the squaring kernel. *)
 let sqr ctx a =
   match ctx.strategy with
   | Barrett -> reduce_barrett ctx (Nat.mul a a)
-  | Curve_field f ->
-    let st = Domain.DLS.get scratch_key in
-    Fe.set_nat f st.fa a;
-    Fe.sqr f st.fa st.fa;
-    fe_out st st.fa
   | Montgomery ->
     let mo = match ctx.mont with Some m -> m | None -> assert false in
     let a = if Nat.compare a ctx.modulus >= 0 then reduce ctx a else a in
@@ -771,7 +735,7 @@ let sqr ctx a =
 let double ctx a = add ctx a a
 
 (* Square-and-multiply. With a Montgomery domain available (any odd
-   fast modulus, curve fields included) the whole chain runs inside the
+   fast modulus) the whole chain runs inside the
    domain: one entry, one [sqr9]-backed REDC per squaring, one exit —
    Montgomery inversion when called from Fermat [inv]. *)
 let pow ctx b e =
@@ -780,7 +744,7 @@ let pow ctx b e =
     let b = reduce ctx b in
     let st = Domain.DLS.get scratch_key in
     let k = ctx.hk in
-    let _ = unpack_halves st b st.xb ~pad:k in
+    let _ = unpack_halves b st.xb ~pad:k in
     let _ = mont_mul ctx mo st st.xb mo.rr_h st.xb in   (* enter domain *)
     Array.blit mo.r1_h 0 st.ra 0 k;                     (* acc := mont 1 *)
     for i = Nat.bit_length e - 1 downto 0 do
@@ -789,7 +753,7 @@ let pow ctx b e =
         ignore (mont_mul ctx mo st st.ra st.xb st.ra)
     done;
     let n = mont_exit ctx mo st st.ra st.ra in
-    pack_halves st st.ra ~off:0 n
+    pack_halves st.ra n
   | None ->
     let n = Nat.bit_length e in
     let b = reduce ctx b in
@@ -833,49 +797,3 @@ let of_int ctx n = reduce ctx (Nat.of_int n)
 
 (* Map a byte string to a residue (used for hash-to-scalar). *)
 let of_bytes_be ctx s = reduce ctx (Nat.of_bytes_be s)
-
-(* --- explicit Montgomery-domain API ------------------------------------ *)
-
-let has_montgomery ctx = ctx.mont <> None
-
-let get_mont ctx op =
-  match ctx.mont with
-  | Some mo -> mo
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Modular.%s: no Montgomery domain (modulus even, too large, or \
-          ~fast:false)" op)
-
-let to_mont ctx a =
-  let mo = get_mont ctx "to_mont" in
-  let a = reduce ctx a in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let n = mont_mul ctx mo st st.xa mo.rr_h st.ra in
-  pack_halves st st.ra ~off:0 n
-
-let of_mont ctx a =
-  let mo = get_mont ctx "of_mont" in
-  let a = reduce ctx a in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let n = mont_exit ctx mo st st.xa st.ra in
-  pack_halves st st.ra ~off:0 n
-
-let mul_mont ctx a b =
-  let mo = get_mont ctx "mul_mont" in
-  let a = reduce ctx a and b = reduce ctx b in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let _ = unpack_halves st b st.xb ~pad:ctx.hk in
-  let n = mont_mul ctx mo st st.xa st.xb st.ra in
-  pack_halves st st.ra ~off:0 n
-
-let sqr_mont ctx a =
-  let mo = get_mont ctx "sqr_mont" in
-  let a = reduce ctx a in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let n = mont_sqr ctx mo st st.xa st.ra in
-  pack_halves st st.ra ~off:0 n

@@ -1,7 +1,12 @@
 (* Short-Weierstrass elliptic curve group, y^2 = x^3 + a x + b over F_p,
    with Jacobian-coordinate arithmetic (X/Z^2, Y/Z^3). This is the group
    underlying the paper's lifted-ElGamal option-encoding commitments,
-   Chaum-Pedersen proofs, and Schnorr signatures (replacing MIRACL). *)
+   Chaum-Pedersen proofs, and Schnorr signatures (replacing MIRACL).
+
+   Every base-field operation runs on [Fe]'s fixed-width limbs, one code
+   path for both curves. [Nat] crosses into [Fe] only at the edges: the
+   curve constants, [of_affine], [to_affine], the codecs, [on_curve],
+   [field_sqrt] and [hash_to_point]. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
@@ -24,39 +29,55 @@ type params = {
    ~128-bit halves. Used only by the vartime msm path. *)
 type endo = {
   e_lambda : Nat.t;     (* phi(P) = lambda * P *)
-  e_beta : Nat.t;       (* phi(x, y) = (beta * x, y) *)
+  e_beta : Fe.t;        (* phi(x, y) = (beta * x, y) *)
   e_a1 : Nat.t;
   e_b1 : Nat.t;         (* magnitude; the basis vector is (a1, -b1) *)
   e_a2 : Nat.t;
   e_b2 : Nat.t;
 }
 
-type point =
-  | Infinity
-  | Jacobian of Nat.t * Nat.t * Nat.t  (* X, Y, Z with Z <> 0 *)
+(* A point is X, Y and Z as [Fe] limbs in one array: X at 0, Y at 10, Z
+   at 20. Z = 0 is the identity. A point is never mutated once returned
+   ([Group_ctx] recognises G and H by physical equality). *)
+type point = int array
 
-(* Wide affine odd-multiple tables for a fixed point (and its phi-image
-   on endo curves), precomputed once and reused across msm calls. The
-   in-loop msm tables are width 5 because their build cost is paid per
-   call; a precomputed table affords width [precomp_width], cutting the
-   point's digit adds by a third and skipping its per-call table build
-   and normalization entirely. Used for the generator (every batch
-   verification folds its s_i*G legs into one generator term) and for
-   long-lived verification keys (a VC node checks every UCERT against
-   the same signer clique). *)
+(* Jacobian working registers: the engines keep their accumulators and
+   tables here and update them in place. *)
+type jac = { x : Fe.t; y : Fe.t; z : Fe.t }
+
+(* Temporaries for the formulas, and [ex]/[ey] for a table entry being
+   read. A scratch belongs to one call, never to a [t]: a [t] is shared
+   across domains. *)
+type scratch = {
+  t0 : Fe.t; t1 : Fe.t; t2 : Fe.t; t3 : Fe.t; t4 : Fe.t; t5 : Fe.t; t6 : Fe.t; t7 : Fe.t;
+  ex : Fe.t; ey : Fe.t;
+}
+
+(* Odd multiples P, 3P, 5P, ... of a finite point, affine: x, y and the
+   phi-image's beta x ([||] without an endomorphism), five [Fe.pack]ed
+   words per entry. Negations are taken at read time. *)
+type odd_table = { ox : int array; oy : int array; obx : int array }
+
+(* Wide odd-multiple tables for a fixed point, precomputed once and
+   reused across msm calls. The in-loop msm tables are width 5 because
+   their build cost is paid per call; a precomputed table affords width
+   [precomp_width], cutting the point's digit adds by a third and
+   skipping its per-call table build and normalization entirely. Used
+   for the generator (every batch verification folds its s_i*G legs
+   into one generator term) and for long-lived verification keys (a VC
+   node checks every UCERT against the same signer clique). *)
 type precomp = {
   pre_pt : point;       (* the base point, affine-normalized *)
-  ptp : point array;    (* P, 3P, ..., (2^(w-1)-1)P, affine *)
-  ptn : point array;    (* negations *)
-  pphi : point array;   (* phi-images (x scaled by beta); [||] if no endo *)
-  pnphi : point array;
+  tbl : odd_table;      (* P, 3P, ..., (2^(w-1)-1)P; empty for the identity *)
 }
 
 type t = {
   params : params;
-  fp : Modular.ctx;     (* arithmetic mod p *)
   fn : Modular.ctx;     (* arithmetic mod order *)
-  fe : Fe.field;        (* fixed-width arithmetic mod p, for the affine kernels *)
+  fe : Fe.field;        (* arithmetic mod p *)
+  fa : Fe.t;            (* params.a and params.b; never written *)
+  fb : Fe.t;
+  gen : point;
   byte_len : int;       (* field element encoding length *)
   endo : endo option;   (* GLV split for the msm path, where applicable *)
   gen_tables : precomp option Atomic.t;
@@ -88,19 +109,46 @@ let nist_p256 =
     name = "nist-p256";
   }
 
-(* [create] lives below [mul_vartime]: validating the endomorphism
-   constants needs a scalar multiplication. *)
-
-let field t = t.fp
 let scalar_field t = t.fn
 let order t = t.params.order
 let byte_len t = t.byte_len
 
-let infinity = Infinity
+(* --- points and registers ---------------------------------------------- *)
 
-let generator t = Jacobian (t.params.gx, t.params.gy, Nat.one)
+let one = let o = Fe.make () in Fe.set_one o; o (* shared, never written *)
 
-let is_infinity = function Infinity -> true | Jacobian _ -> false
+(* lint: allow domain-safe-state — the identity, never written *)
+let infinity : point = Array.make 30 0
+
+let is_infinity (p : point) =
+  let acc = ref 0 in
+  for i = 20 to 29 do acc := !acc lor p.(i) done;
+  !acc = 0
+
+let jac () = { x = Fe.make (); y = Fe.make (); z = Fe.make () }
+
+let scratch () =
+  let m = Fe.make in
+  { t0 = m (); t1 = m (); t2 = m (); t3 = m (); t4 = m (); t5 = m (); t6 = m (); t7 = m ();
+    ex = m (); ey = m () }
+
+let load (p : point) r =
+  Array.blit p 0 r.x 0 10;
+  Array.blit p 10 r.y 0 10;
+  Array.blit p 20 r.z 0 10
+
+let loaded p = let r = jac () in load p r; r
+
+let store r : point = Array.concat [ r.x; r.y; r.z ]
+
+let copy r a = Fe.set r.x a.x; Fe.set r.y a.y; Fe.set r.z a.z
+
+(* The finite point (x, y, 1). *)
+let affine_point x y = store { x; y; z = one }
+
+let generator t = Array.copy t.gen
+
+let is_affine (p : point) = not (is_infinity p) && Fe.equal (loaded p).z one
 
 (* Montgomery's trick: invert every element of [xs] (all nonzero) with
    one field inversion. out.(i) first holds the product of the elements
@@ -123,44 +171,42 @@ let batch_inv t (xs : Fe.t array) =
   done;
   out
 
+(* The affine (x, y) of finite registers, sharing one inversion. *)
+let normalize t (js : jac array) =
+  let f = t.fe in
+  let zis = batch_inv t (Array.map (fun j -> j.z) js) in
+  Array.mapi
+    (fun i j ->
+       let zz = Fe.make () and x = Fe.make () and y = Fe.make () in
+       Fe.sqr f zz zis.(i);
+       Fe.mul f x j.x zz;
+       Fe.mul f zz zz zis.(i);
+       Fe.mul f y j.y zz;
+       (x, y))
+    js
+
 (* Batch normalization: only finite points off Z = 1 need an inverse,
    and they share one inversion through [batch_inv]. Points already at
    Z = 1 (decoded points, table entries) skip the field work. *)
 let to_affine_batch t pts =
-  let f = t.fe in
-  let pending_z = function
-    | Jacobian (_, _, z) when not (Nat.equal z Nat.one) -> Some (Fe.of_nat f z)
-    | Jacobian _ | Infinity -> None
-  in
-  let zis = batch_inv t (Array.of_list (List.filter_map pending_z (Array.to_list pts))) in
-  let k = ref 0 in
-  Array.map
-    (function
-      | Infinity -> None
-      | Jacobian (x, y, z) when Nat.equal z Nat.one ->
-        Some (Modular.reduce t.fp x, Modular.reduce t.fp y)
-      | Jacobian (x, y, _) ->
-        let zi = zis.(!k) in
-        incr k;
-        let zz = Fe.make () and x = Fe.of_nat f x and y = Fe.of_nat f y in
-        Fe.sqr f zz zi;
-        Fe.mul f x x zz;
-        Fe.mul f zz zz zi;
-        Fe.mul f y y zz;
-        Some (Fe.to_nat x, Fe.to_nat y))
-    pts
+  let js = Array.map loaded pts in
+  let pending j = not (Fe.is_zero j.z || Fe.equal j.z one) in
+  let pending = List.filter pending (Array.to_list js) in
+  let aff = normalize t (Array.of_list pending) in
+  List.iteri (fun i j -> let x, y = aff.(i) in Fe.set j.x x; Fe.set j.y y) pending;
+  Array.map (fun j -> if Fe.is_zero j.z then None else Some (Fe.to_nat j.x, Fe.to_nat j.y)) js
 
 let to_affine t pt = (to_affine_batch t [| pt |]).(0)
 
-let of_affine _t (x, y) = Jacobian (x, y, Nat.one)
+let of_affine t (x, y) = affine_point (Fe.of_nat t.fe x) (Fe.of_nat t.fe y)
 
 (* dst := x^3 + a x + b, as (x^2 + a) x + b. *)
 let curve_rhs t dst x =
   let f = t.fe in
   Fe.sqr f dst x;
-  Fe.add f dst dst (Fe.of_nat f t.params.a);
+  Fe.add f dst dst t.fa;
   Fe.mul f dst dst x;
-  Fe.add f dst dst (Fe.of_nat f t.params.b)
+  Fe.add f dst dst t.fb
 
 let on_curve t (x, y) =
   let f = t.fe in
@@ -169,82 +215,143 @@ let on_curve t (x, y) =
   curve_rhs t rhs (Fe.of_nat f x);
   Fe.equal lhs rhs
 
-let double t pt =
-  match pt with
-  | Infinity -> Infinity
-  | Jacobian (x1, y1, z1) ->
-    if Nat.is_zero y1 then Infinity
+(* --- the group law on registers ----------------------------------------- *)
+
+(* r := 2a by dbl-2007-bl (general a; a = 0 skips a square and a
+   multiply, and a is a public constant). The identity (Z = 0) and a
+   point with y = 0 both double to Z3 = 0 through the formula itself.
+   [r] may be [a]. *)
+let dbl t s r a =
+  let f = t.fe in
+  Fe.sqr f s.t0 a.x;
+  Fe.sqr f s.t1 a.y;
+  Fe.sqr f s.t2 s.t1;
+  Fe.sqr f s.t3 a.z;
+  (* S = 2 ((X + YY)^2 - XX - YYYY) *)
+  Fe.add f s.t4 a.x s.t1;
+  Fe.sqr f s.t4 s.t4;
+  Fe.sub f s.t4 s.t4 s.t0;
+  Fe.sub f s.t4 s.t4 s.t2;
+  Fe.add f s.t4 s.t4 s.t4;
+  (* M = 3 XX + a ZZ^2 *)
+  Fe.add f s.t5 s.t0 s.t0;
+  Fe.add f s.t5 s.t5 s.t0;
+  if not (Fe.is_zero t.fa) then begin
+    Fe.sqr f s.t6 s.t3;
+    Fe.mul f s.t6 s.t6 t.fa;
+    Fe.add f s.t5 s.t5 s.t6
+  end;
+  (* Z3 = (Y + Z)^2 - YY - ZZ, X3 = M^2 - 2 S, Y3 = M (S - X3) - 8 YYYY *)
+  Fe.add f s.t6 a.y a.z;
+  Fe.sqr f s.t6 s.t6;
+  Fe.sub f s.t6 s.t6 s.t1;
+  Fe.sub f r.z s.t6 s.t3;
+  Fe.sqr f s.t6 s.t5;
+  Fe.sub f s.t6 s.t6 s.t4;
+  Fe.sub f r.x s.t6 s.t4;
+  Fe.sub f s.t4 s.t4 r.x;
+  Fe.mul f s.t4 s.t5 s.t4;
+  Fe.add f s.t2 s.t2 s.t2;
+  Fe.add f s.t2 s.t2 s.t2;
+  Fe.add f s.t2 s.t2 s.t2;
+  Fe.sub f r.y s.t4 s.t2
+
+(* The tail shared by both additions: from H (t1), R = 2 (S2 - S1)
+   (t2), U1 (t3), S1 (t4) and Z3 (in t6), r := (R^2 - J - 2V,
+   R (V - X3) - 2 S1 J, Z3) with I = (2H)^2, J = H I, V = U1 I. *)
+let add_tail t s r =
+  let f = t.fe in
+  Fe.add f s.t0 s.t1 s.t1;
+  Fe.sqr f s.t0 s.t0;
+  Fe.mul f s.t5 s.t1 s.t0;
+  Fe.mul f s.t3 s.t3 s.t0;
+  Fe.sqr f s.t7 s.t2;
+  Fe.sub f s.t7 s.t7 s.t5;
+  Fe.sub f s.t7 s.t7 s.t3;
+  Fe.sub f r.x s.t7 s.t3;
+  Fe.sub f s.t3 s.t3 r.x;
+  Fe.mul f s.t3 s.t2 s.t3;
+  Fe.mul f s.t4 s.t4 s.t5;
+  Fe.add f s.t4 s.t4 s.t4;
+  Fe.sub f r.y s.t3 s.t4;
+  Fe.set r.z s.t6
+
+(* r := a + b by add-2007-bl. An identity operand yields the other one
+   and equal operands fall back to [dbl]; opposite operands need no
+   case, since their H = 0 makes Z3 = 0. [r] may be [a] or [b]. *)
+let add_j t s r a b =
+  if Fe.is_zero a.z then copy r b
+  else if Fe.is_zero b.z then copy r a
+  else begin
+    let f = t.fe in
+    Fe.sqr f s.t0 a.z;
+    Fe.sqr f s.t5 b.z;
+    Fe.mul f s.t3 a.x s.t5;
+    Fe.mul f s.t1 b.x s.t0;
+    Fe.sub f s.t1 s.t1 s.t3;
+    Fe.mul f s.t4 a.y b.z;
+    Fe.mul f s.t4 s.t4 s.t5;
+    Fe.mul f s.t2 b.y a.z;
+    Fe.mul f s.t2 s.t2 s.t0;
+    Fe.sub f s.t2 s.t2 s.t4;
+    Fe.add f s.t2 s.t2 s.t2;
+    if Fe.is_zero s.t1 && Fe.is_zero s.t2 then dbl t s r a
     else begin
-      let fp = t.fp in
-      (* dbl-2007-bl, general a *)
-      let xx = Modular.sqr fp x1 in
-      let yy = Modular.sqr fp y1 in
-      let yyyy = Modular.sqr fp yy in
-      let zz = Modular.sqr fp z1 in
-      let s =
-        let t0 = Modular.sqr fp (Modular.add fp x1 yy) in
-        Modular.double fp (Modular.sub fp t0 (Modular.add fp xx yyyy))
-      in
-      let m =
-        (* a is a public curve constant, so branching on it leaks
-           nothing; a = 0 (secp256k1) skips a square and a multiply *)
-        if Nat.is_zero t.params.a then
-          Modular.add fp (Modular.double fp xx) xx
-        else
-          Modular.add fp
-            (Modular.add fp (Modular.double fp xx) xx)
-            (Modular.mul fp t.params.a (Modular.sqr fp zz))
-      in
-      let x3 = Modular.sub fp (Modular.sqr fp m) (Modular.double fp s) in
-      let y3 =
-        Modular.sub fp
-          (Modular.mul fp m (Modular.sub fp s x3))
-          (Modular.double fp (Modular.double fp (Modular.double fp yyyy)))
-      in
-      let z3 =
-        Modular.sub fp
-          (Modular.sqr fp (Modular.add fp y1 z1))
-          (Modular.add fp yy zz)
-      in
-      if Nat.is_zero z3 then Infinity else Jacobian (x3, y3, z3)
+      (* Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) H *)
+      Fe.add f s.t6 a.z b.z;
+      Fe.sqr f s.t6 s.t6;
+      Fe.sub f s.t6 s.t6 s.t0;
+      Fe.sub f s.t6 s.t6 s.t5;
+      Fe.mul f s.t6 s.t6 s.t1;
+      add_tail t s r
     end
+  end
 
+(* r := a + (x2, y2) for a finite affine operand, by madd-2007-bl: the
+   Z2 arithmetic of [add_j] drops out (~30% fewer field mults). Same
+   cases as [add_j]. [x2] and [y2] must not be registers of [r]. *)
+let madd t s r a x2 y2 =
+  if Fe.is_zero a.z then begin
+    Fe.set r.x x2;
+    Fe.set r.y y2;
+    Fe.set_one r.z
+  end
+  else begin
+    let f = t.fe in
+    Fe.sqr f s.t0 a.z;
+    Fe.mul f s.t1 x2 s.t0;
+    Fe.sub f s.t1 s.t1 a.x;
+    Fe.mul f s.t2 a.z s.t0;
+    Fe.mul f s.t2 y2 s.t2;
+    Fe.sub f s.t2 s.t2 a.y;
+    Fe.add f s.t2 s.t2 s.t2;
+    if Fe.is_zero s.t1 && Fe.is_zero s.t2 then dbl t s r a
+    else begin
+      (* Z3 = 2 Z1 H *)
+      Fe.mul f s.t6 a.z s.t1;
+      Fe.add f s.t6 s.t6 s.t6;
+      Fe.set s.t3 a.x;
+      Fe.set s.t4 a.y;
+      add_tail t s r
+    end
+  end
+
+let double t p =
+  let r = loaded p in
+  dbl t (scratch ()) r r;
+  store r
+
+(* An affine [q] (Z = 1: decoded points, table entries) takes the
+   mixed add. *)
 let add t p q =
-  match p, q with
-  | Infinity, r | r, Infinity -> r
-  | Jacobian (x1, y1, z1), Jacobian (x2, y2, z2) ->
-    let fp = t.fp in
-    (* add-2007-bl *)
-    let z1z1 = Modular.sqr fp z1 in
-    let z2z2 = Modular.sqr fp z2 in
-    let u1 = Modular.mul fp x1 z2z2 in
-    let u2 = Modular.mul fp x2 z1z1 in
-    let s1 = Modular.mul fp y1 (Modular.mul fp z2 z2z2) in
-    let s2 = Modular.mul fp y2 (Modular.mul fp z1 z1z1) in
-    if Nat.equal u1 u2 then begin
-      if Nat.equal s1 s2 then double t p else Infinity
-    end else begin
-      let h = Modular.sub fp u2 u1 in
-      let i = Modular.sqr fp (Modular.double fp h) in
-      let j = Modular.mul fp h i in
-      let r = Modular.double fp (Modular.sub fp s2 s1) in
-      let v = Modular.mul fp u1 i in
-      let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp r) j) (Modular.double fp v) in
-      let y3 =
-        Modular.sub fp
-          (Modular.mul fp r (Modular.sub fp v x3))
-          (Modular.double fp (Modular.mul fp s1 j))
-      in
-      let z3 =
-        Modular.mul fp h
-          (Modular.sub fp (Modular.sqr fp (Modular.add fp z1 z2)) (Modular.add fp z1z1 z2z2))
-      in
-      if Nat.is_zero z3 then Infinity else Jacobian (x3, y3, z3)
-    end
+  let r = loaded p and b = loaded q and s = scratch () in
+  if Fe.equal b.z one then madd t s r r b.x b.y else add_j t s r r b;
+  store r
 
-let neg t = function
-  | Infinity -> Infinity
-  | Jacobian (x, y, z) -> Jacobian (x, Modular.neg t.fp y, z)
+let neg t p =
+  let r = loaded p in
+  Fe.neg t.fe r.y r.y;
+  store r
 
 let sub t p q = add t p (neg t q)
 
@@ -257,21 +364,23 @@ let window4 k w =
 
 (* Scalar multiplication for secret scalars: fixed 4-bit windows,
    MSB-first. The window count is fixed by the order's bit length and
-   every window performs one table lookup and one add (the d = 0 slot
-   holds Infinity), so the sequence of group operations does not depend
-   on the scalar's value — see the timing contract in curve.mli. *)
+   every window performs four doublings, one table lookup and one add
+   (the d = 0 slot holds the identity), so the sequence of group
+   operations does not depend on the scalar's value — see the timing
+   contract in curve.mli. *)
 let mul t k pt =
   let k = Modular.reduce t.fn k in
-  let tbl = Array.make 16 Infinity in
-  tbl.(1) <- pt;
-  for d = 2 to 15 do tbl.(d) <- add t tbl.(d - 1) pt done;
+  let s = scratch () in
+  let tbl = Array.init 16 (fun _ -> jac ()) in
+  load pt tbl.(1);
+  for d = 2 to 15 do add_j t s tbl.(d) tbl.(d - 1) tbl.(1) done;
   let windows = (Nat.bit_length t.params.order + 3) / 4 in
-  let acc = ref Infinity in
+  let acc = jac () in
   for w = windows - 1 downto 0 do
-    acc := double t (double t (double t (double t !acc)));
-    acc := add t !acc tbl.(window4 k w)
+    for _ = 1 to 4 do dbl t s acc acc done;
+    add_j t s acc acc tbl.(window4 k w)
   done;
-  !acc
+  store acc
 
 let mul_int t k pt =
   if k < 0 then invalid_arg "Curve.mul_int: negative scalar";
@@ -321,33 +430,50 @@ let wnaf w k =
     drop !digits
   end
 
-let wnaf5 k = wnaf 5 k
-
-(* Odd multiples 1P, 3P, ..., 15P and their negations, indexed by d/2
-   for odd digit d. *)
-let odd_multiples t pt =
-  let tbl = Array.make 8 pt in
-  let p2 = double t pt in
-  for i = 1 to 7 do tbl.(i) <- add t tbl.(i - 1) p2 done;
-  (tbl, Array.map (neg t) tbl)
-
 (* Variable-time scalar multiplication by width-5 wNAF: ~51 adds for a
    256-bit scalar instead of the ~64 a 4-bit window needs, and zero
-   digits cost only a double. Public inputs only — see curve.mli. *)
-let mul_vartime t k pt =
+   digits cost only a double. The odd multiples 1P .. 15P stay in
+   Jacobian registers; a negative digit negates its entry's y into
+   [ey]. Public inputs only — see curve.mli. *)
+let mul_vartime_j t s k pt =
+  let acc = jac () in
   let k = Modular.reduce t.fn k in
-  if Nat.is_zero k || is_infinity pt then Infinity
-  else begin
-    let tbl, ntbl = odd_multiples t pt in
-    let acc = ref Infinity in
+  if not (Nat.is_zero k || is_infinity pt) then begin
+    let tbl = Array.init 8 (fun _ -> jac ()) and p2 = jac () in
+    load pt tbl.(0);
+    dbl t s p2 tbl.(0);
+    for i = 1 to 7 do add_j t s tbl.(i) tbl.(i - 1) p2 done;
     List.iter
       (fun d ->
-        acc := double t !acc;
-        if d > 0 then acc := add t !acc tbl.(d / 2)
-        else if d < 0 then acc := add t !acc ntbl.((-d) / 2))
-      (wnaf5 k);
-    !acc
-  end
+         dbl t s acc acc;
+         if d > 0 then add_j t s acc acc tbl.(d / 2)
+         else if d < 0 then begin
+           let e = tbl.((-d) / 2) in
+           Fe.neg t.fe s.ey e.y;
+           add_j t s acc acc { e with y = s.ey }
+         end)
+      (wnaf 5 k)
+  end;
+  acc
+
+let mul_vartime t k pt = store (mul_vartime_j t (scratch ()) k pt)
+
+let equal t p q =
+  match is_infinity p, is_infinity q with
+  | true, true -> true
+  | true, false | false, true -> false
+  | false, false ->
+    (* cross-multiply to compare without inversion *)
+    let f = t.fe and a = loaded p and b = loaded q and s = scratch () in
+    Fe.sqr f s.t0 a.z;
+    Fe.sqr f s.t1 b.z;
+    Fe.mul f s.t2 a.x s.t1;
+    Fe.mul f s.t3 b.x s.t0;
+    Fe.mul f s.t0 s.t0 a.z;
+    Fe.mul f s.t1 s.t1 b.z;
+    Fe.mul f s.t4 a.y s.t1;
+    Fe.mul f s.t5 b.y s.t0;
+    Fe.equal s.t2 s.t3 && Fe.equal s.t4 s.t5
 
 (* Candidate GLV constants for secp256k1: lambda, beta and the short
    lattice basis, as in libsecp256k1. They are verified algebraically
@@ -355,7 +481,9 @@ let mul_vartime t k pt =
    generic path instead of producing wrong results. *)
 let secp256k1_endo = {
   e_lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
-  e_beta = Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee";
+  e_beta =
+    Fe.of_nat Fe.secp256k1
+      (Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
   e_a1 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
   e_b1 = Nat.of_hex "e4437ed6010e88286f547fa90abfe4c3";
   e_a2 = Nat.of_hex "114ca50f7a8e2f3f657c1108d9d44cfd8";
@@ -369,19 +497,20 @@ let secp256k1_endo = {
    multiplication by lambda rather than lambda^2), and the lattice
    basis must satisfy a1 = b1*lambda and a2 = -b2*lambda (mod n). *)
 let endo_valid t e =
-  let fp = t.fp and fn = t.fn in
-  Nat.is_zero t.params.a
-  && not (Nat.equal e.e_beta Nat.one)
-  && Nat.equal (Modular.mul fp e.e_beta (Modular.sqr fp e.e_beta)) Nat.one
+  let f = t.fe and fn = t.fn in
+  let cube = Fe.make () and g = loaded t.gen in
+  Fe.sqr f cube e.e_beta;
+  Fe.mul f cube cube e.e_beta;
+  Fe.mul f g.x g.x e.e_beta;
+  Fe.is_zero t.fa
+  && not (Fe.equal e.e_beta one)
+  && Fe.equal cube one
   && Nat.equal (Modular.mul fn e.e_b1 e.e_lambda) (Modular.reduce fn e.e_a1)
   && Nat.is_zero
        (Modular.add fn (Modular.reduce fn e.e_a2) (Modular.mul fn e.e_b2 e.e_lambda))
-  && (match to_affine t (mul_vartime t e.e_lambda (generator t)) with
-      | Some (x, y) ->
-        Nat.equal x (Modular.mul fp e.e_beta t.params.gx) && Nat.equal y t.params.gy
-      | None -> false)
+  && equal t (store g) (mul_vartime t e.e_lambda t.gen)
 
-let create ?(fast = true) params =
+let create params =
   let fe =
     match Fe.of_prime params.p with
     | Some fe -> fe
@@ -389,47 +518,19 @@ let create ?(fast = true) params =
   in
   let t = {
     params;
-    fp = Modular.create ~fast params.p;
-    fn = Modular.create ~fast params.order;
+    fn = Modular.create params.order;
     fe;
+    fa = Fe.of_nat fe params.a;
+    fb = Fe.of_nat fe params.b;
+    gen = affine_point (Fe.of_nat fe params.gx) (Fe.of_nat fe params.gy);
     byte_len = (Nat.bit_length params.p + 7) / 8;
     endo = None;
     gen_tables = Atomic.make None;
   } in
+  (* lint: allow secret-taint — curve constants and the generator are public *)
   if String.equal params.name "secp256k1" && endo_valid t secp256k1_endo
   then { t with endo = Some secp256k1_endo }
   else t
-
-(* Mixed addition p + q where q is affine-normalized (Z = 1), by
-   madd-2007-bl: drops the Z2 arithmetic of the general formula (~30%
-   fewer field mults per add). Callers must only pass a [q] built by
-   [of_affine] (or Infinity); both are exactly what the comb tables and
-   [normalize_batch] below hold. *)
-let add_mixed t p q =
-  match p, q with
-  | Infinity, r | r, Infinity -> r
-  | Jacobian (x1, y1, z1), Jacobian (x2, y2, _z2) ->
-    let fp = t.fp in
-    let z1z1 = Modular.sqr fp z1 in
-    let u2 = Modular.mul fp x2 z1z1 in
-    let s2 = Modular.mul fp y2 (Modular.mul fp z1 z1z1) in
-    if Nat.equal x1 u2 then begin
-      if Nat.equal y1 s2 then double t p else Infinity
-    end else begin
-      let h = Modular.sub fp u2 x1 in
-      let i = Modular.sqr fp (Modular.double fp h) in
-      let j = Modular.mul fp h i in
-      let r = Modular.double fp (Modular.sub fp s2 y1) in
-      let v = Modular.mul fp x1 i in
-      let x3 = Modular.sub fp (Modular.sub fp (Modular.sqr fp r) j) (Modular.double fp v) in
-      let y3 =
-        Modular.sub fp
-          (Modular.mul fp r (Modular.sub fp v x3))
-          (Modular.double fp (Modular.mul fp y1 j))
-      in
-      let z3 = Modular.double fp (Modular.mul fp z1 h) in
-      if Nat.is_zero z3 then Infinity else Jacobian (x3, y3, z3)
-    end
 
 (* --- signed-odd comb tables -------------------------------------------- *)
 
@@ -486,7 +587,7 @@ let slope_step t ~num ~den x1 y1 x2 ~x3s ~y3s =
 
 let tangent_step t ax ay =
   let f = t.fe in
-  let a = Fe.of_nat f t.params.a in
+  let a = t.fa in
   let num =
     Array.map
       (fun x ->
@@ -515,7 +616,7 @@ let complete_step t ax ay ainf bx by binf =
   let num = Array.init n (fun _ -> Fe.make ()) and den = Array.init n (fun _ -> Fe.make ()) in
   let opposite = Array.make n 0 in
   let du = Fe.make () and dc = Fe.make () and nc = Fe.make () and one = Fe.make () in
-  let a = Fe.of_nat f t.params.a in
+  let a = t.fa in
   Fe.set_one one;
   for i = 0 to n - 1 do
     let x1 = ax.(i) and y1 = ay.(i) and x2 = bx.(i) and y2 = by.(i) and nu = num.(i) in
@@ -599,21 +700,16 @@ let make_base_table t ~width pt =
   let half = Nat.shift_right (Nat.add order Nat.one) 1 in
   if is_infinity pt then { width; entries = [||]; offset; half }
   else begin
-    let bases = Array.make rows pt in
+    let s = scratch () in
+    let bases = Array.init rows (fun _ -> jac ()) in
+    load pt bases.(0);
     for i = 1 to rows - 1 do
-      let b = ref bases.(i - 1) in
-      for _ = 1 to width do b := double t !b done;
-      bases.(i) <- !b
+      copy bases.(i) bases.(i - 1);
+      for _ = 1 to width do dbl t s bases.(i) bases.(i) done
     done;
-    (* (dx, dy) starts at the row bases and becomes D *)
-    let dx, dy =
-      Array.split
-        (Array.map
-           (function
-             | Some (x, y) -> (Fe.of_nat t.fe x, Fe.of_nat t.fe y)
-             | None -> assert false (* odd order *))
-           (to_affine_batch t bases))
-    in
+    (* (dx, dy) starts at the row bases (finite: the order is odd) and
+       becomes D *)
+    let dx, dy = Array.split (normalize t bases) in
     let h = 1 lsl (width - 1) in
     let entries = Array.init rows (fun _ -> Array.make (10 * h) 0) in
     Array.iteri (fun i row -> Fe.pack dx.(i) row 0; Fe.pack dy.(i) row 5) entries;
@@ -645,12 +741,8 @@ let base_table_rows (table : base_table) =
            let x = Fe.make () and y = Fe.make () in
            Fe.unpack row (10 * j) x;
            Fe.unpack row ((10 * j) + 5) y;
-           Jacobian (Fe.to_nat x, Fe.to_nat y, Nat.one)))
+           affine_point x y))
     table.entries
-
-let is_affine = function
-  | Jacobian (_, _, z) -> Nat.equal z Nat.one
-  | Infinity -> false
 
 (* The recoding d of [k] (see above) as big-endian bytes, which hold the
    table's digits b_i: b_i is bits w*i .. w*i + w - 1 of d. Only called
@@ -688,28 +780,30 @@ let comb_y t (table : base_table) i b y tmp =
   Fe.neg t.fe tmp y;
   Fe.select y (b lsr (table.width - 1)) y tmp
 
-(* The entry as a Jacobian point, for the readers outside the kernels. *)
-let comb_point t (table : base_table) i b =
-  let x = Fe.make () and y = Fe.make () and tmp = Fe.make () in
-  comb_x table i b x;
-  comb_y t table i b y tmp;
-  Jacobian (Fe.to_nat x, Fe.to_nat y, Nat.one)
 
-(* Fixed-base multiplication off the comb table: no doublings (each row
-   carries its 2^(w*i) factor) and one mixed add per row after the
-   first. Every row does a lookup and an add, so the group-operation
-   sequence does not depend on the scalar; only the last add can meet
-   the equal or opposite case (see above), which [add_mixed] handles. *)
-let mul_base_table t (table : base_table) k =
+(* acc := acc + k * B off the comb table: one lookup and one mixed add
+   per row and no doublings, since each row carries its 2^(w*i) factor. *)
+let comb_rows t s acc (table : base_table) k =
   let rows = Array.length table.entries in
-  if rows = 0 then Infinity
-  else begin
+  if rows > 0 then begin
     let digits = comb_digits t table k in
-    let entry i = comb_point t table i (comb_digit table digits i) in
-    let acc = ref (entry 0) in
-    for i = 1 to rows - 1 do acc := add_mixed t !acc (entry i) done;
-    !acc
+    for i = 0 to rows - 1 do
+      let b = comb_digit table digits i in
+      comb_x table i b s.ex;
+      comb_y t table i b s.ey s.t0;
+      madd t s acc acc s.ex s.ey
+    done
   end
+
+(* Fixed-base multiplication off the comb table: the first row's add
+   takes the accumulator from the identity to the row's entry, and
+   every row does one lookup and one add, so the group-operation
+   sequence does not depend on the scalar; only the last add can meet
+   the equal or opposite case (see above), which [madd] handles. *)
+let mul_base_table t (table : base_table) k =
+  let acc = jac () in
+  comb_rows t (scratch ()) acc table k;
+  store acc
 
 (* Strauss-Shamir shared-accumulator computation of u*B + v*P, where B
    is the fixed base behind [table]. The v*P half runs width-5 wNAF
@@ -718,25 +812,10 @@ let mul_base_table t (table : base_table) k =
    accumulator — one joint chain instead of two multiplications plus a
    final add. Variable time; public inputs only. *)
 let mul2 t (table : base_table) u v p =
-  let v = Modular.reduce t.fn v in
-  let acc = ref Infinity in
-  if not (Nat.is_zero v || is_infinity p) then begin
-    let tbl, ntbl = odd_multiples t p in
-    List.iter
-      (fun d ->
-        acc := double t !acc;
-        if d > 0 then acc := add t !acc tbl.(d / 2)
-        else if d < 0 then acc := add t !acc ntbl.((-d) / 2))
-      (wnaf5 v)
-  end;
-  let rows = Array.length table.entries in
-  if rows > 0 then begin
-    let digits = comb_digits t table u in
-    for i = 0 to rows - 1 do
-      acc := add_mixed t !acc (comb_point t table i (comb_digit table digits i))
-    done
-  end;
-  !acc
+  let s = scratch () in
+  let acc = mul_vartime_j t s v p in
+  comb_rows t s acc table u;
+  store acc
 
 (* --- lockstep batch of fixed-base multiplications ---------------------- *)
 
@@ -813,29 +892,20 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
     Array.iteri (fun a q -> jinf.(q) <- ainf.(a)) idx
   done;
   for q = 0 to n - 1 do
-    out.(lo + q) <-
-      (if jinf.(q) then Infinity
-       else Jacobian (Fe.to_nat jx.(q), Fe.to_nat jy.(q), Nat.one))
+    out.(lo + q) <- (if jinf.(q) then infinity else affine_point jx.(q) jy.(q))
   done
 
 let mul_base_batch t (jobs : comb_job array) =
   let n = Array.length jobs in
-  let out = Array.make n Infinity in
+  let out = Array.make n infinity in
   let groups = (n + batch_group - 1) / batch_group in
   for g = 0 to groups - 1 do
     lockstep_group t jobs (g * n / groups) ((g + 1) * n / groups) out
   done;
   out
 
-(* --- multi-scalar multiplication (batch verification kernel) ---------- *)
 
-(* Re-express every point with Z = 1 (one inversion total, Montgomery's
-   trick), so the msm inner loops can take [add_mixed]. Infinity maps to
-   Infinity, which [add_mixed] handles. *)
-let normalize_batch t pts =
-  Array.map
-    (function None -> Infinity | Some xy -> of_affine t xy)
-    (to_affine_batch t pts)
+(* --- multi-scalar multiplication (batch verification kernel) ---------- *)
 
 (* GLV decomposition k = k1 + k2*lambda (mod n), both halves ~128 bits.
    c1 = round(b2*k/n) and c2 = round(b1*k/n) project k onto the short
@@ -863,34 +933,49 @@ let endo_split t e k =
    one-time build of ~64 additions per point. *)
 let precomp_width = 8
 
+(* The odd-multiple tables of finite points, sizes.(j) entries for
+   pts.(j). The points and their doubles share one inversion, so every
+   entry after the first is a mixed add; the entries share a second.
+   On an endo curve the phi-images cost one multiplication per entry,
+   since phi(x, y) = (beta x, y). *)
+let odd_tables t s (pts : jac array) sizes =
+  let n = Array.length pts in
+  let twice = Array.map (fun p -> let d = jac () in dbl t s d p; d) pts in
+  let base = normalize t (Array.append pts twice) in
+  let entry j sz =
+    let (x1, y1), (x2, y2) = (base.(j), base.(n + j)) in
+    let e = Array.init sz (fun _ -> jac ()) in
+    copy e.(0) { x = x1; y = y1; z = one };
+    for i = 1 to sz - 1 do madd t s e.(i) e.(i - 1) x2 y2 done;
+    e
+  in
+  let aff = normalize t (Array.concat (Array.to_list (Array.mapi entry sizes))) in
+  let k = ref 0 in
+  Array.map
+    (fun sz ->
+       let packed on = if on then Array.make (5 * sz) 0 else [||] in
+       let tb = { ox = packed true; oy = packed true; obx = packed (Option.is_some t.endo) } in
+       for i = 0 to sz - 1 do
+         let x, y = aff.(!k) in
+         incr k;
+         Fe.pack x tb.ox (5 * i);
+         Fe.pack y tb.oy (5 * i);
+         Option.iter (fun e -> Fe.mul t.fe x x e.e_beta; Fe.pack x tb.obx (5 * i)) t.endo
+       done;
+       tb)
+    sizes
+
 let precompute t p =
-  match to_affine t p with
-  | None ->
+  if is_infinity p then
     (* the identity contributes nothing; msm drops such terms *)
-    { pre_pt = Infinity; ptp = [||]; ptn = [||]; pphi = [||]; pnphi = [||] }
-  | Some xy ->
-    let p = of_affine t xy in
-    let half = 1 lsl (precomp_width - 2) in
-    let p2 =
-      match to_affine t (double t p) with
-      | Some xy -> of_affine t xy
-      | None -> assert false (* 2P = O is impossible in an odd-order group *)
-    in
-    let tbl = Array.make half p in
-    for i = 1 to half - 1 do tbl.(i) <- add_mixed t tbl.(i - 1) p2 done;
-    let tbl = normalize_batch t tbl in
-    let phi =
-      match t.endo with
-      | None -> [||]
-      | Some e ->
-        Array.map
-          (function
-            | Infinity -> Infinity
-            | Jacobian (x, y, z) -> Jacobian (Modular.mul t.fp e.e_beta x, y, z))
-          tbl
-    in
-    { pre_pt = p; ptp = tbl; ptn = Array.map (neg t) tbl;
-      pphi = phi; pnphi = Array.map (neg t) phi }
+    { pre_pt = infinity; tbl = { ox = [||]; oy = [||]; obx = [||] } }
+  else begin
+    let tbl = (odd_tables t (scratch ()) [| loaded p |] [| 1 lsl (precomp_width - 2) |]).(0) in
+    let x = Fe.make () and y = Fe.make () in
+    Fe.unpack tbl.ox 0 x;
+    Fe.unpack tbl.oy 0 y;
+    { pre_pt = affine_point x y; tbl }
+  end
 
 let precomp_point pc = pc.pre_pt
 
@@ -900,172 +985,96 @@ let gen_tables t =
   | None ->
     (* racing domains may both build the table; exactly one result is
        published and everyone converges on it *)
-    let gt = precompute t (generator t) in
+    let gt = precompute t t.gen in
     if Atomic.compare_and_set t.gen_tables None (Some gt) then gt
     else (match Atomic.get t.gen_tables with Some g -> g | None -> gt)
 
 (* Joint Strauss for small-to-medium batches: per-point wNAF digit
    strings share one doubling chain, so n points cost ~256 doubles
    total plus sparse adds each, instead of n*(256 doubles + adds) run
-   serially. The per-point odd-multiple tables are batch-normalized
-   once so every digit add is a mixed add.
+   serially. The per-point odd-multiple tables are affine, so every
+   digit add is a mixed add.
 
-   Each entry is one digit string walking a (positive, negative) table
-   pair. On a curve with a GLV endomorphism, a full-width scalar splits
-   into two ~128-bit strings — the second walking a phi-image of the
-   first's table (x scaled by beta: one field mul per entry instead of
-   rebuilding the odd multiples) — which halves the length of the
-   shared doubling chain; signs fold in by swapping the table pair.
+   Each digit string walks one table, negating the entries' y for a
+   negative digit. On a curve with a GLV endomorphism, a full-width
+   scalar splits into two ~128-bit strings — the second walking the
+   phi-images of the first's table — which halves the length of the
+   shared doubling chain; a negative half flips its digits' signs.
    Scalars already short enough to be single strings (the batch
    verifiers' 128-bit random weights) get width-4 tables instead: with
    only one string amortizing the table, the smaller build wins.
    Generator terms skip table building entirely via the process-wide
    [gen_tables]. *)
-let msm_strauss t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
+let msm_strauss t s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
   (* generator terms ride the process-wide precomputed table instead of
      building a per-call one *)
-  let is_gen = function
-    | Jacobian (x, y, z) ->
-      Nat.equal z Nat.one && Nat.equal x t.params.gx && Nat.equal y t.params.gy
-    | Infinity -> false
+  let gens, pairs =
+    List.partition (fun (_, p) -> Array.for_all2 Int.equal p t.gen) (Array.to_list pairs)
   in
-  let pre =
-    let extra = ref [] in
-    Array.iter (fun (k, p) -> if is_gen p then extra := (k, gen_tables t) :: !extra) pairs;
-    if !extra = [] then pre else Array.append pre (Array.of_list !extra)
-  in
-  let pairs =
-    if Array.exists (fun (_, p) -> is_gen p) pairs
-    then Array.of_list (List.filter (fun (_, p) -> not (is_gen p)) (Array.to_list pairs))
-    else pairs
-  in
-  let n = Array.length pairs in
+  let pre = Array.append pre (Array.of_list (List.map (fun (k, _) -> (k, gen_tables t)) gens)) in
+  let pairs = Array.of_list pairs in
   (* per-pair odd-multiple table size: 4 = single short string (the
      batch verifiers' 128-bit weights), 8 = full width / GLV *)
-  let sizes = Array.make n 8 in
-  (match t.endo with
-   | None -> ()
-   | Some _ ->
-     Array.iteri
-       (fun j (k, _) -> if Nat.bit_length k <= 140 then sizes.(j) <- 4)
-       pairs);
-  let offs = Array.make n 0 in
-  let total = ref 0 in
-  for j = 0 to n - 1 do
-    offs.(j) <- !total;
-    total := !total + sizes.(j)
-  done;
-  (* Normalize every input point and its double first (one shared
-     inversion): the odd-multiple additions per point then all take the
-     mixed path instead of the full Jacobian formula, and the base
-     entries enter the flat table already affine. *)
-  let base = Array.make (2 * n) Infinity in
-  Array.iteri
-    (fun j (_, p) ->
-       base.(2 * j) <- p;
-       base.(2 * j + 1) <- double t p)
-    pairs;
-  let base = normalize_batch t base in
-  let flat = Array.make (max !total 1) Infinity in
-  for j = 0 to n - 1 do
-    let sz = sizes.(j) in
-    let off = offs.(j) in
-    flat.(off) <- base.(2 * j);
-    let p2 = base.(2 * j + 1) in
-    for i = 1 to sz - 1 do
-      flat.(off + i) <- add_mixed t flat.(off + i - 1) p2
-    done
-  done;
-  let flat = normalize_batch t flat in
-  let nflat = Array.map (neg t) flat in
-  let glv w m1 m2 tp tn ptp ptn =
-    let entry (negate, m) a b =
-      if Nat.is_zero m then None
-      else if negate then Some (Array.of_list (wnaf w m), b, a, 0)
-      else Some (Array.of_list (wnaf w m), a, b, 0)
-    in
-    List.filter_map Fun.id [ entry m1 tp tn; entry m2 ptp ptn ]
+  let sizes =
+    Array.map (fun (k, _) -> if Option.is_some t.endo && Nat.bit_length k <= 140 then 4 else 8) pairs
   in
-  let pre_entries =
-    List.concat_map
-      (fun (k, pc) ->
-         match t.endo with
-         | Some e when Array.length pc.pphi > 0 ->
-           let m1, m2 = endo_split t e k in
-           glv precomp_width m1 m2 pc.ptp pc.ptn pc.pphi pc.pnphi
-         | _ -> [ (Array.of_list (wnaf precomp_width k), pc.ptp, pc.ptn, 0) ])
-      (Array.to_list pre)
+  let tables = odd_tables t s (Array.map (fun (_, p) -> loaded p) pairs) sizes in
+  let walk w tb phi (negate, m) =
+    if Nat.is_zero m then [] else [ (Array.of_list (wnaf w m), tb, phi, negate) ]
   in
-  let pair_entries =
+  let split w tb k =
     match t.endo with
-    | None ->
-      List.mapi
-        (fun j (k, _) -> (Array.of_list (wnaf 5 k), flat, nflat, offs.(j)))
-        (Array.to_list pairs)
-    | Some e ->
-      (* phi maps a normalized (x, y, 1) to (beta*x, y, 1), so the
-         phi-slice entries stay valid mixed-add inputs; the slice is
-         eight field multiplications, not eight point additions *)
-      let phi_slice off =
-        let f =
-          Array.init 8 (fun i ->
-              match flat.(off + i) with
-              | Infinity -> Infinity
-              | Jacobian (x, y, z) -> Jacobian (Modular.mul t.fp e.e_beta x, y, z))
-        in
-        (f, Array.map (neg t) f)
-      in
-      List.concat
-        (List.mapi
+    | Some e -> let k1, k2 = endo_split t e k in walk w tb false k1 @ walk w tb true k2
+    | None -> walk w tb false (false, k)
+  in
+  let walks =
+    List.concat
+      (List.map (fun (k, pc) -> split precomp_width pc.tbl k) (Array.to_list pre)
+       @ List.mapi
            (fun j (k, _) ->
-              if sizes.(j) = 4 then
-                [ (Array.of_list (wnaf 4 k), flat, nflat, offs.(j)) ]
-              else begin
-                let m1, m2 = endo_split t e k in
-                let off = offs.(j) in
-                let sl p = Array.sub p off 8 in
-                let phi, nphi = phi_slice off in
-                glv 5 m1 m2 (sl flat) (sl nflat) phi nphi
-              end)
+              if sizes.(j) = 4 then walk 4 tables.(j) false (false, k) else split 5 tables.(j) k)
            (Array.to_list pairs))
   in
-  let entries = Array.of_list (pre_entries @ pair_entries) in
-  let maxlen =
-    Array.fold_left (fun m (d, _, _, _) -> max m (Array.length d)) 0 entries
-  in
-  (* Resolve every nonzero digit to its table point up front: the
+  let maxlen = List.fold_left (fun m (d, _, _, _) -> max m (Array.length d)) 0 walks in
+  (* Resolve every nonzero digit to its table entry up front: the
      doubling loop then walks a per-position add schedule with no
-     per-entry bookkeeping inside it (shorter digit strings align at
+     per-string bookkeeping inside it (shorter digit strings align at
      the least-significant end). Add order within a position is
      irrelevant — the group is abelian. *)
   let sched = Array.make (max maxlen 1) [] in
-  Array.iter
-    (fun (d, tp, tn, off) ->
+  List.iter
+    (fun (d, tb, phi, negate) ->
        let shift = maxlen - Array.length d in
        Array.iteri
          (fun pos dg ->
-            if dg > 0 then sched.(pos + shift) <- tp.(off + dg / 2) :: sched.(pos + shift)
-            else if dg < 0 then sched.(pos + shift) <- tn.(off + (-dg) / 2) :: sched.(pos + shift))
+            if dg <> 0 then
+              sched.(pos + shift) <- (tb, phi, abs dg / 2, (dg < 0) <> negate) :: sched.(pos + shift))
          d)
-    entries;
-  let acc = ref Infinity in
+    walks;
+  let acc = jac () in
   for i = 0 to maxlen - 1 do
-    acc := double t !acc;
-    List.iter (fun q -> acc := add_mixed t !acc q) sched.(i)
+    dbl t s acc acc;
+    List.iter
+      (fun (tb, phi, j, negate) ->
+         Fe.unpack (if phi then tb.obx else tb.ox) (5 * j) s.ex;
+         Fe.unpack tb.oy (5 * j) s.ey;
+         if negate then Fe.neg t.fe s.ey s.ey;
+         madd t s acc acc s.ex s.ey)
+      sched.(i)
   done;
-  !acc
+  acc
 
 (* Bucketed Pippenger for large batches: per c-bit window, points
    accumulate into their digit's bucket (mixed adds against the
    batch-normalized inputs) and the window sum comes out of a running
    suffix sum; cost is ~windows * (n + 2^(c+1)) adds + 256 doubles,
    sublinear per point once n dominates the bucket count. *)
-let msm_pippenger t ~window:c (pairs : (Nat.t * point) array) =
-  let pts = normalize_batch t (Array.map snd pairs) in
+let msm_pippenger t s ~window:c (pairs : (Nat.t * point) array) =
+  let pts = normalize t (Array.map (fun (_, p) -> loaded p) pairs) in
   let nbits = Nat.bit_length t.params.order in
   let windows = (nbits + c - 1) / c in
   let nbuckets = (1 lsl c) - 1 in
-  let buckets = Array.make (nbuckets + 1) Infinity in
+  let buckets = Array.init (nbuckets + 1) (fun _ -> jac ()) in
   let digit k w =
     let base = w * c in
     let d = ref 0 in
@@ -1074,26 +1083,26 @@ let msm_pippenger t ~window:c (pairs : (Nat.t * point) array) =
     done;
     !d
   in
-  let acc = ref Infinity in
+  let acc = jac () in
   for w = windows - 1 downto 0 do
-    if w < windows - 1 then for _ = 1 to c do acc := double t !acc done;
-    Array.fill buckets 0 (nbuckets + 1) Infinity;
+    if w < windows - 1 then for _ = 1 to c do dbl t s acc acc done;
+    Array.iter (fun b -> Array.fill b.z 0 10 0) buckets;
     Array.iteri
       (fun i (k, _) ->
          let d = digit k w in
-         if d <> 0 then buckets.(d) <- add_mixed t buckets.(d) pts.(i))
+         if d <> 0 then (let x, y = pts.(i) in madd t s buckets.(d) buckets.(d) x y))
       pairs;
     (* sum_d d * bucket(d) as a running suffix sum: the suffix sum after
        step d is bucket(d) + ... + bucket(max), and adding it once per
        step contributes each bucket exactly d times *)
-    let suffix = ref Infinity and wsum = ref Infinity in
+    let suffix = jac () and wsum = jac () in
     for d = nbuckets downto 1 do
-      suffix := add t !suffix buckets.(d);
-      wsum := add t !wsum !suffix
+      add_j t s suffix suffix buckets.(d);
+      add_j t s wsum wsum suffix
     done;
-    acc := add t !acc !wsum
+    add_j t s acc acc wsum
   done;
-  !acc
+  acc
 
 (* Multi-scalar multiplication sum_i k_i * P_i (+ sum_j k_j * Q_j for
    precomputed Q_j). Strategy is chosen from the (post-filtering) batch
@@ -1105,18 +1114,19 @@ let msm_pippenger t ~window:c (pairs : (Nat.t * point) array) =
    paths at small n). Variable time — public scalars and points only
    (curve.mli). *)
 let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
+  let s = scratch () in
   (* Scalars of one or two bits (notably the pinned weight 1 some batch
      verifiers use) are cheaper as a couple of direct additions than as
      a table-and-digit-string entry. *)
-  let tiny = ref Infinity in
+  let tiny = jac () in
   let keep_tiny k p =
-    let kp =
-      match Nat.to_int k with
-      | 1 -> p
-      | 2 -> double t p
-      | _ -> add t p (double t p)
-    in
-    tiny := add t !tiny kp
+    let j = loaded p in
+    if Nat.to_int k <> 1 then begin
+      let d = jac () in
+      dbl t s d j;
+      add_j t s tiny tiny d
+    end;
+    if Nat.to_int k <> 2 then add_j t s tiny tiny j
   in
   let live_filter to_pt l =
     Array.of_list
@@ -1132,9 +1142,9 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
   let live = live_filter (fun p -> p) pairs in
   let main =
     match window, Array.length live_pre, Array.length live with
-    | None, 0, 0 -> Infinity
-    | None, 0, 1 -> let k, p = live.(0) in mul_vartime t k p
-    | None, np, n when np + n <= 256 -> msm_strauss t live_pre live
+    | None, 0, 0 -> jac ()
+    | None, 0, 1 -> let k, p = live.(0) in mul_vartime_j t s k p
+    | None, np, n when np + n <= 256 -> msm_strauss t s live_pre live
     | _ ->
       let flat =
         Array.append (Array.map (fun (k, pc) -> (k, pc.pre_pt)) live_pre) live
@@ -1148,25 +1158,13 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
           let rec ilog2 v = if v <= 1 then 0 else 1 + ilog2 (v lsr 1) in
           min 12 (max 4 (ilog2 (Array.length flat) - 2))
       in
-      if Array.length flat = 0 then Infinity else msm_pippenger t ~window:c flat
+      msm_pippenger t s ~window:c flat
   in
-  add t main !tiny
+  add_j t s main main tiny;
+  store main
 
 let msm ?window t pairs = msm_dispatch ?window t [||] pairs
 let msm_pre t pre pairs = msm_dispatch t pre pairs
-
-let equal t p q =
-  match p, q with
-  | Infinity, Infinity -> true
-  | Infinity, Jacobian _ | Jacobian _, Infinity -> false
-  | Jacobian (x1, y1, z1), Jacobian (x2, y2, z2) ->
-    (* cross-multiply to compare without inversion *)
-    let fp = t.fp in
-    let z1z1 = Modular.sqr fp z1 and z2z2 = Modular.sqr fp z2 in
-    Nat.equal (Modular.mul fp x1 z2z2) (Modular.mul fp x2 z1z1)
-    && Nat.equal
-      (Modular.mul fp y1 (Modular.mul fp z2 z2z2))
-      (Modular.mul fp y2 (Modular.mul fp z1 z1z1))
 
 (* Point encoding: 0x00 for infinity; otherwise 0x04 || X || Y
    (uncompressed, fixed width). *)
@@ -1177,7 +1175,7 @@ let encode t pt =
     "\x04" ^ Nat.to_bytes_be ~len:t.byte_len x ^ Nat.to_bytes_be ~len:t.byte_len y
 
 let decode t s =
-  if s = "\x00" then Some Infinity
+  if s = "\x00" then Some infinity
   else if String.length s = 1 + 2 * t.byte_len && s.[0] = '\x04' then begin
     let x = Nat.of_bytes_be (String.sub s 1 t.byte_len) in
     let y = Nat.of_bytes_be (String.sub s (1 + t.byte_len) t.byte_len) in
@@ -1196,8 +1194,8 @@ let field_sqrt t a =
 (* A y with y^2 = x^3 + a x + b, if x is on the curve. *)
 let lift_x t x =
   let y = Fe.make () in
-  curve_rhs t y (Fe.of_nat t.fe x);
-  if Fe.sqrt t.fe y y then Some (Fe.to_nat y) else None
+  curve_rhs t y x;
+  if Fe.sqrt t.fe y y then Some y else None
 
 (* Compressed encoding: 0x00 for infinity, else 0x02/0x03 (y parity)
    followed by X — half the bytes of the uncompressed form. *)
@@ -1209,17 +1207,19 @@ let encode_compressed t pt =
     prefix ^ Nat.to_bytes_be ~len:t.byte_len x
 
 let decode_compressed t s =
-  if s = "\x00" then Some Infinity
+  if s = "\x00" then Some infinity
   else if String.length s = 1 + t.byte_len && (s.[0] = '\x02' || s.[0] = '\x03') then begin
     let x = Nat.of_bytes_be (String.sub s 1 t.byte_len) in
     if Nat.compare x t.params.p >= 0 then None
-    else
+    else begin
+      let x = Fe.of_nat t.fe x in
       match lift_x t x with
       | None -> None
       | Some y ->
-        let want_odd = s.[0] = '\x03' in
-        let y = if Nat.is_odd y = want_odd then y else Modular.neg t.fp y in
-        Some (of_affine t (x, y))
+        (* a fully reduced element's parity is its low limb's *)
+        if y.(0) land 1 <> Bool.to_int (s.[0] = '\x03') then Fe.neg t.fe y y;
+        Some (affine_point x y)
+    end
   end
   else None
 
@@ -1230,9 +1230,9 @@ let hash_to_point t label =
   let rec try_counter i =
     if i > 1000 then failwith "Curve.hash_to_point: no point found";
     let h = Dd_crypto.Sha256.digest_list [ label; string_of_int i ] in
-    let x = Modular.of_bytes_be t.fp h in
+    let x = Fe.of_nat t.fe (Nat.of_bytes_be h) in
     match lift_x t x with
-    | Some y -> of_affine t (x, y)
+    | Some y -> affine_point x y
     | None -> try_counter (i + 1)
   in
   try_counter 0

@@ -1,5 +1,7 @@
 (** Short-Weierstrass elliptic-curve group over a prime field, with
-    Jacobian-coordinate arithmetic.
+    Jacobian-coordinate arithmetic. Every base-field operation of both
+    curves runs on {!Dd_bignum.Fe}: fixed-width limbs, fully reduced
+    after every operation, with no branch on a value.
 
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,
@@ -16,29 +18,28 @@
       determined by the group order's bit length, performing one table
       lookup and one add per window unconditionally — the sequence of
       group operations does not depend on the scalar.
-    - The field arithmetic under that sequence differs by path.
-      {!mul_base_batch} (the EA's set-up) runs every lane on
-      {!Dd_bignum.Fe}: fixed-width limbs, fully reduced after every
-      operation, with no branch on a value and no length-trimmed
-      values: its lanes take none of [Modular.add]/[sub]'s
-      compare-and-branch. {!mul} and the Jacobian readers of the comb
-      tables ({!mul_base_table}, {!mul2}) compute on [Nat] through
-      [Modular], whose add, sub and value trimming are not
-      constant-time: there the guarantee is uniformity of the operation
-      sequence, not a full constant-time one.
+    - What {!mul} guarantees, exactly: 4-bit windows, as many as the
+      order has nibbles; per window four doublings, one read of a
+      16-entry Jacobian table indexed by the window's digit, and one
+      add; every field operation on {!Dd_bignum.Fe}. It is not fully
+      constant-time: the digit is an array index, and the add takes a
+      shortcut when an operand is the identity (the accumulator before
+      the first nonzero window, the entry of a zero digit) or when the
+      operands are equal. Doubling needs no case: the identity doubles
+      to Z = 0 through the formula.
     - The comb tables ({!base_table}) use signed odd digits. A digit
       picks its entry by index arithmetic and its sign by a mask select
       between y and -y ([Fe.select]), with no branch on the digit.
       Every entry is finite, and the recoding bounds the accumulator so
       that no add but the last one of a comb can meet the equal or
       opposite point case (the proof is at [base_table] in curve.ml).
-      The last add
-      is the mixed addition in {!mul_base_table}, whose equal and
-      opposite cases fall back to doubling and the identity, and a
-      complete affine addition in {!mul_base_batch}, which runs the
-      same field operations for every lane and only selects among the
-      results by masks; that is also how the batch merges the terms of
-      a job.
+      The first row's add always starts from the identity. The last add
+      is the mixed addition in {!mul_base_table}, whose equal case falls
+      back to doubling and whose opposite case yields Z = 0 through the
+      formula, and a complete affine addition in {!mul_base_batch},
+      which runs the same field operations for every lane and only
+      selects among the results by masks; that is also how the batch
+      merges the terms of a job.
     - {b Public data} (signature verification, proof verification,
       checking commitments already on the wire): {!mul_vartime},
       {!mul2} and {!msm} are substantially faster but their operation
@@ -73,18 +74,10 @@ val secp256k1 : params
 (** NIST P-256 (a = -3): a second supported parameter set. *)
 val nist_p256 : params
 
-(** [create ?fast params] builds the group context, precomputing the
-    field contexts. [~fast:false] forces Barrett reduction in both
-    [Modular] fields (reference path for differential tests and
-    seed-baseline benchmarks); the affine kernels, inversions and square
-    roots always use {!Dd_bignum.Fe}, so [params.p] must be secp256k1's
-    or P-256's prime ([Invalid_argument] otherwise). *)
-val create : ?fast:bool -> params -> t
-
-(** Modular context for the base field F_p ({!Dd_bignum.Fe} behind
-    [mul]/[sqr] for the two curve primes, Barrett under [~fast:false] —
-    see {!Modular}). *)
-val field : t -> Modular.ctx
+(** [create params] builds the group context. The base field runs on
+    {!Dd_bignum.Fe}, so [params.p] must be secp256k1's or P-256's prime
+    ([Invalid_argument] otherwise). *)
+val create : params -> t
 
 (** Modular context for Z_n, n the group order. *)
 val scalar_field : t -> Modular.ctx
@@ -108,6 +101,8 @@ val to_affine_batch : t -> point array -> (Nat.t * Nat.t) option array
 val of_affine : t -> Nat.t * Nat.t -> point
 val on_curve : t -> Nat.t * Nat.t -> bool
 
+(** [add t p q] is [p + q]; a [q] stored with Z = 1 ({!is_affine}:
+    decoded points, table entries) takes the mixed addition. *)
 val add : t -> point -> point -> point
 val double : t -> point -> point
 val neg : t -> point -> point
@@ -131,7 +126,7 @@ val mul_vartime : t -> Nat.t -> point -> point
     finite and affine, so fixed-base multiplication needs no doublings
     and every table add is a mixed addition. Entries are stored once, as
     {!Dd_bignum.Fe} limbs packed two per word (about 330 KB for a width-8
-    table); the Jacobian readers convert the entries they read. A scalar
+    table), and every reader unpacks the entries it reads. A scalar
     is recoded into one signed odd digit per row. The build works in
     affine coordinates across all rows at once, one shared field
     inversion per step. The group generators use width 8 (32 rows of
@@ -150,8 +145,8 @@ val base_table_rows : base_table -> point array array
 val is_affine : point -> bool
 
 (** [mul_base_table t tbl k] is [k * B]. Safe for secret scalars: every
-    row does one lookup and, after the first, one mixed addition
-    unconditionally. *)
+    row does one lookup and one mixed addition unconditionally, the
+    first from the identity. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
 val mul_base_table : t -> base_table -> Nat.t -> point
 

@@ -7,9 +7,8 @@ module Modular = Dd_bignum.Modular
 
 type t
 
-(** [create ?fast ?params ()] builds the context. [~fast:false] forces
-    Barrett reduction throughout (reference/baseline path). *)
-val create : ?fast:bool -> ?params:Curve.params -> unit -> t
+(** [create ?params ()] builds the context (secp256k1 by default). *)
+val create : ?params:Curve.params -> unit -> t
 
 (** One process-wide context over secp256k1, built on first call (table
     construction costs a few hundred milliseconds; share it). Safe to

@@ -223,9 +223,9 @@ let slow_secp_n = Modular.create ~fast:false secp_n
 let fast_p256_n = Modular.create p256_n
 let slow_p256_n = Modular.create ~fast:false p256_n
 
-(* All four 256-bit moduli the system actually computes under: the two
-   curve field primes (specialized folds for mul, Montgomery behind
-   pow/inv) and the two curve orders (Montgomery throughout). The slow
+(* All four 256-bit moduli: the two curve field primes and the two
+   curve orders, Montgomery throughout on the fast side (the group runs
+   its base field on Fe, pinned by "fe-differential" below). The slow
    context is always pure Barrett. *)
 let all_moduli =
   [ ("secp256k1-p", secp_p, fast_secp, slow_secp);
@@ -270,27 +270,6 @@ let prop_mont_mul_orders =
             Nat.equal (Modular.mul fast a b) (Modular.mul slow a b)
             && Nat.equal (Modular.sqr fast a) (Modular.mul slow a a))
          [ List.nth all_moduli 2; List.nth all_moduli 3 ])
-
-(* Domain entry/exit: of_mont (to_mont x) = reduce x on every modulus
-   that carries a domain, and a product of domain images exits to the
-   Barrett product. *)
-let prop_mont_roundtrip =
-  QCheck.Test.make ~name:"Montgomery domain entry/exit roundtrip" ~count:500
-    (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
-       List.for_all
-         (fun (_, _, fast, slow) ->
-            assert (Modular.has_montgomery fast);
-            let ra = Modular.reduce slow a and rb = Modular.reduce slow b in
-            let ma = Modular.to_mont fast ra and mb = Modular.to_mont fast rb in
-            Nat.equal (Modular.of_mont fast ma) ra
-            && Nat.equal
-                 (Modular.of_mont fast (Modular.mul_mont fast ma mb))
-                 (Modular.mul slow ra rb)
-            && Nat.equal
-                 (Modular.of_mont fast (Modular.sqr_mont fast ma))
-                 (Modular.mul slow ra ra))
-         all_moduli)
 
 (* Aliasing: [mul ctx a a] must agree with the dedicated squaring
    kernel on every strategy. *)
@@ -338,10 +317,6 @@ let prop_divmod_large_divisor =
        Nat.equal a (Nat.add (Nat.mul q b) r) && Nat.compare r b < 0)
 
 let test_fast_reduction_edges () =
-  Alcotest.(check string) "secp strategy" "pseudo-mersenne-secp256k1"
-    (Modular.reduction_name fast_secp);
-  Alcotest.(check string) "p256 strategy" "word-sliding-p256"
-    (Modular.reduction_name fast_p256);
   Alcotest.(check string) "odd non-curve modulus gets Montgomery" "montgomery"
     (Modular.reduction_name (Modular.create (Nat.of_int 97)));
   Alcotest.(check string) "even modulus stays Barrett" "barrett"
@@ -350,13 +325,6 @@ let test_fast_reduction_edges () =
     (Modular.reduction_name slow_secp_n);
   Alcotest.(check string) "curve order gets Montgomery" "montgomery"
     (Modular.reduction_name fast_secp_n);
-  Alcotest.(check bool) "no Montgomery domain under ~fast:false" false
-    (Modular.has_montgomery slow_secp);
-  Alcotest.check_raises "to_mont without a domain"
-    (Invalid_argument
-       "Modular.to_mont: no Montgomery domain (modulus even, too large, or \
-        ~fast:false)")
-    (fun () -> ignore (Modular.to_mont slow_secp Nat.one));
   List.iter
     (fun (name, prime, fast, slow) ->
        let check label x =
@@ -381,7 +349,7 @@ let test_fast_reduction_edges () =
 (* Boundary residues through every strategy: 0, 1, m-1 (the residue
    extremes), and m, m+1, 2m-1 (just above the modulus, exercising the
    conditional-subtract tail of each reduction) — fed through [reduce],
-   [mul], [sqr], and the Montgomery domain where one exists. *)
+   [mul] and [sqr]. *)
 let test_boundary_residues () =
   List.iter
     (fun (name, m, fast, slow) ->
@@ -401,18 +369,7 @@ let test_boundary_residues () =
          (Modular.mul slow mm1 mm1);
        check "(m-1)^2 sqr" (Modular.sqr fast mm1) (Modular.mul slow mm1 mm1);
        check "sqr 0" (Modular.sqr fast Nat.zero) Nat.zero;
-       check "sqr 1" (Modular.sqr fast Nat.one) Nat.one;
-       if Modular.has_montgomery fast then begin
-         check "mont roundtrip 0"
-           (Modular.of_mont fast (Modular.to_mont fast Nat.zero)) Nat.zero;
-         check "mont roundtrip 1"
-           (Modular.of_mont fast (Modular.to_mont fast Nat.one)) Nat.one;
-         check "mont roundtrip m-1"
-           (Modular.of_mont fast (Modular.to_mont fast mm1)) mm1;
-         (* domain entry reduces: to_mont m = to_mont 0 *)
-         check "mont entry reduces m"
-           (Modular.to_mont fast m) (Modular.to_mont fast Nat.zero)
-       end)
+       check "sqr 1" (Modular.sqr fast Nat.one) Nat.one)
     all_moduli
 
 let test_barrett_edges () =
@@ -595,7 +552,7 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_fast_reduce_secp; prop_fast_reduce_p256;
            prop_fast_mul_secp; prop_fast_mul_p256;
-           prop_mont_mul_orders; prop_mont_roundtrip; prop_sqr_aliasing;
+           prop_mont_mul_orders; prop_sqr_aliasing;
            prop_limb_kernels ]);
       ("fe-differential",
        Alcotest.test_case "edge residues" `Quick test_fe_edges

@@ -113,7 +113,7 @@ let test_compressed_codec () =
   Alcotest.(check bool) "some x has no curve point" true (non_residue_x 2 > 0)
 
 let test_field_sqrt () =
-  let fp = Curve.field c in
+  let fp = Dd_bignum.Modular.create Curve.secp256k1.Curve.p in
   let x = Dd_bignum.Nat.of_int 1234567 in
   let sq = Dd_bignum.Modular.sqr fp x in
   (match Curve.field_sqrt c sq with
@@ -209,19 +209,83 @@ let prop_table_matches_plain =
 
 (* --- differential: fast scalar-multiplication paths ---------------------- *)
 
-(* Reference double-and-add, independent of every optimized path. *)
-let naive_mul curve k pt =
-  let k = Dd_bignum.Modular.reduce (Curve.scalar_field curve) k in
-  let acc = ref Curve.infinity in
-  for i = Nat.bit_length k - 1 downto 0 do
-    acc := Curve.double curve !acc;
-    if Nat.testbit k i then acc := Curve.add curve !acc pt
-  done;
-  !acc
+(* The reference: a textbook affine group law (chord and tangent, None
+   the identity) over the Barrett field of [Modular.create ~fast:false],
+   sharing no code with Fe or the Jacobian formulas. Extended-Euclid
+   inversion ([~prime:false]) keeps a reference multiplication cheap. *)
+module Ref = struct
+  module M = Dd_bignum.Modular
+
+  let fields =
+    List.map
+      (fun (pr : Curve.params) -> (pr.Curve.name, M.create ~prime:false ~fast:false pr.Curve.p))
+      [ Curve.secp256k1; Curve.nist_p256 ]
+
+  let fp (pr : Curve.params) = List.assoc pr.Curve.name fields
+
+  let add pr p q =
+    let fp = fp pr in
+    match p, q with
+    | None, r | r, None -> r
+    | Some (x1, y1), Some (x2, y2) ->
+      if Nat.equal x1 x2 && Nat.is_zero (M.add fp y1 y2) then None
+      else begin
+        let l =
+          if Nat.equal x1 x2 then
+            M.mul fp (M.add fp (M.mul fp (M.of_int fp 3) (M.sqr fp x1)) pr.Curve.a)
+              (M.inv fp (M.add fp y1 y1))
+          else M.mul fp (M.sub fp y2 y1) (M.inv fp (M.sub fp x2 x1))
+        in
+        let x3 = M.sub fp (M.sub fp (M.sqr fp l) x1) x2 in
+        Some (x3, M.sub fp (M.mul fp l (M.sub fp x1 x3)) y1)
+      end
+
+  (* double-and-add, the scalar reduced mod the order *)
+  let mul pr k p =
+    let k = Nat.rem k pr.Curve.order in
+    let acc = ref None in
+    for i = Nat.bit_length k - 1 downto 0 do
+      acc := add pr !acc !acc;
+      if Nat.testbit k i then acc := add pr !acc p
+    done;
+    !acc
+
+  let gen (pr : Curve.params) = Some (pr.Curve.gx, pr.Curve.gy)
+end
+
+(* Curve points in and out of the reference (the affine edge). *)
+let of_ref cv = function None -> Curve.infinity | Some xy -> Curve.of_affine cv xy
+let agrees cv want got =
+  match want, Curve.to_affine cv got with
+  | None, None -> true
+  | Some (x, y), Some (x', y') -> Nat.equal x x' && Nat.equal y y'
+  | _ -> false
 
 (* Both curves: the uniform fixed-window path covers a <> 0 arithmetic
    on P-256, the wNAF path covers negated-point table entries. *)
 let curves = [ ("secp256k1", c, g); ("p256", p256, Curve.generator p256) ]
+let params_of cv = if cv == c then Curve.secp256k1 else Curve.nist_p256
+
+(* The reference k * P of a curve point, as a curve point. *)
+let naive_mul cv k pt = of_ref cv (Ref.mul (params_of cv) k (Curve.to_affine cv pt))
+
+(* P + P, P + (-P), O + P and P + O against the reference, through the
+   general add (a Jacobian q) and the mixed add (an affine q). *)
+let prop_add_cases_match_ref =
+  QCheck.Test.make ~name:"add special cases = reference on both curves" ~count:10 arb_scalar
+    (fun a ->
+       List.for_all
+         (fun (_, cv, gv) ->
+            let pr = params_of cv in
+            let rp = Ref.mul pr a (Ref.gen pr) in
+            let twice = Ref.add pr rp rp in
+            let pj = Curve.mul cv a gv and pa = of_ref cv rp and o = Curve.infinity in
+            List.for_all
+              (fun (p, q, want) -> agrees cv want (Curve.add cv p q))
+              [ (pj, pj, twice); (pj, Curve.neg cv pj, None); (o, pj, rp); (pj, o, rp);
+                (pj, pa, twice); (pa, pa, twice); (pj, Curve.neg cv pa, None); (o, pa, rp);
+                (pa, o, rp) ])
+         curves)
 
 (* Comb tables over each curve's generator: width 8 (the Group_ctx
    generator format) and width 4 (the per-signer verification format). *)
@@ -617,7 +681,7 @@ let () =
        :: Alcotest.test_case "batch normalization edges" `Quick test_to_affine_batch_edges
        :: List.map QCheck_alcotest.to_alcotest
             [ prop_mul_matches_naive; prop_base_table_matches_mul; prop_mul2_matches_parts;
-              prop_to_affine_batch_matches ]);
+              prop_to_affine_batch_matches; prop_add_cases_match_ref ]);
       ("comb-batch",
        [ Alcotest.test_case "batch edge scalars" `Quick test_batch_edge_scalars;
          Alcotest.test_case "batch sizes" `Quick test_batch_sizes;
