@@ -375,8 +375,10 @@ let serve_cmd =
     let print_stats () =
       let s = Runtime.stats t in
       Printf.printf
-        "frames: %d in / %d out | shed: %d votes, %d peer msgs, %d conns | %d ticks\n"
-        s.Runtime.frames_in s.Runtime.frames_out s.Runtime.votes_shed
+        "frames: %d in / %d out | bytes: %d in / %d out | shed: %d votes, %d peer msgs, \
+         %d conns | %d ticks\n"
+        s.Runtime.frames_in s.Runtime.frames_out s.Runtime.bytes_in s.Runtime.bytes_out
+        s.Runtime.votes_shed
         s.Runtime.peer_dropped s.Runtime.conns_shed s.Runtime.steps
     in
     if cast > 0 then begin

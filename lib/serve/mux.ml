@@ -5,8 +5,15 @@ module Messages = Ddemos.Messages
 type t =
   | Client_vote of { channel : int; req : int; serial : int; vote_code : string }
   | Client_reply of { channel : int; req : int; outcome : Types.vote_outcome }
-  | Vc of Messages.vc_msg
-  | Bb of Messages.bb_msg
+  | Vc of Messages.vc_msg list
+  | Bb of Messages.bb_msg list
+
+(* Link frame kinds: one message, or a batch of two or more. Client
+   frames are kinds 0 (vote) and 1 (reply). *)
+type link_kind = { one : int; many : int }
+
+let vc_kind = { one = 2; many = 4 }
+let bb_kind = { one = 3; many = 5 }
 
 let put_outcome w = function
   | Types.Receipt receipt ->
@@ -22,26 +29,81 @@ let get_outcome r =
   | 1 -> Types.Rejected (Wire.get_bytes r)
   | _ -> raise (Wire.Malformed "outcome: bad kind")
 
-let encode gctx msg =
+(* One link payload from already-encoded messages. *)
+let encode_items kind items =
   let w = Wire.writer () in
-  (match msg with
-   | Client_vote { channel; req; serial; vote_code } ->
-     Wire.put_varint w 0;
-     Wire.put_varint w channel; Wire.put_varint w req;
-     Wire.put_varint w serial; Wire.put_bytes w vote_code
-   | Client_reply { channel; req; outcome } ->
-     Wire.put_varint w 1;
-     Wire.put_varint w channel; Wire.put_varint w req;
-     put_outcome w outcome
-   | Vc m ->
-     Wire.put_varint w 2;
-     Wire.put_bytes w (Messages.encode_vc_msg gctx m)
-   | Bb m ->
-     Wire.put_varint w 3;
-     Wire.put_bytes w (Messages.encode_bb_msg m));
+  (match items with
+   | [] -> invalid_arg "Mux.encode: empty message list"
+   | [ item ] ->
+     Wire.put_varint w kind.one;
+     Wire.put_bytes w item
+   | items ->
+     Wire.put_varint w kind.many;
+     Wire.put_varint w (List.length items);
+     List.iter (Wire.put_bytes w) items);
   Wire.contents w
 
+let encode gctx msg =
+  match msg with
+  | Client_vote { channel; req; serial; vote_code } ->
+    let w = Wire.writer () in
+    Wire.put_varint w 0;
+    Wire.put_varint w channel; Wire.put_varint w req;
+    Wire.put_varint w serial; Wire.put_bytes w vote_code;
+    Wire.contents w
+  | Client_reply { channel; req; outcome } ->
+    let w = Wire.writer () in
+    Wire.put_varint w 1;
+    Wire.put_varint w channel; Wire.put_varint w req;
+    put_outcome w outcome;
+    Wire.contents w
+  | Vc ms -> encode_items vc_kind (List.map (Messages.encode_vc_msg gctx) ms)
+  | Bb ms -> encode_items bb_kind (List.map Messages.encode_bb_msg ms)
+
+let varint_len n =
+  let rec go n k = if n < 0x80 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+(* Greedy in-order cut: [size] tracks the payload [encode_items] would
+   build from the current group (kind byte, count when two or more,
+   each item length-prefixed). *)
+let split ~max_frame items =
+  let cost item = varint_len (String.length item) + String.length item in
+  let size n body = 1 + (if n >= 2 then varint_len n else 0) + body in
+  let rec go groups group n body = function
+    | [] -> List.rev (if group = [] then groups else List.rev group :: groups)
+    | item :: rest ->
+      let c = cost item in
+      if n > 0 && size (n + 1) (body + c) > max_frame then
+        go (List.rev group :: groups) [ item ] 1 c rest
+      else go groups (item :: group) (n + 1) (body + c) rest
+  in
+  go [] [] 0 0 items
+
+let encode_split ~max_frame gctx msg =
+  match msg with
+  | Vc ms ->
+    List.map (encode_items vc_kind) (split ~max_frame (List.map (Messages.encode_vc_msg gctx) ms))
+  | Bb ms -> List.map (encode_items bb_kind) (split ~max_frame (List.map Messages.encode_bb_msg ms))
+  | Client_vote _ | Client_reply _ -> [ encode gctx msg ]
+
+let get_batch r decode_item =
+  let n = Wire.get_varint r in
+  if n < 2 then raise (Wire.Malformed "mux: batch of fewer than two");
+  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (decode_item r :: acc) in
+  go n []
+
 let decode gctx frame =
+  let vc r =
+    match Messages.decode_vc_msg gctx (Wire.get_bytes r) with
+    | Some m -> m
+    | None -> raise (Wire.Malformed "nested vc_msg")
+  in
+  let bb r =
+    match Messages.decode_bb_msg (Wire.get_bytes r) with
+    | Some m -> m
+    | None -> raise (Wire.Malformed "nested bb_msg")
+  in
   Wire.decode frame (fun r ->
       match Wire.get_varint r with
       | 0 ->
@@ -55,12 +117,8 @@ let decode gctx frame =
         let req = Wire.get_varint r in
         let outcome = get_outcome r in
         Client_reply { channel; req; outcome }
-      | 2 ->
-        (match Messages.decode_vc_msg gctx (Wire.get_bytes r) with
-         | Some m -> Vc m
-         | None -> raise (Wire.Malformed "nested vc_msg"))
-      | 3 ->
-        (match Messages.decode_bb_msg (Wire.get_bytes r) with
-         | Some m -> Bb m
-         | None -> raise (Wire.Malformed "nested bb_msg"))
+      | 2 -> Vc [ vc r ]
+      | 3 -> Bb [ bb r ]
+      | 4 -> Vc (get_batch r vc)
+      | 5 -> Bb (get_batch r bb)
       | _ -> raise (Wire.Malformed "mux: bad kind"))

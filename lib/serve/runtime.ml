@@ -47,18 +47,12 @@ type role =
   | Link_vc of int                   (* peer link delivering to VC [n] *)
   | Link_bb of int                   (* VC->BB link delivering to BB [n] *)
 
-type outq = {
-  oq : string Queue.t;
-  mutable head_pos : int;            (* sent prefix of the queue head *)
-  mutable oq_bytes : int;
-}
-
 type conn_state = {
   k_id : int;
   k_conn : Transport.conn;
   k_role : role;
   k_dec : Frame.decoder;
-  k_out : outq;
+  k_out : Buffer.t;                  (* framed bytes not yet sent *)
   mutable k_open : bool;
 }
 
@@ -121,12 +115,8 @@ let batch_stats t =
     t.batchers;
   agg
 
-let new_outq () = { oq = Queue.create (); head_pos = 0; oq_bytes = 0 }
-
 let enqueue_out t conn payload =
-  let framed = Frame.encode payload in
-  Queue.add framed conn.k_out.oq;
-  conn.k_out.oq_bytes <- conn.k_out.oq_bytes + String.length framed;
+  Frame.encode_into conn.k_out payload;
   t.st.frames_out <- t.st.frames_out + 1
 
 let register_conn t ~role conn =
@@ -135,7 +125,7 @@ let register_conn t ~role conn =
   let cs =
     { k_id = id; k_conn = conn; k_role = role;
       k_dec = Frame.create ~max_frame:t.p.max_frame ();
-      k_out = new_outq (); k_open = true }
+      k_out = Buffer.create 256; k_open = true }
   in
   t.conns <- cs :: t.conns;
   cs
@@ -249,18 +239,19 @@ let shed_vote t conn ~channel ~req =
     (Mux.encode t.src.sv_gctx
        (Mux.Client_reply { channel; req; outcome = Types.Rejected "server overloaded" }))
 
+let deliver t mbox m =
+  if not (Mailbox.push mbox m) then t.st.peer_dropped <- t.st.peer_dropped + 1
+
+(* A batch's messages reach the mailbox in order, so every node sees
+   the message sequence it would see from one frame per message. *)
 let route t conn msg =
   match conn.k_role, msg with
   | Client node, Mux.Client_vote { channel; req; serial; vote_code } ->
     let client = intern_client t conn channel in
     let m = Messages.Vote { serial; vote_code; client; req } in
     if not (Mailbox.push t.vc_mbox.(node) m) then shed_vote t conn ~channel ~req
-  | Link_vc node, Mux.Vc m ->
-    if not (Mailbox.push t.vc_mbox.(node) m) then
-      t.st.peer_dropped <- t.st.peer_dropped + 1
-  | Link_bb node, Mux.Bb m ->
-    if not (Mailbox.push t.bb_mbox.(node) m) then
-      t.st.peer_dropped <- t.st.peer_dropped + 1
+  | Link_vc node, Mux.Vc ms -> List.iter (deliver t t.vc_mbox.(node)) ms
+  | Link_bb node, Mux.Bb ms -> List.iter (deliver t t.bb_mbox.(node)) ms
   | (Client _ | Link_vc _ | Link_bb _), _ ->
     (* a frame kind this connection's role must not produce *)
     t.st.malformed <- t.st.malformed + 1
@@ -313,65 +304,59 @@ let process_bb t j =
   List.iter (fun m -> Bb_node.handle t.bb.(j) m) msgs;
   List.length msgs
 
+(* Each link's staged messages leave as one frame (more only past
+   [max_frame]); client replies stay one frame each. *)
 let flush_staged t =
+  let gctx = t.src.sv_gctx in
+  let send conn msg =
+    match conn with
+    | Some conn when conn.k_open ->
+      List.iter (enqueue_out t conn) (Mux.encode_split ~max_frame:t.p.max_frame gctx msg)
+    | Some _ | None -> ()
+  in
   for i = 0 to t.nv - 1 do
     let staged = List.rev !(t.staging.(i)) in
     t.staging.(i) := [];
+    let to_vc = Array.make t.nv [] and to_bb = Array.make t.nb [] in
     List.iter
       (fun s ->
          match s with
-         | S_vc (dst, m) ->
-           (match t.link_vc.(i).(dst) with
-            | Some conn when conn.k_open ->
-              enqueue_out t conn (Mux.encode t.src.sv_gctx (Mux.Vc m))
-            | Some _ | None -> ())
-         | S_bb (dst, m) ->
-           if dst >= 0 && dst < t.nb then
-             (match t.link_bb.(i).(dst) with
-              | Some conn when conn.k_open ->
-                enqueue_out t conn (Mux.encode t.src.sv_gctx (Mux.Bb m))
-              | Some _ | None -> ())
+         | S_vc (dst, m) -> to_vc.(dst) <- m :: to_vc.(dst)
+         | S_bb (dst, m) -> if dst >= 0 && dst < t.nb then to_bb.(dst) <- m :: to_bb.(dst)
          | S_client (client, req, outcome) ->
            (match Hashtbl.find_opt t.clients client with
             | Some (conn, channel) when conn.k_open ->
-              enqueue_out t conn
-                (Mux.encode t.src.sv_gctx
-                   (Mux.Client_reply { channel; req; outcome }))
+              enqueue_out t conn (Mux.encode gctx (Mux.Client_reply { channel; req; outcome }))
             | Some _ | None -> ()))
-      staged
+      staged;
+    Array.iteri
+      (fun dst ms -> if ms <> [] then send t.link_vc.(i).(dst) (Mux.Vc (List.rev ms)))
+      to_vc;
+    Array.iteri
+      (fun dst ms -> if ms <> [] then send t.link_bb.(i).(dst) (Mux.Bb (List.rev ms)))
+      to_bb
   done
 
+(* One [send] per connection per tick; a partial write keeps only the
+   unsent tail, so the buffer holds exactly the connection's backlog. *)
 let write_out t =
   List.iter
     (fun conn ->
-       if conn.k_open then begin
-         let q = conn.k_out in
-         let continue = ref true in
-         while !continue do
-           match Queue.peek_opt q.oq with
-           | None -> continue := false
-           | Some head ->
-             let len = String.length head - q.head_pos in
-             let k = conn.k_conn.Transport.send head ~pos:q.head_pos ~len in
-             t.st.bytes_out <- t.st.bytes_out + k;
-             q.oq_bytes <- q.oq_bytes - k;
-             if k = len then begin
-               ignore (Queue.take_opt q.oq);
-               q.head_pos <- 0
-             end else begin
-               q.head_pos <- q.head_pos + k;
-               continue := false
-             end
-         done;
+       let out = conn.k_out in
+       if conn.k_open && Buffer.length out > 0 then begin
+         let data = Buffer.contents out in
+         let len = String.length data in
+         let k = conn.k_conn.Transport.send data ~pos:0 ~len in
+         t.st.bytes_out <- t.st.bytes_out + k;
+         Buffer.clear out;
+         if k < len then Buffer.add_substring out data k (len - k);
          (* slow-reader shedding: a client that will not drain its
             replies is disconnected, never buffered without bound *)
          (match conn.k_role with
-          | Client _ when q.oq_bytes > t.p.out_cap ->
+          | Client _ when Buffer.length out > t.p.out_cap ->
             conn.k_open <- false;
             conn.k_conn.Transport.close ();
-            Queue.clear q.oq;
-            q.head_pos <- 0;
-            q.oq_bytes <- 0;
+            Buffer.reset out;
             t.st.conns_shed <- t.st.conns_shed + 1
           | _ -> ())
        end)

@@ -16,12 +16,18 @@
       machines consume the messages. Node sends are staged per node,
       not transmitted, so no node's output reaches another within the
       tick.
-    + {b flush} — staged sends encode into per-connection bounded
-      outbound queues (in node index order: deterministic byte
-      streams), then every queue writes as much as its transport
-      accepts. A client connection whose outbound queue overflows
-      [out_cap] is a slow reader: it is closed and counted, never
-      buffered unboundedly.
+    + {b flush} — staged sends encode into per-connection outbound
+      buffers, in node index order (deterministic byte streams). Peer
+      traffic is coalesced: each VC→VC and VC→BB link's messages for
+      the tick leave as one {!Mux} batch frame, cut into more only
+      where the next message would push a payload past [max_frame];
+      the receiving pump routes a batch's messages in order, so every
+      mailbox sees the sequence one frame per message would give.
+      Client replies stay one frame each. Every buffer then makes one
+      write of as much as its transport accepts, keeping the rest.
+      Only client buffers are bounded: a client connection whose
+      backlog overflows [out_cap] is a slow reader — it is closed and
+      counted, never buffered unboundedly.
 
     Inter-node traffic travels through the same framed byte pipes as
     client traffic (created internally), so every hop exercises the
@@ -33,7 +39,7 @@ type params = {
   mailbox_cap : int;
   batch_max : int;           (** messages a node drains per tick *)
   out_cap : int;             (** outbound bytes buffered per client conn *)
-  max_frame : int;
+  max_frame : int;           (** payload cap, received and sent *)
 }
 
 val default_params : params
@@ -76,11 +82,12 @@ val client_conn : ?recv_chunk:(unit -> int) -> t -> node:int -> Transport.conn
     connection feeding VC node [node]. *)
 val accept : t -> node:int -> Transport.conn -> unit
 
-(** One tick; returns the number of frames processed. *)
+(** One tick; returns the frames received plus the messages the nodes
+    processed (0 only when the tick did nothing). *)
 val step : t -> int
 
 (** Step until a tick processes nothing and all queues drained (or
-    100,000 ticks pass); returns total frames processed. *)
+    100,000 ticks pass); returns the sum of the {!step} counts. *)
 val run_until_idle : t -> int
 
 (** Close the voting phase and start Vote Set Consensus on every VC

@@ -105,6 +105,141 @@ let test_mux_rejects_bad_kind () =
   Dd_codec.Wire.put_varint w 9;
   Alcotest.(check bool) "unknown kind" true (Mux.decode gctx (Dd_codec.Wire.contents w) = None)
 
+(* Peer-link batches: MAC tags and plain fields keep the generated
+   messages comparable with [=]. *)
+let gen_code = QCheck.Gen.(string_size ~gen:printable (int_range 0 12))
+
+let gen_vc_msg =
+  QCheck.Gen.(
+    oneof
+      [ map3 (fun serial vote_code responder -> Messages.Endorse { serial; vote_code; responder })
+          small_nat gen_code small_nat;
+        map3
+          (fun serial vote_code signer ->
+             Messages.Endorsement
+               { serial; vote_code; signer; tag = Auth.Mac_tag [| vote_code; "mac" |] })
+          small_nat gen_code small_nat;
+        map2 (fun sender serials -> Messages.Recover_request { sender; serials })
+          small_nat (list_size (int_range 0 5) small_nat) ])
+
+let gen_bb_msg =
+  QCheck.Gen.(
+    map3
+      (fun sender set x ->
+         Messages.Vote_set_submit
+           { sender; set; msk_share = { Dd_vss.Shamir_bytes.x; data = "msk" } })
+      small_nat (list_size (int_range 0 4) (pair small_nat gen_code)) (int_range 1 255))
+
+let gen_link =
+  QCheck.Gen.(
+    oneof
+      [ map (fun ms -> Mux.Vc ms) (list_size (int_range 1 12) gen_vc_msg);
+        map (fun ms -> Mux.Bb ms) (list_size (int_range 1 6) gen_bb_msg) ])
+
+let link_items = function
+  | Mux.Vc ms -> List.length ms
+  | Mux.Bb ms -> List.length ms
+  | Mux.Client_vote _ | Mux.Client_reply _ -> 1
+
+let rejoin = function
+  | Mux.Vc _ :: _ as ds -> Some (Mux.Vc (List.concat_map (function Mux.Vc ms -> ms | _ -> []) ds))
+  | Mux.Bb _ :: _ as ds -> Some (Mux.Bb (List.concat_map (function Mux.Bb ms -> ms | _ -> []) ds))
+  | _ -> None
+
+(* Whole and cut at a small [max_frame], a batch decodes back to its
+   messages in order, and only a lone message may exceed the cap. *)
+let prop_mux_link_roundtrip =
+  QCheck.Test.make ~name:"link batches roundtrip, whole and split" ~count:300
+    QCheck.(pair (make gen_link) (int_range 8 200))
+    (fun (msg, max_frame) ->
+       let parts = Mux.encode_split ~max_frame gctx msg in
+       let decoded = List.filter_map (Mux.decode gctx) parts in
+       Mux.decode gctx (Mux.encode gctx msg) = Some msg
+       && List.length decoded = List.length parts
+       && List.for_all2
+         (fun p d -> String.length p <= max_frame || link_items d = 1)
+         parts decoded
+       && rejoin decoded = Some msg)
+
+(* One message on a link keeps the one-message encoding byte for
+   byte: these frames were captured before links carried batches. *)
+let test_mux_single_golden () =
+  let mac l = Auth.Mac_tag l in
+  let endorse = Messages.Endorse { serial = 7; vote_code = "code-7"; responder = 2 } in
+  let vote_p =
+    Messages.Vote_p
+      { serial = 3; vote_code = "vc3"; sender = 1; part = Types.B; pos = 2;
+        share = { Dd_vss.Shamir_bytes.x = 2; data = "shr" };
+        share_tag = Some (mac [| "m0"; "m1" |]);
+        ucert =
+          { Messages.u_serial = 3; u_code = "vc3";
+            endorsements = [ (0, mac [| "a" |]); (2, mac [| "b" |]) ] } }
+  in
+  let submit =
+    Messages.Vote_set_submit
+      { sender = 1; set = [ (0, "c0"); (4, "c4") ];
+        msk_share = { Dd_vss.Shamir_bytes.x = 2; data = "msk" } }
+  in
+  let hex = Dd_crypto.Sha256.hex_of_string in
+  Alcotest.(check string) "endorse" "020a010706636f64652d3702"
+    (hex (Mux.encode gctx (Mux.Vc [ endorse ])));
+  Alcotest.(check string) "vote_p"
+    "02270303037663330101020203736872010102026d30026d3103037663330200010101610201010162"
+    (hex (Mux.encode gctx (Mux.Vc [ vote_p ])));
+  Alcotest.(check string) "vote set submit" "0310000102000263300402633402036d736b"
+    (hex (Mux.encode gctx (Mux.Bb [ submit ])))
+
+let prop_mux_batch_smaller =
+  QCheck.Test.make ~name:"a batch frame is smaller than its messages' frames" ~count:200
+    (QCheck.make gen_link)
+    (fun msg ->
+       let framed m = String.length (Frame.encode (Mux.encode gctx m)) in
+       let singles =
+         match msg with
+         | Mux.Vc ms -> List.map (fun m -> Mux.Vc [ m ]) ms
+         | Mux.Bb ms -> List.map (fun m -> Mux.Bb [ m ]) ms
+         | _ -> [ msg ]
+       in
+       List.length singles < 2
+       || framed msg < List.fold_left (fun acc m -> acc + framed m) 0 singles)
+
+(* Junk behind each batch kind: a short count, a count past the bytes
+   left, a batch nested as an item, a trailing byte. Each is malformed
+   as a whole; random tails must not raise either. *)
+let prop_mux_batch_total =
+  let module Wire = Dd_codec.Wire in
+  let endorse = Messages.Endorse { serial = 1; vote_code = "c"; responder = 0 } in
+  let submit =
+    Messages.Vote_set_submit
+      { sender = 0; set = [ (1, "c") ]; msk_share = { Dd_vss.Shamir_bytes.x = 1; data = "k" } }
+  in
+  let frame kind count items =
+    let w = Wire.writer () in
+    Wire.put_varint w kind;
+    Wire.put_varint w count;
+    List.iter (Wire.put_bytes w) items;
+    Wire.contents w
+  in
+  let cases kind item nested =
+    [ frame kind 0 [];
+      frame kind 1 [ item ];
+      frame kind 3 [ item; item ];
+      frame kind 2 [ item; nested ];
+      frame kind 2 [ item; item ] ^ "\000" ]
+  in
+  let vc_item = Messages.encode_vc_msg gctx endorse in
+  let bb_item = Messages.encode_bb_msg submit in
+  let fixed =
+    cases 4 vc_item (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
+    @ cases 5 bb_item (Mux.encode gctx (Mux.Bb [ submit; submit ]))
+  in
+  QCheck.Test.make ~name:"mux decoder is total on junk batches" ~count:300
+    QCheck.(pair (int_range 4 5) (string_of_size (QCheck.Gen.int_range 0 40)))
+    (fun (kind, junk) ->
+       List.for_all (fun f -> Mux.decode gctx f = None) fixed
+       && (match Mux.decode gctx (String.make 1 (Char.chr kind) ^ junk) with
+           | Some _ | None -> true))
+
 (* --- mailbox ------------------------------------------------------------ *)
 
 let test_mailbox_bounds () =
@@ -183,21 +318,23 @@ let intents n = List.init n (fun s -> { Loadgen.serial = s; choice = s mod 3 })
 (* Full vote-collection run over the duplex-pipe transport with a
    DRBG-chopped receive path: every recv returns 1..8 bytes, so frames
    arrive torn across ticks, on interleaved connections. *)
-let run_pipe_election ?(batching = true) ?(chopped = false) ~seed ~clients n_votes =
+let run_pipe_election ?(batching = true) ?(chopped = false) ?(wrap = Fun.id)
+    ?(tick = Runtime.step) ~seed ~clients n_votes =
   let src = Runtime.source_prf serve_cfg ~seed in
   let params = { Runtime.default_params with Runtime.batching } in
   let t = Runtime.create ~params src in
   let chopper = Drbg.create ~seed:("chopper|" ^ seed) in
   let conn_for ~client:_ ~node =
-    if chopped then
-      Runtime.client_conn ~recv_chunk:(fun () -> 1 + Drbg.int chopper 8) t ~node
-    else Runtime.client_conn t ~node
+    wrap
+      (if chopped then
+         Runtime.client_conn ~recv_chunk:(fun () -> 1 + Drbg.int chopper 8) t ~node
+       else Runtime.client_conn t ~node)
   in
   let lg =
     { Loadgen.lg_clients = clients; lg_seed = seed; lg_max_steps = 200_000 }
   in
   let r =
-    Loadgen.run ~params:lg ~conn_for ~step:(fun () -> Runtime.step t)
+    Loadgen.run ~params:lg ~conn_for ~step:(fun () -> tick t)
       ~ballot_for:(fun serial ->
           Ballot_gen.voter_ballot ~seed ~serial ~m:serve_cfg.Types.m_options)
       ~nv:serve_cfg.Types.nv ~votes:(intents n_votes) ()
@@ -299,6 +436,47 @@ let test_misrouted_reply_dropped () =
   Alcotest.(check int) "no rejection accepted" 0 r.Loadgen.rejections;
   Alcotest.(check int) "every vote verified" 4 r.Loadgen.receipts_ok
 
+(* Coalescing: each tick adds at most one frame per peer link beyond
+   the frames the clients sent, while some tick's links carry more
+   messages than there are links. A client frame is one vote, and
+   [step] counts frames plus messages processed. *)
+let test_one_frame_per_link_per_tick () =
+  let client_frames = ref 0 in
+  let count_sent conn =
+    let dec = Frame.create () in
+    { conn with
+      Transport.send =
+        (fun s ~pos ~len ->
+           let k = conn.Transport.send s ~pos ~len in
+           Frame.feed dec (String.sub s pos k);
+           let rec pop () =
+             match Frame.pop dec with Some _ -> incr client_frames; pop () | None -> ()
+           in
+           pop ();
+           k) }
+  in
+  let links = serve_cfg.Types.nv * (serve_cfg.Types.nv - 1) in
+  let ticks = ref 0 and seen = ref 0 and most_frames = ref 0 and most_msgs = ref 0 in
+  let tick t =
+    let frames0 = (Runtime.stats t).Runtime.frames_in in
+    let n = Runtime.step t in
+    let frames = (Runtime.stats t).Runtime.frames_in - frames0 in
+    let votes = !client_frames - !seen in
+    seen := !client_frames;
+    incr ticks;
+    most_frames := max !most_frames (frames - votes);
+    most_msgs := max !most_msgs (n - frames - votes);
+    n
+  in
+  let t, r = run_pipe_election ~wrap:count_sent ~tick ~seed:"one-frame" ~clients:5 12 in
+  let st = Runtime.stats t in
+  Alcotest.(check int) "all receipts" 12 r.Loadgen.receipts_ok;
+  Alcotest.(check int) "nothing shed" 0 (st.Runtime.votes_shed + st.Runtime.peer_dropped);
+  Alcotest.(check bool) "at most one frame per link per tick" true (!most_frames <= links);
+  Alcotest.(check bool) "frames_in within clients + ticks x links" true
+    (st.Runtime.frames_in <= !client_frames + (!ticks * links));
+  Alcotest.(check bool) "a tick carried more messages than links" true (!most_msgs > links)
+
 (* --- transcript equivalence against the simulator ----------------------- *)
 
 let eq_cfg = { Types.default_config with Types.n_voters = 8; Types.m_options = 3 }
@@ -367,6 +545,46 @@ let test_transcript_equivalence () =
   Alcotest.(check (list (pair int string))) "final set = cast codes"
     (sorted r.Loadgen.successes) sim_final
 
+(* The equivalence workload served with [params], driven through vote
+   set consensus: the result, the BB nodes' final sets and the stats. *)
+let serve_eq_run ~clients params =
+  let setup = Lazy.force eq_setup in
+  let t = Runtime.create ~params (Node_source.of_setup setup) in
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = "serve-eq" }
+      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
+      ~step:(fun () -> Runtime.step t)
+      ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
+      ~nv:eq_cfg.Types.nv
+      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes)
+      ()
+  in
+  Runtime.end_election t;
+  ignore (Runtime.run_until_idle t : int);
+  let finals =
+    List.init eq_cfg.Types.nb (fun j ->
+        Option.bind (Runtime.bb_node t j) (fun bb ->
+            Option.map sorted (Ddemos.Bb_node.published bb).Ddemos.Bb_node.final_set))
+  in
+  (r, finals, Runtime.stats t)
+
+(* A [max_frame] below what one tick puts on a link, but above the
+   largest single message: links cut their batches into more frames,
+   and the election comes out the same. *)
+let test_max_frame_split () =
+  let run max_frame = serve_eq_run ~clients:8 { Runtime.default_params with Runtime.max_frame } in
+  let r, finals, st = run Runtime.default_params.Runtime.max_frame in
+  let r', finals', st' = run 2048 in
+  Alcotest.(check int) "receipts agree" r.Loadgen.receipts_ok r'.Loadgen.receipts_ok;
+  Alcotest.(check int) "all receipts" (List.length eq_votes) r'.Loadgen.receipts_ok;
+  Alcotest.(check (list (pair int string))) "identical cast codes"
+    (sorted r.Loadgen.successes) (sorted r'.Loadgen.successes);
+  Alcotest.(check bool) "every BB has a final set" true (List.for_all Option.is_some finals);
+  Alcotest.(check (list (option (list (pair int string))))) "final sets agree" finals finals';
+  Alcotest.(check int) "no malformed frames" 0 (st.Runtime.malformed + st'.Runtime.malformed);
+  Alcotest.(check bool) "more frames" true (st'.Runtime.frames_in > st.Runtime.frames_in)
+
 (* Batching must be outcome-invisible: the same serve run with the
    batcher disabled produces the identical transcript. *)
 let test_batching_transparent () =
@@ -386,8 +604,11 @@ let () =
          Alcotest.test_case "header split" `Quick test_frame_header_split ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_frame_chopped_roundtrip ]);
       ("mux",
-       [ Alcotest.test_case "bad kind" `Quick test_mux_rejects_bad_kind ]
-       @ List.map QCheck_alcotest.to_alcotest [ prop_mux_client_roundtrip; prop_mux_total ]);
+       [ Alcotest.test_case "bad kind" `Quick test_mux_rejects_bad_kind;
+         Alcotest.test_case "single-message golden bytes" `Quick test_mux_single_golden ]
+       @ List.map QCheck_alcotest.to_alcotest
+         [ prop_mux_client_roundtrip; prop_mux_total; prop_mux_link_roundtrip;
+           prop_mux_batch_smaller; prop_mux_batch_total ]);
       ("mailbox", [ Alcotest.test_case "bounds" `Quick test_mailbox_bounds ]);
       ("batcher", [ Alcotest.test_case "verdicts" `Quick test_batcher_verdicts ]);
       ("pipe", [ Alcotest.test_case "duplex close" `Quick test_pipe_duplex_and_close ]);
@@ -395,7 +616,10 @@ let () =
        [ Alcotest.test_case "all receipts" `Quick test_pipe_serving_all_receipts;
          Alcotest.test_case "backpressure sheds" `Quick test_backpressure_sheds_votes;
          Alcotest.test_case "batching transparent" `Quick test_batching_transparent;
-         Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped ]
+         Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped;
+         Alcotest.test_case "one frame per peer link per tick" `Quick
+           test_one_frame_per_link_per_tick;
+         Alcotest.test_case "max_frame split" `Quick test_max_frame_split ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_pipe_serving_torn ]);
       ("equivalence",
        [ Alcotest.test_case "serve = sim" `Quick test_transcript_equivalence ]) ]
