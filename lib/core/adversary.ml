@@ -144,7 +144,7 @@ let shadow_endorsement t ~serial ~vote_code ~signer ~tag =
             (Messages.Vote_p
                { serial; vote_code; sender = t.me; part = sh.sh_part;
                  pos = sh.sh_pos; share = line.Types.receipt_share;
-                 share_tag = line.Types.share_tag; ucert })
+                 share_tag = line.Types.share_tag; ucert = Some ucert })
         end
       end
     end

@@ -50,7 +50,9 @@ type vc_msg =
       pos : int;
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;  (* the EA's authenticator over the share *)
-      ucert : ucert;
+      (* [None]: elided for a peer from which the sender already
+         accepted a VOTE_P for this (serial, code), so it holds one *)
+      ucert : ucert option;
     }
   | Announce_batch of { sender : int; entries : (int * string * ucert) list }
   | Consensus of { sender : int; rbc : Dd_consensus.Rbc.msg }
@@ -80,7 +82,7 @@ let vc_msg_size = function
   | Endorsement { tag; _ } -> 8 + Types.vote_code_bytes + 16 + tag_size tag
   | Vote_p { share; ucert; _ } ->
     8 + Types.vote_code_bytes + 24 + String.length share.Dd_vss.Shamir_bytes.data + 32
-    + ucert_size ucert
+    + Option.fold ~none:0 ~some:ucert_size ucert
   | Announce_batch { entries; _ } ->
     16 + List.fold_left (fun acc (_, _, u) -> acc + 8 + Types.vote_code_bytes + ucert_size u)
       0 entries
@@ -128,22 +130,26 @@ let get_share r =
   let data = Wire.get_bytes r in
   { Dd_vss.Shamir_bytes.x; Dd_vss.Shamir_bytes.data }
 
+let put_endorsements gctx w endorsements =
+  Wire.put_list w
+    (fun w (signer, tag) -> Wire.put_varint w signer; put_tag gctx w tag)
+    endorsements
+
+let get_endorsements gctx r =
+  Wire.get_list r (fun r ->
+      let signer = Wire.get_varint r in
+      let tag = get_tag gctx r in
+      (signer, tag))
+
 let put_ucert gctx w (u : ucert) =
   Wire.put_varint w u.u_serial;
   Wire.put_bytes w u.u_code;
-  Wire.put_list w
-    (fun w (signer, tag) -> Wire.put_varint w signer; put_tag gctx w tag)
-    u.endorsements
+  put_endorsements gctx w u.endorsements
 
 let get_ucert gctx r =
   let u_serial = Wire.get_varint r in
   let u_code = Wire.get_bytes r in
-  let endorsements =
-    Wire.get_list r (fun r ->
-        let signer = Wire.get_varint r in
-        let tag = get_tag gctx r in
-        (signer, tag))
-  in
+  let endorsements = get_endorsements gctx r in
   { u_serial; u_code; endorsements }
 
 let put_part w part = Wire.put_varint w (Types.part_index part)
@@ -154,16 +160,19 @@ let get_part r =
   | 1 -> Types.B
   | _ -> raise (Wire.Malformed "part: bad index")
 
-let put_entry gctx w (serial, code, u) =
+(* A VSC entry writes its binding once: the UCERT's own (serial, code)
+   are the entry's, so only the endorsements follow, and the decoder
+   rebinds the certificate to the entry it arrived in. *)
+let put_entry gctx w (serial, code, (u : ucert)) =
   Wire.put_varint w serial;
   Wire.put_bytes w code;
-  put_ucert gctx w u
+  put_endorsements gctx w u.endorsements
 
 let get_entry gctx r =
   let serial = Wire.get_varint r in
   let code = Wire.get_bytes r in
-  let u = get_ucert gctx r in
-  (serial, code, u)
+  let endorsements = get_endorsements gctx r in
+  (serial, code, { u_serial = serial; u_code = code; endorsements })
 
 let encode_vc_msg gctx (msg : vc_msg) =
   let w = Wire.writer () in
@@ -180,11 +189,12 @@ let encode_vc_msg gctx (msg : vc_msg) =
      Wire.put_varint w serial; Wire.put_bytes w vote_code;
      Wire.put_varint w signer; put_tag gctx w tag
    | Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert } ->
-     Wire.put_varint w 3;
+     (* the discriminant says whether a UCERT follows: 3 with, 8 elided *)
+     Wire.put_varint w (if Option.is_some ucert then 3 else 8);
      Wire.put_varint w serial; Wire.put_bytes w vote_code; Wire.put_varint w sender;
      put_part w part; Wire.put_varint w pos; put_share w share;
      Wire.put_option w (put_tag gctx) share_tag;
-     put_ucert gctx w ucert
+     Option.iter (put_ucert gctx w) ucert
    | Announce_batch { sender; entries } ->
      Wire.put_varint w 4;
      Wire.put_varint w sender;
@@ -223,7 +233,7 @@ let decode_vc_msg gctx frame =
         let signer = Wire.get_varint r in
         let tag = get_tag gctx r in
         Endorsement { serial; vote_code; signer; tag }
-      | 3 ->
+      | (3 | 8) as kind ->
         let serial = Wire.get_varint r in
         let vote_code = Wire.get_bytes r in
         let sender = Wire.get_varint r in
@@ -231,7 +241,7 @@ let decode_vc_msg gctx frame =
         let pos = Wire.get_varint r in
         let share = get_share r in
         let share_tag = Wire.get_option r (get_tag gctx) in
-        let ucert = get_ucert gctx r in
+        let ucert = if kind = 3 then Some (get_ucert gctx r) else None in
         Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert }
       | 4 ->
         let sender = Wire.get_varint r in

@@ -43,7 +43,12 @@ type vc_msg =
       pos : int;
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;
-      ucert : ucert;
+      ucert : ucert option;
+          (** [None] only towards a peer from which the sender already
+              accepted a VOTE_P for the same (serial, vote code): that
+              peer holds a verified UCERT for it. A receiver counts an
+              elided VOTE_P's share only against a UCERT it holds for
+              exactly this serial and code. *)
     }
   | Announce_batch of { sender : int; entries : (int * string * ucert) list }
   | Consensus of { sender : int; rbc : Dd_consensus.Rbc.msg }
@@ -65,7 +70,13 @@ val vc_msg_size : vc_msg -> int
 val bb_msg_size : bb_msg -> int
 
 (** Byte-level encoding of every VC message; the decoder is total
-    (malformed frames yield [None], never an exception). *)
+    (malformed frames yield [None], never an exception).
+
+    A VOTE_P has two encodings. Discriminant 3 carries the UCERT after
+    the share tag; discriminant 8 is the same message with the UCERT
+    elided ([ucert = None]), with no option byte. The VSC entries of
+    ANNOUNCE and RECOVER-RESPONSE write each certificate's endorsements
+    only: the decoder binds the UCERT to the entry's (serial, code). *)
 val encode_vc_msg : Dd_group.Group_ctx.t -> vc_msg -> string
 val decode_vc_msg : Dd_group.Group_ctx.t -> string -> vc_msg option
 
@@ -88,6 +99,9 @@ val put_part : Dd_codec.Wire.writer -> Types.part_id -> unit
 val get_part : Dd_codec.Wire.reader -> Types.part_id
 val put_vss_share : Dd_codec.Wire.writer -> Dd_vss.Elgamal_vss.share -> unit
 val get_vss_share : Dd_codec.Wire.reader -> Dd_vss.Elgamal_vss.share
+
+(** A VSC entry: serial, code, then the UCERT's endorsements alone
+    ({!get_entry} fills [u_serial]/[u_code] in from the entry). *)
 val put_entry :
   Dd_group.Group_ctx.t -> Dd_codec.Wire.writer -> int * string * ucert -> unit
 val get_entry : Dd_group.Group_ctx.t -> Dd_codec.Wire.reader -> int * string * ucert

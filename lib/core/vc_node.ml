@@ -71,6 +71,10 @@ type ballot_rt = {
   mutable shares : Shamir_bytes.share list;  (* deduped by x *)
   mutable sent_vote_p : bool;
   mutable waiting_clients : (int * int) list;
+  (* bitmask of peers from which we accepted a VOTE_P for our certified
+     code: each holds that UCERT, so our VOTE_P to it elides the
+     certificate. Transient: a restarted node sends full UCERTs. *)
+  mutable holders : int;
 }
 
 type phase = Voting | Vsc | Submitted
@@ -136,10 +140,14 @@ let ballot_rt t serial =
     let b =
       { status = Types.Not_voted; endorsed = None; ucert = None;
         part = Types.A; pos = 0; collecting = None; endorsements = [];
-        shares = []; sent_vote_p = false; waiting_clients = [] }
+        shares = []; sent_vote_p = false; waiting_clients = []; holders = 0 }
     in
     Hashtbl.replace t.ballots serial b;
     b
+
+(* Message handlers reject a serial outside the election before any
+   table access: [ballot_rt] inserts, and the inputs are hostile. *)
+let serial_valid t serial = serial >= 0 && serial < t.env.cfg.Types.n_voters
 
 let within_hours t =
   let now = t.env.now () in
@@ -328,7 +336,12 @@ let try_reconstruct t serial (b : ballot_rt) code =
     b.waiting_clients <- []
   end
 
-(* Disclose our own share: the VOTE_P multicast (only ever once). *)
+let holds_ucert (b : ballot_rt) peer = peer < Sys.int_size && b.holders land (1 lsl peer) <> 0
+let add_holder (b : ballot_rt) peer =
+  if peer < Sys.int_size then b.holders <- b.holders lor (1 lsl peer)
+
+(* Disclose our own share: the VOTE_P multicast (only ever once). A peer
+   known to hold the UCERT gets it elided. *)
 let disclose_share t ~serial ~code (b : ballot_rt) =
   if not b.sent_vote_p then begin
     b.sent_vote_p <- true;
@@ -338,19 +351,46 @@ let disclose_share t ~serial ~code (b : ballot_rt) =
     match b.ucert with
     | None -> ()   (* cannot happen: callers establish the UCERT first *)
     | Some ucert ->
-      multicast t
-        (Messages.Vote_p
-           { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
-             share; share_tag; ucert })
+      List.iter
+        (fun dst ->
+           t.env.send_vc ~dst
+             (Messages.Vote_p
+                { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
+                  share; share_tag;
+                  ucert = (if holds_ucert b dst then None else Some ucert) }))
+        (peers t)
   end
 
 (* --- Algorithm 1: ON VOTE -------------------------------------------- *)
 
+(* Become the responder for a code no one here has endorsed: the only
+   VOTE path that creates ballot state, and only for a store-valid code. *)
+let start_collecting t ~client ~req ~serial ~vote_code =
+  match Ballot_store.verify_vote_code t.env.store ~serial ~vote_code with
+  | None -> t.env.reply ~client ~req (Types.Rejected "invalid vote code")
+  | Some (part, pos, _line) ->
+    let b = ballot_rt t serial in
+    t.votes_accepted <- t.votes_accepted + 1;
+    b.part <- part;
+    b.pos <- pos;
+    b.collecting <- Some vote_code;
+    b.endorsed <- Some vote_code;
+    b.waiting_clients <- (client, req) :: b.waiting_clients;
+    (* endorse it ourselves, then gather the rest *)
+    let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code:vote_code in
+    b.endorsements <- [ (t.env.me, Auth.sign t.env.keys body) ];
+    log_rec t (R_vote_accepted { serial; code = vote_code; part; pos });
+    multicast t (Messages.Endorse { serial; vote_code; responder = t.env.me })
+
 let on_vote t ~client ~req ~serial ~vote_code =
   if not (within_hours t) then
     t.env.reply ~client ~req (Types.Rejected "outside election hours")
-  else begin
-    let b = ballot_rt t serial in
+  else if not (serial_valid t serial) then
+    t.env.reply ~client ~req (Types.Rejected "invalid vote code")
+  else
+    match Hashtbl.find_opt t.ballots serial with
+    | None -> start_collecting t ~client ~req ~serial ~vote_code
+    | Some b ->
     match b.status with
     | Types.Voted (code, receipt) ->
       if Dd_crypto.Ct.equal code vote_code then
@@ -369,38 +409,26 @@ let on_vote t ~client ~req ~serial ~vote_code =
         t.env.reply ~client ~req (Types.Rejected "another vote code pending")
       | None, Some code when not (Dd_crypto.Ct.equal code vote_code) ->
         t.env.reply ~client ~req (Types.Rejected "conflicting vote code endorsed")
-      | None, _ ->
-        match Ballot_store.verify_vote_code t.env.store ~serial ~vote_code with
-        | None -> t.env.reply ~client ~req (Types.Rejected "invalid vote code")
-        | Some (part, pos, _line) ->
-          t.votes_accepted <- t.votes_accepted + 1;
-          b.part <- part;
-          b.pos <- pos;
-          b.collecting <- Some vote_code;
-          b.endorsed <- Some vote_code;
-          b.waiting_clients <- (client, req) :: b.waiting_clients;
-          (* endorse it ourselves, then gather the rest *)
-          let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code:vote_code in
-          b.endorsements <- [ (t.env.me, Auth.sign t.env.keys body) ];
-          log_rec t (R_vote_accepted { serial; code = vote_code; part; pos });
-          multicast t (Messages.Endorse { serial; vote_code; responder = t.env.me })
-  end
+      | None, _ -> start_collecting t ~client ~req ~serial ~vote_code
 
 (* --- ON ENDORSE ------------------------------------------------------- *)
 
 let on_endorse t ~responder ~serial ~vote_code =
-  if within_hours t then begin
-    let b = ballot_rt t serial in
+  if within_hours t && serial_valid t serial then begin
     let compatible =
-      match b.endorsed, b.status with
-      | _, Types.Voted (code, _) -> Dd_crypto.Ct.equal code vote_code
-      | Some code, _ -> Dd_crypto.Ct.equal code vote_code
-      | None, _ -> true
+      match Hashtbl.find_opt t.ballots serial with
+      | None -> true
+      | Some b ->
+        (match b.endorsed, b.status with
+         | _, Types.Voted (code, _) -> Dd_crypto.Ct.equal code vote_code
+         | Some code, _ -> Dd_crypto.Ct.equal code vote_code
+         | None, _ -> true)
     in
     if compatible then begin
       match Ballot_store.verify_vote_code t.env.store ~serial ~vote_code with
       | None -> ()
       | Some (part, pos, _) ->
+        let b = ballot_rt t serial in
         let fresh =
           match b.endorsed with
           | Some code -> not (Dd_crypto.Ct.equal code vote_code)
@@ -425,8 +453,10 @@ let on_endorse t ~responder ~serial ~vote_code =
 (* --- ON ENDORSEMENT (responder side) ----------------------------------- *)
 
 let on_endorsement t ~signer ~serial ~vote_code ~tag =
-  if within_hours t then begin
-    let b = ballot_rt t serial in
+  if within_hours t && serial_valid t serial then begin
+    match Hashtbl.find_opt t.ballots serial with
+    | None -> ()
+    | Some b ->
     match b.collecting with
     | Some code when Dd_crypto.Ct.equal code vote_code && b.ucert = None ->
       let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code in
@@ -450,14 +480,32 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
 
 (* --- ON VOTE_P --------------------------------------------------------- *)
 
+(* The UCERT a VOTE_P's share counts against: the message's own once
+   verified, or for the elided form the one this node already holds for
+   exactly this serial and code. *)
+let vote_p_ucert t ~serial ~vote_code (ucert : Messages.ucert option) =
+  if not (within_hours t && serial_valid t serial) then None
+  else
+    match ucert with
+    | Some u ->
+      if u.Messages.u_serial = serial
+      && Dd_crypto.Ct.equal u.Messages.u_code vote_code
+      && verify_ucert t u
+      then Some u
+      else None
+    | None ->
+      (match Hashtbl.find_opt t.ballots serial with
+       | Some { ucert = Some u; _ } when Dd_crypto.Ct.equal u.Messages.u_code vote_code ->
+         Some u
+       | Some _ | None -> None)
+
 let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
-  if within_hours t
-  && verify_ucert t ucert
-  && ucert.Messages.u_serial = serial
-  && Dd_crypto.Ct.equal ucert.Messages.u_code vote_code
-  then begin
-    let b = ballot_rt t serial in
-    note_conflict t serial b ~code:vote_code;
+  match vote_p_ucert t ~serial ~vote_code ucert with
+  | None -> ()
+  | Some ucert ->
+    (match Hashtbl.find_opt t.ballots serial with
+     | Some b -> note_conflict t serial b ~code:vote_code
+     | None -> ());
     let lines = Ballot_store.lines t.env.store ~serial ~part in
     let pos_ok = pos >= 0 && pos < Array.length lines in
     (* the sender's disclosed share must carry the EA's authenticator
@@ -466,7 +514,13 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
       pos_ok && verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag
     in
     if share_ok then begin
+    let b = ballot_rt t serial in
+    (* the sender disclosed against a UCERT for our certified code: it
+       holds one, so our own VOTE_P to it may elide the certificate *)
     let accept_share () =
+      (match b.ucert with
+       | Some u when Dd_crypto.Ct.equal u.Messages.u_code vote_code -> add_holder b sender
+       | Some _ | None -> ());
       if add_share b share then log_rec t (R_share { serial; share })
     in
     match b.status with
@@ -497,7 +551,6 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
       accept_share ()
     | Types.Pending _ | Types.Voted _ -> ()
     end
-  end
 
 (* --- Vote Set Consensus ------------------------------------------------ *)
 
@@ -1000,6 +1053,7 @@ let recover env =
     t
 
 let phase t = t.phase
+let ballot_count t = Hashtbl.length t.ballots
 let votes_accepted t = t.votes_accepted
 let receipts_issued t = t.receipts_issued
 let ucert_conflicts t = t.ucert_conflicts

@@ -53,6 +53,11 @@ val phase : t -> phase
 val votes_accepted : t -> int
 val receipts_issued : t -> int
 
+(** Ballots this node keeps state for. Hostile input never grows it:
+    handlers reject serials outside the election and create a ballot
+    only for a store-valid code or a verified UCERT. *)
+val ballot_count : t -> int
+
 (** Valid uniqueness certificates seen for a code conflicting with one
     this node already holds certified, as (serial, our code, their
     code). Always empty with at most [fv] Byzantine collectors

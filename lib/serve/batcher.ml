@@ -88,7 +88,8 @@ let obligations_of t msg =
         [ (t.ea_signer, body, tag) ]
       | _ -> []
     in
-    shares @ ucert_obls ucert
+    (* an elided UCERT is the node's own, verified when it was adopted *)
+    shares @ Option.fold ~none:[] ~some:ucert_obls ucert
   | Messages.Announce_batch { entries; _ } | Messages.Recover_response { entries; _ } ->
     List.concat_map (fun (_, _, u) -> ucert_obls u) entries
   | Messages.Vote _ | Messages.Endorse _ | Messages.Consensus _

@@ -94,6 +94,7 @@ type t = {
   client_ids : (int * int, int) Hashtbl.t;     (* conn id, channel -> client id *)
   mutable next_client : int;
   mutable next_conn : int;
+  mutable on_link : src:int -> dst:int -> Messages.vc_msg -> unit;
   st : stats;
 }
 
@@ -102,6 +103,7 @@ let config t = t.src.sv_cfg
 let stats t = t.st
 let vc_node t i = t.vc.(i)
 let bb_node t j = if j >= 0 && j < t.nb then Some t.bb.(j) else None
+let observe_links t f = t.on_link <- f
 
 let batch_stats t =
   let agg = { Batcher.batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } in
@@ -180,6 +182,7 @@ let create ?(params = default_params) src =
       client_ids = Hashtbl.create 256;
       next_client = 0;
       next_conn = 0;
+      on_link = (fun ~src:_ ~dst:_ _ -> ());
       st =
         { frames_in = 0; frames_out = 0; bytes_in = 0; bytes_out = 0;
           malformed = 0; votes_shed = 0; peer_dropped = 0; conns_shed = 0;
@@ -321,7 +324,9 @@ let flush_staged t =
     List.iter
       (fun s ->
          match s with
-         | S_vc (dst, m) -> to_vc.(dst) <- m :: to_vc.(dst)
+         | S_vc (dst, m) ->
+           t.on_link ~src:i ~dst m;
+           to_vc.(dst) <- m :: to_vc.(dst)
          | S_bb (dst, m) -> if dst >= 0 && dst < t.nb then to_bb.(dst) <- m :: to_bb.(dst)
          | S_client (client, req, outcome) ->
            (match Hashtbl.find_opt t.clients client with

@@ -96,6 +96,13 @@ val end_election : t -> unit
 
 val vc_node : t -> int -> Ddemos.Vc_node.t
 val bb_node : t -> int -> Ddemos.Bb_node.t option
+
+(** [observe_links t f] calls [f ~src ~dst msg] on every message a VC
+    node puts on a VC→VC link, at flush and in send order, replacing
+    any earlier observer. It sees the traffic and cannot change it. *)
+val observe_links :
+  t -> (src:int -> dst:int -> Ddemos.Messages.vc_msg -> unit) -> unit
+
 val gctx : t -> Dd_group.Group_ctx.t
 val config : t -> Ddemos.Types.config
 

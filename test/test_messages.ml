@@ -31,12 +31,22 @@ let samples scheme =
         tag = Auth.sign ks.(0) "anything" };
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.B; pos = 1;
-        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body"); ucert = u };
+        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body"); ucert = Some u };
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.A; pos = 0;
-        share = sample_share; share_tag = None; ucert = u };
+        share = sample_share; share_tag = None; ucert = Some u };
+    Messages.Vote_p
+      { serial = 5; vote_code = "codecodecodecodecode"; sender = 1; part = Types.B; pos = 2;
+        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body"); ucert = None };
+    Messages.Vote_p
+      { serial = 5; vote_code = "codecodecodecodecode"; sender = 3; part = Types.A; pos = 0;
+        share = sample_share; share_tag = None; ucert = None };
     Messages.Announce_batch
-      { sender = 0; entries = [ (5, "codecodecodecodecode", u); (9, String.make 20 'z', u) ] };
+      { sender = 0;
+        entries =
+          [ (5, "codecodecodecodecode", u);
+            (9, String.make 20 'z',
+             { u with Messages.u_serial = 9; Messages.u_code = String.make 20 'z' }) ] };
     Messages.Announce_batch { sender = 3; entries = [] };
     Messages.Consensus
       { sender = 1;
@@ -65,22 +75,63 @@ let test_ucert_survives_roundtrip_verification () =
   let msg =
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 0; part = Types.A; pos = 0;
-        share = sample_share; share_tag = None; ucert = u }
+        share = sample_share; share_tag = None; ucert = Some u }
   in
   match Messages.decode_vc_msg gctx (Messages.encode_vc_msg gctx msg) with
-  | Some (Messages.Vote_p { ucert; _ }) ->
+  | Some (Messages.Vote_p { ucert = Some ucert; _ }) ->
     Alcotest.(check bool) "decoded UCERT verifies" true
       (Messages.verify_ucert ks.(3) ~election_id:"e" ~quorum:3 ucert)
   | _ -> Alcotest.fail "roundtrip failed"
 
 let test_truncation_rejected () =
-  let msg = List.hd (samples Auth.Mac_scheme) in
-  let frame = Messages.encode_vc_msg gctx msg in
-  for cut = 0 to String.length frame - 1 do
-    match Messages.decode_vc_msg gctx (String.sub frame 0 cut) with
-    | Some _ -> Alcotest.failf "truncated frame at %d decoded" cut
-    | None -> ()
-  done
+  List.iteri
+    (fun i msg ->
+       let frame = Messages.encode_vc_msg gctx msg in
+       for cut = 0 to String.length frame - 1 do
+         match Messages.decode_vc_msg gctx (String.sub frame 0 cut) with
+         | Some _ -> Alcotest.failf "sample %d: truncated frame at %d decoded" i cut
+         | None -> ()
+       done)
+    (samples Auth.Mac_scheme)
+
+(* The two VOTE_P encodings differ only in the discriminant (3 with the
+   UCERT, 8 without) and the UCERT's bytes at the end. *)
+let test_vote_p_encodings () =
+  let ks = keys Auth.Schnorr_scheme in
+  let u = sample_ucert ks in
+  let share_tag = Some (Auth.sign ks.(3) "share-body") in
+  let vote_p ucert =
+    Messages.Vote_p
+      { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.B; pos = 1;
+        share = sample_share; share_tag; ucert }
+  in
+  let full = Messages.encode_vc_msg gctx (vote_p (Some u)) in
+  let elided = Messages.encode_vc_msg gctx (vote_p None) in
+  let w = Dd_codec.Wire.writer () in
+  Messages.put_ucert gctx w u;
+  let tail = String.sub elided 1 (String.length elided - 1) in
+  Alcotest.(check string) "full = 3, fields, UCERT" ("\003" ^ tail ^ Dd_codec.Wire.contents w) full;
+  Alcotest.(check char) "elided discriminant" '\008' elided.[0];
+  Alcotest.(check bool) "the size estimate drops the UCERT" true
+    (Messages.vc_msg_size (vote_p (Some u)) - Messages.vc_msg_size (vote_p None)
+     = Messages.ucert_size u)
+
+(* A VSC entry carries its (serial, code) once: the decoded UCERT is
+   bound to the entry it arrived in, so a certificate for another
+   binding can no longer verify. *)
+let test_entry_rebinds_ucert () =
+  let ks = keys Auth.Mac_scheme in
+  let u = sample_ucert ks in
+  let other = String.make 20 'z' in
+  let msg = Messages.Announce_batch { sender = 0; entries = [ (9, other, u) ] } in
+  match Messages.decode_vc_msg gctx (Messages.encode_vc_msg gctx msg) with
+  | Some (Messages.Announce_batch { entries = [ (9, code, u') ]; _ }) ->
+    Alcotest.(check string) "code kept" other code;
+    Alcotest.(check int) "serial rebound" 9 u'.Messages.u_serial;
+    Alcotest.(check string) "code rebound" other u'.Messages.u_code;
+    Alcotest.(check bool) "rebound UCERT fails verification" false
+      (Messages.verify_ucert ks.(3) ~election_id:"e" ~quorum:3 u')
+  | _ -> Alcotest.fail "roundtrip failed"
 
 let prop_fuzz_total =
   QCheck.Test.make ~name:"decoder total on random bytes" ~count:500
@@ -124,6 +175,8 @@ let () =
          Alcotest.test_case "UCERT verifies after roundtrip" `Quick
            test_ucert_survives_roundtrip_verification;
          Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
+         Alcotest.test_case "VOTE_P with and without UCERT" `Quick test_vote_p_encodings;
+         Alcotest.test_case "VSC entry rebinds its UCERT" `Quick test_entry_rebinds_ucert;
          Alcotest.test_case "size estimates sane" `Quick test_message_sizes_positive;
          QCheck_alcotest.to_alcotest prop_fuzz_total;
          QCheck_alcotest.to_alcotest prop_bitflip_never_crashes ]) ]

@@ -120,7 +120,14 @@ let gen_vc_msg =
                { serial; vote_code; signer; tag = Auth.Mac_tag [| vote_code; "mac" |] })
           small_nat gen_code small_nat;
         map2 (fun sender serials -> Messages.Recover_request { sender; serials })
-          small_nat (list_size (int_range 0 5) small_nat) ])
+          small_nat (list_size (int_range 0 5) small_nat);
+        map3
+          (fun serial vote_code sender ->
+             Messages.Vote_p
+               { serial; vote_code; sender; part = Types.A; pos = 1;
+                 share = { Dd_vss.Shamir_bytes.x = sender + 1; data = "shr" };
+                 share_tag = Some (Auth.Mac_tag [| "m" |]); ucert = None })
+          small_nat gen_code small_nat ])
 
 let gen_bb_msg =
   QCheck.Gen.(
@@ -172,8 +179,9 @@ let test_mux_single_golden () =
         share = { Dd_vss.Shamir_bytes.x = 2; data = "shr" };
         share_tag = Some (mac [| "m0"; "m1" |]);
         ucert =
-          { Messages.u_serial = 3; u_code = "vc3";
-            endorsements = [ (0, mac [| "a" |]); (2, mac [| "b" |]) ] } }
+          Some
+            { Messages.u_serial = 3; u_code = "vc3";
+              endorsements = [ (0, mac [| "a" |]); (2, mac [| "b" |]) ] } }
   in
   let submit =
     Messages.Vote_set_submit
@@ -204,11 +212,19 @@ let prop_mux_batch_smaller =
        || framed msg < List.fold_left (fun acc m -> acc + framed m) 0 singles)
 
 (* Junk behind each batch kind: a short count, a count past the bytes
-   left, a batch nested as an item, a trailing byte. Each is malformed
-   as a whole; random tails must not raise either. *)
+   left, a batch nested as an item, a trailing byte, and every strict
+   prefix of an elided VOTE_P as an item. Each is malformed as a whole;
+   random tails must not raise either. *)
 let prop_mux_batch_total =
   let module Wire = Dd_codec.Wire in
   let endorse = Messages.Endorse { serial = 1; vote_code = "c"; responder = 0 } in
+  let elided =
+    Messages.encode_vc_msg gctx
+      (Messages.Vote_p
+         { serial = 1; vote_code = "c"; sender = 2; part = Types.B; pos = 0;
+           share = { Dd_vss.Shamir_bytes.x = 3; data = "shr" };
+           share_tag = Some (Auth.Mac_tag [| "m" |]); ucert = None })
+  in
   let submit =
     Messages.Vote_set_submit
       { sender = 0; set = [ (1, "c") ]; msk_share = { Dd_vss.Shamir_bytes.x = 1; data = "k" } }
@@ -231,7 +247,10 @@ let prop_mux_batch_total =
   let bb_item = Messages.encode_bb_msg submit in
   let fixed =
     cases 4 vc_item (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
+    @ cases 4 elided (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
     @ cases 5 bb_item (Mux.encode gctx (Mux.Bb [ submit; submit ]))
+    @ List.init (String.length elided) (fun n ->
+        frame 4 2 [ elided; String.sub elided 0 n ])
   in
   QCheck.Test.make ~name:"mux decoder is total on junk batches" ~count:300
     QCheck.(pair (int_range 4 5) (string_of_size (QCheck.Gen.int_range 0 40)))
@@ -547,9 +566,10 @@ let test_transcript_equivalence () =
 
 (* The equivalence workload served with [params], driven through vote
    set consensus: the result, the BB nodes' final sets and the stats. *)
-let serve_eq_run ~clients params =
+let serve_eq_run ?(observe = ignore) ~clients params =
   let setup = Lazy.force eq_setup in
   let t = Runtime.create ~params (Node_source.of_setup setup) in
+  observe t;
   let r =
     Loadgen.run
       ~params:{ Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = "serve-eq" }
@@ -585,6 +605,41 @@ let test_max_frame_split () =
   Alcotest.(check int) "no malformed frames" 0 (st.Runtime.malformed + st'.Runtime.malformed);
   Alcotest.(check bool) "more frames" true (st'.Runtime.frames_in > st.Runtime.frames_in)
 
+(* UCERT elision on the links: in a fault-free vote the responder sends
+   three VOTE_Ps with the UCERT; each other node accepts the
+   responder's first and sends two with it, plus one without it to the
+   responder. Twelve VOTE_Ps per vote, nine carrying the UCERT. *)
+let test_vote_p_elision_on_links () =
+  let responder = Hashtbl.create 8 and sent = Hashtbl.create 8 in
+  let observe t =
+    Runtime.observe_links t (fun ~src ~dst -> function
+      | Messages.Endorse { serial; responder = r; _ } -> Hashtbl.replace responder serial r
+      | Messages.Vote_p { serial; ucert; _ } ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
+        Hashtbl.replace sent serial ((src, dst, Option.is_some ucert) :: prev)
+      | _ -> ())
+  in
+  let r, _, _ = serve_eq_run ~observe ~clients:3 Runtime.default_params in
+  Alcotest.(check int) "all receipts" (List.length eq_votes) r.Loadgen.receipts_ok;
+  List.iter
+    (fun (serial, _) ->
+       let resp =
+         match Hashtbl.find_opt responder serial with
+         | Some n -> n
+         | None -> Alcotest.failf "serial %d: no responder" serial
+       in
+       let vps = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
+       let elided = List.filter (fun (_, _, full) -> not full) vps in
+       let name what = Printf.sprintf "serial %d: %s" serial what in
+       Alcotest.(check int) (name "VOTE_Ps") 12 (List.length vps);
+       Alcotest.(check int) (name "with a UCERT") 9 (List.length vps - List.length elided);
+       Alcotest.(check (list int)) (name "elided ones go to the responder") [ resp; resp; resp ]
+         (List.map (fun (_, dst, _) -> dst) elided);
+       Alcotest.(check bool) (name "from the three other nodes") true
+         (List.sort compare (List.map (fun (src, _, _) -> src) elided)
+          = List.filter (( <> ) resp) (List.init eq_cfg.Types.nv Fun.id)))
+    eq_votes
+
 (* Batching must be outcome-invisible: the same serve run with the
    batcher disabled produces the identical transcript. *)
 let test_batching_transparent () =
@@ -619,7 +674,9 @@ let () =
          Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped;
          Alcotest.test_case "one frame per peer link per tick" `Quick
            test_one_frame_per_link_per_tick;
-         Alcotest.test_case "max_frame split" `Quick test_max_frame_split ]
+         Alcotest.test_case "max_frame split" `Quick test_max_frame_split;
+         Alcotest.test_case "VOTE_P elides UCERT to holders" `Quick
+           test_vote_p_elision_on_links ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_pipe_serving_torn ]);
       ("equivalence",
        [ Alcotest.test_case "serve = sim" `Quick test_transcript_equivalence ]) ]

@@ -11,6 +11,7 @@ module Ballot_store = Ddemos.Ballot_store
 module Ballot_gen = Ddemos.Ballot_gen
 module Auth = Ddemos.Auth
 module Drbg = Dd_crypto.Drbg
+module Mem = Dd_store.Device.Mem
 
 let cfg = { Types.default_config with Types.n_voters = 6; Types.m_options = 3 }
 let gctx = Dd_group.Group_ctx.default ()
@@ -23,15 +24,24 @@ type cluster = {
   bb_submissions : (int * Messages.bb_msg) list ref;     (* bb dst, msg *)
   mutable now : float;
   mutable t_end : float;
+  sent : (int * int * Messages.vc_msg) list ref;         (* src, dst, msg; newest first *)
+  backings : Mem.backing option array;                   (* per node, when durable *)
+  mutable env_of : int -> Vc_node.env;
 }
 
-let make_cluster ?(now = 1.0) () =
+(* [drop] models a lossy link: a dropped message is still recorded in
+   [sent], but never delivered. [durable] gives every node a WAL on an
+   in-memory device. *)
+let make_cluster ?(now = 1.0) ?(durable = false) ?(drop = fun ~src:_ ~dst:_ _ -> false) () =
   let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:("k" ^ seed)
       ~n:(cfg.Types.nv + 1)
   in
   let replies = ref [] and bb_submissions = ref [] in
   let cluster =
-    { nodes = [||]; queue = []; replies; bb_submissions; now; t_end = 100. }
+    { nodes = [||]; queue = []; replies; bb_submissions; now; t_end = 100.;
+      sent = ref [];
+      backings = Array.init cfg.Types.nv (fun _ -> if durable then Some (Mem.create ()) else None);
+      env_of = (fun _ -> assert false) }
   in
   let make_env i =
     { Vc_node.me = i;
@@ -43,16 +53,19 @@ let make_cluster ?(now = 1.0) () =
       election_end = (fun () -> cluster.t_end);
       send_vc =
         (fun ~dst msg ->
-           cluster.queue <-
-             cluster.queue @ [ (fun () -> Vc_node.handle cluster.nodes.(dst) msg) ]);
+           cluster.sent := (i, dst, msg) :: !(cluster.sent);
+           if not (drop ~src:i ~dst msg) then
+             cluster.queue <-
+               cluster.queue @ [ (fun () -> Vc_node.handle cluster.nodes.(dst) msg) ]);
       reply = (fun ~client ~req outcome -> replies := (client, req, outcome) :: !replies);
       send_bb = (fun ~dst msg -> bb_submissions := (dst, msg) :: !bb_submissions);
       rng = Drbg.create ~seed:(Printf.sprintf "rng%d" i);
       consensus_coin = Dd_consensus.Binary_batch.Local;
       verify_share_tags = false;
       verify_tag = None;
-      durable = None }
+      durable = Option.map Mem.device cluster.backings.(i) }
   in
+  cluster.env_of <- make_env;
   cluster.nodes <- Array.init cfg.Types.nv (fun i -> Vc_node.create (make_env i));
   cluster
 
@@ -185,10 +198,136 @@ let test_forged_ucert_ignored () =
   Vc_node.handle c.nodes.(0)
     (Messages.Vote_p
        { serial = 1; vote_code = code; sender = 3; part = Types.A; pos = fst line;
-         share = (snd line).Types.receipt_share; share_tag = None; ucert = bogus_ucert });
+         share = (snd line).Types.receipt_share; share_tag = None; ucert = Some bogus_ucert });
   drain c;
   Alcotest.(check int) "no receipts from forged UCERT" 0
     (Vc_node.receipts_issued c.nodes.(0))
+
+(* --- hostile serials ------------------------------------------------------ *)
+
+(* Client VOTEs and peer messages naming serials outside the election
+   must be answered or dropped without creating ballot state. *)
+let prop_hostile_serials_allocate_nothing =
+  let c = make_cluster () in
+  vote c ~node:0 ~client:1 ~req:1 ~serial:2 ~vote_code:(code_of ~serial:2 ~part:Types.A ~option:0);
+  let node = c.nodes.(1) in
+  let gen =
+    QCheck.Gen.(
+      let serial =
+        oneof [ int_range (-1_000_000) (-1); int_range cfg.Types.n_voters 1_000_000_000 ]
+      in
+      let code = string_size ~gen:printable (int_range 0 24) in
+      quad (int_range 0 3) serial code (int_range 0 (cfg.Types.nv - 1)))
+  in
+  QCheck.Test.make ~name:"hostile serials allocate no ballot state" ~count:10_000
+    (QCheck.make gen)
+    (fun (kind, serial, vote_code, peer) ->
+       let before = Vc_node.ballot_count node in
+       let msg =
+         match kind with
+         | 0 -> Messages.Vote { serial; vote_code; client = 9; req = 1 }
+         | 1 -> Messages.Endorse { serial; vote_code; responder = peer }
+         | 2 ->
+           Messages.Endorsement
+             { serial; vote_code; signer = peer; tag = Auth.Mac_tag [| vote_code |] }
+         | _ ->
+           Messages.Vote_p
+             { serial; vote_code; sender = peer; part = Types.A; pos = 0;
+               share = { Dd_vss.Shamir_bytes.x = peer + 1; data = "8 bytes!" };
+               share_tag = None; ucert = None }
+       in
+       Vc_node.handle node msg;
+       c.queue <- [];
+       Vc_node.ballot_count node = before)
+
+(* --- UCERT elision ------------------------------------------------------- *)
+
+let vote_ps c =
+  List.filter_map
+    (function
+      | (src, dst, Messages.Vote_p { ucert; _ }) -> Some (src, dst, Option.is_some ucert)
+      | _ -> None)
+    (List.rev !(c.sent))
+
+(* The responder's VOTE_P reaches node 1 only. Node 1 must not elide
+   the UCERT towards nodes 2 and 3, which do not hold it yet, and every
+   node still reconstructs the receipt. *)
+let test_elision_only_to_holders () =
+  let drop ~src ~dst = function
+    | Messages.Vote_p _ -> src = 0 && dst >= 2
+    | _ -> false
+  in
+  let c = make_cluster ~drop () in
+  let code = code_of ~serial:3 ~part:Types.B ~option:1 in
+  vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
+  let from1 = List.filter (fun (src, _, _) -> src = 1) (vote_ps c) in
+  Alcotest.(check (list (pair int bool))) "node 1: full to 2 and 3, elided to 0"
+    [ (0, false); (2, true); (3, true) ]
+    (List.sort compare (List.map (fun (_, dst, full) -> (dst, full)) from1));
+  Alcotest.(check int) "the voter got a receipt" 1 (List.length (receipt_replies c));
+  Array.iteri
+    (fun i n ->
+       Alcotest.(check int) (Printf.sprintf "node %d issued the receipt" i) 1
+         (Vc_node.receipts_issued n))
+    c.nodes
+
+(* Node 3's genuine VOTE_P for [code], its UCERT elided. *)
+let elided_vote_p ~serial ~code =
+  let store = Ballot_store.virtual_prf ~seed ~cfg ~node:3 in
+  match Ballot_store.verify_vote_code store ~serial ~vote_code:code with
+  | Some (part, pos, line) ->
+    Messages.Vote_p
+      { serial; vote_code = code; sender = 3; part; pos;
+        share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert = None }
+  | None -> Alcotest.fail "code should validate"
+
+let durable_state c i =
+  match c.backings.(i) with
+  | Some b -> (Mem.durable_log b, Mem.unsynced_log b, Mem.snapshot b)
+  | None -> Alcotest.fail "cluster is not durable"
+
+(* An elided VOTE_P counts only against a UCERT the node holds for the
+   same code: without one, or with one for another code, it must add
+   no share, log nothing and create no ballot. *)
+let test_elided_needs_held_ucert () =
+  let c = make_cluster ~durable:true () in
+  let check_ignored what msg =
+    let node = c.nodes.(0) in
+    let count = Vc_node.ballot_count node and snap = Vc_node.snapshot node in
+    let disk = durable_state c 0 in
+    Vc_node.handle node msg;
+    Alcotest.(check int) (what ^ ": no ballot created") count (Vc_node.ballot_count node);
+    Alcotest.(check string) (what ^ ": state unchanged") snap (Vc_node.snapshot node);
+    Alcotest.(check bool) (what ^ ": nothing logged") true (disk = durable_state c 0);
+    Alcotest.(check int) (what ^ ": nothing sent") 0 (List.length c.queue)
+  in
+  let code_a = code_of ~serial:1 ~part:Types.A ~option:2 in
+  let code_b = code_of ~serial:1 ~part:Types.B ~option:0 in
+  check_ignored "no UCERT" (elided_vote_p ~serial:1 ~code:code_a);
+  vote c ~node:0 ~client:1 ~req:1 ~serial:1 ~vote_code:code_a;
+  Alcotest.(check int) "voted" 1 (Vc_node.receipts_issued c.nodes.(0));
+  check_ignored "UCERT for another code" (elided_vote_p ~serial:1 ~code:code_b);
+  Alcotest.(check (list (triple int string string))) "no conflict recorded" []
+    (Vc_node.ucert_conflicts c.nodes.(0))
+
+(* The UCERT is durable before a node's VOTE_P leaves, so a peer that
+   learned it holds one may elide it even across a cold restart. Node 1
+   gets the responder's VOTE_P only, restarts from its WAL, and then
+   accepts node 3's VOTE_P without the certificate. *)
+let test_elided_accepted_after_restart () =
+  let drop ~src:_ ~dst = function
+    | Messages.Vote_p { sender; _ } -> dst = 1 && sender <> 0
+    | _ -> false
+  in
+  let c = make_cluster ~durable:true ~drop () in
+  let code = code_of ~serial:4 ~part:Types.A ~option:1 in
+  vote c ~node:0 ~client:1 ~req:1 ~serial:4 ~vote_code:code;
+  Alcotest.(check int) "node 1 is one share short" 0 (Vc_node.receipts_issued c.nodes.(1));
+  c.nodes.(1) <- Vc_node.recover (c.env_of 1);
+  c.queue <- [];
+  Vc_node.handle c.nodes.(1) (elided_vote_p ~serial:4 ~code);
+  Alcotest.(check int) "the restarted node reconstructs" 1
+    (Vc_node.receipts_issued c.nodes.(1))
 
 (* --- vote set consensus ------------------------------------------------- *)
 
@@ -317,7 +456,13 @@ let () =
          Alcotest.test_case "outside hours rejected" `Quick test_outside_hours_rejected;
          Alcotest.test_case "concurrent codes: one wins" `Quick
            test_concurrent_voters_same_ballot_one_wins;
-         Alcotest.test_case "forged UCERT ignored" `Quick test_forged_ucert_ignored ]);
+         Alcotest.test_case "forged UCERT ignored" `Quick test_forged_ucert_ignored;
+         QCheck_alcotest.to_alcotest prop_hostile_serials_allocate_nothing ]);
+      ("ucert-elision",
+       [ Alcotest.test_case "elided only to holders" `Quick test_elision_only_to_holders;
+         Alcotest.test_case "elided needs a held UCERT" `Quick test_elided_needs_held_ucert;
+         Alcotest.test_case "elided accepted after restart" `Quick
+           test_elided_accepted_after_restart ]);
       ("vote-set-consensus",
        [ Alcotest.test_case "agreement on cast votes" `Quick test_vsc_agrees_on_cast_votes;
          Alcotest.test_case "empty election" `Quick test_vsc_empty_election;
