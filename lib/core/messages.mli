@@ -44,11 +44,12 @@ type vc_msg =
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;
       ucert : ucert option;
-          (** [None] only towards a peer from which the sender already
-              accepted a VOTE_P for the same (serial, vote code): that
-              peer holds a verified UCERT for it. A receiver counts an
-              elided VOTE_P's share only against a UCERT it holds for
-              exactly this serial and code. *)
+          (** [Some] only from the UCERT's former (the responder) and in
+              the answer to a pull; every other VOTE_P elides it. A
+              receiver counts an elided VOTE_P's share only against a
+              UCERT it holds for exactly this serial and code; one it
+              cannot match makes it pull the UCERT from the sender
+              ([Recover_request] during Voting). *)
     }
   | Announce_batch of { sender : int; entries : (int * string * ucert) list }
   | Consensus of { sender : int; rbc : Dd_consensus.Rbc.msg }

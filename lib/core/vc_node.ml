@@ -71,10 +71,10 @@ type ballot_rt = {
   mutable shares : Shamir_bytes.share list;  (* deduped by x *)
   mutable sent_vote_p : bool;
   mutable waiting_clients : (int * int) list;
-  (* bitmask of peers from which we accepted a VOTE_P for our certified
-     code: each holds that UCERT, so our VOTE_P to it elides the
-     certificate. Transient: a restarted node sends full UCERTs. *)
-  mutable holders : int;
+  (* bitmask of peers whose pull for this ballot (a RECOVER-REQUEST
+     during Voting) we have answered: each gets our full VOTE_P once.
+     Transient, never journaled. *)
+  mutable answered : int;
 }
 
 type phase = Voting | Vsc | Submitted
@@ -140,7 +140,7 @@ let ballot_rt t serial =
     let b =
       { status = Types.Not_voted; endorsed = None; ucert = None;
         part = Types.A; pos = 0; collecting = None; endorsements = [];
-        shares = []; sent_vote_p = false; waiting_clients = []; holders = 0 }
+        shares = []; sent_vote_p = false; waiting_clients = []; answered = 0 }
     in
     Hashtbl.replace t.ballots serial b;
     b
@@ -336,29 +336,24 @@ let try_reconstruct t serial (b : ballot_rt) code =
     b.waiting_clients <- []
   end
 
-let holds_ucert (b : ballot_rt) peer = peer < Sys.int_size && b.holders land (1 lsl peer) <> 0
-let add_holder (b : ballot_rt) peer =
-  if peer < Sys.int_size then b.holders <- b.holders lor (1 lsl peer)
+(* Our own share for [b] and the VOTE_P disclosing it with [ucert]. *)
+let own_vote_p t ~serial ~code (b : ballot_rt) ~ucert =
+  let share, share_tag = own_share t ~serial ~part:b.part ~pos:b.pos in
+  ( share,
+    Messages.Vote_p
+      { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
+        share; share_tag; ucert } )
 
-(* Disclose our own share: the VOTE_P multicast (only ever once). A peer
-   known to hold the UCERT gets it elided. *)
-let disclose_share t ~serial ~code (b : ballot_rt) =
+(* Disclose our own share: the VOTE_P multicast (only ever once). Only
+   the UCERT's former carries it; every other node sends the elided
+   form, and a peer that cannot match it pulls the certificate. *)
+let disclose_share t ~serial ~code ~former (b : ballot_rt) =
   if not b.sent_vote_p then begin
     b.sent_vote_p <- true;
-    let share, share_tag = own_share t ~serial ~part:b.part ~pos:b.pos in
+    let share, msg = own_vote_p t ~serial ~code b ~ucert:(if former then b.ucert else None) in
     ignore (add_share b share);
     log_rec t (R_sent_vote_p serial);
-    match b.ucert with
-    | None -> ()   (* cannot happen: callers establish the UCERT first *)
-    | Some ucert ->
-      List.iter
-        (fun dst ->
-           t.env.send_vc ~dst
-             (Messages.Vote_p
-                { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
-                  share; share_tag;
-                  ucert = (if holds_ucert b dst then None else Some ucert) }))
-        (peers t)
+    multicast t msg
   end
 
 (* --- Algorithm 1: ON VOTE -------------------------------------------- *)
@@ -471,7 +466,7 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
           b.ucert <- Some ucert;
           b.status <- Types.Pending code;
           log_rec t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
-          disclose_share t ~serial ~code b;
+          disclose_share t ~serial ~code ~former:true b;
           try_reconstruct t serial b code
         end
       end
@@ -484,24 +479,28 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
    verified, or for the elided form the one this node already holds for
    exactly this serial and code. *)
 let vote_p_ucert t ~serial ~vote_code (ucert : Messages.ucert option) =
-  if not (within_hours t && serial_valid t serial) then None
-  else
-    match ucert with
-    | Some u ->
-      if u.Messages.u_serial = serial
-      && Dd_crypto.Ct.equal u.Messages.u_code vote_code
-      && verify_ucert t u
-      then Some u
-      else None
-    | None ->
-      (match Hashtbl.find_opt t.ballots serial with
-       | Some { ucert = Some u; _ } when Dd_crypto.Ct.equal u.Messages.u_code vote_code ->
-         Some u
-       | Some _ | None -> None)
+  match ucert with
+  | Some u ->
+    if u.Messages.u_serial = serial
+    && Dd_crypto.Ct.equal u.Messages.u_code vote_code
+    && verify_ucert t u
+    then Some u
+    else None
+  | None ->
+    (match Hashtbl.find_opt t.ballots serial with
+     | Some { ucert = Some u; _ } when Dd_crypto.Ct.equal u.Messages.u_code vote_code ->
+       Some u
+     | Some _ | None -> None)
 
 let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
+  if within_hours t && serial_valid t serial then
   match vote_p_ucert t ~serial ~vote_code ucert with
-  | None -> ()
+  | None ->
+    (* an elided VOTE_P this node cannot match: pull the UCERT from its
+       sender, which answers with its full VOTE_P *)
+    if Option.is_none ucert && t.phase = Voting && sender <> t.env.me then
+      t.env.send_vc ~dst:sender
+        (Messages.Recover_request { sender = t.env.me; serials = [ serial ] })
   | Some ucert ->
     (match Hashtbl.find_opt t.ballots serial with
      | Some b -> note_conflict t serial b ~code:vote_code
@@ -515,14 +514,7 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
     in
     if share_ok then begin
     let b = ballot_rt t serial in
-    (* the sender disclosed against a UCERT for our certified code: it
-       holds one, so our own VOTE_P to it may elide the certificate *)
-    let accept_share () =
-      (match b.ucert with
-       | Some u when Dd_crypto.Ct.equal u.Messages.u_code vote_code -> add_holder b sender
-       | Some _ | None -> ());
-      if add_share b share then log_rec t (R_share { serial; share })
-    in
+    let accept_share () = if add_share b share then log_rec t (R_share { serial; share }) in
     match b.status with
     | Types.Not_voted ->
       (match b.endorsed with
@@ -536,7 +528,7 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
            b.status <- Types.Pending vote_code;
            log_rec t (R_ucert { ucert; part; pos; endorse = true });
            accept_share ();
-           disclose_share t ~serial ~code:vote_code b;
+           disclose_share t ~serial ~code:vote_code ~former:false b;
            try_reconstruct t serial b vote_code
          end)
     | Types.Pending code when Dd_crypto.Ct.equal code vote_code ->
@@ -545,7 +537,7 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
         log_rec t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false })
       end;
       accept_share ();
-      disclose_share t ~serial ~code b;
+      disclose_share t ~serial ~code ~former:false b;
       try_reconstruct t serial b code
     | Types.Voted (code, _) when Dd_crypto.Ct.equal code vote_code ->
       accept_share ()
@@ -726,8 +718,23 @@ let on_consensus t ~sender ~rbc_msg =
     if not t.vsc.consensus_started then
       t.vsc.pending_consensus <- (sender, rbc_msg) :: t.vsc.pending_consensus
 
+(* A pull: during Voting, a peer that could not match our elided VOTE_P
+   gets our full one, once per peer and serial (peers past the mask's
+   width are answered every time). *)
+let answer_pull t ~sender serial =
+  match Hashtbl.find_opt t.ballots serial with
+  | Some ({ ucert = Some u; sent_vote_p = true; _ } as b) when sender <> t.env.me ->
+    let bit = if sender < Sys.int_size then 1 lsl sender else 0 in
+    if b.answered land bit = 0 then begin
+      b.answered <- b.answered lor bit;
+      t.env.send_vc ~dst:sender
+        (snd (own_vote_p t ~serial ~code:u.Messages.u_code b ~ucert:(Some u)))
+    end
+  | Some _ | None -> ()
+
 let on_recover_request t ~sender ~serials =
-  if t.phase <> Voting then begin
+  if t.phase = Voting then List.iter (answer_pull t ~sender) serials
+  else begin
     let entries =
       List.filter_map
         (fun serial ->

@@ -41,7 +41,15 @@ type phase = Voting | Vsc | Submitted
 (** Fresh node; attaches the WAL store when [env.durable] is set. *)
 val create : env -> t
 
-(** Feed any protocol message (from voters or peer collectors). *)
+(** Feed any protocol message (from voters or peer collectors).
+
+    [Recover_request] means two things. During [Voting] it is a pull: a
+    peer could not match this node's elided VOTE_P, and gets this
+    node's full VOTE_P (its share and the UCERT) for each listed serial
+    whose UCERT the node holds and whose VOTE_P it has sent, once per
+    (peer, serial). The node sends one itself, naming one serial, to
+    the sender of an elided VOTE_P it cannot match. Afterwards it is
+    Vote Set Consensus recovery, answered with [Recover_response]. *)
 val handle : t -> Messages.vc_msg -> unit
 
 (** Election end: announce known votes, enter batched Bracha consensus,

@@ -249,27 +249,36 @@ let vote_ps c =
       | _ -> None)
     (List.rev !(c.sent))
 
-(* The responder's VOTE_P reaches node 1 only. Node 1 must not elide
-   the UCERT towards nodes 2 and 3, which do not hold it yet, and every
-   node still reconstructs the receipt. *)
-let test_elision_only_to_holders () =
-  let drop ~src ~dst = function
-    | Messages.Vote_p _ -> src = 0 && dst >= 2
-    | _ -> false
-  in
-  let c = make_cluster ~drop () in
-  let code = code_of ~serial:3 ~part:Types.B ~option:1 in
-  vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
-  let from1 = List.filter (fun (src, _, _) -> src = 1) (vote_ps c) in
-  Alcotest.(check (list (pair int bool))) "node 1: full to 2 and 3, elided to 0"
-    [ (0, false); (2, true); (3, true) ]
-    (List.sort compare (List.map (fun (_, dst, full) -> (dst, full)) from1));
+let pulls c =
+  List.filter_map
+    (function
+      | (src, dst, Messages.Recover_request { serials; _ }) -> Some (src, dst, serials)
+      | _ -> None)
+    (List.rev !(c.sent))
+
+let check_all_issued c =
   Alcotest.(check int) "the voter got a receipt" 1 (List.length (receipt_replies c));
   Array.iteri
     (fun i n ->
        Alcotest.(check int) (Printf.sprintf "node %d issued the receipt" i) 1
          (Vc_node.receipts_issued n))
     c.nodes
+
+(* A fault-free vote: the responder formed the UCERT and is the only
+   node whose VOTE_Ps carry it; the other nine are elided, and nobody
+   pulls. *)
+let test_only_former_carries_ucert () =
+  let c = make_cluster () in
+  let code = code_of ~serial:3 ~part:Types.B ~option:1 in
+  vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
+  let vps = vote_ps c in
+  Alcotest.(check int) "twelve VOTE_Ps" 12 (List.length vps);
+  Alcotest.(check (list (pair int int))) "full only from the responder, to each peer"
+    [ (0, 1); (0, 2); (0, 3) ]
+    (List.sort compare
+       (List.filter_map (fun (src, dst, full) -> if full then Some (src, dst) else None) vps));
+  Alcotest.(check int) "no pull" 0 (List.length (pulls c));
+  check_all_issued c
 
 (* Node 3's genuine VOTE_P for [code], its UCERT elided. *)
 let elided_vote_p ~serial ~code =
@@ -288,18 +297,23 @@ let durable_state c i =
 
 (* An elided VOTE_P counts only against a UCERT the node holds for the
    same code: without one, or with one for another code, it must add
-   no share, log nothing and create no ballot. *)
+   no share, log nothing and create no ballot. It pulls the UCERT from
+   the sender instead. *)
 let test_elided_needs_held_ucert () =
   let c = make_cluster ~durable:true () in
   let check_ignored what msg =
     let node = c.nodes.(0) in
     let count = Vc_node.ballot_count node and snap = Vc_node.snapshot node in
     let disk = durable_state c 0 in
+    c.sent := [];
     Vc_node.handle node msg;
     Alcotest.(check int) (what ^ ": no ballot created") count (Vc_node.ballot_count node);
     Alcotest.(check string) (what ^ ": state unchanged") snap (Vc_node.snapshot node);
     Alcotest.(check bool) (what ^ ": nothing logged") true (disk = durable_state c 0);
-    Alcotest.(check int) (what ^ ": nothing sent") 0 (List.length c.queue)
+    Alcotest.(check (list (triple int int (list int)))) (what ^ ": one pull to the sender")
+      [ (0, 3, [ 1 ]) ] (pulls c);
+    Alcotest.(check int) (what ^ ": nothing else sent") 1 (List.length !(c.sent));
+    c.queue <- []
   in
   let code_a = code_of ~serial:1 ~part:Types.A ~option:2 in
   let code_b = code_of ~serial:1 ~part:Types.B ~option:0 in
@@ -328,6 +342,218 @@ let test_elided_accepted_after_restart () =
   Vc_node.handle c.nodes.(1) (elided_vote_p ~serial:4 ~code);
   Alcotest.(check int) "the restarted node reconstructs" 1
     (Vc_node.receipts_issued c.nodes.(1))
+
+(* --- UCERT pull ------------------------------------------------------------- *)
+
+(* The responder withholds: its VOTE_P reaches node 1 only. Nodes 2 and
+   3 cannot match node 1's elided VOTE_P, so each pulls the UCERT from
+   node 1, which answers each once, and every node issues the receipt. *)
+let test_pull_from_withholding_responder () =
+  let drop ~src ~dst = function
+    | Messages.Vote_p _ -> src = 0 && dst >= 2
+    | _ -> false
+  in
+  let c = make_cluster ~drop () in
+  let code = code_of ~serial:3 ~part:Types.B ~option:1 in
+  vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
+  Alcotest.(check (list (triple int int (list int)))) "nodes 2 and 3 pull from node 1"
+    [ (2, 1, [ 3 ]); (3, 1, [ 3 ]) ] (List.sort compare (pulls c));
+  Alcotest.(check (list int)) "node 1 answers each once" [ 2; 3 ]
+    (List.sort compare
+       (List.filter_map
+          (fun (src, dst, full) -> if src = 1 && full then Some dst else None)
+          (vote_ps c)));
+  check_all_issued c
+
+(* What [node] sends, undelivered, when it handles [msg]. *)
+let sends c ~node msg =
+  c.sent := [];
+  Vc_node.handle c.nodes.(node) msg;
+  c.queue <- [];
+  List.rev !(c.sent)
+
+let pull ~sender serials = Messages.Recover_request { sender; serials }
+
+(* A peer gets one answer per serial: a repeated pull gets nothing, and
+   so does a pull for a ballot the node holds no UCERT for. *)
+let test_pull_answered_once () =
+  let c = make_cluster () in
+  let code = code_of ~serial:2 ~part:Types.A ~option:0 in
+  vote c ~node:1 ~client:1 ~req:1 ~serial:2 ~vote_code:code;
+  (match sends c ~node:0 (pull ~sender:3 [ 2 ]) with
+   | [ (0, 3, Messages.Vote_p { serial = 2; vote_code; sender = 0; ucert = Some u; _ }) ] ->
+     Alcotest.(check bool) "the answer carries the UCERT for the code" true
+       (vote_code = code && u.Messages.u_serial = 2 && u.Messages.u_code = code)
+   | l -> Alcotest.failf "expected one full VOTE_P to node 3, got %d messages" (List.length l));
+  Alcotest.(check int) "a repeated pull gets no answer" 0
+    (List.length (sends c ~node:0 (pull ~sender:3 [ 2 ])));
+  Alcotest.(check int) "a pull for an unvoted ballot gets no answer" 0
+    (List.length (sends c ~node:0 (pull ~sender:3 [ 4 ])));
+  Alcotest.(check int) "another peer's first pull is answered" 1
+    (List.length (sends c ~node:0 (pull ~sender:2 [ 2; 4 ])))
+
+(* Hostile pulls: RECOVER-REQUESTs for random serials, in range or not,
+   and elided VOTE_Ps for serials outside the election. Neither creates
+   ballot state; an elided VOTE_P for a serial outside the election is
+   not pulled; a pull is answered only for the voted ballot, once per
+   peer. *)
+let prop_hostile_pulls =
+  let c = make_cluster () in
+  let voted = 2 in
+  vote c ~node:0 ~client:1 ~req:1 ~serial:voted ~vote_code:(code_of ~serial:voted ~part:Types.A ~option:0);
+  let answered = Hashtbl.create 8 in
+  let gen =
+    QCheck.Gen.(
+      let outside =
+        oneof [ int_range (-1_000_000) (-1); int_range cfg.Types.n_voters 1_000_000_000 ]
+      in
+      pair bool (int_range 0 3) >>= fun (elided, peer) ->
+      let serial = if elided then outside else oneof [ int_range 0 (cfg.Types.n_voters - 1); outside ] in
+      map (fun s -> (elided, s, peer)) serial)
+  in
+  QCheck.Test.make ~name:"hostile pulls allocate no ballot state" ~count:10_000
+    (QCheck.make gen)
+    (fun (elided, serial, peer) ->
+       let node = c.nodes.(1) in
+       let before = Vc_node.ballot_count node in
+       let msg =
+         if elided then
+           Messages.Vote_p
+             { serial; vote_code = "code"; sender = peer; part = Types.A; pos = 0;
+               share = { Dd_vss.Shamir_bytes.x = peer + 1; data = "8 bytes!" };
+               share_tag = None; ucert = None }
+         else pull ~sender:peer [ serial ]
+       in
+       let out = sends c ~node:1 msg in
+       Vc_node.ballot_count node = before
+       &&
+       match out with
+       | [] -> true
+       | [ (1, dst, Messages.Vote_p { serial = s; ucert = Some _; _ }) ] ->
+         (not elided) && dst = peer && s = serial && s = voted
+         && (not (Hashtbl.mem answered peer))
+         && (Hashtbl.replace answered peer (); true)
+       | _ -> false)
+
+(* Over-threshold equivocation: node 0 holds a UCERT for code A and gets
+   node 3's elided VOTE_P for code B. It pulls, and records the conflict
+   when the answer, a VOTE_P with a valid UCERT for B, arrives. *)
+let test_pull_detects_conflict () =
+  let c = make_cluster () in
+  let code_a = code_of ~serial:1 ~part:Types.A ~option:2 in
+  let code_b = code_of ~serial:1 ~part:Types.B ~option:0 in
+  vote c ~node:0 ~client:1 ~req:1 ~serial:1 ~vote_code:code_a;
+  let elided = elided_vote_p ~serial:1 ~code:code_b in
+  ignore (sends c ~node:0 elided);
+  Alcotest.(check (list (triple int int (list int)))) "pulled from node 3" [ (0, 3, [ 1 ]) ]
+    (pulls c);
+  let keys =
+    Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:("k" ^ seed) ~n:(cfg.Types.nv + 1)
+  in
+  let body =
+    Messages.endorsement_body ~election_id:cfg.Types.election_id ~serial:1 ~code:code_b
+  in
+  let ucert_b =
+    { Messages.u_serial = 1; u_code = code_b;
+      endorsements = List.map (fun i -> (i, Auth.sign keys.(i) body)) [ 1; 2; 3 ] }
+  in
+  (match elided with
+   | Messages.Vote_p p ->
+     Vc_node.handle c.nodes.(0) (Messages.Vote_p { p with ucert = Some ucert_b })
+   | _ -> assert false);
+  Alcotest.(check (list (triple int string string))) "conflict recorded"
+    [ (1, code_a, code_b) ] (Vc_node.ucert_conflicts c.nodes.(0))
+
+(* The UCERT and the disclosure are durable, so a node restarted from
+   its WAL answers a pull from its restored UCERT. *)
+let test_pull_answered_after_restart () =
+  let c = make_cluster ~durable:true () in
+  let code = code_of ~serial:4 ~part:Types.A ~option:1 in
+  vote c ~node:0 ~client:1 ~req:1 ~serial:4 ~vote_code:code;
+  c.nodes.(1) <- Vc_node.recover (c.env_of 1);
+  c.queue <- [];
+  match sends c ~node:1 (pull ~sender:2 [ 4 ]) with
+  | [ (1, 2, Messages.Vote_p { serial = 4; ucert = Some u; _ }) ] ->
+    Alcotest.(check string) "restored UCERT" code u.Messages.u_code
+  | l -> Alcotest.failf "expected one full VOTE_P to node 2, got %d messages" (List.length l)
+
+(* --- handler byte fuzz --------------------------------------------------- *)
+
+module Frame = Dd_serve.Frame
+module Mux = Dd_serve.Mux
+
+(* Random and bit-flipped bytes go through the serving path's decoders
+   (Frame, then Mux) into the handlers of a cluster that holds nv voted
+   ballots. Nothing may raise, no node may keep state for more ballots
+   than the election has, and a case's sends (peer messages and client
+   replies) stay within nv per message handled: a pull names the
+   ballots it wants, and each is answered at most once per peer. *)
+let prop_handler_byte_fuzz =
+  let c = make_cluster () in
+  let nv = cfg.Types.nv in
+  for i = 0 to nv - 1 do
+    vote c ~node:i ~client:i ~req:1 ~serial:i
+      ~vote_code:(code_of ~serial:i ~part:Types.A ~option:(i mod cfg.Types.m_options))
+  done;
+  let peer_msgs = Array.of_list (List.rev_map (fun (_, _, m) -> m) !(c.sent)) in
+  let n = Array.length peer_msgs in
+  let payloads =
+    Array.concat
+      [ Array.map (fun m -> Mux.encode gctx (Mux.Vc [ m ])) peer_msgs;
+        Array.init n (fun i -> Mux.encode gctx (Mux.Vc [ peer_msgs.(i); peer_msgs.((i + 1) mod n) ]));
+        Array.init nv (fun i ->
+            Mux.encode gctx
+              (Mux.Client_vote
+                 { channel = i; req = 2; serial = i;
+                   vote_code = code_of ~serial:i ~part:Types.A ~option:(i mod cfg.Types.m_options) })) ]
+  in
+  let flip s flips =
+    let b = Bytes.of_string s in
+    List.iter
+      (fun k ->
+         let i = k / 8 mod Bytes.length b in
+         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (k mod 8)))))
+      flips;
+    Bytes.to_string b
+  in
+  let gen =
+    QCheck.Gen.(
+      let random = string_size (int_range 0 300) in
+      let flipped =
+        map2 (fun i flips -> flip (Frame.encode payloads.(i)) flips)
+          (int_range 0 (Array.length payloads - 1))
+          (list_size (int_range 1 4) (int_range 0 100_000))
+      in
+      pair (int_range 0 (nv - 1))
+        (frequency [ (1, random); (1, map Frame.encode random); (3, flipped) ]))
+  in
+  QCheck.Test.make ~name:"VC handlers survive random and bit-flipped frames" ~count:1_000
+    (QCheck.make ~print:(fun (node, bytes) -> Printf.sprintf "node %d, %S" node bytes) gen)
+    (fun (node, bytes) ->
+       c.sent := [];
+       c.replies := [];
+       let handled = ref 0 in
+       let deliver msg =
+         incr handled;
+         Vc_node.handle c.nodes.(node) msg
+       in
+       let dec = Frame.create () in
+       Frame.feed dec bytes;
+       let rec pump () =
+         match Frame.pop dec with
+         | None -> ()
+         | Some payload ->
+           (match Mux.decode gctx payload with
+            | Some (Mux.Vc msgs) -> List.iter deliver msgs
+            | Some (Mux.Client_vote { channel; req; serial; vote_code }) ->
+              deliver (Messages.Vote { serial; vote_code; client = channel; req })
+            | Some (Mux.Client_reply _ | Mux.Bb _) | None -> ());
+           pump ()
+       in
+       pump ();
+       c.queue <- [];
+       Array.for_all (fun t -> Vc_node.ballot_count t <= cfg.Types.n_voters) c.nodes
+       && List.length !(c.sent) + List.length !(c.replies) <= nv * !handled)
 
 (* --- vote set consensus ------------------------------------------------- *)
 
@@ -459,10 +685,18 @@ let () =
          Alcotest.test_case "forged UCERT ignored" `Quick test_forged_ucert_ignored;
          QCheck_alcotest.to_alcotest prop_hostile_serials_allocate_nothing ]);
       ("ucert-elision",
-       [ Alcotest.test_case "elided only to holders" `Quick test_elision_only_to_holders;
+       [ Alcotest.test_case "only the former carries the UCERT" `Quick
+           test_only_former_carries_ucert;
          Alcotest.test_case "elided needs a held UCERT" `Quick test_elided_needs_held_ucert;
          Alcotest.test_case "elided accepted after restart" `Quick
            test_elided_accepted_after_restart ]);
+      ("ucert-pull",
+       [ Alcotest.test_case "withholding responder" `Quick test_pull_from_withholding_responder;
+         Alcotest.test_case "answered once per peer" `Quick test_pull_answered_once;
+         Alcotest.test_case "conflicting code detected" `Quick test_pull_detects_conflict;
+         Alcotest.test_case "answered after restart" `Quick test_pull_answered_after_restart;
+         QCheck_alcotest.to_alcotest prop_hostile_pulls;
+         QCheck_alcotest.to_alcotest prop_handler_byte_fuzz ]);
       ("vote-set-consensus",
        [ Alcotest.test_case "agreement on cast votes" `Quick test_vsc_agrees_on_cast_votes;
          Alcotest.test_case "empty election" `Quick test_vsc_empty_election;
