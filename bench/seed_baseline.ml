@@ -12,7 +12,6 @@
    field, so the whole seed stack is reproduced end to end. *)
 
 module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
 module Curve = Dd_group.Curve
 module Group_ctx = Dd_group.Group_ctx
 module Schnorr = Dd_sig.Schnorr

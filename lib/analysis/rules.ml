@@ -335,12 +335,14 @@ let wire_exhaustive ~constructors =
    verifiers built on them. Their running time depends on their scalar
    inputs (wNAF digit patterns, GLV splits, bucket occupancy), so only
    public data — signatures, proof transcripts, published commitments
-   and their openings — may flow in. R7 [secret-taint] reports any
+   and their openings — may flow in. The scalar field's extended-Euclid
+   inverse [Modular.inv_vartime] is on it too: its step count depends on
+   its argument (lib/bignum/modular.mli). R7 [secret-taint] reports any
    secret reaching one; secret-dependent scalars must use the
    fixed-window [Curve.mul] / [mul_base_table] paths instead. *)
 let vartime_callees =
   [ "mul_vartime"; "mul2"; "msm"; "msm_pre";
-    "verify_batch"; "verify_batch_find"; "verify_shares_batch" ]
+    "verify_batch"; "verify_batch_find"; "verify_shares_batch"; "inv_vartime" ]
 
 (* === R6: domain-safe-state ============================================= *)
 

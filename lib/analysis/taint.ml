@@ -203,7 +203,8 @@ let sink_of lid =
       { sink_desc = "variable-time `" ^ dotted ^ "`";
         remedy =
           "the vartime surface is public-data only; secret scalars use the \
-           constant-time Curve.mul / comb-table paths" }
+           constant-time Curve.mul / comb-table paths and are never inverted \
+           through Modular.inv_vartime" }
   else
     match Rules.banned_comparison lid with
     | Some op ->

@@ -1,40 +1,23 @@
-(** Modular arithmetic over a fixed modulus, with a reduction strategy
-    selected at [create] time.
+(** Modular arithmetic over a fixed modulus: Barrett reduction for every
+    product, and an extended-Euclid inverse.
 
-    Any odd modulus of at most 1023 bits (notably both curve orders)
-    gets a Montgomery domain: products are reduced by absorbing one
-    quotient digit per 31-bit half-limb instead of by Barrett's double
-    multiplication, and [pow]/[inv] run their whole square-and-multiply
-    chain inside the domain. Even or oversized moduli — and every
-    modulus under [~fast:false] — fall back to Barrett reduction. A
-    [ctx] captures the modulus plus the precomputed constants; create it
-    once and reuse it for every operation. The curves' base fields do
-    not run here: the group computes them on fixed-width limbs.
-
-    The Montgomery paths' scratch buffers are domain-local ([Domain.DLS]),
-    so a [ctx] is immutable shared data: any number of domains may use
-    the same context concurrently, each borrowing its own domain's
-    scratch per call.
+    [create] precomputes the Barrett constant once; create a [ctx] once
+    per modulus and reuse it for every operation. In the protocol this
+    is the curve-order (scalar) field; the curves' base fields do not
+    run here, the group computes them on fixed-width limbs ([Fe]). A
+    [ctx] is immutable and holds no scratch, so any number of domains
+    may use the same context concurrently.
 
     All binary operations expect reduced residues (in [0, modulus));
-    [reduce] and [of_nat] bring arbitrary naturals into range. *)
+    [reduce] brings arbitrary naturals into range. *)
 
 type ctx
 
-(** [create ?prime ?fast m] builds a context for modulus [m >= 2]. When
-    [prime] is [true] (the default), [inv] uses Fermat's little theorem;
-    pass [~prime:false] for composite moduli to use extended Euclid
-    instead. When [fast] is [true] (the default) odd moduli get a
-    Montgomery domain; [~fast:false] forces Barrett everywhere — the
-    reference the differential tests and the seed-baseline benchmarks
-    compare against. *)
-val create : ?prime:bool -> ?fast:bool -> Nat.t -> ctx
+(** [create m] builds a context for modulus [m >= 2]. Raises
+    [Invalid_argument] otherwise. *)
+val create : Nat.t -> ctx
 
 val modulus : ctx -> Nat.t
-
-(** Which reduction strategy [create] selected: ["barrett"] or
-    ["montgomery"]. *)
-val reduction_name : ctx -> string
 
 (** Reduce an arbitrary natural modulo the modulus (Barrett for any
     product of two residues, long division beyond that). *)
@@ -45,23 +28,21 @@ val sub : ctx -> Nat.t -> Nat.t -> Nat.t
 val neg : ctx -> Nat.t -> Nat.t
 val mul : ctx -> Nat.t -> Nat.t -> Nat.t
 
-(** [sqr ctx a] is [mul ctx a a] through a dedicated squaring kernel
-    (cross products computed once and doubled). *)
+(** [sqr ctx a] is [mul ctx a a], squaring through [Nat.sqr]. *)
 val sqr : ctx -> Nat.t -> Nat.t
 
-val double : ctx -> Nat.t -> Nat.t
-
-(** [pow ctx b e] is [b^e mod m] by square-and-multiply; when the
-    context has a Montgomery domain the chain enters the domain once
-    and exits once. *)
+(** [pow ctx b e] is [b^e mod m] by square-and-multiply. *)
 val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 
-(** Multiplicative inverse — Montgomery-backed Fermat for primes with a
-    domain, extended Euclid otherwise. Raises [Division_by_zero] on
-    zero or non-invertible arguments. *)
-val inv : ctx -> Nat.t -> Nat.t
+(** Multiplicative inverse by extended Euclid, for any modulus. Raises
+    [Division_by_zero] on zero or non-invertible arguments.
 
-val of_nat : ctx -> Nat.t -> Nat.t
+    {b Variable time, public inputs only.} The number of Euclid steps
+    and every step's cost depend on the argument, so its running time
+    leaks it. Lint rule R7 ([secret-taint], docs/INVARIANTS.md) reports
+    any secret that reaches this function. *)
+val inv_vartime : ctx -> Nat.t -> Nat.t
+
 val of_int : ctx -> int -> Nat.t
 
 (** Interpret a big-endian byte string as a residue. *)

@@ -4,8 +4,8 @@
    62-bit limbs halve the limb count of every linear pass (add, sub,
    compare, shift, codec) relative to the 30-bit representation this
    module started with. A 62x62 product does not fit a 63-bit native
-   int, so the multiplicative kernels (schoolbook multiply, addmul1,
-   long division) split each limb into two 31-bit halves and work in
+   int, so the multiplicative kernels (schoolbook multiply, long
+   division) split each limb into two 31-bit halves and work in
    that half-limb space, where the schoolbook accumulation
    acc + a*b + carry <= (2^31-1) + (2^31-1)^2 + (2^31-1) = 2^62-1
    exactly fills the native-int range. 62 = 2*31, so the half-limb view
@@ -46,16 +46,13 @@ let normalize (a : int array) : t =
   while !n > 0 && a.(!n - 1) = 0 do decr n done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
-(* --- limb-level kernels -----------------------------------------------
+(* --- limb buffers ------------------------------------------------------
 
-   Building blocks over raw little-endian limb buffers, used by
-   [Modular]'s specialized reductions and by [divmod]. A buffer is a
-   plain [int array] paired with a significant-limb count; limbs beyond
-   the count may hold stale garbage (kernels read guarded and write
-   unconditionally). The linear kernels are allocation-free; the
-   schoolbook multiply allocates internal half-limb scratch (its callers
-   are cold paths — [Modular]'s hot paths use their own fixed-width
-   half-limb kernels). *)
+   Raw little-endian limb buffers: a plain [int array] paired with a
+   significant-limb count; limbs beyond the count may hold stale
+   garbage. [mul] and [divmod] work on them internally, and [Fe]
+   crosses into and out of its own limb layout through
+   [to_limbs_into] / [of_limbs]. *)
 
 let trim_limbs (buf : int array) n =
   let n = ref n in
@@ -81,71 +78,13 @@ let compare_limbs (a : int array) na (b : int array) nb =
     go (na - 1)
   end
 
-(* The kernels below use unchecked array access: the counts they are
-   handed bound every index, and the documented buffer-size
-   preconditions make those bounds the caller's obligation. Bounds
-   checks here cost ~30% of a field multiplication. *)
-
-(* dst := dst + src. [dst] must have room for [max ndst nsrc + 1] limbs. *)
-let add_into (dst : int array) ndst (src : int array) nsrc =
-  let m = if ndst > nsrc then ndst else nsrc in
-  let carry = ref 0 in
-  for i = 0 to m - 1 do
-    let av = if i < ndst then Array.unsafe_get dst i else 0
-    and bv = if i < nsrc then Array.unsafe_get src i else 0 in
-    let s = av + bv + !carry in          (* may wrap; low bits exact *)
-    Array.unsafe_set dst i (s land limb_mask);
-    carry := s lsr base_bits
-  done;
-  if !carry <> 0 then begin dst.(m) <- !carry; m + 1 end else m
-
-(* dst := dst - src; requires dst >= src numerically. *)
-let sub_into (dst : int array) ndst (src : int array) nsrc =
-  let borrow = ref 0 in
-  for i = 0 to ndst - 1 do
-    let bv = if i < nsrc then Array.unsafe_get src i else 0 in
-    let d = Array.unsafe_get dst i - bv - !borrow in
-    (* d in (-2^62, 2^62); bit 62 of the two's-complement pattern is the
-       sign, so [d lsr 62] is the borrow and [d land limb_mask] the limb. *)
-    Array.unsafe_set dst i (d land limb_mask);
-    borrow := d lsr base_bits
-  done;
-  trim_limbs dst ndst
-
-(* dst := dst + (src * m) << (shift limbs), fused in one pass — the
-   pseudo-Mersenne fold's workhorse (no intermediate product buffer).
-   Requires 0 <= m < 2^31 so each half-limb product m * half + carry
-   stays within native-int headroom, and room for
-   max(ndst, nsrc + shift) + 1 limbs. Each 62-bit limb is processed as
-   two 31-bit halves with a half-limb carry (carry < 2^31 throughout). *)
-let addmul1_into (dst : int array) ndst (src : int array) nsrc ~shift m =
-  for j = ndst to shift - 1 do dst.(j) <- 0 done;
-  let carry = ref 0 in                   (* half-limb carry, < 2^31 *)
-  for i = 0 to nsrc - 1 do
-    let j = i + shift in
-    let cur = if j < ndst then Array.unsafe_get dst j else 0 in
-    let s = Array.unsafe_get src i in
-    let t0 = (cur land hmask) + (m * (s land hmask)) + !carry in
-    let t1 = (cur lsr hbits) + (m * (s lsr hbits)) + (t0 lsr hbits) in
-    Array.unsafe_set dst j ((t0 land hmask) lor ((t1 land hmask) lsl hbits));
-    carry := t1 lsr hbits
-  done;
-  let j = ref (nsrc + shift) in
-  while !carry <> 0 do
-    let cur = if !j < ndst then Array.unsafe_get dst !j else 0 in
-    let t = cur + !carry in
-    Array.unsafe_set dst !j (t land limb_mask);
-    carry := t lsr base_bits;
-    incr j
-  done;
-  trim_limbs dst (if !j > ndst then !j else ndst)
-
 (* --- half-limb helpers (internal) -------------------------------------
 
    31-bit half-limb buffers for multiplication and division, where every
    product fits a native int. [halves_of_limbs] splits each 62-bit limb
    into (low 31, high 31); since 62 = 2*31 the two views describe the
-   same bit string. *)
+   same bit string. These use unchecked array access: the counts they
+   are handed bound every index. *)
 
 let halves_of_limbs (a : int array) na (h : int array) =
   for i = 0 to na - 1 do
@@ -195,7 +134,7 @@ let mul_halves_into (dst : int array) (a : int array) na (b : int array) nb =
 
 (* dst := a * b (schoolbook over 31-bit halves). [dst] must not alias
    [a] or [b] and must have room for [na + nb] limbs. Allocates internal
-   half-limb scratch; hot callers should use half-limb kernels directly. *)
+   half-limb scratch. *)
 let mul_limbs_into (dst : int array) (a : int array) na (b : int array) nb =
   if na = 0 || nb = 0 then 0
   else begin
@@ -205,9 +144,6 @@ let mul_limbs_into (dst : int array) (a : int array) na (b : int array) nb =
     let nhp = mul_halves_into hp ha nha hb nhb in
     limbs_of_halves hp nhp dst
   end
-
-let mul_into (dst : int array) (a : t) (b : t) =
-  mul_limbs_into dst a (Array.length a) b (Array.length b)
 
 let of_int n =
   if n < 0 then invalid_arg "Nat.of_int: negative";

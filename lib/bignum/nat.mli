@@ -74,58 +74,20 @@ val to_decimal : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** {2 Limb-level kernels}
+(** {2 Limb buffers}
 
-    Building blocks over raw little-endian limb buffers ([base_bits]-bit
-    limbs in plain [int array]s, paired with a significant-limb count).
-    These exist for [Modular]'s reduction paths, which run one scalar
-    multiplication's worth of field operations through a handful of
-    reused scratch buffers instead of allocating a fresh array per limb
-    operation. Buffers may hold stale garbage beyond the count: kernels
-    read guarded and write unconditionally. Counts returned are trimmed
-    (no most-significant zero limbs).
-
-    The linear kernels ([add_into], [sub_into], [addmul1_into]) are
-    allocation-free. [mul_limbs_into] allocates internal 31-bit
-    half-limb scratch (a 62x62 partial product does not fit a native
-    int); hot paths in [Modular] use their own fixed-width half-limb
-    kernels instead. *)
+    Crossings between a value and a raw little-endian limb buffer
+    ([base_bits]-bit limbs in a plain [int array], paired with a
+    significant-limb count). [Fe] uses them to move residues into and
+    out of its own fixed-width layout. *)
 
 (** Bits per limb (62). *)
 val base_bits : int
 
-(** [trim_limbs buf n] is the count of significant limbs in [buf.(0..n-1)]. *)
-val trim_limbs : int array -> int -> int
-
-(** [of_limbs buf n] copies the first [n] limbs out into a value. *)
+(** [of_limbs buf n] copies the first [n] limbs out into a value
+    (trimming most-significant zero limbs). *)
 val of_limbs : int array -> int -> t
 
 (** [to_limbs_into a buf] copies [a]'s limbs into [buf] (which must be
     large enough) and returns the limb count. *)
 val to_limbs_into : t -> int array -> int
-
-val compare_limbs : int array -> int -> int array -> int -> int
-
-(** [add_into dst ndst src nsrc]: [dst := dst + src], returning the new
-    count. [dst] needs room for [max ndst nsrc + 1] limbs. *)
-val add_into : int array -> int -> int array -> int -> int
-
-(** [sub_into dst ndst src nsrc]: [dst := dst - src] (caller guarantees
-    [dst >= src]), returning the new count. *)
-val sub_into : int array -> int -> int array -> int -> int
-
-(** [addmul1_into dst ndst src nsrc ~shift m]: fused
-    [dst := dst + (src * m) << (shift limbs)] in one pass, returning
-    the new count. Requires [0 <= m < 2^31] (keeps every half-limb
-    partial product [m * half + carry] within native-int headroom — note
-    this is tighter than the 30-bit representation's [m < 2^32] bound)
-    and room for [max ndst (nsrc + shift) + 1] limbs. *)
-val addmul1_into : int array -> int -> int array -> int -> shift:int -> int -> int
-
-(** [mul_limbs_into dst a na b nb]: [dst := a * b] (schoolbook over
-    31-bit halves); [dst] must not alias the inputs and needs [na + nb]
-    limbs of room. *)
-val mul_limbs_into : int array -> int array -> int -> int array -> int -> int
-
-(** [mul_into dst a b]: product of two values into a scratch buffer. *)
-val mul_into : int array -> t -> t -> int

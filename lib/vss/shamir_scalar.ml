@@ -31,7 +31,9 @@ let split fn rng ~secret ~threshold ~shares =
        let x = i + 1 in
        { x; value = poly_eval fn coeffs (Nat.of_int x) }))
 
-(* Lagrange coefficients at 0 for the given x-coordinates. *)
+(* Lagrange coefficients at 0 for the given x-coordinates. The
+   x-coordinates are public trustee indices, so the variable-time
+   inverse of their differences leaks nothing. *)
 let lagrange_at_zero fn xs =
   let k = Array.length xs in
   Array.init k (fun i ->
@@ -43,7 +45,7 @@ let lagrange_at_zero fn xs =
           den := Modular.mul fn !den (Modular.sub fn xj xi)
         end
       done;
-      Modular.mul fn !num (Modular.inv fn !den))
+      Modular.mul fn !num (Modular.inv_vartime fn !den))
 
 let reconstruct fn ~threshold (shares : share list) =
   let shares = Array.of_list shares in

@@ -1,6 +1,7 @@
 (* Unit and property tests for the arbitrary-precision naturals and
-   modular arithmetic, including differential suites pitting the
-   specialized curve-prime reductions against the Barrett reference. *)
+   modular arithmetic: Barrett reduction and the Euclid inverse against
+   [Nat.rem] and [Modular.pow] on all four 256-bit curve moduli, and the
+   fixed-width [Fe] field kernels against Barrett. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
@@ -32,6 +33,20 @@ let secp_n =
 
 let p256_n =
   Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"
+
+let secp_p_ctx = Modular.create secp_p
+let p256_p_ctx = Modular.create p256_p
+
+(* The two curve orders: the scalar field, the one [Modular] serves in
+   the protocol. *)
+let curve_orders =
+  [ ("secp256k1-n", secp_n, Modular.create secp_n);
+    ("p256-n", p256_n, Modular.create p256_n) ]
+
+(* All four 256-bit moduli: the two curve field primes and the two
+   curve orders. *)
+let all_moduli =
+  ("secp256k1-p", secp_p, secp_p_ctx) :: ("p256-p", p256_p, p256_p_ctx) :: curve_orders
 
 (* --- unit tests ------------------------------------------------------ *)
 
@@ -132,15 +147,26 @@ let test_modular_pow () =
   Alcotest.check nat "pow 0" Nat.one (Modular.pow ctx (Nat.of_int 5) Nat.zero)
 
 let test_modular_inv () =
-  let ctx = Modular.create secp_p in
   let x = Nat.of_hex "123456789abcdef" in
-  Alcotest.check nat "x * x^-1 = 1" Nat.one (Modular.mul ctx x (Modular.inv ctx x));
-  Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (Modular.inv ctx Nat.zero))
+  List.iter
+    (fun (name, m, ctx) ->
+       let inv = Modular.inv_vartime ctx in
+       Alcotest.check nat (name ^ " x * x^-1 = 1") Nat.one (Modular.mul ctx x (inv x));
+       Alcotest.check nat (name ^ " 1^-1 = 1") Nat.one (inv Nat.one);
+       Alcotest.check nat (name ^ " (m-1)^-1 = m-1") (Nat.sub m Nat.one)
+         (inv (Nat.sub m Nat.one));
+       Alcotest.check_raises (name ^ " inv 0") Division_by_zero
+         (fun () -> ignore (inv Nat.zero));
+       Alcotest.check_raises (name ^ " inv m") Division_by_zero (fun () -> ignore (inv m)))
+    (("secp256k1-p", secp_p, secp_p_ctx) :: curve_orders)
 
 let test_modular_inv_composite () =
-  let ctx = Modular.create ~prime:false (Nat.of_int 100) in
+  let ctx = Modular.create (Nat.of_int 100) in
   (* 7 * 43 = 301 = 1 mod 100 *)
-  Alcotest.check nat "inverse mod composite" (Nat.of_int 43) (Modular.inv ctx (Nat.of_int 7))
+  Alcotest.check nat "inverse mod composite" (Nat.of_int 43)
+    (Modular.inv_vartime ctx (Nat.of_int 7));
+  Alcotest.check_raises "gcd(10, 100) = 10" Division_by_zero
+    (fun () -> ignore (Modular.inv_vartime ctx (Nat.of_int 10)))
 
 (* --- properties ------------------------------------------------------- *)
 
@@ -187,12 +213,20 @@ let prop_decimal_roundtrip =
   QCheck.Test.make ~name:"decimal roundtrip" ~count:100 arb_nat
     (fun a -> Nat.equal a (Nat.of_decimal (Nat.to_decimal a)))
 
+(* The only reduction path: on every curve modulus, [reduce] of a
+   512-bit input and [mul]/[sqr] of two residues agree with long
+   division. *)
 let prop_barrett_matches_divmod =
-  QCheck.Test.make ~name:"Barrett reduce = rem" ~count:200 (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
-       let ctx = Modular.create secp_p in
-       let a' = Modular.reduce ctx a and b' = Modular.reduce ctx b in
-       Nat.equal (Modular.mul ctx a' b') (Nat.rem (Nat.mul a' b') secp_p))
+  QCheck.Test.make ~name:"Barrett reduce = rem" ~count:500
+    (QCheck.pair arb_nat512 arb_nat512)
+    (fun (x, y) ->
+       List.for_all
+         (fun (_, m, ctx) ->
+            let a = Modular.reduce ctx x and b = Modular.reduce ctx y in
+            Nat.equal a (Nat.rem x m)
+            && Nat.equal (Modular.mul ctx a b) (Nat.rem (Nat.mul a b) m)
+            && Nat.equal (Modular.sqr ctx a) (Nat.rem (Nat.mul a a) m))
+         all_moduli)
 
 let prop_pow_add_exponents =
   QCheck.Test.make ~name:"x^(a+b) = x^a * x^b mod p" ~count:50
@@ -207,105 +241,24 @@ let prop_pow_add_exponents =
 let prop_inv_involutive =
   QCheck.Test.make ~name:"inv (inv x) = x mod p" ~count:50 arb_nat
     (fun x ->
-       let ctx = Modular.create secp_p in
-       let x = Modular.reduce ctx x in
-       QCheck.assume (not (Nat.is_zero x));
-       Nat.equal x (Modular.inv ctx (Modular.inv ctx x)))
-
-(* --- differential: specialized reductions vs Barrett ----------------- *)
-
-let fast_secp = Modular.create secp_p
-let slow_secp = Modular.create ~fast:false secp_p
-let fast_p256 = Modular.create p256_p
-let slow_p256 = Modular.create ~fast:false p256_p
-let fast_secp_n = Modular.create secp_n
-let slow_secp_n = Modular.create ~fast:false secp_n
-let fast_p256_n = Modular.create p256_n
-let slow_p256_n = Modular.create ~fast:false p256_n
-
-(* All four 256-bit moduli: the two curve field primes and the two
-   curve orders, Montgomery throughout on the fast side (the group runs
-   its base field on Fe, pinned by "fe-differential" below). The slow
-   context is always pure Barrett. *)
-let all_moduli =
-  [ ("secp256k1-p", secp_p, fast_secp, slow_secp);
-    ("p256-p", p256_p, fast_p256, slow_p256);
-    ("secp256k1-n", secp_n, fast_secp_n, slow_secp_n);
-    ("p256-n", p256_n, fast_p256_n, slow_p256_n) ]
-
-let prop_fast_reduce_secp =
-  QCheck.Test.make ~name:"secp256k1 fast reduce = Barrett (512-bit inputs)"
-    ~count:1000 arb_nat512
-    (fun x -> Nat.equal (Modular.reduce fast_secp x) (Modular.reduce slow_secp x))
-
-let prop_fast_reduce_p256 =
-  QCheck.Test.make ~name:"p256 fast reduce = Barrett (512-bit inputs)"
-    ~count:1000 arb_nat512
-    (fun x -> Nat.equal (Modular.reduce fast_p256 x) (Modular.reduce slow_p256 x))
-
-let prop_fast_mul_secp =
-  QCheck.Test.make ~name:"secp256k1 fast mul = Barrett mul" ~count:1000
-    (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
-       let a = Modular.reduce slow_secp a and b = Modular.reduce slow_secp b in
-       Nat.equal (Modular.mul fast_secp a b) (Modular.mul slow_secp a b))
-
-let prop_fast_mul_p256 =
-  QCheck.Test.make ~name:"p256 fast mul = Barrett mul" ~count:1000
-    (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
-       let a = Modular.reduce slow_p256 a and b = Modular.reduce slow_p256 b in
-       Nat.equal (Modular.mul fast_p256 a b) (Modular.mul slow_p256 a b))
-
-(* Montgomery vs Barrett: the curve orders' standard mul/sqr route
-   through the Montgomery domain, so these pin REDC (and the dedicated
-   squaring kernel) against the Barrett reference. *)
-let prop_mont_mul_orders =
-  QCheck.Test.make ~name:"curve-order Montgomery mul/sqr = Barrett" ~count:1000
-    (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
        List.for_all
-         (fun (_, _, fast, slow) ->
-            let a = Modular.reduce slow a and b = Modular.reduce slow b in
-            Nat.equal (Modular.mul fast a b) (Modular.mul slow a b)
-            && Nat.equal (Modular.sqr fast a) (Modular.mul slow a a))
-         [ List.nth all_moduli 2; List.nth all_moduli 3 ])
+         (fun (_, _, ctx) ->
+            let x = Modular.reduce ctx x in
+            Nat.is_zero x
+            || Nat.equal x (Modular.inv_vartime ctx (Modular.inv_vartime ctx x)))
+         (("secp256k1-p", secp_p, secp_p_ctx) :: curve_orders))
 
-(* Aliasing: [mul ctx a a] must agree with the dedicated squaring
-   kernel on every strategy. *)
-let prop_sqr_aliasing =
-  QCheck.Test.make ~name:"mul a a = sqr a (all strategies)" ~count:500 arb_nat
-    (fun a ->
+(* Fermat's little theorem as the reference for the Euclid inverse, on
+   both curve orders (both prime). *)
+let prop_inv_is_fermat =
+  QCheck.Test.make ~name:"inv x = pow x (n-2)" ~count:50 arb_nat
+    (fun x ->
        List.for_all
-         (fun (_, _, fast, slow) ->
-            let r = Modular.reduce slow a in
-            Nat.equal (Modular.mul fast r r) (Modular.sqr fast r)
-            && Nat.equal (Modular.mul slow r r) (Modular.sqr slow r)
-            && Nat.equal (Modular.sqr fast r) (Modular.sqr slow r))
-         all_moduli)
-
-(* The limb kernels against the immutable Nat operations they mirror. *)
-let prop_limb_kernels =
-  QCheck.Test.make ~name:"limb kernels match Nat ops" ~count:500
-    (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
-       let bl = Array.make 20 0 in
-       let nb = Nat.to_limbs_into b bl in
-       let dst = Array.make 44 0 in
-       let na = Nat.to_limbs_into a dst in
-       let nadd = Nat.add_into dst na bl nb in
-       let ok_add = Nat.equal (Nat.of_limbs dst nadd) (Nat.add a b) in
-       let nsub = Nat.sub_into dst nadd bl nb in
-       let ok_sub = Nat.equal (Nat.of_limbs dst nsub) a in
-       let nam = Nat.addmul1_into dst nsub bl nb ~shift:1 977 in
-       let ok_addmul =
-         Nat.equal (Nat.of_limbs dst nam)
-           (Nat.add a (Nat.shift_left (Nat.mul b (Nat.of_int 977)) Nat.base_bits))
-       in
-       let prod = Array.make 40 0 in
-       let np = Nat.mul_into prod a b in
-       let ok_mul = Nat.equal (Nat.of_limbs prod np) (Nat.mul a b) in
-       ok_add && ok_sub && ok_addmul && ok_mul)
+         (fun (_, n, ctx) ->
+            let x = Modular.reduce ctx x in
+            Nat.is_zero x
+            || Nat.equal (Modular.inv_vartime ctx x) (Modular.pow ctx x (Nat.sub n Nat.two)))
+         curve_orders)
 
 (* Exercise the limb-wise long division (divisors > 1 limb). *)
 let prop_divmod_large_divisor =
@@ -316,60 +269,34 @@ let prop_divmod_large_divisor =
        let q, r = Nat.divmod a b in
        Nat.equal a (Nat.add (Nat.mul q b) r) && Nat.compare r b < 0)
 
-let test_fast_reduction_edges () =
-  Alcotest.(check string) "odd non-curve modulus gets Montgomery" "montgomery"
-    (Modular.reduction_name (Modular.create (Nat.of_int 97)));
-  Alcotest.(check string) "even modulus stays Barrett" "barrett"
-    (Modular.reduction_name (Modular.create ~prime:false (Nat.of_int 100)));
-  Alcotest.(check string) "~fast:false forces Barrett" "barrett"
-    (Modular.reduction_name slow_secp_n);
-  Alcotest.(check string) "curve order gets Montgomery" "montgomery"
-    (Modular.reduction_name fast_secp_n);
-  List.iter
-    (fun (name, prime, fast, slow) ->
-       let check label x =
-         Alcotest.check nat
-           (Printf.sprintf "%s %s" name label)
-           (Modular.reduce slow x) (Modular.reduce fast x)
-       in
-       let pm1 = Nat.sub prime Nat.one in
-       check "(p-1)^2" (Nat.mul pm1 pm1);
-       check "p itself" prime;
-       check "2p" (Nat.add prime prime);
-       check "2^512 - 1" (Nat.sub (Nat.shift_left Nat.one 512) Nat.one);
-       check "2^600 falls back" (Nat.shift_left Nat.one 600);
-       (* out-of-contract mul operands (>= p) still reduce correctly *)
-       Alcotest.check nat
-         (Printf.sprintf "%s unreduced mul operands" name)
-         (Modular.mul slow (Modular.reduce slow (Nat.add prime Nat.two)) Nat.two)
-         (Modular.mul fast (Nat.add prime Nat.two) Nat.two))
-    [ ("secp256k1", secp_p, fast_secp, slow_secp);
-      ("p256", p256_p, fast_p256, slow_p256) ]
-
-(* Boundary residues through every strategy: 0, 1, m-1 (the residue
-   extremes), and m, m+1, 2m-1 (just above the modulus, exercising the
-   conditional-subtract tail of each reduction) — fed through [reduce],
-   [mul] and [sqr]. *)
+(* Boundary residues on every modulus: 0, 1, m-1 (the residue
+   extremes), m, m+1, 2m-1, 2m (just above the modulus, exercising the
+   conditional-subtract tail), and (m-1)^2, 2^512 - 1 and 2^600 (the
+   widest Barrett input and past it) — fed through [reduce], [mul] and
+   [sqr], each against [Nat.rem]. *)
 let test_boundary_residues () =
   List.iter
-    (fun (name, m, fast, slow) ->
-       let check label got want =
-         Alcotest.check nat (Printf.sprintf "%s %s" name label) want got
+    (fun (name, m, ctx) ->
+       let check label got x =
+         Alcotest.check nat (Printf.sprintf "%s %s" name label) (Nat.rem x m) got
        in
        let mm1 = Nat.sub m Nat.one in
-       check "reduce 0" (Modular.reduce fast Nat.zero) Nat.zero;
-       check "reduce 1" (Modular.reduce fast Nat.one) Nat.one;
-       check "reduce m-1" (Modular.reduce fast mm1) mm1;
-       check "reduce m" (Modular.reduce fast m) Nat.zero;
-       check "reduce m+1" (Modular.reduce fast (Nat.add m Nat.one)) Nat.one;
-       check "reduce 2m-1" (Modular.reduce fast (Nat.add m mm1)) mm1;
-       check "0 * (m-1)" (Modular.mul fast Nat.zero mm1) Nat.zero;
-       check "1 * (m-1)" (Modular.mul fast Nat.one mm1) mm1;
-       check "(m-1)^2 mul" (Modular.mul fast mm1 mm1)
-         (Modular.mul slow mm1 mm1);
-       check "(m-1)^2 sqr" (Modular.sqr fast mm1) (Modular.mul slow mm1 mm1);
-       check "sqr 0" (Modular.sqr fast Nat.zero) Nat.zero;
-       check "sqr 1" (Modular.sqr fast Nat.one) Nat.one)
+       let pow2 k = Nat.shift_left Nat.one k in
+       List.iter
+         (fun (label, x) -> check ("reduce " ^ label) (Modular.reduce ctx x) x)
+         [ ("0", Nat.zero); ("1", Nat.one); ("m-1", mm1); ("m", m);
+           ("m+1", Nat.add m Nat.one); ("2m-1", Nat.add m mm1); ("2m", Nat.add m m);
+           ("(m-1)^2", Nat.mul mm1 mm1); ("2^512 - 1", Nat.sub (pow2 512) Nat.one);
+           ("2^600", pow2 600) ];
+       check "0 * (m-1)" (Modular.mul ctx Nat.zero mm1) Nat.zero;
+       check "1 * (m-1)" (Modular.mul ctx Nat.one mm1) mm1;
+       check "(m-1)^2 mul" (Modular.mul ctx mm1 mm1) (Nat.mul mm1 mm1);
+       check "(m-1)^2 sqr" (Modular.sqr ctx mm1) (Nat.mul mm1 mm1);
+       (* an operand at or above m is out of contract but still reduces *)
+       let mp2 = Nat.add m Nat.two in
+       check "(m+2) * 2" (Modular.mul ctx mp2 Nat.two) (Nat.mul mp2 Nat.two);
+       check "sqr 0" (Modular.sqr ctx Nat.zero) Nat.zero;
+       check "sqr 1" (Modular.sqr ctx Nat.one) Nat.one)
     all_moduli
 
 let test_barrett_edges () =
@@ -413,7 +340,7 @@ let fe_edges prime =
   |> List.map (fun x -> Nat.rem x prime)
 
 let fe_fields =
-  [ ("secp256k1", Fe.secp256k1, slow_secp); ("p256", Fe.p256, slow_p256) ]
+  [ ("secp256k1", Fe.secp256k1, secp_p_ctx); ("p256", Fe.p256, p256_p_ctx) ]
 
 (* A residue of either field, as a seed: half the draws are edge values. *)
 let arb_fe_seed =
@@ -427,20 +354,20 @@ let arb_fe_seed =
 (* Run [check] on every field with both operands reduced into it. *)
 let on_fields check (a, b) =
   List.for_all
-    (fun (_, f, slow) -> check f slow (Modular.reduce slow a) (Modular.reduce slow b))
+    (fun (_, f, fp) -> check f fp (Modular.reduce fp a) (Modular.reduce fp b))
     fe_fields
 
 let prop_fe_arith =
   QCheck.Test.make ~name:"Fe arithmetic = Barrett" ~count:1000
     (QCheck.pair arb_fe_seed arb_fe_seed)
-    (on_fields (fun f slow a b ->
+    (on_fields (fun f fp a b ->
          let x = Fe.of_nat f a and y = Fe.of_nat f b and d = Fe.make () in
          let is op want = op (); Nat.equal (Fe.to_nat d) want in
-         is (fun () -> Fe.mul f d x y) (Modular.mul slow a b)
-         && is (fun () -> Fe.sqr f d x) (Modular.mul slow a a)
-         && is (fun () -> Fe.add f d x y) (Modular.add slow a b)
-         && is (fun () -> Fe.sub f d x y) (Modular.sub slow a b)
-         && is (fun () -> Fe.neg f d x) (Modular.neg slow a)
+         is (fun () -> Fe.mul f d x y) (Modular.mul fp a b)
+         && is (fun () -> Fe.sqr f d x) (Modular.mul fp a a)
+         && is (fun () -> Fe.add f d x y) (Modular.add fp a b)
+         && is (fun () -> Fe.sub f d x y) (Modular.sub fp a b)
+         && is (fun () -> Fe.neg f d x) (Modular.neg fp a)
          && is (fun () -> Fe.select d 1 x y) a
          && is (fun () -> Fe.select d 0 x y) b
          && Fe.equal x y = Nat.equal a b
@@ -450,39 +377,39 @@ let prop_fe_arith =
 let prop_fe_aliasing =
   QCheck.Test.make ~name:"Fe dst may alias operand" ~count:300
     (QCheck.pair arb_fe_seed arb_fe_seed)
-    (on_fields (fun f slow a b ->
+    (on_fields (fun f fp a b ->
          let into op want = let x = Fe.of_nat f a in op x; Nat.equal (Fe.to_nat x) want in
-         into (fun x -> Fe.mul f x x (Fe.of_nat f b)) (Modular.mul slow a b)
-         && into (fun x -> Fe.mul f x (Fe.of_nat f b) x) (Modular.mul slow a b)
-         && into (fun x -> Fe.mul f x x x) (Modular.mul slow a a)
-         && into (fun x -> Fe.sqr f x x) (Modular.mul slow a a)
-         && into (fun x -> Fe.sub f x (Fe.of_nat f b) x) (Modular.sub slow b a)
-         && into (fun x -> Fe.add f x x x) (Modular.add slow a a)
-         && into (fun x -> Fe.neg f x x) (Modular.neg slow a)))
+         into (fun x -> Fe.mul f x x (Fe.of_nat f b)) (Modular.mul fp a b)
+         && into (fun x -> Fe.mul f x (Fe.of_nat f b) x) (Modular.mul fp a b)
+         && into (fun x -> Fe.mul f x x x) (Modular.mul fp a a)
+         && into (fun x -> Fe.sqr f x x) (Modular.mul fp a a)
+         && into (fun x -> Fe.sub f x (Fe.of_nat f b) x) (Modular.sub fp b a)
+         && into (fun x -> Fe.add f x x x) (Modular.add fp a a)
+         && into (fun x -> Fe.neg f x x) (Modular.neg fp a)))
 
 let prop_fe_inv_sqrt =
   QCheck.Test.make ~name:"Fe inv/sqrt = Barrett pow" ~count:60
     (QCheck.pair arb_fe_seed arb_fe_seed)
-    (on_fields (fun f slow a _ ->
-         let p = Modular.modulus slow in
+    (on_fields (fun f fp a _ ->
+         let p = Modular.modulus fp in
          let x = Fe.of_nat f a and d = Fe.make () in
          Fe.inv f d x;
          let inv_ok =
            Nat.equal (Fe.to_nat d)
-             (if Nat.is_zero a then Nat.zero else Modular.pow slow a (Nat.sub p Nat.two))
+             (if Nat.is_zero a then Nat.zero else Modular.pow fp a (Nat.sub p Nat.two))
          in
-         let want = Modular.pow slow a (Nat.shift_right (Nat.add p Nat.one) 2) in
+         let want = Modular.pow fp a (Nat.shift_right (Nat.add p Nat.one) 2) in
          let root = Fe.sqrt f d x in
          inv_ok
          && Nat.equal (Fe.to_nat d) want
-         && root = Nat.equal (Modular.mul slow want want) a))
+         && root = Nat.equal (Modular.mul fp want want) a))
 
 (* Every edge residue on both fields, pairwise, plus conversions of
    out-of-range naturals. *)
 let test_fe_edges () =
   List.iter
-    (fun (name, f, slow) ->
-       let p = Modular.modulus slow in
+    (fun (name, f, fp) ->
+       let p = Modular.modulus fp in
        let edges = fe_edges p in
        List.iter
          (fun a ->
@@ -494,17 +421,17 @@ let test_fe_edges () =
               (fun b ->
                  let y = Fe.of_nat f b and d = Fe.make () in
                  Fe.mul f d x y;
-                 Alcotest.check nat (name ^ " mul") (Modular.mul slow a b) (Fe.to_nat d);
+                 Alcotest.check nat (name ^ " mul") (Modular.mul fp a b) (Fe.to_nat d);
                  Fe.add f d x y;
-                 Alcotest.check nat (name ^ " add") (Modular.add slow a b) (Fe.to_nat d);
+                 Alcotest.check nat (name ^ " add") (Modular.add fp a b) (Fe.to_nat d);
                  Fe.sub f d x y;
-                 Alcotest.check nat (name ^ " sub") (Modular.sub slow a b) (Fe.to_nat d))
+                 Alcotest.check nat (name ^ " sub") (Modular.sub fp a b) (Fe.to_nat d))
               edges;
             let d = Fe.make () in
             Fe.sqr f d x;
-            Alcotest.check nat (name ^ " sqr") (Modular.mul slow a a) (Fe.to_nat d);
+            Alcotest.check nat (name ^ " sqr") (Modular.mul fp a a) (Fe.to_nat d);
             Fe.neg f d x;
-            Alcotest.check nat (name ^ " neg") (Modular.neg slow a) (Fe.to_nat d);
+            Alcotest.check nat (name ^ " neg") (Modular.neg fp a) (Fe.to_nat d);
             if not (Nat.is_zero a) then begin
               Fe.inv f d x;
               Fe.mul f d d x;
@@ -513,7 +440,7 @@ let test_fe_edges () =
          edges;
        Alcotest.check nat (name ^ " of_nat p") Nat.zero (Fe.to_nat (Fe.of_nat f p));
        Alcotest.check nat (name ^ " of_nat 2^300")
-         (Modular.reduce slow (Nat.shift_left Nat.one 300))
+         (Modular.reduce fp (Nat.shift_left Nat.one 300))
          (Fe.to_nat (Fe.of_nat f (Nat.shift_left Nat.one 300)));
        Alcotest.(check bool) (name ^ " of_prime") true (Fe.of_prime p = Some f))
     fe_fields;
@@ -540,7 +467,6 @@ let () =
          Alcotest.test_case "inv prime" `Quick test_modular_inv;
          Alcotest.test_case "inv composite" `Quick test_modular_inv_composite;
          Alcotest.test_case "Barrett edge cases" `Quick test_barrett_edges;
-         Alcotest.test_case "fast reduction edge cases" `Quick test_fast_reduction_edges;
          Alcotest.test_case "boundary residues" `Quick test_boundary_residues ]);
       ("nat-properties",
        List.map QCheck_alcotest.to_alcotest
@@ -548,12 +474,7 @@ let () =
            prop_divmod_invariant; prop_divmod_large_divisor; prop_sub_inverse;
            prop_sqr_is_mul; prop_bytes_roundtrip; prop_decimal_roundtrip;
            prop_barrett_matches_divmod; prop_pow_add_exponents; prop_inv_involutive ]);
-      ("reduction-differential",
-       List.map QCheck_alcotest.to_alcotest
-         [ prop_fast_reduce_secp; prop_fast_reduce_p256;
-           prop_fast_mul_secp; prop_fast_mul_p256;
-           prop_mont_mul_orders; prop_sqr_aliasing;
-           prop_limb_kernels ]);
+      ("scalar-field-inversion", [ QCheck_alcotest.to_alcotest prop_inv_is_fermat ]);
       ("fe-differential",
        Alcotest.test_case "edge residues" `Quick test_fe_edges
        :: List.map QCheck_alcotest.to_alcotest

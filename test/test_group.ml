@@ -210,15 +210,15 @@ let prop_table_matches_plain =
 (* --- differential: fast scalar-multiplication paths ---------------------- *)
 
 (* The reference: a textbook affine group law (chord and tangent, None
-   the identity) over the Barrett field of [Modular.create ~fast:false],
-   sharing no code with Fe or the Jacobian formulas. Extended-Euclid
-   inversion ([~prime:false]) keeps a reference multiplication cheap. *)
+   the identity) over the Barrett field of [Modular.create], sharing no
+   code with Fe or the Jacobian formulas. Extended-Euclid inversion
+   keeps a reference multiplication cheap. *)
 module Ref = struct
   module M = Dd_bignum.Modular
 
   let fields =
     List.map
-      (fun (pr : Curve.params) -> (pr.Curve.name, M.create ~prime:false ~fast:false pr.Curve.p))
+      (fun (pr : Curve.params) -> (pr.Curve.name, M.create pr.Curve.p))
       [ Curve.secp256k1; Curve.nist_p256 ]
 
   let fp (pr : Curve.params) = List.assoc pr.Curve.name fields
@@ -233,8 +233,8 @@ module Ref = struct
         let l =
           if Nat.equal x1 x2 then
             M.mul fp (M.add fp (M.mul fp (M.of_int fp 3) (M.sqr fp x1)) pr.Curve.a)
-              (M.inv fp (M.add fp y1 y1))
-          else M.mul fp (M.sub fp y2 y1) (M.inv fp (M.sub fp x2 x1))
+              (M.inv_vartime fp (M.add fp y1 y1))
+          else M.mul fp (M.sub fp y2 y1) (M.inv_vartime fp (M.sub fp x2 x1))
         in
         let x3 = M.sub fp (M.sub fp (M.sqr fp l) x1) x2 in
         Some (x3, M.sub fp (M.mul fp l (M.sub fp x1 x3)) y1)

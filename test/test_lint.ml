@@ -236,6 +236,13 @@ let test_secret_taint () =
     "let leak c sk g tick = Curve.mul_vartime c (tick (); sk) g";
   check_clean "public scalars are fine" ~file:"lib/sig/fixture.ml"
     "let verify c s e pk = Curve.mul2 c table s e pk";
+  (* the scalar field's Euclid inverse is on the same surface *)
+  check_fires "sk into inv_vartime" "secret-taint"
+    ~file:"lib/vss/fixture.ml"
+    "let leak fn sk = Modular.inv_vartime fn sk";
+  check_clean "public index difference into inv_vartime"
+    ~file:"lib/vss/fixture.ml"
+    "let basis fn xi xj = Modular.inv_vartime fn (Modular.sub fn xj xi)";
   check_clean "constant-time mul is the fix" ~file:"lib/sig/fixture.ml"
     "let ok c sk g = Curve.mul c sk g";
   check_clean "unrelated callee with secret arg" ~file:"lib/sig/fixture.ml"
