@@ -345,19 +345,14 @@ let micro () =
   let enc = Dd_crypto.Aes128.cbc_encrypt ~key:aes_key ~iv:(Dd_crypto.Drbg.bytes rng 16) code in
   ignore enc;
   (* arithmetic-stack operands: fast contexts vs frozen seed baselines *)
-  let fe_secp = Dd_bignum.Fe.secp256k1 and fe_p256 = Dd_bignum.Fe.p256 in
-  let bar_secp = Seed_baseline.barrett Curve.secp256k1.Curve.p in
-  let bar_p256 = Seed_baseline.barrett Curve.nist_p256.Curve.p in
-  let draw p = Nat.rem (Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 32)) p in
-  let fx = draw Curve.secp256k1.Curve.p and fy = draw Curve.secp256k1.Curve.p in
-  let px = draw Curve.nist_p256.Curve.p and py = draw Curve.nist_p256.Curve.p in
+  let bar_secp = Seed_baseline.barrett Dd_bignum.Fe.prime in
+  let draw () = Nat.rem (Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 32)) Dd_bignum.Fe.prime in
+  let fx = draw () and fy = draw () in
   (* the field rows time Fe, the arithmetic Curve runs on *)
-  let fe_of f x = Dd_bignum.Fe.of_nat f x in
-  let efx = fe_of fe_secp fx and efy = fe_of fe_secp fy and edst = Dd_bignum.Fe.make () in
-  let epx = fe_of fe_p256 px and epy = fe_of fe_p256 py in
+  let efx = Dd_bignum.Fe.of_nat fx and efy = Dd_bignum.Fe.of_nat fy and edst = Dd_bignum.Fe.make () in
   let curve = Dd_group.Group_ctx.curve gctx in
   (* the full seed arithmetic stack, replicated (see seed_baseline.ml) *)
-  let sc = Seed_baseline.scurve Curve.secp256k1 in
+  let sc = Seed_baseline.scurve curve in
   let sg = Seed_baseline.of_curve_point curve (Curve.generator curve) in
   let sg_table = Seed_baseline.make_base_table sc sg in
   let pk_seed = Seed_baseline.of_curve_point curve pk in
@@ -479,22 +474,14 @@ let micro () =
                ~quorum:ucert_quorum ucert));
       (* arithmetic stack: field multiplication, before/after *)
       Test.make ~name:"arith.field-mul.secp256k1"
-        (Staged.stage (fun () -> Dd_bignum.Fe.mul fe_secp edst efx efy));
+        (Staged.stage (fun () -> Dd_bignum.Fe.mul edst efx efy));
       Test.make ~name:"arith.field-mul.secp256k1.seed-baseline"
         (Staged.stage (fun () -> Seed_baseline.field_mul bar_secp fx fy));
-      Test.make ~name:"arith.field-mul.p256"
-        (Staged.stage (fun () -> Dd_bignum.Fe.mul fe_p256 edst epx epy));
-      Test.make ~name:"arith.field-mul.p256.seed-baseline"
-        (Staged.stage (fun () -> Seed_baseline.field_mul bar_p256 px py));
       (* arithmetic stack: squaring kernel and Fermat inversion *)
       Test.make ~name:"arith.field-sqr.secp256k1"
-        (Staged.stage (fun () -> Dd_bignum.Fe.sqr fe_secp edst efx));
-      Test.make ~name:"arith.field-sqr.p256"
-        (Staged.stage (fun () -> Dd_bignum.Fe.sqr fe_p256 edst epx));
+        (Staged.stage (fun () -> Dd_bignum.Fe.sqr edst efx));
       Test.make ~name:"arith.field-inv.secp256k1"
-        (Staged.stage (fun () -> Dd_bignum.Fe.inv fe_secp edst efx));
-      Test.make ~name:"arith.field-inv.p256"
-        (Staged.stage (fun () -> Dd_bignum.Fe.inv fe_p256 edst epx));
+        (Staged.stage (fun () -> Dd_bignum.Fe.inv edst efx));
       (* arithmetic stack: scalar multiplication variants *)
       Test.make ~name:"arith.point-mul.fixed-window"
         (Staged.stage (fun () -> Curve.mul curve scalar point));

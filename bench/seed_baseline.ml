@@ -127,10 +127,10 @@ let finv b x = fpow b x (Nat.sub b.m Nat.two)
    schoolbook + Barrett arithmetic. *)
 type scurve = { fb : barrett; ca : Nat.t; order_bits : int }
 
-let scurve (params : Curve.params) =
-  { fb = barrett params.Curve.p;
-    ca = params.Curve.a;
-    order_bits = Nat.bit_length params.Curve.order }
+let scurve curve =
+  { fb = barrett Dd_bignum.Fe.prime;
+    ca = Nat.zero;
+    order_bits = Nat.bit_length (Curve.order curve) }
 
 type spoint = Inf | Jac of Nat.t * Nat.t * Nat.t
 

@@ -1,6 +1,5 @@
-(* Fixed-width field elements for the two curve primes, secp256k1's
-   p = 2^256 - 2^32 - 977 and NIST P-256's
-   p = 2^256 - 2^224 + 2^192 + 2^96 - 1.
+(* Fixed-width field elements for secp256k1's prime
+   p = 2^256 - 2^32 - 977.
 
    An element is ten 26-bit limbs, little-endian, in an [int array] the
    caller owns, always fully reduced (in [0, p), every limb < 2^26).
@@ -11,21 +10,13 @@
    [neg] and [select] allocate nothing and use no scratch, and [dst]
    may alias any input.
 
-   Reduction:
-
-   - secp256k1 folds twice: the high columns, carried into ten 26-bit
-     limbs, come down onto the low columns by 2^260 = 2^36 + 15632
-     (mod p), then the few bits above 256 by 2^256 = 2^32 + 977. The
-     value is then below 2p.
-   - P-256 carries the columns into twenty 26-bit limbs, regroups them
-     into sixteen 32-bit words and runs the
-     FIPS 186-4 D.2.3 word-sliding sum; the signed carry out of the top
-     word folds back twice through 2^256 = 2^224 - 2^192 - 2^96 + 1.
-     The value is then below 2^256 < 2p.
-
-   Both end with one conditional subtraction of p done as a mask
-   select, as do [add] and [sub]: no branch anywhere on a value. The
-   limb counts, shifts and carry chains are the same for every input. *)
+   Reduction folds twice: the high columns, carried into ten 26-bit
+   limbs, come down onto the low columns by 2^260 = 2^36 + 15632
+   (mod p), then the few bits above 256 by 2^256 = 2^32 + 977. The
+   value is then below 2p, and one conditional subtraction of p done as
+   a mask select finishes it, as it does [add] and [sub]: no branch
+   anywhere on a value. The limb counts, shifts and carry chains are
+   the same for every input. *)
 
 let mask = (1 lsl 26) - 1
 
@@ -34,18 +25,14 @@ let mask = (1 lsl 26) - 1
 external ( +! ) : int64 -> int64 -> int64 = "%int64_add"
 external ( *! ) : int64 -> int64 -> int64 = "%int64_mul"
 
-type kind = Secp256k1 | P256
+let prime = Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
 
-(* The prime's limbs are fields, not an array: a field is immutable
-   shared data. *)
-type field = {
-  kind : kind;
-  prime : Nat.t;
-  p0 : int; p1 : int; p2 : int; p3 : int; p4 : int;
-  p5 : int; p6 : int; p7 : int; p8 : int; p9 : int;
-  inv_e : Nat.t;   (* p - 2 *)
-  sqrt_e : Nat.t;  (* (p + 1) / 4; both primes are 3 mod 4 *)
-}
+(* p's ten 26-bit limbs *)
+let p0 = 0x3fffc2f and p1 = 0x3ffffbf and p2 = mask and p3 = mask and p4 = mask
+let p5 = mask and p6 = mask and p7 = mask and p8 = mask and p9 = 0x3fffff
+
+let inv_e = Nat.sub prime Nat.two
+let sqrt_e = Nat.shift_right (Nat.add prime Nat.one) 2 (* p = 3 mod 4 *)
 
 type t = int array
 
@@ -68,28 +55,7 @@ let limbs_of_nat (x : Nat.t) (dst : t) =
   dst.(8) <- (l3 lsr 22) land mask;
   dst.(9) <- ((l3 lsr 48) lor (l4 lsl 14)) land mask
 
-let make_field kind hex =
-  let prime = Nat.of_hex hex in
-  let l = make () in
-  limbs_of_nat prime l;
-  { kind; prime;
-    p0 = l.(0); p1 = l.(1); p2 = l.(2); p3 = l.(3); p4 = l.(4);
-    p5 = l.(5); p6 = l.(6); p7 = l.(7); p8 = l.(8); p9 = l.(9);
-    inv_e = Nat.sub prime Nat.two;
-    sqrt_e = Nat.shift_right (Nat.add prime Nat.one) 2 }
-
-let secp256k1 =
-  make_field Secp256k1 "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
-
-let p256 =
-  make_field P256 "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
-
-let of_prime p =
-  if Nat.equal p secp256k1.prime then Some secp256k1
-  else if Nat.equal p p256.prime then Some p256
-  else None
-
-let reduce_secp256k1 (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 =
+let reduce (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 =
   (* the high columns (each < 2^56) carried into ten 26-bit limbs *)
   let h0_ = c10 in let h0 = h0_ land mask in
   let h1_ = c11 + (h0_ lsr 26) in let h1 = h1_ land mask in
@@ -155,108 +121,7 @@ let reduce_secp256k1 (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14
   Array.unsafe_set dst 8 ((t8 land mask land m) lor (v8 land lnot m));
   Array.unsafe_set dst 9 ((t9 land 0x3fffff land m) lor (v9 land lnot m))
 
-let reduce_p256 (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 =
-  (* the columns (each < 2^56) carried into twenty 26-bit limbs *)
-  let l0_ = c0 in let l0 = l0_ land mask in
-  let l1_ = c1 + (l0_ lsr 26) in let l1 = l1_ land mask in
-  let l2_ = c2 + (l1_ lsr 26) in let l2 = l2_ land mask in
-  let l3_ = c3 + (l2_ lsr 26) in let l3 = l3_ land mask in
-  let l4_ = c4 + (l3_ lsr 26) in let l4 = l4_ land mask in
-  let l5_ = c5 + (l4_ lsr 26) in let l5 = l5_ land mask in
-  let l6_ = c6 + (l5_ lsr 26) in let l6 = l6_ land mask in
-  let l7_ = c7 + (l6_ lsr 26) in let l7 = l7_ land mask in
-  let l8_ = c8 + (l7_ lsr 26) in let l8 = l8_ land mask in
-  let l9_ = c9 + (l8_ lsr 26) in let l9 = l9_ land mask in
-  let l10_ = c10 + (l9_ lsr 26) in let l10 = l10_ land mask in
-  let l11_ = c11 + (l10_ lsr 26) in let l11 = l11_ land mask in
-  let l12_ = c12 + (l11_ lsr 26) in let l12 = l12_ land mask in
-  let l13_ = c13 + (l12_ lsr 26) in let l13 = l13_ land mask in
-  let l14_ = c14 + (l13_ lsr 26) in let l14 = l14_ land mask in
-  let l15_ = c15 + (l14_ lsr 26) in let l15 = l15_ land mask in
-  let l16_ = c16 + (l15_ lsr 26) in let l16 = l16_ land mask in
-  let l17_ = c17 + (l16_ lsr 26) in let l17 = l17_ land mask in
-  let l18_ = c18 + (l17_ lsr 26) in let l18 = l18_ land mask in
-  let l19 = l18_ lsr 26 in
-  (* the 16 32-bit words of the product *)
-  let w0 = (l0 lor (l1 lsl 26)) land 0xffffffff in
-  let w1 = ((l1 lsr 6) lor (l2 lsl 20)) land 0xffffffff in
-  let w2 = ((l2 lsr 12) lor (l3 lsl 14)) land 0xffffffff in
-  let w3 = ((l3 lsr 18) lor (l4 lsl 8)) land 0xffffffff in
-  let w4 = ((l4 lsr 24) lor (l5 lsl 2) lor (l6 lsl 28)) land 0xffffffff in
-  let w5 = ((l6 lsr 4) lor (l7 lsl 22)) land 0xffffffff in
-  let w6 = ((l7 lsr 10) lor (l8 lsl 16)) land 0xffffffff in
-  let w7 = ((l8 lsr 16) lor (l9 lsl 10)) land 0xffffffff in
-  let w8 = ((l9 lsr 22) lor (l10 lsl 4) lor (l11 lsl 30)) land 0xffffffff in
-  let w9 = ((l11 lsr 2) lor (l12 lsl 24)) land 0xffffffff in
-  let w10 = ((l12 lsr 8) lor (l13 lsl 18)) land 0xffffffff in
-  let w11 = ((l13 lsr 14) lor (l14 lsl 12)) land 0xffffffff in
-  let w12 = ((l14 lsr 20) lor (l15 lsl 6)) land 0xffffffff in
-  let w13 = (l16 lor (l17 lsl 26)) land 0xffffffff in
-  let w14 = ((l17 lsr 6) lor (l18 lsl 20)) land 0xffffffff in
-  let w15 = ((l18 lsr 12) lor (l19 lsl 14)) land 0xffffffff in
-  (* FIPS 186-4 D.2.3: signed per-word sums, each of magnitude < 2^35 *)
-  let d0 = w0 + w8 + w9 - w11 - w12 - w13 - w14 in
-  let d1 = w1 + w9 + w10 - w12 - w13 - w14 - w15 in
-  let d2 = w2 + w10 + w11 - w13 - w14 - w15 in
-  let d3 = w3 + (2 * w11) + (2 * w12) + w13 - w15 - w8 - w9 in
-  let d4 = w4 + (2 * w12) + (2 * w13) + w14 - w9 - w10 in
-  let d5 = w5 + (2 * w13) + (2 * w14) + w15 - w10 - w11 in
-  let d6 = w6 + w13 + (3 * w14) + (2 * w15) - w8 - w9 in
-  let d7 = w7 + w8 + (3 * w15) - w10 - w11 - w12 - w13 in
-  (* the signed carry out of the top word is -4 <= e1 <= 6 *)
-  let g0 = d0 land 0xffffffff and k = d0 asr 32 in
-  let x = d1 + k in let g1 = x land 0xffffffff and k = x asr 32 in
-  let x = d2 + k in let g2 = x land 0xffffffff and k = x asr 32 in
-  let x = d3 + k in let g3 = x land 0xffffffff and k = x asr 32 in
-  let x = d4 + k in let g4 = x land 0xffffffff and k = x asr 32 in
-  let x = d5 + k in let g5 = x land 0xffffffff and k = x asr 32 in
-  let x = d6 + k in let g6 = x land 0xffffffff and k = x asr 32 in
-  let x = d7 + k in let g7 = x land 0xffffffff and e1 = x asr 32 in
-  (* fold e1 * 2^256 = e1 * (2^224 - 2^192 - 2^96 + 1), twice *)
-  let g0 = g0 + e1 and g3 = g3 - e1 and g6 = g6 - e1 and g7 = g7 + e1 in
-  let h0 = g0 land 0xffffffff and k = g0 asr 32 in
-  let x = g1 + k in let h1 = x land 0xffffffff and k = x asr 32 in
-  let x = g2 + k in let h2 = x land 0xffffffff and k = x asr 32 in
-  let x = g3 + k in let h3 = x land 0xffffffff and k = x asr 32 in
-  let x = g4 + k in let h4 = x land 0xffffffff and k = x asr 32 in
-  let x = g5 + k in let h5 = x land 0xffffffff and k = x asr 32 in
-  let x = g6 + k in let h6 = x land 0xffffffff and k = x asr 32 in
-  let x = g7 + k in let h7 = x land 0xffffffff and e2 = x asr 32 in
-  let h0 = h0 + e2 and h3 = h3 - e2 and h6 = h6 - e2 and h7 = h7 + e2 in
-  let v0 = h0 land 0xffffffff and k = h0 asr 32 in
-  let x = h1 + k in let v1 = x land 0xffffffff and k = x asr 32 in
-  let x = h2 + k in let v2 = x land 0xffffffff and k = x asr 32 in
-  let x = h3 + k in let v3 = x land 0xffffffff and k = x asr 32 in
-  let x = h4 + k in let v4 = x land 0xffffffff and k = x asr 32 in
-  let x = h5 + k in let v5 = x land 0xffffffff and k = x asr 32 in
-  let x = h6 + k in let v6 = x land 0xffffffff and k = x asr 32 in
-  let x = h7 + k in let v7 = x land 0xffffffff and _e3 = x asr 32 in
-  (* v < 2p: v >= p iff v + 2^256 - p reaches 2^256 *)
-  let u0 = v0 + 1 and u3 = v3 - 1 and u6 = v6 - 1 and u7 = v7 + 1 in
-  let u1 = v1 and u2 = v2 and u4 = v4 and u5 = v5 in
-  let t0 = u0 land 0xffffffff and k = u0 asr 32 in
-  let x = u1 + k in let t1 = x land 0xffffffff and k = x asr 32 in
-  let x = u2 + k in let t2 = x land 0xffffffff and k = x asr 32 in
-  let x = u3 + k in let t3 = x land 0xffffffff and k = x asr 32 in
-  let x = u4 + k in let t4 = x land 0xffffffff and k = x asr 32 in
-  let x = u5 + k in let t5 = x land 0xffffffff and k = x asr 32 in
-  let x = u6 + k in let t6 = x land 0xffffffff and k = x asr 32 in
-  let x = u7 + k in let t7 = x land 0xffffffff and top = x asr 32 in
-  let m = - top in
-  let z0 = (t0 land m) lor (v0 land lnot m) and z1 = (t1 land m) lor (v1 land lnot m) and z2 = (t2 land m) lor (v2 land lnot m) and z3 = (t3 land m) lor (v3 land lnot m) in
-  let z4 = (t4 land m) lor (v4 land lnot m) and z5 = (t5 land m) lor (v5 land lnot m) and z6 = (t6 land m) lor (v6 land lnot m) and z7 = (t7 land m) lor (v7 land lnot m) in
-  Array.unsafe_set dst 0 ((z0) land mask);
-  Array.unsafe_set dst 1 (((z0 lsr 26) lor (z1 lsl 6)) land mask);
-  Array.unsafe_set dst 2 (((z1 lsr 20) lor (z2 lsl 12)) land mask);
-  Array.unsafe_set dst 3 (((z2 lsr 14) lor (z3 lsl 18)) land mask);
-  Array.unsafe_set dst 4 (((z3 lsr 8) lor (z4 lsl 24)) land mask);
-  Array.unsafe_set dst 5 (((z4 lsr 2)) land mask);
-  Array.unsafe_set dst 6 (((z4 lsr 28) lor (z5 lsl 4)) land mask);
-  Array.unsafe_set dst 7 (((z5 lsr 22) lor (z6 lsl 10)) land mask);
-  Array.unsafe_set dst 8 (((z6 lsr 16) lor (z7 lsl 16)) land mask);
-  Array.unsafe_set dst 9 (((z7 lsr 10)) land mask)
-
-let mul f (dst : t) (a : t) (b : t) =
+let mul (dst : t) (a : t) (b : t) =
   let a0 = Int64.of_int (Array.unsafe_get a 0) and a1 = Int64.of_int (Array.unsafe_get a 1) and a2 = Int64.of_int (Array.unsafe_get a 2) and a3 = Int64.of_int (Array.unsafe_get a 3) and a4 = Int64.of_int (Array.unsafe_get a 4) in
   let a5 = Int64.of_int (Array.unsafe_get a 5) and a6 = Int64.of_int (Array.unsafe_get a 6) and a7 = Int64.of_int (Array.unsafe_get a 7) and a8 = Int64.of_int (Array.unsafe_get a 8) and a9 = Int64.of_int (Array.unsafe_get a 9) in
   let b0 = Int64.of_int (Array.unsafe_get b 0) and b1 = Int64.of_int (Array.unsafe_get b 1) and b2 = Int64.of_int (Array.unsafe_get b 2) and b3 = Int64.of_int (Array.unsafe_get b 3) and b4 = Int64.of_int (Array.unsafe_get b 4) in
@@ -280,11 +145,9 @@ let mul f (dst : t) (a : t) (b : t) =
   let c16 = Int64.to_int (a7 *! b9 +! a8 *! b8 +! a9 *! b7) in
   let c17 = Int64.to_int (a8 *! b9 +! a9 *! b8) in
   let c18 = Int64.to_int (a9 *! b9) in
-  match f.kind with
-  | Secp256k1 -> reduce_secp256k1 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
-  | P256 -> reduce_p256 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
+  reduce dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
 
-let sqr f (dst : t) (a : t) =
+let sqr (dst : t) (a : t) =
   let a0 = Int64.of_int (Array.unsafe_get a 0) and a1 = Int64.of_int (Array.unsafe_get a 1) and a2 = Int64.of_int (Array.unsafe_get a 2) and a3 = Int64.of_int (Array.unsafe_get a 3) and a4 = Int64.of_int (Array.unsafe_get a 4) in
   let a5 = Int64.of_int (Array.unsafe_get a 5) and a6 = Int64.of_int (Array.unsafe_get a 6) and a7 = Int64.of_int (Array.unsafe_get a 7) and a8 = Int64.of_int (Array.unsafe_get a 8) and a9 = Int64.of_int (Array.unsafe_get a 9) in
   let d0 = a0 +! a0 in
@@ -315,11 +178,9 @@ let sqr f (dst : t) (a : t) =
   let c16 = Int64.to_int (d7 *! a9 +! a8 *! a8) in
   let c17 = Int64.to_int (d8 *! a9) in
   let c18 = Int64.to_int (a9 *! a9) in
-  match f.kind with
-  | Secp256k1 -> reduce_secp256k1 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
-  | P256 -> reduce_p256 dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
+  reduce dst c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18
 
-let add f (dst : t) (a : t) (b : t) =
+let add (dst : t) (a : t) (b : t) =
   let s0 = Array.unsafe_get a 0 + Array.unsafe_get b 0 in
   let s1 = Array.unsafe_get a 1 + Array.unsafe_get b 1 + (s0 lsr 26) in
   let s2 = Array.unsafe_get a 2 + Array.unsafe_get b 2 + (s1 lsr 26) in
@@ -339,16 +200,16 @@ let add f (dst : t) (a : t) (b : t) =
   let s6 = s6 land mask in
   let s7 = s7 land mask in
   let s8 = s8 land mask in
-  let t0 = s0 - f.p0 in
-  let t1 = s1 - f.p1 + (t0 asr 26) in
-  let t2 = s2 - f.p2 + (t1 asr 26) in
-  let t3 = s3 - f.p3 + (t2 asr 26) in
-  let t4 = s4 - f.p4 + (t3 asr 26) in
-  let t5 = s5 - f.p5 + (t4 asr 26) in
-  let t6 = s6 - f.p6 + (t5 asr 26) in
-  let t7 = s7 - f.p7 + (t6 asr 26) in
-  let t8 = s8 - f.p8 + (t7 asr 26) in
-  let t9 = s9 - f.p9 + (t8 asr 26) in
+  let t0 = s0 - p0 in
+  let t1 = s1 - p1 + (t0 asr 26) in
+  let t2 = s2 - p2 + (t1 asr 26) in
+  let t3 = s3 - p3 + (t2 asr 26) in
+  let t4 = s4 - p4 + (t3 asr 26) in
+  let t5 = s5 - p5 + (t4 asr 26) in
+  let t6 = s6 - p6 + (t5 asr 26) in
+  let t7 = s7 - p7 + (t6 asr 26) in
+  let t8 = s8 - p8 + (t7 asr 26) in
+  let t9 = s9 - p9 + (t8 asr 26) in
   let m = t9 asr 26 in
   Array.unsafe_set dst 0 ((s0 land m) lor (t0 land mask land lnot m));
   Array.unsafe_set dst 1 ((s1 land m) lor (t1 land mask land lnot m));
@@ -361,7 +222,7 @@ let add f (dst : t) (a : t) (b : t) =
   Array.unsafe_set dst 8 ((s8 land m) lor (t8 land mask land lnot m));
   Array.unsafe_set dst 9 ((s9 land m) lor (t9 land mask land lnot m))
 
-let sub f (dst : t) (a : t) (b : t) =
+let sub (dst : t) (a : t) (b : t) =
   let d0 = Array.unsafe_get a 0 - Array.unsafe_get b 0 in
   let d1 = Array.unsafe_get a 1 - Array.unsafe_get b 1 + (d0 asr 26) in
   let d2 = Array.unsafe_get a 2 - Array.unsafe_get b 2 + (d1 asr 26) in
@@ -373,16 +234,16 @@ let sub f (dst : t) (a : t) (b : t) =
   let d8 = Array.unsafe_get a 8 - Array.unsafe_get b 8 + (d7 asr 26) in
   let d9 = Array.unsafe_get a 9 - Array.unsafe_get b 9 + (d8 asr 26) in
   let m = d9 asr 26 in
-  let t0 = (d0 land mask) + (f.p0 land m) in
-  let t1 = (d1 land mask) + (f.p1 land m) + (t0 lsr 26) in
-  let t2 = (d2 land mask) + (f.p2 land m) + (t1 lsr 26) in
-  let t3 = (d3 land mask) + (f.p3 land m) + (t2 lsr 26) in
-  let t4 = (d4 land mask) + (f.p4 land m) + (t3 lsr 26) in
-  let t5 = (d5 land mask) + (f.p5 land m) + (t4 lsr 26) in
-  let t6 = (d6 land mask) + (f.p6 land m) + (t5 lsr 26) in
-  let t7 = (d7 land mask) + (f.p7 land m) + (t6 lsr 26) in
-  let t8 = (d8 land mask) + (f.p8 land m) + (t7 lsr 26) in
-  let t9 = (d9 land mask) + (f.p9 land m) + (t8 lsr 26) in
+  let t0 = (d0 land mask) + (p0 land m) in
+  let t1 = (d1 land mask) + (p1 land m) + (t0 lsr 26) in
+  let t2 = (d2 land mask) + (p2 land m) + (t1 lsr 26) in
+  let t3 = (d3 land mask) + (p3 land m) + (t2 lsr 26) in
+  let t4 = (d4 land mask) + (p4 land m) + (t3 lsr 26) in
+  let t5 = (d5 land mask) + (p5 land m) + (t4 lsr 26) in
+  let t6 = (d6 land mask) + (p6 land m) + (t5 lsr 26) in
+  let t7 = (d7 land mask) + (p7 land m) + (t6 lsr 26) in
+  let t8 = (d8 land mask) + (p8 land m) + (t7 lsr 26) in
+  let t9 = (d9 land mask) + (p9 land m) + (t8 lsr 26) in
   Array.unsafe_set dst 0 (t0 land mask);
   Array.unsafe_set dst 1 (t1 land mask);
   Array.unsafe_set dst 2 (t2 land mask);
@@ -394,7 +255,7 @@ let sub f (dst : t) (a : t) (b : t) =
   Array.unsafe_set dst 8 (t8 land mask);
   Array.unsafe_set dst 9 (t9 land mask)
 
-let neg f (dst : t) (a : t) =
+let neg (dst : t) (a : t) =
   let d0 = - Array.unsafe_get a 0 in
   let d1 = (d0 asr 26) - Array.unsafe_get a 1 in
   let d2 = (d1 asr 26) - Array.unsafe_get a 2 in
@@ -406,16 +267,16 @@ let neg f (dst : t) (a : t) =
   let d8 = (d7 asr 26) - Array.unsafe_get a 8 in
   let d9 = (d8 asr 26) - Array.unsafe_get a 9 in
   let m = d9 asr 26 in
-  let t0 = (d0 land mask) + (f.p0 land m) in
-  let t1 = (d1 land mask) + (f.p1 land m) + (t0 lsr 26) in
-  let t2 = (d2 land mask) + (f.p2 land m) + (t1 lsr 26) in
-  let t3 = (d3 land mask) + (f.p3 land m) + (t2 lsr 26) in
-  let t4 = (d4 land mask) + (f.p4 land m) + (t3 lsr 26) in
-  let t5 = (d5 land mask) + (f.p5 land m) + (t4 lsr 26) in
-  let t6 = (d6 land mask) + (f.p6 land m) + (t5 lsr 26) in
-  let t7 = (d7 land mask) + (f.p7 land m) + (t6 lsr 26) in
-  let t8 = (d8 land mask) + (f.p8 land m) + (t7 lsr 26) in
-  let t9 = (d9 land mask) + (f.p9 land m) + (t8 lsr 26) in
+  let t0 = (d0 land mask) + (p0 land m) in
+  let t1 = (d1 land mask) + (p1 land m) + (t0 lsr 26) in
+  let t2 = (d2 land mask) + (p2 land m) + (t1 lsr 26) in
+  let t3 = (d3 land mask) + (p3 land m) + (t2 lsr 26) in
+  let t4 = (d4 land mask) + (p4 land m) + (t3 lsr 26) in
+  let t5 = (d5 land mask) + (p5 land m) + (t4 lsr 26) in
+  let t6 = (d6 land mask) + (p6 land m) + (t5 lsr 26) in
+  let t7 = (d7 land mask) + (p7 land m) + (t6 lsr 26) in
+  let t8 = (d8 land mask) + (p8 land m) + (t7 lsr 26) in
+  let t9 = (d9 land mask) + (p9 land m) + (t8 lsr 26) in
   Array.unsafe_set dst 0 (t0 land mask);
   Array.unsafe_set dst 1 (t1 land mask);
   Array.unsafe_set dst 2 (t2 land mask);
@@ -468,9 +329,9 @@ let equal (x : t) (y : t) =
   for i = 0 to 9 do acc := !acc lor (Array.unsafe_get x i lxor Array.unsafe_get y i) done;
   !acc = 0
 
-let of_nat f x =
+let of_nat x =
   let r = make () in
-  limbs_of_nat (if Nat.compare x f.prime >= 0 then Nat.rem x f.prime else x) r;
+  limbs_of_nat (if Nat.compare x prime >= 0 then Nat.rem x prime else x) r;
   r
 
 (* The residue as Nat's five 62-bit limbs. *)
@@ -486,27 +347,27 @@ let to_nat (x : t) =
 (* dst := a^e for a public exponent, by fixed 4-bit windows: four
    squarings and one multiplication per window, the window's power
    read from a table of a^0 .. a^15. *)
-let pow f (dst : t) (a : t) e =
+let pow (dst : t) (a : t) e =
   let tbl = Array.init 16 (fun _ -> make ()) in
   set_one tbl.(0);
-  for d = 1 to 15 do mul f tbl.(d) tbl.(d - 1) a done;
+  for d = 1 to 15 do mul tbl.(d) tbl.(d - 1) a done;
   let acc = make () in
   set_one acc;
   for w = (Nat.bit_length e + 3) / 4 - 1 downto 0 do
-    for _ = 1 to 4 do sqr f acc acc done;
+    for _ = 1 to 4 do sqr acc acc done;
     let d = ref 0 in
     for j = 3 downto 0 do d := (2 * !d) + Bool.to_int (Nat.testbit e ((4 * w) + j)) done;
-    mul f acc acc tbl.(!d)
+    mul acc acc tbl.(!d)
   done;
   set dst acc
 
-let inv f dst a = pow f dst a f.inv_e
+let inv dst a = pow dst a inv_e
 
-let sqrt f dst a =
+let sqrt dst a =
   let y = make () in
-  pow f y a f.sqrt_e;
+  pow y a sqrt_e;
   let yy = make () in
-  sqr f yy y;
+  sqr yy y;
   let root = equal yy a in
   set dst y;
   root

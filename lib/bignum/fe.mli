@@ -1,5 +1,5 @@
-(** Fixed-width field elements for the two curve primes (secp256k1 and
-    NIST P-256).
+(** Fixed-width field elements for secp256k1's prime
+    p = 2^256 - 2^32 - 977.
 
     An element is ten 26-bit limbs in a caller-owned [int array], kept
     fully reduced. The arithmetic writes into a destination given first,
@@ -7,32 +7,27 @@
     [select] allocate nothing, use no [Domain.DLS] scratch and have no
     branch on a value: their limb loops, carry chains and the final
     conditional subtraction of p (a mask select) run the same for every
-    input. secp256k1 reduces by folding 2^260 = 2^36 + 15632 and then
-    2^256 = 2^32 + 977; P-256 by the FIPS 186-4 word-sliding sum.
+    input. Reduction folds 2^260 = 2^36 + 15632 and then
+    2^256 = 2^32 + 977.
 
-    The module holds no mutable state of its own: a {!field} is
-    immutable, and every element belongs to its caller. An element
-    stands for the same residue whatever produced it, so the entry
-    points are taint sources for R7: a secret's limbs are as secret as
-    the secret. *)
-
-type field
+    The module holds no mutable state of its own: the prime and its
+    limbs are module constants, and every element belongs to its
+    caller. An element stands for the same residue whatever produced
+    it, so the entry points are taint sources for R7: a secret's limbs
+    are as secret as the secret. *)
 
 (** An element: ten 26-bit limbs, least significant first. *)
 type t = int array
 
-val secp256k1 : field
-val p256 : field
-
-(** [of_prime p] is the field for [p], if [p] is one of the two. *)
-val of_prime : Nat.t -> field option
+(** The field prime p. *)
+val prime : Nat.t
 
 (** A fresh element holding zero. *)
 val make : unit -> t
 
-(** [of_nat f x] is [x mod p] as a fresh element. *)
+(** [of_nat x] is [x mod p] as a fresh element. *)
 (* lint: secret *)
-val of_nat : field -> Nat.t -> t
+val of_nat : Nat.t -> t
 
 (** The residue an element holds. *)
 (* lint: secret *)
@@ -50,22 +45,22 @@ val set_one : t -> unit
 val pack : t -> int array -> int -> unit
 val unpack : int array -> int -> t -> unit
 
-(** [mul f dst a b]: [dst := a * b mod p]. *)
+(** [mul dst a b]: [dst := a * b mod p]. *)
 (* lint: secret *)
-val mul : field -> t -> t -> t -> unit
+val mul : t -> t -> t -> unit
 
-(** [sqr f dst a]: [dst := a^2 mod p], 55 limb products instead of 100. *)
+(** [sqr dst a]: [dst := a^2 mod p], 55 limb products instead of 100. *)
 (* lint: secret *)
-val sqr : field -> t -> t -> unit
-
-(* lint: secret *)
-val add : field -> t -> t -> t -> unit
+val sqr : t -> t -> unit
 
 (* lint: secret *)
-val sub : field -> t -> t -> t -> unit
+val add : t -> t -> t -> unit
 
 (* lint: secret *)
-val neg : field -> t -> t -> unit
+val sub : t -> t -> t -> unit
+
+(* lint: secret *)
+val neg : t -> t -> unit
 
 (** [select dst c a b]: [dst := a] if [c = 1], [b] if [c = 0], by masks. *)
 (* lint: secret *)
@@ -76,13 +71,13 @@ val select : t -> int -> t -> t -> unit
 val is_zero : t -> bool
 val equal : t -> t -> bool
 
-(** [inv f dst a]: [dst := a^(p-2)], the inverse of a nonzero [a] (zero
+(** [inv dst a]: [dst := a^(p-2)], the inverse of a nonzero [a] (zero
     maps to zero), by a fixed-window square-and-multiply chain over the
     public exponent. *)
 (* lint: secret *)
-val inv : field -> t -> t -> unit
+val inv : t -> t -> unit
 
-(** [sqrt f dst a] writes [a^((p+1)/4)] into [dst] and tells whether it
-    is a square root of [a] (p = 3 mod 4 for both primes). *)
+(** [sqrt dst a] writes [a^((p+1)/4)] into [dst] and tells whether it
+    is a square root of [a] (p = 3 mod 4). *)
 (* lint: secret *)
-val sqrt : field -> t -> t -> bool
+val sqrt : t -> t -> bool

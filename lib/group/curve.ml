@@ -1,29 +1,19 @@
-(* Short-Weierstrass elliptic curve group, y^2 = x^3 + a x + b over F_p,
-   with Jacobian-coordinate arithmetic (X/Z^2, Y/Z^3). This is the group
-   underlying the paper's lifted-ElGamal option-encoding commitments,
-   Chaum-Pedersen proofs, and Schnorr signatures (replacing MIRACL).
+(* The secp256k1 group, y^2 = x^3 + 7 over F_p, with Jacobian-coordinate
+   arithmetic (X/Z^2, Y/Z^3). This is the group underlying the paper's
+   lifted-ElGamal option-encoding commitments, Chaum-Pedersen proofs,
+   and Schnorr signatures (replacing MIRACL).
 
-   Every base-field operation runs on [Fe]'s fixed-width limbs, one code
-   path for both curves. [Nat] crosses into [Fe] only at the edges: the
-   curve constants, [of_affine], [to_affine], the codecs, [on_curve],
-   [field_sqrt] and [hash_to_point]. *)
+   Every base-field operation runs on [Fe]'s fixed-width limbs. [Nat]
+   crosses into [Fe] only at the edges: the curve constants,
+   [of_affine], [to_affine], the codecs, [on_curve], [field_sqrt] and
+   [hash_to_point]. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 module Fe = Dd_bignum.Fe
 
-type params = {
-  p : Nat.t;            (* field prime *)
-  a : Nat.t;
-  b : Nat.t;
-  gx : Nat.t;
-  gy : Nat.t;
-  order : Nat.t;        (* prime order n of the generator *)
-  name : string;
-}
-
-(* GLV endomorphism data for j-invariant-0 curves (secp256k1): with
-   beta a primitive cube root of unity mod p, (x, y) -> (beta*x, y) is
+(* GLV endomorphism data (secp256k1 has j-invariant 0): with beta a
+   primitive cube root of unity mod p, (x, y) -> (beta*x, y) is
    multiplication by the scalar lambda, and (a1, -b1), (a2, b2) is a
    short lattice basis for splitting a 256-bit scalar into two signed
    ~128-bit halves. Used only by the vartime msm path. *)
@@ -54,8 +44,8 @@ type scratch = {
 }
 
 (* Odd multiples P, 3P, 5P, ... of a finite point, affine: x, y and the
-   phi-image's beta x ([||] without an endomorphism), five [Fe.pack]ed
-   words per entry. Negations are taken at read time. *)
+   phi-image's beta x, five [Fe.pack]ed words per entry. Negations are
+   taken at read time. *)
 type odd_table = { ox : int array; oy : int array; obx : int array }
 
 (* Wide odd-multiple tables for a fixed point, precomputed once and
@@ -72,50 +62,26 @@ type precomp = {
 }
 
 type t = {
-  params : params;
   fn : Modular.ctx;     (* arithmetic mod order *)
-  fe : Fe.field;        (* arithmetic mod p *)
-  fa : Fe.t;            (* params.a and params.b; never written *)
-  fb : Fe.t;
   gen : point;
-  byte_len : int;       (* field element encoding length *)
-  endo : endo option;   (* GLV split for the msm path, where applicable *)
   gen_tables : precomp option Atomic.t;
   (* generator table cache, published once via compare-and-set: a race
      may compute it twice, but every domain observes a single value *)
 }
 
-(* secp256k1: y^2 = x^3 + 7. *)
-let secp256k1 = {
-  p = Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
-  a = Nat.zero;
-  b = Nat.of_int 7;
-  gx = Nat.of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798";
-  gy = Nat.of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8";
-  order = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141";
-  name = "secp256k1";
-}
-
-(* NIST P-256 (a = -3 mod p): exercises the general-a arithmetic. *)
-let nist_p256 =
-  let p = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
-  {
-    p;
-    a = Nat.sub p (Nat.of_int 3);
-    b = Nat.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
-    gx = Nat.of_hex "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
-    gy = Nat.of_hex "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
-    order = Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
-    name = "nist-p256";
-  }
+(* The prime order n of the generator, and the 32-byte width of an
+   encoded coordinate. *)
+let order_n = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
+let field_bytes = 32
 
 let scalar_field t = t.fn
-let order t = t.params.order
-let byte_len t = t.byte_len
+let order (_ : t) = order_n
+let byte_len (_ : t) = field_bytes
 
 (* --- points and registers ---------------------------------------------- *)
 
 let one = let o = Fe.make () in Fe.set_one o; o (* shared, never written *)
+let seven = Fe.of_nat (Nat.of_int 7) (* b, likewise *)
 
 (* lint: allow domain-safe-state — the identity, never written *)
 let infinity : point = Array.make 30 0
@@ -154,203 +120,188 @@ let is_affine (p : point) = not (is_infinity p) && Fe.equal (loaded p).z one
    one field inversion. out.(i) first holds the product of the elements
    before index i; the backward pass peels per-element inverses off the
    inverted total, ~3 field mults per element. *)
-let batch_inv t (xs : Fe.t array) =
-  let f = t.fe in
+let batch_inv (xs : Fe.t array) =
   let n = Array.length xs in
   let out = Array.init n (fun _ -> Fe.make ()) in
   let run = Fe.make () in
   Fe.set_one run;
   for i = 0 to n - 1 do
     Fe.set out.(i) run;
-    Fe.mul f run run xs.(i)
+    Fe.mul run run xs.(i)
   done;
-  if n > 0 then Fe.inv f run run;
+  if n > 0 then Fe.inv run run;
   for i = n - 1 downto 0 do
-    Fe.mul f out.(i) out.(i) run;
-    Fe.mul f run run xs.(i)
+    Fe.mul out.(i) out.(i) run;
+    Fe.mul run run xs.(i)
   done;
   out
 
 (* The affine (x, y) of finite registers, sharing one inversion. *)
-let normalize t (js : jac array) =
-  let f = t.fe in
-  let zis = batch_inv t (Array.map (fun j -> j.z) js) in
+let normalize (js : jac array) =
+  let zis = batch_inv (Array.map (fun j -> j.z) js) in
   Array.mapi
     (fun i j ->
        let zz = Fe.make () and x = Fe.make () and y = Fe.make () in
-       Fe.sqr f zz zis.(i);
-       Fe.mul f x j.x zz;
-       Fe.mul f zz zz zis.(i);
-       Fe.mul f y j.y zz;
+       Fe.sqr zz zis.(i);
+       Fe.mul x j.x zz;
+       Fe.mul zz zz zis.(i);
+       Fe.mul y j.y zz;
        (x, y))
     js
 
 (* Batch normalization: only finite points off Z = 1 need an inverse,
    and they share one inversion through [batch_inv]. Points already at
    Z = 1 (decoded points, table entries) skip the field work. *)
-let to_affine_batch t pts =
+let to_affine_batch (_ : t) pts =
   let js = Array.map loaded pts in
   let pending j = not (Fe.is_zero j.z || Fe.equal j.z one) in
   let pending = List.filter pending (Array.to_list js) in
-  let aff = normalize t (Array.of_list pending) in
+  let aff = normalize (Array.of_list pending) in
   List.iteri (fun i j -> let x, y = aff.(i) in Fe.set j.x x; Fe.set j.y y) pending;
   Array.map (fun j -> if Fe.is_zero j.z then None else Some (Fe.to_nat j.x, Fe.to_nat j.y)) js
 
 let to_affine t pt = (to_affine_batch t [| pt |]).(0)
 
-let of_affine t (x, y) = affine_point (Fe.of_nat t.fe x) (Fe.of_nat t.fe y)
+let of_affine (_ : t) (x, y) = affine_point (Fe.of_nat x) (Fe.of_nat y)
 
-(* dst := x^3 + a x + b, as (x^2 + a) x + b. *)
-let curve_rhs t dst x =
-  let f = t.fe in
-  Fe.sqr f dst x;
-  Fe.add f dst dst t.fa;
-  Fe.mul f dst dst x;
-  Fe.add f dst dst t.fb
+(* dst := x^3 + 7. *)
+let curve_rhs dst x =
+  Fe.sqr dst x;
+  Fe.mul dst dst x;
+  Fe.add dst dst seven
 
-let on_curve t (x, y) =
-  let f = t.fe in
-  let lhs = Fe.of_nat f y and rhs = Fe.make () in
-  Fe.sqr f lhs lhs;
-  curve_rhs t rhs (Fe.of_nat f x);
+let on_curve (_ : t) (x, y) =
+  let lhs = Fe.of_nat y and rhs = Fe.make () in
+  Fe.sqr lhs lhs;
+  curve_rhs rhs (Fe.of_nat x);
   Fe.equal lhs rhs
 
 (* --- the group law on registers ----------------------------------------- *)
 
-(* r := 2a by dbl-2007-bl (general a; a = 0 skips a square and a
-   multiply, and a is a public constant). The identity (Z = 0) and a
+(* r := 2a by dbl-2007-bl with a = 0. The identity (Z = 0) and a
    point with y = 0 both double to Z3 = 0 through the formula itself.
    [r] may be [a]. *)
-let dbl t s r a =
-  let f = t.fe in
-  Fe.sqr f s.t0 a.x;
-  Fe.sqr f s.t1 a.y;
-  Fe.sqr f s.t2 s.t1;
-  Fe.sqr f s.t3 a.z;
+let dbl s r a =
+  Fe.sqr s.t0 a.x;
+  Fe.sqr s.t1 a.y;
+  Fe.sqr s.t2 s.t1;
+  Fe.sqr s.t3 a.z;
   (* S = 2 ((X + YY)^2 - XX - YYYY) *)
-  Fe.add f s.t4 a.x s.t1;
-  Fe.sqr f s.t4 s.t4;
-  Fe.sub f s.t4 s.t4 s.t0;
-  Fe.sub f s.t4 s.t4 s.t2;
-  Fe.add f s.t4 s.t4 s.t4;
-  (* M = 3 XX + a ZZ^2 *)
-  Fe.add f s.t5 s.t0 s.t0;
-  Fe.add f s.t5 s.t5 s.t0;
-  if not (Fe.is_zero t.fa) then begin
-    Fe.sqr f s.t6 s.t3;
-    Fe.mul f s.t6 s.t6 t.fa;
-    Fe.add f s.t5 s.t5 s.t6
-  end;
+  Fe.add s.t4 a.x s.t1;
+  Fe.sqr s.t4 s.t4;
+  Fe.sub s.t4 s.t4 s.t0;
+  Fe.sub s.t4 s.t4 s.t2;
+  Fe.add s.t4 s.t4 s.t4;
+  (* M = 3 XX *)
+  Fe.add s.t5 s.t0 s.t0;
+  Fe.add s.t5 s.t5 s.t0;
   (* Z3 = (Y + Z)^2 - YY - ZZ, X3 = M^2 - 2 S, Y3 = M (S - X3) - 8 YYYY *)
-  Fe.add f s.t6 a.y a.z;
-  Fe.sqr f s.t6 s.t6;
-  Fe.sub f s.t6 s.t6 s.t1;
-  Fe.sub f r.z s.t6 s.t3;
-  Fe.sqr f s.t6 s.t5;
-  Fe.sub f s.t6 s.t6 s.t4;
-  Fe.sub f r.x s.t6 s.t4;
-  Fe.sub f s.t4 s.t4 r.x;
-  Fe.mul f s.t4 s.t5 s.t4;
-  Fe.add f s.t2 s.t2 s.t2;
-  Fe.add f s.t2 s.t2 s.t2;
-  Fe.add f s.t2 s.t2 s.t2;
-  Fe.sub f r.y s.t4 s.t2
+  Fe.add s.t6 a.y a.z;
+  Fe.sqr s.t6 s.t6;
+  Fe.sub s.t6 s.t6 s.t1;
+  Fe.sub r.z s.t6 s.t3;
+  Fe.sqr s.t6 s.t5;
+  Fe.sub s.t6 s.t6 s.t4;
+  Fe.sub r.x s.t6 s.t4;
+  Fe.sub s.t4 s.t4 r.x;
+  Fe.mul s.t4 s.t5 s.t4;
+  Fe.add s.t2 s.t2 s.t2;
+  Fe.add s.t2 s.t2 s.t2;
+  Fe.add s.t2 s.t2 s.t2;
+  Fe.sub r.y s.t4 s.t2
 
 (* The tail shared by both additions: from H (t1), R = 2 (S2 - S1)
    (t2), U1 (t3), S1 (t4) and Z3 (in t6), r := (R^2 - J - 2V,
    R (V - X3) - 2 S1 J, Z3) with I = (2H)^2, J = H I, V = U1 I. *)
-let add_tail t s r =
-  let f = t.fe in
-  Fe.add f s.t0 s.t1 s.t1;
-  Fe.sqr f s.t0 s.t0;
-  Fe.mul f s.t5 s.t1 s.t0;
-  Fe.mul f s.t3 s.t3 s.t0;
-  Fe.sqr f s.t7 s.t2;
-  Fe.sub f s.t7 s.t7 s.t5;
-  Fe.sub f s.t7 s.t7 s.t3;
-  Fe.sub f r.x s.t7 s.t3;
-  Fe.sub f s.t3 s.t3 r.x;
-  Fe.mul f s.t3 s.t2 s.t3;
-  Fe.mul f s.t4 s.t4 s.t5;
-  Fe.add f s.t4 s.t4 s.t4;
-  Fe.sub f r.y s.t3 s.t4;
+let add_tail s r =
+  Fe.add s.t0 s.t1 s.t1;
+  Fe.sqr s.t0 s.t0;
+  Fe.mul s.t5 s.t1 s.t0;
+  Fe.mul s.t3 s.t3 s.t0;
+  Fe.sqr s.t7 s.t2;
+  Fe.sub s.t7 s.t7 s.t5;
+  Fe.sub s.t7 s.t7 s.t3;
+  Fe.sub r.x s.t7 s.t3;
+  Fe.sub s.t3 s.t3 r.x;
+  Fe.mul s.t3 s.t2 s.t3;
+  Fe.mul s.t4 s.t4 s.t5;
+  Fe.add s.t4 s.t4 s.t4;
+  Fe.sub r.y s.t3 s.t4;
   Fe.set r.z s.t6
 
 (* r := a + b by add-2007-bl. An identity operand yields the other one
    and equal operands fall back to [dbl]; opposite operands need no
    case, since their H = 0 makes Z3 = 0. [r] may be [a] or [b]. *)
-let add_j t s r a b =
+let add_j s r a b =
   if Fe.is_zero a.z then copy r b
   else if Fe.is_zero b.z then copy r a
   else begin
-    let f = t.fe in
-    Fe.sqr f s.t0 a.z;
-    Fe.sqr f s.t5 b.z;
-    Fe.mul f s.t3 a.x s.t5;
-    Fe.mul f s.t1 b.x s.t0;
-    Fe.sub f s.t1 s.t1 s.t3;
-    Fe.mul f s.t4 a.y b.z;
-    Fe.mul f s.t4 s.t4 s.t5;
-    Fe.mul f s.t2 b.y a.z;
-    Fe.mul f s.t2 s.t2 s.t0;
-    Fe.sub f s.t2 s.t2 s.t4;
-    Fe.add f s.t2 s.t2 s.t2;
-    if Fe.is_zero s.t1 && Fe.is_zero s.t2 then dbl t s r a
+    Fe.sqr s.t0 a.z;
+    Fe.sqr s.t5 b.z;
+    Fe.mul s.t3 a.x s.t5;
+    Fe.mul s.t1 b.x s.t0;
+    Fe.sub s.t1 s.t1 s.t3;
+    Fe.mul s.t4 a.y b.z;
+    Fe.mul s.t4 s.t4 s.t5;
+    Fe.mul s.t2 b.y a.z;
+    Fe.mul s.t2 s.t2 s.t0;
+    Fe.sub s.t2 s.t2 s.t4;
+    Fe.add s.t2 s.t2 s.t2;
+    if Fe.is_zero s.t1 && Fe.is_zero s.t2 then dbl s r a
     else begin
       (* Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) H *)
-      Fe.add f s.t6 a.z b.z;
-      Fe.sqr f s.t6 s.t6;
-      Fe.sub f s.t6 s.t6 s.t0;
-      Fe.sub f s.t6 s.t6 s.t5;
-      Fe.mul f s.t6 s.t6 s.t1;
-      add_tail t s r
+      Fe.add s.t6 a.z b.z;
+      Fe.sqr s.t6 s.t6;
+      Fe.sub s.t6 s.t6 s.t0;
+      Fe.sub s.t6 s.t6 s.t5;
+      Fe.mul s.t6 s.t6 s.t1;
+      add_tail s r
     end
   end
 
 (* r := a + (x2, y2) for a finite affine operand, by madd-2007-bl: the
    Z2 arithmetic of [add_j] drops out (~30% fewer field mults). Same
    cases as [add_j]. [x2] and [y2] must not be registers of [r]. *)
-let madd t s r a x2 y2 =
+let madd s r a x2 y2 =
   if Fe.is_zero a.z then begin
     Fe.set r.x x2;
     Fe.set r.y y2;
     Fe.set_one r.z
   end
   else begin
-    let f = t.fe in
-    Fe.sqr f s.t0 a.z;
-    Fe.mul f s.t1 x2 s.t0;
-    Fe.sub f s.t1 s.t1 a.x;
-    Fe.mul f s.t2 a.z s.t0;
-    Fe.mul f s.t2 y2 s.t2;
-    Fe.sub f s.t2 s.t2 a.y;
-    Fe.add f s.t2 s.t2 s.t2;
-    if Fe.is_zero s.t1 && Fe.is_zero s.t2 then dbl t s r a
+    Fe.sqr s.t0 a.z;
+    Fe.mul s.t1 x2 s.t0;
+    Fe.sub s.t1 s.t1 a.x;
+    Fe.mul s.t2 a.z s.t0;
+    Fe.mul s.t2 y2 s.t2;
+    Fe.sub s.t2 s.t2 a.y;
+    Fe.add s.t2 s.t2 s.t2;
+    if Fe.is_zero s.t1 && Fe.is_zero s.t2 then dbl s r a
     else begin
       (* Z3 = 2 Z1 H *)
-      Fe.mul f s.t6 a.z s.t1;
-      Fe.add f s.t6 s.t6 s.t6;
+      Fe.mul s.t6 a.z s.t1;
+      Fe.add s.t6 s.t6 s.t6;
       Fe.set s.t3 a.x;
       Fe.set s.t4 a.y;
-      add_tail t s r
+      add_tail s r
     end
   end
 
-let double t p =
+let double (_ : t) p =
   let r = loaded p in
-  dbl t (scratch ()) r r;
+  dbl (scratch ()) r r;
   store r
 
 (* An affine [q] (Z = 1: decoded points, table entries) takes the
    mixed add. *)
-let add t p q =
+let add (_ : t) p q =
   let r = loaded p and b = loaded q and s = scratch () in
-  if Fe.equal b.z one then madd t s r r b.x b.y else add_j t s r r b;
+  if Fe.equal b.z one then madd s r r b.x b.y else add_j s r r b;
   store r
 
-let neg t p =
+let neg (_ : t) p =
   let r = loaded p in
-  Fe.neg t.fe r.y r.y;
+  Fe.neg r.y r.y;
   store r
 
 let sub t p q = add t p (neg t q)
@@ -373,12 +324,12 @@ let mul t k pt =
   let s = scratch () in
   let tbl = Array.init 16 (fun _ -> jac ()) in
   load pt tbl.(1);
-  for d = 2 to 15 do add_j t s tbl.(d) tbl.(d - 1) tbl.(1) done;
-  let windows = (Nat.bit_length t.params.order + 3) / 4 in
+  for d = 2 to 15 do add_j s tbl.(d) tbl.(d - 1) tbl.(1) done;
+  let windows = (Nat.bit_length order_n + 3) / 4 in
   let acc = jac () in
   for w = windows - 1 downto 0 do
-    for _ = 1 to 4 do dbl t s acc acc done;
-    add_j t s acc acc tbl.(window4 k w)
+    for _ = 1 to 4 do dbl s acc acc done;
+    add_j s acc acc tbl.(window4 k w)
   done;
   store acc
 
@@ -441,16 +392,16 @@ let mul_vartime_j t s k pt =
   if not (Nat.is_zero k || is_infinity pt) then begin
     let tbl = Array.init 8 (fun _ -> jac ()) and p2 = jac () in
     load pt tbl.(0);
-    dbl t s p2 tbl.(0);
-    for i = 1 to 7 do add_j t s tbl.(i) tbl.(i - 1) p2 done;
+    dbl s p2 tbl.(0);
+    for i = 1 to 7 do add_j s tbl.(i) tbl.(i - 1) p2 done;
     List.iter
       (fun d ->
-         dbl t s acc acc;
-         if d > 0 then add_j t s acc acc tbl.(d / 2)
+         dbl s acc acc;
+         if d > 0 then add_j s acc acc tbl.(d / 2)
          else if d < 0 then begin
            let e = tbl.((-d) / 2) in
-           Fe.neg t.fe s.ey e.y;
-           add_j t s acc acc { e with y = s.ey }
+           Fe.neg s.ey e.y;
+           add_j s acc acc { e with y = s.ey }
          end)
       (wnaf 5 k)
   end;
@@ -458,79 +409,67 @@ let mul_vartime_j t s k pt =
 
 let mul_vartime t k pt = store (mul_vartime_j t (scratch ()) k pt)
 
-let equal t p q =
+let equal (_ : t) p q =
   match is_infinity p, is_infinity q with
   | true, true -> true
   | true, false | false, true -> false
   | false, false ->
     (* cross-multiply to compare without inversion *)
-    let f = t.fe and a = loaded p and b = loaded q and s = scratch () in
-    Fe.sqr f s.t0 a.z;
-    Fe.sqr f s.t1 b.z;
-    Fe.mul f s.t2 a.x s.t1;
-    Fe.mul f s.t3 b.x s.t0;
-    Fe.mul f s.t0 s.t0 a.z;
-    Fe.mul f s.t1 s.t1 b.z;
-    Fe.mul f s.t4 a.y s.t1;
-    Fe.mul f s.t5 b.y s.t0;
+    let a = loaded p and b = loaded q and s = scratch () in
+    Fe.sqr s.t0 a.z;
+    Fe.sqr s.t1 b.z;
+    Fe.mul s.t2 a.x s.t1;
+    Fe.mul s.t3 b.x s.t0;
+    Fe.mul s.t0 s.t0 a.z;
+    Fe.mul s.t1 s.t1 b.z;
+    Fe.mul s.t4 a.y s.t1;
+    Fe.mul s.t5 b.y s.t0;
     Fe.equal s.t2 s.t3 && Fe.equal s.t4 s.t5
 
-(* Candidate GLV constants for secp256k1: lambda, beta and the short
-   lattice basis, as in libsecp256k1. They are verified algebraically
-   by [endo_valid] before use, so a bad constant degrades [msm] to the
-   generic path instead of producing wrong results. *)
-let secp256k1_endo = {
+(* The GLV constants for secp256k1: lambda, beta and the short lattice
+   basis, as in libsecp256k1. [create] verifies them algebraically
+   ([endo_valid]) and refuses a bad constant rather than let [msm]
+   produce wrong results. *)
+let glv = {
   e_lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
-  e_beta =
-    Fe.of_nat Fe.secp256k1
-      (Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
+  e_beta = Fe.of_nat (Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
   e_a1 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
   e_b1 = Nat.of_hex "e4437ed6010e88286f547fa90abfe4c3";
   e_a2 = Nat.of_hex "114ca50f7a8e2f3f657c1108d9d44cfd8";
   e_b2 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
 }
 
-(* Accept an endomorphism only if it checks out on this curve: the
-   curve must have a = 0 (j-invariant 0), beta must be a nontrivial
-   cube root of unity mod p (so (x, y) -> (beta*x, y) maps the curve
-   to itself), (beta*gx, gy) must equal lambda*G (pinning the map to
-   multiplication by lambda rather than lambda^2), and the lattice
-   basis must satisfy a1 = b1*lambda and a2 = -b2*lambda (mod n). *)
+(* Accept an endomorphism only if it checks out: beta must be a
+   nontrivial cube root of unity mod p (so (x, y) -> (beta*x, y) maps
+   the curve, whose a = 0, to itself), (beta*gx, gy) must equal
+   lambda*G (pinning the map to multiplication by lambda rather than
+   lambda^2), and the lattice basis must satisfy a1 = b1*lambda and
+   a2 = -b2*lambda (mod n). *)
 let endo_valid t e =
-  let f = t.fe and fn = t.fn in
+  let fn = t.fn in
   let cube = Fe.make () and g = loaded t.gen in
-  Fe.sqr f cube e.e_beta;
-  Fe.mul f cube cube e.e_beta;
-  Fe.mul f g.x g.x e.e_beta;
-  Fe.is_zero t.fa
-  && not (Fe.equal e.e_beta one)
+  Fe.sqr cube e.e_beta;
+  Fe.mul cube cube e.e_beta;
+  Fe.mul g.x g.x e.e_beta;
+  not (Fe.equal e.e_beta one)
   && Fe.equal cube one
   && Nat.equal (Modular.mul fn e.e_b1 e.e_lambda) (Modular.reduce fn e.e_a1)
   && Nat.is_zero
        (Modular.add fn (Modular.reduce fn e.e_a2) (Modular.mul fn e.e_b2 e.e_lambda))
   && equal t (store g) (mul_vartime t e.e_lambda t.gen)
 
-let create params =
-  let fe =
-    match Fe.of_prime params.p with
-    | Some fe -> fe
-    | None -> invalid_arg "Curve.create: the field prime is neither secp256k1's nor P-256's"
-  in
+let create () =
   let t = {
-    params;
-    fn = Modular.create params.order;
-    fe;
-    fa = Fe.of_nat fe params.a;
-    fb = Fe.of_nat fe params.b;
-    gen = affine_point (Fe.of_nat fe params.gx) (Fe.of_nat fe params.gy);
-    byte_len = (Nat.bit_length params.p + 7) / 8;
-    endo = None;
+    fn = Modular.create order_n;
+    gen =
+      affine_point
+        (Fe.of_nat (Nat.of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"))
+        (Fe.of_nat (Nat.of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"));
     gen_tables = Atomic.make None;
   } in
   (* lint: allow secret-taint — curve constants and the generator are public *)
-  if String.equal params.name "secp256k1" && endo_valid t secp256k1_endo
-  then { t with endo = Some secp256k1_endo }
-  else t
+  if not (endo_valid t glv) then invalid_arg "Curve.create: the GLV constants do not check out";
+  t
 
 (* --- signed-odd comb tables -------------------------------------------- *)
 
@@ -569,65 +508,57 @@ type base_table = {
    nonzero, sharing one inversion ([batch_inv]): x3 = l^2 - x1 - x2 and
    y3 = l (x1 - x3) - y1 go to (x3s.(i), y3s.(i)), which may be
    (x1.(i), y1.(i)) or (num.(i), den.(i)). A tangent has slope
-   (3 x1^2 + a) / (2 y1) with x2 = x1. *)
-let slope_step t ~num ~den x1 y1 x2 ~x3s ~y3s =
-  let f = t.fe in
-  let inv = batch_inv t den in
+   3 x1^2 / (2 y1) with x2 = x1. *)
+let slope_step ~num ~den x1 y1 x2 ~x3s ~y3s =
+  let inv = batch_inv den in
   let l = Fe.make () and x3 = Fe.make () and d = Fe.make () in
   for i = 0 to Array.length den - 1 do
-    Fe.mul f l num.(i) inv.(i);
-    Fe.sqr f x3 l;
-    Fe.sub f x3 x3 x1.(i);
-    Fe.sub f x3 x3 x2.(i);
-    Fe.sub f d x1.(i) x3;
-    Fe.mul f d l d;
-    Fe.sub f y3s.(i) d y1.(i);
+    Fe.mul l num.(i) inv.(i);
+    Fe.sqr x3 l;
+    Fe.sub x3 x3 x1.(i);
+    Fe.sub x3 x3 x2.(i);
+    Fe.sub d x1.(i) x3;
+    Fe.mul d l d;
+    Fe.sub y3s.(i) d y1.(i);
     Fe.set x3s.(i) x3
   done
 
-let tangent_step t ax ay =
-  let f = t.fe in
-  let a = t.fa in
+let tangent_step ax ay =
   let num =
     Array.map
       (fun x ->
          let d = Fe.make () and xx = Fe.make () in
-         Fe.sqr f xx x;
-         Fe.add f d xx xx;
-         Fe.add f d d xx;
-         Fe.add f d d a;
+         Fe.sqr xx x;
+         Fe.add d xx xx;
+         Fe.add d d xx;
          d)
       ax
   in
-  let den = Array.map (fun y -> let d = Fe.make () in Fe.add f d y y; d) ay in
-  slope_step t ~num ~den ax ay ax ~x3s:ax ~y3s:ay
+  let den = Array.map (fun y -> let d = Fe.make () in Fe.add d y y; d) ay in
+  slope_step ~num ~den ax ay ax ~x3s:ax ~y3s:ay
 
 (* Complete affine additions (ax, ay, ainf) += (bx, by, binf), where a
    set [inf] flag marks the identity. The unified slope
-   (x1^2 + x1 x2 + x2^2 + a) / (y1 + y2) serves both P <> +-Q and P = Q;
+   (x1^2 + x1 x2 + x2^2) / (y1 + y2) serves both P <> +-Q and P = Q;
    when y1 + y2 = 0 the chord slope takes over, and a zero chord
    denominator as well means P = -Q, whose sum is the identity (its
    denominator is replaced by 1 so the shared inversion stays defined).
    Every lane runs the same field operations, and the flags only pick
    among the computed values through mask selects. *)
-let complete_step t ax ay ainf bx by binf =
-  let f = t.fe in
+let complete_step ax ay ainf bx by binf =
   let n = Array.length ax in
   let num = Array.init n (fun _ -> Fe.make ()) and den = Array.init n (fun _ -> Fe.make ()) in
   let opposite = Array.make n 0 in
-  let du = Fe.make () and dc = Fe.make () and nc = Fe.make () and one = Fe.make () in
-  let a = t.fa in
-  Fe.set_one one;
+  let du = Fe.make () and dc = Fe.make () and nc = Fe.make () in
   for i = 0 to n - 1 do
     let x1 = ax.(i) and y1 = ay.(i) and x2 = bx.(i) and y2 = by.(i) and nu = num.(i) in
-    Fe.add f du y1 y2;
-    Fe.add f nu x1 x2;
-    Fe.sqr f nu nu;
-    Fe.mul f nc x1 x2;
-    Fe.sub f nu nu nc;
-    Fe.add f nu nu a;
-    Fe.sub f dc x2 x1;
-    Fe.sub f nc y2 y1;
+    Fe.add du y1 y2;
+    Fe.add nu x1 x2;
+    Fe.sqr nu nu;
+    Fe.mul nc x1 x2;
+    Fe.sub nu nu nc;
+    Fe.sub dc x2 x1;
+    Fe.sub nc y2 y1;
     let chord = Bool.to_int (Fe.is_zero du) in
     Fe.select num.(i) chord nc nu;
     Fe.select den.(i) chord dc du;
@@ -635,7 +566,7 @@ let complete_step t ax ay ainf bx by binf =
     Fe.select den.(i) opposite.(i) one den.(i)
   done;
   (* the sums replace the slopes' numerators and denominators *)
-  slope_step t ~num ~den ax ay bx ~x3s:num ~y3s:den;
+  slope_step ~num ~den ax ay bx ~x3s:num ~y3s:den;
   for i = 0 to n - 1 do
     (* b = O keeps a; else a = O takes b; else the sum, O if opposite *)
     let bi = Bool.to_int binf.(i) and ai = Bool.to_int ainf.(i) in
@@ -651,33 +582,32 @@ let complete_step t ax ay ainf bx by binf =
    every lane sharing one inversion. Only the prefix products are kept
    between the two passes; the backward pass recomputes each lane's
    slope. The table build runs its chord steps through it too. *)
-let comb_row t cx cy prefix ex ey =
-  let f = t.fe in
+let comb_row cx cy prefix ex ey =
   let run = Fe.make () and d = Fe.make () and l = Fe.make () in
   let x2 = Fe.make () and y2 = Fe.make () and x3 = Fe.make () in
   Fe.set_one run;
   for a = 0 to Array.length prefix - 1 do
     Fe.set prefix.(a) run;
     ex a x2;
-    Fe.sub f d x2 cx.(a);
-    Fe.mul f run run d
+    Fe.sub d x2 cx.(a);
+    Fe.mul run run d
   done;
-  Fe.inv f run run;
+  Fe.inv run run;
   for a = Array.length prefix - 1 downto 0 do
     let x1 = cx.(a) and y1 = cy.(a) in
     ex a x2;
     ey a y2;
-    Fe.mul f l run prefix.(a);
-    Fe.sub f d x2 x1;
-    Fe.mul f run run d;
-    Fe.sub f d y2 y1;
-    Fe.mul f l l d;
-    Fe.sqr f x3 l;
-    Fe.sub f x3 x3 x1;
-    Fe.sub f x3 x3 x2;
-    Fe.sub f d x1 x3;
-    Fe.mul f d l d;
-    Fe.sub f y1 d y1;
+    Fe.mul l run prefix.(a);
+    Fe.sub d x2 x1;
+    Fe.mul run run d;
+    Fe.sub d y2 y1;
+    Fe.mul l l d;
+    Fe.sqr x3 l;
+    Fe.sub x3 x3 x1;
+    Fe.sub x3 x3 x2;
+    Fe.sub d x1 x3;
+    Fe.mul d l d;
+    Fe.sub y1 d y1;
     Fe.set x1 x3
   done
 
@@ -692,12 +622,11 @@ let comb_row t cx cy prefix ex ey =
 let make_base_table t ~width pt =
   if width < 2 || width > 10 then invalid_arg "Curve.make_base_table: width";
   let fn = t.fn in
-  let order = t.params.order in
-  let rows = (Nat.bit_length order + width - 1) / width in
+  let rows = (Nat.bit_length order_n + width - 1) / width in
   let offset =
     Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
   in
-  let half = Nat.shift_right (Nat.add order Nat.one) 1 in
+  let half = Nat.shift_right (Nat.add order_n Nat.one) 1 in
   if is_infinity pt then { width; entries = [||]; offset; half }
   else begin
     let s = scratch () in
@@ -705,15 +634,15 @@ let make_base_table t ~width pt =
     load pt bases.(0);
     for i = 1 to rows - 1 do
       copy bases.(i) bases.(i - 1);
-      for _ = 1 to width do dbl t s bases.(i) bases.(i) done
+      for _ = 1 to width do dbl s bases.(i) bases.(i) done
     done;
     (* (dx, dy) starts at the row bases (finite: the order is odd) and
        becomes D *)
-    let dx, dy = Array.split (normalize t bases) in
+    let dx, dy = Array.split (normalize bases) in
     let h = 1 lsl (width - 1) in
     let entries = Array.init rows (fun _ -> Array.make (10 * h) 0) in
     Array.iteri (fun i row -> Fe.pack dx.(i) row 0; Fe.pack dy.(i) row 5) entries;
-    tangent_step t dx dy;
+    tangent_step dx dy;
     let c = ref 1 in
     while !c < h do
       (* one chord step: lane a = i * c0 + j makes entry c0 + j of row i *)
@@ -721,14 +650,14 @@ let make_base_table t ~width pt =
       let lanes f = Array.init (rows * c0) (fun a -> f entries.(a / c0) (10 * (a mod c0))) in
       let read off = lanes (fun row at -> let v = Fe.make () in Fe.unpack row (at + off) v; v) in
       let ex = read 0 and ey = read 5 in
-      comb_row t ex ey (lanes (fun _ _ -> Fe.make ()))
+      comb_row ex ey (lanes (fun _ _ -> Fe.make ()))
         (fun a x -> Fe.set x dx.(a / c0)) (fun a y -> Fe.set y dy.(a / c0));
       let write off =
         Array.iteri (fun a v -> Fe.pack v entries.(a / c0) ((10 * (c0 + (a mod c0))) + off))
       in
       write 0 ex;
       write 5 ey;
-      if 2 * c0 < h then tangent_step t dx dy;
+      if 2 * c0 < h then tangent_step dx dy;
       c := 2 * c0
     done;
     { width; entries; offset; half }
@@ -775,9 +704,9 @@ let comb_column (table : base_table) b =
 
 let comb_x (table : base_table) i b x = Fe.unpack table.entries.(i) (10 * comb_column table b) x
 
-let comb_y t (table : base_table) i b y tmp =
+let comb_y (table : base_table) i b y tmp =
   Fe.unpack table.entries.(i) ((10 * comb_column table b) + 5) y;
-  Fe.neg t.fe tmp y;
+  Fe.neg tmp y;
   Fe.select y (b lsr (table.width - 1)) y tmp
 
 
@@ -790,8 +719,8 @@ let comb_rows t s acc (table : base_table) k =
     for i = 0 to rows - 1 do
       let b = comb_digit table digits i in
       comb_x table i b s.ex;
-      comb_y t table i b s.ey s.t0;
-      madd t s acc acc s.ex s.ey
+      comb_y table i b s.ey s.t0;
+      madd s acc acc s.ex s.ey
     done
   end
 
@@ -859,14 +788,14 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
          let digits = Array.map (fun l -> let _, table, k = lanes.(l) in comb_digits t table k) idx in
          let tmp = Fe.make () in
          let ex i a x = comb_x tables.(a) i (comb_digit tables.(a) digits.(a) i) x in
-         let ey i a y = comb_y t tables.(a) i (comb_digit tables.(a) digits.(a) i) y tmp in
+         let ey i a y = comb_y tables.(a) i (comb_digit tables.(a) digits.(a) i) y tmp in
          let fresh read i = Array.init na (fun a -> let v = Fe.make () in read i a v; v) in
          let cx = fresh ex 0 and cy = fresh ey 0 in
          let prefix = Array.init na (fun _ -> Fe.make ()) in
-         for i = 1 to rows - 2 do comb_row t cx cy prefix (ex i) (ey i) done;
+         for i = 1 to rows - 2 do comb_row cx cy prefix (ex i) (ey i) done;
          let ainf = Array.make na false in
          if rows >= 2 then
-           complete_step t cx cy ainf (fresh ex (rows - 1)) (fresh ey (rows - 1))
+           complete_step cx cy ainf (fresh ex (rows - 1)) (fresh ey (rows - 1))
              (Array.make na false);
          Array.iteri (fun a l -> rx.(l) <- cx.(a); ry.(l) <- cy.(a); rinf.(l) <- ainf.(a)) idx
        end
@@ -888,7 +817,7 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
     let term a = Array.map (fun q -> a.(first.(q) + r)) idx in
     let ainf = gather jinf in
     (* jx and jy hold the accumulators themselves, updated in place *)
-    complete_step t (gather jx) (gather jy) ainf (term rx) (term ry) (term rinf);
+    complete_step (gather jx) (gather jy) ainf (term rx) (term ry) (term rinf);
     Array.iteri (fun a q -> jinf.(q) <- ainf.(a)) idx
   done;
   for q = 0 to n - 1 do
@@ -913,19 +842,19 @@ let mul_base_batch t (jobs : comb_job array) =
    returned as (negate, magnitude). The identity holds for *any* c1,
    c2 once [endo_valid] has checked the basis congruences — the
    rounding only controls how short the halves are, never soundness. *)
-let endo_split t e k =
+let endo_split k =
   (* n is within 2^-127 of 2^bits, so dividing by n rounds the same as
      shifting by bits up to +-2 — which only lengthens the halves by a
      couple of bits, never breaks the k1 + k2*lambda identity. *)
-  let bits = Nat.bit_length t.params.order in
+  let bits = Nat.bit_length order_n in
   let round_div num = Nat.shift_right num bits in
-  let c1 = round_div (Nat.mul e.e_b2 k) in
-  let c2 = round_div (Nat.mul e.e_b1 k) in
+  let c1 = round_div (Nat.mul glv.e_b2 k) in
+  let c2 = round_div (Nat.mul glv.e_b1 k) in
   let signed_sub a b =
     if Nat.compare a b >= 0 then (false, Nat.sub a b) else (true, Nat.sub b a)
   in
-  let k1 = signed_sub k (Nat.add (Nat.mul c1 e.e_a1) (Nat.mul c2 e.e_a2)) in
-  let k2 = signed_sub (Nat.mul c1 e.e_b1) (Nat.mul c2 e.e_b2) in
+  let k1 = signed_sub k (Nat.add (Nat.mul c1 glv.e_a1) (Nat.mul c2 glv.e_a2)) in
+  let k2 = signed_sub (Nat.mul c1 glv.e_b1) (Nat.mul c2 glv.e_b2) in
   (k1, k2)
 
 (* Window width for precomputed tables: 2^(8-2) = 64 odd multiples,
@@ -936,41 +865,42 @@ let precomp_width = 8
 (* The odd-multiple tables of finite points, sizes.(j) entries for
    pts.(j). The points and their doubles share one inversion, so every
    entry after the first is a mixed add; the entries share a second.
-   On an endo curve the phi-images cost one multiplication per entry,
-   since phi(x, y) = (beta x, y). *)
-let odd_tables t s (pts : jac array) sizes =
+   The phi-images cost one multiplication per entry, since
+   phi(x, y) = (beta x, y). *)
+let odd_tables s (pts : jac array) sizes =
   let n = Array.length pts in
-  let twice = Array.map (fun p -> let d = jac () in dbl t s d p; d) pts in
-  let base = normalize t (Array.append pts twice) in
+  let twice = Array.map (fun p -> let d = jac () in dbl s d p; d) pts in
+  let base = normalize (Array.append pts twice) in
   let entry j sz =
     let (x1, y1), (x2, y2) = (base.(j), base.(n + j)) in
     let e = Array.init sz (fun _ -> jac ()) in
     copy e.(0) { x = x1; y = y1; z = one };
-    for i = 1 to sz - 1 do madd t s e.(i) e.(i - 1) x2 y2 done;
+    for i = 1 to sz - 1 do madd s e.(i) e.(i - 1) x2 y2 done;
     e
   in
-  let aff = normalize t (Array.concat (Array.to_list (Array.mapi entry sizes))) in
+  let aff = normalize (Array.concat (Array.to_list (Array.mapi entry sizes))) in
   let k = ref 0 in
   Array.map
     (fun sz ->
-       let packed on = if on then Array.make (5 * sz) 0 else [||] in
-       let tb = { ox = packed true; oy = packed true; obx = packed (Option.is_some t.endo) } in
+       let packed () = Array.make (5 * sz) 0 in
+       let tb = { ox = packed (); oy = packed (); obx = packed () } in
        for i = 0 to sz - 1 do
          let x, y = aff.(!k) in
          incr k;
          Fe.pack x tb.ox (5 * i);
          Fe.pack y tb.oy (5 * i);
-         Option.iter (fun e -> Fe.mul t.fe x x e.e_beta; Fe.pack x tb.obx (5 * i)) t.endo
+         Fe.mul x x glv.e_beta;
+         Fe.pack x tb.obx (5 * i)
        done;
        tb)
     sizes
 
-let precompute t p =
+let precompute (_ : t) p =
   if is_infinity p then
     (* the identity contributes nothing; msm drops such terms *)
     { pre_pt = infinity; tbl = { ox = [||]; oy = [||]; obx = [||] } }
   else begin
-    let tbl = (odd_tables t (scratch ()) [| loaded p |] [| 1 lsl (precomp_width - 2) |]).(0) in
+    let tbl = (odd_tables (scratch ()) [| loaded p |] [| 1 lsl (precomp_width - 2) |]).(0) in
     let x = Fe.make () and y = Fe.make () in
     Fe.unpack tbl.ox 0 x;
     Fe.unpack tbl.oy 0 y;
@@ -996,8 +926,8 @@ let gen_tables t =
    digit add is a mixed add.
 
    Each digit string walks one table, negating the entries' y for a
-   negative digit. On a curve with a GLV endomorphism, a full-width
-   scalar splits into two ~128-bit strings — the second walking the
+   negative digit. By the GLV endomorphism, a full-width scalar splits
+   into two ~128-bit strings — the second walking the
    phi-images of the first's table — which halves the length of the
    shared doubling chain; a negative half flips its digits' signs.
    Scalars already short enough to be single strings (the batch
@@ -1016,17 +946,13 @@ let msm_strauss t s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) arr
   (* per-pair odd-multiple table size: 4 = single short string (the
      batch verifiers' 128-bit weights), 8 = full width / GLV *)
   let sizes =
-    Array.map (fun (k, _) -> if Option.is_some t.endo && Nat.bit_length k <= 140 then 4 else 8) pairs
+    Array.map (fun (k, _) -> if Nat.bit_length k <= 140 then 4 else 8) pairs
   in
-  let tables = odd_tables t s (Array.map (fun (_, p) -> loaded p) pairs) sizes in
+  let tables = odd_tables s (Array.map (fun (_, p) -> loaded p) pairs) sizes in
   let walk w tb phi (negate, m) =
     if Nat.is_zero m then [] else [ (Array.of_list (wnaf w m), tb, phi, negate) ]
   in
-  let split w tb k =
-    match t.endo with
-    | Some e -> let k1, k2 = endo_split t e k in walk w tb false k1 @ walk w tb true k2
-    | None -> walk w tb false (false, k)
-  in
+  let split w tb k = let k1, k2 = endo_split k in walk w tb false k1 @ walk w tb true k2 in
   let walks =
     List.concat
       (List.map (fun (k, pc) -> split precomp_width pc.tbl k) (Array.to_list pre)
@@ -1053,13 +979,13 @@ let msm_strauss t s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) arr
     walks;
   let acc = jac () in
   for i = 0 to maxlen - 1 do
-    dbl t s acc acc;
+    dbl s acc acc;
     List.iter
       (fun (tb, phi, j, negate) ->
          Fe.unpack (if phi then tb.obx else tb.ox) (5 * j) s.ex;
          Fe.unpack tb.oy (5 * j) s.ey;
-         if negate then Fe.neg t.fe s.ey s.ey;
-         madd t s acc acc s.ex s.ey)
+         if negate then Fe.neg s.ey s.ey;
+         madd s acc acc s.ex s.ey)
       sched.(i)
   done;
   acc
@@ -1069,9 +995,9 @@ let msm_strauss t s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) arr
    batch-normalized inputs) and the window sum comes out of a running
    suffix sum; cost is ~windows * (n + 2^(c+1)) adds + 256 doubles,
    sublinear per point once n dominates the bucket count. *)
-let msm_pippenger t s ~window:c (pairs : (Nat.t * point) array) =
-  let pts = normalize t (Array.map (fun (_, p) -> loaded p) pairs) in
-  let nbits = Nat.bit_length t.params.order in
+let msm_pippenger s ~window:c (pairs : (Nat.t * point) array) =
+  let pts = normalize (Array.map (fun (_, p) -> loaded p) pairs) in
+  let nbits = Nat.bit_length order_n in
   let windows = (nbits + c - 1) / c in
   let nbuckets = (1 lsl c) - 1 in
   let buckets = Array.init (nbuckets + 1) (fun _ -> jac ()) in
@@ -1085,22 +1011,22 @@ let msm_pippenger t s ~window:c (pairs : (Nat.t * point) array) =
   in
   let acc = jac () in
   for w = windows - 1 downto 0 do
-    if w < windows - 1 then for _ = 1 to c do dbl t s acc acc done;
+    if w < windows - 1 then for _ = 1 to c do dbl s acc acc done;
     Array.iter (fun b -> Array.fill b.z 0 10 0) buckets;
     Array.iteri
       (fun i (k, _) ->
          let d = digit k w in
-         if d <> 0 then (let x, y = pts.(i) in madd t s buckets.(d) buckets.(d) x y))
+         if d <> 0 then (let x, y = pts.(i) in madd s buckets.(d) buckets.(d) x y))
       pairs;
     (* sum_d d * bucket(d) as a running suffix sum: the suffix sum after
        step d is bucket(d) + ... + bucket(max), and adding it once per
        step contributes each bucket exactly d times *)
     let suffix = jac () and wsum = jac () in
     for d = nbuckets downto 1 do
-      add_j t s suffix suffix buckets.(d);
-      add_j t s wsum wsum suffix
+      add_j s suffix suffix buckets.(d);
+      add_j s wsum wsum suffix
     done;
-    add_j t s acc acc wsum
+    add_j s acc acc wsum
   done;
   acc
 
@@ -1123,10 +1049,10 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
     let j = loaded p in
     if Nat.to_int k <> 1 then begin
       let d = jac () in
-      dbl t s d j;
-      add_j t s tiny tiny d
+      dbl s d j;
+      add_j s tiny tiny d
     end;
-    if Nat.to_int k <> 2 then add_j t s tiny tiny j
+    if Nat.to_int k <> 2 then add_j s tiny tiny j
   in
   let live_filter to_pt l =
     Array.of_list
@@ -1158,9 +1084,9 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
           let rec ilog2 v = if v <= 1 then 0 else 1 + ilog2 (v lsr 1) in
           min 12 (max 4 (ilog2 (Array.length flat) - 2))
       in
-      msm_pippenger t s ~window:c flat
+      msm_pippenger s ~window:c flat
   in
-  add_j t s main main tiny;
+  add_j s main main tiny;
   store main
 
 let msm ?window t pairs = msm_dispatch ?window t [||] pairs
@@ -1172,30 +1098,30 @@ let encode t pt =
   match to_affine t pt with
   | None -> "\x00"
   | Some (x, y) ->
-    "\x04" ^ Nat.to_bytes_be ~len:t.byte_len x ^ Nat.to_bytes_be ~len:t.byte_len y
+    "\x04" ^ Nat.to_bytes_be ~len:field_bytes x ^ Nat.to_bytes_be ~len:field_bytes y
 
 let decode t s =
   if s = "\x00" then Some infinity
-  else if String.length s = 1 + 2 * t.byte_len && s.[0] = '\x04' then begin
-    let x = Nat.of_bytes_be (String.sub s 1 t.byte_len) in
-    let y = Nat.of_bytes_be (String.sub s (1 + t.byte_len) t.byte_len) in
-    if Nat.compare x t.params.p < 0 && Nat.compare y t.params.p < 0 && on_curve t (x, y)
+  else if String.length s = 1 + 2 * field_bytes && s.[0] = '\x04' then begin
+    let x = Nat.of_bytes_be (String.sub s 1 field_bytes) in
+    let y = Nat.of_bytes_be (String.sub s (1 + field_bytes) field_bytes) in
+    if Nat.compare x Fe.prime < 0 && Nat.compare y Fe.prime < 0 && on_curve t (x, y)
     then Some (of_affine t (x, y))
     else None
   end
   else None
 
-(* Square root mod p for p = 3 mod 4 (both supported curves):
+(* Square root mod p, p = 3 mod 4:
    sqrt(a) = a^((p+1)/4) when a is a quadratic residue, by [Fe.sqrt]. *)
-let field_sqrt t a =
-  let y = Fe.of_nat t.fe a in
-  if Fe.sqrt t.fe y y then Some (Fe.to_nat y) else None
+let field_sqrt (_ : t) a =
+  let y = Fe.of_nat a in
+  if Fe.sqrt y y then Some (Fe.to_nat y) else None
 
-(* A y with y^2 = x^3 + a x + b, if x is on the curve. *)
-let lift_x t x =
+(* A y with y^2 = x^3 + 7, if x is on the curve. *)
+let lift_x x =
   let y = Fe.make () in
-  curve_rhs t y x;
-  if Fe.sqrt t.fe y y then Some y else None
+  curve_rhs y x;
+  if Fe.sqrt y y then Some y else None
 
 (* Compressed encoding: 0x00 for infinity, else 0x02/0x03 (y parity)
    followed by X — half the bytes of the uncompressed form. *)
@@ -1204,20 +1130,20 @@ let encode_compressed t pt =
   | None -> "\x00"
   | Some (x, y) ->
     let prefix = if Nat.is_odd y then "\x03" else "\x02" in
-    prefix ^ Nat.to_bytes_be ~len:t.byte_len x
+    prefix ^ Nat.to_bytes_be ~len:field_bytes x
 
-let decode_compressed t s =
+let decode_compressed (_ : t) s =
   if s = "\x00" then Some infinity
-  else if String.length s = 1 + t.byte_len && (s.[0] = '\x02' || s.[0] = '\x03') then begin
-    let x = Nat.of_bytes_be (String.sub s 1 t.byte_len) in
-    if Nat.compare x t.params.p >= 0 then None
+  else if String.length s = 1 + field_bytes && (s.[0] = '\x02' || s.[0] = '\x03') then begin
+    let x = Nat.of_bytes_be (String.sub s 1 field_bytes) in
+    if Nat.compare x Fe.prime >= 0 then None
     else begin
-      let x = Fe.of_nat t.fe x in
-      match lift_x t x with
+      let x = Fe.of_nat x in
+      match lift_x x with
       | None -> None
       | Some y ->
         (* a fully reduced element's parity is its low limb's *)
-        if y.(0) land 1 <> Bool.to_int (s.[0] = '\x03') then Fe.neg t.fe y y;
+        if y.(0) land 1 <> Bool.to_int (s.[0] = '\x03') then Fe.neg y y;
         Some (affine_point x y)
     end
   end
@@ -1226,12 +1152,12 @@ let decode_compressed t s =
 (* Hash-to-point by try-and-increment on SHA-256 outputs: used to derive
    a second generator H with unknown discrete log w.r.t. G (needed by
    the lifted-ElGamal commitment key). *)
-let hash_to_point t label =
+let hash_to_point (_ : t) label =
   let rec try_counter i =
     if i > 1000 then failwith "Curve.hash_to_point: no point found";
     let h = Dd_crypto.Sha256.digest_list [ label; string_of_int i ] in
-    let x = Fe.of_nat t.fe (Nat.of_bytes_be h) in
-    match lift_x t x with
+    let x = Fe.of_nat (Nat.of_bytes_be h) in
+    match lift_x x with
     | Some y -> affine_point x y
     | None -> try_counter (i + 1)
   in

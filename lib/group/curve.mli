@@ -1,7 +1,7 @@
-(** Short-Weierstrass elliptic-curve group over a prime field, with
-    Jacobian-coordinate arithmetic. Every base-field operation of both
-    curves runs on {!Dd_bignum.Fe}: fixed-width limbs, fully reduced
-    after every operation, with no branch on a value.
+(** The secp256k1 elliptic-curve group (y^2 = x^3 + 7), with
+    Jacobian-coordinate arithmetic. Every base-field operation runs on
+    {!Dd_bignum.Fe}: fixed-width limbs, fully reduced after every
+    operation, with no branch on a value.
 
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,
@@ -52,32 +52,17 @@
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 
-type params = {
-  p : Nat.t;
-  a : Nat.t;
-  b : Nat.t;
-  gx : Nat.t;
-  gy : Nat.t;
-  order : Nat.t;
-  name : string;
-}
-
 type t
 
 (** An element of the group. Values compare equal through {!equal} even
     when their Jacobian representations differ. *)
 type point
 
-(** The standard secp256k1 parameter set. *)
-val secp256k1 : params
-
-(** NIST P-256 (a = -3): a second supported parameter set. *)
-val nist_p256 : params
-
-(** [create params] builds the group context. The base field runs on
-    {!Dd_bignum.Fe}, so [params.p] must be secp256k1's or P-256's prime
-    ([Invalid_argument] otherwise). *)
-val create : params -> t
+(** [create ()] builds the group context: the scalar field, the
+    generator and its table cache. It checks the GLV endomorphism
+    constants that {!msm} relies on and raises [Invalid_argument] if
+    they do not hold. *)
+val create : unit -> t
 
 (** Modular context for Z_n, n the group order. *)
 val scalar_field : t -> Modular.ctx
@@ -189,8 +174,8 @@ val mul2 : t -> base_table -> Nat.t -> Nat.t -> point -> point
     verifiers. {b Variable time}: public scalars and points only. *)
 val msm : ?window:int -> t -> (Nat.t * point) array -> point
 
-(** Wide precomputed odd-multiple tables (width 8, and the GLV
-    phi-image on curves with an endomorphism) for a point that recurs
+(** Wide precomputed odd-multiple tables (width 8, and their GLV
+    phi-images) for a point that recurs
     across many msm calls — the generator gets one automatically, and
     long-lived verification keys are worth one: a batch verifier checks
     every certificate against the same signer set, so the table build
@@ -220,18 +205,18 @@ val equal : t -> point -> point -> bool
 val encode : t -> point -> string
 val decode : t -> string -> point option
 
-(** Square root in F_p by {!Dd_bignum.Fe.sqrt} (requires p = 3 mod 4,
-    true of both supported curves); [None] for non-residues. *)
+(** Square root in F_p by {!Dd_bignum.Fe.sqrt} (p = 3 mod 4); [None]
+    for non-residues. *)
 val field_sqrt : t -> Nat.t -> Nat.t option
 
-(** Compressed encoding: [0x02/0x03 || X] (33 bytes on 256-bit curves),
+(** Compressed encoding: [0x02/0x03 || X] (33 bytes),
     ["\x00"] for infinity. [decode_compressed] validates and recovers
     the y coordinate by its parity bit. *)
 val encode_compressed : t -> point -> string
 val decode_compressed : t -> string -> point option
 
 (** Derive a point with unknown discrete log from a domain-separation
-    label (try-and-increment; requires p = 3 mod 4, true of secp256k1). *)
+    label (try-and-increment). *)
 val hash_to_point : t -> string -> point
 
 (** Hash byte-string parts to a scalar mod the group order. *)

@@ -18,8 +18,8 @@ type t = {
    add per row (half the adds of width 4) for about 0.33 MB each. *)
 let generator_width = 8
 
-let create ?(params = Curve.secp256k1) () =
-  let curve = Curve.create params in
+let create () =
+  let curve = Curve.create () in
   let g = Curve.generator curve in
   let h = Curve.hash_to_point curve "d-demos second generator H" in
   {

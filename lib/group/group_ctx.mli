@@ -7,8 +7,8 @@ module Modular = Dd_bignum.Modular
 
 type t
 
-(** [create ?params ()] builds the context (secp256k1 by default). *)
-val create : ?params:Curve.params -> unit -> t
+(** [create ()] builds the context. *)
+val create : unit -> t
 
 (** One process-wide context over secp256k1, built on first call (table
     construction costs a few hundred milliseconds; share it). Safe to

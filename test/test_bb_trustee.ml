@@ -351,6 +351,79 @@ let test_recover_replays_trustee_search () =
     ((Bb_node.published bb).Bb_node.tally <> None);
   Alcotest.(check string) "replay = live" (Bb_node.observable bb) (Bb_node.observable bb')
 
+(* --- hostile input --------------------------------------------------------- *)
+
+(* Random, truncated and bit-flipped [Messages.encode_bb_msg] bytes of an
+   honest run's writes (every VC's vote-set submission and every
+   trustee post) go through [decode_bb_msg] into [Bb_node.handle] of a
+   fresh board. The hostile writes sit among intact ones, so the board
+   gets far enough to open codes, compute Esum and search trustee
+   shares. No exception may escape. *)
+let prop_bb_byte_fuzz =
+  let seeds =
+    lazy
+      (let msk_shares =
+         Ballot_gen.msk_shares ~seed ~threshold:(cfg.Types.nv - cfg.Types.fv) ~shares:cfg.Types.nv
+       in
+       let submits =
+         List.init cfg.Types.nv (fun sender ->
+             Messages.Vote_set_submit
+               { sender; set = the_set (); msk_share = msk_shares.(sender) })
+       in
+       let posts =
+         List.concat
+           (Array.to_list
+              (Array.mapi
+                 (fun trustee payloads ->
+                    List.map (fun payload -> Messages.Trustee_post { trustee; payload }) payloads)
+                 (Lazy.force honest_posts)))
+       in
+       Array.of_list (List.map Messages.encode_bb_msg (submits @ posts)))
+  in
+  let mutate s = function
+    | `Random r -> r
+    | `Truncate k -> String.sub s 0 (k mod (String.length s + 1))
+    | `Flip bits ->
+      let b = Bytes.of_string s in
+      List.iter
+        (fun k ->
+           let i = k / 8 mod Bytes.length b in
+           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (k mod 8)))))
+        bits;
+      Bytes.to_string b
+  in
+  let gen =
+    QCheck.Gen.(
+      triple nat bool
+        (list_size (int_range 1 4)
+           (pair nat
+              (frequency
+                 [ (6, map (fun l -> `Flip l) (list_size (int_range 1 3) nat));
+                   (2, map (fun r -> `Random r) (string_size (int_range 0 80)));
+                   (1, map (fun k -> `Truncate k) nat) ]))))
+  in
+  (* the honest writes before position j, the mutated ones, then (if
+     [rest]) the honest writes from j on *)
+  let bytes_of (j, rest, steps) =
+    let seeds = Lazy.force seeds in
+    let n = Array.length seeds in
+    let j = j mod (n + 1) in
+    Array.to_list (Array.sub seeds 0 j)
+    @ List.map (fun (i, m) -> mutate seeds.(i mod n) m) steps
+    @ (if rest then Array.to_list (Array.sub seeds j (n - j)) else [])
+  in
+  QCheck.Test.make ~name:"BB handlers survive random and bit-flipped writes" ~count:1_000
+    ~long_factor:100
+    (QCheck.make
+       ~print:(fun case -> String.concat "; " (List.map (Printf.sprintf "%S") (bytes_of case)))
+       gen)
+    (fun case ->
+       let bb = List.hd (make_bbs ()) in
+       List.iter
+         (fun bytes -> Option.iter (Bb_node.handle bb) (Messages.decode_bb_msg bytes))
+         (bytes_of case);
+       true)
+
 (* --- majority reader ------------------------------------------------------ *)
 
 let test_reader_majority () =
@@ -395,7 +468,8 @@ let () =
          Alcotest.test_case "tally shares before Esum" `Quick test_tally_shares_before_esum;
          Alcotest.test_case "trustee counted once" `Quick test_trustee_counted_once;
          Alcotest.test_case "recover replays trustee posts" `Quick
-           test_recover_replays_trustee_search ]);
+           test_recover_replays_trustee_search;
+         QCheck_alcotest.to_alcotest prop_bb_byte_fuzz ]);
       ("bb-reader",
        [ Alcotest.test_case "majority" `Quick test_reader_majority;
          Alcotest.test_case "no majority" `Quick test_reader_no_majority ]) ]

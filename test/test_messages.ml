@@ -134,14 +134,14 @@ let test_entry_rebinds_ucert () =
   | _ -> Alcotest.fail "roundtrip failed"
 
 let prop_fuzz_total =
-  QCheck.Test.make ~name:"decoder total on random bytes" ~count:500
+  QCheck.Test.make ~name:"decoder total on random bytes" ~count:500 ~long_factor:100
     QCheck.(string_of_size (QCheck.Gen.int_range 0 80))
     (fun junk ->
        ignore (Messages.decode_vc_msg gctx junk);
        true)
 
 let prop_bitflip_never_crashes =
-  QCheck.Test.make ~name:"decoder total on bit-flipped frames" ~count:200
+  QCheck.Test.make ~name:"decoder total on bit-flipped frames" ~count:200 ~long_factor:100
     QCheck.(pair (int_range 0 9) (int_range 0 2000))
     (fun (idx, flip) ->
        let msgs = samples Auth.Mac_scheme in

@@ -94,7 +94,7 @@ let prop_mux_client_roundtrip =
        && Mux.decode gctx (Mux.encode gctx reply) = Some reply)
 
 let prop_mux_total =
-  QCheck.Test.make ~name:"mux decoder is total on random bytes" ~count:500
+  QCheck.Test.make ~name:"mux decoder is total on random bytes" ~count:500 ~long_factor:100
     QCheck.(string_of_size (QCheck.Gen.int_range 0 60))
     (fun junk ->
        match Mux.decode gctx junk with
@@ -252,7 +252,7 @@ let prop_mux_batch_total =
     @ List.init (String.length elided) (fun n ->
         frame 4 2 [ elided; String.sub elided 0 n ])
   in
-  QCheck.Test.make ~name:"mux decoder is total on junk batches" ~count:300
+  QCheck.Test.make ~name:"mux decoder is total on junk batches" ~count:300 ~long_factor:100
     QCheck.(pair (int_range 4 5) (string_of_size (QCheck.Gen.int_range 0 40)))
     (fun (kind, junk) ->
        List.for_all (fun f -> Mux.decode gctx f = None) fixed

@@ -528,6 +528,7 @@ let prop_handler_byte_fuzz =
         (frequency [ (1, random); (1, map Frame.encode random); (3, flipped) ]))
   in
   QCheck.Test.make ~name:"VC handlers survive random and bit-flipped frames" ~count:1_000
+    ~long_factor:100
     (QCheck.make ~print:(fun (node, bytes) -> Printf.sprintf "node %d, %S" node bytes) gen)
     (fun (node, bytes) ->
        c.sent := [];
