@@ -339,7 +339,7 @@ let micro () =
     Dd_zkp.Ballot_proof.prove_commit gctx rng ~commitments ~openings
   in
   ignore first_move;
-  let challenge = Dd_group.Group_ctx.random_scalar gctx rng in
+  let challenge = Dd_group.Curve.random_scalar rng in
   let aes_key = Dd_crypto.Drbg.bytes rng 16 in
   let aes_w = Dd_crypto.Aes128.expand_key aes_key in
   let enc = Dd_crypto.Aes128.cbc_encrypt ~key:aes_key ~iv:(Dd_crypto.Drbg.bytes rng 16) code in
@@ -350,40 +350,39 @@ let micro () =
   let fx = draw () and fy = draw () in
   (* the field rows time Fe, the arithmetic Curve runs on *)
   let efx = Dd_bignum.Fe.of_nat fx and efy = Dd_bignum.Fe.of_nat fy and edst = Dd_bignum.Fe.make () in
-  let curve = Dd_group.Group_ctx.curve gctx in
   (* the full seed arithmetic stack, replicated (see seed_baseline.ml) *)
-  let sc = Seed_baseline.scurve curve in
-  let sg = Seed_baseline.of_curve_point curve (Curve.generator curve) in
+  let sc = Seed_baseline.scurve () in
+  let sg = Seed_baseline.of_curve_point Curve.generator in
   let sg_table = Seed_baseline.make_base_table sc sg in
-  let pk_seed = Seed_baseline.of_curve_point curve pk in
-  let scalar = Dd_group.Group_ctx.random_scalar gctx rng in
-  let point = Curve.mul curve scalar (Curve.generator curve) in
-  let spoint = Seed_baseline.of_curve_point curve point in
-  let pk_table = Dd_sig.Schnorr.make_pk_table gctx pk in
+  let pk_seed = Seed_baseline.of_curve_point pk in
+  let scalar = Dd_group.Curve.random_scalar rng in
+  let point = Curve.mul scalar Curve.generator in
+  let spoint = Seed_baseline.of_curve_point point in
+  let pk_table = Dd_sig.Schnorr.make_pk_table pk in
   let sig_s, sig_e =
     (* signatures now encode (s, compressed R); the seed baseline's
        (s, e) form is reconstructed by hashing R back into e *)
-    let bytes = Dd_sig.Schnorr.encode gctx signature in
-    let len = Curve.byte_len curve in
-    let r = Option.get (Curve.decode_compressed curve (String.sub bytes len (len + 1))) in
+    let bytes = Dd_sig.Schnorr.encode signature in
+    let len = Curve.byte_len in
+    let r = Option.get (Curve.decode_compressed (String.sub bytes len (len + 1))) in
     (Nat.of_bytes_be (String.sub bytes 0 len),
-     Dd_sig.Schnorr.challenge gctx ~commitment:r ~pk "endorse|bench|7|code")
+     Dd_sig.Schnorr.challenge ~commitment:r ~pk "endorse|bench|7|code")
   in
   let pts64 =
-    Array.init 64 (fun i -> Curve.mul_int curve (i + 2) (Curve.generator curve))
+    Array.init 64 (fun i -> Curve.mul_int (i + 2) Curve.generator)
   in
   (* msm operands: random scalars on random points, batch-verifier shape *)
   let msm_pairs n =
     Array.init n (fun i ->
-        (Dd_group.Group_ctx.random_scalar gctx rng,
-         Curve.mul curve (Dd_group.Group_ctx.random_scalar gctx rng)
-           (Curve.mul_int curve (i + 2) (Curve.generator curve))))
+        (Dd_group.Curve.random_scalar rng,
+         Curve.mul (Dd_group.Curve.random_scalar rng)
+           (Curve.mul_int (i + 2) Curve.generator)))
   in
   let msm64 = msm_pairs 64 and msm512 = msm_pairs 512 in
   (* one lockstep group of fixed-base multiplications on G *)
   let comb_jobs =
     Array.init Curve.batch_group (fun _ ->
-        [ (Dd_group.Group_ctx.g_table gctx, Dd_group.Group_ctx.random_scalar gctx rng) ])
+        [ (Dd_group.Group_ctx.g_table gctx, Dd_group.Curve.random_scalar rng) ])
   in
   (* UCERT fixture: a 16-collector Schnorr clique at quorum Nv - fv = 11,
      the worst-case Table I verification load *)
@@ -431,7 +430,7 @@ let micro () =
         (Staged.stage (fun () -> Dd_sig.Schnorr.verify gctx ~pk "endorse|bench|7|code" signature));
       Test.make ~name:"fig4.endorsement-verify.seed-baseline"
         (Staged.stage (fun () ->
-             Seed_baseline.schnorr_verify gctx sc ~g_table:sg_table ~pk_seed ~pk
+             Seed_baseline.schnorr_verify sc ~g_table:sg_table ~pk_seed ~pk
                "endorse|bench|7|code" ~s:sig_s ~e:sig_e));
       Test.make ~name:"fig4.receipt-reconstruct"
         (Staged.stage (fun () -> Dd_vss.Shamir_bytes.reconstruct ~threshold:3 share_subset));
@@ -450,9 +449,9 @@ let micro () =
       Test.make ~name:"fig5c.aes-decrypt-code"
         (Staged.stage (fun () -> Dd_crypto.Aes128.encrypt_block aes_w (String.sub code 0 16)));
       Test.make ~name:"fig5c.commitment-add"
-        (Staged.stage (fun () -> Dd_commit.Elgamal.add gctx commitment commitment));
+        (Staged.stage (fun () -> Dd_commit.Elgamal.add commitment commitment));
       Test.make ~name:"fig5c.zk-finalize-part"
-        (Staged.stage (fun () -> Dd_zkp.Ballot_proof.finalize gctx state ~challenge));
+        (Staged.stage (fun () -> Dd_zkp.Ballot_proof.finalize state ~challenge));
       Test.make ~name:"fig5c.opening-verify"
         (Staged.stage (fun () -> Dd_commit.Elgamal.verify gctx commitment opening));
       (* fig 5c: the whole-election audit, batched vs equation-by-equation *)
@@ -484,30 +483,30 @@ let micro () =
         (Staged.stage (fun () -> Dd_bignum.Fe.inv edst efx));
       (* arithmetic stack: scalar multiplication variants *)
       Test.make ~name:"arith.point-mul.fixed-window"
-        (Staged.stage (fun () -> Curve.mul curve scalar point));
+        (Staged.stage (fun () -> Curve.mul scalar point));
       Test.make ~name:"arith.point-mul.wnaf-vartime"
-        (Staged.stage (fun () -> Curve.mul_vartime curve scalar point));
+        (Staged.stage (fun () -> Curve.mul_vartime scalar point));
       Test.make ~name:"arith.point-mul.seed-baseline"
         (Staged.stage (fun () -> Seed_baseline.point_mul sc scalar spoint));
       (* per multiplication: the measured group is divided by its size below *)
       Test.make ~name:"arith.comb-batch"
-        (Staged.stage (fun () -> Dd_group.Group_ctx.mul_batch gctx comb_jobs));
+        (Staged.stage (fun () -> Curve.mul_base_batch comb_jobs));
       Test.make ~name:"arith.mul2-strauss-shamir"
         (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g gctx sig_s sig_e point));
       (* arithmetic stack: batch normalization (64 points) *)
       Test.make ~name:"arith.to-affine.batch64"
-        (Staged.stage (fun () -> Curve.to_affine_batch curve pts64));
+        (Staged.stage (fun () -> Curve.to_affine_batch pts64));
       Test.make ~name:"arith.to-affine.loop64"
-        (Staged.stage (fun () -> Array.map (Curve.to_affine curve) pts64));
+        (Staged.stage (fun () -> Array.map Curve.to_affine pts64));
       (* arithmetic stack: multi-scalar multiplication vs a mul loop *)
       Test.make ~name:"arith.msm.64"
-        (Staged.stage (fun () -> Curve.msm curve msm64));
+        (Staged.stage (fun () -> Curve.msm msm64));
       Test.make ~name:"arith.msm.512"
-        (Staged.stage (fun () -> Curve.msm curve msm512));
+        (Staged.stage (fun () -> Curve.msm msm512));
       Test.make ~name:"arith.msm.loop64"
         (Staged.stage (fun () ->
              Array.fold_left
-               (fun acc (k, p) -> Curve.add curve acc (Curve.mul_vartime curve k p))
+               (fun acc (k, p) -> Curve.add acc (Curve.mul_vartime k p))
                Curve.infinity msm64)) ]
   in
   let ols =

@@ -13,7 +13,6 @@
 
 module Nat = Dd_bignum.Nat
 module Curve = Dd_group.Curve
-module Group_ctx = Dd_group.Group_ctx
 module Schnorr = Dd_sig.Schnorr
 
 (* The seed stored Nat values as 30-bit limbs; the library has since
@@ -127,15 +126,15 @@ let finv b x = fpow b x (Nat.sub b.m Nat.two)
    schoolbook + Barrett arithmetic. *)
 type scurve = { fb : barrett; ca : Nat.t; order_bits : int }
 
-let scurve curve =
+let scurve () =
   { fb = barrett Dd_bignum.Fe.prime;
     ca = Nat.zero;
-    order_bits = Nat.bit_length (Curve.order curve) }
+    order_bits = Nat.bit_length Curve.order }
 
 type spoint = Inf | Jac of Nat.t * Nat.t * Nat.t
 
-let of_curve_point curve pt =
-  match Curve.to_affine curve pt with
+let of_curve_point pt =
+  match Curve.to_affine pt with
   | None -> Inf
   | Some (x, y) -> Jac (x, y, Nat.one)
 
@@ -233,10 +232,10 @@ let mul_base_table c table k =
    inside the challenge hash — all over the replicated field. The
    challenge itself is SHA-256 framing, identical then and now, so the
    current [Schnorr.challenge] is reused for it. *)
-let schnorr_verify gctx c ~g_table ~pk_seed ~pk msg ~s ~e =
+let schnorr_verify c ~g_table ~pk_seed ~pk msg ~s ~e =
   let r' = sadd c (mul_base_table c g_table s) (point_mul c e pk_seed) in
   match sto_affine c r' with
   | None -> false
   | Some xy ->
-    let commitment = Curve.of_affine (Group_ctx.curve gctx) xy in
-    Nat.equal e (Schnorr.challenge gctx ~commitment ~pk msg)
+    let commitment = Curve.of_affine xy in
+    Nat.equal e (Schnorr.challenge ~commitment ~pk msg)

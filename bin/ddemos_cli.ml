@@ -241,9 +241,8 @@ let deploy_cmd =
         layout.Election_store.l_vc;
       Array.iteri (fun i mf -> pr (Election_store.trustee_segment i) mf)
         layout.Election_store.l_trustee;
-      let gctx = layout.Election_store.l_static.Ea.st_gctx in
       let board () =
-        Board.create gctx (devices Election_store.bb_segment)
+        Board.create (devices Election_store.bb_segment)
           layout.Election_store.l_bb
       in
       if audit_slice >= 0 then begin

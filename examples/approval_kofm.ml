@@ -8,6 +8,7 @@
    Run with:  dune exec examples/approval_kofm.exe *)
 
 module Group_ctx = Dd_group.Group_ctx
+module Curve = Dd_group.Curve
 module Unit_vector = Dd_commit.Unit_vector
 module Ballot_proof = Dd_zkp.Ballot_proof
 module Elgamal = Dd_commit.Elgamal
@@ -30,8 +31,8 @@ let () =
       (fun i choices ->
          let commitments, openings = Unit_vector.commit_k gctx rng ~options:m ~choices in
          let state, first = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-         let challenge = Group_ctx.random_scalar gctx rng in
-         let final = Ballot_proof.finalize gctx state ~challenge in
+         let challenge = Curve.random_scalar rng in
+         let final = Ballot_proof.finalize state ~challenge in
          let ok = Ballot_proof.verify ~k gctx ~commitments first ~challenge final in
          Printf.printf "voter %d: commitment proven valid (%d-of-%d): %b\n" i k m ok;
          assert ok;
@@ -46,16 +47,16 @@ let () =
   let state, first = Ballot_proof.prove_commit gctx rng ~commitments:cheat_commitments
       ~openings:cheat_openings
   in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let final = Ballot_proof.finalize gctx state ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let final = Ballot_proof.finalize state ~challenge in
   Printf.printf "\nover-approval (3 choices) passes the k=%d verifier: %b\n" k
     (Ballot_proof.verify ~k gctx ~commitments:cheat_commitments first ~challenge final);
 
   (* homomorphic tally *)
   let tally_opening =
-    Unit_vector.sum_openings gctx ~options:m (List.map snd committed)
+    Unit_vector.sum_openings ~options:m (List.map snd committed)
   in
-  let tally_commitment = Unit_vector.sum gctx ~options:m (List.map fst committed) in
+  let tally_commitment = Unit_vector.sum ~options:m (List.map fst committed) in
   assert (Unit_vector.verify gctx tally_commitment tally_opening);
   let counts = Unit_vector.counts_of_opening tally_opening in
   Printf.printf "\napproval counts (opened only in aggregate):\n";

@@ -25,40 +25,33 @@ type opening = {
 
 let commit gctx ~msg ~rand =
   { c1 = Group_ctx.mul_g gctx rand;
-    c2 = Curve.add (Group_ctx.curve gctx) (Group_ctx.mul_g gctx msg) (Group_ctx.mul_h gctx rand) }
+    c2 = Curve.add (Group_ctx.mul_g gctx msg) (Group_ctx.mul_h gctx rand) }
 
 (* [commit]'s two points as comb jobs, for callers that evaluate many
-   at once with [Group_ctx.mul_batch]. *)
+   at once with [Curve.mul_base_batch]. *)
 let commit_jobs gctx (o : opening) : Curve.comb_job * Curve.comb_job =
   let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
   ([ (g, o.rand) ], [ (g, o.msg); (h, o.rand) ])
 
 let commit_random gctx rng ~msg =
-  let rand = Group_ctx.random_scalar gctx rng in
+  let rand = Curve.random_scalar rng in
   (commit gctx ~msg ~rand, { msg; rand })
 
-let zero_commitment gctx =
-  ignore gctx;
-  { c1 = Curve.infinity; c2 = Curve.infinity }
+let zero_commitment = { c1 = Curve.infinity; c2 = Curve.infinity }
 
-let add gctx a b =
-  let c = Group_ctx.curve gctx in
-  { c1 = Curve.add c a.c1 b.c1; c2 = Curve.add c a.c2 b.c2 }
+let add a b = { c1 = Curve.add a.c1 b.c1; c2 = Curve.add a.c2 b.c2 }
 
-let sum gctx = List.fold_left (add gctx) (zero_commitment gctx)
+let sum = List.fold_left add zero_commitment
 
-let add_opening gctx a b =
-  let fn = Group_ctx.scalar_field gctx in
+let add_opening a b =
+  let fn = Curve.scalar_field in
   let module Modular = Dd_bignum.Modular in
   { msg = Modular.add fn a.msg b.msg; rand = Modular.add fn a.rand b.rand }
 
-let sum_openings gctx = List.fold_left (add_opening gctx) { msg = Nat.zero; rand = Nat.zero }
-
 let verify gctx commitment opening =
-  let c = Group_ctx.curve gctx in
-  Curve.equal c commitment.c1 (Group_ctx.mul_g gctx opening.rand)
-  && Curve.equal c commitment.c2
-    (Curve.add c (Group_ctx.mul_g gctx opening.msg) (Group_ctx.mul_h gctx opening.rand))
+  Curve.equal commitment.c1 (Group_ctx.mul_g gctx opening.rand)
+  && Curve.equal commitment.c2
+    (Curve.add (Group_ctx.mul_g gctx opening.msg) (Group_ctx.mul_h gctx opening.rand))
 
 (* Fold the two opening equations into an MSM accumulator under fresh
    random weights: rand*G - c1 = O and msg*G + rand*H - c2 = O. The
@@ -66,7 +59,7 @@ let verify gctx commitment opening =
    so a batch of n openings costs one 2n-point MSM instead of 3n
    fixed-base multiplications. *)
 let accumulate gctx acc rng commitment (opening : opening) =
-  let fn = Group_ctx.scalar_field gctx in
+  let fn = Curve.scalar_field in
   let module Modular = Dd_bignum.Modular in
   let msg = Modular.reduce fn opening.msg and rand = Modular.reduce fn opening.rand in
   let w1 = Dd_group.Batch.weight rng in
@@ -88,24 +81,19 @@ let verify_batch gctx rng (items : (t * opening) array) =
     Array.iter (fun (c, o) -> accumulate gctx acc rng c o) items;
     Group_ctx.acc_check acc
 
-let equal gctx a b =
-  let c = Group_ctx.curve gctx in
-  Curve.equal c a.c1 b.c1 && Curve.equal c a.c2 b.c2
+let equal a b = Curve.equal a.c1 b.c1 && Curve.equal a.c2 b.c2
 
-let encode gctx t =
-  let c = Group_ctx.curve gctx in
-  Curve.encode c t.c1 ^ Curve.encode c t.c2
+let encode t = Curve.encode t.c1 ^ Curve.encode t.c2
 
 (* Inverse of [encode]. The two point encodings are self-delimiting
    (1 byte for infinity, 1 + 2*byte_len otherwise), so the split point
    is read off the leading tag byte. *)
-let decode gctx s =
-  let c = Group_ctx.curve gctx in
+let decode s =
   let n = String.length s in
   let point_len off =
     if off >= n then None
     else if s.[off] = '\x00' then Some 1
-    else Some (1 + (2 * Curve.byte_len c))
+    else Some (1 + (2 * Curve.byte_len))
   in
   match point_len 0 with
   | None -> None
@@ -116,8 +104,8 @@ let decode gctx s =
           if l1 + l2 <> n then None
           else begin
             match
-              ( Curve.decode c (String.sub s 0 l1),
-                Curve.decode c (String.sub s l1 l2) )
+              ( Curve.decode (String.sub s 0 l1),
+                Curve.decode (String.sub s l1 l2) )
             with
             | Some c1, Some c2 -> Some { c1; c2 }
             | _ -> None

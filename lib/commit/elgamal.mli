@@ -18,22 +18,21 @@ type opening = {
 val commit : Group_ctx.t -> msg:Nat.t -> rand:Nat.t -> t
 
 (** The comb jobs of [(c1, c2)] for an opening, [rand*G] and
-    [msg*G + rand*H], to evaluate with {!Group_ctx.mul_batch}. *)
+    [msg*G + rand*H], to evaluate with {!Curve.mul_base_batch}. *)
 val commit_jobs : Group_ctx.t -> opening -> Curve.comb_job * Curve.comb_job
 
 (** Commit with fresh randomness drawn from the DRBG. *)
 val commit_random : Group_ctx.t -> Dd_crypto.Drbg.t -> msg:Nat.t -> t * opening
 
 (** The identity commitment (to 0 with randomness 0). *)
-val zero_commitment : Group_ctx.t -> t
+val zero_commitment : t
 
 (** Homomorphic addition of committed values. *)
-val add : Group_ctx.t -> t -> t -> t
-val sum : Group_ctx.t -> t list -> t
+val add : t -> t -> t
+val sum : t list -> t
 
-(** The matching operations on openings. *)
-val add_opening : Group_ctx.t -> opening -> opening -> opening
-val sum_openings : Group_ctx.t -> opening list -> opening
+(** The matching operation on openings. *)
+val add_opening : opening -> opening -> opening
 
 (** Check that [opening] opens [t]. *)
 val verify : Group_ctx.t -> t -> opening -> bool
@@ -51,14 +50,14 @@ val accumulate :
     only. *)
 val verify_batch : Group_ctx.t -> Dd_crypto.Drbg.t -> (t * opening) array -> bool
 
-val equal : Group_ctx.t -> t -> t -> bool
+val equal : t -> t -> bool
 
 (** Canonical byte encoding (for hashing into transcripts). *)
-val encode : Group_ctx.t -> t -> string
+val encode : t -> string
 
 (** Inverse of {!encode}, with full point validation; [None] on any
     malformed or off-curve input (used by the board's segment codec). *)
-val decode : Group_ctx.t -> string -> t option
+val decode : string -> t option
 
 (** Raw component access, used by the ZK proof module. *)
 val components : t -> Curve.point * Curve.point

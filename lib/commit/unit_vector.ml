@@ -10,14 +10,14 @@ type t = Elgamal.t array
 
 type opening = Elgamal.opening array
 
-let openings gctx rng ~options ~choice =
+let openings rng ~options ~choice =
   if choice < 0 || choice >= options then invalid_arg "Unit_vector.commit: choice out of range";
   Array.init options (fun i ->
       { Elgamal.msg = (if i = choice then Nat.one else Nat.zero);
-        rand = Dd_group.Group_ctx.random_scalar gctx rng })
+        rand = Dd_group.Curve.random_scalar rng })
 
 let commit gctx rng ~options ~choice =
-  let o = openings gctx rng ~options ~choice in
+  let o = openings rng ~options ~choice in
   (Array.map (fun (oi : Elgamal.opening) -> Elgamal.commit gctx ~msg:oi.msg ~rand:oi.rand) o, o)
 
 (* k-out-of-m selection (the extension sketched in the paper's
@@ -36,20 +36,19 @@ let commit_k gctx rng ~options ~choices =
   in
   (Array.map fst pairs, Array.map snd pairs)
 
-let add gctx (a : t) (b : t) : t =
+let add (a : t) (b : t) : t =
   if Array.length a <> Array.length b then invalid_arg "Unit_vector.add: length mismatch";
-  Array.mapi (fun i ai -> Elgamal.add gctx ai b.(i)) a
+  Array.mapi (fun i ai -> Elgamal.add ai b.(i)) a
 
-let sum gctx ~options l =
-  List.fold_left (add gctx) (Array.make options (Elgamal.zero_commitment gctx)) l
+let sum ~options l = List.fold_left add (Array.make options Elgamal.zero_commitment) l
 
-let add_opening gctx (a : opening) (b : opening) : opening =
+let add_opening (a : opening) (b : opening) : opening =
   if Array.length a <> Array.length b then invalid_arg "Unit_vector.add_opening: length mismatch";
-  Array.mapi (fun i ai -> Elgamal.add_opening gctx ai b.(i)) a
+  Array.mapi (fun i ai -> Elgamal.add_opening ai b.(i)) a
 
-let sum_openings gctx ~options l =
+let sum_openings ~options l =
   let zero = Array.make options Elgamal.{ msg = Nat.zero; rand = Nat.zero } in
-  List.fold_left (add_opening gctx) zero l
+  List.fold_left add_opening zero l
 
 let verify gctx (c : t) (o : opening) =
   Array.length c = Array.length o
@@ -75,8 +74,7 @@ let verify_batch gctx rng (items : (t * opening) list) =
   in
   !ok && Elgamal.verify_batch gctx rng (Array.of_list coords)
 
-let encode gctx (c : t) =
-  String.concat "" (Array.to_list (Array.map (Elgamal.encode gctx) c))
+let encode (c : t) = String.concat "" (Array.to_list (Array.map Elgamal.encode c))
 
 (* The check for published openings, shared by the bulletin board and
    the auditor: [verify_batch] under Fiat-Shamir weights seeded from
@@ -89,7 +87,7 @@ let verify_published gctx ~label (items : (t * opening) array) =
     string_of_int (String.length b) ^ ":" ^ b
   in
   let item_parts ((c : t), (o : opening)) =
-    encode gctx c
+    encode c
     :: List.concat_map
       (fun (op : Elgamal.opening) -> [ scalar op.Elgamal.msg; scalar op.Elgamal.rand ])
       (Array.to_list o)
@@ -113,11 +111,3 @@ let opening_is_unit (o : opening) ~choice =
 (* Read a tally vector out of openings of a homomorphic sum. *)
 let counts_of_opening (o : opening) =
   Array.map (fun oi -> Nat.to_int oi.Elgamal.msg) o
-
-let equal gctx (a : t) (b : t) =
-  Array.length a = Array.length b
-  && begin
-    let ok = ref true in
-    Array.iteri (fun i ai -> if not (Elgamal.equal gctx ai b.(i)) then ok := false) a;
-    !ok
-  end

@@ -15,19 +15,18 @@ val commit :
 (** The openings {!commit} would draw, in the same DRBG order, without
     computing the commitments (batched set-up computes them with
     {!Elgamal.commit_jobs}). *)
-val openings :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> options:int -> choice:int -> opening
+val openings : Dd_crypto.Drbg.t -> options:int -> choice:int -> opening
 
 (** k-out-of-m selection: ones exactly at the (distinct) [choices].
     Raises [Invalid_argument] on out-of-range or duplicate choices. *)
 val commit_k :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> options:int -> choices:int list -> t * opening
 
-val add : Dd_group.Group_ctx.t -> t -> t -> t
-val sum : Dd_group.Group_ctx.t -> options:int -> t list -> t
+val add : t -> t -> t
+val sum : options:int -> t list -> t
 
-val add_opening : Dd_group.Group_ctx.t -> opening -> opening -> opening
-val sum_openings : Dd_group.Group_ctx.t -> options:int -> opening list -> opening
+val add_opening : opening -> opening -> opening
+val sum_openings : options:int -> opening list -> opening
 
 (** Verify every coordinate opening. *)
 val verify : Dd_group.Group_ctx.t -> t -> opening -> bool
@@ -55,5 +54,4 @@ val opening_is_unit : opening -> choice:int -> bool
     Raises if a count exceeds [max_int] (impossible in any election). *)
 val counts_of_opening : opening -> int array
 
-val encode : Dd_group.Group_ctx.t -> t -> string
-val equal : Dd_group.Group_ctx.t -> t -> t -> bool
+val encode : t -> string

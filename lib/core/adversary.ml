@@ -66,14 +66,13 @@ type t = {
   cfg : Types.config;
   keys : Auth.keys;
   store : Ballot_store.t;
-  gctx : Dd_group.Group_ctx.t;
   rng : Drbg.t;
   send_vc : dst:int -> Messages.vc_msg -> unit;
   shadows : (int * string, shadow) Hashtbl.t;
 }
 
-let create ~behavior ~me ~cfg ~keys ~store ~gctx ~rng ~send_vc =
-  { behavior; me; cfg; keys; store; gctx; rng; send_vc;
+let create ~behavior ~me ~cfg ~keys ~store ~rng ~send_vc =
+  { behavior; me; cfg; keys; store; rng; send_vc;
     shadows = Hashtbl.create 16 }
 
 let behavior t = t.behavior
@@ -221,7 +220,7 @@ let transform_outgoing t ~dst:_ (msg : Messages.vc_msg) :
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
      | Messages.Vote_p _ -> Some msg)
   | Malformed_wire ->
-    let frame = Messages.encode_vc_msg t.gctx msg in
-    (match Messages.decode_vc_msg t.gctx (flip_byte t.rng frame) with
+    let frame = Messages.encode_vc_msg msg in
+    (match Messages.decode_vc_msg (flip_byte t.rng frame) with
      | Some garbled -> Some garbled  (* decodable garbage: handlers must cope *)
      | None -> None)                 (* the peer's codec rejects the frame *)

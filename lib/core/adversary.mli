@@ -38,8 +38,7 @@ type t
 
 val create :
   behavior:behavior -> me:int -> cfg:Types.config -> keys:Auth.keys ->
-  store:Ballot_store.t -> gctx:Dd_group.Group_ctx.t ->
-  rng:Dd_crypto.Drbg.t -> send_vc:(dst:int -> Messages.vc_msg -> unit) -> t
+  store:Ballot_store.t -> rng:Dd_crypto.Drbg.t -> send_vc:(dst:int -> Messages.vc_msg -> unit) -> t
 
 val behavior : t -> behavior
 

@@ -271,7 +271,7 @@ let master_challenge v =
   let coins =
     List.sort compare v.voted |> List.map (fun (_, (part, _)) -> part = Types.B)
   in
-  Challenge.master v.gctx ~election_id:v.cfg.Types.election_id ~coins
+  Challenge.master ~election_id:v.cfg.Types.election_id ~coins
 
 (* (e) ZK proofs of used parts verify under the recomputed challenge.
 
@@ -294,7 +294,7 @@ let check_zk ?(batch = true) ?pool v =
          if Array.length finals <> Array.length entries then
            note_offender bad serial part "final-move count does not match the ballot"
          else begin
-           let challenge = Challenge.for_proof v.gctx ~master_challenge:master ~serial
+           let challenge = Challenge.for_proof ~master_challenge:master ~serial
              ~part:(match part with Types.A -> `A | Types.B -> `B) in
            Array.iteri
              (fun pos (e : Ea.bb_part_entry) ->
@@ -316,7 +316,7 @@ let check_zk ?(batch = true) ?pool v =
       :: List.concat_map
         (fun (serial, part, pos, (inst : Ballot_proof.instance)) ->
            [ Printf.sprintf "%d:%s:%d" serial (Types.part_label part) pos;
-             Ballot_proof.encode_first_move v.gctx inst.Ballot_proof.fm;
+             Ballot_proof.encode_first_move inst.Ballot_proof.fm;
              Ballot_proof.encode_final_move inst.Ballot_proof.fin;
              Nat.to_bytes_be ~len:32 inst.Ballot_proof.challenge ])
         (Array.to_list crypto)

@@ -56,11 +56,10 @@ let deal_clique ~scheme ~gctx ~seed ~n =
   (* one shared inversion puts every key in affine form, so encoding a
      key into a Schnorr challenge (every sign and verify) is free *)
   let pks =
-    let curve = Dd_group.Group_ctx.curve gctx in
     Array.map2
-      (fun (_, pk) xy -> match xy with Some xy -> Dd_group.Curve.of_affine curve xy | None -> pk)
+      (fun (_, pk) xy -> match xy with Some xy -> Dd_group.Curve.of_affine xy | None -> pk)
       key_pairs
-      (Dd_group.Curve.to_affine_batch curve (Array.map snd key_pairs))
+      (Dd_group.Curve.to_affine_batch (Array.map snd key_pairs))
   in
   let pair_key i j =
     let lo = min i j and hi = max i j in
@@ -71,10 +70,10 @@ let deal_clique ~scheme ~gctx ~seed ~n =
      verify race between domains is benign — so dealing stays cheap and
      MAC-scheme runs never pay for them. *)
   let pk_tables =
-    Array.map (fun pk -> Once.make (fun () -> Schnorr.make_pk_table gctx pk)) pks
+    Array.map (fun pk -> Once.make (fun () -> Schnorr.make_pk_table pk)) pks
   in
   let pk_pre =
-    Array.map (fun pk -> Once.make (fun () -> Schnorr.precompute_pk gctx pk)) pks
+    Array.map (fun pk -> Once.make (fun () -> Schnorr.precompute_pk pk)) pks
   in
   Array.init n (fun i ->
       { scheme; me = i; gctx;
@@ -101,14 +100,14 @@ let sign ?rng (k : keys) msg =
    else's in one lockstep batch. MAC tags draw nothing. *)
 let draw_nonce ~rng (k : keys) =
   match k.scheme with
-  | Schnorr_scheme -> Some (Schnorr.nonce k.gctx rng)
+  | Schnorr_scheme -> Some (Schnorr.nonce rng)
   | Mac_scheme -> None
 
 let sign_prepared (k : keys) ~nonce msg =
   match k.scheme, nonce with
   | Schnorr_scheme, Some (nonce, commitment) ->
     Schnorr_tag
-      (Schnorr.sign_with_nonce k.gctx ~nonce ~commitment ~sk:k.sk ~pk:k.pks.(k.me) msg)
+      (Schnorr.sign_with_nonce ~nonce ~commitment ~sk:k.sk ~pk:k.pks.(k.me) msg)
   | Schnorr_scheme, None ->
     (* lint: allow exception-hygiene — a programming error in the EA, never peer input *)
     invalid_arg "Auth.sign_prepared: Schnorr tag without a nonce"

@@ -16,7 +16,6 @@ module Shamir_bytes = Dd_vss.Shamir_bytes
 type t =
   | Segmented of {
       sg_cfg : Types.config;
-      sg_gctx : Dd_group.Group_ctx.t;
       sg_msk_share : Shamir_bytes.share;
       sg_cache : Dd_segment.Segment.Cache.t;
     }
@@ -29,9 +28,9 @@ type t =
       mutable cache_cap : int;
     }
 
-let segmented ~gctx ~cfg ~msk_share device manifest =
+let segmented ~cfg ~msk_share device manifest =
   Segmented
-    { sg_cfg = cfg; sg_gctx = gctx; sg_msk_share = msk_share;
+    { sg_cfg = cfg; sg_msk_share = msk_share;
       sg_cache = Dd_segment.Segment.Cache.create device manifest }
 
 let virtual_prf ~seed ~cfg ~node =
@@ -52,7 +51,7 @@ let lines t ~serial ~part =
     (match Dd_segment.Segment.Cache.record s.sg_cache serial with
      | None -> [||]
      | Some payload ->
-       (match Election_store.decode_vc_record s.sg_gctx payload with
+       (match Election_store.decode_vc_record payload with
         | Some parts when Types.part_index part < Array.length parts ->
           parts.(Types.part_index part)
         | _ -> [||]))

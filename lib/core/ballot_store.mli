@@ -14,8 +14,7 @@ type t
     (see {!Election_store}) through a {!Dd_segment.Segment.Cache} LRU
     of its default size. *)
 val segmented :
-  gctx:Dd_group.Group_ctx.t -> cfg:Types.config ->
-  msk_share:Dd_vss.Shamir_bytes.share ->
+  cfg:Types.config -> msk_share:Dd_vss.Shamir_bytes.share ->
   Dd_store.Device.t -> Dd_segment.Segment.manifest -> t
 
 val virtual_prf : seed:string -> cfg:Types.config -> node:int -> t

@@ -154,7 +154,7 @@ let open_commitments t (commitments : Unit_vector.t array) selected =
       (fun v (c : Unit_vector.t) ->
          Array.mapi
            (fun j _ ->
-              Elgamal_vss.reconstruct t.gctx ~threshold:t.cfg.Types.ht
+              Elgamal_vss.reconstruct ~threshold:t.cfg.Types.ht
                 (List.map (fun (sh : Elgamal_vss.share array array) -> sh.(v).(j)) selected))
            c)
       commitments
@@ -231,7 +231,7 @@ let compute_encrypted_tally t =
   | None, _ | _, None -> ()
   | Some set, Some _ ->
     let m = t.cfg.Types.m_options in
-    let zero = Array.make m (Elgamal.zero_commitment t.gctx) in
+    let zero = Array.make m Elgamal.zero_commitment in
     let esum =
       List.fold_left
         (fun acc (serial, code) ->
@@ -241,7 +241,7 @@ let compute_encrypted_tally t =
              (match Board.entries t.board ~serial ~part with
               | Some entries when pos < Array.length entries ->
                 let entry = entries.(pos) in
-                Array.mapi (fun j c -> Elgamal.add t.gctx c entry.Ea.commitment.(j)) acc
+                Array.mapi (fun j c -> Elgamal.add c entry.Ea.commitment.(j)) acc
               | _ -> acc))
         zero set
     in

@@ -3,16 +3,14 @@
 
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
-module Group_ctx = Dd_group.Group_ctx
 
 type t = {
-  gctx : Group_ctx.t;
   manifest : Segment.manifest;
   cache : Segment.Cache.t;
 }
 
-let create gctx device manifest =
-  { gctx; manifest; cache = Segment.Cache.create device manifest }
+let create device manifest =
+  { manifest; cache = Segment.Cache.create device manifest }
 
 let n_ballots t = t.manifest.Segment.total
 let chunk_size t = t.manifest.Segment.chunk_size
@@ -22,7 +20,7 @@ let root t = t.manifest.Segment.root
 let ballot t serial =
   match Segment.Cache.record t.cache serial with
   | None -> None
-  | Some payload -> Election_store.decode_bb_ballot t.gctx payload
+  | Some payload -> Election_store.decode_bb_ballot payload
 
 let entries t ~serial ~part =
   match ballot t serial with
@@ -41,7 +39,7 @@ let iter t f =
        | Some payloads ->
          Array.iter
            (fun payload ->
-              match Election_store.decode_bb_ballot t.gctx payload with
+              match Election_store.decode_bb_ballot payload with
               | Some b -> f b
               | None -> ok := false; raise Exit)
            payloads
@@ -55,7 +53,7 @@ let slice t c =
     match Segment.Cache.chunk t.cache c with
     | None -> None
     | Some payloads ->
-      let out = Array.map (Election_store.decode_bb_ballot t.gctx) payloads in
+      let out = Array.map Election_store.decode_bb_ballot payloads in
       if Array.exists Option.is_none out then None
       else
         Some

@@ -14,9 +14,9 @@ module Segment = Dd_segment.Segment
 
 type t
 
-(** [create gctx device manifest] — serves decoded chunks through a
+(** [create device manifest] — serves decoded chunks through a
     {!Segment.Cache} LRU of its default size. *)
-val create : Dd_group.Group_ctx.t -> Device.t -> Segment.manifest -> t
+val create : Device.t -> Segment.manifest -> t
 
 val n_ballots : t -> int
 

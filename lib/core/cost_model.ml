@@ -73,41 +73,6 @@ let default = {
   bb_verify_set = 0.0000005;
 }
 
-(* Crypto constants recalibrated from this repo's own kernels, taken
-   from the committed BENCH_micro.json (ns/op -> s/op; regenerate with
-   `dune exec bench/main.exe -- micro --json`). Unlike [default]'s
-   RSA-like PKI asymmetry, the Schnorr stack verifies at roughly double
-   the signing cost even with per-pk comb tables — so figures driven by
-   this profile trade signing load for verification load relative to
-   the paper's shape. Rows used:
-     sig_sign          <- fig4.endorsement-sign
-     sig_verify        <- fig4.endorsement-verify (table path, as Auth runs)
-     hash_verify       <- fig5b.salted-hash
-     share_reconstruct <- fig4.receipt-reconstruct
-     aes_block         <- fig5c.aes-decrypt-code
-     commit_add        <- fig5c.commitment-add
-     zk_finalize_row   <- fig5c.zk-finalize-part
-   [sig_verify] is the *serial* per-endorsement cost; the real UCERT
-   hot path now folds a quorum into one randomized batch
-   (table1.ucert-verify-batch: ~0.41 ms/entry at quorum 11, ~2.7x
-   cheaper), so [ucert_verify] below is an upper bound under this
-   profile. Remaining constants (network overheads, disk, consensus)
-   have no microbenchmark and are inherited from [default].
-
-   Last recalibrated after the 62-bit limb + Montgomery field rewrite
-   (field mul ~5x faster than the seed schoolbook+Barrett in the same
-   run), which pulled every signature-path constant down ~1.4x. *)
-let measured = {
-  default with
-  sig_sign = 0.00080;
-  sig_verify = 0.00110;
-  hash_verify = 0.0000017;
-  share_reconstruct = 0.0000005;
-  aes_block = 0.0000099;
-  commit_add = 0.0000147;
-  zk_finalize_row = 0.0000048;
-}
-
 let with_disk t = { t with disk_enabled = true }
 
 (* Per-lookup database cost for an electorate of [n] ballots: a fixed

@@ -29,14 +29,6 @@ type t = {
 
 val default : t
 
-(** [default] with the crypto constants replaced by this repository's
-    own measured kernel costs from the committed BENCH_micro.json
-    (Schnorr sign/verify, salted hash, receipt reconstruction, AES,
-    commitment addition, ZK finalization). Use it to drive the
-    simulation with honest local costs instead of the paper-calibrated
-    shape. *)
-val measured : t
-
 (** Enable the PostgreSQL-style disk cost (figures 5a-5c). *)
 val with_disk : t -> t
 

@@ -133,7 +133,7 @@ type drawn_part = {
   d_trustee_nonces : Dd_bignum.Nat.t option array;       (* trustee *)
 }
 
-let draw_part cfg gctx ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
+let draw_part cfg ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
   let m = cfg.Types.m_options in
   let nv = cfg.Types.nv and fv = cfg.Types.fv in
   let nt = cfg.Types.nt and ht = cfg.Types.ht in
@@ -149,12 +149,12 @@ let draw_part cfg gctx ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
   in
   let per_pos =
     Array.init m (fun pos ->
-        let openings = Unit_vector.openings gctx rng ~options:m ~choice:inv.(pos) in
-        let state = Ballot_proof.draw_state gctx rng ~openings in
+        let openings = Unit_vector.openings rng ~options:m ~choice:inv.(pos) in
+        let state = Ballot_proof.draw_state rng ~openings in
         let vss =
           Array.map
             (fun o ->
-               Elgamal_vss.deal_coefficients gctx rng ~opening:o ~threshold:ht ~shares:nt)
+               Elgamal_vss.deal_coefficients rng ~opening:o ~threshold:ht ~shares:nt)
             openings
         in
         let iv = Drbg.bytes rng 16 in
@@ -288,7 +288,7 @@ let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
    [Curve.batch_group] comb jobs, sharded over the pool; each group
    draws its parts' scalars ([draw_part]), computes every curve point
    of the group in one affine lockstep batch ([part_jobs],
-   [Group_ctx.mul_batch]) and assembles the records ([finish_part]).
+   [Curve.mul_base_batch]) and assembles the records ([finish_part]).
    Every emitted point is affine.
 
    [from_chunk] supports crash-resume: chunks below it are not
@@ -355,11 +355,11 @@ let setup_chunks ?pool
           Array.init (min parts_per_group (n_parts - first)) (fun a ->
               let p = first + a in
               let part = if p mod 2 = 0 then Types.A else Types.B in
-              draw_part cfg gctx ~seed ~ea_vc ~ea_trustee part_rngs.(p / 2).(p mod 2)
+              draw_part cfg ~seed ~ea_vc ~ea_trustee part_rngs.(p / 2).(p mod 2)
                 ~serial:(ck_first + (p / 2)) ~part)
         in
         let points =
-          Group_ctx.mul_batch gctx
+          Dd_group.Curve.mul_base_batch
             (Array.of_list (List.concat_map (part_jobs gctx) (Array.to_list drawn)))
         in
         let cursor = ref 0 in

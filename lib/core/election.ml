@@ -517,7 +517,7 @@ let run (p : params) : result =
       adversaries.(i) <-
         Some
           (Adversary.create ~behavior ~me:i ~cfg ~keys:env.Vc_node.keys
-             ~store:env.Vc_node.store ~gctx
+             ~store:env.Vc_node.store
              ~rng:(Drbg.create ~seed:(Printf.sprintf "adv-rng|%s|%d" p.seed i))
              ~send_vc:env.Vc_node.send_vc)
   done;

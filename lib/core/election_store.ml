@@ -18,10 +18,10 @@ let need = function
 
 (* --- record codecs ----------------------------------------------------- *)
 
-let put_elgamal gctx w c = Wire.put_bytes w (Elgamal.encode gctx c)
-let get_elgamal gctx r = need (Elgamal.decode gctx (Wire.get_bytes r))
+let put_elgamal w c = Wire.put_bytes w (Elgamal.encode c)
+let get_elgamal r = need (Elgamal.decode (Wire.get_bytes r))
 
-let encode_bb_ballot gctx (bb : Ea.bb_ballot) =
+let encode_bb_ballot (bb : Ea.bb_ballot) =
   let w = Wire.writer () in
   Wire.put_varint w bb.Ea.bb_serial;
   Wire.put_array w
@@ -31,17 +31,17 @@ let encode_bb_ballot gctx (bb : Ea.bb_ballot) =
           let iv, ct = e.Ea.enc_code in
           Wire.put_bytes w iv;
           Wire.put_bytes w ct;
-          Wire.put_array w (put_elgamal gctx) e.Ea.commitment;
+          Wire.put_array w put_elgamal e.Ea.commitment;
           Wire.put_array w
             (fun w (aux : Dd_vss.Elgamal_vss.aux) ->
-              Wire.put_array w (put_elgamal gctx) aux)
+              Wire.put_array w put_elgamal aux)
             e.Ea.vss_aux;
-          Wire.put_bytes w (Ballot_proof.encode_first_move gctx e.Ea.zk_first))
+          Wire.put_bytes w (Ballot_proof.encode_first_move e.Ea.zk_first))
         entries)
     bb.Ea.bb_parts;
   Wire.contents w
 
-let decode_bb_ballot gctx s =
+let decode_bb_ballot s =
   Wire.decode s (fun r ->
       let bb_serial = Wire.get_varint r in
       let bb_parts =
@@ -49,40 +49,40 @@ let decode_bb_ballot gctx s =
             Wire.get_array r (fun r ->
                 let iv = Wire.get_bytes r in
                 let ct = Wire.get_bytes r in
-                let commitment = Wire.get_array r (get_elgamal gctx) in
+                let commitment = Wire.get_array r get_elgamal in
                 let vss_aux =
-                  Wire.get_array r (fun r -> Wire.get_array r (get_elgamal gctx))
+                  Wire.get_array r (fun r -> Wire.get_array r get_elgamal)
                 in
                 let zk_first =
-                  need (Ballot_proof.decode_first_move gctx (Wire.get_bytes r))
+                  need (Ballot_proof.decode_first_move (Wire.get_bytes r))
                 in
                 { Ea.enc_code = (iv, ct); commitment; vss_aux; zk_first }))
       in
       { Ea.bb_serial; bb_parts })
 
-let put_vc_line gctx w (l : Types.vc_line) =
+let put_vc_line w (l : Types.vc_line) =
   Wire.put_bytes w l.Types.code_hash;
   Wire.put_bytes w l.Types.salt;
   Messages.put_share w l.Types.receipt_share;
-  Wire.put_option w (Messages.put_tag gctx) l.Types.share_tag
+  Wire.put_option w Messages.put_tag l.Types.share_tag
 
-let get_vc_line gctx r =
+let get_vc_line r =
   let code_hash = Wire.get_bytes r in
   let salt = Wire.get_bytes r in
   let receipt_share = Messages.get_share r in
-  let share_tag = Wire.get_option r (Messages.get_tag gctx) in
+  let share_tag = Wire.get_option r Messages.get_tag in
   { Types.code_hash; salt; receipt_share; share_tag }
 
-let encode_vc_record gctx (parts : Types.vc_line array array) =
+let encode_vc_record (parts : Types.vc_line array array) =
   let w = Wire.writer () in
-  Wire.put_array w (fun w lines -> Wire.put_array w (put_vc_line gctx) lines) parts;
+  Wire.put_array w (fun w lines -> Wire.put_array w put_vc_line lines) parts;
   Wire.contents w
 
-let decode_vc_record gctx s =
+let decode_vc_record s =
   Wire.decode s (fun r ->
-      Wire.get_array r (fun r -> Wire.get_array r (get_vc_line gctx)))
+      Wire.get_array r (fun r -> Wire.get_array r get_vc_line))
 
-let encode_trustee_record gctx (parts : Ea.trustee_part_data array) =
+let encode_trustee_record (parts : Ea.trustee_part_data array) =
   let w = Wire.writer () in
   Wire.put_array w
     (fun w (d : Ea.trustee_part_data) ->
@@ -92,18 +92,18 @@ let encode_trustee_record gctx (parts : Ea.trustee_part_data array) =
         d.Ea.t_shares;
       (* lint: allow secret-taint trustee segments are the trustee's own at-rest state on its own disk, not a network message *)
       Messages.put_share w d.Ea.t_zk_state_share;
-      Messages.put_tag gctx w d.Ea.t_zk_state_tag)
+      Messages.put_tag w d.Ea.t_zk_state_tag)
     parts;
   Wire.contents w
 
-let decode_trustee_record gctx s =
+let decode_trustee_record (_ : Group_ctx.t) s =
   Wire.decode s (fun r ->
       Wire.get_array r (fun r ->
           let t_shares =
             Wire.get_array r (fun r -> Wire.get_array r Messages.get_vss_share)
           in
           let t_zk_state_share = Messages.get_share r in
-          let t_zk_state_tag = Messages.get_tag gctx r in
+          let t_zk_state_tag = Messages.get_tag r in
           { Ea.t_shares; t_zk_state_share; t_zk_state_tag }))
 
 let encode_voter_ballot (b : Types.ballot) =
@@ -178,23 +178,23 @@ let slot_of slots name = List.assoc name slots
 
 (* Append one chunk's records to every segment: the one encoder of
    election data, shared by the streamed and the in-memory writer. *)
-let append_chunk gctx cfg slot (ck : Ea.chunk) =
+let append_chunk cfg slot (ck : Ea.chunk) =
   let count = Array.length ck.Ea.ck_ballots in
   for i = 0 to count - 1 do
     let index = ck.Ea.ck_first + i in
     append_once (slot bb_segment) ~index
-      (encode_bb_ballot gctx ck.Ea.ck_bb.(i));
+      (encode_bb_ballot ck.Ea.ck_bb.(i));
     (* lint: allow secret-taint the printed-ballot segment is the EA's at-rest spool for the printing facility, not a network message *)
     append_once (slot ballots_segment) ~index
       (encode_voter_ballot ck.Ea.ck_ballots.(i));
     for node = 0 to cfg.Types.nv - 1 do
       append_once (slot (vc_segment node)) ~index
-        (encode_vc_record gctx ck.Ea.ck_vc.(node).(i))
+        (encode_vc_record ck.Ea.ck_vc.(node).(i))
     done;
     for t = 0 to cfg.Types.nt - 1 do
       (* lint: allow secret-taint trustee segments are per-trustee at-rest state, delivered out of band like the paper's initialization data *)
       append_once (slot (trustee_segment t)) ~index
-        (encode_trustee_record gctx ck.Ea.ck_trustee.(t).(i))
+        (encode_trustee_record ck.Ea.ck_trustee.(t).(i))
     done
   done
 
@@ -216,7 +216,7 @@ let run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
   let slot = slot_of slots in
   let static =
     Ea.setup_chunks ?pool ~chunk_size ~from_chunk cfg ~seed
-      ~emit:(append_chunk (Group_ctx.default ()) cfg slot)
+      ~emit:(append_chunk cfg slot)
   in
   seal_layout cfg slot static
 
@@ -231,7 +231,7 @@ let write_setup ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
 let store_setup ?(chunk_size = Ea.default_setup_chunk) devices (s : Ea.setup) =
   let cfg = s.Ea.cfg in
   let slot = slot_of (fresh_slots ~chunk_size devices cfg) in
-  append_chunk s.Ea.gctx cfg slot
+  append_chunk cfg slot
     { Ea.ck_index = 0;
       ck_first = 0;
       ck_ballots = s.Ea.ballots;
@@ -344,7 +344,6 @@ let load_layout devices cfg ~seed =
 (* --- readers over a sealed layout ----------------------------------------- *)
 
 let read_trustee_init devices layout i =
-  let gctx = layout.l_static.Ea.st_gctx in
   let records =
     match Segment.read_all (devices (trustee_segment i)) layout.l_trustee.(i) with
     | Some r -> r
@@ -355,7 +354,7 @@ let read_trustee_init devices layout i =
     Ea.t_ballots =
       Array.map
         (fun payload ->
-           match decode_trustee_record gctx payload with
+           match decode_trustee_record layout.l_static.Ea.st_gctx payload with
            | Some parts -> parts
            (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
            | None -> invalid_arg "Election_store: trustee record undecodable")

@@ -22,21 +22,19 @@ module Segment = Dd_segment.Segment
 
 (* --- record codecs (one record per serial) --------------------------- *)
 
-val encode_bb_ballot : Dd_group.Group_ctx.t -> Ea.bb_ballot -> string
-val decode_bb_ballot : Dd_group.Group_ctx.t -> string -> Ea.bb_ballot option
+val encode_bb_ballot : Ea.bb_ballot -> string
+val decode_bb_ballot : string -> Ea.bb_ballot option
 
 (** One collector's validation lines for one serial: part -> position. *)
-val encode_vc_record :
-  Dd_group.Group_ctx.t -> Types.vc_line array array -> string
+val encode_vc_record : Types.vc_line array array -> string
 
-val decode_vc_record :
-  Dd_group.Group_ctx.t -> string -> Types.vc_line array array option
+val decode_vc_record : string -> Types.vc_line array array option
 
 (** One trustee's data for one serial: part -> data. *)
 (* lint: secret — trustee records carry opening and ZK-state shares *)
-val encode_trustee_record :
-  Dd_group.Group_ctx.t -> Ea.trustee_part_data array -> string
+val encode_trustee_record : Ea.trustee_part_data array -> string
 
+(** The context is unused; the benchmark contract calls this with one. *)
 val decode_trustee_record :
   Dd_group.Group_ctx.t -> string -> Ea.trustee_part_data array option
 

@@ -104,18 +104,18 @@ let bb_msg_size = function
 
 module Wire = Dd_codec.Wire
 
-let put_tag gctx w = function
+let put_tag w = function
   | Auth.Schnorr_tag s ->
     Wire.put_varint w 0;
-    Wire.put_bytes w (Dd_sig.Schnorr.encode gctx s)
+    Wire.put_bytes w (Dd_sig.Schnorr.encode s)
   | Auth.Mac_tag macs ->
     Wire.put_varint w 1;
     Wire.put_array w Wire.put_bytes macs
 
-let get_tag gctx r =
+let get_tag r =
   match Wire.get_varint r with
   | 0 ->
-    (match Dd_sig.Schnorr.decode gctx (Wire.get_bytes r) with
+    (match Dd_sig.Schnorr.decode (Wire.get_bytes r) with
      | Some s -> Auth.Schnorr_tag s
      | None -> raise (Wire.Malformed "tag: bad signature"))
   | 1 -> Auth.Mac_tag (Wire.get_array r Wire.get_bytes)
@@ -130,26 +130,26 @@ let get_share r =
   let data = Wire.get_bytes r in
   { Dd_vss.Shamir_bytes.x; Dd_vss.Shamir_bytes.data }
 
-let put_endorsements gctx w endorsements =
+let put_endorsements w endorsements =
   Wire.put_list w
-    (fun w (signer, tag) -> Wire.put_varint w signer; put_tag gctx w tag)
+    (fun w (signer, tag) -> Wire.put_varint w signer; put_tag w tag)
     endorsements
 
-let get_endorsements gctx r =
+let get_endorsements r =
   Wire.get_list r (fun r ->
       let signer = Wire.get_varint r in
-      let tag = get_tag gctx r in
+      let tag = get_tag r in
       (signer, tag))
 
-let put_ucert gctx w (u : ucert) =
+let put_ucert w (u : ucert) =
   Wire.put_varint w u.u_serial;
   Wire.put_bytes w u.u_code;
-  put_endorsements gctx w u.endorsements
+  put_endorsements w u.endorsements
 
-let get_ucert gctx r =
+let get_ucert r =
   let u_serial = Wire.get_varint r in
   let u_code = Wire.get_bytes r in
-  let endorsements = get_endorsements gctx r in
+  let endorsements = get_endorsements r in
   { u_serial; u_code; endorsements }
 
 let put_part w part = Wire.put_varint w (Types.part_index part)
@@ -163,18 +163,18 @@ let get_part r =
 (* A VSC entry writes its binding once: the UCERT's own (serial, code)
    are the entry's, so only the endorsements follow, and the decoder
    rebinds the certificate to the entry it arrived in. *)
-let put_entry gctx w (serial, code, (u : ucert)) =
+let put_entry w (serial, code, (u : ucert)) =
   Wire.put_varint w serial;
   Wire.put_bytes w code;
-  put_endorsements gctx w u.endorsements
+  put_endorsements w u.endorsements
 
-let get_entry gctx r =
+let get_entry r =
   let serial = Wire.get_varint r in
   let code = Wire.get_bytes r in
-  let endorsements = get_endorsements gctx r in
+  let endorsements = get_endorsements r in
   (serial, code, { u_serial = serial; u_code = code; endorsements })
 
-let encode_vc_msg gctx (msg : vc_msg) =
+let encode_vc_msg (msg : vc_msg) =
   let w = Wire.writer () in
   (match msg with
    | Vote { serial; vote_code; client; req } ->
@@ -187,18 +187,18 @@ let encode_vc_msg gctx (msg : vc_msg) =
    | Endorsement { serial; vote_code; signer; tag } ->
      Wire.put_varint w 2;
      Wire.put_varint w serial; Wire.put_bytes w vote_code;
-     Wire.put_varint w signer; put_tag gctx w tag
+     Wire.put_varint w signer; put_tag w tag
    | Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert } ->
      (* the discriminant says whether a UCERT follows: 3 with, 8 elided *)
      Wire.put_varint w (if Option.is_some ucert then 3 else 8);
      Wire.put_varint w serial; Wire.put_bytes w vote_code; Wire.put_varint w sender;
      put_part w part; Wire.put_varint w pos; put_share w share;
-     Wire.put_option w (put_tag gctx) share_tag;
-     Option.iter (put_ucert gctx w) ucert
+     Wire.put_option w put_tag share_tag;
+     Option.iter (put_ucert w) ucert
    | Announce_batch { sender; entries } ->
      Wire.put_varint w 4;
      Wire.put_varint w sender;
-     Wire.put_list w (put_entry gctx) entries
+     Wire.put_list w put_entry entries
    | Consensus { sender; rbc } ->
      Wire.put_varint w 5;
      Wire.put_varint w sender;
@@ -210,10 +210,10 @@ let encode_vc_msg gctx (msg : vc_msg) =
    | Recover_response { sender; entries } ->
      Wire.put_varint w 7;
      Wire.put_varint w sender;
-     Wire.put_list w (put_entry gctx) entries);
+     Wire.put_list w put_entry entries);
   Wire.contents w
 
-let decode_vc_msg gctx frame =
+let decode_vc_msg frame =
   Wire.decode frame (fun r ->
       match Wire.get_varint r with
       | 0 ->
@@ -231,7 +231,7 @@ let decode_vc_msg gctx frame =
         let serial = Wire.get_varint r in
         let vote_code = Wire.get_bytes r in
         let signer = Wire.get_varint r in
-        let tag = get_tag gctx r in
+        let tag = get_tag r in
         Endorsement { serial; vote_code; signer; tag }
       | (3 | 8) as kind ->
         let serial = Wire.get_varint r in
@@ -240,12 +240,12 @@ let decode_vc_msg gctx frame =
         let part = get_part r in
         let pos = Wire.get_varint r in
         let share = get_share r in
-        let share_tag = Wire.get_option r (get_tag gctx) in
-        let ucert = if kind = 3 then Some (get_ucert gctx r) else None in
+        let share_tag = Wire.get_option r get_tag in
+        let ucert = if kind = 3 then Some (get_ucert r) else None in
         Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert }
       | 4 ->
         let sender = Wire.get_varint r in
-        let entries = Wire.get_list r (get_entry gctx) in
+        let entries = Wire.get_list r get_entry in
         Announce_batch { sender; entries }
       | 5 ->
         let sender = Wire.get_varint r in
@@ -258,7 +258,7 @@ let decode_vc_msg gctx frame =
         Recover_request { sender; serials }
       | 7 ->
         let sender = Wire.get_varint r in
-        let entries = Wire.get_list r (get_entry gctx) in
+        let entries = Wire.get_list r get_entry in
         Recover_response { sender; entries }
       | _ -> raise (Wire.Malformed "vc_msg: unknown discriminant"))
 
@@ -271,7 +271,11 @@ module Nat = Dd_bignum.Nat
 
 let put_nat w n = Wire.put_bytes w (Nat.to_bytes_be n)
 
-let get_nat r = Nat.of_bytes_be (Wire.get_bytes r)
+(* A VSS scalar comes from a trustee post or segment: canonical only. *)
+let get_scalar r =
+  match Dd_group.Curve.decode_scalar (Wire.get_bytes r) with
+  | Some k -> k
+  | None -> raise (Wire.Malformed "vss share: scalar not canonical")
 
 let put_vss_share w (sh : Dd_vss.Elgamal_vss.share) =
   Wire.put_varint w sh.Dd_vss.Elgamal_vss.x;
@@ -280,8 +284,8 @@ let put_vss_share w (sh : Dd_vss.Elgamal_vss.share) =
 
 let get_vss_share r =
   let x = Wire.get_varint r in
-  let msg = get_nat r in
-  let rand = get_nat r in
+  let msg = get_scalar r in
+  let rand = get_scalar r in
   { Dd_vss.Elgamal_vss.x; msg; rand }
 
 let put_final_move w fm = Wire.put_bytes w (Dd_zkp.Ballot_proof.encode_final_move fm)

@@ -78,8 +78,8 @@ val bb_msg_size : bb_msg -> int
     elided ([ucert = None]), with no option byte. The VSC entries of
     ANNOUNCE and RECOVER-RESPONSE write each certificate's endorsements
     only: the decoder binds the UCERT to the entry's (serial, code). *)
-val encode_vc_msg : Dd_group.Group_ctx.t -> vc_msg -> string
-val decode_vc_msg : Dd_group.Group_ctx.t -> string -> vc_msg option
+val encode_vc_msg : vc_msg -> string
+val decode_vc_msg : string -> vc_msg option
 
 (** Byte-level encoding of the BB write paths (total decoder), for the
     BB nodes' durable input journal. *)
@@ -90,19 +90,21 @@ val decode_bb_msg : string -> bb_msg option
     durable-state codecs (Vc_node snapshots, trustee journals). The
     [get_*] readers raise {!Dd_codec.Wire.Malformed} on bad input — use
     them under [Dd_codec.Wire.decode]. *)
-val put_tag : Dd_group.Group_ctx.t -> Dd_codec.Wire.writer -> Auth.tag -> unit
-val get_tag : Dd_group.Group_ctx.t -> Dd_codec.Wire.reader -> Auth.tag
+val put_tag : Dd_codec.Wire.writer -> Auth.tag -> unit
+val get_tag : Dd_codec.Wire.reader -> Auth.tag
 val put_share : Dd_codec.Wire.writer -> Dd_vss.Shamir_bytes.share -> unit
 val get_share : Dd_codec.Wire.reader -> Dd_vss.Shamir_bytes.share
-val put_ucert : Dd_group.Group_ctx.t -> Dd_codec.Wire.writer -> ucert -> unit
-val get_ucert : Dd_group.Group_ctx.t -> Dd_codec.Wire.reader -> ucert
+val put_ucert : Dd_codec.Wire.writer -> ucert -> unit
+val get_ucert : Dd_codec.Wire.reader -> ucert
 val put_part : Dd_codec.Wire.writer -> Types.part_id -> unit
 val get_part : Dd_codec.Wire.reader -> Types.part_id
 val put_vss_share : Dd_codec.Wire.writer -> Dd_vss.Elgamal_vss.share -> unit
+
+(** Rejects a [msg] or [rand] longer than 32 bytes or not below the
+    group order. *)
 val get_vss_share : Dd_codec.Wire.reader -> Dd_vss.Elgamal_vss.share
 
 (** A VSC entry: serial, code, then the UCERT's endorsements alone
     ({!get_entry} fills [u_serial]/[u_code] in from the entry). *)
-val put_entry :
-  Dd_group.Group_ctx.t -> Dd_codec.Wire.writer -> int * string * ucert -> unit
-val get_entry : Dd_group.Group_ctx.t -> Dd_codec.Wire.reader -> int * string * ucert
+val put_entry : Dd_codec.Wire.writer -> int * string * ucert -> unit
+val get_entry : Dd_codec.Wire.reader -> int * string * ucert

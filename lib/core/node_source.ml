@@ -33,7 +33,7 @@ let of_layout ~devices (layout : Election_store.layout) =
     sv_keys = st.Ea.st_vc_keys;
     sv_store_for =
       (fun node ->
-         Ballot_store.segmented ~gctx ~cfg
+         Ballot_store.segmented ~cfg
            ~msk_share:st.Ea.st_msk_shares.(node)
            (devices (Election_store.vc_segment node))
            layout.Election_store.l_vc.(node));
@@ -41,7 +41,7 @@ let of_layout ~devices (layout : Election_store.layout) =
       Some
         ( { Ea.hmsk = st.Ea.st_hmsk; Ea.salt_msk = st.Ea.st_salt_msk },
           fun (_ : int) ->
-            Board.create gctx (devices Election_store.bb_segment)
+            Board.create (devices Election_store.bb_segment)
               layout.Election_store.l_bb );
     sv_trustees =
       Some (st.Ea.st_trustee_keys, Election_store.read_trustee_init devices layout);

@@ -79,8 +79,7 @@ type journal_input =
   | J_data of (int * (Types.part_id * int)) list
   | J_exchange of exchange
 
-let encode_input t inp =
-  let gctx = t.env.keys.Auth.gctx in
+let encode_input inp =
   let w = Wire.writer () in
   (match inp with
    | J_data voted ->
@@ -99,12 +98,11 @@ let encode_input t inp =
           Wire.put_varint w serial;
           Messages.put_part w part;
           Messages.put_share w share;
-          Messages.put_tag gctx w tag)
+          Messages.put_tag w tag)
        ex.ex_entries);
   Wire.contents w
 
-let decode_input t payload =
-  let gctx = t.env.keys.Auth.gctx in
+let decode_input payload =
   Wire.decode payload (fun r ->
       match Wire.get_varint r with
       | 0 ->
@@ -121,7 +119,7 @@ let decode_input t payload =
               let serial = Wire.get_varint r in
               let part = Messages.get_part r in
               let share = Messages.get_share r in
-              let tag = Messages.get_tag gctx r in
+              let tag = Messages.get_tag r in
               (serial, part, share, tag))
         in
         J_exchange { ex_from; ex_entries }
@@ -129,7 +127,7 @@ let decode_input t payload =
 
 let journal_input t inp =
   match t.journal with
-  | Some store -> Store.log store (encode_input t inp)
+  | Some store -> Store.log store (encode_input inp)
   | None -> ()
 
 (* Parse the per-part state blob: length-prefixed encoded states. *)
@@ -167,9 +165,9 @@ let try_finalize_zk t ~serial ~part =
       (match parse_states blob with
        | None -> ()  (* corrupt share slipped in; wait for more *)
        | Some states ->
-         let challenge = Challenge.for_proof t.env.gctx ~master_challenge:master ~serial
+         let challenge = Challenge.for_proof ~master_challenge:master ~serial
              ~part:(match part with Types.A -> `A | Types.B -> `B) in
-         let finals = Array.map (fun st -> Ballot_proof.finalize t.env.gctx st ~challenge) states in
+         let finals = Array.map (fun st -> Ballot_proof.finalize st ~challenge) states in
          Hashtbl.replace t.zk_posted key ();
          t.env.post_bb
            (Trustee_payload.Zk_final
@@ -218,7 +216,7 @@ let on_election_data t ~(voted : (int * (Types.part_id * int)) list) =
       |> List.map (fun (_, (part, _)) -> part = Types.B)
     in
     t.master_challenge <-
-      Some (Challenge.master t.env.gctx ~election_id:cfg.Types.election_id ~coins);
+      Some (Challenge.master ~election_id:cfg.Types.election_id ~coins);
     t.used_parts <- List.map (fun (serial, (part, _)) -> (serial, part)) voted;
     (* 1. openings of unused parts / both parts of unvoted ballots *)
     let opening_entries = ref [] in
@@ -265,7 +263,7 @@ let on_election_data t ~(voted : (int * (Types.part_id * int)) list) =
                  data.Ea.t_shares.(pos).(j))
               voted
           in
-          Elgamal_vss.sum_shares t.env.gctx ~x per_ballot)
+          Elgamal_vss.sum_shares ~x per_ballot)
     in
     t.env.post_bb
       (Trustee_payload.Tally_share
@@ -284,7 +282,7 @@ let recover env =
      let recovered = Store.read device in
      List.iter
        (fun payload ->
-          match decode_input t payload with
+          match decode_input payload with
           | Some (J_data voted) -> on_election_data t ~voted
           | Some (J_exchange ex) -> on_exchange t ex
           | None -> ()   (* framed but undecodable: skip, never crash *))

@@ -13,6 +13,7 @@ type env = {
   me : int;
   cfg : Types.config;
   gctx : Dd_group.Group_ctx.t;
+      (** unused: the benchmark contract builds this record with it *)
   init : Ea.trustee_init;
   keys : Auth.keys;    (** trustee clique; index [nt] is the EA *)
   send_trustee : dst:int -> exchange -> unit;

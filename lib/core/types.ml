@@ -3,7 +3,6 @@
 type part_id = A | B
 
 let part_index = function A -> 0 | B -> 1
-let part_of_index = function 0 -> Some A | 1 -> Some B | _ -> None
 let part_label = function A -> "A" | B -> "B"
 let other_part = function A -> B | B -> A
 
@@ -90,7 +89,3 @@ type vote_outcome =
 
 (* Final agreed tally entry. *)
 type tally = int array  (* per-option counts *)
-
-let pp_tally fmt (t : tally) =
-  Format.fprintf fmt "[%s]"
-    (String.concat "; " (Array.to_list (Array.map string_of_int t)))

@@ -7,9 +7,6 @@ type part_id = A | B
 
 val part_index : part_id -> int
 
-(** [None] outside {0, 1}. *)
-val part_of_index : int -> part_id option
-
 val part_label : part_id -> string
 val other_part : part_id -> part_id
 
@@ -78,5 +75,3 @@ type vote_outcome =
 
 (** Per-option counts. *)
 type tally = int array
-
-val pp_tally : Format.formatter -> tally -> unit

@@ -183,8 +183,7 @@ type wal_rec =
   | R_decided of { slot : int; value : bool }
   | R_submitted
 
-let encode_rec t rc =
-  let gctx = t.env.keys.Auth.gctx in
+let encode_rec rc =
   let w = Wire.writer () in
   (match rc with
    | R_vote_accepted { serial; code; part; pos } ->
@@ -194,7 +193,7 @@ let encode_rec t rc =
      Wire.put_varint w 1; Wire.put_varint w serial; Wire.put_bytes w code;
      Messages.put_part w part; Wire.put_varint w pos
    | R_ucert { ucert; part; pos; endorse } ->
-     Wire.put_varint w 2; Messages.put_ucert gctx w ucert;
+     Wire.put_varint w 2; Messages.put_ucert w ucert;
      Messages.put_part w part; Wire.put_varint w pos; Wire.put_bool w endorse
    | R_sent_vote_p serial -> Wire.put_varint w 3; Wire.put_varint w serial
    | R_share { serial; share } ->
@@ -213,8 +212,7 @@ let encode_rec t rc =
    | R_submitted -> Wire.put_varint w 11);
   Wire.contents w
 
-let decode_rec t payload =
-  let gctx = t.env.keys.Auth.gctx in
+let decode_rec payload =
   Wire.decode payload (fun r ->
       match Wire.get_varint r with
       | 0 ->
@@ -230,7 +228,7 @@ let decode_rec t payload =
         let pos = Wire.get_varint r in
         R_endorsed { serial; code; part; pos }
       | 2 ->
-        let ucert = Messages.get_ucert gctx r in
+        let ucert = Messages.get_ucert r in
         let part = Messages.get_part r in
         let pos = Wire.get_varint r in
         let endorse = Wire.get_bool r in
@@ -263,7 +261,7 @@ let decode_rec t payload =
    exactly what recovery's clean-prefix scan must tolerate. *)
 let log_rec ?(sync = true) t rc =
   match t.wal with
-  | Some store when not t.recovering -> Store.log ~sync store (encode_rec t rc)
+  | Some store when not t.recovering -> Store.log ~sync store (encode_rec rc)
   | Some _ | None -> ()
 
 (* Callers pass a [code] backed by a UCERT they already verified: if we
@@ -899,7 +897,6 @@ let ballot_blank (b : ballot_rt) =
    state — whatever order events reached them in — snapshot to the same
    bytes, which is what the equivalence tests compare. *)
 let snapshot t =
-  let gctx = t.env.keys.Auth.gctx in
   let w = Wire.writer () in
   Wire.put_varint w 1;   (* snapshot format version *)
   Wire.put_varint w (match t.phase with Voting -> 0 | Vsc -> 1 | Submitted -> 2);
@@ -934,7 +931,7 @@ let snapshot t =
        Wire.put_varint w serial;
        put_status w b.status;
        Wire.put_option w Wire.put_bytes b.endorsed;
-       Wire.put_option w (Messages.put_ucert gctx) b.ucert;
+       Wire.put_option w Messages.put_ucert b.ucert;
        Messages.put_part w b.part;
        Wire.put_varint w b.pos;
        Wire.put_bool w b.sent_vote_p;
@@ -944,7 +941,6 @@ let snapshot t =
   Wire.contents w
 
 let restore env blob =
-  let gctx = env.keys.Auth.gctx in
   Wire.decode blob (fun r ->
       if Wire.get_varint r <> 1 then raise (Wire.Malformed "vc snapshot version");
       let t = create_bare env in
@@ -987,7 +983,7 @@ let restore env blob =
             let serial = Wire.get_varint r in
             let status = get_status r in
             let endorsed = Wire.get_option r Wire.get_bytes in
-            let ucert = Wire.get_option r (Messages.get_ucert gctx) in
+            let ucert = Wire.get_option r Messages.get_ucert in
             let part = Messages.get_part r in
             let pos = Wire.get_varint r in
             let sent_vote_p = Wire.get_bool r in
@@ -1041,7 +1037,7 @@ let recover env =
     t.recovering <- true;
     List.iter
       (fun payload ->
-         match decode_rec t payload with
+         match decode_rec payload with
          | Some rc -> apply_rec t rc
          | None -> ()   (* framed but undecodable: ignore, never crash *))
       recovered.Store.records;

@@ -36,8 +36,8 @@ type point = int array
 type jac = { x : Fe.t; y : Fe.t; z : Fe.t }
 
 (* Temporaries for the formulas, and [ex]/[ey] for a table entry being
-   read. A scratch belongs to one call, never to a [t]: a [t] is shared
-   across domains. *)
+   read. A scratch belongs to one call, never to a module value: those
+   are shared across domains. *)
 type scratch = {
   t0 : Fe.t; t1 : Fe.t; t2 : Fe.t; t3 : Fe.t; t4 : Fe.t; t5 : Fe.t; t6 : Fe.t; t7 : Fe.t;
   ex : Fe.t; ey : Fe.t;
@@ -61,22 +61,27 @@ type precomp = {
   tbl : odd_table;      (* P, 3P, ..., (2^(w-1)-1)P; empty for the identity *)
 }
 
-type t = {
-  fn : Modular.ctx;     (* arithmetic mod order *)
-  gen : point;
-  gen_tables : precomp option Atomic.t;
-  (* generator table cache, published once via compare-and-set: a race
-     may compute it twice, but every domain observes a single value *)
-}
-
 (* The prime order n of the generator, and the 32-byte width of an
    encoded coordinate. *)
-let order_n = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
-let field_bytes = 32
+let order = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
+let byte_len = 32
 
-let scalar_field t = t.fn
-let order (_ : t) = order_n
-let byte_len (_ : t) = field_bytes
+(* Arithmetic mod the order. *)
+let scalar_field = Modular.create order
+
+(* A scalar from outside the program: big-endian, at most [byte_len]
+   bytes, and canonical (below the order). *)
+let decode_scalar s =
+  let k = Nat.of_bytes_be s in
+  if String.length s <= byte_len && Nat.compare k order < 0 then Some k else None
+
+(* Draw a uniform scalar in [1, order) from a DRBG. *)
+let random_scalar rng =
+  let rec draw () =
+    let k = Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng byte_len) in
+    if Nat.is_zero k || Nat.compare k order >= 0 then draw () else k
+  in
+  draw ()
 
 (* --- points and registers ---------------------------------------------- *)
 
@@ -112,7 +117,10 @@ let copy r a = Fe.set r.x a.x; Fe.set r.y a.y; Fe.set r.z a.z
 (* The finite point (x, y, 1). *)
 let affine_point x y = store { x; y; z = one }
 
-let generator t = Array.copy t.gen
+let generator =
+  affine_point
+    (Fe.of_nat (Nat.of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"))
+    (Fe.of_nat (Nat.of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"))
 
 let is_affine (p : point) = not (is_infinity p) && Fe.equal (loaded p).z one
 
@@ -152,7 +160,7 @@ let normalize (js : jac array) =
 (* Batch normalization: only finite points off Z = 1 need an inverse,
    and they share one inversion through [batch_inv]. Points already at
    Z = 1 (decoded points, table entries) skip the field work. *)
-let to_affine_batch (_ : t) pts =
+let to_affine_batch pts =
   let js = Array.map loaded pts in
   let pending j = not (Fe.is_zero j.z || Fe.equal j.z one) in
   let pending = List.filter pending (Array.to_list js) in
@@ -160,9 +168,9 @@ let to_affine_batch (_ : t) pts =
   List.iteri (fun i j -> let x, y = aff.(i) in Fe.set j.x x; Fe.set j.y y) pending;
   Array.map (fun j -> if Fe.is_zero j.z then None else Some (Fe.to_nat j.x, Fe.to_nat j.y)) js
 
-let to_affine t pt = (to_affine_batch t [| pt |]).(0)
+let to_affine pt = (to_affine_batch [| pt |]).(0)
 
-let of_affine (_ : t) (x, y) = affine_point (Fe.of_nat x) (Fe.of_nat y)
+let of_affine (x, y) = affine_point (Fe.of_nat x) (Fe.of_nat y)
 
 (* dst := x^3 + 7. *)
 let curve_rhs dst x =
@@ -170,7 +178,7 @@ let curve_rhs dst x =
   Fe.mul dst dst x;
   Fe.add dst dst seven
 
-let on_curve (_ : t) (x, y) =
+let on_curve (x, y) =
   let lhs = Fe.of_nat y and rhs = Fe.make () in
   Fe.sqr lhs lhs;
   curve_rhs rhs (Fe.of_nat x);
@@ -287,24 +295,24 @@ let madd s r a x2 y2 =
     end
   end
 
-let double (_ : t) p =
+let double p =
   let r = loaded p in
   dbl (scratch ()) r r;
   store r
 
 (* An affine [q] (Z = 1: decoded points, table entries) takes the
    mixed add. *)
-let add (_ : t) p q =
+let add p q =
   let r = loaded p and b = loaded q and s = scratch () in
   if Fe.equal b.z one then madd s r r b.x b.y else add_j s r r b;
   store r
 
-let neg (_ : t) p =
+let neg p =
   let r = loaded p in
   Fe.neg r.y r.y;
   store r
 
-let sub t p q = add t p (neg t q)
+let sub p q = add p (neg q)
 
 (* 4-bit window digit w of scalar k (little-endian window index). *)
 let window4 k w =
@@ -319,13 +327,13 @@ let window4 k w =
    (the d = 0 slot holds the identity), so the sequence of group
    operations does not depend on the scalar's value — see the timing
    contract in curve.mli. *)
-let mul t k pt =
-  let k = Modular.reduce t.fn k in
+let mul k pt =
+  let k = Modular.reduce scalar_field k in
   let s = scratch () in
   let tbl = Array.init 16 (fun _ -> jac ()) in
   load pt tbl.(1);
   for d = 2 to 15 do add_j s tbl.(d) tbl.(d - 1) tbl.(1) done;
-  let windows = (Nat.bit_length order_n + 3) / 4 in
+  let windows = (Nat.bit_length order + 3) / 4 in
   let acc = jac () in
   for w = windows - 1 downto 0 do
     for _ = 1 to 4 do dbl s acc acc done;
@@ -333,9 +341,9 @@ let mul t k pt =
   done;
   store acc
 
-let mul_int t k pt =
+let mul_int k pt =
   if k < 0 then invalid_arg "Curve.mul_int: negative scalar";
-  mul t (Nat.of_int k) pt
+  mul (Nat.of_int k) pt
 
 (* Width-w wNAF digit expansion: MSB-first list of odd digits in
    {0, +-1, +-3, ..., +-(2^(w-1)-1)}, adjacent nonzero digits separated
@@ -386,9 +394,9 @@ let wnaf w k =
    digits cost only a double. The odd multiples 1P .. 15P stay in
    Jacobian registers; a negative digit negates its entry's y into
    [ey]. Public inputs only — see curve.mli. *)
-let mul_vartime_j t s k pt =
+let mul_vartime_j s k pt =
   let acc = jac () in
-  let k = Modular.reduce t.fn k in
+  let k = Modular.reduce scalar_field k in
   if not (Nat.is_zero k || is_infinity pt) then begin
     let tbl = Array.init 8 (fun _ -> jac ()) and p2 = jac () in
     load pt tbl.(0);
@@ -407,9 +415,9 @@ let mul_vartime_j t s k pt =
   end;
   acc
 
-let mul_vartime t k pt = store (mul_vartime_j t (scratch ()) k pt)
+let mul_vartime k pt = store (mul_vartime_j (scratch ()) k pt)
 
-let equal (_ : t) p q =
+let equal p q =
   match is_infinity p, is_infinity q with
   | true, true -> true
   | true, false | false, true -> false
@@ -427,9 +435,9 @@ let equal (_ : t) p q =
     Fe.equal s.t2 s.t3 && Fe.equal s.t4 s.t5
 
 (* The GLV constants for secp256k1: lambda, beta and the short lattice
-   basis, as in libsecp256k1. [create] verifies them algebraically
-   ([endo_valid]) and refuses a bad constant rather than let [msm]
-   produce wrong results. *)
+   basis, as in libsecp256k1. They are verified algebraically below,
+   and a bad constant raises rather than let [msm] produce wrong
+   results. *)
 let glv = {
   e_lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
   e_beta = Fe.of_nat (Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
@@ -439,37 +447,28 @@ let glv = {
   e_b2 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
 }
 
-(* Accept an endomorphism only if it checks out: beta must be a
-   nontrivial cube root of unity mod p (so (x, y) -> (beta*x, y) maps
-   the curve, whose a = 0, to itself), (beta*gx, gy) must equal
-   lambda*G (pinning the map to multiplication by lambda rather than
-   lambda^2), and the lattice basis must satisfy a1 = b1*lambda and
-   a2 = -b2*lambda (mod n). *)
-let endo_valid t e =
-  let fn = t.fn in
-  let cube = Fe.make () and g = loaded t.gen in
-  Fe.sqr cube e.e_beta;
-  Fe.mul cube cube e.e_beta;
-  Fe.mul g.x g.x e.e_beta;
-  not (Fe.equal e.e_beta one)
-  && Fe.equal cube one
-  && Nat.equal (Modular.mul fn e.e_b1 e.e_lambda) (Modular.reduce fn e.e_a1)
-  && Nat.is_zero
-       (Modular.add fn (Modular.reduce fn e.e_a2) (Modular.mul fn e.e_b2 e.e_lambda))
-  && equal t (store g) (mul_vartime t e.e_lambda t.gen)
-
-let create () =
-  let t = {
-    fn = Modular.create order_n;
-    gen =
-      affine_point
-        (Fe.of_nat (Nat.of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"))
-        (Fe.of_nat (Nat.of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"));
-    gen_tables = Atomic.make None;
-  } in
-  (* lint: allow secret-taint — curve constants and the generator are public *)
-  if not (endo_valid t glv) then invalid_arg "Curve.create: the GLV constants do not check out";
-  t
+(* Accept the endomorphism only if it checks out, once per process,
+   when the module initializes: beta must be a nontrivial cube root of
+   unity mod p (so (x, y) -> (beta*x, y) maps the curve, whose a = 0, to
+   itself), (beta*gx, gy) must equal lambda*G (pinning the map to
+   multiplication by lambda rather than lambda^2), and the lattice basis
+   must satisfy a1 = b1*lambda and a2 = -b2*lambda (mod n). *)
+let () =
+  let fn = scalar_field in
+  let cube = Fe.make () and g = loaded generator in
+  Fe.sqr cube glv.e_beta;
+  Fe.mul cube cube glv.e_beta;
+  Fe.mul g.x g.x glv.e_beta;
+  let valid =
+    not (Fe.equal glv.e_beta one)
+    && Fe.equal cube one
+    && Nat.equal (Modular.mul fn glv.e_b1 glv.e_lambda) (Modular.reduce fn glv.e_a1)
+    && Nat.is_zero
+         (Modular.add fn (Modular.reduce fn glv.e_a2) (Modular.mul fn glv.e_b2 glv.e_lambda))
+    (* lint: allow secret-taint — curve constants and the generator are public *)
+    && equal (store g) (mul_vartime glv.e_lambda generator)
+  in
+  if not valid then invalid_arg "Curve: the GLV constants do not check out"
 
 (* --- signed-odd comb tables -------------------------------------------- *)
 
@@ -619,14 +618,14 @@ let comb_row cx cy prefix ex ey =
    prime order: y = 0 would make a point 2-torsion, and a chord through
    (2j+1) B_i and 2c B_i with 2j+1 < 2c <= 2^(w-1) would need
    2j+1 = +-2c mod n. *)
-let make_base_table t ~width pt =
+let make_base_table ~width pt =
   if width < 2 || width > 10 then invalid_arg "Curve.make_base_table: width";
-  let fn = t.fn in
-  let rows = (Nat.bit_length order_n + width - 1) / width in
+  let fn = scalar_field in
+  let rows = (Nat.bit_length order + width - 1) / width in
   let offset =
     Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
   in
-  let half = Nat.shift_right (Nat.add order_n Nat.one) 1 in
+  let half = Nat.shift_right (Nat.add order Nat.one) 1 in
   if is_infinity pt then { width; entries = [||]; offset; half }
   else begin
     let s = scratch () in
@@ -677,8 +676,8 @@ let base_table_rows (table : base_table) =
    table's digits b_i: b_i is bits w*i .. w*i + w - 1 of d. Only called
    on tables with rows. A lane of a lockstep group keeps these few bytes
    rather than an array of its digits. *)
-let comb_digits t (table : base_table) k =
-  let fn = t.fn in
+let comb_digits (table : base_table) k =
+  let fn = scalar_field in
   let d = Modular.mul fn (Modular.add fn (Modular.reduce fn k) table.offset) table.half in
   Nat.to_bytes_be ~len:(((table.width * Array.length table.entries) + 7) / 8) d
 
@@ -712,10 +711,10 @@ let comb_y (table : base_table) i b y tmp =
 
 (* acc := acc + k * B off the comb table: one lookup and one mixed add
    per row and no doublings, since each row carries its 2^(w*i) factor. *)
-let comb_rows t s acc (table : base_table) k =
+let comb_rows s acc (table : base_table) k =
   let rows = Array.length table.entries in
   if rows > 0 then begin
-    let digits = comb_digits t table k in
+    let digits = comb_digits table k in
     for i = 0 to rows - 1 do
       let b = comb_digit table digits i in
       comb_x table i b s.ex;
@@ -729,9 +728,9 @@ let comb_rows t s acc (table : base_table) k =
    every row does one lookup and one add, so the group-operation
    sequence does not depend on the scalar; only the last add can meet
    the equal or opposite case (see above), which [madd] handles. *)
-let mul_base_table t (table : base_table) k =
+let mul_base_table (table : base_table) k =
   let acc = jac () in
-  comb_rows t (scratch ()) acc table k;
+  comb_rows (scratch ()) acc table k;
   store acc
 
 (* Strauss-Shamir shared-accumulator computation of u*B + v*P, where B
@@ -740,10 +739,10 @@ let mul_base_table t (table : base_table) k =
    own, so its comb-table mixed adds simply fold into the same
    accumulator — one joint chain instead of two multiplications plus a
    final add. Variable time; public inputs only. *)
-let mul2 t (table : base_table) u v p =
+let mul2 (table : base_table) u v p =
   let s = scratch () in
-  let acc = mul_vartime_j t s v p in
-  comb_rows t s acc table u;
+  let acc = mul_vartime_j s v p in
+  comb_rows s acc table u;
   store acc
 
 (* --- lockstep batch of fixed-base multiplications ---------------------- *)
@@ -759,7 +758,7 @@ let batch_group = 1024
    step. The terms of a multi-term job then merge with complete steps,
    one round per extra term. Lane values are Fe elements allocated once
    per group and overwritten in place. *)
-let lockstep_group t (jobs : comb_job array) lo hi out =
+let lockstep_group (jobs : comb_job array) lo hi out =
   let lanes =
     Array.of_list
       (List.concat
@@ -785,7 +784,7 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
        if rows > 0 then begin
          let na = Array.length idx in
          let tables = Array.map (fun l -> let _, table, _ = lanes.(l) in table) idx in
-         let digits = Array.map (fun l -> let _, table, k = lanes.(l) in comb_digits t table k) idx in
+         let digits = Array.map (fun l -> let _, table, k = lanes.(l) in comb_digits table k) idx in
          let tmp = Fe.make () in
          let ex i a x = comb_x tables.(a) i (comb_digit tables.(a) digits.(a) i) x in
          let ey i a y = comb_y tables.(a) i (comb_digit tables.(a) digits.(a) i) y tmp in
@@ -824,12 +823,12 @@ let lockstep_group t (jobs : comb_job array) lo hi out =
     out.(lo + q) <- (if jinf.(q) then infinity else affine_point jx.(q) jy.(q))
   done
 
-let mul_base_batch t (jobs : comb_job array) =
+let mul_base_batch (jobs : comb_job array) =
   let n = Array.length jobs in
   let out = Array.make n infinity in
   let groups = (n + batch_group - 1) / batch_group in
   for g = 0 to groups - 1 do
-    lockstep_group t jobs (g * n / groups) ((g + 1) * n / groups) out
+    lockstep_group jobs (g * n / groups) ((g + 1) * n / groups) out
   done;
   out
 
@@ -840,13 +839,14 @@ let mul_base_batch t (jobs : comb_job array) =
    c1 = round(b2*k/n) and c2 = round(b1*k/n) project k onto the short
    basis; k1 = k - c1*a1 - c2*a2 and k2 = c1*b1 - c2*b2 come out signed,
    returned as (negate, magnitude). The identity holds for *any* c1,
-   c2 once [endo_valid] has checked the basis congruences — the
-   rounding only controls how short the halves are, never soundness. *)
+   c2 once the initialization check has passed the basis congruences —
+   the rounding only controls how short the halves are, never
+   soundness. *)
 let endo_split k =
   (* n is within 2^-127 of 2^bits, so dividing by n rounds the same as
      shifting by bits up to +-2 — which only lengthens the halves by a
      couple of bits, never breaks the k1 + k2*lambda identity. *)
-  let bits = Nat.bit_length order_n in
+  let bits = Nat.bit_length order in
   let round_div num = Nat.shift_right num bits in
   let c1 = round_div (Nat.mul glv.e_b2 k) in
   let c2 = round_div (Nat.mul glv.e_b1 k) in
@@ -895,7 +895,7 @@ let odd_tables s (pts : jac array) sizes =
        tb)
     sizes
 
-let precompute (_ : t) p =
+let precompute p =
   if is_infinity p then
     (* the identity contributes nothing; msm drops such terms *)
     { pre_pt = infinity; tbl = { ox = [||]; oy = [||]; obx = [||] } }
@@ -909,15 +909,9 @@ let precompute (_ : t) p =
 
 let precomp_point pc = pc.pre_pt
 
-let gen_tables t =
-  match Atomic.get t.gen_tables with
-  | Some g -> g
-  | None ->
-    (* racing domains may both build the table; exactly one result is
-       published and everyone converges on it *)
-    let gt = precompute t t.gen in
-    if Atomic.compare_and_set t.gen_tables None (Some gt) then gt
-    else (match Atomic.get t.gen_tables with Some g -> g | None -> gt)
+(* The generator's wide table, built on first use: racing domains may
+   both build it, but exactly one result is published. *)
+let gen_tables = Dd_parallel.Once.make (fun () -> precompute generator)
 
 (* Joint Strauss for small-to-medium batches: per-point wNAF digit
    strings share one doubling chain, so n points cost ~256 doubles
@@ -935,13 +929,16 @@ let gen_tables t =
    only one string amortizing the table, the smaller build wins.
    Generator terms skip table building entirely via the process-wide
    [gen_tables]. *)
-let msm_strauss t s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
+let msm_strauss s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
   (* generator terms ride the process-wide precomputed table instead of
      building a per-call one *)
   let gens, pairs =
-    List.partition (fun (_, p) -> Array.for_all2 Int.equal p t.gen) (Array.to_list pairs)
+    List.partition (fun (_, p) -> Array.for_all2 Int.equal p generator) (Array.to_list pairs)
   in
-  let pre = Array.append pre (Array.of_list (List.map (fun (k, _) -> (k, gen_tables t)) gens)) in
+  let pre =
+    Array.append pre
+      (Array.of_list (List.map (fun (k, _) -> (k, Dd_parallel.Once.force gen_tables)) gens))
+  in
   let pairs = Array.of_list pairs in
   (* per-pair odd-multiple table size: 4 = single short string (the
      batch verifiers' 128-bit weights), 8 = full width / GLV *)
@@ -997,7 +994,7 @@ let msm_strauss t s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) arr
    sublinear per point once n dominates the bucket count. *)
 let msm_pippenger s ~window:c (pairs : (Nat.t * point) array) =
   let pts = normalize (Array.map (fun (_, p) -> loaded p) pairs) in
-  let nbits = Nat.bit_length order_n in
+  let nbits = Nat.bit_length order in
   let windows = (nbits + c - 1) / c in
   let nbuckets = (1 lsl c) - 1 in
   let buckets = Array.init (nbuckets + 1) (fun _ -> jac ()) in
@@ -1039,7 +1036,7 @@ let msm_pippenger s ~window:c (pairs : (Nat.t * point) array) =
    the given window width (differential tests use this to cover both
    paths at small n). Variable time — public scalars and points only
    (curve.mli). *)
-let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
+let msm_dispatch ?window (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
   let s = scratch () in
   (* Scalars of one or two bits (notably the pinned weight 1 some batch
      verifiers use) are cheaper as a couple of direct additions than as
@@ -1058,7 +1055,7 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
     Array.of_list
       (List.filter_map
          (fun (k, x) ->
-            let k = Modular.reduce t.fn k in
+            let k = Modular.reduce scalar_field k in
             if Nat.is_zero k || is_infinity (to_pt x) then None
             else if Nat.bit_length k <= 2 then (keep_tiny k (to_pt x); None)
             else Some (k, x))
@@ -1069,8 +1066,8 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
   let main =
     match window, Array.length live_pre, Array.length live with
     | None, 0, 0 -> jac ()
-    | None, 0, 1 -> let k, p = live.(0) in mul_vartime_j t s k p
-    | None, np, n when np + n <= 256 -> msm_strauss t s live_pre live
+    | None, 0, 1 -> let k, p = live.(0) in mul_vartime_j s k p
+    | None, np, n when np + n <= 256 -> msm_strauss s live_pre live
     | _ ->
       let flat =
         Array.append (Array.map (fun (k, pc) -> (k, pc.pre_pt)) live_pre) live
@@ -1089,31 +1086,31 @@ let msm_dispatch ?window t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * poi
   add_j s main main tiny;
   store main
 
-let msm ?window t pairs = msm_dispatch ?window t [||] pairs
-let msm_pre t pre pairs = msm_dispatch t pre pairs
+let msm ?window pairs = msm_dispatch ?window [||] pairs
+let msm_pre pre pairs = msm_dispatch pre pairs
 
 (* Point encoding: 0x00 for infinity; otherwise 0x04 || X || Y
    (uncompressed, fixed width). *)
-let encode t pt =
-  match to_affine t pt with
+let encode pt =
+  match to_affine pt with
   | None -> "\x00"
   | Some (x, y) ->
-    "\x04" ^ Nat.to_bytes_be ~len:field_bytes x ^ Nat.to_bytes_be ~len:field_bytes y
+    "\x04" ^ Nat.to_bytes_be ~len:byte_len x ^ Nat.to_bytes_be ~len:byte_len y
 
-let decode t s =
+let decode s =
   if s = "\x00" then Some infinity
-  else if String.length s = 1 + 2 * field_bytes && s.[0] = '\x04' then begin
-    let x = Nat.of_bytes_be (String.sub s 1 field_bytes) in
-    let y = Nat.of_bytes_be (String.sub s (1 + field_bytes) field_bytes) in
-    if Nat.compare x Fe.prime < 0 && Nat.compare y Fe.prime < 0 && on_curve t (x, y)
-    then Some (of_affine t (x, y))
+  else if String.length s = 1 + 2 * byte_len && s.[0] = '\x04' then begin
+    let x = Nat.of_bytes_be (String.sub s 1 byte_len) in
+    let y = Nat.of_bytes_be (String.sub s (1 + byte_len) byte_len) in
+    if Nat.compare x Fe.prime < 0 && Nat.compare y Fe.prime < 0 && on_curve (x, y)
+    then Some (of_affine (x, y))
     else None
   end
   else None
 
 (* Square root mod p, p = 3 mod 4:
    sqrt(a) = a^((p+1)/4) when a is a quadratic residue, by [Fe.sqrt]. *)
-let field_sqrt (_ : t) a =
+let field_sqrt a =
   let y = Fe.of_nat a in
   if Fe.sqrt y y then Some (Fe.to_nat y) else None
 
@@ -1125,17 +1122,17 @@ let lift_x x =
 
 (* Compressed encoding: 0x00 for infinity, else 0x02/0x03 (y parity)
    followed by X — half the bytes of the uncompressed form. *)
-let encode_compressed t pt =
-  match to_affine t pt with
+let encode_compressed pt =
+  match to_affine pt with
   | None -> "\x00"
   | Some (x, y) ->
     let prefix = if Nat.is_odd y then "\x03" else "\x02" in
-    prefix ^ Nat.to_bytes_be ~len:field_bytes x
+    prefix ^ Nat.to_bytes_be ~len:byte_len x
 
-let decode_compressed (_ : t) s =
+let decode_compressed s =
   if s = "\x00" then Some infinity
-  else if String.length s = 1 + field_bytes && (s.[0] = '\x02' || s.[0] = '\x03') then begin
-    let x = Nat.of_bytes_be (String.sub s 1 field_bytes) in
+  else if String.length s = 1 + byte_len && (s.[0] = '\x02' || s.[0] = '\x03') then begin
+    let x = Nat.of_bytes_be (String.sub s 1 byte_len) in
     if Nat.compare x Fe.prime >= 0 then None
     else begin
       let x = Fe.of_nat x in
@@ -1152,7 +1149,7 @@ let decode_compressed (_ : t) s =
 (* Hash-to-point by try-and-increment on SHA-256 outputs: used to derive
    a second generator H with unknown discrete log w.r.t. G (needed by
    the lifted-ElGamal commitment key). *)
-let hash_to_point (_ : t) label =
+let hash_to_point label =
   let rec try_counter i =
     if i > 1000 then failwith "Curve.hash_to_point: no point found";
     let h = Dd_crypto.Sha256.digest_list [ label; string_of_int i ] in
@@ -1166,8 +1163,8 @@ let hash_to_point (_ : t) label =
 (* Hash arbitrary bytes to a scalar mod the group order. Parts are
    length-prefixed so that part boundaries are unambiguous (hashing
    ["ab"] differs from ["a"; "b"]). *)
-let hash_to_scalar t parts =
+let hash_to_scalar parts =
   let framed =
     List.concat_map (fun p -> [ Printf.sprintf "%010d" (String.length p); p ]) parts
   in
-  Modular.of_bytes_be t.fn (Dd_crypto.Sha256.digest_list framed)
+  Modular.of_bytes_be scalar_field (Dd_crypto.Sha256.digest_list framed)

@@ -3,6 +3,15 @@
     {!Dd_bignum.Fe}: fixed-width limbs, fully reduced after every
     operation, with no branch on a value.
 
+    The module owns the group's constants and every operation on its
+    points: the order, the scalar field, the generator and the
+    generator's wide {!msm} table, which is built on first use and
+    shared by every domain. There is no context value. The GLV
+    endomorphism constants that {!msm} relies on are checked once, when
+    the module initializes, which raises [Invalid_argument] if they do
+    not hold. The second generator H and the comb tables of G and H
+    belong to {!Group_ctx}.
+
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,
     ElGamal-opening VSS, and Schnorr signatures.
@@ -52,58 +61,64 @@
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 
-type t
-
 (** An element of the group. Values compare equal through {!equal} even
     when their Jacobian representations differ. *)
 type point
 
-(** [create ()] builds the group context: the scalar field, the
-    generator and its table cache. It checks the GLV endomorphism
-    constants that {!msm} relies on and raises [Invalid_argument] if
-    they do not hold. *)
-val create : unit -> t
-
 (** Modular context for Z_n, n the group order. *)
-val scalar_field : t -> Modular.ctx
+val scalar_field : Modular.ctx
 
-val order : t -> Nat.t
-val byte_len : t -> int
+(** The group order n, and the byte length of an encoded scalar or
+    coordinate (32). *)
+val order : Nat.t
+val byte_len : int
+
+(** [decode_scalar s] is the big-endian scalar [s] when [s] has at most
+    {!byte_len} bytes and its value is below the order; [None]
+    otherwise. For scalars read from outside the program: the group law
+    reduces mod n, so a non-canonical twin would act like its
+    canonical value. *)
+val decode_scalar : string -> Nat.t option
+
+(** Uniform scalar in [1, order). *)
+val random_scalar : Dd_crypto.Drbg.t -> Nat.t
 
 val infinity : point
-val generator : t -> point
+
+(** The generator G, one shared value: {!Group_ctx.g} is this point. *)
+val generator : point
 val is_infinity : point -> bool
 
-(** [to_affine t p] is [None] for infinity and [Some (x, y)] otherwise. *)
-val to_affine : t -> point -> (Nat.t * Nat.t) option
+(** [to_affine p] is [None] for infinity and [Some (x, y)] otherwise. *)
+val to_affine : point -> (Nat.t * Nat.t) option
 
 (** Normalize a whole array with a single field inversion
     (Montgomery's trick, in {!Dd_bignum.Fe}); element [i] is [None] iff
     [pts.(i)] is infinity. Cost: one inversion plus ~3 field mults per
     point, versus one inversion per point for repeated {!to_affine}. *)
-val to_affine_batch : t -> point array -> (Nat.t * Nat.t) option array
+val to_affine_batch : point array -> (Nat.t * Nat.t) option array
 
-val of_affine : t -> Nat.t * Nat.t -> point
-val on_curve : t -> Nat.t * Nat.t -> bool
+val of_affine : Nat.t * Nat.t -> point
+val on_curve : Nat.t * Nat.t -> bool
 
-(** [add t p q] is [p + q]; a [q] stored with Z = 1 ({!is_affine}:
+(** [add p q] is [p + q]; a [q] stored with Z = 1 ({!is_affine}:
     decoded points, table entries) takes the mixed addition. *)
-val add : t -> point -> point -> point
-val double : t -> point -> point
-val neg : t -> point -> point
-val sub : t -> point -> point -> point
+val add : point -> point -> point
+val double : point -> point
+val neg : point -> point
+val sub : point -> point -> point
 
-(** [mul t k p] is [k] dot [p]; [k] is reduced mod the group order.
+(** [mul k p] is [k] dot [p]; [k] is reduced mod the group order.
     Fixed 4-bit windows with a scalar-independent operation sequence —
     safe for secret scalars (see the timing contract above). *)
 (* lint: public — computing in the exponent: k*P reveals k only by breaking DL *)
-val mul : t -> Nat.t -> point -> point
-val mul_int : t -> int -> point -> point
+val mul : Nat.t -> point -> point
+val mul_int : int -> point -> point
 
-(** [mul_vartime t k p] computes [k] dot [p] by width-5 wNAF.
+(** [mul_vartime k p] computes [k] dot [p] by width-5 wNAF.
     {b Variable time}: only for public scalars and points (verification
     of signatures, proofs, and other on-the-wire data). *)
-val mul_vartime : t -> Nat.t -> point -> point
+val mul_vartime : Nat.t -> point -> point
 
 (** Precomputed signed-odd comb table for a fixed base B, of window
     width w: row i (of [ceil (bits n / w)]) holds the odd multiples
@@ -118,7 +133,7 @@ val mul_vartime : t -> Nat.t -> point -> point
     128 entries); per-signer verification tables, built during cast
     set-up, width 4. *)
 type base_table
-val make_base_table : t -> width:int -> point -> base_table
+val make_base_table : width:int -> point -> base_table
 
 (** A copy of the table's entries,
     [(base_table_rows tbl).(i).(j) = (2j+1) * 2^(w*i) * B]. A table over
@@ -129,11 +144,11 @@ val base_table_rows : base_table -> point array array
     form the comb tables' mixed additions rely on. *)
 val is_affine : point -> bool
 
-(** [mul_base_table t tbl k] is [k * B]. Safe for secret scalars: every
+(** [mul_base_table tbl k] is [k * B]. Safe for secret scalars: every
     row does one lookup and one mixed addition unconditionally, the
     first from the identity. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
-val mul_base_table : t -> base_table -> Nat.t -> point
+val mul_base_table : base_table -> Nat.t -> point
 
 (** One job of {!mul_base_batch}: the sum of [k * B] over its
     (table, scalar) terms, e.g. [[ (g, m); (h, r) ]] for [m*G + r*H]. *)
@@ -143,7 +158,7 @@ type comb_job = (base_table * Nat.t) list
     in [ceil (n / batch_group)] groups of near-equal size. *)
 val batch_group : int
 
-(** [mul_base_batch t jobs] evaluates every job, each result affine
+(** [mul_base_batch jobs] evaluates every job, each result affine
     (Z = 1) or the identity. Jobs run in lockstep groups of about
     {!batch_group}: per row, every term of every job in the group adds
     its table entry in affine coordinates, on {!Dd_bignum.Fe} values
@@ -154,15 +169,15 @@ val batch_group : int
     batch hundreds. Safe for secret scalars, under the same contract as
     {!mul_base_table}. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
-val mul_base_batch : t -> comb_job array -> point array
+val mul_base_batch : comb_job array -> point array
 
-(** [mul2 t table u v p] is [u*B + v*p] (B the fixed base behind
+(** [mul2 table u v p] is [u*B + v*p] (B the fixed base behind
     [table]) by Strauss-Shamir: the wNAF chain for [v*p] and the comb's
     mixed adds for [u*B] share one accumulator. {b Variable time}:
     public inputs only — this is the verifier's kernel ([s*G + e*PK]). *)
-val mul2 : t -> base_table -> Nat.t -> Nat.t -> point -> point
+val mul2 : base_table -> Nat.t -> Nat.t -> point -> point
 
-(** [msm t pairs] is the multi-scalar multiplication
+(** [msm pairs] is the multi-scalar multiplication
     [sum_i k_i * P_i]. Zero scalars and infinity points are skipped;
     the algorithm is chosen from the surviving batch size: joint
     width-5 wNAF Strauss (one shared doubling chain, per-point
@@ -172,7 +187,7 @@ val mul2 : t -> base_table -> Nat.t -> Nat.t -> point -> point
     with that width (used by differential tests to cover both paths at
     any size). This is the kernel behind the randomized batch
     verifiers. {b Variable time}: public scalars and points only. *)
-val msm : ?window:int -> t -> (Nat.t * point) array -> point
+val msm : ?window:int -> (Nat.t * point) array -> point
 
 (** Wide precomputed odd-multiple tables (width 8, and their GLV
     phi-images) for a point that recurs
@@ -182,42 +197,42 @@ val msm : ?window:int -> t -> (Nat.t * point) array -> point
     amortizes exactly like the serial path's comb tables. The identity
     precomputes to an empty table that [msm_pre] skips. *)
 type precomp
-val precompute : t -> point -> precomp
+val precompute : point -> precomp
 
 (** The affine-normalized base point behind a precomputed table —
     callers that also need the point itself (e.g. to hash its canonical
     encoding) can reuse the normalization paid at build time. *)
 val precomp_point : precomp -> point
 
-(** [msm_pre t pre pairs] is [msm] over the concatenation of both term
+(** [msm_pre pre pairs] is [msm] over the concatenation of both term
     lists, with the [pre] terms walking their precomputed tables
     instead of per-call ones (wider windows, no table build or
     normalization cost). Falls back to flattening the precomputed
     terms into plain pairs on the Pippenger path. {b Variable time}:
     public scalars and points only. *)
-val msm_pre : t -> (Nat.t * precomp) array -> (Nat.t * point) array -> point
+val msm_pre : (Nat.t * precomp) array -> (Nat.t * point) array -> point
 
-val equal : t -> point -> point -> bool
+val equal : point -> point -> bool
 
 (** Uncompressed encoding: ["\x00"] for infinity, [0x04 || X || Y]
     otherwise. [decode] validates curve membership and returns [None]
     on malformed or off-curve input. *)
-val encode : t -> point -> string
-val decode : t -> string -> point option
+val encode : point -> string
+val decode : string -> point option
 
 (** Square root in F_p by {!Dd_bignum.Fe.sqrt} (p = 3 mod 4); [None]
     for non-residues. *)
-val field_sqrt : t -> Nat.t -> Nat.t option
+val field_sqrt : Nat.t -> Nat.t option
 
 (** Compressed encoding: [0x02/0x03 || X] (33 bytes),
     ["\x00"] for infinity. [decode_compressed] validates and recovers
     the y coordinate by its parity bit. *)
-val encode_compressed : t -> point -> string
-val decode_compressed : t -> string -> point option
+val encode_compressed : point -> string
+val decode_compressed : string -> point option
 
 (** Derive a point with unknown discrete log from a domain-separation
     label (try-and-increment). *)
-val hash_to_point : t -> string -> point
+val hash_to_point : string -> point
 
 (** Hash byte-string parts to a scalar mod the group order. *)
-val hash_to_scalar : t -> string list -> Nat.t
+val hash_to_scalar : string list -> Nat.t

@@ -1,13 +1,12 @@
-(* The shared group context used across the whole system: the curve, its
-   generator G with a precomputed fixed-base table, and a second
-   generator H (hash-to-point, so nobody knows log_G H). Built once per
-   process and passed around explicitly. *)
+(* The two generators the commitments use, with their fixed-base
+   tables: G (the curve's generator, the same shared point) and H
+   (hash-to-point, so nobody knows log_G H). Built once per process and
+   passed around explicitly to the code that multiplies by them. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 
 type t = {
-  curve : Curve.t;
   g : Curve.point;
   h : Curve.point;
   g_table : Curve.base_table;
@@ -18,43 +17,37 @@ type t = {
    add per row (half the adds of width 4) for about 0.33 MB each. *)
 let generator_width = 8
 
-let create () =
-  let curve = Curve.create () in
-  let g = Curve.generator curve in
-  let h = Curve.hash_to_point curve "d-demos second generator H" in
-  {
-    curve;
-    g;
-    h;
-    g_table = Curve.make_base_table curve ~width:generator_width g;
-    h_table = Curve.make_base_table curve ~width:generator_width h;
-  }
-
 (* Once, not Lazy: forcing a lazy from two domains at the same time
    raises; the once cell tolerates the race (worst case both build,
    one value is published). *)
-let default_once = Dd_parallel.Once.make (fun () -> create ())
+let default_once =
+  Dd_parallel.Once.make (fun () ->
+      let g = Curve.generator in
+      let h = Curve.hash_to_point "d-demos second generator H" in
+      {
+        g;
+        h;
+        g_table = Curve.make_base_table ~width:generator_width g;
+        h_table = Curve.make_base_table ~width:generator_width h;
+      })
+
 let default () = Dd_parallel.Once.force default_once
 
-let curve t = t.curve
 let g t = t.g
 let h t = t.h
 let g_table t = t.g_table
 let h_table t = t.h_table
 
 (* Fast fixed-base scalar multiplications. *)
-let mul_g t k = Curve.mul_base_table t.curve t.g_table k
-let mul_h t k = Curve.mul_base_table t.curve t.h_table k
-
-(* Many fixed-base multiplications at once, in affine lockstep. *)
-let mul_batch t jobs = Curve.mul_base_batch t.curve jobs
+let mul_g t k = Curve.mul_base_table t.g_table k
+let mul_h t k = Curve.mul_base_table t.h_table k
 
 (* General multiplication that recognizes the two fixed bases by
    physical equality and takes the precomputed-table fast path. *)
 let mul t k pt =
   if pt == t.g then mul_g t k
   else if pt == t.h then mul_h t k
-  else Curve.mul t.curve k pt
+  else Curve.mul k pt
 
 (* Variable-time variant for public data (verification). The fixed-base
    comb path is already vartime-competitive, so G and H still dispatch
@@ -62,14 +55,10 @@ let mul t k pt =
 let mul_vartime t k pt =
   if pt == t.g then mul_g t k
   else if pt == t.h then mul_h t k
-  else Curve.mul_vartime t.curve k pt
+  else Curve.mul_vartime k pt
 
 (* u*G + v*P in one Strauss-Shamir pass: the verifier's kernel. *)
-let mul2_g t u v pt = Curve.mul2 t.curve t.g_table u v pt
-
-(* Multi-scalar multiplication over the shared curve (vartime, public
-   data only — see the timing contract in curve.mli). *)
-let msm t pairs = Curve.msm t.curve pairs
+let mul2_g t u v pt = Curve.mul2 t.g_table u v pt
 
 (* --- MSM accumulator for the randomized batch verifiers -------------- *)
 (* Batch verifiers fold many equations sum_j k_j * P_j = O into one
@@ -92,7 +81,7 @@ let msm_acc t =
   { actx = t; ag = Nat.zero; ah = Nat.zero; terms = []; pterms = []; nterms = 0 }
 
 let acc_add a k p =
-  let fn = Curve.scalar_field a.actx.curve in
+  let fn = Curve.scalar_field in
   if p == a.actx.g then a.ag <- Modular.add fn a.ag k
   else if p == a.actx.h then a.ah <- Modular.add fn a.ah k
   else begin
@@ -109,11 +98,11 @@ let acc_add_pre a k pc =
 
 (* Accumulate k * (-P): subtraction side of a verification equation. *)
 let acc_sub a k p =
-  let fn = Curve.scalar_field a.actx.curve in
+  let fn = Curve.scalar_field in
   if p == a.actx.g then a.ag <- Modular.sub fn a.ag k
   else if p == a.actx.h then a.ah <- Modular.sub fn a.ah k
   else begin
-    a.terms <- (k, Curve.neg a.actx.curve p) :: a.terms;
+    a.terms <- (k, Curve.neg p) :: a.terms;
     a.nterms <- a.nterms + 1
   end
 
@@ -127,21 +116,9 @@ let acc_check a =
   let t = a.actx in
   match a.terms, a.pterms with
   | [], [] ->
-    Curve.is_infinity (Curve.add t.curve (mul_g t a.ag) (mul_h t a.ah))
+    Curve.is_infinity (Curve.add (mul_g t a.ag) (mul_h t a.ah))
   | terms, pterms ->
     let terms = if Nat.is_zero a.ag then terms else (a.ag, t.g) :: terms in
     let terms = if Nat.is_zero a.ah then terms else (a.ah, t.h) :: terms in
     Curve.is_infinity
-      (Curve.msm_pre t.curve (Array.of_list pterms) (Array.of_list terms))
-
-let order t = Curve.order t.curve
-let scalar_field t = Curve.scalar_field t.curve
-
-(* Draw a uniform scalar in [1, order) from a DRBG. *)
-let random_scalar t rng =
-  let byte_len = Curve.byte_len t.curve in
-  let rec draw () =
-    let k = Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng byte_len) in
-    if Nat.is_zero k || Nat.compare k (order t) >= 0 then draw () else k
-  in
-  draw ()
+      (Curve.msm_pre (Array.of_list pterms) (Array.of_list terms))

@@ -11,7 +11,6 @@ type stats = {
 
 type t = {
   keys : Auth.keys;
-  gctx : Dd_group.Group_ctx.t;
   election_id : string;
   ea_signer : int;                   (* the EA's clique index: cfg.nv *)
   share_tags : bool;
@@ -20,9 +19,8 @@ type t = {
   st : stats;
 }
 
-let create ?(min_batch = 4) ~keys ~gctx ~election_id
-    ~ea_signer ~share_tags () =
-  { keys; gctx; election_id; ea_signer; share_tags;
+let create ?(min_batch = 4) ~keys ~election_id ~ea_signer ~share_tags () =
+  { keys; election_id; ea_signer; share_tags;
     min_batch = max 2 min_batch;
     cache = Hashtbl.create 1024;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
@@ -31,11 +29,11 @@ let stats t = t.st
 
 (* Verdicts are keyed by the exact (signer, body, tag) triple —
    anything else would let a forged tag alias a cached good one. *)
-let obligation_key t ~signer body tag =
+let obligation_key ~signer body tag =
   let w = Wire.writer () in
   Wire.put_varint w signer;
   Wire.put_bytes w body;
-  Messages.put_tag t.gctx w tag;
+  Messages.put_tag w tag;
   Wire.contents w
 
 (* The cache is bounded by epoch flush: past [cache_cap] verdicts it
@@ -48,7 +46,7 @@ let remember t key v =
   Hashtbl.replace t.cache key v
 
 let verify t ~signer body tag =
-  let key = obligation_key t ~signer body tag in
+  let key = obligation_key ~signer body tag in
   match Hashtbl.find_opt t.cache key with
   | Some v ->
     t.st.cache_hits <- t.st.cache_hits + 1;
@@ -103,7 +101,7 @@ let preverify t msgs =
     (fun msg ->
        List.iter
          (fun (signer, body, tag) ->
-            let key = obligation_key t ~signer body tag in
+            let key = obligation_key ~signer body tag in
             if not (Hashtbl.mem seen key) && not (Hashtbl.mem t.cache key)
             then begin
               Hashtbl.replace seen key ();

@@ -29,7 +29,6 @@ type t
 val create :
   ?min_batch:int ->
   keys:Ddemos.Auth.keys ->
-  gctx:Dd_group.Group_ctx.t ->
   election_id:string ->
   ea_signer:int ->
   share_tags:bool ->

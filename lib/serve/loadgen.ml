@@ -46,7 +46,7 @@ let flush_chan ch =
 
 (* Drain one channel into the pool, as replies to the client that owns
    the connection; returns the replies processed. *)
-let pump_chan gctx pool ch =
+let pump_chan pool ch =
   let n = ref 0 in
   let rec feed () =
     let bytes = ch.ch_conn.Transport.recv () in
@@ -60,7 +60,7 @@ let pump_chan gctx pool ch =
     match Frame.pop ch.ch_dec with
     | None -> ()
     | Some payload ->
-      (match Mux.decode gctx payload with
+      (match Mux.decode (Dd_group.Group_ctx.default ()) payload with
        | Some (Mux.Client_reply { channel = _; req; outcome }) ->
          incr n;
          Pool.on_reply pool ~client:ch.ch_client ~req outcome
@@ -71,7 +71,6 @@ let pump_chan gctx pool ch =
   !n
 
 let run ?(params = default_params) ~conn_for ~step ~ballot_for ~nv ~votes () =
-  let gctx = Dd_group.Group_ctx.default () in
   let chans : (int * int, chan) Hashtbl.t = Hashtbl.create 64 in
   let chan_of ~client ~node =
     match Hashtbl.find_opt chans (client, node) with
@@ -93,7 +92,8 @@ let run ?(params = default_params) ~conn_for ~step ~ballot_for ~nv ~votes () =
           (fun ~client ~node ~req ~serial ~vote_code ->
              Buffer.add_string (chan_of ~client ~node).ch_out
                (Frame.encode
-                  (Mux.encode gctx (Mux.Client_vote { channel = client; req; serial; vote_code }))));
+                  (Mux.encode (Dd_group.Group_ctx.default ())
+                     (Mux.Client_vote { channel = client; req; serial; vote_code }))));
         arm_patience = (fun ~delay:_ _ -> ());
         wait = (fun ~delay:_ k -> k ());
         now = (fun () -> 0.);
@@ -111,7 +111,7 @@ let run ?(params = default_params) ~conn_for ~step ~ballot_for ~nv ~votes () =
     let snapshot = Hashtbl.fold (fun _ ch acc -> ch :: acc) chans [] in
     List.iter flush_chan snapshot;
     let server_work = step () in
-    let replies = List.fold_left (fun acc ch -> acc + pump_chan gctx pool ch) 0 snapshot in
+    let replies = List.fold_left (fun acc ch -> acc + pump_chan pool ch) 0 snapshot in
     if server_work = 0 && replies = 0 then incr stalled else stalled := 0
   done;
   { receipts_ok = Pool.receipts_ok pool;

@@ -43,7 +43,7 @@ let encode_items kind items =
      List.iter (Wire.put_bytes w) items);
   Wire.contents w
 
-let encode gctx msg =
+let frame_of msg =
   match msg with
   | Client_vote { channel; req; serial; vote_code } ->
     let w = Wire.writer () in
@@ -57,8 +57,10 @@ let encode gctx msg =
     Wire.put_varint w channel; Wire.put_varint w req;
     put_outcome w outcome;
     Wire.contents w
-  | Vc ms -> encode_items vc_kind (List.map (Messages.encode_vc_msg gctx) ms)
+  | Vc ms -> encode_items vc_kind (List.map Messages.encode_vc_msg ms)
   | Bb ms -> encode_items bb_kind (List.map Messages.encode_bb_msg ms)
+
+let encode (_ : Dd_group.Group_ctx.t) msg = frame_of msg
 
 let varint_len n =
   let rec go n k = if n < 0x80 then k else go (n lsr 7) (k + 1) in
@@ -80,12 +82,12 @@ let split ~max_frame items =
   in
   go [] [] 0 0 items
 
-let encode_split ~max_frame gctx msg =
+let encode_split ~max_frame msg =
   match msg with
   | Vc ms ->
-    List.map (encode_items vc_kind) (split ~max_frame (List.map (Messages.encode_vc_msg gctx) ms))
+    List.map (encode_items vc_kind) (split ~max_frame (List.map Messages.encode_vc_msg ms))
   | Bb ms -> List.map (encode_items bb_kind) (split ~max_frame (List.map Messages.encode_bb_msg ms))
-  | Client_vote _ | Client_reply _ -> [ encode gctx msg ]
+  | Client_vote _ | Client_reply _ -> [ frame_of msg ]
 
 let get_batch r decode_item =
   let n = Wire.get_varint r in
@@ -93,9 +95,9 @@ let get_batch r decode_item =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (decode_item r :: acc) in
   go n []
 
-let decode gctx frame =
+let decode (_ : Dd_group.Group_ctx.t) frame =
   let vc r =
-    match Messages.decode_vc_msg gctx (Wire.get_bytes r) with
+    match Messages.decode_vc_msg (Wire.get_bytes r) with
     | Some m -> m
     | None -> raise (Wire.Malformed "nested vc_msg")
   in

@@ -21,7 +21,9 @@ type t =
   | Vc of Ddemos.Messages.vc_msg list   (** non-empty, in delivery order *)
   | Bb of Ddemos.Messages.bb_msg list   (** non-empty, in delivery order *)
 
-(** Raises [Invalid_argument] on an empty [Vc] or [Bb] list. *)
+(** Raises [Invalid_argument] on an empty [Vc] or [Bb] list. The
+    context of [encode] and [decode] is unused; the benchmark contract
+    calls both with one. *)
 val encode : Dd_group.Group_ctx.t -> t -> string
 
 val decode : Dd_group.Group_ctx.t -> string -> t option
@@ -32,4 +34,4 @@ val decode : Dd_group.Group_ctx.t -> string -> t option
     when the next message would push it past [max_frame]. A message too
     large on its own still travels alone. Decoding the payloads and
     concatenating their lists gives back [msg]'s list. *)
-val encode_split : max_frame:int -> Dd_group.Group_ctx.t -> t -> string list
+val encode_split : max_frame:int -> t -> string list

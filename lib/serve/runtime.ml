@@ -171,7 +171,7 @@ let create ?(params = default_params) src =
       batchers =
         Array.init nv (fun i ->
             Batcher.create ~min_batch:params.min_batch
-              ~keys:src.sv_keys.(i) ~gctx:src.sv_gctx
+              ~keys:src.sv_keys.(i)
               ~election_id:cfg.Types.election_id ~ea_signer:nv
               ~share_tags:src.sv_verify_share_tags ());
       staging = Array.init nv (fun _ -> ref []);
@@ -314,7 +314,7 @@ let flush_staged t =
   let send conn msg =
     match conn with
     | Some conn when conn.k_open ->
-      List.iter (enqueue_out t conn) (Mux.encode_split ~max_frame:t.p.max_frame gctx msg)
+      List.iter (enqueue_out t conn) (Mux.encode_split ~max_frame:t.p.max_frame msg)
     | Some _ | None -> ()
   in
   for i = 0 to t.nv - 1 do

@@ -26,43 +26,40 @@ type signature = {
 }
 
 let keygen gctx rng =
-  let sk = Group_ctx.random_scalar gctx rng in
+  let sk = Curve.random_scalar rng in
   (sk, Group_ctx.mul_g gctx sk)
 
 let domain = "schnorr-sig"
 
-let challenge gctx ~commitment ~pk msg =
-  let curve = Group_ctx.curve gctx in
-  Curve.hash_to_scalar curve
-    [ domain; Curve.encode curve commitment; Curve.encode curve pk; msg ]
+let challenge ~commitment ~pk msg =
+  Curve.hash_to_scalar [ domain; Curve.encode commitment; Curve.encode pk; msg ]
 
-let nonce gctx rng = Group_ctx.random_scalar gctx rng
+let nonce rng = Curve.random_scalar rng
 
 (* [commitment] is R = nonce * G in affine form: R travels on the wire,
    and a decoded signature must compare structurally equal to the
    original. *)
-let sign_with_nonce gctx ~nonce ~commitment ~sk ~pk msg =
-  let fn = Group_ctx.scalar_field gctx in
-  let e = challenge gctx ~commitment ~pk msg in
+let sign_with_nonce ~nonce ~commitment ~sk ~pk msg =
+  let fn = Curve.scalar_field in
+  let e = challenge ~commitment ~pk msg in
   { s = Modular.sub fn nonce (Modular.mul fn e sk); r = commitment }
 
 let sign gctx rng ~sk ~pk msg =
-  let k = nonce gctx rng in
+  let k = nonce rng in
   let r =
     (* k is nonzero mod n, so R is never the identity *)
-    let curve = Group_ctx.curve gctx in
-    match Curve.to_affine curve (Group_ctx.mul_g gctx k) with
-    | Some xy -> Curve.of_affine curve xy
+    match Curve.to_affine (Group_ctx.mul_g gctx k) with
+    | Some xy -> Curve.of_affine xy
     | None -> Curve.infinity
   in
-  sign_with_nonce gctx ~nonce:k ~commitment:r ~sk ~pk msg
+  sign_with_nonce ~nonce:k ~commitment:r ~sk ~pk msg
 
 (* Verification works on public data only, so it may take the
    variable-time multi-scalar paths (see the timing contract in
    curve.mli). *)
 let verify gctx ~pk msg { s; r } =
-  let e = challenge gctx ~commitment:r ~pk msg in
-  Curve.equal (Group_ctx.curve gctx) (Group_ctx.mul2_g gctx s e pk) r
+  let e = challenge ~commitment:r ~pk msg in
+  Curve.equal (Group_ctx.mul2_g gctx s e pk) r
 
 (* A comb table for PK turns e*PK into doubling-free comb adds; with
    many signatures under one key (every endorsement a node checks
@@ -71,20 +68,17 @@ let verify gctx ~pk msg { s; r } =
    a width-4 table costs a sixteenth of the entries. *)
 type pk_table = Curve.base_table
 
-let make_pk_table gctx pk = Curve.make_base_table (Group_ctx.curve gctx) ~width:4 pk
+let make_pk_table pk = Curve.make_base_table ~width:4 pk
 
 let verify_with_table gctx ~pk ~pk_table msg { s; r } =
-  let curve = Group_ctx.curve gctx in
-  let e = challenge gctx ~commitment:r ~pk msg in
-  Curve.equal curve
-    (Curve.add curve (Group_ctx.mul_g gctx s) (Curve.mul_base_table curve pk_table e))
-    r
+  let e = challenge ~commitment:r ~pk msg in
+  Curve.equal (Curve.add (Group_ctx.mul_g gctx s) (Curve.mul_base_table pk_table e)) r
 
 (* A wide precomputed msm table for a verification key: with the same
    signer set checked over and over (every UCERT carries the same VC
    clique), the batch path amortizes per-key tables exactly like
    [verify_with_table] amortizes its comb table on the serial path. *)
-let precompute_pk gctx pk = Curve.precompute (Group_ctx.curve gctx) pk
+let precompute_pk pk = Curve.precompute pk
 
 (* Batch verification: fold n equations s_i*G + e_i*PK_i - R_i = O
    with independent random weights into one MSM (soundness 2^-128 per
@@ -104,9 +98,8 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
   if n = 0 then true
   else if n = 1 then (let pk, msg, sg = items.(0) in verify gctx ~pk msg sg)
   else begin
-    let curve = Group_ctx.curve gctx in
-    let fn = Group_ctx.scalar_field gctx in
-    let len = Curve.byte_len curve in
+    let fn = Curve.scalar_field in
+    let len = Curve.byte_len in
     let pts = Array.make (2 * n) Curve.infinity in
     Array.iteri
       (fun i (pk, _, sg) ->
@@ -116,7 +109,7 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
             | Some p -> Curve.precomp_point p.(i)  (* already affine *)
             | None -> pk))
       items;
-    let aff = Curve.to_affine_batch curve pts in
+    let aff = Curve.to_affine_batch pts in
     (* byte-identical to Curve.encode, from the batched affine forms *)
     let enc = function
       | None -> "\x00"
@@ -126,7 +119,7 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
     Array.iteri
       (fun i (pk, msg, sg) ->
          let e =
-           Curve.hash_to_scalar curve [ domain; enc aff.(2 * i); enc aff.(2 * i + 1); msg ]
+           Curve.hash_to_scalar [ domain; enc aff.(2 * i); enc aff.(2 * i + 1); msg ]
          in
          (* Pinning the first weight to 1 is sound: a bad item i > 0 is
             caught except with probability 2^-128 over its own weight,
@@ -141,7 +134,7 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
             (* hand the MSM the affine form of PK we already paid for:
                its input normalization then has less left to invert *)
             let pk =
-              match aff.(2 * i + 1) with Some xy -> Curve.of_affine curve xy | None -> pk
+              match aff.(2 * i + 1) with Some xy -> Curve.of_affine xy | None -> pk
             in
             Group_ctx.acc_add acc we pk);
          Group_ctx.acc_sub acc w sg.r)
@@ -159,20 +152,22 @@ let verify_batch_find gctx rng items =
 
 let commitment { r; _ } = r
 
-let encode gctx { s; r } =
-  let curve = Group_ctx.curve gctx in
-  let len = Curve.byte_len curve in
-  Nat.to_bytes_be ~len s ^ Curve.encode_compressed curve r
+let encode { s; r } =
+  let len = Curve.byte_len in
+  Nat.to_bytes_be ~len s ^ Curve.encode_compressed r
 
-let decode gctx bytes =
-  let curve = Group_ctx.curve gctx in
-  let len = Curve.byte_len curve in
+(* Only the canonical s < n is accepted: the group law would reduce a
+   larger one, so its twin s - n would verify as well. *)
+let decode bytes =
+  let len = Curve.byte_len in
   if String.length bytes <> 2 * len + 1 then None
   else
-    match Curve.decode_compressed curve (String.sub bytes len (len + 1)) with
-    | Some r when not (Curve.is_infinity r) ->
-      Some { s = Nat.of_bytes_be (String.sub bytes 0 len); r }
+    match
+      Curve.decode_scalar (String.sub bytes 0 len),
+      Curve.decode_compressed (String.sub bytes len (len + 1))
+    with
+    | Some s, Some r when not (Curve.is_infinity r) -> Some { s; r }
     | _ -> None
 
-let encode_pk gctx pk = Curve.encode (Group_ctx.curve gctx) pk
-let decode_pk gctx s = Curve.decode (Group_ctx.curve gctx) s
+let encode_pk pk = Curve.encode pk
+let decode_pk s = Curve.decode s

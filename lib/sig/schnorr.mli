@@ -16,22 +16,20 @@ val sign :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> sk:secret_key -> pk:public_key -> string -> signature
 
 (** Signing in two halves, for signers that compute many nonce
-    commitments in one {!Dd_group.Group_ctx.mul_batch}: [nonce] draws k
+    commitments in one {!Dd_group.Curve.mul_base_batch}: [nonce] draws k
     exactly as {!sign} does, and [sign_with_nonce ~nonce:k ~commitment]
     finishes the signature given [commitment = k*G] in affine form
     (Z = 1). [sign] is [nonce], one comb, one normalization and
     [sign_with_nonce]. *)
-val nonce : Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> Nat.t
+val nonce : Dd_crypto.Drbg.t -> Nat.t
 
 val sign_with_nonce :
-  Dd_group.Group_ctx.t -> nonce:Nat.t -> commitment:Curve.point -> sk:secret_key ->
-  pk:public_key -> string -> signature
+  nonce:Nat.t -> commitment:Curve.point -> sk:secret_key -> pk:public_key -> string -> signature
 
-(** [challenge gctx ~commitment ~pk msg] is the Fiat-Shamir challenge
+(** [challenge ~commitment ~pk msg] is the Fiat-Shamir challenge
     scalar. Exposed so benchmarks and tests can reconstruct the
     verification equation from its parts. *)
-val challenge :
-  Dd_group.Group_ctx.t -> commitment:Curve.point -> pk:public_key -> string -> Nat.t
+val challenge : commitment:Curve.point -> pk:public_key -> string -> Nat.t
 
 (** Verify via one Strauss-Shamir pass ([s*G + e*PK]); public data
     only, so the variable-time paths are fine here. *)
@@ -42,14 +40,14 @@ val verify : Dd_group.Group_ctx.t -> pk:public_key -> string -> signature -> boo
     election). [verify_with_table] replaces the [e*PK] half of the
     verification equation with doubling-free comb adds. *)
 type pk_table
-val make_pk_table : Dd_group.Group_ctx.t -> public_key -> pk_table
+val make_pk_table : public_key -> pk_table
 val verify_with_table :
   Dd_group.Group_ctx.t -> pk:public_key -> pk_table:pk_table -> string -> signature -> bool
 
 (** Wide precomputed msm table for a public key ({!Dd_group.Curve.precompute}):
     the batch-verification analogue of {!make_pk_table}, worth building
     for long-lived keys verified across many batches. *)
-val precompute_pk : Dd_group.Group_ctx.t -> public_key -> Dd_group.Curve.precomp
+val precompute_pk : public_key -> Dd_group.Curve.precomp
 
 (** [verify_batch ?pre gctx rng items] verifies all [(pk, msg,
     signature)] triples at once: the n verification equations fold into
@@ -75,7 +73,9 @@ val verify_batch_find :
 (** The nonce commitment R a signature carries. *)
 val commitment : signature -> Curve.point
 
-val encode : Dd_group.Group_ctx.t -> signature -> string
-val decode : Dd_group.Group_ctx.t -> string -> signature option
-val encode_pk : Dd_group.Group_ctx.t -> public_key -> string
-val decode_pk : Dd_group.Group_ctx.t -> string -> public_key option
+(** [s || R compressed], 65 bytes. [decode] rejects a non-canonical
+    [s >= n] and an R that is off the curve or the identity. *)
+val encode : signature -> string
+val decode : string -> signature option
+val encode_pk : public_key -> string
+val decode_pk : string -> public_key option

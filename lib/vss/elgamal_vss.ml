@@ -30,8 +30,8 @@ type share = {
    C_0 is the commitment being shared and is carried separately. *)
 type aux = Elgamal.t array
 
-let deal_coefficients gctx rng ~(opening : Elgamal.opening) ~threshold ~shares =
-  let fn = Group_ctx.scalar_field gctx in
+let deal_coefficients rng ~(opening : Elgamal.opening) ~threshold ~shares =
+  let fn = Curve.scalar_field in
   let mcoeffs, mshares =
     Shamir_scalar.split fn rng ~secret:opening.Elgamal.msg ~threshold ~shares
   in
@@ -51,12 +51,12 @@ let deal_coefficients gctx rng ~(opening : Elgamal.opening) ~threshold ~shares =
   (coeffs, shares)
 
 let deal gctx rng ~opening ~threshold ~shares =
-  let coeffs, shares = deal_coefficients gctx rng ~opening ~threshold ~shares in
+  let coeffs, shares = deal_coefficients rng ~opening ~threshold ~shares in
   (Array.map (fun (o : Elgamal.opening) -> Elgamal.commit gctx ~msg:o.msg ~rand:o.rand) coeffs,
    shares)
 
 let verify_share gctx ~(commitment : Elgamal.t) ~(aux : aux) (s : share) =
-  let fn = Group_ctx.scalar_field gctx in
+  let fn = Curve.scalar_field in
   let lhs = Elgamal.commit gctx ~msg:s.msg ~rand:s.rand in
   let rhs = ref commitment in
   let xj = ref Nat.one in
@@ -65,15 +65,13 @@ let verify_share gctx ~(commitment : Elgamal.t) ~(aux : aux) (s : share) =
     (fun cj ->
        xj := Modular.mul fn !xj x;
        let c1, c2 = Elgamal.components cj in
-       let curve = Group_ctx.curve gctx in
        (* Aux commitments and evaluation points are public — vartime. *)
        let scaled =
-         Elgamal.make ~c1:(Curve.mul_vartime curve !xj c1)
-           ~c2:(Curve.mul_vartime curve !xj c2)
+         Elgamal.make ~c1:(Curve.mul_vartime !xj c1) ~c2:(Curve.mul_vartime !xj c2)
        in
-       rhs := Elgamal.add gctx !rhs scaled)
+       rhs := Elgamal.add !rhs scaled)
     aux;
-  Elgamal.equal gctx lhs !rhs
+  Elgamal.equal lhs !rhs
 
 (* Batch verify_share over many (commitment, aux, share) triples: the
    componentwise equations
@@ -86,7 +84,7 @@ let verify_shares_serial gctx rng (items : (Elgamal.t * aux * share) array) =
   | 0 -> true
   | 1 -> let c, aux, s = items.(0) in verify_share gctx ~commitment:c ~aux s
   | _ ->
-    let fn = Group_ctx.scalar_field gctx in
+    let fn = Curve.scalar_field in
     let acc = Group_ctx.msm_acc gctx in
     Array.iter
       (fun (commitment, (aux : aux), (s : share)) ->
@@ -137,8 +135,8 @@ let verify_shares_batch ?pool gctx rng (items : (Elgamal.t * aux * share) array)
     Array.for_all (fun b -> b) verdicts
   end
 
-let reconstruct gctx ~threshold (shares : share list) : Elgamal.opening =
-  let fn = Group_ctx.scalar_field gctx in
+let reconstruct ~threshold (shares : share list) : Elgamal.opening =
+  let fn = Curve.scalar_field in
   let msg =
     Shamir_scalar.reconstruct fn ~threshold
       (List.map (fun s -> { Shamir_scalar.x = s.x; Shamir_scalar.value = s.msg }) shares)
@@ -149,10 +147,9 @@ let reconstruct gctx ~threshold (shares : share list) : Elgamal.opening =
   in
   { Elgamal.msg; Elgamal.rand }
 
-let add_shares gctx a b =
+let add_shares a b =
   if a.x <> b.x then invalid_arg "Elgamal_vss.add_shares: mismatched evaluation points";
-  let fn = Group_ctx.scalar_field gctx in
+  let fn = Curve.scalar_field in
   { x = a.x; msg = Modular.add fn a.msg b.msg; rand = Modular.add fn a.rand b.rand }
 
-let sum_shares gctx ~x l =
-  List.fold_left (add_shares gctx) { x; msg = Nat.zero; rand = Nat.zero } l
+let sum_shares ~x l = List.fold_left add_shares { x; msg = Nat.zero; rand = Nat.zero } l

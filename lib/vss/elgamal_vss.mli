@@ -26,8 +26,8 @@ val deal :
     exactly what {!deal} draws. *)
 (* lint: secret *)
 val deal_coefficients :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> opening:Elgamal.opening ->
-  threshold:int -> shares:int -> Elgamal.opening array * share array
+  Dd_crypto.Drbg.t -> opening:Elgamal.opening -> threshold:int -> shares:int ->
+  Elgamal.opening array * share array
 
 (** Verify a share against the shared commitment and its aux vector. *)
 val verify_share :
@@ -41,7 +41,6 @@ val verify_shares_batch :
   ?pool:Dd_parallel.Pool.t ->
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> (Elgamal.t * aux * share) array -> bool
 
-val reconstruct :
-  Dd_group.Group_ctx.t -> threshold:int -> share list -> Elgamal.opening
+val reconstruct : threshold:int -> share list -> Elgamal.opening
 
-val sum_shares : Dd_group.Group_ctx.t -> x:int -> share list -> share
+val sum_shares : x:int -> share list -> share

@@ -60,9 +60,8 @@ type final_move = {
    branch 0 claims (c1, c2) = (r*G, r*H);
    branch 1 claims (c1, c2 - G) = (r*G, r*H). *)
 let branch_statement gctx commitment branch : Chaum_pedersen.statement =
-  let curve = Group_ctx.curve gctx in
   let c1, c2 = Elgamal.components commitment in
-  let h2 = if branch = 0 then c2 else Curve.sub curve c2 (Group_ctx.g gctx) in
+  let h2 = if branch = 0 then c2 else Curve.sub c2 (Group_ctx.g gctx) in
   { g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx; h1 = c1; h2 }
 
 (* The sum statement: the coordinates total exactly [k], so
@@ -70,11 +69,10 @@ let branch_statement gctx commitment branch : Chaum_pedersen.statement =
    k-out-of-m extension sketched in its conclusion reuses the same
    proof with larger k. *)
 let sum_statement ?(k = 1) gctx (commitments : Elgamal.t array) : Chaum_pedersen.statement =
-  let curve = Group_ctx.curve gctx in
-  let total = Elgamal.sum gctx (Array.to_list commitments) in
+  let total = Elgamal.sum (Array.to_list commitments) in
   let c1, c2 = Elgamal.components total in
   { g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx; h1 = c1;
-    h2 = Curve.sub curve c2 (Group_ctx.mul_g gctx (Nat.of_int k)) }
+    h2 = Curve.sub c2 (Group_ctx.mul_g gctx (Nat.of_int k)) }
 
 (* The first move Chaum_pedersen.simulate would give the branch that
    [opening] does not satisfy, for challenge c and response z, computed
@@ -86,7 +84,7 @@ let sum_statement ?(k = 1) gctx (commitments : Elgamal.t array) : Chaum_pedersen
    scalar arithmetic, so the group operations are the same for either
    bit. *)
 let simulated_jobs gctx (o : Elgamal.opening) ~challenge ~response =
-  let fn = Group_ctx.scalar_field gctx in
+  let fn = Curve.scalar_field in
   let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
   let s = Modular.sub fn response (Modular.mul fn challenge o.Elgamal.rand) in
   let sign = Modular.sub fn Nat.one (Modular.add fn o.Elgamal.msg o.Elgamal.msg) in
@@ -94,7 +92,7 @@ let simulated_jobs gctx (o : Elgamal.opening) ~challenge ~response =
 
 let simulated_move gctx o ~challenge ~response : Chaum_pedersen.first_move =
   let t1, t2 = simulated_jobs gctx o ~challenge ~response in
-  let pts = Group_ctx.mul_batch gctx [| t1; t2 |] in
+  let pts = Curve.mul_base_batch [| t1; t2 |] in
   { t1 = pts.(0); t2 = pts.(1) }
 
 (* Draw the prover's randomness for a ballot part: per row the real
@@ -103,24 +101,24 @@ let simulated_move gctx o ~challenge ~response : Chaum_pedersen.first_move =
    proof's nonce. The openings must commit to a unit vector (this is
    the honest-prover path; EA misbehaviour is exactly what verification
    later catches). *)
-let draw_state gctx rng ~(openings : Elgamal.opening array) =
-  let fn = Group_ctx.scalar_field gctx in
+let draw_state rng ~(openings : Elgamal.opening array) =
+  let fn = Curve.scalar_field in
   let rows =
     Array.map
       (fun (o : Elgamal.opening) ->
          let branch = Nat.to_int o.Elgamal.msg in
          if branch <> 0 && branch <> 1 then
            invalid_arg "Ballot_proof.prove_commit: message not 0/1";
-         let w = Group_ctx.random_scalar gctx rng in
-         let c_sim = Group_ctx.random_scalar gctx rng in
-         let z_sim = Group_ctx.random_scalar gctx rng in
+         let w = Curve.random_scalar rng in
+         let c_sim = Curve.random_scalar rng in
+         let z_sim = Curve.random_scalar rng in
          { branch; w; c_sim; z_sim; witness = o.Elgamal.rand })
       openings
   in
   let sum_witness =
     Array.fold_left (fun acc o -> Modular.add fn acc o.Elgamal.rand) Nat.zero openings
   in
-  { rows; sum_w = Group_ctx.random_scalar gctx rng; sum_witness }
+  { rows; sum_w = Curve.random_scalar rng; sum_witness }
 
 (* The first move's points as comb jobs: per row a0.t1, a0.t2, a1.t1,
    a1.t2 (the real branch w*G, w*H; the simulated one from
@@ -156,29 +154,29 @@ let prove_commit gctx rng ~(commitments : Elgamal.t array)
     ~(openings : Elgamal.opening array) =
   if Array.length commitments <> Array.length openings then
     invalid_arg "Ballot_proof.prove_commit: arity mismatch";
-  let st = draw_state gctx rng ~openings in
-  (st, first_move_of_points (Group_ctx.mul_batch gctx (first_move_jobs gctx st openings)))
+  let st = draw_state rng ~openings in
+  (st, first_move_of_points (Curve.mul_base_batch (first_move_jobs gctx st openings)))
 
 (* Third move, given the challenge extracted from the voters' coins. *)
-let finalize gctx (state : prover_state) ~challenge : final_move =
-  let fn = Group_ctx.scalar_field gctx in
+let finalize (state : prover_state) ~challenge : final_move =
+  let fn = Curve.scalar_field in
   let row_finals =
     Array.map
       (fun st ->
          let c_real = Modular.sub fn challenge st.c_sim in
          let z_real =
-           Chaum_pedersen.respond gctx ~state:st.w ~witness:st.witness ~challenge:c_real
+           Chaum_pedersen.respond ~state:st.w ~witness:st.witness ~challenge:c_real
          in
          if st.branch = 0 then { c0 = c_real; c1 = st.c_sim; z0 = z_real; z1 = st.z_sim }
          else { c0 = st.c_sim; c1 = c_real; z0 = st.z_sim; z1 = z_real })
       state.rows
   in
   { row_finals;
-    sum_z = Chaum_pedersen.respond gctx ~state:state.sum_w ~witness:state.sum_witness ~challenge }
+    sum_z = Chaum_pedersen.respond ~state:state.sum_w ~witness:state.sum_witness ~challenge }
 
 let verify ?(k = 1) gctx ~(commitments : Elgamal.t array) (fm : first_move) ~challenge
     (fin : final_move) =
-  let fn = Group_ctx.scalar_field gctx in
+  let fn = Curve.scalar_field in
   Array.length fm.row_moves = Array.length commitments
   && Array.length fin.row_finals = Array.length commitments
   && begin
@@ -219,7 +217,7 @@ let verify_batch ?(k = 1) gctx rng (instances : instance array) =
     let i = instances.(0) in
     verify ~k gctx ~commitments:i.commitments i.fm ~challenge:i.challenge i.fin
   | _ ->
-    let fn = Group_ctx.scalar_field gctx in
+    let fn = Curve.scalar_field in
     let acc = Group_ctx.msm_acc gctx in
     let ok = ref true in
     Array.iter
@@ -233,14 +231,14 @@ let verify_batch ?(k = 1) gctx rng (instances : instance array) =
                 let m = inst.fm.row_moves.(i) and f = inst.fin.row_finals.(i) in
                 if not (Nat.equal (Modular.add fn f.c0 f.c1)
                           (Modular.reduce fn inst.challenge)) then ok := false;
-                Chaum_pedersen.accumulate gctx acc rng
+                Chaum_pedersen.accumulate acc rng
                   { stmt = branch_statement gctx c 0; fm = m.a0;
                     challenge = f.c0; response = f.z0 };
-                Chaum_pedersen.accumulate gctx acc rng
+                Chaum_pedersen.accumulate acc rng
                   { stmt = branch_statement gctx c 1; fm = m.a1;
                     challenge = f.c1; response = f.z1 })
              inst.commitments;
-           Chaum_pedersen.accumulate gctx acc rng
+           Chaum_pedersen.accumulate acc rng
              { stmt = sum_statement ~k gctx inst.commitments; fm = inst.fm.sum_move;
                challenge = inst.challenge; response = inst.fin.sum_z }
          end)
@@ -293,13 +291,11 @@ let decode_state s =
     else Some { rows; sum_w; sum_witness }
   with _ -> None
 
-let encode_point gctx p = Curve.encode (Group_ctx.curve gctx) p
-
-let encode_first_move gctx (fm : first_move) =
+let encode_first_move (fm : first_move) =
   let buf = Buffer.create 512 in
   let add_cp (m : Chaum_pedersen.first_move) =
-    Buffer.add_string buf (encode_point gctx m.t1);
-    Buffer.add_string buf (encode_point gctx m.t2)
+    Buffer.add_string buf (Curve.encode m.t1);
+    Buffer.add_string buf (Curve.encode m.t2)
   in
   Array.iter (fun m -> add_cp m.a0; add_cp m.a1) fm.row_moves;
   add_cp fm.sum_move;
@@ -309,9 +305,8 @@ let encode_first_move gctx (fm : first_move) =
    (leading 0x00 = infinity, one byte; otherwise 0x04 || X || Y), so
    the stream is walked point by point. 4 points per OR row plus the 2
    sum-move points fix the row count. *)
-let decode_first_move gctx s =
-  let curve = Group_ctx.curve gctx in
-  let bl = Curve.byte_len curve in
+let decode_first_move s =
+  let bl = Curve.byte_len in
   let n = String.length s in
   let rec points off acc =
     if off = n then Some (List.rev acc)
@@ -319,7 +314,7 @@ let decode_first_move gctx s =
       let len = if s.[off] = '\x00' then 1 else 1 + (2 * bl) in
       if off + len > n then None
       else
-        match Curve.decode curve (String.sub s off len) with
+        match Curve.decode (String.sub s off len) with
         | None -> None
         | Some p -> points (off + len) (p :: acc)
     end
@@ -349,6 +344,12 @@ let encode_final_move (fin : final_move) =
   put_scalar buf fin.sum_z;
   Buffer.contents buf
 
+(* The moves come off the BB, so every scalar must be canonical. *)
+let get_canonical s off =
+  match Curve.decode_scalar (String.sub s off scalar_len) with
+  | Some k -> (k, off + scalar_len)
+  | None -> raise Exit
+
 let decode_final_move s =
   let n = String.length s in
   let row_len = 4 * scalar_len in
@@ -356,15 +357,17 @@ let decode_final_move s =
   else begin
     let rows = (n - scalar_len) / row_len in
     let off = ref 0 in
-    let row_finals =
-      Array.init rows (fun _ ->
-          let c0, o = get_scalar s !off in
-          let c1, o = get_scalar s o in
-          let z0, o = get_scalar s o in
-          let z1, o = get_scalar s o in
-          off := o;
-          { c0; c1; z0; z1 })
-    in
-    let sum_z, _ = get_scalar s !off in
-    Some { row_finals; sum_z }
+    try
+      let row_finals =
+        Array.init rows (fun _ ->
+            let c0, o = get_canonical s !off in
+            let c1, o = get_canonical s o in
+            let z0, o = get_canonical s o in
+            let z1, o = get_canonical s o in
+            off := o;
+            { c0; c1; z0; z1 })
+      in
+      let sum_z, _ = get_canonical s !off in
+      Some { row_finals; sum_z }
+    with Exit -> None
   end

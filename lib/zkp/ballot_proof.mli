@@ -33,8 +33,7 @@ val prove_commit :
     [a0.t2], [a1.t1], [a1.t2], then the sum move's two); and
     [first_move_of_points] assembles the evaluated points. Raises
     [Invalid_argument] on a non-0/1 message. *)
-val draw_state :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> openings:Elgamal.opening array -> prover_state
+val draw_state : Dd_crypto.Drbg.t -> openings:Elgamal.opening array -> prover_state
 
 val first_move_jobs :
   Dd_group.Group_ctx.t -> prover_state -> Elgamal.opening array ->
@@ -57,7 +56,7 @@ val simulated_move :
   Chaum_pedersen.first_move
 
 (** Compute the response for the (voter-coin-derived) challenge. *)
-val finalize : Dd_group.Group_ctx.t -> prover_state -> challenge:Nat.t -> final_move
+val finalize : prover_state -> challenge:Nat.t -> final_move
 
 val verify :
   ?k:int -> Dd_group.Group_ctx.t -> commitments:Elgamal.t array -> first_move ->
@@ -82,14 +81,15 @@ val verify_batch :
     trustees; the moves are what lives on the BB. *)
 val encode_state : prover_state -> string
 val decode_state : string -> prover_state option
-val encode_first_move : Dd_group.Group_ctx.t -> first_move -> string
+val encode_first_move : first_move -> string
 
 (** Inverse of {!encode_first_move}, with full point validation; [None]
     on malformed input (used by the board's segment codec). *)
-val decode_first_move : Dd_group.Group_ctx.t -> string -> first_move option
+val decode_first_move : string -> first_move option
 
 val encode_final_move : final_move -> string
 
-(** Inverse of {!encode_final_move}; [None] on any length mismatch
-    (used by the BB nodes' durable input journal). *)
+(** Inverse of {!encode_final_move}; [None] on any length mismatch or
+    a scalar not below the group order (the trustees' final moves come
+    off the BB; also used by the BB nodes' durable input journal). *)
 val decode_final_move : string -> final_move option

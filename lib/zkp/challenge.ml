@@ -6,21 +6,20 @@
    argument of [KZZ15] the soundness error is 2^-theta. *)
 
 module Nat = Dd_bignum.Nat
-module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 
 (* Master challenge for the election. *)
-let master gctx ~election_id ~coins =
+let master ~election_id ~coins =
   let bits = Bytes.create (List.length coins) in
   List.iteri (fun i c -> Bytes.set bits i (if c then '1' else '0')) coins;
-  Curve.hash_to_scalar (Group_ctx.curve gctx)
+  Curve.hash_to_scalar
     [ "d-demos-challenge"; election_id; Bytes.unsafe_to_string bits ]
 
 (* Per-proof challenge, derived from the master so that each ballot
    part's proof gets an independent challenge while verifiers can
    recompute everything from the public coins. *)
-let for_proof gctx ~master_challenge ~serial ~part =
-  Curve.hash_to_scalar (Group_ctx.curve gctx)
+let for_proof ~master_challenge ~serial ~part =
+  Curve.hash_to_scalar
     [ "d-demos-proof-challenge";
       Nat.to_bytes_be ~len:32 master_challenge;
       string_of_int serial;

@@ -6,9 +6,7 @@
 module Nat = Dd_bignum.Nat
 
 (** Master election challenge from the ordered coin list. *)
-val master :
-  Dd_group.Group_ctx.t -> election_id:string -> coins:bool list -> Nat.t
+val master : election_id:string -> coins:bool list -> Nat.t
 
 (** Per-ballot-part challenge derived from the master. *)
-val for_proof :
-  Dd_group.Group_ctx.t -> master_challenge:Nat.t -> serial:int -> part:[ `A | `B ] -> Nat.t
+val for_proof : master_challenge:Nat.t -> serial:int -> part:[ `A | `B ] -> Nat.t

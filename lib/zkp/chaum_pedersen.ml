@@ -27,20 +27,19 @@ type first_move = {
 type prover_state = Nat.t
 
 let commit gctx rng (st : statement) : prover_state * first_move =
-  let w = Group_ctx.random_scalar gctx rng in
+  let w = Curve.random_scalar rng in
   (w, { t1 = Group_ctx.mul gctx w st.g1; t2 = Group_ctx.mul gctx w st.g2 })
 
-let respond gctx ~(state : prover_state) ~witness ~challenge =
-  let fn = Group_ctx.scalar_field gctx in
+let respond ~(state : prover_state) ~witness ~challenge =
+  let fn = Curve.scalar_field in
   Modular.add fn state (Modular.mul fn challenge witness)
 
 (* Verification sees only published transcript data, so the
    variable-time multiplication paths are fine (curve.mli contract). *)
 let verify gctx (st : statement) (fm : first_move) ~challenge ~response =
-  let curve = Group_ctx.curve gctx in
   let check g t h =
-    Curve.equal curve (Group_ctx.mul_vartime gctx response g)
-      (Curve.add curve t (Group_ctx.mul_vartime gctx challenge h))
+    Curve.equal (Group_ctx.mul_vartime gctx response g)
+      (Curve.add t (Group_ctx.mul_vartime gctx challenge h))
   in
   check st.g1 fm.t1 st.h1 && check st.g2 fm.t2 st.h2
 
@@ -57,8 +56,8 @@ type instance = {
    w*z on g, subtract w on t and w*c on h. Terms on the fixed
    generators G and H collapse into the accumulator's comb-table legs
    (ballot-proof statements always have g1 = G and g2 = H). *)
-let accumulate gctx acc rng (inst : instance) =
-  let fn = Group_ctx.scalar_field gctx in
+let accumulate acc rng (inst : instance) =
+  let fn = Curve.scalar_field in
   let eq g t h =
     let w = Dd_group.Batch.weight rng in
     Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn inst.response)) g;
@@ -78,16 +77,15 @@ let verify_batch gctx rng (instances : instance array) =
     verify gctx i.stmt i.fm ~challenge:i.challenge ~response:i.response
   | _ ->
     let acc = Group_ctx.msm_acc gctx in
-    Array.iter (accumulate gctx acc rng) instances;
+    Array.iter (accumulate acc rng) instances;
     Group_ctx.acc_check acc
 
 (* Simulate an accepting transcript for a chosen challenge (used by the
    OR composition for the branch the prover cannot prove). *)
 let simulate gctx rng (st : statement) ~challenge =
-  let curve = Group_ctx.curve gctx in
-  let z = Group_ctx.random_scalar gctx rng in
+  let z = Curve.random_scalar rng in
   let fm =
-    { t1 = Curve.sub curve (Group_ctx.mul gctx z st.g1) (Group_ctx.mul gctx challenge st.h1);
-      t2 = Curve.sub curve (Group_ctx.mul gctx z st.g2) (Group_ctx.mul gctx challenge st.h2) }
+    { t1 = Curve.sub (Group_ctx.mul gctx z st.g1) (Group_ctx.mul gctx challenge st.h1);
+      t2 = Curve.sub (Group_ctx.mul gctx z st.g2) (Group_ctx.mul gctx challenge st.h2) }
   in
   (fm, z)

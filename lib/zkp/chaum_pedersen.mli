@@ -24,8 +24,7 @@ val commit :
   Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> statement -> prover_state * first_move
 
 (** Third move: [state + challenge * witness]. *)
-val respond :
-  Dd_group.Group_ctx.t -> state:prover_state -> witness:Nat.t -> challenge:Nat.t -> Nat.t
+val respond : state:prover_state -> witness:Nat.t -> challenge:Nat.t -> Nat.t
 
 val verify :
   Dd_group.Group_ctx.t -> statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
@@ -43,8 +42,7 @@ type instance = {
     (e.g. ballot-proof batching) combine many proofs into one
     {!Dd_group.Group_ctx.acc_check}. {b Variable time} — public
     transcripts only. *)
-val accumulate :
-  Dd_group.Group_ctx.t -> Dd_group.Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> instance -> unit
+val accumulate : Dd_group.Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> instance -> unit
 
 (** Verify many transcripts with one multi-scalar multiplication;
     accepts a batch containing an invalid transcript with probability

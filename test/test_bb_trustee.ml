@@ -129,7 +129,7 @@ let test_esum_waits_for_opened_codes () =
   Bb_node.on_vote_set_submit once ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
   let esum b =
     match (Bb_node.published b).Bb_node.encrypted_tally with
-    | Some e -> Array.to_list (Array.map (Dd_commit.Elgamal.encode s.Ea.gctx) e)
+    | Some e -> Array.to_list (Array.map Dd_commit.Elgamal.encode e)
     | None -> Alcotest.fail "no Esum"
   in
   Alcotest.(check (list string)) "Esum = all-at-once board's" (esum once) (esum bb);

@@ -23,19 +23,19 @@ let test_homomorphism () =
   let rng = rng () in
   let c1, o1 = Elgamal.commit_random gctx rng ~msg:(Nat.of_int 3) in
   let c2, o2 = Elgamal.commit_random gctx rng ~msg:(Nat.of_int 4) in
-  let c = Elgamal.add gctx c1 c2 in
-  let o = Elgamal.add_opening gctx o1 o2 in
+  let c = Elgamal.add c1 c2 in
+  let o = Elgamal.add_opening o1 o2 in
   Alcotest.(check bool) "sum verifies" true (Elgamal.verify gctx c o);
   Alcotest.(check bool) "sum message is 7" true (Nat.equal o.Elgamal.msg (Nat.of_int 7))
 
 let test_zero_commitment () =
-  let z = Elgamal.zero_commitment gctx in
+  let z = Elgamal.zero_commitment in
   Alcotest.(check bool) "opens to 0/0" true
     (Elgamal.verify gctx z { Elgamal.msg = Nat.zero; Elgamal.rand = Nat.zero });
   let rng = rng () in
   let c, o = Elgamal.commit_random gctx rng ~msg:(Nat.of_int 5) in
   Alcotest.(check bool) "identity element" true
-    (Elgamal.equal gctx c (Elgamal.add gctx c z));
+    (Elgamal.equal c (Elgamal.add c z));
   ignore o
 
 let test_hiding_representation () =
@@ -43,12 +43,12 @@ let test_hiding_representation () =
   let rng = rng () in
   let c1, _ = Elgamal.commit_random gctx rng ~msg:(Nat.of_int 1) in
   let c2, _ = Elgamal.commit_random gctx rng ~msg:(Nat.of_int 1) in
-  Alcotest.(check bool) "distinct commitments" false (Elgamal.equal gctx c1 c2)
+  Alcotest.(check bool) "distinct commitments" false (Elgamal.equal c1 c2)
 
 let test_encode_deterministic () =
   let rng = rng () in
   let c, _ = Elgamal.commit_random gctx rng ~msg:Nat.one in
-  Alcotest.(check string) "stable encoding" (Elgamal.encode gctx c) (Elgamal.encode gctx c)
+  Alcotest.(check string) "stable encoding" (Elgamal.encode c) (Elgamal.encode c)
 
 (* --- unit vectors -------------------------------------------------------- *)
 
@@ -72,8 +72,8 @@ let test_unit_vector_tally () =
   let rng = rng () in
   let votes = [ 0; 1; 1; 2; 1; 0 ] in
   let pairs = List.map (fun v -> Unit_vector.commit gctx rng ~options:3 ~choice:v) votes in
-  let csum = Unit_vector.sum gctx ~options:3 (List.map fst pairs) in
-  let osum = Unit_vector.sum_openings gctx ~options:3 (List.map snd pairs) in
+  let csum = Unit_vector.sum ~options:3 (List.map fst pairs) in
+  let osum = Unit_vector.sum_openings ~options:3 (List.map snd pairs) in
   Alcotest.(check bool) "sum verifies" true (Unit_vector.verify gctx csum osum);
   Alcotest.(check (array int)) "counts" [| 2; 3; 1 |] (Unit_vector.counts_of_opening osum)
 
@@ -82,7 +82,7 @@ let test_unit_vector_length_mismatch () =
   let c3, _ = Unit_vector.commit gctx rng ~options:3 ~choice:0 in
   let c4, _ = Unit_vector.commit gctx rng ~options:4 ~choice:0 in
   Alcotest.check_raises "mismatch" (Invalid_argument "Unit_vector.add: length mismatch")
-    (fun () -> ignore (Unit_vector.add gctx c3 c4))
+    (fun () -> ignore (Unit_vector.add c3 c4))
 
 (* --- batch verification ------------------------------------------------------ *)
 
@@ -157,7 +157,7 @@ let prop_homomorphic =
        let rng = Drbg.create ~seed:(Nat.to_decimal a ^ "." ^ Nat.to_decimal b) in
        let c1, o1 = Elgamal.commit_random gctx rng ~msg:a in
        let c2, o2 = Elgamal.commit_random gctx rng ~msg:b in
-       Elgamal.verify gctx (Elgamal.add gctx c1 c2) (Elgamal.add_opening gctx o1 o2))
+       Elgamal.verify gctx (Elgamal.add c1 c2) (Elgamal.add_opening o1 o2))
 
 let prop_unit_vector_sum_counts =
   QCheck.Test.make ~name:"unit-vector tally counts" ~count:10
@@ -165,7 +165,7 @@ let prop_unit_vector_sum_counts =
     (fun votes ->
        let rng = Drbg.create ~seed:(String.concat "" (List.map string_of_int votes)) in
        let pairs = List.map (fun v -> Unit_vector.commit gctx rng ~options:3 ~choice:v) votes in
-       let osum = Unit_vector.sum_openings gctx ~options:3 (List.map snd pairs) in
+       let osum = Unit_vector.sum_openings ~options:3 (List.map snd pairs) in
        let counts = Unit_vector.counts_of_opening osum in
        let expected = Array.make 3 0 in
        List.iter (fun v -> expected.(v) <- expected.(v) + 1) votes;

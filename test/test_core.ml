@@ -214,7 +214,7 @@ let test_ea_commitments_match_printed_options () =
     in
     let opening =
       Array.init cfg.Types.m_options (fun j ->
-          Dd_vss.Elgamal_vss.reconstruct gctx ~threshold:cfg.Types.ht
+          Dd_vss.Elgamal_vss.reconstruct ~threshold:cfg.Types.ht
             (List.map (fun sh -> sh.(j)) shares))
     in
     Alcotest.(check bool) (Printf.sprintf "pos %d opens commitment" pos) true

@@ -62,7 +62,7 @@ let votes_of l =
 
 let test_chunked_equals_monolithic () =
   let s = Lazy.force setup in
-  let enc = Election_store.encode_bb_ballot s.Ea.gctx in
+  let enc = Election_store.encode_bb_ballot in
   let mono = Array.map enc s.Ea.bb_ballots in
   List.iter
     (fun chunk_size ->
@@ -128,11 +128,11 @@ let test_writers_agree () =
   let _tbl, mem_dev = mem_family () in
   let stored = Election_store.store_setup ~chunk_size:2 mem_dev s in
   let board dev layout =
-    Board.create s.Ea.gctx (dev Election_store.bb_segment) layout.Election_store.l_bb
+    Board.create (dev Election_store.bb_segment) layout.Election_store.l_bb
   in
   let seg = board dev streamed and mem = board mem_dev stored in
   Alcotest.(check string) "streamed root = in-memory root" (Board.root seg) (Board.root mem);
-  let enc = Election_store.encode_bb_ballot s.Ea.gctx in
+  let enc = Election_store.encode_bb_ballot in
   for i = 0 to cfg.Types.n_voters - 1 do
     Alcotest.(check string)
       (Printf.sprintf "ballot %d identical through both writers" i)

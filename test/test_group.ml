@@ -6,10 +6,9 @@ module Curve = Dd_group.Curve
 module Group_ctx = Dd_group.Group_ctx
 
 let gctx = Group_ctx.default ()
-let c = Group_ctx.curve gctx
 let g = Group_ctx.g gctx
 
-let point = Alcotest.testable (fun fmt _ -> Format.fprintf fmt "<point>") (Curve.equal c)
+let point = Alcotest.testable (fun fmt _ -> Format.fprintf fmt "<point>") Curve.equal
 
 let arb_scalar =
   QCheck.make
@@ -22,12 +21,12 @@ let arb_scalar =
 (* --- known answers ------------------------------------------------------ *)
 
 let test_generator_on_curve () =
-  match Curve.to_affine c g with
+  match Curve.to_affine g with
   | None -> Alcotest.fail "generator is infinity?"
-  | Some xy -> Alcotest.(check bool) "on curve" true (Curve.on_curve c xy)
+  | Some xy -> Alcotest.(check bool) "on curve" true (Curve.on_curve xy)
 
 let test_2g_known () =
-  match Curve.to_affine c (Curve.double c g) with
+  match Curve.to_affine (Curve.double g) with
   | None -> Alcotest.fail "2G infinity"
   | Some (x, y) ->
     Alcotest.(check string) "2G.x"
@@ -36,79 +35,79 @@ let test_2g_known () =
       "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a" (Nat.to_hex y)
 
 let test_5g_known () =
-  match Curve.to_affine c (Curve.mul_int c 5 g) with
+  match Curve.to_affine (Curve.mul_int 5 g) with
   | None -> Alcotest.fail "5G infinity"
   | Some (x, _) ->
     Alcotest.(check string) "5G.x"
       "2f8bde4d1a07209355b4a7250a5c5128e88b84bddc619ab7cba8d569b240efe4" (Nat.to_hex x)
 
 let test_order_annihilates () =
-  Alcotest.check point "nG = O" Curve.infinity (Curve.mul c (Curve.order c) g);
-  Alcotest.check point "(n+1)G = G" g (Curve.mul c (Nat.add (Curve.order c) Nat.one) g)
+  Alcotest.check point "nG = O" Curve.infinity (Curve.mul Curve.order g);
+  Alcotest.check point "(n+1)G = G" g (Curve.mul (Nat.add Curve.order Nat.one) g)
 
 let test_identity_laws () =
-  Alcotest.check point "O + G = G" g (Curve.add c Curve.infinity g);
-  Alcotest.check point "G + O = G" g (Curve.add c g Curve.infinity);
-  Alcotest.check point "G - G = O" Curve.infinity (Curve.sub c g g);
-  Alcotest.check point "0 * G = O" Curve.infinity (Curve.mul c Nat.zero g)
+  Alcotest.check point "O + G = G" g (Curve.add Curve.infinity g);
+  Alcotest.check point "G + O = G" g (Curve.add g Curve.infinity);
+  Alcotest.check point "G - G = O" Curve.infinity (Curve.sub g g);
+  Alcotest.check point "0 * G = O" Curve.infinity (Curve.mul Nat.zero g)
 
 let test_codec () =
-  let p = Curve.mul_int c 123456789 g in
-  (match Curve.decode c (Curve.encode c p) with
+  let p = Curve.mul_int 123456789 g in
+  (match Curve.decode (Curve.encode p) with
    | Some p' -> Alcotest.check point "roundtrip" p p'
    | None -> Alcotest.fail "decode failed");
-  (match Curve.decode c (Curve.encode c Curve.infinity) with
+  (match Curve.decode (Curve.encode Curve.infinity) with
    | Some p' -> Alcotest.check point "infinity roundtrip" Curve.infinity p'
    | None -> Alcotest.fail "infinity decode failed");
-  Alcotest.(check bool) "garbage rejected" true (Curve.decode c "garbage" = None);
+  Alcotest.(check bool) "garbage rejected" true (Curve.decode "garbage" = None);
   (* off-curve point rejected: valid-length encoding of (1, 1) *)
   let fake = "\x04" ^ Nat.to_bytes_be ~len:32 Nat.one ^ Nat.to_bytes_be ~len:32 Nat.one in
-  Alcotest.(check bool) "off-curve rejected" true (Curve.decode c fake = None)
+  Alcotest.(check bool) "off-curve rejected" true (Curve.decode fake = None)
 
 let test_hash_to_point () =
   let h = Group_ctx.h gctx in
-  (match Curve.to_affine c h with
+  (match Curve.to_affine h with
    | None -> Alcotest.fail "H is infinity"
-   | Some xy -> Alcotest.(check bool) "H on curve" true (Curve.on_curve c xy));
-  Alcotest.(check bool) "H <> G" false (Curve.equal c h g);
+   | Some xy -> Alcotest.(check bool) "H on curve" true (Curve.on_curve xy));
+  Alcotest.(check bool) "H <> G" false (Curve.equal h g);
   (* determinism *)
-  let h2 = Curve.hash_to_point c "d-demos second generator H" in
+  let h2 = Curve.hash_to_point "d-demos second generator H" in
   Alcotest.check point "hash_to_point deterministic" h h2
 
 let test_hash_to_scalar () =
-  let s1 = Curve.hash_to_scalar c [ "a"; "b" ] in
-  let s2 = Curve.hash_to_scalar c [ "a"; "b" ] in
-  let s3 = Curve.hash_to_scalar c [ "ab" ] in
+  let s1 = Curve.hash_to_scalar [ "a"; "b" ] in
+  let s2 = Curve.hash_to_scalar [ "a"; "b" ] in
+  let s3 = Curve.hash_to_scalar [ "ab" ] in
   Alcotest.(check bool) "deterministic" true (Nat.equal s1 s2);
   Alcotest.(check bool) "part boundaries matter" false (Nat.equal s1 s3);
-  Alcotest.(check bool) "reduced" true (Nat.compare s1 (Curve.order c) < 0)
+  Alcotest.(check bool) "reduced" true (Nat.compare s1 Curve.order < 0)
 
 let test_group_ctx_mul_fast_path () =
   let k = Nat.of_hex "123456789abcdef123456789abcdef" in
-  Alcotest.check point "mul g" (Curve.mul c k g) (Group_ctx.mul gctx k g);
-  Alcotest.check point "mul h" (Curve.mul c k (Group_ctx.h gctx))
+  Alcotest.check point "mul g" (Curve.mul k g) (Group_ctx.mul gctx k g);
+  Alcotest.check point "mul h" (Curve.mul k (Group_ctx.h gctx))
     (Group_ctx.mul gctx k (Group_ctx.h gctx));
-  let other = Curve.double c g in
-  Alcotest.check point "mul other" (Curve.mul c k other) (Group_ctx.mul gctx k other)
+  let other = Curve.double g in
+  Alcotest.check point "mul other" (Curve.mul k other) (Group_ctx.mul gctx k other)
 
 let test_compressed_codec () =
   List.iter
     (fun k ->
-       let p = Curve.mul_int c k g in
-       let enc = Curve.encode_compressed c p in
+       let p = Curve.mul_int k g in
+       let enc = Curve.encode_compressed p in
        Alcotest.(check int) "33 bytes" 33 (String.length enc);
-       match Curve.decode_compressed c enc with
+       match Curve.decode_compressed enc with
        | Some p' -> Alcotest.check point (Printf.sprintf "%dG roundtrip" k) p p'
        | None -> Alcotest.fail "compressed decode failed")
     [ 1; 2; 3; 7; 123456789 ];
-  (match Curve.decode_compressed c (Curve.encode_compressed c Curve.infinity) with
+  (match Curve.decode_compressed (Curve.encode_compressed Curve.infinity) with
    | Some p -> Alcotest.check point "infinity" Curve.infinity p
    | None -> Alcotest.fail "infinity compressed decode failed");
-  Alcotest.(check bool) "garbage rejected" true (Curve.decode_compressed c "junk" = None);
+  Alcotest.(check bool) "garbage rejected" true (Curve.decode_compressed "junk" = None);
   (* an x with no point on the curve must be rejected *)
   let rec non_residue_x i =
     let candidate = "\x02" ^ Nat.to_bytes_be ~len:32 (Nat.of_int i) in
-    if Curve.decode_compressed c candidate = None then i else non_residue_x (i + 1)
+    if Curve.decode_compressed candidate = None then i else non_residue_x (i + 1)
   in
   Alcotest.(check bool) "some x has no curve point" true (non_residue_x 2 > 0)
 
@@ -116,55 +115,55 @@ let test_field_sqrt () =
   let fp = Dd_bignum.Modular.create Dd_bignum.Fe.prime in
   let x = Dd_bignum.Nat.of_int 1234567 in
   let sq = Dd_bignum.Modular.sqr fp x in
-  (match Curve.field_sqrt c sq with
+  (match Curve.field_sqrt sq with
    | Some r ->
      Alcotest.(check bool) "sqrt of square" true
        (Dd_bignum.Nat.equal (Dd_bignum.Modular.sqr fp r) sq)
    | None -> Alcotest.fail "square has no root?");
   (* find a non-residue: for p = 3 mod 4, -1 is one *)
   let minus_one = Dd_bignum.Modular.neg fp Dd_bignum.Nat.one in
-  Alcotest.(check bool) "-1 is a non-residue" true (Curve.field_sqrt c minus_one = None)
+  Alcotest.(check bool) "-1 is a non-residue" true (Curve.field_sqrt minus_one = None)
 
 (* --- group-law properties ----------------------------------------------- *)
 
 let prop_add_comm =
   QCheck.Test.make ~name:"P+Q = Q+P" ~count:30 (QCheck.pair arb_scalar arb_scalar)
     (fun (a, b) ->
-       let p = Curve.mul c a g and q = Curve.mul c b g in
-       Curve.equal c (Curve.add c p q) (Curve.add c q p))
+       let p = Curve.mul a g and q = Curve.mul b g in
+       Curve.equal (Curve.add p q) (Curve.add q p))
 
 let prop_add_assoc =
   QCheck.Test.make ~name:"(P+Q)+R = P+(Q+R)" ~count:20
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (a, b, d) ->
-       let p = Curve.mul c a g and q = Curve.mul c b g and r = Curve.mul c d g in
-       Curve.equal c (Curve.add c (Curve.add c p q) r) (Curve.add c p (Curve.add c q r)))
+       let p = Curve.mul a g and q = Curve.mul b g and r = Curve.mul d g in
+       Curve.equal (Curve.add (Curve.add p q) r) (Curve.add p (Curve.add q r)))
 
 let prop_scalar_distributes =
   QCheck.Test.make ~name:"(a+b)G = aG + bG" ~count:30 (QCheck.pair arb_scalar arb_scalar)
     (fun (a, b) ->
-       Curve.equal c
-         (Curve.mul c (Nat.add a b) g)
-         (Curve.add c (Curve.mul c a g) (Curve.mul c b g)))
+       Curve.equal
+         (Curve.mul (Nat.add a b) g)
+         (Curve.add (Curve.mul a g) (Curve.mul b g)))
 
 let prop_double_is_add =
   QCheck.Test.make ~name:"2P = P+P" ~count:30 arb_scalar
     (fun a ->
-       let p = Curve.mul c a g in
-       Curve.equal c (Curve.double c p) (Curve.add c p p))
+       let p = Curve.mul a g in
+       Curve.equal (Curve.double p) (Curve.add p p))
 
 let prop_neg_inverse =
   QCheck.Test.make ~name:"P + (-P) = O" ~count:30 arb_scalar
     (fun a ->
-       let p = Curve.mul c a g in
-       Curve.is_infinity (Curve.add c p (Curve.neg c p)))
+       let p = Curve.mul a g in
+       Curve.is_infinity (Curve.add p (Curve.neg p)))
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"decode . encode = id" ~count:30 arb_scalar
     (fun a ->
-       let p = Curve.mul c a g in
-       match Curve.decode c (Curve.encode c p) with
-       | Some p' -> Curve.equal c p p'
+       let p = Curve.mul a g in
+       match Curve.decode (Curve.encode p) with
+       | Some p' -> Curve.equal p p'
        | None -> false)
 
 (* Hostile point bytes: random strings, bit-flipped encodings of valid
@@ -183,8 +182,8 @@ let prop_point_bytes_fuzz =
     Bytes.to_string b
   in
   let encoded compressed k =
-    let p = Curve.mul c k g in
-    if compressed then Curve.encode_compressed c p else Curve.encode c p
+    let p = Curve.mul k g in
+    if compressed then Curve.encode_compressed p else Curve.encode p
   in
   let with_prefix b s = String.make 1 (Char.chr b) ^ String.sub s 1 (String.length s - 1) in
   (* x = i + p, for a small i on the curve when it has a y *)
@@ -193,7 +192,7 @@ let prop_point_bytes_fuzz =
     let xp = Nat.to_bytes_be ~len:32 (Nat.add x Dd_bignum.Fe.prime) in
     let fp = Dd_bignum.Modular.create Dd_bignum.Fe.prime in
     let rhs = Dd_bignum.Modular.add fp (Dd_bignum.Modular.mul fp x (Dd_bignum.Modular.sqr fp x)) (Nat.of_int 7) in
-    match Curve.field_sqrt c rhs with
+    match Curve.field_sqrt rhs with
     | Some y -> [ "\x02" ^ xp; "\x03" ^ xp; "\x04" ^ xp ^ Nat.to_bytes_be ~len:32 y ]
     | None -> [ "\x02" ^ xp; "\x03" ^ xp ]
   in
@@ -208,11 +207,11 @@ let prop_point_bytes_fuzz =
           (1, map above_p (int_bound 4096)) ])
   in
   let total decode encode s =
-    match decode c s with
+    match decode s with
     | None -> true
     | Some p ->
-      (match Curve.to_affine c p with None -> true | Some xy -> Curve.on_curve c xy)
-      && String.equal (encode c p) s
+      (match Curve.to_affine p with None -> true | Some xy -> Curve.on_curve xy)
+      && String.equal (encode p) s
   in
   QCheck.Test.make ~name:"point decoders: hostile bytes" ~count:1000 ~long_factor:100
     (QCheck.make ~print:(fun l -> String.concat "; " (List.map (Printf.sprintf "%S") l)) gen)
@@ -222,7 +221,7 @@ let prop_point_bytes_fuzz =
 
 let prop_table_matches_plain =
   QCheck.Test.make ~name:"table mul = plain mul" ~count:30 arb_scalar
-    (fun a -> Curve.equal c (Group_ctx.mul_g gctx a) (Curve.mul c a g))
+    (fun a -> Curve.equal (Group_ctx.mul_g gctx a) (Curve.mul a g))
 
 (* --- differential: fast scalar-multiplication paths ---------------------- *)
 
@@ -272,15 +271,15 @@ module Ref = struct
 end
 
 (* Curve points in and out of the reference (the affine edge). *)
-let of_ref = function None -> Curve.infinity | Some xy -> Curve.of_affine c xy
+let of_ref = function None -> Curve.infinity | Some xy -> Curve.of_affine xy
 let agrees want got =
-  match want, Curve.to_affine c got with
+  match want, Curve.to_affine got with
   | None, None -> true
   | Some (x, y), Some (x', y') -> Nat.equal x x' && Nat.equal y y'
   | _ -> false
 
 (* The reference k * P of a curve point, as a curve point. *)
-let naive_mul k pt = of_ref (Ref.mul k (Curve.to_affine c pt))
+let naive_mul k pt = of_ref (Ref.mul k (Curve.to_affine pt))
 
 (* P + P, P + (-P), O + P and P + O against the reference, through the
    general add (a Jacobian q) and the mixed add (an affine q). *)
@@ -289,17 +288,17 @@ let prop_add_cases_match_ref =
     (fun a ->
        let rp = Ref.mul a Ref.gen in
        let twice = Ref.add rp rp in
-       let pj = Curve.mul c a g and pa = of_ref rp and o = Curve.infinity in
+       let pj = Curve.mul a g and pa = of_ref rp and o = Curve.infinity in
        List.for_all
-         (fun (p, q, want) -> agrees want (Curve.add c p q))
-         [ (pj, pj, twice); (pj, Curve.neg c pj, None); (o, pj, rp); (pj, o, rp);
-           (pj, pa, twice); (pa, pa, twice); (pj, Curve.neg c pa, None); (o, pa, rp);
+         (fun (p, q, want) -> agrees want (Curve.add p q))
+         [ (pj, pj, twice); (pj, Curve.neg pj, None); (o, pj, rp); (pj, o, rp);
+           (pj, pa, twice); (pa, pa, twice); (pj, Curve.neg pa, None); (o, pa, rp);
            (pa, o, rp) ])
 
 (* Comb tables over the generator: width 8 (the Group_ctx generator
    format) and width 4 (the per-signer verification format). *)
-let table = Curve.make_base_table c ~width:8 g
-let narrow_table = Curve.make_base_table c ~width:4 g
+let table = Curve.make_base_table ~width:8 g
+let narrow_table = Curve.make_base_table ~width:4 g
 let table_of_width width = if width = 8 then table else narrow_table
 
 (* A table's layout: ceil(bits/w) rows of 2^(w-1) entries, every entry
@@ -308,22 +307,22 @@ let table_of_width width = if width = 8 then table else narrow_table
 let check_table_layout ~width =
   let rows = Curve.base_table_rows (table_of_width width) in
   Alcotest.(check int) "rows"
-    ((Nat.bit_length (Curve.order c) + width - 1) / width) (Array.length rows);
+    ((Nat.bit_length Curve.order + width - 1) / width) (Array.length rows);
   let base = ref g in
   Array.iteri
     (fun i row ->
        Alcotest.(check int) "entries" (1 lsl (width - 1)) (Array.length row);
-       let twice = Curve.double c !base in
+       let twice = Curve.double !base in
        let want = ref !base in
        Array.iteri
          (fun j e ->
-            if not (Curve.is_affine e && Curve.equal c !want e) then
+            if not (Curve.is_affine e && Curve.equal !want e) then
               Alcotest.failf "entry (%d, %d) is not affine (2j+1)*2^(%d*i)*B" i j width;
-            want := Curve.add c !want twice)
+            want := Curve.add !want twice)
          row;
-       for _ = 1 to width do base := Curve.double c !base done)
+       for _ = 1 to width do base := Curve.double !base done)
     rows;
-  let rows = Curve.base_table_rows (Curve.make_base_table c ~width Curve.infinity) in
+  let rows = Curve.base_table_rows (Curve.make_base_table ~width Curve.infinity) in
   Alcotest.(check int) "identity table has no rows" 0 (Array.length rows)
 
 let test_base_table_matches () = check_table_layout ~width:4
@@ -333,8 +332,8 @@ let test_wide_table_matches () = check_table_layout ~width:8
    digits of k are 2 b_i - (2^w - 1) for the base-2^w digits b_i of d =
    (k + 2^(wW) - 1) / 2 mod n): k = 2d - (2^(wW) - 1) mod n. *)
 let scalar_of_recoded ~width d =
-  let fn = Curve.scalar_field c in
-  let bits = Nat.bit_length (Curve.order c) in
+  let fn = Curve.scalar_field in
+  let bits = Nat.bit_length Curve.order in
   let ww = width * ((bits + width - 1) / width) in
   Dd_bignum.Modular.sub fn (Dd_bignum.Modular.add fn d d)
     (Dd_bignum.Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one ww) Nat.one))
@@ -344,8 +343,8 @@ let scalar_of_recoded ~width d =
    two scalars whose last comb add meets the equal-point case,
    +-2 (2^w - 1) 2^(w(W-1)) mod n; and a maximal digit in every row. *)
 let edge_scalars ~width =
-  let order = Curve.order c in
-  let fn = Curve.scalar_field c in
+  let order = Curve.order in
+  let fn = Curve.scalar_field in
   let rows = (Nat.bit_length order + width - 1) / width in
   let top = 2 * ((1 lsl width) - 1) in
   let equal_case =
@@ -366,31 +365,31 @@ let test_base_table_edge_scalars () =
          (fun k ->
             Alcotest.(check bool)
               (Printf.sprintf "w%d k = %s" width (Nat.to_hex k)) true
-              (Curve.equal c (Curve.mul c k g) (Curve.mul_base_table c (table_of_width width) k)))
+              (Curve.equal (Curve.mul k g) (Curve.mul_base_table (table_of_width width) k)))
          (edge_scalars ~width))
     [ 4; 8 ]
 
 (* mul_base_table against the fixed-window [mul]. *)
 let prop_base_table_matches_mul =
   QCheck.Test.make ~name:"mul_base_table = mul on the generator" ~count:20 arb_scalar
-    (fun k -> Curve.equal c (Curve.mul c k g) (Curve.mul_base_table c table k))
+    (fun k -> Curve.equal (Curve.mul k g) (Curve.mul_base_table table k))
 
 (* --- lockstep batch ------------------------------------------------------- *)
 
-let hv = Curve.hash_to_point c "d-demos second generator H"
-let h_table = Curve.make_base_table c ~width:8 hv
+let hv = Curve.hash_to_point "d-demos second generator H"
+let h_table = Curve.make_base_table ~width:8 hv
 
 (* The reference sum of a job, by the fixed-window [mul]. *)
 let job_by_mul bases job =
-  List.fold_left (fun acc (b, k) -> Curve.add c acc (Curve.mul c k b)) Curve.infinity
+  List.fold_left (fun acc (b, k) -> Curve.add acc (Curve.mul k b)) Curve.infinity
     (List.map2 (fun b (_, k) -> (b, k)) bases job)
 
 let batch_matches jobs bases =
-  let got = Curve.mul_base_batch c (Array.of_list jobs) in
+  let got = Curve.mul_base_batch (Array.of_list jobs) in
   Array.length got = List.length jobs
   && List.for_all2
     (fun (job, bs) p ->
-       (Curve.is_infinity p || Curve.is_affine p) && Curve.equal c (job_by_mul bs job) p)
+       (Curve.is_infinity p || Curve.is_affine p) && Curve.equal (job_by_mul bs job) p)
     (List.combine jobs bases) (Array.to_list got)
 
 (* Every edge scalar alone on G (both widths), and as the randomness of
@@ -409,7 +408,7 @@ let test_batch_edge_scalars () =
            ([ (table, k); (h_table, r) ], [ g; hv ]);
            (* the same base twice: the merge meets P + P and P + (-P) *)
            ([ (table, k); (table, k) ], [ g; g ]);
-           ([ (table, k); (table, Dd_bignum.Modular.neg (Curve.scalar_field c) k) ], [ g; g ]) ])
+           ([ (table, k); (table, Dd_bignum.Modular.neg Curve.scalar_field k) ], [ g; g ]) ])
       wide
   in
   let cases = single @ narrow @ two @ [ ([], []) ] in
@@ -419,7 +418,7 @@ let test_batch_edge_scalars () =
 (* Batch sizes 0 and 1, and one group's size plus and minus one (the
    last against mul_base_table, itself pinned to [mul] above). *)
 let test_batch_sizes () =
-  Alcotest.(check int) "empty batch" 0 (Array.length (Curve.mul_base_batch c [||]));
+  Alcotest.(check int) "empty batch" 0 (Array.length (Curve.mul_base_batch [||]));
   Alcotest.(check bool) "one job" true
     (batch_matches [ [ (table, Nat.of_int 12345) ] ] [ [ g ] ]);
   let rng = Dd_crypto.Drbg.create ~seed:"comb-batch sizes" in
@@ -427,17 +426,17 @@ let test_batch_sizes () =
     (fun n ->
        let jobs =
          Array.init n (fun i ->
-             let k = Group_ctx.random_scalar gctx rng in
+             let k = Curve.random_scalar rng in
              if i mod 3 = 0 then [ (table, Nat.of_int (i land 1)); (h_table, k) ] else [ (table, k) ])
        in
-       let got = Curve.mul_base_batch c jobs in
+       let got = Curve.mul_base_batch jobs in
        Array.iteri
          (fun i job ->
             let want =
-              List.fold_left (fun acc (tb, k) -> Curve.add c acc (Curve.mul_base_table c tb k))
+              List.fold_left (fun acc (tb, k) -> Curve.add acc (Curve.mul_base_table tb k))
                 Curve.infinity job
             in
-            if not (Curve.is_affine got.(i) && Curve.equal c want got.(i)) then
+            if not (Curve.is_affine got.(i) && Curve.equal want got.(i)) then
               Alcotest.failf "batch of %d: job %d differs" n i)
          jobs)
     [ Curve.batch_group - 1; Curve.batch_group + 1 ]
@@ -460,14 +459,14 @@ let prop_mul_matches_naive =
     (fun (a, k) ->
        let pt = naive_mul a g in
        let want = naive_mul k pt in
-       Curve.equal c want (Curve.mul c k pt) && Curve.equal c want (Curve.mul_vartime c k pt))
+       Curve.equal want (Curve.mul k pt) && Curve.equal want (Curve.mul_vartime k pt))
 
 let prop_mul2_matches_parts =
   QCheck.Test.make ~name:"mul2 table u v P = uG + vP" ~count:25
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (u, v, a) ->
-       let p = Curve.mul c a g in
-       Curve.equal c (Curve.mul2 c table u v p) (Curve.add c (Curve.mul c u g) (Curve.mul c v p)))
+       let p = Curve.mul a g in
+       Curve.equal (Curve.mul2 table u v p) (Curve.add (Curve.mul u g) (Curve.mul v p)))
 
 let prop_to_affine_batch_matches =
   QCheck.Test.make ~name:"to_affine_batch = pointwise to_affine" ~count:20
@@ -476,52 +475,52 @@ let prop_to_affine_batch_matches =
        (* interleave finite points with infinities *)
        let pts =
          Array.of_list
-           (List.concat_map (fun k -> [ Curve.mul c k g; Curve.infinity ]) ks)
+           (List.concat_map (fun k -> [ Curve.mul k g; Curve.infinity ]) ks)
        in
-       let batch = Curve.to_affine_batch c pts in
+       let batch = Curve.to_affine_batch pts in
        Array.for_all2
          (fun got pt ->
-            match got, Curve.to_affine c pt with
+            match got, Curve.to_affine pt with
             | None, None -> true
             | Some (x, y), Some (x', y') -> Nat.equal x x' && Nat.equal y y'
             | _ -> false)
          batch pts)
 
 let test_mul_edge_cases () =
-  let order = Curve.order c in
-  let chk label want got = Alcotest.(check bool) label true (Curve.equal c want got) in
-  chk "vartime 0*G = O" Curve.infinity (Curve.mul_vartime c Nat.zero g);
-  chk "vartime k*O = O" Curve.infinity (Curve.mul_vartime c (Nat.of_int 7) Curve.infinity);
-  chk "vartime n*G = O" Curve.infinity (Curve.mul_vartime c order g);
-  chk "vartime (n-1)*G = -G" (Curve.neg c g) (Curve.mul_vartime c (Nat.sub order Nat.one) g);
-  chk "vartime (n+1)*G = G" g (Curve.mul_vartime c (Nat.add order Nat.one) g);
-  chk "fixed-window n*G = O" Curve.infinity (Curve.mul c order g);
-  chk "fixed-window (n-1)*G = -G" (Curve.neg c g) (Curve.mul c (Nat.sub order Nat.one) g);
+  let order = Curve.order in
+  let chk label want got = Alcotest.(check bool) label true (Curve.equal want got) in
+  chk "vartime 0*G = O" Curve.infinity (Curve.mul_vartime Nat.zero g);
+  chk "vartime k*O = O" Curve.infinity (Curve.mul_vartime (Nat.of_int 7) Curve.infinity);
+  chk "vartime n*G = O" Curve.infinity (Curve.mul_vartime order g);
+  chk "vartime (n-1)*G = -G" (Curve.neg g) (Curve.mul_vartime (Nat.sub order Nat.one) g);
+  chk "vartime (n+1)*G = G" g (Curve.mul_vartime (Nat.add order Nat.one) g);
+  chk "fixed-window n*G = O" Curve.infinity (Curve.mul order g);
+  chk "fixed-window (n-1)*G = -G" (Curve.neg g) (Curve.mul (Nat.sub order Nat.one) g);
   (* P + (-P) through the vartime adds *)
   chk "P + (-P) = O" Curve.infinity
-    (Curve.add c (Curve.mul_vartime c Nat.two g) (Curve.neg c (Curve.mul_vartime c Nat.two g)));
+    (Curve.add (Curve.mul_vartime Nat.two g) (Curve.neg (Curve.mul_vartime Nat.two g)));
   (* mul2 degenerate inputs *)
   let table = Group_ctx.g_table gctx in
-  chk "mul2 0 0 P = O" Curve.infinity (Curve.mul2 c table Nat.zero Nat.zero g);
-  chk "mul2 u 0 P = uG" (Curve.mul c (Nat.of_int 9) g)
-    (Curve.mul2 c table (Nat.of_int 9) Nat.zero g);
-  chk "mul2 0 v P = vP" (Curve.mul c (Nat.of_int 11) g)
-    (Curve.mul2 c table Nat.zero (Nat.of_int 11) g);
-  chk "mul2 with P = O" (Curve.mul c (Nat.of_int 5) g)
-    (Curve.mul2 c table (Nat.of_int 5) (Nat.of_int 13) Curve.infinity);
+  chk "mul2 0 0 P = O" Curve.infinity (Curve.mul2 table Nat.zero Nat.zero g);
+  chk "mul2 u 0 P = uG" (Curve.mul (Nat.of_int 9) g)
+    (Curve.mul2 table (Nat.of_int 9) Nat.zero g);
+  chk "mul2 0 v P = vP" (Curve.mul (Nat.of_int 11) g)
+    (Curve.mul2 table Nat.zero (Nat.of_int 11) g);
+  chk "mul2 with P = O" (Curve.mul (Nat.of_int 5) g)
+    (Curve.mul2 table (Nat.of_int 5) (Nat.of_int 13) Curve.infinity);
   chk "mul2 order scalars = O" Curve.infinity
-    (Curve.mul2 c table (Curve.order c) (Curve.order c) g)
+    (Curve.mul2 table Curve.order Curve.order g)
 
 let test_to_affine_batch_edges () =
-  Alcotest.(check int) "empty batch" 0 (Array.length (Curve.to_affine_batch c [||]));
-  (match Curve.to_affine_batch c [| Curve.infinity; Curve.infinity |] with
+  Alcotest.(check int) "empty batch" 0 (Array.length (Curve.to_affine_batch [||]));
+  (match Curve.to_affine_batch [| Curve.infinity; Curve.infinity |] with
    | [| None; None |] -> ()
    | _ -> Alcotest.fail "all-infinity batch")
 
 (* --- differential: multi-scalar multiplication --------------------------- *)
 
 let naive_msm pairs =
-  Array.fold_left (fun acc (k, p) -> Curve.add c acc (naive_mul k p)) Curve.infinity pairs
+  Array.fold_left (fun acc (k, p) -> Curve.add acc (naive_mul k p)) Curve.infinity pairs
 
 (* The GLV-split Strauss entries and the cached wide generator table. *)
 let prop_msm_matches_naive =
@@ -537,7 +536,7 @@ let prop_msm_matches_naive =
                  if i mod 3 = 2 then (k, g) else (k, naive_mul a g))
               seeds)
        in
-       Curve.equal c (naive_msm pairs) (Curve.msm c pairs))
+       Curve.equal (naive_msm pairs) (Curve.msm pairs))
 
 let prop_msm_forced_pippenger =
   QCheck.Test.make ~name:"forced-window Pippenger = naive" ~count:8
@@ -546,7 +545,7 @@ let prop_msm_forced_pippenger =
        (QCheck.int_range 1 16))
     (fun (seeds, w) ->
        let pairs = Array.of_list (List.map (fun (k, a) -> (k, naive_mul a g)) seeds) in
-       Curve.equal c (naive_msm pairs) (Curve.msm ~window:w c pairs))
+       Curve.equal (naive_msm pairs) (Curve.msm ~window:w pairs))
 
 let prop_msm_pre_matches_naive =
   QCheck.Test.make ~name:"msm_pre = naive over precomputed + plain pairs" ~count:8
@@ -557,36 +556,36 @@ let prop_msm_pre_matches_naive =
        let pre_pts = List.map (fun (k, a) -> (k, naive_mul a g)) pre_seeds in
        let pairs = List.map (fun (k, a) -> (k, naive_mul a g)) pair_seeds in
        let want = naive_msm (Array.of_list (pre_pts @ pairs)) in
-       let pre = Array.of_list (List.map (fun (k, p) -> (k, Curve.precompute c p)) pre_pts) in
-       Curve.equal c want (Curve.msm_pre c pre (Array.of_list pairs)))
+       let pre = Array.of_list (List.map (fun (k, p) -> (k, Curve.precompute p)) pre_pts) in
+       Curve.equal want (Curve.msm_pre pre (Array.of_list pairs)))
 
 let test_msm_edge_cases () =
-  let order = Curve.order c in
-  let chk label want got = Alcotest.(check bool) label true (Curve.equal c want got) in
-  let chk_naive label pairs = chk label (naive_msm pairs) (Curve.msm c pairs) in
-  let p = Curve.mul_int c 7 g in
-  chk "n=0" Curve.infinity (Curve.msm c [||]);
+  let order = Curve.order in
+  let chk label want got = Alcotest.(check bool) label true (Curve.equal want got) in
+  let chk_naive label pairs = chk label (naive_msm pairs) (Curve.msm pairs) in
+  let p = Curve.mul_int 7 g in
+  chk "n=0" Curve.infinity (Curve.msm [||]);
   chk_naive "n=1" [| (Nat.of_int 42, p) |];
-  chk "zero and order scalars drop" (Curve.mul_int c 5 p)
-    (Curve.msm c [| (Nat.zero, g); (Nat.of_int 5, p); (order, g) |]);
-  chk "infinity points drop" (Curve.mul_int c 9 g)
-    (Curve.msm c [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, g) |]);
+  chk "zero and order scalars drop" (Curve.mul_int 5 p)
+    (Curve.msm [| (Nat.zero, g); (Nat.of_int 5, p); (order, g) |]);
+  chk "infinity points drop" (Curve.mul_int 9 g)
+    (Curve.msm [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, g) |]);
   chk "all-degenerate batch" Curve.infinity
-    (Curve.msm c [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, g) |]);
-  chk "duplicate points merge" (Curve.mul_int c 10 p)
-    (Curve.msm c [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
+    (Curve.msm [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, g) |]);
+  chk "duplicate points merge" (Curve.mul_int 10 p)
+    (Curve.msm [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
   chk "P and -P cancel" Curve.infinity
-    (Curve.msm c [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg c p) |]);
+    (Curve.msm [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg p) |]);
   (* tiny scalars ride the direct-add path (pinned batch weights) *)
-  chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.double c p) |];
+  chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.double p) |];
   chk_naive "scalar above the order reduces" [| (Nat.add order (Nat.of_int 5), p) |];
   (* precompute: the table is faithful, and degenerate inputs are inert *)
-  chk "precomp_point returns the point" p (Curve.precomp_point (Curve.precompute c p));
+  chk "precomp_point returns the point" p (Curve.precomp_point (Curve.precompute p));
   let k = Nat.of_hex "fedcba9876543210fedcba9876543210fedcba9876543210" in
   chk "msm_pre with empty pairs" (naive_mul k p)
-    (Curve.msm_pre c [| (k, Curve.precompute c p) |] [||]);
+    (Curve.msm_pre [| (k, Curve.precompute p) |] [||]);
   chk "precomputed infinity is inert" (naive_mul k p)
-    (Curve.msm_pre c [| (Nat.of_int 6, Curve.precompute c Curve.infinity) |] [| (k, p) |])
+    (Curve.msm_pre [| (Nat.of_int 6, Curve.precompute Curve.infinity) |] [| (k, p) |])
 
 let () =
   Alcotest.run "group"

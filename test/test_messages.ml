@@ -58,8 +58,8 @@ let samples scheme =
 let roundtrip scheme () =
   List.iteri
     (fun i msg ->
-       let frame = Messages.encode_vc_msg gctx msg in
-       match Messages.decode_vc_msg gctx frame with
+       let frame = Messages.encode_vc_msg msg in
+       match Messages.decode_vc_msg frame with
        | Some msg' ->
          if msg <> msg' then Alcotest.failf "sample %d did not roundtrip" i
        | None -> Alcotest.failf "sample %d failed to decode" i)
@@ -77,7 +77,7 @@ let test_ucert_survives_roundtrip_verification () =
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 0; part = Types.A; pos = 0;
         share = sample_share; share_tag = None; ucert = Some u }
   in
-  match Messages.decode_vc_msg gctx (Messages.encode_vc_msg gctx msg) with
+  match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
   | Some (Messages.Vote_p { ucert = Some ucert; _ }) ->
     Alcotest.(check bool) "decoded UCERT verifies" true
       (Messages.verify_ucert ks.(3) ~election_id:"e" ~quorum:3 ucert)
@@ -86,9 +86,9 @@ let test_ucert_survives_roundtrip_verification () =
 let test_truncation_rejected () =
   List.iteri
     (fun i msg ->
-       let frame = Messages.encode_vc_msg gctx msg in
+       let frame = Messages.encode_vc_msg msg in
        for cut = 0 to String.length frame - 1 do
-         match Messages.decode_vc_msg gctx (String.sub frame 0 cut) with
+         match Messages.decode_vc_msg (String.sub frame 0 cut) with
          | Some _ -> Alcotest.failf "sample %d: truncated frame at %d decoded" i cut
          | None -> ()
        done)
@@ -105,10 +105,10 @@ let test_vote_p_encodings () =
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.B; pos = 1;
         share = sample_share; share_tag; ucert }
   in
-  let full = Messages.encode_vc_msg gctx (vote_p (Some u)) in
-  let elided = Messages.encode_vc_msg gctx (vote_p None) in
+  let full = Messages.encode_vc_msg (vote_p (Some u)) in
+  let elided = Messages.encode_vc_msg (vote_p None) in
   let w = Dd_codec.Wire.writer () in
-  Messages.put_ucert gctx w u;
+  Messages.put_ucert w u;
   let tail = String.sub elided 1 (String.length elided - 1) in
   Alcotest.(check string) "full = 3, fields, UCERT" ("\003" ^ tail ^ Dd_codec.Wire.contents w) full;
   Alcotest.(check char) "elided discriminant" '\008' elided.[0];
@@ -124,7 +124,7 @@ let test_entry_rebinds_ucert () =
   let u = sample_ucert ks in
   let other = String.make 20 'z' in
   let msg = Messages.Announce_batch { sender = 0; entries = [ (9, other, u) ] } in
-  match Messages.decode_vc_msg gctx (Messages.encode_vc_msg gctx msg) with
+  match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
   | Some (Messages.Announce_batch { entries = [ (9, code, u') ]; _ }) ->
     Alcotest.(check string) "code kept" other code;
     Alcotest.(check int) "serial rebound" 9 u'.Messages.u_serial;
@@ -137,7 +137,7 @@ let prop_fuzz_total =
   QCheck.Test.make ~name:"decoder total on random bytes" ~count:500 ~long_factor:100
     QCheck.(string_of_size (QCheck.Gen.int_range 0 80))
     (fun junk ->
-       ignore (Messages.decode_vc_msg gctx junk);
+       ignore (Messages.decode_vc_msg junk);
        true)
 
 let prop_bitflip_never_crashes =
@@ -145,7 +145,7 @@ let prop_bitflip_never_crashes =
     QCheck.(pair (int_range 0 9) (int_range 0 2000))
     (fun (idx, flip) ->
        let msgs = samples Auth.Mac_scheme in
-       let frame = Messages.encode_vc_msg gctx (List.nth msgs (idx mod List.length msgs)) in
+       let frame = Messages.encode_vc_msg (List.nth msgs (idx mod List.length msgs)) in
        let pos = flip mod String.length frame in
        let corrupted =
          String.mapi
@@ -153,19 +153,54 @@ let prop_bitflip_never_crashes =
            frame
        in
        (* may decode to Some other message or None — must not raise *)
-       ignore (Messages.decode_vc_msg gctx corrupted);
+       ignore (Messages.decode_vc_msg corrupted);
        true)
 
 let test_message_sizes_positive () =
   List.iter
     (fun msg ->
        let est = Messages.vc_msg_size msg in
-       let actual = String.length (Messages.encode_vc_msg gctx msg) in
+       let actual = String.length (Messages.encode_vc_msg msg) in
        if est <= 0 then Alcotest.fail "non-positive size estimate";
        (* estimates should be the right order of magnitude *)
        if actual > 20 * est || est > 20 * actual + 200 then
          Alcotest.failf "size estimate %d far from actual %d" est actual)
     (samples Auth.Mac_scheme)
+
+(* Scalars read from outside the program must be canonical: each decoder
+   takes n - 1 and refuses n and 2^256 - 1, whose group action equals
+   that of a smaller twin. *)
+let test_canonical_scalars () =
+  let module Curve = Dd_group.Curve in
+  let module Nat = Dd_bignum.Nat in
+  let module Wire = Dd_codec.Wire in
+  let scalar k = Nat.to_bytes_be ~len:32 k in
+  let vss_share bytes =
+    let w = Wire.writer () in
+    Wire.put_varint w 1;
+    Wire.put_bytes w bytes;
+    Wire.put_bytes w (scalar Nat.one);
+    Wire.decode (Wire.contents w) Messages.get_vss_share
+  in
+  let decoders =
+    [ ("Schnorr.decode",
+       fun s ->
+         Option.is_some (Dd_sig.Schnorr.decode (s ^ Curve.encode_compressed Curve.generator)));
+      ("Messages.get_vss_share", fun s -> Option.is_some (vss_share s));
+      ("Ballot_proof.decode_final_move",
+       fun s -> Option.is_some (Dd_zkp.Ballot_proof.decode_final_move s)) ]
+  in
+  let n = Curve.order in
+  List.iter
+    (fun (decoder, accepts) ->
+       List.iter
+         (fun (label, s, want) -> Alcotest.(check bool) (decoder ^ ": " ^ label) want (accepts s))
+         [ ("n - 1", scalar (Nat.sub n Nat.one), true);
+           ("n", scalar n, false);
+           ("2^256 - 1", String.make 32 '\xff', false) ])
+    decoders;
+  Alcotest.(check bool) "VSS scalar of 33 bytes" false
+    (Option.is_some (vss_share ("\x00" ^ scalar Nat.one)))
 
 let () =
   Alcotest.run "messages"
@@ -179,4 +214,5 @@ let () =
          Alcotest.test_case "VSC entry rebinds its UCERT" `Quick test_entry_rebinds_ucert;
          Alcotest.test_case "size estimates sane" `Quick test_message_sizes_positive;
          QCheck_alcotest.to_alcotest prop_fuzz_total;
-         QCheck_alcotest.to_alcotest prop_bitflip_never_crashes ]) ]
+         QCheck_alcotest.to_alcotest prop_bitflip_never_crashes;
+         Alcotest.test_case "non-canonical scalars rejected" `Quick test_canonical_scalars ]) ]

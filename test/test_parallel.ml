@@ -110,6 +110,35 @@ let test_once_single_value () =
     (Array.for_all (( == ) seen.(0)) seen);
   Alcotest.(check int) "value correct" 42 !(seen.(0))
 
+let test_curve_concurrent () =
+  (* the first MSM of the process: four domains race the Once that
+     publishes the generator's wide table, each also signing and
+     verifying, and every result must equal the serial one computed
+     afterwards *)
+  let module Curve = Dd_group.Curve in
+  let module Schnorr = Dd_sig.Schnorr in
+  let gctx = Dd_group.Group_ctx.default () in
+  let pool = pool_of ~domains:4 in
+  let work i =
+    let scalar j = Curve.hash_to_scalar [ "curve concurrent"; string_of_int i; string_of_int j ] in
+    let terms =
+      Array.init 8 (fun j ->
+          (scalar j,
+           if j mod 2 = 0 then Curve.generator
+           else Curve.hash_to_point (Printf.sprintf "curve concurrent %d %d" i j)))
+    in
+    let rng = Dd_crypto.Drbg.create ~seed:("curve concurrent|" ^ string_of_int i) in
+    let sk, pk = Schnorr.keygen gctx rng in
+    let signature = Schnorr.sign gctx rng ~sk ~pk "curve concurrent" in
+    (Curve.encode (Curve.msm terms), Schnorr.encode signature,
+     Schnorr.verify gctx ~pk "curve concurrent" signature)
+  in
+  let tasks = Array.init 4 (fun i -> i) in
+  let par = Pool.parallel_map pool ~chunk:1 work tasks in
+  let serial = Array.map work tasks in
+  Alcotest.(check bool) "results identical" true (par = serial);
+  Alcotest.(check bool) "signatures verify" true (Array.for_all (fun (_, _, ok) -> ok) par)
+
 (* --- the real workload: parallel Ea.setup ------------------------------ *)
 
 let test_ea_setup_deterministic () =
@@ -146,7 +175,8 @@ let () =
        @ [ Alcotest.test_case "pool survives exception" `Quick test_pool_survives_exception ]);
       ("crypto-stack",
        [ Alcotest.test_case "sha256 concurrent" `Quick test_sha256_concurrent;
-         Alcotest.test_case "once publishes one value" `Quick test_once_single_value ]);
+         Alcotest.test_case "once publishes one value" `Quick test_once_single_value;
+         Alcotest.test_case "curve concurrent" `Quick test_curve_concurrent ]);
       ("workload",
        [ Alcotest.test_case "Ea.setup pool-size independent" `Quick test_ea_setup_deterministic;
          Alcotest.test_case "env_domains range" `Quick test_env_domains ]) ]

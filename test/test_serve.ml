@@ -159,7 +159,7 @@ let prop_mux_link_roundtrip =
   QCheck.Test.make ~name:"link batches roundtrip, whole and split" ~count:300
     QCheck.(pair (make gen_link) (int_range 8 200))
     (fun (msg, max_frame) ->
-       let parts = Mux.encode_split ~max_frame gctx msg in
+       let parts = Mux.encode_split ~max_frame msg in
        let decoded = List.filter_map (Mux.decode gctx) parts in
        Mux.decode gctx (Mux.encode gctx msg) = Some msg
        && List.length decoded = List.length parts
@@ -219,7 +219,7 @@ let prop_mux_batch_total =
   let module Wire = Dd_codec.Wire in
   let endorse = Messages.Endorse { serial = 1; vote_code = "c"; responder = 0 } in
   let elided =
-    Messages.encode_vc_msg gctx
+    Messages.encode_vc_msg
       (Messages.Vote_p
          { serial = 1; vote_code = "c"; sender = 2; part = Types.B; pos = 0;
            share = { Dd_vss.Shamir_bytes.x = 3; data = "shr" };
@@ -243,7 +243,7 @@ let prop_mux_batch_total =
       frame kind 2 [ item; nested ];
       frame kind 2 [ item; item ] ^ "\000" ]
   in
-  let vc_item = Messages.encode_vc_msg gctx endorse in
+  let vc_item = Messages.encode_vc_msg endorse in
   let bb_item = Messages.encode_bb_msg submit in
   let fixed =
     cases 4 vc_item (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
@@ -283,7 +283,7 @@ let test_batcher_verdicts () =
   let election_id = "batch-test" in
   let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"batch-clique" ~n:4 in
   let b =
-    Batcher.create ~min_batch:4 ~keys:keys.(0) ~gctx ~election_id ~ea_signer:3
+    Batcher.create ~min_batch:4 ~keys:keys.(0) ~election_id ~ea_signer:3
       ~share_tags:false ()
   in
   let body serial = Messages.endorsement_body ~election_id ~serial ~code:"c" in

@@ -33,7 +33,7 @@ let test_signature_randomized () =
   let s1 = Schnorr.sign gctx rng ~sk ~pk "m" in
   let s2 = Schnorr.sign gctx rng ~sk ~pk "m" in
   Alcotest.(check bool) "fresh nonces" false
-    (String.equal (Schnorr.encode gctx s1) (Schnorr.encode gctx s2));
+    (String.equal (Schnorr.encode s1) (Schnorr.encode s2));
   Alcotest.(check bool) "both verify" true
     (Schnorr.verify gctx ~pk "m" s1 && Schnorr.verify gctx ~pk "m" s2)
 
@@ -41,29 +41,29 @@ let test_codec () =
   let rng = rng () in
   let sk, pk = Schnorr.keygen gctx rng in
   let s = Schnorr.sign gctx rng ~sk ~pk "codec" in
-  (match Schnorr.decode gctx (Schnorr.encode gctx s) with
+  (match Schnorr.decode (Schnorr.encode s) with
    | Some s' -> Alcotest.(check bool) "roundtrip verifies" true (Schnorr.verify gctx ~pk "codec" s')
    | None -> Alcotest.fail "decode failed");
-  Alcotest.(check bool) "garbage rejected" true (Schnorr.decode gctx "xx" = None);
-  (match Schnorr.decode_pk gctx (Schnorr.encode_pk gctx pk) with
+  Alcotest.(check bool) "garbage rejected" true (Schnorr.decode "xx" = None);
+  (match Schnorr.decode_pk (Schnorr.encode_pk pk) with
    | Some pk' -> Alcotest.(check bool) "pk roundtrip" true
-                   (Dd_group.Curve.equal (Group_ctx.curve gctx) pk pk')
+                   (Dd_group.Curve.equal pk pk')
    | None -> Alcotest.fail "pk decode failed")
 
 let test_tampered_signature_rejected () =
   let rng = rng () in
   let sk, pk = Schnorr.keygen gctx rng in
   let s = Schnorr.sign gctx rng ~sk ~pk "m" in
-  let enc = Bytes.of_string (Schnorr.encode gctx s) in
+  let enc = Bytes.of_string (Schnorr.encode s) in
   Bytes.set enc 5 (Char.chr (Char.code (Bytes.get enc 5) lxor 1));
-  match Schnorr.decode gctx (Bytes.to_string enc) with
+  match Schnorr.decode (Bytes.to_string enc) with
   | Some s' -> Alcotest.(check bool) "tampered rejected" false (Schnorr.verify gctx ~pk "m" s')
   | None -> ()
 
 let test_verify_with_table () =
   let rng = rng () in
   let sk, pk = Schnorr.keygen gctx rng in
-  let pk_table = Schnorr.make_pk_table gctx pk in
+  let pk_table = Schnorr.make_pk_table pk in
   let s = Schnorr.sign gctx rng ~sk ~pk "tabled" in
   Alcotest.(check bool) "accepts" true
     (Schnorr.verify_with_table gctx ~pk ~pk_table "tabled" s);
@@ -76,7 +76,7 @@ let test_verify_with_table () =
   let s2 = Schnorr.sign gctx rng ~sk ~pk "other" in
   Alcotest.(check bool) "mismatched table rejected" false
     (Schnorr.verify_with_table gctx ~pk:pk2
-       ~pk_table:(Schnorr.make_pk_table gctx pk2) "other" s2)
+       ~pk_table:(Schnorr.make_pk_table pk2) "other" s2)
 
 (* --- batch verification --------------------------------------------------- *)
 
@@ -87,7 +87,7 @@ let make_batch ?(seed = "batch") n =
       let msg = Printf.sprintf "batch message %d" i in
       (pk, msg, Schnorr.sign gctx rng ~sk ~pk msg))
 
-let precompute items = Array.map (fun (pk, _, _) -> Schnorr.precompute_pk gctx pk) items
+let precompute items = Array.map (fun (pk, _, _) -> Schnorr.precompute_pk pk) items
 
 let test_batch_accepts_valid () =
   let rng = rng () in

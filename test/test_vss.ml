@@ -12,7 +12,7 @@ module Group_ctx = Dd_group.Group_ctx
 module Elgamal = Dd_commit.Elgamal
 
 let gctx = Group_ctx.default ()
-let fn = Group_ctx.scalar_field gctx
+let fn = Dd_group.Curve.scalar_field
 let rng () = Drbg.create ~seed:"vss-tests"
 
 (* --- GF(256) ------------------------------------------------------------- *)
@@ -124,7 +124,7 @@ let test_elgamal_vss_end_to_end () =
        Alcotest.(check bool) "share verifies against the public commitment" true
          (Elgamal_vss.verify_share gctx ~commitment ~aux s))
     shares;
-  let o = Elgamal_vss.reconstruct gctx ~threshold:2 [ shares.(0); shares.(2) ] in
+  let o = Elgamal_vss.reconstruct ~threshold:2 [ shares.(0); shares.(2) ] in
   Alcotest.(check bool) "reconstructed opening opens the commitment" true
     (Elgamal.verify gctx commitment o);
   Alcotest.(check bool) "message preserved" true (Nat.equal o.Elgamal.msg Nat.one)
@@ -150,12 +150,12 @@ let test_elgamal_vss_homomorphic_tally () =
          (c, shares))
       votes
   in
-  let esum = Elgamal.sum gctx (List.map fst dealt) in
+  let esum = Elgamal.sum (List.map fst dealt) in
   let trustee_share x =
-    Elgamal_vss.sum_shares gctx ~x (List.map (fun (_, sh) -> sh.(x - 1)) dealt)
+    Elgamal_vss.sum_shares ~x (List.map (fun (_, sh) -> sh.(x - 1)) dealt)
   in
   let total =
-    Elgamal_vss.reconstruct gctx ~threshold:2 [ trustee_share 1; trustee_share 3 ]
+    Elgamal_vss.reconstruct ~threshold:2 [ trustee_share 1; trustee_share 3 ]
   in
   Alcotest.(check bool) "total opens Esum" true (Elgamal.verify gctx esum total);
   Alcotest.(check int) "count = 3" 3 (Nat.to_int total.Elgamal.msg)

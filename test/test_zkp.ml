@@ -13,7 +13,6 @@ module Challenge = Dd_zkp.Challenge
 module Drbg = Dd_crypto.Drbg
 
 let gctx = Group_ctx.default ()
-let c = Group_ctx.curve gctx
 let rng () = Drbg.create ~seed:"zkp-tests"
 
 let ddh_statement x =
@@ -24,21 +23,21 @@ let ddh_statement x =
 
 let test_cp_completeness () =
   let rng = rng () in
-  let x = Group_ctx.random_scalar gctx rng in
+  let x = Curve.random_scalar rng in
   let st = ddh_statement x in
   let w, fm = Chaum_pedersen.commit gctx rng st in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let response = Chaum_pedersen.respond gctx ~state:w ~witness:x ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
   Alcotest.(check bool) "accepts" true
     (Chaum_pedersen.verify gctx st fm ~challenge ~response)
 
 let test_cp_wrong_witness_rejected () =
   let rng = rng () in
-  let x = Group_ctx.random_scalar gctx rng in
+  let x = Curve.random_scalar rng in
   let st = ddh_statement x in
   let w, fm = Chaum_pedersen.commit gctx rng st in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let bad = Chaum_pedersen.respond gctx ~state:w ~witness:(Nat.add x Nat.one) ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let bad = Chaum_pedersen.respond ~state:w ~witness:(Nat.add x Nat.one) ~challenge in
   Alcotest.(check bool) "rejects" false
     (Chaum_pedersen.verify gctx st fm ~challenge ~response:bad)
 
@@ -46,11 +45,11 @@ let test_cp_non_ddh_rejected () =
   (* statement where h2 uses a different exponent: no response should
      verify for a fresh random challenge *)
   let rng = rng () in
-  let x = Group_ctx.random_scalar gctx rng in
+  let x = Curve.random_scalar rng in
   let st = { (ddh_statement x) with Chaum_pedersen.h2 = Group_ctx.mul_h gctx (Nat.add x Nat.one) } in
   let w, fm = Chaum_pedersen.commit gctx rng st in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let response = Chaum_pedersen.respond gctx ~state:w ~witness:x ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
   Alcotest.(check bool) "rejects non-DDH" false
     (Chaum_pedersen.verify gctx st fm ~challenge ~response)
 
@@ -58,9 +57,9 @@ let test_cp_simulator () =
   (* the simulator produces accepting transcripts without the witness —
      the honest-verifier ZK property *)
   let rng = rng () in
-  let x = Group_ctx.random_scalar gctx rng in
+  let x = Curve.random_scalar rng in
   let st = ddh_statement x in
-  let challenge = Group_ctx.random_scalar gctx rng in
+  let challenge = Curve.random_scalar rng in
   let fm, z = Chaum_pedersen.simulate gctx rng st ~challenge in
   Alcotest.(check bool) "simulated accepts" true
     (Chaum_pedersen.verify gctx st fm ~challenge ~response:z);
@@ -70,7 +69,7 @@ let test_cp_simulator () =
 
 let arb_scalar =
   QCheck.map
-    (fun s -> Dd_bignum.Modular.reduce (Group_ctx.scalar_field gctx) (Nat.of_bytes_be s))
+    (fun s -> Dd_bignum.Modular.reduce Curve.scalar_field (Nat.of_bytes_be s))
     (QCheck.string_of_size (QCheck.Gen.return 32))
 
 (* The ballot proof computes its simulated OR branch from the witness;
@@ -85,15 +84,15 @@ let prop_simulated_move_matches_simulate =
          (fun msg ->
             let c1, c2 = Elgamal.components (Elgamal.commit gctx ~msg ~rand) in
             (* the branch the opening does not satisfy: (c1, c2 - (1-b)*G) *)
-            let h2 = if Nat.is_zero msg then Curve.sub c c2 (Group_ctx.g gctx) else c2 in
+            let h2 = if Nat.is_zero msg then Curve.sub c2 (Group_ctx.g gctx) else c2 in
             let st = { Chaum_pedersen.g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx; h1 = c1; h2 } in
             let rng = Drbg.create ~seed:(Printf.sprintf "sim%d" seed) in
             let fm, z = Chaum_pedersen.simulate gctx rng st ~challenge in
             let got =
               Ballot_proof.simulated_move gctx { Elgamal.msg; rand } ~challenge ~response:z
             in
-            Curve.equal c fm.Chaum_pedersen.t1 got.Chaum_pedersen.t1
-            && Curve.equal c fm.Chaum_pedersen.t2 got.Chaum_pedersen.t2)
+            Curve.equal fm.Chaum_pedersen.t1 got.Chaum_pedersen.t1
+            && Curve.equal fm.Chaum_pedersen.t2 got.Chaum_pedersen.t2)
          [ Nat.zero; Nat.one ])
 
 (* --- ballot proofs ---------------------------------------------------- *)
@@ -106,8 +105,8 @@ let make_part ~m ~choice =
 let test_ballot_proof_completeness () =
   let rng, commitments, openings = make_part ~m:3 ~choice:1 in
   let state, fm = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let fin = Ballot_proof.finalize gctx state ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let fin = Ballot_proof.finalize state ~challenge in
   Alcotest.(check bool) "accepts" true
     (Ballot_proof.verify gctx ~commitments fm ~challenge fin)
 
@@ -116,8 +115,8 @@ let test_ballot_proof_all_choices () =
     (fun choice ->
        let rng, commitments, openings = make_part ~m:4 ~choice in
        let state, fm = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-       let challenge = Group_ctx.random_scalar gctx rng in
-       let fin = Ballot_proof.finalize gctx state ~challenge in
+       let challenge = Curve.random_scalar rng in
+       let fin = Ballot_proof.finalize state ~challenge in
        Alcotest.(check bool) (Printf.sprintf "choice %d" choice) true
          (Ballot_proof.verify gctx ~commitments fm ~challenge fin))
     [ 0; 1; 2; 3 ]
@@ -125,8 +124,8 @@ let test_ballot_proof_all_choices () =
 let test_ballot_proof_wrong_challenge_rejected () =
   let rng, commitments, openings = make_part ~m:3 ~choice:0 in
   let state, fm = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let fin = Ballot_proof.finalize gctx state ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let fin = Ballot_proof.finalize state ~challenge in
   Alcotest.(check bool) "rejects different challenge" false
     (Ballot_proof.verify gctx ~commitments fm ~challenge:(Nat.add challenge Nat.one) fin)
 
@@ -151,8 +150,8 @@ let test_ballot_proof_rejects_invalid_encoding () =
   let state, fm = Ballot_proof.prove_commit gctx rng ~commitments:good_commitments
       ~openings:good_openings
   in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let fin = Ballot_proof.finalize gctx state ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let fin = Ballot_proof.finalize state ~challenge in
   let swapped = Array.copy good_commitments in
   swapped.(0) <- bad_commitment;
   Alcotest.(check bool) "rejects swapped commitment" false
@@ -167,18 +166,18 @@ let test_ballot_proof_sum_violation () =
     Array.init 3 (fun i ->
         fst (Elgamal.commit_random gctx rng ~msg:(if i <= 1 then Nat.one else Nat.zero)))
   in
-  let total = Elgamal.sum gctx (Array.to_list commitments) in
+  let total = Elgamal.sum (Array.to_list commitments) in
   let c1, c2 = Elgamal.components total in
   let sum_st =
     { Chaum_pedersen.g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx;
-      h1 = c1; h2 = Curve.sub c c2 (Group_ctx.g gctx) }
+      h1 = c1; h2 = Curve.sub c2 (Group_ctx.g gctx) }
   in
   let w, fm = Chaum_pedersen.commit gctx rng sum_st in
-  let challenge = Group_ctx.random_scalar gctx rng in
+  let challenge = Curve.random_scalar rng in
   (* even with the "right" randomness sum as witness the statement is
      false (message sum is 2, not 1), so the proof cannot verify *)
-  let fake_witness = Group_ctx.random_scalar gctx rng in
-  let response = Chaum_pedersen.respond gctx ~state:w ~witness:fake_witness ~challenge in
+  let fake_witness = Curve.random_scalar rng in
+  let response = Chaum_pedersen.respond ~state:w ~witness:fake_witness ~challenge in
   Alcotest.(check bool) "sum=2 rejected" false
     (Chaum_pedersen.verify gctx sum_st fm ~challenge ~response)
 
@@ -189,8 +188,8 @@ let test_state_serialization () =
   (match Ballot_proof.decode_state blob with
    | None -> Alcotest.fail "decode_state failed"
    | Some state' ->
-     let challenge = Group_ctx.random_scalar gctx rng in
-     let fin = Ballot_proof.finalize gctx state' ~challenge in
+     let challenge = Curve.random_scalar rng in
+     let fin = Ballot_proof.finalize state' ~challenge in
      Alcotest.(check bool) "decoded state finalizes correctly" true
        (Ballot_proof.verify gctx ~commitments fm ~challenge fin));
   Alcotest.(check bool) "garbage rejected" true (Ballot_proof.decode_state "junk" = None);
@@ -200,8 +199,8 @@ let test_state_serialization () =
 let test_final_move_encoding_stable () =
   let rng, commitments, openings = make_part ~m:2 ~choice:0 in
   let state, _ = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let fin = Ballot_proof.finalize gctx state ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let fin = Ballot_proof.finalize state ~challenge in
   Alcotest.(check string) "deterministic encoding"
     (Ballot_proof.encode_final_move fin) (Ballot_proof.encode_final_move fin)
 
@@ -213,8 +212,8 @@ let test_k_of_m_proof () =
     Unit_vector.commit_k gctx rng ~options:5 ~choices:[ 1; 3 ]
   in
   let state, fm = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-  let challenge = Group_ctx.random_scalar gctx rng in
-  let fin = Ballot_proof.finalize gctx state ~challenge in
+  let challenge = Curve.random_scalar rng in
+  let fin = Ballot_proof.finalize state ~challenge in
   Alcotest.(check bool) "2-of-5 proof verifies" true
     (Ballot_proof.verify ~k:2 gctx ~commitments fm ~challenge fin);
   (* the same transcript does not pass for the wrong k *)
@@ -227,7 +226,7 @@ let test_k_of_m_tally () =
      per-option approvals *)
   let v1 = Unit_vector.commit_k gctx rng ~options:4 ~choices:[ 0; 2 ] in
   let v2 = Unit_vector.commit_k gctx rng ~options:4 ~choices:[ 2; 3 ] in
-  let osum = Unit_vector.sum_openings gctx ~options:4 [ snd v1; snd v2 ] in
+  let osum = Unit_vector.sum_openings ~options:4 [ snd v1; snd v2 ] in
   Alcotest.(check (array int)) "approval counts" [| 1; 0; 2; 1 |]
     (Unit_vector.counts_of_opening osum)
 
@@ -242,11 +241,11 @@ let test_k_of_m_validation () =
 let make_cp_instances ?(seed = "cp-batch") n =
   let rng = Drbg.create ~seed in
   Array.init n (fun _ ->
-      let x = Group_ctx.random_scalar gctx rng in
+      let x = Curve.random_scalar rng in
       let st = ddh_statement x in
       let w, fm = Chaum_pedersen.commit gctx rng st in
-      let challenge = Group_ctx.random_scalar gctx rng in
-      let response = Chaum_pedersen.respond gctx ~state:w ~witness:x ~challenge in
+      let challenge = Curve.random_scalar rng in
+      let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
       { Chaum_pedersen.stmt = st; fm; challenge; response })
 
 let test_cp_batch_accepts () =
@@ -280,8 +279,8 @@ let test_ballot_proof_batch () =
     Array.init 5 (fun i ->
         let rng, commitments, openings = make_part ~m:3 ~choice:(i mod 3) in
         let state, fm = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
-        let challenge = Group_ctx.random_scalar gctx rng in
-        let fin = Ballot_proof.finalize gctx state ~challenge in
+        let challenge = Curve.random_scalar rng in
+        let fin = Ballot_proof.finalize state ~challenge in
         { Ballot_proof.commitments; fm; challenge; fin })
   in
   Alcotest.(check bool) "5 valid" true (Ballot_proof.verify_batch gctx (rng ()) insts);
@@ -295,19 +294,19 @@ let test_ballot_proof_batch () =
 
 let test_challenge_from_coins () =
   let coins = [ true; false; true; true ] in
-  let c1 = Challenge.master gctx ~election_id:"e" ~coins in
-  let c2 = Challenge.master gctx ~election_id:"e" ~coins in
+  let c1 = Challenge.master ~election_id:"e" ~coins in
+  let c2 = Challenge.master ~election_id:"e" ~coins in
   Alcotest.(check bool) "deterministic" true (Nat.equal c1 c2);
-  let c3 = Challenge.master gctx ~election_id:"e" ~coins:[ true; false; true; false ] in
+  let c3 = Challenge.master ~election_id:"e" ~coins:[ true; false; true; false ] in
   Alcotest.(check bool) "coin flip changes challenge" false (Nat.equal c1 c3);
-  let c4 = Challenge.master gctx ~election_id:"other" ~coins in
+  let c4 = Challenge.master ~election_id:"other" ~coins in
   Alcotest.(check bool) "election id separates" false (Nat.equal c1 c4)
 
 let test_per_proof_challenges_differ () =
-  let master = Challenge.master gctx ~election_id:"e" ~coins:[ true ] in
-  let a = Challenge.for_proof gctx ~master_challenge:master ~serial:1 ~part:`A in
-  let b = Challenge.for_proof gctx ~master_challenge:master ~serial:1 ~part:`B in
-  let a2 = Challenge.for_proof gctx ~master_challenge:master ~serial:2 ~part:`A in
+  let master = Challenge.master ~election_id:"e" ~coins:[ true ] in
+  let a = Challenge.for_proof ~master_challenge:master ~serial:1 ~part:`A in
+  let b = Challenge.for_proof ~master_challenge:master ~serial:1 ~part:`B in
+  let a2 = Challenge.for_proof ~master_challenge:master ~serial:2 ~part:`A in
   Alcotest.(check bool) "parts differ" false (Nat.equal a b);
   Alcotest.(check bool) "serials differ" false (Nat.equal a a2)
 
@@ -316,11 +315,11 @@ let prop_cp_random_witness =
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
        let rng = Drbg.create ~seed:(string_of_int seed) in
-       let x = Group_ctx.random_scalar gctx rng in
+       let x = Curve.random_scalar rng in
        let st = ddh_statement x in
        let w, fm = Chaum_pedersen.commit gctx rng st in
-       let challenge = Group_ctx.random_scalar gctx rng in
-       let response = Chaum_pedersen.respond gctx ~state:w ~witness:x ~challenge in
+       let challenge = Curve.random_scalar rng in
+       let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
        Chaum_pedersen.verify gctx st fm ~challenge ~response)
 
 let () =
