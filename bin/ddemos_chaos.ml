@@ -506,8 +506,8 @@ let print_summary outcomes =
   !failed
 
 (* On a violated replay, dump every durable device to real files
-   (File_device's dir/name.wal + dir/name.snap layout) so the logs and
-   snapshots behind the violation can be inspected offline. *)
+   (File_device's dir/name.wal) so the journals behind the violation
+   can be inspected offline. *)
 let dump_devices sc seed (r : Election.result) =
   match r.Election.devices with
   | [] -> ()
@@ -522,15 +522,9 @@ let dump_devices sc seed (r : Election.result) =
       (fun (label, backing) ->
          let dev = Dd_store.File_device.create ~dir ~name:label in
          dev.Dd_store.Device.log_reset (Mem.durable_log backing);
-         (match Mem.snapshot backing with
-          | Some s -> dev.Dd_store.Device.snap_store s
-          | None -> ());
-         Printf.printf "  %-10s crashes=%d torn_bytes=%d log=%dB snap=%s\n" label
+         Printf.printf "  %-10s crashes=%d torn_bytes=%d log=%dB\n" label
            (Mem.crashes backing) (Mem.torn_bytes backing)
-           (String.length (Mem.durable_log backing))
-           (match Mem.snapshot backing with
-            | Some s -> Printf.sprintf "%dB" (String.length s)
-            | None -> "none"))
+           (String.length (Mem.durable_log backing)))
       devices;
     Printf.printf "device dump: %s\n" dir
 

@@ -20,7 +20,7 @@ module Elgamal_vss = Dd_vss.Elgamal_vss
 module Unit_vector = Dd_commit.Unit_vector
 module Ballot_proof = Dd_zkp.Ballot_proof
 module Group_ctx = Dd_group.Group_ctx
-module Store = Dd_store.Store
+module Wal = Dd_store.Wal
 module Wire = Dd_codec.Wire
 
 (* Shares posted toward one reconstructed value, as (poster, share) in
@@ -68,7 +68,7 @@ type t = {
   (* durable input journal: the BB is event-sourced, so replaying the
      accepted writes through the (deterministic) handlers rebuilds all
      published state after a cold restart *)
-  mutable journal : Store.t option;
+  mutable journal : Dd_store.Device.t option;
 }
 
 let create_bare ~board ~cfg ~gctx ~init ~me () =
@@ -82,24 +82,16 @@ let create_bare ~board ~cfg ~gctx ~init ~me () =
     on_final_set = []; on_tally = [];
     journal = None }
 
-let attach_journal t durable =
-  match durable with
-  | None -> ()
-  | Some device ->
-    (* pure input journal, never compacted: write volume is bounded by
-       the protocol (nv submissions + a few posts per trustee) *)
-    t.journal <- Some (Store.create ~snapshot:(fun () -> "") device)
-
 let create ?durable ~board ~cfg ~gctx ~init ~me () =
   let t = create_bare ~board ~cfg ~gctx ~init ~me () in
-  attach_journal t durable;
+  t.journal <- durable;
   t
 
 (* Journal an accepted write before its effects become observable; the
    journal is absent during replay, so recovery never re-logs. *)
 let journal_input t msg =
   match t.journal with
-  | Some store -> Store.log store (Messages.encode_bb_msg msg)
+  | Some device -> Wal.log device (Messages.encode_bb_msg msg)
   | None -> ()
 
 let init t = t.init
@@ -369,14 +361,13 @@ let recover ?durable ~board ~cfg ~gctx ~init ~me () =
   (match durable with
    | None -> ()
    | Some device ->
-     let recovered = Store.read device in
      List.iter
        (fun payload ->
           match Messages.decode_bb_msg payload with
           | Some msg -> handle t msg
           | None -> ()   (* framed but undecodable: skip, never crash *))
-       recovered.Store.records);
-  attach_journal t durable;
+       (Wal.open_log device));
+  t.journal <- durable;
   t
 
 (* Canonical encoding of the published (observable) state, for

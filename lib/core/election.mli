@@ -58,7 +58,7 @@ type params = {
 }
 (** Durability follows the fault plan: when it holds a recovering crash
     of a protocol node, every node gets a durable in-memory device
-    (WAL + snapshot) and [Crash { recover = Some _ }] specs become true
+    (its journal) and [Crash { recover = Some _ }] specs become true
     power-loss cold restarts; otherwise nodes run memory-only (the
     scale benchmarks must not pay the logging cost). *)
 

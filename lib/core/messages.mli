@@ -87,7 +87,7 @@ val encode_bb_msg : bb_msg -> string
 val decode_bb_msg : string -> bb_msg option
 
 (** Building blocks of the wire format, exported for the node layer's
-    durable-state codecs (Vc_node snapshots, trustee journals). The
+    durable-state codecs (the VC and trustee journals). The
     [get_*] readers raise {!Dd_codec.Wire.Malformed} on bad input — use
     them under [Dd_codec.Wire.decode]. *)
 val put_tag : Dd_codec.Wire.writer -> Auth.tag -> unit

@@ -18,7 +18,7 @@ module Ballot_proof = Dd_zkp.Ballot_proof
 module Challenge = Dd_zkp.Challenge
 module Group_ctx = Dd_group.Group_ctx
 module Nat = Dd_bignum.Nat
-module Store = Dd_store.Store
+module Wal = Dd_store.Wal
 module Wire = Dd_codec.Wire
 
 type exchange = {
@@ -48,7 +48,7 @@ type t = {
   mutable master_challenge : Nat.t option;
   mutable zk_posted : (int * Types.part_id, unit) Hashtbl.t;
   mutable started : bool;
-  mutable journal : Store.t option;
+  mutable journal : Dd_store.Device.t option;
 }
 
 let create_bare env =
@@ -60,17 +60,9 @@ let create_bare env =
     started = false;
     journal = None }
 
-let attach_journal t =
-  match t.env.durable with
-  | None -> ()
-  | Some device ->
-    (* pure input journal: one election-data record plus at most nt - 1
-       exchanges — no compaction needed *)
-    t.journal <- Some (Store.create ~snapshot:(fun () -> "") device)
-
 let create env =
   let t = create_bare env in
-  attach_journal t;
+  t.journal <- env.durable;
   t
 
 (* --- durable input journal --------------------------------------------- *)
@@ -127,7 +119,7 @@ let decode_input payload =
 
 let journal_input t inp =
   match t.journal with
-  | Some store -> Store.log store (encode_input inp)
+  | Some device -> Wal.log device (encode_input inp)
   | None -> ()
 
 (* Parse the per-part state blob: length-prefixed encoded states. *)
@@ -279,15 +271,14 @@ let recover env =
   (match env.durable with
    | None -> ()
    | Some device ->
-     let recovered = Store.read device in
      List.iter
        (fun payload ->
           match decode_input payload with
           | Some (J_data voted) -> on_election_data t ~voted
           | Some (J_exchange ex) -> on_exchange t ex
           | None -> ()   (* framed but undecodable: skip, never crash *))
-       recovered.Store.records);
-  attach_journal t;
+       (Wal.open_log device));
+  t.journal <- env.durable;
   t
 
 (* Canonical encoding of the trustee's state, for recovery-equivalence

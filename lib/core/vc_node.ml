@@ -18,20 +18,20 @@
    tests drive it directly and the simulator supplies transports.
 
    Durability: with [env.durable] set, every state transition that must
-   survive a crash is logged to a {!Dd_store.Store} WAL *after* the
+   survive a crash is logged to a {!Dd_store.Wal} journal *after* the
    in-memory mutation and *before* any externally visible send — the
    load-bearing case being the endorsed code, which is durable before
    an ENDORSEMENT signature leaves the node (otherwise a crashed and
    restarted collector could sign a second code for the same ballot and
-   hand the adversary two UCERTs). [recover] rebuilds the node from
-   snapshot + log replay; a node that crashed mid-consensus does not
-   rejoin the running instance (it has no protocol state to resume, and
-   restarting RBC from scratch would equivocate). *)
+   hand the adversary two UCERTs). [recover] rebuilds the node by
+   replaying its whole journal; a node that crashed mid-consensus does
+   not rejoin the running instance (it has no protocol state to resume,
+   and restarting RBC from scratch would equivocate). *)
 
 module Shamir_bytes = Dd_vss.Shamir_bytes
 module Rbc = Dd_consensus.Rbc
 module Binary_batch = Dd_consensus.Binary_batch
-module Store = Dd_store.Store
+module Wal = Dd_store.Wal
 module Wire = Dd_codec.Wire
 
 type env = {
@@ -53,8 +53,8 @@ type env = {
   (* override for authenticator checks; must be semantically identical
      to [Auth.verify] (the serving runtime's amortizing verifier) *)
   verify_tag : (signer:int -> string -> Auth.tag -> bool) option;
-  (* durable device for the WAL + snapshot store; [None] runs the node
-     memory-only (the scale benchmarks) *)
+  (* durable device for the journal; [None] runs the node memory-only
+     (the scale benchmarks) *)
   durable : Dd_store.Device.t option;
 }
 
@@ -110,13 +110,11 @@ type t = {
      more than fv collectors equivocated (Section III-D's uniqueness
      argument) — the chaos harness's detection signal. *)
   mutable ucert_conflicts : (int * string * string) list;
-  (* durable store, attached after construction (the snapshot closure
-     needs [t]); never set while [recovering] replays the log *)
-  mutable wal : Store.t option;
+  (* set while [recover] replays the journal: nothing is re-logged *)
   mutable recovering : bool;
 }
 
-let create_bare env =
+let create env =
   { env;
     ballots = Hashtbl.create 1024;
     phase = Voting;
@@ -130,7 +128,6 @@ let create_bare env =
     votes_accepted = 0;
     receipts_issued = 0;
     ucert_conflicts = [];
-    wal = None;
     recovering = false }
 
 let ballot_rt t serial =
@@ -260,8 +257,8 @@ let decode_rec payload =
    leaves an unsynced tail the crash may tear mid-frame, which is
    exactly what recovery's clean-prefix scan must tolerate. *)
 let log_rec ?(sync = true) t rc =
-  match t.wal with
-  | Some store when not t.recovering -> Store.log ~sync store (encode_rec rc)
+  match t.env.durable with
+  | Some device when not t.recovering -> Wal.log ~sync device (encode_rec rc)
   | Some _ | None -> ()
 
 (* Callers pass a [code] backed by a UCERT they already verified: if we
@@ -788,13 +785,11 @@ let handle t (msg : Messages.vc_msg) =
   | Messages.Recover_request { sender; serials } -> on_recover_request t ~sender ~serials
   | Messages.Recover_response { sender; entries } -> on_recover_response t ~sender ~entries
 
-(* --- durability: snapshot / restore / recover --------------------------- *)
+(* --- durability: the reducer, observable, recover ------------------------- *)
 
 (* The reducer: each case mirrors exactly the in-memory mutations of
-   its logging site, never sends, and is idempotent (replay after a
-   crash mid-compaction may present a record the snapshot already
-   covers only across store generations, but duplicated protocol events
-   — a re-received VOTE_P, say — must also coalesce). *)
+   its logging site, never sends, and is idempotent (duplicated
+   protocol events — a re-received VOTE_P, say — coalesce). *)
 let apply_rec t rc =
   match rc with
   | R_vote_accepted { serial; code; part; pos } ->
@@ -877,28 +872,19 @@ let put_status w = function
     Wire.put_bytes w code;
     Wire.put_bytes w receipt
 
-let get_status r =
-  match Wire.get_varint r with
-  | 0 -> Types.Not_voted
-  | 1 -> Types.Pending (Wire.get_bytes r)
-  | 2 ->
-    let code = Wire.get_bytes r in
-    Types.Voted (code, Wire.get_bytes r)
-  | _ -> raise (Wire.Malformed "vc status")
-
 (* A ballot entry created as a side effect of a lookup (a rejected
    probe, a consensus slot touch) carries no durable state: skip it so
-   the snapshot is a function of the observable state only. *)
+   the encoding is a function of the observable state only. *)
 let ballot_blank (b : ballot_rt) =
   b.status = Types.Not_voted && b.endorsed = None && b.ucert = None
   && b.shares = [] && not b.sent_vote_p
 
 (* Canonical (sorted) encoding: two nodes with the same observable
-   state — whatever order events reached them in — snapshot to the same
+   state — whatever order events reached them in — encode to the same
    bytes, which is what the equivalence tests compare. *)
-let snapshot t =
+let observable t =
   let w = Wire.writer () in
-  Wire.put_varint w 1;   (* snapshot format version *)
+  Wire.put_varint w 1;   (* format version *)
   Wire.put_varint w (match t.phase with Voting -> 0 | Vsc -> 1 | Submitted -> 2);
   Wire.put_varint w t.votes_accepted;
   Wire.put_varint w t.receipts_issued;
@@ -940,120 +926,30 @@ let snapshot t =
     ballots;
   Wire.contents w
 
-let restore env blob =
-  Wire.decode blob (fun r ->
-      if Wire.get_varint r <> 1 then raise (Wire.Malformed "vc snapshot version");
-      let t = create_bare env in
-      t.phase <-
-        (match Wire.get_varint r with
-         | 0 -> Voting
-         | 1 -> Vsc
-         | 2 -> Submitted
-         | _ -> raise (Wire.Malformed "vc phase"));
-      t.votes_accepted <- Wire.get_varint r;
-      t.receipts_issued <- Wire.get_varint r;
-      t.ucert_conflicts <-
-        Wire.get_list r (fun r ->
-            let s = Wire.get_varint r in
-            let ours = Wire.get_bytes r in
-            let theirs = Wire.get_bytes r in
-            (s, ours, theirs));
-      t.vsc.announce_senders <- Wire.get_list r Wire.get_varint;
-      t.vsc.consensus_started <- Wire.get_bool r;
-      t.vsc.submitted <- Wire.get_bool r;
-      let decided =
-        Wire.get_list r (fun r ->
-            let slot = Wire.get_varint r in
-            (slot, Wire.get_bool r))
-      in
-      if t.vsc.consensus_started then begin
-        t.vsc.decisions <- Array.make env.cfg.Types.n_voters None;
-        List.iter
-          (fun (slot, v) ->
-             if slot < 0 || slot >= Array.length t.vsc.decisions then
-               raise (Wire.Malformed "vc decided slot");
-             if t.vsc.decisions.(slot) = None then begin
-               t.vsc.decisions.(slot) <- Some v;
-               t.vsc.decided_count <- t.vsc.decided_count + 1
-             end)
-          decided
-      end;
-      let entries =
-        Wire.get_list r (fun r ->
-            let serial = Wire.get_varint r in
-            let status = get_status r in
-            let endorsed = Wire.get_option r Wire.get_bytes in
-            let ucert = Wire.get_option r Messages.get_ucert in
-            let part = Messages.get_part r in
-            let pos = Wire.get_varint r in
-            let sent_vote_p = Wire.get_bool r in
-            let shares = Wire.get_list r Messages.get_share in
-            (serial, status, endorsed, ucert, part, pos, sent_vote_p, shares))
-      in
-      List.iter
-        (fun (serial, status, endorsed, ucert, part, pos, sent_vote_p, shares) ->
-           let b = ballot_rt t serial in
-           b.status <- status;
-           b.endorsed <- endorsed;
-           b.ucert <- ucert;
-           b.part <- part;
-           b.pos <- pos;
-           b.sent_vote_p <- sent_vote_p;
-           b.shares <- shares)
-        entries;
-      (* not persisted: recomputed as "decided voted but no UCERT yet" *)
-      if t.vsc.consensus_started then
-        Array.iteri
-          (fun slot v ->
-             if v = Some true then
-               match Hashtbl.find_opt t.ballots slot with
-               | Some b when b.ucert <> None -> ()
-               | Some _ | None -> Hashtbl.replace t.vsc.awaiting_recovery slot ())
-          t.vsc.decisions;
-      t)
-
-let attach_wal t =
-  match t.env.durable with
-  | None -> ()
-  | Some device ->
-    t.wal <- Some (Store.create ~compact_every:32 ~snapshot:(fun () -> snapshot t) device)
-
-let create env =
-  let t = create_bare env in
-  attach_wal t;
-  t
-
 let recover env =
-  match env.durable with
-  | None -> create env
-  | Some device ->
-    let recovered = Store.read device in
-    let t =
-      match recovered.Store.state with
-      | Some blob ->
-        (match restore env blob with Some t -> t | None -> create_bare env)
-      | None -> create_bare env
-    in
-    t.recovering <- true;
-    List.iter
-      (fun payload ->
-         match decode_rec payload with
-         | Some rc -> apply_rec t rc
-         | None -> ()   (* framed but undecodable: ignore, never crash *))
-      recovered.Store.records;
-    t.recovering <- false;
-    attach_wal t;
-    (* Re-issue duties whose sends the crash may have swallowed; every
-       receiver dedupes. A node that had started consensus does not
-       rejoin the instance — the remaining quorum carries the round. *)
-    if t.vsc.submitted then send_submission t
-    else if t.vsc.consensus_started then check_recovery_complete t
-    else if t.phase = Vsc then begin
-      let entries = known_entries t in
-      multicast t (Messages.Announce_batch { sender = t.env.me; entries });
-      maybe_start_consensus t
-    end;
-    t
+  let t = create env in
+  (match env.durable with
+   | None -> ()
+   | Some device ->
+     t.recovering <- true;
+     List.iter
+       (fun payload ->
+          match decode_rec payload with
+          | Some rc -> apply_rec t rc
+          | None -> ()   (* framed but undecodable: ignore, never crash *))
+       (Wal.open_log device);
+     t.recovering <- false);
+  (* Re-issue duties whose sends the crash may have swallowed; every
+     receiver dedupes. A node that had started consensus does not
+     rejoin the instance — the remaining quorum carries the round. *)
+  if t.vsc.submitted then send_submission t
+  else if t.vsc.consensus_started then check_recovery_complete t
+  else if t.phase = Vsc then begin
+    let entries = known_entries t in
+    multicast t (Messages.Announce_batch { sender = t.env.me; entries });
+    maybe_start_consensus t
+  end;
+  t
 
 let phase t = t.phase
 let ballot_count t = Hashtbl.length t.ballots

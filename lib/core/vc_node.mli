@@ -26,7 +26,7 @@ type env = {
           any override MUST be semantically identical to [Auth.verify]
           — it only amortizes, never weakens. *)
   durable : Dd_store.Device.t option;
-      (** WAL + snapshot device; [None] runs the node memory-only (the
+      (** Journal device; [None] runs the node memory-only (the
           scale benchmarks). With a device, every crash-critical
           transition is made durable before any dependent send — in
           particular the endorsed vote code before an ENDORSEMENT
@@ -38,7 +38,7 @@ type t
 
 type phase = Voting | Vsc | Submitted
 
-(** Fresh node; attaches the WAL store when [env.durable] is set. *)
+(** Fresh node; journals to [env.durable] when it is set. *)
 val create : env -> t
 
 (** Feed any protocol message (from voters or peer collectors).
@@ -77,19 +77,18 @@ val ucert_conflicts : t -> (int * string * string) list
 val decisions : t -> bool option array
 
 (** Canonical encoding of the node's observable durable state (sorted,
-    so any two nodes in the same state snapshot to the same bytes).
-    Transient collection state — in-flight endorsement gathering,
-    waiting clients, live consensus instances — is excluded by design:
-    a restarted node abandons those and the protocol's retries rebuild
-    them. *)
-val snapshot : t -> string
+    so any two nodes in the same state encode to the same bytes), as
+    {!Bb_node.observable} and {!Trustee.observable}; the recovery tests
+    compare it. Transient collection state — in-flight endorsement
+    gathering, waiting clients, live consensus instances — is excluded
+    by design: a restarted node abandons those and the protocol's
+    retries rebuild them. *)
+val observable : t -> string
 
-(** Rebuild a node from a {!snapshot} blob; [None] if malformed. *)
-val restore : env -> string -> t option
-
-(** Cold restart from [env.durable]: load the snapshot, replay the WAL
-    clean prefix through the reducer, then re-issue duties whose sends
-    the crash may have swallowed (submission resend, re-announce).
+(** Cold restart from [env.durable]: replay the journal's whole clean
+    prefix through the reducer ({!Dd_store.Wal.open_log} first cuts a
+    torn tail), then re-issue duties whose sends the crash may have
+    swallowed (submission resend, re-announce).
     A node that crashed mid-consensus does not rejoin the running
     instance — it has no protocol state to resume, and restarting from
     scratch would equivocate; the remaining quorum carries the round.

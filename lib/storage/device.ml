@@ -1,13 +1,8 @@
 (* The sans-IO durable-storage abstraction. A device is a record of
-   closures over two regions:
-
-   - an append-only *log* with an explicit durability barrier
-     ([log_sync], the fsync of the model): appended bytes sit in a
-     volatile tail until synced, and a crash may lose any suffix of
-     that tail;
-   - a *snapshot* slot with atomic replace semantics ([snap_store] is
-     the write-temp-then-rename idiom): a reader sees either the
-     previous snapshot or the new one, never a torn mixture.
+   closures over an append-only *log* with an explicit durability
+   barrier ([log_sync], the fsync of the model): appended bytes sit in
+   a volatile tail until synced, and a crash may lose any suffix of
+   that tail. A node's journal ({!Wal}) is its only durable state.
 
    Node code only ever sees this record, so the state machines stay
    sans-IO; the simulator plugs in {!Mem} below and real tooling plugs
@@ -20,8 +15,6 @@ type t = {
   log_size : unit -> int;            (* durable length in bytes *)
   log_read : pos:int -> len:int -> string;  (* bounded random-access window *)
   log_reset : string -> unit;        (* atomically replace the whole log *)
-  snap_store : string -> unit;       (* atomic replace *)
-  snap_load : unit -> string option;
 }
 
 (* --- the in-memory "disk" for the simulator -------------------------- *)
@@ -30,14 +23,13 @@ module Mem = struct
   type backing = {
     durable : Buffer.t;              (* survived the last sync *)
     mutable unsynced : Buffer.t;     (* the page-cache tail at risk *)
-    mutable snap : string option;
     mutable crashes : int;           (* observability for the harness *)
     mutable torn_bytes : int;        (* unsynced bytes kept by the last crash *)
   }
 
   let create () =
     { durable = Buffer.create 256; unsynced = Buffer.create 256;
-      snap = None; crashes = 0; torn_bytes = 0 }
+      crashes = 0; torn_bytes = 0 }
 
   let device b =
     { log_append = (fun s -> Buffer.add_string b.unsynced s);
@@ -57,9 +49,7 @@ module Mem = struct
         (fun s ->
            Buffer.clear b.durable;
            Buffer.clear b.unsynced;
-           Buffer.add_string b.durable s);
-      snap_store = (fun s -> b.snap <- Some s);
-      snap_load = (fun () -> b.snap) }
+           Buffer.add_string b.durable s) }
 
   (* Power loss: the synced prefix survives; of the unsynced tail, an
      arbitrary prefix of [keep] bytes made it to the platter (the
@@ -77,7 +67,6 @@ module Mem = struct
 
   let durable_log b = Buffer.contents b.durable
   let unsynced_log b = Buffer.contents b.unsynced
-  let snapshot b = b.snap
   let crashes b = b.crashes
   let torn_bytes b = b.torn_bytes
 end

@@ -1,7 +1,8 @@
 (** Sans-IO durable-storage device: an append-only log with an explicit
-    durability barrier, plus an atomically-replaceable snapshot slot.
-    Node code sees only this closure record; the simulator supplies
-    {!Mem} and offline tooling supplies {!File_device}. *)
+    durability barrier. A durable node's journal ({!Wal}) lives in this
+    log and is its only durable state. Node code sees only this closure
+    record; the simulator supplies {!Mem} and offline tooling supplies
+    {!File_device}. *)
 
 type t = {
   log_append : string -> unit;
@@ -17,11 +18,9 @@ type t = {
           bounds — the segment reader's way of decoding one chunk
           without materializing the file. *)
   log_reset : string -> unit;
-      (** Atomically replace the whole log (post-snapshot truncation). *)
-  snap_store : string -> unit;
-      (** Atomic snapshot replace (write-temp-then-rename): a crash
-          leaves either the old or the new snapshot, never a torn one. *)
-  snap_load : unit -> string option;
+      (** Atomically replace the whole log (write-temp-then-rename): a
+          crash leaves either the old or the new log. {!Wal.open_log}
+          uses it to cut a torn tail. *)
 }
 
 (** The simulator's in-memory "disk": contents survive a
@@ -45,7 +44,6 @@ module Mem : sig
   (** Inspection, for the chaos harness's crash dumps and for tests. *)
   val durable_log : backing -> string
   val unsynced_log : backing -> string
-  val snapshot : backing -> string option
   val crashes : backing -> int
   val torn_bytes : backing -> int
 end

@@ -1,17 +1,14 @@
-(* The real-disk backend: an append-only log file plus a snapshot file
-   replaced via the write-temp-then-rename idiom. This is the single
-   module in lib/ allowed to touch the filesystem (ddemos-lint R2
-   carries a scoped exemption for it — see docs/INVARIANTS.md); every
-   other consumer of durability goes through the sans-IO {!Device}
-   record this module produces.
+(* The real-disk backend: an append-only log file, replaced whole via
+   the write-temp-then-rename idiom. This is the single module in lib/
+   allowed to touch the filesystem (ddemos-lint R2 carries a scoped
+   exemption for it — see docs/INVARIANTS.md); every other consumer of
+   durability goes through the sans-IO {!Device} record this module
+   produces.
 
    Durability model: [log_sync] flushes the channel. That is the
    page-cache boundary the simulator's Mem backend mimics; a true
    fsync-to-platter would need Unix.fsync, which we deliberately avoid
    so bin/ tooling stays portable to the plain OCaml stdlib. *)
-
-let log_path ~dir ~name = Filename.concat dir (name ^ ".wal")
-let snap_path ~dir ~name = Filename.concat dir (name ^ ".snap")
 
 let read_file path =
   match open_in_bin path with
@@ -29,7 +26,7 @@ let write_file path s =
 
 let create ~dir ~name : Device.t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let lp = log_path ~dir ~name and sp = snap_path ~dir ~name in
+  let lp = Filename.concat dir (name ^ ".wal") in
   (* append mode: reopening an existing device continues its log *)
   let oc = ref (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 lp) in
   { Device.log_append = (fun s -> output_string !oc s);
@@ -66,10 +63,4 @@ let create ~dir ~name : Device.t =
          let tmp = lp ^ ".tmp" in
          write_file tmp s;
          Sys.rename tmp lp;
-         oc := open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 lp);
-    snap_store =
-      (fun s ->
-         let tmp = sp ^ ".tmp" in
-         write_file tmp s;
-         Sys.rename tmp sp);
-    snap_load = (fun () -> read_file sp) }
+         oc := open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 lp) }

@@ -1,11 +1,7 @@
 (** Real append-only file backend for {!Device}, for bin/ tooling
     (chaos crash dumps, offline recovery inspection). Creates
-    [dir/name.wal] and [dir/name.snap]; reopening an existing pair
-    resumes the log. The only module in lib/ permitted to do file IO
-    (scoped ddemos-lint R2 exemption). *)
+    [dir/name.wal]; reopening an existing file resumes the log. The
+    only module in lib/ permitted to do file IO (scoped ddemos-lint R2
+    exemption). *)
 
 val create : dir:string -> name:string -> Device.t
-
-(** The paths a device of this [dir]/[name] uses. *)
-val log_path : dir:string -> name:string -> string
-val snap_path : dir:string -> name:string -> string

@@ -33,7 +33,9 @@ let frame payload =
   Buffer.add_string buf body;
   Buffer.contents buf
 
-let append (d : Device.t) payload = d.log_append (frame payload)
+let log ?(sync = true) (d : Device.t) payload =
+  d.log_append (frame payload);
+  if sync then d.log_sync ()
 
 (* One frame at [off]; [None] on any malformedness (the torn tail). *)
 let read_frame s off =
@@ -68,4 +70,10 @@ let scan s =
   in
   go 0 []
 
-let records s = fst (scan s)
+(* Cut a torn tail before anything new is appended: left in place, it
+   would end every later scan and strand the records behind it. *)
+let open_log (d : Device.t) =
+  let log = d.log_contents () in
+  let records, clean = scan log in
+  if clean < String.length log then d.log_reset (String.sub log 0 clean);
+  records

@@ -1,14 +1,17 @@
-(** WAL record framing: [crc32 | varint length | payload], with the
-    checksum covering length and payload. Scanning is total — a torn or
+(** The write-ahead journal over a {!Device} log: a durable node's
+    whole durable state, replayed in full on a cold restart. Records
+    are framed as [crc32 | varint length | payload], the checksum
+    covering length and payload. Scanning is total — a torn or
     corrupted tail ends the replay at the last clean record; it is
     never resurrected and never raises. *)
 
 (** Frame one payload for appending. *)
 val frame : string -> string
 
-(** [append device payload] appends one framed record (volatile until
-    the device syncs). *)
-val append : Device.t -> string -> unit
+(** [log ?sync device payload] appends one framed record. [sync]
+    (default [true]) makes it durable before returning: a node syncs
+    before any externally visible action that depends on the record. *)
+val log : ?sync:bool -> Device.t -> string -> unit
 
 (** [read_frame s off] decodes the single frame starting at byte [off]:
     [Some (payload, next_off)] on a clean frame, [None] on truncation or
@@ -21,5 +24,9 @@ val read_frame : string -> int -> (string * int) option
     order plus the byte offset where scanning stopped. Total. *)
 val scan : string -> string list * int
 
-(** The clean-prefix payloads only. *)
-val records : string -> string list
+(** [open_log device] opens a node's journal for replay: the
+    clean-prefix payloads of the durable log, in order. A torn or
+    corrupt tail is truncated first ([log_reset] to the clean prefix),
+    so records logged after the restart follow the replayed ones and
+    the next recovery reaches them. *)
+val open_log : Device.t -> string list

@@ -1,13 +1,13 @@
 (* Durable-storage tests: WAL framing under truncation and bit-flips,
-   store compaction and torn-tail crash semantics over the in-memory
-   device, the real file backend, and recovery equivalence for the
-   three durable node types — a cold-restarted node must be observably
-   identical to the node it replaces. *)
+   the journal's torn-tail crash semantics over the in-memory device,
+   the real file backend, and recovery equivalence for the three
+   durable node types — a cold-restarted node must be observably
+   identical to the node it replaces. The Wal and recovery properties
+   carry [~long_factor:100] for the nightly QCHECK_LONG=1 run. *)
 
 module Device = Dd_store.Device
 module Mem = Dd_store.Device.Mem
 module Wal = Dd_store.Wal
-module Store = Dd_store.Store
 module File_device = Dd_store.File_device
 module Types = Ddemos.Types
 module Vc_node = Ddemos.Vc_node
@@ -42,7 +42,7 @@ let payloads_gen =
   QCheck.(list_of_size (Gen.int_range 1 8) (string_of_size (Gen.int_range 0 40)))
 
 let prop_truncation =
-  QCheck.Test.make ~name:"truncated log replays a clean prefix" ~count:500
+  QCheck.Test.make ~name:"truncated log replays a clean prefix" ~count:500 ~long_factor:100
     QCheck.(pair payloads_gen (int_range 0 100_000))
     (fun (payloads, cut_raw) ->
        let log = concat_frames payloads in
@@ -51,7 +51,7 @@ let prop_truncation =
        stopped <= cut && is_prefix_of scanned payloads)
 
 let prop_bitflip =
-  QCheck.Test.make ~name:"bit-flipped record dies, never resurrects" ~count:500
+  QCheck.Test.make ~name:"bit-flipped record dies, never resurrects" ~count:500 ~long_factor:100
     QCheck.(pair payloads_gen (int_range 0 1_000_000))
     (fun (payloads, r) ->
        let log = Bytes.of_string (concat_frames payloads) in
@@ -66,73 +66,26 @@ let prop_bitflip =
        && List.length scanned < List.length payloads)
 
 let prop_garbage_total =
-  QCheck.Test.make ~name:"scan is total on arbitrary bytes" ~count:1000
+  QCheck.Test.make ~name:"scan is total on arbitrary bytes" ~count:1000 ~long_factor:100
     QCheck.(string_of_size (Gen.int_range 0 80))
     (fun s ->
        let scanned, stopped = Wal.scan s in
        stopped <= String.length s && List.length scanned * 5 <= String.length s)
 
-(* --- store over the in-memory device ------------------------------------- *)
+(* --- the journal over the in-memory device ------------------------------- *)
 
 let test_store_log_read () =
-  let b = Mem.create () in
-  let d = Mem.device b in
-  let st = Store.create ~snapshot:(fun () -> "") d in
+  let d = Mem.device (Mem.create ()) in
   let recs = List.init 10 (Printf.sprintf "rec-%d") in
-  List.iter (fun r -> Store.log st r) recs;
-  let r = Store.read d in
-  Alcotest.(check (list string)) "records in order" recs r.Store.records;
-  Alcotest.(check int) "next_seq" 10 r.Store.next_seq;
-  Alcotest.(check bool) "no snapshot" true (r.Store.state = None)
-
-(* state = concatenation of logged payloads; mutate-then-log, as the
-   nodes do, so a compaction snapshot always covers the record being
-   logged *)
-let log_history st state s =
-  String.iter
-    (fun ch ->
-       let p = String.make 1 ch in
-       state := !state ^ p;
-       Store.log st p)
-    s
-
-let replayed (r : Store.recovered) =
-  Option.value ~default:"" r.Store.state ^ String.concat "" r.Store.records
-
-let test_store_compaction () =
-  let b = Mem.create () in
-  let d = Mem.device b in
-  let state = ref "" in
-  let st = Store.create ~compact_every:3 ~snapshot:(fun () -> !state) d in
-  log_history st state "abcdefghij";
-  let r = Store.read d in
-  Alcotest.(check bool) "compacted at least once" true (r.Store.state <> None);
-  Alcotest.(check string) "snapshot + tail = history" "abcdefghij" (replayed r);
-  (* reopening resumes the sequence; new records extend the history *)
-  let st2 = Store.create ~compact_every:3 ~snapshot:(fun () -> !state) d in
-  log_history st2 state "kl";
-  Alcotest.(check string) "after reopen" "abcdefghijkl" (replayed (Store.read d))
-
-let test_store_crash_mid_compaction () =
-  let b = Mem.create () in
-  let d = Mem.device b in
-  (* a device whose truncation "never happens": power loss between the
-     atomic snapshot store and the log reset *)
-  let no_reset = { d with Device.log_reset = (fun _ -> ()) } in
-  let state = ref "" in
-  let st = Store.create ~compact_every:3 ~snapshot:(fun () -> !state) no_reset in
-  log_history st state "abcdefgh";
-  (* covered records linger in the log; replay filters them by sequence
-     number — nothing double-applied, nothing lost *)
-  Alcotest.(check string) "seq-filtered replay" "abcdefgh" (replayed (Store.read d))
+  List.iter (Wal.log d) recs;
+  Alcotest.(check (list string)) "records in order" recs (Wal.open_log d)
 
 let test_store_torn_tail () =
   let synced = [ "one"; "two" ] and unsynced = [ "three"; "four" ] in
   let mk () =
     let b = Mem.create () in
-    let st = Store.create ~snapshot:(fun () -> "") (Mem.device b) in
-    List.iter (fun r -> Store.log st r) synced;
-    List.iter (fun r -> Store.log ~sync:false st r) unsynced;
+    List.iter (Wal.log (Mem.device b)) synced;
+    List.iter (Wal.log ~sync:false (Mem.device b)) unsynced;
     b
   in
   let tail = String.length (Mem.unsynced_log (mk ())) in
@@ -140,8 +93,8 @@ let test_store_torn_tail () =
   for keep = 0 to tail do
     let b = mk () in
     Mem.crash ~keep b;
-    let r = Store.read (Mem.device b) in
-    let n = List.length r.Store.records in
+    let records = Wal.open_log (Mem.device b) in
+    let n = List.length records in
     (* the synced prefix always survives; of the torn tail only whole
        clean frames replay, in order — a cut record never resurrects *)
     if n < List.length synced then
@@ -149,8 +102,24 @@ let test_store_torn_tail () =
     Alcotest.(check (list string))
       (Printf.sprintf "keep=%d clean prefix" keep)
       (List.filteri (fun i _ -> i < n) (synced @ unsynced))
-      r.Store.records
+      records
   done
+
+(* Reopening cuts the torn tail, so records logged after the restart
+   follow the replayed ones: left in place, the torn bytes would end
+   the next scan and lose every later record, synced or not. *)
+let test_store_torn_restart () =
+  let b = Mem.create () in
+  let d = Mem.device b in
+  Wal.log d "a";
+  Wal.log d "b";
+  Wal.log ~sync:false d "123456789";
+  Mem.crash ~keep:(String.length (Mem.unsynced_log b) / 2) b;
+  Alcotest.(check (list string)) "first restart" [ "a"; "b" ] (Wal.open_log d);
+  Wal.log d "c";
+  Wal.log d "d";
+  Mem.crash b;
+  Alcotest.(check (list string)) "second restart" [ "a"; "b"; "c"; "d" ] (Wal.open_log d)
 
 (* --- file backend --------------------------------------------------------- *)
 
@@ -162,47 +131,69 @@ let tmpdir () =
 
 let test_file_device_roundtrip () =
   let dir = tmpdir () in
-  let state = ref "" in
-  let st =
-    Store.create ~compact_every:4 ~snapshot:(fun () -> !state)
-      (File_device.create ~dir ~name:"node")
-  in
-  log_history st state "abcdefghij";
+  let d = File_device.create ~dir ~name:"node" in
+  String.iter (fun ch -> Wal.log d (String.make 1 ch)) "abcdefghij";
+  let history d = String.concat "" (Wal.open_log d) in
   (* a separate open of the same dir/name sees the identical state *)
   Alcotest.(check string) "file-backed history" "abcdefghij"
-    (replayed (Store.read (File_device.create ~dir ~name:"node")));
-  (* a torn tail on disk (partial frame) replays to the clean prefix *)
+    (history (File_device.create ~dir ~name:"node"));
+  (* a torn tail on disk (partial frame) replays to the clean prefix,
+     and is cut so that a record logged after it replays too *)
   let d = File_device.create ~dir ~name:"node" in
   d.Device.log_append "\x01\x02\x03";
   d.Device.log_sync ();
-  Alcotest.(check string) "torn file tail dropped" "abcdefghij"
-    (replayed (Store.read (File_device.create ~dir ~name:"node")))
+  let d = File_device.create ~dir ~name:"node" in
+  Alcotest.(check string) "torn file tail dropped" "abcdefghij" (history d);
+  Wal.log d "k";
+  Alcotest.(check string) "logged after the cut" "abcdefghijk"
+    (history (File_device.create ~dir ~name:"node"))
 
-(* --- VC node: snapshot round-trip and WAL-replay equivalence ------------- *)
+(* --- VC node: journal-replay equivalence ---------------------------------- *)
 
 let vc_cfg = { Types.default_config with Types.n_voters = 6; Types.m_options = 3 }
 let gctx = Dd_group.Group_ctx.default ()
 let vc_seed = "storage-vc"
 
 type cluster = {
+  cfg : Types.config;
   mutable nodes : Vc_node.t array;
   mutable queue : (unit -> unit) list;
   mutable now : float;
   mutable t_end : float;
   backings : Mem.backing option array;
   keys : Auth.keys array;
+  (* per node, the (serial, code) pairs it sent an ENDORSEMENT for *)
+  endorsed : (int * string) list array;
+  (* bytes handed to the durable devices: appends and log resets *)
+  mutable written : int;
 }
+
+(* every byte a node hands its device, whatever the call *)
+let counting c (d : Device.t) =
+  { d with
+    Device.log_append =
+      (fun s ->
+         c.written <- c.written + String.length s;
+         d.Device.log_append s);
+    log_reset =
+      (fun s ->
+         c.written <- c.written + String.length s;
+         d.Device.log_reset s) }
 
 let vc_env c i =
   { Vc_node.me = i;
-    cfg = vc_cfg;
+    cfg = c.cfg;
     keys = c.keys.(i);
-    store = Ballot_store.virtual_prf ~seed:vc_seed ~cfg:vc_cfg ~node:i;
+    store = Ballot_store.virtual_prf ~seed:vc_seed ~cfg:c.cfg ~node:i;
     now = (fun () -> c.now);
     election_start = 0.;
     election_end = (fun () -> c.t_end);
     send_vc =
       (fun ~dst msg ->
+         (match msg with
+          | Messages.Endorsement { serial; vote_code; _ } ->
+            c.endorsed.(i) <- (serial, vote_code) :: c.endorsed.(i)
+          | _ -> ());
          c.queue <- c.queue @ [ (fun () -> Vc_node.handle c.nodes.(dst) msg) ]);
     reply = (fun ~client:_ ~req:_ _ -> ());
     send_bb = (fun ~dst:_ _ -> ());
@@ -210,18 +201,21 @@ let vc_env c i =
     consensus_coin = Dd_consensus.Binary_batch.Local;
     verify_share_tags = false;
     verify_tag = None;
-    durable = Option.map Mem.device c.backings.(i) }
+    durable = Option.map (fun b -> counting c (Mem.device b)) c.backings.(i) }
 
-let make_cluster ~durable () =
+let make_cluster ?(cfg = vc_cfg) ~durable () =
   let keys =
     Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:("k" ^ vc_seed)
-      ~n:(vc_cfg.Types.nv + 1)
+      ~n:(cfg.Types.nv + 1)
   in
   let backings =
-    Array.init vc_cfg.Types.nv (fun _ -> if durable then Some (Mem.create ()) else None)
+    Array.init cfg.Types.nv (fun _ -> if durable then Some (Mem.create ()) else None)
   in
-  let c = { nodes = [||]; queue = []; now = 1.0; t_end = 100.; backings; keys } in
-  c.nodes <- Array.init vc_cfg.Types.nv (fun i -> Vc_node.create (vc_env c i));
+  let c =
+    { cfg; nodes = [||]; queue = []; now = 1.0; t_end = 100.; backings; keys;
+      endorsed = Array.make cfg.Types.nv []; written = 0 }
+  in
+  c.nodes <- Array.init cfg.Types.nv (fun i -> Vc_node.create (vc_env c i));
   c
 
 let drain_n c n =
@@ -237,23 +231,34 @@ let drain_n c n =
 
 let drain c = drain_n c 100_000
 
+let vote_code c ~serial ~part ~opt =
+  let ballot = Ballot_gen.voter_ballot ~seed:vc_seed ~serial ~m:c.cfg.Types.m_options in
+  (Types.ballot_part ballot part).Types.lines.(opt).Types.vote_code
+
+let cast ?(steps = 100_000) c ~serial ~part ~opt ~node ~client =
+  let vote_code = vote_code c ~serial ~part ~opt in
+  Vc_node.handle c.nodes.(node) (Messages.Vote { serial; vote_code; client; req = client });
+  drain_n c steps
+
 (* Drive the cluster to a random protocol phase: random votes, then
-   possibly election end, announcements, and a partial or complete run
-   of Vote Set Consensus (a partial drain leaves nodes mid-consensus). *)
+   either one more vote with only part of its traffic delivered (codes
+   endorsed but not yet receipted), or election end, announcements, and
+   a partial or complete run of Vote Set Consensus (a partial drain
+   leaves nodes mid-consensus). *)
 let drive c rng =
-  let votes = 1 + Drbg.int rng 6 in
-  for k = 0 to votes - 1 do
+  let random_vote ?steps k =
     let serial = Drbg.int rng vc_cfg.Types.n_voters in
     let part = if Drbg.int rng 2 = 0 then Types.A else Types.B in
     let opt = Drbg.int rng vc_cfg.Types.m_options in
     let node = Drbg.int rng vc_cfg.Types.nv in
-    let ballot = Ballot_gen.voter_ballot ~seed:vc_seed ~serial ~m:vc_cfg.Types.m_options in
-    let vote_code = (Types.ballot_part ballot part).Types.lines.(opt).Types.vote_code in
-    Vc_node.handle c.nodes.(node) (Messages.Vote { serial; vote_code; client = k; req = k });
-    drain c
+    cast ?steps c ~serial ~part ~opt ~node ~client:k
+  in
+  let votes = 1 + Drbg.int rng 6 in
+  for k = 0 to votes - 1 do
+    random_vote k
   done;
   match Drbg.int rng 3 with
-  | 0 -> ()   (* mid-vote *)
+  | 0 -> random_vote ~steps:(Drbg.int rng 12) votes   (* mid-vote *)
   | 1 ->
     (* mid-consensus: deliver only a bounded slice of the VSC traffic *)
     c.now <- c.t_end +. 1.;
@@ -264,25 +269,50 @@ let drive c rng =
     Array.iter Vc_node.start_vote_set_consensus c.nodes;
     drain c
 
-let prop_vc_snapshot_roundtrip =
-  QCheck.Test.make ~name:"Vc_node: restore (snapshot t) observably = t" ~count:20
-    QCheck.(int_range 0 1_000_000)
-    (fun n ->
-       let c = make_cluster ~durable:false () in
-       drive c (Drbg.create ~seed:(Printf.sprintf "snap|%d" n));
-       Array.iteri
-         (fun i node ->
-            let blob = Vc_node.snapshot node in
-            match Vc_node.restore (vc_env c i) blob with
-            | None -> QCheck.Test.fail_reportf "node %d: snapshot did not restore" i
-            | Some t' ->
-              if not (String.equal blob (Vc_node.snapshot t')) then
-                QCheck.Test.fail_reportf "node %d: snapshot round-trip diverged" i)
-         c.nodes;
-       true)
+(* Cold-restart node [i] with its sends captured rather than delivered. *)
+let recover_captured c i =
+  let sent = ref [] in
+  let env = { (vc_env c i) with Vc_node.send_vc = (fun ~dst:_ msg -> sent := msg :: !sent) } in
+  (Vc_node.recover env, sent)
+
+(* The recovered node must remember every code it endorsed: asked, with
+   its clock back inside voting hours, to endorse any other valid code
+   of such a ballot, it signs nothing (Section III-D's UCERT uniqueness
+   across a crash). *)
+let signs_no_second_code c i (node, sent) =
+  let now = c.now in
+  c.now <- 1.0;
+  let lines =
+    List.concat_map
+      (fun part -> List.init c.cfg.Types.m_options (fun opt -> (part, opt)))
+      [ Types.A; Types.B ]
+  in
+  let ok =
+    List.for_all
+      (fun (serial, code) ->
+         List.for_all
+           (fun (part, opt) ->
+              let other = vote_code c ~serial ~part ~opt in
+              String.equal other code
+              || begin
+                sent := [];
+                Vc_node.handle node
+                  (Messages.Endorse
+                     { serial; vote_code = other; responder = (i + 1) mod c.cfg.Types.nv });
+                not
+                  (List.exists
+                     (function Messages.Endorsement _ -> true | _ -> false)
+                     !sent)
+              end)
+           lines)
+      c.endorsed.(i)
+  in
+  c.now <- now;
+  ok
 
 let prop_vc_wal_replay =
   QCheck.Test.make ~name:"Vc_node: cold restart from WAL = live node" ~count:15
+    ~long_factor:100
     QCheck.(int_range 0 1_000_000)
     (fun n ->
        let c = make_cluster ~durable:true () in
@@ -295,11 +325,14 @@ let prop_vc_wal_replay =
             (match c.backings.(i) with
              | Some b -> (Mem.device b).Device.log_sync ()
              | None -> ());
-            let recovered = Vc_node.recover (vc_env c i) in
+            let recovered = recover_captured c i in
             if
               not
-                (String.equal (Vc_node.snapshot node) (Vc_node.snapshot recovered))
-            then QCheck.Test.fail_reportf "node %d diverged after WAL replay" i)
+                (String.equal (Vc_node.observable node)
+                   (Vc_node.observable (fst recovered)))
+            then QCheck.Test.fail_reportf "node %d diverged after WAL replay" i;
+            if not (signs_no_second_code c i recovered) then
+              QCheck.Test.fail_reportf "node %d endorsed a second code after restart" i)
          c.nodes;
        true)
 
@@ -307,6 +340,7 @@ let prop_vc_wal_replay =
    record: the recovered node equals some sync-consistent prefix state *)
 let prop_vc_torn_wal_total =
   QCheck.Test.make ~name:"Vc_node: recovery total under torn WAL" ~count:15
+    ~long_factor:100
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
     (fun (n, keep_raw) ->
        let c = make_cluster ~durable:true () in
@@ -321,6 +355,24 @@ let prop_vc_torn_wal_total =
               ignore (Vc_node.recover (vc_env c i)))
          c.nodes;
        true)
+
+(* A collector's journal grows with the records it logs, nothing more:
+   four times the votes, about four times the bytes. *)
+let test_vc_write_volume () =
+  let written votes =
+    let c =
+      make_cluster ~cfg:{ vc_cfg with Types.n_voters = 400 } ~durable:true ()
+    in
+    for serial = 0 to votes - 1 do
+      cast c ~serial ~part:Types.A ~opt:(serial mod vc_cfg.Types.m_options)
+        ~node:(serial mod vc_cfg.Types.nv) ~client:serial
+    done;
+    c.written
+  in
+  let small = written 100 and large = written 400 in
+  if float_of_int large >= 5. *. float_of_int small then
+    Alcotest.failf "100 votes wrote %d bytes, 400 votes %d (%.1fx)" small large
+      (float_of_int large /. float_of_int small)
 
 (* --- BB node and trustee: journal replay equivalence --------------------- *)
 
@@ -356,6 +408,7 @@ let msk_shares () =
 
 let prop_bb_journal_replay =
   QCheck.Test.make ~name:"Bb_node: journal replay = live board" ~count:10
+    ~long_factor:100
     QCheck.(int_range 0 1_000_000)
     (fun n ->
        let rng = Drbg.create ~seed:(Printf.sprintf "bb|%d" n) in
@@ -441,13 +494,13 @@ let () =
             [ prop_truncation; prop_bitflip; prop_garbage_total ]);
       ("store",
        [ Alcotest.test_case "log and read back" `Quick test_store_log_read;
-         Alcotest.test_case "compaction preserves history" `Quick test_store_compaction;
-         Alcotest.test_case "crash mid-compaction" `Quick test_store_crash_mid_compaction;
          Alcotest.test_case "torn tail at every cut" `Quick test_store_torn_tail;
+         Alcotest.test_case "torn-tail restart keeps later records" `Quick
+           test_store_torn_restart;
          Alcotest.test_case "file backend roundtrip" `Quick test_file_device_roundtrip ]);
       ("vc-recovery",
-       List.map QCheck_alcotest.to_alcotest
-         [ prop_vc_snapshot_roundtrip; prop_vc_wal_replay; prop_vc_torn_wal_total ]);
+       Alcotest.test_case "write volume linear in votes" `Quick test_vc_write_volume
+       :: List.map QCheck_alcotest.to_alcotest [ prop_vc_wal_replay; prop_vc_torn_wal_total ]);
       ("bb-trustee-recovery",
        QCheck_alcotest.to_alcotest prop_bb_journal_replay
        :: [ Alcotest.test_case "full pipeline cold restart" `Quick

@@ -292,7 +292,7 @@ let elided_vote_p ~serial ~code =
 
 let durable_state c i =
   match c.backings.(i) with
-  | Some b -> (Mem.durable_log b, Mem.unsynced_log b, Mem.snapshot b)
+  | Some b -> (Mem.durable_log b, Mem.unsynced_log b)
   | None -> Alcotest.fail "cluster is not durable"
 
 (* An elided VOTE_P counts only against a UCERT the node holds for the
@@ -303,12 +303,12 @@ let test_elided_needs_held_ucert () =
   let c = make_cluster ~durable:true () in
   let check_ignored what msg =
     let node = c.nodes.(0) in
-    let count = Vc_node.ballot_count node and snap = Vc_node.snapshot node in
+    let count = Vc_node.ballot_count node and state = Vc_node.observable node in
     let disk = durable_state c 0 in
     c.sent := [];
     Vc_node.handle node msg;
     Alcotest.(check int) (what ^ ": no ballot created") count (Vc_node.ballot_count node);
-    Alcotest.(check string) (what ^ ": state unchanged") snap (Vc_node.snapshot node);
+    Alcotest.(check string) (what ^ ": state unchanged") state (Vc_node.observable node);
     Alcotest.(check bool) (what ^ ": nothing logged") true (disk = durable_state c 0);
     Alcotest.(check (list (triple int int (list int)))) (what ^ ": one pull to the sender")
       [ (0, 3, [ 1 ]) ] (pulls c);
