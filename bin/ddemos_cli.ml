@@ -231,8 +231,9 @@ let deploy_cmd =
       let t0 = Sys.time () in
       let layout = Election_store.resume_setup ?chunk_size devices cfg ~seed in
       let pr name (mf : Segment.manifest) =
-        Printf.printf "  %-12s %7d records %5d chunks  root %s\n" name mf.Segment.total
-          (Segment.n_chunks mf) (String.sub (hex mf.Segment.root) 0 16)
+        Printf.printf "  %-12s %7d records %5d chunks %9d B  root %s\n" name mf.Segment.total
+          (Segment.n_chunks mf) ((devices name).Dd_store.Device.log_size ())
+          (String.sub (hex mf.Segment.root) 0 16)
       in
       Printf.printf "sealed layout (%.2fs cpu):\n" (Sys.time () -. t0);
       pr Election_store.bb_segment layout.Election_store.l_bb;

@@ -342,7 +342,7 @@ let wire_exhaustive ~constructors =
    fixed-window [Curve.mul] / [mul_base_table] paths instead. *)
 let vartime_callees =
   [ "mul_vartime"; "mul2"; "msm"; "msm_pre";
-    "verify_batch"; "verify_batch_find"; "verify_shares_batch"; "inv_vartime" ]
+    "verify_batch"; "verify_batch_find"; "inv_vartime" ]
 
 (* === R6: domain-safe-state ============================================= *)
 

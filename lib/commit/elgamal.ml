@@ -27,11 +27,12 @@ let commit gctx ~msg ~rand =
   { c1 = Group_ctx.mul_g gctx rand;
     c2 = Curve.add (Group_ctx.mul_g gctx msg) (Group_ctx.mul_h gctx rand) }
 
-(* [commit]'s two points as comb jobs, for callers that evaluate many
-   at once with [Curve.mul_base_batch]. *)
-let commit_jobs gctx (o : opening) : Curve.comb_job * Curve.comb_job =
-  let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
-  ([ (g, o.rand) ], [ (g, o.msg); (h, o.rand) ])
+(* [commit]'s two points as comb jobs for a message that is a bit, for
+   callers that evaluate many at once with [Curve.mul_base_batch]: the
+   G term of c2 is a bit term, so c2 runs one comb lane, on H. *)
+let commit_bit_jobs gctx (o : opening) : Curve.comb_job * Curve.comb_job =
+  let g = Group_ctx.g_table gctx in
+  ([ (g, o.rand) ], [ (Curve.bit_table g, o.msg); (Group_ctx.h_table gctx, o.rand) ])
 
 let commit_random gctx rng ~msg =
   let rand = Curve.random_scalar rng in

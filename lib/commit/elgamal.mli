@@ -17,9 +17,11 @@ type opening = {
 (** Commit to [msg] with explicit randomness. *)
 val commit : Group_ctx.t -> msg:Nat.t -> rand:Nat.t -> t
 
-(** The comb jobs of [(c1, c2)] for an opening, [rand*G] and
-    [msg*G + rand*H], to evaluate with {!Curve.mul_base_batch}. *)
-val commit_jobs : Group_ctx.t -> opening -> Curve.comb_job * Curve.comb_job
+(** The comb jobs of [(c1, c2)] for an opening whose message is 0 or 1,
+    [rand*G] and [msg*G + rand*H], to evaluate with
+    {!Curve.mul_base_batch}. [msg*G] is a {!Curve.bit_table} term, so
+    the pair runs two comb lanes, not three. *)
+val commit_bit_jobs : Group_ctx.t -> opening -> Curve.comb_job * Curve.comb_job
 
 (** Commit with fresh randomness drawn from the DRBG. *)
 val commit_random : Group_ctx.t -> Dd_crypto.Drbg.t -> msg:Nat.t -> t * opening

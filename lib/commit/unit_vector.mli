@@ -14,7 +14,7 @@ val commit :
 
 (** The openings {!commit} would draw, in the same DRBG order, without
     computing the commitments (batched set-up computes them with
-    {!Elgamal.commit_jobs}). *)
+    {!Elgamal.commit_bit_jobs}). *)
 val openings : Dd_crypto.Drbg.t -> options:int -> choice:int -> opening
 
 (** k-out-of-m selection: ones exactly at the (distinct) [choices].

@@ -37,10 +37,12 @@ let permutation rng m =
   done;
   perm
 
-let gen_part ~seed ~serial ~part ~m : part_material =
+(* The part's DRBG draws, in order: the shuffle, then per printed
+   option its code, receipt and salt; each placed at its permuted
+   position. *)
+let draw_part ~seed ~serial ~part ~m =
   let rng = part_rng ~seed ~serial ~part in
   let perm = permutation rng m in
-  (* generate per printed option, then place at the permuted position *)
   let codes = Array.make m "" and receipts = Array.make m "" and salts = Array.make m "" in
   for option = 0 to m - 1 do
     let pos = perm.(option) in
@@ -48,17 +50,22 @@ let gen_part ~seed ~serial ~part ~m : part_material =
     receipts.(pos) <- Drbg.bytes rng Types.receipt_bytes;
     salts.(pos) <- Drbg.bytes rng Types.salt_bytes
   done;
+  (perm, codes, receipts, salts)
+
+let gen_part ~seed ~serial ~part ~m : part_material =
+  let perm, codes, receipts, salts = draw_part ~seed ~serial ~part ~m in
   let hashes = Array.mapi (fun i code -> code_hash ~code ~salt:salts.(i)) codes in
   { perm; codes; receipts; salts; hashes }
 
-(* The ballot as printed for the voter: lines in option order. *)
+(* The ballot as printed for the voter: lines in option order. It reads
+   no code hash, so it computes none. *)
 let voter_ballot ~seed ~serial ~m : Types.ballot =
   let part_of p =
-    let mat = gen_part ~seed ~serial ~part:p ~m in
+    let perm, codes, receipts, _ = draw_part ~seed ~serial ~part:p ~m in
     { Types.lines =
         Array.init m (fun option ->
-            let pos = mat.perm.(option) in
-            { Types.vote_code = mat.codes.(pos); Types.receipt = mat.receipts.(pos) }) }
+            let pos = perm.(option) in
+            { Types.vote_code = codes.(pos); Types.receipt = receipts.(pos) }) }
   in
   { Types.serial; Types.part_a = part_of Types.A; Types.part_b = part_of Types.B }
 

@@ -20,7 +20,6 @@ module Elgamal_vss = Dd_vss.Elgamal_vss
 type bb_part_entry = {
   enc_code : string * string;                (* AES-128-CBC$ (iv, ct) of the vote code *)
   commitment : Elgamal.t array;              (* the m option-encoding coordinates *)
-  vss_aux : Elgamal_vss.aux array;           (* per coordinate: aux commitments *)
   zk_first : Ballot_proof.first_move;
 }
 
@@ -115,9 +114,10 @@ let default_setup_chunk = 1024
 (* Everything a (serial, part) draws from its DRBG, drawn in the order
    of the single-pass EA this replaced: the VC share-tag nonces (node by
    node, position by position), then per position the commitment
-   openings, the ballot proof's prover state, the VSS coefficients and
-   the code's IV, then the ZK-state shares and the trustee tag nonces.
-   Nothing here is a curve point: those come from [part_jobs]. *)
+   openings, the ballot proof's prover state, the trustee shares of
+   each opening and the code's IV, then the ZK-state shares and the
+   trustee tag nonces. Nothing here is a curve point: those come from
+   [part_jobs]. *)
 type drawn_part = {
   d_serial : int;
   d_part : Types.part_id;
@@ -126,8 +126,7 @@ type drawn_part = {
   d_vc_nonces : Dd_bignum.Nat.t option array array;      (* node -> pos *)
   d_openings : Elgamal.opening array array;              (* pos -> coordinate *)
   d_states : Ballot_proof.prover_state array;            (* pos *)
-  d_vss : (Elgamal.opening array * Elgamal_vss.share array) array array;
-  (* pos -> coordinate -> (aux coefficient pairs, trustee shares) *)
+  d_shares : Elgamal_vss.share array array array;        (* pos -> coordinate -> trustee *)
   d_ivs : string array;                                  (* pos *)
   d_state_shares : Shamir_bytes.share array;             (* trustee *)
   d_trustee_nonces : Dd_bignum.Nat.t option array;       (* trustee *)
@@ -151,14 +150,11 @@ let draw_part cfg ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
     Array.init m (fun pos ->
         let openings = Unit_vector.openings rng ~options:m ~choice:inv.(pos) in
         let state = Ballot_proof.draw_state rng ~openings in
-        let vss =
-          Array.map
-            (fun o ->
-               Elgamal_vss.deal_coefficients rng ~opening:o ~threshold:ht ~shares:nt)
-            openings
+        let shares =
+          Array.map (fun o -> Elgamal_vss.deal rng ~opening:o ~threshold:ht ~shares:nt) openings
         in
         let iv = Drbg.bytes rng 16 in
-        (openings, state, vss, iv))
+        (openings, state, shares, iv))
   in
   let states = Array.map (fun (_, st, _, _) -> st) per_pos in
   (* share the part's ZK states (all positions, concatenated) *)
@@ -179,40 +175,35 @@ let draw_part cfg ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
     d_vc_nonces = vc_nonces;
     d_openings = Array.map (fun (o, _, _, _) -> o) per_pos;
     d_states = states;
-    d_vss = Array.map (fun (_, _, v, _) -> v) per_pos;
+    d_shares = Array.map (fun (_, _, v, _) -> v) per_pos;
     d_ivs = Array.map (fun (_, _, _, iv) -> iv) per_pos;
     d_state_shares = state_shares;
     d_trustee_nonces = Array.init nt (fun _ -> Auth.draw_nonce ~rng ea_trustee) }
 
 (* The part's curve points as comb jobs, in the order [finish_part]
    takes them back: the VC tag nonce commitments; per position the m
-   commitments (c1, c2), the ballot proof's first move and the aux
-   commitments (c1, c2 per coefficient pair, coordinate by
-   coordinate); the trustee tag nonce commitments. *)
+   commitments (c1, c2) and the ballot proof's first move; the trustee
+   tag nonce commitments. *)
 let part_jobs gctx d =
   let nonce = function
     | Some k -> [ [ (Group_ctx.g_table gctx, k) ] ]
     | None -> []
   in
-  let commit o = let c1, c2 = Elgamal.commit_jobs gctx o in [ c1; c2 ] in
+  let commit o = let c1, c2 = Elgamal.commit_bit_jobs gctx o in [ c1; c2 ] in
   let per_pos pos =
     List.concat_map commit (Array.to_list d.d_openings.(pos))
     @ Array.to_list (Ballot_proof.first_move_jobs gctx d.d_states.(pos) d.d_openings.(pos))
-    @ List.concat_map
-        (fun (coeffs, _) -> List.concat_map commit (Array.to_list coeffs))
-        (Array.to_list d.d_vss.(pos))
   in
   List.concat_map nonce (List.concat_map Array.to_list (Array.to_list d.d_vc_nonces))
   @ List.concat (List.init (Array.length d.d_openings) per_pos)
   @ List.concat_map nonce (Array.to_list d.d_trustee_nonces)
 
 (* Comb jobs per ballot part, as [part_jobs] lists them: one per EA
-   signature, and per position 2m for the commitments, 4m + 2 for the
-   first move and 2 per aux coefficient pair. It only sizes the
-   lockstep groups. *)
+   signature, and per position 2m for the commitments and 4m + 2 for
+   the first move. It sizes the lockstep groups. *)
 let jobs_per_part cfg =
   let m = cfg.Types.m_options in
-  (cfg.Types.nv * m) + cfg.Types.nt + (m * ((2 * m) + (4 * m) + 2 + (2 * m * (cfg.Types.ht - 1))))
+  (cfg.Types.nv * m) + cfg.Types.nt + (m * ((2 * m) + (4 * m) + 2))
 
 (* Assemble one part's records from its evaluated points, taken in
    [part_jobs] order through [next]: the Schnorr challenges are hashed
@@ -235,12 +226,9 @@ let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
           Ballot_proof.first_move_of_points
             (Array.init ((4 * m) + 2) (fun _ -> next ()))
         in
-        let vss_aux =
-          Array.map (fun (coeffs, _) -> Array.map next_commitment coeffs) d.d_vss.(pos)
-        in
         let iv = d.d_ivs.(pos) in
         let ct = Dd_crypto.Aes128.cbc_encrypt ~key:msk ~iv mat.Ballot_gen.codes.(pos) in
-        { enc_code = (iv, ct); commitment; vss_aux; zk_first })
+        { enc_code = (iv, ct); commitment; zk_first })
   in
   let trustee_nonces = Array.map with_point d.d_trustee_nonces in
   (* VC validation lines with EA-signed receipt shares *)
@@ -260,7 +248,7 @@ let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
     Array.mapi
       (fun trustee nonce ->
          let share = d.d_state_shares.(trustee) in
-         { t_shares = Array.map (Array.map (fun (_, shares) -> shares.(trustee))) d.d_vss;
+         { t_shares = Array.map (Array.map (fun shares -> shares.(trustee))) d.d_shares;
            t_zk_state_share = share;
            t_zk_state_tag =
              Auth.sign_prepared ea_trustee ~nonce

@@ -14,11 +14,10 @@ module Ballot_proof = Dd_zkp.Ballot_proof
 
 (** One BB entry (a ballot-part position, in permuted order): the
     AES-128-CBC$-encrypted vote code, the m option-encoding commitment
-    coordinates, their VSS aux commitments, and the ZK first move. *)
+    coordinates, and the ZK first move. *)
 type bb_part_entry = {
   enc_code : string * string;  (** (iv, ciphertext) under msk *)
   commitment : Elgamal.t array;
-  vss_aux : Elgamal_vss.aux array;
   zk_first : Ballot_proof.first_move;
 }
 
@@ -98,6 +97,26 @@ type chunk = {
   ck_trustee : trustee_part_data array array array;  (* lint: secret *)
       (** trustee -> serial-in-chunk -> part *)
 }
+
+(** One ballot part's scalars, drawn by {!draw_part} from the part's own
+    DRBG: everything {!setup_chunks} needs for the part except its
+    curve points. *)
+type drawn_part
+
+(* lint: secret *)
+val draw_part :
+  Types.config -> seed:string -> ea_vc:Auth.keys -> ea_trustee:Auth.keys ->
+  Dd_crypto.Drbg.t -> serial:int -> part:Types.part_id -> drawn_part
+
+(** The part's curve points as {!Dd_group.Curve.mul_base_batch} jobs:
+    the EA's Schnorr nonce commitments, and per position the m
+    commitments and the ballot proof's first move. *)
+val part_jobs : Dd_group.Group_ctx.t -> drawn_part -> Dd_group.Curve.comb_job list
+
+(** [List.length (part_jobs gctx d)] for every part under the
+    configuration: [nv m + nt + m (6m + 2)]. It sizes the lockstep
+    groups of {!setup_chunks}. *)
+val jobs_per_part : Types.config -> int
 
 (** Chunk size used when the caller does not pick one. *)
 val default_setup_chunk : int

@@ -32,10 +32,6 @@ let encode_bb_ballot (bb : Ea.bb_ballot) =
           Wire.put_bytes w iv;
           Wire.put_bytes w ct;
           Wire.put_array w put_elgamal e.Ea.commitment;
-          Wire.put_array w
-            (fun w (aux : Dd_vss.Elgamal_vss.aux) ->
-              Wire.put_array w put_elgamal aux)
-            e.Ea.vss_aux;
           Wire.put_bytes w (Ballot_proof.encode_first_move e.Ea.zk_first))
         entries)
     bb.Ea.bb_parts;
@@ -50,13 +46,10 @@ let decode_bb_ballot s =
                 let iv = Wire.get_bytes r in
                 let ct = Wire.get_bytes r in
                 let commitment = Wire.get_array r get_elgamal in
-                let vss_aux =
-                  Wire.get_array r (fun r -> Wire.get_array r get_elgamal)
-                in
                 let zk_first =
                   need (Ballot_proof.decode_first_move (Wire.get_bytes r))
                 in
-                { Ea.enc_code = (iv, ct); commitment; vss_aux; zk_first }))
+                { Ea.enc_code = (iv, ct); commitment; zk_first }))
       in
       { Ea.bb_serial; bb_parts })
 

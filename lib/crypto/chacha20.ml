@@ -3,32 +3,28 @@
    reproduction (a deterministic generator keeps every test and
    simulation replayable). *)
 
-let rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
+(* Words are native ints holding 32-bit values, so no word is boxed. *)
+let mask = 0xffffffff
+let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
 let quarter st a b c d =
-  st.(a) <- st.(a) +% st.(b); st.(d) <- rotl (st.(d) ^% st.(a)) 16;
-  st.(c) <- st.(c) +% st.(d); st.(b) <- rotl (st.(b) ^% st.(c)) 12;
-  st.(a) <- st.(a) +% st.(b); st.(d) <- rotl (st.(d) ^% st.(a)) 8;
-  st.(c) <- st.(c) +% st.(d); st.(b) <- rotl (st.(b) ^% st.(c)) 7
+  st.(a) <- (st.(a) + st.(b)) land mask; st.(d) <- rotl (st.(d) lxor st.(a)) 16;
+  st.(c) <- (st.(c) + st.(d)) land mask; st.(b) <- rotl (st.(b) lxor st.(c)) 12;
+  st.(a) <- (st.(a) + st.(b)) land mask; st.(d) <- rotl (st.(d) lxor st.(a)) 8;
+  st.(c) <- (st.(c) + st.(d)) land mask; st.(b) <- rotl (st.(b) lxor st.(c)) 7
 
-let word32_le s off =
-  let b i = Int32.of_int (Char.code s.[off + i]) in
-  Int32.logor (b 0)
-    (Int32.logor (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
+let word32_le s off = Int32.to_int (String.get_int32_le s off) land mask
 
 (* [block ~key ~nonce counter] is the 64-byte keystream block.
    [key] is 32 bytes, [nonce] 12 bytes. *)
 let block ~key ~nonce counter =
   if String.length key <> 32 then invalid_arg "Chacha20.block: key must be 32 bytes";
   if String.length nonce <> 12 then invalid_arg "Chacha20.block: nonce must be 12 bytes";
-  let st = Array.make 16 0l in
-  st.(0) <- 0x61707865l; st.(1) <- 0x3320646el;
-  st.(2) <- 0x79622d32l; st.(3) <- 0x6b206574l;
+  let st = Array.make 16 0 in
+  st.(0) <- 0x61707865; st.(1) <- 0x3320646e;
+  st.(2) <- 0x79622d32; st.(3) <- 0x6b206574;
   for i = 0 to 7 do st.(4 + i) <- word32_le key (4 * i) done;
-  st.(12) <- Int32.of_int counter;
+  st.(12) <- counter land mask;
   for i = 0 to 2 do st.(13 + i) <- word32_le nonce (4 * i) done;
   let work = Array.copy st in
   for _ = 1 to 10 do
@@ -39,10 +35,6 @@ let block ~key ~nonce counter =
   done;
   let out = Bytes.create 64 in
   for i = 0 to 15 do
-    let v = work.(i) +% st.(i) in
-    Bytes.set out (4*i) (Char.chr (Int32.to_int v land 0xff));
-    Bytes.set out (4*i+1) (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-    Bytes.set out (4*i+2) (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-    Bytes.set out (4*i+3) (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff))
+    Bytes.set_int32_le out (4 * i) (Int32.of_int (work.(i) + st.(i)))
   done;
   Bytes.unsafe_to_string out

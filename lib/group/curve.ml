@@ -500,7 +500,7 @@ type base_table = {
   (* row i holds (2j+1) * 2^(w*i) * B for each j: x at 10 j and y at
      10 j + 5, packed by [Fe.pack]; no rows iff B is the identity *)
   offset : Nat.t;          (* 2^(wW) - 1 mod n *)
-  half : Nat.t;            (* 1/2 mod n *)
+  bit : bool;              (* a {!mul_base_batch} term's scalar is 0 or 1 *)
 }
 
 (* Affine additions P_i + Q_i with slopes num.(i) / den.(i), every den
@@ -625,8 +625,7 @@ let make_base_table ~width pt =
   let offset =
     Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
   in
-  let half = Nat.shift_right (Nat.add order Nat.one) 1 in
-  if is_infinity pt then { width; entries = [||]; offset; half }
+  if is_infinity pt then { width; entries = [||]; offset; bit = false }
   else begin
     let s = scratch () in
     let bases = Array.init rows (fun _ -> jac ()) in
@@ -659,7 +658,7 @@ let make_base_table ~width pt =
       if 2 * c0 < h then tangent_step dx dy;
       c := 2 * c0
     done;
-    { width; entries; offset; half }
+    { width; entries; offset; bit = false }
   end
 
 let base_table_rows (table : base_table) =
@@ -678,7 +677,10 @@ let base_table_rows (table : base_table) =
    rather than an array of its digits. *)
 let comb_digits (table : base_table) k =
   let fn = scalar_field in
-  let d = Modular.mul fn (Modular.add fn (Modular.reduce fn k) table.offset) table.half in
+  (* s = k + 2^(wW) - 1 mod n; halving mod n adds n to an odd s first *)
+  let s = Modular.add fn (Modular.reduce fn k) table.offset in
+  let odd = Nat.of_int (Bool.to_int (Nat.is_odd s)) in
+  let d = Nat.shift_right (Nat.add s (Nat.mul odd order)) 1 in
   Nat.to_bytes_be ~len:(((table.width * Array.length table.entries) + 7) / 8) d
 
 (* Digit b_i: w <= 10 bits at offset w*i span at most three bytes. *)
@@ -751,40 +753,44 @@ type comb_job = (base_table * Nat.t) list
 
 let batch_group = 1024
 
-(* One lockstep group: a lane per (job, term) walks its table's rows in
-   affine coordinates, every lane of a row count together, so each row
-   costs one inversion shared by the whole group. Rows 1 .. W-2 are
-   chords, safe by the recoding argument above; row W-1 is a complete
-   step. The terms of a multi-term job then merge with complete steps,
-   one round per extra term. Lane values are Fe elements allocated once
-   per group and overwritten in place. *)
+let bit_table (table : base_table) = { table with bit = true }
+
+let comb_lanes (job : comb_job) =
+  List.length (List.filter (fun ((table : base_table), _) -> not table.bit) job)
+
+(* One lockstep group: a lane per comb term (a term not on a bit table)
+   walks its table's rows in affine coordinates, every lane of a row
+   count together, so each row costs one inversion shared by the whole
+   group. Rows 1 .. W-2 are chords, safe by the recoding argument above;
+   row W-1 is a complete step. A bit term b * B runs no rows: it enters
+   the merge as B itself, flagged as the identity when b = 0. The terms
+   of a multi-term job then merge with complete steps, one round per
+   extra term, which run the same field operations whatever the flags.
+   Lane values are Fe elements allocated once per group and overwritten
+   in place. *)
 let lockstep_group (jobs : comb_job array) lo hi out =
-  let lanes =
+  let terms =
     Array.of_list
       (List.concat
          (List.init (hi - lo) (fun q ->
               List.map (fun (table, k) -> (q, table, k)) jobs.(lo + q))))
   in
-  let nl = Array.length lanes in
-  (* every slot is replaced below, by a lane's accumulator or a fresh
-     identity for a table without rows *)
+  let nl = Array.length terms in
+  (* every slot is replaced below: by a comb lane's accumulator, a bit
+     term's base, or a fresh identity for a table without rows *)
   let rx = Array.make nl [||] and ry = Array.make nl [||] in
   let rinf = Array.make nl true in
-  let row_counts =
-    List.sort_uniq Int.compare
-      (Array.to_list (Array.map (fun (_, table, _) -> Array.length table.entries) lanes))
+  let rows_of l = let _, table, _ = terms.(l) in Array.length table.entries in
+  let lanes =
+    List.filter (fun l -> let _, table, _ = terms.(l) in not table.bit) (List.init nl Fun.id)
   in
   List.iter
     (fun rows ->
-       let idx =
-         List.filter (fun l -> let _, table, _ = lanes.(l) in Array.length table.entries = rows)
-           (List.init nl Fun.id)
-         |> Array.of_list
-       in
+       let idx = Array.of_list (List.filter (fun l -> rows_of l = rows) lanes) in
        if rows > 0 then begin
          let na = Array.length idx in
-         let tables = Array.map (fun l -> let _, table, _ = lanes.(l) in table) idx in
-         let digits = Array.map (fun l -> let _, table, k = lanes.(l) in comb_digits table k) idx in
+         let tables = Array.map (fun l -> let _, table, _ = terms.(l) in table) idx in
+         let digits = Array.map (fun l -> let _, table, k = terms.(l) in comb_digits table k) idx in
          let tmp = Fe.make () in
          let ex i a x = comb_x tables.(a) i (comb_digit tables.(a) digits.(a) i) x in
          let ey i a y = comb_y tables.(a) i (comb_digit tables.(a) digits.(a) i) y tmp in
@@ -799,13 +805,28 @@ let lockstep_group (jobs : comb_job array) lo hi out =
          Array.iteri (fun a l -> rx.(l) <- cx.(a); ry.(l) <- cy.(a); rinf.(l) <- ainf.(a)) idx
        end
        else Array.iter (fun l -> rx.(l) <- Fe.make (); ry.(l) <- Fe.make ()) idx)
-    row_counts;
-  (* merge: job q's terms are the consecutive lanes first.(q) .. *)
+    (List.sort_uniq Int.compare (List.map rows_of lanes));
+  Array.iteri
+    (fun l (_, (table : base_table), k) ->
+       if table.bit then begin
+         if Nat.compare k Nat.one > 0 then invalid_arg "Curve.mul_base_batch: bit term above 1";
+         let x = Fe.make () and y = Fe.make () in
+         (* entry 0 of row 0 is 1 * B *)
+         if Array.length table.entries > 0 then begin
+           Fe.unpack table.entries.(0) 0 x;
+           Fe.unpack table.entries.(0) 5 y
+         end;
+         rx.(l) <- x;
+         ry.(l) <- y;
+         rinf.(l) <- Array.length table.entries = 0 || not (Nat.is_odd k)
+       end)
+    terms;
+  (* merge: job q's terms are the consecutive slots first.(q) .. *)
   let n = hi - lo in
   let first = Array.make n 0 and nterms = Array.make n 0 in
   Array.iteri
     (fun l (q, _, _) -> if nterms.(q) = 0 then first.(q) <- l; nterms.(q) <- nterms.(q) + 1)
-    lanes;
+    terms;
   let lead r = Array.init n (fun q -> if nterms.(q) = 0 then Fe.make () else r.(first.(q))) in
   let jx = lead rx and jy = lead ry in
   let jinf = Array.init n (fun q -> nterms.(q) = 0 || rinf.(first.(q))) in

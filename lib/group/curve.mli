@@ -14,7 +14,7 @@
 
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,
-    ElGamal-opening VSS, and Schnorr signatures.
+    ElGamal-opening shares, and Schnorr signatures.
 
     {2 Timing contract}
 
@@ -55,7 +55,7 @@
       count and branching depend on the scalar's value. Never pass
       them a secret. The randomized batch verifiers built on {!msm}
       ([Schnorr.verify_batch], [Chaum_pedersen.verify_batch], the
-      commitment/VSS batch openings) inherit this rule: batch
+      commitment batch openings) inherit this rule: batch
       verification is for public transcripts only. *)
 
 module Nat = Dd_bignum.Nat
@@ -158,16 +158,29 @@ type comb_job = (base_table * Nat.t) list
     in [ceil (n / batch_group)] groups of near-equal size. *)
 val batch_group : int
 
+(** [bit_table tbl] is [tbl] for terms whose scalar is a bit: in a
+    {!mul_base_batch} job, a term [(bit_table tbl, b)] with [b] 0 or 1
+    runs no comb lane. Its base joins the job's sum through the
+    complete-addition merge, flagged as the identity when [b = 0], so
+    the field operations are the same for either bit. Raises
+    [Invalid_argument] from {!mul_base_batch} if [b > 1]. Elsewhere
+    ({!mul_base_table}, {!mul2}) it is [tbl]. *)
+val bit_table : base_table -> base_table
+
+(** The comb lanes a job runs in {!mul_base_batch}: its terms that are
+    not on a {!bit_table}. *)
+val comb_lanes : comb_job -> int
+
 (** [mul_base_batch jobs] evaluates every job, each result affine
     (Z = 1) or the identity. Jobs run in lockstep groups of about
-    {!batch_group}: per row, every term of every job in the group adds
-    its table entry in affine coordinates, on {!Dd_bignum.Fe} values
+    {!batch_group}: per row, every comb term of every job in the group
+    adds its table entry in affine coordinates, on {!Dd_bignum.Fe} values
     held per lane and overwritten in place, and the whole group shares
     one field inversion, so a multiplication costs about six field
     multiplications per row and no per-point inversion. A group of a
     few jobs pays one inversion per row, slower than {!mul_base_table};
-    batch hundreds. Safe for secret scalars, under the same contract as
-    {!mul_base_table}. *)
+    batch hundreds. A {!bit_table} term runs no rows. Safe for secret
+    scalars, under the same contract as {!mul_base_table}. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
 val mul_base_batch : comb_job array -> point array
 

@@ -1,8 +1,9 @@
-(** Verifiable secret sharing of lifted-ElGamal commitment openings:
-    shares verify against the public commitment itself (constant term)
-    plus published auxiliary coefficient commitments, and shares add
-    homomorphically. The trustees' sharing of
-    option-encoding openings. *)
+(** Threshold sharing of lifted-ElGamal commitment openings: the
+    trustees' shares of the option-encoding openings. No share is
+    checked on its own. The board's reconstruct-and-check verifies
+    trustee shares: [threshold] of them reconstruct an opening, and the
+    opening must open the public commitment. Shares add
+    homomorphically, so a sum of shares opens a sum of commitments. *)
 
 module Nat = Dd_bignum.Nat
 module Elgamal = Dd_commit.Elgamal
@@ -13,33 +14,13 @@ type share = {
   rand : Nat.t;
 }
 
-type aux = Elgamal.t array
-
+(** [deal rng ~opening ~threshold ~shares] splits both scalars of
+    [opening] with degree-[threshold - 1] polynomials (the message's
+    coefficients drawn first) and returns the shares at
+    [x = 1 .. shares]. *)
 (* lint: secret *)
 val deal :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> opening:Elgamal.opening ->
-  threshold:int -> shares:int -> aux * share array
-
-(** {!deal} without the aux commitments: the coefficient pairs
-    [(m_j, r_j)], [j = 1 .. threshold-1], as openings whose commitments
-    ({!Elgamal.commit_jobs}) form the aux vector, and the shares. Draws
-    exactly what {!deal} draws. *)
-(* lint: secret *)
-val deal_coefficients :
-  Dd_crypto.Drbg.t -> opening:Elgamal.opening -> threshold:int -> shares:int ->
-  Elgamal.opening array * share array
-
-(** Verify a share against the shared commitment and its aux vector. *)
-val verify_share :
-  Dd_group.Group_ctx.t -> commitment:Elgamal.t -> aux:aux -> share -> bool
-
-(** Verify many (commitment, aux, share) triples with one multi-scalar
-    multiplication under random 128-bit weights; accepts a batch
-    containing a bad share with probability at most 2^-128.
-    {b Variable time} — public data only. *)
-val verify_shares_batch :
-  ?pool:Dd_parallel.Pool.t ->
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> (Elgamal.t * aux * share) array -> bool
+  Dd_crypto.Drbg.t -> opening:Elgamal.opening -> threshold:int -> shares:int -> share array
 
 val reconstruct : threshold:int -> share list -> Elgamal.opening
 

@@ -26,10 +26,9 @@ let split fn rng ~secret ~threshold ~shares =
   let coeffs =
     Array.init threshold (fun i -> if i = 0 then Modular.reduce fn secret else random_coeff ())
   in
-  (coeffs,
-   Array.init shares (fun i ->
-       let x = i + 1 in
-       { x; value = poly_eval fn coeffs (Nat.of_int x) }))
+  Array.init shares (fun i ->
+      let x = i + 1 in
+      { x; value = poly_eval fn coeffs (Nat.of_int x) })
 
 (* Lagrange coefficients at 0 for the given x-coordinates. The
    x-coordinates are public trustee indices, so the variable-time

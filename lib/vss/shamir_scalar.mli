@@ -10,12 +10,13 @@ type share = {
   value : Nat.t;
 }
 
-(** [split fn rng ~secret ~threshold ~shares] returns the polynomial
-    coefficients (constant term = the reduced secret, needed by
-    {!Elgamal_vss} on top) and the shares at [x = 1..shares]. *)
+(** [split fn rng ~secret ~threshold ~shares] draws the
+    [threshold - 1] random coefficients of a polynomial whose constant
+    term is the reduced secret and returns its shares at
+    [x = 1..shares]. *)
 val split :
   Modular.ctx -> Dd_crypto.Drbg.t -> secret:Nat.t -> threshold:int -> shares:int ->
-  Nat.t array * share array
+  share array
 
 (** Exactly [threshold] shares with distinct positive [x]. *)
 val reconstruct : Modular.ctx -> threshold:int -> share list -> Nat.t

@@ -159,6 +159,57 @@ let prop_homomorphic =
        let c2, o2 = Elgamal.commit_random gctx rng ~msg:b in
        Elgamal.verify gctx (Elgamal.add c1 c2) (Elgamal.add_opening o1 o2))
 
+(* Bit-term commitment jobs ([Elgamal.commit_bit_jobs]: c2 = b*G + r*H
+   as one H comb lane and a masked merge of G) in one lockstep group
+   with ordinary one- and two-lane jobs: every commitment's bytes equal
+   [Elgamal.commit]'s, for b in {0, 1} and edge or random r. *)
+let edge_rands =
+  let n = Dd_group.Curve.order in
+  [| Nat.zero; Nat.one; Nat.two; Nat.sub n Nat.one; Nat.sub n Nat.two |]
+
+let prop_bit_jobs_match_commit =
+  QCheck.Test.make ~name:"bit-term commitment jobs = commit" ~count:20
+    QCheck.(list_of_size (Gen.int_range 1 6) (pair bool (int_range 0 9)))
+    (fun specs ->
+       let rng =
+         Drbg.create
+           ~seed:(String.concat "," (List.map (fun (b, e) -> Printf.sprintf "%b%d" b e) specs))
+       in
+       let openings =
+         List.map
+           (fun (b, e) ->
+              { Elgamal.msg = (if b then Nat.one else Nat.zero);
+                rand =
+                  (if e < Array.length edge_rands then edge_rands.(e)
+                   else Dd_group.Curve.random_scalar rng) })
+           specs
+       in
+       let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
+       let jobs =
+         List.concat_map
+           (fun (o : Elgamal.opening) ->
+              let c1, c2 = Elgamal.commit_bit_jobs gctx o in
+              [ c1; c2; [ (g, o.rand); (h, Nat.two) ] ])
+           openings
+       in
+       let pts = Dd_group.Curve.mul_base_batch (Array.of_list jobs) in
+       List.for_all Fun.id
+         (List.mapi
+            (fun i (o : Elgamal.opening) ->
+               let want = Elgamal.commit gctx ~msg:o.msg ~rand:o.rand in
+               let filler =
+                 Dd_group.Curve.add (Group_ctx.mul_g gctx o.rand) (Group_ctx.mul_h gctx Nat.two)
+               in
+               String.equal (Elgamal.encode want)
+                 (Elgamal.encode (Elgamal.make ~c1:pts.(3 * i) ~c2:pts.((3 * i) + 1)))
+               && Dd_group.Curve.equal filler pts.((3 * i) + 2))
+            openings))
+
+let test_bit_jobs_reject_non_bit () =
+  let c1, c2 = Elgamal.commit_bit_jobs gctx { Elgamal.msg = Nat.two; rand = Nat.one } in
+  Alcotest.check_raises "msg 2" (Invalid_argument "Curve.mul_base_batch: bit term above 1")
+    (fun () -> ignore (Dd_group.Curve.mul_base_batch [| c1; c2 |]))
+
 let prop_unit_vector_sum_counts =
   QCheck.Test.make ~name:"unit-vector tally counts" ~count:10
     QCheck.(list_of_size (QCheck.Gen.int_range 1 8) (int_range 0 2))
@@ -186,7 +237,9 @@ let () =
          Alcotest.test_case "length mismatch" `Quick test_unit_vector_length_mismatch ]);
       ("batch",
        [ Alcotest.test_case "elgamal openings" `Quick test_elgamal_batch;
-         Alcotest.test_case "unit vectors" `Quick test_unit_vector_batch ]);
+         Alcotest.test_case "unit vectors" `Quick test_unit_vector_batch;
+         Alcotest.test_case "bit jobs reject a non-bit" `Quick test_bit_jobs_reject_non_bit ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_commit_verify; prop_homomorphic; prop_unit_vector_sum_counts ]) ]
+         [ prop_commit_verify; prop_homomorphic; prop_bit_jobs_match_commit;
+           prop_unit_vector_sum_counts ]) ]

@@ -246,10 +246,9 @@ let test_ea_encrypted_codes_decrypt () =
          (Dd_crypto.Aes128.cbc_decrypt ~key:msk ~iv ct))
     entries
 
-(* Every curve point a streamed chunk carries (commitments, aux
-   commitments, ZK first moves, signature nonce commitments) comes out
-   of the lockstep batch affine, so the segment encoder inverts
-   nothing. *)
+(* Every curve point a streamed chunk carries (commitments, ZK first
+   moves, signature nonce commitments) comes out of the lockstep batch
+   affine, so the segment encoder inverts nothing. *)
 let test_ea_chunk_points_affine () =
   let points = ref 0 in
   let check what p =
@@ -268,7 +267,6 @@ let test_ea_chunk_points_affine () =
              Array.iter
                (Array.iter (fun (e : Ea.bb_part_entry) ->
                     Array.iter (elgamal "commitment") e.Ea.commitment;
-                    Array.iter (Array.iter (elgamal "aux")) e.Ea.vss_aux;
                     Array.iter (check "zk first move")
                       (Dd_zkp.Ballot_proof.first_move_points e.Ea.zk_first)))
                b.Ea.bb_parts)
@@ -284,13 +282,32 @@ let test_ea_chunk_points_affine () =
                tag "zk state tag" d.Ea.t_zk_state_tag)))
           ck.Ea.ck_trustee)
   in
-  (* per part: m (2m + 4m + 2 + 2m(ht - 1)) points and nv m + nt tags *)
+  (* per part: m (2m + 4m + 2) points and nv m + nt tags *)
   let m = cfg.Types.m_options in
-  let per_part =
-    (m * ((2 * m) + (4 * m) + 2 + (2 * m * (cfg.Types.ht - 1))))
-    + (cfg.Types.nv * m) + cfg.Types.nt
-  in
+  let per_part = (m * ((2 * m) + (4 * m) + 2)) + (cfg.Types.nv * m) + cfg.Types.nt in
   Alcotest.(check int) "points checked" (2 * cfg.Types.n_voters * per_part) !points
+
+(* The comb work of one ballot part, counted exactly at election-day's
+   shape (m = 3, nv = 4, nt = 3, ht = 2): 12 + 3 Schnorr nonce
+   commitments, and per position 6 commitment points and 14 first-move
+   points. Each commitment's c2 = b*G + r*H runs one comb lane, on H;
+   each simulated OR branch's t2 runs two: 75 jobs, 84 lanes. *)
+let test_ea_part_comb_counts () =
+  let keys seed n = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed ~n in
+  let ea_vc = (keys "vc-counts" (cfg.Types.nv + 1)).(cfg.Types.nv) in
+  let ea_trustee = (keys "trustee-counts" (cfg.Types.nt + 1)).(cfg.Types.nt) in
+  List.iter
+    (fun part ->
+       let d =
+         Ea.draw_part cfg ~seed:"counts" ~ea_vc ~ea_trustee
+           (Dd_crypto.Drbg.create ~seed:"counts") ~serial:0 ~part
+       in
+       let jobs = Ea.part_jobs gctx d in
+       Alcotest.(check int) "jobs" 75 (List.length jobs);
+       Alcotest.(check int) "jobs_per_part = part_jobs" (List.length jobs) (Ea.jobs_per_part cfg);
+       Alcotest.(check int) "comb lanes" 84
+         (List.fold_left (fun n j -> n + Dd_group.Curve.comb_lanes j) 0 jobs))
+    [ Types.A; Types.B ]
 
 let test_ea_rejects_bad_config () =
   Alcotest.check_raises "bad config" (Invalid_argument "Ea.setup: need Nv >= 3 fv + 1")
@@ -353,7 +370,8 @@ let () =
          Alcotest.test_case "commitments match ballots" `Quick test_ea_commitments_match_printed_options;
          Alcotest.test_case "encrypted codes" `Quick test_ea_encrypted_codes_decrypt;
          Alcotest.test_case "config check" `Quick test_ea_rejects_bad_config;
-         Alcotest.test_case "chunk points affine" `Quick test_ea_chunk_points_affine ]);
+         Alcotest.test_case "chunk points affine" `Quick test_ea_chunk_points_affine;
+         Alcotest.test_case "part comb counts" `Quick test_ea_part_comb_counts ]);
       ("liveness",
        [ Alcotest.test_case "Twait formula" `Quick test_twait_formula;
          Alcotest.test_case "Table I monotone" `Quick test_table1_monotone;
