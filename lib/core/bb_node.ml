@@ -71,22 +71,6 @@ type t = {
   mutable journal : Dd_store.Device.t option;
 }
 
-let create_bare ~board ~cfg ~gctx ~init ~me () =
-  { me; cfg; gctx; init; board;
-    vote_sets = []; msk_shares = [];
-    posts = { openings = Hashtbl.create 64; tally_shares = []; zk_posts = Hashtbl.create 64 };
-    pub =
-      { final_set = None; msk = None; opened_codes = None;
-        unused_openings = Hashtbl.create 64; zk_finals = Hashtbl.create 64;
-        encrypted_tally = None; tally = None };
-    on_final_set = []; on_tally = [];
-    journal = None }
-
-let create ?durable ~board ~cfg ~gctx ~init ~me () =
-  let t = create_bare ~board ~cfg ~gctx ~init ~me () in
-  t.journal <- durable;
-  t
-
 (* Journal an accepted write before its effects become observable; the
    journal is absent during replay, so recovery never re-logs. *)
 let journal_input t msg =
@@ -351,22 +335,32 @@ let handle t (msg : Messages.bb_msg) =
     on_vote_set_submit t ~sender ~set ~msk_share
   | Messages.Trustee_post { trustee; payload } -> on_trustee_post t ~trustee payload
 
-(* --- durability --------------------------------------------------------- *)
+(* --- the one constructor ---------------------------------------------- *)
 
-(* Cold restart: replay the journaled writes through the live handlers
-   (deterministic, no sends) with no subscribers attached yet, then
-   re-attach the journal so new writes append after the replayed ones. *)
-let recover ?durable ~board ~cfg ~gctx ~init ~me () =
-  let t = create_bare ~board ~cfg ~gctx ~init ~me () in
-  (match durable with
-   | None -> ()
-   | Some device ->
-     List.iter
-       (fun payload ->
-          match Messages.decode_bb_msg payload with
-          | Some msg -> handle t msg
-          | None -> ()   (* framed but undecodable: skip, never crash *))
-       (Wal.open_log device));
+(* Replay the device's journaled writes through the live handlers
+   (deterministic, no sends) with no subscribers attached yet and no
+   journal, then attach the journal so new writes append after the
+   replayed ones. An empty or absent device gives a fresh board. *)
+let create ?durable ~board ~cfg ~gctx ~init ~me () =
+  let t =
+    { me; cfg; gctx; init; board;
+      vote_sets = []; msk_shares = [];
+      posts = { openings = Hashtbl.create 64; tally_shares = []; zk_posts = Hashtbl.create 64 };
+      pub =
+        { final_set = None; msk = None; opened_codes = None;
+          unused_openings = Hashtbl.create 64; zk_finals = Hashtbl.create 64;
+          encrypted_tally = None; tally = None };
+      on_final_set = []; on_tally = [];
+      journal = None }
+  in
+  Option.iter
+    (fun device ->
+       List.iter
+         (fun payload ->
+            (* framed but undecodable: skip, never crash *)
+            Option.iter (handle t) (Messages.decode_bb_msg payload))
+         (Wal.open_log device))
+    durable;
   t.journal <- durable;
   t
 

@@ -37,17 +37,11 @@ type t
     commitment from [init].
 
     With [?durable], every accepted write is appended to an input
-    journal on the device before its effects become observable — the
-    board is event-sourced, so {!recover} rebuilds it by replay. *)
+    journal on the device before its effects become observable. The
+    board is event-sourced: the node first replays the device's journal
+    through the handlers (with no subscribers attached), so an empty
+    device gives a fresh board and a written one a cold restart. *)
 val create :
-  ?durable:Dd_store.Device.t -> board:Board.t ->
-  cfg:Types.config -> gctx:Dd_group.Group_ctx.t -> init:Ea.bb_init -> me:int ->
-  unit -> t
-
-(** Cold restart from the device's journal: replays the accepted writes
-    through the handlers (with no subscribers attached), then resumes
-    journaling. Equivalent to {!create} without a device. *)
-val recover :
   ?durable:Dd_store.Device.t -> board:Board.t ->
   cfg:Types.config -> gctx:Dd_group.Group_ctx.t -> init:Ea.bb_init -> me:int ->
   unit -> t

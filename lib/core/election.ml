@@ -254,17 +254,9 @@ let run (p : params) : result =
 
   (* --- BB nodes (full mode) or a light model --- *)
   (* slot array rather than captured objects: a cold restart swaps the
-     slot, and every delivery path reads it at delivery time *)
+     slot, and every delivery path reads it at delivery time; full-mode
+     boards boot into it below, once their watchers exist *)
   let bb_arr : Bb_node.t option array = Array.make cfg.Types.nb None in
-  (match src.Node_source.sv_bb with
-   | Some (init, board_for) ->
-     for j = 0 to cfg.Types.nb - 1 do
-       bb_arr.(j) <-
-         Some
-           (Bb_node.create ?durable:(device_of bb_backing.(j))
-              ~board:(board_for j) ~cfg ~gctx ~init ~me:j ())
-     done
-   | None -> ());
   let live_bbs () = Array.to_list bb_arr |> List.filter_map Fun.id in
   (* modeled BB state: collect sets per BB node *)
   let model_sets : (int, (int * (int * string) list) list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -372,13 +364,35 @@ let run (p : params) : result =
     Bb_node.subscribe_tally bb
       (fun _ -> if phases.t_published = 0. then phases.t_published <- Net.now net)
   in
+  (* Boot (or cold-restart) board [j] from its device. *)
+  let boot_bb j =
+    match src.Node_source.sv_bb with
+    | None -> ()
+    | Some (init, board_for) ->
+      let bb =
+        (* lint: allow secret-taint — salt_msk is part of the BB node's own durable at-rest state, not a network message *)
+        Bb_node.create ?durable:(device_of bb_backing.(j))
+          ~board:(board_for j) ~cfg ~gctx ~init ~me:j ()
+      in
+      bb_arr.(j) <- Some bb;
+      watch_bb j bb;
+      (* journal replay ran subscriber-free: fire catch-up
+         notifications for anything published before a crash *)
+      let pub = Bb_node.published bb in
+      if pub.Bb_node.final_set <> None then count_final j; (* lint: allow secret-taint — option presence check, no secret bytes compared *)
+      if pub.Bb_node.tally <> None && phases.t_published = 0. then (* lint: allow secret-taint — option presence check, no secret bytes compared *)
+        phases.t_published <- Net.now net
+  in
+  for j = 0 to cfg.Types.nb - 1 do
+    boot_bb j
+  done;
 
   (* --- VC node environments --- *)
   (* [gen] counts cold restarts: a recovered node's rng must diverge
      from its first life's (the crash consumed an unknown prefix), but
      generation 0 keeps the historical seed string so existing
      deterministic traces are unchanged *)
-  let make_vc_env ?(gen = 0) i : Vc_node.env =
+  let make_vc_env ~gen i : Vc_node.env =
     let send_vc ~dst msg =
       let msg =
         match adversaries.(i) with
@@ -490,7 +504,6 @@ let run (p : params) : result =
       keys = src.Node_source.sv_keys.(i);
       store = src.Node_source.sv_store_for i;
       now = (fun () -> Net.now net);
-      election_start = 0.;
       election_end = (fun () -> !election_end);
       send_vc;
       reply;
@@ -505,26 +518,75 @@ let run (p : params) : result =
       verify_tag = None;
       durable = device_of vc_backing.(i) }
   in
-  for i = 0 to cfg.Types.nv - 1 do
-    let env = make_vc_env i in
-    vc_nodes.(i) <- Some (Vc_node.create env);
-    match byz i with
-    | None -> ()
-    | Some behavior ->
-      (* the adversary shares the node's store and keys (a Byzantine
-         insider holds genuine credentials) and sends through the same
-         transform-aware path *)
-      adversaries.(i) <-
-        Some
-          (Adversary.create ~behavior ~me:i ~cfg ~keys:env.Vc_node.keys
+  (* Boot (or cold-restart) collector [i] from its device, as its next
+     generation. *)
+  let vc_generation = Array.make cfg.Types.nv (-1) in
+  let boot_vc i =
+    vc_generation.(i) <- vc_generation.(i) + 1;
+    let env = make_vc_env ~gen:vc_generation.(i) i in
+    let node = Vc_node.create env in
+    vc_nodes.(i) <- Some node;
+    (* the adversary shares the node's store and keys (a Byzantine
+       insider holds genuine credentials) and sends through the same
+       transform-aware path *)
+    adversaries.(i) <-
+      Option.map
+        (fun behavior ->
+           Adversary.create ~behavior ~me:i ~cfg ~keys:env.Vc_node.keys
              ~store:env.Vc_node.store
              ~rng:(Drbg.create ~seed:(Printf.sprintf "adv-rng|%s|%d" p.seed i))
              ~send_vc:env.Vc_node.send_vc)
+        (byz i);
+    (* a node that slept through the election-end kick enters VSC now *)
+    if p.run_vsc && !election_end <> infinity
+       && Vc_node.phase node = Vc_node.Voting then
+      Vc_node.start_vote_set_consensus node
+  in
+  for i = 0 to cfg.Types.nv - 1 do
+    boot_vc i
   done;
 
   (* --- full-mode trustees --- *)
   let trustee_objs : Trustee.t option array = Array.make cfg.Types.nt None in
-  let restart_trustee = ref (fun (_ : int) -> ()) in
+  let deliver_trustee ~dst (ex : Trustee.exchange) =
+    Net.send net ~src:trustee_net.(ex.Trustee.ex_from) ~dst:trustee_net.(dst)
+      ~size:(64 * List.length ex.Trustee.ex_entries) ~cost:0.0005
+      (fun () ->
+         match trustee_objs.(dst) with
+         | Some tr -> Trustee.on_exchange tr ex
+         | None -> ())
+  in
+  let post_bb trustee payload =
+    (* read the slot at delivery time: a board may have been
+       cold-restarted between send and arrival *)
+    for dst = 0 to cfg.Types.nb - 1 do
+      Net.send net ~src:trustee_net.(trustee) ~dst:bb_net.(dst)
+        ~size:(Trustee_payload.size payload) ~cost:0.001
+        (fun () ->
+           match bb_arr.(dst) with
+           | Some bb -> Bb_node.on_trustee_post bb ~trustee payload
+           | None -> ())
+    done
+  in
+  (* Boot (or cold-restart) trustee [i] from its device. *)
+  let boot_trustee i =
+    match src.Node_source.sv_trustees with
+    | None -> ()
+    | Some (trustee_keys, trustee_init_for) ->
+      trustee_objs.(i) <-
+        Some
+          (* lint: allow secret-taint — journal replay compares trustee indices and share x-coordinates, never secret share bytes *)
+          (Trustee.create
+             { Trustee.me = i; cfg; gctx;
+               init = trustee_init_for i;
+               keys = trustee_keys.(i);
+               send_trustee = deliver_trustee;
+               post_bb = post_bb i;
+               durable = device_of trustee_backing.(i) })
+  in
+  for i = 0 to cfg.Types.nt - 1 do
+    boot_trustee i
+  done;
   (match src.Node_source.sv_trustees with
    | None ->
      (* modeled publish phase: charged from the cost model *)
@@ -548,40 +610,7 @@ let run (p : params) : result =
                     if !done_count >= cfg.Types.ht && phases.t_published = 0. then
                       phases.t_published <- Net.now net +. 0.002))
             trustee_net)
-   | Some (trustee_keys, trustee_init_for) ->
-     let deliver_trustee dst (ex : Trustee.exchange) =
-       Net.send net ~src:trustee_net.(ex.Trustee.ex_from) ~dst:trustee_net.(dst)
-         ~size:(64 * List.length ex.Trustee.ex_entries) ~cost:0.0005
-         (fun () ->
-            match trustee_objs.(dst) with
-            | Some tr -> Trustee.on_exchange tr ex
-            | None -> ())
-     in
-     let post_bb trustee payload =
-       (* read the slot at delivery time: a board may have been
-          cold-restarted between send and arrival *)
-       for dst = 0 to cfg.Types.nb - 1 do
-         Net.send net ~src:trustee_net.(trustee) ~dst:bb_net.(dst)
-           ~size:(Trustee_payload.size payload) ~cost:0.001
-           (fun () ->
-              match bb_arr.(dst) with
-              | Some bb -> Bb_node.on_trustee_post bb ~trustee payload
-              | None -> ())
-       done
-     in
-     let trustee_env i =
-       { Trustee.me = i; cfg; gctx;
-         init = trustee_init_for i;
-         keys = trustee_keys.(i);
-         send_trustee = (fun ~dst ex -> deliver_trustee dst ex);
-         post_bb = (fun payload -> post_bb i payload);
-         durable = device_of trustee_backing.(i) }
-     in
-     for i = 0 to cfg.Types.nt - 1 do
-       trustee_objs.(i) <- Some (Trustee.create (trustee_env i))
-     done;
-     restart_trustee :=
-       (fun i -> trustee_objs.(i) <- Some (Trustee.recover (trustee_env i)));
+   | Some _ ->
      let rec trustee_kickoff attempts () =
        (* the BB majority may still be reconstructing msk / opening
           codes: poll until the read succeeds, as a real reader would *)
@@ -599,11 +628,7 @@ let run (p : params) : result =
          if attempts < 200 then
            Engine.schedule_after engine ~delay:0.05 (trustee_kickoff (attempts + 1))
      in
-     start_trustees_full := trustee_kickoff 0;
-     (* watch BB publications *)
-     Array.iteri
-       (fun j bb -> match bb with Some bb -> watch_bb j bb | None -> ())
-       bb_arr);
+     start_trustees_full := trustee_kickoff 0);
 
   (* kick off the clients, staggered like ramping load generators *)
   Array.iteri
@@ -620,40 +645,12 @@ let run (p : params) : result =
      With durability on, a [Crash { recover = Some _ }] of a protocol
      node is a power loss: at the crash instant the node object is
      discarded and the device's unsynced tail is torn at a
-     DRBG-sampled byte (possibly mid-frame); at the recovery instant a
-     fresh node is built from the device alone ([recover]). Without
-     durability the legacy warm-crash semantics (Net-level message
-     loss only) are unchanged. *)
+     DRBG-sampled byte (possibly mid-frame); at the recovery instant
+     the node boots again from the device alone, through the same boot
+     function as at the start. Without durability the legacy
+     warm-crash semantics (Net-level message loss only) are
+     unchanged. *)
   if durability then begin
-    let vc_generation = Array.make cfg.Types.nv 0 in
-    let restart_vc i =
-      vc_generation.(i) <- vc_generation.(i) + 1;
-      let env = make_vc_env ~gen:vc_generation.(i) i in
-      let node = Vc_node.recover env in
-      vc_nodes.(i) <- Some node;
-      (* it slept through the election-end kick: enter VSC now *)
-      if p.run_vsc && !election_end <> infinity
-         && Vc_node.phase node = Vc_node.Voting then
-        Vc_node.start_vote_set_consensus node
-    in
-    let restart_bb j =
-      match src.Node_source.sv_bb with
-      | None -> ()
-      | Some (init, board_for) ->
-        let bb =
-          (* lint: allow secret-taint — salt_msk is part of the BB node's own durable at-rest state, not a network message *)
-          Bb_node.recover ?durable:(device_of bb_backing.(j))
-            ~board:(board_for j) ~cfg ~gctx ~init ~me:j ()
-        in
-        bb_arr.(j) <- Some bb;
-        watch_bb j bb;
-        (* journal replay ran subscriber-free: fire catch-up
-           notifications for anything published before the crash *)
-        let pub = Bb_node.published bb in
-        if pub.Bb_node.final_set <> None then count_final j; (* lint: allow secret-taint — option presence check, no secret bytes compared *)
-        if pub.Bb_node.tally <> None && phases.t_published = 0. then (* lint: allow secret-taint — option presence check, no secret bytes compared *)
-          phases.t_published <- Net.now net
-    in
     List.iter
       (fun (node, at, recover) ->
          let nv = cfg.Types.nv and nb = cfg.Types.nb and nt = cfg.Types.nt in
@@ -685,9 +682,9 @@ let run (p : params) : result =
              | Some at_recover ->
                Engine.schedule_at engine ~at:at_recover
                  (fun () ->
-                    if is_vc then restart_vc node
-                    else if is_bb then restart_bb (node - nv)
-                    else !restart_trustee (node - nv - nb))
+                    if is_vc then boot_vc node
+                    else if is_bb then boot_bb (node - nv)
+                    else boot_trustee (node - nv - nb))
          end)
       crash_specs
   end;

@@ -56,7 +56,7 @@ type params = {
   end_after : float option;     (** fixed voting hours; [None] = end when all clients finish *)
   run_vsc : bool;               (** [false] stops after vote collection (Fig. 4 measurements) *)
 }
-(** Durability follows the fault plan: when it holds a recovering crash
+(** Durability follows the fault plan: when it holds a crash with a restart
     of a protocol node, every node gets a durable in-memory device
     (its journal) and [Crash { recover = Some _ }] specs become true
     power-loss cold restarts; otherwise nodes run memory-only (the

@@ -89,8 +89,12 @@ val resume_setup :
   (string -> Device.t) -> Types.config -> seed:string -> layout
 
 (** Reload the manifests of a previously sealed layout without
-    generating anything; [None] if any segment is missing or unsealed.
-    The static part is re-derived from [seed] (cheap). *)
+    generating anything. The static part is re-derived from [seed]
+    (cheap). [None] if any segment is missing or unsealed, if a segment
+    does not hold [cfg.n_voters] records, or if the re-derived static
+    fails the EA authenticators sealed into the first vc-0 and
+    trustee-0 records (a layout dealt under another seed, [nv] or
+    [nt]). *)
 val load_layout :
   (string -> Device.t) -> Types.config -> seed:string -> layout option
 

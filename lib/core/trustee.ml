@@ -51,20 +51,6 @@ type t = {
   mutable journal : Dd_store.Device.t option;
 }
 
-let create_bare env =
-  { env;
-    state_shares = Hashtbl.create 64;
-    used_parts = [];
-    master_challenge = None;
-    zk_posted = Hashtbl.create 64;
-    started = false;
-    journal = None }
-
-let create env =
-  let t = create_bare env in
-  t.journal <- env.durable;
-  t
-
 (* --- durable input journal --------------------------------------------- *)
 
 type journal_input =
@@ -262,22 +248,32 @@ let on_election_data t ~(voted : (int * (Types.part_id * int)) list) =
          { shares = tally_shares; ballots_counted = List.length voted })
   end
 
-(* Cold restart: replay the journaled inputs through the live handlers.
-   Replay re-posts to the BBs and re-sends exchanges — deliberately so,
-   since the crash may have swallowed the originals; every receiver
-   (BB post dedup, peer share dedup by x) coalesces duplicates. *)
-let recover env =
-  let t = create_bare env in
-  (match env.durable with
-   | None -> ()
-   | Some device ->
-     List.iter
-       (fun payload ->
-          match decode_input payload with
-          | Some (J_data voted) -> on_election_data t ~voted
-          | Some (J_exchange ex) -> on_exchange t ex
-          | None -> ()   (* framed but undecodable: skip, never crash *))
-       (Wal.open_log device));
+(* The one constructor: replay the device's journaled inputs through
+   the live handlers (with no journal attached), then attach it. Replay
+   re-posts to the BBs and re-sends exchanges — deliberately so, since
+   the crash may have swallowed the originals; every receiver (BB post
+   dedup, peer share dedup by x) coalesces duplicates. An empty or
+   absent device gives a fresh trustee. *)
+let create env =
+  let t =
+    { env;
+      state_shares = Hashtbl.create 64;
+      used_parts = [];
+      master_challenge = None;
+      zk_posted = Hashtbl.create 64;
+      started = false;
+      journal = None }
+  in
+  Option.iter
+    (fun device ->
+       List.iter
+         (fun payload ->
+            match decode_input payload with
+            | Some (J_data voted) -> on_election_data t ~voted
+            | Some (J_exchange ex) -> on_exchange t ex
+            | None -> ()   (* framed but undecodable: skip, never crash *))
+         (Wal.open_log device))
+    env.durable;
   t.journal <- env.durable;
   t
 

@@ -24,13 +24,12 @@ type env = {
 
 type t
 
-val create : env -> t
-
-(** Cold restart: replay the journaled inputs through the handlers.
+(** The trustee [env.durable]'s journal describes, journaling to it
+    from then on: fresh on an absent or empty device, otherwise a cold
+    restart that replays the journaled inputs through the handlers.
     Replay re-posts to the BBs and re-sends peer exchanges on purpose
-    (the crash may have swallowed the originals); receivers dedupe.
-    Equivalent to {!create} when the device is absent or empty. *)
-val recover : env -> t
+    (the crash may have swallowed the originals); receivers dedupe. *)
+val create : env -> t
 
 (** Canonical encoding of the trustee's state (sorted, deterministic),
     for recovery-equivalence checks. *)

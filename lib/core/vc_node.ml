@@ -17,16 +17,19 @@
    The node is written sans-IO: all effects go through [env], so unit
    tests drive it directly and the simulator supplies transports.
 
-   Durability: with [env.durable] set, every state transition that must
-   survive a crash is logged to a {!Dd_store.Wal} journal *after* the
-   in-memory mutation and *before* any externally visible send — the
-   load-bearing case being the endorsed code, which is durable before
-   an ENDORSEMENT signature leaves the node (otherwise a crashed and
-   restarted collector could sign a second code for the same ballot and
-   hand the adversary two UCERTs). [recover] rebuilds the node by
-   replaying its whole journal; a node that crashed mid-consensus does
-   not rejoin the running instance (it has no protocol state to resume,
-   and restarting RBC from scratch would equivocate). *)
+   Durability: every state transition that must survive a crash is a
+   journal record, and [commit] is the only way to make one: it applies
+   the record through the reducer [apply_rec], then (with [env.durable]
+   set) logs it to a {!Dd_store.Wal} journal, all *before* any
+   externally visible send — the load-bearing case being the endorsed
+   code, which is durable before an ENDORSEMENT signature leaves the
+   node (otherwise a crashed and restarted collector could sign a
+   second code for the same ballot and hand the adversary two UCERTs).
+   [create] opens the node by replaying its journal through the same
+   reducer, so live and replayed state agree by construction; a node
+   that crashed mid-consensus does not rejoin the running instance (it
+   has no protocol state to resume, and restarting RBC from scratch
+   would equivocate). *)
 
 module Shamir_bytes = Dd_vss.Shamir_bytes
 module Rbc = Dd_consensus.Rbc
@@ -40,7 +43,6 @@ type env = {
   keys : Auth.keys;               (* VC clique; index nv is the EA *)
   store : Ballot_store.t;
   now : unit -> float;
-  election_start : float;
   election_end : unit -> float;
   send_vc : dst:int -> Messages.vc_msg -> unit;
   reply : client:int -> req:int -> Types.vote_outcome -> unit;
@@ -110,25 +112,7 @@ type t = {
      more than fv collectors equivocated (Section III-D's uniqueness
      argument) — the chaos harness's detection signal. *)
   mutable ucert_conflicts : (int * string * string) list;
-  (* set while [recover] replays the journal: nothing is re-logged *)
-  mutable recovering : bool;
 }
-
-let create env =
-  { env;
-    ballots = Hashtbl.create 1024;
-    phase = Voting;
-    vsc =
-      { announce_senders = []; consensus_started = false; rbc = None; bb = None;
-        rbc_seq = 0; decided_count = 0;
-        decisions = [||];
-        awaiting_recovery = Hashtbl.create 16; submitted = false;
-        pending_consensus = [] };
-    quorum = env.cfg.Types.nv - env.cfg.Types.fv;
-    votes_accepted = 0;
-    receipts_issued = 0;
-    ucert_conflicts = [];
-    recovering = false }
 
 let ballot_rt t serial =
   match Hashtbl.find_opt t.ballots serial with
@@ -146,9 +130,7 @@ let ballot_rt t serial =
    table access: [ballot_rt] inserts, and the inputs are hostile. *)
 let serial_valid t serial = serial >= 0 && serial < t.env.cfg.Types.n_voters
 
-let within_hours t =
-  let now = t.env.now () in
-  now >= t.env.election_start && now < t.env.election_end ()
+let within_hours t = t.env.now () < t.env.election_end ()
 
 let peers t = List.init t.env.cfg.Types.nv (fun i -> i) |> List.filter (fun i -> i <> t.env.me)
 
@@ -158,11 +140,8 @@ let election_id t = t.env.cfg.Types.election_id
 
 (* --- WAL records -------------------------------------------------------- *)
 
-(* One record per crash-critical transition. Each reducer case mirrors
-   exactly the mutation set of its logging site; transient collection
-   state (endorsement gathering, waiting clients, live consensus
-   objects) is deliberately not persisted — a restarted node abandons
-   in-flight quorum collection and the client's retry restarts it. *)
+(* One record per crash-critical transition; [apply_rec] below gives
+   each its meaning. *)
 type wal_rec =
   | R_vote_accepted of { serial : int; code : string; part : Types.part_id; pos : int }
   | R_endorsed of { serial : int; code : string; part : Types.part_id; pos : int }
@@ -252,30 +231,14 @@ let decode_rec payload =
       | _ -> raise (Wire.Malformed "vc wal record"))
 
 (* Append + sync: the record is on the platter before the caller's next
-   send. No-op without a device or while replaying. [?sync:false] is
-   for pure-liveness bookkeeping whose loss at a crash is safe — it
-   leaves an unsynced tail the crash may tear mid-frame, which is
-   exactly what recovery's clean-prefix scan must tolerate. *)
+   send. No-op without a device. [?sync:false] is for pure-liveness
+   bookkeeping whose loss at a crash is safe — it leaves an unsynced
+   tail the crash may tear mid-frame, which is exactly what the
+   clean-prefix scan at [create] must tolerate. *)
 let log_rec ?(sync = true) t rc =
   match t.env.durable with
-  | Some device when not t.recovering -> Wal.log ~sync device (encode_rec rc)
-  | Some _ | None -> ()
-
-(* Callers pass a [code] backed by a UCERT they already verified: if we
-   hold a certified code for the same serial and it differs, two valid
-   uniqueness certificates exist — record the safety violation. *)
-let note_conflict t serial (b : ballot_rt) ~code =
-  match b.ucert with
-  | Some u when not (Dd_crypto.Ct.equal u.Messages.u_code code) ->
-    if not
-        (List.exists
-           (fun (s, _, theirs) -> s = serial && Dd_crypto.Ct.equal theirs code)
-           t.ucert_conflicts)
-    then begin
-      t.ucert_conflicts <- (serial, u.Messages.u_code, code) :: t.ucert_conflicts;
-      log_rec t (R_conflict { serial; ours = u.Messages.u_code; theirs = code })
-    end
-  | Some _ | None -> ()
+  | Some device -> Wal.log ~sync device (encode_rec rc)
+  | None -> ()
 
 (* All authenticator checks funnel through here so a host runtime can
    substitute an amortizing verifier (env.verify_tag); the default is a
@@ -307,12 +270,108 @@ let own_share t ~serial ~part ~pos =
   let line = lines.(pos) in
   (line.Types.receipt_share, line.Types.share_tag)
 
-let add_share b (share : Shamir_bytes.share) =
-  if List.exists (fun s -> s.Shamir_bytes.x = share.Shamir_bytes.x) b.shares then false
-  else begin
-    b.shares <- share :: b.shares;
-    true
-  end
+let has_share b (share : Shamir_bytes.share) =
+  List.exists (fun s -> s.Shamir_bytes.x = share.Shamir_bytes.x) b.shares
+
+let conflict_known t serial theirs =
+  List.exists (fun (s, _, th) -> s = serial && Dd_crypto.Ct.equal th theirs) t.ucert_conflicts
+
+(* The reducer: the one place a durable field changes, live (through
+   [commit]) and on replay (in [create]) alike. It never sends, and it
+   is idempotent (duplicated protocol events — a re-received VOTE_P,
+   say — coalesce). Transient collection state (endorsement gathering,
+   waiting clients, live consensus objects) is deliberately not
+   journaled: a restarted node abandons in-flight quorum collection and
+   the client's retry restarts it. [own] is this node's share for an
+   [R_sent_vote_p] when the live caller has already read it from the
+   store; replay reads it here. *)
+let apply_rec ?own t rc =
+  let add_share b share = if not (has_share b share) then b.shares <- share :: b.shares in
+  match rc with
+  | R_vote_accepted { serial; code; part; pos } ->
+    let b = ballot_rt t serial in
+    t.votes_accepted <- t.votes_accepted + 1;
+    b.part <- part;
+    b.pos <- pos;
+    b.endorsed <- Some code
+  | R_endorsed { serial; code; part; pos } ->
+    let b = ballot_rt t serial in
+    b.endorsed <- Some code;
+    if b.status = Types.Not_voted then begin
+      b.part <- part;
+      b.pos <- pos
+    end
+  | R_ucert { ucert; part; pos; endorse } ->
+    let serial = ucert.Messages.u_serial in
+    let b = ballot_rt t serial in
+    if endorse then begin
+      b.part <- part;
+      b.pos <- pos;
+      b.endorsed <- Some ucert.Messages.u_code
+    end;
+    if b.ucert = None then b.ucert <- Some ucert;
+    if b.status = Types.Not_voted then b.status <- Types.Pending ucert.Messages.u_code;
+    Hashtbl.remove t.vsc.awaiting_recovery serial
+  | R_sent_vote_p serial ->
+    let b = ballot_rt t serial in
+    if not b.sent_vote_p then begin
+      b.sent_vote_p <- true;
+      let share =
+        match own with
+        | Some share -> share
+        | None -> fst (own_share t ~serial ~part:b.part ~pos:b.pos)
+      in
+      add_share b share
+    end
+  | R_share { serial; share } -> add_share (ballot_rt t serial) share
+  | R_receipt { serial; code; receipt } ->
+    let b = ballot_rt t serial in
+    (match b.status with
+     | Types.Voted _ -> ()
+     | Types.Not_voted | Types.Pending _ ->
+       b.status <- Types.Voted (code, receipt);
+       t.receipts_issued <- t.receipts_issued + 1)
+  | R_conflict { serial; ours; theirs } ->
+    if not (conflict_known t serial theirs) then
+      t.ucert_conflicts <- (serial, ours, theirs) :: t.ucert_conflicts
+  | R_phase_vsc -> if t.phase = Voting then t.phase <- Vsc
+  | R_announce_from sender ->
+    if not (List.mem sender t.vsc.announce_senders) then
+      t.vsc.announce_senders <- sender :: t.vsc.announce_senders
+  | R_consensus_started ->
+    if not t.vsc.consensus_started then begin
+      t.vsc.consensus_started <- true;
+      t.vsc.decisions <- Array.make t.env.cfg.Types.n_voters None
+    end
+  | R_decided { slot; value } ->
+    if slot >= 0 && slot < Array.length t.vsc.decisions
+    && t.vsc.decisions.(slot) = None then begin
+      t.vsc.decisions.(slot) <- Some value;
+      t.vsc.decided_count <- t.vsc.decided_count + 1;
+      if value then begin
+        let b = ballot_rt t slot in
+        if b.ucert = None then Hashtbl.replace t.vsc.awaiting_recovery slot ()
+      end
+    end
+  | R_submitted ->
+    t.vsc.submitted <- true;
+    t.phase <- Submitted
+
+(* A durable transition: apply it, then journal it. Callers send only
+   after this returns. *)
+let commit ?sync ?own t rc =
+  apply_rec ?own t rc;
+  log_rec ?sync t rc
+
+(* Callers pass a [code] backed by a UCERT they already verified: if we
+   hold a certified code for the same serial and it differs, two valid
+   uniqueness certificates exist — record the safety violation. *)
+let note_conflict t serial (b : ballot_rt) ~code =
+  match b.ucert with
+  | Some u
+    when not (Dd_crypto.Ct.equal u.Messages.u_code code || conflict_known t serial code) ->
+    commit t (R_conflict { serial; ours = u.Messages.u_code; theirs = code })
+  | Some _ | None -> ()
 
 (* Reconstruct once we hold exactly the quorum of distinct shares. *)
 let try_reconstruct t serial (b : ballot_rt) code =
@@ -322,9 +381,7 @@ let try_reconstruct t serial (b : ballot_rt) code =
       |> List.filteri (fun i _ -> i < t.quorum)
     in
     let receipt = Shamir_bytes.reconstruct ~threshold:t.quorum selected in
-    b.status <- Types.Voted (code, receipt);
-    t.receipts_issued <- t.receipts_issued + 1;
-    log_rec t (R_receipt { serial; code; receipt });
+    commit t (R_receipt { serial; code; receipt });
     List.iter
       (fun (client, req) -> t.env.reply ~client ~req (Types.Receipt receipt))
       b.waiting_clients;
@@ -344,10 +401,8 @@ let own_vote_p t ~serial ~code (b : ballot_rt) ~ucert =
    form, and a peer that cannot match it pulls the certificate. *)
 let disclose_share t ~serial ~code ~former (b : ballot_rt) =
   if not b.sent_vote_p then begin
-    b.sent_vote_p <- true;
-    let share, msg = own_vote_p t ~serial ~code b ~ucert:(if former then b.ucert else None) in
-    ignore (add_share b share);
-    log_rec t (R_sent_vote_p serial);
+    let own, msg = own_vote_p t ~serial ~code b ~ucert:(if former then b.ucert else None) in
+    commit ~own t (R_sent_vote_p serial);
     multicast t msg
   end
 
@@ -360,16 +415,12 @@ let start_collecting t ~client ~req ~serial ~vote_code =
   | None -> t.env.reply ~client ~req (Types.Rejected "invalid vote code")
   | Some (part, pos, _line) ->
     let b = ballot_rt t serial in
-    t.votes_accepted <- t.votes_accepted + 1;
-    b.part <- part;
-    b.pos <- pos;
+    commit t (R_vote_accepted { serial; code = vote_code; part; pos });
     b.collecting <- Some vote_code;
-    b.endorsed <- Some vote_code;
     b.waiting_clients <- (client, req) :: b.waiting_clients;
     (* endorse it ourselves, then gather the rest *)
     let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code:vote_code in
     b.endorsements <- [ (t.env.me, Auth.sign t.env.keys body) ];
-    log_rec t (R_vote_accepted { serial; code = vote_code; part; pos });
     multicast t (Messages.Endorse { serial; vote_code; responder = t.env.me })
 
 let on_vote t ~client ~req ~serial ~vote_code =
@@ -424,15 +475,13 @@ let on_endorse t ~responder ~serial ~vote_code =
           | Some code -> not (Dd_crypto.Ct.equal code vote_code)
           | None -> true
         in
-        b.endorsed <- Some vote_code;
-        if b.status = Types.Not_voted && b.collecting = None then begin
-          b.part <- part;
-          b.pos <- pos
-        end;
         (* the endorsed code must be durable before our signature leaves:
            a restart that forgot it could sign a conflicting code and
-           mint the adversary a second UCERT *)
-        if fresh then log_rec t (R_endorsed { serial; code = vote_code; part; pos });
+           mint the adversary a second UCERT. A fresh code never meets
+           a collection in flight (collecting [c] pins the endorsed
+           code to [c]), so the reducer never moves a responder's
+           part/pos. *)
+        if fresh then commit t (R_endorsed { serial; code = vote_code; part; pos });
         let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code:vote_code in
         t.env.send_vc ~dst:responder
           (Messages.Endorsement
@@ -458,9 +507,7 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
             { Messages.u_serial = serial; Messages.u_code = code;
               Messages.endorsements = b.endorsements }
           in
-          b.ucert <- Some ucert;
-          b.status <- Types.Pending code;
-          log_rec t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
+          commit t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
           disclose_share t ~serial ~code ~former:true b;
           try_reconstruct t serial b code
         end
@@ -509,28 +556,21 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
     in
     if share_ok then begin
     let b = ballot_rt t serial in
-    let accept_share () = if add_share b share then log_rec t (R_share { serial; share }) in
+    let accept_share () =
+      if not (has_share b share) then commit t (R_share { serial; share })
+    in
     match b.status with
     | Types.Not_voted ->
       (match b.endorsed with
        | Some code when not (Dd_crypto.Ct.equal code vote_code) -> ()
        | _ ->
-         if pos_ok then begin
-           b.part <- part;
-           b.pos <- pos;
-           b.endorsed <- Some vote_code;
-           b.ucert <- Some ucert;
-           b.status <- Types.Pending vote_code;
-           log_rec t (R_ucert { ucert; part; pos; endorse = true });
-           accept_share ();
-           disclose_share t ~serial ~code:vote_code ~former:false b;
-           try_reconstruct t serial b vote_code
-         end)
+         commit t (R_ucert { ucert; part; pos; endorse = true });
+         accept_share ();
+         disclose_share t ~serial ~code:vote_code ~former:false b;
+         try_reconstruct t serial b vote_code)
     | Types.Pending code when Dd_crypto.Ct.equal code vote_code ->
-      if b.ucert = None then begin
-        b.ucert <- Some ucert;
-        log_rec t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false })
-      end;
+      if b.ucert = None then
+        commit t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
       accept_share ();
       disclose_share t ~serial ~code ~former:false b;
       try_reconstruct t serial b code
@@ -572,9 +612,7 @@ let send_submission t =
 
 let submit_to_bb t =
   if not t.vsc.submitted then begin
-    t.vsc.submitted <- true;
-    t.phase <- Submitted;
-    log_rec t R_submitted;
+    commit t R_submitted;
     send_submission t
   end
 
@@ -585,15 +623,7 @@ let check_recovery_complete t =
   then submit_to_bb t
 
 let on_decide t slot value =
-  t.vsc.decisions.(slot) <- Some value;
-  t.vsc.decided_count <- t.vsc.decided_count + 1;
-  if value then begin
-    let b = ballot_rt t slot in
-    match b.ucert with
-    | Some _ -> ()
-    | None -> Hashtbl.replace t.vsc.awaiting_recovery slot ()
-  end;
-  log_rec t (R_decided { slot; value });
+  commit t (R_decided { slot; value });
   if t.vsc.decided_count = t.env.cfg.Types.n_voters then begin
     let missing = Hashtbl.fold (fun s () acc -> s :: acc) t.vsc.awaiting_recovery [] in
     if missing <> [] then
@@ -603,11 +633,9 @@ let on_decide t slot value =
 
 let start_consensus t =
   if not t.vsc.consensus_started then begin
-    t.vsc.consensus_started <- true;
-    t.vsc.decisions <- Array.make t.env.cfg.Types.n_voters None;
     (* durable before Binary_batch.start broadcasts anything: a restart
        must never re-enter an instance it already spoke in *)
-    log_rec t R_consensus_started;
+    commit t R_consensus_started;
     let n = t.env.cfg.Types.nv and f = t.env.cfg.Types.fv in
     let me = t.env.me in
     let rbc = ref None in
@@ -658,17 +686,11 @@ let adopt_entry t (serial, code, ucert) =
   then begin
     let b = ballot_rt t serial in
     note_conflict t serial b ~code;
-    if b.ucert = None then begin
-      b.ucert <- Some ucert;
-      (match b.status with
-       | Types.Not_voted -> b.status <- Types.Pending code
-       | Types.Pending _ | Types.Voted _ -> ());
-      log_rec t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false })
-    end;
-    if Hashtbl.mem t.vsc.awaiting_recovery serial then begin
-      Hashtbl.remove t.vsc.awaiting_recovery serial;
-      check_recovery_complete t
-    end
+    (* read first: committing the UCERT drops the serial from the set *)
+    let awaited = Hashtbl.mem t.vsc.awaiting_recovery serial in
+    if b.ucert = None then
+      commit t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
+    if awaited then check_recovery_complete t
   end
 
 let maybe_start_consensus t =
@@ -679,12 +701,9 @@ let maybe_start_consensus t =
 
 let start_vote_set_consensus t =
   if t.phase = Voting then begin
-    t.phase <- Vsc;
-    if not (List.mem t.env.me t.vsc.announce_senders) then begin
-      t.vsc.announce_senders <- t.env.me :: t.vsc.announce_senders;
-      log_rec t (R_announce_from t.env.me)
-    end;
-    log_rec t R_phase_vsc;
+    if not (List.mem t.env.me t.vsc.announce_senders) then
+      commit t (R_announce_from t.env.me);
+    commit t R_phase_vsc;
     let entries = known_entries t in
     let msg = Messages.Announce_batch { sender = t.env.me; entries } in
     multicast t msg;
@@ -695,11 +714,10 @@ let on_announce_batch t ~sender ~entries =
   (* announcements are self-certifying (UCERTs), so we accept them even
      if our own clock has not reached election end yet *)
   if not (List.mem sender t.vsc.announce_senders) then begin
-    t.vsc.announce_senders <- sender :: t.vsc.announce_senders;
     (* liveness-only bookkeeping: losing it merely makes the recovered
        node wait for a re-announce, so skip the sync barrier (any
        adopted UCERT below carries a synced record that covers it) *)
-    log_rec ~sync:false t (R_announce_from sender);
+    commit ~sync:false t (R_announce_from sender);
     List.iter (adopt_entry t) entries;
     maybe_start_consensus t
   end
@@ -785,82 +803,7 @@ let handle t (msg : Messages.vc_msg) =
   | Messages.Recover_request { sender; serials } -> on_recover_request t ~sender ~serials
   | Messages.Recover_response { sender; entries } -> on_recover_response t ~sender ~entries
 
-(* --- durability: the reducer, observable, recover ------------------------- *)
-
-(* The reducer: each case mirrors exactly the in-memory mutations of
-   its logging site, never sends, and is idempotent (duplicated
-   protocol events — a re-received VOTE_P, say — coalesce). *)
-let apply_rec t rc =
-  match rc with
-  | R_vote_accepted { serial; code; part; pos } ->
-    let b = ballot_rt t serial in
-    t.votes_accepted <- t.votes_accepted + 1;
-    b.part <- part;
-    b.pos <- pos;
-    b.endorsed <- Some code
-    (* collection state (collecting/endorsements/waiting) is transient:
-       the client's retry restarts the endorsement round *)
-  | R_endorsed { serial; code; part; pos } ->
-    let b = ballot_rt t serial in
-    b.endorsed <- Some code;
-    if b.status = Types.Not_voted then begin
-      b.part <- part;
-      b.pos <- pos
-    end
-  | R_ucert { ucert; part; pos; endorse } ->
-    let serial = ucert.Messages.u_serial in
-    let b = ballot_rt t serial in
-    if endorse then begin
-      b.part <- part;
-      b.pos <- pos;
-      b.endorsed <- Some ucert.Messages.u_code
-    end;
-    if b.ucert = None then b.ucert <- Some ucert;
-    if b.status = Types.Not_voted then b.status <- Types.Pending ucert.Messages.u_code;
-    Hashtbl.remove t.vsc.awaiting_recovery serial
-  | R_sent_vote_p serial ->
-    let b = ballot_rt t serial in
-    if not b.sent_vote_p then begin
-      b.sent_vote_p <- true;
-      let share, _tag = own_share t ~serial ~part:b.part ~pos:b.pos in
-      ignore (add_share b share)
-    end
-  | R_share { serial; share } -> ignore (add_share (ballot_rt t serial) share)
-  | R_receipt { serial; code; receipt } ->
-    let b = ballot_rt t serial in
-    (match b.status with
-     | Types.Voted _ -> ()
-     | Types.Not_voted | Types.Pending _ ->
-       b.status <- Types.Voted (code, receipt);
-       t.receipts_issued <- t.receipts_issued + 1)
-  | R_conflict { serial; ours; theirs } ->
-    if not
-        (List.exists
-           (fun (s, _, th) -> s = serial && Dd_crypto.Ct.equal th theirs)
-           t.ucert_conflicts)
-    then t.ucert_conflicts <- (serial, ours, theirs) :: t.ucert_conflicts
-  | R_phase_vsc -> if t.phase = Voting then t.phase <- Vsc
-  | R_announce_from sender ->
-    if not (List.mem sender t.vsc.announce_senders) then
-      t.vsc.announce_senders <- sender :: t.vsc.announce_senders
-  | R_consensus_started ->
-    if not t.vsc.consensus_started then begin
-      t.vsc.consensus_started <- true;
-      t.vsc.decisions <- Array.make t.env.cfg.Types.n_voters None
-    end
-  | R_decided { slot; value } ->
-    if slot >= 0 && slot < Array.length t.vsc.decisions
-    && t.vsc.decisions.(slot) = None then begin
-      t.vsc.decisions.(slot) <- Some value;
-      t.vsc.decided_count <- t.vsc.decided_count + 1;
-      if value then begin
-        let b = ballot_rt t slot in
-        if b.ucert = None then Hashtbl.replace t.vsc.awaiting_recovery slot ()
-      end
-    end
-  | R_submitted ->
-    t.vsc.submitted <- true;
-    t.phase <- Submitted
+(* --- observable state and the one constructor ------------------------------ *)
 
 let put_status w = function
   | Types.Not_voted -> Wire.put_varint w 0
@@ -926,22 +869,36 @@ let observable t =
     ballots;
   Wire.contents w
 
-let recover env =
-  let t = create env in
-  (match env.durable with
-   | None -> ()
-   | Some device ->
-     t.recovering <- true;
-     List.iter
-       (fun payload ->
-          match decode_rec payload with
-          | Some rc -> apply_rec t rc
-          | None -> ()   (* framed but undecodable: ignore, never crash *))
-       (Wal.open_log device);
-     t.recovering <- false);
-  (* Re-issue duties whose sends the crash may have swallowed; every
-     receiver dedupes. A node that had started consensus does not
-     rejoin the instance — the remaining quorum carries the round. *)
+(* The one constructor: a fresh node on an empty (or absent) device,
+   otherwise the node its journal describes. The journal's clean prefix
+   replays through the reducer, and then duties whose sends the crash
+   may have swallowed are re-issued; every receiver dedupes. A node
+   that had started consensus does not rejoin the instance — the
+   remaining quorum carries the round. *)
+let create env =
+  let t =
+    { env;
+      ballots = Hashtbl.create 1024;
+      phase = Voting;
+      vsc =
+        { announce_senders = []; consensus_started = false; rbc = None; bb = None;
+          rbc_seq = 0; decided_count = 0;
+          decisions = [||];
+          awaiting_recovery = Hashtbl.create 16; submitted = false;
+          pending_consensus = [] };
+      quorum = env.cfg.Types.nv - env.cfg.Types.fv;
+      votes_accepted = 0;
+      receipts_issued = 0;
+      ucert_conflicts = [] }
+  in
+  Option.iter
+    (fun device ->
+       List.iter
+         (fun payload ->
+            (* framed but undecodable: skip, never crash *)
+            Option.iter (apply_rec t) (decode_rec payload))
+         (Wal.open_log device))
+    env.durable;
   if t.vsc.submitted then send_submission t
   else if t.vsc.consensus_started then check_recovery_complete t
   else if t.phase = Vsc then begin

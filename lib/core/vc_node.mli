@@ -9,7 +9,6 @@ type env = {
   keys : Auth.keys;                (** VC clique; index [nv] is the EA *)
   store : Ballot_store.t;
   now : unit -> float;
-  election_start : float;
   election_end : unit -> float;
   send_vc : dst:int -> Messages.vc_msg -> unit;
   reply : client:int -> req:int -> Types.vote_outcome -> unit;
@@ -27,8 +26,9 @@ type env = {
           — it only amortizes, never weakens. *)
   durable : Dd_store.Device.t option;
       (** Journal device; [None] runs the node memory-only (the
-          scale benchmarks). With a device, every crash-critical
-          transition is made durable before any dependent send — in
+          scale benchmarks). Every crash-critical transition is
+          committed — applied through the one reducer that replay
+          also uses, then journaled — before any dependent send: in
           particular the endorsed vote code before an ENDORSEMENT
           signature leaves, which is what keeps a crash-and-restart
           from minting the adversary a second UCERT. *)
@@ -38,7 +38,15 @@ type t
 
 type phase = Voting | Vsc | Submitted
 
-(** Fresh node; journals to [env.durable] when it is set. *)
+(** The node [env.durable]'s journal describes, journaling to it from
+    then on: fresh on an absent or empty device, otherwise a cold
+    restart. The journal's whole clean prefix replays through the
+    reducer ({!Dd_store.Wal.open_log} first cuts a torn tail), then
+    duties whose sends the crash may have swallowed are re-issued
+    (submission resend, re-announce). A node that crashed
+    mid-consensus does not rejoin the running instance — it has no
+    protocol state to resume, and restarting from scratch would
+    equivocate; the remaining quorum carries the round. *)
 val create : env -> t
 
 (** Feed any protocol message (from voters or peer collectors).
@@ -84,13 +92,3 @@ val decisions : t -> bool option array
     by design: a restarted node abandons those and the protocol's
     retries rebuild them. *)
 val observable : t -> string
-
-(** Cold restart from [env.durable]: replay the journal's whole clean
-    prefix through the reducer ({!Dd_store.Wal.open_log} first cuts a
-    torn tail), then re-issue duties whose sends the crash may have
-    swallowed (submission resend, re-announce).
-    A node that crashed mid-consensus does not rejoin the running
-    instance — it has no protocol state to resume, and restarting from
-    scratch would equivocate; the remaining quorum carries the round.
-    Equivalent to {!create} when [env.durable] is [None] or empty. *)
-val recover : env -> t

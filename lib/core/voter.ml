@@ -29,7 +29,7 @@ let receipt_valid plan receipt = Dd_crypto.Ct.equal receipt (expected_receipt pl
 
 (* Retry policy on top of [d]-patience: attempt k waits
    patience * min(2^(k-1), cap), stretched by up to [jitter] relative
-   jitter so retry storms against a recovering node decorrelate.
+   jitter so retry storms against a restarting node decorrelate.
    Attempt 1 is plain patience (the paper's [d]). *)
 type policy = {
   patience : float;
@@ -170,7 +170,7 @@ module Pool = struct
       if round < t.policy.blacklist_rounds then begin
         (* every node failed once: forget the blacklist and try the
            whole cluster again after a backoff wait (it may be
-           partitioned or crashed-and-recovering, not Byzantine) *)
+           partitioned or crashed-and-restarting, not Byzantine) *)
         t.blacklists.(c) <- [];
         t.fx.wait ~delay:(delay t c ~attempt)
           (fun () -> submit t c plan ~attempt:(attempt + 1) ~round:(round + 1))

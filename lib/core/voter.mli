@@ -41,7 +41,7 @@ val default_policy : policy
     [patience * min(2^(attempt-1), cap)], stretched by a relative
     jitter drawn uniformly from [[0, jitter)] (default 0.1) —
     exponential backoff on top of [d]-patience, so retry storms against
-    a recovering or partitioned cluster decorrelate. Attempt 1 waits
+    a restarting or partitioned cluster decorrelate. Attempt 1 waits
     plain [patience] (up to jitter). *)
 val retry_delay :
   ?cap:float -> ?jitter:float -> Dd_crypto.Drbg.t ->

@@ -140,7 +140,6 @@ let make_env t i : Vc_node.env =
     keys = t.src.sv_keys.(i);
     store = t.src.sv_store_for i;
     now = (fun () -> t.clock.cnow);
-    election_start = 0.;
     election_end = (fun () -> t.clock.cend);
     send_vc = (fun ~dst msg -> t.staging.(i) := S_vc (dst, msg) :: !(t.staging.(i)));
     reply =

@@ -134,7 +134,7 @@ let test_esum_waits_for_opened_codes () =
   in
   Alcotest.(check (list string)) "Esum = all-at-once board's" (esum once) (esum bb);
   let bb' =
-    Bb_node.recover ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
+    Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
       ~gctx:s.Ea.gctx ~init ~me:0 ()
   in
   Alcotest.(check string) "replay = live" (Bb_node.observable bb) (Bb_node.observable bb')
@@ -344,7 +344,7 @@ let test_recover_replays_trustee_search () =
   submit_all bb;
   post_honest_corrupt_honest bb;
   let bb' =
-    Bb_node.recover ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
+    Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
       ~gctx:s.Ea.gctx ~init ~me:0 ()
   in
   Alcotest.(check bool) "live board published the tally" true

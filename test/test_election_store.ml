@@ -307,12 +307,28 @@ let test_setup_and_layout_sources_agree () =
   Alcotest.(check (list (option (list (pair int string))))) "same BB final sets"
     finals_mem finals_disk
 
+(* A state dir only loads under the configuration and seed it was
+   dealt for: another voter count, seed or collector count gives
+   [None], not a cluster that fails mid-run. *)
+let test_layout_matches_config_and_seed () =
+  let _tbl, dev = mem_family () in
+  ignore (Election_store.write_setup dev cfg ~seed:"estore" : Election_store.layout);
+  let loads cfg seed = Option.is_some (Election_store.load_layout dev cfg ~seed) in
+  Alcotest.(check bool) "right config and seed" true (loads cfg "estore");
+  Alcotest.(check bool) "wrong n_voters" false
+    (loads { cfg with Types.n_voters = 12 } "estore");
+  Alcotest.(check bool) "wrong seed" false (loads cfg "not-the-deploy-seed");
+  Alcotest.(check bool) "fewer collectors" false
+    (loads { cfg with Types.nv = cfg.Types.nv - 1; Types.fv = 0 } "estore")
+
 let () =
   Alcotest.run "election_store"
     [ ( "streaming-setup",
         [ Alcotest.test_case "chunked = monolithic" `Quick test_chunked_equals_monolithic;
           Alcotest.test_case "crash-resume is bit-identical" `Quick test_resume_bit_identical;
-          Alcotest.test_case "segments match the golden digest" `Quick test_segments_golden ] );
+          Alcotest.test_case "segments match the golden digest" `Quick test_segments_golden;
+          Alcotest.test_case "layout loads only for its config and seed" `Quick
+            test_layout_matches_config_and_seed ] );
       ( "board",
         [ Alcotest.test_case "streamed and in-memory writers agree" `Quick test_writers_agree ] );
       ( "audit",

@@ -186,7 +186,6 @@ let vc_env c i =
     keys = c.keys.(i);
     store = Ballot_store.virtual_prf ~seed:vc_seed ~cfg:c.cfg ~node:i;
     now = (fun () -> c.now);
-    election_start = 0.;
     election_end = (fun () -> c.t_end);
     send_vc =
       (fun ~dst msg ->
@@ -273,7 +272,7 @@ let drive c rng =
 let recover_captured c i =
   let sent = ref [] in
   let env = { (vc_env c i) with Vc_node.send_vc = (fun ~dst:_ msg -> sent := msg :: !sent) } in
-  (Vc_node.recover env, sent)
+  (Vc_node.create env, sent)
 
 (* The recovered node must remember every code it endorsed: asked, with
    its clock back inside voting hours, to endorse any other valid code
@@ -352,7 +351,7 @@ let prop_vc_torn_wal_total =
             | Some b ->
               let tail = String.length (Mem.unsynced_log b) in
               Mem.crash ~keep:(keep_raw mod (tail + 1)) b;
-              ignore (Vc_node.recover (vc_env c i)))
+              ignore (Vc_node.create (vc_env c i)))
          c.nodes;
        true)
 
@@ -389,11 +388,6 @@ let bb_create ?durable i =
   let init, board_for = Lazy.force bb_source in
   Bb_node.create ?durable ~board:(board_for i) ~cfg:bb_cfg ~gctx:s.Ea.gctx ~init ~me:i ()
 
-let bb_recover ?durable i =
-  let s = Lazy.force bb_setup in
-  let init, board_for = Lazy.force bb_source in
-  Bb_node.recover ?durable ~board:(board_for i) ~cfg:bb_cfg ~gctx:s.Ea.gctx ~init ~me:i ()
-
 let bb_code ~serial ~part ~option =
   let s = Lazy.force bb_setup in
   (Types.ballot_part s.Ea.ballots.(serial) part).Types.lines.(option).Types.vote_code
@@ -422,7 +416,7 @@ let prop_bb_journal_replay =
          Bb_node.on_vote_set_submit bb ~sender ~set:(bb_set ())
            ~msk_share:shares.(sender)
        done;
-       let bb' = bb_recover ~durable:(Mem.device b) 0 in
+       let bb' = bb_create ~durable:(Mem.device b) 0 in
        String.equal (Bb_node.observable bb) (Bb_node.observable bb'))
 
 let test_full_pipeline_recovery () =
@@ -466,7 +460,7 @@ let test_full_pipeline_recovery () =
   (* every board cold-restarts to an observably identical board *)
   List.iteri
     (fun i bb ->
-       let bb' = bb_recover ~durable:(Mem.device bb_backings.(i)) i in
+       let bb' = bb_create ~durable:(Mem.device bb_backings.(i)) i in
        Alcotest.(check string)
          (Printf.sprintf "bb %d observable" i)
          (Bb_node.observable bb) (Bb_node.observable bb'))
@@ -476,13 +470,65 @@ let test_full_pipeline_recovery () =
   let before = List.map Bb_node.observable bbs in
   Array.iteri
     (fun i t ->
-       let t' = Trustee.recover (t_env i) in
+       let t' = Trustee.create (t_env i) in
        Alcotest.(check string)
          (Printf.sprintf "trustee %d observable" i)
          (Trustee.observable t) (Trustee.observable t'))
     trustees;
   Alcotest.(check (list string)) "boards unchanged by replayed posts" before
     (List.map Bb_node.observable bbs)
+
+(* One constructor for every node kind: [create] on a device that
+   already holds a journal opens the node that wrote it, not a blank
+   one appending behind the old records. *)
+let test_create_reopens_journal () =
+  let same kind i live reopened =
+    Alcotest.(check string) (Printf.sprintf "%s %d observable" kind i) live reopened
+  in
+  (* collectors: votes, then a whole Vote Set Consensus *)
+  let c = make_cluster ~durable:true () in
+  for serial = 0 to 3 do
+    cast c ~serial ~part:Types.A ~opt:(serial mod vc_cfg.Types.m_options)
+      ~node:(serial mod vc_cfg.Types.nv) ~client:serial
+  done;
+  c.now <- c.t_end +. 1.;
+  Array.iter Vc_node.start_vote_set_consensus c.nodes;
+  drain c;
+  Array.iteri
+    (fun i node ->
+       if Vc_node.phase node <> Vc_node.Submitted then
+         Alcotest.failf "vc %d did not submit" i;
+       same "vc" i (Vc_node.observable node)
+         (Vc_node.observable (fst (recover_captured c i))))
+    c.nodes;
+  (* a board that accepted every collector's submission *)
+  let b = Mem.create () in
+  let bb = bb_create ~durable:(Mem.device b) 0 in
+  let shares = msk_shares () in
+  for sender = 0 to bb_cfg.Types.nv - 1 do
+    Bb_node.on_vote_set_submit bb ~sender ~set:(bb_set ()) ~msk_share:shares.(sender)
+  done;
+  same "bb" 0 (Bb_node.observable bb)
+    (Bb_node.observable (bb_create ~durable:(Mem.device b) 0));
+  (* trustees that took the election data and each other's exchanges *)
+  let s = Lazy.force bb_setup in
+  let backings = Array.init bb_cfg.Types.nt (fun _ -> Mem.create ()) in
+  let queue = Queue.create () in
+  let t_env i =
+    { Trustee.me = i; cfg = bb_cfg; gctx = s.Ea.gctx;
+      init = s.Ea.trustee_init.(i);
+      keys = s.Ea.trustee_keys.(i);
+      send_trustee = (fun ~dst ex -> Queue.add (dst, ex) queue);
+      post_bb = (fun _ -> ());
+      durable = Some (Mem.device backings.(i)) }
+  in
+  let trustees = Array.init bb_cfg.Types.nt (fun i -> Trustee.create (t_env i)) in
+  let voted = [ (0, (Types.A, 1)); (2, (Types.B, 0)) ] in
+  Array.iter (fun t -> Trustee.on_election_data t ~voted) trustees;
+  Queue.iter (fun (dst, ex) -> Trustee.on_exchange trustees.(dst) ex) queue;
+  Array.iteri
+    (fun i t -> same "trustee" i (Trustee.observable t) (Trustee.observable (Trustee.create (t_env i))))
+    trustees
 
 (* --------------------------------------------------------------------- *)
 
@@ -504,4 +550,6 @@ let () =
       ("bb-trustee-recovery",
        QCheck_alcotest.to_alcotest prop_bb_journal_replay
        :: [ Alcotest.test_case "full pipeline cold restart" `Quick
-              test_full_pipeline_recovery ]) ]
+              test_full_pipeline_recovery;
+            Alcotest.test_case "create on a written journal = live node" `Quick
+              test_create_reopens_journal ]) ]

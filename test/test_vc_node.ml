@@ -49,7 +49,6 @@ let make_cluster ?(now = 1.0) ?(durable = false) ?(drop = fun ~src:_ ~dst:_ _ ->
       keys = keys.(i);
       store = Ballot_store.virtual_prf ~seed ~cfg ~node:i;
       now = (fun () -> cluster.now);
-      election_start = 0.;
       election_end = (fun () -> cluster.t_end);
       send_vc =
         (fun ~dst msg ->
@@ -337,7 +336,7 @@ let test_elided_accepted_after_restart () =
   let code = code_of ~serial:4 ~part:Types.A ~option:1 in
   vote c ~node:0 ~client:1 ~req:1 ~serial:4 ~vote_code:code;
   Alcotest.(check int) "node 1 is one share short" 0 (Vc_node.receipts_issued c.nodes.(1));
-  c.nodes.(1) <- Vc_node.recover (c.env_of 1);
+  c.nodes.(1) <- Vc_node.create (c.env_of 1);
   c.queue <- [];
   Vc_node.handle c.nodes.(1) (elided_vote_p ~serial:4 ~code);
   Alcotest.(check int) "the restarted node reconstructs" 1
@@ -470,7 +469,7 @@ let test_pull_answered_after_restart () =
   let c = make_cluster ~durable:true () in
   let code = code_of ~serial:4 ~part:Types.A ~option:1 in
   vote c ~node:0 ~client:1 ~req:1 ~serial:4 ~vote_code:code;
-  c.nodes.(1) <- Vc_node.recover (c.env_of 1);
+  c.nodes.(1) <- Vc_node.create (c.env_of 1);
   c.queue <- [];
   match sends c ~node:1 (pull ~sender:2 [ 4 ]) with
   | [ (1, 2, Messages.Vote_p { serial = 4; ucert = Some u; _ }) ] ->
