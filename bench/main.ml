@@ -319,24 +319,23 @@ let write_json rows =
 
 let micro () =
   let open Bechamel in
-  let gctx = Dd_group.Group_ctx.default () in
   let rng = Dd_crypto.Drbg.create ~seed:"bench-micro" in
   let cfg4 = { Types.default_config with Types.n_voters = 1000; Types.m_options = 4 } in
   let store = Ballot_store.virtual_prf ~seed:"bench" ~cfg:cfg4 ~node:0 in
   let ballot = Ballot_gen.voter_ballot ~seed:"bench" ~serial:7 ~m:4 in
   let code = ballot.Types.part_a.Types.lines.(1).Types.vote_code in
-  let sk, pk = Dd_sig.Schnorr.keygen gctx rng in
-  let signature = Dd_sig.Schnorr.sign gctx rng ~sk ~pk "endorse|bench|7|code" in
+  let sk, pk = Dd_sig.Schnorr.keygen rng in
+  let signature = Dd_sig.Schnorr.sign rng ~sk ~pk "endorse|bench|7|code" in
   let shares =
     Dd_vss.Shamir_bytes.split rng ~secret:"receipt!" ~threshold:3 ~shares:4
   in
   let share_subset = [ shares.(0); shares.(1); shares.(2) ] in
-  let commitment, opening = Dd_commit.Elgamal.commit_random gctx rng ~msg:Dd_bignum.Nat.one in
+  let commitment, opening = Dd_commit.Elgamal.commit_random rng ~msg:Dd_bignum.Nat.one in
   let state, first_move =
     let commitments, openings =
-      Dd_commit.Unit_vector.commit gctx rng ~options:4 ~choice:1
+      Dd_commit.Unit_vector.commit rng ~options:4 ~choice:1
     in
-    Dd_zkp.Ballot_proof.prove_commit gctx rng ~commitments ~openings
+    Dd_zkp.Ballot_proof.prove_commit rng ~commitments ~openings
   in
   ignore first_move;
   let challenge = Dd_group.Curve.random_scalar rng in
@@ -382,12 +381,12 @@ let micro () =
   (* one lockstep group of fixed-base multiplications on G *)
   let comb_jobs =
     Array.init Curve.batch_group (fun _ ->
-        [ (Dd_group.Group_ctx.g_table gctx, Dd_group.Curve.random_scalar rng) ])
+        [ (Dd_group.Group_ctx.g_table (), Dd_group.Curve.random_scalar rng) ])
   in
   (* UCERT fixture: a 16-collector Schnorr clique at quorum Nv - fv = 11,
      the worst-case Table I verification load *)
   let ucert_keys =
-    Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Schnorr_scheme ~gctx ~seed:"bench-ucert" ~n:16
+    Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Schnorr_scheme ~seed:"bench-ucert" ~n:16
   in
   let ucert_quorum = 11 in
   let ucert =
@@ -411,7 +410,7 @@ let micro () =
     let fidelity = Election.Source (Node_source.of_setup setup) in
     let p = Election.default_params ~fidelity cfg ~votes in
     let r = Election.run { p with Election.seed = "bench-audit"; concurrent_clients = 16 } in
-    match Ddemos.Auditor.assemble ~cfg ~gctx:setup.Ddemos.Ea.gctx r.Election.bb_nodes with
+    match Ddemos.Auditor.assemble ~cfg r.Election.bb_nodes with
     | Some v -> v
     | None -> failwith "bench: audit view did not assemble"
   in
@@ -420,14 +419,14 @@ let micro () =
       Test.make ~name:"fig4.vote-code-hash-validate"
         (Staged.stage (fun () -> Ballot_store.verify_vote_code store ~serial:7 ~vote_code:code));
       Test.make ~name:"fig4.endorsement-sign"
-        (Staged.stage (fun () -> Dd_sig.Schnorr.sign gctx rng ~sk ~pk "endorse|bench|7|code"));
+        (Staged.stage (fun () -> Dd_sig.Schnorr.sign rng ~sk ~pk "endorse|bench|7|code"));
       (* the hot path: Auth caches a comb table per signer, so UCERT /
          endorsement checks take the doubling-free route *)
       Test.make ~name:"fig4.endorsement-verify"
         (Staged.stage (fun () ->
-             Dd_sig.Schnorr.verify_with_table gctx ~pk ~pk_table "endorse|bench|7|code" signature));
+             Dd_sig.Schnorr.verify_with_table ~pk ~pk_table "endorse|bench|7|code" signature));
       Test.make ~name:"fig4.endorsement-verify.no-table"
-        (Staged.stage (fun () -> Dd_sig.Schnorr.verify gctx ~pk "endorse|bench|7|code" signature));
+        (Staged.stage (fun () -> Dd_sig.Schnorr.verify ~pk "endorse|bench|7|code" signature));
       Test.make ~name:"fig4.endorsement-verify.seed-baseline"
         (Staged.stage (fun () ->
              Seed_baseline.schnorr_verify sc ~g_table:sg_table ~pk_seed ~pk
@@ -453,7 +452,7 @@ let micro () =
       Test.make ~name:"fig5c.zk-finalize-part"
         (Staged.stage (fun () -> Dd_zkp.Ballot_proof.finalize state ~challenge));
       Test.make ~name:"fig5c.opening-verify"
-        (Staged.stage (fun () -> Dd_commit.Elgamal.verify gctx commitment opening));
+        (Staged.stage (fun () -> Dd_commit.Elgamal.verify commitment opening));
       (* fig 5c: the whole-election audit, batched vs equation-by-equation *)
       Test.make ~name:"fig5c.audit-full.100"
         (Staged.stage (fun () ->
@@ -465,7 +464,7 @@ let micro () =
       (* table 1: the Tcomp building block *)
       Test.make ~name:"table1.ucert-entry-verify"
         (Staged.stage (fun () ->
-             Dd_sig.Schnorr.verify_with_table gctx ~pk ~pk_table "endorse|bench|7|code" signature));
+             Dd_sig.Schnorr.verify_with_table ~pk ~pk_table "endorse|bench|7|code" signature));
       (* table 1: a full quorum-11 UCERT through the batch verifier *)
       Test.make ~name:"table1.ucert-verify-batch"
         (Staged.stage (fun () ->
@@ -492,7 +491,7 @@ let micro () =
       Test.make ~name:"arith.comb-batch"
         (Staged.stage (fun () -> Curve.mul_base_batch comb_jobs));
       Test.make ~name:"arith.mul2-strauss-shamir"
-        (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g gctx sig_s sig_e point));
+        (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g sig_s sig_e point));
       (* arithmetic stack: batch normalization (64 points) *)
       Test.make ~name:"arith.to-affine.batch64"
         (Staged.stage (fun () -> Curve.to_affine_batch pts64));
@@ -847,14 +846,13 @@ let ablation () =
   pr "  naive per-ballot estimate:       %d  (%.0fx more)\n\n" naive
     (float_of_int naive /. float_of_int (max 1 batched_msgs));
   pr "# Ablation: authenticator schemes (wall-clock, this machine)\n";
-  let gctx = Dd_group.Group_ctx.default () in
   let time label n f =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to n do ignore (f ()) done;
     pr "  %-28s %8.1f us/op\n" label (1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int n)
   in
-  let ks = Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Schnorr_scheme ~gctx ~seed:"abl" ~n:4 in
-  let km = Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Mac_scheme ~gctx ~seed:"abl" ~n:4 in
+  let ks = Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Schnorr_scheme ~seed:"abl" ~n:4 in
+  let km = Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Mac_scheme ~seed:"abl" ~n:4 in
   let sig_tag = Ddemos.Auth.sign ks.(0) "body" in
   let mac_tag = Ddemos.Auth.sign km.(0) "body" in
   time "schnorr sign" 50 (fun () -> Ddemos.Auth.sign ks.(0) "body");

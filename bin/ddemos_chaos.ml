@@ -368,8 +368,7 @@ let check_safe sc (p : Election.params) (r : Election.result) : string list =
         | Some t' when t = t' -> ()
         | Some _ -> add "board tally read disagrees with the run's tally"
         | None -> ()));
-    match Auditor.assemble ~cfg:p.Election.cfg ~gctx:(Lazy.force f_setup).Ea.gctx
-            r.Election.bb_nodes with
+    match Auditor.assemble ~cfg:p.Election.cfg r.Election.bb_nodes with
     | None -> add "auditor could not assemble a majority view"
     | Some view ->
       let checks = Auditor.audit view in
@@ -412,8 +411,7 @@ let detection_signals sc (p : Election.params) (r : Election.result) : string li
         | (_, first) :: _ when sorted_set set <> sorted_set first ->
           add "board final set disagrees with the collectors' set"
         | _ -> ()));
-    match Auditor.assemble ~cfg:p.Election.cfg ~gctx:(Lazy.force f_setup).Ea.gctx
-            r.Election.bb_nodes with
+    match Auditor.assemble ~cfg:p.Election.cfg r.Election.bb_nodes with
     | None -> add "auditor could not assemble a majority view"
     | Some view -> if not (Auditor.all_ok (Auditor.audit view)) then add "end-to-end audit failed"
   end;

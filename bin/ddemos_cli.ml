@@ -53,8 +53,8 @@ let votes_of ~voters ~m turnout =
 
 (* Audit the boards' majority view and print every check; exit 1 when no
    majority view assembles or a check fails. *)
-let audit_or_exit ~cfg ~gctx bb_nodes =
-  match Auditor.assemble ~cfg ~gctx bb_nodes with
+let audit_or_exit ~cfg bb_nodes =
+  match Auditor.assemble ~cfg bb_nodes with
   | None -> print_endline "audit: no majority view"; exit 1
   | Some view ->
     let checks = Auditor.audit view in
@@ -92,8 +92,8 @@ let run_and_report ~detail ~audit ~turnout (p : Election.params) =
    | None -> print_endline "tally: none published");
   if audit then
     match p.Election.fidelity with
-    | Election.Source src ->
-      audit_or_exit ~cfg:p.Election.cfg ~gctx:src.Node_source.sv_gctx r.Election.bb_nodes
+    | Election.Source _ ->
+      audit_or_exit ~cfg:p.Election.cfg r.Election.bb_nodes
     | Election.Modeled -> print_endline "audit: only available for full-crypto runs"
 
 (* --- run ---------------------------------------------------------------- *)

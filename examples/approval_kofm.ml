@@ -15,7 +15,6 @@ module Elgamal = Dd_commit.Elgamal
 module Drbg = Dd_crypto.Drbg
 
 let () =
-  let gctx = Group_ctx.default () in
   let rng = Drbg.create ~seed:"approval-demo" in
   let m = 5 and k = 2 in
   let candidates = [| "Ada"; "Bea"; "Chi"; "Dev"; "Eli" |] in
@@ -29,11 +28,11 @@ let () =
   let committed =
     List.mapi
       (fun i choices ->
-         let commitments, openings = Unit_vector.commit_k gctx rng ~options:m ~choices in
-         let state, first = Ballot_proof.prove_commit gctx rng ~commitments ~openings in
+         let commitments, openings = Unit_vector.commit_k rng ~options:m ~choices in
+         let state, first = Ballot_proof.prove_commit rng ~commitments ~openings in
          let challenge = Curve.random_scalar rng in
          let final = Ballot_proof.finalize state ~challenge in
-         let ok = Ballot_proof.verify ~k gctx ~commitments first ~challenge final in
+         let ok = Ballot_proof.verify ~k ~commitments first ~challenge final in
          Printf.printf "voter %d: commitment proven valid (%d-of-%d): %b\n" i k m ok;
          assert ok;
          (commitments, openings))
@@ -42,22 +41,22 @@ let () =
 
   (* a voter trying to approve 3 cannot produce a valid sum proof *)
   let cheat_commitments, cheat_openings =
-    Unit_vector.commit_k gctx rng ~options:m ~choices:[ 0; 1; 2 ]
+    Unit_vector.commit_k rng ~options:m ~choices:[ 0; 1; 2 ]
   in
-  let state, first = Ballot_proof.prove_commit gctx rng ~commitments:cheat_commitments
+  let state, first = Ballot_proof.prove_commit rng ~commitments:cheat_commitments
       ~openings:cheat_openings
   in
   let challenge = Curve.random_scalar rng in
   let final = Ballot_proof.finalize state ~challenge in
   Printf.printf "\nover-approval (3 choices) passes the k=%d verifier: %b\n" k
-    (Ballot_proof.verify ~k gctx ~commitments:cheat_commitments first ~challenge final);
+    (Ballot_proof.verify ~k ~commitments:cheat_commitments first ~challenge final);
 
   (* homomorphic tally *)
   let tally_opening =
     Unit_vector.sum_openings ~options:m (List.map snd committed)
   in
   let tally_commitment = Unit_vector.sum ~options:m (List.map fst committed) in
-  assert (Unit_vector.verify gctx tally_commitment tally_opening);
+  assert (Unit_vector.verify tally_commitment tally_opening);
   let counts = Unit_vector.counts_of_opening tally_opening in
   Printf.printf "\napproval counts (opened only in aggregate):\n";
   Array.iteri (fun i c -> Printf.printf "  %-4s %d\n" candidates.(i) c) counts;

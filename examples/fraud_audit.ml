@@ -70,7 +70,7 @@ let run_and_audit ~label (s : Ea.setup) =
   in
   Printf.printf "%s: %d receipts issued — the voter sees nothing wrong\n%!" label
     r.Election.receipts_ok;
-  match Auditor.assemble ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg r.Election.bb_nodes with
   | None -> print_endline "  (no majority view)"; None
   | Some view ->
     let checks = Auditor.audit ~voter_audits:[ Voter.audit_info plan ] view in

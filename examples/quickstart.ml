@@ -66,7 +66,7 @@ let () =
    | None -> print_endline "no tally published?!");
 
   (* anyone can audit *)
-  match Auditor.assemble ~cfg ~gctx:setup.Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg r.Election.bb_nodes with
   | None -> print_endline "auditor could not assemble a majority view"; exit 1
   | Some view ->
     let checks = Auditor.audit view in

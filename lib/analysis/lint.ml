@@ -68,16 +68,6 @@ let sibling_interface path =
   let mli = Filename.remove_extension path ^ ".mli" in
   match read_file mli with Some s -> Some (mli, s) | None -> None
 
-let lint_file ~rules path =
-  match read_file path with
-  | None ->
-    [ Findings.make ~rule:"parse" ~file:path ~loc:(Location.in_file path)
-        "cannot read file" ]
-  | Some source ->
-    lint_string ~rules
-      ~interfaces:(Option.to_list (sibling_interface path))
-      ~file:path ~source
-
 (* Whole-program lint: every file is parsed once, per-file rules run on
    each, then the interprocedural taint engine sees all of them at once
    (summaries cross file boundaries). Suppressions and bare-allow

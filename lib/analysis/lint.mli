@@ -13,8 +13,6 @@ val lint_string :
   ?interfaces:(string * string) list ->
   file:string -> source:string -> Findings.t list
 
-val lint_file : rules:Rules.t list -> string -> Findings.t list
-
 (** Whole-program lint over the given [.ml] paths: per-file rules on
     each, one interprocedural taint analysis across all of them
     (summaries cross file boundaries), suppression filtering,

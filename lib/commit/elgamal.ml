@@ -23,20 +23,20 @@ type opening = {
   rand : Nat.t;
 }
 
-let commit gctx ~msg ~rand =
-  { c1 = Group_ctx.mul_g gctx rand;
-    c2 = Curve.add (Group_ctx.mul_g gctx msg) (Group_ctx.mul_h gctx rand) }
+let commit ~msg ~rand =
+  { c1 = Group_ctx.mul_g rand;
+    c2 = Curve.add (Group_ctx.mul_g msg) (Group_ctx.mul_h rand) }
 
 (* [commit]'s two points as comb jobs for a message that is a bit, for
    callers that evaluate many at once with [Curve.mul_base_batch]: the
    G term of c2 is a bit term, so c2 runs one comb lane, on H. *)
-let commit_bit_jobs gctx (o : opening) : Curve.comb_job * Curve.comb_job =
-  let g = Group_ctx.g_table gctx in
-  ([ (g, o.rand) ], [ (Curve.bit_table g, o.msg); (Group_ctx.h_table gctx, o.rand) ])
+let commit_bit_jobs (o : opening) : Curve.comb_job * Curve.comb_job =
+  let g = Group_ctx.g_table () in
+  ([ (g, o.rand) ], [ (Curve.bit_table g, o.msg); (Group_ctx.h_table (), o.rand) ])
 
-let commit_random gctx rng ~msg =
+let commit_random rng ~msg =
   let rand = Curve.random_scalar rng in
-  (commit gctx ~msg ~rand, { msg; rand })
+  (commit ~msg ~rand, { msg; rand })
 
 let zero_commitment = { c1 = Curve.infinity; c2 = Curve.infinity }
 
@@ -49,37 +49,37 @@ let add_opening a b =
   let module Modular = Dd_bignum.Modular in
   { msg = Modular.add fn a.msg b.msg; rand = Modular.add fn a.rand b.rand }
 
-let verify gctx commitment opening =
-  Curve.equal commitment.c1 (Group_ctx.mul_g gctx opening.rand)
+let verify commitment opening =
+  Curve.equal commitment.c1 (Group_ctx.mul_g opening.rand)
   && Curve.equal commitment.c2
-    (Curve.add (Group_ctx.mul_g gctx opening.msg) (Group_ctx.mul_h gctx opening.rand))
+    (Curve.add (Group_ctx.mul_g opening.msg) (Group_ctx.mul_h opening.rand))
 
 (* Fold the two opening equations into an MSM accumulator under fresh
    random weights: rand*G - c1 = O and msg*G + rand*H - c2 = O. The
    G/H legs collapse into the accumulator's comb-table coefficients,
    so a batch of n openings costs one 2n-point MSM instead of 3n
    fixed-base multiplications. *)
-let accumulate gctx acc rng commitment (opening : opening) =
+let accumulate acc rng commitment (opening : opening) =
   let fn = Curve.scalar_field in
   let module Modular = Dd_bignum.Modular in
   let msg = Modular.reduce fn opening.msg and rand = Modular.reduce fn opening.rand in
   let w1 = Dd_group.Batch.weight rng in
-  Group_ctx.acc_add acc (Modular.mul fn w1 rand) (Group_ctx.g gctx);
+  Group_ctx.acc_add acc (Modular.mul fn w1 rand) Group_ctx.g;
   Group_ctx.acc_sub acc w1 commitment.c1;
   let w2 = Dd_group.Batch.weight rng in
-  Group_ctx.acc_add acc (Modular.mul fn w2 msg) (Group_ctx.g gctx);
-  Group_ctx.acc_add acc (Modular.mul fn w2 rand) (Group_ctx.h gctx);
+  Group_ctx.acc_add acc (Modular.mul fn w2 msg) Group_ctx.g;
+  Group_ctx.acc_add acc (Modular.mul fn w2 rand) Group_ctx.h;
   Group_ctx.acc_sub acc w2 commitment.c2
 
 (* Verify many (commitment, opening) pairs at once; soundness 2^-128
    per batch (see Dd_group.Batch). Vartime, public data only. *)
-let verify_batch gctx rng (items : (t * opening) array) =
+let verify_batch rng (items : (t * opening) array) =
   match Array.length items with
   | 0 -> true
-  | 1 -> let c, o = items.(0) in verify gctx c o
+  | 1 -> let c, o = items.(0) in verify c o
   | _ ->
-    let acc = Group_ctx.msm_acc gctx in
-    Array.iter (fun (c, o) -> accumulate gctx acc rng c o) items;
+    let acc = Group_ctx.msm_acc () in
+    Array.iter (fun (c, o) -> accumulate acc rng c o) items;
     Group_ctx.acc_check acc
 
 let equal a b = Curve.equal a.c1 b.c1 && Curve.equal a.c2 b.c2

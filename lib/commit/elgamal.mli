@@ -15,16 +15,16 @@ type opening = {
 }
 
 (** Commit to [msg] with explicit randomness. *)
-val commit : Group_ctx.t -> msg:Nat.t -> rand:Nat.t -> t
+val commit : msg:Nat.t -> rand:Nat.t -> t
 
 (** The comb jobs of [(c1, c2)] for an opening whose message is 0 or 1,
     [rand*G] and [msg*G + rand*H], to evaluate with
     {!Curve.mul_base_batch}. [msg*G] is a {!Curve.bit_table} term, so
     the pair runs two comb lanes, not three. *)
-val commit_bit_jobs : Group_ctx.t -> opening -> Curve.comb_job * Curve.comb_job
+val commit_bit_jobs : opening -> Curve.comb_job * Curve.comb_job
 
 (** Commit with fresh randomness drawn from the DRBG. *)
-val commit_random : Group_ctx.t -> Dd_crypto.Drbg.t -> msg:Nat.t -> t * opening
+val commit_random : Dd_crypto.Drbg.t -> msg:Nat.t -> t * opening
 
 (** The identity commitment (to 0 with randomness 0). *)
 val zero_commitment : t
@@ -37,20 +37,20 @@ val sum : t list -> t
 val add_opening : opening -> opening -> opening
 
 (** Check that [opening] opens [t]. *)
-val verify : Group_ctx.t -> t -> opening -> bool
+val verify : t -> opening -> bool
 
 (** Fold one pair's two opening equations into an MSM accumulator
     under fresh random weights from the DRBG (building block for
     {!verify_batch} and the unit-vector batch check). {b Variable
     time} — published data only. *)
 val accumulate :
-  Group_ctx.t -> Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> t -> opening -> unit
+  Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> t -> opening -> unit
 
 (** Verify many (commitment, opening) pairs with one multi-scalar
     multiplication; accepts a batch containing an invalid opening with
     probability at most 2^-128. {b Variable time} — published data
     only. *)
-val verify_batch : Group_ctx.t -> Dd_crypto.Drbg.t -> (t * opening) array -> bool
+val verify_batch : Dd_crypto.Drbg.t -> (t * opening) array -> bool
 
 val equal : t -> t -> bool
 

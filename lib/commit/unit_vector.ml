@@ -16,13 +16,13 @@ let openings rng ~options ~choice =
       { Elgamal.msg = (if i = choice then Nat.one else Nat.zero);
         rand = Dd_group.Curve.random_scalar rng })
 
-let commit gctx rng ~options ~choice =
+let commit rng ~options ~choice =
   let o = openings rng ~options ~choice in
-  (Array.map (fun (oi : Elgamal.opening) -> Elgamal.commit gctx ~msg:oi.msg ~rand:oi.rand) o, o)
+  (Array.map (fun (oi : Elgamal.opening) -> Elgamal.commit ~msg:oi.msg ~rand:oi.rand) o, o)
 
 (* k-out-of-m selection (the extension sketched in the paper's
    conclusion): commit to a 0/1 vector with ones exactly at [choices]. *)
-let commit_k gctx rng ~options ~choices =
+let commit_k rng ~options ~choices =
   List.iter
     (fun c ->
        if c < 0 || c >= options then invalid_arg "Unit_vector.commit_k: choice out of range")
@@ -32,7 +32,7 @@ let commit_k gctx rng ~options ~choices =
   let pairs =
     Array.init options (fun i ->
         let msg = if List.mem i choices then Nat.one else Nat.zero in
-        Elgamal.commit_random gctx rng ~msg)
+        Elgamal.commit_random rng ~msg)
   in
   (Array.map fst pairs, Array.map snd pairs)
 
@@ -50,18 +50,18 @@ let sum_openings ~options l =
   let zero = Array.make options Elgamal.{ msg = Nat.zero; rand = Nat.zero } in
   List.fold_left add_opening zero l
 
-let verify gctx (c : t) (o : opening) =
+let verify (c : t) (o : opening) =
   Array.length c = Array.length o
   && begin
     let ok = ref true in
-    Array.iteri (fun i ci -> if not (Elgamal.verify gctx ci o.(i)) then ok := false) c;
+    Array.iteri (fun i ci -> if not (Elgamal.verify ci o.(i)) then ok := false) c;
     !ok
   end
 
 (* Batch the coordinate checks of many unit vectors: length checks
    stay serial, every coordinate's two opening equations flatten into
    one ElGamal batch (one MSM for the whole list). *)
-let verify_batch gctx rng (items : (t * opening) list) =
+let verify_batch rng (items : (t * opening) list) =
   let ok = ref true in
   let coords =
     List.concat_map
@@ -72,7 +72,7 @@ let verify_batch gctx rng (items : (t * opening) list) =
          else Array.to_list (Array.mapi (fun i ci -> (ci, o.(i))) c))
       items
   in
-  !ok && Elgamal.verify_batch gctx rng (Array.of_list coords)
+  !ok && Elgamal.verify_batch rng (Array.of_list coords)
 
 let encode (c : t) = String.concat "" (Array.to_list (Array.map Elgamal.encode c))
 
@@ -81,7 +81,7 @@ let encode (c : t) = String.concat "" (Array.to_list (Array.map Elgamal.encode c
    [label] and the items themselves, so every party re-checking the
    same data derives the same weights without an entropy source. Sound
    because the data is fixed before the weights exist. *)
-let verify_published gctx ~label (items : (t * opening) array) =
+let verify_published ~label (items : (t * opening) array) =
   let scalar n =
     let b = Nat.to_bytes_be n in
     string_of_int (String.length b) ^ ":" ^ b
@@ -94,7 +94,7 @@ let verify_published gctx ~label (items : (t * opening) array) =
   in
   let items = Array.to_list items in
   let rng = Dd_group.Batch.derive_rng ~label (List.concat_map item_parts items) in
-  verify_batch gctx rng items
+  verify_batch rng items
 
 (* Check an opening decodes to the unit vector for [choice]. *)
 let opening_is_unit (o : opening) ~choice =

@@ -10,7 +10,7 @@ type opening = Elgamal.opening array
 (** Commit to the unit vector selecting [choice] out of [options].
     Raises [Invalid_argument] if [choice] is out of range. *)
 val commit :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> options:int -> choice:int -> t * opening
+  Dd_crypto.Drbg.t -> options:int -> choice:int -> t * opening
 
 (** The openings {!commit} would draw, in the same DRBG order, without
     computing the commitments (batched set-up computes them with
@@ -20,7 +20,7 @@ val openings : Dd_crypto.Drbg.t -> options:int -> choice:int -> opening
 (** k-out-of-m selection: ones exactly at the (distinct) [choices].
     Raises [Invalid_argument] on out-of-range or duplicate choices. *)
 val commit_k :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> options:int -> choices:int list -> t * opening
+  Dd_crypto.Drbg.t -> options:int -> choices:int list -> t * opening
 
 val add : t -> t -> t
 val sum : options:int -> t list -> t
@@ -29,14 +29,14 @@ val add_opening : opening -> opening -> opening
 val sum_openings : options:int -> opening list -> opening
 
 (** Verify every coordinate opening. *)
-val verify : Dd_group.Group_ctx.t -> t -> opening -> bool
+val verify : t -> opening -> bool
 
 (** Verify many unit-vector openings at once: all coordinate equations
     of all vectors fold into one multi-scalar multiplication
     (soundness 2^-128 per batch; see {!Dd_group.Batch}). {b Variable
     time} — published data only. *)
 val verify_batch :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> (t * opening) list -> bool
+  Dd_crypto.Drbg.t -> (t * opening) list -> bool
 
 (** The one check for openings published on the bulletin board (the
     board's reconstructions and the auditor's check (d)):
@@ -45,7 +45,7 @@ val verify_batch :
     the same data derives the same weights. {b Variable time} —
     published data only. *)
 val verify_published :
-  Dd_group.Group_ctx.t -> label:string -> (t * opening) array -> bool
+  label:string -> (t * opening) array -> bool
 
 (** Does the opening carry exactly the unit vector for [choice]? *)
 val opening_is_unit : opening -> choice:int -> bool

@@ -10,7 +10,6 @@ module Elgamal = Dd_commit.Elgamal
 module Unit_vector = Dd_commit.Unit_vector
 module Ballot_proof = Dd_zkp.Ballot_proof
 module Challenge = Dd_zkp.Challenge
-module Group_ctx = Dd_group.Group_ctx
 module Batch = Dd_group.Batch
 module Nat = Dd_bignum.Nat
 module Pool = Dd_parallel.Pool
@@ -27,7 +26,6 @@ let check name ok detail = { name; ok; detail }
    (Bb_reader) plus the replicated initialization data. *)
 type view = {
   cfg : Types.config;
-  gctx : Group_ctx.t;
   board : Board.t;
   final_set : (int * string) list;
   voted : (int * (Types.part_id * int)) list;   (* serial -> used part, position *)
@@ -37,7 +35,7 @@ type view = {
   tally : Types.tally option;
 }
 
-let assemble ~cfg ~gctx (nodes : Bb_node.t list) =
+let assemble ?gctx:_ ~cfg (nodes : Bb_node.t list) =
   match Bb_reader.final_set ~cfg nodes, Bb_reader.voted_positions ~cfg nodes with
   | Bb_reader.Agreed final_set, Bb_reader.Agreed voted ->
     (* initialization data is replicated; cross-check by majority on
@@ -89,7 +87,7 @@ let assemble ~cfg ~gctx (nodes : Bb_node.t list) =
           | None -> None
           | Some opened_codes ->
             Some
-              { cfg; gctx;
+              { cfg;
                 board = Bb_node.board majority_node;
                 final_set; voted;
                 opened_codes;
@@ -246,7 +244,7 @@ let check_openings ?(batch = true) ?pool v =
   if batch then begin
     let items = Array.map (fun (_, _, _, cv) -> cv) crypto in
     let check_range ~lo ~len =
-      Unit_vector.verify_published v.gctx ~label:v.cfg.Types.election_id (Array.sub items lo len)
+      Unit_vector.verify_published ~label:v.cfg.Types.election_id (Array.sub items lo len)
     in
     match par_find_first pool ~n:(Array.length crypto) ~check:check_range with
     | None -> ()
@@ -257,7 +255,7 @@ let check_openings ?(batch = true) ?pool v =
   else
     Array.iter
       (fun (serial, part, pos, (c, o)) ->
-         if not (Unit_vector.verify v.gctx c o) then
+         if not (Unit_vector.verify c o) then
            note_offender bad serial part (Printf.sprintf "position %d opening invalid" pos))
       crypto;
   match !bad with
@@ -307,7 +305,7 @@ let check_zk ?(batch = true) ?pool v =
     (List.sort compare v.voted);
   let crypto = Array.of_list (List.rev !crypto) in
   let verify_one (inst : Ballot_proof.instance) =
-    Ballot_proof.verify v.gctx ~commitments:inst.Ballot_proof.commitments
+    Ballot_proof.verify ~commitments:inst.Ballot_proof.commitments
       inst.Ballot_proof.fm ~challenge:inst.Ballot_proof.challenge inst.Ballot_proof.fin
   in
   if batch then begin
@@ -327,7 +325,7 @@ let check_zk ?(batch = true) ?pool v =
         let rng =
           Batch.derive_rng ~label:(Printf.sprintf "audit-zk:%d:%d" lo len) seed_parts
         in
-        Ballot_proof.verify_batch v.gctx rng
+        Ballot_proof.verify_batch rng
           (Array.map (fun (_, _, _, inst) -> inst) (Array.sub crypto lo len))
     in
     match par_find_first pool ~n:(Array.length crypto) ~check:check_range with

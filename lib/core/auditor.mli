@@ -18,7 +18,6 @@ type check = {
     electorate size. *)
 type view = {
   cfg : Types.config;
-  gctx : Dd_group.Group_ctx.t;
   board : Board.t;
   final_set : (int * string) list;
   voted : (int * (Types.part_id * int)) list;
@@ -30,9 +29,10 @@ type view = {
 
 (** Majority-read the replicas (cross-checking the replicated
     initialization data by its board Merkle root); [None] until a
-    majority has published the final set and opened the codes. *)
+    majority has published the final set and opened the codes. [?gctx]
+    is unused; perfbench passes one. *)
 val assemble :
-  cfg:Types.config -> gctx:Dd_group.Group_ctx.t -> Bb_node.t list -> view option
+  ?gctx:Dd_group.Group_ctx.t -> cfg:Types.config -> Bb_node.t list -> view option
 
 (** Slice auditing: verify one chunk of the view's board against the
     trusted board root ([?root] defaults to the view's own), reading

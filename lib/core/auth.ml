@@ -18,7 +18,6 @@
 
 module Schnorr = Dd_sig.Schnorr
 module Once = Dd_parallel.Once
-module Pool = Dd_parallel.Pool
 
 type scheme =
   | Schnorr_scheme
@@ -33,7 +32,6 @@ type tag =
 type keys = {
   scheme : scheme;
   me : int;
-  gctx : Dd_group.Group_ctx.t;
   sk : Schnorr.secret_key;
   pks : Schnorr.public_key array;       (* indexed by node id *)
   pk_tables : Schnorr.pk_table Once.t array;  (* comb tables, built on first
@@ -47,11 +45,11 @@ type keys = {
 (* Deal credentials for a clique of [n] nodes from the EA's RNG. The
    derivation is deterministic in the seed, so every node's view is
    consistent. *)
-let deal_clique ~scheme ~gctx ~seed ~n =
+let deal_clique ~scheme ~seed ~n =
   let master = Dd_crypto.Drbg.create ~seed in
   let key_pairs =
     Array.init n (fun i ->
-        Schnorr.keygen gctx (Dd_crypto.Drbg.fork master ~label:(Printf.sprintf "sk%d" i)))
+        Schnorr.keygen (Dd_crypto.Drbg.fork master ~label:(Printf.sprintf "sk%d" i)))
   in
   (* one shared inversion puts every key in affine form, so encoding a
      key into a Schnorr challenge (every sign and verify) is free *)
@@ -76,7 +74,7 @@ let deal_clique ~scheme ~gctx ~seed ~n =
     Array.map (fun pk -> Once.make (fun () -> Schnorr.precompute_pk pk)) pks
   in
   Array.init n (fun i ->
-      { scheme; me = i; gctx;
+      { scheme; me = i;
         sk = fst key_pairs.(i);
         pks;
         pk_tables;
@@ -91,7 +89,7 @@ let sign ?rng (k : keys) msg =
   match k.scheme with
   | Schnorr_scheme ->
     let rng = Option.value rng ~default:k.rng in
-    Schnorr_tag (Schnorr.sign k.gctx rng ~sk:k.sk ~pk:k.pks.(k.me) msg)
+    Schnorr_tag (Schnorr.sign rng ~sk:k.sk ~pk:k.pks.(k.me) msg)
   | Mac_scheme ->
     Mac_tag (Array.map (fun key -> Dd_crypto.Hmac.sha256 ~key msg) k.mac_keys)
 
@@ -119,7 +117,7 @@ let verify (k : keys) ~signer msg = function
   | Schnorr_tag s ->
     k.scheme = Schnorr_scheme
     && signer >= 0 && signer < Array.length k.pks
-    && Schnorr.verify_with_table k.gctx ~pk:k.pks.(signer)
+    && Schnorr.verify_with_table ~pk:k.pks.(signer)
          ~pk_table:(Once.force k.pk_tables.(signer)) msg s
   | Mac_tag tags ->
     k.scheme = Mac_scheme
@@ -127,24 +125,13 @@ let verify (k : keys) ~signer msg = function
     && k.me < Array.length tags
     && Dd_crypto.Ct.equal tags.(k.me) (Dd_crypto.Hmac.sha256 ~key:k.mac_keys.(signer) msg)
 
-(* Minimum batch size before a parallel caller shards across domains;
-   below this (e.g. the quorum-11 UCERT checks inside the simulation)
-   the serial randomized batch always runs, so simulation transcripts
-   are independent of DDEMOS_DOMAINS. *)
-let par_threshold = 64
-
 (* Verify many [(signer, msg, tag)] triples at once. Under
    [Schnorr_scheme] the whole list folds into one randomized batch
    (one MSM + one batch normalization — the UCERT hot path); HMACs
    are already cheap, so [Mac_scheme] just checks serially. Weights
    come from the node's own DRBG stream, so a Byzantine signer cannot
-   predict them. With [?pool] (more than one domain) and at least
-   [par_threshold] signatures, the batch shards across domains — each
-   shard gets its own DRBG forked serially up front, so weight streams
-   are schedule-independent — and the verdict is the AND of the shard
-   verdicts (a batch that passes under one weighting passes under
-   any). *)
-let verify_batch ?pool (k : keys) (items : (int * string * tag) list) =
+   predict them. *)
+let verify_batch (k : keys) (items : (int * string * tag) list) =
   match k.scheme with
   | Mac_scheme -> List.for_all (fun (signer, msg, tag) -> verify k ~signer msg tag) items
   | Schnorr_scheme ->
@@ -159,35 +146,7 @@ let verify_batch ?pool (k : keys) (items : (int * string * tag) list) =
         items
     in
     !ok
-    && (let n = List.length sigs in
-        let serial () =
-          let pre =
-            Array.of_list (List.map (fun (signer, _) -> Once.force k.pk_pre.(signer)) sigs)
-          in
-          Schnorr.verify_batch ~pre k.gctx k.rng
-            (Array.of_list (List.map snd sigs))
+    && (let pre =
+          Array.of_list (List.map (fun (signer, _) -> Once.force k.pk_pre.(signer)) sigs)
         in
-        match pool with
-        | None -> serial ()
-        | Some pool when Pool.size pool <= 1 || n < par_threshold -> serial ()
-        | Some pool ->
-          let sigs = Array.of_list sigs in
-          (* force every signer's table serially once; shards then only
-             read published values *)
-          let pre = Array.map (fun (signer, _) -> Once.force k.pk_pre.(signer)) sigs in
-          let nshards = min (Pool.size pool) ((n + 31) / 32) in
-          let rngs =
-            Array.init nshards (fun i ->
-                Dd_crypto.Drbg.fork k.rng ~label:(Printf.sprintf "batch-shard%d" i))
-          in
-          let verdicts =
-            Pool.parallel_map pool ~chunk:1
-              (fun shard ->
-                 let lo = shard * n / nshards and hi = (shard + 1) * n / nshards in
-                 let len = hi - lo in
-                 Schnorr.verify_batch ~pre:(Array.sub pre lo len) k.gctx
-                   rngs.(shard)
-                   (Array.init len (fun i -> snd sigs.(lo + i))))
-              (Array.init nshards (fun i -> i))
-          in
-          Array.for_all (fun b -> b) verdicts)
+        Schnorr.verify_batch ~pre k.rng (Array.of_list (List.map snd sigs)))

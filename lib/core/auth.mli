@@ -17,7 +17,6 @@ type tag =
 type keys = {
   scheme : scheme;
   me : int;
-  gctx : Dd_group.Group_ctx.t;
   sk : Dd_sig.Schnorr.secret_key;
   pks : Dd_sig.Schnorr.public_key array;
   pk_tables : Dd_sig.Schnorr.pk_table Dd_parallel.Once.t array;
@@ -34,7 +33,7 @@ type keys = {
     (deterministic: every party derives a consistent view). In D-DEMOS
     the last index is the EA itself. *)
 val deal_clique :
-  scheme:scheme -> gctx:Dd_group.Group_ctx.t -> seed:string -> n:int -> keys array
+  scheme:scheme -> seed:string -> n:int -> keys array
 
 (** [sign ?rng k msg]. [?rng] substitutes a caller-owned DRBG for the
     node's own nonce stream — parallel setup passes per-ballot forked
@@ -60,8 +59,5 @@ val verify : keys -> signer:int -> string -> tag -> bool
     fold into one randomized batch verification (soundness 2^-128 per
     batch; the UCERT validation hot path); MAC tags are checked
     serially. Any invalid signer index or cross-scheme tag fails the
-    batch. With [?pool] of more than one domain and at least 64
-    signatures, the batch shards across domains (verdict unchanged:
-    the AND of per-shard randomized batches). *)
-val verify_batch :
-  ?pool:Dd_parallel.Pool.t -> keys -> (int * string * tag) list -> bool
+    batch. *)
+val verify_batch : keys -> (int * string * tag) list -> bool

@@ -19,7 +19,6 @@ module Elgamal = Dd_commit.Elgamal
 module Elgamal_vss = Dd_vss.Elgamal_vss
 module Unit_vector = Dd_commit.Unit_vector
 module Ballot_proof = Dd_zkp.Ballot_proof
-module Group_ctx = Dd_group.Group_ctx
 module Wal = Dd_store.Wal
 module Wire = Dd_codec.Wire
 
@@ -52,7 +51,6 @@ type published = {
 type t = {
   me : int;
   cfg : Types.config;
-  gctx : Group_ctx.t;
   init : Ea.bb_init;
   (* the ballot table: this node's sealed "bb" segment, one chunk
      resident at a time *)
@@ -136,7 +134,7 @@ let open_commitments t (commitments : Unit_vector.t array) selected =
       commitments
   in
   let items = Array.map2 (fun c o -> (c, o)) commitments openings in
-  if Unit_vector.verify_published t.gctx ~label:t.cfg.Types.election_id items
+  if Unit_vector.verify_published ~label:t.cfg.Types.election_id items
   then Some openings
   else None
 
@@ -341,9 +339,9 @@ let handle t (msg : Messages.bb_msg) =
    (deterministic, no sends) with no subscribers attached yet and no
    journal, then attach the journal so new writes append after the
    replayed ones. An empty or absent device gives a fresh board. *)
-let create ?durable ~board ~cfg ~gctx ~init ~me () =
+let create ?durable ~board ~cfg ~init ~me () =
   let t =
-    { me; cfg; gctx; init; board;
+    { me; cfg; init; board;
       vote_sets = []; msk_shares = [];
       posts = { openings = Hashtbl.create 64; tally_shares = []; zk_posts = Hashtbl.create 64 };
       pub =

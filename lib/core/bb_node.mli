@@ -43,7 +43,7 @@ type t
     device gives a fresh board and a written one a cold restart. *)
 val create :
   ?durable:Dd_store.Device.t -> board:Board.t ->
-  cfg:Types.config -> gctx:Dd_group.Group_ctx.t -> init:Ea.bb_init -> me:int ->
+  cfg:Types.config -> init:Ea.bb_init -> me:int ->
   unit -> t
 
 (** Canonical encoding of the published state (sorted, deterministic),

@@ -56,7 +56,6 @@ type trustee_init = {
 
 type setup = {
   cfg : Types.config;
-  gctx : Group_ctx.t;
   ballots : Types.ballot array;
   (* authenticator cliques; index nv (resp. nt) is the EA itself *)
   vc_keys : Auth.keys array;
@@ -184,15 +183,15 @@ let draw_part cfg ~seed ~ea_vc ~ea_trustee rng ~serial ~part =
    takes them back: the VC tag nonce commitments; per position the m
    commitments (c1, c2) and the ballot proof's first move; the trustee
    tag nonce commitments. *)
-let part_jobs gctx d =
+let part_jobs d =
   let nonce = function
-    | Some k -> [ [ (Group_ctx.g_table gctx, k) ] ]
+    | Some k -> [ [ (Group_ctx.g_table (), k) ] ]
     | None -> []
   in
-  let commit o = let c1, c2 = Elgamal.commit_bit_jobs gctx o in [ c1; c2 ] in
+  let commit o = let c1, c2 = Elgamal.commit_bit_jobs o in [ c1; c2 ] in
   let per_pos pos =
     List.concat_map commit (Array.to_list d.d_openings.(pos))
-    @ Array.to_list (Ballot_proof.first_move_jobs gctx d.d_states.(pos) d.d_openings.(pos))
+    @ Array.to_list (Ballot_proof.first_move_jobs d.d_states.(pos) d.d_openings.(pos))
   in
   List.concat_map nonce (List.concat_map Array.to_list (Array.to_list d.d_vc_nonces))
   @ List.concat (List.init (Array.length d.d_openings) per_pos)
@@ -292,15 +291,14 @@ let setup_chunks ?pool
    | Error e -> invalid_arg ("Ea.setup: " ^ e));
   (* lint: allow exception-hygiene — the EA is the trusted dealer; config comes from the operator *)
   if chunk_size <= 0 then invalid_arg "Ea.setup_chunks: chunk_size";
-  let gctx = Group_ctx.default () in
   let n = cfg.Types.n_voters and m = cfg.Types.m_options in
   let nv = cfg.Types.nv and fv = cfg.Types.fv in
   let nt = cfg.Types.nt in
   let rng = Drbg.create ~seed:("ea|" ^ seed) in
   let scheme = Auth.Schnorr_scheme in
-  let vc_keys = Auth.deal_clique ~scheme ~gctx ~seed:("vc-keys|" ^ seed) ~n:(nv + 1) in
+  let vc_keys = Auth.deal_clique ~scheme ~seed:("vc-keys|" ^ seed) ~n:(nv + 1) in
   let trustee_keys =
-    Auth.deal_clique ~scheme ~gctx ~seed:("trustee-keys|" ^ seed) ~n:(nt + 1)
+    Auth.deal_clique ~scheme ~seed:("trustee-keys|" ^ seed) ~n:(nt + 1)
   in
   let ea_vc = vc_keys.(nv) and ea_trustee = trustee_keys.(nt) in
   let msk = Ballot_gen.msk ~seed in
@@ -348,7 +346,7 @@ let setup_chunks ?pool
         in
         let points =
           Dd_group.Curve.mul_base_batch
-            (Array.of_list (List.concat_map (part_jobs gctx) (Array.to_list drawn)))
+            (Array.of_list (List.concat_map part_jobs (Array.to_list drawn)))
         in
         let cursor = ref 0 in
         let next () = let pt = points.(!cursor) in incr cursor; pt in
@@ -369,7 +367,7 @@ let setup_chunks ?pool
     end
   done;
   { st_cfg = cfg;
-    st_gctx = gctx;
+    st_gctx = Group_ctx.default ();
     st_vc_keys = vc_keys;
     st_trustee_keys = trustee_keys;
     st_hmsk = Ballot_gen.msk_commitment ~seed;
@@ -410,7 +408,7 @@ let setup ?pool ?chunk_size (cfg : Types.config) ~seed =
     done
   in
   let st = setup_chunks ?pool ?chunk_size cfg ~seed ~emit in
-  { cfg; gctx = st.st_gctx; ballots;
+  { cfg; ballots;
     vc_keys = st.st_vc_keys; trustee_keys = st.st_trustee_keys;
     vc_init =
       Array.init nv (fun i ->

@@ -52,7 +52,6 @@ type trustee_init = {
 
 type setup = {
   cfg : Types.config;
-  gctx : Dd_group.Group_ctx.t;
   ballots : Types.ballot array;      (** distributed to voters *)
   vc_keys : Auth.keys array;         (** clique of nv+1; index nv is the EA *)
   trustee_keys : Auth.keys array;    (** clique of nt+1; index nt is the EA *)
@@ -74,7 +73,7 @@ val inverse_perm : int array -> int array
     [emit] callback. *)
 type static = {
   st_cfg : Types.config;
-  st_gctx : Dd_group.Group_ctx.t;
+  st_gctx : Dd_group.Group_ctx.t;  (** perfbench reads it; nothing else *)
   st_vc_keys : Auth.keys array;
   st_trustee_keys : Auth.keys array;
   st_hmsk : string;
@@ -111,9 +110,9 @@ val draw_part :
 (** The part's curve points as {!Dd_group.Curve.mul_base_batch} jobs:
     the EA's Schnorr nonce commitments, and per position the m
     commitments and the ballot proof's first move. *)
-val part_jobs : Dd_group.Group_ctx.t -> drawn_part -> Dd_group.Curve.comb_job list
+val part_jobs : drawn_part -> Dd_group.Curve.comb_job list
 
-(** [List.length (part_jobs gctx d)] for every part under the
+(** [List.length (part_jobs d)] for every part under the
     configuration: [nv m + nt + m (6m + 2)]. It sizes the lockstep
     groups of {!setup_chunks}. *)
 val jobs_per_part : Types.config -> int

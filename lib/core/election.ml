@@ -226,7 +226,6 @@ let run (p : params) : result =
   in
   (* full cryptography: a source with BB boards *)
   let full_mode = Option.is_some src.Node_source.sv_bb in
-  let gctx = src.Node_source.sv_gctx in
 
   (* --- durable devices --- *)
   let crash_specs = Fault_plan.crash_specs p.faults in
@@ -372,7 +371,7 @@ let run (p : params) : result =
       let bb =
         (* lint: allow secret-taint — salt_msk is part of the BB node's own durable at-rest state, not a network message *)
         Bb_node.create ?durable:(device_of bb_backing.(j))
-          ~board:(board_for j) ~cfg ~gctx ~init ~me:j ()
+          ~board:(board_for j) ~cfg ~init ~me:j ()
       in
       bb_arr.(j) <- Some bb;
       watch_bb j bb;
@@ -577,7 +576,7 @@ let run (p : params) : result =
         Some
           (* lint: allow secret-taint — journal replay compares trustee indices and share x-coordinates, never secret share bytes *)
           (Trustee.create
-             { Trustee.me = i; cfg; gctx;
+             { Trustee.me = i; cfg; gctx = Dd_group.Group_ctx.default ();
                init = trustee_init_for i;
                keys = trustee_keys.(i);
                send_trustee = deliver_trustee;

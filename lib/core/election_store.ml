@@ -233,7 +233,7 @@ let store_setup ?(chunk_size = Ea.default_setup_chunk) devices (s : Ea.setup) =
       ck_trustee = Array.map (fun (t : Ea.trustee_init) -> t.Ea.t_ballots) s.Ea.trustee_init };
   seal_layout cfg slot
     { Ea.st_cfg = cfg;
-      st_gctx = s.Ea.gctx;
+      st_gctx = Group_ctx.default ();
       st_vc_keys = s.Ea.vc_keys;
       st_trustee_keys = s.Ea.trustee_keys;
       st_hmsk = s.Ea.bb_init.Ea.hmsk;

@@ -34,7 +34,7 @@ val decode_vc_record : string -> Types.vc_line array array option
 (* lint: secret — trustee records carry opening and ZK-state shares *)
 val encode_trustee_record : Ea.trustee_part_data array -> string
 
-(** The context is unused; the benchmark contract calls this with one. *)
+(** The token is unused; perfbench passes one. *)
 val decode_trustee_record :
   Dd_group.Group_ctx.t -> string -> Ea.trustee_part_data array option
 

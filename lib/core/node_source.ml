@@ -1,6 +1,5 @@
 type t = {
   sv_cfg : Types.config;
-  sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;
   sv_store_for : int -> Ballot_store.t;
   sv_bb : (Ea.bb_init * (int -> Board.t)) option;
@@ -11,11 +10,9 @@ type t = {
 }
 
 let prf ?(scheme = Auth.Schnorr_scheme) cfg ~seed =
-  let gctx = Dd_group.Group_ctx.default () in
   { sv_cfg = cfg;
-    sv_gctx = gctx;
     sv_keys =
-      Auth.deal_clique ~scheme ~gctx ~seed:("vc-keys|" ^ seed) ~n:(cfg.Types.nv + 1);
+      Auth.deal_clique ~scheme ~seed:("vc-keys|" ^ seed) ~n:(cfg.Types.nv + 1);
     sv_store_for = (fun node -> Ballot_store.virtual_prf ~seed ~cfg ~node);
     sv_bb = None;
     sv_trustees = None;
@@ -27,9 +24,7 @@ let prf ?(scheme = Auth.Schnorr_scheme) cfg ~seed =
 let of_layout ~devices (layout : Election_store.layout) =
   let st = layout.Election_store.l_static in
   let cfg = st.Ea.st_cfg in
-  let gctx = st.Ea.st_gctx in
   { sv_cfg = cfg;
-    sv_gctx = gctx;
     sv_keys = st.Ea.st_vc_keys;
     sv_store_for =
       (fun node ->

@@ -10,7 +10,6 @@
 
 type t = {
   sv_cfg : Types.config;
-  sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;           (** VC clique; index nv = EA *)
   sv_store_for : int -> Ballot_store.t;
   sv_bb : (Ea.bb_init * (int -> Board.t)) option;

@@ -10,7 +10,8 @@
     endomorphism constants that {!msm} relies on are checked once, when
     the module initializes, which raises [Invalid_argument] if they do
     not hold. The second generator H and the comb tables of G and H
-    belong to {!Group_ctx}.
+    belong to {!Group_ctx}, as module values too; each comb table is
+    built on its first use.
 
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,

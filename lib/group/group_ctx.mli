@@ -1,45 +1,50 @@
 (** The commitment generators G and H (H is hash-derived, so its
     discrete log w.r.t. G is unknown), their width-8 comb tables, and
-    the operations that use them. Everything else about the group (its
-    order, scalar field, codecs and general multiplications) lives in
-    {!Curve}, which needs no context; a function takes a [t] only when
-    it, or something it calls, multiplies by G or H. *)
+    the operations that use them. G is {!Curve.generator}; H is hashed
+    once, when the module initializes. Everything else about the group
+    (its order, scalar field, codecs and general multiplications) lives
+    in {!Curve}. There is no context value to pass around. *)
 
 module Nat = Dd_bignum.Nat
 
+(** An opaque token with one value. Nothing reads it: it survives only
+    because perfbench names it, through [Mux.encode] and [decode],
+    [Election_store.decode_trustee_record], [Trustee.env],
+    [Runtime.gctx], [Ea.static] and [Auditor.assemble]. *)
 type t
 
-(** One process-wide context over secp256k1, built on first call (table
-    construction costs a few hundred milliseconds; share it). Safe to
-    call from any domain: a first-use race may build the context twice
-    but exactly one value is published and returned everywhere. *)
+(** The token; builds nothing. *)
 val default : unit -> t
 
-(** [g t] is {!Curve.generator} itself (physically equal). *)
-val g : t -> Curve.point
-val h : t -> Curve.point
+(** [g] is {!Curve.generator} itself (physically equal). *)
+val g : Curve.point
+val h : Curve.point
 
 (** The precomputed width-8 comb tables for G and H (for {!Curve.mul2}
-    callers and {!Curve.mul_base_batch} jobs). *)
-val g_table : t -> Curve.base_table
-val h_table : t -> Curve.base_table
+    callers and {!Curve.mul_base_batch} jobs). Each is built on its
+    first use (0.33 MB, about 10 ms on a 2-vCPU x86-64 VM), so a process
+    that never multiplies by H never builds H's table. Safe to call
+    from any domain: racing first uses may each build the table, but
+    exactly one value is published and returned everywhere. *)
+val g_table : unit -> Curve.base_table
+val h_table : unit -> Curve.base_table
 
 (** Fixed-base multiplications by G and H using the precomputed tables. *)
-val mul_g : t -> Nat.t -> Curve.point
-val mul_h : t -> Nat.t -> Curve.point
+val mul_g : Nat.t -> Curve.point
+val mul_h : Nat.t -> Curve.point
 
 (** General multiplication; physically-equal G or H arguments take the
     fixed-base fast path. Safe for secret scalars. *)
-val mul : t -> Nat.t -> Curve.point -> Curve.point
+val mul : Nat.t -> Curve.point -> Curve.point
 
 (** Like {!mul} but arbitrary points take the width-5 wNAF path.
     {b Variable time} — public scalars and points only (see the timing
     contract in curve.mli). *)
-val mul_vartime : t -> Nat.t -> Curve.point -> Curve.point
+val mul_vartime : Nat.t -> Curve.point -> Curve.point
 
-(** [mul2_g t u v p] is [u*G + v*p] by Strauss-Shamir off the G table.
+(** [mul2_g u v p] is [u*G + v*p] by Strauss-Shamir off the G table.
     {b Variable time} — verification only. *)
-val mul2_g : t -> Nat.t -> Nat.t -> Curve.point -> Curve.point
+val mul2_g : Nat.t -> Nat.t -> Curve.point -> Curve.point
 
 (** MSM accumulator for the randomized batch verifiers: collects terms
     [k * P] (or [k * -P] via {!acc_sub}) of a folded verification
@@ -49,7 +54,7 @@ val mul2_g : t -> Nat.t -> Nat.t -> Curve.point -> Curve.point
     {b Variable time} — public equation data only. *)
 type msm_acc
 
-val msm_acc : t -> msm_acc
+val msm_acc : unit -> msm_acc
 val acc_add : msm_acc -> Nat.t -> Curve.point -> unit
 val acc_sub : msm_acc -> Nat.t -> Curve.point -> unit
 

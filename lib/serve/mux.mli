@@ -22,8 +22,7 @@ type t =
   | Bb of Ddemos.Messages.bb_msg list   (** non-empty, in delivery order *)
 
 (** Raises [Invalid_argument] on an empty [Vc] or [Bb] list. The
-    context of [encode] and [decode] is unused; the benchmark contract
-    calls both with one. *)
+    token of [encode] and [decode] is unused; perfbench passes one. *)
 val encode : Dd_group.Group_ctx.t -> t -> string
 
 val decode : Dd_group.Group_ctx.t -> string -> t option

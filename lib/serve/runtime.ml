@@ -27,7 +27,6 @@ let default_params =
 
 type source = Ddemos.Node_source.t = {
   sv_cfg : Types.config;
-  sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;
   sv_store_for : int -> Ballot_store.t;
   sv_bb : (Ea.bb_init * (int -> Board.t)) option;
@@ -98,7 +97,7 @@ type t = {
   st : stats;
 }
 
-let gctx t = t.src.sv_gctx
+let gctx (_ : t) = Dd_group.Group_ctx.default ()
 let config t = t.src.sv_cfg
 let stats t = t.st
 let vc_node t i = t.vc.(i)
@@ -202,7 +201,7 @@ let create ?(params = default_params) src =
    | Some (init, board_for) ->
      t.bb <-
        Array.init nb (fun j ->
-           Bb_node.create ~board:(board_for j) ~cfg ~gctx:src.sv_gctx ~init ~me:j ());
+           Bb_node.create ~board:(board_for j) ~cfg ~init ~me:j ());
      for i = 0 to nv - 1 do
        for j = 0 to nb - 1 do
          let evc, ebb = Pipe.pair () in
@@ -238,7 +237,7 @@ let intern_client t conn channel =
 let shed_vote t conn ~channel ~req =
   t.st.votes_shed <- t.st.votes_shed + 1;
   enqueue_out t conn
-    (Mux.encode t.src.sv_gctx
+    (Mux.encode (gctx t)
        (Mux.Client_reply { channel; req; outcome = Types.Rejected "server overloaded" }))
 
 let deliver t mbox m =
@@ -277,7 +276,7 @@ let pump_conn t conn =
       | Some payload ->
         incr processed;
         t.st.frames_in <- t.st.frames_in + 1;
-        (match Mux.decode t.src.sv_gctx payload with
+        (match Mux.decode (gctx t) payload with
          | Some msg -> route t conn msg
          | None -> t.st.malformed <- t.st.malformed + 1);
         pop_all ()
@@ -309,7 +308,6 @@ let process_bb t j =
 (* Each link's staged messages leave as one frame (more only past
    [max_frame]); client replies stay one frame each. *)
 let flush_staged t =
-  let gctx = t.src.sv_gctx in
   let send conn msg =
     match conn with
     | Some conn when conn.k_open ->
@@ -330,7 +328,7 @@ let flush_staged t =
          | S_client (client, req, outcome) ->
            (match Hashtbl.find_opt t.clients client with
             | Some (conn, channel) when conn.k_open ->
-              enqueue_out t conn (Mux.encode gctx (Mux.Client_reply { channel; req; outcome }))
+              enqueue_out t conn (Mux.encode (gctx t) (Mux.Client_reply { channel; req; outcome }))
             | Some _ | None -> ()))
       staged;
     Array.iteri

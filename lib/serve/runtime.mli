@@ -52,7 +52,6 @@ val default_params : params
     in-memory EA setup is served through {!Ddemos.Node_source.of_setup}. *)
 type source = Ddemos.Node_source.t = {
   sv_cfg : Ddemos.Types.config;
-  sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Ddemos.Auth.keys array;
   sv_store_for : int -> Ddemos.Ballot_store.t;
   sv_bb : (Ddemos.Ea.bb_init * (int -> Ddemos.Board.t)) option;
@@ -103,6 +102,7 @@ val bb_node : t -> int -> Ddemos.Bb_node.t option
 val observe_links :
   t -> (src:int -> dst:int -> Ddemos.Messages.vc_msg -> unit) -> unit
 
+(** {!Dd_group.Group_ctx.default}, unused; perfbench reads it. *)
 val gctx : t -> Dd_group.Group_ctx.t
 val config : t -> Ddemos.Types.config
 

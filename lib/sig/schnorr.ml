@@ -25,9 +25,9 @@ type signature = {
   r : Curve.point;
 }
 
-let keygen gctx rng =
+let keygen rng =
   let sk = Curve.random_scalar rng in
-  (sk, Group_ctx.mul_g gctx sk)
+  (sk, Group_ctx.mul_g sk)
 
 let domain = "schnorr-sig"
 
@@ -44,11 +44,11 @@ let sign_with_nonce ~nonce ~commitment ~sk ~pk msg =
   let e = challenge ~commitment ~pk msg in
   { s = Modular.sub fn nonce (Modular.mul fn e sk); r = commitment }
 
-let sign gctx rng ~sk ~pk msg =
+let sign rng ~sk ~pk msg =
   let k = nonce rng in
   let r =
     (* k is nonzero mod n, so R is never the identity *)
-    match Curve.to_affine (Group_ctx.mul_g gctx k) with
+    match Curve.to_affine (Group_ctx.mul_g k) with
     | Some xy -> Curve.of_affine xy
     | None -> Curve.infinity
   in
@@ -57,9 +57,9 @@ let sign gctx rng ~sk ~pk msg =
 (* Verification works on public data only, so it may take the
    variable-time multi-scalar paths (see the timing contract in
    curve.mli). *)
-let verify gctx ~pk msg { s; r } =
+let verify ~pk msg { s; r } =
   let e = challenge ~commitment:r ~pk msg in
-  Curve.equal (Group_ctx.mul2_g gctx s e pk) r
+  Curve.equal (Group_ctx.mul2_g s e pk) r
 
 (* A comb table for PK turns e*PK into doubling-free comb adds; with
    many signatures under one key (every endorsement a node checks
@@ -70,9 +70,9 @@ type pk_table = Curve.base_table
 
 let make_pk_table pk = Curve.make_base_table ~width:4 pk
 
-let verify_with_table gctx ~pk ~pk_table msg { s; r } =
+let verify_with_table ~pk ~pk_table msg { s; r } =
   let e = challenge ~commitment:r ~pk msg in
-  Curve.equal (Curve.add (Group_ctx.mul_g gctx s) (Curve.mul_base_table pk_table e)) r
+  Curve.equal (Curve.add (Group_ctx.mul_g s) (Curve.mul_base_table pk_table e)) r
 
 (* A wide precomputed msm table for a verification key: with the same
    signer set checked over and over (every UCERT carries the same VC
@@ -89,14 +89,14 @@ let precompute_pk pk = Curve.precompute pk
    supplies a per-item precomputed table for the public keys (parallel
    to [items]); the keys then skip both the normalization here and
    their table builds inside the MSM. *)
-let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array) =
+let verify_batch ?pre rng (items : (Curve.point * string * signature) array) =
   let n = Array.length items in
   (match pre with
    | Some p when Array.length p <> n ->
      invalid_arg "Schnorr.verify_batch: pre/items length mismatch"
    | _ -> ());
   if n = 0 then true
-  else if n = 1 then (let pk, msg, sg = items.(0) in verify gctx ~pk msg sg)
+  else if n = 1 then (let pk, msg, sg = items.(0) in verify ~pk msg sg)
   else begin
     let fn = Curve.scalar_field in
     let len = Curve.byte_len in
@@ -115,7 +115,7 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
       | None -> "\x00"
       | Some (x, y) -> "\x04" ^ Nat.to_bytes_be ~len x ^ Nat.to_bytes_be ~len y
     in
-    let acc = Group_ctx.msm_acc gctx in
+    let acc = Group_ctx.msm_acc () in
     Array.iteri
       (fun i (pk, msg, sg) ->
          let e =
@@ -126,7 +126,7 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
             and a bad item 0 alone leaves the sum off the identity
             deterministically. It saves item 0's R table in the MSM. *)
          let w = if i = 0 then Nat.one else Batch.weight rng in
-         Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn sg.s)) (Group_ctx.g gctx);
+         Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn sg.s)) Group_ctx.g;
          let we = Modular.mul fn w e in
          (match pre with
           | Some p -> Group_ctx.acc_add_pre acc we p.(i)
@@ -144,11 +144,11 @@ let verify_batch ?pre gctx rng (items : (Curve.point * string * signature) array
 
 (* Localize the invalid signatures of a failing batch (sorted indices;
    [] iff the whole batch verifies). *)
-let verify_batch_find gctx rng items =
+let verify_batch_find rng items =
   Batch.find_failures ~n:(Array.length items)
     ~check:(fun ~lo ~len ->
-        if len = 1 then (let pk, msg, sg = items.(lo) in verify gctx ~pk msg sg)
-        else verify_batch gctx rng (Array.sub items lo len))
+        if len = 1 then (let pk, msg, sg = items.(lo) in verify ~pk msg sg)
+        else verify_batch rng (Array.sub items lo len))
 
 let commitment { r; _ } = r
 

@@ -10,10 +10,10 @@ type secret_key = Nat.t
 type public_key = Curve.point
 type signature
 
-val keygen : Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> secret_key * public_key
+val keygen : Dd_crypto.Drbg.t -> secret_key * public_key
 
 val sign :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> sk:secret_key -> pk:public_key -> string -> signature
+  Dd_crypto.Drbg.t -> sk:secret_key -> pk:public_key -> string -> signature
 
 (** Signing in two halves, for signers that compute many nonce
     commitments in one {!Dd_group.Curve.mul_base_batch}: [nonce] draws k
@@ -33,7 +33,7 @@ val challenge : commitment:Curve.point -> pk:public_key -> string -> Nat.t
 
 (** Verify via one Strauss-Shamir pass ([s*G + e*PK]); public data
     only, so the variable-time paths are fine here. *)
-val verify : Dd_group.Group_ctx.t -> pk:public_key -> string -> signature -> bool
+val verify : pk:public_key -> string -> signature -> bool
 
 (** Precomputed comb table for a public key, for verifying many
     signatures under the same key (e.g. a node's fellow VCs during an
@@ -42,14 +42,14 @@ val verify : Dd_group.Group_ctx.t -> pk:public_key -> string -> signature -> boo
 type pk_table
 val make_pk_table : public_key -> pk_table
 val verify_with_table :
-  Dd_group.Group_ctx.t -> pk:public_key -> pk_table:pk_table -> string -> signature -> bool
+  pk:public_key -> pk_table:pk_table -> string -> signature -> bool
 
 (** Wide precomputed msm table for a public key ({!Dd_group.Curve.precompute}):
     the batch-verification analogue of {!make_pk_table}, worth building
     for long-lived keys verified across many batches. *)
 val precompute_pk : public_key -> Dd_group.Curve.precomp
 
-(** [verify_batch ?pre gctx rng items] verifies all [(pk, msg,
+(** [verify_batch ?pre rng items] verifies all [(pk, msg,
     signature)] triples at once: the n verification equations fold into
     one multi-scalar multiplication under independent random 128-bit
     weights drawn from [rng], and one Montgomery-trick normalization
@@ -61,13 +61,13 @@ val precompute_pk : public_key -> Dd_group.Curve.precomp
     only (variable time). *)
 val verify_batch :
   ?pre:Dd_group.Curve.precomp array ->
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
+  Dd_crypto.Drbg.t ->
   (public_key * string * signature) array -> bool
 
 (** Sorted indices of the invalid signatures, found by bisecting
     sub-batches; [[]] iff every signature verifies. *)
 val verify_batch_find :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
+  Dd_crypto.Drbg.t ->
   (public_key * string * signature) array -> int list
 
 (** The nonce commitment R a signature carries. *)

@@ -24,20 +24,35 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* Nothing touches the disk before the first write: a device opened
+   only to be read (a probe for a segment that may not exist) leaves
+   the directory as it was, and reads see an absent file as an empty
+   log. The first [log_append] or [log_reset] makes the directory and
+   opens the channel. *)
 let create ~dir ~name : Device.t =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let lp = Filename.concat dir (name ^ ".wal") in
-  (* append mode: reopening an existing device continues its log *)
-  let oc = ref (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 lp) in
-  { Device.log_append = (fun s -> output_string !oc s);
-    log_sync = (fun () -> flush !oc);
+  let oc = ref None in
+  let make_dir () = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 in
+  let out () =
+    match !oc with
+    | Some c -> c
+    | None ->
+      make_dir ();
+      (* append mode: reopening an existing device continues its log *)
+      let c = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 lp in
+      oc := Some c;
+      c
+  in
+  let flush_out () = Option.iter flush !oc in
+  { Device.log_append = (fun s -> output_string (out ()) s);
+    log_sync = flush_out;
     log_contents =
       (fun () ->
-         flush !oc;
+         flush_out ();
          Option.value ~default:"" (read_file lp));
     log_size =
       (fun () ->
-         flush !oc;
+         flush_out ();
          match open_in_bin lp with
          | exception Sys_error _ -> 0
          | ic ->
@@ -46,7 +61,7 @@ let create ~dir ~name : Device.t =
            n);
     log_read =
       (fun ~pos ~len ->
-         flush !oc;
+         flush_out ();
          match open_in_bin lp with
          | exception Sys_error _ -> ""
          | ic ->
@@ -59,8 +74,9 @@ let create ~dir ~name : Device.t =
            s);
     log_reset =
       (fun s ->
-         close_out !oc;
+         Option.iter close_out !oc;
+         oc := None;
+         make_dir ();
          let tmp = lp ^ ".tmp" in
          write_file tmp s;
-         Sys.rename tmp lp;
-         oc := open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 lp) }
+         Sys.rename tmp lp) }

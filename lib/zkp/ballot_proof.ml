@@ -59,20 +59,20 @@ type final_move = {
 (* The two Chaum-Pedersen statements for commitment (c1, c2):
    branch 0 claims (c1, c2) = (r*G, r*H);
    branch 1 claims (c1, c2 - G) = (r*G, r*H). *)
-let branch_statement gctx commitment branch : Chaum_pedersen.statement =
+let branch_statement commitment branch : Chaum_pedersen.statement =
   let c1, c2 = Elgamal.components commitment in
-  let h2 = if branch = 0 then c2 else Curve.sub c2 (Group_ctx.g gctx) in
-  { g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx; h1 = c1; h2 }
+  let h2 = if branch = 0 then c2 else Curve.sub c2 Group_ctx.g in
+  { g1 = Group_ctx.g; g2 = Group_ctx.h; h1 = c1; h2 }
 
 (* The sum statement: the coordinates total exactly [k], so
    c2 - k*G = R*H. The paper's single-choice elections use k = 1; the
    k-out-of-m extension sketched in its conclusion reuses the same
    proof with larger k. *)
-let sum_statement ?(k = 1) gctx (commitments : Elgamal.t array) : Chaum_pedersen.statement =
+let sum_statement ?(k = 1) (commitments : Elgamal.t array) : Chaum_pedersen.statement =
   let total = Elgamal.sum (Array.to_list commitments) in
   let c1, c2 = Elgamal.components total in
-  { g1 = Group_ctx.g gctx; g2 = Group_ctx.h gctx; h1 = c1;
-    h2 = Curve.sub c2 (Group_ctx.mul_g gctx (Nat.of_int k)) }
+  { g1 = Group_ctx.g; g2 = Group_ctx.h; h1 = c1;
+    h2 = Curve.sub c2 (Group_ctx.mul_g (Nat.of_int k)) }
 
 (* The first move Chaum_pedersen.simulate would give the branch that
    [opening] does not satisfy, for challenge c and response z, computed
@@ -83,15 +83,15 @@ let sum_statement ?(k = 1) gctx (commitments : Elgamal.t array) : Chaum_pedersen
    fixed-base comb jobs only. The coefficient c*(1-2b) comes from
    scalar arithmetic, so the group operations are the same for either
    bit. *)
-let simulated_jobs gctx (o : Elgamal.opening) ~challenge ~response =
+let simulated_jobs (o : Elgamal.opening) ~challenge ~response =
   let fn = Curve.scalar_field in
-  let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
+  let g = Group_ctx.g_table () and h = Group_ctx.h_table () in
   let s = Modular.sub fn response (Modular.mul fn challenge o.Elgamal.rand) in
   let sign = Modular.sub fn Nat.one (Modular.add fn o.Elgamal.msg o.Elgamal.msg) in
   ([ (g, s) ], [ (h, s); (g, Modular.mul fn challenge sign) ])
 
-let simulated_move gctx o ~challenge ~response : Chaum_pedersen.first_move =
-  let t1, t2 = simulated_jobs gctx o ~challenge ~response in
+let simulated_move o ~challenge ~response : Chaum_pedersen.first_move =
+  let t1, t2 = simulated_jobs o ~challenge ~response in
   let pts = Curve.mul_base_batch [| t1; t2 |] in
   { t1 = pts.(0); t2 = pts.(1) }
 
@@ -124,14 +124,14 @@ let draw_state rng ~(openings : Elgamal.opening array) =
    a1.t2 (the real branch w*G, w*H; the simulated one from
    [simulated_jobs]), then the sum move's w*G, w*H. The statements are
    not needed: a Chaum-Pedersen first move reads only the bases. *)
-let first_move_jobs gctx (st : prover_state) (openings : Elgamal.opening array) =
-  let g = Group_ctx.g_table gctx and h = Group_ctx.h_table gctx in
+let first_move_jobs (st : prover_state) (openings : Elgamal.opening array) =
+  let g = Group_ctx.g_table () and h = Group_ctx.h_table () in
   let rows =
     Array.mapi
       (fun i r ->
          let real = [ [ (g, r.w) ]; [ (h, r.w) ] ] in
          let s1, s2 =
-           simulated_jobs gctx openings.(i) ~challenge:r.c_sim ~response:r.z_sim
+           simulated_jobs openings.(i) ~challenge:r.c_sim ~response:r.z_sim
          in
          if r.branch = 0 then real @ [ s1; s2 ] else [ s1; s2 ] @ real)
       st.rows
@@ -150,12 +150,12 @@ let first_move_points (fm : first_move) =
     (List.concat_map (fun r -> cp r.a0 @ cp r.a1) (Array.to_list fm.row_moves)
      @ cp fm.sum_move)
 
-let prove_commit gctx rng ~(commitments : Elgamal.t array)
+let prove_commit rng ~(commitments : Elgamal.t array)
     ~(openings : Elgamal.opening array) =
   if Array.length commitments <> Array.length openings then
     invalid_arg "Ballot_proof.prove_commit: arity mismatch";
   let st = draw_state rng ~openings in
-  (st, first_move_of_points (Curve.mul_base_batch (first_move_jobs gctx st openings)))
+  (st, first_move_of_points (Curve.mul_base_batch (first_move_jobs st openings)))
 
 (* Third move, given the challenge extracted from the voters' coins. *)
 let finalize (state : prover_state) ~challenge : final_move =
@@ -174,7 +174,7 @@ let finalize (state : prover_state) ~challenge : final_move =
   { row_finals;
     sum_z = Chaum_pedersen.respond ~state:state.sum_w ~witness:state.sum_witness ~challenge }
 
-let verify ?(k = 1) gctx ~(commitments : Elgamal.t array) (fm : first_move) ~challenge
+let verify ?(k = 1) ~(commitments : Elgamal.t array) (fm : first_move) ~challenge
     (fin : final_move) =
   let fn = Curve.scalar_field in
   Array.length fm.row_moves = Array.length commitments
@@ -186,13 +186,13 @@ let verify ?(k = 1) gctx ~(commitments : Elgamal.t array) (fm : first_move) ~cha
          let m = fm.row_moves.(i) and f = fin.row_finals.(i) in
          if not (Nat.equal (Modular.add fn f.c0 f.c1) (Modular.reduce fn challenge)) then
            ok := false;
-         if not (Chaum_pedersen.verify gctx (branch_statement gctx c 0) m.a0
+         if not (Chaum_pedersen.verify (branch_statement c 0) m.a0
                    ~challenge:f.c0 ~response:f.z0) then ok := false;
-         if not (Chaum_pedersen.verify gctx (branch_statement gctx c 1) m.a1
+         if not (Chaum_pedersen.verify (branch_statement c 1) m.a1
                    ~challenge:f.c1 ~response:f.z1) then ok := false)
       commitments;
     !ok
-    && Chaum_pedersen.verify gctx (sum_statement ~k gctx commitments) fm.sum_move
+    && Chaum_pedersen.verify (sum_statement ~k commitments) fm.sum_move
       ~challenge ~response:fin.sum_z
   end
 
@@ -210,15 +210,15 @@ type instance = {
    accumulator. An election with v ballots of m options turns
    v*(2m+1) proof verifications (each two curve multiplications plus
    an add) into one MSM. Soundness 2^-128 per batch. *)
-let verify_batch ?(k = 1) gctx rng (instances : instance array) =
+let verify_batch ?(k = 1) rng (instances : instance array) =
   match Array.length instances with
   | 0 -> true
   | 1 ->
     let i = instances.(0) in
-    verify ~k gctx ~commitments:i.commitments i.fm ~challenge:i.challenge i.fin
+    verify ~k ~commitments:i.commitments i.fm ~challenge:i.challenge i.fin
   | _ ->
     let fn = Curve.scalar_field in
-    let acc = Group_ctx.msm_acc gctx in
+    let acc = Group_ctx.msm_acc () in
     let ok = ref true in
     Array.iter
       (fun inst ->
@@ -232,14 +232,14 @@ let verify_batch ?(k = 1) gctx rng (instances : instance array) =
                 if not (Nat.equal (Modular.add fn f.c0 f.c1)
                           (Modular.reduce fn inst.challenge)) then ok := false;
                 Chaum_pedersen.accumulate acc rng
-                  { stmt = branch_statement gctx c 0; fm = m.a0;
+                  { stmt = branch_statement c 0; fm = m.a0;
                     challenge = f.c0; response = f.z0 };
                 Chaum_pedersen.accumulate acc rng
-                  { stmt = branch_statement gctx c 1; fm = m.a1;
+                  { stmt = branch_statement c 1; fm = m.a1;
                     challenge = f.c1; response = f.z1 })
              inst.commitments;
            Chaum_pedersen.accumulate acc rng
-             { stmt = sum_statement ~k gctx inst.commitments; fm = inst.fm.sum_move;
+             { stmt = sum_statement ~k inst.commitments; fm = inst.fm.sum_move;
                challenge = inst.challenge; response = inst.fin.sum_z }
          end)
       instances;

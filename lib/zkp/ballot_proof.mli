@@ -22,7 +22,7 @@ type final_move
     the first move comes out affine. Raises [Invalid_argument] on a
     non-0/1 message or an arity mismatch. *)
 val prove_commit :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t ->
+  Dd_crypto.Drbg.t ->
   commitments:Elgamal.t array -> openings:Elgamal.opening array ->
   prover_state * first_move
 
@@ -36,7 +36,7 @@ val prove_commit :
 val draw_state : Dd_crypto.Drbg.t -> openings:Elgamal.opening array -> prover_state
 
 val first_move_jobs :
-  Dd_group.Group_ctx.t -> prover_state -> Elgamal.opening array ->
+  prover_state -> Elgamal.opening array ->
   Dd_group.Curve.comb_job array
 
 val first_move_of_points : Dd_group.Curve.point array -> first_move
@@ -44,7 +44,7 @@ val first_move_of_points : Dd_group.Curve.point array -> first_move
 (** Inverse of {!first_move_of_points}. *)
 val first_move_points : first_move -> Dd_group.Curve.point array
 
-(** [simulated_move gctx o ~challenge ~response] is the first move of
+(** [simulated_move o ~challenge ~response] is the first move of
     the OR branch that the opening [o] (message 0 or 1) does not
     satisfy, for the given simulated challenge and response: equal to
     what [Chaum_pedersen.simulate] derives from that branch's statement
@@ -52,14 +52,14 @@ val first_move_points : first_move -> Dd_group.Curve.point array
     witness with three fixed-base multiplications. Its operation
     sequence does not depend on the message. *)
 val simulated_move :
-  Dd_group.Group_ctx.t -> Elgamal.opening -> challenge:Nat.t -> response:Nat.t ->
+  Elgamal.opening -> challenge:Nat.t -> response:Nat.t ->
   Chaum_pedersen.first_move
 
 (** Compute the response for the (voter-coin-derived) challenge. *)
 val finalize : prover_state -> challenge:Nat.t -> final_move
 
 val verify :
-  ?k:int -> Dd_group.Group_ctx.t -> commitments:Elgamal.t array -> first_move ->
+  ?k:int -> commitments:Elgamal.t array -> first_move ->
   challenge:Nat.t -> final_move -> bool
 
 (** One ballot part's complete transcript, for batch verification. *)
@@ -75,7 +75,7 @@ type instance = {
     folds into one randomized linear combination (soundness 2^-128 per
     batch). {b Variable time} — published transcripts only. *)
 val verify_batch :
-  ?k:int -> Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> instance array -> bool
+  ?k:int -> Dd_crypto.Drbg.t -> instance array -> bool
 
 (** Byte encodings: the state is what the EA secret-shares to the
     trustees; the moves are what lives on the BB. *)

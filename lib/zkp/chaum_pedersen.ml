@@ -26,9 +26,9 @@ type first_move = {
 (* The prover's secret nonce, kept until the challenge arrives. *)
 type prover_state = Nat.t
 
-let commit gctx rng (st : statement) : prover_state * first_move =
+let commit rng (st : statement) : prover_state * first_move =
   let w = Curve.random_scalar rng in
-  (w, { t1 = Group_ctx.mul gctx w st.g1; t2 = Group_ctx.mul gctx w st.g2 })
+  (w, { t1 = Group_ctx.mul w st.g1; t2 = Group_ctx.mul w st.g2 })
 
 let respond ~(state : prover_state) ~witness ~challenge =
   let fn = Curve.scalar_field in
@@ -36,10 +36,10 @@ let respond ~(state : prover_state) ~witness ~challenge =
 
 (* Verification sees only published transcript data, so the
    variable-time multiplication paths are fine (curve.mli contract). *)
-let verify gctx (st : statement) (fm : first_move) ~challenge ~response =
+let verify (st : statement) (fm : first_move) ~challenge ~response =
   let check g t h =
-    Curve.equal (Group_ctx.mul_vartime gctx response g)
-      (Curve.add t (Group_ctx.mul_vartime gctx challenge h))
+    Curve.equal (Group_ctx.mul_vartime response g)
+      (Curve.add t (Group_ctx.mul_vartime challenge h))
   in
   check st.g1 fm.t1 st.h1 && check st.g2 fm.t2 st.h2
 
@@ -69,23 +69,23 @@ let accumulate acc rng (inst : instance) =
 
 (* Verify many transcripts at once: 2n equations, one MSM (plus the two
    comb legs). Soundness 2^-128 per batch (see Batch). *)
-let verify_batch gctx rng (instances : instance array) =
+let verify_batch rng (instances : instance array) =
   match Array.length instances with
   | 0 -> true
   | 1 ->
     let i = instances.(0) in
-    verify gctx i.stmt i.fm ~challenge:i.challenge ~response:i.response
+    verify i.stmt i.fm ~challenge:i.challenge ~response:i.response
   | _ ->
-    let acc = Group_ctx.msm_acc gctx in
+    let acc = Group_ctx.msm_acc () in
     Array.iter (accumulate acc rng) instances;
     Group_ctx.acc_check acc
 
 (* Simulate an accepting transcript for a chosen challenge (used by the
    OR composition for the branch the prover cannot prove). *)
-let simulate gctx rng (st : statement) ~challenge =
+let simulate rng (st : statement) ~challenge =
   let z = Curve.random_scalar rng in
   let fm =
-    { t1 = Curve.sub (Group_ctx.mul gctx z st.g1) (Group_ctx.mul gctx challenge st.h1);
-      t2 = Curve.sub (Group_ctx.mul gctx z st.g2) (Group_ctx.mul gctx challenge st.h2) }
+    { t1 = Curve.sub (Group_ctx.mul z st.g1) (Group_ctx.mul challenge st.h1);
+      t2 = Curve.sub (Group_ctx.mul z st.g2) (Group_ctx.mul challenge st.h2) }
   in
   (fm, z)

@@ -21,13 +21,13 @@ type prover_state = Nat.t
 
 (** First move; keep the returned state secret until the challenge. *)
 val commit :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> statement -> prover_state * first_move
+  Dd_crypto.Drbg.t -> statement -> prover_state * first_move
 
 (** Third move: [state + challenge * witness]. *)
 val respond : state:prover_state -> witness:Nat.t -> challenge:Nat.t -> Nat.t
 
 val verify :
-  Dd_group.Group_ctx.t -> statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
+  statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
 
 (** A complete transcript, as consumed by the batch verifier. *)
 type instance = {
@@ -48,10 +48,10 @@ val accumulate : Dd_group.Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> instance -> u
     accepts a batch containing an invalid transcript with probability
     at most 2^-128. {b Variable time} — public transcripts only. *)
 val verify_batch :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> instance array -> bool
+  Dd_crypto.Drbg.t -> instance array -> bool
 
 (** Accepting transcript for a chosen challenge without the witness
     (honest-verifier zero-knowledge simulator; used in OR proofs). *)
 val simulate :
-  Dd_group.Group_ctx.t -> Dd_crypto.Drbg.t -> statement -> challenge:Nat.t ->
+  Dd_crypto.Drbg.t -> statement -> challenge:Nat.t ->
   first_move * Nat.t

@@ -21,10 +21,9 @@ let setup = lazy (Ea.setup cfg ~seed)
 let bb_source = lazy (Option.get (Node_source.of_setup (Lazy.force setup)).Node_source.sv_bb)
 
 let make_bbs () =
-  let s = Lazy.force setup in
   let init, board_for = Lazy.force bb_source in
   List.init cfg.Types.nb (fun i ->
-      Bb_node.create ~board:(board_for i) ~cfg ~gctx:s.Ea.gctx ~init ~me:i ())
+      Bb_node.create ~board:(board_for i) ~cfg ~init ~me:i ())
 
 (* the canonical vote set: ballot 0 votes part A option 1, ballot 2
    votes part B option 0 *)
@@ -106,12 +105,11 @@ let test_corrupt_msk_share_tolerated () =
    for the msk to open those codes: a final set published first must not
    yield an all-zero Esum. *)
 let test_esum_waits_for_opened_codes () =
-  let s = Lazy.force setup in
   let init, board_for = Lazy.force bb_source in
   let backing = Dd_store.Device.Mem.create () in
   let bb =
     Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
-      ~gctx:s.Ea.gctx ~init ~me:0 ()
+      ~init ~me:0 ()
   in
   submit_all ~senders:[ 0; 1 ] bb;
   let pub = Bb_node.published bb in
@@ -135,7 +133,7 @@ let test_esum_waits_for_opened_codes () =
   Alcotest.(check (list string)) "Esum = all-at-once board's" (esum once) (esum bb);
   let bb' =
     Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
-      ~gctx:s.Ea.gctx ~init ~me:0 ()
+      ~init ~me:0 ()
   in
   Alcotest.(check string) "replay = live" (Bb_node.observable bb) (Bb_node.observable bb')
 
@@ -147,7 +145,7 @@ let run_trustee_phase bbs =
   let exchange_queue = ref [] in
   for i = 0 to cfg.Types.nt - 1 do
     let env =
-      { Trustee.me = i; cfg; gctx = s.Ea.gctx;
+      { Trustee.me = i; cfg; gctx = Dd_group.Group_ctx.default ();
         init = s.Ea.trustee_init.(i);
         keys = s.Ea.trustee_keys.(i);
         send_trustee = (fun ~dst ex -> exchange_queue := (dst, ex) :: !exchange_queue);
@@ -193,11 +191,10 @@ let test_trustees_produce_tally () =
     (not (Hashtbl.mem pub.Bb_node.unused_openings (0, Types.A)))
 
 let test_full_audit_after_direct_pipeline () =
-  let s = Lazy.force setup in
   let bbs = make_bbs () in
   List.iter (fun bb -> submit_all bb) bbs;
   run_trustee_phase bbs;
-  match Ddemos.Auditor.assemble ~cfg ~gctx:s.Ea.gctx bbs with
+  match Ddemos.Auditor.assemble ~cfg bbs with
   | None -> Alcotest.fail "no audit view"
   | Some view ->
     let checks = Ddemos.Auditor.audit view in
@@ -225,7 +222,7 @@ let honest_posts =
      let trustees =
        Array.init cfg.Types.nt (fun i ->
            Trustee.create
-             { Trustee.me = i; cfg; gctx = s.Ea.gctx;
+             { Trustee.me = i; cfg; gctx = Dd_group.Group_ctx.default ();
                init = s.Ea.trustee_init.(i);
                keys = s.Ea.trustee_keys.(i);
                send_trustee = (fun ~dst ex -> exchanges := (dst, ex) :: !exchanges);
@@ -334,18 +331,17 @@ let test_trustee_counted_once () =
     (Hashtbl.mem (Bb_node.published bb).Bb_node.unused_openings (1, Types.A))
 
 let test_recover_replays_trustee_search () =
-  let s = Lazy.force setup in
   let init, board_for = Lazy.force bb_source in
   let backing = Dd_store.Device.Mem.create () in
   let bb =
     Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
-      ~gctx:s.Ea.gctx ~init ~me:0 ()
+      ~init ~me:0 ()
   in
   submit_all bb;
   post_honest_corrupt_honest bb;
   let bb' =
     Bb_node.create ~durable:(Dd_store.Device.Mem.device backing) ~board:(board_for 0) ~cfg
-      ~gctx:s.Ea.gctx ~init ~me:0 ()
+      ~init ~me:0 ()
   in
   Alcotest.(check bool) "live board published the tally" true
     ((Bb_node.published bb).Bb_node.tally <> None);

@@ -169,7 +169,7 @@ let test_byzantine_bb_masked () =
   (match Bb_reader.tally ~cfg:small_cfg r.Election.bb_nodes with
    | Bb_reader.Agreed t -> Alcotest.(check (array int)) "tally" [| 1; 3; 1 |] t
    | Bb_reader.No_majority -> Alcotest.fail "no tally majority");
-  match Auditor.assemble ~cfg:small_cfg ~gctx:(Lazy.force setup).Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no audit view despite an honest majority"
   | Some view -> Alcotest.(check bool) "audit passes" true (Auditor.all_ok (Auditor.audit view))
 

@@ -13,7 +13,6 @@ module Drbg = Dd_crypto.Drbg
 module Shamir_bytes = Dd_vss.Shamir_bytes
 
 let cfg = { Types.default_config with Types.n_voters = 4; Types.m_options = 3 }
-let gctx = Dd_group.Group_ctx.default ()
 
 (* --- config validation -------------------------------------------------- *)
 
@@ -124,7 +123,7 @@ let test_virtual_store_shares_reconstruct () =
 (* --- authenticators ---------------------------------------------------------- *)
 
 let test_auth_schnorr_clique () =
-  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"clique" ~n:4 in
+  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"clique" ~n:4 in
   let tag = Auth.sign keys.(1) "msg" in
   Alcotest.(check bool) "2 verifies 1" true (Auth.verify keys.(2) ~signer:1 "msg" tag);
   Alcotest.(check bool) "0 verifies 1" true (Auth.verify keys.(0) ~signer:1 "msg" tag);
@@ -134,7 +133,7 @@ let test_auth_schnorr_clique () =
 (* Dealt keys are normalized once at dealing, so encoding one into a
    Schnorr challenge costs no inversion. *)
 let test_auth_keys_affine () =
-  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"clique" ~n:5 in
+  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"clique" ~n:5 in
   Array.iter
     (fun (k : Auth.keys) ->
        Array.iteri
@@ -145,7 +144,7 @@ let test_auth_keys_affine () =
     keys
 
 let test_auth_mac_clique () =
-  let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:"clique" ~n:4 in
+  let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:"clique" ~n:4 in
   let tag = Auth.sign keys.(3) "m" in
   Alcotest.(check bool) "0 verifies 3" true (Auth.verify keys.(0) ~signer:3 "m" tag);
   Alcotest.(check bool) "1 verifies 3" true (Auth.verify keys.(1) ~signer:3 "m" tag);
@@ -155,8 +154,8 @@ let test_auth_mac_clique () =
   Alcotest.(check bool) "wrong signer mac" false (Auth.verify keys.(1) ~signer:3 "m" other)
 
 let test_auth_schemes_not_interchangeable () =
-  let s = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"x" ~n:3 in
-  let m = Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:"x" ~n:3 in
+  let s = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"x" ~n:3 in
+  let m = Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:"x" ~n:3 in
   let mac_tag = Auth.sign m.(0) "body" in
   Alcotest.(check bool) "mac tag in schnorr scheme rejected" false
     (Auth.verify s.(1) ~signer:0 "body" mac_tag)
@@ -164,7 +163,7 @@ let test_auth_schemes_not_interchangeable () =
 (* --- UCERT ------------------------------------------------------------------- *)
 
 let test_ucert_verification () =
-  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"uc" ~n:5 in
+  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"uc" ~n:5 in
   let election_id = "e" and serial = 9 and code = "votecode" in
   let body = Messages.endorsement_body ~election_id ~serial ~code in
   let endorsements = List.init 3 (fun i -> (i, Auth.sign keys.(i) body)) in
@@ -218,7 +217,7 @@ let test_ea_commitments_match_printed_options () =
             (List.map (fun sh -> sh.(j)) shares))
     in
     Alcotest.(check bool) (Printf.sprintf "pos %d opens commitment" pos) true
-      (Dd_commit.Unit_vector.verify gctx entries.(pos).Ea.commitment opening);
+      (Dd_commit.Unit_vector.verify entries.(pos).Ea.commitment opening);
     (* the committed option equals the printed option at this position *)
     let committed = ref (-1) in
     Array.iteri
@@ -293,7 +292,7 @@ let test_ea_chunk_points_affine () =
    points. Each commitment's c2 = b*G + r*H runs one comb lane, on H;
    each simulated OR branch's t2 runs two: 75 jobs, 84 lanes. *)
 let test_ea_part_comb_counts () =
-  let keys seed n = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed ~n in
+  let keys seed n = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed ~n in
   let ea_vc = (keys "vc-counts" (cfg.Types.nv + 1)).(cfg.Types.nv) in
   let ea_trustee = (keys "trustee-counts" (cfg.Types.nt + 1)).(cfg.Types.nt) in
   List.iter
@@ -302,7 +301,7 @@ let test_ea_part_comb_counts () =
          Ea.draw_part cfg ~seed:"counts" ~ea_vc ~ea_trustee
            (Dd_crypto.Drbg.create ~seed:"counts") ~serial:0 ~part
        in
-       let jobs = Ea.part_jobs gctx d in
+       let jobs = Ea.part_jobs d in
        Alcotest.(check int) "jobs" 75 (List.length jobs);
        Alcotest.(check int) "jobs_per_part = part_jobs" (List.length jobs) (Ea.jobs_per_part cfg);
        Alcotest.(check int) "comb lanes" 84

@@ -52,7 +52,7 @@ let test_honest_election () =
    | (_, first) :: rest ->
      List.iter (fun (_, s) -> Alcotest.(check bool) "sets agree" true (s = first)) rest);
   (* the full audit passes *)
-  match Auditor.assemble ~cfg:small_cfg ~gctx:(Lazy.force setup).Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no audit view"
   | Some view ->
     let checks = Auditor.audit view in
@@ -302,7 +302,7 @@ let test_malicious_ea_detected () =
   let seed, plan = find_seed 0 in
   let r = Election.run { p with Election.seed; concurrent_clients = 1 } in
   Alcotest.(check int) "receipts still issued" 3 r.Election.receipts_ok;
-  match Auditor.assemble ~cfg:small_cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no audit view"
   | Some view ->
     (* delegated audit with voter 0's information catches the swap *)
@@ -320,7 +320,7 @@ let test_honest_ea_passes_delegated_audit () =
   let s = Lazy.force setup in
   let rng = Drbg.create ~seed:"client|delegated|0" in
   let plan = Voter.make_plan rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
-  match Auditor.assemble ~cfg:small_cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no view"
   | Some view ->
     let checks = Auditor.audit ~voter_audits:[ Voter.audit_info plan ] view in
@@ -332,7 +332,7 @@ let test_audit_names_first_offender () =
   let module Elgamal = Dd_commit.Elgamal in
   let module Nat = Dd_bignum.Nat in
   let r = run_full ~seed:"offender" [ (0, 0); (1, 1); (2, 2); (3, 1); (4, 0) ] in
-  match Auditor.assemble ~cfg:small_cfg ~gctx:(Lazy.force setup).Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no audit view"
   | Some view ->
     let keys =
@@ -401,7 +401,7 @@ let test_parallel_audit_at_scale () =
       ~votes:(votes_of votes)
   in
   let r = Election.run { p with Election.seed = "par-audit"; concurrent_clients = 8 } in
-  match Auditor.assemble ~cfg ~gctx:s.Ea.gctx r.Election.bb_nodes with
+  match Auditor.assemble ~cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no audit view"
   | Some view ->
     let pool = Dd_parallel.Pool.create ~domains:4 () in

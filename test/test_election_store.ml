@@ -253,7 +253,7 @@ let test_stored_election_matches_full () =
   (* full audit and an independent single-slice audit both pass *)
   let view =
     req "audit view"
-      (Auditor.assemble ~cfg ~gctx:s.Ea.gctx r_stored.Election.bb_nodes)
+      (Auditor.assemble ~cfg r_stored.Election.bb_nodes)
   in
   Alcotest.(check bool) "full audit passes" true
     (Auditor.all_ok (Auditor.audit view));
@@ -321,6 +321,28 @@ let test_layout_matches_config_and_seed () =
   Alcotest.(check bool) "fewer collectors" false
     (loads { cfg with Types.nv = cfg.Types.nv - 1; Types.fv = 0 } "estore")
 
+(* Loading only reads: probing a layout dealt for four collectors
+   under five finds no vc-4 segment, and must not leave an empty one
+   behind; nor may a load make a state dir that does not exist. *)
+let test_load_writes_nothing () =
+  let dir = Filename.temp_file "ddemos-estore" ".d" in
+  Sys.remove dir;
+  let files name = Dd_store.File_device.create ~dir ~name in
+  ignore (Election_store.write_setup files cfg ~seed:"estore" : Election_store.layout);
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let before = listing () in
+  Alcotest.(check bool) "five collectors: no layout" true
+    (Option.is_none
+       (Election_store.load_layout files { cfg with Types.nv = 5 } ~seed:"estore"));
+  Alcotest.(check (list string)) "state dir unchanged" before (listing ());
+  let absent = Filename.concat dir "absent" in
+  Alcotest.(check bool) "absent dir: no layout" true
+    (Option.is_none
+       (Election_store.load_layout
+          (fun name -> Dd_store.File_device.create ~dir:absent ~name)
+          cfg ~seed:"estore"));
+  Alcotest.(check bool) "absent dir not created" false (Sys.file_exists absent)
+
 let () =
   Alcotest.run "election_store"
     [ ( "streaming-setup",
@@ -328,7 +350,9 @@ let () =
           Alcotest.test_case "crash-resume is bit-identical" `Quick test_resume_bit_identical;
           Alcotest.test_case "segments match the golden digest" `Quick test_segments_golden;
           Alcotest.test_case "layout loads only for its config and seed" `Quick
-            test_layout_matches_config_and_seed ] );
+            test_layout_matches_config_and_seed;
+          Alcotest.test_case "loading a layout writes nothing" `Quick
+            test_load_writes_nothing ] );
       ( "board",
         [ Alcotest.test_case "streamed and in-memory writers agree" `Quick test_writers_agree ] );
       ( "audit",

@@ -5,8 +5,7 @@ module Nat = Dd_bignum.Nat
 module Curve = Dd_group.Curve
 module Group_ctx = Dd_group.Group_ctx
 
-let gctx = Group_ctx.default ()
-let g = Group_ctx.g gctx
+let g = Group_ctx.g
 
 let point = Alcotest.testable (fun fmt _ -> Format.fprintf fmt "<point>") Curve.equal
 
@@ -65,7 +64,7 @@ let test_codec () =
   Alcotest.(check bool) "off-curve rejected" true (Curve.decode fake = None)
 
 let test_hash_to_point () =
-  let h = Group_ctx.h gctx in
+  let h = Group_ctx.h in
   (match Curve.to_affine h with
    | None -> Alcotest.fail "H is infinity"
    | Some xy -> Alcotest.(check bool) "H on curve" true (Curve.on_curve xy));
@@ -84,11 +83,11 @@ let test_hash_to_scalar () =
 
 let test_group_ctx_mul_fast_path () =
   let k = Nat.of_hex "123456789abcdef123456789abcdef" in
-  Alcotest.check point "mul g" (Curve.mul k g) (Group_ctx.mul gctx k g);
-  Alcotest.check point "mul h" (Curve.mul k (Group_ctx.h gctx))
-    (Group_ctx.mul gctx k (Group_ctx.h gctx));
+  Alcotest.check point "mul g" (Curve.mul k g) (Group_ctx.mul k g);
+  Alcotest.check point "mul h" (Curve.mul k Group_ctx.h)
+    (Group_ctx.mul k Group_ctx.h);
   let other = Curve.double g in
-  Alcotest.check point "mul other" (Curve.mul k other) (Group_ctx.mul gctx k other)
+  Alcotest.check point "mul other" (Curve.mul k other) (Group_ctx.mul k other)
 
 let test_compressed_codec () =
   List.iter
@@ -221,7 +220,7 @@ let prop_point_bytes_fuzz =
 
 let prop_table_matches_plain =
   QCheck.Test.make ~name:"table mul = plain mul" ~count:30 arb_scalar
-    (fun a -> Curve.equal (Group_ctx.mul_g gctx a) (Curve.mul a g))
+    (fun a -> Curve.equal (Group_ctx.mul_g a) (Curve.mul a g))
 
 (* --- differential: fast scalar-multiplication paths ---------------------- *)
 
@@ -500,7 +499,7 @@ let test_mul_edge_cases () =
   chk "P + (-P) = O" Curve.infinity
     (Curve.add (Curve.mul_vartime Nat.two g) (Curve.neg (Curve.mul_vartime Nat.two g)));
   (* mul2 degenerate inputs *)
-  let table = Group_ctx.g_table gctx in
+  let table = Group_ctx.g_table () in
   chk "mul2 0 0 P = O" Curve.infinity (Curve.mul2 table Nat.zero Nat.zero g);
   chk "mul2 u 0 P = uG" (Curve.mul (Nat.of_int 9) g)
     (Curve.mul2 table (Nat.of_int 9) Nat.zero g);

@@ -9,9 +9,8 @@ module Drbg = Dd_crypto.Drbg
 module Shamir_bytes = Dd_vss.Shamir_bytes
 module Rbc = Dd_consensus.Rbc
 
-let gctx = Dd_group.Group_ctx.default ()
 
-let keys scheme = Auth.deal_clique ~scheme ~gctx ~seed:"msg-test" ~n:4
+let keys scheme = Auth.deal_clique ~scheme ~seed:"msg-test" ~n:4
 
 let sample_ucert ks =
   let body = Messages.endorsement_body ~election_id:"e" ~serial:5 ~code:"codecodecodecodecode" in

@@ -113,14 +113,15 @@ let test_once_single_value () =
 let test_curve_concurrent () =
   (* the first MSM of the process: four domains race the Once that
      publishes the generator's wide table, each also signing and
-     verifying, and every result must equal the serial one computed
-     afterwards *)
+     verifying and committing (the first uses of G's and H's comb
+     tables, also Once cells), and every result must equal the serial
+     one computed afterwards *)
   let module Curve = Dd_group.Curve in
   let module Schnorr = Dd_sig.Schnorr in
-  let gctx = Dd_group.Group_ctx.default () in
   let pool = pool_of ~domains:4 in
   let work i =
     let scalar j = Curve.hash_to_scalar [ "curve concurrent"; string_of_int i; string_of_int j ] in
+    let commitment = Dd_commit.Elgamal.commit ~msg:(scalar 8) ~rand:(scalar 9) in
     let terms =
       Array.init 8 (fun j ->
           (scalar j,
@@ -128,16 +129,16 @@ let test_curve_concurrent () =
            else Curve.hash_to_point (Printf.sprintf "curve concurrent %d %d" i j)))
     in
     let rng = Dd_crypto.Drbg.create ~seed:("curve concurrent|" ^ string_of_int i) in
-    let sk, pk = Schnorr.keygen gctx rng in
-    let signature = Schnorr.sign gctx rng ~sk ~pk "curve concurrent" in
+    let sk, pk = Schnorr.keygen rng in
+    let signature = Schnorr.sign rng ~sk ~pk "curve concurrent" in
     (Curve.encode (Curve.msm terms), Schnorr.encode signature,
-     Schnorr.verify gctx ~pk "curve concurrent" signature)
+     Schnorr.verify ~pk "curve concurrent" signature, Dd_commit.Elgamal.encode commitment)
   in
   let tasks = Array.init 4 (fun i -> i) in
   let par = Pool.parallel_map pool ~chunk:1 work tasks in
   let serial = Array.map work tasks in
   Alcotest.(check bool) "results identical" true (par = serial);
-  Alcotest.(check bool) "signatures verify" true (Array.for_all (fun (_, _, ok) -> ok) par)
+  Alcotest.(check bool) "signatures verify" true (Array.for_all (fun (_, _, ok, _) -> ok) par)
 
 (* --- the real workload: parallel Ea.setup ------------------------------ *)
 

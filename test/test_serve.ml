@@ -281,7 +281,7 @@ let test_mailbox_bounds () =
    the batch. *)
 let test_batcher_verdicts () =
   let election_id = "batch-test" in
-  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"batch-clique" ~n:4 in
+  let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"batch-clique" ~n:4 in
   let b =
     Batcher.create ~min_batch:4 ~keys:keys.(0) ~election_id ~ea_signer:3
       ~share_tags:false ()

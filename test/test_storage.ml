@@ -204,7 +204,7 @@ let vc_env c i =
 
 let make_cluster ?(cfg = vc_cfg) ~durable () =
   let keys =
-    Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:("k" ^ vc_seed)
+    Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:("k" ^ vc_seed)
       ~n:(cfg.Types.nv + 1)
   in
   let backings =
@@ -384,9 +384,8 @@ let bb_source =
   lazy (Option.get (Node_source.of_setup (Lazy.force bb_setup)).Node_source.sv_bb)
 
 let bb_create ?durable i =
-  let s = Lazy.force bb_setup in
   let init, board_for = Lazy.force bb_source in
-  Bb_node.create ?durable ~board:(board_for i) ~cfg:bb_cfg ~gctx:s.Ea.gctx ~init ~me:i ()
+  Bb_node.create ?durable ~board:(board_for i) ~cfg:bb_cfg ~init ~me:i ()
 
 let bb_code ~serial ~part ~option =
   let s = Lazy.force bb_setup in
@@ -437,7 +436,7 @@ let test_full_pipeline_recovery () =
   let t_backings = Array.init bb_cfg.Types.nt (fun _ -> Mem.create ()) in
   let queue = ref [] in
   let t_env i =
-    { Trustee.me = i; cfg = bb_cfg; gctx = s.Ea.gctx;
+    { Trustee.me = i; cfg = bb_cfg; gctx;
       init = s.Ea.trustee_init.(i);
       keys = s.Ea.trustee_keys.(i);
       send_trustee = (fun ~dst ex -> queue := (dst, ex) :: !queue);
@@ -515,7 +514,7 @@ let test_create_reopens_journal () =
   let backings = Array.init bb_cfg.Types.nt (fun _ -> Mem.create ()) in
   let queue = Queue.create () in
   let t_env i =
-    { Trustee.me = i; cfg = bb_cfg; gctx = s.Ea.gctx;
+    { Trustee.me = i; cfg = bb_cfg; gctx;
       init = s.Ea.trustee_init.(i);
       keys = s.Ea.trustee_keys.(i);
       send_trustee = (fun ~dst ex -> Queue.add (dst, ex) queue);

@@ -33,7 +33,7 @@ type cluster = {
    [sent], but never delivered. [durable] gives every node a WAL on an
    in-memory device. *)
 let make_cluster ?(now = 1.0) ?(durable = false) ?(drop = fun ~src:_ ~dst:_ _ -> false) () =
-  let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:("k" ^ seed)
+  let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:("k" ^ seed)
       ~n:(cfg.Types.nv + 1)
   in
   let replies = ref [] and bb_submissions = ref [] in
@@ -447,7 +447,7 @@ let test_pull_detects_conflict () =
   Alcotest.(check (list (triple int int (list int)))) "pulled from node 3" [ (0, 3, [ 1 ]) ]
     (pulls c);
   let keys =
-    Auth.deal_clique ~scheme:Auth.Mac_scheme ~gctx ~seed:("k" ^ seed) ~n:(cfg.Types.nv + 1)
+    Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:("k" ^ seed) ~n:(cfg.Types.nv + 1)
   in
   let body =
     Messages.endorsement_body ~election_id:cfg.Types.election_id ~serial:1 ~code:code_b

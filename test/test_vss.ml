@@ -11,7 +11,6 @@ module Drbg = Dd_crypto.Drbg
 module Group_ctx = Dd_group.Group_ctx
 module Elgamal = Dd_commit.Elgamal
 
-let gctx = Group_ctx.default ()
 let fn = Dd_group.Curve.scalar_field
 let rng () = Drbg.create ~seed:"vss-tests"
 
@@ -119,13 +118,13 @@ let test_shamir_scalar_mismatched_x () =
    the public commitment. *)
 let test_elgamal_vss_end_to_end () =
   let rng = rng () in
-  let commitment, opening = Elgamal.commit_random gctx rng ~msg:(Nat.of_int 1) in
+  let commitment, opening = Elgamal.commit_random rng ~msg:(Nat.of_int 1) in
   let shares = Elgamal_vss.deal rng ~opening ~threshold:2 ~shares:3 in
   List.iter
     (fun (i, j) ->
        let o = Elgamal_vss.reconstruct ~threshold:2 [ shares.(i); shares.(j) ] in
        Alcotest.(check bool) (Printf.sprintf "shares %d, %d open the commitment" i j) true
-         (Elgamal.verify gctx commitment o);
+         (Elgamal.verify commitment o);
        Alcotest.(check bool) "message preserved" true (Nat.equal o.Elgamal.msg Nat.one))
     [ (0, 1); (0, 2); (1, 2) ]
 
@@ -133,14 +132,14 @@ let test_elgamal_vss_end_to_end () =
    fails to open the commitment. *)
 let test_elgamal_vss_tamper () =
   let rng = rng () in
-  let commitment, opening = Elgamal.commit_random gctx rng ~msg:Nat.zero in
+  let commitment, opening = Elgamal.commit_random rng ~msg:Nat.zero in
   let shares = Elgamal_vss.deal rng ~opening ~threshold:2 ~shares:3 in
   let s = shares.(0) in
   List.iter
     (fun (what, bad) ->
        let o = Elgamal_vss.reconstruct ~threshold:2 [ bad; shares.(2) ] in
        Alcotest.(check bool) (what ^ " tampered: opening rejected") false
-         (Elgamal.verify gctx commitment o))
+         (Elgamal.verify commitment o))
     [ ("msg", { s with Elgamal_vss.msg = Nat.add s.Elgamal_vss.msg Nat.one });
       ("rand", { s with Elgamal_vss.rand = Nat.add s.Elgamal_vss.rand Nat.one }) ]
 
@@ -152,7 +151,7 @@ let test_elgamal_vss_homomorphic_tally () =
   let dealt =
     List.map
       (fun v ->
-         let c, o = Elgamal.commit_random gctx rng ~msg:(Nat.of_int v) in
+         let c, o = Elgamal.commit_random rng ~msg:(Nat.of_int v) in
          (c, Elgamal_vss.deal rng ~opening:o ~threshold:2 ~shares:3))
       votes
   in
@@ -163,11 +162,11 @@ let test_elgamal_vss_homomorphic_tally () =
   let total =
     Elgamal_vss.reconstruct ~threshold:2 [ trustee_share 1; trustee_share 3 ]
   in
-  Alcotest.(check bool) "total opens Esum" true (Elgamal.verify gctx esum total);
+  Alcotest.(check bool) "total opens Esum" true (Elgamal.verify esum total);
   Alcotest.(check int) "count = 3" 3 (Nat.to_int total.Elgamal.msg);
   let bad = { (trustee_share 3) with Elgamal_vss.msg = Nat.one } in
   Alcotest.(check bool) "tampered total share: opening rejected" false
-    (Elgamal.verify gctx esum (Elgamal_vss.reconstruct ~threshold:2 [ trustee_share 1; bad ]))
+    (Elgamal.verify esum (Elgamal_vss.reconstruct ~threshold:2 [ trustee_share 1; bad ]))
 
 let prop_scalar_shamir =
   QCheck.Test.make ~name:"scalar k-of-n reconstructs" ~count:25
