@@ -20,9 +20,9 @@
    - [Corrupt_shares] flips bytes in disclosed VOTE_P receipt shares,
      attacking receipt correctness; the EA's per-share authenticators
      (checked in full fidelity) make the corruption detectable.
-   - [Byzantine_consensus] drops or corrupts Bracha traffic, withholds
-     RECOVER-RESPONSEs and announces an empty knowledge set, attacking
-     Vote Set Consensus liveness and agreement.
+   - [Byzantine_consensus] drops or corrupts Bracha traffic and
+     withholds RECOVER-RESPONSEs, so the codes it announces are never
+     backed, attacking Vote Set Consensus liveness and agreement.
    - [Malformed_wire] re-encodes every outgoing message and flips one
      random byte: frames the codec rejects model malformed input;
      frames that still decode model well-formed-but-wrong content. *)
@@ -156,7 +156,7 @@ let equivocate_on t (msg : Messages.vc_msg) =
     endorse_any t ~responder ~serial ~vote_code
   | Messages.Endorsement { serial; vote_code; signer; tag } ->
     shadow_endorsement t ~serial ~vote_code ~signer ~tag
-  | Messages.Vote_p _ | Messages.Announce_batch _ | Messages.Consensus _
+  | Messages.Vote_p _ | Messages.Announce _ | Messages.Consensus _
   | Messages.Recover_request _ | Messages.Recover_response _ -> ()
 
 (* --- incoming ---------------------------------------------------------- *)
@@ -194,7 +194,7 @@ let transform_outgoing t ~dst:_ (msg : Messages.vc_msg) :
        in
        Some (Messages.Vote_p { p with share })
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
-     | Messages.Announce_batch _ | Messages.Consensus _
+     | Messages.Announce _ | Messages.Consensus _
      | Messages.Recover_request _ | Messages.Recover_response _ -> Some msg)
   | Byzantine_consensus ->
     (match msg with
@@ -214,11 +214,8 @@ let transform_outgoing t ~dst:_ (msg : Messages.vc_msg) :
          List.map (fun s -> s + t.cfg.Types.n_voters + Drbg.int t.rng 1000) serials
        in
        Some (Messages.Recover_request { sender; serials })
-     | Messages.Announce_batch { sender; entries = _ } ->
-       (* withhold everything we know *)
-       Some (Messages.Announce_batch { sender; entries = [] })
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
-     | Messages.Vote_p _ -> Some msg)
+     | Messages.Vote_p _ | Messages.Announce _ -> Some msg)
   | Malformed_wire ->
     let frame = Messages.encode_vc_msg msg in
     (match Messages.decode_vc_msg (flip_byte t.rng frame) with

@@ -20,8 +20,8 @@ type behavior =
           EA's per-share authenticators in full fidelity *)
   | Byzantine_consensus
       (** drops/corrupts Bracha traffic per destination, withholds
-          RECOVER-RESPONSEs, announces an empty knowledge set, and asks
-          for nonexistent serials *)
+          RECOVER-RESPONSEs (so the codes it announces are never
+          backed), and asks for nonexistent serials *)
   | Malformed_wire
       (** re-encodes every outgoing message with one random byte
           flipped: undecodable frames model malformed input, decodable

@@ -164,9 +164,8 @@ let vc_msg_cost costs cfg (msg : Messages.vc_msg) =
   | Messages.Endorse _ -> Cost_model.endorse_handle costs ~n ~m
   | Messages.Endorsement _ -> costs.Cost_model.sig_verify
   | Messages.Vote_p _ -> Cost_model.vote_p_handle costs ~n ~m ~quorum
-  | Messages.Announce_batch { entries; _ } ->
-    float_of_int (List.length entries)
-    *. (costs.Cost_model.announce_entry +. Cost_model.ucert_verify costs ~quorum)
+  | Messages.Announce { entries; _ } ->
+    float_of_int (List.length entries) *. costs.Cost_model.announce_entry
   | Messages.Consensus { rbc; _ } ->
     let payload_slots = float_of_int (String.length rbc.Dd_consensus.Rbc.payload) *. 4. in
     costs.Cost_model.consensus_step *. payload_slots

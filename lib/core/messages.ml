@@ -54,7 +54,8 @@ type vc_msg =
          accepted a VOTE_P for this (serial, code), so it holds one *)
       ucert : ucert option;
     }
-  | Announce_batch of { sender : int; entries : (int * string * ucert) list }
+  (* the VSC ANNOUNCE: codes only; a peer lacking a UCERT pulls it *)
+  | Announce of { sender : int; entries : (int * string) list }
   | Consensus of { sender : int; rbc : Dd_consensus.Rbc.msg }
   | Recover_request of { sender : int; serials : int list }
   | Recover_response of { sender : int; entries : (int * string * ucert) list }
@@ -83,9 +84,7 @@ let vc_msg_size = function
   | Vote_p { share; ucert; _ } ->
     8 + Types.vote_code_bytes + 24 + String.length share.Dd_vss.Shamir_bytes.data + 32
     + Option.fold ~none:0 ~some:ucert_size ucert
-  | Announce_batch { entries; _ } ->
-    16 + List.fold_left (fun acc (_, _, u) -> acc + 8 + Types.vote_code_bytes + ucert_size u)
-      0 entries
+  | Announce { entries; _ } -> 16 + (8 + Types.vote_code_bytes) * List.length entries
   | Consensus { rbc; _ } -> 32 + String.length rbc.Dd_consensus.Rbc.payload
   | Recover_request { serials; _ } -> 16 + 8 * List.length serials
   | Recover_response { entries; _ } ->
@@ -160,9 +159,9 @@ let get_part r =
   | 1 -> Types.B
   | _ -> raise (Wire.Malformed "part: bad index")
 
-(* A VSC entry writes its binding once: the UCERT's own (serial, code)
-   are the entry's, so only the endorsements follow, and the decoder
-   rebinds the certificate to the entry it arrived in. *)
+(* A RECOVER-RESPONSE entry writes its binding once: the UCERT's own
+   (serial, code) are the entry's, so only the endorsements follow, and
+   the decoder rebinds the certificate to the entry it arrived in. *)
 let put_entry w (serial, code, (u : ucert)) =
   Wire.put_varint w serial;
   Wire.put_bytes w code;
@@ -173,6 +172,16 @@ let get_entry r =
   let code = Wire.get_bytes r in
   let endorsements = get_endorsements r in
   (serial, code, { u_serial = serial; u_code = code; endorsements })
+
+(* An ANNOUNCE entry: the (serial, code) alone. *)
+let put_code_entry w (serial, code) =
+  Wire.put_varint w serial;
+  Wire.put_bytes w code
+
+let get_code_entry r =
+  let serial = Wire.get_varint r in
+  let code = Wire.get_bytes r in
+  (serial, code)
 
 let encode_vc_msg (msg : vc_msg) =
   let w = Wire.writer () in
@@ -195,10 +204,10 @@ let encode_vc_msg (msg : vc_msg) =
      put_part w part; Wire.put_varint w pos; put_share w share;
      Wire.put_option w put_tag share_tag;
      Option.iter (put_ucert w) ucert
-   | Announce_batch { sender; entries } ->
-     Wire.put_varint w 4;
+   | Announce { sender; entries } ->
+     Wire.put_varint w 9;
      Wire.put_varint w sender;
-     Wire.put_list w put_entry entries
+     Wire.put_list w put_code_entry entries
    | Consensus { sender; rbc } ->
      Wire.put_varint w 5;
      Wire.put_varint w sender;
@@ -243,10 +252,6 @@ let decode_vc_msg frame =
         let share_tag = Wire.get_option r get_tag in
         let ucert = if kind = 3 then Some (get_ucert r) else None in
         Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert }
-      | 4 ->
-        let sender = Wire.get_varint r in
-        let entries = Wire.get_list r get_entry in
-        Announce_batch { sender; entries }
       | 5 ->
         let sender = Wire.get_varint r in
         (match Dd_consensus.Rbc.decode_msg (Wire.get_bytes r) with
@@ -260,6 +265,10 @@ let decode_vc_msg frame =
         let sender = Wire.get_varint r in
         let entries = Wire.get_list r get_entry in
         Recover_response { sender; entries }
+      | 9 ->
+        let sender = Wire.get_varint r in
+        let entries = Wire.get_list r get_code_entry in
+        Announce { sender; entries }
       | _ -> raise (Wire.Malformed "vc_msg: unknown discriminant"))
 
 (* --- BB wire format ------------------------------------------------------ *)

@@ -51,7 +51,11 @@ type vc_msg =
               cannot match makes it pull the UCERT from the sender
               ([Recover_request] during Voting). *)
     }
-  | Announce_batch of { sender : int; entries : (int * string * ucert) list }
+  | Announce of { sender : int; entries : (int * string) list }
+      (** Vote Set Consensus ANNOUNCE: the (serial, code) of every
+          ballot the sender holds a UCERT for, without the UCERTs. A
+          receiver pulls the certificates it lacks with
+          [Recover_request], answered by [Recover_response]. *)
   | Consensus of { sender : int; rbc : Dd_consensus.Rbc.msg }
   | Recover_request of { sender : int; serials : int list }
   | Recover_response of { sender : int; entries : (int * string * ucert) list }
@@ -75,9 +79,11 @@ val bb_msg_size : bb_msg -> int
 
     A VOTE_P has two encodings. Discriminant 3 carries the UCERT after
     the share tag; discriminant 8 is the same message with the UCERT
-    elided ([ucert = None]), with no option byte. The VSC entries of
-    ANNOUNCE and RECOVER-RESPONSE write each certificate's endorsements
-    only: the decoder binds the UCERT to the entry's (serial, code). *)
+    elided ([ucert = None]), with no option byte. ANNOUNCE
+    (discriminant 9) carries (serial, code) pairs only; discriminant 4 is
+    unassigned and does not decode. The entries of
+    RECOVER-RESPONSE write each certificate's endorsements only: the
+    decoder binds the UCERT to the entry's (serial, code). *)
 val encode_vc_msg : vc_msg -> string
 val decode_vc_msg : string -> vc_msg option
 
@@ -103,8 +109,3 @@ val put_vss_share : Dd_codec.Wire.writer -> Dd_vss.Elgamal_vss.share -> unit
 (** Rejects a [msg] or [rand] longer than 32 bytes or not below the
     group order. *)
 val get_vss_share : Dd_codec.Wire.reader -> Dd_vss.Elgamal_vss.share
-
-(** A VSC entry: serial, code, then the UCERT's endorsements alone
-    ({!get_entry} fills [u_serial]/[u_code] in from the entry). *)
-val put_entry : Dd_codec.Wire.writer -> int * string * ucert -> unit
-val get_entry : Dd_codec.Wire.reader -> int * string * ucert

@@ -7,12 +7,14 @@
    (VOTE_P, gated on a valid UCERT) until Nv - fv shares reconstruct
    the 64-bit receipt that goes back to the voter.
 
-   Vote Set Consensus: at election end every node ANNOUNCEs what it
-   knows (batched), adopts any UCERT-certified vote code it was
-   missing, then enters one batched Bracha binary consensus over all
-   ballots ("is this ballot voted?"), recovers missing codes from
-   peers (RECOVER-REQUEST), and submits the agreed set and its msk
-   share to every BB node.
+   Vote Set Consensus: at election end every node ANNOUNCEs the
+   (serial, code) of every ballot it holds a UCERT for (batched, codes
+   only), and pulls from each announcer the UCERTs it lacks
+   (RECOVER-REQUEST, answered by RECOVER-RESPONSE), then enters one
+   batched Bracha binary consensus over all ballots ("is this ballot
+   voted?"), recovers the codes of ballots decided voted that it still
+   lacks, and submits the agreed set and its msk share to every BB
+   node.
 
    The node is written sans-IO: all effects go through [env], so unit
    tests drive it directly and the simulator supplies transports.
@@ -82,7 +84,12 @@ type ballot_rt = {
 type phase = Voting | Vsc | Submitted
 
 type vsc_state = {
+  (* announcers that count towards starting consensus *)
   mutable announce_senders : int list;
+  (* announcers this node pulled UCERTs from and that have not answered
+     yet: each counts only once its answer is adopted. Transient, never
+     journaled. *)
+  mutable pulling : int list;
   mutable consensus_started : bool;
   mutable rbc : Rbc.t option;
   mutable bb : Binary_batch.t option;
@@ -270,6 +277,12 @@ let own_share t ~serial ~part ~pos =
   let line = lines.(pos) in
   (line.Types.receipt_share, line.Types.share_tag)
 
+(* The UCERT this node holds for exactly [serial] and [code], if any. *)
+let held_ucert t ~serial ~code =
+  match Hashtbl.find_opt t.ballots serial with
+  | Some { ucert = Some u; _ } when Dd_crypto.Ct.equal u.Messages.u_code code -> Some u
+  | Some _ | None -> None
+
 let has_share b (share : Shamir_bytes.share) =
   List.exists (fun s -> s.Shamir_bytes.x = share.Shamir_bytes.x) b.shares
 
@@ -304,11 +317,11 @@ let apply_rec ?own t rc =
   | R_ucert { ucert; part; pos; endorse } ->
     let serial = ucert.Messages.u_serial in
     let b = ballot_rt t serial in
-    if endorse then begin
+    if endorse || b.status = Types.Not_voted then begin
       b.part <- part;
-      b.pos <- pos;
-      b.endorsed <- Some ucert.Messages.u_code
+      b.pos <- pos
     end;
+    if endorse then b.endorsed <- Some ucert.Messages.u_code;
     if b.ucert = None then b.ucert <- Some ucert;
     if b.status = Types.Not_voted then b.status <- Types.Pending ucert.Messages.u_code;
     Hashtbl.remove t.vsc.awaiting_recovery serial
@@ -528,11 +541,7 @@ let vote_p_ucert t ~serial ~vote_code (ucert : Messages.ucert option) =
     && verify_ucert t u
     then Some u
     else None
-  | None ->
-    (match Hashtbl.find_opt t.ballots serial with
-     | Some { ucert = Some u; _ } when Dd_crypto.Ct.equal u.Messages.u_code vote_code ->
-       Some u
-     | Some _ | None -> None)
+  | None -> held_ucert t ~serial ~code:vote_code
 
 let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
   if within_hours t && serial_valid t serial then
@@ -547,12 +556,12 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
     (match Hashtbl.find_opt t.ballots serial with
      | Some b -> note_conflict t serial b ~code:vote_code
      | None -> ());
-    let lines = Ballot_store.lines t.env.store ~serial ~part in
-    let pos_ok = pos >= 0 && pos < Array.length lines in
-    (* the sender's disclosed share must carry the EA's authenticator
-       for (serial, part, pos, sender) *)
+    (* every part of a serial in the election has m lines; the sender's
+       disclosed share must carry the EA's authenticator for (serial,
+       part, pos, sender) *)
     let share_ok =
-      pos_ok && verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag
+      pos >= 0 && pos < t.env.cfg.Types.m_options
+      && verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag
     in
     if share_ok then begin
     let b = ballot_rt t serial in
@@ -581,12 +590,13 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
 
 (* --- Vote Set Consensus ------------------------------------------------ *)
 
-let known_entries t =
+(* What this node ANNOUNCEs: the code of every ballot it holds a UCERT
+   for. *)
+let known_codes t =
   Hashtbl.fold
     (fun serial (b : ballot_rt) acc ->
        match b.ucert, b.status with
-       | Some ucert, (Types.Pending code | Types.Voted (code, _)) ->
-         (serial, code, ucert) :: acc
+       | Some _, (Types.Pending code | Types.Voted (code, _)) -> (serial, code) :: acc
        | _ -> acc)
     t.ballots []
 
@@ -677,9 +687,9 @@ let start_consensus t =
     List.iter (fun (from, m) -> Rbc.on_message r ~from m) buffered
   end
 
-(* Adopt an announced (serial, code, UCERT) if we were missing it. *)
+(* Adopt a recovered (serial, code, UCERT) if we were missing it. *)
 let adopt_entry t (serial, code, ucert) =
-  if serial >= 0 && serial < t.env.cfg.Types.n_voters
+  if serial_valid t serial
   && ucert.Messages.u_serial = serial
   && Dd_crypto.Ct.equal ucert.Messages.u_code code
   && verify_ucert t ucert
@@ -688,8 +698,16 @@ let adopt_entry t (serial, code, ucert) =
     note_conflict t serial b ~code;
     (* read first: committing the UCERT drops the serial from the set *)
     let awaited = Hashtbl.mem t.vsc.awaiting_recovery serial in
-    if b.ucert = None then
-      commit t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
+    if b.ucert = None then begin
+      (* bind the ballot to the certified code's line: adopted during
+         Voting, it discloses that line's share on the next VOTE_P *)
+      let part, pos =
+        match Ballot_store.verify_vote_code t.env.store ~serial ~vote_code:code with
+        | Some (part, pos, _) -> (part, pos)
+        | None -> (b.part, b.pos)
+      in
+      commit t (R_ucert { ucert; part; pos; endorse = false })
+    end;
     if awaited then check_recovery_complete t
   end
 
@@ -704,22 +722,43 @@ let start_vote_set_consensus t =
     if not (List.mem t.env.me t.vsc.announce_senders) then
       commit t (R_announce_from t.env.me);
     commit t R_phase_vsc;
-    let entries = known_entries t in
-    let msg = Messages.Announce_batch { sender = t.env.me; entries } in
-    multicast t msg;
+    multicast t (Messages.Announce { sender = t.env.me; entries = known_codes t });
     maybe_start_consensus t
   end
 
-let on_announce_batch t ~sender ~entries =
-  (* announcements are self-certifying (UCERTs), so we accept them even
-     if our own clock has not reached election end yet *)
-  if not (List.mem sender t.vsc.announce_senders) then begin
-    (* liveness-only bookkeeping: losing it merely makes the recovered
-       node wait for a re-announce, so skip the sync barrier (any
-       adopted UCERT below carries a synced record that covers it) *)
-    commit ~sync:false t (R_announce_from sender);
-    List.iter (adopt_entry t) entries;
-    maybe_start_consensus t
+let count_announcer t sender =
+  (* liveness-only bookkeeping: losing it merely makes the recovered
+     node wait for a re-announce, so skip the sync barrier (every UCERT
+     adopted from this announcer carries a synced record before it) *)
+  commit ~sync:false t (R_announce_from sender);
+  maybe_start_consensus t
+
+(* An ANNOUNCE is handled once per sender, and costs at most one pull:
+   one RECOVER-REQUEST to the announcer naming, once each, the serials
+   in the election whose announced code this node holds no UCERT on.
+   The announcer counts towards starting consensus at once if nothing
+   was pulled, else when its answer arrives, so this node enters
+   consensus holding every UCERT the counted announcers hold — the
+   input a receipted ballot needs (any Nv - fv announcers include an
+   honest holder). An announcer that cannot back its codes is never
+   counted; the Nv - fv honest ones suffice. Accepted before this
+   node's own clock reaches election end too. *)
+let on_announce t ~sender ~entries =
+  if not (List.mem sender t.vsc.announce_senders || List.mem sender t.vsc.pulling) then begin
+    let lacking =
+      List.filter_map
+        (fun (serial, code) ->
+           if serial_valid t serial && held_ucert t ~serial ~code = None then Some serial
+           else None)
+        entries
+      |> List.sort_uniq compare
+    in
+    if lacking = [] || sender = t.env.me then count_announcer t sender
+    else begin
+      t.vsc.pulling <- sender :: t.vsc.pulling;
+      t.env.send_vc ~dst:sender
+        (Messages.Recover_request { sender = t.env.me; serials = lacking })
+    end
   end
 
 let on_consensus t ~sender ~rbc_msg =
@@ -766,8 +805,16 @@ let on_recover_request t ~sender ~serials =
       t.env.send_vc ~dst:sender (Messages.Recover_response { sender = t.env.me; entries })
   end
 
-let on_recover_response t ~sender:_ ~entries =
-  if t.phase <> Voting then List.iter (adopt_entry t) entries
+(* Answers are self-certifying (each entry's UCERT is verified), so they
+   are adopted in any phase: a node whose clock lags pulls what an
+   announcer holds while still in Voting, and enters its own VSC with
+   it. An announcer's answer to this node's pull makes it count. *)
+let on_recover_response t ~sender ~entries =
+  List.iter (adopt_entry t) entries;
+  if List.mem sender t.vsc.pulling then begin
+    t.vsc.pulling <- List.filter (fun s -> s <> sender) t.vsc.pulling;
+    count_announcer t sender
+  end
 
 (* --- dispatch ---------------------------------------------------------- *)
 
@@ -783,7 +830,7 @@ let peer_plausible t (msg : Messages.vc_msg) =
   | Messages.Endorse { responder; _ } -> node responder
   | Messages.Endorsement { signer; _ } -> node signer
   | Messages.Vote_p { sender; _ } -> node sender
-  | Messages.Announce_batch { sender; _ } -> node sender
+  | Messages.Announce { sender; _ } -> node sender
   | Messages.Consensus { sender; _ } -> node sender
   | Messages.Recover_request { sender; _ } -> node sender
   | Messages.Recover_response { sender; _ } -> node sender
@@ -798,7 +845,7 @@ let handle t (msg : Messages.vc_msg) =
     on_endorsement t ~signer ~serial ~vote_code ~tag
   | Messages.Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert } ->
     on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert
-  | Messages.Announce_batch { sender; entries } -> on_announce_batch t ~sender ~entries
+  | Messages.Announce { sender; entries } -> on_announce t ~sender ~entries
   | Messages.Consensus { sender; rbc } -> on_consensus t ~sender ~rbc_msg:rbc
   | Messages.Recover_request { sender; serials } -> on_recover_request t ~sender ~serials
   | Messages.Recover_response { sender; entries } -> on_recover_response t ~sender ~entries
@@ -881,7 +928,7 @@ let create env =
       ballots = Hashtbl.create 1024;
       phase = Voting;
       vsc =
-        { announce_senders = []; consensus_started = false; rbc = None; bb = None;
+        { announce_senders = []; pulling = []; consensus_started = false; rbc = None; bb = None;
           rbc_seq = 0; decided_count = 0;
           decisions = [||];
           awaiting_recovery = Hashtbl.create 16; submitted = false;
@@ -902,8 +949,7 @@ let create env =
   if t.vsc.submitted then send_submission t
   else if t.vsc.consensus_started then check_recovery_complete t
   else if t.phase = Vsc then begin
-    let entries = known_entries t in
-    multicast t (Messages.Announce_batch { sender = t.env.me; entries });
+    multicast t (Messages.Announce { sender = t.env.me; entries = known_codes t });
     maybe_start_consensus t
   end;
   t

@@ -57,12 +57,22 @@ val create : env -> t
     whose UCERT the node holds and whose VOTE_P it has sent, once per
     (peer, serial). The node sends one itself, naming one serial, to
     the sender of an elided VOTE_P it cannot match. Afterwards it is
-    Vote Set Consensus recovery, answered with [Recover_response]. *)
+    Vote Set Consensus recovery, answered with [Recover_response].
+
+    [Announce] lists codes only. The node sends the announcer one
+    [Recover_request] naming the serials in the election whose
+    announced code it holds no UCERT on, and counts the announcer
+    towards starting consensus only once its [Recover_response] has
+    been adopted (at once if nothing was pulled). A [Recover_response]
+    is adopted in any phase, so a node whose clock lags enters its own
+    Vote Set Consensus with what it pulled. *)
 val handle : t -> Messages.vc_msg -> unit
 
-(** Election end: announce known votes, enter batched Bracha consensus,
-    recover missing codes, submit the agreed set + msk share to the BB
-    nodes. Driven by the node's owner when its clock passes Tend. *)
+(** Election end: announce the codes this node holds UCERTs for, enter
+    batched Bracha consensus once [Nv - fv] announcers count, recover
+    the codes of ballots decided voted that it lacks, submit the agreed
+    set + msk share to the BB nodes. Driven by the node's owner when its
+    clock passes Tend. *)
 val start_vote_set_consensus : t -> unit
 
 val phase : t -> phase

@@ -88,9 +88,9 @@ let obligations_of t msg =
     in
     (* an elided UCERT is the node's own, verified when it was adopted *)
     shares @ Option.fold ~none:[] ~some:ucert_obls ucert
-  | Messages.Announce_batch { entries; _ } | Messages.Recover_response { entries; _ } ->
+  | Messages.Recover_response { entries; _ } ->
     List.concat_map (fun (_, _, u) -> ucert_obls u) entries
-  | Messages.Vote _ | Messages.Endorse _ | Messages.Consensus _
+  | Messages.Vote _ | Messages.Endorse _ | Messages.Announce _ | Messages.Consensus _
   | Messages.Recover_request _ -> []
 
 let preverify t msgs =

@@ -2,9 +2,9 @@
 
     A drained mailbox batch carries many independent authenticator
     obligations — endorsement signatures, the EA's receipt-share tags,
-    and (dominating the cost) the same UCERTs re-verified on every
-    VOTE_P / announce / recover delivery. {!preverify} extracts them,
-    deduplicates, and settles everything not already cached through one
+    and the UCERTs carried by full VOTE_Ps and RECOVER-RESPONSEs.
+    {!preverify} extracts them, deduplicates, and settles everything
+    not already cached through one
     {!Ddemos.Auth.verify_batch} call (a single randomized multi-scalar
     multiplication under Schnorr — the 2.3x/entry micro win, here
     amortized {e across} messages, not just within one certificate).

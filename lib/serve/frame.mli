@@ -7,7 +7,7 @@
 val header_len : int
 
 (** Frames larger than this are a protocol violation (default 1 MiB —
-    comfortably above the largest Announce_batch at supported scale). *)
+    comfortably above the largest ANNOUNCE at supported scale). *)
 val max_frame_default : int
 
 val encode : string -> string

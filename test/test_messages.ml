@@ -40,13 +40,9 @@ let samples scheme =
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 3; part = Types.A; pos = 0;
         share = sample_share; share_tag = None; ucert = None };
-    Messages.Announce_batch
-      { sender = 0;
-        entries =
-          [ (5, "codecodecodecodecode", u);
-            (9, String.make 20 'z',
-             { u with Messages.u_serial = 9; Messages.u_code = String.make 20 'z' }) ] };
-    Messages.Announce_batch { sender = 3; entries = [] };
+    Messages.Announce
+      { sender = 0; entries = [ (5, "codecodecodecodecode"); (9, String.make 20 'z') ] };
+    Messages.Announce { sender = 3; entries = [] };
     Messages.Consensus
       { sender = 1;
         rbc = { Rbc.phase = Rbc.Ready; origin = 2; tag = "bc/2/7"; payload = "\x01\x02\xff" } };
@@ -122,9 +118,9 @@ let test_entry_rebinds_ucert () =
   let ks = keys Auth.Mac_scheme in
   let u = sample_ucert ks in
   let other = String.make 20 'z' in
-  let msg = Messages.Announce_batch { sender = 0; entries = [ (9, other, u) ] } in
+  let msg = Messages.Recover_response { sender = 0; entries = [ (9, other, u) ] } in
   match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
-  | Some (Messages.Announce_batch { entries = [ (9, code, u') ]; _ }) ->
+  | Some (Messages.Recover_response { entries = [ (9, code, u') ]; _ }) ->
     Alcotest.(check string) "code kept" other code;
     Alcotest.(check int) "serial rebound" 9 u'.Messages.u_serial;
     Alcotest.(check string) "code rebound" other u'.Messages.u_code;

@@ -169,7 +169,9 @@ let prop_mux_link_roundtrip =
        && rejoin decoded = Some msg)
 
 (* One message on a link keeps the one-message encoding byte for
-   byte: these frames were captured before links carried batches. *)
+   byte: the first three frames were captured before links carried
+   batches; the ANNOUNCE is discriminant 9 and its (serial, code)
+   pairs. *)
 let test_mux_single_golden () =
   let mac l = Auth.Mac_tag l in
   let endorse = Messages.Endorse { serial = 7; vote_code = "code-7"; responder = 2 } in
@@ -188,6 +190,7 @@ let test_mux_single_golden () =
       { sender = 1; set = [ (0, "c0"); (4, "c4") ];
         msk_share = { Dd_vss.Shamir_bytes.x = 2; data = "msk" } }
   in
+  let announce = Messages.Announce { sender = 2; entries = [ (0, "c0"); (4, "c4") ] } in
   let hex = Dd_crypto.Sha256.hex_of_string in
   Alcotest.(check string) "endorse" "020a010706636f64652d3702"
     (hex (Mux.encode gctx (Mux.Vc [ endorse ])));
@@ -195,7 +198,9 @@ let test_mux_single_golden () =
     "02270303037663330101020203736872010102026d30026d3103037663330200010101610201010162"
     (hex (Mux.encode gctx (Mux.Vc [ vote_p ])));
   Alcotest.(check string) "vote set submit" "0310000102000263300402633402036d736b"
-    (hex (Mux.encode gctx (Mux.Bb [ submit ])))
+    (hex (Mux.encode gctx (Mux.Bb [ submit ])));
+  Alcotest.(check string) "code-only announce" "020b0902020002633004026334"
+    (hex (Mux.encode gctx (Mux.Vc [ announce ])))
 
 let prop_mux_batch_smaller =
   QCheck.Test.make ~name:"a batch frame is smaller than its messages' frames" ~count:200
@@ -593,8 +598,7 @@ let serve_eq_run ?(observe = ignore) ?(route = Fun.id) ~clients params =
 (* A [max_frame] below what one tick puts on a link, but above the
    largest single message: links cut their batches into more frames,
    and the election comes out the same. Every vote goes to node 0, so
-   its links carry all eight full VOTE_Ps in one tick; spread over the
-   nodes, no batch outgrows the ANNOUNCE, the largest message. *)
+   its links carry all eight full VOTE_Ps in one tick. *)
 let test_max_frame_split () =
   let run max_frame =
     serve_eq_run ~route:(fun _ -> 0) ~clients:8 { Runtime.default_params with Runtime.max_frame }
@@ -623,7 +627,7 @@ let test_vote_p_elision_on_links () =
       | Messages.Vote_p { serial; ucert; _ } ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
         Hashtbl.replace sent serial ((src, dst, Option.is_some ucert) :: prev)
-      | Messages.Announce_batch _ -> casting := false
+      | Messages.Announce _ -> casting := false
       | Messages.Recover_request _ -> if !casting then incr pulls
       | _ -> ())
   in

@@ -342,6 +342,34 @@ let test_elided_accepted_after_restart () =
   Alcotest.(check int) "the restarted node reconstructs" 1
     (Vc_node.receipts_issued c.nodes.(1))
 
+(* Every part of a ballot has m lines, so a VOTE_P whose position is
+   outside 0..m-1 is dropped before it can commit or send anything.
+   Node 0 holds the UCERT and lacks node 3's share, so the same VOTE_P
+   with its true position commits that share. *)
+let test_vote_p_position_bound () =
+  let drop ~src ~dst = function Messages.Vote_p _ -> src = 3 && dst = 0 | _ -> false in
+  let c = make_cluster ~durable:true ~drop () in
+  let code = code_of ~serial:5 ~part:Types.B ~option:2 in
+  vote c ~node:1 ~client:1 ~req:1 ~serial:5 ~vote_code:code;
+  let node = c.nodes.(0) in
+  let vote_p = elided_vote_p ~serial:5 ~code in
+  let at pos =
+    match vote_p with Messages.Vote_p p -> Messages.Vote_p { p with pos } | _ -> assert false
+  in
+  List.iter
+    (fun pos ->
+       let state = Vc_node.observable node and disk = durable_state c 0 in
+       c.sent := [];
+       Vc_node.handle node (at pos);
+       let what = Printf.sprintf "pos %d" pos in
+       Alcotest.(check string) (what ^ ": state unchanged") state (Vc_node.observable node);
+       Alcotest.(check bool) (what ^ ": nothing logged") true (disk = durable_state c 0);
+       Alcotest.(check int) (what ^ ": nothing sent") 0 (List.length !(c.sent)))
+    [ cfg.Types.m_options; -1 ];
+  let disk = durable_state c 0 in
+  Vc_node.handle node vote_p;
+  Alcotest.(check bool) "the true position commits the share" false (disk = durable_state c 0)
+
 (* --- UCERT pull ------------------------------------------------------------- *)
 
 (* The responder withholds: its VOTE_P reaches node 1 only. Nodes 2 and
@@ -483,7 +511,7 @@ module Mux = Dd_serve.Mux
 
 (* Random and bit-flipped bytes go through the serving path's decoders
    (Frame, then Mux) into the handlers of a cluster that holds nv voted
-   ballots. Nothing may raise, no node may keep state for more ballots
+   ballots; the frames flipped include an ANNOUNCE. Nothing may raise, no node may keep state for more ballots
    than the election has, and a case's sends (peer messages and client
    replies) stay within nv per message handled: a pull names the
    ballots it wants, and each is answered at most once per peer. *)
@@ -494,7 +522,17 @@ let prop_handler_byte_fuzz =
     vote c ~node:i ~client:i ~req:1 ~serial:i
       ~vote_code:(code_of ~serial:i ~part:Types.A ~option:(i mod cfg.Types.m_options))
   done;
-  let peer_msgs = Array.of_list (List.rev_map (fun (_, _, m) -> m) !(c.sent)) in
+  (* and an ANNOUNCE naming a voted ballot, a code no one cast and
+     serials outside the election *)
+  let announce =
+    Messages.Announce
+      { sender = 1;
+        entries =
+          [ (0, code_of ~serial:0 ~part:Types.A ~option:0);
+            (5, code_of ~serial:5 ~part:Types.B ~option:1);
+            (cfg.Types.n_voters, "outside"); (1_000_000_000, "far outside") ] }
+  in
+  let peer_msgs = Array.of_list (announce :: List.rev_map (fun (_, _, m) -> m) !(c.sent)) in
   let n = Array.length peer_msgs in
   let payloads =
     Array.concat
@@ -668,6 +706,173 @@ let test_recover_response_adopts_entry () =
        Alcotest.(check bool) "entry present" true (List.mem (1, vc) set))
     sets
 
+let pulls_to c dst = List.filter (fun (_, d, _) -> d = dst) (pulls c)
+
+(* What [node] announced, once per distinct ANNOUNCE it multicast. *)
+let announced c ~node =
+  List.filter_map
+    (function
+      | (src, _, Messages.Announce { entries; _ }) when src = node -> Some entries
+      | _ -> None)
+    !(c.sent)
+  |> List.sort_uniq compare
+
+(* Node 3's clock lags, and every message to it was lost while [code]
+   was cast on ballot 2. Its peers pass election end and ANNOUNCE while
+   node 3 is still in Voting. Returns node 3's clock. *)
+let lag_node_3 ~code =
+  let lost = ref true in
+  let c = make_cluster ~drop:(fun ~src:_ ~dst _ -> !lost && dst = 3) () in
+  let clock_3 = ref c.now in
+  c.nodes.(3) <- Vc_node.create { (c.env_of 3) with Vc_node.now = (fun () -> !clock_3) };
+  vote c ~node:0 ~client:1 ~req:1 ~serial:2 ~vote_code:code;
+  Alcotest.(check int) "node 3 missed the vote" 0 (Vc_node.ballot_count c.nodes.(3));
+  lost := false;
+  c.sent := [];
+  c.now <- c.t_end +. 1.;
+  for i = 0 to 2 do Vc_node.start_vote_set_consensus c.nodes.(i) done;
+  drain c;
+  Alcotest.(check bool) "node 3 is still in Voting" true
+    (Vc_node.phase c.nodes.(3) = Vc_node.Voting);
+  (c, clock_3)
+
+(* Node 3, lagging, pulls the UCERT from each announcer and adopts the
+   answers while still in Voting. So when its own clock reaches
+   election end, its ANNOUNCE names the ballot, it needs no recovery
+   after consensus, and it ends with the UCERT and its peers'
+   decisions. *)
+let test_lagging_collector_pulls () =
+  let code = code_of ~serial:2 ~part:Types.B ~option:1 in
+  let c, clock_3 = lag_node_3 ~code in
+  Alcotest.(check (list (triple int int (list int)))) "node 3 pulls from each announcer"
+    [ (3, 0, [ 2 ]); (3, 1, [ 2 ]); (3, 2, [ 2 ]) ] (List.sort compare (pulls c));
+  c.sent := [];
+  clock_3 := c.now;
+  Vc_node.start_vote_set_consensus c.nodes.(3);
+  drain c;
+  Alcotest.(check (list (list (pair int string)))) "node 3 announces the ballot"
+    [ [ (2, code) ] ] (announced c ~node:3);
+  Alcotest.(check int) "no recovery after consensus" 0 (List.length (pulls c));
+  let decisions = Vc_node.decisions c.nodes.(0) in
+  Alcotest.(check (option bool)) "decided voted" (Some true) decisions.(2);
+  Array.iteri
+    (fun i n ->
+       Alcotest.(check (array (option bool))) (Printf.sprintf "node %d decides alike" i)
+         decisions (Vc_node.decisions n))
+    c.nodes;
+  match List.sort_uniq compare (List.map snd (final_sets c)) with
+  | [ [ (2, code') ] ] -> Alcotest.(check string) "the agreed code" code code'
+  | _ -> Alcotest.fail "the nodes submit different sets"
+
+(* A UCERT adopted during Voting binds the ballot to the certified
+   code's line: when a lagging peer's VOTE_P for the ballot reaches
+   node 3 while it is still in Voting, node 3 discloses the share of
+   that line (part B, position 2), not of the ballot's first line. *)
+let test_pulled_ucert_discloses_its_line () =
+  let code = code_of ~serial:2 ~part:Types.B ~option:2 in
+  let c, _ = lag_node_3 ~code in
+  c.sent := [];
+  let store = Ballot_store.virtual_prf ~seed ~cfg ~node:1 in
+  (match Ballot_store.verify_vote_code store ~serial:2 ~vote_code:code with
+   | Some (part, pos, line) ->
+     Vc_node.handle c.nodes.(3)
+       (Messages.Vote_p
+          { serial = 2; vote_code = code; sender = 1; part; pos;
+            share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert = None })
+   | None -> Alcotest.fail "code should validate");
+  let disclosed =
+    List.filter_map
+      (function
+        | (3, _, Messages.Vote_p { part; pos; _ }) -> Some (Types.part_label part, pos)
+        | _ -> None)
+      !(c.sent)
+  in
+  Alcotest.(check (list (pair string int))) "node 3's VOTE_Ps name the code's line"
+    [ ("B", 2); ("B", 2); ("B", 2) ] disclosed
+
+(* Node 3 missed the one vote, and the answers to its pulls are held
+   back. An announcer counts towards consensus only once it answered,
+   so at election end node 3 waits rather than enter consensus without
+   a UCERT its peers hold (its input for a receipted ballot would be
+   "not voted"). When the answers arrive it enters consensus holding
+   the UCERT and decides as its peers did. *)
+let test_announcer_counts_once_answered () =
+  let lost = ref true in
+  let drop ~src:_ ~dst = function
+    | Messages.Recover_response _ -> dst = 3
+    | _ -> !lost && dst = 3
+  in
+  let c = make_cluster ~drop () in
+  let code = code_of ~serial:2 ~part:Types.A ~option:2 in
+  vote c ~node:1 ~client:1 ~req:1 ~serial:2 ~vote_code:code;
+  lost := false;
+  c.sent := [];
+  end_election c;
+  let from_3 c = List.filter (fun (src, _, _) -> src = 3) !(c.sent) in
+  Alcotest.(check bool) "node 3 pulled" true (pulls c <> []);
+  Alcotest.(check bool) "node 3 sent no consensus message" false
+    (List.exists (function (_, _, Messages.Consensus _) -> true | _ -> false) (from_3 c));
+  let answers =
+    List.filter_map
+      (function (_, 3, (Messages.Recover_response _ as m)) -> Some m | _ -> None)
+      (List.rev !(c.sent))
+  in
+  c.sent := [];
+  List.iter (Vc_node.handle c.nodes.(3)) answers;
+  drain c;
+  Alcotest.(check int) "no recovery after consensus" 0 (List.length (pulls c));
+  let decisions = Vc_node.decisions c.nodes.(0) in
+  Alcotest.(check (option bool)) "decided voted" (Some true) decisions.(2);
+  Alcotest.(check (array (option bool))) "node 3 decides alike" decisions
+    (Vc_node.decisions c.nodes.(3));
+  match List.sort_uniq compare (List.map snd (final_sets c)) with
+  | [ [ (2, code') ] ] -> Alcotest.(check string) "the agreed code" code code'
+  | _ -> Alcotest.fail "the nodes submit different sets"
+
+(* Node 0 announces codes it holds no UCERT for: another code of the
+   voted ballot 1, a code of ballot 4 that no one cast, the latter
+   twice, and serials outside the election. A receiver counts one
+   ANNOUNCE per sender, so node 0's own ANNOUNCE later is ignored. Each
+   receiver sends node 0 one pull naming ballots 1 and 4 once each;
+   node 0 backs neither code, and every node decides and submits as
+   in the same run without the hostile ANNOUNCE, which pulls nothing. *)
+let test_unbacked_announce () =
+  let run hostile =
+    let c = make_cluster () in
+    vote c ~node:2 ~client:1 ~req:1 ~serial:1
+      ~vote_code:(code_of ~serial:1 ~part:Types.A ~option:0);
+    c.sent := [];
+    c.now <- c.t_end +. 1.;
+    if hostile then begin
+      let never_cast = code_of ~serial:4 ~part:Types.A ~option:1 in
+      let entries =
+        [ (1, code_of ~serial:1 ~part:Types.B ~option:2); (4, never_cast); (4, never_cast);
+          (cfg.Types.n_voters, never_cast); (-1, never_cast) ]
+      in
+      for dst = 1 to 3 do
+        Vc_node.handle c.nodes.(dst) (Messages.Announce { sender = 0; entries })
+      done
+    end;
+    Array.iter Vc_node.start_vote_set_consensus c.nodes;
+    drain c;
+    c
+  in
+  let honest = run false and hostile = run true in
+  Alcotest.(check int) "an honest run pulls nothing" 0 (List.length (pulls honest));
+  Alcotest.(check (list (triple int int (list int)))) "one pull per receiver, each serial once"
+    [ (1, 0, [ 1; 4 ]); (2, 0, [ 1; 4 ]); (3, 0, [ 1; 4 ]) ]
+    (List.sort compare (pulls_to hostile 0));
+  Alcotest.(check int) "and no other pull" 3 (List.length (pulls hostile));
+  Array.iteri
+    (fun i n ->
+       Alcotest.(check (array (option bool))) (Printf.sprintf "node %d decides alike" i)
+         (Vc_node.decisions honest.nodes.(i)) (Vc_node.decisions n);
+       Alcotest.(check (list (triple int string string))) "no conflict" []
+         (Vc_node.ucert_conflicts n))
+    hostile.nodes;
+  Alcotest.(check (list (pair int (list (pair int string))))) "the same submissions"
+    (final_sets honest) (final_sets hostile)
+
 let () =
   Alcotest.run "vc_node"
     [ ("algorithm-1",
@@ -689,7 +894,9 @@ let () =
            test_only_former_carries_ucert;
          Alcotest.test_case "elided needs a held UCERT" `Quick test_elided_needs_held_ucert;
          Alcotest.test_case "elided accepted after restart" `Quick
-           test_elided_accepted_after_restart ]);
+           test_elided_accepted_after_restart;
+         Alcotest.test_case "VOTE_P position outside the part" `Quick
+           test_vote_p_position_bound ]);
       ("ucert-pull",
        [ Alcotest.test_case "withholding responder" `Quick test_pull_from_withholding_responder;
          Alcotest.test_case "answered once per peer" `Quick test_pull_answered_once;
@@ -703,4 +910,11 @@ let () =
          Alcotest.test_case "announce adoption" `Quick test_vsc_adopts_announced_entries;
          Alcotest.test_case "recover request answered" `Quick test_recover_request_answered;
          Alcotest.test_case "recover unknown serial" `Quick test_recover_request_unknown_serial_silent;
-         Alcotest.test_case "recover response adoption" `Quick test_recover_response_adopts_entry ]) ]
+         Alcotest.test_case "recover response adoption" `Quick test_recover_response_adopts_entry;
+         Alcotest.test_case "lagging collector pulls in Voting" `Quick
+           test_lagging_collector_pulls;
+         Alcotest.test_case "pulled UCERT discloses its line" `Quick
+           test_pulled_ucert_discloses_its_line;
+         Alcotest.test_case "announcer counts once answered" `Quick
+           test_announcer_counts_once_answered;
+         Alcotest.test_case "unbacked announce" `Quick test_unbacked_announce ]) ]
