@@ -136,6 +136,13 @@ let scenarios : scenario list =
         (fun ~seed ->
            { (f_params ~seed) with
              Election.byzantine_vc = [ (1, Election.Corrupt_shares) ] }) };
+    { name = "misplaced-shares";
+      desc = "one collector discloses its genuine share of another line of the part (full crypto)";
+      full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;
+      build =
+        (fun ~seed ->
+           { (f_params ~seed) with
+             Election.byzantine_vc = [ (1, Election.Misplaced_shares) ] }) };
     { name = "malformed-wire";
       desc = "one collector byte-flips every outgoing wire message (full crypto)";
       full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;

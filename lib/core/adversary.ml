@@ -20,6 +20,10 @@
    - [Corrupt_shares] flips bytes in disclosed VOTE_P receipt shares,
      attacking receipt correctness; the EA's per-share authenticators
      (checked in full fidelity) make the corruption detectable.
+   - [Misplaced_shares] discloses, in place of its share for the voted
+     line, its genuine share of another line of the same part, with that
+     line's valid EA authenticator: only a receiver that checks the line
+     against its own lookup of the code rejects it.
    - [Byzantine_consensus] drops or corrupts Bracha traffic and
      withholds RECOVER-RESPONSEs, so the codes it announces are never
      backed, attacking Vote Set Consensus liveness and agreement.
@@ -36,19 +40,21 @@ type behavior =
   | Drop_receipts
   | Equivocate
   | Corrupt_shares
+  | Misplaced_shares
   | Byzantine_consensus
   | Malformed_wire
 
 (* Does the behavior answer voters at all? *)
 let suppresses_replies = function
   | Silent | Drop_receipts -> true
-  | Equivocate | Corrupt_shares | Byzantine_consensus | Malformed_wire -> false
+  | Equivocate | Corrupt_shares | Misplaced_shares | Byzantine_consensus | Malformed_wire ->
+    false
 
 (* Does the behavior participate in Vote Set Consensus at election end?
    (A silent node is indistinguishable from a crashed one.) *)
 let runs_vsc = function
   | Silent -> false
-  | Drop_receipts | Equivocate | Corrupt_shares | Byzantine_consensus
+  | Drop_receipts | Equivocate | Corrupt_shares | Misplaced_shares | Byzantine_consensus
   | Malformed_wire -> true
 
 (* Shadow responder state for one (serial, code) the equivocator is
@@ -165,7 +171,8 @@ let handle_incoming t ~honest (msg : Messages.vc_msg) =
   match t.behavior with
   | Silent -> ()    (* receives everything, does nothing *)
   | Equivocate -> equivocate_on t msg; honest msg
-  | Drop_receipts | Corrupt_shares | Byzantine_consensus | Malformed_wire ->
+  | Drop_receipts | Corrupt_shares | Misplaced_shares | Byzantine_consensus
+  | Malformed_wire ->
     honest msg
 
 (* --- outgoing ---------------------------------------------------------- *)
@@ -193,6 +200,22 @@ let transform_outgoing t ~dst:_ (msg : Messages.vc_msg) :
            Shamir_bytes.data = flip_byte t.rng p.share.Shamir_bytes.data }
        in
        Some (Messages.Vote_p { p with share })
+     | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
+     | Messages.Announce _ | Messages.Consensus _
+     | Messages.Recover_request _ | Messages.Recover_response _ -> Some msg)
+  | Misplaced_shares ->
+    (match msg with
+     | Messages.Vote_p p ->
+       let lines = Ballot_store.lines t.store ~serial:p.serial ~part:p.part in
+       let m = Array.length lines in
+       if m < 2 then Some msg
+       else begin
+         let pos = (p.pos + 1 + Drbg.int t.rng (m - 1)) mod m in
+         let line = lines.(pos) in
+         Some
+           (Messages.Vote_p
+              { p with pos; share = line.Types.receipt_share; share_tag = line.Types.share_tag })
+       end
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
      | Messages.Announce _ | Messages.Consensus _
      | Messages.Recover_request _ | Messages.Recover_response _ -> Some msg)

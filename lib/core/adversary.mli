@@ -18,6 +18,10 @@ type behavior =
   | Corrupt_shares
       (** flips bytes in disclosed VOTE_P receipt shares; caught by the
           EA's per-share authenticators in full fidelity *)
+  | Misplaced_shares
+      (** discloses its genuine, EA-tagged share of another line of the
+          voted code's part; caught because a receiver counts a share
+          only for the line it holds the code on *)
   | Byzantine_consensus
       (** drops/corrupts Bracha traffic per destination, withholds
           RECOVER-RESPONSEs (so the codes it announces are never

@@ -48,6 +48,7 @@ type byzantine_behavior = Adversary.behavior =
   | Drop_receipts
   | Equivocate
   | Corrupt_shares
+  | Misplaced_shares
   | Byzantine_consensus
   | Malformed_wire
 

@@ -29,6 +29,7 @@ type byzantine_behavior = Adversary.behavior =
   | Drop_receipts   (** runs the protocol but never answers voters *)
   | Equivocate      (** endorses conflicting codes, attacking UCERT uniqueness *)
   | Corrupt_shares  (** flips bytes in disclosed VOTE_P receipt shares *)
+  | Misplaced_shares  (** discloses its genuine share of another line of the part *)
   | Byzantine_consensus  (** corrupts/withholds Vote Set Consensus traffic *)
   | Malformed_wire  (** re-encodes outgoing messages with a flipped byte *)
 

@@ -15,14 +15,15 @@ type ucert = {
 let endorsement_body ~election_id ~serial ~code =
   String.concat "|" [ "endorse"; election_id; string_of_int serial; code ]
 
+let signers u = List.length (List.sort_uniq compare (List.map fst u.endorsements))
+
 (* Verify a UCERT from node [keys.me]'s point of view. [?verify] lets
    a host runtime substitute its own per-tag verifier (amortized over
    many concurrent messages); the default batches within this one
    certificate. *)
 let verify_ucert_with ?verify keys ~election_id ~quorum (u : ucert) =
   let body = endorsement_body ~election_id ~serial:u.u_serial ~code:u.u_code in
-  let distinct = List.sort_uniq compare (List.map fst u.endorsements) in
-  List.length distinct >= quorum
+  signers u >= quorum
   && (match verify with
       | None ->
         Auth.verify_batch keys
@@ -73,9 +74,9 @@ let tag_size = function
   | Auth.Schnorr_tag _ -> 65   (* scalar s + compressed nonce point R *)
   | Auth.Mac_tag tags -> 32 * Array.length tags
 
-let ucert_size u =
-  16 + Types.vote_code_bytes
-  + List.fold_left (fun acc (_, tag) -> acc + 8 + tag_size tag) 0 u.endorsements
+(* A certificate on the wire is its endorsements: the (serial, code) it
+   binds is the carrying message's own, priced there. *)
+let ucert_size u = List.fold_left (fun acc (_, tag) -> acc + 8 + tag_size tag) 0 u.endorsements
 
 let vc_msg_size = function
   | Vote _ -> 8 + Types.vote_code_bytes + 120        (* HTTP overhead *)
@@ -159,9 +160,12 @@ let get_part r =
   | 1 -> Types.B
   | _ -> raise (Wire.Malformed "part: bad index")
 
-(* A RECOVER-RESPONSE entry writes its binding once: the UCERT's own
-   (serial, code) are the entry's, so only the endorsements follow, and
-   the decoder rebinds the certificate to the entry it arrived in. *)
+(* A certificate carried by a message that names its (serial, code) —
+   a RECOVER-RESPONSE entry or a VOTE_P — writes its endorsements only,
+   and the decoder binds it to the carrier's (serial, code). *)
+let get_bound_ucert r ~serial ~code =
+  { u_serial = serial; u_code = code; endorsements = get_endorsements r }
+
 let put_entry w (serial, code, (u : ucert)) =
   Wire.put_varint w serial;
   Wire.put_bytes w code;
@@ -170,8 +174,7 @@ let put_entry w (serial, code, (u : ucert)) =
 let get_entry r =
   let serial = Wire.get_varint r in
   let code = Wire.get_bytes r in
-  let endorsements = get_endorsements r in
-  (serial, code, { u_serial = serial; u_code = code; endorsements })
+  (serial, code, get_bound_ucert r ~serial ~code)
 
 (* An ANNOUNCE entry: the (serial, code) alone. *)
 let put_code_entry w (serial, code) =
@@ -198,12 +201,13 @@ let encode_vc_msg (msg : vc_msg) =
      Wire.put_varint w serial; Wire.put_bytes w vote_code;
      Wire.put_varint w signer; put_tag w tag
    | Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert } ->
-     (* the discriminant says whether a UCERT follows: 3 with, 8 elided *)
-     Wire.put_varint w (if Option.is_some ucert then 3 else 8);
+     (* the discriminant says whether a UCERT's endorsements follow: 10
+        with, 8 elided *)
+     Wire.put_varint w (if Option.is_some ucert then 10 else 8);
      Wire.put_varint w serial; Wire.put_bytes w vote_code; Wire.put_varint w sender;
      put_part w part; Wire.put_varint w pos; put_share w share;
      Wire.put_option w put_tag share_tag;
-     Option.iter (put_ucert w) ucert
+     Option.iter (fun (u : ucert) -> put_endorsements w u.endorsements) ucert
    | Announce { sender; entries } ->
      Wire.put_varint w 9;
      Wire.put_varint w sender;
@@ -242,7 +246,7 @@ let decode_vc_msg frame =
         let signer = Wire.get_varint r in
         let tag = get_tag r in
         Endorsement { serial; vote_code; signer; tag }
-      | (3 | 8) as kind ->
+      | (8 | 10) as kind ->
         let serial = Wire.get_varint r in
         let vote_code = Wire.get_bytes r in
         let sender = Wire.get_varint r in
@@ -250,7 +254,9 @@ let decode_vc_msg frame =
         let pos = Wire.get_varint r in
         let share = get_share r in
         let share_tag = Wire.get_option r get_tag in
-        let ucert = if kind = 3 then Some (get_ucert r) else None in
+        let ucert =
+          if kind = 10 then Some (get_bound_ucert r ~serial ~code:vote_code) else None
+        in
         Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert }
       | 5 ->
         let sender = Wire.get_varint r in

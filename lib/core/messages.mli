@@ -14,6 +14,9 @@ type ucert = {
 (** The authenticated body of an ENDORSEMENT. *)
 val endorsement_body : election_id:string -> serial:int -> code:string -> string
 
+(** The number of distinct signers among a UCERT's endorsements. *)
+val signers : ucert -> int
+
 (** Check a UCERT: at least [quorum] distinct signers, every tag valid. *)
 val verify_ucert : Auth.keys -> election_id:string -> quorum:int -> ucert -> bool
 
@@ -45,10 +48,16 @@ type vc_msg =
       share_tag : Auth.tag option;
       ucert : ucert option;
           (** [Some] only from the UCERT's former (the responder) and in
-              the answer to a pull; every other VOTE_P elides it. A
+              the answer to a pull; every other VOTE_P elides it. The
+              certificate is bound to this message's (serial, code).
+              The former sends each peer that signed it the
+              certificate without that peer's own endorsement; the peer
+              completes it with the tag it signed and keeps in memory.
+              The answer to a pull carries the whole certificate. A
               receiver counts an elided VOTE_P's share only against a
               UCERT it holds for exactly this serial and code; one it
-              cannot match makes it pull the UCERT from the sender
+              cannot match, or a certificate short of a quorum it cannot
+              complete, makes it pull the UCERT from the sender
               ([Recover_request] during Voting). *)
     }
   | Announce of { sender : int; entries : (int * string) list }
@@ -68,7 +77,9 @@ type bb_msg =
     }
   | Trustee_post of { trustee : int; payload : Trustee_payload.t }
 
-(** Wire-size estimates for the network model. *)
+(** Wire-size estimates for the network model. [ucert_size] prices a
+    certificate's endorsements only: the (serial, code) it binds is
+    priced by the message that carries it. *)
 val tag_size : Auth.tag -> int
 val ucert_size : ucert -> int
 val vc_msg_size : vc_msg -> int
@@ -77,13 +88,15 @@ val bb_msg_size : bb_msg -> int
 (** Byte-level encoding of every VC message; the decoder is total
     (malformed frames yield [None], never an exception).
 
-    A VOTE_P has two encodings. Discriminant 3 carries the UCERT after
-    the share tag; discriminant 8 is the same message with the UCERT
-    elided ([ucert = None]), with no option byte. ANNOUNCE
-    (discriminant 9) carries (serial, code) pairs only; discriminant 4 is
-    unassigned and does not decode. The entries of
-    RECOVER-RESPONSE write each certificate's endorsements only: the
-    decoder binds the UCERT to the entry's (serial, code). *)
+    A VOTE_P has two encodings. Discriminant 10 carries the UCERT's
+    endorsement list after the share tag, and the decoder binds the
+    certificate to the message's own (serial, code); discriminant 8 is
+    the same message with the UCERT elided ([ucert = None]), with no
+    option byte. ANNOUNCE (discriminant 9) carries (serial, code) pairs
+    only. Discriminant 3 (a VOTE_P whose UCERT repeated its binding) is
+    retired, and it and 4 do not decode. The entries of
+    RECOVER-RESPONSE also write each certificate's endorsements only:
+    the decoder binds the UCERT to the entry's (serial, code). *)
 val encode_vc_msg : vc_msg -> string
 val decode_vc_msg : string -> vc_msg option
 

@@ -79,6 +79,11 @@ type ballot_rt = {
      during Voting) we have answered: each gets our full VOTE_P once.
      Transient, never journaled. *)
   mutable answered : int;
+  (* the ENDORSEMENT tag this node signed for [endorsed], until it
+     holds a UCERT: it completes the certificate the former sends us
+     without our own endorsement. Transient, never journaled, so a
+     restarted node pulls the whole certificate instead. *)
+  mutable own_tag : Auth.tag option;
 }
 
 type phase = Voting | Vsc | Submitted
@@ -128,7 +133,8 @@ let ballot_rt t serial =
     let b =
       { status = Types.Not_voted; endorsed = None; ucert = None;
         part = Types.A; pos = 0; collecting = None; endorsements = [];
-        shares = []; sent_vote_p = false; waiting_clients = []; answered = 0 }
+        shares = []; sent_vote_p = false; waiting_clients = []; answered = 0;
+        own_tag = None }
     in
     Hashtbl.replace t.ballots serial b;
     b
@@ -255,9 +261,9 @@ let verify_tag t ~signer body tag =
   | Some f -> f ~signer body tag
   | None -> Auth.verify t.env.keys ~signer body tag
 
-let verify_ucert t ucert =
+let verify_ucert ?quorum t ucert =
   Messages.verify_ucert_with ?verify:t.env.verify_tag t.env.keys
-    ~election_id:(election_id t) ~quorum:t.quorum ucert
+    ~election_id:(election_id t) ~quorum:(Option.value quorum ~default:t.quorum) ucert
 
 let verify_receipt_share t ~serial ~part ~pos ~node (share : Shamir_bytes.share) tag =
   share.Shamir_bytes.x = node + 1
@@ -276,6 +282,21 @@ let own_share t ~serial ~part ~pos =
   let lines = Ballot_store.lines t.env.store ~serial ~part in
   let line = lines.(pos) in
   (line.Types.receipt_share, line.Types.share_tag)
+
+(* Where this node holds [code] on ballot [serial]: the line the ballot
+   is bound to once it is endorsed or certified (for that code only),
+   else the store's lookup, which also yields this node's share and its
+   EA tag on that line. *)
+let code_line t ~serial ~code =
+  match Hashtbl.find_opt t.ballots serial with
+  | Some { status = Types.Pending c | Types.Voted (c, _); part; pos; _ }
+  | Some { status = Types.Not_voted; endorsed = Some c; part; pos; _ } ->
+    if Dd_crypto.Ct.equal c code then Some (part, pos, None) else None
+  | Some { status = Types.Not_voted; endorsed = None; _ } | None ->
+    Option.map
+      (fun (part, pos, line) ->
+         (part, pos, Some (line.Types.receipt_share, line.Types.share_tag)))
+      (Ballot_store.verify_vote_code t.env.store ~serial ~vote_code:code)
 
 (* The UCERT this node holds for exactly [serial] and [code], if any. *)
 let held_ucert t ~serial ~code =
@@ -323,6 +344,7 @@ let apply_rec ?own t rc =
     end;
     if endorse then b.endorsed <- Some ucert.Messages.u_code;
     if b.ucert = None then b.ucert <- Some ucert;
+    b.own_tag <- None;
     if b.status = Types.Not_voted then b.status <- Types.Pending ucert.Messages.u_code;
     Hashtbl.remove t.vsc.awaiting_recovery serial
   | R_sent_vote_p serial ->
@@ -401,22 +423,33 @@ let try_reconstruct t serial (b : ballot_rt) code =
     b.waiting_clients <- []
   end
 
-(* Our own share for [b] and the VOTE_P disclosing it with [ucert]. *)
-let own_vote_p t ~serial ~code (b : ballot_rt) ~ucert =
-  let share, share_tag = own_share t ~serial ~part:b.part ~pos:b.pos in
-  ( share,
-    Messages.Vote_p
-      { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
-        share; share_tag; ucert } )
+(* The VOTE_P disclosing our [share] and its EA tag for [b], with [ucert]. *)
+let own_vote_p t ~serial ~code (b : ballot_rt) (share, share_tag) ucert =
+  Messages.Vote_p
+    { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
+      share; share_tag; ucert }
 
-(* Disclose our own share: the VOTE_P multicast (only ever once). Only
-   the UCERT's former carries it; every other node sends the elided
-   form, and a peer that cannot match it pulls the certificate. *)
-let disclose_share t ~serial ~code ~former (b : ballot_rt) =
+(* Disclose our own share: the VOTE_P multicast (only ever once), from
+   [own] when the caller has already read our line. Only the UCERT's
+   former carries the certificate, and to each peer without that peer's
+   own endorsement, which a signer completes from memory; every other
+   node sends the elided form, and a peer that cannot match it pulls
+   the certificate. *)
+let disclose_share ?own t ~serial ~code ~former (b : ballot_rt) =
   if not b.sent_vote_p then begin
-    let own, msg = own_vote_p t ~serial ~code b ~ucert:(if former then b.ucert else None) in
-    commit ~own t (R_sent_vote_p serial);
-    multicast t msg
+    let own =
+      match own with Some o -> o | None -> own_share t ~serial ~part:b.part ~pos:b.pos
+    in
+    commit ~own:(fst own) t (R_sent_vote_p serial);
+    match b.ucert with
+    | Some u when former ->
+      List.iter
+        (fun dst ->
+           let endorsements = List.filter (fun (s, _) -> s <> dst) u.Messages.endorsements in
+           t.env.send_vc ~dst
+             (own_vote_p t ~serial ~code b own (Some { u with Messages.endorsements })))
+        (peers t)
+    | Some _ | None -> multicast t (own_vote_p t ~serial ~code b own None)
   end
 
 (* --- Algorithm 1: ON VOTE -------------------------------------------- *)
@@ -496,9 +529,10 @@ let on_endorse t ~responder ~serial ~vote_code =
            part/pos. *)
         if fresh then commit t (R_endorsed { serial; code = vote_code; part; pos });
         let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code:vote_code in
+        let tag = Auth.sign t.env.keys body in
+        if b.ucert = None then b.own_tag <- Some tag;
         t.env.send_vc ~dst:responder
-          (Messages.Endorsement
-             { serial; vote_code; signer = t.env.me; tag = Auth.sign t.env.keys body })
+          (Messages.Endorsement { serial; vote_code; signer = t.env.me; tag })
     end
   end
 
@@ -530,63 +564,66 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
 
 (* --- ON VOTE_P --------------------------------------------------------- *)
 
-(* The UCERT a VOTE_P's share counts against: the message's own once
-   verified, or for the elided form the one this node already holds for
-   exactly this serial and code. *)
+(* The UCERT a VOTE_P's share counts against. One this node holds for
+   exactly this serial and code is enough, whatever the message
+   carries. Otherwise the message's own, bound to its serial and code:
+   with a quorum of signers, every tag verified; one short of a quorum
+   and without this node, completed by the tag this node signed in
+   [on_endorse] and never verified — only if it durably endorsed
+   exactly this code and still holds that tag in memory. *)
 let vote_p_ucert t ~serial ~vote_code (ucert : Messages.ucert option) =
-  match ucert with
-  | Some u ->
-    if u.Messages.u_serial = serial
-    && Dd_crypto.Ct.equal u.Messages.u_code vote_code
-    && verify_ucert t u
-    then Some u
-    else None
-  | None -> held_ucert t ~serial ~code:vote_code
+  match held_ucert t ~serial ~code:vote_code, ucert with
+  | (Some _ as held), _ -> held
+  | None, None -> None
+  | None, Some u ->
+    if not (u.Messages.u_serial = serial && Dd_crypto.Ct.equal u.Messages.u_code vote_code)
+    then None
+    else if Messages.signers u >= t.quorum then (if verify_ucert t u then Some u else None)
+    else
+      match Hashtbl.find_opt t.ballots serial with
+      | Some { endorsed = Some code; own_tag = Some tag; _ }
+        when Dd_crypto.Ct.equal code vote_code
+          && (not (List.mem_assoc t.env.me u.Messages.endorsements))
+          && verify_ucert ~quorum:(t.quorum - 1) t u ->
+        Some { u with Messages.endorsements = (t.env.me, tag) :: u.Messages.endorsements }
+      | Some _ | None -> None
 
 let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
   if within_hours t && serial_valid t serial then
   match vote_p_ucert t ~serial ~vote_code ucert with
   | None ->
-    (* an elided VOTE_P this node cannot match: pull the UCERT from its
-       sender, which answers with its full VOTE_P *)
-    if Option.is_none ucert && t.phase = Voting && sender <> t.env.me then
+    (* an elided VOTE_P this node cannot match, or a certificate short
+       of a quorum it cannot complete (it restarted since it endorsed,
+       say): pull the UCERT from the sender, which answers with its
+       full VOTE_P *)
+    let incomplete = match ucert with None -> true | Some u -> Messages.signers u < t.quorum in
+    if incomplete && t.phase = Voting && sender <> t.env.me then
       t.env.send_vc ~dst:sender
         (Messages.Recover_request { sender = t.env.me; serials = [ serial ] })
   | Some ucert ->
     (match Hashtbl.find_opt t.ballots serial with
      | Some b -> note_conflict t serial b ~code:vote_code
      | None -> ());
-    (* every part of a serial in the election has m lines; the sender's
-       disclosed share must carry the EA's authenticator for (serial,
-       part, pos, sender) *)
-    let share_ok =
-      pos >= 0 && pos < t.env.cfg.Types.m_options
-      && verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag
-    in
-    if share_ok then begin
-    let b = ballot_rt t serial in
-    let accept_share () =
-      if not (has_share b share) then commit t (R_share { serial; share })
-    in
-    match b.status with
-    | Types.Not_voted ->
-      (match b.endorsed with
-       | Some code when not (Dd_crypto.Ct.equal code vote_code) -> ()
-       | _ ->
-         commit t (R_ucert { ucert; part; pos; endorse = true });
+    (* the sender's share counts only for the line this node holds the
+       code on, and must carry the EA's authenticator for (serial, part,
+       pos, sender) *)
+    match code_line t ~serial ~code:vote_code with
+    | Some (line_part, line_pos, own)
+      when line_part = part && line_pos = pos
+        && verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag ->
+      let b = ballot_rt t serial in
+      let accept_share () =
+        if not (has_share b share) then commit t (R_share { serial; share })
+      in
+      (match b.status with
+       | Types.Not_voted | Types.Pending _ ->
+         (* only a ballot still [Not_voted] lacks a UCERT *)
+         if b.ucert = None then commit t (R_ucert { ucert; part; pos; endorse = true });
          accept_share ();
-         disclose_share t ~serial ~code:vote_code ~former:false b;
-         try_reconstruct t serial b vote_code)
-    | Types.Pending code when Dd_crypto.Ct.equal code vote_code ->
-      if b.ucert = None then
-        commit t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
-      accept_share ();
-      disclose_share t ~serial ~code ~former:false b;
-      try_reconstruct t serial b code
-    | Types.Voted (code, _) when Dd_crypto.Ct.equal code vote_code ->
-      accept_share ()
-    | Types.Pending _ | Types.Voted _ -> ()
-    end
+         disclose_share ?own t ~serial ~code:vote_code ~former:false b;
+         try_reconstruct t serial b vote_code
+       | Types.Voted _ -> accept_share ())
+    | Some _ | None -> ()
 
 (* --- Vote Set Consensus ------------------------------------------------ *)
 
@@ -780,7 +817,8 @@ let answer_pull t ~sender serial =
     if b.answered land bit = 0 then begin
       b.answered <- b.answered lor bit;
       t.env.send_vc ~dst:sender
-        (snd (own_vote_p t ~serial ~code:u.Messages.u_code b ~ucert:(Some u)))
+        (own_vote_p t ~serial ~code:u.Messages.u_code b
+           (own_share t ~serial ~part:b.part ~pos:b.pos) (Some u))
     end
   | Some _ | None -> ()
 

@@ -51,12 +51,24 @@ val create : env -> t
 
 (** Feed any protocol message (from voters or peer collectors).
 
+    A VOTE_P's share counts only for the line this node holds the
+    code on (its own lookup, not the sender's claim), and only against
+    a UCERT: one this node holds for exactly that serial and code, or
+    else the message's. The UCERT's former sends each peer that signed
+    it the certificate without that peer's own endorsement. A signer
+    completes it with the tag it signed on ENDORSE, kept in memory and
+    never verified, and only if it durably endorsed exactly this code;
+    the UCERT it stores and journals is always whole. A node that
+    restarted since it endorsed holds no such tag and does not sign
+    again: it pulls the certificate as it does for an elided VOTE_P.
+
     [Recover_request] means two things. During [Voting] it is a pull: a
     peer could not match this node's elided VOTE_P, and gets this
     node's full VOTE_P (its share and the UCERT) for each listed serial
     whose UCERT the node holds and whose VOTE_P it has sent, once per
     (peer, serial). The node sends one itself, naming one serial, to
-    the sender of an elided VOTE_P it cannot match. Afterwards it is
+    the sender of an elided VOTE_P it cannot match or of a certificate
+    short of a quorum that it cannot complete. Afterwards it is
     Vote Set Consensus recovery, answered with [Recover_response].
 
     [Announce] lists codes only. The node sends the announcer one

@@ -86,7 +86,9 @@ let obligations_of t msg =
         [ (t.ea_signer, body, tag) ]
       | _ -> []
     in
-    (* an elided UCERT is the node's own, verified when it was adopted *)
+    (* an elided UCERT is the node's own, verified when it was adopted;
+       a carried one lacks the receiver's own endorsement when the
+       receiver signed it, and that tag is never verified *)
     shares @ Option.fold ~none:[] ~some:ucert_obls ucert
   | Messages.Recover_response { entries; _ } ->
     List.concat_map (fun (_, _, u) -> ucert_obls u) entries

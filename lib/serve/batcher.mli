@@ -2,7 +2,8 @@
 
     A drained mailbox batch carries many independent authenticator
     obligations — endorsement signatures, the EA's receipt-share tags,
-    and the UCERTs carried by full VOTE_Ps and RECOVER-RESPONSEs.
+    and the UCERTs carried by full VOTE_Ps (less the receiver's own
+    endorsement, which the former leaves out) and RECOVER-RESPONSEs.
     {!preverify} extracts them, deduplicates, and settles everything
     not already cached through one
     {!Ddemos.Auth.verify_batch} call (a single randomized multi-scalar

@@ -74,7 +74,9 @@ let test_behavior_within_threshold (behavior : Election.byzantine_behavior) () =
 (* Corrupt_shares and Malformed_wire need full fidelity: modeled
    ballots skip share-tag verification, so corrupted shares would be
    accepted shape-only; with real crypto the tags reject them and the
-   honest quorum still reconstructs every receipt. *)
+   honest quorum still reconstructs every receipt. A Misplaced_shares
+   share carries a valid tag for the line it is on; the receivers'
+   check of that line against their own rejects it. *)
 let test_full_behavior_within_threshold behavior () =
   let votes = [ (0, 0); (1, 1); (2, 1); (3, 2); (4, 1) ] in
   let r = run_full ~byzantine_vc:[ (1, behavior) ] votes in
@@ -217,7 +219,9 @@ let () =
           Alcotest.test_case "corrupt-shares VC (full crypto)" `Slow
             (test_full_behavior_within_threshold Election.Corrupt_shares);
           Alcotest.test_case "malformed-wire VC (full crypto)" `Slow
-            (test_full_behavior_within_threshold Election.Malformed_wire) ] );
+            (test_full_behavior_within_threshold Election.Malformed_wire);
+          Alcotest.test_case "misplaced-shares VC (full crypto)" `Slow
+            (test_full_behavior_within_threshold Election.Misplaced_shares) ] );
       ( "over-threshold",
         [ Alcotest.test_case "fv+1 equivocators detected" `Quick
             test_overthreshold_equivocate_detected;

@@ -89,8 +89,10 @@ let test_truncation_rejected () =
        done)
     (samples Auth.Mac_scheme)
 
-(* The two VOTE_P encodings differ only in the discriminant (3 with the
-   UCERT, 8 without) and the UCERT's bytes at the end. *)
+(* The two VOTE_P encodings differ only in the discriminant (10 with the
+   UCERT, 8 without) and the UCERT's endorsement list at the end; the
+   retired discriminant 3, which repeated the certificate's binding,
+   no longer decodes. *)
 let test_vote_p_encodings () =
   let ks = keys Auth.Schnorr_scheme in
   let u = sample_ucert ks in
@@ -102,10 +104,17 @@ let test_vote_p_encodings () =
   in
   let full = Messages.encode_vc_msg (vote_p (Some u)) in
   let elided = Messages.encode_vc_msg (vote_p None) in
-  let w = Dd_codec.Wire.writer () in
-  Messages.put_ucert w u;
+  let endorsements = Dd_codec.Wire.writer () in
+  Dd_codec.Wire.put_list endorsements
+    (fun w (signer, tag) -> Dd_codec.Wire.put_varint w signer; Messages.put_tag w tag)
+    u.Messages.endorsements;
+  let retired = Dd_codec.Wire.writer () in
+  Messages.put_ucert retired u;
   let tail = String.sub elided 1 (String.length elided - 1) in
-  Alcotest.(check string) "full = 3, fields, UCERT" ("\003" ^ tail ^ Dd_codec.Wire.contents w) full;
+  Alcotest.(check string) "full = 10, fields, endorsements"
+    ("\010" ^ tail ^ Dd_codec.Wire.contents endorsements) full;
+  Alcotest.(check bool) "discriminant 3 is retired" true
+    (Messages.decode_vc_msg ("\003" ^ tail ^ Dd_codec.Wire.contents retired) = None);
   Alcotest.(check char) "elided discriminant" '\008' elided.[0];
   Alcotest.(check bool) "the size estimate drops the UCERT" true
     (Messages.vc_msg_size (vote_p (Some u)) - Messages.vc_msg_size (vote_p None)
@@ -122,6 +131,25 @@ let test_entry_rebinds_ucert () =
   match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
   | Some (Messages.Recover_response { entries = [ (9, code, u') ]; _ }) ->
     Alcotest.(check string) "code kept" other code;
+    Alcotest.(check int) "serial rebound" 9 u'.Messages.u_serial;
+    Alcotest.(check string) "code rebound" other u'.Messages.u_code;
+    Alcotest.(check bool) "rebound UCERT fails verification" false
+      (Messages.verify_ucert ks.(3) ~election_id:"e" ~quorum:3 u')
+  | _ -> Alcotest.fail "roundtrip failed"
+
+(* A VOTE_P's certificate is bound to the message's own (serial, code):
+   one formed for another binding decodes rebound, and fails. *)
+let test_vote_p_rebinds_ucert () =
+  let ks = keys Auth.Mac_scheme in
+  let u = sample_ucert ks in
+  let other = String.make 20 'z' in
+  let msg =
+    Messages.Vote_p
+      { serial = 9; vote_code = other; sender = 0; part = Types.A; pos = 0;
+        share = sample_share; share_tag = None; ucert = Some u }
+  in
+  match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
+  | Some (Messages.Vote_p { ucert = Some u'; _ }) ->
     Alcotest.(check int) "serial rebound" 9 u'.Messages.u_serial;
     Alcotest.(check string) "code rebound" other u'.Messages.u_code;
     Alcotest.(check bool) "rebound UCERT fails verification" false
@@ -207,6 +235,7 @@ let () =
          Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
          Alcotest.test_case "VOTE_P with and without UCERT" `Quick test_vote_p_encodings;
          Alcotest.test_case "VSC entry rebinds its UCERT" `Quick test_entry_rebinds_ucert;
+         Alcotest.test_case "VOTE_P rebinds its UCERT" `Quick test_vote_p_rebinds_ucert;
          Alcotest.test_case "size estimates sane" `Quick test_message_sizes_positive;
          QCheck_alcotest.to_alcotest prop_fuzz_total;
          QCheck_alcotest.to_alcotest prop_bitflip_never_crashes;

@@ -195,7 +195,7 @@ let test_mux_single_golden () =
   Alcotest.(check string) "endorse" "020a010706636f64652d3702"
     (hex (Mux.encode gctx (Mux.Vc [ endorse ])));
   Alcotest.(check string) "vote_p"
-    "02270303037663330101020203736872010102026d30026d3103037663330200010101610201010162"
+    "02220a03037663330101020203736872010102026d30026d310200010101610201010162"
     (hex (Mux.encode gctx (Mux.Vc [ vote_p ])));
   Alcotest.(check string) "vote set submit" "0310000102000263300402633402036d736b"
     (hex (Mux.encode gctx (Mux.Bb [ submit ])));

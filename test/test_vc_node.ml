@@ -279,15 +279,18 @@ let test_only_former_carries_ucert () =
   Alcotest.(check int) "no pull" 0 (List.length (pulls c));
   check_all_issued c
 
-(* Node 3's genuine VOTE_P for [code], its UCERT elided. *)
-let elided_vote_p ~serial ~code =
-  let store = Ballot_store.virtual_prf ~seed ~cfg ~node:3 in
+(* Node [sender]'s genuine VOTE_P for [code], carrying [ucert]. *)
+let vote_p_from ~sender ~serial ~code ucert =
+  let store = Ballot_store.virtual_prf ~seed ~cfg ~node:sender in
   match Ballot_store.verify_vote_code store ~serial ~vote_code:code with
   | Some (part, pos, line) ->
     Messages.Vote_p
-      { serial; vote_code = code; sender = 3; part; pos;
-        share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert = None }
+      { serial; vote_code = code; sender; part; pos;
+        share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert }
   | None -> Alcotest.fail "code should validate"
+
+(* Node 3's genuine VOTE_P for [code], its UCERT elided. *)
+let elided_vote_p ~serial ~code = vote_p_from ~sender:3 ~serial ~code None
 
 let durable_state c i =
   match c.backings.(i) with
@@ -370,6 +373,202 @@ let test_vote_p_position_bound () =
   Vc_node.handle node vote_p;
   Alcotest.(check bool) "the true position commits the share" false (disk = durable_state c 0)
 
+(* What [node] sends, undelivered, when it handles [msg]. *)
+let sends c ~node msg =
+  c.sent := [];
+  Vc_node.handle c.nodes.(node) msg;
+  c.queue <- [];
+  List.rev !(c.sent)
+
+let pull ~sender serials = Messages.Recover_request { sender; serials }
+
+(* A share counts only for the line its code is on. Byzantine node 3
+   discloses its genuine share of another line of the same part, and
+   node 1's VOTE_P to the responder is late, so node 3's share would
+   complete the responder's quorum. The responder ignores it (nothing
+   logged, nothing sent), and reconstructs the printed receipt once
+   node 1's share arrives; a retry returns the same receipt. *)
+let test_misplaced_share_ignored () =
+  let late ~src ~dst = function Messages.Vote_p _ -> src = 1 && dst = 0 | _ -> false in
+  let drop ~src ~dst msg =
+    late ~src ~dst msg || (match msg with Messages.Vote_p _ -> src = 3 | _ -> false)
+  in
+  let c = make_cluster ~durable:true ~drop () in
+  let serial = 2 and part = Types.B and option = 1 in
+  let code = code_of ~serial ~part ~option in
+  vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
+  Alcotest.(check int) "the responder is one share short" 0 (List.length (receipt_replies c));
+  let misplaced =
+    match vote_p_from ~sender:3 ~serial ~code None with
+    | Messages.Vote_p p ->
+      let pos = (p.pos + 1) mod cfg.Types.m_options in
+      let line = (Ballot_store.lines (Ballot_store.virtual_prf ~seed ~cfg ~node:3) ~serial ~part).(pos) in
+      Messages.Vote_p
+        { p with pos; share = line.Types.receipt_share; share_tag = line.Types.share_tag }
+    | _ -> assert false
+  in
+  let delayed = List.filter (fun (src, dst, msg) -> late ~src ~dst msg) !(c.sent) in
+  let disk = durable_state c 0 in
+  Alcotest.(check int) "nothing sent" 0 (List.length (sends c ~node:0 misplaced));
+  Alcotest.(check bool) "nothing logged" true (disk = durable_state c 0);
+  List.iter (fun (_, _, msg) -> Vc_node.handle c.nodes.(0) msg) delayed;
+  drain c;
+  vote c ~node:0 ~client:7 ~req:2 ~serial ~vote_code:code;
+  Alcotest.(check (list string)) "the printed receipt, on the vote and its retry"
+    [ receipt_of ~serial ~part ~option; receipt_of ~serial ~part ~option ]
+    (List.map (fun (_, _, r) -> r) (receipt_replies c));
+  Array.iteri
+    (fun i n ->
+       Alcotest.(check int) (Printf.sprintf "node %d issued the receipt" i) 1
+         (Vc_node.receipts_issued n))
+    c.nodes
+
+(* --- certificate completion ---------------------------------------------------- *)
+
+let cluster_keys =
+  Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:("k" ^ seed) ~n:(cfg.Types.nv + 1)
+
+let endorsement ~signer ~serial ~code =
+  (signer,
+   Auth.sign cluster_keys.(signer)
+     (Messages.endorsement_body ~election_id:cfg.Types.election_id ~serial ~code))
+
+let bound_ucert ~serial ~code endorsements =
+  { Messages.u_serial = serial; u_code = code; endorsements }
+
+(* One fault-free vote at nv = 4: the responder verifies two
+   ENDORSEMENTs, and then each signer only the two endorsements of its
+   peers in the certificate, which comes without its own; the
+   non-signer verifies a full quorum. Without certificate completion
+   a vote verified 11 tags (2 + 3 + 3 + 3). A signer's held UCERT is
+   whole: it answers a pull with a quorum that verifies. *)
+let test_fault_free_vote_verifies_nine () =
+  let c = make_cluster () in
+  let count = ref 0 in
+  c.nodes <-
+    Array.init cfg.Types.nv (fun i ->
+        let env = c.env_of i in
+        let verify ~signer body tag =
+          incr count;
+          Auth.verify env.Vc_node.keys ~signer body tag
+        in
+        Vc_node.create { env with Vc_node.verify_tag = Some verify });
+  let serial = 3 in
+  let code = code_of ~serial ~part:Types.B ~option:1 in
+  vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
+  check_all_issued c;
+  Alcotest.(check int) "tag verifications" 9 !count;
+  let certs =
+    List.filter_map
+      (function
+        | (src, dst, Messages.Vote_p { ucert = Some u; _ }) ->
+          Some (src, dst, List.sort compare (List.map fst u.Messages.endorsements))
+        | _ -> None)
+      (List.rev !(c.sent))
+  in
+  Alcotest.(check (list (triple int int (list int))))
+    "signers 1 and 2 get quorum - 1 endorsements, not their own; node 3 a quorum"
+    [ (0, 1, [ 0; 2 ]); (0, 2, [ 0; 1 ]); (0, 3, [ 0; 1; 2 ]) ] certs;
+  match sends c ~node:1 (pull ~sender:3 [ serial ]) with
+  | [ (1, 3, Messages.Vote_p { ucert = Some u; _ }) ] ->
+    Alcotest.(check (list int)) "node 1's UCERT names all three signers" [ 0; 1; 2 ]
+      (List.sort compare (List.map fst u.Messages.endorsements));
+    Alcotest.(check bool) "and verifies" true
+      (Messages.verify_ucert cluster_keys.(3) ~election_id:cfg.Types.election_id
+         ~quorum:(cfg.Types.nv - cfg.Types.fv) u)
+  | l -> Alcotest.failf "expected one full VOTE_P to node 3, got %d messages" (List.length l)
+
+(* An endorser that restarted from its WAL before the responder's
+   VOTE_P reached it holds no tag to complete the certificate with, and
+   does not sign again: it pulls the whole certificate from the
+   responder and issues the receipt. *)
+let test_restarted_endorser_pulls () =
+  let lost = ref true in
+  let drop ~src:_ ~dst = function Messages.Vote_p _ -> !lost && dst = 1 | _ -> false in
+  let c = make_cluster ~durable:true ~drop () in
+  let serial = 4 and part = Types.A and option = 2 in
+  let code = code_of ~serial ~part ~option in
+  vote c ~node:0 ~client:1 ~req:1 ~serial ~vote_code:code;
+  let withheld =
+    List.filter_map
+      (function (src, 1, (Messages.Vote_p _ as m)) -> Some (src, m) | _ -> None)
+      (List.rev !(c.sent))
+  in
+  c.nodes.(1) <- Vc_node.create (c.env_of 1);
+  c.queue <- [];
+  lost := false;
+  c.sent := [];
+  List.iter (fun (src, m) -> if src = 0 then Vc_node.handle c.nodes.(1) m) withheld;
+  drain c;
+  Alcotest.(check (list (triple int int (list int)))) "node 1 pulls from the responder"
+    [ (1, 0, [ serial ]) ] (pulls c);
+  List.iter (fun (src, m) -> if src <> 0 then Vc_node.handle c.nodes.(1) m) withheld;
+  drain c;
+  Alcotest.(check int) "node 1 signs nothing" 0
+    (List.length
+       (List.filter
+          (function (1, _, Messages.Endorsement _) -> true | _ -> false)
+          !(c.sent)));
+  Alcotest.(check int) "node 1 issues the receipt" 1 (Vc_node.receipts_issued c.nodes.(1))
+
+(* Certificate-carrying VOTE_Ps that must not count, for [receiver],
+   from a peer with its genuine share, on a cluster where every node
+   has endorsed [code_of 5 A 0] and no one serial 4's code: a
+   certificate one signer short of completion, one naming the receiver
+   with a forged tag, and one short by the receiver's endorsement for a
+   code it never endorsed. *)
+let hostile_certs ~receiver =
+  let sender = (receiver + 1) mod cfg.Types.nv in
+  let others = List.filter (fun i -> i <> receiver) (List.init cfg.Types.nv Fun.id) in
+  let code5 = code_of ~serial:5 ~part:Types.A ~option:0 in
+  let code4 = code_of ~serial:4 ~part:Types.B ~option:2 in
+  let signed serial code signers =
+    List.map (fun signer -> endorsement ~signer ~serial ~code) signers
+  in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let quorum = cfg.Types.nv - cfg.Types.fv in
+  [ vote_p_from ~sender ~serial:5 ~code:code5
+      (Some (bound_ucert ~serial:5 ~code:code5 (signed 5 code5 [ sender ])));
+    vote_p_from ~sender ~serial:5 ~code:code5
+      (Some
+         (bound_ucert ~serial:5 ~code:code5
+            ((receiver, Auth.sign cluster_keys.(receiver) "forged")
+             :: signed 5 code5 (take (quorum - 1) others))));
+    vote_p_from ~sender ~serial:4 ~code:code4
+      (Some (bound_ucert ~serial:4 ~code:code4 (signed 4 code4 (take (quorum - 1) others)))) ]
+
+let endorse_code_5 c =
+  let code = code_of ~serial:5 ~part:Types.A ~option:0 in
+  Array.iteri
+    (fun i n ->
+       Vc_node.handle n
+         (Messages.Endorse { serial = 5; vote_code = code; responder = (i + 1) mod cfg.Types.nv }))
+    c.nodes;
+  c.queue <- []
+
+(* Each hostile certificate commits nothing, and sends nothing but at
+   most one pull, to its sender. *)
+let test_hostile_certs_commit_nothing () =
+  let c = make_cluster ~durable:true () in
+  endorse_code_5 c;
+  for receiver = 0 to cfg.Types.nv - 1 do
+    List.iteri
+      (fun k msg ->
+         let node = c.nodes.(receiver) in
+         let what = Printf.sprintf "node %d, certificate %d" receiver k in
+         let state = Vc_node.observable node and disk = durable_state c receiver in
+         let out = sends c ~node:receiver msg in
+         Alcotest.(check string) (what ^ ": state unchanged") state (Vc_node.observable node);
+         Alcotest.(check bool) (what ^ ": nothing logged") true (disk = durable_state c receiver);
+         let sender = (receiver + 1) mod cfg.Types.nv in
+         match out with
+         | [] -> ()
+         | [ (src, dst, Messages.Recover_request { serials = [ _ ]; _ }) ]
+           when src = receiver && dst = sender -> ()
+         | _ -> Alcotest.failf "%s: sent %d messages" what (List.length out))
+      (hostile_certs ~receiver)
+  done
+
 (* --- UCERT pull ------------------------------------------------------------- *)
 
 (* The responder withholds: its VOTE_P reaches node 1 only. Nodes 2 and
@@ -391,15 +590,6 @@ let test_pull_from_withholding_responder () =
           (fun (src, dst, full) -> if src = 1 && full then Some dst else None)
           (vote_ps c)));
   check_all_issued c
-
-(* What [node] sends, undelivered, when it handles [msg]. *)
-let sends c ~node msg =
-  c.sent := [];
-  Vc_node.handle c.nodes.(node) msg;
-  c.queue <- [];
-  List.rev !(c.sent)
-
-let pull ~sender serials = Messages.Recover_request { sender; serials }
 
 (* A peer gets one answer per serial: a repeated pull gets nothing, and
    so does a pull for a ballot the node holds no UCERT for. *)
@@ -511,7 +701,8 @@ module Mux = Dd_serve.Mux
 
 (* Random and bit-flipped bytes go through the serving path's decoders
    (Frame, then Mux) into the handlers of a cluster that holds nv voted
-   ballots; the frames flipped include an ANNOUNCE. Nothing may raise, no node may keep state for more ballots
+   ballots and one endorsed but uncertified; the frames flipped include
+   an ANNOUNCE and the hostile certificates above. Nothing may raise, no node may keep state for more ballots
    than the election has, and a case's sends (peer messages and client
    replies) stay within nv per message handled: a pull names the
    ballots it wants, and each is answered at most once per peer. *)
@@ -522,6 +713,7 @@ let prop_handler_byte_fuzz =
     vote c ~node:i ~client:i ~req:1 ~serial:i
       ~vote_code:(code_of ~serial:i ~part:Types.A ~option:(i mod cfg.Types.m_options))
   done;
+  endorse_code_5 c;
   (* and an ANNOUNCE naming a voted ballot, a code no one cast and
      serials outside the election *)
   let announce =
@@ -532,7 +724,10 @@ let prop_handler_byte_fuzz =
             (5, code_of ~serial:5 ~part:Types.B ~option:1);
             (cfg.Types.n_voters, "outside"); (1_000_000_000, "far outside") ] }
   in
-  let peer_msgs = Array.of_list (announce :: List.rev_map (fun (_, _, m) -> m) !(c.sent)) in
+  let hostile = List.concat_map (fun receiver -> hostile_certs ~receiver) (List.init nv Fun.id) in
+  let peer_msgs =
+    Array.of_list ((announce :: hostile) @ List.rev_map (fun (_, _, m) -> m) !(c.sent))
+  in
   let n = Array.length peer_msgs in
   let payloads =
     Array.concat
@@ -888,6 +1083,7 @@ let () =
          Alcotest.test_case "concurrent codes: one wins" `Quick
            test_concurrent_voters_same_ballot_one_wins;
          Alcotest.test_case "forged UCERT ignored" `Quick test_forged_ucert_ignored;
+         Alcotest.test_case "misplaced share ignored" `Quick test_misplaced_share_ignored;
          QCheck_alcotest.to_alcotest prop_hostile_serials_allocate_nothing ]);
       ("ucert-elision",
        [ Alcotest.test_case "only the former carries the UCERT" `Quick
@@ -896,7 +1092,12 @@ let () =
          Alcotest.test_case "elided accepted after restart" `Quick
            test_elided_accepted_after_restart;
          Alcotest.test_case "VOTE_P position outside the part" `Quick
-           test_vote_p_position_bound ]);
+           test_vote_p_position_bound;
+         Alcotest.test_case "fault-free vote verifies 9 tags" `Quick
+           test_fault_free_vote_verifies_nine;
+         Alcotest.test_case "restarted endorser pulls" `Quick test_restarted_endorser_pulls;
+         Alcotest.test_case "hostile certificates commit nothing" `Quick
+           test_hostile_certs_commit_nothing ]);
       ("ucert-pull",
        [ Alcotest.test_case "withholding responder" `Quick test_pull_from_withholding_responder;
          Alcotest.test_case "answered once per peer" `Quick test_pull_answered_once;
