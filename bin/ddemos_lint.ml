@@ -1,54 +1,37 @@
 (* ddemos-lint: enforce the codebase's security & sans-IO invariants.
 
-   Usage: ddemos_lint [--json] [--sarif FILE] [--baseline FILE]
-                      [--write-baseline FILE] [--list-rules] [paths...]
+   Usage: ddemos_lint [--sarif FILE] [--list-rules] [paths...]
 
-   Walks every .ml under the given paths (default: lib bin bench),
-   runs the per-file rule registry plus the whole-program taint engine
-   (docs/INVARIANTS.md), prints findings as file:line:col lines (or a
-   JSON array with --json), optionally writes a SARIF 2.1.0 log, and
-   exits 1 when any *fresh* finding survives suppression — findings
-   matched by the --baseline file are reported but not fatal, and
-   baseline entries that no longer match anything are flagged as stale
-   so they get deleted. Wired into the build as `dune build @lint`. *)
+   Walks every .ml under the given paths (default: lib), runs the
+   per-file rule registry plus the whole-program taint engine
+   (docs/INVARIANTS.md), prints findings as file:line:col lines,
+   optionally writes a SARIF 2.1.0 log, and exits 1 when any finding
+   survives suppression: a finding is either fixed or allowed inline
+   with a reason. Wired into the build as `dune build @lint`. *)
 
 module Lint = Dd_analysis.Lint
 module Rules = Dd_analysis.Rules
 module Findings = Dd_analysis.Findings
 module Taint = Dd_analysis.Taint
-module Baseline = Dd_analysis.Baseline
 
 let messages_file files =
   List.find_opt (fun f -> Filename.basename f = "messages.ml") files
-
-let today () =
-  let t = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-    t.Unix.tm_mday
 
 let write_file path content =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc content)
 
-let usage =
-  "usage: ddemos_lint [--json] [--sarif FILE] [--baseline FILE]\n\
-  \                   [--write-baseline FILE] [--list-rules] [paths...]"
+let usage = "usage: ddemos_lint [--sarif FILE] [--list-rules] [paths...]"
 
 let () =
-  let json = ref false and list_rules = ref false and paths = ref [] in
-  let sarif = ref None and baseline = ref None and write_baseline = ref None in
+  let list_rules = ref false and paths = ref [] and sarif = ref None in
   let rec parse_args = function
     | [] -> ()
-    | "--json" :: rest -> json := true; parse_args rest
     | "--list-rules" :: rest -> list_rules := true; parse_args rest
     | "--sarif" :: file :: rest -> sarif := Some file; parse_args rest
-    | "--baseline" :: file :: rest -> baseline := Some file; parse_args rest
-    | "--write-baseline" :: file :: rest ->
-      write_baseline := Some file; parse_args rest
     | ("--help" | "-h") :: _ -> print_endline usage; exit 0
-    | ("--sarif" | "--baseline" | "--write-baseline") :: [] ->
-      prerr_endline usage; exit 2
+    | "--sarif" :: [] -> prerr_endline usage; exit 2
     | p :: rest -> paths := p :: !paths; parse_args rest
   in
   parse_args (List.tl (Array.to_list Sys.argv));
@@ -83,26 +66,6 @@ let () =
     exit 0
   end;
   let findings = Lint.lint_program ~rules files in
-  (match !write_baseline with
-   | Some path ->
-     write_file path (Baseline.format (Baseline.of_findings ~date:(today ()) findings));
-     Printf.eprintf "ddemos-lint: wrote %d baseline entr%s to %s\n"
-       (List.length findings)
-       (if List.length findings = 1 then "y" else "ies")
-       path;
-     exit 0
-   | None -> ());
-  let entries =
-    match !baseline with
-    | None -> []
-    | Some path ->
-      (match Lint.read_file path with
-       | Some source -> Baseline.parse source
-       | None ->
-         Printf.eprintf "ddemos-lint: cannot read baseline %s\n" path;
-         exit 2)
-  in
-  let { Baseline.fresh; baselined; stale } = Baseline.apply entries findings in
   (match !sarif with
    | Some path ->
      let rule_table =
@@ -114,24 +77,8 @@ let () =
      in
      write_file path (Findings.to_sarif ~rules:rule_table findings)
    | None -> ());
-  if !json then print_endline (Findings.list_to_json fresh)
-  else begin
-    List.iter (fun f -> print_endline (Findings.to_text f)) fresh;
-    List.iter
-      (fun f -> print_endline (Findings.to_text f ^ " (baselined)"))
-      baselined;
-    List.iter
-      (fun (e : Baseline.entry) ->
-         Printf.printf
-           "stale baseline entry %s (%s, %s, added %s) matches nothing — delete it\n"
-           e.Baseline.fp e.Baseline.rule e.Baseline.file e.Baseline.added)
-      stale;
-    Printf.eprintf "ddemos-lint: %d files checked, %d fresh finding%s"
-      (List.length files) (List.length fresh)
-      (if List.length fresh = 1 then "" else "s");
-    if baselined <> [] then
-      Printf.eprintf ", %d baselined" (List.length baselined);
-    if stale <> [] then Printf.eprintf ", %d stale entries" (List.length stale);
-    prerr_newline ()
-  end;
-  exit (if fresh = [] then 0 else 1)
+  List.iter (fun f -> print_endline (Findings.to_text f)) findings;
+  Printf.eprintf "ddemos-lint: %d files checked, %d finding%s\n"
+    (List.length files) (List.length findings)
+    (if List.length findings = 1 then "" else "s");
+  exit (if findings = [] then 0 else 1)

@@ -113,8 +113,6 @@ let build files =
 
 let functions t = t.order
 
-let find t fq = Hashtbl.find_opt t.by_fq fq
-
 let rec flatten = function
   | Longident.Lident s -> [ s ]
   | Longident.Ldot (l, s) -> flatten l @ [ s ]

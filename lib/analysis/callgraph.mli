@@ -24,8 +24,6 @@ val build : (string * Parsetree.structure) list -> t
 (** All functions, in declaration order across the input files. *)
 val functions : t -> fn list
 
-val find : t -> string -> fn option
-
 (** Resolve a call site appearing inside module [current] (dotted
     prefix, e.g. ["Ea"]): unqualified names search the enclosing
     module chain outwards, [M.f] resolves by its last [(module, name)]

@@ -27,7 +27,7 @@ let sort fs =
    the occurrence index of that exact triple within the file, counted
    in source order. Line/column numbers deliberately do not
    participate, so inserting or deleting unrelated lines does not
-   invalidate a baseline entry; the occurrence index keeps two
+   break a SARIF consumer's match; the occurrence index keeps two
    identical violations in one file distinct. *)
 let fingerprint_all fs =
   let fs = sort fs in
@@ -63,21 +63,12 @@ let escape s =
     s;
   Buffer.contents b
 
-let to_json f =
-  Printf.sprintf
-    {|{"rule":"%s","file":"%s","line":%d,"col":%d,"message":"%s","fingerprint":"%s"}|}
-    (escape f.rule) (escape f.file) f.line f.col (escape f.message)
-    (escape f.fingerprint)
-
-let list_to_json fs =
-  "[" ^ String.concat "," (List.map to_json fs) ^ "]"
-
 (* --- SARIF 2.1.0 -------------------------------------------------------- *)
 
 (* One run, one artifact per distinct file, one result per finding.
    Columns are 1-based in SARIF; our [col] is 0-based. The fingerprint
    goes into [partialFingerprints] under a versioned key, which is
-   what SARIF consumers (and our own --baseline) use for matching
+   what SARIF consumers use for matching
    across revisions. *)
 let to_sarif ~rules fs =
   let b = Buffer.create 4096 in

@@ -1,5 +1,5 @@
 (** Lint findings: one record per violation, with a source span and a
-    baseline-stable fingerprint. *)
+    stable fingerprint. *)
 
 type t = {
   rule : string;     (** rule name, e.g. "ct-equality" *)
@@ -23,11 +23,6 @@ val fingerprint_all : t list -> t list
 
 (** [file:line:col: [rule] message] — the format editors and CI logs parse. *)
 val to_text : t -> string
-
-(** One JSON object; [list_to_json] renders a findings array. *)
-val to_json : t -> string
-
-val list_to_json : t list -> string
 
 (** SARIF 2.1.0 log: one run, [rules] is the [(id, shortDescription)]
     table for the tool.driver.rules component, fingerprints are

@@ -13,7 +13,6 @@ let create device manifest =
   { manifest; cache = Segment.Cache.create device manifest }
 
 let n_ballots t = t.manifest.Segment.total
-let chunk_size t = t.manifest.Segment.chunk_size
 let n_chunks t = Segment.n_chunks t.manifest
 let root t = t.manifest.Segment.root
 

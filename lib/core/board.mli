@@ -36,7 +36,6 @@ val iter : t -> (Ea.bb_ballot -> unit) -> bool
 (** The board's Merkle commitment: the sealed manifest's root. *)
 val root : t -> string
 
-val chunk_size : t -> int
 val n_chunks : t -> int
 
 (** Decoded ballots of one chunk: [(first_serial, ballots)]. *)

@@ -126,7 +126,6 @@ type result = {
      (Theorem 1's [d]-patience retries) *)
   attempt_counts : int array;
   messages : int;
-  bytes : int;
   (* full-fidelity artifacts for auditing *)
   bb_nodes : Bb_node.t list;
   vc_submit_sets : (int * (int * string) list) list;  (* per honest VC node *)
@@ -320,7 +319,7 @@ let run (p : params) : result =
           (fun ~client ~node ~req ~serial ~vote_code ->
              let msg = Messages.Vote { serial; vote_code; client; req } in
              Net.send net ~src:client_net.(client) ~dst:vc_net.(node)
-               ~size:(Messages.vc_msg_size msg) ~cost:(vc_msg_cost p.costs cfg msg)
+               ~cost:(vc_msg_cost p.costs cfg msg)
                (fun () -> deliver_vc node msg));
         arm_patience = after;
         wait = after;
@@ -402,8 +401,7 @@ let run (p : params) : result =
       | None -> ()   (* withheld by the adversary *)
       | Some msg ->
         let cost = vc_msg_cost p.costs cfg msg in
-        let size = Messages.vc_msg_size msg in
-        Net.send net ~src:vc_net.(i) ~dst:vc_net.(dst) ~size ~cost
+        Net.send net ~src:vc_net.(i) ~dst:vc_net.(dst) ~cost
           (fun () -> deliver_vc dst msg)
     in
     let reply ~client ~req outcome =
@@ -414,7 +412,7 @@ let run (p : params) : result =
       in
       if suppressed then ()
       else
-        Net.send net ~src:vc_net.(i) ~dst:client_net.(client) ~size:64 ~cost:0.00001
+        Net.send net ~src:vc_net.(i) ~dst:client_net.(client) ~cost:0.00001
           (fun () -> Voter.Pool.on_reply pool ~client ~req outcome)
     in
     let send_bb ~dst msg =
@@ -432,7 +430,7 @@ let run (p : params) : result =
           0.001 +. (float_of_int (List.length set) *. p.costs.Cost_model.bb_verify_set)
         | Messages.Trustee_post _ -> 0.001
       in
-      Net.send net ~src:vc_net.(i) ~dst:bb_net.(dst) ~size:(Messages.bb_msg_size msg) ~cost
+      Net.send net ~src:vc_net.(i) ~dst:bb_net.(dst) ~cost
         (fun () ->
            match full_mode with
            | false ->
@@ -549,7 +547,7 @@ let run (p : params) : result =
   let trustee_objs : Trustee.t option array = Array.make cfg.Types.nt None in
   let deliver_trustee ~dst (ex : Trustee.exchange) =
     Net.send net ~src:trustee_net.(ex.Trustee.ex_from) ~dst:trustee_net.(dst)
-      ~size:(64 * List.length ex.Trustee.ex_entries) ~cost:0.0005
+      ~cost:0.0005
       (fun () ->
          match trustee_objs.(dst) with
          | Some tr -> Trustee.on_exchange tr ex
@@ -559,8 +557,7 @@ let run (p : params) : result =
     (* read the slot at delivery time: a board may have been
        cold-restarted between send and arrival *)
     for dst = 0 to cfg.Types.nb - 1 do
-      Net.send net ~src:trustee_net.(trustee) ~dst:bb_net.(dst)
-        ~size:(Trustee_payload.size payload) ~cost:0.001
+      Net.send net ~src:trustee_net.(trustee) ~dst:bb_net.(dst) ~cost:0.001
         (fun () ->
            match bb_arr.(dst) with
            | Some bb -> Bb_node.on_trustee_post bb ~trustee payload
@@ -738,7 +735,6 @@ let run (p : params) : result =
     successes = Voter.Pool.successes pool;
     attempt_counts = Voter.Pool.attempt_counts pool;
     messages = Net.messages_sent net;
-    bytes = Net.bytes_sent net;
     bb_nodes = live_bbs ();
     devices =
       (let tag pre arr =

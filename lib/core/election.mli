@@ -87,7 +87,6 @@ type result = {
   successes : (int * string) list;
   attempt_counts : int array;   (** index k: voters needing exactly k+1 submissions *)
   messages : int;
-  bytes : int;
   bb_nodes : Bb_node.t list;      (** full mode only (for auditing) *)
   vc_submit_sets : (int * (int * string) list) list;
   timed_out : bool;               (** hit the virtual-time cap with events still queued *)
@@ -121,10 +120,6 @@ val vc_machine : params -> int -> int
 (** The per-vote intents' ground-truth tally (duplicate serials count
     once). *)
 val expected_tally : Types.config -> vote_intent list -> Types.tally
-
-(** Simulated service cost of handling a VC message (exposed for the
-    benchmark's cost-model audit). *)
-val vc_msg_cost : Cost_model.t -> Types.config -> Messages.vc_msg -> float
 
 (** Run the election to completion (deterministic in [params.seed]). *)
 val run : params -> result

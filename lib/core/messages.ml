@@ -69,34 +69,6 @@ type bb_msg =
     }
   | Trustee_post of { trustee : int; payload : Trustee_payload.t }
 
-(* Rough wire sizes in bytes, for the network model. *)
-let tag_size = function
-  | Auth.Schnorr_tag _ -> 65   (* scalar s + compressed nonce point R *)
-  | Auth.Mac_tag tags -> 32 * Array.length tags
-
-(* A certificate on the wire is its endorsements: the (serial, code) it
-   binds is the carrying message's own, priced there. *)
-let ucert_size u = List.fold_left (fun acc (_, tag) -> acc + 8 + tag_size tag) 0 u.endorsements
-
-let vc_msg_size = function
-  | Vote _ -> 8 + Types.vote_code_bytes + 120        (* HTTP overhead *)
-  | Endorse _ -> 8 + Types.vote_code_bytes + 16
-  | Endorsement { tag; _ } -> 8 + Types.vote_code_bytes + 16 + tag_size tag
-  | Vote_p { share; ucert; _ } ->
-    8 + Types.vote_code_bytes + 24 + String.length share.Dd_vss.Shamir_bytes.data + 32
-    + Option.fold ~none:0 ~some:ucert_size ucert
-  | Announce { entries; _ } -> 16 + (8 + Types.vote_code_bytes) * List.length entries
-  | Consensus { rbc; _ } -> 32 + String.length rbc.Dd_consensus.Rbc.payload
-  | Recover_request { serials; _ } -> 16 + 8 * List.length serials
-  | Recover_response { entries; _ } ->
-    16 + List.fold_left (fun acc (_, _, u) -> acc + 8 + Types.vote_code_bytes + ucert_size u)
-      0 entries
-
-let bb_msg_size = function
-  | Vote_set_submit { set; _ } ->
-    32 + List.fold_left (fun acc (_, c) -> acc + 8 + String.length c) 0 set
-  | Trustee_post { payload; _ } -> Trustee_payload.size payload
-
 (* --- wire format --------------------------------------------------------- *)
 (* Byte-level encodings for every VC protocol message, the role Google
    protobuf played in the prototype. Decoders are total: any malformed

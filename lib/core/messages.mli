@@ -77,14 +77,6 @@ type bb_msg =
     }
   | Trustee_post of { trustee : int; payload : Trustee_payload.t }
 
-(** Wire-size estimates for the network model. [ucert_size] prices a
-    certificate's endorsements only: the (serial, code) it binds is
-    priced by the message that carries it. *)
-val tag_size : Auth.tag -> int
-val ucert_size : ucert -> int
-val vc_msg_size : vc_msg -> int
-val bb_msg_size : bb_msg -> int
-
 (** Byte-level encoding of every VC message; the decoder is total
     (malformed frames yield [None], never an exception).
 

@@ -4,8 +4,7 @@
    - final moves of the ballot-correctness ZK proofs for *used* parts;
    - one share of the opening of the homomorphic tally total Esum.
 
-   Values are typed here (the simulator passes values); sizes feed the
-   network model. *)
+   Values are typed here (the simulator passes values). *)
 
 module Elgamal_vss = Dd_vss.Elgamal_vss
 
@@ -31,12 +30,3 @@ type t =
       shares : Elgamal_vss.share array;
       ballots_counted : int;
     }
-
-let size = function
-  | Openings entries ->
-    List.fold_left
-      (fun acc e -> acc + 16 + 72 * Array.fold_left (fun a row -> a + Array.length row) 0 e.o_shares)
-      16 entries
-  | Zk_final entries ->
-    List.fold_left (fun acc e -> acc + 16 + 400 * Array.length e.z_finals) 16 entries
-  | Tally_share { shares; _ } -> 16 + 72 * Array.length shares

@@ -23,6 +23,3 @@ type t =
       shares : Elgamal_vss.share array;  (** per option coordinate *)
       ballots_counted : int;
     }
-
-(** Wire-size estimate for the network model. *)
-val size : t -> int

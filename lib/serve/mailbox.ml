@@ -1,20 +1,15 @@
 type 'a t = {
   capacity : int;
   q : 'a Queue.t;
-  mutable pushed : int;
-  mutable dropped : int;
 }
 
 let create ~capacity =
-  { capacity = max 1 capacity; q = Queue.create (); pushed = 0; dropped = 0 }
+  { capacity = max 1 capacity; q = Queue.create () }
 
 let push t x =
-  if Queue.length t.q >= t.capacity then begin
-    t.dropped <- t.dropped + 1;
-    false
-  end else begin
+  if Queue.length t.q >= t.capacity then false
+  else begin
     Queue.add x t.q;
-    t.pushed <- t.pushed + 1;
     true
   end
 
@@ -29,5 +24,3 @@ let drain ~max t =
   go 0 []
 
 let length t = Queue.length t.q
-let pushed t = t.pushed
-let dropped t = t.dropped

@@ -14,5 +14,3 @@ val push : 'a t -> 'a -> bool
 val drain : max:int -> 'a t -> 'a list
 
 val length : 'a t -> int
-val pushed : 'a t -> int
-val dropped : 'a t -> int

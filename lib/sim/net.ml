@@ -52,7 +52,6 @@ type t = {
   mutable nodes : node array;
   machine_population : (int, int) Hashtbl.t; (* machine -> node count *)
   mutable messages_sent : int;
-  mutable bytes_sent : int;
   mutable messages_dropped : int;  (* drops, cuts, and crash losses *)
 }
 
@@ -64,7 +63,7 @@ let contention k = if k <= 3 then 1.0 else 1.0 +. 0.35 *. float_of_int (k - 3)
 let create ?(latency = lan) ?(faults = Fault_plan.none) engine =
   { engine; latency; faults; nodes = [||];
     machine_population = Hashtbl.create 16;
-    messages_sent = 0; bytes_sent = 0; messages_dropped = 0 }
+    messages_sent = 0; messages_dropped = 0 }
 
 let engine t = t.engine
 let now t = Engine.now t.engine
@@ -123,7 +122,7 @@ let prob_hit rng p =
 
 let drop_message t = t.messages_dropped <- t.messages_dropped + 1
 
-let send t ~src ~dst ~size ~cost action =
+let send t ~src ~dst ~cost action =
   let rng = Engine.rng t.engine in
   let s = node t src and d = node t dst in
   let local = s.machine = d.machine in
@@ -157,7 +156,6 @@ let send t ~src ~dst ~size ~cost action =
               else 0.)
         in
         t.messages_sent <- t.messages_sent + 1;
-        t.bytes_sent <- t.bytes_sent + size;
         let arrival = at +. latency +. extra in
         (* A message in flight to a node that is down on arrival is lost;
            CPU time is only occupied on live deliveries. *)
@@ -175,5 +173,4 @@ let send t ~src ~dst ~size ~cost action =
   end
 
 let messages_sent t = t.messages_sent
-let bytes_sent t = t.bytes_sent
 let messages_dropped t = t.messages_dropped

@@ -46,19 +46,18 @@ val add_node : t -> machine:int -> cores:int -> node_id
     (queued behind earlier work; subject to contention). *)
 val exec : t -> dst:node_id -> cost:float -> (unit -> unit) -> unit
 
-(** Send a message of [size] bytes whose handling costs [cost] CPU
-    seconds at the destination; [action] runs at handling completion.
-    Inter-machine sends are subject to link latency, drops,
-    duplication, and the fault plan; same-machine sends only to
-    loopback latency (and endpoint crashes). *)
-val send : t -> src:node_id -> dst:node_id -> size:int -> cost:float -> (unit -> unit) -> unit
+(** Send a message whose handling costs [cost] CPU seconds at the
+    destination; [action] runs at handling completion. Inter-machine
+    sends are subject to link latency, drops, duplication, and the
+    fault plan; same-machine sends only to loopback latency (and
+    endpoint crashes). *)
+val send : t -> src:node_id -> dst:node_id -> cost:float -> (unit -> unit) -> unit
 
 (** Is the node not crashed (per the fault plan) at the current virtual
     time? *)
 val node_up : t -> node_id -> bool
 
 val messages_sent : t -> int
-val bytes_sent : t -> int
 
 (** Messages lost to drops, partition cuts, and endpoint crashes. *)
 val messages_dropped : t -> int

@@ -10,15 +10,6 @@
    fsync-to-platter would need Unix.fsync, which we deliberately avoid
    so bin/ tooling stays portable to the plain OCaml stdlib. *)
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-
 let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
@@ -28,10 +19,15 @@ let write_file path s =
    only to be read (a probe for a segment that may not exist) leaves
    the directory as it was, and reads see an absent file as an empty
    log. The first [log_append] or [log_reset] makes the directory and
-   opens the channel. *)
+   opens the out channel. Reads share one in channel, opened on the
+   first read that finds the file. The log only grows between resets,
+   so bytes the channel has buffered stay valid and a later append is
+   read from the descriptor; [log_reset] renames a new file into
+   place, so it drops the channel and the next read reopens it. The
+   device is its file's only writer. *)
 let create ~dir ~name : Device.t =
   let lp = Filename.concat dir (name ^ ".wal") in
-  let oc = ref None in
+  let oc = ref None and ic = ref None in
   let make_dir () = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 in
   let out () =
     match !oc with
@@ -44,38 +40,40 @@ let create ~dir ~name : Device.t =
       c
   in
   let flush_out () = Option.iter flush !oc in
+  (* the in channel and the log's current length, after flushing the
+     out channel; [None] while the file does not exist *)
+  let inp () =
+    flush_out ();
+    let c =
+      match !ic with
+      | Some _ as c -> c
+      | None ->
+        (match open_in_bin lp with
+         | exception Sys_error _ -> None
+         | c -> ic := Some c; Some c)
+    in
+    Option.map (fun c -> (c, in_channel_length c)) c
+  in
+  let read ~pos ~len =
+    match inp () with
+    | None -> ""
+    | Some (c, n) ->
+      let pos = max 0 (min pos n) in
+      let len = max 0 (min len (n - pos)) in
+      seek_in c pos;
+      really_input_string c len
+  in
   { Device.log_append = (fun s -> output_string (out ()) s);
     log_sync = flush_out;
-    log_contents =
-      (fun () ->
-         flush_out ();
-         Option.value ~default:"" (read_file lp));
-    log_size =
-      (fun () ->
-         flush_out ();
-         match open_in_bin lp with
-         | exception Sys_error _ -> 0
-         | ic ->
-           let n = in_channel_length ic in
-           close_in ic;
-           n);
-    log_read =
-      (fun ~pos ~len ->
-         flush_out ();
-         match open_in_bin lp with
-         | exception Sys_error _ -> ""
-         | ic ->
-           let n = in_channel_length ic in
-           let pos = max 0 (min pos n) in
-           let len = max 0 (min len (n - pos)) in
-           seek_in ic pos;
-           let s = really_input_string ic len in
-           close_in ic;
-           s);
+    log_contents = (fun () -> read ~pos:0 ~len:max_int);
+    log_size = (fun () -> match inp () with None -> 0 | Some (_, n) -> n);
+    log_read = read;
     log_reset =
       (fun s ->
          Option.iter close_out !oc;
+         Option.iter close_in !ic;
          oc := None;
+         ic := None;
          make_dir ();
          let tmp = lp ^ ".tmp" in
          write_file tmp s;

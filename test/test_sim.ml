@@ -74,7 +74,7 @@ let test_determinism () =
     let b = Net.add_node net ~machine:1 ~cores:1 in
     let log = ref [] in
     for i = 1 to 20 do
-      Net.send net ~src:a ~dst:b ~size:10 ~cost:0.001 (fun () ->
+      Net.send net ~src:a ~dst:b ~cost:0.001 (fun () ->
           log := (i, Net.now net) :: !log)
     done;
     ignore (Engine.run e);
@@ -133,7 +133,7 @@ let test_wan_latency () =
     let a = Net.add_node net ~machine:0 ~cores:1 in
     let b = Net.add_node net ~machine:1 ~cores:1 in
     let arrival = ref 0. in
-    Net.send net ~src:a ~dst:b ~size:10 ~cost:0. (fun () -> arrival := Net.now net);
+    Net.send net ~src:a ~dst:b ~cost:0. (fun () -> arrival := Net.now net);
     ignore (Engine.run e);
     !arrival
   in
@@ -147,7 +147,7 @@ let test_loopback_cheap () =
   let a = Net.add_node net ~machine:0 ~cores:1 in
   let b = Net.add_node net ~machine:0 ~cores:1 in
   let arrival = ref 0. in
-  Net.send net ~src:a ~dst:b ~size:10 ~cost:0. (fun () -> arrival := Net.now net);
+  Net.send net ~src:a ~dst:b ~cost:0. (fun () -> arrival := Net.now net);
   ignore (Engine.run e);
   Alcotest.(check bool) "loopback < 0.1ms" true (!arrival < 0.0001)
 
@@ -159,7 +159,7 @@ let test_drop_and_duplicate () =
     let b = Net.add_node net ~machine:1 ~cores:1 in
     let received = ref 0 in
     for _ = 1 to 1000 do
-      Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> incr received)
+      Net.send net ~src:a ~dst:b ~cost:0. (fun () -> incr received)
     done;
     ignore (Engine.run e);
     !received
@@ -182,7 +182,7 @@ let test_loopback_reliable () =
     let b = Net.add_node net ~machine:machine_b ~cores:1 in
     let received = ref 0 in
     for _ = 1 to 100 do
-      Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> incr received)
+      Net.send net ~src:a ~dst:b ~cost:0. (fun () -> incr received)
     done;
     ignore (Engine.run e);
     !received
@@ -206,7 +206,7 @@ let test_partition_and_heal () =
   let received = ref [] in
   let send_at t =
     Engine.schedule_at e ~at:t (fun () ->
-        Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> received := t :: !received))
+        Net.send net ~src:a ~dst:b ~cost:0. (fun () -> received := t :: !received))
   in
   send_at 0.5;   (* before the partition: delivered *)
   send_at 1.5;   (* during: cut *)
@@ -222,7 +222,7 @@ let test_partition_spares_internal_links () =
   let faults = [ Fault_plan.partition ~machines:[ 0; 1 ] ~from_:0. ~until_:10. ] in
   let e, net, a, b = fault_net faults in
   let got = ref false in
-  Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> got := true);
+  Net.send net ~src:a ~dst:b ~cost:0. (fun () -> got := true);
   ignore (Engine.run e);
   Alcotest.(check bool) "intra-group link alive" true !got
 
@@ -232,7 +232,7 @@ let test_crash_and_recover () =
   let received = ref [] in
   let send_at t =
     Engine.schedule_at e ~at:t (fun () ->
-        Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> received := t :: !received))
+        Net.send net ~src:a ~dst:b ~cost:0. (fun () -> received := t :: !received))
   in
   send_at 0.5;   (* up: delivered *)
   send_at 1.5;   (* crashed: lost *)
@@ -240,7 +240,7 @@ let test_crash_and_recover () =
   (* a crashed node cannot send either *)
   Engine.schedule_at e ~at:1.6 (fun () ->
       Alcotest.(check bool) "node_up reports crash" false (Net.node_up net b);
-      Net.send net ~src:b ~dst:a ~size:1 ~cost:0. (fun () -> received := (-1.) :: !received));
+      Net.send net ~src:b ~dst:a ~cost:0. (fun () -> received := (-1.) :: !received));
   ignore (Engine.run e);
   Alcotest.(check (list (float 0.))) "crash window loses traffic" [ 0.5; 2.5 ]
     (List.sort compare !received)
@@ -252,7 +252,7 @@ let test_crash_catches_in_flight () =
   let latency = { Net.lan with lan_base = 0.001; lan_jitter = 0. } in
   let e, net, a, b = fault_net ~latency faults in
   let got = ref false in
-  Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> got := true);
+  Net.send net ~src:a ~dst:b ~cost:0. (fun () -> got := true);
   ignore (Engine.run e);
   Alcotest.(check bool) "in-flight message lost" false !got
 
@@ -262,8 +262,8 @@ let test_link_override_asymmetric () =
   in
   let e, net, a, b = fault_net faults in
   let forward = ref false and backward = ref false in
-  Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> forward := true);
-  Net.send net ~src:b ~dst:a ~size:1 ~cost:0. (fun () -> backward := true);
+  Net.send net ~src:a ~dst:b ~cost:0. (fun () -> forward := true);
+  Net.send net ~src:b ~dst:a ~cost:0. (fun () -> backward := true);
   ignore (Engine.run e);
   Alcotest.(check bool) "faulted direction dropped" false !forward;
   Alcotest.(check bool) "reverse direction clean" true !backward
@@ -272,7 +272,7 @@ let test_delay_spike () =
   let arrival faults =
     let e, net, a, b = fault_net faults in
     let at = ref 0. in
-    Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> at := Net.now net);
+    Net.send net ~src:a ~dst:b ~cost:0. (fun () -> at := Net.now net);
     ignore (Engine.run e);
     !at
   in
@@ -288,7 +288,7 @@ let test_reorder_bounded () =
   let e, net, a, b = fault_net ~cores:64 faults in
   let order = ref [] and n = 50 in
   for i = 1 to n do
-    Net.send net ~src:a ~dst:b ~size:1 ~cost:0. (fun () -> order := i :: !order)
+    Net.send net ~src:a ~dst:b ~cost:0. (fun () -> order := i :: !order)
   done;
   ignore (Engine.run e);
   let order = List.rev !order in
@@ -300,9 +300,9 @@ let test_reorder_bounded () =
   let e2, net2, a2, b2 = fault_net faults in
   let log = ref [] in
   Engine.schedule_at e2 ~at:0. (fun () ->
-      Net.send net2 ~src:a2 ~dst:b2 ~size:1 ~cost:0. (fun () -> log := 1 :: !log));
+      Net.send net2 ~src:a2 ~dst:b2 ~cost:0. (fun () -> log := 1 :: !log));
   Engine.schedule_at e2 ~at:0.1 (fun () ->
-      Net.send net2 ~src:a2 ~dst:b2 ~size:1 ~cost:0. (fun () -> log := 2 :: !log));
+      Net.send net2 ~src:a2 ~dst:b2 ~cost:0. (fun () -> log := 2 :: !log));
   ignore (Engine.run e2);
   Alcotest.(check (list int)) "no reordering beyond the horizon" [ 1; 2 ]
     (List.rev !log)

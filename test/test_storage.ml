@@ -148,6 +148,28 @@ let test_file_device_roundtrip () =
   Alcotest.(check string) "logged after the cut" "abcdefghijk"
     (history (File_device.create ~dir ~name:"node"))
 
+(* One device reads through one channel: windows after an append see
+   the new bytes, and after a reset only the new log. *)
+let test_file_device_reads () =
+  let dir = tmpdir () in
+  let d = File_device.create ~dir ~name:"node" in
+  let window pos len = d.Device.log_read ~pos ~len in
+  d.Device.log_append "0123456789";
+  d.Device.log_sync ();
+  Alcotest.(check string) "window" "2345" (window 2 4);
+  d.Device.log_append "abcdef";
+  d.Device.log_sync ();
+  Alcotest.(check int) "size after append" 16 (d.Device.log_size ());
+  Alcotest.(check string) "window over the append" "89abc" (window 8 5);
+  Alcotest.(check string) "clamped at the end" "ef" (window 14 10);
+  d.Device.log_reset "xyz";
+  Alcotest.(check int) "size after reset" 3 (d.Device.log_size ());
+  Alcotest.(check string) "window after reset" "yz" (window 1 10);
+  Alcotest.(check string) "contents after reset" "xyz" (d.Device.log_contents ());
+  d.Device.log_append "!";
+  d.Device.log_sync ();
+  Alcotest.(check string) "append after reset" "xyz!" (d.Device.log_contents ())
+
 (* --- VC node: journal-replay equivalence ---------------------------------- *)
 
 let vc_cfg = { Types.default_config with Types.n_voters = 6; Types.m_options = 3 }
@@ -542,7 +564,8 @@ let () =
          Alcotest.test_case "torn tail at every cut" `Quick test_store_torn_tail;
          Alcotest.test_case "torn-tail restart keeps later records" `Quick
            test_store_torn_restart;
-         Alcotest.test_case "file backend roundtrip" `Quick test_file_device_roundtrip ]);
+         Alcotest.test_case "file backend roundtrip" `Quick test_file_device_roundtrip;
+         Alcotest.test_case "file backend reads" `Quick test_file_device_reads ]);
       ("vc-recovery",
        Alcotest.test_case "write volume linear in votes" `Quick test_vc_write_volume
        :: List.map QCheck_alcotest.to_alcotest [ prop_vc_wal_replay; prop_vc_torn_wal_total ]);
