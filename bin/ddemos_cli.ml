@@ -202,7 +202,7 @@ let deploy_cmd =
      | Ok () -> ());
     if not (Sys.file_exists state_dir) then Sys.mkdir state_dir 0o755;
     let chunk_size = if chunk > 0 then Some chunk else None in
-    let devices name = File_device.create ~dir:state_dir ~name in
+    let devices = Dd_store.Device.by_name (fun name -> File_device.create ~dir:state_dir ~name) in
     if plain then begin
       let dev = devices Election_store.plain_segment in
       Printf.printf "streaming plain validation material for %d voters to %s...\n%!"
@@ -341,7 +341,7 @@ let serve_cmd =
     (match Types.validate_config cfg with
      | Error e -> prerr_endline ("invalid configuration: " ^ e); exit 1
      | Ok () -> ());
-    let devices name = File_device.create ~dir:state_dir ~name in
+    let devices = Dd_store.Device.by_name (fun name -> File_device.create ~dir:state_dir ~name) in
     let layout =
       match Election_store.load_layout devices cfg ~seed with
       | Some l -> l

@@ -113,17 +113,12 @@ let build files =
 
 let functions t = t.order
 
-let rec flatten = function
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (l, s) -> flatten l @ [ s ]
-  | Longident.Lapply (l, _) -> flatten l
-
 (* Resolve a call site in [current] (a dotted module prefix, e.g.
    "Ea" or "Ea.Inner"): unqualified names search the enclosing module
    chain outwards; qualified names resolve by their last (module, name)
    pair. *)
 let resolve t ~current lid =
-  match List.rev (flatten lid) with
+  match List.rev (Rules.flatten lid) with
   | [] -> None
   | [ name ] ->
     let rec search prefix =

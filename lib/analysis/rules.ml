@@ -430,8 +430,8 @@ let domain_safe_state =
 
 (* The static complement to R6. R6 forbids shared module-level state
    in the arithmetic stack; R8 looks at the other side of the race:
-   the closures handed to [Dd_parallel.Pool.parallel_for/map/reduce],
-   which run concurrently on every domain of the pool. Anything such a
+   the closures handed to [Dd_parallel.Pool.parallel_for/map], which
+   run concurrently on every domain of the pool. Anything such a
    closure *captures* is shared. The pool's contract
    (lib/parallel/pool.mli) allows exactly one kind of captured write —
    disjoint, index-addressed slots, recognizable syntactically because
@@ -445,7 +445,7 @@ let domain_safe_state =
    ([Atomic], [Domain.DLS], [Dd_parallel.Once]) never match these
    syntactic shapes, so the shipped patterns pass untouched. *)
 
-let parallel_entry_points = [ "parallel_for"; "parallel_map"; "parallel_reduce" ]
+let parallel_entry_points = [ "parallel_for"; "parallel_map" ]
 
 let mutators_always =
   [ (":=", "assignment to a captured ref");

@@ -13,9 +13,6 @@ val rule_name : string     (** ["secret-taint"] *)
 
 val short : string         (** one-line description for [--list-rules] *)
 
-(** Findings are reported only in files under [lib/]. *)
-val scope : string -> bool
-
 (** Run the whole-program analysis. [files] are the parsed
     implementations, [interfaces] the raw [.mli] sources scanned for
     [(* lint: secret *)] / [(* lint: public *)] annotations.

@@ -18,7 +18,6 @@ val put_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 
 type reader
 
-val reader : string -> reader
 
 val get_varint : reader -> int
 val get_bytes : reader -> string
@@ -26,7 +25,6 @@ val get_bool : reader -> bool
 val get_list : reader -> (reader -> 'a) -> 'a list
 val get_array : reader -> (reader -> 'a) -> 'a array
 val get_option : reader -> (reader -> 'a) -> 'a option
-val expect_end : reader -> unit
 
 (** [decode data parse] runs [parse] over the whole frame; [None] on
     truncation, trailing bytes, or any [Malformed] failure. *)

@@ -39,13 +39,6 @@ val add_opening : opening -> opening -> opening
 (** Check that [opening] opens [t]. *)
 val verify : t -> opening -> bool
 
-(** Fold one pair's two opening equations into an MSM accumulator
-    under fresh random weights from the DRBG (building block for
-    {!verify_batch} and the unit-vector batch check). {b Variable
-    time} — published data only. *)
-val accumulate :
-  Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> t -> opening -> unit
-
 (** Verify many (commitment, opening) pairs with one multi-scalar
     multiplication; accepts a batch containing an invalid opening with
     probability at most 2^-128. {b Variable time} — published data

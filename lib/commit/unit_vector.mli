@@ -25,7 +25,6 @@ val commit_k :
 val add : t -> t -> t
 val sum : options:int -> t list -> t
 
-val add_opening : opening -> opening -> opening
 val sum_openings : options:int -> opening list -> opening
 
 (** Verify every coordinate opening. *)
@@ -54,4 +53,3 @@ val opening_is_unit : opening -> choice:int -> bool
     Raises if a count exceeds [max_int] (impossible in any election). *)
 val counts_of_opening : opening -> int array
 
-val encode : t -> string

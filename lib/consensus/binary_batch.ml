@@ -136,7 +136,6 @@ let send_step t ~step vals = t.broadcast (encode_payload ~round:t.round ~step va
 
 let start t = send_step t ~step:1 t.est
 
-let decided t = Array.copy t.decided
 let all_decided t = t.n_decided = t.slots
 
 let coin_flip t ~round ~slot =

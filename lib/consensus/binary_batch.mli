@@ -29,7 +29,6 @@ val start : t -> unit
     discarded (Byzantine sender). *)
 val on_deliver : t -> from:int -> string -> unit
 
-val decided : t -> bool option array
 
 (** Wire helpers, exposed for tests. *)
 val encode_payload : round:int -> step:int -> int array -> string

@@ -96,42 +96,39 @@ let assemble ?gctx:_ ~cfg (nodes : Bb_node.t list) =
                 tally = majority_tally }))
   | _ -> None
 
+(* does the sorted list hold two equal neighbours? *)
+let rec dup = function
+  | a :: (b :: _ as rest) -> a = b || dup rest
+  | _ -> false
+
+(* check (a) for one ballot: its opened vote codes are pairwise distinct *)
+let codes_distinct v (bal : Ea.bb_ballot) =
+  let codes = ref [] in
+  List.iter
+    (fun part ->
+       Array.iteri
+         (fun pos _ ->
+            match Hashtbl.find_opt v.opened_codes (bal.Ea.bb_serial, part, pos) with
+            | Some c -> codes := c :: !codes
+            | None -> ())
+         bal.Ea.bb_parts.(Types.part_index part))
+    [ Types.A; Types.B ];
+  not (dup (List.sort compare !codes))
+
 (* (a) within each opened ballot, all vote codes are distinct.
    Streams the board (one chunk resident at a time); a board chunk
    that fails verification fails the check. *)
 let check_distinct_codes v =
   let ok = ref true in
   let streamed =
-    Board.iter v.board (fun (bal : Ea.bb_ballot) ->
-        let serial = bal.Ea.bb_serial in
-        let codes = ref [] in
-        List.iter
-          (fun part ->
-             Array.iteri
-               (fun pos _ ->
-                  match Hashtbl.find_opt v.opened_codes (serial, part, pos) with
-                  | Some c -> codes := c :: !codes
-                  | None -> ())
-               bal.Ea.bb_parts.(Types.part_index part))
-          [ Types.A; Types.B ];
-        let sorted = List.sort compare !codes in
-        let rec dup = function
-          | a :: (b :: _ as rest) -> a = b || dup rest
-          | _ -> false
-        in
-        if dup sorted then ok := false)
+    Board.iter v.board (fun bal -> if not (codes_distinct v bal) then ok := false)
   in
   check "a:distinct-vote-codes" (!ok && streamed)
     "every opened ballot has pairwise distinct vote codes"
 
 (* (b) at most one submitted code per ballot *)
 let check_single_submission v =
-  let serials = List.map fst v.final_set in
-  let sorted = List.sort compare serials in
-  let rec dup = function
-    | a :: (b :: _ as rest) -> a = b || dup rest
-    | _ -> false
-  in
+  let sorted = List.sort compare (List.map fst v.final_set) in
   check "b:single-submission" (not (dup sorted)) "one submitted vote code per ballot"
 
 (* (c) no ballot uses both parts *)
@@ -195,6 +192,13 @@ let par_find_first pool ~n ~check =
          | None, o -> o)
       None firsts
 
+(* First invalid index of [items]: with [batch], sub-ranges settle
+   through [check_range] and [par_find_first]; without, [check_one]
+   runs item by item. Both name the same index. *)
+let first_invalid ~batch ?pool ~check_one ~check_range items =
+  if batch then par_find_first pool ~n:(Array.length items) ~check:check_range
+  else Array.find_index (fun x -> not (check_one x)) items
+
 (* (d) openings of unused parts are valid unit vectors.
 
    With [batch] (the default), all opening equations fold into one MSM
@@ -241,23 +245,18 @@ let check_openings ?(batch = true) ?pool v =
            openings)
     items;
   let crypto = Array.of_list (List.rev !crypto) in
-  if batch then begin
-    let items = Array.map (fun (_, _, _, cv) -> cv) crypto in
-    let check_range ~lo ~len =
-      Unit_vector.verify_published ~label:v.cfg.Types.election_id (Array.sub items lo len)
-    in
-    match par_find_first pool ~n:(Array.length crypto) ~check:check_range with
-    | None -> ()
-    | Some idx ->
-      let serial, part, pos, _ = crypto.(idx) in
-      note_offender bad serial part (Printf.sprintf "position %d opening invalid" pos)
-  end
-  else
-    Array.iter
-      (fun (serial, part, pos, (c, o)) ->
-         if not (Unit_vector.verify c o) then
-           note_offender bad serial part (Printf.sprintf "position %d opening invalid" pos))
-      crypto;
+  let items = Array.map (fun (_, _, _, cv) -> cv) crypto in
+  (match
+     first_invalid ~batch ?pool items
+       ~check_one:(fun (c, o) -> Unit_vector.verify c o)
+       ~check_range:(fun ~lo ~len ->
+           Unit_vector.verify_published ~label:v.cfg.Types.election_id
+             (Array.sub items lo len))
+   with
+   | None -> ()
+   | Some idx ->
+     let serial, part, pos, _ = crypto.(idx) in
+     note_offender bad serial part (Printf.sprintf "position %d opening invalid" pos));
   match !bad with
   | None ->
     check "d:openings-valid" true
@@ -304,42 +303,34 @@ let check_zk ?(batch = true) ?pool v =
          end)
     (List.sort compare v.voted);
   let crypto = Array.of_list (List.rev !crypto) in
+  let insts = Array.map (fun (_, _, _, inst) -> inst) crypto in
   let verify_one (inst : Ballot_proof.instance) =
     Ballot_proof.verify ~commitments:inst.Ballot_proof.commitments
       inst.Ballot_proof.fm ~challenge:inst.Ballot_proof.challenge inst.Ballot_proof.fin
   in
-  if batch then begin
-    let seed_parts =
-      v.cfg.Types.election_id
-      :: List.concat_map
-        (fun (serial, part, pos, (inst : Ballot_proof.instance)) ->
-           [ Printf.sprintf "%d:%s:%d" serial (Types.part_label part) pos;
-             Ballot_proof.encode_first_move inst.Ballot_proof.fm;
-             Ballot_proof.encode_final_move inst.Ballot_proof.fin;
-             Nat.to_bytes_be ~len:32 inst.Ballot_proof.challenge ])
-        (Array.to_list crypto)
-    in
-    let check_range ~lo ~len =
-      if len = 1 then (let _, _, _, inst = crypto.(lo) in verify_one inst)
-      else
-        let rng =
-          Batch.derive_rng ~label:(Printf.sprintf "audit-zk:%d:%d" lo len) seed_parts
-        in
-        Ballot_proof.verify_batch rng
-          (Array.map (fun (_, _, _, inst) -> inst) (Array.sub crypto lo len))
-    in
-    match par_find_first pool ~n:(Array.length crypto) ~check:check_range with
-    | None -> ()
-    | Some idx ->
-      let serial, part, pos, _ = crypto.(idx) in
-      note_offender bad serial part (Printf.sprintf "position %d proof invalid" pos)
-  end
-  else
-    Array.iter
-      (fun (serial, part, pos, inst) ->
-         if not (verify_one inst) then
-           note_offender bad serial part (Printf.sprintf "position %d proof invalid" pos))
-      crypto;
+  let seed_parts =
+    v.cfg.Types.election_id
+    :: List.concat_map
+      (fun (serial, part, pos, (inst : Ballot_proof.instance)) ->
+         [ Printf.sprintf "%d:%s:%d" serial (Types.part_label part) pos;
+           Ballot_proof.encode_first_move inst.Ballot_proof.fm;
+           Ballot_proof.encode_final_move inst.Ballot_proof.fin;
+           Nat.to_bytes_be ~len:32 inst.Ballot_proof.challenge ])
+      (Array.to_list crypto)
+  in
+  let check_range ~lo ~len =
+    if len = 1 then verify_one insts.(lo)
+    else
+      let rng =
+        Batch.derive_rng ~label:(Printf.sprintf "audit-zk:%d:%d" lo len) seed_parts
+      in
+      Ballot_proof.verify_batch rng (Array.sub insts lo len)
+  in
+  (match first_invalid ~batch ?pool insts ~check_one:verify_one ~check_range with
+   | None -> ()
+   | Some idx ->
+     let serial, part, pos, _ = crypto.(idx) in
+     note_offender bad serial part (Printf.sprintf "position %d proof invalid" pos));
   match !bad with
   | None -> check "e:zk-proofs" true (Printf.sprintf "%d used-part proofs verified" !checked)
   | Some o -> check "e:zk-proofs" false (offender_detail o)
@@ -375,23 +366,7 @@ let audit_slice ?root v ~chunk =
        let ok = ref true in
        Array.iteri
          (fun i (bal : Ea.bb_ballot) ->
-            if bal.Ea.bb_serial <> first + i then ok := false;
-            let codes = ref [] in
-            List.iter
-              (fun part ->
-                 Array.iteri
-                   (fun pos _ ->
-                      match Hashtbl.find_opt v.opened_codes (bal.Ea.bb_serial, part, pos) with
-                      | Some c -> codes := c :: !codes
-                      | None -> ())
-                   bal.Ea.bb_parts.(Types.part_index part))
-              [ Types.A; Types.B ];
-            let sorted = List.sort compare !codes in
-            let rec dup = function
-              | a :: (b :: _ as rest) -> a = b || dup rest
-              | _ -> false
-            in
-            if dup sorted then ok := false)
+            if bal.Ea.bb_serial <> first + i || not (codes_distinct v bal) then ok := false)
          ballots;
        [ in_root; readable;
          check "a:distinct-vote-codes" !ok

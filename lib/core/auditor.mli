@@ -73,4 +73,3 @@ val pp_checks : Format.formatter -> check list -> unit
     names the first offending (serial, part) on both paths. *)
 val check_zk : ?batch:bool -> ?pool:Dd_parallel.Pool.t -> view -> check
 val check_openings : ?batch:bool -> ?pool:Dd_parallel.Pool.t -> view -> check
-val check_voter_unused : view -> Voter.audit_info -> check

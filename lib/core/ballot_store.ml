@@ -41,10 +41,6 @@ let virtual_prf ~seed ~cfg ~node =
     { seed; cfg; node; msk_share = msk_shares.(node);
       cache = Hashtbl.create 4096; cache_cap = 100_000 }
 
-let n_voters = function
-  | Segmented s -> s.sg_cfg.Types.n_voters
-  | Virtual v -> v.cfg.Types.n_voters
-
 let lines t ~serial ~part =
   match t with
   | Segmented s ->

@@ -19,8 +19,6 @@ val segmented :
 
 val virtual_prf : seed:string -> cfg:Types.config -> node:int -> t
 
-val n_voters : t -> int
-
 (** The permuted line array of one ballot part; [[||]] for an unknown
     serial. *)
 val lines : t -> serial:int -> part:Types.part_id -> Types.vc_line array

@@ -76,7 +76,6 @@ let journal_input t msg =
   | Some device -> Wal.log device (Messages.encode_bb_msg msg)
   | None -> ()
 
-let init t = t.init
 let board t = t.board
 
 let subscribe_final_set t f = t.on_final_set <- f :: t.on_final_set

@@ -50,10 +50,6 @@ val create :
     for recovery-equivalence checks. *)
 val observable : t -> string
 
-(** The (replicated) msk commitment this node checks against; the
-    ballot table is {!board}. *)
-val init : t -> Ea.bb_init
-
 (** The ballot table this node serves from (see {!Board}). *)
 val board : t -> Board.t
 

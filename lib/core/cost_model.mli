@@ -32,9 +32,6 @@ val default : t
 (** Enable the PostgreSQL-style disk cost (figures 5a-5c). *)
 val with_disk : t -> t
 
-(** Per-lookup database cost for an electorate of [n] ballots. *)
-val disk_lookup : t -> n:int -> float
-
 (** Aggregate handler costs per protocol step. *)
 val vote_validate : t -> n:int -> m:int -> float
 val endorse_handle : t -> n:int -> m:int -> float

@@ -66,7 +66,6 @@ val zk_state_body :
   election_id:string -> serial:int -> part:Types.part_id -> trustee:int ->
   Shamir_bytes.share -> string
 
-val inverse_perm : int array -> int array
 
 (** The O(1)-in-[n_voters] output of {!setup_chunks}: keys, msk
     commitments and shares. The O(n) material streams through the

@@ -142,6 +142,16 @@ type result = {
   devices : (string * Mem_device.backing) list;
 }
 
+(* One protocol node [run] hosts, found by its net id: its label ("vc0",
+   "bb1", "trustee2"), its journal backing, how it boots from that
+   backing, and how a power loss drops it. *)
+type host = {
+  label : string;
+  backing : Mem_device.backing option;
+  boot : unit -> unit;
+  drop : unit -> unit;
+}
+
 (* --- simulated-network topology, for building fault plans ----------- *)
 (* [run] registers nodes densely in this order, so ids are static:
    VC i, then BB j, then trustee k, then client c; machines are
@@ -236,24 +246,11 @@ let run (p : params) : result =
          recover <> None && node < cfg.Types.nv + cfg.Types.nb + cfg.Types.nt)
       crash_specs
   in
-  let vc_backing =
-    Array.init cfg.Types.nv
-      (fun _ -> if durability then Some (Mem_device.create ()) else None)
-  in
-  let bb_backing =
-    Array.init cfg.Types.nb
-      (fun _ -> if durability && full_mode then Some (Mem_device.create ()) else None)
-  in
-  let trustee_backing =
-    Array.init cfg.Types.nt
-      (fun _ -> if durability && full_mode then Some (Mem_device.create ()) else None)
-  in
-  let device_of backing = Option.map Mem_device.device backing in
 
   (* --- BB nodes (full mode) or a light model --- *)
   (* slot array rather than captured objects: a cold restart swaps the
      slot, and every delivery path reads it at delivery time; full-mode
-     boards boot into it below, once their watchers exist *)
+     boards boot into it from the node table below *)
   let bb_arr : Bb_node.t option array = Array.make cfg.Types.nb None in
   let live_bbs () = Array.to_list bb_arr |> List.filter_map Fun.id in
   (* modeled BB state: collect sets per BB node *)
@@ -363,14 +360,13 @@ let run (p : params) : result =
       (fun _ -> if phases.t_published = 0. then phases.t_published <- Net.now net)
   in
   (* Boot (or cold-restart) board [j] from its device. *)
-  let boot_bb j =
+  let boot_bb j durable =
     match src.Node_source.sv_bb with
     | None -> ()
     | Some (init, board_for) ->
       let bb =
         (* lint: allow secret-taint — salt_msk is part of the BB node's own durable at-rest state, not a network message *)
-        Bb_node.create ?durable:(device_of bb_backing.(j))
-          ~board:(board_for j) ~cfg ~init ~me:j ()
+        Bb_node.create ?durable ~board:(board_for j) ~cfg ~init ~me:j ()
       in
       bb_arr.(j) <- Some bb;
       watch_bb j bb;
@@ -381,16 +377,13 @@ let run (p : params) : result =
       if pub.Bb_node.tally <> None && phases.t_published = 0. then (* lint: allow secret-taint — option presence check, no secret bytes compared *)
         phases.t_published <- Net.now net
   in
-  for j = 0 to cfg.Types.nb - 1 do
-    boot_bb j
-  done;
 
   (* --- VC node environments --- *)
   (* [gen] counts cold restarts: a recovered node's rng must diverge
      from its first life's (the crash consumed an unknown prefix), but
      generation 0 keeps the historical seed string so existing
      deterministic traces are unchanged *)
-  let make_vc_env ~gen i : Vc_node.env =
+  let make_vc_env ~gen ~durable i : Vc_node.env =
     let send_vc ~dst msg =
       let msg =
         match adversaries.(i) with
@@ -513,14 +506,14 @@ let run (p : params) : result =
       consensus_coin = p.coin;
       verify_share_tags = src.Node_source.sv_verify_share_tags;
       verify_tag = None;
-      durable = device_of vc_backing.(i) }
+      durable }
   in
   (* Boot (or cold-restart) collector [i] from its device, as its next
      generation. *)
   let vc_generation = Array.make cfg.Types.nv (-1) in
-  let boot_vc i =
+  let boot_vc i durable =
     vc_generation.(i) <- vc_generation.(i) + 1;
-    let env = make_vc_env ~gen:vc_generation.(i) i in
+    let env = make_vc_env ~gen:vc_generation.(i) ~durable i in
     let node = Vc_node.create env in
     vc_nodes.(i) <- Some node;
     (* the adversary shares the node's store and keys (a Byzantine
@@ -539,9 +532,6 @@ let run (p : params) : result =
        && Vc_node.phase node = Vc_node.Voting then
       Vc_node.start_vote_set_consensus node
   in
-  for i = 0 to cfg.Types.nv - 1 do
-    boot_vc i
-  done;
 
   (* --- full-mode trustees --- *)
   let trustee_objs : Trustee.t option array = Array.make cfg.Types.nt None in
@@ -565,7 +555,7 @@ let run (p : params) : result =
     done
   in
   (* Boot (or cold-restart) trustee [i] from its device. *)
-  let boot_trustee i =
+  let boot_trustee i durable =
     match src.Node_source.sv_trustees with
     | None -> ()
     | Some (trustee_keys, trustee_init_for) ->
@@ -578,11 +568,30 @@ let run (p : params) : result =
                keys = trustee_keys.(i);
                send_trustee = deliver_trustee;
                post_bb = post_bb i;
-               durable = device_of trustee_backing.(i) })
+               durable })
   in
-  for i = 0 to cfg.Types.nt - 1 do
-    boot_trustee i
-  done;
+
+  (* --- the protocol nodes, indexed by net id ---
+     A node has a backing only in a durable run, and only when this run
+     hosts its kind as real nodes: collectors always, boards and
+     trustees with full cryptography. *)
+  let host label ~hosted boot drop =
+    let backing = if durability && hosted then Some (Mem_device.create ()) else None in
+    { label; backing; boot = (fun () -> boot (Option.map Mem_device.device backing)); drop }
+  in
+  let hosts =
+    Array.concat
+      [ Array.init cfg.Types.nv (fun i ->
+            host (Printf.sprintf "vc%d" i) ~hosted:true (boot_vc i)
+              (fun () -> vc_nodes.(i) <- None));
+        Array.init cfg.Types.nb (fun j ->
+            host (Printf.sprintf "bb%d" j) ~hosted:full_mode (boot_bb j)
+              (fun () -> bb_arr.(j) <- None));
+        Array.init cfg.Types.nt (fun k ->
+            host (Printf.sprintf "trustee%d" k) ~hosted:full_mode (boot_trustee k)
+              (fun () -> trustee_objs.(k) <- None)) ]
+  in
+  Array.iter (fun h -> h.boot ()) hosts;
   (match src.Node_source.sv_trustees with
    | None ->
      (* modeled publish phase: charged from the cost model *)
@@ -643,47 +652,26 @@ let run (p : params) : result =
      discarded and the device's unsynced tail is torn at a
      DRBG-sampled byte (possibly mid-frame); at the recovery instant
      the node boots again from the device alone, through the same boot
-     function as at the start. Without durability the legacy
-     warm-crash semantics (Net-level message loss only) are
-     unchanged. *)
-  if durability then begin
-    List.iter
-      (fun (node, at, recover) ->
-         let nv = cfg.Types.nv and nb = cfg.Types.nb and nt = cfg.Types.nt in
-         let is_vc = node < nv in
-         let is_bb = node >= nv && node < nv + nb in
-         let is_trustee = node >= nv + nb && node < nv + nb + nt in
-         let byzantine_vc = is_vc && byz node <> None in
-         if (is_vc || is_bb || is_trustee) && not byzantine_vc then begin
-           let backing =
-             if is_vc then vc_backing.(node)
-             else if is_bb then bb_backing.(node - nv)
-             else trustee_backing.(node - nv - nb)
-           in
-           match backing with
-           | None -> ()   (* modeled BB/trustee: nothing to restart *)
-           | Some backing ->
-             (* power loss: drop the node object and tear the unsynced
-                tail at a DRBG-sampled byte *)
-             Engine.schedule_at engine ~at
-               (fun () ->
-                  let tail = String.length (Mem_device.unsynced_log backing) in
-                  Mem_device.crash
-                    ~keep:(Drbg.int (Engine.rng engine) (tail + 1)) backing;
-                  if is_vc then vc_nodes.(node) <- None
-                  else if is_bb then bb_arr.(node - nv) <- None
-                  else trustee_objs.(node - nv - nb) <- None);
-             match recover with
-             | None -> ()
-             | Some at_recover ->
-               Engine.schedule_at engine ~at:at_recover
-                 (fun () ->
-                    if is_vc then boot_vc node
-                    else if is_bb then boot_bb (node - nv)
-                    else boot_trustee (node - nv - nb))
-         end)
-      crash_specs
-  end;
+     function as at the start. Without durability no node has a
+     backing, and the legacy warm-crash semantics (Net-level message
+     loss only) are unchanged; Byzantine collectors are never
+     restarted. *)
+  List.iter
+    (fun (node, at, recover) ->
+       let byzantine_vc = node < cfg.Types.nv && byz node <> None in
+       if node < Array.length hosts && not byzantine_vc then
+         match hosts.(node) with
+         | { backing = None; _ } -> ()   (* warm crash, or a modeled BB/trustee *)
+         | { backing = Some backing; boot; drop; _ } ->
+           (* power loss: drop the node object and tear the unsynced
+              tail at a DRBG-sampled byte *)
+           Engine.schedule_at engine ~at
+             (fun () ->
+                let tail = String.length (Mem_device.unsynced_log backing) in
+                Mem_device.crash ~keep:(Drbg.int (Engine.rng engine) (tail + 1)) backing;
+                drop ());
+           Option.iter (fun at -> Engine.schedule_at engine ~at boot) recover)
+    crash_specs;
 
   (* run everything *)
   let _, run_outcome = Engine.run ~until:max_sim_time engine in
@@ -737,13 +725,9 @@ let run (p : params) : result =
     messages = Net.messages_sent net;
     bb_nodes = live_bbs ();
     devices =
-      (let tag pre arr =
-         Array.to_list arr
-         |> List.mapi (fun i b ->
-             Option.map (fun b -> (Printf.sprintf "%s%d" pre i, b)) b)
-         |> List.filter_map Fun.id
-       in
-       tag "vc" vc_backing @ tag "bb" bb_backing @ tag "trustee" trustee_backing);
+      List.filter_map
+        (fun h -> Option.map (fun b -> (h.label, b)) h.backing)
+        (Array.to_list hosts);
     vc_submit_sets = !honest_submits;
     timed_out = (match run_outcome with `Paused -> true | `Drained -> false);
     dropped = Net.messages_dropped net;

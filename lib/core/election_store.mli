@@ -25,9 +25,8 @@ module Segment = Dd_segment.Segment
 val encode_bb_ballot : Ea.bb_ballot -> string
 val decode_bb_ballot : string -> Ea.bb_ballot option
 
-(** One collector's validation lines for one serial: part -> position. *)
-val encode_vc_record : Types.vc_line array array -> string
-
+(** Decode one collector's validation lines for one serial: part ->
+    position. *)
 val decode_vc_record : string -> Types.vc_line array array option
 
 (** One trustee's data for one serial: part -> data. *)
@@ -110,14 +109,6 @@ val read_trustee_init : (string -> Device.t) -> layout -> int -> Ea.trustee_init
 val voter_ballot_reader : (string -> Device.t) -> layout -> int -> Types.ballot
 
 (* --- plain profile ----------------------------------------------------- *)
-
-(** One serial's plain validation record: part -> position ->
-    (code hash, salt). Pure in [seed] — no DRBG forks, so resume needs
-    no transcript bookkeeping. *)
-val encode_plain_record :
-  code_hashes:string array array -> salts:string array array -> string
-
-val decode_plain_record : string -> (string array array * string array array) option
 
 (** Stream the plain validation material for all [n_voters] serials
     into the ["plain"] segment (device must be empty, or partially

@@ -51,17 +51,6 @@ let of_layout ~devices (layout : Election_store.layout) =
    EA writes each node's initialization data into that node's store;
    here the store is a family of in-memory devices. *)
 let of_setup (s : Ea.setup) =
-  let backings = Hashtbl.create 16 in
-  let devices name =
-    let b =
-      match Hashtbl.find_opt backings name with
-      | Some b -> b
-      | None ->
-        let b = Dd_store.Device.Mem.create () in
-        Hashtbl.add backings name b;
-        b
-    in
-    Dd_store.Device.Mem.device b
-  in
+  let devices = Dd_store.Device.(by_name (fun _ -> Mem.device (Mem.create ()))) in
   (* lint: allow secret-taint the layout is tainted as a whole by its msk shares, which of_layout hands each to its own collector's store; the flagged comparisons are segment readers checking public manifest roots and lengths *)
   of_layout ~devices (Election_store.store_setup devices s)

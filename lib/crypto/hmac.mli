@@ -3,6 +3,3 @@
 (** [sha256 ~key msg] is the 32-byte HMAC tag. *)
 (* lint: public — a PRF output reveals nothing about the key *)
 val sha256 : key:string -> string -> string
-
-(** [verify ~key ~mac msg] checks [mac] in constant time. *)
-val verify : key:string -> mac:string -> string -> bool

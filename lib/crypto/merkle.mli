@@ -38,10 +38,6 @@ val count : builder -> int
 (** Absorb the next leaf payload (hashed with [leaf_hash] internally). *)
 val add : builder -> string -> unit
 
-(** Absorb an already-hashed leaf (e.g. a per-chunk root promoted into a
-    top-level tree over chunk roots). *)
-val add_hash : builder -> string -> unit
-
 (** Root over the leaves absorbed so far. Does not disturb the builder:
     more leaves may be added afterwards. *)
 (* lint: public — a root is a hash commitment, not its preimages *)

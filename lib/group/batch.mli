@@ -5,10 +5,7 @@
 
 module Nat = Dd_bignum.Nat
 
-(** Width of the random weights (128). *)
-val weight_bits : int
-
-(** A fresh uniform nonzero [weight_bits]-bit weight. *)
+(** A fresh uniform nonzero 128-bit weight. *)
 val weight : Dd_crypto.Drbg.t -> Nat.t
 
 (** [derive_rng ~label parts] seeds a weight DRBG from the batch items

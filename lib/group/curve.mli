@@ -55,7 +55,7 @@
       {!mul2} and {!msm} are substantially faster but their operation
       count and branching depend on the scalar's value. Never pass
       them a secret. The randomized batch verifiers built on {!msm}
-      ([Schnorr.verify_batch], [Chaum_pedersen.verify_batch], the
+      ([Schnorr.verify_batch], [Ballot_proof.verify_batch], the
       commitment batch openings) inherit this rule: batch
       verification is for public transcripts only. *)
 

@@ -12,11 +12,6 @@
    - [parallel_map] / [parallel_for] write results by index, so their
      output is identical for every pool size, chunk size, and
      schedule.
-   - [parallel_reduce] folds chunk results in chunk order; its result
-     is independent of pool size and schedule, and independent of the
-     chunk size too whenever [fold] is associative (the default chunk
-     size is fixed, not derived from the pool, so even non-associative
-     folds give one answer per input).
    - When a chunk body raises, every chunk still runs; the exception
      with the *smallest* chunk index is re-raised in the caller with
      its original payload and backtrace — the same exception the plain
@@ -165,28 +160,6 @@ let parallel_map t ?chunk f arr =
         let i = j + 1 in
         out.(i) <- f arr.(i));
     out
-  end
-
-(* Fixed default so the chunk boundaries — and hence the result for a
-   non-associative [fold] — do not depend on the pool size. *)
-let reduce_chunk = 32
-
-let parallel_reduce t ?chunk ~map ~fold ~init arr =
-  let n = Array.length arr in
-  if n = 0 then init
-  else begin
-    let csize = match chunk with Some c when c >= 1 -> c | Some _ -> 1 | None -> reduce_chunk in
-    let nchunks = (n + csize - 1) / csize in
-    let partial = Array.make nchunks None in
-    run_chunks t nchunks (fun ci ->
-        let lo = ci * csize in
-        let hi = min n (lo + csize) in
-        let acc = ref (map arr.(lo)) in
-        for i = lo + 1 to hi - 1 do acc := fold !acc (map arr.(i)) done;
-        partial.(ci) <- Some !acc);
-    Array.fold_left
-      (fun acc p -> match p with Some v -> fold acc v | None -> acc)
-      init partial
   end
 
 (* --- the process-wide default pool ------------------------------------- *)

@@ -8,9 +8,6 @@
     Determinism contract:
     - {!parallel_for} / {!parallel_map} assign results by index —
       output is identical for every pool size and schedule.
-    - {!parallel_reduce} combines chunk results in ascending chunk
-      order with a pool-size-independent default chunk, so its result
-      does not depend on the pool either.
     - If a body raises, all chunks still run and the exception from the
       {e smallest} chunk index is re-raised in the caller with its
       original payload and backtrace — matching what the serial loop
@@ -34,15 +31,6 @@ val parallel_for : t -> ?chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_map t f arr] is [Array.map f arr] with elements computed
     in parallel; result order always matches [arr]. *)
 val parallel_map : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [parallel_reduce t ~map ~fold ~init arr] folds [map arr.(i)] over
-    chunks, then combines the per-chunk partials in chunk order
-    starting from [init]. Deterministic for any pool size; [fold]
-    should be associative for the result to also be independent of
-    [?chunk] (default 32, fixed — not pool-derived). *)
-val parallel_reduce :
-  t -> ?chunk:int -> map:('a -> 'b) -> fold:('b -> 'b -> 'b) -> init:'b ->
-  'a array -> 'b
 
 (** Close the pool and join its workers. Subsequent parallel calls on
     it raise [Invalid_argument]. Idempotent. *)

@@ -14,14 +14,12 @@ type t = {
   election_id : string;
   ea_signer : int;                   (* the EA's clique index: cfg.nv *)
   share_tags : bool;
-  min_batch : int;
   cache : (string, bool) Hashtbl.t;
   st : stats;
 }
 
-let create ?(min_batch = 4) ~keys ~election_id ~ea_signer ~share_tags () =
+let create ~keys ~election_id ~ea_signer ~share_tags () =
   { keys; election_id; ea_signer; share_tags;
-    min_batch = max 2 min_batch;
     cache = Hashtbl.create 1024;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
 
@@ -95,6 +93,9 @@ let obligations_of t msg =
   | Messages.Vote _ | Messages.Endorse _ | Messages.Announce _ | Messages.Consensus _
   | Messages.Recover_request _ -> []
 
+(* fresh obligations before one batch call pays for itself *)
+let min_batch = 4
+
 let preverify t msgs =
   (* collect obligations not already settled, deduplicated in batch *)
   let seen = Hashtbl.create 64 in
@@ -112,7 +113,7 @@ let preverify t msgs =
             end)
          (obligations_of t msg))
     msgs;
-  if !n_fresh >= t.min_batch then begin
+  if !n_fresh >= min_batch then begin
     let obls = List.rev !fresh in
     t.st.batch_calls <- t.st.batch_calls + 1;
     let triples = List.map (fun (_, signer, body, tag) -> (signer, body, tag)) obls in

@@ -4,8 +4,8 @@
     obligations — endorsement signatures, the EA's receipt-share tags,
     and the UCERTs carried by full VOTE_Ps (less the receiver's own
     endorsement, which the former leaves out) and RECOVER-RESPONSEs.
-    {!preverify} extracts them, deduplicates, and settles everything
-    not already cached through one
+    {!preverify} extracts them, deduplicates, and, once at least four
+    are fresh, settles everything not already cached through one
     {!Ddemos.Auth.verify_batch} call (a single randomized multi-scalar
     multiplication under Schnorr — the 2.3x/entry micro win, here
     amortized {e across} messages, not just within one certificate).
@@ -28,7 +28,6 @@ type stats = {
 type t
 
 val create :
-  ?min_batch:int ->
   keys:Ddemos.Auth.keys ->
   election_id:string ->
   ea_signer:int ->

@@ -4,8 +4,6 @@
     coalesced across {!feed} calls, and a hostile length prefix poisons
     the decoder (sticky {!error}) instead of allocating unboundedly. *)
 
-val header_len : int
-
 (** Frames larger than this are a protocol violation (default 1 MiB —
     comfortably above the largest ANNOUNCE at supported scale). *)
 val max_frame_default : int

@@ -10,20 +10,19 @@ module Drbg = Dd_crypto.Drbg
 
 type params = {
   batching : bool;
-  min_batch : int;
   mailbox_cap : int;
   batch_max : int;
-  out_cap : int;
   max_frame : int;
 }
 
 let default_params =
   { batching = true;
-    min_batch = 4;
     mailbox_cap = 4096;
     batch_max = 256;
-    out_cap = 1 lsl 22;
     max_frame = Frame.max_frame_default }
+
+(* outbound bytes buffered per client connection before it is shed *)
+let out_cap = 1 lsl 22
 
 type source = Ddemos.Node_source.t = {
   sv_cfg : Types.config;
@@ -168,8 +167,7 @@ let create ?(params = default_params) src =
       bb_mbox = Array.init nb (fun _ -> Mailbox.create ~capacity:params.mailbox_cap);
       batchers =
         Array.init nv (fun i ->
-            Batcher.create ~min_batch:params.min_batch
-              ~keys:src.sv_keys.(i)
+            Batcher.create ~keys:src.sv_keys.(i)
               ~election_id:cfg.Types.election_id ~ea_signer:nv
               ~share_tags:src.sv_verify_share_tags ());
       staging = Array.init nv (fun _ -> ref []);
@@ -355,7 +353,7 @@ let write_out t =
          (* slow-reader shedding: a client that will not drain its
             replies is disconnected, never buffered without bound *)
          (match conn.k_role with
-          | Client _ when Buffer.length out > t.p.out_cap ->
+          | Client _ when Buffer.length out > out_cap ->
             conn.k_open <- false;
             conn.k_conn.Transport.close ();
             Buffer.reset out;

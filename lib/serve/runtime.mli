@@ -26,7 +26,7 @@
       Client replies stay one frame each. Every buffer then makes one
       write of as much as its transport accepts, keeping the rest.
       Only client buffers are bounded: a client connection whose
-      backlog overflows [out_cap] is a slow reader — it is closed and
+      backlog overflows 4 MiB is a slow reader — it is closed and
       counted, never buffered unboundedly.
 
     Inter-node traffic travels through the same framed byte pipes as
@@ -35,10 +35,8 @@
 
 type params = {
   batching : bool;           (** the adaptive batch-verification stage *)
-  min_batch : int;           (** obligations before a batch pays for itself *)
-  mailbox_cap : int;
+  mailbox_cap : int;         (** messages a node's mailbox holds before shedding *)
   batch_max : int;           (** messages a node drains per tick *)
-  out_cap : int;             (** outbound bytes buffered per client conn *)
   max_frame : int;           (** payload cap, received and sent *)
 }
 

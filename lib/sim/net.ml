@@ -65,7 +65,6 @@ let create ?(latency = lan) ?(faults = Fault_plan.none) engine =
     machine_population = Hashtbl.create 16;
     messages_sent = 0; messages_dropped = 0 }
 
-let engine t = t.engine
 let now t = Engine.now t.engine
 
 let add_node t ~machine ~cores =

@@ -35,7 +35,6 @@ type t
 val create :
   ?latency:latency_model -> ?faults:Fault_plan.t -> Engine.t -> t
 
-val engine : t -> Engine.t
 val now : t -> float
 
 (** Register a node on a physical machine with a core count; returns

@@ -8,7 +8,6 @@ val count : sample_set -> int
 val mean : sample_set -> float
 val median : sample_set -> float
 val p99 : sample_set -> float
-val percentile : sample_set -> float -> float
 val max_sample : sample_set -> float
 val min_sample : sample_set -> float
 

@@ -17,6 +17,13 @@ type t = {
   log_reset : string -> unit;        (* atomically replace the whole log *)
 }
 
+let by_name make =
+  let made = Hashtbl.create 16 in
+  fun name ->
+    match Hashtbl.find_opt made name with
+    | Some d -> d
+    | None -> let d = make name in Hashtbl.add made name d; d
+
 (* --- the in-memory "disk" for the simulator -------------------------- *)
 
 module Mem = struct

@@ -23,6 +23,10 @@ type t = {
           uses it to cut a torn tail. *)
 }
 
+(** [by_name make] is [make] run once per name: every later use of a
+    name shares the device its first use made. *)
+val by_name : (string -> t) -> string -> t
+
 (** The simulator's in-memory "disk": contents survive a
     [Fault_plan.Crash { recover = Some _ }] cold restart; the unsynced
     tail does not. *)

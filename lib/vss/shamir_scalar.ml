@@ -66,4 +66,3 @@ let add fn a b =
   if a.x <> b.x then invalid_arg "Shamir_scalar.add: mismatched evaluation points";
   { x = a.x; value = Modular.add fn a.value b.value }
 
-let sum fn ~x l = List.fold_left (add fn) { x; value = Nat.zero } l

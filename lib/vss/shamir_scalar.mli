@@ -21,9 +21,5 @@ val split :
 (** Exactly [threshold] shares with distinct positive [x]. *)
 val reconstruct : Modular.ctx -> threshold:int -> share list -> Nat.t
 
-(** Lagrange coefficients at zero for the given evaluation points. *)
-val lagrange_at_zero : Modular.ctx -> int array -> Nat.t array
-
 (** Share-wise addition: valid only for shares at the same [x]. *)
 val add : Modular.ctx -> share -> share -> share
-val sum : Modular.ctx -> x:int -> share list -> share

@@ -67,19 +67,6 @@ let accumulate acc rng (inst : instance) =
   eq inst.stmt.g1 inst.fm.t1 inst.stmt.h1;
   eq inst.stmt.g2 inst.fm.t2 inst.stmt.h2
 
-(* Verify many transcripts at once: 2n equations, one MSM (plus the two
-   comb legs). Soundness 2^-128 per batch (see Batch). *)
-let verify_batch rng (instances : instance array) =
-  match Array.length instances with
-  | 0 -> true
-  | 1 ->
-    let i = instances.(0) in
-    verify i.stmt i.fm ~challenge:i.challenge ~response:i.response
-  | _ ->
-    let acc = Group_ctx.msm_acc () in
-    Array.iter (accumulate acc rng) instances;
-    Group_ctx.acc_check acc
-
 (* Simulate an accepting transcript for a chosen challenge (used by the
    OR composition for the branch the prover cannot prove). *)
 let simulate rng (st : statement) ~challenge =

@@ -29,7 +29,7 @@ val respond : state:prover_state -> witness:Nat.t -> challenge:Nat.t -> Nat.t
 val verify :
   statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
 
-(** A complete transcript, as consumed by the batch verifier. *)
+(** A complete transcript, as folded into a batch by {!accumulate}. *)
 type instance = {
   stmt : statement;
   fm : first_move;
@@ -43,12 +43,6 @@ type instance = {
     {!Dd_group.Group_ctx.acc_check}. {b Variable time} — public
     transcripts only. *)
 val accumulate : Dd_group.Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> instance -> unit
-
-(** Verify many transcripts with one multi-scalar multiplication;
-    accepts a batch containing an invalid transcript with probability
-    at most 2^-128. {b Variable time} — public transcripts only. *)
-val verify_batch :
-  Dd_crypto.Drbg.t -> instance array -> bool
 
 (** Accepting transcript for a chosen challenge without the witness
     (honest-verifier zero-knowledge simulator; used in OR proofs). *)

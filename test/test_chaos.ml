@@ -6,6 +6,8 @@
      (conflicting valid UCERTs / diverging honest vote sets),
    - fb Byzantine BB nodes are masked by fb + 1 majority reads and a
      passing audit,
+   - the node table behind crash-restart: which nodes get a device, in
+     which order they are listed, and that only the crashed ones cycle,
    - Voter.retry_delay backoff arithmetic. *)
 
 module Types = Ddemos.Types
@@ -17,6 +19,7 @@ module Bb_reader = Ddemos.Bb_reader
 module Voter = Ddemos.Voter
 module Fault_plan = Dd_sim.Fault_plan
 module Drbg = Dd_crypto.Drbg
+module Mem = Dd_store.Device.Mem
 
 let small_cfg = { Types.default_config with Types.n_voters = 5; Types.m_options = 3 }
 
@@ -25,14 +28,15 @@ let votes_of l = List.map (fun (s, c) -> { Election.vi_serial = s; Election.vi_c
 (* Shared full-crypto setup (EA setup is the expensive part). *)
 let setup = lazy (Ea.setup small_cfg ~seed:"chaos-test")
 
-let run_full ?(seed = "chaos-run") ?(byzantine_vc = []) ?(byzantine_bb = []) votes =
+let run_full ?(seed = "chaos-run") ?(byzantine_vc = []) ?(byzantine_bb = [])
+    ?(faults = Fault_plan.none) votes =
   let p =
     Election.default_params
       ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force setup)))
       small_cfg ~votes:(votes_of votes)
   in
   Election.run
-    { p with Election.seed; concurrent_clients = 3; byzantine_vc; byzantine_bb;
+    { p with Election.seed; concurrent_clients = 3; byzantine_vc; byzantine_bb; faults;
              voter_patience = 2.0 }
 
 let m_cfg = { Types.default_config with Types.n_voters = 24 }
@@ -203,6 +207,51 @@ let test_retry_delay_deterministic () =
   in
   Alcotest.(check (list (float 1e-12))) "same seed, same delays" (seq "det") (seq "det")
 
+(* --- the node table behind crash-restart ---------------------------------- *)
+
+(* (label, power losses) of every device a run lists, in its order *)
+let device_crashes (r : Election.result) =
+  List.map (fun (label, b) -> (label, Mem.crashes b)) r.Election.devices
+
+let cycle node = Fault_plan.crash ~node ~at:0.005 ~recover:0.25 ()
+
+(* a client is not a protocol node: crashing it makes the run no more
+   durable than a fault-free one *)
+let test_client_crash_no_devices () =
+  let p = Election.default_params m_cfg ~votes:[] in
+  let client0 = Election.trustee_net_node p (m_cfg.Types.nt - 1) + 1 in
+  let r = run_modeled ~faults:[ cycle client0 ] m_votes in
+  Alcotest.(check int) "all receipts" 12 r.Election.receipts_ok;
+  Alcotest.(check (list (pair string int))) "no devices" [] (device_crashes r)
+
+(* a Byzantine collector is never restarted, yet keeps its device *)
+let test_byzantine_crash_restarts_nothing () =
+  let r =
+    run_modeled ~byzantine_vc:[ (1, Election.Silent) ] ~faults:[ cycle 1 ] ~patience:1.0
+      m_votes
+  in
+  Alcotest.(check int) "all receipts" 12 r.Election.receipts_ok;
+  Alcotest.(check (list (pair string int))) "collectors only, none cycled"
+    [ ("vc0", 0); ("vc1", 0); ("vc2", 0); ("vc3", 0) ] (device_crashes r)
+
+(* with full crypto every kind is hosted: net-id order, and exactly the
+   three crashed nodes power-cycled *)
+let test_full_crash_lists_every_node () =
+  let p = Election.default_params small_cfg ~votes:[] in
+  let faults =
+    [ cycle (Election.vc_net_node p 1);
+      Fault_plan.crash ~node:(Election.bb_net_node p 0) ~at:0.02 ~recover:0.3 ();
+      Fault_plan.crash ~node:(Election.trustee_net_node p 2) ~at:0.05 ~recover:0.35 () ]
+  in
+  let votes = [ (0, 0); (1, 1); (2, 2); (3, 0) ] in
+  let r = run_full ~faults votes in
+  Alcotest.(check int) "all receipts" 4 r.Election.receipts_ok;
+  Alcotest.(check (list (pair string int))) "every node, in id order"
+    [ ("vc0", 0); ("vc1", 1); ("vc2", 0); ("vc3", 0);
+      ("bb0", 1); ("bb1", 0); ("bb2", 0);
+      ("trustee0", 0); ("trustee1", 0); ("trustee2", 1) ]
+    (device_crashes r)
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -229,6 +278,12 @@ let () =
             test_within_threshold_no_false_positives ] );
       ( "byzantine-bb",
         [ Alcotest.test_case "fb tampered BB nodes masked" `Slow test_byzantine_bb_masked ] );
+      ( "node-table",
+        [ Alcotest.test_case "client crash: no devices" `Quick test_client_crash_no_devices;
+          Alcotest.test_case "byzantine crash restarts nothing" `Quick
+            test_byzantine_crash_restarts_nothing;
+          Alcotest.test_case "full crypto lists every node" `Slow
+            test_full_crash_lists_every_node ] );
       ( "retry-backoff",
         [ Alcotest.test_case "exponential growth and cap" `Quick test_retry_delay_growth;
           Alcotest.test_case "jitter bounds" `Quick test_retry_delay_jitter_bounds;

@@ -12,6 +12,8 @@
      matches its twin run from an in-memory setup (Node_source.of_setup):
      same receipts, same tally, same board root, and the full audit plus
      a slice audit pass;
+   - a ballot with two equal opened codes fails check (a) in the whole
+     audit and in its own chunk's slice audit only;
    - the two sources are one: same node seed and board root, and the
      serving runtime over either casts the same codes and agrees on the
      same final sets. *)
@@ -229,17 +231,21 @@ let test_slice_audit_ignores_other_chunks () =
 
 (* --- a sealed-segment election matches its in-memory twin --------------- *)
 
-let test_stored_election_matches_full () =
-  let s = Lazy.force setup in
+let run_election fidelity =
   let votes = votes_of [ (0, 0); (1, 1); (2, 1); (3, 0); (4, 1); (5, 0) ] in
-  let run fidelity =
-    let p = Election.default_params ~fidelity cfg ~votes in
-    Election.run { p with Election.seed = "stored-run"; concurrent_clients = 3 }
-  in
-  let r_full = run (Election.Source (Node_source.of_setup s)) in
+  let p = Election.default_params ~fidelity cfg ~votes in
+  Election.run { p with Election.seed = "stored-run"; concurrent_clients = 3 }
+
+(* the same election served from sealed segments of two ballots a chunk *)
+let run_stored () =
   let _tbl, dev = mem_family () in
   let layout = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
-  let r_stored = run (Election.Source (Node_source.of_layout ~devices:dev layout)) in
+  run_election (Election.Source (Node_source.of_layout ~devices:dev layout))
+
+let test_stored_election_matches_full () =
+  let s = Lazy.force setup in
+  let r_full = run_election (Election.Source (Node_source.of_setup s)) in
+  let r_stored = run_stored () in
   Alcotest.(check int) "same receipts"
     r_full.Election.receipts_ok r_stored.Election.receipts_ok;
   Alcotest.(check (array int)) "same tally"
@@ -260,6 +266,31 @@ let test_stored_election_matches_full () =
   for c = 0 to Board.n_chunks (Bb_node.board stored_bb) - 1 do
     Alcotest.(check bool) (Printf.sprintf "slice audit of chunk %d" c) true
       (Auditor.all_ok (Auditor.audit_slice view ~chunk:c))
+  done
+
+(* A ballot in chunk 1 opens two equal vote codes: the whole audit and
+   that chunk's slice audit both fail check (a), every other slice
+   audit passes. *)
+let test_slice_audit_catches_duplicate_codes () =
+  let r = run_stored () in
+  let view = req "audit view" (Auditor.assemble ~cfg r.Election.bb_nodes) in
+  let board = view.Auditor.board in
+  let target = 1 in
+  let serial, _ = req "target chunk" (Board.slice board target) in
+  let opened = Hashtbl.copy view.Auditor.opened_codes in
+  Hashtbl.replace opened (serial, Types.A, 1)
+    (req "opened code" (Hashtbl.find_opt opened (serial, Types.A, 0)));
+  let view = { view with Auditor.opened_codes = opened } in
+  let distinct checks =
+    List.for_all (fun c -> c.Auditor.name <> "a:distinct-vote-codes" || c.Auditor.ok) checks
+  in
+  Alcotest.(check bool) "whole audit fails (a)" false (distinct (Auditor.audit view));
+  Alcotest.(check bool) "target slice fails (a)" false
+    (distinct (Auditor.audit_slice view ~chunk:target));
+  for c = 0 to Board.n_chunks board - 1 do
+    if c <> target then
+      Alcotest.(check bool) (Printf.sprintf "slice audit of chunk %d" c) true
+        (Auditor.all_ok (Auditor.audit_slice view ~chunk:c))
   done
 
 (* --- one source, however the segments were written ------------------------ *)
@@ -360,5 +391,7 @@ let () =
             test_slice_audit_ignores_other_chunks;
           Alcotest.test_case "stored election matches full" `Quick
             test_stored_election_matches_full;
+          Alcotest.test_case "slice audit catches duplicate codes" `Quick
+            test_slice_audit_catches_duplicate_codes;
           Alcotest.test_case "setup and layout sources agree" `Quick
             test_setup_and_layout_sources_agree ] ) ]

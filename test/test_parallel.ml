@@ -41,15 +41,6 @@ let test_for_positional =
        Pool.parallel_for pool ~chunk n (fun i -> hits.(i) <- hits.(i) + 1);
        Array.for_all (( = ) 1) hits)
 
-let test_reduce_sum =
-  QCheck.Test.make ~name:"parallel_reduce sums like a fold" ~count:100
-    QCheck.(pair (list int) (int_range 1 4))
-    (fun (xs, domains) ->
-       let pool = pool_of ~domains in
-       let arr = Array.of_list xs in
-       Pool.parallel_reduce pool ~map:(fun x -> x) ~fold:( + ) ~init:0 arr
-       = List.fold_left ( + ) 0 xs)
-
 (* --- exception propagation -------------------------------------------- *)
 
 exception Boom of int
@@ -170,7 +161,7 @@ let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
     [ ("primitives",
-       qt [ test_map_matches_list_map; test_for_positional; test_reduce_sum ]);
+       qt [ test_map_matches_list_map; test_for_positional ]);
       ("exceptions",
        qt [ test_exception_payload ]
        @ [ Alcotest.test_case "pool survives exception" `Quick test_pool_survives_exception ]);

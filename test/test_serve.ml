@@ -287,7 +287,7 @@ let test_batcher_verdicts () =
   let election_id = "batch-test" in
   let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"batch-clique" ~n:4 in
   let b =
-    Batcher.create ~min_batch:4 ~keys:keys.(0) ~election_id ~ea_signer:3
+    Batcher.create ~keys:keys.(0) ~election_id ~ea_signer:3
       ~share_tags:false ()
   in
   let body serial = Messages.endorsement_body ~election_id ~serial ~code:"c" in

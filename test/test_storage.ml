@@ -148,6 +148,16 @@ let test_file_device_roundtrip () =
   Alcotest.(check string) "logged after the cut" "abcdefghijk"
     (history (File_device.create ~dir ~name:"node"))
 
+(* by_name makes each name's device once; every later use shares it *)
+let test_one_device_per_name () =
+  let made = ref [] in
+  let devices = Device.by_name (fun name -> made := name :: !made; Mem.device (Mem.create ())) in
+  (devices "a").Device.log_append "x";
+  (devices "a").Device.log_sync ();
+  Alcotest.(check int) "a later use sees the first one's log" 1 ((devices "a").Device.log_size ());
+  Alcotest.(check int) "names stay apart" 0 ((devices "b").Device.log_size ());
+  Alcotest.(check (list string)) "one device per name" [ "b"; "a" ] !made
+
 (* One device reads through one channel: windows after an append see
    the new bytes, and after a reset only the new log. *)
 let test_file_device_reads () =
@@ -565,7 +575,8 @@ let () =
          Alcotest.test_case "torn-tail restart keeps later records" `Quick
            test_store_torn_restart;
          Alcotest.test_case "file backend roundtrip" `Quick test_file_device_roundtrip;
-         Alcotest.test_case "file backend reads" `Quick test_file_device_reads ]);
+         Alcotest.test_case "file backend reads" `Quick test_file_device_reads;
+         Alcotest.test_case "one device per name" `Quick test_one_device_per_name ]);
       ("vc-recovery",
        Alcotest.test_case "write volume linear in votes" `Quick test_vc_write_volume
        :: List.map QCheck_alcotest.to_alcotest [ prop_vc_wal_replay; prop_vc_torn_wal_total ]);

@@ -237,42 +237,6 @@ let test_k_of_m_validation () =
 
 (* --- batch verification --------------------------------------------------- *)
 
-let make_cp_instances ?(seed = "cp-batch") n =
-  let rng = Drbg.create ~seed in
-  Array.init n (fun _ ->
-      let x = Curve.random_scalar rng in
-      let st = ddh_statement x in
-      let w, fm = Chaum_pedersen.commit rng st in
-      let challenge = Curve.random_scalar rng in
-      let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
-      { Chaum_pedersen.stmt = st; fm; challenge; response })
-
-let test_cp_batch_accepts () =
-  let rng = rng () in
-  Alcotest.(check bool) "empty batch" true (Chaum_pedersen.verify_batch rng [||]);
-  Alcotest.(check bool) "8 valid" true
-    (Chaum_pedersen.verify_batch rng (make_cp_instances 8))
-
-let test_cp_batch_rejects_and_localizes () =
-  List.iter
-    (fun j ->
-       let insts = make_cp_instances ~seed:(Printf.sprintf "cp-forge%d" j) 6 in
-       insts.(j) <-
-         { insts.(j) with
-           Chaum_pedersen.response = Nat.add insts.(j).Chaum_pedersen.response Nat.one };
-       Alcotest.(check bool) (Printf.sprintf "forged %d rejected" j) false
-         (Chaum_pedersen.verify_batch (rng ()) insts);
-       (* bisection over sub-batches names exactly the forged index *)
-       let found =
-         Dd_group.Batch.find_failures ~n:(Array.length insts)
-           ~check:(fun ~lo ~len ->
-               Chaum_pedersen.verify_batch
-                 (Drbg.create ~seed:(Printf.sprintf "cpf%d.%d" lo len))
-                 (Array.sub insts lo len))
-       in
-       Alcotest.(check (list int)) (Printf.sprintf "bisection names %d" j) [ j ] found)
-    [ 0; 2; 5 ]
-
 let test_ballot_proof_batch () =
   let insts =
     Array.init 5 (fun i ->
@@ -283,6 +247,32 @@ let test_ballot_proof_batch () =
         { Ballot_proof.commitments; fm; challenge; fin })
   in
   Alcotest.(check bool) "5 valid" true (Ballot_proof.verify_batch (rng ()) insts);
+  (* a response flipped by one keeps every row's c0 + c1 = challenge,
+     so only the folded Chaum-Pedersen equations can reject it *)
+  let tamper_response (inst : Ballot_proof.instance) ~off =
+    let s = Bytes.of_string (Ballot_proof.encode_final_move inst.Ballot_proof.fin) in
+    let off = if off < 0 then Bytes.length s + off else off in
+    Bytes.set s (off + 31) (Char.chr (Char.code (Bytes.get s (off + 31)) lxor 1));
+    match Ballot_proof.decode_final_move (Bytes.to_string s) with
+    | Some fin -> { inst with Ballot_proof.fin }
+    | None -> Alcotest.fail "tampered final move does not decode"
+  in
+  List.iter
+    (fun (what, off) ->
+       let forged = Array.copy insts in
+       forged.(2) <- tamper_response insts.(2) ~off;
+       Alcotest.(check bool) (what ^ " rejected") false
+         (Ballot_proof.verify_batch (rng ()) forged);
+       let found =
+         Dd_group.Batch.find_failures ~n:(Array.length forged)
+           ~check:(fun ~lo ~len ->
+               Ballot_proof.verify_batch
+                 (Drbg.create ~seed:(Printf.sprintf "bpf%d.%d" lo len))
+                 (Array.sub forged lo len))
+       in
+       Alcotest.(check (list int)) (what ^ " localized") [ 2 ] found)
+    (* row 0's z0 follows its c0 and c1; the sum response ends the move *)
+    [ ("row z0", 64); ("sum response", -32) ];
   insts.(3) <-
     { insts.(3) with
       Ballot_proof.challenge = Nat.add insts.(3).Ballot_proof.challenge Nat.one };
@@ -339,10 +329,7 @@ let () =
          Alcotest.test_case "state serialization" `Quick test_state_serialization;
          Alcotest.test_case "final move encoding" `Quick test_final_move_encoding_stable ]);
       ("batch",
-       [ Alcotest.test_case "CP batch accepts" `Quick test_cp_batch_accepts;
-         Alcotest.test_case "CP batch rejects + localizes" `Quick
-           test_cp_batch_rejects_and_localizes;
-         Alcotest.test_case "ballot-proof batch" `Quick test_ballot_proof_batch ]);
+       [ Alcotest.test_case "ballot-proof batch" `Quick test_ballot_proof_batch ]);
       ("k-of-m",
        [ Alcotest.test_case "2-of-5 proof" `Quick test_k_of_m_proof;
          Alcotest.test_case "approval tally" `Quick test_k_of_m_tally;
