@@ -6,19 +6,18 @@
    violation line printed here is replayable bit-for-bit with the
    printed command.
 
-   Scenarios are either [Safe] (at most fv Byzantine collectors /
-   fb Byzantine board nodes: every invariant must hold on every seed)
-   or [Detect] (deliberately over threshold: the harness must *detect*
-   the attack — conflicting UCERTs, diverging vote sets, duplicated
-   serials, or a wrong/missing tally — on at least one seed, and
-   no undetected wrong result may ever pass silently). *)
+   Every run is judged by {!Ddemos.Guarantees.check}. Scenarios are
+   either [Safe] (at most fv Byzantine collectors / fb Byzantine board
+   nodes: no guarantee may be violated on any seed) or [Detect]
+   (deliberately over threshold: the harness must *detect* the attack
+   — a violation of UCERT uniqueness, vote-set agreement, the tally or
+   the board audit — on at least one seed). *)
 
 module Types = Ddemos.Types
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
 module Ea = Ddemos.Ea
-module Auditor = Ddemos.Auditor
-module Bb_reader = Ddemos.Bb_reader
+module Guarantees = Ddemos.Guarantees
 module Fault_plan = Dd_sim.Fault_plan
 open Cmdliner
 
@@ -29,14 +28,7 @@ type scenario = {
   desc : string;
   full_crypto : bool;
   expect : expect;
-  doubled : (int * int * int) list;
-      (* (serial, first choice, second choice) cast twice concurrently *)
-  quorum_sets : bool;
-      (* [true]: only Nv - fv collectors need to finish Vote Set
-         Consensus (persistent message loss can stall one node forever
-         — the sim has no retransmission layer, so the paper's
-         reliable-channel assumption is weakened to fair progress of a
-         quorum). [false]: every honest collector must submit. *)
+  quorum_sets : bool;  (* {!Guarantees.check}'s [?quorum_sets] *)
   build : seed:string -> Election.params;
 }
 
@@ -97,25 +89,25 @@ let f_params ~seed =
 let scenarios : scenario list =
   [ { name = "baseline";
       desc = "no faults, modeled fidelity";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build = (fun ~seed -> m_params ~seed) };
     { name = "silent-vc";
       desc = "one crash-faulty collector (never responds)";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            { (m_params ~seed) with
              Election.byzantine_vc = [ (1, Election.Silent) ]; voter_patience = 1.0 }) };
     { name = "drop-receipts";
       desc = "one collector runs the protocol but never answers voters";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            { (m_params ~seed) with
              Election.byzantine_vc = [ (2, Election.Drop_receipts) ]; voter_patience = 1.0 }) };
     { name = "equivocate";
       desc = "one equivocating collector + four serials cast twice (<= fv: UCERTs stay unique)";
-      full_crypto = false; expect = Safe; doubled = doubles; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -124,39 +116,39 @@ let scenarios : scenario list =
              byzantine_vc = [ (3, Election.Equivocate) ] }) };
     { name = "byz-consensus";
       desc = "one collector corrupts/withholds Vote Set Consensus traffic";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            { (m_params ~seed) with
              Election.byzantine_vc = [ (0, Election.Byzantine_consensus) ] }) };
     { name = "corrupt-shares";
       desc = "one collector flips bytes in its VOTE_P receipt shares (full crypto)";
-      full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = true; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            { (f_params ~seed) with
              Election.byzantine_vc = [ (1, Election.Corrupt_shares) ] }) };
     { name = "misplaced-shares";
       desc = "one collector discloses its genuine share of another line of the part (full crypto)";
-      full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = true; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            { (f_params ~seed) with
              Election.byzantine_vc = [ (1, Election.Misplaced_shares) ] }) };
     { name = "malformed-wire";
       desc = "one collector byte-flips every outgoing wire message (full crypto)";
-      full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = true; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            { (f_params ~seed) with
              Election.byzantine_vc = [ (2, Election.Malformed_wire) ] }) };
     { name = "byz-bb";
       desc = "one board node serves tampered state; fb+1 majority reads mask it (full crypto)";
-      full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = true; expect = Safe; quorum_sets = false;
       build = (fun ~seed -> { (f_params ~seed) with Election.byzantine_bb = [ 0 ] }) };
     { name = "partition-heal";
       desc = "machines {0,1} partitioned off during [0,0.5): no quorum until the heal";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -167,7 +159,7 @@ let scenarios : scenario list =
              voter_patience = 0.3; retry_cap = 4.0; blacklist_rounds = 8 }) };
     { name = "crash-recover";
       desc = "one collector power-cycled during [0.005,0.25): cold restart from its WAL";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = true;
+      full_crypto = false; expect = Safe; quorum_sets = true;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -177,7 +169,7 @@ let scenarios : scenario list =
              voter_patience = 0.5; blacklist_rounds = 6 }) };
     { name = "crash-restart-midvote";
       desc = "collector killed mid-vote [0.008,0.2): recovery replays accepted votes and UCERTs";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = true;
+      full_crypto = false; expect = Safe; quorum_sets = true;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -188,7 +180,7 @@ let scenarios : scenario list =
     { name = "crash-restart-midconsensus";
       desc = "collector killed around Vote Set Consensus [0.035,0.3), torn tail possible: \
               no equivocating rejoin, the Nv-fv quorum carries the round";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = true;
+      full_crypto = false; expect = Safe; quorum_sets = true;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -198,7 +190,7 @@ let scenarios : scenario list =
              voter_patience = 0.5; blacklist_rounds = 6 }) };
     { name = "crash-restart-double";
       desc = "two collectors power-cycled in staggered windows, each cold-restarts from its device";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = true;
+      full_crypto = false; expect = Safe; quorum_sets = true;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -209,7 +201,7 @@ let scenarios : scenario list =
              voter_patience = 0.5; blacklist_rounds = 8 }) };
     { name = "crash-restart-bb";
       desc = "board node killed mid-publication + a trustee power-cycled: journals replay (full crypto)";
-      full_crypto = true; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = true; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            let p = f_params ~seed in
@@ -220,7 +212,7 @@ let scenarios : scenario list =
              voter_patience = 0.5; blacklist_rounds = 6 }) };
     { name = "asym-loss";
       desc = "25% inbound loss at one collector for the whole run";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = true;
+      full_crypto = false; expect = Safe; quorum_sets = true;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -231,7 +223,7 @@ let scenarios : scenario list =
              voter_patience = 0.5; blacklist_rounds = 8 }) };
     { name = "reorder-spike";
       desc = "bounded reordering all run + 50ms latency spike during [0,0.1)";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -242,7 +234,7 @@ let scenarios : scenario list =
              voter_patience = 1.0 }) };
     { name = "combo";
       desc = "silent collector + another isolated during [0,0.4) + loss + reordering";
-      full_crypto = false; expect = Safe; doubled = []; quorum_sets = false;
+      full_crypto = false; expect = Safe; quorum_sets = false;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -257,7 +249,7 @@ let scenarios : scenario list =
              voter_patience = 0.3; retry_cap = 4.0; blacklist_rounds = 8 }) };
     { name = "overthreshold-equivocate";
       desc = "fv+1 equivocating collectors + doubled serials: conflicting UCERTs MUST be detected";
-      full_crypto = false; expect = Detect; doubled = doubles; quorum_sets = false;
+      full_crypto = false; expect = Detect; quorum_sets = false;
       build =
         (fun ~seed ->
            let p = m_params ~seed in
@@ -266,171 +258,31 @@ let scenarios : scenario list =
              byzantine_vc = [ (2, Election.Equivocate); (3, Election.Equivocate) ] }) };
     { name = "overthreshold-bb";
       desc = "fb+1 board nodes serve identical tampered state: majority reads MUST fail or mismatch";
-      full_crypto = true; expect = Detect; doubled = []; quorum_sets = false;
+      full_crypto = true; expect = Detect; quorum_sets = false;
       build = (fun ~seed -> { (f_params ~seed) with Election.byzantine_bb = [ 0; 1 ] }) } ]
 
-(* --- invariant checking -------------------------------------------------- *)
+(* --- verdicts -------------------------------------------------------------- *)
 
-let tally_str (t : Types.tally) =
-  "[" ^ String.concat " " (Array.to_list (Array.map string_of_int t)) ^ "]"
+(* An over-threshold attack counts as detected when it breaks one of
+   the guarantees the agreed outcome itself shows: certificates, vote
+   sets, tally, board. Liveness and the receipt contract are judged
+   from the voters' side and do not count. *)
+let detected_by = Guarantees.[ Ucert_uniqueness; Vote_set_agreement; Tally; Board_audit ]
 
-(* All tallies consistent with the cast intents: with a doubled serial
-   either concurrently-cast choice may be the one that certifies, so
-   every subset of the doubles may flip. *)
-let tally_variants cfg votes doubled : Types.tally list =
-  let base = Election.expected_tally cfg votes in
-  List.fold_left
-    (fun acc (_, c1, c2) ->
-       acc
-       @ List.map
-           (fun (t : Types.tally) ->
-              let t' = Array.copy t in
-              t'.(c1) <- t'.(c1) - 1;
-              t'.(c2) <- t'.(c2) + 1;
-              t')
-           acc)
-    [ base ] doubled
-
-let sorted_set s = List.sort compare s
-
-(* Every invariant a [Safe] run must satisfy. Returns the list of
-   violations (empty = pass). *)
-let check_safe sc (p : Election.params) (r : Election.result) : string list =
-  let errs = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  if r.Election.timed_out then add "timed out: hit max_sim_time with events still queued";
-  let n_intents = List.length p.Election.votes in
-  let n_uniq =
-    List.length
-      (List.sort_uniq compare (List.map (fun v -> v.Election.vi_serial) p.Election.votes))
-  in
-  (* Liveness: every honest voter ends up with a valid receipt. With a
-     doubled serial only one of its two casts is guaranteed a receipt
-     (the other may be rejected as "already voted differently"). *)
-  if sc.doubled = [] then begin
-    if r.Election.receipts_ok <> n_intents then
-      add "receipts: %d valid of %d expected" r.Election.receipts_ok n_intents
-  end
-  else if r.Election.receipts_ok < n_uniq || r.Election.receipts_ok > n_intents then
-    add "receipts: %d valid, expected between %d and %d" r.Election.receipts_ok n_uniq n_intents;
-  if r.Election.receipts_bad > 0 then add "%d voters saw a WRONG receipt" r.Election.receipts_bad;
-  if r.Election.exhausted > 0 then add "%d voters exhausted all retries" r.Election.exhausted;
-  (* Safety: no honest node ever saw two valid UCERTs for one serial. *)
-  (match r.Election.ucert_conflicts with
-   | [] -> ()
-   | (serial, _, _) :: _ as l ->
-     add "%d conflicting UCERT(s) observed (first: serial %d)" (List.length l) serial);
-  (* Vote Set Consensus: every honest collector submitted, all sets
-     identical, no serial twice, and every receipted vote included. *)
-  let honest_vc = p.Election.cfg.Types.nv - List.length p.Election.byzantine_vc in
-  let required_sets =
-    if sc.quorum_sets then
-      min honest_vc (p.Election.cfg.Types.nv - p.Election.cfg.Types.fv)
-    else honest_vc
-  in
-  if List.length r.Election.vc_submit_sets < required_sets then
-    add "only %d of %d required collectors submitted a vote set"
-      (List.length r.Election.vc_submit_sets) required_sets;
-  (match r.Election.vc_submit_sets with
-   | [] -> add "no collector submitted a vote set at all"
-   | (_, first) :: rest ->
-     List.iter
-       (fun (node, s) ->
-          if sorted_set s <> sorted_set first then add "collector %d's vote set disagrees" node)
-       rest;
-     let serials = List.map fst first in
-     if List.length serials <> List.length (List.sort_uniq compare serials) then
-       add "a serial appears twice in the agreed vote set";
-     List.iter
-       (fun (serial, code) ->
-          if
-            not
-              (List.exists
-                 (fun (s, c) -> s = serial && String.equal c code)
-                 first)
-          then add "receipted vote (serial %d) missing from the agreed set" serial)
-       r.Election.successes);
-  (* Tally: must exist and match one of the cast-consistent variants. *)
-  (match r.Election.tally with
-   | None -> add "no tally reached fb+1 agreement"
-   | Some t ->
-     let variants = tally_variants p.Election.cfg p.Election.votes sc.doubled in
-     if not (List.exists (fun v -> v = t) variants) then
-       add "tally %s not among expected %s" (tally_str t)
-         (String.concat " / " (List.map tally_str variants)));
-  (* Full crypto: the board must answer majority reads correctly and
-     survive a full end-to-end audit. *)
-  if sc.full_crypto then begin
-    (match Bb_reader.final_set ~cfg:p.Election.cfg r.Election.bb_nodes with
-     | Bb_reader.No_majority -> add "board majority read of the final set failed"
-     | Bb_reader.Agreed set ->
-       (match r.Election.vc_submit_sets with
-        | (_, first) :: _ when sorted_set set <> sorted_set first ->
-          add "board final set disagrees with the collectors' agreed set"
-        | _ -> ()));
-    (match Bb_reader.tally ~cfg:p.Election.cfg r.Election.bb_nodes with
-     | Bb_reader.No_majority -> add "board majority read of the tally failed"
-     | Bb_reader.Agreed t ->
-       (match r.Election.tally with
-        | Some t' when t = t' -> ()
-        | Some _ -> add "board tally read disagrees with the run's tally"
-        | None -> ()));
-    match Auditor.assemble ~cfg:p.Election.cfg r.Election.bb_nodes with
-    | None -> add "auditor could not assemble a majority view"
-    | Some view ->
-      let checks = Auditor.audit view in
-      if not (Auditor.all_ok checks) then
-        List.iter
-          (fun c ->
-             if not c.Auditor.ok then add "audit check failed: %s — %s" c.Auditor.name c.Auditor.detail)
-          checks
-  end;
-  List.rev !errs
-
-(* What counts as *detecting* an over-threshold attack: conflicting
-   UCERTs surfaced, honest vote sets diverged, a serial got doubled,
-   or the tally is missing/wrong. *)
-let detection_signals sc (p : Election.params) (r : Election.result) : string list =
-  let signals = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> signals := s :: !signals) fmt in
-  if r.Election.ucert_conflicts <> [] then
-    add "%d conflicting UCERT(s) observed by honest collectors"
-      (List.length r.Election.ucert_conflicts);
-  (match r.Election.vc_submit_sets with
-   | (_, first) :: rest ->
-     if List.exists (fun (_, s) -> sorted_set s <> sorted_set first) rest then
-       add "honest collectors submitted diverging vote sets";
-     let serials = List.map fst first in
-     if List.length serials <> List.length (List.sort_uniq compare serials) then
-       add "a serial appears twice in a submitted vote set"
-   | [] -> add "no collector completed Vote Set Consensus");
-  (match r.Election.tally with
-   | None -> add "no tally reached fb+1 agreement"
-   | Some t ->
-     let variants = tally_variants p.Election.cfg p.Election.votes sc.doubled in
-     if not (List.exists (fun v -> v = t) variants) then
-       add "published tally %s is wrong" (tally_str t));
-  if sc.full_crypto then begin
-    (match Bb_reader.final_set ~cfg:p.Election.cfg r.Election.bb_nodes with
-     | Bb_reader.No_majority -> add "board majority read of the final set failed"
-     | Bb_reader.Agreed set ->
-       (match r.Election.vc_submit_sets with
-        | (_, first) :: _ when sorted_set set <> sorted_set first ->
-          add "board final set disagrees with the collectors' set"
-        | _ -> ()));
-    match Auditor.assemble ~cfg:p.Election.cfg r.Election.bb_nodes with
-    | None -> add "auditor could not assemble a majority view"
-    | Some view -> if not (Auditor.all_ok (Auditor.audit view)) then add "end-to-end audit failed"
-  end;
-  List.rev !signals
+(* A [Safe] run's violations, or a [Detect] run's detection signals. *)
+let verdict sc p r =
+  let vs = Guarantees.check ~quorum_sets:sc.quorum_sets p r in
+  List.map Guarantees.to_string
+    (match sc.expect with
+     | Safe -> vs
+     | Detect -> List.filter (fun v -> List.mem v.Guarantees.guarantee detected_by) vs)
 
 (* --- the sweep ----------------------------------------------------------- *)
 
 type outcome = {
   sc : scenario;
   runs : int;
-  violations : (string * string list) list; (* seed, violations (Safe) *)
-  detections : (string * string list) list; (* seed, signals (Detect) *)
+  flagged : (string * string list) list;  (* seed, its verdict, when not empty *)
 }
 
 let replay_cmd sc seed =
@@ -438,35 +290,30 @@ let replay_cmd sc seed =
 
 let run_scenario ~verbose ~seeds ~seed_base ~offset ~full_seeds sc =
   let runs = if sc.full_crypto then min seeds full_seeds else seeds in
-  let violations = ref [] and detections = ref [] in
+  let flagged = ref [] in
   for k = offset to offset + runs - 1 do
     let seed = Printf.sprintf "%s-%d" seed_base k in
     let p = sc.build ~seed in
     let r = Election.run p in
-    (match sc.expect with
-     | Safe ->
-       let errs = check_safe sc p r in
-       if errs <> [] then begin
-         violations := (seed, errs) :: !violations;
-         Printf.printf "  VIOLATION %s seed=%s\n" sc.name seed;
-         List.iter (fun e -> Printf.printf "    - %s\n" e) errs;
-         Printf.printf "    replay: %s\n%!" (replay_cmd sc seed)
-       end
-       else if verbose then
-         Printf.printf "  ok %s seed=%s (receipts %d, dropped %d)\n%!" sc.name seed
-           r.Election.receipts_ok r.Election.dropped
-     | Detect ->
-       let signals = detection_signals sc p r in
-       if signals <> [] then begin
-         detections := (seed, signals) :: !detections;
-         if verbose then begin
-           Printf.printf "  detected %s seed=%s\n" sc.name seed;
-           List.iter (fun s -> Printf.printf "    - %s\n" s) signals
-         end
-       end
-       else if verbose then Printf.printf "  undetected %s seed=%s\n%!" sc.name seed)
+    let found = verdict sc p r in
+    if found <> [] then flagged := (seed, found) :: !flagged;
+    match sc.expect, found with
+    | Safe, [] ->
+      if verbose then
+        Printf.printf "  ok %s seed=%s (receipts %d, dropped %d)\n%!" sc.name seed
+          r.Election.receipts_ok r.Election.dropped
+    | Safe, errs ->
+      Printf.printf "  VIOLATION %s seed=%s\n" sc.name seed;
+      List.iter (fun e -> Printf.printf "    - %s\n" e) errs;
+      Printf.printf "    replay: %s\n%!" (replay_cmd sc seed)
+    | Detect, [] -> if verbose then Printf.printf "  undetected %s seed=%s\n%!" sc.name seed
+    | Detect, signals ->
+      if verbose then begin
+        Printf.printf "  detected %s seed=%s\n" sc.name seed;
+        List.iter (fun s -> Printf.printf "    - %s\n" s) signals
+      end
   done;
-  { sc; runs; violations = List.rev !violations; detections = List.rev !detections }
+  { sc; runs; flagged = List.rev !flagged }
 
 let print_summary outcomes =
   print_newline ();
@@ -479,14 +326,14 @@ let print_summary outcomes =
        let status =
          match o.sc.expect with
          | Safe ->
-           if o.violations = [] then Printf.sprintf "PASS (0 violations)"
+           if o.flagged = [] then Printf.sprintf "PASS (0 violations)"
            else begin
              failed := true;
-             Printf.sprintf "FAIL (%d violations)" (List.length o.violations)
+             Printf.sprintf "FAIL (%d violations)" (List.length o.flagged)
            end
          | Detect ->
-           if o.detections <> [] then
-             Printf.sprintf "PASS (detected on %d/%d seeds)" (List.length o.detections) o.runs
+           if o.flagged <> [] then
+             Printf.sprintf "PASS (detected on %d/%d seeds)" (List.length o.flagged) o.runs
            else begin
              failed := true;
              "FAIL (attack went undetected on every seed)"
@@ -501,7 +348,7 @@ let print_summary outcomes =
      copy-paste away. *)
   List.iter
     (fun o ->
-       match (o.sc.expect, o.detections) with
+       match (o.sc.expect, o.flagged) with
        | Detect, (seed, signals) :: _ ->
          Printf.printf "detected attack in %s (seed %s):\n" o.sc.name seed;
          List.iter (fun s -> Printf.printf "  - %s\n" s) signals;
@@ -543,7 +390,9 @@ let replay sc seed =
     r.Election.receipts_ok r.Election.receipts_bad r.Election.exhausted r.Election.dropped
     r.Election.timed_out;
   (match r.Election.tally with
-   | Some t -> Printf.printf "tally %s (expected %s)\n" (tally_str t) (tally_str r.Election.expected_tally)
+   | Some t ->
+     Printf.printf "tally %s (expected %s)\n" (Guarantees.tally_str t)
+       (Guarantees.tally_str r.Election.expected_tally)
    | None -> print_endline "tally: none agreed");
   List.iter
     (fun (serial, ours, theirs) ->
@@ -551,21 +400,20 @@ let replay sc seed =
          (Dd_crypto.Sha256.hex_of_string ours)
          (Dd_crypto.Sha256.hex_of_string theirs))
     r.Election.ucert_conflicts;
+  let found = verdict sc p r in
   match sc.expect with
   | Safe ->
-    let errs = check_safe sc p r in
-    List.iter (fun e -> Printf.printf "violation: %s\n" e) errs;
-    if errs = [] then print_endline "all invariants hold"
+    List.iter (fun e -> Printf.printf "violation: %s\n" e) found;
+    if found = [] then print_endline "all invariants hold"
     else dump_devices sc seed r;
-    errs <> []
+    found <> []
   | Detect ->
-    let signals = detection_signals sc p r in
-    List.iter (fun s -> Printf.printf "detected: %s\n" s) signals;
-    if signals = [] then begin
+    List.iter (fun s -> Printf.printf "detected: %s\n" s) found;
+    if found = [] then begin
       print_endline "attack NOT detected on this seed";
       dump_devices sc seed r
     end;
-    signals = []
+    found = []
 
 let main list_only scenario_filter seeds seed_base offset full_seeds replay_seed verbose =
   let selected =

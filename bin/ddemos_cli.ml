@@ -248,9 +248,10 @@ let deploy_cmd =
       in
       if audit_slice >= 0 then begin
         let b = board () in
-        match Board.slice_proof b audit_slice, Board.slice b audit_slice with
-        | Some (chunk_root, proof), Some (first, ballots)
-          when Segment.verify_slice ~root:(Board.root b) ~chunk_root proof ->
+        let checks, slice = Auditor.check_slice b ~chunk:audit_slice in
+        Auditor.pp_checks Format.std_formatter checks;
+        match slice with
+        | Some (first, ballots) when Auditor.all_ok checks ->
           Printf.printf "slice %d: %d ballots (serials %d..%d) verified against root %s\n"
             audit_slice (Array.length ballots) first
             (first + Array.length ballots - 1)
@@ -316,8 +317,10 @@ let serve_cmd =
     Arg.(value & opt int 0
          & info [ "cast" ] ~docv:"K"
              ~doc:"Self-test: cast K votes through the sockets with the \
-                   in-process load generator, then close the election \
-                   and print the receipts and the BB final sets.")
+                   in-process load generator, then close the election, \
+                   print the receipts and the BB final sets, and check \
+                   liveness, UCERT uniqueness and the receipt contract \
+                   (exit 1 on a violation).")
   in
   let clients =
     Arg.(value & opt int 8
@@ -416,9 +419,13 @@ let serve_cmd =
            | None -> Printf.printf "bb%d final set: none published\n" j)
         | None -> ()
       done;
+      let violations = Runtime.guarantees t ~votes r in
+      List.iter (fun v -> print_endline ("violation: " ^ Ddemos.Guarantees.to_string v)) violations;
+      if violations = [] then
+        print_endline "guarantees: liveness, UCERT uniqueness and the receipt contract hold";
       print_stats ();
       Array.iter Socket.close_listener listeners;
-      if r.Loadgen.receipts_ok <> cast then exit 1
+      if violations <> [] then exit 1
     end
     else begin
       (* plain serving loop: tick the cluster, sleep when idle *)

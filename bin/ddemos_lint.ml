@@ -1,11 +1,11 @@
 (* ddemos-lint: enforce the codebase's security & sans-IO invariants.
 
-   Usage: ddemos_lint [--sarif FILE] [--list-rules] [paths...]
+   Usage: ddemos_lint [--list-rules] [paths...]
 
    Walks every .ml under the given paths (default: lib), runs the
    per-file rule registry plus the whole-program taint engine
-   (docs/INVARIANTS.md), prints findings as file:line:col lines,
-   optionally writes a SARIF 2.1.0 log, and exits 1 when any finding
+   (docs/INVARIANTS.md), prints findings as file:line:col lines, and
+   exits 1 when any finding
    survives suppression: a finding is either fixed or allowed inline
    with a reason. Wired into the build as `dune build @lint`. *)
 
@@ -17,21 +17,14 @@ module Taint = Dd_analysis.Taint
 let messages_file files =
   List.find_opt (fun f -> Filename.basename f = "messages.ml") files
 
-let write_file path content =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content)
-
-let usage = "usage: ddemos_lint [--sarif FILE] [--list-rules] [paths...]"
+let usage = "usage: ddemos_lint [--list-rules] [paths...]"
 
 let () =
-  let list_rules = ref false and paths = ref [] and sarif = ref None in
+  let list_rules = ref false and paths = ref [] in
   let rec parse_args = function
     | [] -> ()
     | "--list-rules" :: rest -> list_rules := true; parse_args rest
-    | "--sarif" :: file :: rest -> sarif := Some file; parse_args rest
     | ("--help" | "-h") :: _ -> print_endline usage; exit 0
-    | "--sarif" :: [] -> prerr_endline usage; exit 2
     | p :: rest -> paths := p :: !paths; parse_args rest
   in
   parse_args (List.tl (Array.to_list Sys.argv));
@@ -66,17 +59,6 @@ let () =
     exit 0
   end;
   let findings = Lint.lint_program ~rules files in
-  (match !sarif with
-   | Some path ->
-     let rule_table =
-       List.map (fun (r : Rules.t) -> (r.Rules.name, r.Rules.short)) rules
-       @ [ (Taint.rule_name, Taint.short);
-           ("bare-allow",
-            "suppression comments must name a known rule and justify themselves");
-           ("parse", "file does not parse") ]
-     in
-     write_file path (Findings.to_sarif ~rules:rule_table findings)
-   | None -> ());
   List.iter (fun f -> print_endline (Findings.to_text f)) findings;
   Printf.eprintf "ddemos-lint: %d files checked, %d finding%s\n"
     (List.length files) (List.length findings)

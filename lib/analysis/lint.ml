@@ -62,7 +62,7 @@ let[@warning "-16"] lint_string ~rules ?(interfaces = []) ~file ~source =
      |> List.filter (fun (f : Findings.t) ->
          not (Suppress.allowed allows ~rule:f.Findings.rule ~line:f.Findings.line)))
     @ bare_allow_findings ~file allows
-    |> Findings.fingerprint_all
+    |> Findings.sort
 
 let sibling_interface path =
   let mli = Filename.remove_extension path ^ ".mli" in
@@ -71,8 +71,7 @@ let sibling_interface path =
 (* Whole-program lint: every file is parsed once, per-file rules run on
    each, then the interprocedural taint engine sees all of them at once
    (summaries cross file boundaries). Suppressions and bare-allow
-   findings are per-file; fingerprints are assigned over the combined,
-   sorted result. [interfaces] augments the automatically discovered
+   findings are per-file; the combined result comes back sorted. [interfaces] augments the automatically discovered
    sibling [.mli] sources (used by tests to inject annotations). *)
 let lint_program ~rules ?(interfaces = []) paths =
   let parsed, broken =
@@ -121,7 +120,7 @@ let lint_program ~rules ?(interfaces = []) paths =
   @ List.concat_map
       (fun (path, allows) -> bare_allow_findings ~file:path allows)
       allows_by_file
-  |> Findings.fingerprint_all
+  |> Findings.sort
 
 let skip_dir name = name = "_build" || (String.length name > 0 && name.[0] = '.')
 

@@ -7,7 +7,7 @@
     file; [interfaces] supplies [(path, source)] pairs scanned for
     [(* lint: secret *)] / [(* lint: public *)] annotations. A syntax
     error yields a single ["parse"] finding rather than an exception.
-    Findings come back sorted and fingerprinted. *)
+    Findings come back sorted. *)
 val lint_string :
   rules:Rules.t list ->
   ?interfaces:(string * string) list ->
@@ -16,7 +16,7 @@ val lint_string :
 (** Whole-program lint over the given [.ml] paths: per-file rules on
     each, one interprocedural taint analysis across all of them
     (summaries cross file boundaries), suppression filtering,
-    bare-allow findings, fingerprints. Sibling [.mli] files are
+    bare-allow findings, sorted. Sibling [.mli] files are
     discovered automatically; [interfaces] adds more (tests use this
     to inject annotated interfaces). *)
 val lint_program :

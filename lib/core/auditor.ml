@@ -341,36 +341,42 @@ let check_zk ?(batch = true) ?pool v =
    the chunk's byte span is read, so auditing parallelizes across
    parties with per-party work O(n / n_chunks) (pinned by test: every
    other chunk of the device can be corrupt). *)
-let audit_slice ?root v ~chunk =
-  let root = match root with Some r -> r | None -> Board.root v.board in
-  match Board.slice_proof v.board chunk with
+let check_slice ?root board ~chunk =
+  let root = match root with Some r -> r | None -> Board.root board in
+  match Board.slice_proof board chunk with
   | None ->
-    [ check "s:slice-proof" false (Printf.sprintf "chunk %d out of range" chunk) ]
+    ([ check "s:slice-proof" false (Printf.sprintf "chunk %d out of range" chunk) ], None)
   | Some (chunk_root, path) ->
     let in_root =
       check "s:slice-in-root"
         (Dd_segment.Segment.verify_slice ~root ~chunk_root path)
         (Printf.sprintf "chunk %d's root commits into the board root" chunk)
     in
-    (match Board.slice v.board chunk with
+    (match Board.slice board chunk with
      | None ->
-       [ in_root;
-         check "s:slice-readable" false
-           (Printf.sprintf "chunk %d failed CRC/Merkle/decode verification" chunk) ]
-     | Some (first, ballots) ->
-       let readable =
-         check "s:slice-readable" true
-           (Printf.sprintf "chunk %d: %d ballots verified" chunk (Array.length ballots))
-       in
-       (* check (a) restricted to this slice's serials *)
-       let ok = ref true in
-       Array.iteri
-         (fun i (bal : Ea.bb_ballot) ->
-            if bal.Ea.bb_serial <> first + i || not (codes_distinct v bal) then ok := false)
-         ballots;
-       [ in_root; readable;
-         check "a:distinct-vote-codes" !ok
-           "every opened ballot in the slice has pairwise distinct vote codes" ])
+       ( [ in_root;
+           check "s:slice-readable" false
+             (Printf.sprintf "chunk %d failed CRC/Merkle/decode verification" chunk) ],
+         None )
+     | Some (_, ballots) as slice ->
+       ( [ in_root;
+           check "s:slice-readable" true
+             (Printf.sprintf "chunk %d: %d ballots verified" chunk (Array.length ballots)) ],
+         slice ))
+
+let audit_slice ?root v ~chunk =
+  match check_slice ?root v.board ~chunk with
+  | checks, None -> checks
+  | checks, Some (first, ballots) ->
+    (* check (a) restricted to this slice's serials *)
+    let ok = ref true in
+    Array.iteri
+      (fun i (bal : Ea.bb_ballot) ->
+         if bal.Ea.bb_serial <> first + i || not (codes_distinct v bal) then ok := false)
+      ballots;
+    checks
+    @ [ check "a:distinct-vote-codes" !ok
+          "every opened ballot in the slice has pairwise distinct vote codes" ]
 
 (* tally consistency: Esum from the final set opens to the published
    counts, and the counts sum to the number of voted ballots *)

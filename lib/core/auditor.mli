@@ -34,14 +34,20 @@ type view = {
 val assemble :
   ?gctx:Dd_group.Group_ctx.t -> cfg:Types.config -> Bb_node.t list -> view option
 
-(** Slice auditing: verify one chunk of the view's board against the
-    trusted board root ([?root] defaults to the view's own), reading
-    only that chunk's bytes — so independent auditors can split the
-    electorate into disjoint chunk ranges and each audit theirs against
-    the same root. Checks: the chunk root commits into the board root
-    ([s:slice-in-root]), the chunk's bytes verify and decode
-    ([s:slice-readable]), and check (a) restricted to the slice's
-    serials. *)
+(** The [s:] checks of one chunk of [board] against the trusted board
+    root ([?root] defaults to the board's own), reading only that
+    chunk's bytes: the chunk exists ([s:slice-proof], whose detail says
+    it is out of range), its root commits into the board root
+    ([s:slice-in-root]), and its bytes verify and decode
+    ([s:slice-readable]). Returns the checks and, when the chunk reads,
+    its first serial and ballots. *)
+val check_slice :
+  ?root:string -> Board.t -> chunk:int -> check list * (int * Ea.bb_ballot array) option
+
+(** Slice auditing: {!check_slice} on the view's board, then check (a)
+    restricted to the slice's serials — so independent auditors can
+    split the electorate into disjoint chunk ranges and each audit
+    theirs against the same root. *)
 val audit_slice : ?root:string -> view -> chunk:int -> check list
 
 (** Run every check: (a) distinct codes per ballot, (b) one submission

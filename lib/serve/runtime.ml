@@ -3,6 +3,8 @@ module Messages = Ddemos.Messages
 module Auth = Ddemos.Auth
 module Vc_node = Ddemos.Vc_node
 module Bb_node = Ddemos.Bb_node
+module Bb_reader = Ddemos.Bb_reader
+module Guarantees = Ddemos.Guarantees
 module Ballot_store = Ddemos.Ballot_store
 module Ea = Ddemos.Ea
 module Board = Ddemos.Board
@@ -396,3 +398,19 @@ let end_election t =
   done;
   flush_staged t;
   write_out t
+
+let guarantees t ~votes (r : Loadgen.result) =
+  let agreed =
+    match Bb_reader.final_set ~cfg:t.src.sv_cfg (Array.to_list t.bb) with
+    | Bb_reader.Agreed set -> Some set
+    | Bb_reader.No_majority -> None
+  in
+  List.concat
+    [ Guarantees.liveness
+        ~intents:(List.map (fun v -> (v.Loadgen.serial, v.Loadgen.choice)) votes)
+        ~receipts_ok:r.Loadgen.receipts_ok ~exhausted:r.Loadgen.exhausted
+        ~timed_out:(r.Loadgen.lost > 0);
+      Guarantees.ucert_uniqueness
+        (List.sort_uniq compare (List.concat_map Vc_node.ucert_conflicts (Array.to_list t.vc)));
+      Guarantees.receipt_contract ~receipts_bad:r.Loadgen.receipts_bad
+        ~successes:r.Loadgen.successes ~agreed ]

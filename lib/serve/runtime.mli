@@ -91,6 +91,15 @@ val run_until_idle : t -> int
     node; keep stepping afterwards to drive it to BB submission. *)
 val end_election : t -> unit
 
+(** The guarantees ({!Ddemos.Guarantees}) a served election of [votes]
+    can be judged by, once {!end_election} has been driven to idle:
+    liveness from the load generator's counts (votes still in flight
+    at a stall count as a timeout), UCERT uniqueness across the
+    collectors, and the receipt contract against the boards'
+    majority-read final set. *)
+val guarantees :
+  t -> votes:Loadgen.vote_intent list -> Loadgen.result -> Ddemos.Guarantees.violation list
+
 val vc_node : t -> int -> Ddemos.Vc_node.t
 val bb_node : t -> int -> Ddemos.Bb_node.t option
 

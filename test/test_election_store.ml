@@ -293,6 +293,27 @@ let test_slice_audit_catches_duplicate_codes () =
         (Auditor.all_ok (Auditor.audit_slice view ~chunk:c))
   done
 
+(* A chunk past the board's end fails [s:slice-proof] and says why;
+   the last chunk passes every [s:] check and reads. These are the
+   checks `ddemos deploy --audit-slice` prints. *)
+let test_slice_check_out_of_range () =
+  let _tbl, dev = mem_family () in
+  let layout = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
+  let board = Board.create (dev Election_store.bb_segment) layout.Election_store.l_bb in
+  let last = Board.n_chunks board - 1 in
+  let summary = List.map (fun c -> (c.Auditor.name, c.Auditor.ok, c.Auditor.detail)) in
+  let checks, slice = Auditor.check_slice board ~chunk:(last + 1) in
+  Alcotest.(check (list (triple string bool string))) "out of range, with the reason"
+    [ ("s:slice-proof", false, Printf.sprintf "chunk %d out of range" (last + 1)) ]
+    (summary checks);
+  Alcotest.(check bool) "nothing read" true (slice = None);
+  let checks, slice = Auditor.check_slice board ~chunk:last in
+  Alcotest.(check (list string)) "last chunk's checks"
+    [ "s:slice-in-root"; "s:slice-readable" ]
+    (List.map (fun c -> c.Auditor.name) checks);
+  Alcotest.(check bool) "last chunk passes" true (Auditor.all_ok checks);
+  Alcotest.(check bool) "last chunk reads" true (Option.is_some slice)
+
 (* --- one source, however the segments were written ------------------------ *)
 
 (* Serve votes through the runtime, close the election and drive Vote
@@ -393,5 +414,7 @@ let () =
             test_stored_election_matches_full;
           Alcotest.test_case "slice audit catches duplicate codes" `Quick
             test_slice_audit_catches_duplicate_codes;
+          Alcotest.test_case "slice check names an out-of-range chunk" `Quick
+            test_slice_check_out_of_range;
           Alcotest.test_case "setup and layout sources agree" `Quick
             test_setup_and_layout_sources_agree ] ) ]

@@ -11,6 +11,7 @@ module Messages = Ddemos.Messages
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
 module Ballot_gen = Ddemos.Ballot_gen
+module Guarantees = Ddemos.Guarantees
 module Drbg = Dd_crypto.Drbg
 module Frame = Dd_serve.Frame
 module Mux = Dd_serve.Mux
@@ -527,14 +528,13 @@ let test_transcript_equivalence () =
   (* serving run over duplex pipes, batching on *)
   let t = Runtime.create src in
   let lg = { Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = seed } in
+  let votes = List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes in
   let r =
     Loadgen.run ~params:lg
       ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
       ~step:(fun () -> Runtime.step t)
       ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
-      ~nv:eq_cfg.Types.nv
-      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes)
-      ()
+      ~nv:eq_cfg.Types.nv ~votes ()
   in
   Alcotest.(check int) "receipts agree" sim.Election.receipts_ok r.Loadgen.receipts_ok;
   Alcotest.(check int) "no rejections either way"
@@ -566,7 +566,19 @@ let test_transcript_equivalence () =
       (Printf.sprintf "final set agrees (BB %d)" j) sim_final (serve_final j)
   done;
   Alcotest.(check (list (pair int string))) "final set = cast codes"
-    (sorted r.Loadgen.successes) sim_final
+    (sorted r.Loadgen.successes) sim_final;
+  (* the checks `ddemos serve --cast` exits on: none fires here, and
+     each names its own guarantee on a doctored result *)
+  let broken r =
+    List.sort_uniq compare
+      (List.map (fun v -> Guarantees.name v.Guarantees.guarantee)
+         (Runtime.guarantees t ~votes r))
+  in
+  Alcotest.(check (list string)) "no guarantee violated" [] (broken r);
+  Alcotest.(check (list string)) "a receipt outside the final set" [ "receipt-contract" ]
+    (broken { r with Loadgen.successes = (0, "not a cast code") :: r.Loadgen.successes });
+  Alcotest.(check (list string)) "a vote lost in flight" [ "liveness" ]
+    (broken { r with Loadgen.receipts_ok = r.Loadgen.receipts_ok - 1; lost = 1 })
 
 (* The equivalence workload served with [params], driven through vote
    set consensus: the result, the BB nodes' final sets and the stats.
