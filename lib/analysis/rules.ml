@@ -265,7 +265,7 @@ let exception_hygiene =
 let wire_type_names = [ "vc_msg"; "bb_msg" ]
 
 let default_wire_constructors =
-  [ "Vote"; "Endorse"; "Endorsement"; "Vote_p"; "Announce"; "Consensus";
+  [ "Vote"; "Endorse"; "Endorsement"; "Vote_p"; "Share"; "Announce"; "Consensus";
     "Recover_request"; "Recover_response"; "Vote_set_submit"; "Trustee_post" ]
 
 (* Constructor names mentioned anywhere in a case pattern. *)

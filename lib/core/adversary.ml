@@ -104,8 +104,7 @@ let endorse_any t ~responder ~serial ~vote_code =
   | Some (_, _, _) ->
     t.send_vc ~dst:responder
       (Messages.Endorsement
-         { serial; vote_code; signer = t.me;
-           tag = sign_code t ~serial ~code:vote_code })
+         { serial; signer = t.me; tag = sign_code t ~serial ~code:vote_code })
 
 (* Act as a parallel responder for this (serial, code): self-sign and
    solicit endorsements, hoping to complete a conflicting UCERT. *)
@@ -119,22 +118,27 @@ let shadow_start t ~serial ~vote_code =
           sh_sigs = [ (t.me, sign_code t ~serial ~code:vote_code) ] };
       multicast t (Messages.Endorse { serial; vote_code; responder = t.me })
 
-(* A peer answered one of our shadow solicitations: collect the
-   signature, and at quorum publish the conflicting UCERT via VOTE_P
-   with our genuine receipt share attached (so honest nodes accept and
-   propagate it). *)
-let shadow_endorsement t ~serial ~vote_code ~signer ~tag =
-  match Hashtbl.find_opt t.shadows (serial, vote_code) with
+(* A peer answered one of our shadow solicitations: the ENDORSEMENT
+   names no code, so find the shadow for [serial] whose code the tag
+   signs. Collect the signature, and at quorum publish the conflicting
+   UCERT via VOTE_P with our genuine receipt share attached (so honest
+   nodes accept and propagate it). *)
+let shadow_endorsement t ~serial ~signer ~tag =
+  let signs code =
+    Auth.verify t.keys ~signer
+      (Messages.endorsement_body ~election_id:t.cfg.Types.election_id ~serial ~code)
+      tag
+  in
+  let signed =
+    Hashtbl.fold
+      (fun (s, code) sh found ->
+         if Option.is_none found && s = serial && signs code then Some (code, sh) else found)
+      t.shadows None
+  in
+  match signed with
   | None -> ()
-  | Some sh ->
-    let body =
-      Messages.endorsement_body ~election_id:t.cfg.Types.election_id ~serial
-        ~code:vote_code
-    in
-    if (not sh.sh_done)
-    && (not (List.mem_assoc signer sh.sh_sigs))
-    && Auth.verify t.keys ~signer body tag
-    then begin
+  | Some (vote_code, sh) ->
+    if (not sh.sh_done) && not (List.mem_assoc signer sh.sh_sigs) then begin
       sh.sh_sigs <- (signer, tag) :: sh.sh_sigs;
       if List.length sh.sh_sigs >= quorum t then begin
         sh.sh_done <- true;
@@ -149,7 +153,7 @@ let shadow_endorsement t ~serial ~vote_code ~signer ~tag =
             (Messages.Vote_p
                { serial; vote_code; sender = t.me; part = sh.sh_part;
                  pos = sh.sh_pos; share = line.Types.receipt_share;
-                 share_tag = line.Types.share_tag; ucert = Some ucert })
+                 share_tag = line.Types.share_tag; ucert })
         end
       end
     end
@@ -160,9 +164,8 @@ let equivocate_on t (msg : Messages.vc_msg) =
     shadow_start t ~serial ~vote_code
   | Messages.Endorse { serial; vote_code; responder } ->
     endorse_any t ~responder ~serial ~vote_code
-  | Messages.Endorsement { serial; vote_code; signer; tag } ->
-    shadow_endorsement t ~serial ~vote_code ~signer ~tag
-  | Messages.Vote_p _ | Messages.Announce _ | Messages.Consensus _
+  | Messages.Endorsement { serial; signer; tag } -> shadow_endorsement t ~serial ~signer ~tag
+  | Messages.Vote_p _ | Messages.Share _ | Messages.Announce _ | Messages.Consensus _
   | Messages.Recover_request _ | Messages.Recover_response _ -> ()
 
 (* --- incoming ---------------------------------------------------------- *)
@@ -193,29 +196,35 @@ let transform_outgoing t ~dst:_ (msg : Messages.vc_msg) :
   | Silent -> None
   | Drop_receipts | Equivocate -> Some msg
   | Corrupt_shares ->
+    let flip (share : Shamir_bytes.share) =
+      { share with Shamir_bytes.data = flip_byte t.rng share.Shamir_bytes.data }
+    in
     (match msg with
-     | Messages.Vote_p p ->
-       let share =
-         { p.share with
-           Shamir_bytes.data = flip_byte t.rng p.share.Shamir_bytes.data }
-       in
-       Some (Messages.Vote_p { p with share })
+     | Messages.Vote_p p -> Some (Messages.Vote_p { p with share = flip p.share })
+     | Messages.Share p -> Some (Messages.Share { p with share = flip p.share })
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
      | Messages.Announce _ | Messages.Consensus _
      | Messages.Recover_request _ | Messages.Recover_response _ -> Some msg)
   | Misplaced_shares ->
+    (* [with_line] rebuilds the message on another line of the part:
+       its position, share and EA tag *)
+    let misplace ~serial ~part ~pos with_line =
+      let lines = Ballot_store.lines t.store ~serial ~part in
+      let m = Array.length lines in
+      if m < 2 then Some msg
+      else begin
+        let pos = (pos + 1 + Drbg.int t.rng (m - 1)) mod m in
+        let line = lines.(pos) in
+        Some (with_line pos line.Types.receipt_share line.Types.share_tag)
+      end
+    in
     (match msg with
      | Messages.Vote_p p ->
-       let lines = Ballot_store.lines t.store ~serial:p.serial ~part:p.part in
-       let m = Array.length lines in
-       if m < 2 then Some msg
-       else begin
-         let pos = (p.pos + 1 + Drbg.int t.rng (m - 1)) mod m in
-         let line = lines.(pos) in
-         Some
-           (Messages.Vote_p
-              { p with pos; share = line.Types.receipt_share; share_tag = line.Types.share_tag })
-       end
+       misplace ~serial:p.serial ~part:p.part ~pos:p.pos (fun pos share share_tag ->
+           Messages.Vote_p { p with pos; share; share_tag })
+     | Messages.Share p ->
+       misplace ~serial:p.serial ~part:p.part ~pos:p.pos (fun pos share share_tag ->
+           Messages.Share { p with pos; share; share_tag })
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
      | Messages.Announce _ | Messages.Consensus _
      | Messages.Recover_request _ | Messages.Recover_response _ -> Some msg)
@@ -238,7 +247,7 @@ let transform_outgoing t ~dst:_ (msg : Messages.vc_msg) :
        in
        Some (Messages.Recover_request { sender; serials })
      | Messages.Vote _ | Messages.Endorse _ | Messages.Endorsement _
-     | Messages.Vote_p _ | Messages.Announce _ -> Some msg)
+     | Messages.Vote_p _ | Messages.Share _ | Messages.Announce _ -> Some msg)
   | Malformed_wire ->
     let frame = Messages.encode_vc_msg msg in
     (match Messages.decode_vc_msg (flip_byte t.rng frame) with

@@ -173,7 +173,7 @@ let vc_msg_cost costs cfg (msg : Messages.vc_msg) =
   | Messages.Vote _ -> Cost_model.vote_validate costs ~n ~m +. costs.Cost_model.http_request
   | Messages.Endorse _ -> Cost_model.endorse_handle costs ~n ~m
   | Messages.Endorsement _ -> costs.Cost_model.sig_verify
-  | Messages.Vote_p _ -> Cost_model.vote_p_handle costs ~n ~m ~quorum
+  | Messages.Vote_p _ | Messages.Share _ -> Cost_model.vote_p_handle costs ~n ~m ~quorum
   | Messages.Announce { entries; _ } ->
     float_of_int (List.length entries) *. costs.Cost_model.announce_entry
   | Messages.Consensus { rbc; _ } ->

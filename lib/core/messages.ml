@@ -42,7 +42,8 @@ let share_body ~election_id ~serial ~part ~pos ~node ~(share : Dd_vss.Shamir_byt
 type vc_msg =
   | Vote of { serial : int; vote_code : string; client : int; req : int }
   | Endorse of { serial : int; vote_code : string; responder : int }
-  | Endorsement of { serial : int; vote_code : string; signer : int; tag : Auth.tag }
+  (* the responder knows the code it is collecting for [serial] *)
+  | Endorsement of { serial : int; signer : int; tag : Auth.tag }
   | Vote_p of {
       serial : int;
       vote_code : string;
@@ -51,9 +52,19 @@ type vc_msg =
       pos : int;
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;  (* the EA's authenticator over the share *)
-      (* [None]: elided for a peer from which the sender already
-         accepted a VOTE_P for this (serial, code), so it holds one *)
-      ucert : ucert option;
+      (* from the UCERT's former (less the receiver's own endorsement)
+         and in the answer to a pull *)
+      ucert : ucert;
+    }
+  (* a VOTE_P for a peer that holds the UCERT: the (part, pos) line
+     names the code *)
+  | Share of {
+      serial : int;
+      sender : int;
+      part : Types.part_id;
+      pos : int;
+      share : Dd_vss.Shamir_bytes.share;
+      share_tag : Auth.tag option;
     }
   (* the VSC ANNOUNCE: codes only; a peer lacking a UCERT pulls it *)
   | Announce of { sender : int; entries : (int * string) list }
@@ -168,18 +179,20 @@ let encode_vc_msg (msg : vc_msg) =
    | Endorse { serial; vote_code; responder } ->
      Wire.put_varint w 1;
      Wire.put_varint w serial; Wire.put_bytes w vote_code; Wire.put_varint w responder
-   | Endorsement { serial; vote_code; signer; tag } ->
-     Wire.put_varint w 2;
-     Wire.put_varint w serial; Wire.put_bytes w vote_code;
-     Wire.put_varint w signer; put_tag w tag
+   | Endorsement { serial; signer; tag } ->
+     Wire.put_varint w 11;
+     Wire.put_varint w serial; Wire.put_varint w signer; put_tag w tag
    | Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert } ->
-     (* the discriminant says whether a UCERT's endorsements follow: 10
-        with, 8 elided *)
-     Wire.put_varint w (if Option.is_some ucert then 10 else 8);
+     Wire.put_varint w 10;
      Wire.put_varint w serial; Wire.put_bytes w vote_code; Wire.put_varint w sender;
      put_part w part; Wire.put_varint w pos; put_share w share;
      Wire.put_option w put_tag share_tag;
-     Option.iter (fun (u : ucert) -> put_endorsements w u.endorsements) ucert
+     put_endorsements w ucert.endorsements
+   | Share { serial; sender; part; pos; share; share_tag } ->
+     Wire.put_varint w 12;
+     Wire.put_varint w serial; Wire.put_varint w sender;
+     put_part w part; Wire.put_varint w pos; put_share w share;
+     Wire.put_option w put_tag share_tag
    | Announce { sender; entries } ->
      Wire.put_varint w 9;
      Wire.put_varint w sender;
@@ -212,13 +225,12 @@ let decode_vc_msg frame =
         let vote_code = Wire.get_bytes r in
         let responder = Wire.get_varint r in
         Endorse { serial; vote_code; responder }
-      | 2 ->
+      | 11 ->
         let serial = Wire.get_varint r in
-        let vote_code = Wire.get_bytes r in
         let signer = Wire.get_varint r in
         let tag = get_tag r in
-        Endorsement { serial; vote_code; signer; tag }
-      | (8 | 10) as kind ->
+        Endorsement { serial; signer; tag }
+      | 10 ->
         let serial = Wire.get_varint r in
         let vote_code = Wire.get_bytes r in
         let sender = Wire.get_varint r in
@@ -226,10 +238,16 @@ let decode_vc_msg frame =
         let pos = Wire.get_varint r in
         let share = get_share r in
         let share_tag = Wire.get_option r get_tag in
-        let ucert =
-          if kind = 10 then Some (get_bound_ucert r ~serial ~code:vote_code) else None
-        in
+        let ucert = get_bound_ucert r ~serial ~code:vote_code in
         Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert }
+      | 12 ->
+        let serial = Wire.get_varint r in
+        let sender = Wire.get_varint r in
+        let part = get_part r in
+        let pos = Wire.get_varint r in
+        let share = get_share r in
+        let share_tag = Wire.get_option r get_tag in
+        Share { serial; sender; part; pos; share; share_tag }
       | 5 ->
         let sender = Wire.get_varint r in
         (match Dd_consensus.Rbc.decode_msg (Wire.get_bytes r) with

@@ -37,7 +37,10 @@ val share_body :
 type vc_msg =
   | Vote of { serial : int; vote_code : string; client : int; req : int }
   | Endorse of { serial : int; vote_code : string; responder : int }
-  | Endorsement of { serial : int; vote_code : string; signer : int; tag : Auth.tag }
+  | Endorsement of { serial : int; signer : int; tag : Auth.tag }
+      (** The answer to an [Endorse]: the signer's tag over the code
+          the responder is collecting for [serial], which the
+          responder holds and so is not repeated. *)
   | Vote_p of {
       serial : int;
       vote_code : string;
@@ -46,20 +49,33 @@ type vc_msg =
       pos : int;
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;
-      ucert : ucert option;
-          (** [Some] only from the UCERT's former (the responder) and in
-              the answer to a pull; every other VOTE_P elides it. The
-              certificate is bound to this message's (serial, code).
-              The former sends each peer that signed it the
+      ucert : ucert;
+          (** Bound to this message's (serial, code). Only the UCERT's
+              former (the responder) and the answer to a pull send a
+              VOTE_P; every other disclosure is a [Share]. The former
+              sends each peer that signed the certificate the
               certificate without that peer's own endorsement; the peer
               completes it with the tag it signed and keeps in memory.
               The answer to a pull carries the whole certificate. A
-              receiver counts an elided VOTE_P's share only against a
-              UCERT it holds for exactly this serial and code; one it
-              cannot match, or a certificate short of a quorum it cannot
-              complete, makes it pull the UCERT from the sender
+              certificate short of a quorum that the receiver cannot
+              complete makes it pull the UCERT from the sender
               ([Recover_request] during Voting). *)
     }
+  | Share of {
+      serial : int;
+      sender : int;
+      part : Types.part_id;
+      pos : int;
+      share : Dd_vss.Shamir_bytes.share;
+      share_tag : Auth.tag option;
+    }
+      (** A receipt-share disclosure without code or UCERT, from every
+          collector that did not form the certificate. The (part, pos)
+          line names the code: the receiver counts the share only if
+          it holds a UCERT for [serial] whose code is on that line.
+          Holding none, or one for a code on another line, it pulls
+          the UCERT from the sender, whose full VOTE_P then names its
+          code. *)
   | Announce of { sender : int; entries : (int * string) list }
       (** Vote Set Consensus ANNOUNCE: the (serial, code) of every
           ballot the sender holds a UCERT for, without the UCERTs. A
@@ -80,15 +96,16 @@ type bb_msg =
 (** Byte-level encoding of every VC message; the decoder is total
     (malformed frames yield [None], never an exception).
 
-    A VOTE_P has two encodings. Discriminant 10 carries the UCERT's
-    endorsement list after the share tag, and the decoder binds the
-    certificate to the message's own (serial, code); discriminant 8 is
-    the same message with the UCERT elided ([ucert = None]), with no
-    option byte. ANNOUNCE (discriminant 9) carries (serial, code) pairs
-    only. Discriminant 3 (a VOTE_P whose UCERT repeated its binding) is
-    retired, and it and 4 do not decode. The entries of
-    RECOVER-RESPONSE also write each certificate's endorsements only:
-    the decoder binds the UCERT to the entry's (serial, code). *)
+    Discriminants: 0 VOTE, 1 ENDORSE, 11 ENDORSEMENT (serial, signer,
+    tag: no code), 10 VOTE_P, 12 SHARE (a VOTE_P's fields without the
+    code and the UCERT), 9 ANNOUNCE ((serial, code) pairs only),
+    5 CONSENSUS, 6 RECOVER-REQUEST, 7 RECOVER-RESPONSE. A VOTE_P writes
+    the UCERT's endorsement list after the share tag, and the decoder
+    binds the certificate to the message's own (serial, code); the
+    entries of RECOVER-RESPONSE do the same with each entry's (serial,
+    code). Retired and not decoded: 2 (an ENDORSEMENT that repeated
+    the code), 3 (a VOTE_P whose UCERT repeated its binding), 4, and
+    8 (a VOTE_P with its UCERT elided, now [Share]). *)
 val encode_vc_msg : vc_msg -> string
 val decode_vc_msg : string -> vc_msg option
 

@@ -429,12 +429,12 @@ let own_vote_p t ~serial ~code (b : ballot_rt) (share, share_tag) ucert =
     { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
       share; share_tag; ucert }
 
-(* Disclose our own share: the VOTE_P multicast (only ever once), from
-   [own] when the caller has already read our line. Only the UCERT's
-   former carries the certificate, and to each peer without that peer's
-   own endorsement, which a signer completes from memory; every other
-   node sends the elided form, and a peer that cannot match it pulls
-   the certificate. *)
+(* Disclose our own share (only ever once), from [own] when the caller
+   has already read our line. Only the UCERT's former sends VOTE_Ps, to
+   each peer with the certificate less that peer's own endorsement,
+   which a signer completes from memory; every other node multicasts a
+   SHARE, which names the code by its line, and a peer that cannot
+   match it pulls the certificate. *)
 let disclose_share ?own t ~serial ~code ~former (b : ballot_rt) =
   if not b.sent_vote_p then begin
     let own =
@@ -447,9 +447,13 @@ let disclose_share ?own t ~serial ~code ~former (b : ballot_rt) =
         (fun dst ->
            let endorsements = List.filter (fun (s, _) -> s <> dst) u.Messages.endorsements in
            t.env.send_vc ~dst
-             (own_vote_p t ~serial ~code b own (Some { u with Messages.endorsements })))
+             (own_vote_p t ~serial ~code b own { u with Messages.endorsements }))
         (peers t)
-    | Some _ | None -> multicast t (own_vote_p t ~serial ~code b own None)
+    | Some _ | None ->
+      let share, share_tag = own in
+      multicast t
+        (Messages.Share
+           { serial; sender = t.env.me; part = b.part; pos = b.pos; share; share_tag })
   end
 
 (* --- Algorithm 1: ON VOTE -------------------------------------------- *)
@@ -531,20 +535,20 @@ let on_endorse t ~responder ~serial ~vote_code =
         let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code:vote_code in
         let tag = Auth.sign t.env.keys body in
         if b.ucert = None then b.own_tag <- Some tag;
-        t.env.send_vc ~dst:responder
-          (Messages.Endorsement { serial; vote_code; signer = t.env.me; tag })
+        t.env.send_vc ~dst:responder (Messages.Endorsement { serial; signer = t.env.me; tag })
     end
   end
 
 (* --- ON ENDORSEMENT (responder side) ----------------------------------- *)
 
-let on_endorsement t ~signer ~serial ~vote_code ~tag =
+(* The tag must sign the code this node is collecting for [serial]. *)
+let on_endorsement t ~signer ~serial ~tag =
   if within_hours t && serial_valid t serial then begin
     match Hashtbl.find_opt t.ballots serial with
     | None -> ()
     | Some b ->
     match b.collecting with
-    | Some code when Dd_crypto.Ct.equal code vote_code && b.ucert = None ->
+    | Some code when b.ucert = None ->
       let body = Messages.endorsement_body ~election_id:(election_id t) ~serial ~code in
       if verify_tag t ~signer body tag
       && not (List.mem_assoc signer b.endorsements) then begin
@@ -562,7 +566,7 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
     | _ -> ()
   end
 
-(* --- ON VOTE_P --------------------------------------------------------- *)
+(* --- ON VOTE_P and ON SHARE --------------------------------------------- *)
 
 (* The UCERT a VOTE_P's share counts against. One this node holds for
    exactly this serial and code is enough, whatever the message
@@ -571,11 +575,10 @@ let on_endorsement t ~signer ~serial ~vote_code ~tag =
    and without this node, completed by the tag this node signed in
    [on_endorse] and never verified — only if it durably endorsed
    exactly this code and still holds that tag in memory. *)
-let vote_p_ucert t ~serial ~vote_code (ucert : Messages.ucert option) =
-  match held_ucert t ~serial ~code:vote_code, ucert with
-  | (Some _ as held), _ -> held
-  | None, None -> None
-  | None, Some u ->
+let vote_p_ucert t ~serial ~vote_code (u : Messages.ucert) =
+  match held_ucert t ~serial ~code:vote_code with
+  | Some _ as held -> held
+  | None ->
     if not (u.Messages.u_serial = serial && Dd_crypto.Ct.equal u.Messages.u_code vote_code)
     then None
     else if Messages.signers u >= t.quorum then (if verify_ucert t u then Some u else None)
@@ -588,42 +591,65 @@ let vote_p_ucert t ~serial ~vote_code (ucert : Messages.ucert option) =
         Some { u with Messages.endorsements = (t.env.me, tag) :: u.Messages.endorsements }
       | Some _ | None -> None
 
+(* Ask [sender] for its full VOTE_P on [serial]: during Voting, never
+   of ourselves. *)
+let pull t ~sender serial =
+  if t.phase = Voting && sender <> t.env.me then
+    t.env.send_vc ~dst:sender
+      (Messages.Recover_request { sender = t.env.me; serials = [ serial ] })
+
+(* Count [sender]'s share of [code]'s line, which the caller matched
+   against this node's own [code_line] ([own] is what that lookup
+   read). It must carry the EA's authenticator for (serial, part, pos,
+   sender). *)
+let accept_share ?own t ~sender ~serial ~code ~part ~pos ~share ~share_tag ucert =
+  if verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag then begin
+    let b = ballot_rt t serial in
+    let add () = if not (has_share b share) then commit t (R_share { serial; share }) in
+    match b.status with
+    | Types.Not_voted | Types.Pending _ ->
+      (* only a ballot still [Not_voted] lacks a UCERT *)
+      if b.ucert = None then commit t (R_ucert { ucert; part; pos; endorse = true });
+      add ();
+      disclose_share ?own t ~serial ~code ~former:false b;
+      try_reconstruct t serial b code
+    | Types.Voted _ -> add ()
+  end
+
 let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
   if within_hours t && serial_valid t serial then
   match vote_p_ucert t ~serial ~vote_code ucert with
   | None ->
-    (* an elided VOTE_P this node cannot match, or a certificate short
-       of a quorum it cannot complete (it restarted since it endorsed,
-       say): pull the UCERT from the sender, which answers with its
-       full VOTE_P *)
-    let incomplete = match ucert with None -> true | Some u -> Messages.signers u < t.quorum in
-    if incomplete && t.phase = Voting && sender <> t.env.me then
-      t.env.send_vc ~dst:sender
-        (Messages.Recover_request { sender = t.env.me; serials = [ serial ] })
+    (* a certificate short of a quorum that this node cannot complete
+       (it restarted since it endorsed, say): pull the whole one from
+       the sender *)
+    if Messages.signers ucert < t.quorum then pull t ~sender serial
   | Some ucert ->
     (match Hashtbl.find_opt t.ballots serial with
      | Some b -> note_conflict t serial b ~code:vote_code
      | None -> ());
     (* the sender's share counts only for the line this node holds the
-       code on, and must carry the EA's authenticator for (serial, part,
-       pos, sender) *)
+       code on *)
     match code_line t ~serial ~code:vote_code with
-    | Some (line_part, line_pos, own)
-      when line_part = part && line_pos = pos
-        && verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag ->
-      let b = ballot_rt t serial in
-      let accept_share () =
-        if not (has_share b share) then commit t (R_share { serial; share })
-      in
-      (match b.status with
-       | Types.Not_voted | Types.Pending _ ->
-         (* only a ballot still [Not_voted] lacks a UCERT *)
-         if b.ucert = None then commit t (R_ucert { ucert; part; pos; endorse = true });
-         accept_share ();
-         disclose_share ?own t ~serial ~code:vote_code ~former:false b;
-         try_reconstruct t serial b vote_code
-       | Types.Voted _ -> accept_share ())
+    | Some (line_part, line_pos, own) when line_part = part && line_pos = pos ->
+      accept_share ?own t ~sender ~serial ~code:vote_code ~part ~pos ~share ~share_tag ucert
     | Some _ | None -> ()
+
+(* A SHARE counts against the UCERT this node holds for [serial], and
+   only if its (part, pos) is the line of that UCERT's code. Holding no
+   UCERT, or one whose code is on another line (the sender may hold a
+   conflicting certificate), the node pulls the sender's full VOTE_P,
+   which names its code. A position outside the ballot names no line
+   and is dropped. *)
+let on_share t ~sender ~serial ~part ~pos ~share ~share_tag =
+  if within_hours t && serial_valid t serial && pos >= 0 && pos < t.env.cfg.Types.m_options
+  then
+    let held = Option.bind (Hashtbl.find_opt t.ballots serial) (fun b -> b.ucert) in
+    let line u = code_line t ~serial ~code:u.Messages.u_code in
+    match held, Option.bind held line with
+    | Some u, Some (line_part, line_pos, own) when line_part = part && line_pos = pos ->
+      accept_share ?own t ~sender ~serial ~code:u.Messages.u_code ~part ~pos ~share ~share_tag u
+    | _, _ -> pull t ~sender serial
 
 (* --- Vote Set Consensus ------------------------------------------------ *)
 
@@ -637,21 +663,30 @@ let known_codes t =
        | _ -> acc)
     t.ballots []
 
+(* The (serial, code) of every ballot consensus decided voted, sorted
+   by serial, once the node has decided and recovered them all. *)
+let agreed_set t =
+  if not t.vsc.submitted then None
+  else begin
+    let set = ref [] in
+    for serial = t.env.cfg.Types.n_voters - 1 downto 0 do
+      match t.vsc.decisions.(serial) with
+      | Some true ->
+        let b = ballot_rt t serial in
+        (match b.status, b.ucert with
+         | (Types.Pending code | Types.Voted (code, _)), _ -> set := (serial, code) :: !set
+         | Types.Not_voted, Some ucert -> set := (serial, ucert.Messages.u_code) :: !set
+         | Types.Not_voted, None -> () (* recovery failed: impossible with honest quorum *))
+      | Some false | None -> ()
+    done;
+    Some !set
+  end
+
 let send_submission t =
-  let set = ref [] in
-  for serial = t.env.cfg.Types.n_voters - 1 downto 0 do
-    match t.vsc.decisions.(serial) with
-    | Some true ->
-      let b = ballot_rt t serial in
-      (match b.status, b.ucert with
-       | (Types.Pending code | Types.Voted (code, _)), _ -> set := (serial, code) :: !set
-       | Types.Not_voted, Some ucert -> set := (serial, ucert.Messages.u_code) :: !set
-       | Types.Not_voted, None -> () (* recovery failed: impossible with honest quorum *))
-    | Some false | None -> ()
-  done;
   let msg =
     Messages.Vote_set_submit
-      { sender = t.env.me; set = !set; msk_share = Ballot_store.msk_share t.env.store }
+      { sender = t.env.me; set = Option.value (agreed_set t) ~default:[];
+        msk_share = Ballot_store.msk_share t.env.store }
   in
   for bb = 0 to t.env.cfg.Types.nb - 1 do
     t.env.send_bb ~dst:bb msg
@@ -807,8 +842,8 @@ let on_consensus t ~sender ~rbc_msg =
     if not t.vsc.consensus_started then
       t.vsc.pending_consensus <- (sender, rbc_msg) :: t.vsc.pending_consensus
 
-(* A pull: during Voting, a peer that could not match our elided VOTE_P
-   gets our full one, once per peer and serial (peers past the mask's
+(* A pull: during Voting, a peer that could not match our SHARE gets
+   our full VOTE_P, once per peer and serial (peers past the mask's
    width are answered every time). *)
 let answer_pull t ~sender serial =
   match Hashtbl.find_opt t.ballots serial with
@@ -818,7 +853,7 @@ let answer_pull t ~sender serial =
       b.answered <- b.answered lor bit;
       t.env.send_vc ~dst:sender
         (own_vote_p t ~serial ~code:u.Messages.u_code b
-           (own_share t ~serial ~part:b.part ~pos:b.pos) (Some u))
+           (own_share t ~serial ~part:b.part ~pos:b.pos) u)
     end
   | Some _ | None -> ()
 
@@ -868,6 +903,7 @@ let peer_plausible t (msg : Messages.vc_msg) =
   | Messages.Endorse { responder; _ } -> node responder
   | Messages.Endorsement { signer; _ } -> node signer
   | Messages.Vote_p { sender; _ } -> node sender
+  | Messages.Share { sender; _ } -> node sender
   | Messages.Announce { sender; _ } -> node sender
   | Messages.Consensus { sender; _ } -> node sender
   | Messages.Recover_request { sender; _ } -> node sender
@@ -879,14 +915,51 @@ let handle t (msg : Messages.vc_msg) =
   match msg with
   | Messages.Vote { serial; vote_code; client; req } -> on_vote t ~client ~req ~serial ~vote_code
   | Messages.Endorse { serial; vote_code; responder } -> on_endorse t ~responder ~serial ~vote_code
-  | Messages.Endorsement { serial; vote_code; signer; tag } ->
-    on_endorsement t ~signer ~serial ~vote_code ~tag
+  | Messages.Endorsement { serial; signer; tag } -> on_endorsement t ~signer ~serial ~tag
   | Messages.Vote_p { serial; vote_code; sender; part; pos; share; share_tag; ucert } ->
     on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert
+  | Messages.Share { serial; sender; part; pos; share; share_tag } ->
+    on_share t ~sender ~serial ~part ~pos ~share ~share_tag
   | Messages.Announce { sender; entries } -> on_announce t ~sender ~entries
   | Messages.Consensus { sender; rbc } -> on_consensus t ~sender ~rbc_msg:rbc
   | Messages.Recover_request { sender; serials } -> on_recover_request t ~sender ~serials
   | Messages.Recover_response { sender; entries } -> on_recover_response t ~sender ~entries
+
+(* Everything [handle] may check about [msg], as (signer, body, tag)
+   triples: an ENDORSEMENT against the code this node is collecting,
+   the EA's tag over a disclosed share, and every endorsement of a
+   carried UCERT, bound to the certificate's own (serial, code) — the
+   bytes [Messages.verify_ucert] checks. A carried certificate lacks
+   the receiver's own endorsement when the receiver signed it, and that
+   tag is never verified. *)
+let obligations t (msg : Messages.vc_msg) =
+  let election_id = election_id t in
+  let ucert_obls (u : Messages.ucert) =
+    let body =
+      Messages.endorsement_body ~election_id ~serial:u.Messages.u_serial ~code:u.Messages.u_code
+    in
+    List.map (fun (signer, tag) -> (signer, body, tag)) u.Messages.endorsements
+  in
+  let share_obls ~serial ~part ~pos ~sender ~share = function
+    | Some tag when t.env.verify_share_tags ->
+      [ (t.env.cfg.Types.nv,
+         Messages.share_body ~election_id ~serial ~part ~pos ~node:sender ~share, tag) ]
+    | Some _ | None -> []
+  in
+  match msg with
+  | Messages.Endorsement { serial; signer; tag } ->
+    (match Hashtbl.find_opt t.ballots serial with
+     | Some { collecting = Some code; ucert = None; _ } ->
+       [ (signer, Messages.endorsement_body ~election_id ~serial ~code, tag) ]
+     | Some _ | None -> [])
+  | Messages.Vote_p { serial; vote_code = _; sender; part; pos; share; share_tag; ucert } ->
+    share_obls ~serial ~part ~pos ~sender ~share share_tag @ ucert_obls ucert
+  | Messages.Share { serial; sender; part; pos; share; share_tag } ->
+    share_obls ~serial ~part ~pos ~sender ~share share_tag
+  | Messages.Recover_response { entries; _ } ->
+    List.concat_map (fun (_, _, u) -> ucert_obls u) entries
+  | Messages.Vote _ | Messages.Endorse _ | Messages.Announce _ | Messages.Consensus _
+  | Messages.Recover_request _ -> []
 
 (* --- observable state and the one constructor ------------------------------ *)
 

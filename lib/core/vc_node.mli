@@ -51,25 +51,29 @@ val create : env -> t
 
 (** Feed any protocol message (from voters or peer collectors).
 
-    A VOTE_P's share counts only for the line this node holds the
-    code on (its own lookup, not the sender's claim), and only against
-    a UCERT: one this node holds for exactly that serial and code, or
-    else the message's. The UCERT's former sends each peer that signed
-    it the certificate without that peer's own endorsement. A signer
-    completes it with the tag it signed on ENDORSE, kept in memory and
-    never verified, and only if it durably endorsed exactly this code;
-    the UCERT it stores and journals is always whole. A node that
-    restarted since it endorsed holds no such tag and does not sign
-    again: it pulls the certificate as it does for an elided VOTE_P.
+    A share counts only for the line this node holds the code on (its
+    own lookup, not the sender's claim), and only against a UCERT. A
+    VOTE_P's counts against one this node holds for exactly that serial
+    and code, or else the message's. The UCERT's former sends each peer
+    that signed it the certificate without that peer's own endorsement.
+    A signer completes it with the tag it signed on ENDORSE, kept in
+    memory and never verified, and only if it durably endorsed exactly
+    this code; the UCERT it stores and journals is always whole. A node
+    that restarted since it endorsed holds no such tag and does not sign
+    again: it pulls the certificate from the sender. A SHARE counts
+    against the UCERT this node holds for the serial, and only if its
+    (part, pos) is the line of that UCERT's code; holding none, or one
+    for a code on another line, the node pulls. An ENDORSEMENT counts
+    only if its tag signs the code this node is collecting.
 
     [Recover_request] means two things. During [Voting] it is a pull: a
-    peer could not match this node's elided VOTE_P, and gets this
-    node's full VOTE_P (its share and the UCERT) for each listed serial
-    whose UCERT the node holds and whose VOTE_P it has sent, once per
-    (peer, serial). The node sends one itself, naming one serial, to
-    the sender of an elided VOTE_P it cannot match or of a certificate
-    short of a quorum that it cannot complete. Afterwards it is
-    Vote Set Consensus recovery, answered with [Recover_response].
+    peer could not match this node's SHARE, and gets this node's full
+    VOTE_P (its share and the UCERT) for each listed serial whose UCERT
+    the node holds and whose share it has disclosed, once per (peer,
+    serial). The node sends one itself, naming one serial, to the sender
+    of a SHARE it cannot match or of a certificate short of a quorum
+    that it cannot complete. Afterwards it is Vote Set Consensus
+    recovery, answered with [Recover_response].
 
     [Announce] lists codes only. The node sends the announcer one
     [Recover_request] naming the serials in the election whose
@@ -79,6 +83,14 @@ val create : env -> t
     is adopted in any phase, so a node whose clock lags enters its own
     Vote Set Consensus with what it pulled. *)
 val handle : t -> Messages.vc_msg -> unit
+
+(** The authenticator checks {!handle} may make on [msg] in this
+    node's current state, as (signer, body, tag): an ENDORSEMENT's tag
+    over the code the node is collecting, the EA's tag over a disclosed
+    share (with [env.verify_share_tags]), and each endorsement of a
+    carried UCERT. A host batch-verifies them ahead of [handle] and
+    answers [env.verify_tag] from the verdicts. *)
+val obligations : t -> Messages.vc_msg -> (int * string * Auth.tag) list
 
 (** Election end: announce the codes this node holds UCERTs for, enter
     batched Bracha consensus once [Nv - fv] announcers count, recover
@@ -102,6 +114,12 @@ val ballot_count : t -> int
     (Section III-D); non-empty means equivocation beyond the fault
     threshold was detected. *)
 val ucert_conflicts : t -> (int * string * string) list
+
+(** The vote set this node submits to the BB nodes: the (serial, code)
+    of every ballot Vote Set Consensus decided voted, sorted by serial.
+    [None] until the node has decided every ballot and recovered the
+    codes it lacked. *)
+val agreed_set : t -> (int * string) list option
 
 (** Per-ballot consensus outcomes ([None] until decided). *)
 val decisions : t -> bool option array

@@ -11,15 +11,12 @@ type stats = {
 
 type t = {
   keys : Auth.keys;
-  election_id : string;
-  ea_signer : int;                   (* the EA's clique index: cfg.nv *)
-  share_tags : bool;
   cache : (string, bool) Hashtbl.t;
   st : stats;
 }
 
-let create ~keys ~election_id ~ea_signer ~share_tags () =
-  { keys; election_id; ea_signer; share_tags;
+let create ~keys =
+  { keys;
     cache = Hashtbl.create 1024;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
 
@@ -55,64 +52,23 @@ let verify t ~signer body tag =
     remember t key v;
     v
 
-(* Everything the node will (or may) check about [msg], as (signer,
-   body, tag) triples. UCERT bodies come from the certificate's own
-   (serial, code) binding — the same bytes [Messages.verify_ucert]
-   checks. *)
-let obligations_of t msg =
-  let ucert_obls (u : Messages.ucert) =
-    let body =
-      Messages.endorsement_body ~election_id:t.election_id
-        ~serial:u.Messages.u_serial ~code:u.Messages.u_code
-    in
-    List.map (fun (signer, tag) -> (signer, body, tag)) u.Messages.endorsements
-  in
-  match msg with
-  | Messages.Endorsement { serial; vote_code; signer; tag } ->
-    let body =
-      Messages.endorsement_body ~election_id:t.election_id ~serial ~code:vote_code
-    in
-    [ (signer, body, tag) ]
-  | Messages.Vote_p { serial; vote_code = _; sender; part; pos; share; share_tag; ucert } ->
-    let shares =
-      match share_tag with
-      | Some tag when t.share_tags ->
-        let body =
-          Messages.share_body ~election_id:t.election_id ~serial ~part ~pos
-            ~node:sender ~share
-        in
-        [ (t.ea_signer, body, tag) ]
-      | _ -> []
-    in
-    (* an elided UCERT is the node's own, verified when it was adopted;
-       a carried one lacks the receiver's own endorsement when the
-       receiver signed it, and that tag is never verified *)
-    shares @ Option.fold ~none:[] ~some:ucert_obls ucert
-  | Messages.Recover_response { entries; _ } ->
-    List.concat_map (fun (_, _, u) -> ucert_obls u) entries
-  | Messages.Vote _ | Messages.Endorse _ | Messages.Announce _ | Messages.Consensus _
-  | Messages.Recover_request _ -> []
-
 (* fresh obligations before one batch call pays for itself *)
 let min_batch = 4
 
-let preverify t msgs =
+let preverify t obligations =
   (* collect obligations not already settled, deduplicated in batch *)
   let seen = Hashtbl.create 64 in
   let fresh = ref [] and n_fresh = ref 0 in
   List.iter
-    (fun msg ->
-       List.iter
-         (fun (signer, body, tag) ->
-            let key = obligation_key ~signer body tag in
-            if not (Hashtbl.mem seen key) && not (Hashtbl.mem t.cache key)
-            then begin
-              Hashtbl.replace seen key ();
-              fresh := (key, signer, body, tag) :: !fresh;
-              incr n_fresh
-            end)
-         (obligations_of t msg))
-    msgs;
+    (fun (signer, body, tag) ->
+       let key = obligation_key ~signer body tag in
+       if not (Hashtbl.mem seen key) && not (Hashtbl.mem t.cache key)
+       then begin
+         Hashtbl.replace seen key ();
+         fresh := (key, signer, body, tag) :: !fresh;
+         incr n_fresh
+       end)
+    obligations;
   if !n_fresh >= min_batch then begin
     let obls = List.rev !fresh in
     t.st.batch_calls <- t.st.batch_calls + 1;

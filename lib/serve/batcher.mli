@@ -2,9 +2,9 @@
 
     A drained mailbox batch carries many independent authenticator
     obligations — endorsement signatures, the EA's receipt-share tags,
-    and the UCERTs carried by full VOTE_Ps (less the receiver's own
-    endorsement, which the former leaves out) and RECOVER-RESPONSEs.
-    {!preverify} extracts them, deduplicates, and, once at least four
+    and the UCERTs carried by VOTE_Ps and RECOVER-RESPONSEs, as
+    {!Ddemos.Vc_node.obligations} lists them. {!preverify} takes them,
+    deduplicates, and, once at least four
     are fresh, settles everything not already cached through one
     {!Ddemos.Auth.verify_batch} call (a single randomized multi-scalar
     multiplication under Schnorr — the 2.3x/entry micro win, here
@@ -27,15 +27,11 @@ type stats = {
 
 type t
 
-val create :
-  keys:Ddemos.Auth.keys ->
-  election_id:string ->
-  ea_signer:int ->
-  share_tags:bool ->
-  unit -> t
+val create : keys:Ddemos.Auth.keys -> t
 
-(** Batch-settle the obligations of a drained message batch. *)
-val preverify : t -> Ddemos.Messages.vc_msg list -> unit
+(** Batch-settle the (signer, body, tag) obligations of a drained
+    message batch. *)
+val preverify : t -> (int * string * Ddemos.Auth.tag) list -> unit
 
 (** The [Vc_node.env.verify_tag] hook: cached verdict, or a direct
     [Auth.verify] on a miss. *)

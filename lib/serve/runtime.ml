@@ -168,10 +168,7 @@ let create ?(params = default_params) src =
       vc_mbox = Array.init nv (fun _ -> Mailbox.create ~capacity:params.mailbox_cap);
       bb_mbox = Array.init nb (fun _ -> Mailbox.create ~capacity:params.mailbox_cap);
       batchers =
-        Array.init nv (fun i ->
-            Batcher.create ~keys:src.sv_keys.(i)
-              ~election_id:cfg.Types.election_id ~ea_signer:nv
-              ~share_tags:src.sv_verify_share_tags ());
+        Array.init nv (fun i -> Batcher.create ~keys:src.sv_keys.(i));
       staging = Array.init nv (fun _ -> ref []);
       conns = [];
       link_vc = Array.init nv (fun _ -> Array.make nv None);
@@ -296,7 +293,8 @@ let process_vc t i =
   match msgs with
   | [] -> 0
   | _ ->
-    if t.p.batching then Batcher.preverify t.batchers.(i) msgs;
+    if t.p.batching then
+      Batcher.preverify t.batchers.(i) (List.concat_map (Vc_node.obligations t.vc.(i)) msgs);
     List.iter (fun m -> Vc_node.handle t.vc.(i) m) msgs;
     List.length msgs
 
@@ -401,9 +399,11 @@ let end_election t =
 
 let guarantees t ~votes (r : Loadgen.result) =
   let agreed =
-    match Bb_reader.final_set ~cfg:t.src.sv_cfg (Array.to_list t.bb) with
-    | Bb_reader.Agreed set -> Some set
-    | Bb_reader.No_majority -> None
+    if t.nb = 0 then List.find_map Vc_node.agreed_set (Array.to_list t.vc)
+    else
+      match Bb_reader.final_set ~cfg:t.src.sv_cfg (Array.to_list t.bb) with
+      | Bb_reader.Agreed set -> Some set
+      | Bb_reader.No_majority -> None
   in
   List.concat
     [ Guarantees.liveness

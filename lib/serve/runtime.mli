@@ -96,7 +96,8 @@ val end_election : t -> unit
     liveness from the load generator's counts (votes still in flight
     at a stall count as a timeout), UCERT uniqueness across the
     collectors, and the receipt contract against the boards'
-    majority-read final set. *)
+    majority-read final set, or, for a source without boards, the
+    first collector's agreed set ({!Ddemos.Vc_node.agreed_set}). *)
 val guarantees :
   t -> votes:Loadgen.vote_intent list -> Loadgen.result -> Ddemos.Guarantees.violation list
 

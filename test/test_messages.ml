@@ -25,21 +25,18 @@ let samples scheme =
   let u = sample_ucert ks in
   [ Messages.Vote { serial = 1; vote_code = String.make 20 'v'; client = 3; req = 99 };
     Messages.Endorse { serial = 2; vote_code = String.make 20 'w'; responder = 1 };
-    Messages.Endorsement
-      { serial = 5; vote_code = "codecodecodecodecode"; signer = 0;
-        tag = Auth.sign ks.(0) "anything" };
+    Messages.Endorsement { serial = 5; signer = 0; tag = Auth.sign ks.(0) "anything" };
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.B; pos = 1;
-        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body"); ucert = Some u };
+        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body"); ucert = u };
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.A; pos = 0;
-        share = sample_share; share_tag = None; ucert = Some u };
-    Messages.Vote_p
-      { serial = 5; vote_code = "codecodecodecodecode"; sender = 1; part = Types.B; pos = 2;
-        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body"); ucert = None };
-    Messages.Vote_p
-      { serial = 5; vote_code = "codecodecodecodecode"; sender = 3; part = Types.A; pos = 0;
-        share = sample_share; share_tag = None; ucert = None };
+        share = sample_share; share_tag = None; ucert = u };
+    Messages.Share
+      { serial = 5; sender = 1; part = Types.B; pos = 2;
+        share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body") };
+    Messages.Share
+      { serial = 5; sender = 3; part = Types.A; pos = 0; share = sample_share; share_tag = None };
     Messages.Announce
       { sender = 0; entries = [ (5, "codecodecodecodecode"); (9, String.make 20 'z') ] };
     Messages.Announce { sender = 3; entries = [] };
@@ -70,10 +67,10 @@ let test_ucert_survives_roundtrip_verification () =
   let msg =
     Messages.Vote_p
       { serial = 5; vote_code = "codecodecodecodecode"; sender = 0; part = Types.A; pos = 0;
-        share = sample_share; share_tag = None; ucert = Some u }
+        share = sample_share; share_tag = None; ucert = u }
   in
   match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
-  | Some (Messages.Vote_p { ucert = Some ucert; _ }) ->
+  | Some (Messages.Vote_p { ucert; _ }) ->
     Alcotest.(check bool) "decoded UCERT verifies" true
       (Messages.verify_ucert ks.(3) ~election_id:"e" ~quorum:3 ucert)
   | _ -> Alcotest.fail "roundtrip failed"
@@ -89,33 +86,57 @@ let test_truncation_rejected () =
        done)
     (samples Auth.Mac_scheme)
 
-(* The two VOTE_P encodings differ only in the discriminant (10 with the
-   UCERT, 8 without) and the UCERT's endorsement list at the end; the
-   retired discriminant 3, which repeated the certificate's binding,
-   no longer decodes. *)
-let test_vote_p_encodings () =
+(* A SHARE is a VOTE_P's fields less the code and the UCERT, under
+   discriminant 12; an ENDORSEMENT is (serial, signer, tag) under 11.
+   The retired forms no longer decode: 8 (the VOTE_P with its UCERT
+   elided), 2 (the ENDORSEMENT that repeated the code) and 3 (a VOTE_P
+   whose UCERT repeated its binding). *)
+let test_vc_encodings () =
+  let module Wire = Dd_codec.Wire in
   let ks = keys Auth.Schnorr_scheme in
   let u = sample_ucert ks in
+  let code = "codecodecodecodecode" in
   let share_tag = Some (Auth.sign ks.(3) "share-body") in
-  let vote_p ucert =
-    Messages.Vote_p
-      { serial = 5; vote_code = "codecodecodecodecode"; sender = 2; part = Types.B; pos = 1;
-        share = sample_share; share_tag; ucert }
+  let tag = Auth.sign ks.(0) "anything" in
+  let encode f = let w = Wire.writer () in f w; Wire.contents w in
+  let line w =
+    Wire.put_varint w 2; Messages.put_part w Types.B; Wire.put_varint w 1;
+    Messages.put_share w sample_share; Wire.put_option w Messages.put_tag share_tag
   in
-  let full = Messages.encode_vc_msg (vote_p (Some u)) in
-  let elided = Messages.encode_vc_msg (vote_p None) in
-  let endorsements = Dd_codec.Wire.writer () in
-  Dd_codec.Wire.put_list endorsements
-    (fun w (signer, tag) -> Dd_codec.Wire.put_varint w signer; Messages.put_tag w tag)
-    u.Messages.endorsements;
-  let retired = Dd_codec.Wire.writer () in
-  Messages.put_ucert retired u;
-  let tail = String.sub elided 1 (String.length elided - 1) in
-  Alcotest.(check string) "full = 10, fields, endorsements"
-    ("\010" ^ tail ^ Dd_codec.Wire.contents endorsements) full;
-  Alcotest.(check bool) "discriminant 3 is retired" true
-    (Messages.decode_vc_msg ("\003" ^ tail ^ Dd_codec.Wire.contents retired) = None);
-  Alcotest.(check char) "elided discriminant" '\008' elided.[0]
+  let endorsements w =
+    Wire.put_list w (fun w (signer, tag) -> Wire.put_varint w signer; Messages.put_tag w tag)
+      u.Messages.endorsements
+  in
+  let full =
+    Messages.encode_vc_msg
+      (Messages.Vote_p
+         { serial = 5; vote_code = code; sender = 2; part = Types.B; pos = 1;
+           share = sample_share; share_tag; ucert = u })
+  in
+  Alcotest.(check string) "VOTE_P = 10, serial, code, line, endorsements"
+    (encode (fun w -> Wire.put_varint w 10; Wire.put_varint w 5; Wire.put_bytes w code;
+              line w; endorsements w))
+    full;
+  Alcotest.(check string) "SHARE = 12, serial, line"
+    (encode (fun w -> Wire.put_varint w 12; Wire.put_varint w 5; line w))
+    (Messages.encode_vc_msg
+       (Messages.Share
+          { serial = 5; sender = 2; part = Types.B; pos = 1; share = sample_share; share_tag }));
+  Alcotest.(check string) "ENDORSEMENT = 11, serial, signer, tag"
+    (encode (fun w -> Wire.put_varint w 11; Wire.put_varint w 5; Wire.put_varint w 0;
+              Messages.put_tag w tag))
+    (Messages.encode_vc_msg (Messages.Endorsement { serial = 5; signer = 0; tag }));
+  let retired what frame =
+    Alcotest.(check bool) (what ^ " is retired") true (Messages.decode_vc_msg frame = None)
+  in
+  retired "8, the elided VOTE_P"
+    (encode (fun w -> Wire.put_varint w 8; Wire.put_varint w 5; Wire.put_bytes w code; line w));
+  retired "2, the ENDORSEMENT with its code"
+    (encode (fun w -> Wire.put_varint w 2; Wire.put_varint w 5; Wire.put_bytes w code;
+              Wire.put_varint w 0; Messages.put_tag w tag));
+  retired "3, the VOTE_P whose UCERT repeated its binding"
+    (encode (fun w -> Wire.put_varint w 3; Wire.put_varint w 5; Wire.put_bytes w code;
+              line w; Messages.put_ucert w u))
 
 (* A VSC entry carries its (serial, code) once: the decoded UCERT is
    bound to the entry it arrived in, so a certificate for another
@@ -143,10 +164,10 @@ let test_vote_p_rebinds_ucert () =
   let msg =
     Messages.Vote_p
       { serial = 9; vote_code = other; sender = 0; part = Types.A; pos = 0;
-        share = sample_share; share_tag = None; ucert = Some u }
+        share = sample_share; share_tag = None; ucert = u }
   in
   match Messages.decode_vc_msg (Messages.encode_vc_msg msg) with
-  | Some (Messages.Vote_p { ucert = Some u'; _ }) ->
+  | Some (Messages.Vote_p { ucert = u'; _ }) ->
     Alcotest.(check int) "serial rebound" 9 u'.Messages.u_serial;
     Alcotest.(check string) "code rebound" other u'.Messages.u_code;
     Alcotest.(check bool) "rebound UCERT fails verification" false
@@ -158,6 +179,29 @@ let prop_fuzz_total =
     QCheck.(string_of_size (QCheck.Gen.int_range 0 80))
     (fun junk ->
        ignore (Messages.decode_vc_msg junk);
+       true)
+
+(* The SHARE and ENDORSEMENT decoders on random bodies and on their
+   own frames with random bytes flipped. *)
+let prop_new_decoders_total =
+  let ks = keys Auth.Mac_scheme in
+  let frames =
+    List.map Messages.encode_vc_msg
+      [ Messages.Endorsement { serial = 5; signer = 0; tag = Auth.sign ks.(0) "anything" };
+        Messages.Share
+          { serial = 5; sender = 1; part = Types.B; pos = 2;
+            share = sample_share; share_tag = Some (Auth.sign ks.(3) "share-body") } ]
+  in
+  QCheck.Test.make ~name:"SHARE and ENDORSEMENT decoders total" ~count:500 ~long_factor:100
+    QCheck.(triple bool (string_of_size (QCheck.Gen.int_range 0 60)) (int_range 0 2000))
+    (fun (share, junk, flip) ->
+       let frame = List.nth frames (if share then 1 else 0) in
+       let pos = flip mod String.length frame in
+       let flipped =
+         String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x41) else c) frame
+       in
+       ignore (Messages.decode_vc_msg ((if share then "\012" else "\011") ^ junk));
+       ignore (Messages.decode_vc_msg flipped);
        true)
 
 let prop_bitflip_never_crashes =
@@ -219,9 +263,10 @@ let () =
          Alcotest.test_case "UCERT verifies after roundtrip" `Quick
            test_ucert_survives_roundtrip_verification;
          Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
-         Alcotest.test_case "VOTE_P with and without UCERT" `Quick test_vote_p_encodings;
+         Alcotest.test_case "VOTE_P with and without UCERT" `Quick test_vc_encodings;
          Alcotest.test_case "VSC entry rebinds its UCERT" `Quick test_entry_rebinds_ucert;
          Alcotest.test_case "VOTE_P rebinds its UCERT" `Quick test_vote_p_rebinds_ucert;
          QCheck_alcotest.to_alcotest prop_fuzz_total;
          QCheck_alcotest.to_alcotest prop_bitflip_never_crashes;
+         QCheck_alcotest.to_alcotest prop_new_decoders_total;
          Alcotest.test_case "non-canonical scalars rejected" `Quick test_canonical_scalars ]) ]

@@ -116,19 +116,18 @@ let gen_vc_msg =
       [ map3 (fun serial vote_code responder -> Messages.Endorse { serial; vote_code; responder })
           small_nat gen_code small_nat;
         map3
-          (fun serial vote_code signer ->
-             Messages.Endorsement
-               { serial; vote_code; signer; tag = Auth.Mac_tag [| vote_code; "mac" |] })
+          (fun serial code signer ->
+             Messages.Endorsement { serial; signer; tag = Auth.Mac_tag [| code; "mac" |] })
           small_nat gen_code small_nat;
         map2 (fun sender serials -> Messages.Recover_request { sender; serials })
           small_nat (list_size (int_range 0 5) small_nat);
         map3
-          (fun serial vote_code sender ->
-             Messages.Vote_p
-               { serial; vote_code; sender; part = Types.A; pos = 1;
+          (fun serial sender pos ->
+             Messages.Share
+               { serial; sender; part = Types.A; pos;
                  share = { Dd_vss.Shamir_bytes.x = sender + 1; data = "shr" };
-                 share_tag = Some (Auth.Mac_tag [| "m" |]); ucert = None })
-          small_nat gen_code small_nat ])
+                 share_tag = Some (Auth.Mac_tag [| "m" |]) })
+          small_nat small_nat small_nat ])
 
 let gen_bb_msg =
   QCheck.Gen.(
@@ -182,9 +181,8 @@ let test_mux_single_golden () =
         share = { Dd_vss.Shamir_bytes.x = 2; data = "shr" };
         share_tag = Some (mac [| "m0"; "m1" |]);
         ucert =
-          Some
-            { Messages.u_serial = 3; u_code = "vc3";
-              endorsements = [ (0, mac [| "a" |]); (2, mac [| "b" |]) ] } }
+          { Messages.u_serial = 3; u_code = "vc3";
+            endorsements = [ (0, mac [| "a" |]); (2, mac [| "b" |]) ] } }
   in
   let submit =
     Messages.Vote_set_submit
@@ -219,17 +217,17 @@ let prop_mux_batch_smaller =
 
 (* Junk behind each batch kind: a short count, a count past the bytes
    left, a batch nested as an item, a trailing byte, and every strict
-   prefix of an elided VOTE_P as an item. Each is malformed as a whole;
+   prefix of a SHARE as an item. Each is malformed as a whole;
    random tails must not raise either. *)
 let prop_mux_batch_total =
   let module Wire = Dd_codec.Wire in
   let endorse = Messages.Endorse { serial = 1; vote_code = "c"; responder = 0 } in
-  let elided =
+  let share =
     Messages.encode_vc_msg
-      (Messages.Vote_p
-         { serial = 1; vote_code = "c"; sender = 2; part = Types.B; pos = 0;
+      (Messages.Share
+         { serial = 1; sender = 2; part = Types.B; pos = 0;
            share = { Dd_vss.Shamir_bytes.x = 3; data = "shr" };
-           share_tag = Some (Auth.Mac_tag [| "m" |]); ucert = None })
+           share_tag = Some (Auth.Mac_tag [| "m" |]) })
   in
   let submit =
     Messages.Vote_set_submit
@@ -253,10 +251,10 @@ let prop_mux_batch_total =
   let bb_item = Messages.encode_bb_msg submit in
   let fixed =
     cases 4 vc_item (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
-    @ cases 4 elided (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
+    @ cases 4 share (Mux.encode gctx (Mux.Vc [ endorse; endorse ]))
     @ cases 5 bb_item (Mux.encode gctx (Mux.Bb [ submit; submit ]))
-    @ List.init (String.length elided) (fun n ->
-        frame 4 2 [ elided; String.sub elided 0 n ])
+    @ List.init (String.length share) (fun n ->
+        frame 4 2 [ share; String.sub share 0 n ])
   in
   QCheck.Test.make ~name:"mux decoder is total on junk batches" ~count:300 ~long_factor:100
     QCheck.(pair (int_range 4 5) (string_of_size (QCheck.Gen.int_range 0 40)))
@@ -287,32 +285,24 @@ let test_mailbox_bounds () =
 let test_batcher_verdicts () =
   let election_id = "batch-test" in
   let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~seed:"batch-clique" ~n:4 in
-  let b =
-    Batcher.create ~keys:keys.(0) ~election_id ~ea_signer:3
-      ~share_tags:false ()
-  in
+  let b = Batcher.create ~keys:keys.(0) in
   let body serial = Messages.endorsement_body ~election_id ~serial ~code:"c" in
   let tag signer serial = Auth.sign keys.(signer) (body serial) in
-  let msgs =
-    List.init 6 (fun serial ->
-        Messages.Endorsement
-          { serial; vote_code = "c"; signer = serial mod 3; tag = tag (serial mod 3) serial })
+  (* six endorsements' obligations, as Vc_node.obligations lists them *)
+  let endorsed =
+    List.init 6 (fun serial -> (serial, serial mod 3, tag (serial mod 3) serial))
   in
   (* one forged endorsement hidden in the batch: signed by the wrong key *)
-  let forged = Messages.Endorsement { serial = 99; vote_code = "c"; signer = 1; tag = tag 2 99 } in
-  Batcher.preverify b (forged :: msgs);
+  let forged = (99, 1, tag 2 99) in
+  Batcher.preverify b
+    (List.map (fun (serial, signer, tag) -> (signer, body serial, tag)) (forged :: endorsed));
   List.iteri
-    (fun i m ->
-       match m with
-       | Messages.Endorsement { serial; signer; tag; _ } ->
-         Alcotest.(check bool) (Printf.sprintf "valid %d" i) true
-           (Batcher.verify b ~signer (body serial) tag)
-       | _ -> ())
-    msgs;
-  (match forged with
-   | Messages.Endorsement { serial; signer; tag; _ } ->
-     Alcotest.(check bool) "forged rejected" false (Batcher.verify b ~signer (body serial) tag)
-   | _ -> ());
+    (fun i (serial, signer, tag) ->
+       Alcotest.(check bool) (Printf.sprintf "valid %d" i) true
+         (Batcher.verify b ~signer (body serial) tag))
+    endorsed;
+  (let serial, signer, tag = forged in
+   Alcotest.(check bool) "forged rejected" false (Batcher.verify b ~signer (body serial) tag));
   let st = Batcher.stats b in
   Alcotest.(check bool) "batched at least once" true (st.Batcher.batch_calls >= 1);
   (* every hook lookup above came from the cache the batch settled *)
@@ -373,7 +363,18 @@ let test_pipe_serving_all_receipts () =
   Alcotest.(check int) "no malformed frames" 0 (Runtime.stats t).Runtime.malformed;
   (* the batching stage actually amortized work *)
   let bs = Runtime.batch_stats t in
-  Alcotest.(check bool) "batched some obligations" true (bs.Batcher.batched > 0)
+  Alcotest.(check bool) "batched some obligations" true (bs.Batcher.batched > 0);
+  (* a source without boards: the receipt contract is checked against
+     the collectors' agreed set once Vote Set Consensus has run *)
+  Runtime.end_election t;
+  ignore (Runtime.run_until_idle t : int);
+  let broken r =
+    List.map (fun v -> Guarantees.name v.Guarantees.guarantee)
+      (Runtime.guarantees t ~votes:(intents 12) r)
+  in
+  Alcotest.(check (list string)) "no guarantee violated" [] (broken r);
+  Alcotest.(check (list string)) "a receipt outside the agreed set" [ "receipt-contract" ]
+    (broken { r with Loadgen.successes = (0, "not a cast code") :: r.Loadgen.successes })
 
 let prop_pipe_serving_torn =
   (* same election, arbitrarily torn byte deliveries: outcomes must not
@@ -626,18 +627,20 @@ let test_max_frame_split () =
   Alcotest.(check bool) "more frames" true (st'.Runtime.frames_in > st.Runtime.frames_in)
 
 (* UCERT elision on the links: in a fault-free vote only the responder,
-   which formed the UCERT, sends it, in its three VOTE_Ps; every other
-   node's VOTE_P elides it, and no node needs to pull it while votes
-   are cast. Twelve VOTE_Ps per vote, three carrying the UCERT. *)
+   which formed the UCERT, sends VOTE_Ps, three of them; every other
+   node discloses its share in a SHARE, and no node needs to pull the
+   certificate while votes are cast. *)
 let test_vote_p_elision_on_links () =
   let responder = Hashtbl.create 8 and sent = Hashtbl.create 8 in
   let casting = ref true and pulls = ref 0 in
+  let disclosed serial d =
+    Hashtbl.replace sent serial (d :: Option.value ~default:[] (Hashtbl.find_opt sent serial))
+  in
   let observe t =
-    Runtime.observe_links t (fun ~src ~dst -> function
+    Runtime.observe_links t (fun ~src ~dst:_ -> function
       | Messages.Endorse { serial; responder = r; _ } -> Hashtbl.replace responder serial r
-      | Messages.Vote_p { serial; ucert; _ } ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
-        Hashtbl.replace sent serial ((src, dst, Option.is_some ucert) :: prev)
+      | Messages.Vote_p { serial; _ } -> disclosed serial (src, true)
+      | Messages.Share { serial; _ } -> disclosed serial (src, false)
       | Messages.Announce _ -> casting := false
       | Messages.Recover_request _ -> if !casting then incr pulls
       | _ -> ())
@@ -652,14 +655,49 @@ let test_vote_p_elision_on_links () =
          | Some n -> n
          | None -> Alcotest.failf "serial %d: no responder" serial
        in
-       let vps = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
-       let full = List.filter (fun (_, _, full) -> full) vps in
+       let ds = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
+       let full = List.filter snd ds in
        let name what = Printf.sprintf "serial %d: %s" serial what in
-       Alcotest.(check int) (name "VOTE_Ps") 12 (List.length vps);
-       Alcotest.(check int) (name "with a UCERT") 3 (List.length full);
+       Alcotest.(check int) (name "disclosures") 12 (List.length ds);
+       Alcotest.(check int) (name "VOTE_Ps") 3 (List.length full);
        Alcotest.(check (list int)) (name "all from the responder") [ resp; resp; resp ]
-         (List.map (fun (src, _, _) -> src) full))
+         (List.map fst full))
     eq_votes
+
+(* Item 19's nv = 4 point: the exact bytes one fault-free vote puts on
+   the VC links, per message kind (each message's [Messages] encoding,
+   before link batching), with the real Schnorr clique of
+   [Runtime.source_prf]. A change to the wire format moves these: 1,016
+   B in all, 1,268 B while ENDORSEMENTs (91 B each) and the elided
+   VOTE_Ps (37 B each) repeated the vote code. *)
+let test_vote_wire_bytes () =
+  let t = Runtime.create (Runtime.source_prf serve_cfg ~seed:"wire-bytes") in
+  let kinds = Hashtbl.create 8 in
+  Runtime.observe_links t (fun ~src:_ ~dst:_ msg ->
+      let kind =
+        match msg with
+        | Messages.Endorse _ -> "ENDORSE"
+        | Messages.Endorsement _ -> "ENDORSEMENT"
+        | Messages.Vote_p _ -> "VOTE_P"
+        | Messages.Share _ -> "SHARE"
+        | Messages.Vote _ | Messages.Announce _ | Messages.Consensus _
+        | Messages.Recover_request _ | Messages.Recover_response _ -> "other"
+      in
+      let n, bytes = Option.value ~default:(0, 0) (Hashtbl.find_opt kinds kind) in
+      Hashtbl.replace kinds kind (n + 1, bytes + String.length (Messages.encode_vc_msg msg)));
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.default_params with Loadgen.lg_clients = 1; lg_seed = "wire-bytes" }
+      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
+      ~step:(fun () -> Runtime.step t)
+      ~ballot_for:(fun serial ->
+          Ballot_gen.voter_ballot ~seed:"wire-bytes" ~serial ~m:serve_cfg.Types.m_options)
+      ~nv:serve_cfg.Types.nv ~votes:(intents 1) ()
+  in
+  Alcotest.(check int) "the receipt" 1 r.Loadgen.receipts_ok;
+  Alcotest.(check (list (triple string int int))) "(kind, messages, bytes)"
+    [ ("ENDORSE", 3, 72); ("ENDORSEMENT", 3, 210); ("SHARE", 9, 144); ("VOTE_P", 3, 590) ]
+    (List.sort compare (Hashtbl.fold (fun k (n, b) acc -> (k, n, b) :: acc) kinds []))
 
 (* Batching must be outcome-invisible: the same serve run with the
    batcher disabled produces the identical transcript. *)
@@ -697,7 +735,8 @@ let () =
            test_one_frame_per_link_per_tick;
          Alcotest.test_case "max_frame split" `Quick test_max_frame_split;
          Alcotest.test_case "VOTE_P elides UCERT to holders" `Quick
-           test_vote_p_elision_on_links ]
+           test_vote_p_elision_on_links;
+         Alcotest.test_case "one vote's bytes per kind" `Quick test_vote_wire_bytes ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_pipe_serving_torn ]);
       ("equivalence",
        [ Alcotest.test_case "serve = sim" `Quick test_transcript_equivalence ]) ]

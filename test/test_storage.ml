@@ -212,6 +212,22 @@ let counting c (d : Device.t) =
          c.written <- c.written + String.length s;
          d.Device.log_reset s) }
 
+(* The code an ENDORSEMENT from [signer] to [dst] signs: the line of
+   ballot [serial] whose endorsement body its tag verifies on. *)
+let endorsed_code c ~signer ~dst ~serial tag =
+  let ballot = Ballot_gen.voter_ballot ~seed:vc_seed ~serial ~m:c.cfg.Types.m_options in
+  let signs code =
+    Auth.verify c.keys.(dst) ~signer
+      (Messages.endorsement_body ~election_id:c.cfg.Types.election_id ~serial ~code)
+      tag
+  in
+  List.find_map
+    (fun part ->
+       Array.find_map
+         (fun line -> if signs line.Types.vote_code then Some line.Types.vote_code else None)
+         (Types.ballot_part ballot part).Types.lines)
+    [ Types.A; Types.B ]
+
 let vc_env c i =
   { Vc_node.me = i;
     cfg = c.cfg;
@@ -222,8 +238,10 @@ let vc_env c i =
     send_vc =
       (fun ~dst msg ->
          (match msg with
-          | Messages.Endorsement { serial; vote_code; _ } ->
-            c.endorsed.(i) <- (serial, vote_code) :: c.endorsed.(i)
+          | Messages.Endorsement { serial; tag; _ } ->
+            Option.iter
+              (fun code -> c.endorsed.(i) <- (serial, code) :: c.endorsed.(i))
+              (endorsed_code c ~signer:i ~dst ~serial tag)
           | _ -> ());
          c.queue <- c.queue @ [ (fun () -> Vc_node.handle c.nodes.(dst) msg) ]);
     reply = (fun ~client:_ ~req:_ _ -> ());

@@ -197,7 +197,7 @@ let test_forged_ucert_ignored () =
   Vc_node.handle c.nodes.(0)
     (Messages.Vote_p
        { serial = 1; vote_code = code; sender = 3; part = Types.A; pos = fst line;
-         share = (snd line).Types.receipt_share; share_tag = None; ucert = Some bogus_ucert });
+         share = (snd line).Types.receipt_share; share_tag = None; ucert = bogus_ucert });
   drain c;
   Alcotest.(check int) "no receipts from forged UCERT" 0
     (Vc_node.receipts_issued c.nodes.(0))
@@ -227,13 +227,12 @@ let prop_hostile_serials_allocate_nothing =
          | 0 -> Messages.Vote { serial; vote_code; client = 9; req = 1 }
          | 1 -> Messages.Endorse { serial; vote_code; responder = peer }
          | 2 ->
-           Messages.Endorsement
-             { serial; vote_code; signer = peer; tag = Auth.Mac_tag [| vote_code |] }
+           Messages.Endorsement { serial; signer = peer; tag = Auth.Mac_tag [| vote_code |] }
          | _ ->
-           Messages.Vote_p
-             { serial; vote_code; sender = peer; part = Types.A; pos = 0;
+           Messages.Share
+             { serial; sender = peer; part = Types.A; pos = 0;
                share = { Dd_vss.Shamir_bytes.x = peer + 1; data = "8 bytes!" };
-               share_tag = None; ucert = None }
+               share_tag = None }
        in
        Vc_node.handle node msg;
        c.queue <- [];
@@ -241,10 +240,13 @@ let prop_hostile_serials_allocate_nothing =
 
 (* --- UCERT elision ------------------------------------------------------- *)
 
+(* Share disclosures as (src, dst, full): [true] for a VOTE_P, which
+   carries the UCERT, [false] for a SHARE. *)
 let vote_ps c =
   List.filter_map
     (function
-      | (src, dst, Messages.Vote_p { ucert; _ }) -> Some (src, dst, Option.is_some ucert)
+      | (src, dst, Messages.Vote_p _) -> Some (src, dst, true)
+      | (src, dst, Messages.Share _) -> Some (src, dst, false)
       | _ -> None)
     (List.rev !(c.sent))
 
@@ -264,14 +266,14 @@ let check_all_issued c =
     c.nodes
 
 (* A fault-free vote: the responder formed the UCERT and is the only
-   node whose VOTE_Ps carry it; the other nine are elided, and nobody
-   pulls. *)
+   node that sends VOTE_Ps, which carry it; the other nine disclosures
+   are SHAREs, and nobody pulls. *)
 let test_only_former_carries_ucert () =
   let c = make_cluster () in
   let code = code_of ~serial:3 ~part:Types.B ~option:1 in
   vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
   let vps = vote_ps c in
-  Alcotest.(check int) "twelve VOTE_Ps" 12 (List.length vps);
+  Alcotest.(check int) "twelve disclosures" 12 (List.length vps);
   Alcotest.(check (list (pair int int))) "full only from the responder, to each peer"
     [ (0, 1); (0, 2); (0, 3) ]
     (List.sort compare
@@ -279,28 +281,39 @@ let test_only_former_carries_ucert () =
   Alcotest.(check int) "no pull" 0 (List.length (pulls c));
   check_all_issued c
 
-(* Node [sender]'s genuine VOTE_P for [code], carrying [ucert]. *)
-let vote_p_from ~sender ~serial ~code ucert =
+(* Node [sender]'s line for [code]: its part, position and line. *)
+let line_from ~sender ~serial ~code =
   let store = Ballot_store.virtual_prf ~seed ~cfg ~node:sender in
   match Ballot_store.verify_vote_code store ~serial ~vote_code:code with
-  | Some (part, pos, line) ->
-    Messages.Vote_p
-      { serial; vote_code = code; sender; part; pos;
-        share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert }
+  | Some found -> found
   | None -> Alcotest.fail "code should validate"
 
-(* Node 3's genuine VOTE_P for [code], its UCERT elided. *)
-let elided_vote_p ~serial ~code = vote_p_from ~sender:3 ~serial ~code None
+(* Node [sender]'s genuine VOTE_P for [code], carrying [ucert]. *)
+let vote_p_from ~sender ~serial ~code ucert =
+  let part, pos, line = line_from ~sender ~serial ~code in
+  Messages.Vote_p
+    { serial; vote_code = code; sender; part; pos;
+      share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert }
+
+(* Node [sender]'s genuine SHARE for [code]'s line. *)
+let share_from ~sender ~serial ~code =
+  let part, pos, line = line_from ~sender ~serial ~code in
+  Messages.Share
+    { serial; sender; part; pos; share = line.Types.receipt_share;
+      share_tag = line.Types.share_tag }
+
+(* Node 3's genuine SHARE for [code]'s line. *)
+let share_3 ~serial ~code = share_from ~sender:3 ~serial ~code
 
 let durable_state c i =
   match c.backings.(i) with
   | Some b -> (Mem.durable_log b, Mem.unsynced_log b)
   | None -> Alcotest.fail "cluster is not durable"
 
-(* An elided VOTE_P counts only against a UCERT the node holds for the
-   same code: without one, or with one for another code, it must add
-   no share, log nothing and create no ballot. It pulls the UCERT from
-   the sender instead. *)
+(* A SHARE counts only against a UCERT the node holds for a code on
+   the SHARE's line: without one, or with one for a code on another
+   line, it must add no share, log nothing and create no ballot. It
+   pulls the UCERT from the sender instead. *)
 let test_elided_needs_held_ucert () =
   let c = make_cluster ~durable:true () in
   let check_ignored what msg =
@@ -319,20 +332,20 @@ let test_elided_needs_held_ucert () =
   in
   let code_a = code_of ~serial:1 ~part:Types.A ~option:2 in
   let code_b = code_of ~serial:1 ~part:Types.B ~option:0 in
-  check_ignored "no UCERT" (elided_vote_p ~serial:1 ~code:code_a);
+  check_ignored "no UCERT" (share_3 ~serial:1 ~code:code_a);
   vote c ~node:0 ~client:1 ~req:1 ~serial:1 ~vote_code:code_a;
   Alcotest.(check int) "voted" 1 (Vc_node.receipts_issued c.nodes.(0));
-  check_ignored "UCERT for another code" (elided_vote_p ~serial:1 ~code:code_b);
+  check_ignored "UCERT for another code" (share_3 ~serial:1 ~code:code_b);
   Alcotest.(check (list (triple int string string))) "no conflict recorded" []
     (Vc_node.ucert_conflicts c.nodes.(0))
 
-(* The UCERT is durable before a node's VOTE_P leaves, so a peer that
-   learned it holds one may elide it even across a cold restart. Node 1
-   gets the responder's VOTE_P only, restarts from its WAL, and then
-   accepts node 3's VOTE_P without the certificate. *)
+(* The UCERT is durable before a node's share leaves, so a peer that
+   learned it holds one may send a SHARE even across a cold restart.
+   Node 1 gets the responder's VOTE_P only, restarts from its WAL, and
+   then accepts node 3's SHARE. *)
 let test_elided_accepted_after_restart () =
   let drop ~src:_ ~dst = function
-    | Messages.Vote_p { sender; _ } -> dst = 1 && sender <> 0
+    | Messages.Share _ -> dst = 1
     | _ -> false
   in
   let c = make_cluster ~durable:true ~drop () in
@@ -341,23 +354,24 @@ let test_elided_accepted_after_restart () =
   Alcotest.(check int) "node 1 is one share short" 0 (Vc_node.receipts_issued c.nodes.(1));
   c.nodes.(1) <- Vc_node.create (c.env_of 1);
   c.queue <- [];
-  Vc_node.handle c.nodes.(1) (elided_vote_p ~serial:4 ~code);
+  Vc_node.handle c.nodes.(1) (share_3 ~serial:4 ~code);
   Alcotest.(check int) "the restarted node reconstructs" 1
     (Vc_node.receipts_issued c.nodes.(1))
 
-(* Every part of a ballot has m lines, so a VOTE_P whose position is
-   outside 0..m-1 is dropped before it can commit or send anything.
-   Node 0 holds the UCERT and lacks node 3's share, so the same VOTE_P
-   with its true position commits that share. *)
+(* Every part of a ballot has m lines, so a SHARE whose position is
+   outside 0..m-1 names no line and is dropped before it can commit or
+   send anything, a pull included. Node 0 holds the UCERT and lacks
+   node 3's share, so the same SHARE with its true position commits
+   that share. *)
 let test_vote_p_position_bound () =
-  let drop ~src ~dst = function Messages.Vote_p _ -> src = 3 && dst = 0 | _ -> false in
+  let drop ~src ~dst = function Messages.Share _ -> src = 3 && dst = 0 | _ -> false in
   let c = make_cluster ~durable:true ~drop () in
   let code = code_of ~serial:5 ~part:Types.B ~option:2 in
   vote c ~node:1 ~client:1 ~req:1 ~serial:5 ~vote_code:code;
   let node = c.nodes.(0) in
-  let vote_p = elided_vote_p ~serial:5 ~code in
+  let share = share_3 ~serial:5 ~code in
   let at pos =
-    match vote_p with Messages.Vote_p p -> Messages.Vote_p { p with pos } | _ -> assert false
+    match share with Messages.Share p -> Messages.Share { p with pos } | _ -> assert false
   in
   List.iter
     (fun pos ->
@@ -370,7 +384,7 @@ let test_vote_p_position_bound () =
        Alcotest.(check int) (what ^ ": nothing sent") 0 (List.length !(c.sent)))
     [ cfg.Types.m_options; -1 ];
   let disk = durable_state c 0 in
-  Vc_node.handle node vote_p;
+  Vc_node.handle node share;
   Alcotest.(check bool) "the true position commits the share" false (disk = durable_state c 0)
 
 (* What [node] sends, undelivered, when it handles [msg]. *)
@@ -384,14 +398,15 @@ let pull ~sender serials = Messages.Recover_request { sender; serials }
 
 (* A share counts only for the line its code is on. Byzantine node 3
    discloses its genuine share of another line of the same part, and
-   node 1's VOTE_P to the responder is late, so node 3's share would
-   complete the responder's quorum. The responder ignores it (nothing
-   logged, nothing sent), and reconstructs the printed receipt once
-   node 1's share arrives; a retry returns the same receipt. *)
+   node 1's SHARE to the responder is late, so node 3's share would
+   complete the responder's quorum. The responder does not count it:
+   it logs nothing and only pulls node 3's VOTE_P, since another line
+   may mean another certified code. It reconstructs the printed receipt
+   once node 1's share arrives; a retry returns the same receipt. *)
 let test_misplaced_share_ignored () =
-  let late ~src ~dst = function Messages.Vote_p _ -> src = 1 && dst = 0 | _ -> false in
+  let late ~src ~dst = function Messages.Share _ -> src = 1 && dst = 0 | _ -> false in
   let drop ~src ~dst msg =
-    late ~src ~dst msg || (match msg with Messages.Vote_p _ -> src = 3 | _ -> false)
+    late ~src ~dst msg || (match msg with Messages.Share _ -> src = 3 | _ -> false)
   in
   let c = make_cluster ~durable:true ~drop () in
   let serial = 2 and part = Types.B and option = 1 in
@@ -399,17 +414,19 @@ let test_misplaced_share_ignored () =
   vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
   Alcotest.(check int) "the responder is one share short" 0 (List.length (receipt_replies c));
   let misplaced =
-    match vote_p_from ~sender:3 ~serial ~code None with
-    | Messages.Vote_p p ->
+    match share_from ~sender:3 ~serial ~code with
+    | Messages.Share p ->
       let pos = (p.pos + 1) mod cfg.Types.m_options in
       let line = (Ballot_store.lines (Ballot_store.virtual_prf ~seed ~cfg ~node:3) ~serial ~part).(pos) in
-      Messages.Vote_p
+      Messages.Share
         { p with pos; share = line.Types.receipt_share; share_tag = line.Types.share_tag }
     | _ -> assert false
   in
   let delayed = List.filter (fun (src, dst, msg) -> late ~src ~dst msg) !(c.sent) in
   let disk = durable_state c 0 in
-  Alcotest.(check int) "nothing sent" 0 (List.length (sends c ~node:0 misplaced));
+  (match sends c ~node:0 misplaced with
+   | [ (0, 3, Messages.Recover_request { serials = [ s ]; _ }) ] when s = serial -> ()
+   | l -> Alcotest.failf "expected one pull to node 3, got %d messages" (List.length l));
   Alcotest.(check bool) "nothing logged" true (disk = durable_state c 0);
   List.iter (fun (_, _, msg) -> Vc_node.handle c.nodes.(0) msg) delayed;
   drain c;
@@ -461,7 +478,7 @@ let test_fault_free_vote_verifies_nine () =
   let certs =
     List.filter_map
       (function
-        | (src, dst, Messages.Vote_p { ucert = Some u; _ }) ->
+        | (src, dst, Messages.Vote_p { ucert = u; _ }) ->
           Some (src, dst, List.sort compare (List.map fst u.Messages.endorsements))
         | _ -> None)
       (List.rev !(c.sent))
@@ -470,7 +487,7 @@ let test_fault_free_vote_verifies_nine () =
     "signers 1 and 2 get quorum - 1 endorsements, not their own; node 3 a quorum"
     [ (0, 1, [ 0; 2 ]); (0, 2, [ 0; 1 ]); (0, 3, [ 0; 1; 2 ]) ] certs;
   match sends c ~node:1 (pull ~sender:3 [ serial ]) with
-  | [ (1, 3, Messages.Vote_p { ucert = Some u; _ }) ] ->
+  | [ (1, 3, Messages.Vote_p { ucert = u; _ }) ] ->
     Alcotest.(check (list int)) "node 1's UCERT names all three signers" [ 0; 1; 2 ]
       (List.sort compare (List.map fst u.Messages.endorsements));
     Alcotest.(check bool) "and verifies" true
@@ -528,14 +545,13 @@ let hostile_certs ~receiver =
   let take n l = List.filteri (fun i _ -> i < n) l in
   let quorum = cfg.Types.nv - cfg.Types.fv in
   [ vote_p_from ~sender ~serial:5 ~code:code5
-      (Some (bound_ucert ~serial:5 ~code:code5 (signed 5 code5 [ sender ])));
+      (bound_ucert ~serial:5 ~code:code5 (signed 5 code5 [ sender ]));
     vote_p_from ~sender ~serial:5 ~code:code5
-      (Some
-         (bound_ucert ~serial:5 ~code:code5
-            ((receiver, Auth.sign cluster_keys.(receiver) "forged")
-             :: signed 5 code5 (take (quorum - 1) others))));
+      (bound_ucert ~serial:5 ~code:code5
+         ((receiver, Auth.sign cluster_keys.(receiver) "forged")
+          :: signed 5 code5 (take (quorum - 1) others)));
     vote_p_from ~sender ~serial:4 ~code:code4
-      (Some (bound_ucert ~serial:4 ~code:code4 (signed 4 code4 (take (quorum - 1) others)))) ]
+      (bound_ucert ~serial:4 ~code:code4 (signed 4 code4 (take (quorum - 1) others))) ]
 
 let endorse_code_5 c =
   let code = code_of ~serial:5 ~part:Types.A ~option:0 in
@@ -572,8 +588,8 @@ let test_hostile_certs_commit_nothing () =
 (* --- UCERT pull ------------------------------------------------------------- *)
 
 (* The responder withholds: its VOTE_P reaches node 1 only. Nodes 2 and
-   3 cannot match node 1's elided VOTE_P, so each pulls the UCERT from
-   node 1, which answers each once, and every node issues the receipt. *)
+   3 cannot match node 1's SHARE, so each pulls the UCERT from node 1,
+   which answers each once, and every node issues the receipt. *)
 let test_pull_from_withholding_responder () =
   let drop ~src ~dst = function
     | Messages.Vote_p _ -> src = 0 && dst >= 2
@@ -598,7 +614,7 @@ let test_pull_answered_once () =
   let code = code_of ~serial:2 ~part:Types.A ~option:0 in
   vote c ~node:1 ~client:1 ~req:1 ~serial:2 ~vote_code:code;
   (match sends c ~node:0 (pull ~sender:3 [ 2 ]) with
-   | [ (0, 3, Messages.Vote_p { serial = 2; vote_code; sender = 0; ucert = Some u; _ }) ] ->
+   | [ (0, 3, Messages.Vote_p { serial = 2; vote_code; sender = 0; ucert = u; _ }) ] ->
      Alcotest.(check bool) "the answer carries the UCERT for the code" true
        (vote_code = code && u.Messages.u_serial = 2 && u.Messages.u_code = code)
    | l -> Alcotest.failf "expected one full VOTE_P to node 3, got %d messages" (List.length l));
@@ -610,10 +626,9 @@ let test_pull_answered_once () =
     (List.length (sends c ~node:0 (pull ~sender:2 [ 2; 4 ])))
 
 (* Hostile pulls: RECOVER-REQUESTs for random serials, in range or not,
-   and elided VOTE_Ps for serials outside the election. Neither creates
-   ballot state; an elided VOTE_P for a serial outside the election is
-   not pulled; a pull is answered only for the voted ballot, once per
-   peer. *)
+   and SHAREs for serials outside the election. Neither creates ballot
+   state; a SHARE for a serial outside the election is not pulled; a
+   pull is answered only for the voted ballot, once per peer. *)
 let prop_hostile_pulls =
   let c = make_cluster () in
   let voted = 2 in
@@ -635,10 +650,10 @@ let prop_hostile_pulls =
        let before = Vc_node.ballot_count node in
        let msg =
          if elided then
-           Messages.Vote_p
-             { serial; vote_code = "code"; sender = peer; part = Types.A; pos = 0;
+           Messages.Share
+             { serial; sender = peer; part = Types.A; pos = 0;
                share = { Dd_vss.Shamir_bytes.x = peer + 1; data = "8 bytes!" };
-               share_tag = None; ucert = None }
+               share_tag = None }
          else pull ~sender:peer [ serial ]
        in
        let out = sends c ~node:1 msg in
@@ -646,22 +661,22 @@ let prop_hostile_pulls =
        &&
        match out with
        | [] -> true
-       | [ (1, dst, Messages.Vote_p { serial = s; ucert = Some _; _ }) ] ->
+       | [ (1, dst, Messages.Vote_p { serial = s; _ }) ] ->
          (not elided) && dst = peer && s = serial && s = voted
          && (not (Hashtbl.mem answered peer))
          && (Hashtbl.replace answered peer (); true)
        | _ -> false)
 
 (* Over-threshold equivocation: node 0 holds a UCERT for code A and gets
-   node 3's elided VOTE_P for code B. It pulls, and records the conflict
+   node 3's SHARE for code B's line. It pulls, and records the conflict
    when the answer, a VOTE_P with a valid UCERT for B, arrives. *)
 let test_pull_detects_conflict () =
   let c = make_cluster () in
   let code_a = code_of ~serial:1 ~part:Types.A ~option:2 in
   let code_b = code_of ~serial:1 ~part:Types.B ~option:0 in
   vote c ~node:0 ~client:1 ~req:1 ~serial:1 ~vote_code:code_a;
-  let elided = elided_vote_p ~serial:1 ~code:code_b in
-  ignore (sends c ~node:0 elided);
+  let share = share_3 ~serial:1 ~code:code_b in
+  ignore (sends c ~node:0 share);
   Alcotest.(check (list (triple int int (list int)))) "pulled from node 3" [ (0, 3, [ 1 ]) ]
     (pulls c);
   let keys =
@@ -674,12 +689,70 @@ let test_pull_detects_conflict () =
     { Messages.u_serial = 1; u_code = code_b;
       endorsements = List.map (fun i -> (i, Auth.sign keys.(i) body)) [ 1; 2; 3 ] }
   in
-  (match elided with
-   | Messages.Vote_p p ->
-     Vc_node.handle c.nodes.(0) (Messages.Vote_p { p with ucert = Some ucert_b })
-   | _ -> assert false);
+  Vc_node.handle c.nodes.(0) (vote_p_from ~sender:3 ~serial:1 ~code:code_b ucert_b);
   Alcotest.(check (list (triple int string string))) "conflict recorded"
     [ (1, code_a, code_b) ] (Vc_node.ucert_conflicts c.nodes.(0))
+
+(* A SHARE names its code by its line alone. Node 0 holds a UCERT for
+   code A of ballot 1 and gets node 3's genuine SHARE of another line
+   of the same part: it counts nothing, logs nothing and pulls node
+   3's VOTE_P. The VOTE_P that answers carries a valid UCERT for that
+   line's code, and node 0 records the conflict. *)
+let test_share_other_line_pulls () =
+  let c = make_cluster ~durable:true () in
+  let code_a = code_of ~serial:1 ~part:Types.A ~option:2 in
+  let code_c = code_of ~serial:1 ~part:Types.A ~option:0 in
+  vote c ~node:0 ~client:1 ~req:1 ~serial:1 ~vote_code:code_a;
+  let node = c.nodes.(0) in
+  let state = Vc_node.observable node and disk = durable_state c 0 in
+  (match sends c ~node:0 (share_from ~sender:3 ~serial:1 ~code:code_c) with
+   | [ (0, 3, Messages.Recover_request { serials = [ 1 ]; _ }) ] -> ()
+   | l -> Alcotest.failf "expected one pull to node 3, got %d messages" (List.length l));
+  Alcotest.(check string) "the share is not counted" state (Vc_node.observable node);
+  Alcotest.(check bool) "nothing logged" true (disk = durable_state c 0);
+  let ucert_c =
+    bound_ucert ~serial:1 ~code:code_c
+      (List.map (fun signer -> endorsement ~signer ~serial:1 ~code:code_c) [ 1; 2; 3 ])
+  in
+  ignore (sends c ~node:0 (vote_p_from ~sender:3 ~serial:1 ~code:code_c ucert_c));
+  Alcotest.(check (list (triple int string string))) "the pulled VOTE_P's conflict"
+    [ (1, code_a, code_c) ] (Vc_node.ucert_conflicts node)
+
+(* An ENDORSEMENT names no code: the responder checks its tag against
+   the code it is collecting, so a tag over another code of the ballot
+   does not count. Node 0 collects code A with every peer's ENDORSEMENT
+   withheld; two tags over code B form no UCERT, and the genuine two
+   do. [obligations] names the collected code too. *)
+let test_endorsement_for_other_code () =
+  let c = make_cluster ~drop:(fun ~src:_ ~dst:_ -> function
+      | Messages.Endorsement _ -> true
+      | _ -> false) ()
+  in
+  let serial = 2 in
+  let code_a = code_of ~serial ~part:Types.A ~option:1 in
+  let code_b = code_of ~serial ~part:Types.B ~option:1 in
+  vote c ~node:0 ~client:1 ~req:1 ~serial ~vote_code:code_a;
+  let endorsements code =
+    List.map
+      (fun signer ->
+         let signer, tag = endorsement ~signer ~serial ~code in
+         Messages.Endorsement { serial; signer; tag })
+      [ 1; 2 ]
+  in
+  let body =
+    Messages.endorsement_body ~election_id:cfg.Types.election_id ~serial ~code:code_a
+  in
+  (match endorsements code_b with
+   | Messages.Endorsement { signer; tag; _ } as m :: _ ->
+     Alcotest.(check bool) "the obligation is over the collected code" true
+       (Vc_node.obligations c.nodes.(0) m = [ (signer, body, tag) ])
+   | _ -> assert false);
+  let out = List.concat_map (sends c ~node:0) (endorsements code_b) in
+  Alcotest.(check int) "tags over another code form no UCERT" 0 (List.length out);
+  let out = List.concat_map (sends c ~node:0) (endorsements code_a) in
+  Alcotest.(check int) "the genuine tags do: three VOTE_Ps" 3
+    (List.length
+       (List.filter (function (0, _, Messages.Vote_p _) -> true | _ -> false) out))
 
 (* The UCERT and the disclosure are durable, so a node restarted from
    its WAL answers a pull from its restored UCERT. *)
@@ -690,7 +763,7 @@ let test_pull_answered_after_restart () =
   c.nodes.(1) <- Vc_node.create (c.env_of 1);
   c.queue <- [];
   match sends c ~node:1 (pull ~sender:2 [ 4 ]) with
-  | [ (1, 2, Messages.Vote_p { serial = 4; ucert = Some u; _ }) ] ->
+  | [ (1, 2, Messages.Vote_p { serial = 4; ucert = u; _ }) ] ->
     Alcotest.(check string) "restored UCERT" code u.Messages.u_code
   | l -> Alcotest.failf "expected one full VOTE_P to node 2, got %d messages" (List.length l)
 
@@ -960,7 +1033,7 @@ let test_lagging_collector_pulls () =
   | _ -> Alcotest.fail "the nodes submit different sets"
 
 (* A UCERT adopted during Voting binds the ballot to the certified
-   code's line: when a lagging peer's VOTE_P for the ballot reaches
+   code's line: when a lagging peer's SHARE for the ballot reaches
    node 3 while it is still in Voting, node 3 discloses the share of
    that line (part B, position 2), not of the ballot's first line. *)
 let test_pulled_ucert_discloses_its_line () =
@@ -971,18 +1044,18 @@ let test_pulled_ucert_discloses_its_line () =
   (match Ballot_store.verify_vote_code store ~serial:2 ~vote_code:code with
    | Some (part, pos, line) ->
      Vc_node.handle c.nodes.(3)
-       (Messages.Vote_p
-          { serial = 2; vote_code = code; sender = 1; part; pos;
-            share = line.Types.receipt_share; share_tag = line.Types.share_tag; ucert = None })
+       (Messages.Share
+          { serial = 2; sender = 1; part; pos;
+            share = line.Types.receipt_share; share_tag = line.Types.share_tag })
    | None -> Alcotest.fail "code should validate");
   let disclosed =
     List.filter_map
       (function
-        | (3, _, Messages.Vote_p { part; pos; _ }) -> Some (Types.part_label part, pos)
+        | (3, _, Messages.Share { part; pos; _ }) -> Some (Types.part_label part, pos)
         | _ -> None)
       !(c.sent)
   in
-  Alcotest.(check (list (pair string int))) "node 3's VOTE_Ps name the code's line"
+  Alcotest.(check (list (pair string int))) "node 3's SHAREs name the code's line"
     [ ("B", 2); ("B", 2); ("B", 2) ] disclosed
 
 (* Node 3 missed the one vote, and the answers to its pulls are held
@@ -1102,6 +1175,9 @@ let () =
        [ Alcotest.test_case "withholding responder" `Quick test_pull_from_withholding_responder;
          Alcotest.test_case "answered once per peer" `Quick test_pull_answered_once;
          Alcotest.test_case "conflicting code detected" `Quick test_pull_detects_conflict;
+         Alcotest.test_case "SHARE on another line pulls" `Quick test_share_other_line_pulls;
+         Alcotest.test_case "ENDORSEMENT for another code" `Quick
+           test_endorsement_for_other_code;
          Alcotest.test_case "answered after restart" `Quick test_pull_answered_after_restart;
          QCheck_alcotest.to_alcotest prop_hostile_pulls;
          QCheck_alcotest.to_alcotest prop_handler_byte_fuzz ]);
