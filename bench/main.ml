@@ -122,7 +122,7 @@ let run_point ?(n_voters = 200_000) ?(m = 4) ?(nv = 4) ?(cc = 400) ?(casts = sca
   Election.run
     { p with
       Election.seed;
-      latency = (if wan then Net.wan () else Net.lan);
+      latency = (if wan then Net.wan else Net.lan);
       costs;
       concurrent_clients = cc;
       run_vsc;
@@ -753,11 +753,7 @@ let serve () =
     float_of_int r.Loadgen.receipts_ok /. dt
   in
   let pipe_point ~batching clients =
-    let t =
-      Runtime.create
-        ~params:{ Runtime.default_params with Runtime.batching }
-        (Runtime.source_prf cfg ~seed)
-    in
+    let t = Runtime.create ~batching (Runtime.source_prf cfg ~seed) in
     time_run ~clients
       ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
       ~step:(fun () -> Runtime.step t)

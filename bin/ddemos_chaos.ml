@@ -230,7 +230,7 @@ let scenarios : scenario list =
            { p with
              Election.faults =
                [ Fault_plan.reorder ~prob:0.3 ~horizon:0.02 ~from_:0. ~until_:1e6;
-                 Fault_plan.delay_spike ~extra:0.05 ~from_:0. ~until_:0.1 ];
+                 Fault_plan.link ~extra_delay:0.05 ~from_:0. ~until_:0.1 () ];
              voter_patience = 1.0 }) };
     { name = "combo";
       desc = "silent collector + another isolated during [0,0.4) + loss + reordering";

@@ -136,7 +136,7 @@ let run_cmd =
       { p with
         Election.seed;
         concurrent_clients = clients;
-        latency = (if wan then Dd_sim.Net.wan () else Dd_sim.Net.lan);
+        latency = (if wan then Dd_sim.Net.wan else Dd_sim.Net.lan);
         byzantine_vc = List.init byzantine (fun i -> (i, Election.Silent));
         voter_patience = 5. }
     in
@@ -356,8 +356,7 @@ let serve_cmd =
         exit 1
     in
     let source = Runtime.source_of_layout ~devices layout in
-    let params = { Runtime.default_params with Runtime.batching = not no_batch } in
-    let t = Runtime.create ~params source in
+    let t = Runtime.create ~batching:(not no_batch) source in
     let sock_dir = match socket_dir with Some d -> d | None -> state_dir in
     if not (Sys.file_exists sock_dir) then Sys.mkdir sock_dir 0o755;
     let sock_path i = Filename.concat sock_dir (Printf.sprintf "vc%d.sock" i) in
@@ -485,8 +484,7 @@ let ballot_cmd =
   let serial =
     Arg.(value & opt int 0 & info [ "serial" ] ~docv:"S" ~doc:"Ballot serial number.")
   in
-  let show voters m nv fv seed serial =
-    ignore voters; ignore nv; ignore fv;
+  let show m seed serial =
     let b = Ddemos.Ballot_gen.voter_ballot ~seed ~serial ~m in
     Printf.printf "ballot serial %d (seed %S)\n" serial seed;
     List.iter
@@ -501,7 +499,7 @@ let ballot_cmd =
       [ Types.A; Types.B ]
   in
   Cmd.v (Cmd.info "ballot" ~doc:"Print the two-part ballot a voter would receive.")
-    Term.(const show $ voters $ options_ $ nv $ fv $ seed $ serial)
+    Term.(const show $ options_ $ seed $ serial)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

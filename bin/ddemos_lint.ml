@@ -7,15 +7,14 @@
    (docs/INVARIANTS.md), prints findings as file:line:col lines, and
    exits 1 when any finding
    survives suppression: a finding is either fixed or allowed inline
-   with a reason. Wired into the build as `dune build @lint`. *)
+   with a reason. Exits 2 on a missing path, or when no messages.ml
+   gives R4 its wire constructors. Wired into the build as
+   `dune build @lint`. *)
 
 module Lint = Dd_analysis.Lint
 module Rules = Dd_analysis.Rules
 module Findings = Dd_analysis.Findings
 module Taint = Dd_analysis.Taint
-
-let messages_file files =
-  List.find_opt (fun f -> Filename.basename f = "messages.ml") files
 
 let usage = "usage: ddemos_lint [--list-rules] [paths...]"
 
@@ -36,20 +35,16 @@ let () =
        (String.concat ", " missing);
      exit 2);
   let files = Lint.ml_files roots in
-  (* keep R4 in sync with the real message types: harvest the
-     constructors from messages.ml when it is in scope *)
+  (* R4 tracks the real message types: its constructors come from
+     messages.ml, never from a copy that could go stale *)
   let wire_constructors =
-    match messages_file files with
-    | Some path ->
-      (match Lint.read_file path with
-       | Some source ->
-         (match Lint.harvest_wire_constructors ~source with
-          | [] -> Rules.default_wire_constructors
-          | cs -> cs)
-       | None -> Rules.default_wire_constructors)
-    | None -> Rules.default_wire_constructors
+    match Lint.wire_constructors files with
+    | Ok cs -> cs
+    | Error why ->
+      Printf.eprintf "ddemos-lint: %s\n" why;
+      exit 2
   in
-  let rules = Rules.all ~wire_constructors () in
+  let rules = Rules.all ~wire_constructors in
   if !list_rules then begin
     List.iter (fun (r : Rules.t) -> Printf.printf "%-18s %s\n" r.Rules.name r.Rules.short)
       rules;

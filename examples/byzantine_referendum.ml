@@ -35,7 +35,7 @@ let () =
     Election.run
       { p with
         Election.seed = "referendum";
-        latency = Dd_sim.Net.wan ();
+        latency = Dd_sim.Net.wan;
         concurrent_clients = 100;
         voter_patience = patience;
         byzantine_vc = [ (2, Election.Silent); (5, Election.Drop_receipts) ];

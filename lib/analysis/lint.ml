@@ -159,3 +159,22 @@ let harvest_wire_constructors ~source =
     in
     it.structure it structure;
     List.rev !acc
+
+let messages_fallback = "lib/core/messages.ml"
+
+let wire_constructors files =
+  let path =
+    match List.find_opt (fun f -> Filename.basename f = "messages.ml") files with
+    | Some f -> Some f
+    | None -> if Sys.file_exists messages_fallback then Some messages_fallback else None
+  in
+  match path with
+  | None ->
+    Error
+      (Printf.sprintf "no messages.ml among the linted files and no %s to read R4's \
+                       wire constructors from" messages_fallback)
+  | Some path ->
+    (match Option.map (fun source -> harvest_wire_constructors ~source) (read_file path) with
+     | None -> Error (path ^ ": unreadable")
+     | Some [] -> Error (path ^ ": declares no vc_msg/bb_msg constructors")
+     | Some cs -> Ok cs)

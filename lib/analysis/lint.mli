@@ -33,5 +33,11 @@ val ml_files : string list -> string list
     Empty if the source declares none (or does not parse). *)
 val harvest_wire_constructors : source:string -> string list
 
+(** R4's constructors, harvested from the [messages.ml] among [files],
+    or else from [lib/core/messages.ml]; [Error] says why when neither
+    exists or declares none — there is no built-in copy to fall back
+    to. *)
+val wire_constructors : string list -> (string list, string) result
+
 (** Read a file, or [None] if unreadable. *)
 val read_file : string -> string option

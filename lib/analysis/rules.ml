@@ -264,10 +264,6 @@ let exception_hygiene =
 
 let wire_type_names = [ "vc_msg"; "bb_msg" ]
 
-let default_wire_constructors =
-  [ "Vote"; "Endorse"; "Endorsement"; "Vote_p"; "Share"; "Announce"; "Consensus";
-    "Recover_request"; "Recover_response"; "Vote_set_submit"; "Trustee_post" ]
-
 (* Constructor names mentioned anywhere in a case pattern. *)
 let rec pattern_constructors p =
   match p.ppat_desc with
@@ -691,6 +687,6 @@ let domain_escape =
               | _ -> [])
            structure) }
 
-let all ?(wire_constructors = default_wire_constructors) () =
+let all ~wire_constructors =
   [ ct_equality; sans_io; exception_hygiene;
     wire_exhaustive ~constructors:wire_constructors; domain_safe_state; domain_escape ]

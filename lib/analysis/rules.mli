@@ -10,21 +10,17 @@ type t = {
   check : file:string -> Parsetree.structure -> Findings.t list;
 }
 
-(** Constructors of [Messages.vc_msg] / [Messages.bb_msg] as of this
-    writing; the driver re-harvests them from [messages.ml] so the rule
-    tracks the real type. *)
-val default_wire_constructors : string list
-
 (** Names of the type declarations whose constructors R4 protects. *)
 val wire_type_names : string list
 
 (** The syntactic rules, each scoped to the directories where its
     invariant applies: R1 [ct-equality], R2 [sans-io], R3
     [exception-hygiene], R4 [wire-exhaustive] over
-    [wire_constructors], R6 [domain-safe-state] and R8
+    [wire_constructors] (ddemos_lint harvests them with
+    {!Lint.wire_constructors}), R6 [domain-safe-state] and R8
     [domain-escape]. docs/INVARIANTS.md states each one's scope and
     rationale. *)
-val all : ?wire_constructors:string list -> unit -> t list
+val all : wire_constructors:string list -> t list
 
 (** {2 Shared syntactic helpers} — used by the interprocedural taint
     engine ({!Taint}) and its call graph, kept here so the rules agree on names and sinks. *)

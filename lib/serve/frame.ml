@@ -15,14 +15,12 @@ let encode payload =
   Buffer.contents buf
 
 type decoder = {
-  max_frame : int;
   mutable acc : Buffer.t;
   mutable pos : int;                 (* consumed prefix of [acc] *)
   mutable err : string option;
 }
 
-let create ?(max_frame = max_frame_default) () =
-  { max_frame; acc = Buffer.create 256; pos = 0; err = None }
+let create () = { acc = Buffer.create 256; pos = 0; err = None }
 
 let feed d bytes =
   if d.err = None && String.length bytes > 0 then Buffer.add_string d.acc bytes
@@ -47,8 +45,8 @@ let pop d =
     else begin
       let b i = Char.code (Buffer.nth d.acc (d.pos + i)) in
       let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-      if n > d.max_frame then begin
-        d.err <- Some (Printf.sprintf "frame length %d exceeds max %d" n d.max_frame);
+      if n > max_frame_default then begin
+        d.err <- Some (Printf.sprintf "frame length %d exceeds max %d" n max_frame_default);
         None
       end
       else if avail < header_len + n then None

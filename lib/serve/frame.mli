@@ -4,8 +4,9 @@
     coalesced across {!feed} calls, and a hostile length prefix poisons
     the decoder (sticky {!error}) instead of allocating unboundedly. *)
 
-(** Frames larger than this are a protocol violation (default 1 MiB —
-    comfortably above the largest ANNOUNCE at supported scale). *)
+(** Frames larger than this are a protocol violation (1 MiB —
+    comfortably above the largest ANNOUNCE at supported scale); every
+    decoder enforces it. *)
 val max_frame_default : int
 
 val encode : string -> string
@@ -15,7 +16,7 @@ val encode_into : Buffer.t -> string -> unit
 
 type decoder
 
-val create : ?max_frame:int -> unit -> decoder
+val create : unit -> decoder
 
 (** Feed newly received bytes; no-op once the decoder is poisoned. *)
 val feed : decoder -> string -> unit

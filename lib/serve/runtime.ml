@@ -10,18 +10,11 @@ module Ea = Ddemos.Ea
 module Board = Ddemos.Board
 module Drbg = Dd_crypto.Drbg
 
-type params = {
-  batching : bool;
-  mailbox_cap : int;
-  batch_max : int;
-  max_frame : int;
-}
+(* messages a node's mailbox holds before shedding *)
+let mailbox_cap = 4096
 
-let default_params =
-  { batching = true;
-    mailbox_cap = 4096;
-    batch_max = 256;
-    max_frame = Frame.max_frame_default }
+(* messages a node drains per tick *)
+let batch_max = 256
 
 (* outbound bytes buffered per client connection before it is shed *)
 let out_cap = 1 lsl 22
@@ -76,7 +69,7 @@ type stats = {
 }
 
 type t = {
-  p : params;
+  batching : bool;
   src : source;
   nv : int;
   nb : int;
@@ -126,7 +119,7 @@ let register_conn t ~role conn =
   t.next_conn <- id + 1;
   let cs =
     { k_id = id; k_conn = conn; k_role = role;
-      k_dec = Frame.create ~max_frame:t.p.max_frame ();
+      k_dec = Frame.create ();
       k_out = Buffer.create 256; k_open = true }
   in
   t.conns <- cs :: t.conns;
@@ -150,23 +143,23 @@ let make_env t i : Vc_node.env =
     consensus_coin = Dd_consensus.Binary_batch.Local;
     verify_share_tags = t.src.sv_verify_share_tags;
     verify_tag =
-      (if t.p.batching then Some (Batcher.verify t.batchers.(i)) else None);
+      (if t.batching then Some (Batcher.verify t.batchers.(i)) else None);
     durable = None }
 
-let create ?(params = default_params) src =
+let create ?(batching = true) src =
   let cfg = src.sv_cfg in
   let nv = cfg.Types.nv in
   let nb = match src.sv_bb with None -> 0 | Some _ -> cfg.Types.nb in
   let t =
-    { p = params;
+    { batching;
       src;
       nv;
       nb;
       clock = { cnow = 1.0; cend = infinity };
       vc = [||];
       bb = [||];
-      vc_mbox = Array.init nv (fun _ -> Mailbox.create ~capacity:params.mailbox_cap);
-      bb_mbox = Array.init nb (fun _ -> Mailbox.create ~capacity:params.mailbox_cap);
+      vc_mbox = Array.init nv (fun _ -> Mailbox.create ~capacity:mailbox_cap);
+      bb_mbox = Array.init nb (fun _ -> Mailbox.create ~capacity:mailbox_cap);
       batchers =
         Array.init nv (fun i -> Batcher.create ~keys:src.sv_keys.(i));
       staging = Array.init nv (fun _ -> ref []);
@@ -289,27 +282,28 @@ let pump_conn t conn =
   !processed
 
 let process_vc t i =
-  let msgs = Mailbox.drain ~max:t.p.batch_max t.vc_mbox.(i) in
+  let msgs = Mailbox.drain ~max:batch_max t.vc_mbox.(i) in
   match msgs with
   | [] -> 0
   | _ ->
-    if t.p.batching then
+    if t.batching then
       Batcher.preverify t.batchers.(i) (List.concat_map (Vc_node.obligations t.vc.(i)) msgs);
     List.iter (fun m -> Vc_node.handle t.vc.(i) m) msgs;
     List.length msgs
 
 let process_bb t j =
-  let msgs = Mailbox.drain ~max:t.p.batch_max t.bb_mbox.(j) in
+  let msgs = Mailbox.drain ~max:batch_max t.bb_mbox.(j) in
   List.iter (fun m -> Bb_node.handle t.bb.(j) m) msgs;
   List.length msgs
 
 (* Each link's staged messages leave as one frame (more only past
-   [max_frame]); client replies stay one frame each. *)
+   [Frame.max_frame_default]); client replies stay one frame each. *)
 let flush_staged t =
   let send conn msg =
     match conn with
     | Some conn when conn.k_open ->
-      List.iter (enqueue_out t conn) (Mux.encode_split ~max_frame:t.p.max_frame msg)
+      List.iter (enqueue_out t conn)
+        (Mux.encode_split ~max_frame:Frame.max_frame_default msg)
     | Some _ | None -> ()
   in
   for i = 0 to t.nv - 1 do

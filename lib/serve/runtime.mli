@@ -5,12 +5,13 @@
     Each {!step} runs one BSP tick:
 
     + {b pump} — drain every connection, feed the frame decoders,
-      route decoded messages to the destination node's mailbox. A full
-      mailbox sheds: client votes get an immediate "overloaded"
-      rejection (the closed loop never hangs), peer messages are
-      dropped and counted (the protocol's retries absorb the loss).
+      route decoded messages to the destination node's mailbox, which
+      holds [mailbox_cap] = 4096 messages. A full mailbox sheds:
+      client votes get an immediate "overloaded" rejection (the closed
+      loop never hangs), peer messages are dropped and counted (the
+      protocol's retries absorb the loss).
     + {b process} — each node with pending input drains up to
-      [batch_max] messages; with batching enabled the {!Batcher}
+      [batch_max] = 256 messages; with batching enabled the {!Batcher}
       settles the batch's signature obligations through one
       [Auth.verify_batch] first, then the unchanged sans-IO state
       machines consume the messages. Node sends are staged per node,
@@ -20,27 +21,19 @@
       buffers, in node index order (deterministic byte streams). Peer
       traffic is coalesced: each VC→VC and VC→BB link's messages for
       the tick leave as one {!Mux} batch frame, cut into more only
-      where the next message would push a payload past [max_frame];
+      where the next message would push a payload past
+      {!Frame.max_frame_default}, the cap every decoder enforces;
       the receiving pump routes a batch's messages in order, so every
       mailbox sees the sequence one frame per message would give.
       Client replies stay one frame each. Every buffer then makes one
       write of as much as its transport accepts, keeping the rest.
       Only client buffers are bounded: a client connection whose
-      backlog overflows 4 MiB is a slow reader — it is closed and
+      backlog overflows [out_cap] = 4 MiB is a slow reader — it is closed and
       counted, never buffered unboundedly.
 
     Inter-node traffic travels through the same framed byte pipes as
     client traffic (created internally), so every hop exercises the
     real wire path. *)
-
-type params = {
-  batching : bool;           (** the adaptive batch-verification stage *)
-  mailbox_cap : int;         (** messages a node's mailbox holds before shedding *)
-  batch_max : int;           (** messages a node drains per tick *)
-  max_frame : int;           (** payload cap, received and sent *)
-}
-
-val default_params : params
 
 (** Where the cluster's election state comes from: the simulator's
     {!Ddemos.Node_source}, re-exported and consumed as-is. The runtime
@@ -69,7 +62,10 @@ val source_of_layout :
 
 type t
 
-val create : ?params:params -> source -> t
+(** [batching] (default [true]) enables the adaptive batch-verification
+    stage; [false] verifies each signature serially, as
+    [ddemos serve --no-batch] and the bench's serial ablation row do. *)
+val create : ?batching:bool -> source -> t
 
 (** A fresh in-process client connection multiplexed onto VC node
     [node]; the returned endpoint is the client's side. *)

@@ -34,8 +34,6 @@ type spec =
   | Reorder of { prob : float; horizon : float; w : window }
       (* each message independently delayed by uniform [0, horizon),
          with probability [prob] — bounded reordering *)
-  | Delay_spike of { extra : float; w : window }
-      (* flat extra latency on every inter-machine link *)
 
 type t = spec list
 
@@ -53,14 +51,11 @@ let crash ?recover ~node ~at () = Crash { node; at; recover }
 let reorder ~prob ~horizon ~from_ ~until_ =
   Reorder { prob; horizon; w = { from_; until_ } }
 
-let delay_spike ~extra ~from_ ~until_ =
-  Delay_spike { extra; w = { from_; until_ } }
-
 let crash_specs t =
   List.filter_map
     (function
       | Crash { node; at; recover } -> Some (node, at, recover)
-      | Partition _ | Link _ | Reorder _ | Delay_spike _ -> None)
+      | Partition _ | Link _ | Reorder _ -> None)
     t
 
 let crashed t ~node ~at =
@@ -69,12 +64,12 @@ let crashed t ~node ~at =
       | Crash { node = n; at = t0; recover } ->
         n = node && at >= t0
         && (match recover with None -> true | Some tr -> at < tr)
-      | Partition _ | Link _ | Reorder _ | Delay_spike _ -> false)
+      | Partition _ | Link _ | Reorder _ -> false)
     t
 
 type link_condition = {
   cut : bool;                  (* partitioned: the message vanishes *)
-  drop : float;                (* extra drop probability, on top of the base *)
+  drop : float;
   extra_delay : float;
   jitter : float;
   duplicate : float;
@@ -110,9 +105,7 @@ let link_condition t ~src ~src_machine ~dst ~dst_machine ~at =
         { acc with
           reorder_prob = combine_prob acc.reorder_prob prob;
           reorder_horizon = max acc.reorder_horizon horizon }
-      | Delay_spike { extra; w } when active w ~at ->
-        { acc with extra_delay = acc.extra_delay +. extra }
-      | Partition _ | Link _ | Crash _ | Reorder _ | Delay_spike _ -> acc)
+      | Partition _ | Link _ | Crash _ | Reorder _ -> acc)
     clear t
 
 let describe_window w = Printf.sprintf "[%g, %g)" w.from_ w.until_
@@ -132,8 +125,6 @@ let describe_spec = function
       (match recover with None -> "" | Some tr -> Printf.sprintf " recover %g" tr)
   | Reorder { prob; horizon; w } ->
     Printf.sprintf "reorder prob=%g horizon=%g %s" prob horizon (describe_window w)
-  | Delay_spike { extra; w } ->
-    Printf.sprintf "delay-spike +%g %s" extra (describe_window w)
 
 let describe t =
   match t with

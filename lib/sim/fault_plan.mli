@@ -1,14 +1,14 @@
 (** Declarative, time-windowed fault schedules for {!Net}.
 
     A fault plan is a list of fault specifications — partitions,
-    per-link overrides, crashes, reordering, delay spikes — each active
+    per-link overrides, crashes, reordering — each active
     over a half-open window [[from_, until_)] of virtual time. The plan
     is pure data: {!Net.send} consults it on every send and samples any
     probabilistic faults from the engine's seeded DRBG, so runs remain
     pure functions of their seed.
 
     Same-machine (loopback) deliveries are exempt from every link-level
-    fault (partitions, drops, duplication, reordering, spikes): local
+    fault (partitions, drops, delays, duplication, reordering): local
     channels in the paper's deployment model are reliable. Crashes
     still apply — a crashed node neither sends nor receives anything,
     including to and from itself over loopback. A crash is a power
@@ -31,7 +31,6 @@ type spec =
     }
   | Crash of { node : int; at : float; recover : float option }
   | Reorder of { prob : float; horizon : float; w : window }
-  | Delay_spike of { extra : float; w : window }
 
 type t = spec list
 
@@ -42,10 +41,12 @@ val none : t
     the world, are unaffected. *)
 val partition : machines:int list -> from_:float -> until_:float -> spec
 
-(** Per-link override, matched on node ids ([None] = wildcard).
-    [drop]/[duplicate] compose with the base latency model's
-    probabilities as independent fault sources; [extra_delay] (plus
-    uniform [[0, jitter)]) adds to the sampled link latency. *)
+(** Per-link override, matched on node ids ([None] = wildcard): the
+    one spelling of drop, delay and duplication. Overlapping links'
+    [drop]/[duplicate] compose as independent fault sources;
+    [extra_delay] (plus uniform [[0, jitter)]) adds to the sampled link
+    latency, so a wildcard link with only [extra_delay] is a flat delay
+    spike on every inter-machine link. *)
 val link :
   ?src:int -> ?dst:int -> ?drop:float -> ?extra_delay:float ->
   ?jitter:float -> ?duplicate:float -> from_:float -> until_:float ->
@@ -62,9 +63,6 @@ val crash : ?recover:float -> node:int -> at:float -> unit -> spec
     [[0, horizon)] with probability [prob] — bounded reordering. *)
 val reorder : prob:float -> horizon:float -> from_:float -> until_:float -> spec
 
-(** Flat extra latency on every inter-machine link during the window. *)
-val delay_spike : extra:float -> from_:float -> until_:float -> spec
-
 (** Is [node] crashed at virtual time [at]? *)
 val crashed : t -> node:int -> at:float -> bool
 
@@ -73,10 +71,9 @@ val crashed : t -> node:int -> at:float -> bool
     events at the right instants. *)
 val crash_specs : t -> (int * float * float option) list
 
-(** The combined condition of one directed link at one instant.
-    [drop]/[duplicate] are the {e extra} probabilities from the plan
-    (to be composed with the base model by the caller); [reorder_*]
-    describe the bounded-reordering lottery. *)
+(** The combined condition of one directed link at one instant:
+    [drop]/[duplicate] are the probabilities of every matching link
+    composed; [reorder_*] describe the bounded-reordering lottery. *)
 type link_condition = {
   cut : bool;
   drop : float;

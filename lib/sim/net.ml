@@ -7,9 +7,9 @@
    earliest-free core for its service time, and co-locating many nodes
    on one machine multiplies service times (the memory-bus contention
    the paper observed when packing four logical VC nodes per physical
-   machine). Faults: links can drop or duplicate, per a seeded DRBG,
-   and a declarative [Fault_plan] adds timed partitions, per-link
-   overrides, crashes, reordering, and delay spikes.
+   machine). Faults come from a declarative [Fault_plan]: timed
+   partitions, per-link drop/delay/duplicate overrides, crashes and
+   reordering, each probabilistic one drawn from a seeded DRBG.
 
    Only inter-machine links fault: same-machine (loopback) deliveries
    are reliable, as local channels are in the paper's deployment
@@ -28,15 +28,13 @@ type latency_model = {
   lan_base : float;
   lan_jitter : float;      (* uniform [0, jitter) added to base *)
   wan_extra : float;       (* added when machines differ, e.g. 25 ms *)
-  drop_prob : float;
-  duplicate_prob : float;
 }
 
 let lan =
   { loopback = 0.00002; lan_base = 0.0001; lan_jitter = 0.00005;
-    wan_extra = 0.; drop_prob = 0.; duplicate_prob = 0. }
+    wan_extra = 0. }
 
-let wan ?(extra = 0.025) () = { lan with wan_extra = extra }
+let wan = { lan with wan_extra = 0.025 }
 
 type node = {
   id : node_id;
@@ -124,22 +122,18 @@ let drop_message t = t.messages_dropped <- t.messages_dropped + 1
 let send t ~src ~dst ~cost action =
   let rng = Engine.rng t.engine in
   let s = node t src and d = node t dst in
-  let local = s.machine = d.machine in
   let at = now t in
   if Fault_plan.crashed t.faults ~node:src ~at then drop_message t
   else begin
-    (* Loopback is reliable: only inter-machine links consult the base
-       drop/duplicate probabilities or the fault plan's link faults. *)
+    (* Loopback is reliable: only inter-machine links consult the fault
+       plan's link faults. *)
     let cond =
-      if local then Fault_plan.clear
+      if s.machine = d.machine then Fault_plan.clear
       else
         Fault_plan.link_condition t.faults ~src ~src_machine:s.machine
           ~dst ~dst_machine:d.machine ~at
     in
-    if cond.Fault_plan.cut then drop_message t
-    else if prob_hit rng (if local then 0. else t.latency.drop_prob)
-         || prob_hit rng cond.Fault_plan.drop
-    then drop_message t
+    if cond.Fault_plan.cut || prob_hit rng cond.Fault_plan.drop then drop_message t
     else begin
       let deliver () =
         let latency = sample_latency t ~src ~dst in
@@ -165,9 +159,7 @@ let send t ~src ~dst ~cost action =
         end
       in
       deliver ();
-      if prob_hit rng (if local then 0. else t.latency.duplicate_prob)
-      || prob_hit rng cond.Fault_plan.duplicate
-      then deliver ()
+      if prob_hit rng cond.Fault_plan.duplicate then deliver ()
     end
   end
 

@@ -1,14 +1,13 @@
-(** Network and CPU model: latency-sampled links (LAN / WAN / loopback,
-    drop and duplicate faults), per-node multi-core CPU queues, and a
-    machine co-location contention multiplier reproducing the paper's
-    memory-bus saturation at four logical nodes per physical machine.
-    A declarative {!Fault_plan} adds timed partitions, per-link
-    overrides, crash(-recover) schedules, bounded reordering, and delay
-    spikes.
+(** Network and CPU model: latency-sampled links (LAN / WAN /
+    loopback), per-node multi-core CPU queues, and a machine
+    co-location contention multiplier reproducing the paper's memory-bus
+    saturation at four logical nodes per physical machine. Every fault
+    comes from a declarative {!Fault_plan}: timed partitions, per-link
+    drop/delay/duplicate overrides, crash(-recover) schedules and
+    bounded reordering.
 
-    Same-machine (loopback) deliveries are reliable: neither the base
-    [drop_prob]/[duplicate_prob] nor any link-level fault applies to
-    them. Crashed nodes send and receive nothing, loopback included.
+    Same-machine (loopback) deliveries are reliable: no link-level
+    fault applies to them. Crashed nodes send and receive nothing, loopback included.
 
     Messages are closures, so the model is protocol-agnostic. *)
 
@@ -19,16 +18,14 @@ type latency_model = {
   lan_base : float;
   lan_jitter : float;
   wan_extra : float;
-  drop_prob : float;
-  duplicate_prob : float;
 }
 
 (** Gigabit-LAN defaults (~0.1 ms + jitter). *)
 val lan : latency_model
 
-(** LAN plus a WAN penalty between distinct machines (default 25 ms,
-    the paper's emulated US coast-to-coast figure). *)
-val wan : ?extra:float -> unit -> latency_model
+(** LAN plus a 25 ms WAN penalty between distinct machines, the paper's
+    emulated US coast-to-coast figure. *)
+val wan : latency_model
 
 type t
 
@@ -47,9 +44,8 @@ val exec : t -> dst:node_id -> cost:float -> (unit -> unit) -> unit
 
 (** Send a message whose handling costs [cost] CPU seconds at the
     destination; [action] runs at handling completion. Inter-machine
-    sends are subject to link latency, drops, duplication, and the
-    fault plan; same-machine sends only to loopback latency (and
-    endpoint crashes). *)
+    sends are subject to link latency and the fault plan; same-machine
+    sends only to loopback latency (and endpoint crashes). *)
 val send : t -> src:node_id -> dst:node_id -> cost:float -> (unit -> unit) -> unit
 
 (** Is the node not crashed (per the fault plan) at the current virtual

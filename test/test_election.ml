@@ -442,7 +442,7 @@ let test_lossy_network_recovered_by_patience () =
     Election.run
       { p with
         Election.seed = "lossy";
-        latency = { Dd_sim.Net.lan with Dd_sim.Net.drop_prob = 0.05 };
+        faults = [ Dd_sim.Fault_plan.link ~drop:0.05 ~from_:0. ~until_:infinity () ];
         concurrent_clients = 20;
         voter_patience = 2.;
         run_vsc = false }
@@ -462,7 +462,7 @@ let test_duplicated_messages_idempotent () =
     Election.run
       { p with
         Election.seed = "dup";
-        latency = { Dd_sim.Net.lan with Dd_sim.Net.duplicate_prob = 0.2 };
+        faults = [ Dd_sim.Fault_plan.link ~duplicate:0.2 ~from_:0. ~until_:infinity () ];
         concurrent_clients = 20 }
   in
   Alcotest.(check int) "all receipts" 80 r.Election.receipts_ok;
@@ -522,7 +522,7 @@ let test_wan_same_throughput () =
     Election.run { p with Election.latency; concurrent_clients = 750 }
   in
   let lan = run Dd_sim.Net.lan in
-  let wan = run (Dd_sim.Net.wan ()) in
+  let wan = run Dd_sim.Net.wan in
   Alcotest.(check int) "lan all" 1500 lan.Election.receipts_ok;
   Alcotest.(check int) "wan all" 1500 wan.Election.receipts_ok;
   (* the paper's WAN finding: throughput within ~25% of LAN *)

@@ -9,7 +9,9 @@ module Lint = Dd_analysis.Lint
 module Rules = Dd_analysis.Rules
 module Findings = Dd_analysis.Findings
 
-let rules = Rules.all ()
+(* The fixtures' wire constructors; the shipped tree is linted with the
+   ones harvested from messages.ml. *)
+let rules = Rules.all ~wire_constructors:[ "Vote"; "Endorse"; "Vote_set_submit"; "Trustee_post" ]
 
 let lint ?(file = "lib/core/fixture.ml") ?(interfaces = []) source =
   Lint.lint_string ~rules ~interfaces ~file ~source
@@ -453,7 +455,11 @@ let test_harvest () =
     (Lint.harvest_wire_constructors
        ~source:"type vc_msg = Ping of int | Pong\ntype bb_msg = Post\ntype other = Not_wire");
   Alcotest.(check (list string)) "nothing to harvest" []
-    (Lint.harvest_wire_constructors ~source:"let x = 1")
+    (Lint.harvest_wire_constructors ~source:"let x = 1");
+  (* no messages.ml among the files and none under lib/core here: an
+     error, never a built-in list *)
+  Alcotest.(check bool) "no messages.ml is an error" true
+    (Result.is_error (Lint.wire_constructors [ "fixture.ml" ]))
 
 let test_findings_output () =
   let f =
@@ -472,7 +478,12 @@ let test_tree_clean () =
   if roots <> [] then begin
     let files = Lint.ml_files roots in
     Alcotest.(check bool) "found the tree" true (List.length files > 30);
-    let fs = Lint.lint_program ~rules files in
+    let wire_constructors =
+      match Lint.wire_constructors files with
+      | Ok cs -> cs
+      | Error why -> Alcotest.fail why
+    in
+    let fs = Lint.lint_program ~rules:(Rules.all ~wire_constructors) files in
     List.iter (fun f -> Printf.eprintf "%s\n" (Findings.to_text f)) fs;
     Alcotest.(check int) "tree findings" 0 (List.length fs)
   end

@@ -59,9 +59,12 @@ let prop_frame_chopped_roundtrip =
          (chop rng stream);
        Frame.error dec = None && List.rev !out = payloads && Frame.buffered dec = 0)
 
+(* A header one byte over the cap poisons the decoder before any of
+   the payload arrives. *)
 let test_frame_oversize_poisons () =
-  let dec = Frame.create ~max_frame:16 () in
-  Frame.feed dec (Frame.encode (String.make 17 'x'));
+  let dec = Frame.create () in
+  let n = Frame.max_frame_default + 1 in
+  Frame.feed dec (String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)));
   Alcotest.(check bool) "no frame" true (Frame.pop dec = None);
   Alcotest.(check bool) "poisoned" true (Frame.error dec <> None);
   (* sticky: later (valid) bytes are ignored *)
@@ -335,8 +338,7 @@ let intents n = List.init n (fun s -> { Loadgen.serial = s; choice = s mod 3 })
 let run_pipe_election ?(batching = true) ?(chopped = false) ?(wrap = Fun.id)
     ?(tick = Runtime.step) ~seed ~clients n_votes =
   let src = Runtime.source_prf serve_cfg ~seed in
-  let params = { Runtime.default_params with Runtime.batching } in
-  let t = Runtime.create ~params src in
+  let t = Runtime.create ~batching src in
   let chopper = Drbg.create ~seed:("chopper|" ^ seed) in
   let conn_for ~client:_ ~node =
     wrap
@@ -388,14 +390,14 @@ let prop_pipe_serving_torn =
 
 let test_backpressure_sheds_votes () =
   let src = Runtime.source_prf serve_cfg ~seed:"shed" in
-  let params =
-    { Runtime.default_params with Runtime.mailbox_cap = 2; batch_max = 1 }
-  in
-  let t = Runtime.create ~params src in
+  let t = Runtime.create src in
   let conn = Runtime.client_conn t ~node:0 in
-  (* 8 votes land in one tick against a 2-slot mailbox: the surplus
-     must come back as immediate rejections, not queue unboundedly *)
-  for req = 1 to 8 do
+  (* 8 more votes than node 0's 4096-slot mailbox holds land in one
+     tick: exactly the surplus must come back as immediate rejections,
+     not queue unboundedly *)
+  let cap = 4096 and surplus = 8 in
+  let n = cap + surplus in
+  for req = 1 to n do
     ignore
       (Transport.send_string conn
          (Frame.encode
@@ -404,8 +406,11 @@ let test_backpressure_sheds_votes () =
                   { channel = 0; req; serial = req - 1; vote_code = "x" })))
       : int)
   done;
+  ignore (Runtime.step t : int);
+  Alcotest.(check int) "the surplus shed in the first tick" surplus
+    (Runtime.stats t).Runtime.votes_shed;
   ignore (Runtime.run_until_idle t : int);
-  Alcotest.(check bool) "some votes shed" true ((Runtime.stats t).Runtime.votes_shed > 0);
+  Alcotest.(check int) "nothing shed later" surplus (Runtime.stats t).Runtime.votes_shed;
   let dec = Frame.create () in
   Frame.feed dec (Transport.recv_all conn);
   let replies = ref 0 and overloaded = ref 0 in
@@ -422,8 +427,8 @@ let test_backpressure_sheds_votes () =
       pop ()
   in
   pop ();
-  Alcotest.(check int) "every vote answered" 8 !replies;
-  Alcotest.(check bool) "sheds say overloaded" true (!overloaded > 0)
+  Alcotest.(check int) "every vote answered" n !replies;
+  Alcotest.(check int) "exactly the surplus says overloaded" surplus !overloaded
 
 (* A reply is the business of the client whose connection carried it:
    a frame on client 1's connection naming client 0's request (here a
@@ -581,51 +586,6 @@ let test_transcript_equivalence () =
   Alcotest.(check (list string)) "a vote lost in flight" [ "liveness" ]
     (broken { r with Loadgen.receipts_ok = r.Loadgen.receipts_ok - 1; lost = 1 })
 
-(* The equivalence workload served with [params], driven through vote
-   set consensus: the result, the BB nodes' final sets and the stats.
-   [route] maps the node a voter picks to the node that serves it. *)
-let serve_eq_run ?(observe = ignore) ?(route = Fun.id) ~clients params =
-  let setup = Lazy.force eq_setup in
-  let t = Runtime.create ~params (Node_source.of_setup setup) in
-  observe t;
-  let r =
-    Loadgen.run
-      ~params:{ Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = "serve-eq" }
-      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node:(route node))
-      ~step:(fun () -> Runtime.step t)
-      ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
-      ~nv:eq_cfg.Types.nv
-      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes)
-      ()
-  in
-  Runtime.end_election t;
-  ignore (Runtime.run_until_idle t : int);
-  let finals =
-    List.init eq_cfg.Types.nb (fun j ->
-        Option.bind (Runtime.bb_node t j) (fun bb ->
-            Option.map sorted (Ddemos.Bb_node.published bb).Ddemos.Bb_node.final_set))
-  in
-  (r, finals, Runtime.stats t)
-
-(* A [max_frame] below what one tick puts on a link, but above the
-   largest single message: links cut their batches into more frames,
-   and the election comes out the same. Every vote goes to node 0, so
-   its links carry all eight full VOTE_Ps in one tick. *)
-let test_max_frame_split () =
-  let run max_frame =
-    serve_eq_run ~route:(fun _ -> 0) ~clients:8 { Runtime.default_params with Runtime.max_frame }
-  in
-  let r, finals, st = run Runtime.default_params.Runtime.max_frame in
-  let r', finals', st' = run 2048 in
-  Alcotest.(check int) "receipts agree" r.Loadgen.receipts_ok r'.Loadgen.receipts_ok;
-  Alcotest.(check int) "all receipts" (List.length eq_votes) r'.Loadgen.receipts_ok;
-  Alcotest.(check (list (pair int string))) "identical cast codes"
-    (sorted r.Loadgen.successes) (sorted r'.Loadgen.successes);
-  Alcotest.(check bool) "every BB has a final set" true (List.for_all Option.is_some finals);
-  Alcotest.(check (list (option (list (pair int string))))) "final sets agree" finals finals';
-  Alcotest.(check int) "no malformed frames" 0 (st.Runtime.malformed + st'.Runtime.malformed);
-  Alcotest.(check bool) "more frames" true (st'.Runtime.frames_in > st.Runtime.frames_in)
-
 (* UCERT elision on the links: in a fault-free vote only the responder,
    which formed the UCERT, sends VOTE_Ps, three of them; every other
    node discloses its share in a SHARE, and no node needs to pull the
@@ -636,16 +596,27 @@ let test_vote_p_elision_on_links () =
   let disclosed serial d =
     Hashtbl.replace sent serial (d :: Option.value ~default:[] (Hashtbl.find_opt sent serial))
   in
-  let observe t =
-    Runtime.observe_links t (fun ~src ~dst:_ -> function
-      | Messages.Endorse { serial; responder = r; _ } -> Hashtbl.replace responder serial r
-      | Messages.Vote_p { serial; _ } -> disclosed serial (src, true)
-      | Messages.Share { serial; _ } -> disclosed serial (src, false)
-      | Messages.Announce _ -> casting := false
-      | Messages.Recover_request _ -> if !casting then incr pulls
-      | _ -> ())
+  let setup = Lazy.force eq_setup in
+  let t = Runtime.create (Node_source.of_setup setup) in
+  Runtime.observe_links t (fun ~src ~dst:_ -> function
+    | Messages.Endorse { serial; responder = r; _ } -> Hashtbl.replace responder serial r
+    | Messages.Vote_p { serial; _ } -> disclosed serial (src, true)
+    | Messages.Share { serial; _ } -> disclosed serial (src, false)
+    | Messages.Announce _ -> casting := false
+    | Messages.Recover_request _ -> if !casting then incr pulls
+    | _ -> ());
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.default_params with Loadgen.lg_clients = 3; lg_seed = "serve-eq" }
+      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
+      ~step:(fun () -> Runtime.step t)
+      ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
+      ~nv:eq_cfg.Types.nv
+      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes)
+      ()
   in
-  let r, _, _ = serve_eq_run ~observe ~clients:3 Runtime.default_params in
+  Runtime.end_election t;
+  ignore (Runtime.run_until_idle t : int);
   Alcotest.(check int) "all receipts" (List.length eq_votes) r.Loadgen.receipts_ok;
   Alcotest.(check int) "no pull while casting" 0 !pulls;
   List.iter
@@ -733,7 +704,6 @@ let () =
          Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped;
          Alcotest.test_case "one frame per peer link per tick" `Quick
            test_one_frame_per_link_per_tick;
-         Alcotest.test_case "max_frame split" `Quick test_max_frame_split;
          Alcotest.test_case "VOTE_P elides UCERT to holders" `Quick
            test_vote_p_elision_on_links;
          Alcotest.test_case "one vote's bytes per kind" `Quick test_vote_wire_bytes ]

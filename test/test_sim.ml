@@ -138,7 +138,7 @@ let test_wan_latency () =
     !arrival
   in
   let lan = run Net.lan in
-  let wan = run (Net.wan ()) in
+  let wan = run Net.wan in
   Alcotest.(check bool) "wan adds ~25ms" true (wan -. lan > 0.02 && wan -. lan < 0.03)
 
 let test_loopback_cheap () =
@@ -152,9 +152,10 @@ let test_loopback_cheap () =
   Alcotest.(check bool) "loopback < 0.1ms" true (!arrival < 0.0001)
 
 let test_drop_and_duplicate () =
-  let run drop_prob duplicate_prob =
+  let run drop duplicate =
     let e = Engine.create ~seed:"faults" in
-    let net = Net.create ~latency:{ Net.lan with drop_prob; duplicate_prob } e in
+    let faults = [ Fault_plan.link ~drop ~duplicate ~from_:0. ~until_:infinity () ] in
+    let net = Net.create ~faults e in
     let a = Net.add_node net ~machine:0 ~cores:1 in
     let b = Net.add_node net ~machine:1 ~cores:1 in
     let received = ref 0 in
@@ -175,9 +176,10 @@ let test_loopback_reliable () =
      deliveries: local channels are reliable in the deployment model *)
   let run machine_b =
     let e = Engine.create ~seed:"loop-faults" in
-    let net =
-      Net.create ~latency:{ Net.lan with drop_prob = 1.0; duplicate_prob = 1.0 } e
+    let faults =
+      [ Fault_plan.link ~drop:1.0 ~duplicate:1.0 ~from_:0. ~until_:infinity () ]
     in
+    let net = Net.create ~faults e in
     let a = Net.add_node net ~machine:0 ~cores:1 in
     let b = Net.add_node net ~machine:machine_b ~cores:1 in
     let received = ref 0 in
@@ -277,7 +279,7 @@ let test_delay_spike () =
     !at
   in
   let base = arrival [] in
-  let spiked = arrival [ Fault_plan.delay_spike ~extra:0.5 ~from_:0. ~until_:1. ] in
+  let spiked = arrival [ Fault_plan.link ~extra_delay:0.5 ~from_:0. ~until_:1. () ] in
   Alcotest.(check bool) "spike adds ~0.5s" true
     (spiked -. base > 0.49 && spiked -. base < 0.51)
 
