@@ -36,8 +36,8 @@ type keys = {
   pks : Schnorr.public_key array;       (* indexed by node id *)
   pk_tables : Schnorr.pk_table Once.t array;  (* comb tables, built on first
                                                  verify against that signer *)
-  pk_pre : Dd_group.Curve.precomp Once.t array;  (* wide msm tables for the
-                                                    batch path, same sharing *)
+  pk_pre : Schnorr.pk_table Once.t array;  (* [pk_tables] again, kept for
+                                              perfbench's warm-up *)
   mac_keys : string array;              (* pairwise keys, indexed by peer *)
   rng : Dd_crypto.Drbg.t;
 }
@@ -70,15 +70,12 @@ let deal_clique ~scheme ~seed ~n =
   let pk_tables =
     Array.map (fun pk -> Once.make (fun () -> Schnorr.make_pk_table pk)) pks
   in
-  let pk_pre =
-    Array.map (fun pk -> Once.make (fun () -> Schnorr.precompute_pk pk)) pks
-  in
   Array.init n (fun i ->
       { scheme; me = i;
         sk = fst key_pairs.(i);
         pks;
         pk_tables;
-        pk_pre;
+        pk_pre = pk_tables;
         mac_keys = Array.init n (fun j -> pair_key i j);
         rng = Dd_crypto.Drbg.fork master ~label:(Printf.sprintf "rng%d" i) })
 
@@ -127,10 +124,10 @@ let verify (k : keys) ~signer msg = function
 
 (* Verify many [(signer, msg, tag)] triples at once. Under
    [Schnorr_scheme] the whole list folds into one randomized batch
-   (one MSM + one batch normalization — the UCERT hot path); HMACs
-   are already cheap, so [Mac_scheme] just checks serially. Weights
-   come from the node's own DRBG stream, so a Byzantine signer cannot
-   predict them. *)
+   (one MSM + one batch normalization — the UCERT hot path), with one
+   key term per signer; HMACs are already cheap, so [Mac_scheme] just
+   checks serially. Weights come from the node's own DRBG stream, so a
+   Byzantine signer cannot predict them. *)
 let verify_batch (k : keys) (items : (int * string * tag) list) =
   match k.scheme with
   | Mac_scheme -> List.for_all (fun (signer, msg, tag) -> verify k ~signer msg tag) items
@@ -141,12 +138,8 @@ let verify_batch (k : keys) (items : (int * string * tag) list) =
         (fun (signer, msg, tag) ->
            match tag with
            | Schnorr_tag s when signer >= 0 && signer < Array.length k.pks ->
-             Some (signer, (k.pks.(signer), msg, s))
+             Some (k.pks.(signer), msg, s)
            | _ -> ok := false; None)
         items
     in
-    !ok
-    && (let pre =
-          Array.of_list (List.map (fun (signer, _) -> Once.force k.pk_pre.(signer)) sigs)
-        in
-        Schnorr.verify_batch ~pre k.rng (Array.of_list (List.map snd sigs)))
+    !ok && Schnorr.verify_batch k.rng (Array.of_list sigs)

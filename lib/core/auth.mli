@@ -22,9 +22,9 @@ type keys = {
   pk_tables : Dd_sig.Schnorr.pk_table Dd_parallel.Once.t array;
       (** per-signer comb tables; built on first Schnorr verify
           (race-safe once cells — any domain may force them) *)
-  pk_pre : Dd_group.Curve.precomp Dd_parallel.Once.t array;
-      (** per-signer wide msm tables; built on first batch verify
-          against that signer *)
+  pk_pre : Dd_sig.Schnorr.pk_table Dd_parallel.Once.t array;
+      (** the same cells as [pk_tables]. Nothing here reads it: it
+          stays only because perfbench's table warm-up forces it *)
   mac_keys : string array;
   rng : Dd_crypto.Drbg.t;
 }

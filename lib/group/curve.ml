@@ -48,19 +48,6 @@ type scratch = {
    taken at read time. *)
 type odd_table = { ox : int array; oy : int array; obx : int array }
 
-(* Wide odd-multiple tables for a fixed point, precomputed once and
-   reused across msm calls. The in-loop msm tables are width 5 because
-   their build cost is paid per call; a precomputed table affords width
-   [precomp_width], cutting the point's digit adds by a third and
-   skipping its per-call table build and normalization entirely. Used
-   for the generator (every batch verification folds its s_i*G legs
-   into one generator term) and for long-lived verification keys (a VC
-   node checks every UCERT against the same signer clique). *)
-type precomp = {
-  pre_pt : point;       (* the base point, affine-normalized *)
-  tbl : odd_table;      (* P, 3P, ..., (2^(w-1)-1)P; empty for the identity *)
-}
-
 (* The prime order n of the generator, and the 32-byte width of an
    encoded coordinate. *)
 let order = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
@@ -878,11 +865,6 @@ let endo_split k =
   let k2 = signed_sub (Nat.mul c1 glv.e_b1) (Nat.mul c2 glv.e_b2) in
   (k1, k2)
 
-(* Window width for precomputed tables: 2^(8-2) = 64 odd multiples,
-   cutting the point's digit density from 1/6 (width 5) to 1/9 for a
-   one-time build of ~64 additions per point. *)
-let precomp_width = 8
-
 (* The odd-multiple tables of finite points, sizes.(j) entries for
    pts.(j). The points and their doubles share one inversion, so every
    entry after the first is a mixed add; the entries share a second.
@@ -916,24 +898,6 @@ let odd_tables s (pts : jac array) sizes =
        tb)
     sizes
 
-let precompute p =
-  if is_infinity p then
-    (* the identity contributes nothing; msm drops such terms *)
-    { pre_pt = infinity; tbl = { ox = [||]; oy = [||]; obx = [||] } }
-  else begin
-    let tbl = (odd_tables (scratch ()) [| loaded p |] [| 1 lsl (precomp_width - 2) |]).(0) in
-    let x = Fe.make () and y = Fe.make () in
-    Fe.unpack tbl.ox 0 x;
-    Fe.unpack tbl.oy 0 y;
-    { pre_pt = affine_point x y; tbl }
-  end
-
-let precomp_point pc = pc.pre_pt
-
-(* The generator's wide table, built on first use: racing domains may
-   both build it, but exactly one result is published. *)
-let gen_tables = Dd_parallel.Once.make (fun () -> precompute generator)
-
 (* Joint Strauss for small-to-medium batches: per-point wNAF digit
    strings share one doubling chain, so n points cost ~256 doubles
    total plus sparse adds each, instead of n*(256 doubles + adds) run
@@ -947,20 +911,8 @@ let gen_tables = Dd_parallel.Once.make (fun () -> precompute generator)
    shared doubling chain; a negative half flips its digits' signs.
    Scalars already short enough to be single strings (the batch
    verifiers' 128-bit random weights) get width-4 tables instead: with
-   only one string amortizing the table, the smaller build wins.
-   Generator terms skip table building entirely via the process-wide
-   [gen_tables]. *)
-let msm_strauss s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
-  (* generator terms ride the process-wide precomputed table instead of
-     building a per-call one *)
-  let gens, pairs =
-    List.partition (fun (_, p) -> Array.for_all2 Int.equal p generator) (Array.to_list pairs)
-  in
-  let pre =
-    Array.append pre
-      (Array.of_list (List.map (fun (k, _) -> (k, Dd_parallel.Once.force gen_tables)) gens))
-  in
-  let pairs = Array.of_list pairs in
+   only one string amortizing the table, the smaller build wins. *)
+let msm_strauss s (pairs : (Nat.t * point) array) =
   (* per-pair odd-multiple table size: 4 = single short string (the
      batch verifiers' 128-bit weights), 8 = full width / GLV *)
   let sizes =
@@ -970,14 +922,13 @@ let msm_strauss s (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array
   let walk w tb phi (negate, m) =
     if Nat.is_zero m then [] else [ (Array.of_list (wnaf w m), tb, phi, negate) ]
   in
-  let split w tb k = let k1, k2 = endo_split k in walk w tb false k1 @ walk w tb true k2 in
+  let split tb k = let k1, k2 = endo_split k in walk 5 tb false k1 @ walk 5 tb true k2 in
   let walks =
     List.concat
-      (List.map (fun (k, pc) -> split precomp_width pc.tbl k) (Array.to_list pre)
-       @ List.mapi
-           (fun j (k, _) ->
-              if sizes.(j) = 4 then walk 4 tables.(j) false (false, k) else split 5 tables.(j) k)
-           (Array.to_list pairs))
+      (List.mapi
+         (fun j (k, _) ->
+            if sizes.(j) = 4 then walk 4 tables.(j) false (false, k) else split tables.(j) k)
+         (Array.to_list pairs))
   in
   let maxlen = List.fold_left (fun m (d, _, _, _) -> max m (Array.length d)) 0 walks in
   (* Resolve every nonzero digit to its table entry up front: the
@@ -1048,16 +999,13 @@ let msm_pippenger s ~window:c (pairs : (Nat.t * point) array) =
   done;
   acc
 
-(* Multi-scalar multiplication sum_i k_i * P_i (+ sum_j k_j * Q_j for
-   precomputed Q_j). Strategy is chosen from the (post-filtering) batch
-   size: wNAF Strauss while the shared doubling chain dominates,
-   bucketed Pippenger once bucket reuse wins (precomputed tables are
-   flattened back to plain pairs there — bucket accumulation never
-   walks odd-multiple tables); [?window] forces the Pippenger path with
-   the given window width (differential tests use this to cover both
-   paths at small n). Variable time — public scalars and points only
-   (curve.mli). *)
-let msm_dispatch ?window (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array) =
+(* Multi-scalar multiplication sum_i k_i * P_i. Strategy is chosen from
+   the (post-filtering) batch size: wNAF Strauss while the shared
+   doubling chain dominates, bucketed Pippenger once bucket reuse wins;
+   [?window] forces the Pippenger path with the given window width
+   (differential tests use this to cover both paths at small n).
+   Variable time — public scalars and points only (curve.mli). *)
+let msm ?window (pairs : (Nat.t * point) array) =
   let s = scratch () in
   (* Scalars of one or two bits (notably the pinned weight 1 some batch
      verifiers use) are cheaper as a couple of direct additions than as
@@ -1072,27 +1020,22 @@ let msm_dispatch ?window (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point
     end;
     if Nat.to_int k <> 2 then add_j s tiny tiny j
   in
-  let live_filter to_pt l =
+  let live =
     Array.of_list
       (List.filter_map
-         (fun (k, x) ->
+         (fun (k, p) ->
             let k = Modular.reduce scalar_field k in
-            if Nat.is_zero k || is_infinity (to_pt x) then None
-            else if Nat.bit_length k <= 2 then (keep_tiny k (to_pt x); None)
-            else Some (k, x))
-         (Array.to_list l))
+            if Nat.is_zero k || is_infinity p then None
+            else if Nat.bit_length k <= 2 then (keep_tiny k p; None)
+            else Some (k, p))
+         (Array.to_list pairs))
   in
-  let live_pre = live_filter (fun pc -> pc.pre_pt) pre in
-  let live = live_filter (fun p -> p) pairs in
   let main =
-    match window, Array.length live_pre, Array.length live with
-    | None, 0, 0 -> jac ()
-    | None, 0, 1 -> let k, p = live.(0) in mul_vartime_j s k p
-    | None, np, n when np + n <= 256 -> msm_strauss s live_pre live
+    match window, Array.length live with
+    | None, 0 -> jac ()
+    | None, 1 -> let k, p = live.(0) in mul_vartime_j s k p
+    | None, n when n <= 256 -> msm_strauss s live
     | _ ->
-      let flat =
-        Array.append (Array.map (fun (k, pc) -> (k, pc.pre_pt)) live_pre) live
-      in
       let c =
         match window with
         | Some c ->
@@ -1100,15 +1043,12 @@ let msm_dispatch ?window (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point
           c
         | None ->
           let rec ilog2 v = if v <= 1 then 0 else 1 + ilog2 (v lsr 1) in
-          min 12 (max 4 (ilog2 (Array.length flat) - 2))
+          min 12 (max 4 (ilog2 (Array.length live) - 2))
       in
-      msm_pippenger s ~window:c flat
+      msm_pippenger s ~window:c live
   in
   add_j s main main tiny;
   store main
-
-let msm ?window pairs = msm_dispatch ?window [||] pairs
-let msm_pre pre pairs = msm_dispatch pre pairs
 
 (* Point encoding: 0x00 for infinity; otherwise 0x04 || X || Y
    (uncompressed, fixed width). *)

@@ -4,9 +4,8 @@
     operation, with no branch on a value.
 
     The module owns the group's constants and every operation on its
-    points: the order, the scalar field, the generator and the
-    generator's wide {!msm} table, which is built on first use and
-    shared by every domain. There is no context value. The GLV
+    points: the order, the scalar field and the generator. There is no
+    context value. The GLV
     endomorphism constants that {!msm} relies on are checked once, when
     the module initializes, which raises [Invalid_argument] if they do
     not hold. The second generator H and the comb tables of G and H
@@ -57,7 +56,9 @@
       them a secret. The randomized batch verifiers built on {!msm}
       ([Schnorr.verify_batch], [Ballot_proof.verify_batch], the
       commitment batch openings) inherit this rule: batch
-      verification is for public transcripts only. *)
+      verification is for public transcripts only. A recurring point
+      has one precomputed table, a comb {!base_table}; {!msm} builds
+      its small odd-multiple tables per call. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
@@ -195,36 +196,16 @@ val mul2 : base_table -> Nat.t -> Nat.t -> point -> point
     [sum_i k_i * P_i]. Zero scalars and infinity points are skipped;
     the algorithm is chosen from the surviving batch size: joint
     width-5 wNAF Strauss (one shared doubling chain, per-point
-    odd-multiple tables batch-normalized so digit adds are mixed adds)
-    for small batches, bucketed Pippenger above ~256 points with the
-    window width derived from [n]. [?window] forces the Pippenger path
-    with that width (used by differential tests to cover both paths at
-    any size). This is the kernel behind the randomized batch
-    verifiers. {b Variable time}: public scalars and points only. *)
-val msm : ?window:int -> (Nat.t * point) array -> point
-
-(** Wide precomputed odd-multiple tables (width 8, and their GLV
-    phi-images) for a point that recurs
-    across many msm calls — the generator gets one automatically, and
-    long-lived verification keys are worth one: a batch verifier checks
-    every certificate against the same signer set, so the table build
-    amortizes exactly like the serial path's comb tables. The identity
-    precomputes to an empty table that [msm_pre] skips. *)
-type precomp
-val precompute : point -> precomp
-
-(** The affine-normalized base point behind a precomputed table —
-    callers that also need the point itself (e.g. to hash its canonical
-    encoding) can reuse the normalization paid at build time. *)
-val precomp_point : precomp -> point
-
-(** [msm_pre pre pairs] is [msm] over the concatenation of both term
-    lists, with the [pre] terms walking their precomputed tables
-    instead of per-call ones (wider windows, no table build or
-    normalization cost). Falls back to flattening the precomputed
-    terms into plain pairs on the Pippenger path. {b Variable time}:
+    odd-multiple tables built per call and batch-normalized so digit
+    adds are mixed adds) for small batches, bucketed Pippenger above
+    256 points with the window width derived from [n]. [?window]
+    forces the Pippenger path with that width (used by differential
+    tests to cover both paths at any size). This is the kernel behind
+    the randomized batch verifiers, which fold the terms of a fixed
+    base into one coefficient before calling it (G and H go to their
+    comb tables instead, [Group_ctx.acc_check]). {b Variable time}:
     public scalars and points only. *)
-val msm_pre : (Nat.t * precomp) array -> (Nat.t * point) array -> point
+val msm : ?window:int -> (Nat.t * point) array -> point
 
 val equal : point -> point -> bool
 

@@ -57,21 +57,15 @@ type msm_acc = {
   mutable ag : Nat.t;                        (* coefficient of G *)
   mutable ah : Nat.t;                        (* coefficient of H *)
   mutable terms : (Nat.t * Curve.point) list;
-  mutable pterms : (Nat.t * Curve.precomp) list;  (* precomputed-table terms *)
 }
 
-let msm_acc () = { ag = Nat.zero; ah = Nat.zero; terms = []; pterms = [] }
+let msm_acc () = { ag = Nat.zero; ah = Nat.zero; terms = [] }
 
 let acc_add a k p =
   let fn = Curve.scalar_field in
   if p == g then a.ag <- Modular.add fn a.ag k
   else if p == h then a.ah <- Modular.add fn a.ah k
   else a.terms <- (k, p) :: a.terms
-
-(* Accumulate k * Q for a point with a precomputed wide table (e.g. a
-   cached verification key): the MSM then skips Q's per-call table
-   build and walks the wider precomputed windows. *)
-let acc_add_pre a k pc = a.pterms <- (k, pc) :: a.pterms
 
 (* Accumulate k * (-P): subtraction side of a verification equation. *)
 let acc_sub a k p =
@@ -80,18 +74,12 @@ let acc_sub a k p =
   else if p == h then a.ah <- Modular.sub fn a.ah k
   else a.terms <- (k, Curve.neg p) :: a.terms
 
-(* Does the accumulated combination equal the identity? When there are
-   free terms, the folded G/H coefficients ride along as two more MSM
-   pairs — their marginal cost inside the shared Strauss chain is below
-   a comb multiplication, especially once the GLV split halves the
-   chain. With no free terms (pure fixed-base batches), the comb tables
-   win and the MSM is skipped entirely. *)
+(* Does the accumulated combination equal the identity? The G and H
+   legs are one comb multiplication each off their tables, and a zero
+   leg is skipped, so a verifier that never folds an H term (Schnorr
+   batches) never builds H's table. The free terms go to one MSM. *)
 let acc_check a =
-  match a.terms, a.pterms with
-  | [], [] ->
-    Curve.is_infinity (Curve.add (mul_g a.ag) (mul_h a.ah))
-  | terms, pterms ->
-    let terms = if Nat.is_zero a.ag then terms else (a.ag, g) :: terms in
-    let terms = if Nat.is_zero a.ah then terms else (a.ah, h) :: terms in
-    Curve.is_infinity
-      (Curve.msm_pre (Array.of_list pterms) (Array.of_list terms))
+  let leg table k = if Nat.is_zero k then Curve.infinity else Curve.mul_base_table (table ()) k in
+  Curve.is_infinity
+    (Curve.add (Curve.msm (Array.of_list a.terms))
+       (Curve.add (leg g_table a.ag) (leg h_table a.ah)))

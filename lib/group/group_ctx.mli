@@ -21,7 +21,8 @@ val g : Curve.point
 val h : Curve.point
 
 (** The precomputed width-8 comb tables for G and H (for {!Curve.mul2}
-    callers and {!Curve.mul_base_batch} jobs). Each is built on its
+    callers, {!Curve.mul_base_batch} jobs and the legs of
+    {!acc_check}). Each is built on its
     first use (0.33 MB, about 10 ms on a 2-vCPU x86-64 VM), so a process
     that never multiplies by H never builds H's table. Safe to call
     from any domain: racing first uses may each build the table, but
@@ -49,19 +50,16 @@ val mul2_g : Nat.t -> Nat.t -> Curve.point -> Curve.point
 (** MSM accumulator for the randomized batch verifiers: collects terms
     [k * P] (or [k * -P] via {!acc_sub}) of a folded verification
     equation. Terms hitting the (physically equal) fixed generators G
-    and H fold into two scalar coefficients served by the comb tables
-    at {!acc_check} time; everything else lands in one {!Curve.msm}.
-    {b Variable time} — public equation data only. *)
+    and H fold into two scalar coefficients, the G and H legs, each
+    evaluated off its comb table at {!acc_check} time (a zero leg is
+    skipped, and builds no table); everything else lands in one
+    {!Curve.msm}, so a caller with many terms on one other point folds
+    them itself. {b Variable time} — public equation data only. *)
 type msm_acc
 
 val msm_acc : unit -> msm_acc
 val acc_add : msm_acc -> Nat.t -> Curve.point -> unit
 val acc_sub : msm_acc -> Nat.t -> Curve.point -> unit
-
-(** [acc_add_pre a k pc] accumulates [k * Q] for a point with a
-    precomputed wide msm table ({!Curve.precompute}) — long-lived
-    verification keys skip their per-call table build this way. *)
-val acc_add_pre : msm_acc -> Nat.t -> Curve.precomp -> unit
 
 (** [acc_check a] holds iff the accumulated combination is the
     identity — i.e. every folded equation holds (up to the 2^-128

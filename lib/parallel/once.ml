@@ -6,7 +6,7 @@
    the published value, so all domains agree on one (physically equal)
    result. [f] must therefore be pure (and cheap enough to run twice in
    the unlucky window); every compute-once cache in this codebase
-   (precomp tables, the comb tables of G and H) satisfies that. *)
+   (the comb tables of G, H and each signer's key) satisfies that. *)
 
 type 'a t = {
   f : unit -> 'a;

@@ -74,27 +74,18 @@ let verify_with_table ~pk ~pk_table msg { s; r } =
   let e = challenge ~commitment:r ~pk msg in
   Curve.equal (Curve.add (Group_ctx.mul_g s) (Curve.mul_base_table pk_table e)) r
 
-(* A wide precomputed msm table for a verification key: with the same
-   signer set checked over and over (every UCERT carries the same VC
-   clique), the batch path amortizes per-key tables exactly like
-   [verify_with_table] amortizes its comb table on the serial path. *)
-let precompute_pk pk = Curve.precompute pk
-
 (* Batch verification: fold n equations s_i*G + e_i*PK_i - R_i = O
    with independent random weights into one MSM (soundness 2^-128 per
    batch; see Batch). The challenge hashes need every R_i and PK_i in
    affine form, so one Montgomery-trick normalization replaces the n
    point-encoding inversions the serial path pays — at UCERT batch
-   sizes that amortization is worth as much as the MSM itself. [?pre]
-   supplies a per-item precomputed table for the public keys (parallel
-   to [items]); the keys then skip both the normalization here and
-   their table builds inside the MSM. *)
-let verify_batch ?pre rng (items : (Curve.point * string * signature) array) =
+   sizes that amortization is worth as much as the MSM itself. The
+   weighted challenges of every signature under one key (equal
+   canonical encodings) fold into one coefficient, so a batch of n
+   signatures from k signers hands the MSM n R-terms and k key terms;
+   the s_i fold into the G leg the same way (Group_ctx). *)
+let verify_batch rng (items : (Curve.point * string * signature) array) =
   let n = Array.length items in
-  (match pre with
-   | Some p when Array.length p <> n ->
-     invalid_arg "Schnorr.verify_batch: pre/items length mismatch"
-   | _ -> ());
   if n = 0 then true
   else if n = 1 then (let pk, msg, sg = items.(0) in verify ~pk msg sg)
   else begin
@@ -104,10 +95,7 @@ let verify_batch ?pre rng (items : (Curve.point * string * signature) array) =
     Array.iteri
       (fun i (pk, _, sg) ->
          pts.(2 * i) <- sg.r;
-         pts.(2 * i + 1) <-
-           (match pre with
-            | Some p -> Curve.precomp_point p.(i)  (* already affine *)
-            | None -> pk))
+         pts.(2 * i + 1) <- pk)
       items;
     let aff = Curve.to_affine_batch pts in
     (* byte-identical to Curve.encode, from the batched affine forms *)
@@ -116,11 +104,12 @@ let verify_batch ?pre rng (items : (Curve.point * string * signature) array) =
       | Some (x, y) -> "\x04" ^ Nat.to_bytes_be ~len x ^ Nat.to_bytes_be ~len y
     in
     let acc = Group_ctx.msm_acc () in
+    (* encoded key -> (affine key, folded coefficient) *)
+    let keys = Hashtbl.create 8 in
     Array.iteri
       (fun i (pk, msg, sg) ->
-         let e =
-           Curve.hash_to_scalar [ domain; enc aff.(2 * i); enc aff.(2 * i + 1); msg ]
-         in
+         let epk = enc aff.(2 * i + 1) in
+         let e = Curve.hash_to_scalar [ domain; enc aff.(2 * i); epk; msg ] in
          (* Pinning the first weight to 1 is sound: a bad item i > 0 is
             caught except with probability 2^-128 over its own weight,
             and a bad item 0 alone leaves the sum off the identity
@@ -128,17 +117,16 @@ let verify_batch ?pre rng (items : (Curve.point * string * signature) array) =
          let w = if i = 0 then Nat.one else Batch.weight rng in
          Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn sg.s)) Group_ctx.g;
          let we = Modular.mul fn w e in
-         (match pre with
-          | Some p -> Group_ctx.acc_add_pre acc we p.(i)
+         (match Hashtbl.find_opt keys epk with
+          | Some (p, c) -> Hashtbl.replace keys epk (p, Modular.add fn c we)
           | None ->
             (* hand the MSM the affine form of PK we already paid for:
                its input normalization then has less left to invert *)
-            let pk =
-              match aff.(2 * i + 1) with Some xy -> Curve.of_affine xy | None -> pk
-            in
-            Group_ctx.acc_add acc we pk);
+            let p = match aff.(2 * i + 1) with Some xy -> Curve.of_affine xy | None -> pk in
+            Hashtbl.replace keys epk (p, we));
          Group_ctx.acc_sub acc w sg.r)
       items;
+    Hashtbl.iter (fun _ (p, c) -> Group_ctx.acc_add acc c p) keys;
     Group_ctx.acc_check acc
   end
 

@@ -44,23 +44,17 @@ val make_pk_table : public_key -> pk_table
 val verify_with_table :
   pk:public_key -> pk_table:pk_table -> string -> signature -> bool
 
-(** Wide precomputed msm table for a public key ({!Dd_group.Curve.precompute}):
-    the batch-verification analogue of {!make_pk_table}, worth building
-    for long-lived keys verified across many batches. *)
-val precompute_pk : public_key -> Dd_group.Curve.precomp
-
-(** [verify_batch ?pre rng items] verifies all [(pk, msg,
-    signature)] triples at once: the n verification equations fold into
-    one multi-scalar multiplication under independent random 128-bit
+(** [verify_batch rng items] verifies all [(pk, msg, signature)]
+    triples at once: the n verification equations fold into one
+    multi-scalar multiplication under independent random 128-bit
     weights drawn from [rng], and one Montgomery-trick normalization
     replaces the per-signature point-encoding inversions inside the
-    challenge hash. [?pre] (parallel to [items]) supplies each key's
-    precomputed table; the keys then skip normalization and per-call
-    msm table builds. A batch with an invalid signature accepts with
-    probability at most 2^-128 (see {!Dd_group.Batch}). Public data
-    only (variable time). *)
+    challenge hash. The weighted challenges of every signature under
+    one key (equal encodings) fold into one coefficient, so n
+    signatures from k signers cost the MSM n + k terms. A batch with
+    an invalid signature accepts with probability at most 2^-128 (see
+    {!Dd_group.Batch}). Public data only (variable time). *)
 val verify_batch :
-  ?pre:Dd_group.Curve.precomp array ->
   Dd_crypto.Drbg.t ->
   (public_key * string * signature) array -> bool
 

@@ -521,7 +521,7 @@ let test_to_affine_batch_edges () =
 let naive_msm pairs =
   Array.fold_left (fun acc (k, p) -> Curve.add acc (naive_mul k p)) Curve.infinity pairs
 
-(* The GLV-split Strauss entries and the cached wide generator table. *)
+(* The GLV-split Strauss entries, with the generator among the points. *)
 let prop_msm_matches_naive =
   QCheck.Test.make ~name:"msm = sum of naive muls" ~count:12
     (QCheck.list_of_size (QCheck.Gen.int_range 0 8) (QCheck.pair arb_scalar arb_scalar))
@@ -530,8 +530,8 @@ let prop_msm_matches_naive =
          Array.of_list
            (List.mapi
               (fun i (k, a) ->
-                 (* every third point is the generator, so the run
-                    also covers the precomputed-table fast path *)
+                 (* every third point is the generator, so a run
+                    may also hold one point twice *)
                  if i mod 3 = 2 then (k, g) else (k, naive_mul a g))
               seeds)
        in
@@ -545,18 +545,6 @@ let prop_msm_forced_pippenger =
     (fun (seeds, w) ->
        let pairs = Array.of_list (List.map (fun (k, a) -> (k, naive_mul a g)) seeds) in
        Curve.equal (naive_msm pairs) (Curve.msm ~window:w pairs))
-
-let prop_msm_pre_matches_naive =
-  QCheck.Test.make ~name:"msm_pre = naive over precomputed + plain pairs" ~count:8
-    (QCheck.pair
-       (QCheck.list_of_size (QCheck.Gen.int_range 0 3) (QCheck.pair arb_scalar arb_scalar))
-       (QCheck.list_of_size (QCheck.Gen.int_range 0 3) (QCheck.pair arb_scalar arb_scalar)))
-    (fun (pre_seeds, pair_seeds) ->
-       let pre_pts = List.map (fun (k, a) -> (k, naive_mul a g)) pre_seeds in
-       let pairs = List.map (fun (k, a) -> (k, naive_mul a g)) pair_seeds in
-       let want = naive_msm (Array.of_list (pre_pts @ pairs)) in
-       let pre = Array.of_list (List.map (fun (k, p) -> (k, Curve.precompute p)) pre_pts) in
-       Curve.equal want (Curve.msm_pre pre (Array.of_list pairs)))
 
 let test_msm_edge_cases () =
   let order = Curve.order in
@@ -577,14 +565,7 @@ let test_msm_edge_cases () =
     (Curve.msm [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg p) |]);
   (* tiny scalars ride the direct-add path (pinned batch weights) *)
   chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.double p) |];
-  chk_naive "scalar above the order reduces" [| (Nat.add order (Nat.of_int 5), p) |];
-  (* precompute: the table is faithful, and degenerate inputs are inert *)
-  chk "precomp_point returns the point" p (Curve.precomp_point (Curve.precompute p));
-  let k = Nat.of_hex "fedcba9876543210fedcba9876543210fedcba9876543210" in
-  chk "msm_pre with empty pairs" (naive_mul k p)
-    (Curve.msm_pre [| (k, Curve.precompute p) |] [||]);
-  chk "precomputed infinity is inert" (naive_mul k p)
-    (Curve.msm_pre [| (Nat.of_int 6, Curve.precompute Curve.infinity) |] [| (k, p) |])
+  chk_naive "scalar above the order reduces" [| (Nat.add order (Nat.of_int 5), p) |]
 
 let () =
   Alcotest.run "group"
@@ -621,5 +602,4 @@ let () =
       ("msm-differential",
        Alcotest.test_case "edge cases" `Quick test_msm_edge_cases
        :: List.map QCheck_alcotest.to_alcotest
-            [ prop_msm_matches_naive; prop_msm_forced_pippenger;
-              prop_msm_pre_matches_naive ]) ]
+            [ prop_msm_matches_naive; prop_msm_forced_pippenger ]) ]

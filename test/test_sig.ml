@@ -4,6 +4,7 @@ module Schnorr = Dd_sig.Schnorr
 module Group_ctx = Dd_group.Group_ctx
 module Drbg = Dd_crypto.Drbg
 module Nat = Dd_bignum.Nat
+module Curve = Dd_group.Curve
 
 let rng () = Drbg.create ~seed:"sig-tests"
 
@@ -86,16 +87,12 @@ let make_batch ?(seed = "batch") n =
       let msg = Printf.sprintf "batch message %d" i in
       (pk, msg, Schnorr.sign rng ~sk ~pk msg))
 
-let precompute items = Array.map (fun (pk, _, _) -> Schnorr.precompute_pk pk) items
-
 let test_batch_accepts_valid () =
   let rng = rng () in
   Alcotest.(check bool) "empty batch" true (Schnorr.verify_batch rng [||]);
   Alcotest.(check bool) "singleton" true (Schnorr.verify_batch rng (make_batch 1));
   let items = make_batch 9 in
   Alcotest.(check bool) "9 valid" true (Schnorr.verify_batch rng items);
-  Alcotest.(check bool) "9 valid with precomputed keys" true
-    (Schnorr.verify_batch ~pre:(precompute items) rng items);
   Alcotest.(check (list int)) "find on a clean batch" []
     (Schnorr.verify_batch_find rng items)
 
@@ -110,8 +107,6 @@ let test_batch_rejects_forged () =
        let rng = rng () in
        Alcotest.(check bool) (Printf.sprintf "forged %d rejected" j) false
          (Schnorr.verify_batch rng items);
-       Alcotest.(check bool) (Printf.sprintf "forged %d rejected with pre" j) false
-         (Schnorr.verify_batch ~pre:(precompute items) rng items);
        Alcotest.(check (list int)) (Printf.sprintf "bisection names %d" j) [ j ]
          (Schnorr.verify_batch_find rng items))
     [ 0; 3; 6 ]
@@ -122,12 +117,55 @@ let test_batch_find_multiple () =
   Alcotest.(check (list int)) "both forged indices named" [ 2; 5 ]
     (Schnorr.verify_batch_find (rng ()) items)
 
-let test_batch_pre_length_mismatch () =
-  let items = make_batch 3 in
-  let pre = precompute (make_batch 2) in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Schnorr.verify_batch: pre/items length mismatch")
-    (fun () -> ignore (Schnorr.verify_batch ~pre (rng ()) items))
+(* Batches over a few signers, as in a UCERT: each signer's key terms
+   fold into one coefficient. Two signatures by one signer with their
+   messages swapped are each invalid, and the fold must not let them
+   cancel. *)
+let test_batch_one_signer_swapped () =
+  let rng = rng () in
+  let sk, pk = Schnorr.keygen rng in
+  let s1 = Schnorr.sign rng ~sk ~pk "first" and s2 = Schnorr.sign rng ~sk ~pk "second" in
+  let items = [| (pk, "first", s2); (pk, "second", s1) |] in
+  Alcotest.(check bool) "swapped messages rejected" false (Schnorr.verify_batch rng items);
+  Alcotest.(check (list int)) "both named" [ 0; 1 ] (Schnorr.verify_batch_find rng items);
+  Alcotest.(check bool) "unswapped accepted" true
+    (Schnorr.verify_batch rng [| (pk, "first", s1); (pk, "second", s2) |])
+
+(* n signatures over k keys, at most one forged: the batch verdict is
+   the conjunction of the serial verdicts, and bisection names exactly
+   the forged index. Every other item carries its key in a non-affine
+   representation, which folds with the affine one by its encoding. *)
+let prop_batch_few_signers =
+  QCheck.Test.make ~name:"batch over few signers = serial verdicts" ~count:20
+    ~long_factor:100
+    QCheck.(
+      triple (int_range 1 5)
+        (list_of_size (Gen.int_range 2 40) (int_bound 4))
+        (option (int_bound 39)))
+    (fun (k, signers, forge) ->
+       let rng =
+         Drbg.create
+           ~seed:(Printf.sprintf "few %d %s" k (String.concat "," (List.map string_of_int signers)))
+       in
+       let keys = Array.init k (fun _ -> Schnorr.keygen rng) in
+       let items =
+         Array.of_list
+           (List.mapi
+              (fun i j ->
+                 let sk, pk = keys.(j mod k) in
+                 let msg = Printf.sprintf "few %d" i in
+                 let sg = Schnorr.sign rng ~sk ~pk msg in
+                 let pk = if i mod 2 = 1 then Curve.sub (Curve.double pk) pk else pk in
+                 (pk, msg, sg))
+              signers)
+       in
+       let n = Array.length items in
+       let forged = Option.map (fun f -> f mod n) forge in
+       Option.iter (fun f -> let pk, _, sg = items.(f) in items.(f) <- (pk, "forged", sg)) forged;
+       let serial = Array.for_all (fun (pk, msg, sg) -> Schnorr.verify ~pk msg sg) items in
+       serial = Option.is_none forged
+       && Schnorr.verify_batch rng items = serial
+       && Schnorr.verify_batch_find rng items = Option.to_list forged)
 
 let prop_sign_verify =
   QCheck.Test.make ~name:"sign/verify completeness" ~count:15
@@ -153,4 +191,5 @@ let () =
        [ Alcotest.test_case "accepts valid batches" `Quick test_batch_accepts_valid;
          Alcotest.test_case "rejects one forged item" `Quick test_batch_rejects_forged;
          Alcotest.test_case "localizes several" `Quick test_batch_find_multiple;
-         Alcotest.test_case "pre length mismatch" `Quick test_batch_pre_length_mismatch ]) ]
+         Alcotest.test_case "one signer, swapped messages" `Quick test_batch_one_signer_swapped;
+         QCheck_alcotest.to_alcotest prop_batch_few_signers ]) ]
