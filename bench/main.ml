@@ -792,18 +792,7 @@ let serve () =
     let listeners =
       Array.init cfg.Types.nv (fun node -> Socket.listen ~path:(path node) ())
     in
-    let step () =
-      Array.iteri
-        (fun node l ->
-           let rec accept_all () =
-             match Socket.accept l with
-             | Some conn -> Runtime.accept t ~node conn; accept_all ()
-             | None -> ()
-           in
-           accept_all ())
-        listeners;
-      Runtime.step t
-    in
+    let step () = Socket.accept_all listeners (Runtime.accept t); Runtime.step t in
     let cc = min 64 serve_cc_max in
     let rps =
       time_run ~clients:cc

@@ -362,18 +362,7 @@ let serve_cmd =
     let sock_path i = Filename.concat sock_dir (Printf.sprintf "vc%d.sock" i) in
     let listeners = Array.init nv (fun i -> Socket.listen ~path:(sock_path i) ()) in
     Array.iteri (fun i _ -> Printf.printf "vc%d listening on %s\n%!" i (sock_path i)) listeners;
-    let accept_all () =
-      Array.iteri
-        (fun i l ->
-           let rec go () =
-             match Socket.accept l with
-             | Some conn -> Runtime.accept t ~node:i conn; go ()
-             | None -> ()
-           in
-           go ())
-        listeners
-    in
-    let tick () = accept_all (); Runtime.step t in
+    let tick () = Socket.accept_all listeners (Runtime.accept t); Runtime.step t in
     let print_stats () =
       let s = Runtime.stats t in
       Printf.printf
@@ -392,15 +381,7 @@ let serve_cmd =
         List.init cast (fun i ->
             { Loadgen.serial = i * (voters / cast); Loadgen.choice = i mod m })
       in
-      let conns = Hashtbl.create 64 in
-      let conn_for ~client ~node =
-        match Hashtbl.find_opt conns (client, node) with
-        | Some c -> c
-        | None ->
-          let c = Socket.connect ~path:(sock_path node) in
-          Hashtbl.add conns (client, node) c;
-          c
-      in
+      let conn_for ~client:_ ~node = Socket.connect ~path:(sock_path node) in
       let lp = { Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = seed } in
       Printf.printf "casting %d votes over %d sockets (%d clients, %s verify)...\n%!"
         cast nv clients (if no_batch then "serial" else "batched");

@@ -61,3 +61,52 @@ let pop d =
 let error d = d.err
 
 let buffered d = if d.err = None then Buffer.length d.acc - d.pos else 0
+
+type link = { conn : Transport.conn; dec : decoder; out : Buffer.t; mutable live : bool }
+
+let link conn = { conn; dec = create (); out = Buffer.create 256; live = true }
+let is_open l = l.live
+let backlog l = Buffer.length l.out
+let poisoned l = l.dec.err <> None
+
+let queue l payload =
+  if l.live then encode_into l.out payload;
+  Bool.to_int l.live
+
+(* A partial write keeps only the unsent tail, so [out] holds exactly
+   the link's backlog. *)
+let flush l =
+  let len = Buffer.length l.out in
+  if len = 0 then 0
+  else begin
+    let data = Buffer.contents l.out in
+    let k = l.conn.Transport.send data ~pos:0 ~len in
+    Buffer.clear l.out;
+    Buffer.add_substring l.out data k (len - k);
+    k
+  end
+
+let close l =
+  if l.live then begin
+    l.live <- false;
+    Buffer.reset l.out;
+    l.conn.Transport.close ()
+  end
+
+let pump l on_frame =
+  if not l.live then (0, 0)
+  else begin
+    (* feed chunk by chunk so torn deliveries reach the decoder as-is *)
+    let rec feed_all bytes =
+      match l.conn.Transport.recv () with
+      | "" -> bytes
+      | s -> feed l.dec s; feed_all (bytes + String.length s)
+    in
+    let bytes = feed_all 0 in
+    let rec pop_all frames =
+      match pop l.dec with None -> frames | Some p -> on_frame p; pop_all (frames + 1)
+    in
+    let frames = pop_all 0 in
+    if poisoned l || not (l.conn.Transport.alive ()) then close l;
+    (bytes, frames)
+  end

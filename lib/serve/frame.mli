@@ -29,3 +29,31 @@ val error : decoder -> string option
 
 (** Bytes buffered but not yet popped (backpressure accounting). *)
 val buffered : decoder -> int
+
+(** One framed endpoint, the runtime's connections and the load
+    generator's channels alike: a {!Transport.conn} with its decoder
+    and its outbound backlog. *)
+type link
+
+val link : Transport.conn -> link
+
+(** Frame a payload onto the backlog; returns the frames queued, [0]
+    on a closed link. *)
+val queue : link -> string -> int
+
+(** One [send]; the backlog keeps exactly the unsent tail. Returns the
+    bytes sent. *)
+val flush : link -> int
+
+(** Feed every chunk [recv] returns, as-is, and pass each complete
+    frame to the callback; returns the bytes and frames read. Then the
+    link closes if its decoder is poisoned or its transport reports
+    [alive () = false]. A closed link reads nothing. *)
+val pump : link -> (string -> unit) -> int * int
+
+(** Close the transport and drop the backlog; idempotent. *)
+val close : link -> unit
+
+val is_open : link -> bool
+val backlog : link -> int
+val poisoned : link -> bool

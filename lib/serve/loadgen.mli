@@ -33,15 +33,15 @@ type result = {
   exhausted : int;           (** every node blacklisted; vote abandoned *)
   lost : int;                (** in flight when the driver stalled *)
   successes : (int * string) list;   (** (serial, cast vote code) *)
-  steps : int;               (** driver iterations used *)
 }
 
 (** [run ~conn_for ~step ~ballot_for ~nv ~votes ()] submits every
     intent and drives the server via [step] until all replies landed
     (or the step budget is spent). [conn_for ~client ~node] opens (or
     returns) the byte-stream connection client [client] uses to reach
-    VC node [node] — pipes in-process, sockets across them; the
-    generator frames, multiplexes and decodes on its own. *)
+    VC node [node] — pipes in-process, sockets across them — once per
+    pair, kept as a {!Frame.link}. A link that closes (poisoned
+    decoder, dead transport) loses the votes queued on it. *)
 val run :
   ?params:params ->
   conn_for:(client:int -> node:int -> Transport.conn) ->

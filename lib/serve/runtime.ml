@@ -40,14 +40,7 @@ type role =
   | Link_vc of int                   (* peer link delivering to VC [n] *)
   | Link_bb of int                   (* VC->BB link delivering to BB [n] *)
 
-type conn_state = {
-  k_id : int;
-  k_conn : Transport.conn;
-  k_role : role;
-  k_dec : Frame.decoder;
-  k_out : Buffer.t;                  (* framed bytes not yet sent *)
-  mutable k_open : bool;
-}
+type conn_state = { k_id : int; k_role : role; k_link : Frame.link }
 
 type staged =
   | S_vc of int * Messages.vc_msg
@@ -80,7 +73,7 @@ type t = {
   bb_mbox : Messages.bb_msg Mailbox.t array;
   batchers : Batcher.t array;
   staging : staged list ref array;             (* per VC node, reversed *)
-  mutable conns : conn_state list;             (* every registered conn *)
+  mutable conns : conn_state list;             (* every open conn, newest first *)
   link_vc : conn_state option array array;     (* [i].(j): node i's endpoint to j *)
   link_bb : conn_state option array array;     (* [i].(j): VC i's endpoint to BB j *)
   clients : (int, conn_state * int) Hashtbl.t; (* client id -> conn, channel *)
@@ -111,17 +104,12 @@ let batch_stats t =
   agg
 
 let enqueue_out t conn payload =
-  Frame.encode_into conn.k_out payload;
-  t.st.frames_out <- t.st.frames_out + 1
+  t.st.frames_out <- t.st.frames_out + Frame.queue conn.k_link payload
 
 let register_conn t ~role conn =
   let id = t.next_conn in
   t.next_conn <- id + 1;
-  let cs =
-    { k_id = id; k_conn = conn; k_role = role;
-      k_dec = Frame.create ();
-      k_out = Buffer.create 256; k_open = true }
-  in
+  let cs = { k_id = id; k_role = role; k_link = Frame.link conn } in
   t.conns <- cs :: t.conns;
   cs
 
@@ -248,38 +236,18 @@ let route t conn msg =
     t.st.malformed <- t.st.malformed + 1
 
 let pump_conn t conn =
-  let processed = ref 0 in
-  if conn.k_open then begin
-    (* feed chunk by chunk so torn deliveries reach the decoder as-is *)
-    let rec feed_all () =
-      let s = conn.k_conn.Transport.recv () in
-      if s <> "" then begin
-        t.st.bytes_in <- t.st.bytes_in + String.length s;
-        Frame.feed conn.k_dec s;
-        feed_all ()
-      end
-    in
-    feed_all ();
-    let rec pop_all () =
-      match Frame.pop conn.k_dec with
-      | None -> ()
-      | Some payload ->
-        incr processed;
-        t.st.frames_in <- t.st.frames_in + 1;
-        (match Mux.decode (gctx t) payload with
-         | Some msg -> route t conn msg
-         | None -> t.st.malformed <- t.st.malformed + 1);
-        pop_all ()
-    in
-    pop_all ();
-    (match Frame.error conn.k_dec with
-     | Some _ ->
-       t.st.malformed <- t.st.malformed + 1;
-       conn.k_open <- false;
-       conn.k_conn.Transport.close ()
-     | None -> ())
-  end;
-  !processed
+  let bytes, frames =
+    Frame.pump conn.k_link (fun payload ->
+        match Mux.decode (gctx t) payload with
+        | Some msg -> route t conn msg
+        | None -> t.st.malformed <- t.st.malformed + 1)
+  in
+  t.st.bytes_in <- t.st.bytes_in + bytes;
+  t.st.frames_in <- t.st.frames_in + frames;
+  (* every link in [t.conns] is open when the tick starts, so this
+     counts a poisoned decoder once *)
+  if Frame.poisoned conn.k_link then t.st.malformed <- t.st.malformed + 1;
+  frames
 
 let process_vc t i =
   let msgs = Mailbox.drain ~max:batch_max t.vc_mbox.(i) in
@@ -301,10 +269,10 @@ let process_bb t j =
 let flush_staged t =
   let send conn msg =
     match conn with
-    | Some conn when conn.k_open ->
+    | Some conn ->
       List.iter (enqueue_out t conn)
         (Mux.encode_split ~max_frame:Frame.max_frame_default msg)
-    | Some _ | None -> ()
+    | None -> ()
   in
   for i = 0 to t.nv - 1 do
     let staged = List.rev !(t.staging.(i)) in
@@ -319,9 +287,9 @@ let flush_staged t =
          | S_bb (dst, m) -> if dst >= 0 && dst < t.nb then to_bb.(dst) <- m :: to_bb.(dst)
          | S_client (client, req, outcome) ->
            (match Hashtbl.find_opt t.clients client with
-            | Some (conn, channel) when conn.k_open ->
+            | Some (conn, channel) ->
               enqueue_out t conn (Mux.encode (gctx t) (Mux.Client_reply { channel; req; outcome }))
-            | Some _ | None -> ()))
+            | None -> ()))
       staged;
     Array.iteri
       (fun dst ms -> if ms <> [] then send t.link_vc.(i).(dst) (Mux.Vc (List.rev ms)))
@@ -331,30 +299,33 @@ let flush_staged t =
       to_bb
   done
 
-(* One [send] per connection per tick; a partial write keeps only the
-   unsent tail, so the buffer holds exactly the connection's backlog. *)
+(* A closed link leaves the tick: its connection goes from [t.conns],
+   its clients go, and replies staged for them are discarded. *)
+let prune t =
+  let live conn = Frame.is_open conn.k_link in
+  if not (List.for_all live t.conns) then begin
+    t.conns <- List.filter live t.conns;
+    Hashtbl.filter_map_inplace
+      (fun _ ((conn, _) as c) -> if live conn then Some c else None) t.clients;
+    Hashtbl.filter_map_inplace
+      (fun _ client -> if Hashtbl.mem t.clients client then Some client else None)
+      t.client_ids
+  end
+
+(* One flush per connection per tick, then the closed links go. *)
 let write_out t =
   List.iter
     (fun conn ->
-       let out = conn.k_out in
-       if conn.k_open && Buffer.length out > 0 then begin
-         let data = Buffer.contents out in
-         let len = String.length data in
-         let k = conn.k_conn.Transport.send data ~pos:0 ~len in
-         t.st.bytes_out <- t.st.bytes_out + k;
-         Buffer.clear out;
-         if k < len then Buffer.add_substring out data k (len - k);
-         (* slow-reader shedding: a client that will not drain its
-            replies is disconnected, never buffered without bound *)
-         (match conn.k_role with
-          | Client _ when Buffer.length out > out_cap ->
-            conn.k_open <- false;
-            conn.k_conn.Transport.close ();
-            Buffer.reset out;
-            t.st.conns_shed <- t.st.conns_shed + 1
-          | _ -> ())
-       end)
-    t.conns
+       t.st.bytes_out <- t.st.bytes_out + Frame.flush conn.k_link;
+       (* slow-reader shedding: a client that will not drain its
+          replies is disconnected, never buffered without bound *)
+       match conn.k_role with
+       | Client _ when Frame.backlog conn.k_link > out_cap ->
+         Frame.close conn.k_link;
+         t.st.conns_shed <- t.st.conns_shed + 1
+       | _ -> ())
+    t.conns;
+  prune t
 
 let step t =
   t.st.steps <- t.st.steps + 1;

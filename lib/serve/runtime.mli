@@ -4,12 +4,12 @@
 
     Each {!step} runs one BSP tick:
 
-    + {b pump} — drain every connection, feed the frame decoders,
-      route decoded messages to the destination node's mailbox, which
-      holds [mailbox_cap] = 4096 messages. A full mailbox sheds:
-      client votes get an immediate "overloaded" rejection (the closed
-      loop never hangs), peer messages are dropped and counted (the
-      protocol's retries absorb the loss).
+    + {b pump} — drain every connection's {!Frame.link}, newest
+      first, and route decoded messages to the destination node's
+      mailbox, which holds [mailbox_cap] = 4096 messages. A full
+      mailbox sheds: client votes get an immediate "overloaded"
+      rejection (the closed loop never hangs), peer messages are
+      dropped and counted (the protocol's retries absorb the loss).
     + {b process} — each node with pending input drains up to
       [batch_max] = 256 messages; with batching enabled the {!Batcher}
       settles the batch's signature obligations through one
@@ -17,19 +17,22 @@
       machines consume the messages. Node sends are staged per node,
       not transmitted, so no node's output reaches another within the
       tick.
-    + {b flush} — staged sends encode into per-connection outbound
-      buffers, in node index order (deterministic byte streams). Peer
-      traffic is coalesced: each VC→VC and VC→BB link's messages for
-      the tick leave as one {!Mux} batch frame, cut into more only
-      where the next message would push a payload past
-      {!Frame.max_frame_default}, the cap every decoder enforces;
-      the receiving pump routes a batch's messages in order, so every
+    + {b flush} — staged sends encode onto the links' backlogs, in
+      node index order (deterministic byte streams). Peer traffic is
+      coalesced: each VC→VC and VC→BB link's messages for the tick
+      leave as one {!Mux} batch frame, cut into more only where the
+      next message would push a payload past
+      {!Frame.max_frame_default}, the cap every decoder enforces; the
+      receiving pump routes a batch's messages in order, so every
       mailbox sees the sequence one frame per message would give.
-      Client replies stay one frame each. Every buffer then makes one
+      Client replies stay one frame each. Every link then makes one
       write of as much as its transport accepts, keeping the rest.
-      Only client buffers are bounded: a client connection whose
-      backlog overflows [out_cap] = 4 MiB is a slow reader — it is closed and
-      counted, never buffered unboundedly.
+
+    A link closes when its decoder is poisoned (counted [malformed]),
+    when its transport reports [alive () = false] after its last bytes
+    are read, or when a client's backlog passes [out_cap] = 4 MiB (a
+    slow reader, counted [conns_shed]). A closed link leaves the tick:
+    it is never polled again and replies still due to it are discarded.
 
     Inter-node traffic travels through the same framed byte pipes as
     client traffic (created internally), so every hop exercises the

@@ -57,12 +57,17 @@ let listen ~path () =
   Unix.set_nonblock fd;
   { l_fd = fd; l_path = path; l_open = true }
 
-let accept l =
-  if not l.l_open then None
-  else
-    match Unix.accept ~cloexec:true l.l_fd with
-    | fd, _ -> Some (conn_of_fd fd)
-    | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> None
+let accept_all listeners on_conn =
+  Array.iteri
+    (fun node l ->
+       let rec go () =
+         if l.l_open then
+           match Unix.accept ~cloexec:true l.l_fd with
+           | fd, _ -> on_conn ~node (conn_of_fd fd); go ()
+           | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> ()
+       in
+       go ())
+    listeners
 
 let close_listener l =
   if l.l_open then begin

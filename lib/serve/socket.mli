@@ -17,8 +17,10 @@ type listener
     errors (bad path, permissions). *)
 val listen : path:string -> unit -> listener
 
-(** Accept one pending connection, if any. *)
-val accept : listener -> Transport.conn option
+(** Accept every pending connection on each listener, passing each to
+    [on_conn] with its listener's index as [node]
+    ([Runtime.accept rt] fits). *)
+val accept_all : listener array -> (node:int -> Transport.conn -> unit) -> unit
 
 (** Close the listening socket and remove the socket file. *)
 val close_listener : listener -> unit

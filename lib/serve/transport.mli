@@ -13,6 +13,8 @@ type conn = {
           many were accepted (possibly [0] when the peer's buffer is
           full — the caller keeps the rest queued). *)
   alive : unit -> bool;
+      (** [false] once the connection will deliver nothing more; the
+          runtime drops it after reading its last bytes. *)
   close : unit -> unit;
 }
 

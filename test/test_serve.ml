@@ -430,6 +430,92 @@ let test_backpressure_sheds_votes () =
   Alcotest.(check int) "every vote answered" n !replies;
   Alcotest.(check int) "exactly the surplus says overloaded" surplus !overloaded
 
+(* A vote frame for a serial no ballot has: node 0 rejects it without
+   any signature work. *)
+let junk_vote ~channel req =
+  Frame.encode
+    (Mux.encode gctx
+       (Mux.Client_vote { channel; req; serial = 1_000_000; vote_code = "x" }))
+
+(* Slow-reader shedding: a client whose transport accepts nothing is
+   closed once its reply backlog passes 4 MiB, and counted once, while
+   another client on the same node is still served. Mailbox-full
+   rejections fill the backlog in one tick. *)
+let test_slow_reader_shed () =
+  let seed = "slow-reader" in
+  let t = Runtime.create (Runtime.source_prf serve_cfg ~seed) in
+  let out_cap = 1 lsl 22 and mailbox_cap = 4096 and channel = 1 lsl 40 in
+  let overloaded req =
+    Frame.encode
+      (Mux.encode gctx
+         (Mux.Client_reply { channel; req; outcome = Types.Rejected "server overloaded" }))
+  in
+  (* past the mailbox's capacity every vote is answered "overloaded"
+     at once: send enough of them that those replies alone pass out_cap *)
+  let votes = Buffer.create (1 lsl 23) in
+  let rec fill req backlog =
+    if backlog <= out_cap then begin
+      Buffer.add_string votes (junk_vote ~channel req);
+      fill (req + 1)
+        (if req > mailbox_cap then backlog + String.length (overloaded req) else backlog)
+    end
+  in
+  fill 1 0;
+  let pending = ref (Buffer.contents votes) and closed = ref false in
+  Runtime.accept t ~node:0
+    { Transport.recv = (fun () -> let s = !pending in pending := ""; s);
+      send = (fun _ ~pos:_ ~len:_ -> 0);
+      alive = (fun () -> not !closed);
+      close = (fun () -> closed := true) };
+  ignore (Runtime.step t : int);
+  Alcotest.(check bool) "the slow reader is closed" true !closed;
+  Alcotest.(check int) "shed once" 1 (Runtime.stats t).Runtime.conns_shed;
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.default_params with Loadgen.lg_clients = 2; lg_seed = seed }
+      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
+      ~step:(fun () -> Runtime.step t)
+      ~ballot_for:(fun serial ->
+          Ballot_gen.voter_ballot ~seed ~serial ~m:serve_cfg.Types.m_options)
+      ~nv:serve_cfg.Types.nv ~votes:(intents 4) ()
+  in
+  Alcotest.(check int) "the other client gets every receipt" 4 r.Loadgen.receipts_ok;
+  Alcotest.(check int) "nothing lost" 0 r.Loadgen.lost;
+  Alcotest.(check int) "still shed once" 1 (Runtime.stats t).Runtime.conns_shed
+
+(* A link that closes leaves the tick: one whose transport reports dead
+   once its votes are read, and one whose decoder a length prefix over
+   the frame cap poisons (counted malformed once). Neither is polled
+   again, the replies to the dead one's votes are discarded, and the
+   runtime keeps nothing of either. *)
+let test_closed_links_leave_tick () =
+  let t = Runtime.create (Runtime.source_prf serve_cfg ~seed:"dead-link") in
+  ignore (Runtime.step t : int);
+  let words = Obj.reachable_words (Obj.repr t) in
+  let recvs = ref 0 and sends = ref 0 in
+  let stub bytes ~dies =
+    let pending = ref bytes in
+    { Transport.recv = (fun () -> incr recvs; let s = !pending in pending := ""; s);
+      send = (fun _ ~pos:_ ~len -> incr sends; len);
+      alive = (fun () -> not dies || !pending <> "");
+      close = ignore }
+  in
+  Runtime.accept t ~node:0
+    (stub (String.concat "" (List.init 3 (junk_vote ~channel:0))) ~dies:true);
+  let n = Frame.max_frame_default + 1 in
+  Runtime.accept t ~node:1
+    (stub (String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))) ~dies:false);
+  ignore (Runtime.step t : int);
+  Alcotest.(check int) "the votes were read" 3 (Runtime.stats t).Runtime.frames_in;
+  Alcotest.(check int) "the poisoned decoder counted" 1 (Runtime.stats t).Runtime.malformed;
+  let polled = !recvs in
+  ignore (Runtime.run_until_idle t : int);
+  Alcotest.(check int) "never polled again" polled !recvs;
+  Alcotest.(check int) "the replies discarded" 0 !sends;
+  Alcotest.(check int) "nothing sent" 0 (Runtime.stats t).Runtime.frames_out;
+  Alcotest.(check int) "counted once" 1 (Runtime.stats t).Runtime.malformed;
+  Alcotest.(check int) "nothing retained" words (Obj.reachable_words (Obj.repr t))
+
 (* A reply is the business of the client whose connection carried it:
    a frame on client 1's connection naming client 0's request (here a
    forged rejection) must not settle client 0's vote. *)
@@ -700,6 +786,8 @@ let () =
       ("runtime",
        [ Alcotest.test_case "all receipts" `Quick test_pipe_serving_all_receipts;
          Alcotest.test_case "backpressure sheds" `Quick test_backpressure_sheds_votes;
+         Alcotest.test_case "slow reader shed" `Quick test_slow_reader_shed;
+         Alcotest.test_case "closed links leave the tick" `Quick test_closed_links_leave_tick;
          Alcotest.test_case "batching transparent" `Quick test_batching_transparent;
          Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped;
          Alcotest.test_case "one frame per peer link per tick" `Quick
