@@ -378,6 +378,31 @@ let micro () =
            (Curve.mul_int (i + 2) Curve.generator)))
   in
   let msm64 = msm_pairs 64 and msm512 = msm_pairs 512 in
+  (* cast-rush's batch shape: 62 128-bit weights on the signatures' R
+     and 5 full-width coefficients on the signers' keys *)
+  let msm62x5 =
+    Array.mapi
+      (fun i (k, p) -> ((if i < 62 then Dd_group.Batch.weight rng else k), p))
+      (msm_pairs 67)
+  in
+  (* an exact count, not a time: minor words per signature of a warm
+     batch verification of 62 signatures under 5 keys *)
+  let verify_batch_words =
+    let keys = Array.init 5 (fun _ -> Dd_sig.Schnorr.keygen rng) in
+    let items =
+      Array.init 62 (fun i ->
+          let sk, pk = keys.(i mod 5) in
+          let msg = Printf.sprintf "bench batch %d" i in
+          (pk, msg, Dd_sig.Schnorr.sign rng ~sk ~pk msg))
+    in
+    let verify () =
+      Dd_sig.Schnorr.verify_batch (Dd_crypto.Drbg.create ~seed:"bench-weights") items
+    in
+    if not (verify ()) then failwith "bench: the 62x5 batch did not verify";
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (verify ()));
+    (Gc.minor_words () -. before) /. 62.
+  in
   (* one lockstep group of fixed-base multiplications on G *)
   let comb_jobs =
     Array.init Curve.batch_group (fun _ ->
@@ -502,6 +527,8 @@ let micro () =
         (Staged.stage (fun () -> Curve.msm msm64));
       Test.make ~name:"arith.msm.512"
         (Staged.stage (fun () -> Curve.msm msm512));
+      Test.make ~name:"arith.msm.62x5"
+        (Staged.stage (fun () -> Curve.msm msm62x5));
       Test.make ~name:"arith.msm.loop64"
         (Staged.stage (fun () ->
              Array.fold_left
@@ -566,9 +593,12 @@ let micro () =
          end)
       [ 1; 2; 4 ]
   in
+  let counts = [ ("alloc.verify_batch.62x5.words_per_sig", verify_batch_words) ] in
   let rows = List.sort compare (rows @ scaling_rows) in
   pr "# Microbenchmarks (this machine), one per table/figure kernel\n";
   List.iter (fun (name, est) -> pr "%-50s %12.0f ns/op\n" name est) rows;
+  List.iter (fun (name, v) -> pr "%-50s %12.1f words\n" name v) counts;
+  let rows = rows @ counts in
   pr "\n";
   if json_mode then json_rows := !json_rows @ rows;
   flush_section ()

@@ -19,7 +19,12 @@
    Memory entries from the `stream` section (keys containing ".rss." or
    ".heap.") get a different rule: same-run 100k-vs-1k flatness under
    2x, the bounded-memory contract of the streaming pipeline (see
-   DESIGN.md 6.5). *)
+   DESIGN.md 6.5).
+
+   Exact counts (keys starting "alloc.", e.g. minor words per
+   signature) do not drift between runs, so they get no band: any rise
+   over the baseline fails, and any fall is reported as an
+   improvement. *)
 
 let parse_results path =
   let ic =
@@ -78,6 +83,8 @@ let is_memory_key key = contains key ".rss." || contains key ".heap."
    falling BELOW baseline/factor, the mirror image of the ns/op rule. *)
 let is_throughput_key key = contains key ".rps"
 
+let is_count_key key = String.starts_with ~prefix:"alloc." key
+
 let mem_factor = 2.0
 
 let memory_1k_key key =
@@ -109,6 +116,10 @@ let () =
        match Hashtbl.find_opt cur key with
        | None -> missing := key :: !missing
        | Some _ when is_memory_key key -> ()  (* gated by the flatness pass *)
+       | Some cv when is_count_key key ->
+         incr checked;
+         if cv > bv then regressions := (key, bv, cv) :: !regressions
+         else if cv < bv then improvements := (key, bv, cv) :: !improvements
        | Some cv ->
          incr checked;
          let ratio_pair =
@@ -166,21 +177,29 @@ let () =
          String.length key >= String.length tag
          && String.sub key (String.length key - String.length tag) (String.length tag) = tag
        in
-       let unit =
-         if is_ratio then ""
-         else if is_throughput_key key then " ops/sec"
-         else " ns/op"
-       in
-       let slowdown = if is_throughput_key key then bv /. cv else cv /. bv in
-       Printf.printf "FAIL  %s: %.1f -> %.1f%s (%.2fx > %.2fx allowed)\n"
-         key bv cv unit slowdown factor)
+       if is_count_key key then
+         Printf.printf "FAIL  %s: %.1f -> %.1f (an exact count rose)\n" key bv cv
+       else begin
+         let unit =
+           if is_ratio then ""
+           else if is_throughput_key key then " ops/sec"
+           else " ns/op"
+         in
+         let slowdown = if is_throughput_key key then bv /. cv else cv /. bv in
+         Printf.printf "FAIL  %s: %.1f -> %.1f%s (%.2fx > %.2fx allowed)\n"
+           key bv cv unit slowdown factor
+       end)
     (List.sort compare !regressions);
   List.iter
     (fun (key, bv, cv) ->
-       let unit = if is_throughput_key key then " ops/sec" else " ns/op" in
-       let speedup = if is_throughput_key key then cv /. bv else bv /. cv in
-       Printf.printf "IMPROVE  %s: %.1f -> %.1f%s (%.2fx faster than baseline)\n"
-         key bv cv unit speedup)
+       if is_count_key key then
+         Printf.printf "IMPROVE  %s: %.1f -> %.1f (an exact count fell)\n" key bv cv
+       else begin
+         let unit = if is_throughput_key key then " ops/sec" else " ns/op" in
+         let speedup = if is_throughput_key key then cv /. bv else bv /. cv in
+         Printf.printf "IMPROVE  %s: %.1f -> %.1f%s (%.2fx faster than baseline)\n"
+           key bv cv unit speedup
+       end)
     (List.sort compare !improvements);
   if !improvements <> [] then
     Printf.printf

@@ -36,17 +36,12 @@ type point = int array
 type jac = { x : Fe.t; y : Fe.t; z : Fe.t }
 
 (* Temporaries for the formulas, and [ex]/[ey] for a table entry being
-   read. A scratch belongs to one call, never to a module value: those
-   are shared across domains. *)
+   read. A scratch belongs to one call or to one domain's arena, never
+   to a module value: those are shared across domains. *)
 type scratch = {
   t0 : Fe.t; t1 : Fe.t; t2 : Fe.t; t3 : Fe.t; t4 : Fe.t; t5 : Fe.t; t6 : Fe.t; t7 : Fe.t;
   ex : Fe.t; ey : Fe.t;
 }
-
-(* Odd multiples P, 3P, 5P, ... of a finite point, affine: x, y and the
-   phi-image's beta x, five [Fe.pack]ed words per entry. Negations are
-   taken at read time. *)
-type odd_table = { ox : int array; oy : int array; obx : int array }
 
 (* The prime order n of the generator, and the 32-byte width of an
    encoded coordinate. *)
@@ -332,49 +327,93 @@ let mul_int k pt =
   if k < 0 then invalid_arg "Curve.mul_int: negative scalar";
   mul (Nat.of_int k) pt
 
-(* Width-w wNAF digit expansion: MSB-first list of odd digits in
-   {0, +-1, +-3, ..., +-(2^(w-1)-1)}, adjacent nonzero digits separated
-   by at least w-1 zeros. Works on the scalar's raw bytes with an int
-   carry — per-bit bignum arithmetic would dominate msm setup time.
-   Consing while consuming the scalar LSB-first leaves the most
-   significant digit at the head. *)
-let wnaf w k =
-  if Nat.is_zero k then []
-  else begin
-    let half = 1 lsl (w - 1) in
-    let full = 1 lsl w in
-    let bytes = Nat.to_bytes_be k in
-    let nb = String.length bytes in
-    let bit i =
-      let byte = nb - 1 - (i lsr 3) in
-      if byte < 0 then 0 else (Char.code (String.unsafe_get bytes byte) lsr (i land 7)) land 1
-    in
-    let nbits = 8 * nb in
-    let digits = ref [] in
-    let carry = ref 0 in
-    let i = ref 0 in
-    while !i < nbits || !carry = 1 do
-      let b = bit !i + !carry in
-      if b land 1 = 0 then begin
-        carry := b lsr 1;
-        digits := 0 :: !digits;
-        incr i
-      end else begin
-        (* odd position: take w bits; subtracting 2^w when the window
-           tops 2^(w-1)-1 pushes a carry into the next window *)
-        let d = ref b in
-        for j = 1 to w - 1 do d := !d lor (bit (!i + j) lsl j) done;
-        let d, c = if !d >= half then (!d - full, 1) else (!d, 0) in
-        carry := c;
-        digits := d :: !digits;
-        for _ = 1 to w - 1 do digits := 0 :: !digits done;
-        i := !i + w
-      end
-    done;
-    (* trim leading zeros so digit-string lengths stay tight *)
-    let rec drop = function 0 :: tl -> drop tl | l -> l in
-    drop !digits
-  end
+(* --- the variable-time arena ---------------------------------------------- *)
+
+(* Working memory of the variable-time paths, one per domain
+   ([Domain.DLS]): [msm]'s packed tables, normalized inputs, buckets and
+   digit rows, and the digit row of [mul_vartime]. It grows to the
+   largest call and the next call overwrites it, so a call allocates per
+   call, not per term. It holds field limbs, digits and indices, never a
+   caller's point. *)
+type arena = {
+  mutable fe : int array;     (* field elements, [Fe.pack]ed *)
+  mutable ix : int array;     (* per-term and per-walk integers *)
+  mutable dg : Bytes.t;       (* wNAF digit rows *)
+  limbs : int array;          (* one scalar's limbs *)
+  s : scratch;
+  acc : jac;
+  tiny : jac;
+  r1 : jac;
+  r2 : jac;
+  r3 : jac;
+}
+
+(* A scalar below 2^256 has at most 257 + (w - 1) wNAF positions: the
+   first digit row holds any. *)
+let wnaf_cols = 264
+
+let arena_key =
+  Domain.DLS.new_key (fun () ->
+      { fe = [||]; ix = [||]; dg = Bytes.create wnaf_cols; limbs = Array.make 8 0;
+        s = scratch (); acc = jac (); tiny = jac (); r1 = jac (); r2 = jac (); r3 = jac () })
+
+let arena () = Domain.DLS.get arena_key
+
+(* The arena's arrays with room for at least [n] entries. Field
+   elements are scratch, so a grown array starts empty; a grown [ix]
+   keeps the live terms' indices [msm] writes first. *)
+let fe_words a n = if Array.length a.fe < n then a.fe <- Array.make n 0; a.fe
+
+let ix_words a n =
+  if Array.length a.ix < n then begin
+    let ix = Array.make n 0 in
+    Array.blit a.ix 0 ix 0 (Array.length a.ix);
+    a.ix <- ix
+  end;
+  a.ix
+
+let set_identity r = Array.fill r.z 0 10 0
+
+(* Bits i .. i + len - 1 (len < 62) of the scalar whose nl limbs start
+   at lb.(base); bits past the top read 0. *)
+let limb_bits (lb : int array) base nl i len =
+  let q = i / Nat.base_bits and r = i mod Nat.base_bits in
+  let lo = if q < nl then lb.(base + q) lsr r else 0 in
+  let hi =
+    if r + len > Nat.base_bits && q + 1 < nl then lb.(base + q + 1) lsl (Nat.base_bits - r)
+    else 0
+  in
+  (lo lor hi) land ((1 lsl len) - 1)
+
+(* Width-w wNAF digits of [k] (below 2^256) as signed bytes in
+   dg.(off ..), least significant first: odd digits in
+   {+-1, +-3, ..., +-(2^(w-1)-1)}, each followed by at least w-1 zeros.
+   Read from k's limbs (copied into [limbs]) with an int carry; returns
+   the number of digits up to the top nonzero one. *)
+let wnaf_into w limbs k dg off =
+  let nl = Nat.to_limbs_into k limbs in
+  let nbits = Nat.bit_length k in
+  let half = 1 lsl (w - 1) and full = 1 lsl w in
+  let i = ref 0 and carry = ref 0 and top = ref 0 in
+  while !i < nbits || !carry = 1 do
+    let b = limb_bits limbs 0 nl !i 1 + !carry in
+    if b land 1 = 0 then begin
+      Bytes.set dg (off + !i) '\000';
+      carry := b lsr 1;
+      incr i
+    end
+    else begin
+      (* odd position: take w bits; subtracting 2^w when the window
+         tops 2^(w-1)-1 pushes a carry into the next window *)
+      let d = b lor (limb_bits limbs 0 nl (!i + 1) (w - 1) lsl 1) in
+      carry := Bool.to_int (d >= half);
+      Bytes.set_int8 dg (off + !i) (d - (!carry * full));
+      Bytes.fill dg (off + !i + 1) (w - 1) '\000';
+      top := !i + 1;
+      i := !i + w
+    end
+  done;
+  !top
 
 (* Variable-time scalar multiplication by width-5 wNAF: ~51 adds for a
    256-bit scalar instead of the ~64 a 4-bit window needs, and zero
@@ -389,16 +428,17 @@ let mul_vartime_j s k pt =
     load pt tbl.(0);
     dbl s p2 tbl.(0);
     for i = 1 to 7 do add_j s tbl.(i) tbl.(i - 1) p2 done;
-    List.iter
-      (fun d ->
-         dbl s acc acc;
-         if d > 0 then add_j s acc acc tbl.(d / 2)
-         else if d < 0 then begin
-           let e = tbl.((-d) / 2) in
-           Fe.neg s.ey e.y;
-           add_j s acc acc { e with y = s.ey }
-         end)
-      (wnaf 5 k)
+    let a = arena () in
+    for pos = wnaf_into 5 a.limbs k a.dg 0 - 1 downto 0 do
+      dbl s acc acc;
+      let d = Bytes.get_int8 a.dg pos in
+      if d > 0 then add_j s acc acc tbl.(d / 2)
+      else if d < 0 then begin
+        let e = tbl.((-d) / 2) in
+        Fe.neg s.ey e.y;
+        add_j s acc acc { e with y = s.ey }
+      end
+    done
   end;
   acc
 
@@ -865,97 +905,170 @@ let endo_split k =
   let k2 = signed_sub (Nat.mul c1 glv.e_b1) (Nat.mul c2 glv.e_b2) in
   (k1, k2)
 
-(* The odd-multiple tables of finite points, sizes.(j) entries for
-   pts.(j). The points and their doubles share one inversion, so every
-   entry after the first is a mixed add; the entries share a second.
-   The phi-images cost one multiplication per entry, since
-   phi(x, y) = (beta x, y). *)
-let odd_tables s (pts : jac array) sizes =
-  let n = Array.length pts in
-  let twice = Array.map (fun p -> let d = jac () in dbl s d p; d) pts in
-  let base = normalize (Array.append pts twice) in
-  let entry j sz =
-    let (x1, y1), (x2, y2) = (base.(j), base.(n + j)) in
-    let e = Array.init sz (fun _ -> jac ()) in
-    copy e.(0) { x = x1; y = y1; z = one };
-    for i = 1 to sz - 1 do madd s e.(i) e.(i - 1) x2 y2 done;
-    e
-  in
-  let aff = normalize (Array.concat (Array.to_list (Array.mapi entry sizes))) in
-  let k = ref 0 in
-  Array.map
-    (fun sz ->
-       let packed () = Array.make (5 * sz) 0 in
-       let tb = { ox = packed (); oy = packed (); obx = packed () } in
-       for i = 0 to sz - 1 do
-         let x, y = aff.(!k) in
-         incr k;
-         Fe.pack x tb.ox (5 * i);
-         Fe.pack y tb.oy (5 * i);
-         Fe.mul x x glv.e_beta;
-         Fe.pack x tb.obx (5 * i)
-       done;
-       tb)
-    sizes
+(* Packed Jacobian slots in the arena: X, Y and Z at o, o + 5 and
+   o + 10, and room at o + 15 for a prefix product. *)
+let slot = 20
+
+let pack_jac fe o r =
+  Fe.pack r.x fe o;
+  Fe.pack r.y fe (o + 5);
+  Fe.pack r.z fe (o + 10)
+
+let unpack_jac fe o r =
+  Fe.unpack fe o r.x;
+  Fe.unpack fe (o + 5) r.y;
+  Fe.unpack fe (o + 10) r.z
+
+(* Normalize [count] finite slots in place with one field inversion
+   (Montgomery's trick, each slot's prefix product kept in its last five
+   words): the slot at [at i] then holds x at [at i] and y 5 words on. *)
+let normalize_slots s fe ~count at =
+  let run = s.t0 and z = s.t1 and zi = s.t2 and zz = s.t3 and v = s.t4 in
+  Fe.set_one run;
+  for i = 0 to count - 1 do
+    let o = at i in
+    Fe.pack run fe (o + 15);
+    Fe.unpack fe (o + 10) z;
+    Fe.mul run run z
+  done;
+  if count > 0 then Fe.inv run run;
+  for i = count - 1 downto 0 do
+    let o = at i in
+    Fe.unpack fe (o + 15) zi;
+    Fe.mul zi zi run;
+    Fe.unpack fe (o + 10) z;
+    Fe.mul run run z;
+    Fe.sqr zz zi;
+    Fe.unpack fe o v;
+    Fe.mul v v zz;
+    Fe.pack v fe o;
+    Fe.mul zz zz zi;
+    Fe.unpack fe (o + 5) v;
+    Fe.mul v v zz;
+    Fe.pack v fe (o + 5)
+  done
+
+let term_scalar a (pairs : (Nat.t * point) array) t =
+  Modular.reduce scalar_field (fst pairs.(a.ix.(t)))
+
+(* A Strauss digit string has at most 140 bits: a short scalar by the
+   table-size rule below, a GLV half by the lattice basis (its halves
+   stay near 128 bits; the split's rounding adds a couple). Its wNAF
+   fits a row of [strauss_cols]. *)
+let strauss_bits = 140
+let strauss_cols = 148
+
+let digit_rows a rows =
+  if Bytes.length a.dg < rows * strauss_cols then a.dg <- Bytes.create (rows * strauss_cols);
+  a.dg
 
 (* Joint Strauss for small-to-medium batches: per-point wNAF digit
    strings share one doubling chain, so n points cost ~256 doubles
    total plus sparse adds each, instead of n*(256 doubles + adds) run
-   serially. The per-point odd-multiple tables are affine, so every
-   digit add is a mixed add.
+   serially.
 
-   Each digit string walks one table, negating the entries' y for a
-   negative digit. By the GLV endomorphism, a full-width scalar splits
-   into two ~128-bit strings — the second walking the
-   phi-images of the first's table — which halves the length of the
-   shared doubling chain; a negative half flips its digits' signs.
-   Scalars already short enough to be single strings (the batch
-   verifiers' 128-bit random weights) get width-4 tables instead: with
-   only one string amortizing the table, the smaller build wins. *)
-let msm_strauss s (pairs : (Nat.t * point) array) =
-  (* per-pair odd-multiple table size: 4 = single short string (the
-     batch verifiers' 128-bit weights), 8 = full width / GLV *)
-  let sizes =
-    Array.map (fun (k, _) -> if Nat.bit_length k <= 140 then 4 else 8) pairs
+   Each term has a table of odd multiples P, 3P, 5P, ... in the arena,
+   affine with the phi-image's beta x beside x: the points and their
+   doubles (in each table's first two slots) share one inversion, so
+   every entry after the first is a mixed add of 2P, and all the entries
+   share a second, so every digit add is a mixed add too. A digit
+   string walks one table, negating the entries' y for a negative digit.
+   By the GLV endomorphism, a full-width scalar splits into two ~128-bit
+   strings — the second walking the phi-images of the first's table —
+   which halves the length of the shared doubling chain; a negative half
+   flips its digits' signs. Scalars already short enough to be single
+   strings (the batch verifiers' 128-bit random weights) get 4-entry
+   width-4 tables instead of 8-entry width-5 ones: with only one string
+   amortizing the table, the smaller build wins.
+
+   Term t's table starts at fe.(ix.(n + t)). The walks' digits are rows
+   of the arena's byte matrix, aligned at the least significant end, and
+   the doubling loop reads them in place; walk r's integers are
+   ix.(2n + 4r ..): the offsets of its table's x (or beta x) and y, its
+   sign flip and its length. *)
+let msm_strauss a n pairs =
+  let s = a.s in
+  let size t = if Nat.bit_length (term_scalar a pairs t) <= strauss_bits then 4 else 8 in
+  let entries = ref 0 and split = ref 0 in
+  for t = 0 to n - 1 do
+    entries := !entries + size t;
+    if size t = 8 then incr split
+  done;
+  let fe = fe_words a (slot * !entries) and ix = ix_words a ((2 * n) + (4 * (n + !split))) in
+  let dg = digit_rows a (n + !split) in
+  let tab t = ix.(n + t) in
+  (* P and 2P in the first two slots of the table, one inversion *)
+  let r = a.r1 in
+  let o = ref 0 in
+  for t = 0 to n - 1 do
+    ix.(n + t) <- !o;
+    load (snd pairs.(ix.(t))) r;
+    pack_jac fe !o r;
+    dbl s r r;
+    pack_jac fe (!o + slot) r;
+    o := !o + (slot * size t)
+  done;
+  normalize_slots s fe ~count:(2 * n) (fun i -> tab (i / 2) + (slot * (i land 1)));
+  for t = 0 to n - 1 do
+    let o = tab t in
+    Fe.unpack fe (o + slot) s.ex;
+    Fe.unpack fe (o + slot + 5) s.ey;
+    Fe.unpack fe o r.x;
+    Fe.unpack fe (o + 5) r.y;
+    Fe.set_one r.z;
+    for j = 0 to size t - 1 do
+      if j > 0 then madd s r r s.ex s.ey;
+      pack_jac fe (o + (slot * j)) r
+    done
+  done;
+  normalize_slots s fe ~count:!entries (fun i -> slot * i);
+  let walks = ref 0 and maxlen = ref 0 in
+  let walk w tb ~phi (negate, m) =
+    if not (Nat.is_zero m) then begin
+      if Nat.bit_length m > strauss_bits then invalid_arg "Curve.msm: digit string too long";
+      let len = wnaf_into w a.limbs m dg (!walks * strauss_cols) in
+      let at = (2 * n) + (4 * !walks) in
+      ix.(at) <- (if phi then tb + 10 else tb);
+      ix.(at + 1) <- tb + 5;
+      ix.(at + 2) <- Bool.to_int negate;
+      ix.(at + 3) <- len;
+      maxlen := max !maxlen len;
+      incr walks
+    end
   in
-  let tables = odd_tables s (Array.map (fun (_, p) -> loaded p) pairs) sizes in
-  let walk w tb phi (negate, m) =
-    if Nat.is_zero m then [] else [ (Array.of_list (wnaf w m), tb, phi, negate) ]
-  in
-  let split tb k = let k1, k2 = endo_split k in walk 5 tb false k1 @ walk 5 tb true k2 in
-  let walks =
-    List.concat
-      (List.mapi
-         (fun j (k, _) ->
-            if sizes.(j) = 4 then walk 4 tables.(j) false (false, k) else split tables.(j) k)
-         (Array.to_list pairs))
-  in
-  let maxlen = List.fold_left (fun m (d, _, _, _) -> max m (Array.length d)) 0 walks in
-  (* Resolve every nonzero digit to its table entry up front: the
-     doubling loop then walks a per-position add schedule with no
-     per-string bookkeeping inside it (shorter digit strings align at
-     the least-significant end). Add order within a position is
-     irrelevant — the group is abelian. *)
-  let sched = Array.make (max maxlen 1) [] in
-  List.iter
-    (fun (d, tb, phi, negate) ->
-       let shift = maxlen - Array.length d in
-       Array.iteri
-         (fun pos dg ->
-            if dg <> 0 then
-              sched.(pos + shift) <- (tb, phi, abs dg / 2, (dg < 0) <> negate) :: sched.(pos + shift))
-         d)
-    walks;
-  let acc = jac () in
-  for i = 0 to maxlen - 1 do
+  for t = 0 to n - 1 do
+    let k = term_scalar a pairs t in
+    if size t = 4 then walk 4 (tab t) ~phi:false (false, k)
+    else begin
+      (* beta x into the spent Z words of the table's entries *)
+      for j = 0 to 7 do
+        let e = tab t + (slot * j) in
+        Fe.unpack fe e s.ex;
+        Fe.mul s.ex s.ex glv.e_beta;
+        Fe.pack s.ex fe (e + 10)
+      done;
+      let k1, k2 = endo_split k in
+      walk 5 (tab t) ~phi:false k1;
+      walk 5 (tab t) ~phi:true k2
+    end
+  done;
+  let acc = a.acc in
+  set_identity acc;
+  for pos = !maxlen - 1 downto 0 do
     dbl s acc acc;
-    List.iter
-      (fun (tb, phi, j, negate) ->
-         Fe.unpack (if phi then tb.obx else tb.ox) (5 * j) s.ex;
-         Fe.unpack tb.oy (5 * j) s.ey;
-         if negate then Fe.neg s.ey s.ey;
-         madd s acc acc s.ex s.ey)
-      sched.(i)
+    for w = !walks - 1 downto 0 do
+      let at = (2 * n) + (4 * w) in
+      if pos < ix.(at + 3) then begin
+        let d = Bytes.get_int8 dg ((w * strauss_cols) + pos) in
+        if d <> 0 then begin
+          let e = slot * (abs d / 2) in
+          Fe.unpack fe (ix.(at) + e) s.ex;
+          Fe.unpack fe (ix.(at + 1) + e) s.ey;
+          if d < 0 <> (ix.(at + 2) = 1) then Fe.neg s.ey s.ey;
+          madd s acc acc s.ex s.ey
+        end
+      end
+    done
   done;
   acc
 
@@ -963,36 +1076,50 @@ let msm_strauss s (pairs : (Nat.t * point) array) =
    accumulate into their digit's bucket (mixed adds against the
    batch-normalized inputs) and the window sum comes out of a running
    suffix sum; cost is ~windows * (n + 2^(c+1)) adds + 256 doubles,
-   sublinear per point once n dominates the bucket count. *)
-let msm_pippenger s ~window:c (pairs : (Nat.t * point) array) =
-  let pts = normalize (Array.map (fun (_, p) -> loaded p) pairs) in
-  let nbits = Nat.bit_length order in
-  let windows = (nbits + c - 1) / c in
+   sublinear per point once n dominates the bucket count. The inputs,
+   the buckets (packed, after them) and the scalars' limbs
+   (ix.(n + 5t ..)) live in the arena. *)
+let msm_pippenger a ~window:c n pairs =
+  let s = a.s in
   let nbuckets = (1 lsl c) - 1 in
-  let buckets = Array.init (nbuckets + 1) (fun _ -> jac ()) in
-  let digit k w =
-    let base = w * c in
-    let d = ref 0 in
-    for b = c - 1 downto 0 do
-      d := (!d lsl 1) lor (if Nat.testbit k (base + b) then 1 else 0)
-    done;
-    !d
-  in
-  let acc = jac () in
+  let bk = slot * n in
+  let fe = fe_words a (bk + (15 * (nbuckets + 1))) in
+  let ix = ix_words a (6 * n) in
+  for t = 0 to n - 1 do
+    load (snd pairs.(ix.(t))) a.r1;
+    pack_jac fe (slot * t) a.r1
+  done;
+  normalize_slots s fe ~count:n (fun t -> slot * t);
+  for t = 0 to n - 1 do
+    let nl = Nat.to_limbs_into (term_scalar a pairs t) a.limbs in
+    Array.fill ix (n + (5 * t)) 5 0;
+    Array.blit a.limbs 0 ix (n + (5 * t)) nl
+  done;
+  let windows = (Nat.bit_length order + c - 1) / c in
+  let acc = a.acc and b = a.r1 and suffix = a.r2 and wsum = a.r3 in
+  set_identity acc;
   for w = windows - 1 downto 0 do
     if w < windows - 1 then for _ = 1 to c do dbl s acc acc done;
-    Array.iter (fun b -> Array.fill b.z 0 10 0) buckets;
-    Array.iteri
-      (fun i (k, _) ->
-         let d = digit k w in
-         if d <> 0 then (let x, y = pts.(i) in madd s buckets.(d) buckets.(d) x y))
-      pairs;
+    Array.fill fe bk (15 * (nbuckets + 1)) 0;
+    for t = 0 to n - 1 do
+      let d = limb_bits ix (n + (5 * t)) 5 (w * c) c in
+      if d <> 0 then begin
+        let o = bk + (15 * d) in
+        unpack_jac fe o b;
+        Fe.unpack fe (slot * t) s.ex;
+        Fe.unpack fe ((slot * t) + 5) s.ey;
+        madd s b b s.ex s.ey;
+        pack_jac fe o b
+      end
+    done;
     (* sum_d d * bucket(d) as a running suffix sum: the suffix sum after
        step d is bucket(d) + ... + bucket(max), and adding it once per
        step contributes each bucket exactly d times *)
-    let suffix = jac () and wsum = jac () in
+    set_identity suffix;
+    set_identity wsum;
     for d = nbuckets downto 1 do
-      add_j s suffix suffix buckets.(d);
+      unpack_jac fe (bk + (15 * d)) b;
+      add_j s suffix suffix b;
       add_j s wsum wsum suffix
     done;
     add_j s acc acc wsum
@@ -1003,39 +1130,42 @@ let msm_pippenger s ~window:c (pairs : (Nat.t * point) array) =
    the (post-filtering) batch size: wNAF Strauss while the shared
    doubling chain dominates, bucketed Pippenger once bucket reuse wins;
    [?window] forces the Pippenger path with the given window width
-   (differential tests use this to cover both paths at small n).
-   Variable time — public scalars and points only (curve.mli). *)
+   (differential tests use this to cover both paths at small n). Both
+   work in the domain's arena. Variable time — public scalars and
+   points only (curve.mli). *)
 let msm ?window (pairs : (Nat.t * point) array) =
-  let s = scratch () in
-  (* Scalars of one or two bits (notably the pinned weight 1 some batch
-     verifiers use) are cheaper as a couple of direct additions than as
-     a table-and-digit-string entry. *)
-  let tiny = jac () in
-  let keep_tiny k p =
-    let j = loaded p in
-    if Nat.to_int k <> 1 then begin
-      let d = jac () in
-      dbl s d j;
-      add_j s tiny tiny d
-    end;
-    if Nat.to_int k <> 2 then add_j s tiny tiny j
-  in
-  let live =
-    Array.of_list
-      (List.filter_map
-         (fun (k, p) ->
-            let k = Modular.reduce scalar_field k in
-            if Nat.is_zero k || is_infinity p then None
-            else if Nat.bit_length k <= 2 then (keep_tiny k p; None)
-            else Some (k, p))
-         (Array.to_list pairs))
-  in
+  let a = arena () in
+  let s = a.s and tiny = a.tiny in
+  set_identity tiny;
+  (* the live terms' pair indices; the kernels' integers follow them *)
+  let ix = ix_words a (Array.length pairs) in
+  let n = ref 0 in
+  for i = 0 to Array.length pairs - 1 do
+    let k, p = pairs.(i) in
+    let k = Modular.reduce scalar_field k in
+    if Nat.is_zero k || is_infinity p then ()
+    else if Nat.bit_length k <= 2 then begin
+      (* Scalars of one or two bits (notably the pinned weight 1 some
+         batch verifiers use) are cheaper as a couple of direct
+         additions than as a table-and-digit-string entry. *)
+      load p a.r1;
+      if Nat.to_int k <> 1 then begin
+        dbl s a.r2 a.r1;
+        add_j s tiny tiny a.r2
+      end;
+      if Nat.to_int k <> 2 then add_j s tiny tiny a.r1
+    end
+    else begin
+      ix.(!n) <- i;
+      incr n
+    end
+  done;
   let main =
-    match window, Array.length live with
-    | None, 0 -> jac ()
-    | None, 1 -> let k, p = live.(0) in mul_vartime_j s k p
-    | None, n when n <= 256 -> msm_strauss s live
-    | _ ->
+    match window, !n with
+    | None, 0 -> set_identity a.acc; a.acc
+    | None, 1 -> let k, p = pairs.(ix.(0)) in mul_vartime_j s k p
+    | None, n when n <= 256 -> msm_strauss a n pairs
+    | _, n ->
       let c =
         match window with
         | Some c ->
@@ -1043,20 +1173,25 @@ let msm ?window (pairs : (Nat.t * point) array) =
           c
         | None ->
           let rec ilog2 v = if v <= 1 then 0 else 1 + ilog2 (v lsr 1) in
-          min 12 (max 4 (ilog2 (Array.length live) - 2))
+          min 12 (max 4 (ilog2 n - 2))
       in
-      msm_pippenger s ~window:c live
+      msm_pippenger a ~window:c n pairs
   in
   add_j s main main tiny;
   store main
 
 (* Point encoding: 0x00 for infinity; otherwise 0x04 || X || Y
    (uncompressed, fixed width). *)
-let encode pt =
-  match to_affine pt with
+let encode_affine = function
   | None -> "\x00"
   | Some (x, y) ->
-    "\x04" ^ Nat.to_bytes_be ~len:byte_len x ^ Nat.to_bytes_be ~len:byte_len y
+    let b = Bytes.create (1 + (2 * byte_len)) in
+    Bytes.set b 0 '\x04';
+    Bytes.blit_string (Nat.to_bytes_be ~len:byte_len x) 0 b 1 byte_len;
+    Bytes.blit_string (Nat.to_bytes_be ~len:byte_len y) 0 b (1 + byte_len) byte_len;
+    Bytes.unsafe_to_string b
+
+let encode pt = encode_affine (to_affine pt)
 
 let decode s =
   if s = "\x00" then Some infinity
@@ -1123,9 +1258,20 @@ let hash_to_point label =
 
 (* Hash arbitrary bytes to a scalar mod the group order. Parts are
    length-prefixed so that part boundaries are unambiguous (hashing
-   ["ab"] differs from ["a"; "b"]). *)
+   ["ab"] differs from ["a"; "b"]): each part follows its length as ten
+   zero-padded decimal digits, all framed in one buffer. *)
 let hash_to_scalar parts =
-  let framed =
-    List.concat_map (fun p -> [ Printf.sprintf "%010d" (String.length p); p ]) parts
+  let buf = Bytes.create (List.fold_left (fun n p -> n + 10 + String.length p) 0 parts) in
+  let frame o p =
+    let len = String.length p in
+    if len >= 10_000_000_000 then invalid_arg "Curve.hash_to_scalar: part too long";
+    let v = ref len in
+    for i = 9 downto 0 do
+      Bytes.unsafe_set buf (o + i) (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.blit_string p 0 buf (o + 10) len;
+    o + 10 + len
   in
-  Modular.of_bytes_be scalar_field (Dd_crypto.Sha256.digest_list framed)
+  ignore (List.fold_left frame 0 parts);
+  Modular.of_bytes_be scalar_field (Dd_crypto.Sha256.digest (Bytes.unsafe_to_string buf))

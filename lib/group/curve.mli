@@ -58,7 +58,7 @@
       commitment batch openings) inherit this rule: batch
       verification is for public transcripts only. A recurring point
       has one precomputed table, a comb {!base_table}; {!msm} builds
-      its small odd-multiple tables per call. *)
+      its small odd-multiple tables per call, in its domain's arena. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
@@ -204,7 +204,14 @@ val mul2 : base_table -> Nat.t -> Nat.t -> point -> point
     the randomized batch verifiers, which fold the terms of a fixed
     base into one coefficient before calling it (G and H go to their
     comb tables instead, [Group_ctx.acc_check]). {b Variable time}:
-    public scalars and points only. *)
+    public scalars and points only.
+
+    {b Memory.} Both algorithms work in one arena per domain
+    ([Domain.DLS]): flat arrays of field limbs, indices and wNAF
+    digits, never a caller's point. It grows to the largest call and
+    stays at that size, and each call overwrites it, so [msm]
+    allocates per call (its GLV splits and its result), not per term;
+    distinct domains may call it concurrently. *)
 val msm : ?window:int -> (Nat.t * point) array -> point
 
 val equal : point -> point -> bool
@@ -214,6 +221,10 @@ val equal : point -> point -> bool
     on malformed or off-curve input. *)
 val encode : point -> string
 val decode : string -> point option
+
+(** [encode_affine (to_affine p)] is [encode p]: the encoding from
+    affine coordinates already at hand, e.g. from {!to_affine_batch}. *)
+val encode_affine : (Nat.t * Nat.t) option -> string
 
 (** Square root in F_p by {!Dd_bignum.Fe.sqrt} (p = 3 mod 4); [None]
     for non-residues. *)

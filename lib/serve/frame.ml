@@ -103,8 +103,11 @@ let pump l on_frame =
       | s -> feed l.dec s; feed_all (bytes + String.length s)
     in
     let bytes = feed_all 0 in
+    (* [on_frame] may close the link; a closed link delivers no more *)
     let rec pop_all frames =
-      match pop l.dec with None -> frames | Some p -> on_frame p; pop_all (frames + 1)
+      match if l.live then pop l.dec else None with
+      | None -> frames
+      | Some p -> on_frame p; pop_all (frames + 1)
     in
     let frames = pop_all 0 in
     if poisoned l || not (l.conn.Transport.alive ()) then close l;

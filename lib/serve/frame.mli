@@ -48,7 +48,8 @@ val flush : link -> int
 (** Feed every chunk [recv] returns, as-is, and pass each complete
     frame to the callback; returns the bytes and frames read. Then the
     link closes if its decoder is poisoned or its transport reports
-    [alive () = false]. A closed link reads nothing. *)
+    [alive () = false]. A closed link reads nothing, and a callback that
+    closes the link gets no further frame. *)
 val pump : link -> (string -> unit) -> int * int
 
 (** Close the transport and drop the backlog; idempotent. *)

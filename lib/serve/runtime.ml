@@ -19,6 +19,9 @@ let batch_max = 256
 (* outbound bytes buffered per client connection before it is shed *)
 let out_cap = 1 lsl 22
 
+(* channel ids one client connection may name before it is shed *)
+let max_channels = 4096
+
 type source = Ddemos.Node_source.t = {
   sv_cfg : Types.config;
   sv_keys : Auth.keys array;
@@ -40,7 +43,12 @@ type role =
   | Link_vc of int                   (* peer link delivering to VC [n] *)
   | Link_bb of int                   (* VC->BB link delivering to BB [n] *)
 
-type conn_state = { k_id : int; k_role : role; k_link : Frame.link }
+type conn_state = {
+  k_id : int;
+  k_role : role;
+  k_link : Frame.link;
+  mutable k_channels : int;                     (* channel ids interned *)
+}
 
 type staged =
   | S_vc of int * Messages.vc_msg
@@ -109,7 +117,7 @@ let enqueue_out t conn payload =
 let register_conn t ~role conn =
   let id = t.next_conn in
   t.next_conn <- id + 1;
-  let cs = { k_id = id; k_role = role; k_link = Frame.link conn } in
+  let cs = { k_id = id; k_role = role; k_link = Frame.link conn; k_channels = 0 } in
   t.conns <- cs :: t.conns;
   cs
 
@@ -200,15 +208,24 @@ let accept t ~node conn = ignore (register_conn t ~role:(Client node) conn)
 
 (* --- client identity ---------------------------------------------------- *)
 
+(* Shedding closes a client connection (so it leaves the tick) and counts it. *)
+let shed_conn t conn =
+  Frame.close conn.k_link;
+  t.st.conns_shed <- t.st.conns_shed + 1
+
+(* The client id of a connection's channel; a connection that names a
+   new channel past [max_channels] is shed instead. *)
 let intern_client t conn channel =
   match Hashtbl.find_opt t.client_ids (conn.k_id, channel) with
-  | Some c -> c
+  | Some c -> Some c
+  | None when conn.k_channels >= max_channels -> shed_conn t conn; None
   | None ->
     let c = t.next_client in
     t.next_client <- c + 1;
+    conn.k_channels <- conn.k_channels + 1;
     Hashtbl.replace t.client_ids (conn.k_id, channel) c;
     Hashtbl.replace t.clients c (conn, channel);
-    c
+    Some c
 
 (* --- tick --------------------------------------------------------------- *)
 
@@ -226,9 +243,11 @@ let deliver t mbox m =
 let route t conn msg =
   match conn.k_role, msg with
   | Client node, Mux.Client_vote { channel; req; serial; vote_code } ->
-    let client = intern_client t conn channel in
-    let m = Messages.Vote { serial; vote_code; client; req } in
-    if not (Mailbox.push t.vc_mbox.(node) m) then shed_vote t conn ~channel ~req
+    (match intern_client t conn channel with
+     | Some client ->
+       let m = Messages.Vote { serial; vote_code; client; req } in
+       if not (Mailbox.push t.vc_mbox.(node) m) then shed_vote t conn ~channel ~req
+     | None -> ())
   | Link_vc node, Mux.Vc ms -> List.iter (deliver t t.vc_mbox.(node)) ms
   | Link_bb node, Mux.Bb ms -> List.iter (deliver t t.bb_mbox.(node)) ms
   | (Client _ | Link_vc _ | Link_bb _), _ ->
@@ -300,7 +319,8 @@ let flush_staged t =
   done
 
 (* A closed link leaves the tick: its connection goes from [t.conns],
-   its clients go, and replies staged for them are discarded. *)
+   its clients go, and replies staged for them are discarded. Client
+   tables left empty shrink back to their initial size. *)
 let prune t =
   let live conn = Frame.is_open conn.k_link in
   if not (List.for_all live t.conns) then begin
@@ -309,7 +329,11 @@ let prune t =
       (fun _ ((conn, _) as c) -> if live conn then Some c else None) t.clients;
     Hashtbl.filter_map_inplace
       (fun _ client -> if Hashtbl.mem t.clients client then Some client else None)
-      t.client_ids
+      t.client_ids;
+    if Hashtbl.length t.clients = 0 then begin
+      Hashtbl.reset t.clients;
+      Hashtbl.reset t.client_ids
+    end
   end
 
 (* One flush per connection per tick, then the closed links go. *)
@@ -320,9 +344,7 @@ let write_out t =
        (* slow-reader shedding: a client that will not drain its
           replies is disconnected, never buffered without bound *)
        match conn.k_role with
-       | Client _ when Frame.backlog conn.k_link > out_cap ->
-         Frame.close conn.k_link;
-         t.st.conns_shed <- t.st.conns_shed + 1
+       | Client _ when Frame.backlog conn.k_link > out_cap -> shed_conn t conn
        | _ -> ())
     t.conns;
   prune t

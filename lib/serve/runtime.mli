@@ -31,7 +31,8 @@
     A link closes when its decoder is poisoned (counted [malformed]),
     when its transport reports [alive () = false] after its last bytes
     are read, or when a client's backlog passes [out_cap] = 4 MiB (a
-    slow reader, counted [conns_shed]). A closed link leaves the tick:
+    slow reader) or it names a new channel id past [max_channels] =
+    4096 (both counted [conns_shed]). A closed link leaves the tick:
     it is never polled again and replies still due to it are discarded.
 
     Inter-node traffic travels through the same framed byte pipes as
@@ -121,7 +122,7 @@ type stats = {
   mutable malformed : int;      (** undecodable or misdirected frames *)
   mutable votes_shed : int;     (** client votes rejected on a full mailbox *)
   mutable peer_dropped : int;   (** peer messages dropped on a full mailbox *)
-  mutable conns_shed : int;     (** slow readers disconnected *)
+  mutable conns_shed : int;     (** slow readers and connections past [max_channels] *)
   mutable steps : int;
 }
 

@@ -90,7 +90,6 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
   else if n = 1 then (let pk, msg, sg = items.(0) in verify ~pk msg sg)
   else begin
     let fn = Curve.scalar_field in
-    let len = Curve.byte_len in
     let pts = Array.make (2 * n) Curve.infinity in
     Array.iteri
       (fun i (pk, _, sg) ->
@@ -98,18 +97,13 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
          pts.(2 * i + 1) <- pk)
       items;
     let aff = Curve.to_affine_batch pts in
-    (* byte-identical to Curve.encode, from the batched affine forms *)
-    let enc = function
-      | None -> "\x00"
-      | Some (x, y) -> "\x04" ^ Nat.to_bytes_be ~len x ^ Nat.to_bytes_be ~len y
-    in
     let acc = Group_ctx.msm_acc () in
     (* encoded key -> (affine key, folded coefficient) *)
     let keys = Hashtbl.create 8 in
     Array.iteri
       (fun i (pk, msg, sg) ->
-         let epk = enc aff.(2 * i + 1) in
-         let e = Curve.hash_to_scalar [ domain; enc aff.(2 * i); epk; msg ] in
+         let epk = Curve.encode_affine aff.(2 * i + 1) in
+         let e = Curve.hash_to_scalar [ domain; Curve.encode_affine aff.(2 * i); epk; msg ] in
          (* Pinning the first weight to 1 is sound: a bad item i > 0 is
             caught except with probability 2^-128 over its own weight,
             and a bad item 0 alone leaves the sum off the identity

@@ -567,6 +567,76 @@ let test_msm_edge_cases () =
   chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.double p) |];
   chk_naive "scalar above the order reduces" [| (Nat.add order (Nat.of_int 5), p) |]
 
+(* The arena is reused: calls of random sizes on both sides of the
+   256-term line, some with a forced window, run back to back and each
+   must equal the reference, so no call reads what an earlier one left.
+   Terms come from a pool of scalars (zero, one or two bits, 128-bit
+   weights, full width, one above the order) and points (the identity
+   among them), so each reference multiplication is computed once. *)
+let msm_pool_scalars =
+  let rng = Dd_crypto.Drbg.create ~seed:"msm pool" in
+  Array.concat
+    [ [| Nat.zero; Nat.one; Nat.two; Nat.of_int 3; Nat.add Curve.order (Nat.of_int 5) |];
+      Array.init 3 (fun _ -> Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 16));
+      Array.init 3 (fun _ -> Curve.random_scalar rng) ]
+
+let msm_pool_points =
+  Array.append [| Curve.infinity |]
+    (Array.init 8 (fun i -> Curve.hash_to_point (Printf.sprintf "msm pool %d" i)))
+
+let naive_pool = Hashtbl.create 128
+
+let naive_pool_mul i j =
+  match Hashtbl.find_opt naive_pool (i, j) with
+  | Some p -> p
+  | None ->
+    let p = naive_mul msm_pool_scalars.(i) msm_pool_points.(j) in
+    Hashtbl.add naive_pool (i, j) p;
+    p
+
+let prop_msm_reuse =
+  let call =
+    QCheck.(
+      triple (int_range 1 300) (option (int_range 1 10)) (int_bound 1_000_000))
+  in
+  QCheck.Test.make ~name:"interleaved sizes = naive" ~count:12
+    (QCheck.list_of_size (QCheck.Gen.int_range 2 4) call)
+    (List.for_all (fun (n, window, seed) ->
+         let st = Random.State.make [| seed |] in
+         let terms =
+           Array.init n (fun _ ->
+               (Random.State.int st (Array.length msm_pool_scalars),
+                Random.State.int st (Array.length msm_pool_points)))
+         in
+         let pairs = Array.map (fun (i, j) -> (msm_pool_scalars.(i), msm_pool_points.(j))) terms in
+         let want =
+           Array.fold_left (fun acc (i, j) -> Curve.add acc (naive_pool_mul i j)) Curve.infinity
+             terms
+         in
+         Curve.equal want (Curve.msm ?window pairs)))
+
+(* A call allocates per call, not per term: after a warm-up at the
+   larger size, 136 more terms of the batch verifiers' shape (128-bit
+   weights, besides five full-width key coefficients) add at most 64
+   minor words each. *)
+let test_msm_alloc_per_term () =
+  let rng = Dd_crypto.Drbg.create ~seed:"msm alloc" in
+  let terms n =
+    Array.init (n + 5) (fun i ->
+        ((if i < n then Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 16) else Curve.random_scalar rng),
+         Curve.hash_to_point (Printf.sprintf "msm alloc %d" i)))
+  in
+  let small = terms 64 and large = terms 200 in
+  let words pairs =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Curve.msm pairs));
+    Gc.minor_words () -. before
+  in
+  ignore (words large);
+  let per_term = (words large -. words small) /. 136. in
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per term, at most 64" per_term) true
+    (per_term <= 64.)
+
 let () =
   Alcotest.run "group"
     [ ("known-answers",
@@ -601,5 +671,6 @@ let () =
          QCheck_alcotest.to_alcotest prop_batch_matches_mul ]);
       ("msm-differential",
        Alcotest.test_case "edge cases" `Quick test_msm_edge_cases
+       :: Alcotest.test_case "allocation per term" `Quick test_msm_alloc_per_term
        :: List.map QCheck_alcotest.to_alcotest
-            [ prop_msm_matches_naive; prop_msm_forced_pippenger ]) ]
+            [ prop_msm_matches_naive; prop_msm_forced_pippenger; prop_msm_reuse ]) ]

@@ -131,6 +131,33 @@ let test_curve_concurrent () =
   Alcotest.(check bool) "results identical" true (par = serial);
   Alcotest.(check bool) "signatures verify" true (Array.for_all (fun (_, _, ok, _) -> ok) par)
 
+let test_msm_arena_concurrent () =
+  (* every domain has its own msm arena: calls of mixed sizes, on both
+     sides of the 256-term line and with forced windows, run on four
+     domains at once and must return the serial results *)
+  let module Curve = Dd_group.Curve in
+  let pool = pool_of ~domains:4 in
+  let points = Array.init 300 (fun i -> Curve.hash_to_point (Printf.sprintf "msm arena %d" i)) in
+  let call (n, window) =
+    let scalar i =
+      let k = Curve.hash_to_scalar [ "msm arena"; string_of_int n; string_of_int i ] in
+      (* every other term a 128-bit batch weight *)
+      if i mod 2 = 0 then Dd_bignum.Nat.shift_right k 128 else k
+    in
+    Curve.encode (Curve.msm ?window (Array.init n (fun i -> (scalar i, points.(i)))))
+  in
+  let calls =
+    Array.of_list
+      (List.concat_map
+         (fun n -> [ (n, None); (n mod 40 + 1, Some (1 + (n mod 8))) ])
+         [ 300; 2; 64; 257; 7; 200; 256; 31 ])
+  in
+  let serial = Array.map call calls in
+  for _ = 1 to 2 do
+    let par = Pool.parallel_map pool ~chunk:1 call calls in
+    Alcotest.(check bool) "results identical" true (par = serial)
+  done
+
 (* --- the real workload: parallel Ea.setup ------------------------------ *)
 
 let test_ea_setup_deterministic () =
@@ -168,7 +195,8 @@ let () =
       ("crypto-stack",
        [ Alcotest.test_case "sha256 concurrent" `Quick test_sha256_concurrent;
          Alcotest.test_case "once publishes one value" `Quick test_once_single_value;
-         Alcotest.test_case "curve concurrent" `Quick test_curve_concurrent ]);
+         Alcotest.test_case "curve concurrent" `Quick test_curve_concurrent;
+         Alcotest.test_case "msm arena concurrent" `Quick test_msm_arena_concurrent ]);
       ("workload",
        [ Alcotest.test_case "Ea.setup pool-size independent" `Quick test_ea_setup_deterministic;
          Alcotest.test_case "env_domains range" `Quick test_env_domains ]) ]

@@ -516,6 +516,23 @@ let test_closed_links_leave_tick () =
   Alcotest.(check int) "counted once" 1 (Runtime.stats t).Runtime.malformed;
   Alcotest.(check int) "nothing retained" words (Obj.reachable_words (Obj.repr t))
 
+(* A connection that names a new channel id past [max_channels] = 4096
+   is shed like a slow reader: 10,000 votes, each on a new channel, over
+   one connection. Its link closes, it is counted once, and the runtime
+   keeps none of its client ids. *)
+let test_channel_hoarder_shed () =
+  let t = Runtime.create (Runtime.source_prf serve_cfg ~seed:"channel-cap") in
+  ignore (Runtime.step t : int);
+  let words = Obj.reachable_words (Obj.repr t) in
+  let conn = Runtime.client_conn t ~node:0 in
+  for channel = 0 to 9_999 do
+    ignore (Transport.send_string conn (junk_vote ~channel 1) : int)
+  done;
+  ignore (Runtime.run_until_idle t : int);
+  Alcotest.(check bool) "the connection is closed" false (conn.Transport.alive ());
+  Alcotest.(check int) "shed once" 1 (Runtime.stats t).Runtime.conns_shed;
+  Alcotest.(check int) "nothing retained" words (Obj.reachable_words (Obj.repr t))
+
 (* A reply is the business of the client whose connection carried it:
    a frame on client 1's connection naming client 0's request (here a
    forged rejection) must not settle client 0's vote. *)
@@ -788,6 +805,7 @@ let () =
          Alcotest.test_case "backpressure sheds" `Quick test_backpressure_sheds_votes;
          Alcotest.test_case "slow reader shed" `Quick test_slow_reader_shed;
          Alcotest.test_case "closed links leave the tick" `Quick test_closed_links_leave_tick;
+         Alcotest.test_case "channel hoarder shed" `Quick test_channel_hoarder_shed;
          Alcotest.test_case "batching transparent" `Quick test_batching_transparent;
          Alcotest.test_case "misrouted reply dropped" `Quick test_misrouted_reply_dropped;
          Alcotest.test_case "one frame per peer link per tick" `Quick

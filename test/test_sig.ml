@@ -167,6 +167,27 @@ let prop_batch_few_signers =
        && Schnorr.verify_batch rng items = serial
        && Schnorr.verify_batch_find rng items = Option.to_list forged)
 
+(* A batch of 62 signatures under 5 keys (a cast-rush tick's shape)
+   allocates at most 1,400 minor words per signature once the domain's
+   MSM arena has grown to it. *)
+let test_batch_alloc_per_signature () =
+  let rng = rng () in
+  let keys = Array.init 5 (fun _ -> Schnorr.keygen rng) in
+  let items =
+    Array.init 62 (fun i ->
+        let sk, pk = keys.(i mod 5) in
+        let msg = Printf.sprintf "alloc %d" i in
+        (pk, msg, Schnorr.sign rng ~sk ~pk msg))
+  in
+  let verify () = Schnorr.verify_batch (Drbg.create ~seed:"alloc weights") items in
+  Alcotest.(check bool) "the batch verifies" true (verify ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (verify ()));
+  let per_sig = (Gc.minor_words () -. before) /. 62. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per signature, at most 1,400" per_sig) true
+    (per_sig <= 1400.)
+
 let prop_sign_verify =
   QCheck.Test.make ~name:"sign/verify completeness" ~count:15
     QCheck.(string_of_size (QCheck.Gen.int_range 0 100))
@@ -192,4 +213,5 @@ let () =
          Alcotest.test_case "rejects one forged item" `Quick test_batch_rejects_forged;
          Alcotest.test_case "localizes several" `Quick test_batch_find_multiple;
          Alcotest.test_case "one signer, swapped messages" `Quick test_batch_one_signer_swapped;
+         Alcotest.test_case "allocation per signature" `Quick test_batch_alloc_per_signature;
          QCheck_alcotest.to_alcotest prop_batch_few_signers ]) ]
