@@ -194,15 +194,24 @@ def main():
     print("|---|---:|---:|")
     print(f"| median [quartiles] | {pm:.4g} [{p1:.4g}, {p3:.4g}] | {cm:.4g} [{c1:.4g}, {c3:.4g}] |")
     print(f"| pairs won by the change | | {sum(wins(a, b) for a, b in done)} / {len(done)} |")
-    ratio = pm / cm if better == "lower" else cm / pm
     gap = abs(pm - cm) / iqr if iqr > 0 else float("inf")
-    print(f"\nMedians {ratio:.2f}x apart in the change's favour; the gap "
+    print(f"\n{medians_sentence(pm, cm, better)}; the gap "
           f"{abs(pm - cm):.4g} is {gap:.1f}x the parent's quartile distance ({iqr:.4g}).")
     failed = len(rows) - len(done)
     if failed:
         print(f"{failed} pair(s) left out: a run failed or printed no value.")
     print_end_to_end(spec, results)
     return 0
+
+
+def medians_sentence(parent, change, better):
+    """How far apart the medians are, naming the side that is ahead."""
+    if parent == change:
+        return "Medians equal"
+    change_ahead = change < parent if better == "lower" else change > parent
+    ratio = max(parent, change) / min(parent, change) if min(parent, change) > 0 else float("inf")
+    side = "the change's" if change_ahead else "the parent's"
+    return f"Medians {ratio:.2f}x apart in {side} favour"
 
 
 def print_end_to_end(spec, results):

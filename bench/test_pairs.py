@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests of bench/pairs.py's notes-line parser.
+"""Unit tests of bench/pairs.py's notes-line parser and medians sentence.
 
     python3 bench/test_pairs.py
 """
@@ -44,6 +44,25 @@ class NotesLine(unittest.TestCase):
                              ("run.cast_p95_ms", "lower"), ("run.results_s", "lower")]:
             self.assertEqual(pairs.better_of(spec, name, None), better)
         self.assertEqual(pairs.better_of(spec, "run.results_s", "higher"), "higher")
+
+
+
+class MediansSentence(unittest.TestCase):
+    def test_change_ahead(self):
+        self.assertEqual(pairs.medians_sentence(20.0, 10.0, "lower"),
+                         "Medians 2.00x apart in the change's favour")
+        self.assertEqual(pairs.medians_sentence(10.0, 20.0, "higher"),
+                         "Medians 2.00x apart in the change's favour")
+
+    def test_parent_ahead(self):
+        # cast-trickle peak RSS: parent 12.24, change 12.29 MB, lower is better
+        self.assertEqual(pairs.medians_sentence(12.24, 12.29, "lower"),
+                         "Medians 1.00x apart in the parent's favour")
+        self.assertEqual(pairs.medians_sentence(20.0, 10.0, "higher"),
+                         "Medians 2.00x apart in the parent's favour")
+
+    def test_equal(self):
+        self.assertEqual(pairs.medians_sentence(3.5, 3.5, "lower"), "Medians equal")
 
 
 if __name__ == "__main__":

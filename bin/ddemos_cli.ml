@@ -402,7 +402,9 @@ let serve_cmd =
       let violations = Runtime.guarantees t ~votes r in
       List.iter (fun v -> print_endline ("violation: " ^ Ddemos.Guarantees.to_string v)) violations;
       if violations = [] then
-        print_endline "guarantees: liveness, UCERT uniqueness and the receipt contract hold";
+        print_endline
+          "guarantees: liveness, UCERT uniqueness, vote-set agreement and the receipt \
+           contract hold";
       print_stats ();
       Array.iter Socket.close_listener listeners;
       if violations <> [] then exit 1

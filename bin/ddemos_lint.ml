@@ -3,7 +3,8 @@
    Usage: ddemos_lint [--list-rules] [paths...]
 
    Walks every .ml under the given paths (default: lib), runs the
-   per-file rule registry plus the whole-program taint engine
+   per-file rule registry plus the whole-program taint engine and R9,
+   which also reads the .ml under Lint.caller_roots as callers
    (docs/INVARIANTS.md), prints findings as file:line:col lines, and
    exits 1 when any finding
    survives suppression: a finding is either fixed or allowed inline
@@ -15,6 +16,7 @@ module Lint = Dd_analysis.Lint
 module Rules = Dd_analysis.Rules
 module Findings = Dd_analysis.Findings
 module Taint = Dd_analysis.Taint
+module Exports = Dd_analysis.Exports
 
 let usage = "usage: ddemos_lint [--list-rules] [paths...]"
 
@@ -49,11 +51,13 @@ let () =
     List.iter (fun (r : Rules.t) -> Printf.printf "%-18s %s\n" r.Rules.name r.Rules.short)
       rules;
     Printf.printf "%-18s %s\n" Taint.rule_name Taint.short;
+    Printf.printf "%-18s %s\n" Exports.rule_name Exports.short;
     Printf.printf "%-18s %s\n" "bare-allow"
       "suppression comments must name a known rule and justify themselves";
     exit 0
   end;
-  let findings = Lint.lint_program ~rules files in
+  let callers = Lint.ml_files Lint.caller_roots in
+  let findings = Lint.lint_program ~rules ~callers files in
   List.iter (fun f -> print_endline (Findings.to_text f)) findings;
   Printf.eprintf "ddemos-lint: %d files checked, %d finding%s\n"
     (List.length files) (List.length findings)

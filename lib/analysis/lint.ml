@@ -6,11 +6,11 @@ let read_file path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
-let parse ~file source =
+let parse_with parser ~file source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
+  match parser lexbuf with
+  | ast -> Ok ast
   | exception exn ->
     let loc, msg =
       match Location.error_of_exn exn with
@@ -20,10 +20,12 @@ let parse ~file source =
     in
     Error (loc, msg)
 
+let parse = parse_with Parse.implementation
+
 (* Rule names the suppression scanner accepts in allow comments. *)
 let known_rules rules =
   List.map (fun (r : Rules.t) -> r.Rules.name) rules
-  @ [ Taint.rule_name; "bare-allow"; "parse" ]
+  @ [ Taint.rule_name; Exports.rule_name; "bare-allow"; "parse" ]
 
 let loc_at ~file ~line =
   let pos = { Lexing.pos_fname = file; pos_lnum = line; pos_bol = 0; pos_cnum = 0 } in
@@ -48,66 +50,50 @@ let per_file_findings ~rules ~file structure =
        if r.Rules.applies file then r.Rules.check ~file structure else [])
     rules
 
-let[@warning "-16"] lint_string ~rules ?(interfaces = []) ~file ~source =
-  match parse ~file source with
-  | Error (loc, msg) ->
-    [ Findings.make ~rule:"parse" ~file ~loc ("syntax error: " ^ msg) ]
-  | Ok structure ->
-    let allows = Suppress.scan ~known:(known_rules rules) source in
-    let checked =
-      per_file_findings ~rules ~file structure
-      @ Taint.run ~files:[ (file, structure) ] ~interfaces
-    in
-    (checked
-     |> List.filter (fun (f : Findings.t) ->
-         not (Suppress.allowed allows ~rule:f.Findings.rule ~line:f.Findings.line)))
-    @ bare_allow_findings ~file allows
-    |> Findings.sort
-
 let sibling_interface path =
   let mli = Filename.remove_extension path ^ ".mli" in
   match read_file mli with Some s -> Some (mli, s) | None -> None
 
-(* Whole-program lint: every file is parsed once, per-file rules run on
-   each, then the interprocedural taint engine sees all of them at once
-   (summaries cross file boundaries). Suppressions and bare-allow
-   findings are per-file; the combined result comes back sorted. [interfaces] augments the automatically discovered
-   sibling [.mli] sources (used by tests to inject annotations). *)
-let lint_program ~rules ?(interfaces = []) paths =
-  let parsed, broken =
-    List.fold_left
-      (fun (ok, bad) path ->
-         match read_file path with
-         | None ->
-           ( ok,
-             Findings.make ~rule:"parse" ~file:path ~loc:(Location.in_file path)
-               "cannot read file"
-             :: bad )
-         | Some source ->
-           (match parse ~file:path source with
-            | Error (loc, msg) ->
-              ( ok,
-                Findings.make ~rule:"parse" ~file:path ~loc ("syntax error: " ^ msg)
-                :: bad )
-            | Ok structure -> ((path, source, structure) :: ok, bad)))
-      ([], []) paths
+let parsed_or_finding ~file source =
+  match parse ~file source with
+  | Ok structure -> Ok (file, source, structure)
+  | Error (loc, msg) -> Error (Findings.make ~rule:"parse" ~file ~loc ("syntax error: " ^ msg))
+
+(* The one lint pass behind both entry points: per-file rules on each
+   parsed file, then the interprocedural taint engine over all of them
+   at once (summaries cross file boundaries) and R9, which matches the
+   [lib/] interfaces' exports against the references of the files and
+   [callers]. Suppressions and bare-allow findings are per-file, the
+   interfaces' included; the combined result comes back sorted. *)
+let lint_parsed ~rules ~interfaces ~callers parsed broken =
+  let parsed_opt parser (path, source) =
+    Result.to_option (parse_with parser ~file:path source) |> Option.map (fun s -> (path, s))
   in
-  let parsed = List.rev parsed in
-  let interfaces =
-    interfaces
-    @ List.filter_map (fun (path, _, _) -> sibling_interface path) parsed
+  let exported =
+    List.filter_map
+      (fun (path, source) ->
+         if Rules.under [ "lib" ] path then parsed_opt Parse.interface (path, source) else None)
+      interfaces
+  in
+  let files = List.map (fun (p, _, s) -> (p, s)) parsed in
+  let caller_only =
+    List.filter_map
+      (fun path ->
+         if List.mem_assoc path files then None
+         else Option.bind (read_file path) (fun s -> parsed_opt Parse.implementation (path, s)))
+      callers
   in
   let known = known_rules rules in
   let allows_by_file =
     List.map (fun (path, source, _) -> (path, Suppress.scan ~known source)) parsed
+    @ List.map (fun (path, source) -> (path, Suppress.scan ~known source)) interfaces
   in
   let checked =
     List.concat_map
       (fun (path, _, structure) -> per_file_findings ~rules ~file:path structure)
       parsed
-    @ Taint.run
-        ~files:(List.map (fun (p, _, s) -> (p, s)) parsed)
-        ~interfaces
+    @ Taint.run ~files ~interfaces
+    @ Exports.run ~interfaces:exported ~callers:(files @ caller_only)
   in
   let suppressed (f : Findings.t) =
     match List.assoc_opt f.Findings.file allows_by_file with
@@ -121,6 +107,33 @@ let lint_program ~rules ?(interfaces = []) paths =
       (fun (path, allows) -> bare_allow_findings ~file:path allows)
       allows_by_file
   |> Findings.sort
+
+let[@warning "-16"] lint_string ~rules ?(interfaces = []) ~file ~source =
+  match parsed_or_finding ~file source with
+  | Ok p -> lint_parsed ~rules ~interfaces ~callers:[] [ p ] []
+  | Error f -> [ f ]
+
+let lint_program ~rules ?(interfaces = []) ?(callers = []) paths =
+  let parsed, broken =
+    List.partition_map
+      (fun path ->
+         match read_file path with
+         | None ->
+           Right
+             (Findings.make ~rule:"parse" ~file:path ~loc:(Location.in_file path)
+                "cannot read file")
+         | Some source ->
+           (match parsed_or_finding ~file:path source with
+            | Ok p -> Left p
+            | Error f -> Right f))
+      paths
+  in
+  let interfaces =
+    interfaces @ List.filter_map (fun (path, _, _) -> sibling_interface path) parsed
+  in
+  lint_parsed ~rules ~interfaces ~callers parsed broken
+
+let caller_roots = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
 
 let skip_dir name = name = "_build" || (String.length name > 0 && name.[0] = '.')
 
@@ -137,6 +150,8 @@ let ml_files roots =
   List.iter (fun root -> if Sys.file_exists root then walk root) roots;
   List.sort compare !acc
 
+(* Constructors of the wire-message types ([Rules.wire_type_names])
+   declared in [source]; empty if it declares none or does not parse. *)
 let harvest_wire_constructors ~source =
   match parse ~file:"<harvest>" source with
   | Error _ -> []

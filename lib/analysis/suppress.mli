@@ -1,9 +1,9 @@
 (** Suppression comments.
 
     A finding of rule [r] on line [n] is suppressed when the source
-    carries [(* lint: allow r <why> *)] on line [n] itself or on line
-    [n - 1] (the comment-above idiom). Several rules can be allowed at
-    once: [(* lint: allow ct-equality sans-io <why> *)]. The
+    carries an allow comment naming [r] and saying why on line [n]
+    itself or on line [n - 1] (the comment-above idiom). Several rules
+    can be allowed at once: [(* lint: allow ct-equality sans-io <why> *)]. The
     justification [<why>] is mandatory: an allow with no rationale (or
     naming no known rule) is itself reported under rule "bare-allow".
     Rule names are validated against the [known] list, so the

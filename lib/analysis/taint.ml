@@ -2,7 +2,7 @@
    sources to the surfaces where a secret must never arrive.
 
    Sources (facts, not just names):
-   - DRBG outputs ([Drbg.bytes], [Drbg.uint64_string]) — every secret
+   - DRBG outputs ([Drbg.bytes]) — every secret
      in this system is ultimately drawn from a seeded DRBG;
    - any [val] annotated [(* lint: secret *)] in its [.mli]
      (EA msk derivations, VSS dealing, ...);
@@ -51,7 +51,7 @@ type facts = {
 }
 
 let builtin_sources =
-  [ ("Drbg.bytes", "DRBG output"); ("Drbg.uint64_string", "DRBG output") ]
+  [ ("Drbg.bytes", "DRBG output") ]
 
 (* --- .mli annotation scan ----------------------------------------------- *)
 

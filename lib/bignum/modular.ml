@@ -49,7 +49,6 @@ let sub ctx a b =
   if Nat.compare a b >= 0 then Nat.sub a b
   else Nat.sub (Nat.add a ctx.modulus) b
 
-let neg ctx a = if Nat.is_zero a then a else Nat.sub ctx.modulus a
 
 let mul ctx a b = reduce_barrett ctx (Nat.mul a b)
 

@@ -25,13 +25,14 @@ val reduce : ctx -> Nat.t -> Nat.t
 
 val add : ctx -> Nat.t -> Nat.t -> Nat.t
 val sub : ctx -> Nat.t -> Nat.t -> Nat.t
-val neg : ctx -> Nat.t -> Nat.t
 val mul : ctx -> Nat.t -> Nat.t -> Nat.t
 
 (** [sqr ctx a] is [mul ctx a a], squaring through [Nat.sqr]. *)
+(* lint: allow unused-export — reference in test_bignum "Barrett reduce = rem" *)
 val sqr : ctx -> Nat.t -> Nat.t
 
 (** [pow ctx b e] is [b^e mod m] by square-and-multiply. *)
+(* lint: allow unused-export — reference in test_bignum "Fe inv/sqrt = Barrett pow" *)
 val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 
 (** Multiplicative inverse by extended Euclid, for any modulus. Raises

@@ -453,54 +453,3 @@ let of_hex s =
     done;
     normalize r
   end
-
-let to_hex (a : t) =
-  if is_zero a then "0"
-  else begin
-    let nhex = (bit_length a + 3) / 4 in
-    let buf = Bytes.create nhex in
-    for i = 0 to nhex - 1 do
-      let bit = i * 4 in
-      let limb = bit / base_bits and off = bit mod base_bits in
-      let v = (a.(limb) lsr off) land 0xf in
-      (* a nibble straddles a limb boundary whenever base_bits is not a
-         multiple of 4 (62 mod 4 = 2): pull the high bits from the next
-         limb when needed *)
-      let v = if off + 4 > base_bits && limb + 1 < Array.length a
-        then (v lor (a.(limb + 1) lsl (base_bits - off))) land 0xf
-        else v
-      in
-      Bytes.set buf (nhex - 1 - i) "0123456789abcdef".[v]
-    done;
-    Bytes.unsafe_to_string buf
-  end
-
-let ten = of_int 10
-
-let of_decimal s =
-  if String.length s = 0 then invalid_arg "Nat.of_decimal: empty";
-  let r = ref zero in
-  String.iter (fun c ->
-      match c with
-      | '0' .. '9' -> r := add (mul !r ten) (of_int (Char.code c - Char.code '0'))
-      | _ -> invalid_arg "Nat.of_decimal: bad digit")
-    s;
-  !r
-
-let to_decimal (a : t) =
-  if is_zero a then "0"
-  else begin
-    let chunk = of_int 1_000_000_000 in
-    let rec go a acc =
-      if is_zero a then acc
-      else begin
-        let q, r = divmod a chunk in
-        let part = to_int r in
-        if is_zero q then string_of_int part :: acc
-        else go q (Printf.sprintf "%09d" part :: acc)
-      end
-    in
-    String.concat "" (go a [])
-  end
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal a)

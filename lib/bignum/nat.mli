@@ -62,17 +62,10 @@ val is_odd : t -> bool
 val of_bytes_be : string -> t
 val to_bytes_be : ?len:int -> t -> string
 
-(** Hexadecimal conversions (lowercase output, case-insensitive input,
-    no "0x" prefix). Digits are packed directly against [base_bits]; no
-    alignment between digit width and limb width is assumed. *)
+(** Parse hexadecimal (case-insensitive, no "0x" prefix). Digits are
+    packed directly against [base_bits]; no alignment between digit
+    width and limb width is assumed. *)
 val of_hex : string -> t
-val to_hex : t -> string
-
-(** Decimal conversions. *)
-val of_decimal : string -> t
-val to_decimal : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Limb buffers}
 

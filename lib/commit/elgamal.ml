@@ -82,8 +82,6 @@ let verify_batch rng (items : (t * opening) array) =
     Array.iter (fun (c, o) -> accumulate acc rng c o) items;
     Group_ctx.acc_check acc
 
-let equal a b = Curve.equal a.c1 b.c1 && Curve.equal a.c2 b.c2
-
 let encode t = Curve.encode t.c1 ^ Curve.encode t.c2
 
 (* Inverse of [encode]. The two point encodings are self-delimiting

@@ -45,8 +45,6 @@ val verify : t -> opening -> bool
     only. *)
 val verify_batch : Dd_crypto.Drbg.t -> (t * opening) array -> bool
 
-val equal : t -> t -> bool
-
 (** Canonical byte encoding (for hashing into transcripts). *)
 val encode : t -> string
 

@@ -96,18 +96,6 @@ let verify_published ~label (items : (t * opening) array) =
   let rng = Dd_group.Batch.derive_rng ~label (List.concat_map item_parts items) in
   verify_batch rng items
 
-(* Check an opening decodes to the unit vector for [choice]. *)
-let opening_is_unit (o : opening) ~choice =
-  Array.length o > choice
-  && begin
-    let ok = ref true in
-    Array.iteri (fun i oi ->
-        let expected = if i = choice then Nat.one else Nat.zero in
-        if not (Nat.equal oi.Elgamal.msg expected) then ok := false)
-      o;
-    !ok
-  end
-
 (* Read a tally vector out of openings of a homomorphic sum. *)
 let counts_of_opening (o : opening) =
   Array.map (fun oi -> Nat.to_int oi.Elgamal.msg) o

@@ -22,7 +22,6 @@ val openings : Dd_crypto.Drbg.t -> options:int -> choice:int -> opening
 val commit_k :
   Dd_crypto.Drbg.t -> options:int -> choices:int list -> t * opening
 
-val add : t -> t -> t
 val sum : options:int -> t list -> t
 
 val sum_openings : options:int -> opening list -> opening
@@ -30,24 +29,16 @@ val sum_openings : options:int -> opening list -> opening
 (** Verify every coordinate opening. *)
 val verify : t -> opening -> bool
 
-(** Verify many unit-vector openings at once: all coordinate equations
-    of all vectors fold into one multi-scalar multiplication
-    (soundness 2^-128 per batch; see {!Dd_group.Batch}). {b Variable
-    time} — published data only. *)
-val verify_batch :
-  Dd_crypto.Drbg.t -> (t * opening) list -> bool
-
 (** The one check for openings published on the bulletin board (the
-    board's reconstructions and the auditor's check (d)):
-    {!verify_batch} under Fiat-Shamir weights derived from [label] (the
+    board's reconstructions and the auditor's check (d)): all
+    coordinate equations of all vectors fold into one multi-scalar
+    multiplication (soundness 2^-128 per batch; see {!Dd_group.Batch}),
+    under Fiat-Shamir weights derived from [label] (the
     election id) and the items themselves — deterministic, so every party re-checking
     the same data derives the same weights. {b Variable time} —
     published data only. *)
 val verify_published :
   label:string -> (t * opening) array -> bool
-
-(** Does the opening carry exactly the unit vector for [choice]? *)
-val opening_is_unit : opening -> choice:int -> bool
 
 (** Decode a tally: per-option counts from the opening of a sum.
     Raises if a count exceeds [max_int] (impossible in any election). *)

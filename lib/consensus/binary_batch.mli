@@ -31,5 +31,7 @@ val on_deliver : t -> from:int -> string -> unit
 
 
 (** Wire helpers, exposed for tests. *)
+(* lint: allow unused-export — test_consensus crafts Byzantine payloads *)
 val encode_payload : round:int -> step:int -> int array -> string
+(* lint: allow unused-export — test_consensus "payload codec" *)
 val decode_payload : string -> (int * int * int array) option

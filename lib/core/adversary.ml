@@ -81,8 +81,6 @@ let create ~behavior ~me ~cfg ~keys ~store ~rng ~send_vc =
   { behavior; me; cfg; keys; store; rng; send_vc;
     shadows = Hashtbl.create 16 }
 
-let behavior t = t.behavior
-
 let quorum t = t.cfg.Types.nv - t.cfg.Types.fv
 
 let peers t =

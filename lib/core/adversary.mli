@@ -44,8 +44,6 @@ val create :
   behavior:behavior -> me:int -> cfg:Types.config -> keys:Auth.keys ->
   store:Ballot_store.t -> rng:Dd_crypto.Drbg.t -> send_vc:(dst:int -> Messages.vc_msg -> unit) -> t
 
-val behavior : t -> behavior
-
 (** Process a delivered message: act on it adversarially, then forward
     to [honest] (the wrapped node's handler) unless the behavior
     ignores input entirely. *)

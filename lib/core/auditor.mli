@@ -48,6 +48,7 @@ val check_slice :
     restricted to the slice's serials — so independent auditors can
     split the electorate into disjoint chunk ranges and each audit
     theirs against the same root. *)
+(* lint: allow unused-export — test_election_store slice-auditor soundness (docs/INVARIANTS.md) *)
 val audit_slice : ?root:string -> view -> chunk:int -> check list
 
 (** Run every check: (a) distinct codes per ballot, (b) one submission

@@ -48,6 +48,7 @@ val create :
 
 (** Canonical encoding of the published state (sorted, deterministic),
     for recovery-equivalence checks. *)
+(* lint: allow unused-export — test_bb_trustee and test_storage compare replayed state *)
 val observable : t -> string
 
 (** The ballot table this node serves from (see {!Board}). *)
@@ -64,7 +65,5 @@ val subscribe_tally : t -> (t -> unit) -> unit
 val locate_code : t -> serial:int -> code:string -> (Types.part_id * int) option
 
 (** Write paths. *)
-val on_vote_set_submit :
-  t -> sender:int -> set:(int * string) list -> msk_share:Dd_vss.Shamir_bytes.share -> unit
 val on_trustee_post : t -> trustee:int -> Trustee_payload.t -> unit
 val handle : t -> Messages.bb_msg -> unit

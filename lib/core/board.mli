@@ -22,6 +22,7 @@ val n_ballots : t -> int
 
 (** The ballot with this serial; [None] when out of range or when the
     backing chunk fails CRC/Merkle/decode verification. *)
+(* lint: allow unused-export — test_election_store compares streamed and in-memory ballots *)
 val ballot : t -> int -> Ea.bb_ballot option
 
 (** One part's entries of one ballot — the random-access shape the BB
@@ -36,6 +37,7 @@ val iter : t -> (Ea.bb_ballot -> unit) -> bool
 (** The board's Merkle commitment: the sealed manifest's root. *)
 val root : t -> string
 
+(* lint: allow unused-export — test_election_store walks every chunk *)
 val n_chunks : t -> int
 
 (** Decoded ballots of one chunk: [(first_serial, ballots)]. *)

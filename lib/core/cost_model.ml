@@ -24,7 +24,6 @@ type t = {
   sig_sign : float;           (* endorsement signature *)
   sig_verify : float;         (* endorsement / UCERT entry verification *)
   share_verify : float;       (* one receipt-share validity check *)
-  share_reconstruct : float;  (* GF(256) receipt reconstruction *)
   ballot_lookup_mem : float;  (* in-memory election-data lookup *)
   (* disk experiments (figs 5a-5c) *)
   disk_enabled : bool;
@@ -54,7 +53,6 @@ let default = {
   sig_sign = 0.0012;
   sig_verify = 0.00005;
   share_verify = 0.00006;
-  share_reconstruct = 0.0001;
   ballot_lookup_mem = 0.00005;
   disk_enabled = false;
   (* fitted so that 4 lookups/vote over 24 cores reproduce Fig. 5a/5b

@@ -10,7 +10,6 @@ type t = {
   sig_sign : float;
   sig_verify : float;
   share_verify : float;
-  share_reconstruct : float;
   ballot_lookup_mem : float;
   disk_enabled : bool;
   disk_base : float;

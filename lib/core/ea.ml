@@ -34,7 +34,6 @@ type bb_init = {
 }
 
 type vc_node_init = {
-  vc_id : int;
   vc_msk_share : Shamir_bytes.share;
   (* serial -> part -> position *)
   vc_lines : Types.vc_line array array array;
@@ -412,7 +411,7 @@ let setup ?pool ?chunk_size (cfg : Types.config) ~seed =
     vc_keys = st.st_vc_keys; trustee_keys = st.st_trustee_keys;
     vc_init =
       Array.init nv (fun i ->
-          { vc_id = i; vc_msk_share = st.st_msk_shares.(i); vc_lines = vc_lines.(i) });
+          { vc_msk_share = st.st_msk_shares.(i); vc_lines = vc_lines.(i) });
     bb_init = { hmsk = st.st_hmsk; salt_msk = st.st_salt_msk };
     bb_ballots;
     trustee_init = Array.init nt (fun i -> { t_id = i; t_ballots = trustee_ballots.(i) }) }

@@ -34,7 +34,6 @@ type bb_init = {
 }
 
 type vc_node_init = {
-  vc_id : int;
   vc_msk_share : Shamir_bytes.share;  (* lint: secret *)
   vc_lines : Types.vc_line array array array;  (** serial -> part -> position *)
 }
@@ -102,19 +101,16 @@ type chunk = {
 type drawn_part
 
 (* lint: secret *)
-val draw_part :
+val draw_part :  (* lint: allow unused-export — test_core "part comb counts" *)
   Types.config -> seed:string -> ea_vc:Auth.keys -> ea_trustee:Auth.keys ->
   Dd_crypto.Drbg.t -> serial:int -> part:Types.part_id -> drawn_part
 
 (** The part's curve points as {!Dd_group.Curve.mul_base_batch} jobs:
     the EA's Schnorr nonce commitments, and per position the m
     commitments and the ballot proof's first move. *)
+(* lint: allow unused-export — test_core "part comb counts" *)
 val part_jobs : drawn_part -> Dd_group.Curve.comb_job list
 
-(** [List.length (part_jobs d)] for every part under the
-    configuration: [nv m + nt + m (6m + 2)]. It sizes the lockstep
-    groups of {!setup_chunks}. *)
-val jobs_per_part : Types.config -> int
 
 (** Chunk size used when the caller does not pick one. *)
 val default_setup_chunk : int

@@ -185,9 +185,9 @@ let append_chunk cfg slot (ck : Ea.chunk) =
         (encode_vc_record ck.Ea.ck_vc.(node).(i))
     done;
     for t = 0 to cfg.Types.nt - 1 do
+      let record = ck.Ea.ck_trustee.(t).(i) in
       (* lint: allow secret-taint trustee segments are per-trustee at-rest state, delivered out of band like the paper's initialization data *)
-      append_once (slot (trustee_segment t)) ~index
-        (encode_trustee_record ck.Ea.ck_trustee.(t).(i))
+      append_once (slot (trustee_segment t)) ~index (encode_trustee_record record)
     done
   done
 

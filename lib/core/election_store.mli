@@ -22,6 +22,7 @@ module Segment = Dd_segment.Segment
 
 (* --- record codecs (one record per serial) --------------------------- *)
 
+(* lint: allow unused-export — test_election_store compares ballots by their record bytes *)
 val encode_bb_ballot : Ea.bb_ballot -> string
 val decode_bb_ballot : string -> Ea.bb_ballot option
 
@@ -29,16 +30,12 @@ val decode_bb_ballot : string -> Ea.bb_ballot option
     position. *)
 val decode_vc_record : string -> Types.vc_line array array option
 
-(** One trustee's data for one serial: part -> data. *)
-(* lint: secret — trustee records carry opening and ZK-state shares *)
-val encode_trustee_record : Ea.trustee_part_data array -> string
-
 (** The token is unused; perfbench passes one. *)
 val decode_trustee_record :
   Dd_group.Group_ctx.t -> string -> Ea.trustee_part_data array option
 
 (* lint: secret — a printed ballot carries the voter's vote codes *)
-val encode_voter_ballot : Types.ballot -> string
+val encode_voter_ballot : Types.ballot -> string  (* lint: allow unused-export — test_election_store *)
 val decode_voter_ballot : string -> Types.ballot option
 
 (* --- segment names ---------------------------------------------------- *)

@@ -18,6 +18,7 @@ type violation = { guarantee : guarantee; detail : string }
 
 (** ["liveness"], ["receipt-contract"], ["ucert-uniqueness"],
     ["vote-set-agreement"], ["tally"], ["board-audit"]. *)
+(* lint: allow unused-export — test_serve and test_chaos compare broken guarantees by name *)
 val name : guarantee -> string
 
 (** [name: detail]. *)
@@ -51,20 +52,16 @@ val vote_set_agreement :
 (** A tally must exist and count one choice per cast serial. A serial
     cast with several choices may count any one of them; the checker
     derives these alternatives from the intents. *)
+(* lint: allow unused-export — test_chaos "tally alternatives from intents" *)
 val tally : options:int -> intents:(int * int) list -> Types.tally option -> violation list
 
 (** ["[c0 c1 ...]"], as tally violations print it. *)
 val tally_str : Types.tally -> string
 
-(** Full crypto: the boards' majority read of the final set exists and
-    equals the collectors' [agreed] set (when there is one), and the
-    auditor assembles a majority view whose every check passes. *)
-val board_audit :
-  cfg:Types.config -> agreed:(int * string) list option -> Bb_node.t list -> violation list
-
-(** Every guarantee over a simulator run; [board_audit] only with full
-    crypto ({!Election.Source}). The agreed set is the first honest
-    collector's. Every honest collector must submit a vote set unless
+(** Every guarantee over a simulator run, and with full crypto
+    ({!Election.Source}) the board audit: the boards' majority final set
+    equals the agreed set and every audit check passes. The agreed set
+    is the first honest collector's. Every honest collector must submit a vote set unless
     [quorum_sets] (default [false]), where [Nv - fv] suffice: the
     simulator has no retransmission layer, so persistent loss can
     stall one node for ever, and the paper's reliable channels weaken

@@ -33,6 +33,7 @@ val create : env -> t
 
 (** Canonical encoding of the trustee's state (sorted, deterministic),
     for recovery-equivalence checks. *)
+(* lint: allow unused-export — test_storage compares replayed state *)
 val observable : t -> string
 
 (** Entry point once the BB majority has published the final set and

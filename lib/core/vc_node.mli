@@ -106,6 +106,7 @@ val receipts_issued : t -> int
 (** Ballots this node keeps state for. Hostile input never grows it:
     handlers reject serials outside the election and create a ballot
     only for a store-valid code or a verified UCERT. *)
+(* lint: allow unused-export — test_vc_node checks hostile input never grows state *)
 val ballot_count : t -> int
 
 (** Valid uniqueness certificates seen for a code conflicting with one
@@ -131,4 +132,5 @@ val decisions : t -> bool option array
     gathering, waiting clients, live consensus instances — is excluded
     by design: a restarted node abandons those and the protocol's
     retries rebuild them. *)
+(* lint: allow unused-export — test_storage and test_vc_node compare replayed state *)
 val observable : t -> string

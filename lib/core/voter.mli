@@ -16,9 +16,6 @@ val make_plan : Dd_crypto.Drbg.t -> ballot:Types.ballot -> choice:int -> plan
 (** The vote code this plan submits. *)
 val vote_code : plan -> string
 
-(** The printed receipt the voter expects back. *)
-val expected_receipt : plan -> string
-
 (** Compare a returned receipt against the printed one (by eye, in the
     paper; constant-time here). *)
 val receipt_valid : plan -> string -> bool
@@ -43,6 +40,7 @@ val default_policy : policy
     exponential backoff on top of [d]-patience, so retry storms against
     a restarting or partitioned cluster decorrelate. Attempt 1 waits
     plain [patience] (up to jitter). *)
+(* lint: allow unused-export — test_chaos retry-delay tests *)
 val retry_delay :
   ?cap:float -> ?jitter:float -> Dd_crypto.Drbg.t ->
   patience:float -> attempt:int -> float

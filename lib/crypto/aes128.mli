@@ -9,9 +9,8 @@ type key
 (** Expand a 16-byte key into its round-key schedule. *)
 val expand_key : string -> key
 
-(** Encrypt / decrypt one 16-byte block. *)
+(** Encrypt one 16-byte block. *)
 val encrypt_block : key -> string -> string
-val decrypt_block : key -> string -> string
 
 (** [cbc_encrypt ~key ~iv msg] PKCS#7-pads [msg] and encrypts it;
     [key] is the 16-byte raw key, [iv] the 16-byte initialization

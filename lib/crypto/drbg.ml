@@ -54,6 +54,4 @@ let int t bound =
 
 let bool t = byte t land 1 = 1
 
-let uint64_string t = bytes t 8
-
 let fork t ~label = create ~seed:(bytes t 32 ^ label)

@@ -18,10 +18,6 @@ val int : t -> int -> int
 
 val bool : t -> bool
 
-(** Eight fresh bytes — the paper's 64-bit receipts and serial numbers. *)
-(* lint: secret *)
-val uint64_string : t -> string
-
 (** [fork t ~label] derives an independent child generator; drawing from
     the child does not perturb the parent beyond the fork point. *)
 val fork : t -> label:string -> t

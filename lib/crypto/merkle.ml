@@ -18,8 +18,6 @@ let split_point n =
 type builder = { mutable peaks : string option array; mutable n : int }
 
 let create () = { peaks = Array.make 8 None; n = 0 }
-let count b = b.n
-
 let ensure b i =
   if i >= Array.length b.peaks then begin
     let p = Array.make (max (i + 1) (2 * Array.length b.peaks)) None in

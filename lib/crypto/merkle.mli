@@ -20,10 +20,7 @@ val leaf_hash : string -> string
 
 (** Interior node hash: [H (0x01 || left || right)]. *)
 (* lint: public *)
-val node_hash : string -> string -> string
-
-(** Root of the empty tree, [H ("")]. *)
-val empty_root : string
+val node_hash : string -> string -> string  (* lint: allow unused-export — test_segment "domain separation" *)
 
 (** Incremental builder: absorbs leaves one at a time keeping only the
     O(log n) frontier of complete-subtree peaks, so a segment writer can
@@ -31,9 +28,6 @@ val empty_root : string
 type builder
 
 val create : unit -> builder
-
-(** Leaves absorbed so far. *)
-val count : builder -> int
 
 (** Absorb the next leaf payload (hashed with [leaf_hash] internally). *)
 val add : builder -> string -> unit
@@ -46,7 +40,7 @@ val root : builder -> string
 (** One-shot root of a list of leaf payloads. Equal to feeding them to a
     fresh builder in order. *)
 (* lint: public *)
-val root_of_leaves : string list -> string
+val root_of_leaves : string list -> string  (* lint: allow unused-export — reference root in test_segment *)
 
 (** Authentication path for leaf [index] (0-based) among [leaves]:
     sibling hashes from the leaf up to the root, each tagged with the

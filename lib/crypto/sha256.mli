@@ -2,20 +2,7 @@
 
     Domain-safe: the compression function's message-schedule scratch is
     domain-local ([Domain.DLS]), so distinct domains may hash
-    concurrently. A single [ctx] value must still not be shared between
-    domains. *)
-
-type ctx
-
-val init : unit -> ctx
-
-(** Absorb more input. *)
-val feed : ctx -> string -> unit
-
-(** Pad, finish, and return the 32-byte digest. The context must not be
-    reused afterwards. *)
-(* lint: public — one-way: a digest does not reveal its preimage *)
-val finalize : ctx -> string
+    concurrently. *)
 
 (** One-shot digest of a string. *)
 (* lint: public — one-way: a digest does not reveal its preimage *)

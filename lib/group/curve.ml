@@ -5,7 +5,7 @@
 
    Every base-field operation runs on [Fe]'s fixed-width limbs. [Nat]
    crosses into [Fe] only at the edges: the curve constants,
-   [of_affine], [to_affine], the codecs, [on_curve], [field_sqrt] and
+   [of_affine], [to_affine], the codecs, [on_curve] and
    [hash_to_point]. *)
 
 module Nat = Dd_bignum.Nat
@@ -276,11 +276,6 @@ let madd s r a x2 y2 =
       add_tail s r
     end
   end
-
-let double p =
-  let r = loaded p in
-  dbl (scratch ()) r r;
-  store r
 
 (* An affine [q] (Z = 1: decoded points, table entries) takes the
    mixed add. *)
@@ -1203,12 +1198,6 @@ let decode s =
     else None
   end
   else None
-
-(* Square root mod p, p = 3 mod 4:
-   sqrt(a) = a^((p+1)/4) when a is a quadratic residue, by [Fe.sqrt]. *)
-let field_sqrt a =
-  let y = Fe.of_nat a in
-  if Fe.sqrt y y then Some (Fe.to_nat y) else None
 
 (* A y with y^2 = x^3 + 7, if x is on the curve. *)
 let lift_x x =

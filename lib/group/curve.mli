@@ -101,12 +101,12 @@ val to_affine : point -> (Nat.t * Nat.t) option
 val to_affine_batch : point array -> (Nat.t * Nat.t) option array
 
 val of_affine : Nat.t * Nat.t -> point
+(* lint: allow unused-export — test_group checks points land on the curve *)
 val on_curve : Nat.t * Nat.t -> bool
 
 (** [add p q] is [p + q]; a [q] stored with Z = 1 ({!is_affine}:
     decoded points, table entries) takes the mixed addition. *)
 val add : point -> point -> point
-val double : point -> point
 val neg : point -> point
 val sub : point -> point -> point
 
@@ -140,10 +140,12 @@ val make_base_table : width:int -> point -> base_table
 (** A copy of the table's entries,
     [(base_table_rows tbl).(i).(j) = (2j+1) * 2^(w*i) * B]. A table over
     the identity has no rows. *)
+(* lint: allow unused-export — test_group table layout checks *)
 val base_table_rows : base_table -> point array array
 
 (** [is_affine p] holds iff [p] is finite and stored with Z = 1, the
     form the comb tables' mixed additions rely on. *)
+(* lint: allow unused-export — test_core and test_group check normalized points *)
 val is_affine : point -> bool
 
 (** [mul_base_table tbl k] is [k * B]. Safe for secret scalars: every
@@ -171,6 +173,7 @@ val bit_table : base_table -> base_table
 
 (** The comb lanes a job runs in {!mul_base_batch}: its terms that are
     not on a {!bit_table}. *)
+(* lint: allow unused-export — test_core "part comb counts" *)
 val comb_lanes : comb_job -> int
 
 (** [mul_base_batch jobs] evaluates every job, each result affine
@@ -225,10 +228,6 @@ val decode : string -> point option
 (** [encode_affine (to_affine p)] is [encode p]: the encoding from
     affine coordinates already at hand, e.g. from {!to_affine_batch}. *)
 val encode_affine : (Nat.t * Nat.t) option -> string
-
-(** Square root in F_p by {!Dd_bignum.Fe.sqrt} (p = 3 mod 4); [None]
-    for non-residues. *)
-val field_sqrt : Nat.t -> Nat.t option
 
 (** Compressed encoding: [0x02/0x03 || X] (33 bytes),
     ["\x00"] for infinity. [decode_compressed] validates and recovers

@@ -36,11 +36,8 @@ val parallel_map : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
     it raise [Invalid_argument]. Idempotent. *)
 val shutdown : t -> unit
 
-(** Pool size requested by the [DDEMOS_DOMAINS] environment variable
-    (default 1, clamped to [1, 64]; malformed values read as 1). *)
-val env_domains : unit -> int
-
-(** The lazily created process-wide pool, sized by {!env_domains} at
-    first use and shut down via [at_exit]. Callers that take a
-    [?pool] argument default to this. *)
+(** The lazily created process-wide pool, sized at first use by the
+    [DDEMOS_DOMAINS] environment variable (default 1, clamped to
+    [1, 64]; malformed values read as 1) and shut down via [at_exit].
+    Callers that take a [?pool] argument default to this. *)
 val get_default : unit -> t

@@ -57,10 +57,6 @@ type manifest = {
 
 val n_chunks : manifest -> int
 
-(** Top root a sealed segment with these chunk roots must carry. *)
-(* lint: public — a hash commitment over hash commitments *)
-val root_of_chunk_roots : string array -> string
-
 (** Streaming writer. Appends buffer in the device's volatile tail
     between checkpoints; every chunk trailer is followed by a sync, so
     at most [chunk_size] records are ever at risk. *)
@@ -111,6 +107,7 @@ val read_chunk : Device.t -> manifest -> int -> string array option
 (** Sequential streaming read of all records, one chunk resident at a
     time. [f index payload]. Returns [false] (stopping early) if any
     chunk fails verification. *)
+(* lint: allow unused-export — test_segment "iter_records = read_all" *)
 val iter_records : Device.t -> manifest -> (int -> string -> unit) -> bool
 
 (** All records, materialized — test-sized segments only. [None] if any

@@ -11,13 +11,13 @@ type stats = {
 
 type t = {
   keys : Auth.keys;
-  cache : (string, bool) Hashtbl.t;
+  verdicts : (string, bool) Hashtbl.t;  (* this tick's *)
   st : stats;
 }
 
 let create ~keys =
   { keys;
-    cache = Hashtbl.create 1024;
+    verdicts = Hashtbl.create 64;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
 
 let stats t = t.st
@@ -31,18 +31,11 @@ let obligation_key ~signer body tag =
   Messages.put_tag w tag;
   Wire.contents w
 
-(* The cache is bounded by epoch flush: past [cache_cap] verdicts it
-   restarts empty. Misses only cost a serial re-verify, never
-   correctness. *)
-let cache_cap = 65536
-
-let remember t key v =
-  if Hashtbl.length t.cache >= cache_cap then Hashtbl.reset t.cache;
-  Hashtbl.replace t.cache key v
+let remember t key v = Hashtbl.replace t.verdicts key v
 
 let verify t ~signer body tag =
   let key = obligation_key ~signer body tag in
-  match Hashtbl.find_opt t.cache key with
+  match Hashtbl.find_opt t.verdicts key with
   | Some v ->
     t.st.cache_hits <- t.st.cache_hits + 1;
     v
@@ -55,15 +48,18 @@ let verify t ~signer body tag =
 (* fresh obligations before one batch call pays for itself *)
 let min_batch = 4
 
+(* A tick's verdicts are read back in the same tick only, so each batch
+   starts an empty table: it holds at most what one tick's messages
+   oblige. *)
 let preverify t obligations =
-  (* collect obligations not already settled, deduplicated in batch *)
+  Hashtbl.reset t.verdicts;
+  (* collect the obligations, deduplicated in batch *)
   let seen = Hashtbl.create 64 in
   let fresh = ref [] and n_fresh = ref 0 in
   List.iter
     (fun (signer, body, tag) ->
        let key = obligation_key ~signer body tag in
-       if not (Hashtbl.mem seen key) && not (Hashtbl.mem t.cache key)
-       then begin
+       if not (Hashtbl.mem seen key) then begin
          Hashtbl.replace seen key ();
          fresh := (key, signer, body, tag) :: !fresh;
          incr n_fresh

@@ -5,14 +5,15 @@
     and the UCERTs carried by VOTE_Ps and RECOVER-RESPONSEs, as
     {!Ddemos.Vc_node.obligations} lists them. {!preverify} takes them,
     deduplicates, and, once at least four
-    are fresh, settles everything not already cached through one
+    are fresh, settles them all through one
     {!Ddemos.Auth.verify_batch} call (a single randomized multi-scalar
     multiplication under Schnorr — the 2.3x/entry micro win, here
     amortized {e across} messages, not just within one certificate).
-    Verdicts land in a bounded cache; the node's [env.verify_tag] hook
-    ({!verify}) reads them back, falling back to a direct
-    [Auth.verify] on a miss — so the observable semantics are exactly
-    the unhooked node's, only cheaper.
+    Verdicts last one tick: each {!preverify} starts an empty table, so
+    it holds at most what one tick's messages oblige. The node's
+    [env.verify_tag] hook ({!verify}) reads them back, falling back to
+    a direct [Auth.verify] on a miss — so the observable semantics are
+    exactly the unhooked node's, only cheaper.
 
     Adversarial inputs cannot hide behind the batch: when a batch
     fails, every obligation is re-settled individually, so exactly the
@@ -30,7 +31,7 @@ type t
 val create : keys:Ddemos.Auth.keys -> t
 
 (** Batch-settle the (signer, body, tag) obligations of a drained
-    message batch. *)
+    message batch, dropping the previous batch's verdicts. *)
 val preverify : t -> (int * string * Ddemos.Auth.tag) list -> unit
 
 (** The [Vc_node.env.verify_tag] hook: cached verdict, or a direct

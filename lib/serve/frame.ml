@@ -9,11 +9,6 @@ let encode_into buf payload =
   Buffer.add_char buf (Char.chr (n land 0xff));
   Buffer.add_string buf payload
 
-let encode payload =
-  let buf = Buffer.create (String.length payload + header_len) in
-  encode_into buf payload;
-  Buffer.contents buf
-
 type decoder = {
   mutable acc : Buffer.t;
   mutable pos : int;                 (* consumed prefix of [acc] *)
@@ -60,7 +55,6 @@ let pop d =
 
 let error d = d.err
 
-let buffered d = if d.err = None then Buffer.length d.acc - d.pos else 0
 
 type link = { conn : Transport.conn; dec : decoder; out : Buffer.t; mutable live : bool }
 

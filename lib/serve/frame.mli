@@ -4,12 +4,10 @@
     coalesced across {!feed} calls, and a hostile length prefix poisons
     the decoder (sticky {!error}) instead of allocating unboundedly. *)
 
-(** Frames larger than this are a protocol violation (1 MiB —
-    comfortably above the largest ANNOUNCE at supported scale); every
-    decoder enforces it. *)
+(** Frames larger than this are a protocol violation (1 MiB); every
+    decoder enforces it. A link message past it travels in pieces
+    ({!Mux.encode_split}). *)
 val max_frame_default : int
-
-val encode : string -> string
 
 (** Append the framed payload to [buf] without an intermediate copy. *)
 val encode_into : Buffer.t -> string -> unit
@@ -25,10 +23,8 @@ val feed : decoder -> string -> unit
 val pop : decoder -> string option
 
 (** Sticky error (oversized frame); the connection should be closed. *)
+(* lint: allow unused-export — test_serve checks a hostile length poisons the decoder *)
 val error : decoder -> string option
-
-(** Bytes buffered but not yet popped (backpressure accounting). *)
-val buffered : decoder -> int
 
 (** One framed endpoint, the runtime's connections and the load
     generator's channels alike: a {!Transport.conn} with its decoder

@@ -23,4 +23,3 @@ let drain ~max t =
   in
   go 0 []
 
-let length t = Queue.length t.q

@@ -13,4 +13,3 @@ val push : 'a t -> 'a -> bool
 (** Up to [max] queued items, oldest first. *)
 val drain : max:int -> 'a t -> 'a list
 
-val length : 'a t -> int

@@ -9,7 +9,8 @@ type t =
   | Bb of Messages.bb_msg list
 
 (* Link frame kinds: one message, or a batch of two or more. Client
-   frames are kinds 0 (vote) and 1 (reply). *)
+   frames are kinds 0 (vote) and 1 (reply). A payload past the frame
+   cap travels cut into pieces: kind 6 while more follow, 7 the last. *)
 type link_kind = { one : int; many : int }
 
 let vc_kind = { one = 2; many = 4 }
@@ -82,11 +83,28 @@ let split ~max_frame items =
   in
   go [] [] 0 0 items
 
+let piece_more = '\006' and piece_last = '\007'
+
+(* Only a lone message can outgrow [max_frame] after [split]. *)
+let pieces ~max_frame payload =
+  let n = String.length payload and chunk = max_frame - 1 in
+  if n <= max_frame then [ payload ]
+  else
+    List.init ((n + chunk - 1) / chunk) (fun k ->
+        let pos = k * chunk in
+        let len = min chunk (n - pos) in
+        String.make 1 (if pos + len = n then piece_last else piece_more)
+        ^ String.sub payload pos len)
+
 let encode_split ~max_frame msg =
+  let link kind encode ms =
+    List.concat_map
+      (fun group -> pieces ~max_frame (encode_items kind group))
+      (split ~max_frame (List.map encode ms))
+  in
   match msg with
-  | Vc ms ->
-    List.map (encode_items vc_kind) (split ~max_frame (List.map Messages.encode_vc_msg ms))
-  | Bb ms -> List.map (encode_items bb_kind) (split ~max_frame (List.map Messages.encode_bb_msg ms))
+  | Vc ms -> link vc_kind Messages.encode_vc_msg ms
+  | Bb ms -> link bb_kind Messages.encode_bb_msg ms
   | Client_vote _ | Client_reply _ -> [ frame_of msg ]
 
 let get_batch r decode_item =
@@ -95,7 +113,7 @@ let get_batch r decode_item =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (decode_item r :: acc) in
   go n []
 
-let decode (_ : Dd_group.Group_ctx.t) frame =
+let decode_payload frame =
   let vc r =
     match Messages.decode_vc_msg (Wire.get_bytes r) with
     | Some m -> m
@@ -124,3 +142,24 @@ let decode (_ : Dd_group.Group_ctx.t) frame =
       | 4 -> Vc (get_batch r vc)
       | 5 -> Bb (get_batch r bb)
       | _ -> raise (Wire.Malformed "mux: bad kind"))
+
+let decode (_ : Dd_group.Group_ctx.t) frame = decode_payload frame
+
+type assembler = { max_message : unit -> int; part : Buffer.t }
+
+let assembler ~max_message = { max_message; part = Buffer.create 0 }
+
+type received = Message of t | Piece | Malformed
+
+(* A payload that is not a piece drops a partial message, which only a
+   sender that breaks the piece order leaves behind. *)
+let receive a payload =
+  let piece = payload <> "" && (payload.[0] = piece_more || payload.[0] = piece_last) in
+  if piece then Buffer.add_substring a.part payload 1 (String.length payload - 1);
+  if piece && Buffer.length a.part > a.max_message () then (Buffer.reset a.part; Malformed)
+  else if piece && payload.[0] = piece_more then Piece
+  else begin
+    let whole = if piece then Buffer.contents a.part else payload in
+    Buffer.reset a.part;
+    match decode_payload whole with Some m -> Message m | None -> Malformed
+  end

@@ -47,6 +47,7 @@ type conn_state = {
   k_id : int;
   k_role : role;
   k_link : Frame.link;
+  k_parts : Mux.assembler;
   mutable k_channels : int;                     (* channel ids interned *)
 }
 
@@ -72,6 +73,7 @@ type stats = {
 type t = {
   batching : bool;
   src : source;
+  link_max : int Lazy.t;                       (* longest message on a peer link *)
   nv : int;
   nb : int;
   clock : clock;
@@ -117,11 +119,36 @@ let enqueue_out t conn payload =
 let register_conn t ~role conn =
   let id = t.next_conn in
   t.next_conn <- id + 1;
-  let cs = { k_id = id; k_role = role; k_link = Frame.link conn; k_channels = 0 } in
+  let max_message () =
+    match role with
+    | Client _ -> Frame.max_frame_default
+    | Link_vc _ | Link_bb _ -> Lazy.force t.link_max
+  in
+  let cs =
+    { k_id = id; k_role = role; k_link = Frame.link conn;
+      k_parts = Mux.assembler ~max_message; k_channels = 0 }
+  in
   t.conns <- cs :: t.conns;
   cs
 
 (* --- construction ------------------------------------------------------- *)
+
+(* The longest message an honest peer sends: one entry per ballot, each
+   a serial, a vote code and a UCERT of every collector's endorsement,
+   as a RECOVER_RESPONSE carries them. Pieces past it are refused; it
+   costs a signature, so it is worked out on the first piece. *)
+let link_max src =
+  let cfg = src.sv_cfg in
+  let tag = Auth.sign ~rng:(Drbg.create ~seed:"link_max") src.sv_keys.(0) "" in
+  let ucert =
+    { Messages.u_serial = 0; u_code = "";
+      endorsements = List.init cfg.Types.nv (fun i -> (i, tag)) }
+  in
+  let entry = (cfg.Types.n_voters, String.make Types.vote_code_bytes '\000', ucert) in
+  let one =
+    Messages.encode_vc_msg (Messages.Recover_response { sender = cfg.Types.nv; entries = [ entry ] })
+  in
+  Frame.max_frame_default + (cfg.Types.n_voters * String.length one)
 
 let make_env t i : Vc_node.env =
   { Vc_node.me = i;
@@ -149,6 +176,7 @@ let create ?(batching = true) src =
   let t =
     { batching;
       src;
+      link_max = lazy (link_max src);
       nv;
       nb;
       clock = { cnow = 1.0; cend = infinity };
@@ -257,9 +285,10 @@ let route t conn msg =
 let pump_conn t conn =
   let bytes, frames =
     Frame.pump conn.k_link (fun payload ->
-        match Mux.decode (gctx t) payload with
-        | Some msg -> route t conn msg
-        | None -> t.st.malformed <- t.st.malformed + 1)
+        match Mux.receive conn.k_parts payload with
+        | Mux.Message msg -> route t conn msg
+        | Mux.Piece -> ()
+        | Mux.Malformed -> t.st.malformed <- t.st.malformed + 1)
   in
   t.st.bytes_in <- t.st.bytes_in + bytes;
   t.st.frames_in <- t.st.frames_in + frames;
@@ -284,7 +313,8 @@ let process_bb t j =
   List.length msgs
 
 (* Each link's staged messages leave as one frame (more only past
-   [Frame.max_frame_default]); client replies stay one frame each. *)
+   [Frame.max_frame_default], a lone message past it in pieces); client
+   replies stay one frame each. *)
 let flush_staged t =
   let send conn msg =
     match conn with
@@ -399,5 +429,9 @@ let guarantees t ~votes (r : Loadgen.result) =
         ~timed_out:(r.Loadgen.lost > 0);
       Guarantees.ucert_uniqueness
         (List.sort_uniq compare (List.concat_map Vc_node.ucert_conflicts (Array.to_list t.vc)));
+      Guarantees.vote_set_agreement ~required:t.nv
+        (List.filter_map
+           (fun i -> Option.map (fun set -> (i, set)) (Vc_node.agreed_set t.vc.(i)))
+           (List.init t.nv Fun.id));
       Guarantees.receipt_contract ~receipts_bad:r.Loadgen.receipts_bad
         ~successes:r.Loadgen.successes ~agreed ]

@@ -22,7 +22,12 @@
       coalesced: each VC→VC and VC→BB link's messages for the tick
       leave as one {!Mux} batch frame, cut into more only where the
       next message would push a payload past
-      {!Frame.max_frame_default}, the cap every decoder enforces; the
+      {!Frame.max_frame_default}, the cap every decoder enforces. A
+      lone message past the cap (an ANNOUNCE, RECOVER_RESPONSE or
+      VOTE_SET_SUBMIT of a large vote set) travels in pieces, which
+      the receiving link joins up to the longest message an honest
+      peer sends: one RECOVER_RESPONSE entry with a full UCERT per
+      ballot of the election (more is counted [malformed]). The
       receiving pump routes a batch's messages in order, so every
       mailbox sees the sequence one frame per message would give.
       Client replies stay one frame each. Every link then makes one
@@ -95,7 +100,9 @@ val end_election : t -> unit
     can be judged by, once {!end_election} has been driven to idle:
     liveness from the load generator's counts (votes still in flight
     at a stall count as a timeout), UCERT uniqueness across the
-    collectors, and the receipt contract against the boards'
+    collectors, vote-set agreement over every collector's
+    {!Ddemos.Vc_node.agreed_set} (one that never submitted is a
+    violation), and the receipt contract against the boards'
     majority-read final set, or, for a source without boards, the
     first collector's agreed set ({!Ddemos.Vc_node.agreed_set}). *)
 val guarantees :
@@ -107,6 +114,7 @@ val bb_node : t -> int -> Ddemos.Bb_node.t option
 (** [observe_links t f] calls [f ~src ~dst msg] on every message a VC
     node puts on a VC→VC link, at flush and in send order, replacing
     any earlier observer. It sees the traffic and cannot change it. *)
+(* lint: allow unused-export — test_serve watches VSC traffic on the peer links *)
 val observe_links :
   t -> (src:int -> dst:int -> Ddemos.Messages.vc_msg -> unit) -> unit
 

@@ -5,24 +5,6 @@ type conn = {
   close : unit -> unit;
 }
 
-let recv_all c =
-  let first = c.recv () in
-  if first = "" then ""
-  else begin
-    let buf = Buffer.create (String.length first) in
-    Buffer.add_string buf first;
-    let rec go () =
-      let s = c.recv () in
-      if s = "" then ()
-      else begin
-        Buffer.add_string buf s;
-        go ()
-      end
-    in
-    go ();
-    Buffer.contents buf
-  end
-
 let send_string c s =
   let n = String.length s in
   let rec go pos =

@@ -18,9 +18,6 @@ type conn = {
   close : unit -> unit;
 }
 
-(** Drain everything currently available. *)
-val recv_all : conn -> string
-
 (** Best-effort send of a whole string; returns the accepted prefix
     length. *)
 val send_string : conn -> string -> int

@@ -151,5 +151,3 @@ let decode bytes =
     | Some s, Some r when not (Curve.is_infinity r) -> Some { s; r }
     | _ -> None
 
-let encode_pk pk = Curve.encode pk
-let decode_pk s = Curve.decode s

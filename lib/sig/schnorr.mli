@@ -60,16 +60,16 @@ val verify_batch :
 
 (** Sorted indices of the invalid signatures, found by bisecting
     sub-batches; [[]] iff every signature verifies. *)
+(* lint: allow unused-export — test_sig checks the bisection names the forged items *)
 val verify_batch_find :
   Dd_crypto.Drbg.t ->
   (public_key * string * signature) array -> int list
 
 (** The nonce commitment R a signature carries. *)
+(* lint: allow unused-export — test_core "chunk points affine" *)
 val commitment : signature -> Curve.point
 
 (** [s || R compressed], 65 bytes. [decode] rejects a non-canonical
     [s >= n] and an R that is off the curve or the identity. *)
 val encode : signature -> string
 val decode : string -> signature option
-val encode_pk : public_key -> string
-val decode_pk : string -> public_key option

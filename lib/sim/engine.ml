@@ -113,4 +113,3 @@ let run ?until t =
   done;
   (!executed, !outcome)
 
-let pending t = t.size

@@ -30,5 +30,3 @@ type run_outcome = [ `Drained | `Paused ]
     always [`Drained]. *)
 val run : ?until:time -> t -> int * run_outcome
 
-(** Number of queued events. *)
-val pending : t -> int

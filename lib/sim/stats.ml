@@ -13,7 +13,6 @@ let record s v =
   s.samples <- v :: s.samples;
   s.count <- s.count + 1
 
-let count s = s.count
 
 let mean s =
   if s.count = 0 then 0.
@@ -33,7 +32,6 @@ let median s = percentile s 50.
 let p99 s = percentile s 99.
 
 let max_sample s = List.fold_left max neg_infinity s.samples
-let min_sample s = List.fold_left min infinity s.samples
 
 (* Throughput over an explicit window of virtual time. *)
 let throughput ~completed ~duration =

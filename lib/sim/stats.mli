@@ -4,12 +4,10 @@ type sample_set
 
 val sample_set : unit -> sample_set
 val record : sample_set -> float -> unit
-val count : sample_set -> int
 val mean : sample_set -> float
 val median : sample_set -> float
 val p99 : sample_set -> float
 val max_sample : sample_set -> float
-val min_sample : sample_set -> float
 
 (** [throughput ~completed ~duration] in operations per (virtual)
     second; 0 for an empty window. *)

@@ -4,9 +4,7 @@ val add : int -> int -> int
 val sub : int -> int -> int
 val mul : int -> int -> int
 
-(** Raises [Division_by_zero] on 0. *)
-val inv : int -> int
-
+(** Raises [Division_by_zero] on a zero divisor. *)
 val div : int -> int -> int
 
 (** Horner evaluation; coefficients are ordered constant-term first. *)

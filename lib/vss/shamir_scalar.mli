@@ -22,4 +22,5 @@ val split :
 val reconstruct : Modular.ctx -> threshold:int -> share list -> Nat.t
 
 (** Share-wise addition: valid only for shares at the same [x]. *)
+(* lint: allow unused-export — test_vss "additive homomorphism" *)
 val add : Modular.ctx -> share -> share -> share

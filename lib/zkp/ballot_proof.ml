@@ -90,11 +90,6 @@ let simulated_jobs (o : Elgamal.opening) ~challenge ~response =
   let sign = Modular.sub fn Nat.one (Modular.add fn o.Elgamal.msg o.Elgamal.msg) in
   ([ (g, s) ], [ (h, s); (g, Modular.mul fn challenge sign) ])
 
-let simulated_move o ~challenge ~response : Chaum_pedersen.first_move =
-  let t1, t2 = simulated_jobs o ~challenge ~response in
-  let pts = Curve.mul_base_batch [| t1; t2 |] in
-  { t1 = pts.(0); t2 = pts.(1) }
-
 (* Draw the prover's randomness for a ballot part: per row the real
    branch's nonce w, then the simulated branch's challenge and response
    (Chaum_pedersen.commit's and simulate's draw order), then the sum

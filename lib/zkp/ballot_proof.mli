@@ -17,7 +17,7 @@ type final_move
     elections; larger [k] implements the k-out-of-m extension from the
     paper's conclusion). Precondition: [openings.(i)] opens
     [commitments.(i)]. The simulated OR branch of each row is computed
-    from that opening ({!simulated_move}), not from the commitment, so a
+    from that opening, not from the commitment, so a
     mismatched pair yields a proof that does not verify. Every point of
     the first move comes out affine. Raises [Invalid_argument] on a
     non-0/1 message or an arity mismatch. *)
@@ -42,18 +42,8 @@ val first_move_jobs :
 val first_move_of_points : Dd_group.Curve.point array -> first_move
 
 (** Inverse of {!first_move_of_points}. *)
+(* lint: allow unused-export — test_core "chunk points affine" *)
 val first_move_points : first_move -> Dd_group.Curve.point array
-
-(** [simulated_move o ~challenge ~response] is the first move of
-    the OR branch that the opening [o] (message 0 or 1) does not
-    satisfy, for the given simulated challenge and response: equal to
-    what [Chaum_pedersen.simulate] derives from that branch's statement
-    with the same [(challenge, response)], but computed from the
-    witness with three fixed-base multiplications. Its operation
-    sequence does not depend on the message. *)
-val simulated_move :
-  Elgamal.opening -> challenge:Nat.t -> response:Nat.t ->
-  Chaum_pedersen.first_move
 
 (** Compute the response for the (voter-coin-derived) challenge. *)
 val finalize : prover_state -> challenge:Nat.t -> final_move

@@ -20,6 +20,7 @@ type first_move = {
 type prover_state = Nat.t
 
 (** First move; keep the returned state secret until the challenge. *)
+(* lint: allow unused-export — test_zkp runs the Sigma protocol's moves *)
 val commit :
   Dd_crypto.Drbg.t -> statement -> prover_state * first_move
 
@@ -46,6 +47,7 @@ val accumulate : Dd_group.Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> instance -> u
 
 (** Accepting transcript for a chosen challenge without the witness
     (honest-verifier zero-knowledge simulator; used in OR proofs). *)
+(* lint: allow unused-export — test_zkp runs the Sigma protocol's moves *)
 val simulate :
   Dd_crypto.Drbg.t -> statement -> challenge:Nat.t ->
   first_move * Nat.t

@@ -12,6 +12,10 @@ module Messages = Ddemos.Messages
 module Ballot_gen = Ddemos.Ballot_gen
 module Shamir_bytes = Dd_vss.Shamir_bytes
 
+(* A VOTE_SET_SUBMIT, handled as the wire delivers it. *)
+let submit bb ~sender ~set ~msk_share =
+  Bb_node.handle bb (Messages.Vote_set_submit { sender; set; msk_share })
+
 let cfg = { Types.default_config with Types.n_voters = 3; Types.m_options = 2 }
 let seed = "bbtest"
 let setup = lazy (Ea.setup cfg ~seed)
@@ -41,7 +45,7 @@ let submit_all ?(senders = [ 0; 1; 2; 3 ]) bb =
   in
   List.iter
     (fun sender ->
-       Bb_node.on_vote_set_submit bb ~sender ~set:(the_set ()) ~msk_share:msk_shares.(sender))
+       submit bb ~sender ~set:(the_set ()) ~msk_share:msk_shares.(sender))
     senders
 
 let test_final_set_needs_quorum () =
@@ -59,15 +63,15 @@ let test_disagreeing_sets_do_not_publish () =
   let msk_shares =
     Ballot_gen.msk_shares ~seed ~threshold:(cfg.Types.nv - cfg.Types.fv) ~shares:cfg.Types.nv
   in
-  Bb_node.on_vote_set_submit bb ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
-  Bb_node.on_vote_set_submit bb ~sender:1 ~set:[] ~msk_share:msk_shares.(1);
+  submit bb ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
+  submit bb ~sender:1 ~set:[] ~msk_share:msk_shares.(1);
   Alcotest.(check bool) "no quorum yet" true
     ((Bb_node.published bb).Bb_node.final_set = None);
   (* a Byzantine VC resubmitting is ignored (first write wins) *)
-  Bb_node.on_vote_set_submit bb ~sender:1 ~set:(the_set ()) ~msk_share:msk_shares.(1);
+  submit bb ~sender:1 ~set:(the_set ()) ~msk_share:msk_shares.(1);
   Alcotest.(check bool) "duplicate sender ignored" true
     ((Bb_node.published bb).Bb_node.final_set = None);
-  Bb_node.on_vote_set_submit bb ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
+  submit bb ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
   Alcotest.(check bool) "honest quorum prevails" true
     ((Bb_node.published bb).Bb_node.final_set = Some (the_set ()))
 
@@ -91,12 +95,12 @@ let test_corrupt_msk_share_tolerated () =
      subsets and still finds the real key once enough honest shares
      arrive *)
   let garbage = { Shamir_bytes.x = 4; Shamir_bytes.data = String.make 16 '\000' } in
-  Bb_node.on_vote_set_submit bb ~sender:3 ~set:(the_set ()) ~msk_share:garbage;
-  Bb_node.on_vote_set_submit bb ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
-  Bb_node.on_vote_set_submit bb ~sender:1 ~set:(the_set ()) ~msk_share:msk_shares.(1);
+  submit bb ~sender:3 ~set:(the_set ()) ~msk_share:garbage;
+  submit bb ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
+  submit bb ~sender:1 ~set:(the_set ()) ~msk_share:msk_shares.(1);
   Alcotest.(check bool) "not yet (one bad among three)" true
     ((Bb_node.published bb).Bb_node.msk = None);
-  Bb_node.on_vote_set_submit bb ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
+  submit bb ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
   match (Bb_node.published bb).Bb_node.msk with
   | Some msk -> Alcotest.(check string) "recovered despite corrupt share" (Ballot_gen.msk ~seed) msk
   | None -> Alcotest.fail "msk not reconstructed"
@@ -122,9 +126,9 @@ let test_esum_waits_for_opened_codes () =
   let msk_shares =
     Ballot_gen.msk_shares ~seed ~threshold:(cfg.Types.nv - cfg.Types.fv) ~shares:cfg.Types.nv
   in
-  Bb_node.on_vote_set_submit once ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
-  Bb_node.on_vote_set_submit once ~sender:1 ~set:[] ~msk_share:msk_shares.(1);
-  Bb_node.on_vote_set_submit once ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
+  submit once ~sender:0 ~set:(the_set ()) ~msk_share:msk_shares.(0);
+  submit once ~sender:1 ~set:[] ~msk_share:msk_shares.(1);
+  submit once ~sender:2 ~set:(the_set ()) ~msk_share:msk_shares.(2);
   let esum b =
     match (Bb_node.published b).Bb_node.encrypted_tally with
     | Some e -> Array.to_list (Array.map Dd_commit.Elgamal.encode e)
@@ -210,6 +214,9 @@ module Trustee_payload = Ddemos.Trustee_payload
 module Elgamal = Dd_commit.Elgamal
 module Nat = Dd_bignum.Nat
 
+(* Hex of a natural's big-endian bytes, for messages and known answers. *)
+let nat_hex ?len a = Dd_crypto.Sha256.hex_of_string (Nat.to_bytes_be ?len a)
+
 (* Every trustee's posts of an honest run, per trustee in posting order,
    captured instead of delivered. *)
 let honest_posts =
@@ -264,7 +271,7 @@ let openings_and_tally bb =
          let scalars =
            Array.map
              (Array.map (fun (op : Elgamal.opening) ->
-                  (Nat.to_hex op.Elgamal.msg, Nat.to_hex op.Elgamal.rand)))
+                  (nat_hex op.Elgamal.msg, nat_hex op.Elgamal.rand)))
              o
          in
          ((serial, Types.part_index part), scalars) :: acc)

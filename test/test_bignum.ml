@@ -5,10 +5,13 @@
    over secp256k1's prime against Barrett. *)
 
 module Nat = Dd_bignum.Nat
+
+(* Hex of a natural's big-endian bytes, for messages and known answers. *)
+let nat_hex ?len a = Dd_crypto.Sha256.hex_of_string (Nat.to_bytes_be ?len a)
 module Modular = Dd_bignum.Modular
 module Fe = Dd_bignum.Fe
 
-let nat = Alcotest.testable Nat.pp Nat.equal
+let nat = Alcotest.testable (fun fmt a -> Format.pp_print_string fmt (nat_hex a)) Nat.equal
 
 (* --- generators ------------------------------------------------------ *)
 
@@ -19,9 +22,9 @@ let gen_nat_bits bits =
          Nat.of_bytes_be (String.init (bits / 8 + 1) (fun i -> Char.chr (List.nth bytes i))))
       (list_repeat (bits / 8 + 1) (int_range 0 255)))
 
-let arb_nat = QCheck.make ~print:Nat.to_decimal (gen_nat_bits 256)
-let arb_small = QCheck.make ~print:Nat.to_decimal (gen_nat_bits 64)
-let arb_nat512 = QCheck.make ~print:Nat.to_decimal (gen_nat_bits 512)
+let arb_nat = QCheck.make ~print:nat_hex (gen_nat_bits 256)
+let arb_small = QCheck.make ~print:nat_hex (gen_nat_bits 64)
+let arb_nat512 = QCheck.make ~print:nat_hex (gen_nat_bits 512)
 
 let secp_p =
   Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
@@ -80,14 +83,14 @@ let test_add_sub () =
     (fun () -> ignore (Nat.sub b a))
 
 let test_mul_known () =
-  let a = Nat.of_decimal "123456789123456789123456789" in
-  let b = Nat.of_decimal "987654321987654321" in
+  let a = Nat.of_hex "661efdf2e3b19f7c045f15" in
+  let b = Nat.of_hex "db4da5f7ef412b1" in
   Alcotest.(check string) "known product"
-    "121932631356500531469135800347203169112635269"
-    (Nat.to_decimal (Nat.mul a b))
+    "0577b7cc60bdcf019100cc67528bbf03b93785"
+    (nat_hex (Nat.mul a b))
 
 let test_divmod_single_limb () =
-  let a = Nat.of_decimal "123456789123456789123456789" in
+  let a = Nat.of_hex "661efdf2e3b19f7c045f15" in
   let q, r = Nat.divmod a (Nat.of_int 97) in
   Alcotest.check nat "q*97+r = a" a (Nat.add (Nat.mul q (Nat.of_int 97)) r);
   Alcotest.(check bool) "r < 97" true (Nat.compare r (Nat.of_int 97) < 0)
@@ -121,15 +124,8 @@ let test_bytes_roundtrip () =
 let test_hex_roundtrip () =
   Alcotest.(check string) "hex of p"
     "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
-    (Nat.to_hex secp_p);
-  Alcotest.check nat "hex roundtrip" secp_p (Nat.of_hex (Nat.to_hex secp_p))
-
-let test_decimal () =
-  Alcotest.(check string) "decimal small" "1234567" (Nat.to_decimal (Nat.of_int 1234567));
-  Alcotest.(check string) "decimal zero" "0" (Nat.to_decimal Nat.zero);
-  let big = "115792089237316195423570985008687907853269984665640564039457584007908834671663" in
-  Alcotest.(check string) "decimal of p" big (Nat.to_decimal secp_p);
-  Alcotest.check nat "decimal roundtrip" secp_p (Nat.of_decimal big)
+    (nat_hex secp_p);
+  Alcotest.check nat "hex roundtrip" secp_p (Nat.of_hex (nat_hex secp_p))
 
 (* --- modular unit tests ----------------------------------------------- *)
 
@@ -138,8 +134,8 @@ let test_modular_basic () =
   Alcotest.check nat "reduce" (Nat.of_int 3) (Modular.reduce ctx (Nat.of_int 100));
   Alcotest.check nat "add wrap" (Nat.of_int 1) (Modular.add ctx (Nat.of_int 50) (Nat.of_int 48));
   Alcotest.check nat "sub wrap" (Nat.of_int 95) (Modular.sub ctx (Nat.of_int 1) (Nat.of_int 3));
-  Alcotest.check nat "neg" (Nat.of_int 96) (Modular.neg ctx Nat.one);
-  Alcotest.check nat "neg zero" Nat.zero (Modular.neg ctx Nat.zero)
+  Alcotest.check nat "neg" (Nat.of_int 96) (Modular.sub ctx Nat.zero Nat.one);
+  Alcotest.check nat "neg zero" Nat.zero (Modular.sub ctx Nat.zero Nat.zero)
 
 let test_modular_pow () =
   let ctx = Modular.create (Nat.of_int 97) in
@@ -209,10 +205,6 @@ let prop_sqr_is_mul =
 let prop_bytes_roundtrip =
   QCheck.Test.make ~name:"bytes roundtrip" ~count:200 arb_nat
     (fun a -> Nat.equal a (Nat.of_bytes_be (Nat.to_bytes_be a)))
-
-let prop_decimal_roundtrip =
-  QCheck.Test.make ~name:"decimal roundtrip" ~count:100 arb_nat
-    (fun a -> Nat.equal a (Nat.of_decimal (Nat.to_decimal a)))
 
 (* The only reduction path: on every curve modulus, [reduce] of a
    512-bit input and [mul]/[sqr] of two residues agree with long
@@ -342,7 +334,7 @@ let fe_edges prime =
 
 (* A residue of the field, as a seed: half the draws are edge values. *)
 let arb_fe_seed =
-  QCheck.make ~print:Nat.to_decimal
+  QCheck.make ~print:nat_hex
     QCheck.Gen.(
       oneof
         [ gen_nat_bits 256;
@@ -363,7 +355,7 @@ let prop_fe_arith =
          && is (fun () -> Fe.sqr d x) (Modular.mul fp a a)
          && is (fun () -> Fe.add d x y) (Modular.add fp a b)
          && is (fun () -> Fe.sub d x y) (Modular.sub fp a b)
-         && is (fun () -> Fe.neg d x) (Modular.neg fp a)
+         && is (fun () -> Fe.neg d x) (Modular.sub fp Nat.zero a)
          && is (fun () -> Fe.select d 1 x y) a
          && is (fun () -> Fe.select d 0 x y) b
          && Fe.equal x y = Nat.equal a b
@@ -381,7 +373,7 @@ let prop_fe_aliasing =
          && into (fun x -> Fe.sqr x x) (Modular.mul fp a a)
          && into (fun x -> Fe.sub x (Fe.of_nat b) x) (Modular.sub fp b a)
          && into (fun x -> Fe.add x x x) (Modular.add fp a a)
-         && into (fun x -> Fe.neg x x) (Modular.neg fp a)))
+         && into (fun x -> Fe.neg x x) (Modular.sub fp Nat.zero a)))
 
 let prop_fe_inv_sqrt =
   QCheck.Test.make ~name:"Fe inv/sqrt = Barrett pow" ~count:60
@@ -426,7 +418,7 @@ let test_fe_edges () =
        Fe.sqr d x;
        Alcotest.check nat "sqr" (Modular.mul fp a a) (Fe.to_nat d);
        Fe.neg d x;
-       Alcotest.check nat "neg" (Modular.neg fp a) (Fe.to_nat d);
+       Alcotest.check nat "neg" (Modular.sub fp Nat.zero a) (Fe.to_nat d);
        if not (Nat.is_zero a) then begin
          Fe.inv d x;
          Fe.mul d d x;
@@ -451,8 +443,7 @@ let () =
          Alcotest.test_case "shifts" `Quick test_shifts;
          Alcotest.test_case "bit length" `Quick test_bit_length;
          Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
-         Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
-         Alcotest.test_case "decimal" `Quick test_decimal ]);
+         Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip ]);
       ("modular-unit",
        [ Alcotest.test_case "basic ops" `Quick test_modular_basic;
          Alcotest.test_case "pow" `Quick test_modular_pow;
@@ -464,7 +455,7 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_add_comm; prop_add_assoc; prop_mul_comm; prop_mul_distributes;
            prop_divmod_invariant; prop_divmod_large_divisor; prop_sub_inverse;
-           prop_sqr_is_mul; prop_bytes_roundtrip; prop_decimal_roundtrip;
+           prop_sqr_is_mul; prop_bytes_roundtrip;
            prop_barrett_matches_divmod; prop_pow_add_exponents; prop_inv_involutive ]);
       ("scalar-field-inversion", [ QCheck_alcotest.to_alcotest prop_inv_is_fermat ]);
       ("fe-differential",

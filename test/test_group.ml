@@ -2,6 +2,9 @@
    properties, point codec, hash-to-point/scalar. *)
 
 module Nat = Dd_bignum.Nat
+
+(* Hex of a natural's big-endian bytes, for messages and known answers. *)
+let nat_hex ?len a = Dd_crypto.Sha256.hex_of_string (Nat.to_bytes_be ?len a)
 module Curve = Dd_group.Curve
 module Group_ctx = Dd_group.Group_ctx
 
@@ -11,7 +14,7 @@ let point = Alcotest.testable (fun fmt _ -> Format.fprintf fmt "<point>") Curve.
 
 let arb_scalar =
   QCheck.make
-    ~print:Nat.to_hex
+    ~print:nat_hex
     QCheck.Gen.(
       map
         (fun bytes -> Nat.of_bytes_be (String.init 32 (fun i -> Char.chr (List.nth bytes i))))
@@ -25,20 +28,20 @@ let test_generator_on_curve () =
   | Some xy -> Alcotest.(check bool) "on curve" true (Curve.on_curve xy)
 
 let test_2g_known () =
-  match Curve.to_affine (Curve.double g) with
+  match Curve.to_affine (Curve.mul_int 2 g) with
   | None -> Alcotest.fail "2G infinity"
   | Some (x, y) ->
     Alcotest.(check string) "2G.x"
-      "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5" (Nat.to_hex x);
+      "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5" (nat_hex ~len:32 x);
     Alcotest.(check string) "2G.y"
-      "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a" (Nat.to_hex y)
+      "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a" (nat_hex ~len:32 y)
 
 let test_5g_known () =
   match Curve.to_affine (Curve.mul_int 5 g) with
   | None -> Alcotest.fail "5G infinity"
   | Some (x, _) ->
     Alcotest.(check string) "5G.x"
-      "2f8bde4d1a07209355b4a7250a5c5128e88b84bddc619ab7cba8d569b240efe4" (Nat.to_hex x)
+      "2f8bde4d1a07209355b4a7250a5c5128e88b84bddc619ab7cba8d569b240efe4" (nat_hex ~len:32 x)
 
 let test_order_annihilates () =
   Alcotest.check point "nG = O" Curve.infinity (Curve.mul Curve.order g);
@@ -86,7 +89,7 @@ let test_group_ctx_mul_fast_path () =
   Alcotest.check point "mul g" (Curve.mul k g) (Group_ctx.mul k g);
   Alcotest.check point "mul h" (Curve.mul k Group_ctx.h)
     (Group_ctx.mul k Group_ctx.h);
-  let other = Curve.double g in
+  let other = Curve.mul_int 2 g in
   Alcotest.check point "mul other" (Curve.mul k other) (Group_ctx.mul k other)
 
 let test_compressed_codec () =
@@ -110,18 +113,24 @@ let test_compressed_codec () =
   in
   Alcotest.(check bool) "some x has no curve point" true (non_residue_x 2 > 0)
 
+(* Square root in F_p through [Fe.sqrt] (p = 3 mod 4); [None] for a
+   non-residue. *)
+let field_sqrt a =
+  let y = Dd_bignum.Fe.of_nat a in
+  if Dd_bignum.Fe.sqrt y y then Some (Dd_bignum.Fe.to_nat y) else None
+
 let test_field_sqrt () =
   let fp = Dd_bignum.Modular.create Dd_bignum.Fe.prime in
   let x = Dd_bignum.Nat.of_int 1234567 in
   let sq = Dd_bignum.Modular.sqr fp x in
-  (match Curve.field_sqrt sq with
+  (match field_sqrt sq with
    | Some r ->
      Alcotest.(check bool) "sqrt of square" true
        (Dd_bignum.Nat.equal (Dd_bignum.Modular.sqr fp r) sq)
    | None -> Alcotest.fail "square has no root?");
   (* find a non-residue: for p = 3 mod 4, -1 is one *)
-  let minus_one = Dd_bignum.Modular.neg fp Dd_bignum.Nat.one in
-  Alcotest.(check bool) "-1 is a non-residue" true (Curve.field_sqrt minus_one = None)
+  let minus_one = Dd_bignum.Modular.sub fp Dd_bignum.Nat.zero Dd_bignum.Nat.one in
+  Alcotest.(check bool) "-1 is a non-residue" true (field_sqrt minus_one = None)
 
 (* --- group-law properties ----------------------------------------------- *)
 
@@ -149,7 +158,7 @@ let prop_double_is_add =
   QCheck.Test.make ~name:"2P = P+P" ~count:30 arb_scalar
     (fun a ->
        let p = Curve.mul a g in
-       Curve.equal (Curve.double p) (Curve.add p p))
+       Curve.equal (Curve.mul_int 2 p) (Curve.add p p))
 
 let prop_neg_inverse =
   QCheck.Test.make ~name:"P + (-P) = O" ~count:30 arb_scalar
@@ -191,7 +200,7 @@ let prop_point_bytes_fuzz =
     let xp = Nat.to_bytes_be ~len:32 (Nat.add x Dd_bignum.Fe.prime) in
     let fp = Dd_bignum.Modular.create Dd_bignum.Fe.prime in
     let rhs = Dd_bignum.Modular.add fp (Dd_bignum.Modular.mul fp x (Dd_bignum.Modular.sqr fp x)) (Nat.of_int 7) in
-    match Curve.field_sqrt rhs with
+    match field_sqrt rhs with
     | Some y -> [ "\x02" ^ xp; "\x03" ^ xp; "\x04" ^ xp ^ Nat.to_bytes_be ~len:32 y ]
     | None -> [ "\x02" ^ xp; "\x03" ^ xp ]
   in
@@ -311,7 +320,7 @@ let check_table_layout ~width =
   Array.iteri
     (fun i row ->
        Alcotest.(check int) "entries" (1 lsl (width - 1)) (Array.length row);
-       let twice = Curve.double !base in
+       let twice = Curve.add !base !base in
        let want = ref !base in
        Array.iteri
          (fun j e ->
@@ -319,7 +328,7 @@ let check_table_layout ~width =
               Alcotest.failf "entry (%d, %d) is not affine (2j+1)*2^(%d*i)*B" i j width;
             want := Curve.add !want twice)
          row;
-       for _ = 1 to width do base := Curve.double !base done)
+       for _ = 1 to width do base := Curve.add !base !base done)
     rows;
   let rows = Curve.base_table_rows (Curve.make_base_table ~width Curve.infinity) in
   Alcotest.(check int) "identity table has no rows" 0 (Array.length rows)
@@ -353,7 +362,7 @@ let edge_scalars ~width =
   [ Nat.zero; Nat.one; Nat.two; Nat.sub order Nat.one; Nat.sub order Nat.two;
     scalar_of_recoded ~width (Nat.sub order Nat.one);
     scalar_of_recoded ~width Nat.zero;
-    equal_case; Dd_bignum.Modular.neg fn equal_case ]
+    equal_case; Dd_bignum.Modular.sub fn Nat.zero equal_case ]
   @ List.init rows (fun i ->
       Nat.mul (Nat.of_int ((1 lsl width) - 1)) (Nat.shift_left Nat.one (width * i)))
 
@@ -363,7 +372,7 @@ let test_base_table_edge_scalars () =
        List.iter
          (fun k ->
             Alcotest.(check bool)
-              (Printf.sprintf "w%d k = %s" width (Nat.to_hex k)) true
+              (Printf.sprintf "w%d k = %s" width (nat_hex k)) true
               (Curve.equal (Curve.mul k g) (Curve.mul_base_table (table_of_width width) k)))
          (edge_scalars ~width))
     [ 4; 8 ]
@@ -407,7 +416,7 @@ let test_batch_edge_scalars () =
            ([ (table, k); (h_table, r) ], [ g; hv ]);
            (* the same base twice: the merge meets P + P and P + (-P) *)
            ([ (table, k); (table, k) ], [ g; g ]);
-           ([ (table, k); (table, Dd_bignum.Modular.neg Curve.scalar_field k) ], [ g; g ]) ])
+           ([ (table, k); (table, Dd_bignum.Modular.sub Curve.scalar_field Nat.zero k) ], [ g; g ]) ])
       wide
   in
   let cases = single @ narrow @ two @ [ ([], []) ] in
@@ -564,7 +573,7 @@ let test_msm_edge_cases () =
   chk "P and -P cancel" Curve.infinity
     (Curve.msm [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg p) |]);
   (* tiny scalars ride the direct-add path (pinned batch weights) *)
-  chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.double p) |];
+  chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.add p p) |];
   chk_naive "scalar above the order reduces" [| (Nat.add order (Nat.of_int 5), p) |]
 
 (* The arena is reused: calls of random sizes on both sides of the

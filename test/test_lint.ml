@@ -408,6 +408,52 @@ let test_domain_escape () =
   check_clean "sequential mutation outside the pool call is fine"
     "let sum xs = let total = ref 0 in Array.iter (fun x -> total := !total + x) xs; !total"
 
+(* --- R9: unused-export --------------------------------------------- *)
+
+let foo_mli = ("lib/core/foo.mli", "val f : int -> int\nmodule Pool : sig val run : int end\n")
+
+let test_unused_export () =
+  let r9 name ?(file = "bin/caller.ml") ?(interfaces = [ foo_mli ]) fires source =
+    (if fires then check_fires else check_silent)
+      name "unused-export" ~file ~interfaces source
+  in
+  r9 "an export nobody calls" true "let x = 1";
+  r9 "a caller inside the export's own unit does not count" true ~file:"lib/core/foo.ml"
+    ~interfaces:[ ("lib/core/foo.mli", "module Pool : sig val run : int end\n") ]
+    "module Pool = struct let run = 1 end\nlet x = Pool.run";
+  r9 "a direct caller" false "let x = Foo.f (Foo.Pool.run)";
+  r9 "a caller through the library wrapper" false "let x = Ddemos.Foo.f Ddemos.Foo.Pool.run";
+  r9 "a caller through a module alias" false
+    "module F = Ddemos.Foo\nmodule P = F.Pool\nlet x = F.f P.run";
+  r9 "a caller through open" false "open Ddemos.Foo\nlet x = f Pool.run";
+  r9 "a caller through a local open" false
+    "let x = Ddemos.Foo.(f 1)\nlet y = let open Ddemos.Foo.Pool in run";
+  r9 "a caller through include" false ~file:"lib/core/bar.ml" "include Foo";
+  r9 "a caller through a module alias an interface declares" false
+    ~interfaces:[ foo_mli; ("lib/serve/wrap.mli", "module Foo = Ddemos.Foo\n") ]
+    "let x = Dd_serve.Wrap.Foo.f Wrap.Foo.Pool.run";
+  (* a re-export uses the original; the re-exported name needs its own caller *)
+  let bar_mli = ("lib/serve/bar.mli", "val g : int -> int\nval p : int\n") in
+  let fs =
+    lint ~file:"lib/serve/bar.ml" ~interfaces:[ foo_mli; bar_mli ]
+      "let g = Ddemos.Foo.f\nlet p = Ddemos.Foo.Pool.run"
+  in
+  Alcotest.(check (list string)) "re-exports use the originals, and need callers"
+    [ "lib/serve/bar.mli" ]
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun f -> if f.Findings.rule = "unused-export" then Some f.Findings.file else None)
+          fs));
+  r9 "a test is not a caller" true ~file:"test/test_foo.ml" "let x = Foo.f Foo.Pool.run";
+  r9 "a test-only export with its allow" false ~file:"test/test_foo.ml"
+    ~interfaces:
+      [ ("lib/core/foo.mli",
+         "(* lint: allow unused-export — test_foo needs it *)\nval f : int -> int\n") ]
+    "let x = Foo.f 1";
+  check_fires "an allow that names no test" "bare-allow" ~file:"test/test_foo.ml"
+    ~interfaces:[ ("lib/core/foo.mli", "(* lint: allow unused-export *)\nval f : int -> int\n") ]
+    "let x = Foo.f 1"
+
 (* --- suppressions ------------------------------------------------------ *)
 
 let test_suppression () =
@@ -450,12 +496,15 @@ let test_parse_error () =
   Alcotest.(check (list string)) "parse finding" [ "parse" ] (rules_hit fs)
 
 let test_harvest () =
-  Alcotest.(check (list string)) "harvests both wire types"
-    [ "Ping"; "Pong"; "Post" ]
-    (Lint.harvest_wire_constructors
-       ~source:"type vc_msg = Ping of int | Pong\ntype bb_msg = Post\ntype other = Not_wire");
-  Alcotest.(check (list string)) "nothing to harvest" []
-    (Lint.harvest_wire_constructors ~source:"let x = 1");
+  let harvest source =
+    let path = Filename.concat (Filename.get_temp_dir_name ()) "messages.ml" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc source);
+    Lint.wire_constructors [ path ]
+  in
+  Alcotest.(check (result (list string) pass)) "harvests both wire types"
+    (Ok [ "Ping"; "Pong"; "Post" ])
+    (harvest "type vc_msg = Ping of int | Pong\ntype bb_msg = Post\ntype other = Not_wire");
+  Alcotest.(check bool) "nothing to harvest" true (Result.is_error (harvest "let x = 1"));
   (* no messages.ml among the files and none under lib/core here: an
      error, never a built-in list *)
   Alcotest.(check bool) "no messages.ml is an error" true
@@ -471,8 +520,8 @@ let test_findings_output () =
   Alcotest.(check string) "file" "lib/core/fixture.ml" f.Findings.file;
   Alcotest.(check bool) "text line" true (String.length (Findings.to_text f) > 0)
 
-(* The shipped tree must lint clean: the @lint alias is the real gate,
-   but catching a regression here gives a much faster signal. *)
+(* The shipped tree must lint clean, R9 included: the @lint alias is the
+   real gate, but catching a regression here gives a much faster signal. *)
 let test_tree_clean () =
   let roots = List.filter Sys.file_exists [ "../lib"; "../bin"; "../bench" ] in
   if roots <> [] then begin
@@ -483,7 +532,8 @@ let test_tree_clean () =
       | Ok cs -> cs
       | Error why -> Alcotest.fail why
     in
-    let fs = Lint.lint_program ~rules:(Rules.all ~wire_constructors) files in
+    let callers = Lint.ml_files (List.map (( ^ ) "../") Lint.caller_roots) in
+    let fs = Lint.lint_program ~rules:(Rules.all ~wire_constructors) ~callers files in
     List.iter (fun f -> Printf.eprintf "%s\n" (Findings.to_text f)) fs;
     Alcotest.(check int) "tree findings" 0 (List.length fs)
   end
@@ -501,7 +551,10 @@ let test_docs_cover_rules () =
     |> List.filter_map (fun line ->
         Scanf.sscanf_opt line "## R%d `%[^`]`" (fun _ name -> name))
   in
-  let names = List.map (fun r -> r.Rules.name) rules @ [ Dd_analysis.Taint.rule_name ] in
+  let names =
+    List.map (fun r -> r.Rules.name) rules
+    @ [ Dd_analysis.Taint.rule_name; Dd_analysis.Exports.rule_name ]
+  in
   Alcotest.(check (list string)) "one section per rule"
     (List.sort compare names) (List.sort compare headings)
 
@@ -515,7 +568,8 @@ let () =
          Alcotest.test_case "R6 domain-safe-state" `Quick test_domain_safe_state;
          Alcotest.test_case "R7 secret-taint" `Quick test_secret_taint;
          Alcotest.test_case "R7 cross-file" `Quick test_secret_taint_cross_file;
-         Alcotest.test_case "R8 domain-escape" `Quick test_domain_escape ]);
+         Alcotest.test_case "R8 domain-escape" `Quick test_domain_escape;
+         Alcotest.test_case "R9 unused-export" `Quick test_unused_export ]);
       ("suppression",
        [ Alcotest.test_case "allow comments" `Quick test_suppression;
          Alcotest.test_case "bare allows" `Quick test_bare_allow ]);

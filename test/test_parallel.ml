@@ -181,7 +181,7 @@ let test_ea_setup_deterministic () =
 let test_env_domains () =
   (* the env knob parses defensively; we cannot set the environment of
      this process portably mid-run, so just pin the live value's range *)
-  let d = Pool.env_domains () in
+  let d = Pool.size (Pool.get_default ()) in
   Alcotest.(check bool) "env_domains in [1,64]" true (d >= 1 && d <= 64)
 
 let () =

@@ -22,6 +22,10 @@ module Ballot_gen = Ddemos.Ballot_gen
 module Node_source = Ddemos.Node_source
 module Drbg = Dd_crypto.Drbg
 
+(* A VOTE_SET_SUBMIT, handled as the wire delivers it. *)
+let submit bb ~sender ~set ~msk_share =
+  Bb_node.handle bb (Messages.Vote_set_submit { sender; set; msk_share })
+
 (* --- WAL framing --------------------------------------------------------- *)
 
 let concat_frames payloads = String.concat "" (List.map Wal.frame payloads)
@@ -462,7 +466,7 @@ let prop_bb_journal_replay =
        let k = Drbg.int rng (bb_cfg.Types.nv + 2) in
        for _ = 1 to k do
          let sender = Drbg.int rng bb_cfg.Types.nv in
-         Bb_node.on_vote_set_submit bb ~sender ~set:(bb_set ())
+         submit bb ~sender ~set:(bb_set ())
            ~msk_share:shares.(sender)
        done;
        let bb' = bb_create ~durable:(Mem.device b) 0 in
@@ -479,7 +483,7 @@ let test_full_pipeline_recovery () =
   List.iter
     (fun bb ->
        for sender = 0 to bb_cfg.Types.nv - 1 do
-         Bb_node.on_vote_set_submit bb ~sender ~set:(bb_set ()) ~msk_share:shares.(sender)
+         submit bb ~sender ~set:(bb_set ()) ~msk_share:shares.(sender)
        done)
     bbs;
   (* trustee phase over direct wiring, every trustee journaling *)
@@ -555,7 +559,7 @@ let test_create_reopens_journal () =
   let bb = bb_create ~durable:(Mem.device b) 0 in
   let shares = msk_shares () in
   for sender = 0 to bb_cfg.Types.nv - 1 do
-    Bb_node.on_vote_set_submit bb ~sender ~set:(bb_set ()) ~msk_share:shares.(sender)
+    submit bb ~sender ~set:(bb_set ()) ~msk_share:shares.(sender)
   done;
   same "bb" 0 (Bb_node.observable bb)
     (Bb_node.observable (bb_create ~durable:(Mem.device b) 0));

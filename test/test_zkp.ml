@@ -66,34 +66,6 @@ let test_cp_simulator () =
   Alcotest.(check bool) "other challenge rejects" false
     (Chaum_pedersen.verify st fm ~challenge:(Nat.add challenge Nat.one) ~response:z)
 
-let arb_scalar =
-  QCheck.map
-    (fun s -> Dd_bignum.Modular.reduce Curve.scalar_field (Nat.of_bytes_be s))
-    (QCheck.string_of_size (QCheck.Gen.return 32))
-
-(* The ballot proof computes its simulated OR branch from the witness;
-   given the same (challenge, response) that must be exactly the first
-   move Chaum_pedersen.simulate derives from the branch's statement, for
-   either committed bit. *)
-let prop_simulated_move_matches_simulate =
-  QCheck.Test.make ~name:"simulated_move = Chaum_pedersen.simulate" ~count:15
-    (QCheck.triple arb_scalar arb_scalar QCheck.small_nat)
-    (fun (rand, challenge, seed) ->
-       List.for_all
-         (fun msg ->
-            let c1, c2 = Elgamal.components (Elgamal.commit ~msg ~rand) in
-            (* the branch the opening does not satisfy: (c1, c2 - (1-b)*G) *)
-            let h2 = if Nat.is_zero msg then Curve.sub c2 Group_ctx.g else c2 in
-            let st = { Chaum_pedersen.g1 = Group_ctx.g; g2 = Group_ctx.h; h1 = c1; h2 } in
-            let rng = Drbg.create ~seed:(Printf.sprintf "sim%d" seed) in
-            let fm, z = Chaum_pedersen.simulate rng st ~challenge in
-            let got =
-              Ballot_proof.simulated_move { Elgamal.msg; rand } ~challenge ~response:z
-            in
-            Curve.equal fm.Chaum_pedersen.t1 got.Chaum_pedersen.t1
-            && Curve.equal fm.Chaum_pedersen.t2 got.Chaum_pedersen.t2)
-         [ Nat.zero; Nat.one ])
-
 (* --- ballot proofs ---------------------------------------------------- *)
 
 let make_part ~m ~choice =
@@ -318,8 +290,7 @@ let () =
          Alcotest.test_case "wrong witness rejected" `Quick test_cp_wrong_witness_rejected;
          Alcotest.test_case "non-DDH rejected" `Quick test_cp_non_ddh_rejected;
          Alcotest.test_case "simulator" `Quick test_cp_simulator;
-         QCheck_alcotest.to_alcotest prop_cp_random_witness;
-         QCheck_alcotest.to_alcotest prop_simulated_move_matches_simulate ]);
+         QCheck_alcotest.to_alcotest prop_cp_random_witness ]);
       ("ballot-proof",
        [ Alcotest.test_case "completeness" `Quick test_ballot_proof_completeness;
          Alcotest.test_case "all choices" `Quick test_ballot_proof_all_choices;
