@@ -87,8 +87,6 @@ type static = {
   st_hmsk : string;
   st_salt_msk : string;
   st_msk_shares : Shamir_bytes.share array;
-  st_n_chunks : int;
-  st_chunk_size : int;
 }
 
 (* One contiguous serial range [ck_first, ck_first + |ck_ballots|) of
@@ -371,9 +369,7 @@ let setup_chunks ?pool
     st_trustee_keys = trustee_keys;
     st_hmsk = Ballot_gen.msk_commitment ~seed;
     st_salt_msk = Ballot_gen.msk_salt ~seed;
-    st_msk_shares = Ballot_gen.msk_shares ~seed ~threshold:(nv - fv) ~shares:nv;
-    st_n_chunks = n_chunks;
-    st_chunk_size = chunk_size }
+    st_msk_shares = Ballot_gen.msk_shares ~seed ~threshold:(nv - fv) ~shares:nv }
 
 (* In-memory setup: the chunked pass with an emit that fills arrays.
    Identical output to the pre-streaming implementation for any chunk

@@ -77,8 +77,6 @@ type static = {
   st_hmsk : string;
   st_salt_msk : string;
   st_msk_shares : Shamir_bytes.share array;  (* lint: secret *)
-  st_n_chunks : int;
-  st_chunk_size : int;
 }
 
 (** One contiguous serial range of every party's init data — the unit
@@ -111,6 +109,10 @@ val draw_part :  (* lint: allow unused-export — test_core "part comb counts" *
 (* lint: allow unused-export — test_core "part comb counts" *)
 val part_jobs : drawn_part -> Dd_group.Curve.comb_job list
 
+(** [List.length (part_jobs d)] for every part: [nv m + nt + m (6m + 2)].
+    It sizes the lockstep groups of {!setup_chunks}. *)
+(* lint: allow unused-export — test_core "part comb counts" *)
+val jobs_per_part : Types.config -> int
 
 (** Chunk size used when the caller does not pick one. *)
 val default_setup_chunk : int

@@ -238,9 +238,7 @@ let store_setup ?(chunk_size = Ea.default_setup_chunk) devices (s : Ea.setup) =
       st_trustee_keys = s.Ea.trustee_keys;
       st_hmsk = s.Ea.bb_init.Ea.hmsk;
       st_salt_msk = s.Ea.bb_init.Ea.salt_msk;
-      st_msk_shares = Array.map (fun (v : Ea.vc_node_init) -> v.Ea.vc_msk_share) s.Ea.vc_init;
-      st_n_chunks = (cfg.Types.n_voters + chunk_size - 1) / chunk_size;
-      st_chunk_size = chunk_size }
+      st_msk_shares = Array.map (fun (v : Ea.vc_node_init) -> v.Ea.vc_msk_share) s.Ea.vc_init }
 
 let resume_setup ?pool ?chunk_size devices cfg ~seed =
   (* classify every segment, discovering the on-disk chunk size *)

@@ -119,9 +119,11 @@ let enqueue_out t conn payload =
 let register_conn t ~role conn =
   let id = t.next_conn in
   t.next_conn <- id + 1;
+  (* Clients send no pieces: on their connections any piece that
+     carries a byte is malformed. *)
   let max_message () =
     match role with
-    | Client _ -> Frame.max_frame_default
+    | Client _ -> 0
     | Link_vc _ | Link_bb _ -> Lazy.force t.link_max
   in
   let cs =

@@ -214,8 +214,7 @@ module Trustee_payload = Ddemos.Trustee_payload
 module Elgamal = Dd_commit.Elgamal
 module Nat = Dd_bignum.Nat
 
-(* Hex of a natural's big-endian bytes, for messages and known answers. *)
-let nat_hex ?len a = Dd_crypto.Sha256.hex_of_string (Nat.to_bytes_be ?len a)
+let nat_hex = Test_helpers.nat_hex
 
 (* Every trustee's posts of an honest run, per trustee in posting order,
    captured instead of delivered. *)

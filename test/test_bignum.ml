@@ -6,8 +6,7 @@
 
 module Nat = Dd_bignum.Nat
 
-(* Hex of a natural's big-endian bytes, for messages and known answers. *)
-let nat_hex ?len a = Dd_crypto.Sha256.hex_of_string (Nat.to_bytes_be ?len a)
+let nat_hex = Test_helpers.nat_hex
 module Modular = Dd_bignum.Modular
 module Fe = Dd_bignum.Fe
 

@@ -303,6 +303,7 @@ let test_ea_part_comb_counts () =
        in
        let jobs = Ea.part_jobs d in
        Alcotest.(check int) "jobs" 75 (List.length jobs);
+       Alcotest.(check int) "jobs_per_part = part_jobs" (List.length jobs) (Ea.jobs_per_part cfg);
        Alcotest.(check int) "comb lanes" 84
          (List.fold_left (fun n j -> n + Dd_group.Curve.comb_lanes j) 0 jobs))
     [ Types.A; Types.B ]

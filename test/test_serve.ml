@@ -22,11 +22,7 @@ module Loadgen = Dd_serve.Loadgen
 module Pipe = Dd_serve.Pipe
 module Transport = Dd_serve.Transport
 
-(* One payload framed as it goes on the wire. *)
-let frame payload =
-  let buf = Buffer.create (String.length payload + 4) in
-  Frame.encode_into buf payload;
-  Buffer.contents buf
+let frame = Test_helpers.frame
 
 (* Everything a connection has to read now. *)
 let rec recv_all (c : Transport.conn) =
@@ -790,11 +786,14 @@ let test_batching_transparent () =
   Alcotest.(check int) "receipts agree" ok_off ok_on;
   Alcotest.(check (list (pair int string))) "identical transcripts" s_off s_on
 
-(* A vote set that does not fit one frame: a collector holding 50,000
-   UCERTs announces them all (about 1.2 MB) when the election ends. The
-   ANNOUNCE travels in pieces, and every peer decodes it and pulls the
-   codes it lacks. A decoder refuses a frame past the cap and its link
-   closes as malformed, so none read means every frame fit. *)
+(* A vote set that does not fit one frame: collectors 0 and 1 hold
+   50,000 UCERTs and announce them all (about 1.2 MB) when the election
+   ends. The ANNOUNCEs travel in pieces; collectors 2 and 3 decode them,
+   pull the codes they lack, and wait for an answer before they enter
+   consensus. The RECOVER_RESPONSEs that carry the codes (the largest
+   messages) pass the receivers' bound, so every collector agrees on all
+   50,000. A decoder refuses a frame past the cap and its link closes as
+   malformed, so none read means every frame fit. *)
 let test_vsc_past_frame_cap () =
   let n = 50_000 in
   let cfg = { Types.default_config with Types.n_voters = n; m_options = 2 } in
@@ -808,21 +807,29 @@ let test_vsc_past_frame_cap () =
     in
     (serial, code, { Messages.u_serial = serial; u_code = code; endorsements })
   in
-  Ddemos.Vc_node.handle (Runtime.vc_node t 0)
-    (Messages.Recover_response { sender = 1; entries = List.init n entry });
+  let entries = List.init n entry in
+  Ddemos.Vc_node.handle (Runtime.vc_node t 0) (Messages.Recover_response { sender = 1; entries });
+  Ddemos.Vc_node.handle (Runtime.vc_node t 1) (Messages.Recover_response { sender = 0; entries });
   let pulled = Array.make cfg.Types.nv 0 in
   Runtime.observe_links t (fun ~src:peer ~dst -> function
       | Messages.Recover_request { serials; _ } when dst = 0 ->
         pulled.(peer) <- List.length serials
       | _ -> ());
   Runtime.end_election t;
+  let agreed () =
+    Array.init cfg.Types.nv (fun i ->
+        Option.fold ~none:(-1) ~some:List.length (Ddemos.Vc_node.agreed_set (Runtime.vc_node t i)))
+  in
   let steps = ref 0 in
-  while Array.exists (( = ) 0) (Array.sub pulled 1 3) && !steps < 8 do
+  while Array.exists (( = ) (-1)) (agreed ()) && !steps < 100 do
     incr steps;
     ignore (Runtime.step t : int)
   done;
   Alcotest.(check int) "malformed" 0 (Runtime.stats t).Runtime.malformed;
-  Alcotest.(check (array int)) "every peer pulls the announced set" [| 0; n; n; n |] pulled
+  Alcotest.(check (array int)) "every peer lacking them pulls the announced set" [| 0; 0; n; n |]
+    pulled;
+  Alcotest.(check (array int)) "every collector agrees on every vote" (Array.make cfg.Types.nv n)
+    (agreed ())
 
 let () =
   Alcotest.run "serve"

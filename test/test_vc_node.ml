@@ -771,11 +771,7 @@ let test_pull_answered_after_restart () =
 
 module Frame = Dd_serve.Frame
 
-(* One payload framed as it goes on the wire. *)
-let frame payload =
-  let buf = Buffer.create (String.length payload + 4) in
-  Frame.encode_into buf payload;
-  Buffer.contents buf
+let frame = Test_helpers.frame
 module Mux = Dd_serve.Mux
 
 (* Random and bit-flipped bytes go through the serving path's decoders
