@@ -428,11 +428,10 @@ let micro () =
       { Types.default_config with
         Types.n_voters = 100; Types.m_options = 2; Types.election_id = "bench-audit" }
     in
-    let setup = Ddemos.Ea.setup cfg ~seed:"bench-audit" in
     let votes =
       List.init 100 (fun i -> { Election.vi_serial = i; Election.vi_choice = i mod 2 })
     in
-    let fidelity = Election.Source (Node_source.of_setup setup) in
+    let fidelity = Election.Source (Node_source.in_memory cfg ~seed:"bench-audit") in
     let p = Election.default_params ~fidelity cfg ~votes in
     let r = Election.run { p with Election.seed = "bench-audit"; concurrent_clients = 16 } in
     match Ddemos.Auditor.assemble ~cfg r.Election.bb_nodes with
@@ -585,7 +584,8 @@ let micro () =
            in
            let setup =
              Test.make ~name:(Printf.sprintf "ea-setup.100.d%d" d)
-               (Staged.stage (fun () -> Ddemos.Ea.setup ~pool ea_cfg ~seed:"bench-ea"))
+               (Staged.stage (fun () ->
+                    Ddemos.Ea.setup_chunks ~pool ea_cfg ~seed:"bench-ea" ~emit:ignore))
            in
            let r = measure (if d = 2 then [ audit ] else [ audit; setup ]) in
            Dd_parallel.Pool.shutdown pool;

@@ -16,7 +16,7 @@
 module Types = Ddemos.Types
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
-module Ea = Ddemos.Ea
+module Election_store = Ddemos.Election_store
 module Guarantees = Ddemos.Guarantees
 module Fault_plan = Dd_sim.Fault_plan
 open Cmdliner
@@ -63,17 +63,23 @@ let m_params ~seed =
 
 let f_cfg = { Types.default_config with Types.n_voters = 5 }
 
-(* One EA setup shared across every full-crypto run; only the run seed
-   varies. Forced lazily so `--list` and modeled-only sweeps stay
-   instant. *)
-let f_setup = lazy (Ea.setup f_cfg ~seed:"chaos-ea")
+(* One election sealed onto in-memory devices, shared by every
+   full-crypto run: each run gets a fresh Node_source.of_layout over
+   them (segment readers only read), and only the run seed varies.
+   Forced lazily so `--list` and modeled-only sweeps stay instant. *)
+let f_sealed =
+  lazy
+    (let devices = Dd_store.Device.(by_name (fun _ -> Mem.device (Mem.create ()))) in
+     (devices, Election_store.write_setup devices f_cfg ~seed:"chaos-ea"))
 
 let f_votes = List.init 5 (fun s -> { Election.vi_serial = s; vi_choice = s mod 3 })
 
 let f_params ~seed =
   let p =
     Election.default_params
-      ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force f_setup)))
+      ~fidelity:
+        (let devices, layout = Lazy.force f_sealed in
+         Election.Source (Node_source.of_layout ~devices layout))
       f_cfg ~votes:f_votes
   in
   { p with Election.seed; concurrent_clients = 3; voter_patience = 2.0 }

@@ -10,7 +10,6 @@
    bench/main.exe (see EXPERIMENTS.md). *)
 
 module Types = Ddemos.Types
-module Ea = Ddemos.Ea
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
 module Election_store = Ddemos.Election_store
@@ -128,7 +127,7 @@ let run_cmd =
       if modeled then Election.Modeled
       else begin
         Printf.printf "EA setup (%d ballots, real crypto)...\n%!" voters;
-        Election.Source (Node_source.of_setup (Ea.setup cfg ~seed))
+        Election.Source (Node_source.in_memory cfg ~seed)
       end
     in
     let p = Election.default_params ~fidelity cfg ~votes in

@@ -21,7 +21,10 @@ module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
 module Voter = Ddemos.Voter
+module Election_store = Ddemos.Election_store
 module Drbg = Dd_crypto.Drbg
+module Device = Dd_store.Device
+module Segment = Dd_segment.Segment
 
 let cfg =
   { Types.default_config with
@@ -32,40 +35,58 @@ let votes =
     { Election.vi_serial = 1; vi_choice = 0 };
     { Election.vi_serial = 2; vi_choice = 2 } ]
 
-(* The EA swaps positions 0 and 1 of ballot 0 part A on the BB and in
-   the trustee shares, leaving the encrypted vote codes in place: vote
-   codes now point at the wrong option encodings. *)
-let tamper (s : Ea.setup) =
-  let parts = s.Ea.bb_ballots.(0).Ea.bb_parts in
-  let a = parts.(0) in
+(* The EA seals an honest election, then attacks what it sealed: it
+   swaps positions 0 and 1 of ballot 0 part A on the BB (rewriting that
+   record and re-sealing the board segment) and in every trustee's
+   shares, leaving the encrypted vote codes in place: vote codes now
+   point at the wrong option encodings. *)
+let tampered_source ~seed =
+  let devices = Device.(by_name (fun _ -> Mem.device (Mem.create ()))) in
+  let layout = Election_store.write_setup devices cfg ~seed in
+  let bb = layout.Election_store.l_bb in
+  let records = Option.get (Segment.read_all (devices Election_store.bb_segment) bb) in
+  let ballot = Option.get (Election_store.decode_bb_ballot records.(0)) in
+  let a = ballot.Ea.bb_parts.(0) in
   let e0 = a.(0) and e1 = a.(1) in
   a.(0) <- { e1 with Ea.enc_code = e0.Ea.enc_code };
   a.(1) <- { e0 with Ea.enc_code = e1.Ea.enc_code };
-  Array.iter
-    (fun (ti : Ea.trustee_init) ->
-       let sh = ti.Ea.t_ballots.(0).(0).Ea.t_shares in
-       let tmp = sh.(0) in
-       sh.(0) <- sh.(1);
-       sh.(1) <- tmp)
-    s.Ea.trustee_init
+  records.(0) <- Election_store.encode_bb_ballot ballot;
+  let board = Device.Mem.device (Device.Mem.create ()) in
+  let w =
+    Segment.create_writer ~chunk_size:bb.Segment.chunk_size board
+      ~kind:Election_store.bb_segment
+  in
+  Array.iter (Segment.append w) records;
+  let l_bb = Segment.seal w in
+  (devices Election_store.bb_segment).Device.log_reset (board.Device.log_contents ());
+  let src = Node_source.of_layout ~devices { layout with Election_store.l_bb } in
+  let keys, init_for = Option.get src.Node_source.sv_trustees in
+  let init_for i =
+    let ti = init_for i in
+    let sh = ti.Ea.t_ballots.(0).(0).Ea.t_shares in
+    let tmp = sh.(0) in
+    sh.(0) <- sh.(1);
+    sh.(1) <- tmp;
+    ti
+  in
+  { src with Node_source.sv_trustees = Some (keys, init_for) }
 
 (* find a run seed under which voter 0's coin picks part B, so part A
    (the tampered one) is the audited part *)
-let seed_with_part_b (s : Ea.setup) =
+let seed_with_part_b (src : Node_source.t) =
   let rec go k =
     let seed = Printf.sprintf "fraud-run-%d" k in
     let rng = Drbg.create ~seed:(Printf.sprintf "client|%s|0" seed) in
-    let plan = Voter.make_plan rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
+    let plan = Voter.make_plan rng ~ballot:(src.Node_source.sv_ballot_for 0) ~choice:1 in
     if plan.Voter.part = Types.B then (seed, plan) else go (k + 1)
   in
   go 0
 
-let run_and_audit ~label (s : Ea.setup) =
-  let seed, plan = seed_with_part_b s in
+let run_and_audit ~label src =
+  let seed, plan = seed_with_part_b src in
   let r =
     Election.run
-      { (Election.default_params
-           ~fidelity:(Election.Source (Node_source.of_setup s)) cfg ~votes) with
+      { (Election.default_params ~fidelity:(Election.Source src) cfg ~votes) with
         Election.seed; concurrent_clients = 1 }
   in
   Printf.printf "%s: %d receipts issued — the voter sees nothing wrong\n%!" label
@@ -86,13 +107,14 @@ let run_and_audit ~label (s : Ea.setup) =
 
 let () =
   print_endline "=== honest Election Authority (control) ===";
-  let honest = Ea.setup cfg ~seed:"fraud-honest" in
-  let honest_verdict = run_and_audit ~label:"honest run" honest in
+  let honest_verdict =
+    run_and_audit ~label:"honest run" (Node_source.in_memory cfg ~seed:"fraud-honest")
+  in
 
   print_endline "=== malicious Election Authority (modification attack) ===";
-  let evil = Ea.setup cfg ~seed:"fraud-evil" in
-  tamper evil;
-  let evil_verdict = run_and_audit ~label:"tampered run" evil in
+  let evil_verdict =
+    run_and_audit ~label:"tampered run" (tampered_source ~seed:"fraud-evil")
+  in
 
   (* the paper's amplification argument *)
   print_endline "detection probability as auditors accumulate (Theorem 3):";

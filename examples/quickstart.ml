@@ -3,7 +3,8 @@
 
    Five voters, three options, 4 vote collectors (tolerating 1
    Byzantine), 3 bulletin-board replicas (tolerating 1), 3 trustees
-   (2 needed to open anything). The Election Authority runs setup and
+   (2 needed to open anything). The Election Authority seals each
+   node's initialization data into that node's (in-memory) store and
    is destroyed; votes are collected over the simulated network with
    real salted-hash validation, endorsement signatures, UCERTs and
    receipt-share reconstruction; the vote collectors agree on the final
@@ -13,7 +14,6 @@
    Run with:  dune exec examples/quickstart.exe *)
 
 module Types = Ddemos.Types
-module Ea = Ddemos.Ea
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
@@ -28,10 +28,10 @@ let () =
   Printf.printf "Setting up election: %d voters, %d options, Nv=%d (fv=%d), Nb=%d, Nt=%d (ht=%d)\n%!"
     cfg.Types.n_voters cfg.Types.m_options cfg.Types.nv cfg.Types.fv cfg.Types.nb
     cfg.Types.nt cfg.Types.ht;
-  let setup = Ea.setup cfg ~seed:"quickstart-seed" in
+  let source = Node_source.in_memory cfg ~seed:"quickstart-seed" in
 
   (* peek at voter 0's printed ballot *)
-  let ballot = setup.Ea.ballots.(0) in
+  let ballot = source.Node_source.sv_ballot_for 0 in
   Printf.printf "\nVoter 0's ballot (serial %d), part A:\n" ballot.Types.serial;
   Array.iteri
     (fun option (line : Types.ballot_line) ->
@@ -52,7 +52,7 @@ let () =
   let r =
     Election.run
       { (Election.default_params
-           ~fidelity:(Election.Source (Node_source.of_setup setup)) cfg ~votes) with
+           ~fidelity:(Election.Source source) cfg ~votes) with
         Election.concurrent_clients = 2; seed = "quickstart-run" }
   in
   Printf.printf "receipts issued and verified by voters: %d/5\n" r.Election.receipts_ok;

@@ -2,17 +2,18 @@
 
    Each compilation unit contributes its top-level functions (and the
    functions of its nested modules) under qualified names:
-   [lib/core/ea.ml]'s [let setup ... = ...] registers as "Ea.setup",
-   [module Inner = struct let f = ... end] as "Ea.Inner.f". Call sites
-   are resolved syntactically: an unqualified [f] resolves inside the
-   calling unit, [M.f] resolves against the last module component, so
-   local aliases ([module Pool = Dd_parallel.Pool]) still land on the
-   right summaries as long as component names are unambiguous. *)
+   [lib/core/ea.ml]'s [let setup_chunks ... = ...] registers as
+   "Ea.setup_chunks", [module Inner = struct let f = ... end] as
+   "Ea.Inner.f". Call sites are resolved syntactically: an unqualified
+   [f] resolves inside the calling unit, [M.f] resolves against the
+   last module component, so local aliases ([module Pool =
+   Dd_parallel.Pool]) still land on the right summaries as long as
+   component names are unambiguous. *)
 
 open Parsetree
 
 type fn = {
-  fq : string;                          (* "Ea.setup", "Ea.Inner.f" *)
+  fq : string;                          (* "Ea.setup_chunks", "Ea.Inner.f" *)
   unit_module : string;                 (* "Ea" *)
   params : (Asttypes.arg_label * pattern) list;  (* in declaration order *)
   body : expression;                    (* innermost non-fun expression *)

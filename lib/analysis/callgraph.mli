@@ -4,7 +4,7 @@
     {!Taint}. *)
 
 type fn = {
-  fq : string;           (** qualified name, e.g. ["Ea.setup"], ["Ea.Inner.f"] *)
+  fq : string;           (** qualified name, e.g. ["Ea.setup_chunks"], ["Ea.Inner.f"] *)
   unit_module : string;  (** enclosing compilation unit, e.g. ["Ea"] *)
   params : (Asttypes.arg_label * Parsetree.pattern) list;
       (** the [fun] chain's parameters, in declaration order *)

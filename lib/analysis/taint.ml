@@ -7,7 +7,7 @@
    - any [val] annotated [(* lint: secret *)] in its [.mli]
      (EA msk derivations, VSS dealing, ...);
    - any record field annotated [(* lint: secret *)] in a [.mli]
-     (trustee share fields of [Ea.setup]'s output, share payloads);
+     (trustee share fields of [Ea.setup_chunks]' output, share payloads);
    - a name heuristic: identifiers and fields named
      [sk]/[witness]/[nonce]/[msk]/[seed]/[secret] (or suffixed).
 

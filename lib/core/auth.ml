@@ -80,7 +80,7 @@ let deal_clique ~scheme ~seed ~n =
         rng = Dd_crypto.Drbg.fork master ~label:(Printf.sprintf "rng%d" i) })
 
 (* [?rng] overrides the node's own nonce stream — parallel callers
-   (Ea.setup) pass a per-task forked DRBG so signing order cannot
+   (Ea.setup_chunks) pass a per-task forked DRBG so signing order cannot
    depend on the schedule; plain callers keep the node stream. *)
 let sign ?rng (k : keys) msg =
   match k.scheme with

@@ -35,7 +35,7 @@ val msk_commitment : seed:string -> string
 val msk_shares : seed:string -> threshold:int -> shares:int -> Dd_vss.Shamir_bytes.share array
 
 (** One VC node's validation lines for a ballot part (derived; no EA
-    share tags — the full-crypto path gets those from {!Ea.setup}). *)
+    share tags — the full-crypto path gets those from {!Ea.setup_chunks}). *)
 val vc_lines :
   seed:string -> cfg:Types.config -> serial:int -> part:Types.part_id -> node:int ->
   Types.vc_line array

@@ -6,8 +6,7 @@
 
     The board's Merkle [root] is the sealed manifest's: every BB node
     serving the same segment bytes commits to the same root, whichever
-    writer produced them ({!Election_store.write_setup} streaming from
-    the EA, or {!Election_store.store_setup} from an in-memory setup). *)
+    devices {!Election_store.write_setup} sealed them onto. *)
 
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
@@ -20,13 +19,9 @@ val create : Device.t -> Segment.manifest -> t
 
 val n_ballots : t -> int
 
-(** The ballot with this serial; [None] when out of range or when the
-    backing chunk fails CRC/Merkle/decode verification. *)
-(* lint: allow unused-export — test_election_store compares streamed and in-memory ballots *)
-val ballot : t -> int -> Ea.bb_ballot option
-
 (** One part's entries of one ballot — the random-access shape the BB
-    handlers need. *)
+    handlers need; [None] when out of range or when the backing chunk
+    fails CRC/Merkle/decode verification. *)
 val entries : t -> serial:int -> part:Types.part_id -> Ea.bb_part_entry array option
 
 (** Stream every ballot in serial order, one chunk resident at a time.

@@ -2,10 +2,11 @@
    party's initialization data — voter ballots, VC validation data and
    receipt/msk shares, BB commitments with encrypted vote codes and ZK
    first moves, trustee opening shares and ZK prover-state shares — and
-   is then destroyed (in this codebase: the [setup] value holds the
-   secrets; production code would erase it; our harness simply drops
-   it, and the malicious-EA tests deliberately keep it around to
-   attack). *)
+   is then destroyed. [setup_chunks] hands each chunk to its [emit]
+   callback and keeps nothing: Election_store.write_setup seals every
+   chunk into the segment of the node it belongs to, so once set-up
+   ends no value outside a node's own store holds that node's
+   per-ballot secrets. *)
 
 module Drbg = Dd_crypto.Drbg
 module Pool = Dd_parallel.Pool
@@ -33,12 +34,6 @@ type bb_init = {
   salt_msk : string;
 }
 
-type vc_node_init = {
-  vc_msk_share : Shamir_bytes.share;
-  (* serial -> part -> position *)
-  vc_lines : Types.vc_line array array array;
-}
-
 type trustee_part_data = {
   (* position -> coordinate -> this trustee's opening share *)
   t_shares : Elgamal_vss.share array array;
@@ -51,18 +46,6 @@ type trustee_init = {
   t_id : int;
   (* serial -> part -> data *)
   t_ballots : trustee_part_data array array;
-}
-
-type setup = {
-  cfg : Types.config;
-  ballots : Types.ballot array;
-  (* authenticator cliques; index nv (resp. nt) is the EA itself *)
-  vc_keys : Auth.keys array;
-  trustee_keys : Auth.keys array;
-  vc_init : vc_node_init array;
-  bb_init : bb_init;
-  bb_ballots : bb_ballot array;
-  trustee_init : trustee_init array;
 }
 
 let zk_state_body ~election_id ~serial ~part ~trustee (share : Shamir_bytes.share) =
@@ -254,13 +237,14 @@ let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
   (vc_lines, bb_entries, trustee_data)
 
 (* Full-crypto setup, streamed chunk by chunk. Cost grows with
-   n_voters * m^2; intended for the tests, the examples, and the
-   post-election-phase benchmarks. The large-scale vote-collection
-   benchmarks use Ballot_store.virtual_prf instead, which derives only
-   the plain material on demand.
+   n_voters * m^2; every full-crypto election (tests, examples,
+   `ddemos run` and `deploy`, the post-election-phase benchmarks) is
+   generated here and sealed by Election_store.write_setup. The
+   large-scale vote-collection benchmarks use Ballot_store.virtual_prf
+   instead, which derives only the plain material on demand.
 
    Transcript discipline (pinned by test_parallel and the chunk-size
-   invariance test in test_core): the parent [rng] is consumed ONLY by
+   invariance test in test_election_store): the parent [rng] is consumed ONLY by
    [Drbg.fork] calls, one per (serial, part), in ascending serial
    order. Chunking therefore cannot perturb any draw — the fork
    sequence is identical whether the loop runs monolithically or in
@@ -285,7 +269,7 @@ let setup_chunks ?pool
   (match Types.validate_config cfg with
    | Ok () -> ()
    (* lint: allow exception-hygiene — the EA is the trusted dealer; config comes from the operator *)
-   | Error e -> invalid_arg ("Ea.setup: " ^ e));
+   | Error e -> invalid_arg ("Ea.setup_chunks: " ^ e));
   (* lint: allow exception-hygiene — the EA is the trusted dealer; config comes from the operator *)
   if chunk_size <= 0 then invalid_arg "Ea.setup_chunks: chunk_size";
   let n = cfg.Types.n_voters and m = cfg.Types.m_options in
@@ -370,44 +354,3 @@ let setup_chunks ?pool
     st_hmsk = Ballot_gen.msk_commitment ~seed;
     st_salt_msk = Ballot_gen.msk_salt ~seed;
     st_msk_shares = Ballot_gen.msk_shares ~seed ~threshold:(nv - fv) ~shares:nv }
-
-(* In-memory setup: the chunked pass with an emit that fills arrays.
-   Identical output to the pre-streaming implementation for any chunk
-   size (the fork-order argument above). *)
-let setup ?pool ?chunk_size (cfg : Types.config) ~seed =
-  let n = cfg.Types.n_voters in
-  let nv = cfg.Types.nv and nt = cfg.Types.nt in
-  let ballots = Array.make n { Types.serial = 0;
-                               part_a = { Types.lines = [||] };
-                               part_b = { Types.lines = [||] } } in
-  let vc_lines =
-    Array.init nv (fun _ -> Array.init n (fun _ -> Array.make 2 [||]))
-  in
-  let bb_ballots = Array.make n { bb_serial = 0; bb_parts = [||] } in
-  let trustee_ballots =
-    Array.init nt (fun _ -> Array.init n (fun _ ->
-        Array.make 2
-          { t_shares = [||];
-            t_zk_state_share = { Shamir_bytes.x = 0; Shamir_bytes.data = "" };
-            t_zk_state_tag = Auth.Mac_tag [||] }))
-  in
-  let emit ck =
-    let count = Array.length ck.ck_ballots in
-    Array.blit ck.ck_ballots 0 ballots ck.ck_first count;
-    Array.blit ck.ck_bb 0 bb_ballots ck.ck_first count;
-    for node = 0 to nv - 1 do
-      Array.blit ck.ck_vc.(node) 0 vc_lines.(node) ck.ck_first count
-    done;
-    for t = 0 to nt - 1 do
-      Array.blit ck.ck_trustee.(t) 0 trustee_ballots.(t) ck.ck_first count
-    done
-  in
-  let st = setup_chunks ?pool ?chunk_size cfg ~seed ~emit in
-  { cfg; ballots;
-    vc_keys = st.st_vc_keys; trustee_keys = st.st_trustee_keys;
-    vc_init =
-      Array.init nv (fun i ->
-          { vc_msk_share = st.st_msk_shares.(i); vc_lines = vc_lines.(i) });
-    bb_init = { hmsk = st.st_hmsk; salt_msk = st.st_salt_msk };
-    bb_ballots;
-    trustee_init = Array.init nt (fun i -> { t_id = i; t_ballots = trustee_ballots.(i) }) }

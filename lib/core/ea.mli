@@ -1,11 +1,14 @@
 (** The Election Authority (Section III-D): the setup-only component.
-    [setup] generates every party's initialization data — voter
+    {!setup_chunks} generates every party's initialization data — voter
     ballots, VC validation data and receipt/msk shares, BB commitments
     with encrypted vote codes and ZK first moves, trustee opening
-    shares and ZK prover-state shares — after which the EA is
-    destroyed (drop the [setup] value; the malicious-EA tests
-    deliberately keep and corrupt it instead). The {!setup} value
-    carries no master seed: it holds only what the EA hands out. *)
+    shares and ZK prover-state shares — one chunk of serials at a time,
+    after which the EA is destroyed. It keeps no chunk:
+    {!Election_store.write_setup} seals each into the segment of the
+    node it belongs to, so once set-up ends no in-memory record holds
+    the per-ballot material (printed ballots, VC lines, trustee
+    shares); only the O(1) {!static} part (keys, msk shares) stays
+    with the layout. It carries no master seed. *)
 
 module Elgamal = Dd_commit.Elgamal
 module Elgamal_vss = Dd_vss.Elgamal_vss
@@ -33,11 +36,6 @@ type bb_init = {
   salt_msk : string;
 }
 
-type vc_node_init = {
-  vc_msk_share : Shamir_bytes.share;  (* lint: secret *)
-  vc_lines : Types.vc_line array array array;  (** serial -> part -> position *)
-}
-
 type trustee_part_data = {
   t_shares : Elgamal_vss.share array array;  (* lint: secret *) (** position -> coordinate *)
   t_zk_state_share : Shamir_bytes.share;  (* lint: secret *)
@@ -49,22 +47,10 @@ type trustee_init = {
   t_ballots : trustee_part_data array array;  (** serial -> part *)
 }
 
-type setup = {
-  cfg : Types.config;
-  ballots : Types.ballot array;      (** distributed to voters *)
-  vc_keys : Auth.keys array;         (** clique of nv+1; index nv is the EA *)
-  trustee_keys : Auth.keys array;    (** clique of nt+1; index nt is the EA *)
-  vc_init : vc_node_init array;
-  bb_init : bb_init;
-  bb_ballots : bb_ballot array;      (** the BB's ballot table, by serial *)
-  trustee_init : trustee_init array;
-}
-
 (** The EA-authenticated body binding a trustee's ZK-state share. *)
 val zk_state_body :
   election_id:string -> serial:int -> part:Types.part_id -> trustee:int ->
   Shamir_bytes.share -> string
-
 
 (** The O(1)-in-[n_voters] output of {!setup_chunks}: keys, msk
     commitments and shares. The O(n) material streams through the
@@ -117,31 +103,22 @@ val jobs_per_part : Types.config -> int
 (** Chunk size used when the caller does not pick one. *)
 val default_setup_chunk : int
 
-(** Streaming full-cryptography setup: generates the election in
-    ascending chunks of [chunk_size] serials, calling [emit] once per
-    chunk, with only one chunk of material resident at a time (the
-    caller decides what to retain — the segment writers stream it to
-    disk). Deterministic in [seed] and *chunking-invariant*: the parent
-    DRBG is consumed only by per-(serial, part) forks in ascending
-    serial order, so every chunk size (and every [?pool] size) yields
-    bit-identical material. [from_chunk] resumes a crashed run: earlier
-    chunks are skipped (their forks are drawn and discarded to keep the
-    transcript aligned) and emission starts at that chunk.
-    Raises [Invalid_argument] on an invalid configuration. *)
+(** Full-cryptography setup, the one generator of a full-crypto
+    election: generates it in ascending chunks of [chunk_size] serials,
+    calling [emit] once per chunk, with only one chunk of material
+    resident at a time ({!Election_store.write_setup} seals each chunk
+    into the segments; nothing else retains it). Cost grows with
+    [n_voters * m_options^2]; large-scale vote-collection runs use
+    {!Ballot_store.virtual_prf} instead. Deterministic in [seed] and
+    *chunking-invariant*: the parent DRBG is consumed only by
+    per-(serial, part) forks in ascending serial order, so every chunk
+    size (and every [?pool] size; default the [DDEMOS_DOMAINS] pool)
+    yields bit-identical material. [from_chunk] resumes a crashed run:
+    earlier chunks are skipped (their forks are drawn and discarded to
+    keep the transcript aligned) and emission starts at that chunk.
+    Raises [Invalid_argument] (naming [Ea.setup_chunks]) on an invalid
+    configuration. *)
 val setup_chunks :
   ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   ?from_chunk:int -> Types.config -> seed:string -> emit:(chunk -> unit) ->
   static
-
-(** Full-cryptography setup; deterministic in [seed]. Cost grows with
-    [n_voters * m_options^2] — intended for tests, examples, and
-    post-election benchmarks; large-scale vote-collection runs use
-    {!Ballot_store.virtual_prf} or the streaming {!setup_chunks}
-    instead. Per-ballot generation shards across [?pool] (default: the
-    [DDEMOS_DOMAINS] pool); the output is a pure function of [seed],
-    identical for every pool and chunk size, because each (serial,
-    part) draws from its own serially pre-forked DRBG.
-    Raises [Invalid_argument] on an invalid configuration. *)
-val setup :
-  ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
-  Types.config -> seed:string -> setup

@@ -6,10 +6,10 @@
 
    - [Source src]: the cluster's election data comes from a
      [Node_source.t], consumed as-is, as the serving runtime does. Full
-     cryptography comes from sealed segments — an EA setup held in
-     memory ([Node_source.of_setup], tests and examples) or a state dir
-     an earlier setup sealed ([Node_source.of_layout], long-running
-     deployments) — with real commitments, ZK proofs, VSS shares and
+     cryptography comes from segments Election_store.write_setup
+     sealed — onto in-memory devices ([Node_source.in_memory], tests and
+     examples) or into a state dir ([Node_source.of_layout],
+     long-running deployments) — with real commitments, ZK proofs, VSS shares and
      Schnorr/MAC authenticators end to end, including the trustee and
      audit phases. Every node serves from its own sealed store.
 

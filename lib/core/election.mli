@@ -5,10 +5,10 @@
 
     Both fidelity levels share the identical vote-collection protocol.
     [Source] consumes a {!Node_source.t} as-is, exactly as the serving
-    runtime does: {!Node_source.of_setup} serves an in-memory EA setup
-    (tests, examples) and {!Node_source.of_layout} a sealed state dir,
-    both with real cryptography end to end and every node serving from
-    its own sealed segment. [Modeled] PRF-derives ballots from the run
+    runtime does: {!Node_source.in_memory} serves an election sealed
+    onto in-memory devices (tests, examples) and {!Node_source.of_layout}
+    a sealed state dir, both with real cryptography end to end and
+    every node serving from its own sealed segment. [Modeled] PRF-derives ballots from the run
     seed and charges the post-election crypto to the simulated clock
     from {!Cost_model}, scaling to hundreds of millions of registered
     ballots. The node RNGs and the consensus coin come from {!params},
@@ -35,7 +35,7 @@ type byzantine_behavior = Adversary.behavior =
 
 type fidelity =
   | Source of Node_source.t
-      (** real election data, e.g. {!Node_source.of_setup} or
+      (** real election data, e.g. {!Node_source.in_memory} or
           {!Node_source.of_layout} *)
   | Modeled  (** PRF ballots keyed by [params.seed], MAC authenticators *)
 

@@ -170,7 +170,7 @@ let seal_slot = function
 let slot_of slots name = List.assoc name slots
 
 (* Append one chunk's records to every segment: the one encoder of
-   election data, shared by the streamed and the in-memory writer. *)
+   election data, for a fresh and a resumed setup alike. *)
 let append_chunk cfg slot (ck : Ea.chunk) =
   let count = Array.length ck.Ea.ck_ballots in
   for i = 0 to count - 1 do
@@ -199,12 +199,6 @@ let seal_layout cfg slot static =
     l_vc = Array.init cfg.Types.nv (fun i -> manifest (vc_segment i));
     l_trustee = Array.init cfg.Types.nt (fun i -> manifest (trustee_segment i)) }
 
-let fresh_slots ~chunk_size devices cfg =
-  List.map
-    (fun name ->
-      (name, Writing (Segment.create_writer ~chunk_size (devices name) ~kind:name)))
-    (segment_names cfg)
-
 let run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
   let slot = slot_of slots in
   let static =
@@ -215,30 +209,13 @@ let run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk =
 
 let write_setup ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
     ~seed =
-  run_setup ?pool ~chunk_size ~slots:(fresh_slots ~chunk_size devices cfg)
-    cfg ~seed ~from_chunk:0
-
-(* The whole in-memory setup goes through [append_chunk] as one chunk;
-   the segment writers cut it at [chunk_size] themselves, so the bytes
-   equal a streamed run's. *)
-let store_setup ?(chunk_size = Ea.default_setup_chunk) devices (s : Ea.setup) =
-  let cfg = s.Ea.cfg in
-  let slot = slot_of (fresh_slots ~chunk_size devices cfg) in
-  append_chunk cfg slot
-    { Ea.ck_index = 0;
-      ck_first = 0;
-      ck_ballots = s.Ea.ballots;
-      ck_bb = s.Ea.bb_ballots;
-      ck_vc = Array.map (fun (v : Ea.vc_node_init) -> v.Ea.vc_lines) s.Ea.vc_init;
-      ck_trustee = Array.map (fun (t : Ea.trustee_init) -> t.Ea.t_ballots) s.Ea.trustee_init };
-  seal_layout cfg slot
-    { Ea.st_cfg = cfg;
-      st_gctx = Group_ctx.default ();
-      st_vc_keys = s.Ea.vc_keys;
-      st_trustee_keys = s.Ea.trustee_keys;
-      st_hmsk = s.Ea.bb_init.Ea.hmsk;
-      st_salt_msk = s.Ea.bb_init.Ea.salt_msk;
-      st_msk_shares = Array.map (fun (v : Ea.vc_node_init) -> v.Ea.vc_msk_share) s.Ea.vc_init }
+  let slots =
+    List.map
+      (fun name ->
+        (name, Writing (Segment.create_writer ~chunk_size (devices name) ~kind:name)))
+      (segment_names cfg)
+  in
+  run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk:0
 
 let resume_setup ?pool ?chunk_size devices cfg ~seed =
   (* classify every segment, discovering the on-disk chunk size *)

@@ -22,7 +22,6 @@ module Segment = Dd_segment.Segment
 
 (* --- record codecs (one record per serial) --------------------------- *)
 
-(* lint: allow unused-export — test_election_store compares ballots by their record bytes *)
 val encode_bb_ballot : Ea.bb_ballot -> string
 val decode_bb_ballot : string -> Ea.bb_ballot option
 
@@ -61,18 +60,12 @@ type layout = {
 (** [write_setup devices cfg ~seed] runs {!Ea.setup_chunks} and streams
     every chunk straight into the segments, holding one chunk of
     material at a time. [devices name] supplies the device backing each
-    segment (all must be empty). *)
+    segment (all must be empty): [File_device]s for a state dir, or
+    [Device.Mem] backings for an election run in one process. It is the
+    one writer of full-crypto election data. *)
 val write_setup :
   ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   (string -> Device.t) -> Types.config -> seed:string -> layout
-
-(** [store_setup devices s] writes an EA setup already held in memory
-    into the same segments, through the same record encoder and
-    chunking: the files equal those of [write_setup] for the same seed
-    and [chunk_size]. This is how a full-crypto election run in one
-    process hands each node its own store. *)
-val store_setup :
-  ?chunk_size:int -> (string -> Device.t) -> Ea.setup -> layout
 
 (** Resume a crashed [write_setup] over the same devices: truncates each
     segment to its last durable checkpoint, regenerates from the

@@ -50,7 +50,7 @@ let of_layout ~devices (layout : Election_store.layout) =
 (* Every node reads its own sealed segment, as in the paper, where the
    EA writes each node's initialization data into that node's store;
    here the store is a family of in-memory devices. *)
-let of_setup (s : Ea.setup) =
+let in_memory cfg ~seed =
   let devices = Dd_store.Device.(by_name (fun _ -> Mem.device (Mem.create ()))) in
   (* lint: allow secret-taint the layout is tainted as a whole by its msk shares, which of_layout hands each to its own collector's store; the flagged comparisons are segment readers checking public manifest roots and lengths *)
-  of_layout ~devices (Election_store.store_setup devices s)
+  of_layout ~devices (Election_store.write_setup devices cfg ~seed)

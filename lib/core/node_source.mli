@@ -3,7 +3,7 @@
     ballots. This is the one way a cluster receives its election data:
     the simulator's {!Election.run} and the serving runtime both build
     their nodes from this record as-is. Two backings: sealed segments
-    for real cryptography ({!of_layout}, and {!of_setup} on top of it)
+    for real cryptography ({!of_layout}, and {!in_memory} on top of it)
     and PRF-derived data ({!prf}). The record carries election data
     only — the consensus coin is the driver's choice, and no node RNG is
     seeded from an EA secret. *)
@@ -38,8 +38,11 @@ val prf : ?scheme:Auth.scheme -> Types.config -> seed:string -> t
     seed, a secret. *)
 val of_layout : devices:(string -> Dd_store.Device.t) -> Election_store.layout -> t
 
-(** Full cryptography from an EA setup held in memory (tests, examples):
-    {!Election_store.store_setup} writes it into in-memory segments,
-    which {!of_layout} then serves — so this equals {!of_layout} over
-    the same setup written to disk. *)
-val of_setup : Ea.setup -> t
+(** Full cryptography in one process (tests, examples, [ddemos run]):
+    {!Election_store.write_setup} seals the election onto in-memory
+    devices, one per segment, and {!of_layout} serves them — so this
+    equals {!of_layout} over the same election sealed on disk. Voters'
+    printed ballots come from [sv_ballot_for], trustee inits from
+    [sv_trustees]. Raises [Invalid_argument] on an invalid
+    configuration. *)
+val in_memory : Types.config -> seed:string -> t

@@ -49,7 +49,8 @@
     hosts no trustees and ignores [sv_trustees] and [sv_ballot_for];
     its VC nodes seed their RNGs from [sv_seed] and run Vote Set
     Consensus with the {!Dd_consensus.Binary_batch.Local} coin. An
-    in-memory EA setup is served through {!Ddemos.Node_source.of_setup}. *)
+    election sealed in memory is served through
+    {!Ddemos.Node_source.in_memory}. *)
 type source = Ddemos.Node_source.t = {
   sv_cfg : Ddemos.Types.config;
   sv_keys : Ddemos.Auth.keys array;

@@ -3,7 +3,6 @@
    simulator, plus Byzantine writers. *)
 
 module Types = Ddemos.Types
-module Ea = Ddemos.Ea
 module Bb_node = Ddemos.Bb_node
 module Node_source = Ddemos.Node_source
 module Bb_reader = Ddemos.Bb_reader
@@ -18,11 +17,11 @@ let submit bb ~sender ~set ~msk_share =
 
 let cfg = { Types.default_config with Types.n_voters = 3; Types.m_options = 2 }
 let seed = "bbtest"
-let setup = lazy (Ea.setup cfg ~seed)
-
-(* BB nodes are built the way every full-crypto run builds them: from
-   the node source's sealed board segment *)
-let bb_source = lazy (Option.get (Node_source.of_setup (Lazy.force setup)).Node_source.sv_bb)
+(* BB nodes, trustees and voters' ballots are built the way every
+   full-crypto run builds them: from the node source's sealed segments *)
+let source = lazy (Node_source.in_memory cfg ~seed)
+let bb_source = lazy (Option.get (Lazy.force source).Node_source.sv_bb)
+let trustee_source = lazy (Option.get (Lazy.force source).Node_source.sv_trustees)
 
 let make_bbs () =
   let init, board_for = Lazy.force bb_source in
@@ -32,8 +31,8 @@ let make_bbs () =
 (* the canonical vote set: ballot 0 votes part A option 1, ballot 2
    votes part B option 0 *)
 let cast_code ~serial ~part ~option =
-  let s = Lazy.force setup in
-  (Types.ballot_part s.Ea.ballots.(serial) part).Types.lines.(option).Types.vote_code
+  let ballot = (Lazy.force source).Node_source.sv_ballot_for serial in
+  (Types.ballot_part ballot part).Types.lines.(option).Types.vote_code
 
 let the_set () =
   [ (0, cast_code ~serial:0 ~part:Types.A ~option:1);
@@ -144,14 +143,14 @@ let test_esum_waits_for_opened_codes () =
 (* --- trustees end-to-end over direct wiring ------------------------------ *)
 
 let run_trustee_phase bbs =
-  let s = Lazy.force setup in
+  let keys, init_for = Lazy.force trustee_source in
   let trustees = Array.make cfg.Types.nt None in
   let exchange_queue = ref [] in
   for i = 0 to cfg.Types.nt - 1 do
     let env =
       { Trustee.me = i; cfg; gctx = Dd_group.Group_ctx.default ();
-        init = s.Ea.trustee_init.(i);
-        keys = s.Ea.trustee_keys.(i);
+        init = init_for i;
+        keys = keys.(i);
         send_trustee = (fun ~dst ex -> exchange_queue := (dst, ex) :: !exchange_queue);
         post_bb =
           (fun payload ->
@@ -223,14 +222,14 @@ let honest_posts =
     (let posts = Array.make cfg.Types.nt [] in
      let bbs = make_bbs () in
      List.iter (fun bb -> submit_all bb) bbs;
-     let s = Lazy.force setup in
+     let keys, init_for = Lazy.force trustee_source in
      let exchanges = ref [] in
      let trustees =
        Array.init cfg.Types.nt (fun i ->
            Trustee.create
              { Trustee.me = i; cfg; gctx = Dd_group.Group_ctx.default ();
-               init = s.Ea.trustee_init.(i);
-               keys = s.Ea.trustee_keys.(i);
+               init = init_for i;
+               keys = keys.(i);
                send_trustee = (fun ~dst ex -> exchanges := (dst, ex) :: !exchanges);
                post_bb = (fun payload -> posts.(i) <- posts.(i) @ [ payload ]);
                durable = None })

@@ -13,7 +13,6 @@
    - Voter.retry_delay backoff arithmetic. *)
 
 module Types = Ddemos.Types
-module Ea = Ddemos.Ea
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
 module Auditor = Ddemos.Auditor
@@ -28,14 +27,15 @@ let small_cfg = { Types.default_config with Types.n_voters = 5; Types.m_options 
 
 let votes_of l = List.map (fun (s, c) -> { Election.vi_serial = s; Election.vi_choice = c }) l
 
-(* Shared full-crypto setup (EA setup is the expensive part). *)
-let setup = lazy (Ea.setup small_cfg ~seed:"chaos-test")
+(* Shared full-crypto election, sealed in memory (EA setup is the
+   expensive part). *)
+let source = lazy (Node_source.in_memory small_cfg ~seed:"chaos-test")
 
 let run_full ?(seed = "chaos-run") ?(byzantine_vc = []) ?(byzantine_bb = [])
     ?(faults = Fault_plan.none) votes =
   let p =
     Election.default_params
-      ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force setup)))
+      ~fidelity:(Election.Source (Lazy.force source))
       small_cfg ~votes:(votes_of votes)
   in
   let p =

@@ -188,15 +188,25 @@ let test_ucert_verification () =
 
 (* --- EA setup invariants -------------------------------------------------------- *)
 
-let setup = lazy (Ea.setup cfg ~seed:"ea-test")
+(* The EA's streamed output for [cfg]: one chunk, since the default
+   chunk size exceeds the electorate. *)
+let setup =
+  lazy
+    (let chunks = ref [] in
+     let _static =
+       Ea.setup_chunks cfg ~seed:"ea-test" ~emit:(fun ck -> chunks := ck :: !chunks)
+     in
+     match !chunks with
+     | [ ck ] -> ck
+     | cks -> Alcotest.failf "expected one chunk, got %d" (List.length cks))
 
 let test_ea_shapes () =
   let s = Lazy.force setup in
-  Alcotest.(check int) "ballots" cfg.Types.n_voters (Array.length s.Ea.ballots);
-  Alcotest.(check int) "vc inits" cfg.Types.nv (Array.length s.Ea.vc_init);
-  Alcotest.(check int) "trustee inits" cfg.Types.nt (Array.length s.Ea.trustee_init);
+  Alcotest.(check int) "ballots" cfg.Types.n_voters (Array.length s.Ea.ck_ballots);
+  Alcotest.(check int) "vc inits" cfg.Types.nv (Array.length s.Ea.ck_vc);
+  Alcotest.(check int) "trustee inits" cfg.Types.nt (Array.length s.Ea.ck_trustee);
   Alcotest.(check int) "bb ballots" cfg.Types.n_voters
-    (Array.length s.Ea.bb_ballots)
+    (Array.length s.Ea.ck_bb)
 
 let test_ea_commitments_match_printed_options () =
   (* the trustee opening shares reconstruct unit vectors consistent
@@ -204,12 +214,12 @@ let test_ea_commitments_match_printed_options () =
   let s = Lazy.force setup in
   let serial = 0 in
   let mat = Ballot_gen.gen_part ~seed:"ea-test" ~serial ~part:Types.A ~m:cfg.Types.m_options in
-  let entries = s.Ea.bb_ballots.(serial).Ea.bb_parts.(0) in
+  let entries = s.Ea.ck_bb.(serial).Ea.bb_parts.(0) in
   for pos = 0 to cfg.Types.m_options - 1 do
     (* reconstruct opening from ht trustee shares *)
     let shares =
       List.init cfg.Types.ht (fun t ->
-          s.Ea.trustee_init.(t).Ea.t_ballots.(serial).(0).Ea.t_shares.(pos))
+          s.Ea.ck_trustee.(t).(serial).(0).Ea.t_shares.(pos))
     in
     let opening =
       Array.init cfg.Types.m_options (fun j ->
@@ -236,7 +246,7 @@ let test_ea_encrypted_codes_decrypt () =
   let msk = Ballot_gen.msk ~seed:"ea-test" in
   let serial = 1 in
   let mat = Ballot_gen.gen_part ~seed:"ea-test" ~serial ~part:Types.B ~m:cfg.Types.m_options in
-  let entries = s.Ea.bb_ballots.(serial).Ea.bb_parts.(1) in
+  let entries = s.Ea.ck_bb.(serial).Ea.bb_parts.(1) in
   Array.iteri
     (fun pos (e : Ea.bb_part_entry) ->
        let iv, ct = e.Ea.enc_code in
@@ -309,8 +319,10 @@ let test_ea_part_comb_counts () =
     [ Types.A; Types.B ]
 
 let test_ea_rejects_bad_config () =
-  Alcotest.check_raises "bad config" (Invalid_argument "Ea.setup: need Nv >= 3 fv + 1")
-    (fun () -> ignore (Ea.setup { cfg with Types.nv = 2 } ~seed:"x"))
+  Alcotest.check_raises "bad config"
+    (Invalid_argument "Ea.setup_chunks: need Nv >= 3 fv + 1")
+    (fun () ->
+       ignore (Ea.setup_chunks { cfg with Types.nv = 2 } ~seed:"x" ~emit:ignore : Ea.static))
 
 (* --- liveness bounds (Table I / Theorem 1) ---------------------------------------- *)
 

@@ -9,10 +9,13 @@ module Types = Ddemos.Types
 module Ea = Ddemos.Ea
 module Election = Ddemos.Election
 module Node_source = Ddemos.Node_source
+module Election_store = Ddemos.Election_store
 module Auditor = Ddemos.Auditor
 module Voter = Ddemos.Voter
 module Ballot_gen = Ddemos.Ballot_gen
 module Drbg = Dd_crypto.Drbg
+module Device = Dd_store.Device
+module Segment = Dd_segment.Segment
 
 let small_cfg = { Types.default_config with Types.n_voters = 5; Types.m_options = 3 }
 
@@ -23,13 +26,14 @@ let check_tally what expected (r : Election.result) =
   | None -> Alcotest.failf "%s: no tally" what
   | Some t -> Alcotest.(check (array int)) what expected t
 
-(* Shared full-crypto setup (EA setup is the expensive part). *)
-let setup = lazy (Ea.setup small_cfg ~seed:"itest")
+(* Shared full-crypto election, sealed in memory (EA setup is the
+   expensive part). *)
+let source = lazy (Node_source.in_memory small_cfg ~seed:"itest")
 
 let run_full ?(seed = "run") ?byzantine_vc ?patience ?end_after votes =
   let p =
     Election.default_params
-      ~fidelity:(Election.Source (Node_source.of_setup (Lazy.force setup)))
+      ~fidelity:(Election.Source (Lazy.force source))
       small_cfg ~votes:(votes_of votes)
   in
   let p = { p with Election.seed; concurrent_clients = 3 } in
@@ -260,38 +264,51 @@ let test_pool_stale_and_misrouted_replies () =
 
 (* --- malicious EA caught by audit (E2E verifiability) ------------------------ *)
 
-let tampered_setup () =
-  (* the EA swaps the option-encoding commitments of positions 0 and 1
-     in part A of ballot 0 (commitments, VSS aux, ZK proofs, and trustee
-     shares all move consistently) but leaves the encrypted vote codes
-     in place: vote codes now point at the wrong options — the paper's
-     "modification attack". *)
-  let s = Ea.setup small_cfg ~seed:"evil" in
-  let swap_bb (parts : Ea.bb_part_entry array array) =
-    let a = parts.(0) in
-    let e0 = a.(0) and e1 = a.(1) in
-    a.(0) <- { e1 with Ea.enc_code = e0.Ea.enc_code };
-    a.(1) <- { e0 with Ea.enc_code = e1.Ea.enc_code }
+let tampered_source () =
+  (* the EA seals an honest election, then swaps the option-encoding
+     commitments of positions 0 and 1 in part A of ballot 0 (commitments,
+     ZK proofs, and trustee shares all move consistently) but leaves the
+     encrypted vote codes in place: vote codes now point at the wrong
+     options — the paper's "modification attack". The board record is
+     rewritten and its segment re-sealed; every trustee reads the
+     swapped shares. *)
+  let devices = Device.(by_name (fun _ -> Mem.device (Mem.create ()))) in
+  let layout = Election_store.write_setup devices small_cfg ~seed:"evil" in
+  let bb = layout.Election_store.l_bb in
+  let records =
+    Option.get (Segment.read_all (devices Election_store.bb_segment) bb)
   in
-  swap_bb s.Ea.bb_ballots.(0).Ea.bb_parts;
-  Array.iter
-    (fun (ti : Ea.trustee_init) ->
-       let part = ti.Ea.t_ballots.(0).(0) in
-       let sh = part.Ea.t_shares in
-       let tmp = sh.(0) in
-       sh.(0) <- sh.(1);
-       sh.(1) <- tmp)
-    s.Ea.trustee_init;
-  s
+  let ballot = Option.get (Election_store.decode_bb_ballot records.(0)) in
+  let a = ballot.Ea.bb_parts.(0) in
+  let e0 = a.(0) and e1 = a.(1) in
+  a.(0) <- { e1 with Ea.enc_code = e0.Ea.enc_code };
+  a.(1) <- { e0 with Ea.enc_code = e1.Ea.enc_code };
+  records.(0) <- Election_store.encode_bb_ballot ballot;
+  let board = Device.Mem.device (Device.Mem.create ()) in
+  let w =
+    Segment.create_writer ~chunk_size:bb.Segment.chunk_size board
+      ~kind:Election_store.bb_segment
+  in
+  Array.iter (Segment.append w) records;
+  let l_bb = Segment.seal w in
+  (devices Election_store.bb_segment).Device.log_reset (board.Device.log_contents ());
+  let src = Node_source.of_layout ~devices { layout with Election_store.l_bb } in
+  let keys, init_for = Option.get src.Node_source.sv_trustees in
+  let init_for i =
+    let ti = init_for i in
+    let sh = ti.Ea.t_ballots.(0).(0).Ea.t_shares in
+    let tmp = sh.(0) in
+    sh.(0) <- sh.(1);
+    sh.(1) <- tmp;
+    ti
+  in
+  { src with Node_source.sv_trustees = Some (keys, init_for) }
 
 let test_malicious_ea_detected () =
-  let s = tampered_setup () in
+  let src = tampered_source () in
   (* voter 0 votes with part B (so part A is audited), others as usual *)
   let votes = votes_of [ (0, 1); (1, 0); (2, 2) ] in
-  let p =
-    Election.default_params ~fidelity:(Election.Source (Node_source.of_setup s)) small_cfg
-      ~votes
-  in
+  let p = Election.default_params ~fidelity:(Election.Source src) small_cfg ~votes in
   (* try a few seeds until voter 0's coin picks part B; the plan
      derivation is deterministic per seed *)
   let rec find_seed k =
@@ -299,7 +316,7 @@ let test_malicious_ea_detected () =
     else begin
       let seed = Printf.sprintf "evilrun%d" k in
       let rng = Drbg.create ~seed:(Printf.sprintf "client|%s|0" seed) in
-      let ballot = s.Ea.ballots.(0) in
+      let ballot = src.Node_source.sv_ballot_for 0 in
       let plan = Voter.make_plan rng ~ballot ~choice:1 in
       if plan.Voter.part = Types.B then (seed, plan) else find_seed (k + 1)
     end
@@ -322,9 +339,9 @@ let test_malicious_ea_detected () =
 let test_honest_ea_passes_delegated_audit () =
   (* the same delegated audit on an honest run passes *)
   let r = run_full ~seed:"delegated" [ (0, 1); (1, 0) ] in
-  let s = Lazy.force setup in
+  let ballot = (Lazy.force source).Node_source.sv_ballot_for 0 in
   let rng = Drbg.create ~seed:"client|delegated|0" in
-  let plan = Voter.make_plan rng ~ballot:s.Ea.ballots.(0) ~choice:1 in
+  let plan = Voter.make_plan rng ~ballot ~choice:1 in
   match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no view"
   | Some view ->
@@ -399,10 +416,10 @@ let test_parallel_audit_at_scale () =
   let module Elgamal = Dd_commit.Elgamal in
   let module Nat = Dd_bignum.Nat in
   let cfg = { Types.default_config with Types.n_voters = 32; Types.m_options = 2 } in
-  let s = Ea.setup cfg ~seed:"par-audit" in
   let votes = List.init 32 (fun i -> (i, i mod 2)) in
   let p =
-    Election.default_params ~fidelity:(Election.Source (Node_source.of_setup s)) cfg
+    Election.default_params
+      ~fidelity:(Election.Source (Node_source.in_memory cfg ~seed:"par-audit")) cfg
       ~votes:(votes_of votes)
   in
   let r = Election.run { p with Election.seed = "par-audit"; concurrent_clients = 8 } in

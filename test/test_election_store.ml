@@ -1,22 +1,18 @@
 (* The streaming election store end to end:
-   - chunked Ea.setup is bit-identical to the monolithic one, for every
-     chunk size (the DRBG fork-order discipline);
+   - chunked Ea.setup_chunks is bit-identical to one chunk of the whole
+     election, for every chunk size (the DRBG fork-order discipline);
+   - write_setup's segment bytes are pinned by digest, on in-memory
+     devices and on File_device alike;
    - write_setup / resume_setup reproduce byte-identical segment files
      after a crash at an arbitrary torn byte;
    - a slice audit needs only its own chunk's bytes: every other chunk
      of the device can be garbage (the independent-auditor soundness
      pin, see docs/INVARIANTS.md);
-   - the in-memory writer (store_setup) and the streamed one
-     (write_setup) produce the same segment bytes;
    - an election served from sealed segments (Node_source.of_layout)
-     matches its twin run from an in-memory setup (Node_source.of_setup):
-     same receipts, same tally, same board root, and the full audit plus
-     a slice audit pass;
+     issues every receipt, publishes the cast votes' tally, and passes
+     the full audit plus every slice audit;
    - a ballot with two equal opened codes fails check (a) in the whole
-     audit and in its own chunk's slice audit only;
-   - the two sources are one: same node seed and board root, and the
-     serving runtime over either casts the same codes and agrees on the
-     same final sets. *)
+     audit and in its own chunk's slice audit only. *)
 
 module Types = Ddemos.Types
 module Ea = Ddemos.Ea
@@ -28,15 +24,10 @@ module Bb_node = Ddemos.Bb_node
 module Board = Ddemos.Board
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
-module Runtime = Dd_serve.Runtime
-module Loadgen = Dd_serve.Loadgen
 
 let cfg =
   { Types.default_config with
     Types.n_voters = 6; Types.m_options = 2; Types.election_id = "estore" }
-
-(* Shared full-crypto reference setup (the expensive part). *)
-let setup = lazy (Ea.setup cfg ~seed:"estore")
 
 let req what = function Some x -> x | None -> Alcotest.failf "%s: None" what
 
@@ -62,26 +53,30 @@ let votes_of l =
 
 (* --- chunked setup = monolithic setup ---------------------------------- *)
 
+(* The board and printed ballots of every chunk, in serial order. *)
+let streamed ?chunk_size () =
+  let bb = ref [] and ballots = ref [] in
+  let _static =
+    Ea.setup_chunks ?chunk_size cfg ~seed:"estore" ~emit:(fun ck ->
+        bb := ck.Ea.ck_bb :: !bb;
+        ballots := ck.Ea.ck_ballots :: !ballots)
+  in
+  (Array.concat (List.rev !bb), Array.concat (List.rev !ballots))
+
 let test_chunked_equals_monolithic () =
-  let s = Lazy.force setup in
   let enc = Election_store.encode_bb_ballot in
-  let mono = Array.map enc s.Ea.bb_ballots in
+  (* the default chunk size exceeds the electorate: one chunk *)
+  let mono_bb, mono_ballots = streamed () in
+  let mono = Array.map enc mono_bb in
   List.iter
     (fun chunk_size ->
-       let bb = ref [] and ballots = ref [] in
-       let _static =
-         Ea.setup_chunks ~chunk_size cfg ~seed:"estore" ~emit:(fun ck ->
-             bb := ck.Ea.ck_bb :: !bb;
-             ballots := ck.Ea.ck_ballots :: !ballots)
-       in
-       let bb = Array.concat (List.rev !bb) in
-       let ballots = Array.concat (List.rev !ballots) in
+       let bb, ballots = streamed ~chunk_size () in
        Alcotest.(check (array string))
          (Printf.sprintf "bb ballots, chunk_size %d" chunk_size)
          mono (Array.map enc bb);
        Alcotest.(check (array string))
          (Printf.sprintf "voter ballots, chunk_size %d" chunk_size)
-         (Array.map Election_store.encode_voter_ballot s.Ea.ballots)
+         (Array.map Election_store.encode_voter_ballot mono_ballots)
          (Array.map Election_store.encode_voter_ballot ballots))
     [ 1; 4; 100 ]
 
@@ -116,49 +111,35 @@ let segment_digests tbl =
     tbl []
   |> List.sort compare
 
-(* both writers: streamed from the EA, and from an in-memory setup *)
 let test_segments_golden () =
   let check what tbl =
     Alcotest.(check (list (pair string string))) what golden_digests (segment_digests tbl)
   in
   let tbl, dev = mem_family () in
   let _layout = Election_store.write_setup ~chunk_size:2 dev golden_cfg ~seed:"golden" in
-  check "streamed segment digests" tbl;
-  let tbl, dev = mem_family () in
-  let _layout =
-    Election_store.store_setup ~chunk_size:2 dev (Ea.setup golden_cfg ~seed:"golden")
-  in
-  check "in-memory segment digests" tbl
+  check "streamed segment digests" tbl
 
-(* --- the two writers serve the same board -------------------------------- *)
-
-let test_writers_agree () =
-  let s = Lazy.force setup in
-  let _tbl, dev = mem_family () in
-  let streamed = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
-  let _tbl, mem_dev = mem_family () in
-  let stored = Election_store.store_setup ~chunk_size:2 mem_dev s in
-  let board dev layout =
-    Board.create (dev Election_store.bb_segment) layout.Election_store.l_bb
+(* The same bytes through File_device, the state-dir backing `ddemos
+   deploy` writes: one [<segment>.wal] file per segment. *)
+let test_file_segments_golden () =
+  let dir = Filename.temp_file "ddemos-golden" ".d" in
+  Sys.remove dir;
+  let files name = Dd_store.File_device.create ~dir ~name in
+  let _layout = Election_store.write_setup ~chunk_size:2 files golden_cfg ~seed:"golden" in
+  let wals = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let digests =
+    List.map
+      (fun file ->
+         let path = Filename.concat dir file in
+         let log = In_channel.with_open_bin path In_channel.input_all in
+         (Filename.chop_suffix file ".wal",
+          Dd_crypto.Sha256.hex_of_string (Dd_crypto.Sha256.digest log)))
+      wals
   in
-  let seg = board dev streamed and mem = board mem_dev stored in
-  Alcotest.(check string) "streamed root = in-memory root" (Board.root seg) (Board.root mem);
-  let enc = Election_store.encode_bb_ballot in
-  for i = 0 to cfg.Types.n_voters - 1 do
-    Alcotest.(check string)
-      (Printf.sprintf "ballot %d identical through both writers" i)
-      (enc (req "streamed ballot" (Board.ballot seg i)))
-      (enc (req "in-memory ballot" (Board.ballot mem i)))
-  done;
-  (* the slice proof of every chunk checks out against the shared root *)
-  List.iter
-    (fun b ->
-       for c = 0 to Board.n_chunks b - 1 do
-         let chunk_root, path = req "slice proof" (Board.slice_proof b c) in
-         Alcotest.(check bool) (Printf.sprintf "chunk %d proof" c) true
-           (Segment.verify_slice ~root:(Board.root seg) ~chunk_root path)
-       done)
-    [ seg; mem ]
+  List.iter (fun file -> Sys.remove (Filename.concat dir file)) wals;
+  Sys.rmdir dir;
+  Alcotest.(check (list (pair string string))) "File_device segment digests"
+    golden_digests digests
 
 (* --- crash-resume bit-identity ----------------------------------------- *)
 
@@ -229,33 +210,25 @@ let test_slice_audit_ignores_other_chunks () =
   | Ok _ -> Alcotest.fail "whole-segment audit must fail"
   | Error _ -> ()
 
-(* --- a sealed-segment election matches its in-memory twin --------------- *)
+(* --- an election served from sealed segments ---------------------------- *)
 
-let run_election fidelity =
-  let votes = votes_of [ (0, 0); (1, 1); (2, 1); (3, 0); (4, 1); (5, 0) ] in
-  let p = Election.default_params ~fidelity cfg ~votes in
-  Election.run { p with Election.seed = "stored-run"; concurrent_clients = 3 }
-
-(* the same election served from sealed segments of two ballots a chunk *)
+(* an election served from sealed segments of two ballots a chunk *)
 let run_stored () =
   let _tbl, dev = mem_family () in
   let layout = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
-  run_election (Election.Source (Node_source.of_layout ~devices:dev layout))
+  let votes = votes_of [ (0, 0); (1, 1); (2, 1); (3, 0); (4, 1); (5, 0) ] in
+  let p =
+    Election.default_params
+      ~fidelity:(Election.Source (Node_source.of_layout ~devices:dev layout)) cfg ~votes
+  in
+  Election.run { p with Election.seed = "stored-run"; concurrent_clients = 3 }
 
 let test_stored_election_matches_full () =
-  let s = Lazy.force setup in
-  let r_full = run_election (Election.Source (Node_source.of_setup s)) in
   let r_stored = run_stored () in
-  Alcotest.(check int) "same receipts"
-    r_full.Election.receipts_ok r_stored.Election.receipts_ok;
-  Alcotest.(check (array int)) "same tally"
-    (req "full tally" r_full.Election.tally)
+  Alcotest.(check int) "every receipt" cfg.Types.n_voters r_stored.Election.receipts_ok;
+  Alcotest.(check (array int)) "tally of the cast votes" [| 3; 3 |]
     (req "stored tally" r_stored.Election.tally);
-  (* the disk-served node's commitment equals the RAM derivation *)
   let stored_bb = List.hd r_stored.Election.bb_nodes in
-  let mem = Election_store.store_setup ~chunk_size:2 (snd (mem_family ())) s in
-  Alcotest.(check string) "stored board root = in-memory writer's root"
-    mem.Election_store.l_bb.Segment.root (Board.root (Bb_node.board stored_bb));
   (* full audit and an independent single-slice audit both pass *)
   let view =
     req "audit view"
@@ -314,51 +287,6 @@ let test_slice_check_out_of_range () =
   Alcotest.(check bool) "last chunk passes" true (Auditor.all_ok checks);
   Alcotest.(check bool) "last chunk reads" true (Option.is_some slice)
 
-(* --- one source, however the segments were written ------------------------ *)
-
-(* Serve votes through the runtime, close the election and drive Vote
-   Set Consensus to the boards: the cast codes and every BB's final set. *)
-let serve_run (src : Node_source.t) votes =
-  let t = Runtime.create src in
-  let r =
-    Loadgen.run
-      ~params:{ Loadgen.default_params with Loadgen.lg_clients = 3; lg_seed = "sources" }
-      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
-      ~step:(fun () -> Runtime.step t)
-      ~ballot_for:src.Node_source.sv_ballot_for ~nv:cfg.Types.nv
-      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) votes)
-      ()
-  in
-  Runtime.end_election t;
-  ignore (Runtime.run_until_idle t : int);
-  let final_set j =
-    Option.bind (Runtime.bb_node t j) (fun bb -> (Bb_node.published bb).Bb_node.final_set)
-  in
-  (List.sort compare r.Loadgen.successes, List.init cfg.Types.nb final_set)
-
-let test_setup_and_layout_sources_agree () =
-  let mem = Node_source.of_setup (Lazy.force setup) in
-  let _tbl, dev = mem_family () in
-  let disk =
-    Node_source.of_layout ~devices:dev (Election_store.write_setup dev cfg ~seed:"estore")
-  in
-  Alcotest.(check string) "same node seed"
-    mem.Node_source.sv_seed disk.Node_source.sv_seed;
-  let root (src : Node_source.t) =
-    let _init, board_for = req "boards" src.Node_source.sv_bb in
-    Board.root (board_for 0)
-  in
-  Alcotest.(check string) "same board root" (root mem) (root disk);
-  let votes = [ (0, 0); (1, 1); (2, 1); (3, 0); (4, 1); (5, 0) ] in
-  let codes_mem, finals_mem = serve_run mem votes in
-  let codes_disk, finals_disk = serve_run disk votes in
-  Alcotest.(check int) "every vote served" (List.length votes) (List.length codes_mem);
-  Alcotest.(check (list (pair int string))) "same cast codes" codes_mem codes_disk;
-  Alcotest.(check bool) "every BB has a final set" true
-    (List.for_all Option.is_some finals_mem);
-  Alcotest.(check (list (option (list (pair int string))))) "same BB final sets"
-    finals_mem finals_disk
-
 (* A state dir only loads under the configuration and seed it was
    dealt for: another voter count, seed or collector count gives
    [None], not a cluster that fails mid-run. *)
@@ -401,12 +329,12 @@ let () =
         [ Alcotest.test_case "chunked = monolithic" `Quick test_chunked_equals_monolithic;
           Alcotest.test_case "crash-resume is bit-identical" `Quick test_resume_bit_identical;
           Alcotest.test_case "segments match the golden digest" `Quick test_segments_golden;
+          Alcotest.test_case "File_device segments match the golden digest" `Quick
+            test_file_segments_golden;
           Alcotest.test_case "layout loads only for its config and seed" `Quick
             test_layout_matches_config_and_seed;
           Alcotest.test_case "loading a layout writes nothing" `Quick
             test_load_writes_nothing ] );
-      ( "board",
-        [ Alcotest.test_case "streamed and in-memory writers agree" `Quick test_writers_agree ] );
       ( "audit",
         [ Alcotest.test_case "slice audit ignores other chunks" `Quick
             test_slice_audit_ignores_other_chunks;
@@ -415,6 +343,4 @@ let () =
           Alcotest.test_case "slice audit catches duplicate codes" `Quick
             test_slice_audit_catches_duplicate_codes;
           Alcotest.test_case "slice check names an out-of-range chunk" `Quick
-            test_slice_check_out_of_range;
-          Alcotest.test_case "setup and layout sources agree" `Quick
-            test_setup_and_layout_sources_agree ] ) ]
+            test_slice_check_out_of_range ] ) ]

@@ -505,10 +505,35 @@ let test_harvest () =
     (Ok [ "Ping"; "Pong"; "Post" ])
     (harvest "type vc_msg = Ping of int | Pong\ntype bb_msg = Post\ntype other = Not_wire");
   Alcotest.(check bool) "nothing to harvest" true (Result.is_error (harvest "let x = 1"));
-  (* no messages.ml among the files and none under lib/core here: an
-     error, never a built-in list *)
-  Alcotest.(check bool) "no messages.ml is an error" true
-    (Result.is_error (Lint.wire_constructors [ "fixture.ml" ]))
+  (* with no messages.ml among the files, the driver falls back to
+     lib/core/messages.ml under the working directory: probe that from a
+     fresh directory, first without one (an error, never a built-in
+     list), then with one, so the verdict does not depend on where the
+     suite runs *)
+  let dir = Filename.temp_file "ddemos_lint_harvest" ".d" in
+  Sys.remove dir;
+  let core = Filename.concat (Filename.concat dir "lib") "core" in
+  let fallback = Filename.concat core "messages.ml" in
+  let cwd = Sys.getcwd () in
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+        Sys.chdir cwd;
+        if Sys.file_exists fallback then Sys.remove fallback;
+        List.iter
+          (fun d -> if Sys.file_exists d then Sys.rmdir d)
+          [ core; Filename.dirname core; dir ])
+    (fun () ->
+       Sys.chdir dir;
+       Alcotest.(check bool) "no messages.ml is an error" true
+         (Result.is_error (Lint.wire_constructors [ "fixture.ml" ]));
+       Sys.mkdir "lib" 0o755;
+       Sys.mkdir (Filename.concat "lib" "core") 0o755;
+       Out_channel.with_open_bin fallback (fun oc ->
+           output_string oc "type vc_msg = Ping\ntype bb_msg = Post");
+       Alcotest.(check (result (list string) pass)) "falls back to lib/core/messages.ml"
+         (Ok [ "Ping"; "Post" ])
+         (Lint.wire_constructors [ "fixture.ml" ]))
 
 let test_findings_output () =
   let f =
@@ -520,31 +545,46 @@ let test_findings_output () =
   Alcotest.(check string) "file" "lib/core/fixture.ml" f.Findings.file;
   Alcotest.(check bool) "text line" true (String.length (Findings.to_text f) > 0)
 
+(* The repository root, as a path relative to the working directory:
+   the nearest directory at or above it holding [dune-project]. That is
+   the checkout when the suite runs from there, and [_build/default]
+   under [dune runtest] (the suite depends on ../dune-project, so dune
+   copies it there). *)
+let repo_root () =
+  let rec up rel abs =
+    if Sys.file_exists (Filename.concat rel "dune-project") then rel
+    else
+      let parent = Filename.dirname abs in
+      if String.equal parent abs then
+        Alcotest.failf "no dune-project at or above %s" (Sys.getcwd ())
+      else up (Filename.concat rel Filename.parent_dir_name) parent
+  in
+  up Filename.current_dir_name (Sys.getcwd ())
+
 (* The shipped tree must lint clean, R9 included: the @lint alias is the
    real gate, but catching a regression here gives a much faster signal. *)
 let test_tree_clean () =
-  let roots = List.filter Sys.file_exists [ "../lib"; "../bin"; "../bench" ] in
-  if roots <> [] then begin
-    let files = Lint.ml_files roots in
-    Alcotest.(check bool) "found the tree" true (List.length files > 30);
-    let wire_constructors =
-      match Lint.wire_constructors files with
-      | Ok cs -> cs
-      | Error why -> Alcotest.fail why
-    in
-    let callers = Lint.ml_files (List.map (( ^ ) "../") Lint.caller_roots) in
-    let fs = Lint.lint_program ~rules:(Rules.all ~wire_constructors) ~callers files in
-    List.iter (fun f -> Printf.eprintf "%s\n" (Findings.to_text f)) fs;
-    Alcotest.(check int) "tree findings" 0 (List.length fs)
-  end
+  let under_root = List.map (Filename.concat (repo_root ())) in
+  let files = Lint.ml_files (under_root [ "lib"; "bin"; "bench" ]) in
+  Alcotest.(check bool) "found the tree" true (List.length files > 30);
+  Printf.eprintf "linting %d files\n" (List.length files);
+  let wire_constructors =
+    match Lint.wire_constructors files with
+    | Ok cs -> cs
+    | Error why -> Alcotest.fail why
+  in
+  let callers = Lint.ml_files (under_root Lint.caller_roots) in
+  let fs = Lint.lint_program ~rules:(Rules.all ~wire_constructors) ~callers files in
+  List.iter (fun f -> Printf.eprintf "%s\n" (Findings.to_text f)) fs;
+  Alcotest.(check int) "tree findings" 0 (List.length fs)
 
 (* Every rule the driver runs has a "## Rn `name`" section in
    docs/INVARIANTS.md, and every such section names a rule it runs. *)
 let test_docs_cover_rules () =
   let doc =
-    match List.find_opt Sys.file_exists [ "../docs/INVARIANTS.md"; "docs/INVARIANTS.md" ] with
-    | Some path -> In_channel.with_open_bin path In_channel.input_all
-    | None -> Alcotest.fail "docs/INVARIANTS.md not found"
+    In_channel.with_open_bin
+      (Filename.concat (repo_root ()) "docs/INVARIANTS.md")
+      In_channel.input_all
   in
   let headings =
     String.split_on_char '\n' doc

@@ -4,7 +4,8 @@
    reduce under random pool and chunk sizes), for exception propagation
    (smallest chunk index wins, original payload survives), for the
    domain-shared crypto stack (Sha256 under concurrent domains), and
-   for the real workload: Ea.setup at 1 vs 4 domains. *)
+   for the real workload: the segments write_setup seals at 1 vs 4
+   domains. *)
 
 module Pool = Dd_parallel.Pool
 module Once = Dd_parallel.Once
@@ -158,25 +159,47 @@ let test_msm_arena_concurrent () =
     Alcotest.(check bool) "results identical" true (par = serial)
   done
 
-(* --- the real workload: parallel Ea.setup ------------------------------ *)
+(* --- the real workload: parallel write_setup --------------------------- *)
 
-let test_ea_setup_deterministic () =
+(* The election write_setup seals at this pool size: its static part and
+   each segment's durable bytes, by segment name. *)
+let sealed_at ~domains cfg =
+  let module Device = Dd_store.Device in
+  let backings = Hashtbl.create 16 in
+  let devices =
+    Device.by_name (fun name ->
+        let b = Device.Mem.create () in
+        Hashtbl.add backings name b;
+        Device.Mem.device b)
+  in
+  let layout =
+    Ddemos.Election_store.write_setup ~pool:(pool_of ~domains) devices cfg ~seed:"par-seed"
+  in
+  (layout.Ddemos.Election_store.l_static,
+   fun name -> Device.Mem.durable_log (Hashtbl.find backings name))
+
+let test_write_setup_deterministic () =
+  let module Ea = Ddemos.Ea in
+  let module Election_store = Ddemos.Election_store in
   let cfg =
     { Types.default_config with
       Types.n_voters = 12; Types.m_options = 3; Types.election_id = "par-setup" }
   in
-  let s1 = Ddemos.Ea.setup ~pool:(pool_of ~domains:1) cfg ~seed:"par-seed" in
-  let s4 = Ddemos.Ea.setup ~pool:(pool_of ~domains:4) cfg ~seed:"par-seed" in
+  let st1, seg1 = sealed_at ~domains:1 cfg in
+  let st4, seg4 = sealed_at ~domains:4 cfg in
+  let same names = List.for_all (fun name -> String.equal (seg1 name) (seg4 name)) names in
   (* every distributed artifact — voter ballots, BB commitments and
      encrypted codes, VC lines and shares, trustee shares and tags —
-     must be structurally identical whatever the pool size *)
-  Alcotest.(check bool) "ballots identical" true (s1.Ddemos.Ea.ballots = s4.Ddemos.Ea.ballots);
-  Alcotest.(check bool) "bb_init identical" true (s1.Ddemos.Ea.bb_init = s4.Ddemos.Ea.bb_init);
-  Alcotest.(check bool) "bb_ballots identical" true
-    (s1.Ddemos.Ea.bb_ballots = s4.Ddemos.Ea.bb_ballots);
-  Alcotest.(check bool) "vc_init identical" true (s1.Ddemos.Ea.vc_init = s4.Ddemos.Ea.vc_init);
+     must be sealed byte for byte the same whatever the pool size *)
+  Alcotest.(check bool) "ballots identical" true (same [ Election_store.ballots_segment ]);
+  Alcotest.(check bool) "bb_init identical" true
+    (st1.Ea.st_hmsk = st4.Ea.st_hmsk && st1.Ea.st_salt_msk = st4.Ea.st_salt_msk);
+  Alcotest.(check bool) "bb_ballots identical" true (same [ Election_store.bb_segment ]);
+  Alcotest.(check bool) "vc_init identical" true
+    (st1.Ea.st_msk_shares = st4.Ea.st_msk_shares
+     && same (List.init cfg.Types.nv Election_store.vc_segment));
   Alcotest.(check bool) "trustee_init identical" true
-    (s1.Ddemos.Ea.trustee_init = s4.Ddemos.Ea.trustee_init)
+    (same (List.init cfg.Types.nt Election_store.trustee_segment))
 
 let test_env_domains () =
   (* the env knob parses defensively; we cannot set the environment of
@@ -198,5 +221,6 @@ let () =
          Alcotest.test_case "curve concurrent" `Quick test_curve_concurrent;
          Alcotest.test_case "msm arena concurrent" `Quick test_msm_arena_concurrent ]);
       ("workload",
-       [ Alcotest.test_case "Ea.setup pool-size independent" `Quick test_ea_setup_deterministic;
+       [ Alcotest.test_case "write_setup pool-size invariant" `Quick
+           test_write_setup_deterministic;
          Alcotest.test_case "env_domains range" `Quick test_env_domains ]) ]

@@ -5,7 +5,6 @@
    same seeded workload. *)
 
 module Types = Ddemos.Types
-module Ea = Ddemos.Ea
 module Auth = Ddemos.Auth
 module Messages = Ddemos.Messages
 module Election = Ddemos.Election
@@ -614,7 +613,7 @@ let test_one_frame_per_link_per_tick () =
 (* --- transcript equivalence against the simulator ----------------------- *)
 
 let eq_cfg = { Types.default_config with Types.n_voters = 8; Types.m_options = 3 }
-let eq_setup = lazy (Ea.setup eq_cfg ~seed:"serve-eq-setup")
+let eq_source = lazy (Node_source.in_memory eq_cfg ~seed:"serve-eq-setup")
 let eq_votes = [ (0, 0); (1, 1); (2, 1); (3, 2); (4, 0); (5, 1); (6, 2); (7, 1) ]
 
 let sorted l = List.sort compare l
@@ -625,8 +624,7 @@ let sorted l = List.sort compare l
    nodes and the voter model, so any divergence is a serving-layer
    bug. *)
 let test_transcript_equivalence () =
-  let setup = Lazy.force eq_setup in
-  let src = Node_source.of_setup setup in
+  let src = Lazy.force eq_source in
   let seed = "serve-eq" in
   let clients = 3 in
   (* simulator run *)
@@ -643,7 +641,7 @@ let test_transcript_equivalence () =
     Loadgen.run ~params:lg
       ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
       ~step:(fun () -> Runtime.step t)
-      ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
+      ~ballot_for:src.Node_source.sv_ballot_for
       ~nv:eq_cfg.Types.nv ~votes ()
   in
   Alcotest.(check int) "receipts agree" sim.Election.receipts_ok r.Loadgen.receipts_ok;
@@ -700,8 +698,8 @@ let test_vote_p_elision_on_links () =
   let disclosed serial d =
     Hashtbl.replace sent serial (d :: Option.value ~default:[] (Hashtbl.find_opt sent serial))
   in
-  let setup = Lazy.force eq_setup in
-  let t = Runtime.create (Node_source.of_setup setup) in
+  let src = Lazy.force eq_source in
+  let t = Runtime.create src in
   Runtime.observe_links t (fun ~src ~dst:_ -> function
     | Messages.Endorse { serial; responder = r; _ } -> Hashtbl.replace responder serial r
     | Messages.Vote_p { serial; _ } -> disclosed serial (src, true)
@@ -714,7 +712,7 @@ let test_vote_p_elision_on_links () =
       ~params:{ Loadgen.default_params with Loadgen.lg_clients = 3; lg_seed = "serve-eq" }
       ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
       ~step:(fun () -> Runtime.step t)
-      ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
+      ~ballot_for:src.Node_source.sv_ballot_for
       ~nv:eq_cfg.Types.nv
       ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes)
       ()

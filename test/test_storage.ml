@@ -14,7 +14,6 @@ module Vc_node = Ddemos.Vc_node
 module Bb_node = Ddemos.Bb_node
 module Trustee = Ddemos.Trustee
 module Bb_reader = Ddemos.Bb_reader
-module Ea = Ddemos.Ea
 module Messages = Ddemos.Messages
 module Auth = Ddemos.Auth
 module Ballot_store = Ddemos.Ballot_store
@@ -431,19 +430,19 @@ let test_vc_write_volume () =
 
 let bb_cfg = { Types.default_config with Types.n_voters = 3; Types.m_options = 2 }
 let bb_seed = "storage-bb"
-let bb_setup = lazy (Ea.setup bb_cfg ~seed:bb_seed)
-
-(* BB init and boards from the node source, as in every full-crypto run *)
-let bb_source =
-  lazy (Option.get (Node_source.of_setup (Lazy.force bb_setup)).Node_source.sv_bb)
+(* BB init and boards, trustee inits and voters' ballots from the node
+   source, as in every full-crypto run *)
+let bb_election = lazy (Node_source.in_memory bb_cfg ~seed:bb_seed)
+let bb_source = lazy (Option.get (Lazy.force bb_election).Node_source.sv_bb)
+let bb_trustees = lazy (Option.get (Lazy.force bb_election).Node_source.sv_trustees)
 
 let bb_create ?durable i =
   let init, board_for = Lazy.force bb_source in
   Bb_node.create ?durable ~board:(board_for i) ~cfg:bb_cfg ~init ~me:i ()
 
 let bb_code ~serial ~part ~option =
-  let s = Lazy.force bb_setup in
-  (Types.ballot_part s.Ea.ballots.(serial) part).Types.lines.(option).Types.vote_code
+  let ballot = (Lazy.force bb_election).Node_source.sv_ballot_for serial in
+  (Types.ballot_part ballot part).Types.lines.(option).Types.vote_code
 
 let bb_set () =
   [ (0, bb_code ~serial:0 ~part:Types.A ~option:1);
@@ -473,7 +472,7 @@ let prop_bb_journal_replay =
        String.equal (Bb_node.observable bb) (Bb_node.observable bb'))
 
 let test_full_pipeline_recovery () =
-  let s = Lazy.force bb_setup in
+  let keys, init_for = Lazy.force bb_trustees in
   let shares = msk_shares () in
   let bb_backings = Array.init bb_cfg.Types.nb (fun _ -> Mem.create ()) in
   let bbs =
@@ -491,8 +490,8 @@ let test_full_pipeline_recovery () =
   let queue = ref [] in
   let t_env i =
     { Trustee.me = i; cfg = bb_cfg; gctx;
-      init = s.Ea.trustee_init.(i);
-      keys = s.Ea.trustee_keys.(i);
+      init = init_for i;
+      keys = keys.(i);
       send_trustee = (fun ~dst ex -> queue := (dst, ex) :: !queue);
       post_bb =
         (fun payload ->
@@ -564,13 +563,13 @@ let test_create_reopens_journal () =
   same "bb" 0 (Bb_node.observable bb)
     (Bb_node.observable (bb_create ~durable:(Mem.device b) 0));
   (* trustees that took the election data and each other's exchanges *)
-  let s = Lazy.force bb_setup in
+  let keys, init_for = Lazy.force bb_trustees in
   let backings = Array.init bb_cfg.Types.nt (fun _ -> Mem.create ()) in
   let queue = Queue.create () in
   let t_env i =
     { Trustee.me = i; cfg = bb_cfg; gctx;
-      init = s.Ea.trustee_init.(i);
-      keys = s.Ea.trustee_keys.(i);
+      init = init_for i;
+      keys = keys.(i);
       send_trustee = (fun ~dst ex -> Queue.add (dst, ex) queue);
       post_bb = (fun _ -> ());
       durable = Some (Mem.device backings.(i)) }
