@@ -527,8 +527,8 @@ let test_harvest () =
        Sys.chdir dir;
        Alcotest.(check bool) "no messages.ml is an error" true
          (Result.is_error (Lint.wire_constructors [ "fixture.ml" ]));
-       Sys.mkdir "lib" 0o755;
-       Sys.mkdir (Filename.concat "lib" "core") 0o755;
+       Sys.mkdir (Filename.dirname core) 0o755;
+       Sys.mkdir core 0o755;
        Out_channel.with_open_bin fallback (fun oc ->
            output_string oc "type vc_msg = Ping\ntype bb_msg = Post");
        Alcotest.(check (result (list string) pass)) "falls back to lib/core/messages.ml"
