@@ -408,6 +408,11 @@ let micro () =
     Array.init Curve.batch_group (fun _ ->
         [ (Dd_group.Group_ctx.g_table (), Dd_group.Curve.random_scalar rng) ])
   in
+  (* the signers' keys of an nv = 4 clique: four collectors and the EA *)
+  let clique5 =
+    (Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Schnorr_scheme ~seed:"bench-clique5" ~n:5).(0)
+      .Ddemos.Auth.pks
+  in
   (* UCERT fixture: a 16-collector Schnorr clique at quorum Nv - fv = 11,
      the worst-case Table I verification load *)
   let ucert_keys =
@@ -514,6 +519,9 @@ let micro () =
       (* per multiplication: the measured group is divided by its size below *)
       Test.make ~name:"arith.comb-batch"
         (Staged.stage (fun () -> Curve.mul_base_batch comb_jobs));
+      (* the per-signer verification tables a cast set-up builds, in one batch *)
+      Test.make ~name:"arith.pk-tables.clique5"
+        (Staged.stage (fun () -> Dd_sig.Schnorr.make_pk_tables clique5));
       Test.make ~name:"arith.mul2-strauss-shamir"
         (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g sig_s sig_e point));
       (* arithmetic stack: batch normalization (64 points) *)

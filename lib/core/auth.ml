@@ -34,8 +34,8 @@ type keys = {
   me : int;
   sk : Schnorr.secret_key;
   pks : Schnorr.public_key array;       (* indexed by node id *)
-  pk_tables : Schnorr.pk_table Once.t array;  (* comb tables, built on first
-                                                 verify against that signer *)
+  pk_tables : Schnorr.pk_table Once.t array;  (* comb tables, all built on the
+                                                 first verify against any signer *)
   pk_pre : Schnorr.pk_table Once.t array;  (* [pk_tables] again, kept for
                                               perfbench's warm-up *)
   mac_keys : string array;              (* pairwise keys, indexed by peer *)
@@ -66,10 +66,10 @@ let deal_clique ~scheme ~seed ~n =
   (* Tables are shared across the clique (they depend only on the public
      keys) and built on first use — as Once cells rather than lazy so a
      verify race between domains is benign — so dealing stays cheap and
-     MAC-scheme runs never pay for them. *)
-  let pk_tables =
-    Array.map (fun pk -> Once.make (fun () -> Schnorr.make_pk_table pk)) pks
-  in
+     MAC-scheme runs never pay for them. The first cell forced builds
+     every signer's table in one batch, through the one cell they share. *)
+  let clique = Once.make (fun () -> Schnorr.make_pk_tables pks) in
+  let pk_tables = Array.init n (fun i -> Once.make (fun () -> (Once.force clique).(i))) in
   Array.init n (fun i ->
       { scheme; me = i;
         sk = fst key_pairs.(i);

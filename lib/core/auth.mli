@@ -20,8 +20,10 @@ type keys = {
   sk : Dd_sig.Schnorr.secret_key;
   pks : Dd_sig.Schnorr.public_key array;
   pk_tables : Dd_sig.Schnorr.pk_table Dd_parallel.Once.t array;
-      (** per-signer comb tables; built on first Schnorr verify
-          (race-safe once cells — any domain may force them) *)
+      (** per-signer comb tables (race-safe once cells — any domain
+          may force them). The cells share one batch: the first Schnorr
+          verify, or the first cell forced, builds the whole clique's
+          tables at once ([Schnorr.make_pk_tables]) *)
   pk_pre : Dd_sig.Schnorr.pk_table Dd_parallel.Once.t array;
       (** the same cells as [pk_tables]. Nothing here reads it: it
           stays only because perfbench's table warm-up forces it *)

@@ -16,7 +16,8 @@ module Fe = Dd_bignum.Fe
    primitive cube root of unity mod p, (x, y) -> (beta*x, y) is
    multiplication by the scalar lambda, and (a1, -b1), (a2, b2) is a
    short lattice basis for splitting a 256-bit scalar into two signed
-   ~128-bit halves. Used only by the vartime msm path. *)
+   ~128-bit halves. Used only by the vartime paths: msm and
+   the endomorphism tables. *)
 type endo = {
   e_lambda : Nat.t;     (* phi(P) = lambda * P *)
   e_beta : Fe.t;        (* phi(x, y) = (beta * x, y) *)
@@ -106,13 +107,12 @@ let generator =
 
 let is_affine (p : point) = not (is_infinity p) && Fe.equal (loaded p).z one
 
-(* Montgomery's trick: invert every element of [xs] (all nonzero) with
-   one field inversion. out.(i) first holds the product of the elements
-   before index i; the backward pass peels per-element inverses off the
-   inverted total, ~3 field mults per element. *)
-let batch_inv (xs : Fe.t array) =
-  let n = Array.length xs in
-  let out = Array.init n (fun _ -> Fe.make ()) in
+(* Montgomery's trick: invert the first [n] elements of [xs] (all
+   nonzero) into [out] with one field inversion. out.(i) first holds the
+   product of the elements before index i; the backward pass peels
+   per-element inverses off the inverted total, ~3 field mults per
+   element. *)
+let batch_inv n (xs : Fe.t array) (out : Fe.t array) =
   let run = Fe.make () in
   Fe.set_one run;
   for i = 0 to n - 1 do
@@ -123,12 +123,15 @@ let batch_inv (xs : Fe.t array) =
   for i = n - 1 downto 0 do
     Fe.mul out.(i) out.(i) run;
     Fe.mul run run xs.(i)
-  done;
-  out
+  done
+
+let fe_array n = Array.init n (fun _ -> Fe.make ())
 
 (* The affine (x, y) of finite registers, sharing one inversion. *)
 let normalize (js : jac array) =
-  let zis = batch_inv (Array.map (fun j -> j.z) js) in
+  let n = Array.length js in
+  let zis = fe_array n in
+  batch_inv n (Array.map (fun j -> j.z) js) zis;
   Array.mapi
     (fun i j ->
        let zz = Fe.make () and x = Fe.make () and y = Fe.make () in
@@ -515,25 +518,37 @@ let () =
    of n, so the accumulator is never the identity, never equal to T_j
    and never its negation. Only the last row can meet an exceptional
    case: the opposite one iff k = 0, the equal one iff
-   k = +-2 (2^w - 1) 2^(w(W-1)) mod n. *)
+   k = +-2 (2^w - 1) 2^(w(W-1)) mod n.
+
+   An endomorphism table (see [make_endo_tables]) has fewer rows, W
+   covering wW bits of a GLV half m rather than the order, and stores
+   beta x beside each x: the entry's image under phi, lambda times the
+   entry. For an odd m < 2^(wW), m + 2^(wW) - 1 is even and below n, so
+   the recoding above is exact over the integers, d = (m + 2^(wW) - 1) / 2,
+   and its digits sum to m itself. *)
 type base_table = {
   width : int;
+  stride : int;            (* words per entry: 10, or 15 with beta x *)
   entries : int array array;
-  (* row i holds (2j+1) * 2^(w*i) * B for each j: x at 10 j and y at
-     10 j + 5, packed by [Fe.pack]; no rows iff B is the identity *)
+  (* row i holds (2j+1) * 2^(w*i) * B for each j: x at stride * j, y at
+     stride * j + 5 and, in an endomorphism table, beta x at
+     stride * j + 10, packed by [Fe.pack]; no rows iff B is the
+     identity *)
   offset : Nat.t;          (* 2^(wW) - 1 mod n *)
   bit : bool;              (* a {!mul_base_batch} term's scalar is 0 or 1 *)
 }
 
-(* Affine additions P_i + Q_i with slopes num.(i) / den.(i), every den
-   nonzero, sharing one inversion ([batch_inv]): x3 = l^2 - x1 - x2 and
-   y3 = l (x1 - x3) - y1 go to (x3s.(i), y3s.(i)), which may be
-   (x1.(i), y1.(i)) or (num.(i), den.(i)). A tangent has slope
-   3 x1^2 / (2 y1) with x2 = x1. *)
-let slope_step ~num ~den x1 y1 x2 ~x3s ~y3s =
-  let inv = batch_inv den in
+type endo_table = base_table
+
+(* Affine additions P_i + Q_i for i < n with slopes num.(i) / den.(i),
+   every den nonzero, sharing one inversion ([batch_inv] into [inv]):
+   x3 = l^2 - x1 - x2 and y3 = l (x1 - x3) - y1 go to (x3s.(i), y3s.(i)),
+   which may be (x1.(i), y1.(i)) or (num.(i), den.(i)). A tangent has
+   slope 3 x1^2 / (2 y1) with x2 = x1. *)
+let slope_step n ~num ~den ~inv x1 y1 x2 ~x3s ~y3s =
+  batch_inv n den inv;
   let l = Fe.make () and x3 = Fe.make () and d = Fe.make () in
-  for i = 0 to Array.length den - 1 do
+  for i = 0 to n - 1 do
     Fe.mul l num.(i) inv.(i);
     Fe.sqr x3 l;
     Fe.sub x3 x3 x1.(i);
@@ -544,19 +559,16 @@ let slope_step ~num ~den x1 y1 x2 ~x3s ~y3s =
     Fe.set x3s.(i) x3
   done
 
-let tangent_step ax ay =
-  let num =
-    Array.map
-      (fun x ->
-         let d = Fe.make () and xx = Fe.make () in
-         Fe.sqr xx x;
-         Fe.add d xx xx;
-         Fe.add d d xx;
-         d)
-      ax
-  in
-  let den = Array.map (fun y -> let d = Fe.make () in Fe.add d y y; d) ay in
-  slope_step ~num ~den ax ay ax ~x3s:ax ~y3s:ay
+(* (ax.(i), ay.(i)) := 2 (ax.(i), ay.(i)) for i < n, with [num], [den]
+   and [inv] as scratch lanes. *)
+let tangent_step n ax ay ~num ~den ~inv =
+  for i = 0 to n - 1 do
+    Fe.sqr den.(i) ax.(i);
+    Fe.add num.(i) den.(i) den.(i);
+    Fe.add num.(i) num.(i) den.(i);
+    Fe.add den.(i) ay.(i) ay.(i)
+  done;
+  slope_step n ~num ~den ~inv ax ay ax ~x3s:ax ~y3s:ay
 
 (* Complete affine additions (ax, ay, ainf) += (bx, by, binf), where a
    set [inf] flag marks the identity. The unified slope
@@ -568,7 +580,7 @@ let tangent_step ax ay =
    among the computed values through mask selects. *)
 let complete_step ax ay ainf bx by binf =
   let n = Array.length ax in
-  let num = Array.init n (fun _ -> Fe.make ()) and den = Array.init n (fun _ -> Fe.make ()) in
+  let num = fe_array n and den = fe_array n in
   let opposite = Array.make n 0 in
   let du = Fe.make () and dc = Fe.make () and nc = Fe.make () in
   for i = 0 to n - 1 do
@@ -587,7 +599,7 @@ let complete_step ax ay ainf bx by binf =
     Fe.select den.(i) opposite.(i) one den.(i)
   done;
   (* the sums replace the slopes' numerators and denominators *)
-  slope_step ~num ~den ax ay bx ~x3s:num ~y3s:den;
+  slope_step n ~num ~den ~inv:(fe_array n) ax ay bx ~x3s:num ~y3s:den;
   for i = 0 to n - 1 do
     (* b = O keeps a; else a = O takes b; else the sum, O if opposite *)
     let bi = Bool.to_int binf.(i) and ai = Bool.to_int ainf.(i) in
@@ -598,26 +610,27 @@ let complete_step ax ay ainf bx by binf =
     ainf.(i) <- (bi land ai) lor ((1 - bi) land (1 - ai) land opposite.(i)) = 1
   done
 
-(* One chord row of a lockstep group: lane a adds its row entry ([ex a x]
-   writes its x, [ey a y] its signed y) to (cx.(a), cy.(a)) in place,
-   every lane sharing one inversion. Only the prefix products are kept
-   between the two passes; the backward pass recomputes each lane's
-   slope. The table build runs its chord steps through it too. *)
-let comb_row cx cy prefix ex ey =
+(* Chord additions (cx.(a), cy.(a)) += lane a's addend in place for
+   a < n, every addend's x distinct from its lane's, sharing one
+   inversion: [x a x2] writes the addend's x into x2 and [xy a x2 y2]
+   its x and y. Only the prefix products are kept between the two
+   passes, and the backward pass reads each addend again rather than
+   keep a register per lane, which would outlive minor collections. The
+   table build and the lockstep comb both run their rows through it. *)
+let comb_row n cx cy prefix ~x ~xy =
   let run = Fe.make () and d = Fe.make () and l = Fe.make () in
   let x2 = Fe.make () and y2 = Fe.make () and x3 = Fe.make () in
   Fe.set_one run;
-  for a = 0 to Array.length prefix - 1 do
+  for a = 0 to n - 1 do
     Fe.set prefix.(a) run;
-    ex a x2;
+    x a x2;
     Fe.sub d x2 cx.(a);
     Fe.mul run run d
   done;
   Fe.inv run run;
-  for a = Array.length prefix - 1 downto 0 do
+  for a = n - 1 downto 0 do
     let x1 = cx.(a) and y1 = cy.(a) in
-    ex a x2;
-    ey a y2;
+    xy a x2 y2;
     Fe.mul l run prefix.(a);
     Fe.sub d x2 x1;
     Fe.mul run run d;
@@ -632,64 +645,108 @@ let comb_row cx cy prefix ex ey =
     Fe.set x1 x3
   done
 
-(* The table is built in affine coordinates across all rows at once, so
-   each step shares one inversion: the row bases 2^(w*i) * B come from
-   doubling and one batch normalization; then, with D = 2c * B_i
-   (a tangent, starting at c = 1), entries c .. 2c-1 are the chords
-   entries 0 .. c-1 plus D. No denominator vanishes in a group of odd
-   prime order: y = 0 would make a point 2-torsion, and a chord through
-   (2j+1) B_i and 2c B_i with 2j+1 < 2c <= 2^(w-1) would need
-   2j+1 = +-2c mod n. *)
-let make_base_table ~width pt =
-  if width < 2 || width > 10 then invalid_arg "Curve.make_base_table: width";
+(* The tables of [pts], [rows] rows of width [width] each, built in one
+   batch in affine coordinates: a lane per row of every finite point,
+   and each step shares one inversion across all of them. The row bases
+   2^(w*i) * B come from doubling and one batch normalization; then,
+   with D = 2c * B_i (a tangent, starting at c = 1), entries c .. 2c-1
+   are the chords entries 0 .. c-1 plus D. No denominator vanishes in a
+   group of odd prime order: y = 0 would make a point 2-torsion, and a
+   chord through (2j+1) B_i and 2c B_i with 2j+1 < 2c <= 2^(w-1) would
+   need 2j+1 = +-2c mod n. With [endo], beta x goes beside each entry's
+   x. *)
+let build_tables ~width ~rows ~endo pts =
   let fn = scalar_field in
-  let rows = (Nat.bit_length order + width - 1) / width in
   let offset =
     Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
   in
-  if is_infinity pt then { width; entries = [||]; offset; bit = false }
-  else begin
-    let s = scratch () in
-    let bases = Array.init rows (fun _ -> jac ()) in
-    load pt bases.(0);
-    for i = 1 to rows - 1 do
-      copy bases.(i) bases.(i - 1);
-      for _ = 1 to width do dbl s bases.(i) bases.(i) done
+  let stride = if endo then 15 else 10 in
+  let empty = { width; stride; entries = [||]; offset; bit = false } in
+  let live =
+    Array.of_list
+      (List.filter (fun t -> not (is_infinity pts.(t))) (List.init (Array.length pts) Fun.id))
+  in
+  let nl = Array.length live * rows in
+  let s = scratch () in
+  let bases = Array.init nl (fun _ -> jac ()) in
+  Array.iteri
+    (fun t p ->
+       let o = t * rows in
+       load pts.(p) bases.(o);
+       for i = 1 to rows - 1 do
+         copy bases.(o + i) bases.(o + i - 1);
+         for _ = 1 to width do dbl s bases.(o + i) bases.(o + i) done
+       done)
+    live;
+  (* (dx, dy) starts at the row bases (finite: the order is odd) and
+     becomes D *)
+  let dx, dy = Array.split (normalize bases) in
+  let h = 1 lsl (width - 1) in
+  let entries = Array.init nl (fun _ -> Array.make (stride * h) 0) in
+  Array.iteri (fun i row -> Fe.pack dx.(i) row 0; Fe.pack dy.(i) row 5) entries;
+  (* The lanes grow with the chord steps, each made once per build. Made
+     at the widest step's size up front, they would outlive minor
+     collections and be promoted, while the last step alone needs half
+     of them. *)
+  let cx = ref [||] and cy = ref [||] and prefix = ref [||] in
+  let lanes n =
+    let grow r = r := Array.append !r (fe_array (n - Array.length !r)) in
+    if Array.length !cx < n then List.iter grow [ cx; cy; prefix ]
+  in
+  lanes nl;
+  (* the chord lanes are free while a tangent runs: its scratch *)
+  let tangent () = tangent_step nl dx dy ~num:!cx ~den:!cy ~inv:!prefix in
+  tangent ();
+  let c = ref 1 in
+  while !c < h do
+    (* one chord step: lane a = i * c0 + j makes entry c0 + j of row i *)
+    let c0 = !c in
+    let n = nl * c0 in
+    lanes n;
+    let cx = !cx and cy = !cy and prefix = !prefix in
+    for a = 0 to n - 1 do
+      let row = entries.(a / c0) and at = stride * (a mod c0) in
+      Fe.unpack row at cx.(a);
+      Fe.unpack row (at + 5) cy.(a)
     done;
-    (* (dx, dy) starts at the row bases (finite: the order is odd) and
-       becomes D *)
-    let dx, dy = Array.split (normalize bases) in
-    let h = 1 lsl (width - 1) in
-    let entries = Array.init rows (fun _ -> Array.make (10 * h) 0) in
-    Array.iteri (fun i row -> Fe.pack dx.(i) row 0; Fe.pack dy.(i) row 5) entries;
-    tangent_step dx dy;
-    let c = ref 1 in
-    while !c < h do
-      (* one chord step: lane a = i * c0 + j makes entry c0 + j of row i *)
-      let c0 = !c in
-      let lanes f = Array.init (rows * c0) (fun a -> f entries.(a / c0) (10 * (a mod c0))) in
-      let read off = lanes (fun row at -> let v = Fe.make () in Fe.unpack row (at + off) v; v) in
-      let ex = read 0 and ey = read 5 in
-      comb_row ex ey (lanes (fun _ _ -> Fe.make ()))
-        (fun a x -> Fe.set x dx.(a / c0)) (fun a y -> Fe.set y dy.(a / c0));
-      let write off =
-        Array.iteri (fun a v -> Fe.pack v entries.(a / c0) ((10 * (c0 + (a mod c0))) + off))
-      in
-      write 0 ex;
-      write 5 ey;
-      if 2 * c0 < h then tangent_step dx dy;
-      c := 2 * c0
+    comb_row n cx cy prefix
+      ~x:(fun a x -> Fe.set x dx.(a / c0))
+      ~xy:(fun a x y -> Fe.set x dx.(a / c0); Fe.set y dy.(a / c0));
+    for a = 0 to n - 1 do
+      let row = entries.(a / c0) and at = stride * (c0 + (a mod c0)) in
+      Fe.pack cx.(a) row at;
+      Fe.pack cy.(a) row (at + 5)
     done;
-    { width; entries; offset; bit = false }
-  end
+    if 2 * c0 < h then tangent ();
+    c := 2 * c0
+  done;
+  if endo then
+    Array.iter
+      (fun row ->
+         for j = 0 to h - 1 do
+           Fe.unpack row (stride * j) s.ex;
+           Fe.mul s.ex s.ex glv.e_beta;
+           Fe.pack s.ex row ((stride * j) + 10)
+         done)
+      entries;
+  let out = Array.make (Array.length pts) empty in
+  Array.iteri (fun t p -> out.(p) <- { empty with entries = Array.sub entries (t * rows) rows }) live;
+  out
+
+let make_base_tables ~width pts =
+  if width < 2 || width > 10 then invalid_arg "Curve.make_base_table: width";
+  let rows = (Nat.bit_length order + width - 1) / width in
+  build_tables ~width ~rows ~endo:false pts
+
+let make_base_table ~width pt = (make_base_tables ~width [| pt |]).(0)
 
 let base_table_rows (table : base_table) =
   Array.map
     (fun row ->
-       Array.init (Array.length row / 10) (fun j ->
+       Array.init (Array.length row / table.stride) (fun j ->
            let x = Fe.make () and y = Fe.make () in
-           Fe.unpack row (10 * j) x;
-           Fe.unpack row ((10 * j) + 5) y;
+           Fe.unpack row (table.stride * j) x;
+           Fe.unpack row ((table.stride * j) + 5) y;
            affine_point x y))
     table.entries
 
@@ -725,13 +782,13 @@ let comb_column (table : base_table) b =
   let s = b lsr (table.width - 1) in
   b land (h - 1) lxor ((s - 1) land (h - 1))
 
-let comb_x (table : base_table) i b x = Fe.unpack table.entries.(i) (10 * comb_column table b) x
+let comb_x (table : base_table) i b x =
+  Fe.unpack table.entries.(i) (table.stride * comb_column table b) x
 
 let comb_y (table : base_table) i b y tmp =
-  Fe.unpack table.entries.(i) ((10 * comb_column table b) + 5) y;
+  Fe.unpack table.entries.(i) ((table.stride * comb_column table b) + 5) y;
   Fe.neg tmp y;
   Fe.select y (b lsr (table.width - 1)) y tmp
-
 
 (* acc := acc + k * B off the comb table: one lookup and one mixed add
    per row and no doublings, since each row carries its 2^(w*i) factor. *)
@@ -814,16 +871,44 @@ let lockstep_group (jobs : comb_job array) lo hi out =
          let tables = Array.map (fun l -> let _, table, _ = terms.(l) in table) idx in
          let digits = Array.map (fun l -> let _, table, k = terms.(l) in comb_digits table k) idx in
          let tmp = Fe.make () in
-         let ex i a x = comb_x tables.(a) i (comb_digit tables.(a) digits.(a) i) x in
-         let ey i a y = comb_y tables.(a) i (comb_digit tables.(a) digits.(a) i) y tmp in
-         let fresh read i = Array.init na (fun a -> let v = Fe.make () in read i a v; v) in
-         let cx = fresh ex 0 and cy = fresh ey 0 in
-         let prefix = Array.init na (fun _ -> Fe.make ()) in
-         for i = 1 to rows - 2 do comb_row cx cy prefix (ex i) (ey i) done;
+         (* each lane's digit of the current row, decoded once per row:
+            its entry's offset and its sign (1 for positive) *)
+         let row = ref 0 and at = Array.make na 0 and sign = Array.make na 0 in
+         let decode i =
+           row := i;
+           for a = 0 to na - 1 do
+             let table = tables.(a) in
+             let b = comb_digit table digits.(a) i in
+             at.(a) <- table.stride * comb_column table b;
+             sign.(a) <- b lsr (table.width - 1)
+           done
+         in
+         let x a ex = Fe.unpack tables.(a).entries.(!row) at.(a) ex in
+         let xy a ex ey =
+           let entries = tables.(a).entries.(!row) in
+           Fe.unpack entries at.(a) ex;
+           Fe.unpack entries (at.(a) + 5) ey;
+           Fe.neg tmp ey;
+           Fe.select ey sign.(a) ey tmp
+         in
+         let fresh () =
+           let xs = fe_array na and ys = fe_array na in
+           Array.iteri (fun a ex -> xy a ex ys.(a)) xs;
+           (xs, ys)
+         in
+         decode 0;
+         let cx, cy = fresh () in
+         let prefix = fe_array na in
+         for i = 1 to rows - 2 do
+           decode i;
+           comb_row na cx cy prefix ~x ~xy
+         done;
          let ainf = Array.make na false in
-         if rows >= 2 then
-           complete_step cx cy ainf (fresh ex (rows - 1)) (fresh ey (rows - 1))
-             (Array.make na false);
+         if rows >= 2 then begin
+           decode (rows - 1);
+           let ex, ey = fresh () in
+           complete_step cx cy ainf ex ey (Array.make na false)
+         end;
          Array.iteri (fun a l -> rx.(l) <- cx.(a); ry.(l) <- cy.(a); rinf.(l) <- ainf.(a)) idx
        end
        else Array.iter (fun l -> rx.(l) <- Fe.make (); ry.(l) <- Fe.make ()) idx)
@@ -878,27 +963,97 @@ let mul_base_batch (jobs : comb_job array) =
 
 (* --- multi-scalar multiplication (batch verification kernel) ---------- *)
 
-(* GLV decomposition k = k1 + k2*lambda (mod n), both halves ~128 bits.
-   c1 = round(b2*k/n) and c2 = round(b1*k/n) project k onto the short
-   basis; k1 = k - c1*a1 - c2*a2 and k2 = c1*b1 - c2*b2 come out signed,
-   returned as (negate, magnitude). The identity holds for *any* c1,
-   c2 once the initialization check has passed the basis congruences —
-   the rounding only controls how short the halves are, never
-   soundness. *)
-let endo_split k =
-  (* n is within 2^-127 of 2^bits, so dividing by n rounds the same as
-     shifting by bits up to +-2 — which only lengthens the halves by a
-     couple of bits, never breaks the k1 + k2*lambda identity. *)
-  let bits = Nat.bit_length order in
-  let round_div num = Nat.shift_right num bits in
-  let c1 = round_div (Nat.mul glv.e_b2 k) in
-  let c2 = round_div (Nat.mul glv.e_b1 k) in
+(* GLV decomposition k = k1 + k2*lambda (mod n) from projections c1 ~
+   b2*k/n and c2 ~ b1*k/n onto the short basis: k1 = k - c1*a1 - c2*a2
+   and k2 = c1*b1 - c2*b2 come out signed, returned as (negate,
+   magnitude). The identity holds for *any* c1, c2 once the
+   initialization check has passed the basis congruences — the rounding
+   only controls how short the halves are, never soundness. *)
+let glv_halves k c1 c2 =
   let signed_sub a b =
     if Nat.compare a b >= 0 then (false, Nat.sub a b) else (true, Nat.sub b a)
   in
   let k1 = signed_sub k (Nat.add (Nat.mul c1 glv.e_a1) (Nat.mul c2 glv.e_a2)) in
   let k2 = signed_sub (Nat.mul c1 glv.e_b1) (Nat.mul c2 glv.e_b2) in
   (k1, k2)
+
+(* The MSM's split rounds down: n is within 2^-127 of 2^bits, so a shift
+   by bits stands in for the division. Its halves reach 130 bits, two
+   more than [endo_split]'s, which costs the Strauss chain at most two
+   doublings; rounding to nearest would allocate more per key term of
+   every batch verify. *)
+let msm_split k =
+  let bits = Nat.bit_length order in
+  glv_halves k
+    (Nat.shift_right (Nat.mul glv.e_b2 k) bits)
+    (Nat.shift_right (Nat.mul glv.e_b1 k) bits)
+
+(* The tables' split rounds to nearest, as in libsecp256k1: each c is
+   round(k*g / 2^384) with g = round(2^384 * b / n) fixed once. *)
+let glv_g1, glv_g2 =
+  let round_div b = Nat.div (Nat.add (Nat.shift_left b 384) (Nat.shift_right order 1)) order in
+  (round_div glv.e_b2, round_div glv.e_b1)
+
+let half_384 = Nat.shift_left Nat.one 383
+
+let endo_split k =
+  let round g = Nat.shift_right (Nat.add (Nat.mul g k) half_384) 384 in
+  glv_halves k (round glv_g1) (round glv_g2)
+
+(* How long a GLV half of a scalar k < n can be: 128 bits. g is within
+   1/2 of 2^384 b / n and k < 2^256, so c1 and c2 are within
+   1/2 + 2^-129 of b2 k / n and b1 k / n. As a1 b2 + a2 b1 = n, the
+   exact projection cancels, leaving k1 = d1 a1 + d2 a2 and
+   k2 = d2 b2 - d1 b1 for those rounding errors d1 and d2: |k1| is
+   below (a1 + a2) / 2 + 1 < 2^127.4 and |k2| below
+   (b1 + b2) / 2 + 1 < 2^127.2. *)
+let endo_bits = 128
+
+(* Width 4: 32 rows of 8 entries cover a half. *)
+let make_endo_tables pts = build_tables ~width:4 ~rows:(endo_bits / 4) ~endo:true pts
+
+(* u * B + k1 * P + k2 * phi(P), B the fixed base behind [base] and P
+   the one behind [table], all in one accumulator by mixed adds: u walks
+   [base]'s rows, then both GLV halves walk [table]'s, reading x for the
+   first and beta x for the second, the y flipped for a negative half.
+   The scalars are public, so a lookup's sign is a branch, not the
+   select [comb_rows] makes for a secret. An even half m walks m - 1
+   and adds its base once more; a zero half adds nothing. [None] when a
+   half is longer than the rows cover. *)
+let mul2_endo (base : base_table) u (table : endo_table) ((n1, m1), (n2, m2)) =
+  let cover = table.width * Array.length table.entries in
+  if Nat.bit_length m1 > cover || Nat.bit_length m2 > cover then None
+  else begin
+    let s = scratch () and acc = jac () in
+    let add ~xo ~neg row e =
+      Fe.unpack row (e + xo) s.ex;
+      Fe.unpack row (e + 5) s.ey;
+      if neg then Fe.neg s.ey s.ey;
+      madd s acc acc s.ex s.ey
+    in
+    (* every row of [t] for scalar k, its lookups' y flipped by [neg] *)
+    let rows ~xo ~neg (t : base_table) k =
+      let digits = comb_digits t k in
+      Array.iteri
+        (fun i row ->
+           let b = comb_digit t digits i in
+           let negative = b lsr (t.width - 1) = 0 in
+           add ~xo ~neg:(negative <> neg) row (t.stride * comb_column t b))
+        t.entries
+    in
+    if Array.length base.entries > 0 then rows ~xo:0 ~neg:false base u;
+    let walk ~xo neg m =
+      if not (Nat.is_zero m) then
+        if Nat.is_odd m then rows ~xo ~neg table m
+        else begin
+          add ~xo ~neg table.entries.(0) 0;
+          rows ~xo ~neg table (Nat.sub m Nat.one)
+        end
+    in
+    walk ~xo:0 n1 m1;
+    walk ~xo:10 n2 m2;
+    Some (store acc)
+  end
 
 (* Packed Jacobian slots in the arena: X, Y and Z at o, o + 5 and
    o + 10, and room at o + 15 for a prefix product. *)
@@ -947,9 +1102,8 @@ let term_scalar a (pairs : (Nat.t * point) array) t =
   Modular.reduce scalar_field (fst pairs.(a.ix.(t)))
 
 (* A Strauss digit string has at most 140 bits: a short scalar by the
-   table-size rule below, a GLV half by the lattice basis (its halves
-   stay near 128 bits; the split's rounding adds a couple). Its wNAF
-   fits a row of [strauss_cols]. *)
+   table-size rule below, a GLV half of [msm_split] by its basis (130
+   bits). Its wNAF fits a row of [strauss_cols]. *)
 let strauss_bits = 140
 let strauss_cols = 148
 
@@ -1042,7 +1196,7 @@ let msm_strauss a n pairs =
         Fe.mul s.ex s.ex glv.e_beta;
         Fe.pack s.ex fe (e + 10)
       done;
-      let k1, k2 = endo_split k in
+      let k1, k2 = msm_split k in
       walk 5 (tab t) ~phi:false k1;
       walk 5 (tab t) ~phi:true k2
     end

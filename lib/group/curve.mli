@@ -51,13 +51,14 @@
       merges the terms of a job.
     - {b Public data} (signature verification, proof verification,
       checking commitments already on the wire): {!mul_vartime},
-      {!mul2} and {!msm} are substantially faster but their operation
+      {!mul2}, {!mul2_endo} and {!msm} are substantially faster but their operation
       count and branching depend on the scalar's value. Never pass
       them a secret. The randomized batch verifiers built on {!msm}
       ([Schnorr.verify_batch], [Ballot_proof.verify_batch], the
       commitment batch openings) inherit this rule: batch
       verification is for public transcripts only. A recurring point
-      has one precomputed table, a comb {!base_table}; {!msm} builds
+      has one precomputed table, a comb {!base_table}, or an
+      {!endo_table} over GLV halves for a signer's key; {!msm} builds
       its small odd-multiple tables per call, in its domain's arena. *)
 
 module Nat = Dd_bignum.Nat
@@ -132,9 +133,16 @@ val mul_vartime : Nat.t -> point -> point
     is recoded into one signed odd digit per row. The build works in
     affine coordinates across all rows at once, one shared field
     inversion per step. The group generators use width 8 (32 rows of
-    128 entries); per-signer verification tables, built during cast
-    set-up, width 4. *)
+    128 entries). *)
 type base_table
+
+(** [make_base_tables ~width pts] builds the tables of every point in
+    one batch: each step of the build (the row bases' normalization,
+    every tangent and every chord step) shares one field inversion
+    across all the tables. [make_base_table ~width p] is a batch of
+    one. Raises [Invalid_argument] unless [2 <= width <= 10]. *)
+(* lint: allow unused-export — test_group "one batch = one at a time" *)
+val make_base_tables : width:int -> point array -> base_table array
 val make_base_table : width:int -> point -> base_table
 
 (** A copy of the table's entries,
@@ -194,6 +202,39 @@ val mul_base_batch : comb_job array -> point array
     mixed adds for [u*B] share one accumulator. {b Variable time}:
     public inputs only — this is the verifier's kernel ([s*G + e*PK]). *)
 val mul2 : base_table -> Nat.t -> Nat.t -> point -> point
+
+(** A verification table over the GLV halves of a public scalar: a
+    width-4 comb of 32 rows, which cover 128 bits, where a
+    {!base_table} of width 4 needs 64 rows for 256. Next to each entry
+    [(x, y)] it stores the entry's image under the endomorphism,
+    [(beta x, y)], which is [lambda] times the entry, so reading either
+    costs no multiplication. Per-signer verification tables, built
+    during cast set-up, are these. {b Variable time}: public scalars
+    only. *)
+type endo_table
+
+(** [make_endo_tables pts] builds the tables of every point in one
+    batch, as {!make_base_tables} does. *)
+val make_endo_tables : point array -> endo_table array
+
+(** [endo_split k] is the GLV decomposition [k = k1 + k2 * lambda]
+    (mod n), each half a sign (true for negative) and a magnitude. For
+    [k < n] both halves are below [2^128] (the bound is derived at
+    [endo_bits] in curve.ml). Variable time: public scalars only. *)
+val endo_split : Nat.t -> (bool * Nat.t) * (bool * Nat.t)
+
+(** [mul2_endo table u tbl (k1, k2)] is
+    [Some (u * B + k1 * P + k2 * lambda * P)], B the fixed base behind
+    [table] and P the one behind [tbl], each half as from
+    {!endo_split}: the verifier's kernel [s*G + e*PK] with [e]'s halves,
+    as {!mul2} is with [e] whole. All of it goes into one accumulator by
+    mixed additions: one per row of [table], one per row of [tbl] per
+    nonzero half, two more at most for even halves, and no doublings.
+    [None] when a half has more bits than the rows cover (128), which
+    {!endo_split} never yields for [k < n]. {b Variable time}: public
+    inputs only. *)
+val mul2_endo :
+  base_table -> Nat.t -> endo_table -> (bool * Nat.t) * (bool * Nat.t) -> point option
 
 (** [msm pairs] is the multi-scalar multiplication
     [sum_i k_i * P_i]. Zero scalars and infinity points are skipped;

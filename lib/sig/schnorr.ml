@@ -63,16 +63,21 @@ let verify ~pk msg { s; r } =
 
 (* A comb table for PK turns e*PK into doubling-free comb adds; with
    many signatures under one key (every endorsement a node checks
-   carries the same VC signer set) the table amortizes fast. Width 4,
-   not the generators' 8: every cast set-up builds one per signer, and
-   a width-4 table costs a sixteenth of the entries. *)
-type pk_table = Curve.base_table
+   carries the same VC signer set) the table amortizes fast. It covers
+   the GLV halves of e, not all 256 bits: every cast set-up builds one
+   per signer, and the halves need 32 rows where e needs 64. e is a
+   public hash, so the variable-time split and walk are fine. *)
+type pk_table = Curve.endo_table
 
-let make_pk_table pk = Curve.make_base_table ~width:4 pk
+let make_pk_tables pks = Curve.make_endo_tables pks
+
+let make_pk_table pk = (make_pk_tables [| pk |]).(0)
 
 let verify_with_table ~pk ~pk_table msg { s; r } =
   let e = challenge ~commitment:r ~pk msg in
-  Curve.equal (Curve.add (Group_ctx.mul_g s) (Curve.mul_base_table pk_table e)) r
+  match Curve.mul2_endo (Group_ctx.g_table ()) s pk_table (Curve.endo_split e) with
+  | Some sum -> Curve.equal sum r
+  | None -> Curve.equal (Group_ctx.mul2_g s e pk) r
 
 (* Batch verification: fold n equations s_i*G + e_i*PK_i - R_i = O
    with independent random weights into one MSM (soundness 2^-128 per

@@ -37,9 +37,17 @@ val verify : pk:public_key -> string -> signature -> bool
 
 (** Precomputed comb table for a public key, for verifying many
     signatures under the same key (e.g. a node's fellow VCs during an
-    election). [verify_with_table] replaces the [e*PK] half of the
-    verification equation with doubling-free comb adds. *)
+    election). [verify_with_table] splits the challenge [e] into its
+    GLV halves ({!Dd_group.Curve.endo_split}) and replaces the [e*PK]
+    half of the verification equation with doubling-free comb adds over
+    both halves ({!Dd_group.Curve.endo_table}). The table covers public
+    scalars only: the split and the walk are variable time, which is
+    fine for a challenge hash and never for a secret.
+    [make_pk_tables] builds the tables of many keys in one batch, one
+    field inversion per build step across all of them; [make_pk_table]
+    is a batch of one. *)
 type pk_table
+val make_pk_tables : public_key array -> pk_table array
 val make_pk_table : public_key -> pk_table
 val verify_with_table :
   pk:public_key -> pk_table:pk_table -> string -> signature -> bool

@@ -122,8 +122,7 @@ let test_segments_golden () =
 (* The same bytes through File_device, the state-dir backing `ddemos
    deploy` writes: one [<segment>.wal] file per segment. *)
 let test_file_segments_golden () =
-  let dir = Filename.temp_file "ddemos-golden" ".d" in
-  Sys.remove dir;
+  Test_helpers.with_temp_dir "ddemos-golden" @@ fun dir ->
   let files name = Dd_store.File_device.create ~dir ~name in
   let _layout = Election_store.write_setup ~chunk_size:2 files golden_cfg ~seed:"golden" in
   let wals = List.sort compare (Array.to_list (Sys.readdir dir)) in
@@ -136,8 +135,6 @@ let test_file_segments_golden () =
           Dd_crypto.Sha256.hex_of_string (Dd_crypto.Sha256.digest log)))
       wals
   in
-  List.iter (fun file -> Sys.remove (Filename.concat dir file)) wals;
-  Sys.rmdir dir;
   Alcotest.(check (list (pair string string))) "File_device segment digests"
     golden_digests digests
 
@@ -305,8 +302,7 @@ let test_layout_matches_config_and_seed () =
    under five finds no vc-4 segment, and must not leave an empty one
    behind; nor may a load make a state dir that does not exist. *)
 let test_load_writes_nothing () =
-  let dir = Filename.temp_file "ddemos-estore" ".d" in
-  Sys.remove dir;
+  Test_helpers.with_temp_dir "ddemos-estore" @@ fun dir ->
   let files name = Dd_store.File_device.create ~dir ~name in
   ignore (Election_store.write_setup files cfg ~seed:"estore" : Election_store.layout);
   let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in

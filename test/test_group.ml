@@ -381,6 +381,115 @@ let prop_base_table_matches_mul =
   QCheck.Test.make ~name:"mul_base_table = mul on the generator" ~count:20 arb_scalar
     (fun k -> Curve.equal (Curve.mul k g) (Curve.mul_base_table table k))
 
+(* --- GLV verification tables ------------------------------------------- *)
+
+(* secp256k1's lambda (phi(P) = lambda * P) and the split's lattice
+   basis magnitudes b1 and b2, as published with libsecp256k1. *)
+let lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72"
+let glv_b1 = Nat.of_hex "e4437ed6010e88286f547fa90abfe4c3"
+let glv_b2 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15"
+
+let signed (neg, m) =
+  let fn = Curve.scalar_field in
+  let m = Dd_bignum.Modular.reduce fn m in
+  if neg then Dd_bignum.Modular.sub fn Nat.zero m else m
+
+(* k1 + k2 * lambda mod n for two signed halves. *)
+let recombine (h1, h2) =
+  let fn = Curve.scalar_field in
+  Dd_bignum.Modular.add fn (signed h1) (Dd_bignum.Modular.mul fn (signed h2) lambda)
+
+(* Scalars that push the split's rounding to its worst: b k / n next to
+   j + 1/2 for the largest such j below b, next to the usual edges. *)
+let split_edges =
+  let order = Curve.order in
+  let near_half b =
+    List.concat_map
+      (fun d ->
+         (* k = floor((2j + 1) n / 2b) and the next one straddle j + 1/2 *)
+         let j = Nat.sub b (Nat.of_int (1 + d)) in
+         let k = Nat.div (Nat.mul (Nat.add (Nat.add j j) Nat.one) order) (Nat.add b b) in
+         [ k; Nat.add k Nat.one ])
+      [ 0; 1; 2; 3 ]
+  in
+  let fn = Curve.scalar_field in
+  [ Nat.zero; Nat.one; Nat.two; Nat.sub order Nat.one; Nat.sub order Nat.two; lambda;
+    Dd_bignum.Modular.sub fn Nat.zero lambda; Dd_bignum.Modular.mul fn lambda lambda;
+    Nat.shift_left Nat.one 128; Nat.shift_left Nat.one 255;
+    Nat.sub order (Nat.shift_left Nat.one 128) ]
+  @ near_half glv_b1 @ near_half glv_b2
+
+(* The split recombines to its scalar, and neither half reaches past
+   128 bits (the bound derived at [endo_bits] in curve.ml), on random
+   scalars and the edges above. *)
+let test_endo_split_bound () =
+  let rng = Dd_crypto.Drbg.create ~seed:"endo split" in
+  let widest = ref 0 in
+  List.iter
+    (fun k ->
+       let (n1, m1), (n2, m2) = Curve.endo_split k in
+       if not (Nat.equal (recombine ((n1, m1), (n2, m2))) k) then
+         Alcotest.failf "split of %s does not recombine" (nat_hex k);
+       widest := max !widest (max (Nat.bit_length m1) (Nat.bit_length m2)))
+    (split_edges @ List.init 2000 (fun _ -> Curve.random_scalar rng));
+  Alcotest.(check bool) (Printf.sprintf "widest half %d bits, at most 128" !widest) true
+    (!widest <= 128)
+
+(* The walk's cases, each half in turn: zero, odd, even, negative, and
+   the row bound (32 rows of width 4 cover 128 bits: 2^128 - 1 odd and
+   2^128 - 2 even), all against u*G + (k1 + k2 lambda) * P by the
+   fixed-window [mul]. A half one bit past the bound is refused, and a
+   table over the identity takes only zero halves. *)
+let endo_base = Curve.hash_to_point "glv table base"
+let endo_table = (Curve.make_endo_tables [| endo_base |]).(0)
+
+let endo_matches u halves =
+  match Curve.mul2_endo table u endo_table halves with
+  | None -> false
+  | Some got ->
+    Curve.equal got (Curve.add (Curve.mul u g) (Curve.mul (recombine halves) endo_base))
+
+let test_endo_table_halves () =
+  let bound = Nat.sub (Nat.shift_left Nat.one 128) Nat.one in
+  let odd128 = Nat.of_hex "c0ffee0123456789abcdef0fedcba987" in
+  let magnitudes =
+    [ Nat.zero; Nat.one; Nat.two; Nat.of_int 7; Nat.of_int 8; odd128; Nat.add odd128 Nat.one;
+      bound; Nat.sub bound Nat.one ]
+  in
+  let u = Nat.of_hex "3b9ac9ff5a5a5a5a0123456789abcdef0fedcba9876543210aa55aa55aa55aa5" in
+  List.iter
+    (fun m1 ->
+       List.iter
+         (fun m2 ->
+            List.iter
+              (fun (n1, n2) ->
+                 let halves = ((n1, m1), (n2, m2)) in
+                 if not (endo_matches u halves) then
+                   Alcotest.failf "halves %s%s, %s%s" (if n1 then "-" else "") (nat_hex m1)
+                     (if n2 then "-" else "") (nat_hex m2))
+              [ (false, false); (true, false); (false, true); (true, true) ])
+         magnitudes)
+    magnitudes;
+  Alcotest.(check bool) "u = 0" true (endo_matches Nat.zero ((true, odd128), (false, Nat.two)));
+  let past = Nat.shift_left Nat.one 128 in
+  let refused halves = Option.is_none (Curve.mul2_endo table u endo_table halves) in
+  Alcotest.(check bool) "first half past the rows" true (refused ((false, past), (false, Nat.one)));
+  Alcotest.(check bool) "second half past the rows" true (refused ((false, Nat.one), (true, past)));
+  let void = (Curve.make_endo_tables [| Curve.infinity |]).(0) in
+  let on_void halves = Curve.mul2_endo table u void halves in
+  (match on_void ((false, Nat.zero), (true, Nat.zero)) with
+   | Some p -> Alcotest.(check point) "identity table, zero halves" (Curve.mul u g) p
+   | None -> Alcotest.fail "identity table refused zero halves");
+  Alcotest.(check bool) "identity table, a nonzero half" true
+    (Option.is_none (on_void ((false, Nat.one), (false, Nat.zero))))
+
+let prop_endo_table_matches_mul =
+  QCheck.Test.make ~name:"mul2_endo u tbl (endo_split k) = uG + kP" ~count:20
+    (QCheck.pair arb_scalar arb_scalar)
+    (fun (u, k) ->
+       let k = Dd_bignum.Modular.reduce Curve.scalar_field k in
+       endo_matches u (Curve.endo_split k))
+
 (* --- lockstep batch ------------------------------------------------------- *)
 
 let hv = Curve.hash_to_point "d-demos second generator H"
@@ -673,6 +782,11 @@ let () =
        :: List.map QCheck_alcotest.to_alcotest
             [ prop_mul_matches_naive; prop_base_table_matches_mul; prop_mul2_matches_parts;
               prop_to_affine_batch_matches; prop_add_cases_match_ref ]);
+      ("glv-tables",
+       [ Alcotest.test_case "split halves within 128 bits" `Quick test_endo_split_bound;
+         Alcotest.test_case "table halves: zero, even, negative, row bound" `Quick
+           test_endo_table_halves;
+         QCheck_alcotest.to_alcotest prop_endo_table_matches_mul ]);
       ("comb-batch",
        [ Alcotest.test_case "batch edge scalars" `Quick test_batch_edge_scalars;
          Alcotest.test_case "batch sizes" `Quick test_batch_sizes;

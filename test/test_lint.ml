@@ -319,15 +319,10 @@ let test_secret_taint () =
 (* R7 across compilation units: facts come from a sibling .mli, the
    summary of one file's function is applied in another file. *)
 let test_secret_taint_cross_file () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "ddemos_lint_xfile" in
+  Test_helpers.with_temp_dir "ddemos_lint_xfile" @@ fun dir ->
   let core = Filename.concat (Filename.concat dir "lib") "core" in
-  let rec mkdirs d =
-    if not (Sys.file_exists d) then begin
-      mkdirs (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdirs core;
+  Sys.mkdir (Filename.dirname core) 0o755;
+  Sys.mkdir core 0o755;
   let write name content =
     let path = Filename.concat core name in
     let oc = open_out path in
@@ -496,8 +491,9 @@ let test_parse_error () =
   Alcotest.(check (list string)) "parse finding" [ "parse" ] (rules_hit fs)
 
 let test_harvest () =
+  Test_helpers.with_temp_dir "ddemos_lint_harvest" @@ fun tmp ->
   let harvest source =
-    let path = Filename.concat (Filename.get_temp_dir_name ()) "messages.ml" in
+    let path = Filename.concat tmp "messages.ml" in
     Out_channel.with_open_bin path (fun oc -> output_string oc source);
     Lint.wire_constructors [ path ]
   in
@@ -510,19 +506,13 @@ let test_harvest () =
      fresh directory, first without one (an error, never a built-in
      list), then with one, so the verdict does not depend on where the
      suite runs *)
-  let dir = Filename.temp_file "ddemos_lint_harvest" ".d" in
-  Sys.remove dir;
+  let dir = Filename.concat tmp "fallback" in
   let core = Filename.concat (Filename.concat dir "lib") "core" in
   let fallback = Filename.concat core "messages.ml" in
   let cwd = Sys.getcwd () in
   Sys.mkdir dir 0o755;
   Fun.protect
-    ~finally:(fun () ->
-        Sys.chdir cwd;
-        if Sys.file_exists fallback then Sys.remove fallback;
-        List.iter
-          (fun d -> if Sys.file_exists d then Sys.rmdir d)
-          [ core; Filename.dirname core; dir ])
+    ~finally:(fun () -> Sys.chdir cwd)
     (fun () ->
        Sys.chdir dir;
        Alcotest.(check bool) "no messages.ml is an error" true

@@ -282,12 +282,7 @@ let test_cache () =
   done
 
 let test_file_device_segment () =
-  let dir =
-    let f = Filename.temp_file "ddemos-seg" ".d" in
-    Sys.remove f;
-    Sys.mkdir f 0o700;
-    f
-  in
+  Test_helpers.with_temp_dir "ddemos-seg" @@ fun dir ->
   let name = "seg" in
   let dev = Dd_store.File_device.create ~dir ~name in
   let m = write_segment ~chunk_size:8 dev 50 in

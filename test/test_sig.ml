@@ -74,6 +74,72 @@ let test_verify_with_table () =
     (Schnorr.verify_with_table ~pk:pk2
        ~pk_table:(Schnorr.make_pk_table pk2) "other" s2)
 
+(* The GLV table's verdict is plain verify's, for honest signatures and
+   for the ways one goes bad: another message, a flipped byte of s or of
+   R (a tampered signature that still decodes), and another signer's
+   key and table. *)
+let prop_table_verify_matches =
+  QCheck.Test.make ~name:"GLV table verify = plain verify" ~count:30
+    QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 40)) (int_bound 64))
+    (fun (msg, at) ->
+       let rng = Drbg.create ~seed:("glv" ^ msg) in
+       let sk, pk = Schnorr.keygen rng in
+       let _, other = Schnorr.keygen rng in
+       let pk_table = Schnorr.make_pk_table pk and other_table = Schnorr.make_pk_table other in
+       let s = Schnorr.sign rng ~sk ~pk msg in
+       let flipped =
+         let b = Bytes.of_string (Schnorr.encode s) in
+         Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+         Schnorr.decode (Bytes.to_string b)
+       in
+       let agree ~pk ~pk_table msg s =
+         Schnorr.verify_with_table ~pk ~pk_table msg s = Schnorr.verify ~pk msg s
+       in
+       Schnorr.verify_with_table ~pk ~pk_table msg s
+       && agree ~pk ~pk_table (msg ^ "!") s
+       && agree ~pk:other ~pk_table:other_table msg s
+       && Option.fold ~none:true ~some:(agree ~pk ~pk_table msg) flipped)
+
+(* A clique's tables built in one batch give the verdicts of tables
+   built one at a time, and through [Auth]'s shared cells too; the
+   width-8 G and H tables built in one batch hold the entries of their
+   own builds. *)
+let test_clique_tables_one_batch () =
+  let rng = Drbg.create ~seed:"clique batch" in
+  let keys = Array.init 5 (fun _ -> Schnorr.keygen rng) in
+  let pks = Array.map snd keys in
+  let batch = Schnorr.make_pk_tables pks and alone = Array.map Schnorr.make_pk_table pks in
+  Array.iteri
+    (fun i (sk, pk) ->
+       let s = Schnorr.sign rng ~sk ~pk "clique" in
+       List.iter
+         (fun (msg, j) ->
+            let want = Schnorr.verify ~pk:pks.(j) msg s in
+            Alcotest.(check bool) (Printf.sprintf "signer %d as %d on %S, batch" i j msg) want
+              (Schnorr.verify_with_table ~pk:pks.(j) ~pk_table:batch.(j) msg s);
+            Alcotest.(check bool) (Printf.sprintf "signer %d as %d on %S, alone" i j msg) want
+              (Schnorr.verify_with_table ~pk:pks.(j) ~pk_table:alone.(j) msg s))
+         [ ("clique", i); ("clique", (i + 1) mod 5); ("other", i) ])
+    keys;
+  let auth = Ddemos.Auth.deal_clique ~scheme:Ddemos.Auth.Schnorr_scheme ~seed:"clique" ~n:5 in
+  Array.iteri
+    (fun i k ->
+       let tag = Ddemos.Auth.sign k "clique" in
+       Alcotest.(check bool) (Printf.sprintf "Auth signer %d" i) true
+         (Ddemos.Auth.verify auth.(0) ~signer:i "clique" tag);
+       Alcotest.(check bool) (Printf.sprintf "Auth signer %d as another" i) false
+         (Ddemos.Auth.verify auth.(0) ~signer:((i + 1) mod 5) "clique" tag))
+    auth;
+  let entries table =
+    Array.map (Array.map Curve.encode) (Curve.base_table_rows table)
+  in
+  let bases = [| Group_ctx.g; Group_ctx.h; Curve.infinity |] in
+  Array.iter2
+    (fun base table ->
+       Alcotest.(check (array (array string))) "width-8 entries"
+         (entries (Curve.make_base_table ~width:8 base)) (entries table))
+    bases (Curve.make_base_tables ~width:8 bases)
+
 (* --- batch verification --------------------------------------------------- *)
 
 let make_batch ?(seed = "batch") n =
@@ -203,7 +269,10 @@ let () =
          Alcotest.test_case "codec" `Quick test_codec;
          Alcotest.test_case "tampered" `Quick test_tampered_signature_rejected;
          Alcotest.test_case "verify with pk table" `Quick test_verify_with_table;
-         QCheck_alcotest.to_alcotest prop_sign_verify ]);
+         Alcotest.test_case "clique tables in one batch = one at a time" `Quick
+           test_clique_tables_one_batch;
+         QCheck_alcotest.to_alcotest prop_sign_verify;
+         QCheck_alcotest.to_alcotest prop_table_verify_matches ]);
       ("batch",
        [ Alcotest.test_case "accepts valid batches" `Quick test_batch_accepts_valid;
          Alcotest.test_case "rejects one forged item" `Quick test_batch_rejects_forged;

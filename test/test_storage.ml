@@ -126,14 +126,8 @@ let test_store_torn_restart () =
 
 (* --- file backend --------------------------------------------------------- *)
 
-let tmpdir () =
-  let f = Filename.temp_file "ddemos-store" ".d" in
-  Sys.remove f;
-  Sys.mkdir f 0o700;
-  f
-
 let test_file_device_roundtrip () =
-  let dir = tmpdir () in
+  Test_helpers.with_temp_dir "ddemos-store" @@ fun dir ->
   let d = File_device.create ~dir ~name:"node" in
   String.iter (fun ch -> Wal.log d (String.make 1 ch)) "abcdefghij";
   let history d = String.concat "" (Wal.open_log d) in
@@ -164,7 +158,7 @@ let test_one_device_per_name () =
 (* One device reads through one channel: windows after an append see
    the new bytes, and after a reset only the new log. *)
 let test_file_device_reads () =
-  let dir = tmpdir () in
+  Test_helpers.with_temp_dir "ddemos-store" @@ fun dir ->
   let d = File_device.create ~dir ~name:"node" in
   let window pos len = d.Device.log_read ~pos ~len in
   d.Device.log_append "0123456789";
