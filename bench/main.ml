@@ -522,8 +522,6 @@ let micro () =
       (* the per-signer verification tables a cast set-up builds, in one batch *)
       Test.make ~name:"arith.pk-tables.clique5"
         (Staged.stage (fun () -> Dd_sig.Schnorr.make_pk_tables clique5));
-      Test.make ~name:"arith.mul2-strauss-shamir"
-        (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g sig_s sig_e point));
       (* arithmetic stack: batch normalization (64 points) *)
       Test.make ~name:"arith.to-affine.batch64"
         (Staged.stage (fun () -> Curve.to_affine_batch pts64));

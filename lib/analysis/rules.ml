@@ -327,9 +327,10 @@ let wire_exhaustive ~constructors =
 
 (* The documented variable-time surface of the group layer
    (lib/group/curve.mli "timing contract"): [Curve.mul_vartime],
-   [Curve.mul2], [Curve.msm], and the randomized batch verifiers
-   built on them. Their running time depends on their scalar
-   inputs (wNAF digit patterns, GLV splits, bucket occupancy), so only
+   [Curve.mul2_endo], [Curve.endo_split], [Curve.msm], and the
+   randomized batch verifiers built on them. Their running time depends
+   on their scalar inputs (wNAF digit patterns, GLV splits and the
+   halves' lengths, bucket occupancy), so only
    public data — signatures, proof transcripts, published commitments
    and their openings — may flow in. The scalar field's extended-Euclid
    inverse [Modular.inv_vartime] is on it too: its step count depends on
@@ -337,7 +338,7 @@ let wire_exhaustive ~constructors =
    secret reaching one; secret-dependent scalars must use the
    fixed-window [Curve.mul] / [mul_base_table] paths instead. *)
 let vartime_callees =
-  [ "mul_vartime"; "mul2"; "msm";
+  [ "mul_vartime"; "mul2_endo"; "endo_split"; "msm";
     "verify_batch"; "verify_batch_find"; "inv_vartime" ]
 
 (* === R6: domain-safe-state ============================================= *)

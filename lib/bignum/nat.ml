@@ -4,9 +4,8 @@
    62-bit limbs halve the limb count of every linear pass (add, sub,
    compare, shift, codec) relative to the 30-bit representation this
    module started with. A 62x62 product does not fit a 63-bit native
-   int, so the multiplicative kernels (schoolbook multiply, long
-   division) split each limb into two 31-bit halves and work in
-   that half-limb space, where the schoolbook accumulation
+   int, so schoolbook multiply forms each limb product from the limbs'
+   31-bit halves, and long division works in half-limb space, where
    acc + a*b + carry <= (2^31-1) + (2^31-1)^2 + (2^31-1) = 2^62-1
    exactly fills the native-int range. 62 = 2*31, so the half-limb view
    of a value is just its limbs split in two — no repacking shift.
@@ -80,7 +79,7 @@ let compare_limbs (a : int array) na (b : int array) nb =
 
 (* --- half-limb helpers (internal) -------------------------------------
 
-   31-bit half-limb buffers for multiplication and division, where every
+   31-bit half-limb buffers for division, where every
    product fits a native int. [halves_of_limbs] splits each 62-bit limb
    into (low 31, high 31); since 62 = 2*31 the two views describe the
    same bit string. These use unchecked array access: the counts they
@@ -103,46 +102,39 @@ let limbs_of_halves (h : int array) nh (dst : int array) =
   done;
   trim_limbs dst nl
 
-(* Schoolbook product over half-limb buffers: dst := a * b, where dst
-   has room for na + nb halves and does not alias the inputs. *)
-let mul_halves_into (dst : int array) (a : int array) na (b : int array) nb =
+(* dst := a * b, schoolbook over 62-bit limbs, each limb product formed
+   from the limbs' 31-bit halves as it is needed: with a = a1 2^31 + a0
+   and b = b1 2^31 + b0, a b = a1 b1 2^62 + (a1 b0 + a0 b1) 2^31 + a0 b0.
+   The middle sum and the low word can pass max_int, but both stay
+   below 2^63, so their 63 bits are exact and [lsr] reads them unsigned
+   (see the header); the row's carry is the high limb of
+   dst + a_i b_j + carry <= 2^124 - 1, below 2^62. [dst] must not alias
+   [a] or [b] and must have room for [na + nb] limbs. Allocates
+   nothing. *)
+let mul_limbs_into (dst : int array) (a : int array) na (b : int array) nb =
   if na = 0 || nb = 0 then 0
   else begin
     Array.fill dst 0 (na + nb) 0;
     for i = 0 to na - 1 do
       let ai = Array.unsafe_get a i in
       if ai <> 0 then begin
+        let a0 = ai land hmask and a1 = ai lsr hbits in
         let carry = ref 0 in
         for j = 0 to nb - 1 do
-          let t =
-            Array.unsafe_get dst (i + j) + (ai * Array.unsafe_get b j) + !carry
-          in
-          Array.unsafe_set dst (i + j) (t land hmask);
-          carry := t lsr hbits
+          let bj = Array.unsafe_get b j in
+          let b0 = bj land hmask and b1 = bj lsr hbits in
+          let mid = (a1 * b0) + (a0 * b1) in
+          let lo = (a0 * b0) + ((mid land hmask) lsl hbits) in
+          let hi = (a1 * b1) + (mid lsr hbits) + (lo lsr base_bits) in
+          let s = Array.unsafe_get dst (i + j) + (lo land limb_mask) in
+          let s' = (s land limb_mask) + !carry in
+          Array.unsafe_set dst (i + j) (s' land limb_mask);
+          carry := hi + (s lsr base_bits) + (s' lsr base_bits)
         done;
-        let k = ref (i + nb) in
-        while !carry <> 0 do
-          let t = Array.unsafe_get dst !k + !carry in
-          Array.unsafe_set dst !k (t land hmask);
-          carry := t lsr hbits;
-          incr k
-        done
+        Array.unsafe_set dst (i + nb) !carry
       end
     done;
     trim_limbs dst (na + nb)
-  end
-
-(* dst := a * b (schoolbook over 31-bit halves). [dst] must not alias
-   [a] or [b] and must have room for [na + nb] limbs. Allocates internal
-   half-limb scratch. *)
-let mul_limbs_into (dst : int array) (a : int array) na (b : int array) nb =
-  if na = 0 || nb = 0 then 0
-  else begin
-    let ha = Array.make (2 * na) 0 and hb = Array.make (2 * nb) 0 in
-    let nha = halves_of_limbs a na ha and nhb = halves_of_limbs b nb hb in
-    let hp = Array.make (nha + nhb) 0 in
-    let nhp = mul_halves_into hp ha nha hb nhb in
-    limbs_of_halves hp nhp dst
   end
 
 let of_int n =

@@ -49,27 +49,27 @@ let add_opening a b =
   let module Modular = Dd_bignum.Modular in
   { msg = Modular.add fn a.msg b.msg; rand = Modular.add fn a.rand b.rand }
 
-let verify commitment opening =
-  Curve.equal commitment.c1 (Group_ctx.mul_g opening.rand)
-  && Curve.equal commitment.c2
-    (Curve.add (Group_ctx.mul_g opening.msg) (Group_ctx.mul_h opening.rand))
-
-(* Fold the two opening equations into an MSM accumulator under fresh
-   random weights: rand*G - c1 = O and msg*G + rand*H - c2 = O. The
-   G/H legs collapse into the accumulator's comb-table coefficients,
-   so a batch of n openings costs one 2n-point MSM instead of 3n
-   fixed-base multiplications. *)
-let accumulate acc rng commitment (opening : opening) =
+(* The two opening equations, in this order: rand*G - c1 = O and
+   msg*G + rand*H - c2 = O, each scalar times the weight. The G/H legs
+   collapse into the accumulator's comb-table coefficients, so a batch
+   of n openings costs one 2n-point MSM instead of 3n fixed-base
+   multiplications, and a serial check costs three combs. *)
+let equations sink commitment (opening : opening) =
   let fn = Curve.scalar_field in
   let module Modular = Dd_bignum.Modular in
   let msg = Modular.reduce fn opening.msg and rand = Modular.reduce fn opening.rand in
-  let w1 = Dd_group.Batch.weight rng in
-  Group_ctx.acc_add acc (Modular.mul fn w1 rand) Group_ctx.g;
-  Group_ctx.acc_sub acc w1 commitment.c1;
-  let w2 = Dd_group.Batch.weight rng in
-  Group_ctx.acc_add acc (Modular.mul fn w2 msg) Group_ctx.g;
-  Group_ctx.acc_add acc (Modular.mul fn w2 rand) Group_ctx.h;
-  Group_ctx.acc_sub acc w2 commitment.c2
+  Group_ctx.equation sink (fun acc w ->
+      Group_ctx.acc_add acc (Modular.mul fn w rand) Group_ctx.g;
+      Group_ctx.acc_sub acc w commitment.c1);
+  Group_ctx.equation sink (fun acc w ->
+      Group_ctx.acc_add acc (Modular.mul fn w msg) Group_ctx.g;
+      Group_ctx.acc_add acc (Modular.mul fn w rand) Group_ctx.h;
+      Group_ctx.acc_sub acc w commitment.c2)
+
+let verify commitment opening =
+  let sink = Group_ctx.serial () in
+  equations sink commitment opening;
+  Group_ctx.verdict sink
 
 (* Verify many (commitment, opening) pairs at once; soundness 2^-128
    per batch (see Dd_group.Batch). Vartime, public data only. *)
@@ -78,9 +78,9 @@ let verify_batch rng (items : (t * opening) array) =
   | 0 -> true
   | 1 -> let c, o = items.(0) in verify c o
   | _ ->
-    let acc = Group_ctx.msm_acc () in
-    Array.iter (fun (c, o) -> accumulate acc rng c o) items;
-    Group_ctx.acc_check acc
+    let sink = Group_ctx.folded rng in
+    Array.iter (fun (c, o) -> equations sink c o) items;
+    Group_ctx.verdict sink
 
 let encode t = Curve.encode t.c1 ^ Curve.encode t.c2
 

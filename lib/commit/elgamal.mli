@@ -36,7 +36,9 @@ val sum : t list -> t
 (** The matching operation on openings. *)
 val add_opening : opening -> opening -> opening
 
-(** Check that [opening] opens [t]. *)
+(** Check that [opening] opens [t]: the two equations of
+    {!verify_batch}, each alone at weight one
+    ({!Dd_group.Group_ctx.serial}). *)
 val verify : t -> opening -> bool
 
 (** Verify many (commitment, opening) pairs with one multi-scalar

@@ -51,12 +51,7 @@ let sum_openings ~options l =
   List.fold_left add_opening zero l
 
 let verify (c : t) (o : opening) =
-  Array.length c = Array.length o
-  && begin
-    let ok = ref true in
-    Array.iteri (fun i ci -> if not (Elgamal.verify ci o.(i)) then ok := false) c;
-    !ok
-  end
+  Array.length c = Array.length o && Array.for_all2 Elgamal.verify c o
 
 (* Batch the coordinate checks of many unit vectors: length checks
    stay serial, every coordinate's two opening equations flatten into

@@ -814,18 +814,6 @@ let mul_base_table (table : base_table) k =
   comb_rows (scratch ()) acc table k;
   store acc
 
-(* Strauss-Shamir shared-accumulator computation of u*B + v*P, where B
-   is the fixed base behind [table]. The v*P half runs width-5 wNAF
-   (doublings + sparse adds); the u*B half needs no doublings of its
-   own, so its comb-table mixed adds simply fold into the same
-   accumulator — one joint chain instead of two multiplications plus a
-   final add. Variable time; public inputs only. *)
-let mul2 (table : base_table) u v p =
-  let s = scratch () in
-  let acc = mul_vartime_j s v p in
-  comb_rows s acc table u;
-  store acc
-
 (* --- lockstep batch of fixed-base multiplications ---------------------- *)
 
 type comb_job = (base_table * Nat.t) list
@@ -977,19 +965,9 @@ let glv_halves k c1 c2 =
   let k2 = signed_sub (Nat.mul c1 glv.e_b1) (Nat.mul c2 glv.e_b2) in
   (k1, k2)
 
-(* The MSM's split rounds down: n is within 2^-127 of 2^bits, so a shift
-   by bits stands in for the division. Its halves reach 130 bits, two
-   more than [endo_split]'s, which costs the Strauss chain at most two
-   doublings; rounding to nearest would allocate more per key term of
-   every batch verify. *)
-let msm_split k =
-  let bits = Nat.bit_length order in
-  glv_halves k
-    (Nat.shift_right (Nat.mul glv.e_b2 k) bits)
-    (Nat.shift_right (Nat.mul glv.e_b1 k) bits)
-
-(* The tables' split rounds to nearest, as in libsecp256k1: each c is
-   round(k*g / 2^384) with g = round(2^384 * b / n) fixed once. *)
+(* The split rounds to nearest, as in libsecp256k1: each c is
+   round(k*g / 2^384) with g = round(2^384 * b / n) fixed once. The
+   tables and the MSM both take it. *)
 let glv_g1, glv_g2 =
   let round_div b = Nat.div (Nat.add (Nat.shift_left b 384) (Nat.shift_right order 1)) order in
   (round_div glv.e_b2, round_div glv.e_b1)
@@ -1018,11 +996,12 @@ let make_endo_tables pts = build_tables ~width:4 ~rows:(endo_bits / 4) ~endo:tru
    first and beta x for the second, the y flipped for a negative half.
    The scalars are public, so a lookup's sign is a branch, not the
    select [comb_rows] makes for a secret. An even half m walks m - 1
-   and adds its base once more; a zero half adds nothing. [None] when a
-   half is longer than the rows cover. *)
+   and adds its base once more; a zero half adds nothing. A half longer
+   than the rows cover raises; no half of [endo_split] is. *)
 let mul2_endo (base : base_table) u (table : endo_table) ((n1, m1), (n2, m2)) =
   let cover = table.width * Array.length table.entries in
-  if Nat.bit_length m1 > cover || Nat.bit_length m2 > cover then None
+  if Nat.bit_length m1 > cover || Nat.bit_length m2 > cover then
+    invalid_arg "Curve.mul2_endo: a half is longer than the table's rows"
   else begin
     let s = scratch () and acc = jac () in
     let add ~xo ~neg row e =
@@ -1052,7 +1031,7 @@ let mul2_endo (base : base_table) u (table : endo_table) ((n1, m1), (n2, m2)) =
     in
     walk ~xo:0 n1 m1;
     walk ~xo:10 n2 m2;
-    Some (store acc)
+    store acc
   end
 
 (* Packed Jacobian slots in the arena: X, Y and Z at o, o + 5 and
@@ -1102,8 +1081,8 @@ let term_scalar a (pairs : (Nat.t * point) array) t =
   Modular.reduce scalar_field (fst pairs.(a.ix.(t)))
 
 (* A Strauss digit string has at most 140 bits: a short scalar by the
-   table-size rule below, a GLV half of [msm_split] by its basis (130
-   bits). Its wNAF fits a row of [strauss_cols]. *)
+   table-size rule below, a GLV half of [endo_split] by its bound (128
+   bits, [endo_bits]). Its wNAF fits a row of [strauss_cols]. *)
 let strauss_bits = 140
 let strauss_cols = 148
 
@@ -1196,7 +1175,7 @@ let msm_strauss a n pairs =
         Fe.mul s.ex s.ex glv.e_beta;
         Fe.pack s.ex fe (e + 10)
       done;
-      let k1, k2 = msm_split k in
+      let k1, k2 = endo_split k in
       walk 5 (tab t) ~phi:false k1;
       walk 5 (tab t) ~phi:true k2
     end

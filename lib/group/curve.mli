@@ -6,7 +6,8 @@
     The module owns the group's constants and every operation on its
     points: the order, the scalar field and the generator. There is no
     context value. The GLV
-    endomorphism constants that {!msm} relies on are checked once, when
+    endomorphism constants that {!endo_split}, {!msm} and the
+    {!endo_table}s rely on are checked once, when
     the module initializes, which raises [Invalid_argument] if they do
     not hold. The second generator H and the comb tables of G and H
     belong to {!Group_ctx}, as module values too; each comb table is
@@ -51,15 +52,16 @@
       merges the terms of a job.
     - {b Public data} (signature verification, proof verification,
       checking commitments already on the wire): {!mul_vartime},
-      {!mul2}, {!mul2_endo} and {!msm} are substantially faster but their operation
-      count and branching depend on the scalar's value. Never pass
-      them a secret. The randomized batch verifiers built on {!msm}
-      ([Schnorr.verify_batch], [Ballot_proof.verify_batch], the
-      commitment batch openings) inherit this rule: batch
-      verification is for public transcripts only. A recurring point
-      has one precomputed table, a comb {!base_table}, or an
-      {!endo_table} over GLV halves for a signer's key; {!msm} builds
-      its small odd-multiple tables per call, in its domain's arena. *)
+      {!mul2_endo}, {!endo_split} and {!msm} are the whole
+      variable-time surface: faster, but their operation count and
+      branching depend on the scalar's value. Never pass them a
+      secret. Every verifier, serial or batch, evaluates its equations
+      in a [Group_ctx] accumulator that ends in {!msm}, and inherits
+      this rule: verification is for public transcripts only. A
+      recurring point has one precomputed table, a
+      comb {!base_table}, or an {!endo_table} over GLV halves for a
+      signer's key; {!msm} builds its small odd-multiple tables per
+      call, in its domain's arena. *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
@@ -176,7 +178,7 @@ val batch_group : int
     complete-addition merge, flagged as the identity when [b = 0], so
     the field operations are the same for either bit. Raises
     [Invalid_argument] from {!mul_base_batch} if [b > 1]. Elsewhere
-    ({!mul_base_table}, {!mul2}) it is [tbl]. *)
+    ({!mul_base_table}, {!mul2_endo}) it is [tbl]. *)
 val bit_table : base_table -> base_table
 
 (** The comb lanes a job runs in {!mul_base_batch}: its terms that are
@@ -196,12 +198,6 @@ val comb_lanes : comb_job -> int
     scalars, under the same contract as {!mul_base_table}. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
 val mul_base_batch : comb_job array -> point array
-
-(** [mul2 table u v p] is [u*B + v*p] (B the fixed base behind
-    [table]) by Strauss-Shamir: the wNAF chain for [v*p] and the comb's
-    mixed adds for [u*B] share one accumulator. {b Variable time}:
-    public inputs only — this is the verifier's kernel ([s*G + e*PK]). *)
-val mul2 : base_table -> Nat.t -> Nat.t -> point -> point
 
 (** A verification table over the GLV halves of a public scalar: a
     width-4 comb of 32 rows, which cover 128 bits, where a
@@ -223,18 +219,17 @@ val make_endo_tables : point array -> endo_table array
     [endo_bits] in curve.ml). Variable time: public scalars only. *)
 val endo_split : Nat.t -> (bool * Nat.t) * (bool * Nat.t)
 
-(** [mul2_endo table u tbl (k1, k2)] is
-    [Some (u * B + k1 * P + k2 * lambda * P)], B the fixed base behind
-    [table] and P the one behind [tbl], each half as from
-    {!endo_split}: the verifier's kernel [s*G + e*PK] with [e]'s halves,
-    as {!mul2} is with [e] whole. All of it goes into one accumulator by
-    mixed additions: one per row of [table], one per row of [tbl] per
-    nonzero half, two more at most for even halves, and no doublings.
-    [None] when a half has more bits than the rows cover (128), which
-    {!endo_split} never yields for [k < n]. {b Variable time}: public
-    inputs only. *)
+(** [mul2_endo table u tbl (k1, k2)] is [u * B + k1 * P + k2 * lambda * P],
+    B the fixed base behind [table] and P the one behind [tbl], each
+    half as from {!endo_split}: the verifier's kernel [s*G + e*PK] with
+    [e]'s halves. All of it goes into one accumulator by mixed
+    additions: one per row of [table], one per row of [tbl] per nonzero
+    half, two more at most for even halves, and no doublings. Raises
+    [Invalid_argument] when a half has more bits than the rows cover
+    (128), which {!endo_split} never yields for [k < n]. {b Variable
+    time}: public inputs only. *)
 val mul2_endo :
-  base_table -> Nat.t -> endo_table -> (bool * Nat.t) * (bool * Nat.t) -> point option
+  base_table -> Nat.t -> endo_table -> (bool * Nat.t) * (bool * Nat.t) -> point
 
 (** [msm pairs] is the multi-scalar multiplication
     [sum_i k_i * P_i]. Zero scalars and infinity points are skipped;
@@ -244,11 +239,13 @@ val mul2_endo :
     adds are mixed adds) for small batches, bucketed Pippenger above
     256 points with the window width derived from [n]. [?window]
     forces the Pippenger path with that width (used by differential
-    tests to cover both paths at any size). This is the kernel behind
-    the randomized batch verifiers, which fold the terms of a fixed
-    base into one coefficient before calling it (G and H go to their
-    comb tables instead, [Group_ctx.acc_check]). {b Variable time}:
-    public scalars and points only.
+    tests to cover both paths at any size). Strauss splits a
+    full-width scalar by {!endo_split}; a scalar of one or two bits
+    is added directly. This is the kernel behind every verifier, which
+    folds the terms of a fixed base into one coefficient before calling
+    it (G and H go to their comb tables instead,
+    [Group_ctx.acc_check]). {b Variable time}: public scalars and
+    points only.
 
     {b Memory.} Both algorithms work in one arena per domain
     ([Domain.DLS]): flat arrays of field limbs, indices and wNAF

@@ -34,20 +34,10 @@ let mul k pt =
   else if pt == h then mul_h k
   else Curve.mul k pt
 
-(* Variable-time variant for public data (verification). The fixed-base
-   comb path is already vartime-competitive, so G and H still dispatch
-   to their tables; arbitrary points take the wNAF path. *)
-let mul_vartime k pt =
-  if pt == g then mul_g k
-  else if pt == h then mul_h k
-  else Curve.mul_vartime k pt
-
-(* u*G + v*P in one Strauss-Shamir pass: the verifier's kernel. *)
-let mul2_g u v pt = Curve.mul2 (g_table ()) u v pt
-
-(* --- MSM accumulator for the randomized batch verifiers -------------- *)
-(* Batch verifiers fold many equations sum_j k_j * P_j = O into one
-   linear combination. Most terms hit the two fixed generators, so the
+(* --- MSM accumulator for the verifiers ------------------------------ *)
+(* An accumulator holds one equation sum_j k_j * P_j = O (a serial
+   check) or many folded into one random linear combination (a batch).
+   Most terms hit the two fixed generators, so the
    accumulator recognizes G and H by physical equality (the same trick
    as [mul]) and folds their coefficients into two scalars; at check
    time those two legs go through the doubling-free comb tables and
@@ -83,3 +73,34 @@ let acc_check a =
   Curve.is_infinity
     (Curve.add (Curve.msm (Array.of_list a.terms))
        (Curve.add (leg g_table a.ag) (leg h_table a.ah)))
+
+(* --- verification equations ------------------------------------------- *)
+(* A serial check evaluates each equation alone at weight one: exact,
+   and it draws no randomness. A term at weight one is added, not
+   multiplied ([Curve.msm] adds scalars of one or two bits directly),
+   so it builds no table for a point it only subtracts. A batch folds
+   every equation into one accumulator under a fresh weight each. *)
+
+type equation = msm_acc -> Nat.t -> unit
+
+let holds (eq : equation) =
+  let acc = msm_acc () in
+  eq acc Nat.one;
+  acc_check acc
+
+type sink =
+  | Serial of { mutable ok : bool }
+  | Folded of { acc : msm_acc; rng : Dd_crypto.Drbg.t }
+
+let serial () = Serial { ok = true }
+let folded rng = Folded { acc = msm_acc (); rng }
+
+(* A serial sink skips the equations after the first that fails. *)
+let equation sink eq =
+  match sink with
+  | Serial s -> if s.ok then s.ok <- holds eq
+  | Folded f -> eq f.acc (Batch.weight f.rng)
+
+let verdict = function
+  | Serial s -> s.ok
+  | Folded f -> acc_check f.acc

@@ -1,9 +1,11 @@
 (** The commitment generators G and H (H is hash-derived, so its
-    discrete log w.r.t. G is unknown), their width-8 comb tables, and
-    the operations that use them. G is {!Curve.generator}; H is hashed
-    once, when the module initializes. Everything else about the group
-    (its order, scalar field, codecs and general multiplications) lives
-    in {!Curve}. There is no context value to pass around. *)
+    discrete log w.r.t. G is unknown), their width-8 comb tables, the
+    operations that use them, and the accumulator in which every
+    verification equation is evaluated, serial or batched
+    ({!equation}). G is {!Curve.generator}; H is hashed once, when the
+    module initializes. Everything else about the group (its order,
+    scalar field, codecs and general multiplications) lives in
+    {!Curve}. There is no context value to pass around. *)
 
 module Nat = Dd_bignum.Nat
 
@@ -20,9 +22,9 @@ val default : unit -> t
 val g : Curve.point
 val h : Curve.point
 
-(** The precomputed width-8 comb tables for G and H (for {!Curve.mul2}
-    callers, {!Curve.mul_base_batch} jobs and the legs of
-    {!acc_check}). Each is built on its
+(** The precomputed width-8 comb tables for G and H (for
+    {!Curve.mul2_endo} callers, {!Curve.mul_base_batch} jobs and the
+    legs of {!acc_check}). Each is built on its
     first use (0.33 MB, about 10 ms on a 2-vCPU x86-64 VM), so a process
     that never multiplies by H never builds H's table. Safe to call
     from any domain: racing first uses may each build the table, but
@@ -38,18 +40,9 @@ val mul_h : Nat.t -> Curve.point
     fixed-base fast path. Safe for secret scalars. *)
 val mul : Nat.t -> Curve.point -> Curve.point
 
-(** Like {!mul} but arbitrary points take the width-5 wNAF path.
-    {b Variable time} — public scalars and points only (see the timing
-    contract in curve.mli). *)
-val mul_vartime : Nat.t -> Curve.point -> Curve.point
-
-(** [mul2_g u v p] is [u*G + v*p] by Strauss-Shamir off the G table.
-    {b Variable time} — verification only. *)
-val mul2_g : Nat.t -> Nat.t -> Curve.point -> Curve.point
-
-(** MSM accumulator for the randomized batch verifiers: collects terms
-    [k * P] (or [k * -P] via {!acc_sub}) of a folded verification
-    equation. Terms hitting the (physically equal) fixed generators G
+(** MSM accumulator for the verifiers: collects terms [k * P] (or
+    [k * -P] via {!acc_sub}) of one verification equation or of many
+    folded under random weights. Terms hitting the (physically equal) fixed generators G
     and H fold into two scalar coefficients, the G and H legs, each
     evaluated off its comb table at {!acc_check} time (a zero leg is
     skipped, and builds no table); everything else lands in one
@@ -62,6 +55,27 @@ val acc_add : msm_acc -> Nat.t -> Curve.point -> unit
 val acc_sub : msm_acc -> Nat.t -> Curve.point -> unit
 
 (** [acc_check a] holds iff the accumulated combination is the
-    identity — i.e. every folded equation holds (up to the 2^-128
-    weight-collision probability, see {!Batch}). *)
+    identity: the one equation it holds holds exactly, and folded
+    equations all hold up to the 2^-128 weight-collision probability
+    (see {!Batch}). *)
 val acc_check : msm_acc -> bool
+
+(** One verification equation [sum_j k_j P_j = O]: [eq acc w] adds
+    [w * k_j] on each [P_j]. Every verifier states each of its
+    equations once, this way, for its serial and its batch check. *)
+type equation = msm_acc -> Nat.t -> unit
+
+(** [holds eq] evaluates [eq] alone, at weight one, in an accumulator of
+    its own: exact, with no randomness. *)
+val holds : equation -> bool
+
+(** Where a verifier sends its equations. [serial ()] checks each alone
+    with {!holds}, skipping the rest after the first that fails.
+    [folded rng] adds each to one accumulator under a fresh
+    {!Batch.weight}, in the order given, and [verdict] checks the sum. *)
+type sink
+
+val serial : unit -> sink
+val folded : Dd_crypto.Drbg.t -> sink
+val equation : sink -> equation -> unit
+val verdict : sink -> bool

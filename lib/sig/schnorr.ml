@@ -17,9 +17,9 @@ type public_key = Curve.point
    the group equation s*G + e*PK = R directly, which is what makes
    signatures *batchable* — n equations fold into one random linear
    combination and a single MSM (with the (s, e) encoding, each R
-   would first have to be recovered by its own full mul2). Cost of the
-   serial path is unchanged: one double-scalar multiplication plus a
-   point equality instead of plus a hash comparison. *)
+   would first have to be recovered by its own double-scalar
+   multiplication). The serial check is the same equation at weight
+   one: a comb on G, a wNAF chain on PK and an add of -R. *)
 type signature = {
   s : Nat.t;
   r : Curve.point;
@@ -54,12 +54,20 @@ let sign rng ~sk ~pk msg =
   in
   sign_with_nonce ~nonce:k ~commitment:r ~sk ~pk msg
 
-(* Verification works on public data only, so it may take the
-   variable-time multi-scalar paths (see the timing contract in
-   curve.mli). *)
-let verify ~pk msg { s; r } =
-  let e = challenge ~commitment:r ~pk msg in
-  Curve.equal (Group_ctx.mul2_g s e pk) r
+(* The verification equation s*G + e*PK - R = O, every scalar times the
+   weight w. The key's term goes to [key], so a batch can fold every
+   signature under one key into one coefficient; the other terms go to
+   [acc]. Public data only, so the variable-time paths are fine (see
+   the timing contract in curve.mli). *)
+let terms acc w ~key ~e { s; r } =
+  let fn = Curve.scalar_field in
+  Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn s)) Group_ctx.g;
+  key (Modular.mul fn w e);
+  Group_ctx.acc_sub acc w r
+
+let verify ~pk msg sg =
+  let e = challenge ~commitment:sg.r ~pk msg in
+  Group_ctx.holds (fun acc w -> terms acc w ~key:(fun c -> Group_ctx.acc_add acc c pk) ~e sg)
 
 (* A comb table for PK turns e*PK into doubling-free comb adds; with
    many signatures under one key (every endorsement a node checks
@@ -75,9 +83,7 @@ let make_pk_table pk = (make_pk_tables [| pk |]).(0)
 
 let verify_with_table ~pk ~pk_table msg { s; r } =
   let e = challenge ~commitment:r ~pk msg in
-  match Curve.mul2_endo (Group_ctx.g_table ()) s pk_table (Curve.endo_split e) with
-  | Some sum -> Curve.equal sum r
-  | None -> Curve.equal (Group_ctx.mul2_g s e pk) r
+  Curve.equal (Curve.mul2_endo (Group_ctx.g_table ()) s pk_table (Curve.endo_split e)) r
 
 (* Batch verification: fold n equations s_i*G + e_i*PK_i - R_i = O
    with independent random weights into one MSM (soundness 2^-128 per
@@ -109,21 +115,20 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
       (fun i (pk, msg, sg) ->
          let epk = Curve.encode_affine aff.(2 * i + 1) in
          let e = Curve.hash_to_scalar [ domain; Curve.encode_affine aff.(2 * i); epk; msg ] in
+         let key we =
+           match Hashtbl.find_opt keys epk with
+           | Some (p, c) -> Hashtbl.replace keys epk (p, Modular.add fn c we)
+           | None ->
+             (* hand the MSM the affine form of PK we already paid for:
+                its input normalization then has less left to invert *)
+             let p = match aff.(2 * i + 1) with Some xy -> Curve.of_affine xy | None -> pk in
+             Hashtbl.replace keys epk (p, we)
+         in
          (* Pinning the first weight to 1 is sound: a bad item i > 0 is
             caught except with probability 2^-128 over its own weight,
             and a bad item 0 alone leaves the sum off the identity
             deterministically. It saves item 0's R table in the MSM. *)
-         let w = if i = 0 then Nat.one else Batch.weight rng in
-         Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn sg.s)) Group_ctx.g;
-         let we = Modular.mul fn w e in
-         (match Hashtbl.find_opt keys epk with
-          | Some (p, c) -> Hashtbl.replace keys epk (p, Modular.add fn c we)
-          | None ->
-            (* hand the MSM the affine form of PK we already paid for:
-               its input normalization then has less left to invert *)
-            let p = match aff.(2 * i + 1) with Some xy -> Curve.of_affine xy | None -> pk in
-            Hashtbl.replace keys epk (p, we));
-         Group_ctx.acc_sub acc w sg.r)
+         terms acc (if i = 0 then Nat.one else Batch.weight rng) ~key ~e sg)
       items;
     Hashtbl.iter (fun _ (p, c) -> Group_ctx.acc_add acc c p) keys;
     Group_ctx.acc_check acc

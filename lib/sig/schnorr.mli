@@ -31,8 +31,9 @@ val sign_with_nonce :
     verification equation from its parts. *)
 val challenge : commitment:Curve.point -> pk:public_key -> string -> Nat.t
 
-(** Verify via one Strauss-Shamir pass ([s*G + e*PK]); public data
-    only, so the variable-time paths are fine here. *)
+(** [verify ~pk msg sg] checks the equation [s*G + e*PK - R = O] that
+    {!verify_batch} folds, alone at weight one
+    ({!Dd_group.Group_ctx.holds}). Public data only. *)
 val verify : pk:public_key -> string -> signature -> bool
 
 (** Precomputed comb table for a public key, for verifying many

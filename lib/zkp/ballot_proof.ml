@@ -169,29 +169,7 @@ let finalize (state : prover_state) ~challenge : final_move =
   { row_finals;
     sum_z = Chaum_pedersen.respond ~state:state.sum_w ~witness:state.sum_witness ~challenge }
 
-let verify ?(k = 1) ~(commitments : Elgamal.t array) (fm : first_move) ~challenge
-    (fin : final_move) =
-  let fn = Curve.scalar_field in
-  Array.length fm.row_moves = Array.length commitments
-  && Array.length fin.row_finals = Array.length commitments
-  && begin
-    let ok = ref true in
-    Array.iteri
-      (fun i c ->
-         let m = fm.row_moves.(i) and f = fin.row_finals.(i) in
-         if not (Nat.equal (Modular.add fn f.c0 f.c1) (Modular.reduce fn challenge)) then
-           ok := false;
-         if not (Chaum_pedersen.verify (branch_statement c 0) m.a0
-                   ~challenge:f.c0 ~response:f.z0) then ok := false;
-         if not (Chaum_pedersen.verify (branch_statement c 1) m.a1
-                   ~challenge:f.c1 ~response:f.z1) then ok := false)
-      commitments;
-    !ok
-    && Chaum_pedersen.verify (sum_statement ~k commitments) fm.sum_move
-      ~challenge ~response:fin.sum_z
-  end
-
-(* One ballot part's complete proof transcript, for batch verification. *)
+(* One ballot part's complete proof transcript. *)
 type instance = {
   commitments : Elgamal.t array;
   fm : first_move;
@@ -199,12 +177,42 @@ type instance = {
   fin : final_move;
 }
 
-(* Batch-verify many ballot parts: the scalar checks (arities,
-   c0 + c1 = challenge) stay serial — they are cheap — while every
-   Chaum-Pedersen equation of every part folds into one shared MSM
-   accumulator. An election with v ballots of m options turns
-   v*(2m+1) proof verifications (each two curve multiplications plus
-   an add) into one MSM. Soundness 2^-128 per batch. *)
+(* Every check of one part's proof: the arities and each row's
+   c0 + c1 = challenge are scalar checks, returned; the Chaum-Pedersen
+   equations (per row a0's two, then a1's, then the sum proof's) go to
+   [sink]. A part whose arities are off sends no equation. *)
+let check ~k sink inst =
+  let fn = Curve.scalar_field in
+  let n = Array.length inst.commitments in
+  Array.length inst.fm.row_moves = n
+  && Array.length inst.fin.row_finals = n
+  && begin
+    let ok = ref true in
+    let cp stmt fm challenge response =
+      Chaum_pedersen.equations sink { stmt; fm; challenge; response }
+    in
+    Array.iteri
+      (fun i c ->
+         let m = inst.fm.row_moves.(i) and f = inst.fin.row_finals.(i) in
+         if not (Nat.equal (Modular.add fn f.c0 f.c1) (Modular.reduce fn inst.challenge)) then
+           ok := false;
+         cp (branch_statement c 0) m.a0 f.c0 f.z0;
+         cp (branch_statement c 1) m.a1 f.c1 f.z1)
+      inst.commitments;
+    cp (sum_statement ~k inst.commitments) inst.fm.sum_move inst.challenge inst.fin.sum_z;
+    !ok
+  end
+
+let verify ?(k = 1) ~commitments fm ~challenge fin =
+  let sink = Group_ctx.serial () in
+  check ~k sink { commitments; fm; challenge; fin } && Group_ctx.verdict sink
+
+(* Batch-verify many ballot parts: the scalar checks stay serial — they
+   are cheap — while every Chaum-Pedersen equation of every part folds
+   into one shared MSM accumulator. An election with v ballots of m
+   options turns v*(2m+1) proof verifications (each two curve
+   multiplications plus an add) into one MSM. Soundness 2^-128 per
+   batch. *)
 let verify_batch ?(k = 1) rng (instances : instance array) =
   match Array.length instances with
   | 0 -> true
@@ -212,33 +220,9 @@ let verify_batch ?(k = 1) rng (instances : instance array) =
     let i = instances.(0) in
     verify ~k ~commitments:i.commitments i.fm ~challenge:i.challenge i.fin
   | _ ->
-    let fn = Curve.scalar_field in
-    let acc = Group_ctx.msm_acc () in
-    let ok = ref true in
-    Array.iter
-      (fun inst ->
-         let n = Array.length inst.commitments in
-         if Array.length inst.fm.row_moves <> n
-         || Array.length inst.fin.row_finals <> n then ok := false
-         else begin
-           Array.iteri
-             (fun i c ->
-                let m = inst.fm.row_moves.(i) and f = inst.fin.row_finals.(i) in
-                if not (Nat.equal (Modular.add fn f.c0 f.c1)
-                          (Modular.reduce fn inst.challenge)) then ok := false;
-                Chaum_pedersen.accumulate acc rng
-                  { stmt = branch_statement c 0; fm = m.a0;
-                    challenge = f.c0; response = f.z0 };
-                Chaum_pedersen.accumulate acc rng
-                  { stmt = branch_statement c 1; fm = m.a1;
-                    challenge = f.c1; response = f.z1 })
-             inst.commitments;
-           Chaum_pedersen.accumulate acc rng
-             { stmt = sum_statement ~k inst.commitments; fm = inst.fm.sum_move;
-               challenge = inst.challenge; response = inst.fin.sum_z }
-         end)
-      instances;
-    !ok && Group_ctx.acc_check acc
+    let sink = Group_ctx.folded rng in
+    let ok = Array.fold_left (fun ok inst -> check ~k sink inst && ok) true instances in
+    ok && Group_ctx.verdict sink
 
 (* --- serialization -------------------------------------------------- *)
 (* Fixed-width scalar encoding: states travel from the EA to the

@@ -48,6 +48,8 @@ val first_move_points : first_move -> Dd_group.Curve.point array
 (** Compute the response for the (voter-coin-derived) challenge. *)
 val finalize : prover_state -> challenge:Nat.t -> final_move
 
+(** The scalar checks and Chaum-Pedersen equations {!verify_batch}
+    folds, each equation alone at weight one. *)
 val verify :
   ?k:int -> commitments:Elgamal.t array -> first_move ->
   challenge:Nat.t -> final_move -> bool

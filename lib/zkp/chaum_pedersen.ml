@@ -34,16 +34,7 @@ let respond ~(state : prover_state) ~witness ~challenge =
   let fn = Curve.scalar_field in
   Modular.add fn state (Modular.mul fn challenge witness)
 
-(* Verification sees only published transcript data, so the
-   variable-time multiplication paths are fine (curve.mli contract). *)
-let verify (st : statement) (fm : first_move) ~challenge ~response =
-  let check g t h =
-    Curve.equal (Group_ctx.mul_vartime response g)
-      (Curve.add t (Group_ctx.mul_vartime challenge h))
-  in
-  check st.g1 fm.t1 st.h1 && check st.g2 fm.t2 st.h2
-
-(* A complete transcript, ready for batch verification. *)
+(* A complete transcript. *)
 type instance = {
   stmt : statement;
   fm : first_move;
@@ -51,21 +42,27 @@ type instance = {
   response : Nat.t;
 }
 
-(* Fold both verification equations of [inst] into [acc] under fresh
-   random weights: for each equation z*g - t - c*h = O, accumulate
-   w*z on g, subtract w on t and w*c on h. Terms on the fixed
-   generators G and H collapse into the accumulator's comb-table legs
-   (ballot-proof statements always have g1 = G and g2 = H). *)
-let accumulate acc rng (inst : instance) =
+(* The transcript's two equations z*g - t - c*h = O, for (g1, t1, h1)
+   and (g2, t2, h2), in that order: each adds w*z on g and subtracts w
+   on t and w*c on h. Terms on the fixed generators G and H collapse
+   into the accumulator's comb-table legs (ballot-proof statements
+   always have g1 = G and g2 = H). Verification sees only published
+   transcript data, so the variable-time paths are fine (curve.mli
+   contract). *)
+let equations sink (inst : instance) =
   let fn = Curve.scalar_field in
-  let eq g t h =
-    let w = Dd_group.Batch.weight rng in
+  let eq g t h acc w =
     Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn inst.response)) g;
     Group_ctx.acc_sub acc w t;
     Group_ctx.acc_sub acc (Modular.mul fn w (Modular.reduce fn inst.challenge)) h
   in
-  eq inst.stmt.g1 inst.fm.t1 inst.stmt.h1;
-  eq inst.stmt.g2 inst.fm.t2 inst.stmt.h2
+  Group_ctx.equation sink (eq inst.stmt.g1 inst.fm.t1 inst.stmt.h1);
+  Group_ctx.equation sink (eq inst.stmt.g2 inst.fm.t2 inst.stmt.h2)
+
+let verify stmt fm ~challenge ~response =
+  let sink = Group_ctx.serial () in
+  equations sink { stmt; fm; challenge; response };
+  Group_ctx.verdict sink
 
 (* Simulate an accepting transcript for a chosen challenge (used by the
    OR composition for the branch the prover cannot prove). *)

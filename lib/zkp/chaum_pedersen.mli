@@ -27,10 +27,7 @@ val commit :
 (** Third move: [state + challenge * witness]. *)
 val respond : state:prover_state -> witness:Nat.t -> challenge:Nat.t -> Nat.t
 
-val verify :
-  statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
-
-(** A complete transcript, as folded into a batch by {!accumulate}. *)
+(** A complete transcript. *)
 type instance = {
   stmt : statement;
   fm : first_move;
@@ -38,12 +35,16 @@ type instance = {
   response : Nat.t;
 }
 
-(** Fold one transcript's two verification equations into an MSM
-    accumulator under fresh random weights from the DRBG. Lets callers
-    (e.g. ballot-proof batching) combine many proofs into one
-    {!Dd_group.Group_ctx.acc_check}. {b Variable time} — public
-    transcripts only. *)
-val accumulate : Dd_group.Group_ctx.msm_acc -> Dd_crypto.Drbg.t -> instance -> unit
+(** [equations sink inst] sends the transcript's two equations,
+    [response*g1 - t1 - challenge*h1 = O] and then the same over
+    [(g2, t2, h2)], to [sink]. {b Variable time} — public transcripts
+    only. *)
+val equations : Dd_group.Group_ctx.sink -> instance -> unit
+
+(** Both equations, each alone at weight one. *)
+(* lint: allow unused-export — test_zkp's chaum-pedersen cases check transcripts with it *)
+val verify :
+  statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
 
 (** Accepting transcript for a chosen challenge without the witness
     (honest-verifier zero-knowledge simulator; used in OR proofs). *)

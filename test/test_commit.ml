@@ -139,6 +139,35 @@ let test_unit_vector_batch () =
   in
   Alcotest.(check (list int)) "bisection names vector 4" [ 4 ] found
 
+(* --- equations that cancel at weight one ------------------------------------ *)
+
+(* c1 + D and c2 - D offset the two opening equations by -D and +D: a
+   check that summed them at weight one would accept. Each equation is
+   checked alone (serial) or under a weight of its own (batch). *)
+let offset = Dd_group.Curve.hash_to_point "cancelling offset"
+
+let cancel_offset c =
+  let c1, c2 = Elgamal.components c in
+  Elgamal.make ~c1:(Dd_group.Curve.add c1 offset) ~c2:(Dd_group.Curve.sub c2 offset)
+
+let test_elgamal_cancelling_forgery () =
+  let rng = rng () in
+  let c, o = Elgamal.commit_random rng ~msg:(Nat.of_int 3) in
+  let forged = cancel_offset c in
+  let c1, c2 = Elgamal.components forged in
+  let times w k = Dd_bignum.Modular.mul Dd_group.Curve.scalar_field w k in
+  Alcotest.(check bool) "the two equations sum to O" true
+    (Group_ctx.holds (fun acc w ->
+         Group_ctx.acc_add acc (times w o.Elgamal.rand) Group_ctx.g;
+         Group_ctx.acc_sub acc w c1;
+         Group_ctx.acc_add acc (times w o.Elgamal.msg) Group_ctx.g;
+         Group_ctx.acc_add acc (times w o.Elgamal.rand) Group_ctx.h;
+         Group_ctx.acc_sub acc w c2));
+  Alcotest.(check bool) "serial rejects" false (Elgamal.verify forged o);
+  let other = Elgamal.commit_random rng ~msg:Nat.one in
+  Alcotest.(check bool) "batch rejects" false
+    (Elgamal.verify_batch rng [| other; (forged, o) |])
+
 (* --- properties ----------------------------------------------------------- *)
 
 let arb_msg = QCheck.map Nat.of_int QCheck.(int_range 0 1000)
@@ -221,6 +250,61 @@ let prop_unit_vector_sum_counts =
        List.iter (fun v -> expected.(v) <- expected.(v) + 1) votes;
        counts = expected)
 
+(* n openings or unit vectors, at most one forged (a wrong message, a
+   wrong randomness, or the cancelling offset above): the batch verdict
+   is the conjunction of the serial verdicts, and bisection names
+   exactly the forged index. *)
+let forge_opening kind ((c : Elgamal.t), (o : Elgamal.opening)) =
+  match kind with
+  | 0 -> (c, { o with Elgamal.msg = Nat.add o.Elgamal.msg Nat.one })
+  | 1 -> (c, { o with Elgamal.rand = Nat.add o.Elgamal.rand Nat.one })
+  | _ -> (cancel_offset c, o)
+
+let arb_batch = QCheck.(triple (int_range 2 12) (option (int_bound 11)) (int_bound 2))
+
+let batch_seed label (n, forge, kind) =
+  Printf.sprintf "%s %d %d %d" label n (Option.value forge ~default:(-1)) kind
+
+let prop_openings_batch_serial =
+  QCheck.Test.make ~name:"openings batch = serial verdicts" ~count:20 ~long_factor:100
+    arb_batch
+    (fun ((n, forge, kind) as case) ->
+       let rng = Drbg.create ~seed:(batch_seed "openings" case) in
+       let items = Array.init n (fun i -> Elgamal.commit_random rng ~msg:(Nat.of_int (i mod 3))) in
+       let forged = Option.map (fun f -> f mod n) forge in
+       Option.iter (fun f -> items.(f) <- forge_opening kind items.(f)) forged;
+       let serial = Array.for_all (fun (c, o) -> Elgamal.verify c o) items in
+       serial = Option.is_none forged
+       && Elgamal.verify_batch rng items = serial
+       && Batch.find_failures ~n
+            ~check:(fun ~lo ~len -> Elgamal.verify_batch rng (Array.sub items lo len))
+          = Option.to_list forged)
+
+let prop_unit_vectors_batch_serial =
+  QCheck.Test.make ~name:"unit-vector batch = serial verdicts" ~count:10 ~long_factor:100
+    arb_batch
+    (fun ((n, forge, kind) as case) ->
+       let rng = Drbg.create ~seed:(batch_seed "vectors" case) in
+       let items = Array.init n (fun i -> Unit_vector.commit rng ~options:3 ~choice:(i mod 3)) in
+       let forged = Option.map (fun f -> f mod n) forge in
+       Option.iter
+         (fun f ->
+            let c, o = items.(f) in
+            let c = Array.copy c and o = Array.copy o in
+            let cj, oj = forge_opening kind (c.(f mod 3), o.(f mod 3)) in
+            c.(f mod 3) <- cj;
+            o.(f mod 3) <- oj;
+            items.(f) <- (c, o))
+         forged;
+       let serial = Array.for_all (fun (c, o) -> Unit_vector.verify c o) items in
+       let check ~lo ~len =
+         Unit_vector.verify_published ~label:(Printf.sprintf "uv%d.%d" lo len)
+           (Array.sub items lo len)
+       in
+       serial = Option.is_none forged
+       && check ~lo:0 ~len:n = serial
+       && Batch.find_failures ~n ~check = Option.to_list forged)
+
 let () =
   Alcotest.run "commit"
     [ ("elgamal",
@@ -237,8 +321,11 @@ let () =
       ("batch",
        [ Alcotest.test_case "elgamal openings" `Quick test_elgamal_batch;
          Alcotest.test_case "unit vectors" `Quick test_unit_vector_batch;
-         Alcotest.test_case "bit jobs reject a non-bit" `Quick test_bit_jobs_reject_non_bit ]);
+         Alcotest.test_case "bit jobs reject a non-bit" `Quick test_bit_jobs_reject_non_bit;
+         Alcotest.test_case "equations that cancel at weight one" `Quick
+           test_elgamal_cancelling_forgery ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_commit_verify; prop_homomorphic; prop_bit_jobs_match_commit;
-           prop_unit_vector_sum_counts ]) ]
+           prop_unit_vector_sum_counts; prop_openings_batch_serial;
+           prop_unit_vectors_batch_serial ]) ]

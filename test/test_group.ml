@@ -444,10 +444,8 @@ let endo_base = Curve.hash_to_point "glv table base"
 let endo_table = (Curve.make_endo_tables [| endo_base |]).(0)
 
 let endo_matches u halves =
-  match Curve.mul2_endo table u endo_table halves with
-  | None -> false
-  | Some got ->
-    Curve.equal got (Curve.add (Curve.mul u g) (Curve.mul (recombine halves) endo_base))
+  Curve.equal (Curve.mul2_endo table u endo_table halves)
+    (Curve.add (Curve.mul u g) (Curve.mul (recombine halves) endo_base))
 
 let test_endo_table_halves () =
   let bound = Nat.sub (Nat.shift_left Nat.one 128) Nat.one in
@@ -472,16 +470,20 @@ let test_endo_table_halves () =
     magnitudes;
   Alcotest.(check bool) "u = 0" true (endo_matches Nat.zero ((true, odd128), (false, Nat.two)));
   let past = Nat.shift_left Nat.one 128 in
-  let refused halves = Option.is_none (Curve.mul2_endo table u endo_table halves) in
-  Alcotest.(check bool) "first half past the rows" true (refused ((false, past), (false, Nat.one)));
-  Alcotest.(check bool) "second half past the rows" true (refused ((false, Nat.one), (true, past)));
+  let refused tbl halves =
+    match Curve.mul2_endo table u tbl halves with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "first half past the rows" true
+    (refused endo_table ((false, past), (false, Nat.one)));
+  Alcotest.(check bool) "second half past the rows" true
+    (refused endo_table ((false, Nat.one), (true, past)));
   let void = (Curve.make_endo_tables [| Curve.infinity |]).(0) in
-  let on_void halves = Curve.mul2_endo table u void halves in
-  (match on_void ((false, Nat.zero), (true, Nat.zero)) with
-   | Some p -> Alcotest.(check point) "identity table, zero halves" (Curve.mul u g) p
-   | None -> Alcotest.fail "identity table refused zero halves");
+  Alcotest.(check point) "identity table, zero halves" (Curve.mul u g)
+    (Curve.mul2_endo table u void ((false, Nat.zero), (true, Nat.zero)));
   Alcotest.(check bool) "identity table, a nonzero half" true
-    (Option.is_none (on_void ((false, Nat.one), (false, Nat.zero))))
+    (refused void ((false, Nat.one), (false, Nat.zero)))
 
 let prop_endo_table_matches_mul =
   QCheck.Test.make ~name:"mul2_endo u tbl (endo_split k) = uG + kP" ~count:20
@@ -577,12 +579,23 @@ let prop_mul_matches_naive =
        let want = naive_mul k pt in
        Curve.equal want (Curve.mul k pt) && Curve.equal want (Curve.mul_vartime k pt))
 
-let prop_mul2_matches_parts =
-  QCheck.Test.make ~name:"mul2 table u v P = uG + vP" ~count:25
+(* u*G + v*P - Q = O as one verification equation, checked alone at
+   weight one ([Group_ctx.holds]): the serial verifiers' kernel. *)
+let one_equation u v p q =
+  let fn = Curve.scalar_field in
+  let module Modular = Dd_bignum.Modular in
+  Group_ctx.holds (fun acc w ->
+      Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn u)) g;
+      Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn v)) p;
+      Group_ctx.acc_sub acc w q)
+
+let prop_one_equation_matches_parts =
+  QCheck.Test.make ~name:"one equation uG + vP - Q = O" ~count:25
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (u, v, a) ->
        let p = Curve.mul a g in
-       Curve.equal (Curve.mul2 table u v p) (Curve.add (Curve.mul u g) (Curve.mul v p)))
+       let q = Curve.add (Curve.mul u g) (Curve.mul v p) in
+       one_equation u v p q && not (one_equation u v p (Curve.add q g)))
 
 let prop_to_affine_batch_matches =
   QCheck.Test.make ~name:"to_affine_batch = pointwise to_affine" ~count:20
@@ -615,17 +628,23 @@ let test_mul_edge_cases () =
   (* P + (-P) through the vartime adds *)
   chk "P + (-P) = O" Curve.infinity
     (Curve.add (Curve.mul_vartime Nat.two g) (Curve.neg (Curve.mul_vartime Nat.two g)));
-  (* mul2 degenerate inputs *)
-  let table = Group_ctx.g_table () in
-  chk "mul2 0 0 P = O" Curve.infinity (Curve.mul2 table Nat.zero Nat.zero g);
-  chk "mul2 u 0 P = uG" (Curve.mul (Nat.of_int 9) g)
-    (Curve.mul2 table (Nat.of_int 9) Nat.zero g);
-  chk "mul2 0 v P = vP" (Curve.mul (Nat.of_int 11) g)
-    (Curve.mul2 table Nat.zero (Nat.of_int 11) g);
-  chk "mul2 with P = O" (Curve.mul (Nat.of_int 5) g)
-    (Curve.mul2 table (Nat.of_int 5) (Nat.of_int 13) Curve.infinity);
-  chk "mul2 order scalars = O" Curve.infinity
-    (Curve.mul2 table Curve.order Curve.order g)
+  (* one equation u*G + v*P - Q = O, degenerate inputs; P is not G
+     itself, so its term reaches the MSM rather than G's comb leg *)
+  let p = Curve.mul (Nat.of_int 3) g in
+  let holds label u v p q = Alcotest.(check bool) label true (one_equation u v p q) in
+  let fails label u v p q = Alcotest.(check bool) label false (one_equation u v p q) in
+  holds "0G + 0P = O" Nat.zero Nat.zero p Curve.infinity;
+  fails "0G + 0P <> G" Nat.zero Nat.zero p g;
+  holds "uG + 0P = uG" (Nat.of_int 9) Nat.zero p (Curve.mul (Nat.of_int 9) g);
+  fails "uG + 0P <> (u+1)G" (Nat.of_int 9) Nat.zero p (Curve.mul (Nat.of_int 10) g);
+  holds "0G + vP = vP" Nat.zero (Nat.of_int 11) p (Curve.mul (Nat.of_int 33) g);
+  holds "uG + vO = uG" (Nat.of_int 5) (Nat.of_int 13) Curve.infinity
+    (Curve.mul (Nat.of_int 5) g);
+  fails "uG + vO <> uG + vG" (Nat.of_int 5) (Nat.of_int 13) Curve.infinity
+    (Curve.mul (Nat.of_int 18) g);
+  holds "nG + nP = O" Curve.order Curve.order p Curve.infinity;
+  holds "(n-1)G + (n+1)P = -G + P" (Nat.sub order Nat.one) (Nat.add order Nat.one) p
+    (Curve.sub p g)
 
 let test_to_affine_batch_edges () =
   Alcotest.(check int) "empty batch" 0 (Array.length (Curve.to_affine_batch [||]));
@@ -780,7 +799,7 @@ let () =
        :: Alcotest.test_case "base table edge scalars" `Quick test_base_table_edge_scalars
        :: Alcotest.test_case "batch normalization edges" `Quick test_to_affine_batch_edges
        :: List.map QCheck_alcotest.to_alcotest
-            [ prop_mul_matches_naive; prop_base_table_matches_mul; prop_mul2_matches_parts;
+            [ prop_mul_matches_naive; prop_base_table_matches_mul; prop_one_equation_matches_parts;
               prop_to_affine_batch_matches; prop_add_cases_match_ref ]);
       ("glv-tables",
        [ Alcotest.test_case "split halves within 128 bits" `Quick test_endo_split_bound;

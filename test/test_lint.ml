@@ -221,7 +221,14 @@ let test_secret_taint () =
     "let leak c witness p = Curve.msm c [| (witness, p) |]";
   check_fires "suffixed name into mul2" "secret-taint"
     ~file:"lib/sig/fixture.ml"
-    "let leak c table trustee_sk e pk = Curve.mul2 c table trustee_sk e pk";
+    "let leak table trustee_sk tbl halves = Curve.mul2_endo table trustee_sk tbl halves";
+  (* the GLV kernels are on the surface too *)
+  check_fires "sk into endo_split" "secret-taint"
+    ~file:"lib/sig/fixture.ml"
+    "let leak1 sk = Curve.endo_split sk";
+  check_fires "sk into mul2_endo" "secret-taint"
+    ~file:"lib/sig/fixture.ml"
+    "let leak2 table u tbl sk = Curve.mul2_endo table u tbl ((false, sk), (false, Nat.zero))";
   check_fires "record field" "secret-taint"
     ~file:"lib/vss/fixture.ml"
     "let leak c st p = Curve.mul_vartime c st.nonce p";
@@ -236,7 +243,7 @@ let test_secret_taint () =
     ~file:"lib/sig/fixture.ml"
     "let leak c sk g tick = Curve.mul_vartime c (tick (); sk) g";
   check_clean "public scalars are fine" ~file:"lib/sig/fixture.ml"
-    "let verify c s e pk = Curve.mul2 c table s e pk";
+    "let verify table s tbl e = Curve.mul2_endo table s tbl (Curve.endo_split e)";
   (* the scalar field's Euclid inverse is on the same surface *)
   check_fires "sk into inv_vartime" "secret-taint"
     ~file:"lib/vss/fixture.ml"

@@ -251,6 +251,113 @@ let test_ballot_proof_batch () =
   Alcotest.(check bool) "tampered proof rejected" false
     (Ballot_proof.verify_batch (rng ()) insts)
 
+(* --- equations that cancel at weight one ------------------------------------ *)
+
+(* t1 + D and t2 - D offset a Chaum-Pedersen transcript's two equations
+   by -D and +D: a check that summed them at weight one would accept.
+   Each equation is checked alone (serial) or under a weight of its own
+   (batch). *)
+let offset = Curve.hash_to_point "cancelling offset"
+
+let cancel_offset (fm : Chaum_pedersen.first_move) =
+  { Chaum_pedersen.t1 = Curve.add fm.t1 offset; t2 = Curve.sub fm.t2 offset }
+
+let test_cp_cancelling_forgery () =
+  let rng = rng () in
+  let x = Curve.random_scalar rng in
+  let st = ddh_statement x in
+  let w, fm = Chaum_pedersen.commit rng st in
+  let challenge = Curve.random_scalar rng in
+  let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
+  let forged = cancel_offset fm in
+  let times w k = Dd_bignum.Modular.mul Curve.scalar_field w k in
+  Alcotest.(check bool) "the two equations sum to O" true
+    (Group_ctx.holds (fun acc w ->
+         Group_ctx.acc_add acc (times w response) st.g1;
+         Group_ctx.acc_sub acc w forged.t1;
+         Group_ctx.acc_sub acc (times w challenge) st.h1;
+         Group_ctx.acc_add acc (times w response) st.g2;
+         Group_ctx.acc_sub acc w forged.t2;
+         Group_ctx.acc_sub acc (times w challenge) st.h2));
+  Alcotest.(check bool) "serial rejects" false
+    (Chaum_pedersen.verify st forged ~challenge ~response);
+  let batch fms =
+    let sink = Group_ctx.folded rng in
+    List.iter
+      (fun fm -> Chaum_pedersen.equations sink { stmt = st; fm; challenge; response })
+      fms;
+    Group_ctx.verdict sink
+  in
+  Alcotest.(check bool) "batch accepts the honest pair" true (batch [ fm; fm ]);
+  Alcotest.(check bool) "batch rejects" false (batch [ fm; forged ])
+
+(* The same offset on row 0's a0 branch of a ballot proof. *)
+let cancel_row0 fm =
+  let pts = Ballot_proof.first_move_points fm in
+  let a0 = cancel_offset { Chaum_pedersen.t1 = pts.(0); t2 = pts.(1) } in
+  pts.(0) <- a0.t1;
+  pts.(1) <- a0.t2;
+  Ballot_proof.first_move_of_points pts
+
+let proof_instance ?(seed = "") ~m ~choice () =
+  let rng = Drbg.create ~seed:(Printf.sprintf "proof %s %d.%d" seed m choice) in
+  let commitments, openings = Unit_vector.commit rng ~options:m ~choice in
+  let state, fm = Ballot_proof.prove_commit rng ~commitments ~openings in
+  let challenge = Curve.random_scalar rng in
+  { Ballot_proof.commitments; fm; challenge; fin = Ballot_proof.finalize state ~challenge }
+
+let test_ballot_proof_cancelling_forgery () =
+  let honest = proof_instance ~m:3 ~choice:1 () in
+  let forged = { honest with Ballot_proof.fm = cancel_row0 honest.Ballot_proof.fm } in
+  Alcotest.(check bool) "serial rejects" false
+    (Ballot_proof.verify ~commitments:forged.commitments forged.fm
+       ~challenge:forged.challenge forged.fin);
+  let other = proof_instance ~m:3 ~choice:2 () in
+  Alcotest.(check bool) "batch rejects" false
+    (Ballot_proof.verify_batch (rng ()) [| other; forged |])
+
+(* n ballot proofs, at most one forged (a flipped response, the
+   cancelling offset, or another challenge): the batch verdict is the
+   conjunction of the serial verdicts, and bisection names exactly the
+   forged index. *)
+let prop_ballot_proof_batch_serial =
+  QCheck.Test.make ~name:"ballot-proof batch = serial verdicts" ~count:6 ~long_factor:100
+    QCheck.(triple (int_range 2 5) (option (int_bound 4)) (int_bound 2))
+    (fun (n, forge, kind) ->
+       let seed = Printf.sprintf "%d %d %d" n (Option.value forge ~default:(-1)) kind in
+       let insts =
+         Array.init n (fun i ->
+             proof_instance ~seed:(Printf.sprintf "%s/%d" seed i) ~m:(2 + (i mod 2))
+               ~choice:(i mod 2) ())
+       in
+       let forged = Option.map (fun f -> f mod n) forge in
+       Option.iter
+         (fun f ->
+            let inst = insts.(f) in
+            insts.(f) <-
+              (match kind with
+               | 0 ->
+                 let fin = inst.Ballot_proof.fin in
+                 let s = Ballot_proof.encode_final_move fin in
+                 let last = String.length s - 1 in
+                 let s = String.mapi (fun i c -> if i = last then Char.chr (Char.code c lxor 1) else c) s in
+                 { inst with fin = Option.get (Ballot_proof.decode_final_move s) }
+               | 1 -> { inst with fm = cancel_row0 inst.fm }
+               | _ -> { inst with challenge = Nat.add inst.challenge Nat.one }))
+         forged;
+       let serial =
+         Array.for_all
+           (fun (i : Ballot_proof.instance) ->
+              Ballot_proof.verify ~commitments:i.commitments i.fm ~challenge:i.challenge i.fin)
+           insts
+       in
+       let rng = Drbg.create ~seed:("weights " ^ seed) in
+       serial = Option.is_none forged
+       && Ballot_proof.verify_batch rng insts = serial
+       && Dd_group.Batch.find_failures ~n
+            ~check:(fun ~lo ~len -> Ballot_proof.verify_batch rng (Array.sub insts lo len))
+          = Option.to_list forged)
+
 (* --- challenge extraction ----------------------------------------------- *)
 
 let test_challenge_from_coins () =
@@ -300,7 +407,12 @@ let () =
          Alcotest.test_case "state serialization" `Quick test_state_serialization;
          Alcotest.test_case "final move encoding" `Quick test_final_move_encoding_stable ]);
       ("batch",
-       [ Alcotest.test_case "ballot-proof batch" `Quick test_ballot_proof_batch ]);
+       [ Alcotest.test_case "ballot-proof batch" `Quick test_ballot_proof_batch;
+         Alcotest.test_case "CP equations that cancel at weight one" `Quick
+           test_cp_cancelling_forgery;
+         Alcotest.test_case "proof equations that cancel at weight one" `Quick
+           test_ballot_proof_cancelling_forgery;
+         QCheck_alcotest.to_alcotest prop_ballot_proof_batch_serial ]);
       ("k-of-m",
        [ Alcotest.test_case "2-of-5 proof" `Quick test_k_of_m_proof;
          Alcotest.test_case "approval tally" `Quick test_k_of_m_tally;
