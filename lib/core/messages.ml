@@ -52,8 +52,8 @@ type vc_msg =
       pos : int;
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;  (* the EA's authenticator over the share *)
-      (* from the UCERT's former (less the receiver's own endorsement)
-         and in the answer to a pull *)
+      (* from a node that asks for shares (less the receiver's own
+         endorsement) and in the answer to a pull *)
       ucert : ucert;
     }
   (* a VOTE_P for a peer that holds the UCERT: the (part, pos) line

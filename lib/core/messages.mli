@@ -50,12 +50,13 @@ type vc_msg =
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;
       ucert : ucert;
-          (** Bound to this message's (serial, code). Only the UCERT's
-              former (the responder) and the answer to a pull send a
-              VOTE_P; every other disclosure is a [Share]. The former
-              sends each peer that signed the certificate the
-              certificate without that peer's own endorsement; the peer
-              completes it with the tag it signed and keeps in memory.
+          (** Bound to this message's (serial, code). Only a node that
+              asks for shares (the UCERT's former, or a node a voter
+              retries at) and the answer to a pull send a VOTE_P; a
+              [Share] answers a VOTE_P. The asking node sends each peer
+              that signed the certificate the certificate without that
+              peer's own endorsement; the peer completes it with the
+              tag it signed and keeps in memory.
               The answer to a pull carries the whole certificate. A
               certificate short of a quorum that the receiver cannot
               complete makes it pull the UCERT from the sender
@@ -69,8 +70,8 @@ type vc_msg =
       share : Dd_vss.Shamir_bytes.share;
       share_tag : Auth.tag option;
     }
-      (** A receipt-share disclosure without code or UCERT, from every
-          collector that did not form the certificate. The (part, pos)
+      (** A receipt-share disclosure without code or UCERT: the answer
+          to a VOTE_P, sent to that VOTE_P's sender only. The (part, pos)
           line names the code: the receiver counts the share only if
           it holds a UCERT for [serial] whose code is on that line.
           Holding none, or one for a code on another line, it pulls

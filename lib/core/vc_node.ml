@@ -3,9 +3,10 @@
 
    Voting: on VOTE the responder validates the code against the salted
    hashes, gathers Nv - fv signed ENDORSEMENTs into a uniqueness
-   certificate (UCERT), then the nodes disclose their receipt shares
-   (VOTE_P, gated on a valid UCERT) until Nv - fv shares reconstruct
-   the 64-bit receipt that goes back to the voter.
+   certificate (UCERT), then sends its receipt share with the UCERT
+   (VOTE_P) to every peer; each answers with its own share (SHARE,
+   gated on a valid UCERT) until Nv - fv shares reconstruct the 64-bit
+   receipt that goes back to the voter.
 
    Vote Set Consensus: at election end every node ANNOUNCEs the
    (serial, code) of every ballot it holds a UCERT for (batched, codes
@@ -79,8 +80,12 @@ type ballot_rt = {
      during Voting) we have answered: each gets our full VOTE_P once.
      Transient, never journaled. *)
   mutable answered : int;
+  (* whether this node has sent its VOTE_P to every peer, asking each
+     for its share: at most once per ballot. Transient, never
+     journaled, so a restarted node asks again. *)
+  mutable asked : bool;
   (* the ENDORSEMENT tag this node signed for [endorsed], until it
-     holds a UCERT: it completes the certificate the former sends us
+     holds a UCERT: it completes the certificate a VOTE_P brings us
      without our own endorsement. Transient, never journaled, so a
      restarted node pulls the whole certificate instead. *)
   mutable own_tag : Auth.tag option;
@@ -134,7 +139,7 @@ let ballot_rt t serial =
       { status = Types.Not_voted; endorsed = None; ucert = None;
         part = Types.A; pos = 0; collecting = None; endorsements = [];
         shares = []; sent_vote_p = false; waiting_clients = []; answered = 0;
-        own_tag = None }
+        asked = false; own_tag = None }
     in
     Hashtbl.replace t.ballots serial b;
     b
@@ -408,20 +413,23 @@ let note_conflict t serial (b : ballot_rt) ~code =
     commit t (R_conflict { serial; ours = u.Messages.u_code; theirs = code })
   | Some _ | None -> ()
 
-(* Reconstruct once we hold exactly the quorum of distinct shares. *)
+(* Reconstruct once, from the quorum of distinct shares. *)
 let try_reconstruct t serial (b : ballot_rt) code =
-  if List.length b.shares >= t.quorum then begin
-    let selected =
-      List.sort (fun a c -> compare a.Shamir_bytes.x c.Shamir_bytes.x) b.shares
-      |> List.filteri (fun i _ -> i < t.quorum)
-    in
-    let receipt = Shamir_bytes.reconstruct ~threshold:t.quorum selected in
-    commit t (R_receipt { serial; code; receipt });
-    List.iter
-      (fun (client, req) -> t.env.reply ~client ~req (Types.Receipt receipt))
-      b.waiting_clients;
-    b.waiting_clients <- []
-  end
+  match b.status with
+  | Types.Voted _ -> ()
+  | Types.Not_voted | Types.Pending _ ->
+    if List.length b.shares >= t.quorum then begin
+      let selected =
+        List.sort (fun a c -> compare a.Shamir_bytes.x c.Shamir_bytes.x) b.shares
+        |> List.filteri (fun i _ -> i < t.quorum)
+      in
+      let receipt = Shamir_bytes.reconstruct ~threshold:t.quorum selected in
+      commit t (R_receipt { serial; code; receipt });
+      List.iter
+        (fun (client, req) -> t.env.reply ~client ~req (Types.Receipt receipt))
+        b.waiting_clients;
+      b.waiting_clients <- []
+    end
 
 (* The VOTE_P disclosing our [share] and its EA tag for [b], with [ucert]. *)
 let own_vote_p t ~serial ~code (b : ballot_rt) (share, share_tag) ucert =
@@ -429,32 +437,41 @@ let own_vote_p t ~serial ~code (b : ballot_rt) (share, share_tag) ucert =
     { serial; vote_code = code; sender = t.env.me; part = b.part; pos = b.pos;
       share; share_tag; ucert }
 
-(* Disclose our own share (only ever once), from [own] when the caller
-   has already read our line. Only the UCERT's former sends VOTE_Ps, to
-   each peer with the certificate less that peer's own endorsement,
-   which a signer completes from memory; every other node multicasts a
-   SHARE, which names the code by its line, and a peer that cannot
-   match it pulls the certificate. *)
-let disclose_share ?own t ~serial ~code ~former (b : ballot_rt) =
-  if not b.sent_vote_p then begin
-    let own =
-      match own with Some o -> o | None -> own_share t ~serial ~part:b.part ~pos:b.pos
-    in
-    commit ~own:(fst own) t (R_sent_vote_p serial);
-    match b.ucert with
-    | Some u when former ->
-      List.iter
-        (fun dst ->
-           let endorsements = List.filter (fun (s, _) -> s <> dst) u.Messages.endorsements in
+(* Disclose our share, from [own] when the caller has already read our
+   line: journaled and counted once (the receipt is reconstructed as
+   soon as the quorum is in), then sent. Only a node with a voter
+   waiting returns a receipt, so only it asks for shares, once per
+   ballot: it sends its VOTE_P to every peer, with the certificate less
+   that peer's own endorsement, which a signer completes from memory.
+   That node is the responder when it forms the UCERT, or a node the
+   voter retries at. Otherwise the node answers the sender of the
+   VOTE_P it accepted ([reply_to]) with a SHARE, which names the code
+   by its line. *)
+let disclose_share ?own ?reply_to t ~serial ~code (b : ballot_rt) =
+  let own =
+    lazy (match own with Some o -> o | None -> own_share t ~serial ~part:b.part ~pos:b.pos)
+  in
+  if not b.sent_vote_p then commit ~own:(fst (Lazy.force own)) t (R_sent_vote_p serial);
+  try_reconstruct t serial b code;
+  match b.ucert with
+  | Some u when b.waiting_clients <> [] && not b.asked ->
+    b.asked <- true;
+    List.iter
+      (fun dst ->
+         let endorsements = List.filter (fun (s, _) -> s <> dst) u.Messages.endorsements in
+         t.env.send_vc ~dst
+           (own_vote_p t ~serial ~code b (Lazy.force own) { u with Messages.endorsements }))
+      (peers t)
+  | Some _ | None ->
+    Option.iter
+      (fun dst ->
+         if dst <> t.env.me then begin
+           let share, share_tag = Lazy.force own in
            t.env.send_vc ~dst
-             (own_vote_p t ~serial ~code b own { u with Messages.endorsements }))
-        (peers t)
-    | Some _ | None ->
-      let share, share_tag = own in
-      multicast t
-        (Messages.Share
-           { serial; sender = t.env.me; part = b.part; pos = b.pos; share; share_tag })
-  end
+             (Messages.Share
+                { serial; sender = t.env.me; part = b.part; pos = b.pos; share; share_tag })
+         end)
+      reply_to
 
 (* --- Algorithm 1: ON VOTE -------------------------------------------- *)
 
@@ -488,8 +505,11 @@ let on_vote t ~client ~req ~serial ~vote_code =
         t.env.reply ~client ~req (Types.Receipt receipt)
       else t.env.reply ~client ~req (Types.Rejected "ballot already voted")
     | Types.Pending code ->
-      if Dd_crypto.Ct.equal code vote_code then
-        b.waiting_clients <- (client, req) :: b.waiting_clients
+      if Dd_crypto.Ct.equal code vote_code then begin
+        (* a retry here: ask every peer for its share, once *)
+        b.waiting_clients <- (client, req) :: b.waiting_clients;
+        disclose_share t ~serial ~code b
+      end
       else t.env.reply ~client ~req (Types.Rejected "another vote code pending")
     | Types.Not_voted ->
       match b.collecting, b.endorsed with
@@ -559,8 +579,7 @@ let on_endorsement t ~signer ~serial ~tag =
               Messages.endorsements = b.endorsements }
           in
           commit t (R_ucert { ucert; part = b.part; pos = b.pos; endorse = false });
-          disclose_share t ~serial ~code ~former:true b;
-          try_reconstruct t serial b code
+          disclose_share t ~serial ~code b
         end
       end
     | _ -> ()
@@ -600,20 +619,16 @@ let pull t ~sender serial =
 
 (* Count [sender]'s share of [code]'s line, which the caller matched
    against this node's own [code_line] ([own] is what that lookup
-   read). It must carry the EA's authenticator for (serial, part, pos,
-   sender). *)
-let accept_share ?own t ~sender ~serial ~code ~part ~pos ~share ~share_tag ucert =
+   read), then disclose ours. It must carry the EA's authenticator for
+   (serial, part, pos, sender). A VOTE_P's sender is answered
+   ([reply_to]); a SHARE is itself an answer. *)
+let accept_share ?own ?reply_to t ~sender ~serial ~code ~part ~pos ~share ~share_tag ucert =
   if verify_receipt_share t ~serial ~part ~pos ~node:sender share share_tag then begin
     let b = ballot_rt t serial in
-    let add () = if not (has_share b share) then commit t (R_share { serial; share }) in
-    match b.status with
-    | Types.Not_voted | Types.Pending _ ->
-      (* only a ballot still [Not_voted] lacks a UCERT *)
-      if b.ucert = None then commit t (R_ucert { ucert; part; pos; endorse = true });
-      add ();
-      disclose_share ?own t ~serial ~code ~former:false b;
-      try_reconstruct t serial b code
-    | Types.Voted _ -> add ()
+    (* only a ballot still [Not_voted] lacks a UCERT *)
+    if b.ucert = None then commit t (R_ucert { ucert; part; pos; endorse = true });
+    if not (has_share b share) then commit t (R_share { serial; share });
+    disclose_share ?own ?reply_to t ~serial ~code b
   end
 
 let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
@@ -632,7 +647,8 @@ let on_vote_p t ~sender ~serial ~vote_code ~part ~pos ~share ~share_tag ~ucert =
        code on *)
     match code_line t ~serial ~code:vote_code with
     | Some (line_part, line_pos, own) when line_part = part && line_pos = pos ->
-      accept_share ?own t ~sender ~serial ~code:vote_code ~part ~pos ~share ~share_tag ucert
+      accept_share ?own ~reply_to:sender t ~sender ~serial ~code:vote_code ~part ~pos ~share
+        ~share_tag ucert
     | Some _ | None -> ()
 
 (* A SHARE counts against the UCERT this node holds for [serial], and
@@ -842,9 +858,9 @@ let on_consensus t ~sender ~rbc_msg =
     if not t.vsc.consensus_started then
       t.vsc.pending_consensus <- (sender, rbc_msg) :: t.vsc.pending_consensus
 
-(* A pull: during Voting, a peer that could not match our SHARE gets
-   our full VOTE_P, once per peer and serial (peers past the mask's
-   width are answered every time). *)
+(* A pull: during Voting, a peer that could not match our SHARE or
+   complete our certificate gets our full VOTE_P, once per peer and
+   serial (peers past the mask's width are answered every time). *)
 let answer_pull t ~sender serial =
   match Hashtbl.find_opt t.ballots serial with
   | Some ({ ucert = Some u; sent_vote_p = true; _ } as b) when sender <> t.env.me ->

@@ -51,29 +51,35 @@ val create : env -> t
 
 (** Feed any protocol message (from voters or peer collectors).
 
+    A node with a voter waiting and the UCERT but no receipt asks every
+    peer for its share, once per ballot: it sends each its VOTE_P. That
+    is the UCERT's former, or a node the voter retries at. Every other
+    node answers each VOTE_P it accepts with one SHARE, to that VOTE_P's
+    sender only, so only a node that asked reconstructs the receipt.
+
     A share counts only for the line this node holds the code on (its
     own lookup, not the sender's claim), and only against a UCERT. A
     VOTE_P's counts against one this node holds for exactly that serial
-    and code, or else the message's. The UCERT's former sends each peer
-    that signed it the certificate without that peer's own endorsement.
-    A signer completes it with the tag it signed on ENDORSE, kept in
-    memory and never verified, and only if it durably endorsed exactly
-    this code; the UCERT it stores and journals is always whole. A node
-    that restarted since it endorsed holds no such tag and does not sign
-    again: it pulls the certificate from the sender. A SHARE counts
-    against the UCERT this node holds for the serial, and only if its
-    (part, pos) is the line of that UCERT's code; holding none, or one
-    for a code on another line, the node pulls. An ENDORSEMENT counts
-    only if its tag signs the code this node is collecting.
+    and code, or else the message's. A VOTE_P carries the certificate
+    without the receiving signer's own endorsement. A signer completes
+    it with the tag it signed on ENDORSE, kept in memory and never
+    verified, and only if it durably endorsed exactly this code; the
+    UCERT it stores and journals is always whole. A node that restarted
+    since it endorsed holds no such tag and does not sign again: it
+    pulls the certificate from the sender. A SHARE counts against the
+    UCERT this node holds for the serial, and only if its (part, pos) is
+    the line of that UCERT's code; holding none, or one for a code on
+    another line, the node pulls. An ENDORSEMENT counts only if its tag
+    signs the code this node is collecting.
 
     [Recover_request] means two things. During [Voting] it is a pull: a
-    peer could not match this node's SHARE, and gets this node's full
-    VOTE_P (its share and the UCERT) for each listed serial whose UCERT
-    the node holds and whose share it has disclosed, once per (peer,
-    serial). The node sends one itself, naming one serial, to the sender
-    of a SHARE it cannot match or of a certificate short of a quorum
-    that it cannot complete. Afterwards it is Vote Set Consensus
-    recovery, answered with [Recover_response].
+    peer could not match this node's SHARE or complete its certificate,
+    and gets this node's full VOTE_P (its share and the UCERT) for each
+    listed serial whose UCERT the node holds and whose share it has
+    disclosed, once per (peer, serial). The node sends one itself,
+    naming one serial, to the sender of a SHARE it cannot match or of a
+    certificate short of a quorum that it cannot complete. Afterwards it
+    is Vote Set Consensus recovery, answered with [Recover_response].
 
     [Announce] lists codes only. The node sends the announcer one
     [Recover_request] naming the serials in the election whose

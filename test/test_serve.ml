@@ -690,8 +690,8 @@ let test_transcript_equivalence () =
 
 (* UCERT elision on the links: in a fault-free vote only the responder,
    which formed the UCERT, sends VOTE_Ps, three of them; every other
-   node discloses its share in a SHARE, and no node needs to pull the
-   certificate while votes are cast. *)
+   node answers with its share in one SHARE, to the responder, and no
+   node needs to pull the certificate while votes are cast. *)
 let test_vote_p_elision_on_links () =
   let responder = Hashtbl.create 8 and sent = Hashtbl.create 8 in
   let casting = ref true and pulls = ref 0 in
@@ -700,10 +700,10 @@ let test_vote_p_elision_on_links () =
   in
   let src = Lazy.force eq_source in
   let t = Runtime.create src in
-  Runtime.observe_links t (fun ~src ~dst:_ -> function
+  Runtime.observe_links t (fun ~src ~dst -> function
     | Messages.Endorse { serial; responder = r; _ } -> Hashtbl.replace responder serial r
-    | Messages.Vote_p { serial; _ } -> disclosed serial (src, true)
-    | Messages.Share { serial; _ } -> disclosed serial (src, false)
+    | Messages.Vote_p { serial; _ } -> disclosed serial (src, dst, true)
+    | Messages.Share { serial; _ } -> disclosed serial (src, dst, false)
     | Messages.Announce _ -> casting := false
     | Messages.Recover_request _ -> if !casting then incr pulls
     | _ -> ());
@@ -729,19 +729,22 @@ let test_vote_p_elision_on_links () =
          | None -> Alcotest.failf "serial %d: no responder" serial
        in
        let ds = Option.value ~default:[] (Hashtbl.find_opt sent serial) in
-       let full = List.filter snd ds in
+       let full, shares = List.partition (fun (_, _, full) -> full) ds in
        let name what = Printf.sprintf "serial %d: %s" serial what in
-       Alcotest.(check int) (name "disclosures") 12 (List.length ds);
+       Alcotest.(check int) (name "disclosures") 6 (List.length ds);
        Alcotest.(check int) (name "VOTE_Ps") 3 (List.length full);
        Alcotest.(check (list int)) (name "all from the responder") [ resp; resp; resp ]
-         (List.map fst full))
+         (List.map (fun (src, _, _) -> src) full);
+       Alcotest.(check (list int)) (name "every SHARE to the responder") [ resp; resp; resp ]
+         (List.map (fun (_, dst, _) -> dst) shares))
     eq_votes
 
 (* Item 19's nv = 4 point: the exact bytes one fault-free vote puts on
    the VC links, per message kind (each message's [Messages] encoding,
    before link batching), with the real Schnorr clique of
-   [Runtime.source_prf]. A change to the wire format moves these: 1,016
-   B in all, 1,268 B while ENDORSEMENTs (91 B each) and the elided
+   [Runtime.source_prf]. A change to the wire format moves these: 920 B
+   in all; 1,016 B while every node sent its SHARE to every peer (nine
+   SHAREs), and 1,268 B while ENDORSEMENTs (91 B each) and the elided
    VOTE_Ps (37 B each) repeated the vote code. *)
 let test_vote_wire_bytes () =
   let t = Runtime.create (Runtime.source_prf serve_cfg ~seed:"wire-bytes") in
@@ -769,7 +772,7 @@ let test_vote_wire_bytes () =
   in
   Alcotest.(check int) "the receipt" 1 r.Loadgen.receipts_ok;
   Alcotest.(check (list (triple string int int))) "(kind, messages, bytes)"
-    [ ("ENDORSE", 3, 72); ("ENDORSEMENT", 3, 210); ("SHARE", 9, 144); ("VOTE_P", 3, 590) ]
+    [ ("ENDORSE", 3, 72); ("ENDORSEMENT", 3, 210); ("SHARE", 3, 48); ("VOTE_P", 3, 590) ]
     (List.sort compare (Hashtbl.fold (fun k (n, b) acc -> (k, n, b) :: acc) kinds []))
 
 (* Batching must be outcome-invisible: the same serve run with the

@@ -31,8 +31,10 @@ type cluster = {
 
 (* [drop] models a lossy link: a dropped message is still recorded in
    [sent], but never delivered. [durable] gives every node a WAL on an
-   in-memory device. *)
-let make_cluster ?(now = 1.0) ?(durable = false) ?(drop = fun ~src:_ ~dst:_ _ -> false) () =
+   in-memory device. [cfg] may change the cluster's size; ballots keep
+   the default shape. *)
+let make_cluster ?(cfg = cfg) ?(now = 1.0) ?(durable = false)
+    ?(drop = fun ~src:_ ~dst:_ _ -> false) () =
   let keys = Auth.deal_clique ~scheme:Auth.Mac_scheme ~seed:("k" ^ seed)
       ~n:(cfg.Types.nv + 1)
   in
@@ -103,6 +105,12 @@ let rejections c =
 
 (* --- Algorithm 1 ------------------------------------------------------- *)
 
+(* Only the responder gathers a quorum of shares (every SHARE answers
+   its VOTE_P), so it alone reconstructs the receipt. *)
+let issued_by c =
+  List.filter (fun i -> Vc_node.receipts_issued c.nodes.(i) > 0)
+    (List.init (Array.length c.nodes) Fun.id)
+
 let test_vote_produces_correct_receipt () =
   let c = make_cluster () in
   vote c ~node:0 ~client:7 ~req:1 ~serial:2 ~vote_code:(code_of ~serial:2 ~part:Types.A ~option:1);
@@ -111,10 +119,8 @@ let test_vote_produces_correct_receipt () =
      Alcotest.(check string) "receipt matches the printed ballot"
        (receipt_of ~serial:2 ~part:Types.A ~option:1) r
    | l -> Alcotest.failf "expected one receipt, got %d replies" (List.length l));
-  (* every node reached Voted with a receipt *)
-  Array.iter
-    (fun n -> Alcotest.(check int) "receipt issued" 1 (Vc_node.receipts_issued n))
-    c.nodes
+  Alcotest.(check (list int)) "the responder alone issued the receipt" [ 0 ] (issued_by c);
+  Alcotest.(check int) "once" 1 (Vc_node.receipts_issued c.nodes.(0))
 
 let test_duplicate_vote_same_code_same_receipt () =
   let c = make_cluster () in
@@ -257,29 +263,25 @@ let pulls c =
       | _ -> None)
     (List.rev !(c.sent))
 
-let check_all_issued c =
+let check_one_issued c ~responder =
   Alcotest.(check int) "the voter got a receipt" 1 (List.length (receipt_replies c));
-  Array.iteri
-    (fun i n ->
-       Alcotest.(check int) (Printf.sprintf "node %d issued the receipt" i) 1
-         (Vc_node.receipts_issued n))
-    c.nodes
+  Alcotest.(check (list int)) "the responder alone issued it" [ responder ] (issued_by c)
 
 (* A fault-free vote: the responder formed the UCERT and is the only
-   node that sends VOTE_Ps, which carry it; the other nine disclosures
-   are SHAREs, and nobody pulls. *)
+   node that sends VOTE_Ps, which carry it; each peer answers with one
+   SHARE, to the responder, and nobody pulls. *)
 let test_only_former_carries_ucert () =
   let c = make_cluster () in
   let code = code_of ~serial:3 ~part:Types.B ~option:1 in
   vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
   let vps = vote_ps c in
-  Alcotest.(check int) "twelve disclosures" 12 (List.length vps);
-  Alcotest.(check (list (pair int int))) "full only from the responder, to each peer"
-    [ (0, 1); (0, 2); (0, 3) ]
-    (List.sort compare
-       (List.filter_map (fun (src, dst, full) -> if full then Some (src, dst) else None) vps));
+  Alcotest.(check int) "six disclosures" 6 (List.length vps);
+  Alcotest.(check (list (triple int int bool)))
+    "full from the responder to each peer, a SHARE back from each"
+    [ (0, 1, true); (0, 2, true); (0, 3, true); (1, 0, false); (2, 0, false); (3, 0, false) ]
+    (List.sort compare vps);
   Alcotest.(check int) "no pull" 0 (List.length (pulls c));
-  check_all_issued c
+  check_one_issued c ~responder:0
 
 (* Node [sender]'s line for [code]: its part, position and line. *)
 let line_from ~sender ~serial ~code =
@@ -434,11 +436,7 @@ let test_misplaced_share_ignored () =
   Alcotest.(check (list string)) "the printed receipt, on the vote and its retry"
     [ receipt_of ~serial ~part ~option; receipt_of ~serial ~part ~option ]
     (List.map (fun (_, _, r) -> r) (receipt_replies c));
-  Array.iteri
-    (fun i n ->
-       Alcotest.(check int) (Printf.sprintf "node %d issued the receipt" i) 1
-         (Vc_node.receipts_issued n))
-    c.nodes
+  Alcotest.(check (list int)) "the responder alone issued it" [ 0 ] (issued_by c)
 
 (* --- certificate completion ---------------------------------------------------- *)
 
@@ -473,7 +471,7 @@ let test_fault_free_vote_verifies_nine () =
   let serial = 3 in
   let code = code_of ~serial ~part:Types.B ~option:1 in
   vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
-  check_all_issued c;
+  check_one_issued c ~responder:0;
   Alcotest.(check int) "tag verifications" 9 !count;
   let certs =
     List.filter_map
@@ -498,7 +496,8 @@ let test_fault_free_vote_verifies_nine () =
 (* An endorser that restarted from its WAL before the responder's
    VOTE_P reached it holds no tag to complete the certificate with, and
    does not sign again: it pulls the whole certificate from the
-   responder and issues the receipt. *)
+   responder and answers the full VOTE_P with its SHARE, to the
+   responder alone. *)
 let test_restarted_endorser_pulls () =
   let lost = ref true in
   let drop ~src:_ ~dst = function Messages.Vote_p _ -> !lost && dst = 1 | _ -> false in
@@ -508,25 +507,24 @@ let test_restarted_endorser_pulls () =
   vote c ~node:0 ~client:1 ~req:1 ~serial ~vote_code:code;
   let withheld =
     List.filter_map
-      (function (src, 1, (Messages.Vote_p _ as m)) -> Some (src, m) | _ -> None)
+      (function (0, 1, (Messages.Vote_p _ as m)) -> Some m | _ -> None)
       (List.rev !(c.sent))
   in
   c.nodes.(1) <- Vc_node.create (c.env_of 1);
   c.queue <- [];
   lost := false;
   c.sent := [];
-  List.iter (fun (src, m) -> if src = 0 then Vc_node.handle c.nodes.(1) m) withheld;
+  List.iter (Vc_node.handle c.nodes.(1)) withheld;
   drain c;
   Alcotest.(check (list (triple int int (list int)))) "node 1 pulls from the responder"
     [ (1, 0, [ serial ]) ] (pulls c);
-  List.iter (fun (src, m) -> if src <> 0 then Vc_node.handle c.nodes.(1) m) withheld;
-  drain c;
   Alcotest.(check int) "node 1 signs nothing" 0
     (List.length
        (List.filter
           (function (1, _, Messages.Endorsement _) -> true | _ -> false)
           !(c.sent)));
-  Alcotest.(check int) "node 1 issues the receipt" 1 (Vc_node.receipts_issued c.nodes.(1))
+  Alcotest.(check (list (triple int int bool))) "node 1 discloses once, to the responder"
+    [ (1, 0, false) ] (List.filter (fun (src, _, _) -> src = 1) (vote_ps c))
 
 (* Certificate-carrying VOTE_Ps that must not count, for [receiver],
    from a peer with its genuine share, on a cluster where every node
@@ -587,25 +585,90 @@ let test_hostile_certs_commit_nothing () =
 
 (* --- UCERT pull ------------------------------------------------------------- *)
 
-(* The responder withholds: its VOTE_P reaches node 1 only. Nodes 2 and
-   3 cannot match node 1's SHARE, so each pulls the UCERT from node 1,
-   which answers each once, and every node issues the receipt. *)
-let test_pull_from_withholding_responder () =
+(* The responder withholds, as [Adversary.Drop_receipts] does, and
+   worse: its VOTE_P reaches node 1 only, and it returns no receipt.
+   Nodes 2 and 3 never saw the UCERT, so a pull from node 1 could not
+   be answered. The voter retries at node 1, which sends its full VOTE_P
+   to every peer; each answers with its SHARE, and after that one round
+   node 1 returns the printed receipt. *)
+let test_withholding_responder () =
   let drop ~src ~dst = function
     | Messages.Vote_p _ -> src = 0 && dst >= 2
     | _ -> false
   in
   let c = make_cluster ~drop () in
-  let code = code_of ~serial:3 ~part:Types.B ~option:1 in
-  vote c ~node:0 ~client:7 ~req:1 ~serial:3 ~vote_code:code;
-  Alcotest.(check (list (triple int int (list int)))) "nodes 2 and 3 pull from node 1"
-    [ (2, 1, [ 3 ]); (3, 1, [ 3 ]) ] (List.sort compare (pulls c));
-  Alcotest.(check (list int)) "node 1 answers each once" [ 2; 3 ]
-    (List.sort compare
-       (List.filter_map
-          (fun (src, dst, full) -> if src = 1 && full then Some dst else None)
-          (vote_ps c)));
-  check_all_issued c
+  let serial = 3 and part = Types.B and option = 1 in
+  let code = code_of ~serial ~part ~option in
+  vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
+  c.replies := [];
+  c.sent := [];
+  vote c ~node:1 ~client:7 ~req:2 ~serial ~vote_code:code;
+  Alcotest.(check (list (triple int int bool))) "node 1 asks every peer, each answers"
+    [ (0, 1, false); (1, 0, true); (1, 2, true); (1, 3, true); (2, 1, false); (3, 1, false) ]
+    (List.sort compare (vote_ps c));
+  Alcotest.(check int) "no pull" 0 (List.length (pulls c));
+  Alcotest.(check (list (triple int int string))) "the printed receipt, from node 1"
+    [ (7, 2, receipt_of ~serial ~part ~option) ] (receipt_replies c)
+
+(* A voter repeating that VOTE at node 1 makes it ask its peers once:
+   at most Nv - 1 VOTE_Ps for the ballot, and no pull, however often
+   she retries while the answers are lost. *)
+let test_retries_ask_once () =
+  let drop ~src ~dst = function
+    | Messages.Vote_p _ -> src = 0 && dst >= 2
+    | Messages.Share _ -> dst = 1
+    | _ -> false
+  in
+  let c = make_cluster ~drop () in
+  let serial = 3 and code = code_of ~serial:3 ~part:Types.B ~option:1 in
+  vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
+  c.sent := [];
+  for req = 2 to 6 do vote c ~node:1 ~client:7 ~req ~serial ~vote_code:code done;
+  Alcotest.(check (list (pair int int))) "one VOTE_P to each peer"
+    [ (1, 0); (1, 2); (1, 3) ]
+    (List.filter_map (fun (src, dst, full) -> if src = 1 && full then Some (src, dst) else None)
+       (vote_ps c));
+  Alcotest.(check int) "no pull" 0 (List.length (pulls c));
+  Alcotest.(check int) "no receipt yet" 0 (List.length (receipt_replies c))
+
+(* The responder's VOTE_Ps already asked every peer: a voter repeating
+   her VOTE there while the SHAREs are lost sends nothing more. *)
+let test_former_asks_once () =
+  let c = make_cluster ~drop:(fun ~src:_ ~dst:_ -> function Messages.Share _ -> true | _ -> false) () in
+  let serial = 1 and code = code_of ~serial:1 ~part:Types.A ~option:2 in
+  vote c ~node:0 ~client:7 ~req:1 ~serial ~vote_code:code;
+  c.sent := [];
+  for req = 2 to 6 do vote c ~node:0 ~client:7 ~req ~serial ~vote_code:code done;
+  Alcotest.(check int) "nothing sent" 0 (List.length !(c.sent));
+  Alcotest.(check int) "no receipt yet" 0 (List.length (receipt_replies c))
+
+(* Item 19's closed form: a fault-free vote at Nv collectors sends
+   Nv - 1 each of ENDORSE, ENDORSEMENT, VOTE_P and SHARE, every SHARE
+   to the responder, and exactly one collector issues the receipt. *)
+let test_vote_counts_linear () =
+  List.iter
+    (fun nv ->
+       let cfg = { cfg with Types.nv; fv = (nv - 1) / 3 } in
+       let c = make_cluster ~cfg () in
+       let responder = nv / 2 and serial = 2 in
+       vote c ~node:responder ~client:1 ~req:1 ~serial
+         ~vote_code:(code_of ~serial ~part:Types.B ~option:0);
+       let count kind = List.length (List.filter (fun (_, _, m) -> kind m) !(c.sent)) in
+       let name what = Printf.sprintf "nv = %d: %s" nv what in
+       List.iter
+         (fun (what, kind) -> Alcotest.(check int) (name what) (nv - 1) (count kind))
+         [ ("ENDORSE", (function Messages.Endorse _ -> true | _ -> false));
+           ("ENDORSEMENT", (function Messages.Endorsement _ -> true | _ -> false));
+           ("VOTE_P", (function Messages.Vote_p _ -> true | _ -> false));
+           ("SHARE", (function Messages.Share _ -> true | _ -> false)) ];
+       Alcotest.(check int) (name "messages in all") (4 * (nv - 1)) (List.length !(c.sent));
+       Alcotest.(check bool) (name "every SHARE to the responder") true
+         (List.for_all
+            (function (_, dst, Messages.Share _) -> dst = responder | _ -> true)
+            !(c.sent));
+       Alcotest.(check int) (name "the voter's receipt") 1 (List.length (receipt_replies c));
+       Alcotest.(check (list int)) (name "one collector issues it") [ responder ] (issued_by c))
+    [ 4; 7; 10 ]
 
 (* A peer gets one answer per serial: a repeated pull gets nothing, and
    so does a pull for a ballot the node holds no UCERT for. *)
@@ -1035,30 +1098,27 @@ let test_lagging_collector_pulls () =
   | _ -> Alcotest.fail "the nodes submit different sets"
 
 (* A UCERT adopted during Voting binds the ballot to the certified
-   code's line: when a lagging peer's SHARE for the ballot reaches
-   node 3 while it is still in Voting, node 3 discloses the share of
+   code's line: when a lagging peer's VOTE_P for the ballot reaches
+   node 3 while it is still in Voting, node 3 answers with the share of
    that line (part B, position 2), not of the ballot's first line. *)
 let test_pulled_ucert_discloses_its_line () =
   let code = code_of ~serial:2 ~part:Types.B ~option:2 in
   let c, _ = lag_node_3 ~code in
   c.sent := [];
-  let store = Ballot_store.virtual_prf ~seed ~cfg ~node:1 in
-  (match Ballot_store.verify_vote_code store ~serial:2 ~vote_code:code with
-   | Some (part, pos, line) ->
-     Vc_node.handle c.nodes.(3)
-       (Messages.Share
-          { serial = 2; sender = 1; part; pos;
-            share = line.Types.receipt_share; share_tag = line.Types.share_tag })
-   | None -> Alcotest.fail "code should validate");
+  let ucert =
+    bound_ucert ~serial:2 ~code
+      (List.map (fun signer -> endorsement ~signer ~serial:2 ~code) [ 0; 1; 2 ])
+  in
+  Vc_node.handle c.nodes.(3) (vote_p_from ~sender:1 ~serial:2 ~code ucert);
   let disclosed =
     List.filter_map
       (function
-        | (3, _, Messages.Share { part; pos; _ }) -> Some (Types.part_label part, pos)
+        | (3, dst, Messages.Share { part; pos; _ }) -> Some (dst, Types.part_label part, pos)
         | _ -> None)
       !(c.sent)
   in
-  Alcotest.(check (list (pair string int))) "node 3's SHAREs name the code's line"
-    [ ("B", 2); ("B", 2); ("B", 2) ] disclosed
+  Alcotest.(check (list (triple int string int))) "node 3's SHARE names the code's line"
+    [ (1, "B", 2) ] disclosed
 
 (* Node 3 missed the one vote, and the answers to its pulls are held
    back. An announcer counts towards consensus only once it answered,
@@ -1159,6 +1219,7 @@ let () =
            test_concurrent_voters_same_ballot_one_wins;
          Alcotest.test_case "forged UCERT ignored" `Quick test_forged_ucert_ignored;
          Alcotest.test_case "misplaced share ignored" `Quick test_misplaced_share_ignored;
+         Alcotest.test_case "per-vote messages linear in nv" `Quick test_vote_counts_linear;
          QCheck_alcotest.to_alcotest prop_hostile_serials_allocate_nothing ]);
       ("ucert-elision",
        [ Alcotest.test_case "only the former carries the UCERT" `Quick
@@ -1174,7 +1235,9 @@ let () =
          Alcotest.test_case "hostile certificates commit nothing" `Quick
            test_hostile_certs_commit_nothing ]);
       ("ucert-pull",
-       [ Alcotest.test_case "withholding responder" `Quick test_pull_from_withholding_responder;
+       [ Alcotest.test_case "withholding responder" `Quick test_withholding_responder;
+         Alcotest.test_case "retries ask each peer once" `Quick test_retries_ask_once;
+         Alcotest.test_case "the former asks once" `Quick test_former_asks_once;
          Alcotest.test_case "answered once per peer" `Quick test_pull_answered_once;
          Alcotest.test_case "conflicting code detected" `Quick test_pull_detects_conflict;
          Alcotest.test_case "SHARE on another line pulls" `Quick test_share_other_line_pulls;
