@@ -317,6 +317,42 @@ let write_json rows =
   close_out oc;
   pr "wrote BENCH_micro.json (%d kernels)\n\n" n
 
+(* Words [write_setup] allocates directly in the major heap (blocks too
+   large for the minor heap; promotions are not counted) at
+   election-day's shape, n = 60 and m = 3, on one domain, onto devices
+   that count appends and drop them. The second of two runs is
+   counted, so tables built on first use are not. An exact count:
+   allocation sizes do not depend on the machine's speed or the GC's
+   pacing. *)
+let write_setup_major_words () =
+  let cfg =
+    { Types.default_config with
+      Types.n_voters = 60; Types.m_options = 3; Types.election_id = "bench-alloc" }
+  in
+  let dropping _ =
+    let size = ref 0 in
+    { Dd_store.Device.log_append = (fun s -> size := !size + String.length s);
+      log_sync = ignore;
+      log_contents = (fun () -> "");
+      log_size = (fun () -> !size);
+      log_read = (fun ~pos:_ ~len:_ -> "");
+      log_reset = (fun s -> size := String.length s) }
+  in
+  let pool = Dd_parallel.Pool.create ~domains:1 () in
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let run () =
+    ignore (Sys.opaque_identity (Election_store.write_setup ~pool dropping cfg ~seed:"bench-alloc"))
+  in
+  run ();
+  let before = direct () in
+  run ();
+  let words = direct () -. before in
+  Dd_parallel.Pool.shutdown pool;
+  words
+
 let micro () =
   let open Bechamel in
   let rng = Dd_crypto.Drbg.create ~seed:"bench-micro" in
@@ -599,7 +635,10 @@ let micro () =
          end)
       [ 1; 2; 4 ]
   in
-  let counts = [ ("alloc.verify_batch.62x5.words_per_sig", verify_batch_words) ] in
+  let counts =
+    [ ("alloc.verify_batch.62x5.words_per_sig", verify_batch_words);
+      ("alloc.write_setup.60.major_words", write_setup_major_words ()) ]
+  in
   let rows = List.sort compare (rows @ scaling_rows) in
   pr "# Microbenchmarks (this machine), one per table/figure kernel\n";
   List.iter (fun (name, est) -> pr "%-50s %12.0f ns/op\n" name est) rows;
@@ -667,6 +706,12 @@ let stream_cfg ~tag ~n =
     Types.n_voters = n; Types.m_options = 4;
     Types.election_id = "bench-stream-" ^ tag }
 
+(* Full-crypto set-up at election-day's shape (m = 3), default chunk. *)
+let full_setup_cfg ~tag ~n =
+  { Types.default_config with
+    Types.n_voters = n; Types.m_options = 3;
+    Types.election_id = "bench-full-setup-" ^ tag }
+
 (* The child side of [measure_spawned]: run one workload, print the
    measurements, exit. *)
 let stream_point_child ~op ~tag ~n ~dir =
@@ -675,6 +720,12 @@ let stream_point_child ~op ~tag ~n ~dir =
   let t0 = Unix.gettimeofday () in
   (match op with
    | "setup" -> ignore (Election_store.write_plain (dev ()) cfg ~seed:"bench-stream")
+   | "full-setup" ->
+     let files name = File_device.create ~dir ~name:(Printf.sprintf "full-%s-%s" tag name) in
+     ignore
+       (Election_store.write_setup (Dd_store.Device.by_name files) (full_setup_cfg ~tag ~n)
+          ~seed:"bench-stream"
+        : Election_store.layout)
    | "audit" ->
      let m =
        match Segment.load (dev ()) with
@@ -702,9 +753,11 @@ let stream_point_child ~op ~tag ~n ~dir =
    kernels — bechamel's repeated-sampling machinery buys nothing here)
    plus per-point RSS. bench_guard enforces that the 100k RSS stays
    within 2x of the 1k RSS: memory is bounded by the chunk size, not
-   the electorate. *)
+   the electorate. Then full-crypto set-up ([Election_store.write_setup]
+   onto File_device) at n = 100 and n = 1000, whose RSS bench_guard
+   holds to the same 2x of the n = 100 point. *)
 let stream () =
-  pr "# Streaming pipeline: plain-profile setup & slice audit (fresh child per point)\n";
+  pr "# Streaming pipeline: plain-profile setup & slice audit, full-crypto setup (fresh child per point)\n";
   let tmp =
     let d =
       Filename.concat (Filename.get_temp_dir_name ())
@@ -743,9 +796,28 @@ let stream () =
       points
   in
   let v k = List.assoc k rows in
-  pr "  rss growth %s/1k: setup %.2fx, audit %.2fx (guard: < 2x)\n\n" big_tag
+  pr "  rss growth %s/1k: setup %.2fx, audit %.2fx (guard: < 2x)\n" big_tag
     (v ("ea-setup.rss." ^ big_tag) /. v "ea-setup.rss.1k")
     (v ("audit-stream.rss." ^ big_tag) /. v "audit-stream.rss.1k");
+  (* full-crypto set-up ([write_setup] onto File_device, the default
+     chunk holding the whole electorate): peak memory is one wave of
+     lockstep groups, so the n = 1000 point stays within 2x of n = 100 *)
+  let full =
+    List.concat_map
+      (fun n ->
+         let tag = string_of_int n in
+         let ns, heap, hwm =
+           measure_spawned [| "_stream_point"; "full-setup"; tag; tag; tmp |]
+         in
+         let rss = if hwm > 0. then hwm else heap in
+         pr "  full-crypto n=%-5d setup %9.1f ms  rss %7.1f MiB\n" n (ns /. 1e6)
+           (rss /. 1024. /. 1024.);
+         [ ("full-setup." ^ tag, ns); ("full-setup.rss." ^ tag, rss) ])
+      [ 100; 1000 ]
+  in
+  pr "  full-crypto rss growth 1000/100: %.2fx (guard: < 2x)\n\n"
+    (List.assoc "full-setup.rss.1000" full /. List.assoc "full-setup.rss.100" full);
+  let rows = rows @ full in
   Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) (Sys.readdir tmp);
   (try Sys.rmdir tmp with Sys_error _ -> ());
   if json_mode then json_rows := !json_rows @ rows;

@@ -17,9 +17,10 @@
    regression of the same magnitude.
 
    Memory entries from the `stream` section (keys containing ".rss." or
-   ".heap.") get a different rule: same-run 100k-vs-1k flatness under
-   2x, the bounded-memory contract of the streaming pipeline (see
-   DESIGN.md 6.5).
+   ".heap.") get a different rule: same-run flatness under 2x against
+   the smallest n of their family (100k against 1k, full-crypto 1000
+   against 100), the bounded-memory contract of the streaming pipeline
+   (see DESIGN.md 6.5).
 
    Exact counts (keys starting "alloc.", e.g. minor words per
    signature) do not drift between runs, so they get no band: any rise
@@ -70,12 +71,14 @@ let contains hay needle =
 (* Memory high-water entries ([...].rss.* / [...].heap.*, in bytes) are
    never compared across runs: absolute RSS depends on the box's
    allocator, page size, and binary layout. What the streaming pipeline
-   promises is FLATNESS — peak memory bounded by the chunk size, not
-   the electorate — so the guard checks, within each file separately,
-   that every large-point memory entry (any suffix other than the fixed
-   [.1k] anchor: the committed baseline's [.100k], a PR smoke run's
-   [.10k], ...) stays under [mem_factor] (2x) of its [.1k] sibling
-   measured in the same run. *)
+   promises is FLATNESS — peak memory bounded by the chunk (or, for
+   full-crypto set-up, one wave of lockstep groups), not the
+   electorate — so the guard checks, within each file separately, that
+   every memory entry of a family (the key up to its last '.', e.g.
+   [ea-setup.rss.] or [full-setup.rss.]) stays under [mem_factor] (2x)
+   of the family's anchor: its entry at the smallest n ([1k] for the
+   plain profile's [1k]/[10k]/[100k], [100] for [full-setup.rss.100]
+   and [.1000]), measured in the same run. *)
 let is_memory_key key = contains key ".rss." || contains key ".heap."
 
 (* Throughput entries from the serving benchmarks ([...].rps.*, in
@@ -87,13 +90,35 @@ let is_count_key key = String.starts_with ~prefix:"alloc." key
 
 let mem_factor = 2.0
 
-let memory_1k_key key =
+(* A memory key's family (the key up to its last '.') and the
+   electorate size it is measured at (its last component, k for
+   thousands). *)
+let memory_point key =
   match String.rindex_opt key '.' with
   | None -> None
   | Some i ->
     let tag = String.sub key (i + 1) (String.length key - i - 1) in
-    if tag = "1k" || tag = "" then None
-    else Some (String.sub key 0 (i + 1) ^ "1k")
+    let n =
+      match Scanf.sscanf_opt tag "%dk%!" Fun.id with
+      | Some n -> Some (n * 1000)
+      | None -> Scanf.sscanf_opt tag "%d%!" Fun.id
+    in
+    Option.map (fun n -> (String.sub key 0 (i + 1), n)) n
+
+(* The key of [key]'s family with the smallest n in [tbl], unless that
+   is [key] itself. *)
+let memory_anchor tbl key =
+  let family = Option.map fst (memory_point key) in
+  let smallest =
+    Hashtbl.fold
+      (fun k _ best ->
+         match (memory_point k, best) with
+         | Some (f, n), Some (_, m) when Some f = family && n >= m -> best
+         | Some (f, n), _ when Some f = family -> Some (k, n)
+         | _ -> best)
+      tbl None
+  in
+  match smallest with Some (k, _) when k <> key -> Some k | _ -> None
 
 let () =
   let baseline, fresh, factor =
@@ -142,20 +167,21 @@ let () =
             else if cv > bv *. factor then regressions := (key, bv, cv) :: !regressions
             else if cv *. factor < bv then improvements := (key, bv, cv) :: !improvements))
     base;
-  (* memory flatness: 100k RSS within mem_factor of 1k, per file *)
+  (* memory flatness: each entry within mem_factor of its family's
+     smallest-n anchor, per file *)
   let flat_failures = ref [] in
   let check_flat label tbl =
     Hashtbl.iter
       (fun key v100 ->
          if is_memory_key key then
-           match memory_1k_key key with
+           match memory_anchor tbl key with
            | None -> ()
            | Some k1 ->
              (match Hashtbl.find_opt tbl k1 with
               | Some v1 when v1 > 0. ->
                 incr checked;
                 if v100 > v1 *. mem_factor then
-                  flat_failures := (label, key, v1, v100) :: !flat_failures
+                  flat_failures := (label, key, k1, v1, v100) :: !flat_failures
               | _ -> ()))
       tbl
   in
@@ -165,10 +191,10 @@ let () =
     (fun key -> Printf.printf "WARN  %s: present in baseline, missing from fresh run\n" key)
     (List.sort compare !missing);
   List.iter
-    (fun (label, key, v1, v100) ->
+    (fun (label, key, k1, v1, v100) ->
        Printf.printf
-         "FAIL  %s %s: %.0f -> %.0f bytes vs 1k sibling (%.2fx > %.2fx allowed memory growth)\n"
-         label key v1 v100 (v100 /. v1) mem_factor)
+         "FAIL  %s %s: %.0f -> %.0f bytes vs %s (%.2fx > %.2fx allowed memory growth)\n"
+         label key v1 v100 k1 (v100 /. v1) mem_factor)
     (List.sort compare !flat_failures);
   List.iter
     (fun (key, bv, cv) ->

@@ -12,6 +12,8 @@ let writer () = Buffer.create 64
 
 let contents = Buffer.contents
 
+let clear = Buffer.clear
+
 let put_varint buf n =
   if n < 0 then invalid_arg "Wire.put_varint: negative";
   let rec go n =
@@ -65,6 +67,24 @@ let get_bytes r =
   let s = String.sub r.data r.pos len in
   r.pos <- r.pos + len;
   s
+
+(* The varint at [pos] of [s], reading nothing at or past [limit]: the
+   rules of [get_varint] without a reader, for parsers that walk a
+   buffer in place. *)
+let varint_at s ~pos ~limit =
+  let rec go pos shift acc =
+    if pos >= limit || shift > 56 then None
+    else
+      let b = Char.code s.[pos] in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then Some (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+  in
+  go pos 0 0
+
+let skip_bytes r =
+  let len = get_varint r in
+  if len < 0 || len > String.length r.data - r.pos then raise (Malformed "bytes: truncated");
+  r.pos <- r.pos + len
 
 let get_bool r =
   match get_varint r with

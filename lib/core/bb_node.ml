@@ -146,23 +146,26 @@ let sets_equal a b =
        a b
 
 (* Decrypt every vote code in the initialization data with the
-   reconstructed msk and publish the mapping. *)
+   reconstructed msk and publish the mapping. Only the codes are
+   decoded ([Board.iter_codes]): the commitments and ZK first moves of
+   a ballot are passed over. *)
 let open_codes t msk =
   let table = Hashtbl.create (Board.n_ballots t.board * 2) in
-  (* one chunk resident at a time; a chunk that fails verification
-     leaves its codes unopened, which downstream checks then surface *)
+  (* one chunk resident at a time; a chunk that fails verification, or
+     a record whose structure is malformed, leaves its codes and every
+     later chunk's unopened, which downstream checks then surface *)
   ignore
-    (Board.iter t.board (fun (b : Ea.bb_ballot) ->
+    (Board.iter_codes t.board (fun serial parts ->
          List.iter
            (fun part ->
-              let entries = b.Ea.bb_parts.(Types.part_index part) in
-              Array.iteri
-                (fun pos (e : Ea.bb_part_entry) ->
-                   let iv, ct = e.Ea.enc_code in
-                   match Dd_crypto.Aes128.cbc_decrypt ~key:msk ~iv ct with
-                   | code -> Hashtbl.replace table (b.Ea.bb_serial, part, pos) code
-                   | exception Invalid_argument _ -> ())
-                entries)
+              let p = Types.part_index part in
+              if p < Array.length parts then
+                Array.iteri
+                  (fun pos (iv, ct) ->
+                     match Dd_crypto.Aes128.cbc_decrypt ~key:msk ~iv ct with
+                     | code -> Hashtbl.replace table (serial, part, pos) code
+                     | exception Invalid_argument _ -> ())
+                  parts.(p))
            [ Types.A; Types.B ]));
   t.pub.opened_codes <- Some table
 

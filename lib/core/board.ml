@@ -29,7 +29,7 @@ let entries t ~serial ~part =
     if p < 0 || p >= Array.length b.Ea.bb_parts then None
     else Some b.Ea.bb_parts.(p)
 
-let iter t f =
+let iter_decoded decode t f =
   let ok = ref true in
   (try
      for c = 0 to n_chunks t - 1 do
@@ -38,13 +38,16 @@ let iter t f =
        | Some payloads ->
          Array.iter
            (fun payload ->
-              match Election_store.decode_bb_ballot payload with
+              match decode payload with
               | Some b -> f b
               | None -> ok := false; raise Exit)
            payloads
      done
    with Exit -> ());
   !ok
+
+let iter t f = iter_decoded Election_store.decode_bb_ballot t f
+let iter_codes t f = iter_decoded Election_store.decode_bb_codes t (fun (s, c) -> f s c)
 
 let slice t c =
   if c < 0 || c >= n_chunks t then None

@@ -29,6 +29,14 @@ val entries : t -> serial:int -> part:Types.part_id -> Ea.bb_part_entry array op
     prefix has been visited). *)
 val iter : t -> (Ea.bb_ballot -> unit) -> bool
 
+(** {!iter} over the encrypted vote codes alone: [f serial codes],
+    [codes] part -> position -> [(iv, ct)], decoded by
+    {!Election_store.decode_bb_codes}. It stops at the first chunk that
+    fails verification or record whose structure is malformed; a
+    record whose commitment or first-move bytes are not points does
+    not stop it. *)
+val iter_codes : t -> (int -> (string * string) array array -> unit) -> bool
+
 (** The board's Merkle commitment: the sealed manifest's root. *)
 val root : t -> string
 

@@ -72,11 +72,9 @@ type static = {
   st_msk_shares : Shamir_bytes.share array;
 }
 
-(* One contiguous serial range [ck_first, ck_first + |ck_ballots|) of
-   every party's init data: the unit of streaming emission, durable
-   checkpointing and resume. *)
+(* Every party's init data for the serials [ck_first, ck_first +
+   |ck_ballots|): one wave of lockstep groups, the unit of emission. *)
 type chunk = {
-  ck_index : int;
   ck_first : int;
   ck_ballots : Types.ballot array;
   ck_bb : bb_ballot array;
@@ -236,33 +234,40 @@ let finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next =
   in
   (vc_lines, bb_entries, trustee_data)
 
-(* Full-crypto setup, streamed chunk by chunk. Cost grows with
-   n_voters * m^2; every full-crypto election (tests, examples,
+(* Ballots per lockstep group: as many whole ballots as fit in about
+   [Curve.batch_group] comb jobs, at least one. *)
+let group_ballots cfg =
+  max 1 (Dd_group.Curve.batch_group / (2 * jobs_per_part cfg))
+
+(* Full-crypto setup, streamed one lockstep group at a time. Cost grows
+   with n_voters * m^2; every full-crypto election (tests, examples,
    `ddemos run` and `deploy`, the post-election-phase benchmarks) is
    generated here and sealed by Election_store.write_setup. The
    large-scale vote-collection benchmarks use Ballot_store.virtual_prf
    instead, which derives only the plain material on demand.
 
    Transcript discipline (pinned by test_parallel and the chunk-size
-   invariance test in test_election_store): the parent [rng] is consumed ONLY by
-   [Drbg.fork] calls, one per (serial, part), in ascending serial
-   order. Chunking therefore cannot perturb any draw — the fork
-   sequence is identical whether the loop runs monolithically or in
-   chunks of any size, and per-ballot work happens on the forked child
+   invariance test in test_election_store): the parent [rng] is
+   consumed ONLY by [Drbg.fork] calls, one per (serial, part), in
+   ascending serial order. Neither the chunk size nor the grouping can
+   perturb any draw, and per-ballot work happens on the forked child
    DRBGs inside the [?pool]-parallel region, every write landing in a
    slot indexed by (serial, part).
 
-   Within a chunk the ballot parts go in groups of about
-   [Curve.batch_group] comb jobs, sharded over the pool; each group
-   draws its parts' scalars ([draw_part]), computes every curve point
-   of the group in one affine lockstep batch ([part_jobs],
+   The ballots go in groups of [group_ballots]; each group draws its
+   parts' scalars ([draw_part]), computes every curve point of the
+   group in one affine lockstep batch ([part_jobs],
    [Curve.mul_base_batch]) and assembles the records ([finish_part]).
-   Every emitted point is affine.
+   A wave of one group per pool domain is generated at a time and
+   handed to [emit] at once, in serial order, so the EA holds one wave
+   of decoded material, whatever the chunk size. Every emitted point
+   is affine.
 
-   [from_chunk] supports crash-resume: chunks below it are not
-   regenerated, but their (serial, part) forks are still drawn from
-   the parent in order and discarded, so the chunks that are
-   regenerated see bit-identical DRBGs. *)
+   [from_chunk] supports crash-resume: serials below
+   [from_chunk * chunk_size] are not regenerated, but their forks are
+   still drawn from the parent in order and discarded, so the serials
+   that are regenerated see bit-identical DRBGs. When nothing is left
+   to generate, nothing is drawn. *)
 let setup_chunks ?pool
     ?(chunk_size = default_setup_chunk) ?(from_chunk = 0)
     (cfg : Types.config) ~seed ~emit =
@@ -284,68 +289,67 @@ let setup_chunks ?pool
   let ea_vc = vc_keys.(nv) and ea_trustee = trustee_keys.(nt) in
   let msk = Ballot_gen.msk ~seed in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
-  let n_chunks = (n + chunk_size - 1) / chunk_size in
-  let parts_per_group = max 1 (Dd_group.Curve.batch_group / jobs_per_part cfg) in
-  for ck_index = 0 to n_chunks - 1 do
-    let ck_first = ck_index * chunk_size in
-    let count = min chunk_size (n - ck_first) in
-    (* one DRBG per (serial, part), forked in fixed serial order *)
-    let part_rngs =
-      Array.init count (fun i ->
-          Array.init 2 (fun pi ->
-              Drbg.fork rng
-                ~label:(Printf.sprintf "ballot|%d|%d" (ck_first + i) pi)))
+  (* one DRBG per (serial, part), forked in fixed serial order *)
+  let fork serial pi = Drbg.fork rng ~label:(Printf.sprintf "ballot|%d|%d" serial pi) in
+  let start =
+    if from_chunk >= (n + chunk_size - 1) / chunk_size then n
+    else max 0 from_chunk * chunk_size
+  in
+  if start < n then
+    for serial = 0 to start - 1 do
+      ignore (fork serial 0 : Drbg.t);
+      ignore (fork serial 1 : Drbg.t)
+    done;
+  let per_group = group_ballots cfg in
+  let wave = per_group * Pool.size pool in
+  let first = ref start in
+  while !first < n do
+    let ck_first = !first in
+    let count = min wave (n - ck_first) in
+    let part_rngs = Array.init count (fun i -> Array.init 2 (fork (ck_first + i))) in
+    let ck_ballots =
+      Pool.parallel_map pool
+        (fun i -> Ballot_gen.voter_ballot ~seed ~serial:(ck_first + i) ~m)
+        (Array.init count Fun.id)
     in
-    if ck_index >= from_chunk then begin
-      let ck_ballots =
-        Pool.parallel_map pool
-          (fun i -> Ballot_gen.voter_ballot ~seed ~serial:(ck_first + i) ~m)
-          (Array.init count (fun i -> i))
+    let ck_vc = Array.init nv (fun _ -> Array.make count [||]) in
+    let bb_parts = Array.make count [||] in
+    let ck_trustee = Array.init nt (fun _ -> Array.make count [||]) in
+    Pool.parallel_for pool ~chunk:1 ((count + per_group - 1) / per_group) (fun g ->
+      let lo = g * per_group in
+      let ballots = min per_group (count - lo) in
+      (* part a of the group is ballot lo + a / 2, part a mod 2 *)
+      let drawn =
+        Array.init (2 * ballots) (fun a ->
+            let i = lo + (a / 2) in
+            let part = if a mod 2 = 0 then Types.A else Types.B in
+            draw_part cfg ~seed ~ea_vc ~ea_trustee part_rngs.(i).(a mod 2)
+              ~serial:(ck_first + i) ~part)
       in
-      let ck_vc =
-        Array.init nv (fun _ -> Array.init count (fun _ -> Array.make 2 [||]))
+      let points =
+        Dd_group.Curve.mul_base_batch
+          (Array.of_list (List.concat_map part_jobs (Array.to_list drawn)))
       in
-      let bb_parts = Array.init count (fun _ -> Array.make 2 [||]) in
-      let ck_trustee =
-        Array.init nt (fun _ -> Array.init count (fun _ ->
-            Array.make 2
-              { t_shares = [||];
-                t_zk_state_share = { Shamir_bytes.x = 0; Shamir_bytes.data = "" };
-                t_zk_state_tag = Auth.Mac_tag [||] }))
+      let cursor = ref 0 in
+      let next () = let pt = points.(!cursor) in incr cursor; pt in
+      let finished =
+        Array.init (Array.length drawn) (fun a ->
+            finish_part cfg ~msk ~ea_vc ~ea_trustee drawn.(a) ~next)
       in
-      (* part p of the chunk is serial ck_first + p / 2, part p mod 2 *)
-      let n_parts = 2 * count in
-      let n_groups = (n_parts + parts_per_group - 1) / parts_per_group in
-      Pool.parallel_for pool ~chunk:1 n_groups (fun g ->
-        let first = g * parts_per_group in
-        let drawn =
-          Array.init (min parts_per_group (n_parts - first)) (fun a ->
-              let p = first + a in
-              let part = if p mod 2 = 0 then Types.A else Types.B in
-              draw_part cfg ~seed ~ea_vc ~ea_trustee part_rngs.(p / 2).(p mod 2)
-                ~serial:(ck_first + (p / 2)) ~part)
-        in
-        let points =
-          Dd_group.Curve.mul_base_batch
-            (Array.of_list (List.concat_map part_jobs (Array.to_list drawn)))
-        in
-        let cursor = ref 0 in
-        let next () = let pt = points.(!cursor) in incr cursor; pt in
-        Array.iteri
-          (fun a d ->
-             let i = (first + a) / 2 and pi = (first + a) mod 2 in
-             let vc_lines, entries, trustee_data =
-               finish_part cfg ~msk ~ea_vc ~ea_trustee d ~next
-             in
-             Array.iteri (fun node lines -> ck_vc.(node).(i).(pi) <- lines) vc_lines;
-             Array.iteri (fun t data -> ck_trustee.(t).(i).(pi) <- data) trustee_data;
-             bb_parts.(i).(pi) <- entries)
-          drawn);
-      let ck_bb =
-        Array.mapi (fun i parts -> { bb_serial = ck_first + i; bb_parts = parts }) bb_parts
-      in
-      emit { ck_index; ck_first; ck_ballots; ck_bb; ck_vc; ck_trustee }
-    end
+      for b = 0 to ballots - 1 do
+        let i = lo + b in
+        let vc_a, bb_a, tr_a = finished.(2 * b) and vc_b, bb_b, tr_b = finished.((2 * b) + 1) in
+        Array.iteri (fun node lines -> ck_vc.(node).(i) <- [| lines; vc_b.(node) |]) vc_a;
+        Array.iteri (fun t data -> ck_trustee.(t).(i) <- [| data; tr_b.(t) |]) tr_a;
+        bb_parts.(i) <- [| bb_a; bb_b |]
+      done);
+    emit
+      { ck_first;
+        ck_ballots;
+        ck_bb = Array.mapi (fun i parts -> { bb_serial = ck_first + i; bb_parts = parts }) bb_parts;
+        ck_vc;
+        ck_trustee };
+    first := ck_first + count
   done;
   { st_cfg = cfg;
     st_gctx = Group_ctx.default ();

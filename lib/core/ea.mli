@@ -2,10 +2,10 @@
     {!setup_chunks} generates every party's initialization data — voter
     ballots, VC validation data and receipt/msk shares, BB commitments
     with encrypted vote codes and ZK first moves, trustee opening
-    shares and ZK prover-state shares — one chunk of serials at a time,
-    after which the EA is destroyed. It keeps no chunk:
-    {!Election_store.write_setup} seals each into the segment of the
-    node it belongs to, so once set-up ends no in-memory record holds
+    shares and ZK prover-state shares — one lockstep group of serials
+    at a time, after which the EA is destroyed. It keeps nothing it
+    emits: {!Election_store.write_setup} seals each ballot into the
+    segment of the node it belongs to, so once set-up ends no in-memory record holds
     the per-ballot material (printed ballots, VC lines, trustee
     shares); only the O(1) {!static} part (keys, msk shares) stays
     with the layout. It carries no master seed. *)
@@ -65,11 +65,12 @@ type static = {
   st_msk_shares : Shamir_bytes.share array;  (* lint: secret *)
 }
 
-(** One contiguous serial range of every party's init data — the unit
-    of streaming emission and durable checkpointing. Covers serials
-    [ck_first, ck_first + Array.length ck_ballots). *)
+(** Every party's init data for the serials [ck_first, ck_first +
+    Array.length ck_ballots): one wave of lockstep groups, at most
+    {!group_ballots} times the pool's size, in serial order. It is the
+    unit of emission only; the segment chunk (the Merkle checkpoint and
+    resume unit) is [chunk_size] records of {!setup_chunks}. *)
 type chunk = {
-  ck_index : int;
   ck_first : int;
   ck_ballots : Types.ballot array;  (* lint: secret *)
   ck_bb : bb_ballot array;
@@ -100,23 +101,31 @@ val part_jobs : drawn_part -> Dd_group.Curve.comb_job list
 (* lint: allow unused-export — test_core "part comb counts" *)
 val jobs_per_part : Types.config -> int
 
+(** Ballots per lockstep group: [batch_group / (2 * jobs_per_part)],
+    at least one. *)
+(* lint: allow unused-export — test_election_store "one group per emission" *)
+val group_ballots : Types.config -> int
+
 (** Chunk size used when the caller does not pick one. *)
 val default_setup_chunk : int
 
 (** Full-cryptography setup, the one generator of a full-crypto
-    election: generates it in ascending chunks of [chunk_size] serials,
-    calling [emit] once per chunk, with only one chunk of material
-    resident at a time ({!Election_store.write_setup} seals each chunk
-    into the segments; nothing else retains it). Cost grows with
+    election. It generates the ballots in lockstep groups of
+    {!group_ballots}, one group per pool domain at a time, and calls
+    [emit] once per such wave, in serial order; it holds only the wave
+    in decoded form ({!Election_store.write_setup} seals each wave into
+    the segments; nothing else retains it). Cost grows with
     [n_voters * m_options^2]; large-scale vote-collection runs use
     {!Ballot_store.virtual_prf} instead. Deterministic in [seed] and
-    *chunking-invariant*: the parent DRBG is consumed only by
-    per-(serial, part) forks in ascending serial order, so every chunk
-    size (and every [?pool] size; default the [DDEMOS_DOMAINS] pool)
-    yields bit-identical material. [from_chunk] resumes a crashed run:
-    earlier chunks are skipped (their forks are drawn and discarded to
-    keep the transcript aligned) and emission starts at that chunk.
-    Raises [Invalid_argument] (naming [Ea.setup_chunks]) on an invalid
+    *grouping-invariant*: the parent DRBG is consumed only by
+    per-(serial, part) forks in ascending serial order, so every
+    [chunk_size] and every [?pool] size (default the [DDEMOS_DOMAINS]
+    pool) yields bit-identical material. [chunk_size] is the segments'
+    chunk: set-up memory does not depend on it. [from_chunk] resumes a
+    crashed run: serials below [from_chunk * chunk_size] are skipped
+    (their forks are drawn and discarded to keep the transcript
+    aligned) and emission starts at that serial. Raises
+    [Invalid_argument] (naming [Ea.setup_chunks]) on an invalid
     configuration. *)
 val setup_chunks :
   ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->

@@ -1,9 +1,10 @@
-(* Segmented on-disk election state. The EA's chunked setup emissions
-   stream straight into one segment per consumer, all chunked at the
-   setup chunk size so an emission is exactly one durable checkpoint
-   per segment — the invariant resume_setup leans on: after a crash,
-   every segment's durable record count is a chunk multiple, and the
-   least-complete segment names the chunk to regenerate from. *)
+(* Segmented on-disk election state. The EA's set-up emissions, one
+   lockstep group (or a wave of them) each, stream straight into one
+   segment per consumer, all chunked at the same chunk size. The chunk
+   is the durable checkpoint, not the emission — the invariant
+   resume_setup leans on: after a crash, every segment's durable record
+   count is a chunk multiple, and the least-complete segment names the
+   chunk to regenerate from. *)
 
 module Wire = Dd_codec.Wire
 module Device = Dd_store.Device
@@ -21,8 +22,14 @@ let need = function
 let put_elgamal w c = Wire.put_bytes w (Elgamal.encode c)
 let get_elgamal r = need (Elgamal.decode (Wire.get_bytes r))
 
-let encode_bb_ballot (bb : Ea.bb_ballot) =
+(* Each record kind has a [put_] into a writer; set-up appends through
+   one reused writer ([append_chunk]). *)
+let encoded put v =
   let w = Wire.writer () in
+  put w v;
+  Wire.contents w
+
+let put_bb_ballot w (bb : Ea.bb_ballot) =
   Wire.put_varint w bb.Ea.bb_serial;
   Wire.put_array w
     (fun w entries ->
@@ -34,8 +41,9 @@ let encode_bb_ballot (bb : Ea.bb_ballot) =
           Wire.put_array w put_elgamal e.Ea.commitment;
           Wire.put_bytes w (Ballot_proof.encode_first_move e.Ea.zk_first))
         entries)
-    bb.Ea.bb_parts;
-  Wire.contents w
+    bb.Ea.bb_parts
+
+let encode_bb_ballot = encoded put_bb_ballot
 
 let decode_bb_ballot s =
   Wire.decode s (fun r ->
@@ -53,6 +61,20 @@ let decode_bb_ballot s =
       in
       { Ea.bb_serial; bb_parts })
 
+let decode_bb_codes s =
+  Wire.decode s (fun r ->
+      let serial = Wire.get_varint r in
+      let codes =
+        Wire.get_array r (fun r ->
+            Wire.get_array r (fun r ->
+                let iv = Wire.get_bytes r in
+                let ct = Wire.get_bytes r in
+                ignore (Wire.get_array r Wire.skip_bytes : unit array);
+                Wire.skip_bytes r;
+                (iv, ct)))
+      in
+      (serial, codes))
+
 let put_vc_line w (l : Types.vc_line) =
   Wire.put_bytes w l.Types.code_hash;
   Wire.put_bytes w l.Types.salt;
@@ -66,17 +88,14 @@ let get_vc_line r =
   let share_tag = Wire.get_option r Messages.get_tag in
   { Types.code_hash; salt; receipt_share; share_tag }
 
-let encode_vc_record (parts : Types.vc_line array array) =
-  let w = Wire.writer () in
-  Wire.put_array w (fun w lines -> Wire.put_array w put_vc_line lines) parts;
-  Wire.contents w
+let put_vc_record w (parts : Types.vc_line array array) =
+  Wire.put_array w (fun w lines -> Wire.put_array w put_vc_line lines) parts
 
 let decode_vc_record s =
   Wire.decode s (fun r ->
       Wire.get_array r (fun r -> Wire.get_array r get_vc_line))
 
-let encode_trustee_record (parts : Ea.trustee_part_data array) =
-  let w = Wire.writer () in
+let put_trustee_record w (parts : Ea.trustee_part_data array) =
   Wire.put_array w
     (fun w (d : Ea.trustee_part_data) ->
       (* lint: allow secret-taint trustee segments are the trustee's own at-rest state on its own disk, not a network message; each trustee receives only its shares *)
@@ -86,8 +105,7 @@ let encode_trustee_record (parts : Ea.trustee_part_data array) =
       (* lint: allow secret-taint trustee segments are the trustee's own at-rest state on its own disk, not a network message *)
       Messages.put_share w d.Ea.t_zk_state_share;
       Messages.put_tag w d.Ea.t_zk_state_tag)
-    parts;
-  Wire.contents w
+    parts
 
 let decode_trustee_record (_ : Group_ctx.t) s =
   Wire.decode s (fun r ->
@@ -99,8 +117,7 @@ let decode_trustee_record (_ : Group_ctx.t) s =
           let t_zk_state_tag = Messages.get_tag r in
           { Ea.t_shares; t_zk_state_share; t_zk_state_tag }))
 
-let encode_voter_ballot (b : Types.ballot) =
-  let w = Wire.writer () in
+let put_voter_ballot w (b : Types.ballot) =
   Wire.put_varint w b.Types.serial;
   List.iter
     (fun (p : Types.ballot_part) ->
@@ -109,8 +126,9 @@ let encode_voter_ballot (b : Types.ballot) =
           Wire.put_bytes w l.Types.vote_code;
           Wire.put_bytes w l.Types.receipt)
         p.Types.lines)
-    [ b.Types.part_a; b.Types.part_b ];
-  Wire.contents w
+    [ b.Types.part_a; b.Types.part_b ]
+
+let encode_voter_ballot = encoded put_voter_ballot
 
 let decode_voter_ballot s =
   Wire.decode s (fun r ->
@@ -153,14 +171,18 @@ let segment_names cfg =
    :: List.init cfg.Types.nv vc_segment)
   @ List.init cfg.Types.nt trustee_segment
 
-(* Append [record] unless this segment already holds it durably (a
-   resumed run where this segment was ahead of the least-complete
-   one). Deterministic regeneration makes the skip sound: the bytes
-   that would be appended are the bytes already there. *)
-let append_once slot ~index record =
+(* Append [v], encoded by [put] into the reused writer [w], unless
+   this segment already holds record [index] durably (a resumed run
+   where this segment was ahead of the least-complete one).
+   Deterministic regeneration makes the skip sound: the bytes that
+   would be appended are the bytes already there. *)
+let append_once w slot ~index put v =
   match slot with
-  | Done _ -> ()
-  | Writing w -> if Segment.written w <= index then Segment.append w record
+  | Writing s when Segment.written s <= index ->
+    Wire.clear w;
+    put w v;
+    Segment.append s (Wire.contents w)
+  | Writing _ | Done _ -> ()
 
 let seal_slot = function
   | Done m -> m
@@ -169,27 +191,27 @@ let seal_slot = function
 (* lint: allow exception-hygiene — slot names come from segment_names, not a peer *)
 let slot_of slots name = List.assoc name slots
 
-(* Append one chunk's records to every segment: the one encoder of
-   election data, for a fresh and a resumed setup alike. *)
-let append_chunk cfg slot (ck : Ea.chunk) =
-  let count = Array.length ck.Ea.ck_ballots in
-  for i = 0 to count - 1 do
-    let index = ck.Ea.ck_first + i in
-    append_once (slot bb_segment) ~index
-      (encode_bb_ballot ck.Ea.ck_bb.(i));
-    (* lint: allow secret-taint the printed-ballot segment is the EA's at-rest spool for the printing facility, not a network message *)
-    append_once (slot ballots_segment) ~index
-      (encode_voter_ballot ck.Ea.ck_ballots.(i));
-    for node = 0 to cfg.Types.nv - 1 do
-      append_once (slot (vc_segment node)) ~index
-        (encode_vc_record ck.Ea.ck_vc.(node).(i))
-    done;
-    for t = 0 to cfg.Types.nt - 1 do
-      let record = ck.Ea.ck_trustee.(t).(i) in
-      (* lint: allow secret-taint trustee segments are per-trustee at-rest state, delivered out of band like the paper's initialization data *)
-      append_once (slot (trustee_segment t)) ~index (encode_trustee_record record)
-    done
-  done
+(* Append one emission's records to every segment: the one encoder of
+   election data, for a fresh and a resumed setup alike. A record goes
+   out as it is encoded, into one writer reused throughout, so a record
+   costs two copies: the encoding and the frame. *)
+let append_chunk cfg slot =
+  let w = Wire.writer () in
+  fun (ck : Ea.chunk) ->
+    Array.iteri
+      (fun i bb ->
+         let index = ck.Ea.ck_first + i in
+         append_once w (slot bb_segment) ~index put_bb_ballot bb;
+         (* lint: allow secret-taint the printed-ballot segment is the EA's at-rest spool for the printing facility, not a network message *)
+         append_once w (slot ballots_segment) ~index put_voter_ballot ck.Ea.ck_ballots.(i);
+         for node = 0 to cfg.Types.nv - 1 do
+           append_once w (slot (vc_segment node)) ~index put_vc_record ck.Ea.ck_vc.(node).(i)
+         done;
+         for t = 0 to cfg.Types.nt - 1 do
+           (* lint: allow secret-taint trustee segments are per-trustee at-rest state, delivered out of band like the paper's initialization data *)
+           append_once w (slot (trustee_segment t)) ~index put_trustee_record ck.Ea.ck_trustee.(t).(i)
+         done)
+      ck.Ea.ck_bb
 
 let seal_layout cfg slot static =
   let manifest name = seal_slot (slot name) in

@@ -4,9 +4,11 @@
     A full-crypto election is laid out as one segment per consumer —
     ["bb"] (board ballots), ["ballots"] (the voters' printed ballots),
     ["vc-<i>"] per collector, ["trustee-<i>"] per trustee — all written
-    in lockstep, one record per serial, with the segment chunk size
-    equal to the setup chunk size so every {!Ea.setup_chunks} emission
-    lands as exactly one durable checkpoint per segment. A crash
+    in lockstep, one record per serial. {!Ea.setup_chunks} emits one
+    lockstep group (a wave of them with a pool) at a time, and each
+    emitted ballot is appended to every segment at once; the segment
+    chunk, [chunk_size] records, is the durable checkpoint and the
+    resume unit, and set-up memory does not depend on it. A crash
     mid-setup therefore loses at most the current chunk; {!resume_setup}
     picks up from the least-complete segment and reproduces a
     bit-identical set of files (pinned by test).
@@ -24,6 +26,13 @@ module Segment = Dd_segment.Segment
 
 val encode_bb_ballot : Ea.bb_ballot -> string
 val decode_bb_ballot : string -> Ea.bb_ballot option
+
+(** A board record's serial and encrypted vote codes, part -> position
+    -> [(iv, ct)]. The record's structure (every varint, length and
+    count, no trailing bytes) is checked as {!decode_bb_ballot} checks
+    it, but the commitments and ZK first moves are passed over, not
+    decoded into points. *)
+val decode_bb_codes : string -> (int * (string * string) array array) option
 
 (** Decode one collector's validation lines for one serial: part ->
     position. *)
@@ -58,8 +67,8 @@ type layout = {
 }
 
 (** [write_setup devices cfg ~seed] runs {!Ea.setup_chunks} and streams
-    every chunk straight into the segments, holding one chunk of
-    material at a time. [devices name] supplies the device backing each
+    every emission straight into the segments, holding one wave of
+    lockstep groups of material at a time. [devices name] supplies the device backing each
     segment (all must be empty): [File_device]s for a state dir, or
     [Device.Mem] backings for an election run in one process. It is the
     one writer of full-crypto election data. *)

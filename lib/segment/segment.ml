@@ -61,10 +61,13 @@ let enc_header ~kind ~chunk_size =
   Wire.put_varint w chunk_size;
   Wire.contents w
 
-let enc_data payload =
+(* A data payload is [tag_data | varint len | record]; [data_head] is
+   its first two fields, which [Wal.frame] puts before the record
+   without copying the record into a payload first. *)
+let data_head record =
   let w = Wire.writer () in
   Wire.put_varint w tag_data;
-  Wire.put_bytes w payload;
+  Wire.put_varint w (String.length record);
   Wire.contents w
 
 let enc_trailer ~index ~first ~count ~root ~pos ~len =
@@ -111,8 +114,8 @@ type writer = {
 
 let written w = w.w_total
 
-let push_frame w payload =
-  let fr = Wal.frame payload in
+let push_frame ?head w payload =
+  let fr = Wal.frame ?head payload in
   w.dev.Device.log_append fr;
   w.off <- w.off + String.length fr
 
@@ -153,7 +156,7 @@ let flush_chunk w =
 
 let append w payload =
   if w.sealed then invalid_arg "Segment.append: sealed";
-  push_frame w (enc_data payload);
+  push_frame ~head:(data_head payload) w payload;
   Merkle.add w.cur_builder payload;
   w.cur_count <- w.cur_count + 1;
   w.w_total <- w.w_total + 1;
@@ -246,7 +249,7 @@ type load_result =
 (* Decoded view of one payload. *)
 type frame_kind =
   | F_header of string * int
-  | F_data of string
+  | F_data  (* the record is checked, not copied: a scan only counts it *)
   | F_trailer of chunk_meta * int  (* meta, declared chunk index *)
   | F_footer of int * int * string
   | F_bad of string
@@ -262,7 +265,7 @@ let parse_payload p =
           if String.equal mg magic then F_header (kind, cs)
           else F_bad "bad magic"
         end
-        else if tag = tag_data then F_data (Wire.get_bytes r)
+        else if tag = tag_data then (Wire.skip_bytes r; F_data)
         else if tag = tag_trailer then begin
           let index = Wire.get_varint r in
           let first = Wire.get_varint r in
@@ -314,7 +317,7 @@ let scan_segment dev =
             st.s_kind <- Some (kind, cs);
             st.s_checkpoint_end <- next
           end
-      | F_data _ ->
+      | F_data ->
           if st.s_kind = None then st.s_error <- Some "data before header"
           else if st.s_footer <> None then st.s_error <- Some "data after footer"
           else st.s_pending <- st.s_pending + 1
@@ -405,33 +408,48 @@ let resume dev ~kind =
 
 (* --- chunk reads ------------------------------------------------------- *)
 
+(* The record in the data payload at [s.[off .. limit)], copied once:
+   [None] unless the tag is [tag_data] and the length field spans
+   exactly the rest of the payload, the checks [parse_payload] makes. *)
+let data_record s ~off ~limit =
+  match Wire.varint_at s ~pos:off ~limit with
+  | Some (tag, pos) when tag = tag_data -> (
+      match Wire.varint_at s ~pos ~limit with
+      | Some (len, pos) when len = limit - pos -> Some (String.sub s pos len)
+      | _ -> None)
+  | _ -> None
+
+(* Frames are parsed in place in the chunk's bytes: each record is
+   copied out once, and nothing else is. *)
 let read_chunk (dev : Device.t) m c =
   if c < 0 || c >= n_chunks m then None
   else begin
-    let bytes = dev.Device.log_read ~pos:m.chunk_pos.(c) ~len:m.chunk_len.(c) in
-    if String.length bytes <> m.chunk_len.(c) then None
+    let len = m.chunk_len.(c) and count = m.chunk_count.(c) in
+    let bytes = dev.Device.log_read ~pos:m.chunk_pos.(c) ~len in
+    (* a frame takes at least five bytes, so [count <= len] bounds the
+       array by bytes actually read *)
+    if String.length bytes <> len || count < 0 || count > len then None
     else begin
-      let payloads, stopped = Wal.scan bytes in
-      if stopped <> m.chunk_len.(c) then None
-      else begin
-        let n = List.length payloads in
-        if n <> m.chunk_count.(c) then None
-        else begin
-          let out = Array.make n "" in
-          let ok = ref true in
-          let b = Merkle.create () in
-          List.iteri
-            (fun i p ->
-              match parse_payload p with
-              | F_data d ->
+      let out = Array.make count "" in
+      let b = Merkle.create () in
+      (* every frame clean, all of them data, exactly [count] of them,
+         the last ending at the chunk's end *)
+      let rec walk off i =
+        if off = len then i = count
+        else if i = count then false
+        else
+          match Wal.payload_at bytes off with
+          | None -> false
+          | Some (p, next) -> (
+              match data_record bytes ~off:p ~limit:next with
+              | None -> false
+              | Some d ->
                   out.(i) <- d;
-                  Merkle.add b d
-              | _ -> ok := false)
-            payloads;
-          if !ok && String.equal (Merkle.root b) m.chunk_root.(c) then Some out
-          else None
-        end
-      end
+                  Merkle.add b d;
+                  walk next (i + 1))
+      in
+      if walk 0 0 && String.equal (Merkle.root b) m.chunk_root.(c) then Some out
+      else None
     end
   end
 

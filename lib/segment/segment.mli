@@ -70,6 +70,8 @@ val create_writer : ?chunk_size:int -> Device.t -> kind:string -> writer
 (** Records appended so far (including ones already durable). *)
 val written : writer -> int
 
+(** Frame one record ([Wal.frame] of the data tag and length before
+    it, one allocation of the frame's size) and append it. *)
 val append : writer -> string -> unit
 
 (** Flush the final partial chunk (if any), write the footer, sync, and
@@ -100,8 +102,9 @@ val resume : Device.t -> kind:string -> writer * int
 
 (** [read_chunk device manifest c] fetches chunk [c] with one bounded
     [log_read], re-verifies every frame CRC and the chunk's Merkle root,
-    and returns the record payloads. [None] if the bytes no longer match
-    the manifest (disk corruption). *)
+    and returns the record payloads. Frames are parsed in place; each
+    record is copied out once. [None] if the bytes no longer match the
+    manifest (disk corruption). *)
 val read_chunk : Device.t -> manifest -> int -> string array option
 
 (** Sequential streaming read of all records, one chunk resident at a

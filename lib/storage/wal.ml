@@ -12,55 +12,55 @@
 module Wire = Dd_codec.Wire
 module Crc32 = Dd_codec.Crc32
 
-let put_u32_be buf n =
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (n land 0xFF))
-
 let get_u32_be s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let frame payload =
-  let body = Wire.writer () in
-  Wire.put_bytes body payload;
-  let body = Wire.contents body in
-  let buf = Buffer.create (String.length body + 4) in
-  put_u32_be buf (Crc32.string body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+(* The frame of [head ^ payload], built in one allocation of exactly its
+   size: the checksum runs over the pieces in turn, so the concatenation
+   is never formed. *)
+let frame ?(head = "") payload =
+  let hl = String.length head and pl = String.length payload in
+  let len =
+    let w = Wire.writer () in
+    Wire.put_varint w (hl + pl);
+    Wire.contents w
+  in
+  let ll = String.length len in
+  let crc =
+    Crc32.update (Crc32.update (Crc32.string len) head ~off:0 ~len:hl) payload ~off:0 ~len:pl
+  in
+  let b = Bytes.create (4 + ll + hl + pl) in
+  Bytes.set_int32_be b 0 (Int32.of_int crc);
+  Bytes.blit_string len 0 b 4 ll;
+  Bytes.blit_string head 0 b (4 + ll) hl;
+  Bytes.blit_string payload 0 b (4 + ll + hl) pl;
+  Bytes.unsafe_to_string b
 
 let log ?(sync = true) (d : Device.t) payload =
   d.log_append (frame payload);
   if sync then d.log_sync ()
 
-(* One frame at [off]; [None] on any malformedness (the torn tail). *)
-let read_frame s off =
+(* The frame at [off], in place; [None] on any malformedness (the torn
+   tail). A truncated varint length is a clean stop, not an exception,
+   and so is one near [max_int]: the bound is tested as [plen > len -
+   data_off], which cannot overflow. *)
+let payload_at s off =
   let len = String.length s in
   if off + 4 > len then None
-  else begin
-    let crc = get_u32_be s off in
-    (* decode the varint length by hand so a truncated varint is a
-       clean stop, not an exception *)
-    let rec varint pos shift acc =
-      if pos >= len || shift > 56 then None
-      else
-        let b = Char.code s.[pos] in
-        let acc = acc lor ((b land 0x7F) lsl shift) in
-        if b land 0x80 = 0 then Some (acc, pos + 1)
-        else varint (pos + 1) (shift + 7) acc
-    in
-    match varint (off + 4) 0 0 with
+  else
+    match Wire.varint_at s ~pos:(off + 4) ~limit:len with
     | None -> None
     | Some (plen, data_off) ->
-      if plen < 0 || data_off + plen > len then None
-      else if Crc32.update 0 s ~off:(off + 4) ~len:(data_off + plen - (off + 4)) <> crc
+      if plen < 0 || plen > len - data_off then None
+      else if Crc32.update 0 s ~off:(off + 4) ~len:(data_off + plen - (off + 4)) <> get_u32_be s off
       then None
-      else Some (String.sub s data_off plen, data_off + plen)
-  end
+      else Some (data_off, data_off + plen)
+
+let read_frame s off =
+  Option.map (fun (p, next) -> (String.sub s p (next - p), next)) (payload_at s off)
 
 let scan s =
   let rec go off acc =

@@ -5,8 +5,10 @@
     corrupted tail ends the replay at the last clean record; it is
     never resurrected and never raises. *)
 
-(** Frame one payload for appending. *)
-val frame : string -> string
+(** Frame one payload for appending. [frame ~head payload] frames
+    [head ^ payload] (default [head = ""]) in one allocation of exactly
+    the frame's size, without forming the concatenation. *)
+val frame : ?head:string -> string -> string
 
 (** [log ?sync device payload] appends one framed record. [sync]
     (default [true]) makes it durable before returning: a node syncs
@@ -19,9 +21,15 @@ val log : ?sync:bool -> Device.t -> string -> unit
     through a sliding window instead of materializing the log. *)
 val read_frame : string -> int -> (string * int) option
 
+(** [payload_at s off] is {!read_frame} without the copy:
+    [Some (payload_off, next_off)], the payload being the bytes of [s]
+    in [\[payload_off, next_off)]. *)
+val payload_at : string -> int -> (int * int) option
+
 (** [scan log] walks framed records from the front and stops at the
     first truncated/corrupt frame: returns the clean-prefix payloads in
     order plus the byte offset where scanning stopped. Total. *)
+(* lint: allow unused-export — test_storage's scan properties, test_segment "in-place read_chunk = scan" *)
 val scan : string -> string list * int
 
 (** [open_log device] opens a node's journal for replay: the

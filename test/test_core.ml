@@ -188,17 +188,21 @@ let test_ucert_verification () =
 
 (* --- EA setup invariants -------------------------------------------------------- *)
 
-(* The EA's streamed output for [cfg]: one chunk, since the default
-   chunk size exceeds the electorate. *)
+(* The EA's streamed output for [cfg], its emissions joined into one. *)
 let setup =
   lazy
     (let chunks = ref [] in
      let _static =
        Ea.setup_chunks cfg ~seed:"ea-test" ~emit:(fun ck -> chunks := ck :: !chunks)
      in
-     match !chunks with
-     | [ ck ] -> ck
-     | cks -> Alcotest.failf "expected one chunk, got %d" (List.length cks))
+     let cks = List.rev !chunks in
+     let cat f = Array.concat (List.map f cks) in
+     let per_party f width = Array.init width (fun p -> cat (fun ck -> (f ck).(p))) in
+     { Ea.ck_first = 0;
+       ck_ballots = cat (fun ck -> ck.Ea.ck_ballots);
+       ck_bb = cat (fun ck -> ck.Ea.ck_bb);
+       ck_vc = per_party (fun ck -> ck.Ea.ck_vc) cfg.Types.nv;
+       ck_trustee = per_party (fun ck -> ck.Ea.ck_trustee) cfg.Types.nt })
 
 let test_ea_shapes () =
   let s = Lazy.force setup in

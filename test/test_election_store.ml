@@ -171,6 +171,104 @@ let test_resume_bit_identical () =
          true (String.equal want got))
     names
 
+(* --- set-up holds one lockstep group ---------------------------------- *)
+
+(* Three groups of ballots at m = 3, the last one short. *)
+let group_cfg =
+  { Types.default_config with
+    Types.n_voters = 14; Types.m_options = 3; Types.election_id = "estore-groups" }
+
+(* Whatever the chunk size, [emit] gets one wave of lockstep groups at a
+   time, one group per domain, in serial order. *)
+let test_one_group_per_emission () =
+  let n = group_cfg.Types.n_voters and per_group = Ea.group_ballots group_cfg in
+  Alcotest.(check bool) "more than two groups" true (2 * per_group < n);
+  let check ~domains =
+    let pool = Dd_parallel.Pool.create ~domains () in
+    Fun.protect ~finally:(fun () -> Dd_parallel.Pool.shutdown pool) @@ fun () ->
+    List.iter
+      (fun chunk_size ->
+         let next = ref 0 in
+         let _static =
+           Ea.setup_chunks ~pool ~chunk_size group_cfg ~seed:"groups" ~emit:(fun ck ->
+               let k = Array.length ck.Ea.ck_ballots in
+               Alcotest.(check int) "in serial order" !next ck.Ea.ck_first;
+               if k < 1 || k > domains * per_group then
+                 Alcotest.failf "%d domains, chunk_size %d: %d ballots in one emission"
+                   domains chunk_size k;
+               next := !next + k)
+         in
+         Alcotest.(check int) "every serial emitted" n !next)
+      [ 3; 64; 1024 ]
+  in
+  check ~domains:1;
+  check ~domains:4
+
+exception Power_cut
+
+(* A crash after two groups are appended and before the chunk's trailer,
+   with half of every segment's unsynced tail flushed to its file (cut
+   mid-frame), resumes to the bytes of an uninterrupted run. The
+   devices stand in a page cache in front of File_device: appends wait
+   in it until a sync, and the power cut flushes part of it. *)
+let test_crash_mid_chunk_resumes () =
+  List.iter
+    (fun chunk_size ->
+       let ref_tbl, ref_dev = mem_family () in
+       ignore (Election_store.write_setup ~chunk_size ref_dev group_cfg ~seed:"groups"
+               : Election_store.layout);
+       Test_helpers.with_temp_dir "ddemos-crash" @@ fun dir ->
+       let cut = 2 * Ea.group_ballots group_cfg in
+       (* bb's appends: the header, one per record, one trailer per full
+          chunk; the power cut comes at record [cut]'s *)
+       let cut_append = 1 + cut + (cut / chunk_size) + 1 in
+       let caches = ref [] in
+       let cached name =
+         let file = Dd_store.File_device.create ~dir ~name in
+         let cache = Buffer.create 256 and appends = ref 0 in
+         caches := (file, cache) :: !caches;
+         { file with
+           Device.log_append =
+             (fun s ->
+                incr appends;
+                if name = Election_store.bb_segment && !appends = cut_append then
+                  raise Power_cut;
+                Buffer.add_string cache s);
+           log_sync =
+             (fun () ->
+                file.Device.log_append (Buffer.contents cache);
+                Buffer.clear cache;
+                file.Device.log_sync ()) }
+       in
+       let pool = Dd_parallel.Pool.create ~domains:1 () in
+       (match
+          Election_store.write_setup ~pool ~chunk_size (Device.by_name cached) group_cfg
+            ~seed:"groups"
+        with
+        | _ -> Alcotest.fail "the power cut never came"
+        | exception Power_cut -> Dd_parallel.Pool.shutdown pool);
+       Alcotest.(check bool) "records waited unsynced" true
+         (List.exists (fun (_, cache) -> Buffer.length cache > 0) !caches);
+       List.iter
+         (fun ((file : Device.t), cache) ->
+            file.Device.log_append (Buffer.sub cache 0 (Buffer.length cache / 2));
+            file.Device.log_sync ())
+         !caches;
+       let files name = Dd_store.File_device.create ~dir ~name in
+       ignore (Election_store.resume_setup files group_cfg ~seed:"groups"
+               : Election_store.layout);
+       Hashtbl.iter
+         (fun name b ->
+            let got =
+              In_channel.with_open_bin (Filename.concat dir (name ^ ".wal")) In_channel.input_all
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, chunk_size %d: uninterrupted bytes" name chunk_size)
+              true
+              (String.equal (Device.Mem.durable_log b) got))
+         ref_tbl)
+    [ 10; 64 ]
+
 (* --- a slice audit reads only its own chunk ----------------------------- *)
 
 let test_slice_audit_ignores_other_chunks () =
@@ -263,6 +361,55 @@ let test_slice_audit_catches_duplicate_codes () =
         (Auditor.all_ok (Auditor.audit_slice view ~chunk:c))
   done
 
+(* --- opening the codes decodes only the codes ---------------------------- *)
+
+(* A board opens exactly the codes a full decode of its ballots gives. *)
+let test_opened_codes_match_full_decode () =
+  let r = run_stored () in
+  let msk = Ddemos.Ballot_gen.msk ~seed:"estore" in
+  let sorted t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+  List.iter
+    (fun bb ->
+       let full = Hashtbl.create 64 in
+       Alcotest.(check bool) "board streams" true
+         (Board.iter (Bb_node.board bb) (fun (b : Ea.bb_ballot) ->
+              Array.iteri
+                (fun p entries ->
+                   let part = if p = 0 then Types.A else Types.B in
+                   Array.iteri
+                     (fun pos (e : Ea.bb_part_entry) ->
+                        let iv, ct = e.Ea.enc_code in
+                        Hashtbl.replace full (b.Ea.bb_serial, part, pos)
+                          (Dd_crypto.Aes128.cbc_decrypt ~key:msk ~iv ct))
+                     entries)
+                b.Ea.bb_parts));
+       Alcotest.(check int) "every code" (2 * cfg.Types.n_voters * cfg.Types.m_options)
+         (Hashtbl.length full);
+       let opened = req "opened codes" (Bb_node.published bb).Bb_node.opened_codes in
+       Alcotest.(check bool) "opened = full decode" true (sorted full = sorted opened))
+    r.Election.bb_nodes
+
+(* The codes decoder checks a record's structure but not its points: a
+   commitment that is no point fails the full decode only. *)
+let test_codes_decoder () =
+  let w = Dd_codec.Wire.writer () in
+  Dd_codec.Wire.put_varint w 7;
+  Dd_codec.Wire.put_varint w 1;
+  Dd_codec.Wire.put_varint w 1;
+  List.iter (Dd_codec.Wire.put_bytes w) [ "iv"; "ct" ];
+  Dd_codec.Wire.put_varint w 1;
+  List.iter (Dd_codec.Wire.put_bytes w) [ "not a point"; "no first move" ];
+  let record = Dd_codec.Wire.contents w in
+  Alcotest.(check bool) "full decode fails" true
+    (Option.is_none (Election_store.decode_bb_ballot record));
+  Alcotest.(check bool) "codes decode" true
+    (Election_store.decode_bb_codes record = Some (7, [| [| ("iv", "ct") |] |]));
+  Alcotest.(check bool) "trailing byte fails" true
+    (Option.is_none (Election_store.decode_bb_codes (record ^ "\x00")));
+  Alcotest.(check bool) "cut record fails" true
+    (Option.is_none
+       (Election_store.decode_bb_codes (String.sub record 0 (String.length record - 1))))
+
 (* A chunk past the board's end fails [s:slice-proof] and says why;
    the last chunk passes every [s:] check and reads. These are the
    checks `ddemos deploy --audit-slice` prints. *)
@@ -330,7 +477,10 @@ let () =
           Alcotest.test_case "layout loads only for its config and seed" `Quick
             test_layout_matches_config_and_seed;
           Alcotest.test_case "loading a layout writes nothing" `Quick
-            test_load_writes_nothing ] );
+            test_load_writes_nothing;
+          Alcotest.test_case "one group per emission" `Quick test_one_group_per_emission;
+          Alcotest.test_case "crash mid-chunk resumes on File_device" `Quick
+            test_crash_mid_chunk_resumes ] );
       ( "audit",
         [ Alcotest.test_case "slice audit ignores other chunks" `Quick
             test_slice_audit_ignores_other_chunks;
@@ -339,4 +489,7 @@ let () =
           Alcotest.test_case "slice audit catches duplicate codes" `Quick
             test_slice_audit_catches_duplicate_codes;
           Alcotest.test_case "slice check names an out-of-range chunk" `Quick
-            test_slice_check_out_of_range ] ) ]
+            test_slice_check_out_of_range;
+          Alcotest.test_case "opened codes = full decode" `Quick
+            test_opened_codes_match_full_decode;
+          Alcotest.test_case "codes decoder skips points" `Quick test_codes_decoder ] ) ]

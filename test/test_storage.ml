@@ -75,6 +75,32 @@ let prop_garbage_total =
        let scanned, stopped = Wal.scan s in
        stopped <= String.length s && List.length scanned * 5 <= String.length s)
 
+(* A length field near [max_int] with a zero checksum field: the bound
+   check must not overflow into accepting the frame. *)
+let test_wal_huge_length () =
+  let w = Dd_codec.Wire.writer () in
+  Dd_codec.Wire.put_varint w (max_int - 3);
+  let log = "\x00\x00\x00\x00" ^ Dd_codec.Wire.contents w in
+  Alcotest.(check (pair (list string) int)) "nothing replayed" ([], 0) (Wal.scan log)
+
+(* The framing [Wal.frame] replaced, built through growing buffers: a
+   length-prefixed body, then the checksum before it. *)
+let reference_frame payload =
+  let body = Dd_codec.Wire.writer () in
+  Dd_codec.Wire.put_bytes body payload;
+  let body = Dd_codec.Wire.contents body in
+  let crc = Dd_codec.Crc32.string body in
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int crc);
+  Bytes.to_string b ^ body
+
+let prop_frame_bytes =
+  QCheck.Test.make ~name:"single-allocation frame = reference bytes" ~count:500 ~long_factor:100
+    QCheck.(pair (string_of_size (Gen.int_range 0 12)) (string_of_size (Gen.int_range 0 400)))
+    (fun (head, payload) ->
+       String.equal (Wal.frame payload) (reference_frame payload)
+       && String.equal (Wal.frame ~head payload) (reference_frame (head ^ payload)))
+
 (* --- the journal over the in-memory device ------------------------------- *)
 
 let test_store_log_read () =
@@ -582,8 +608,9 @@ let () =
   Alcotest.run "storage"
     [ ("wal",
        Alcotest.test_case "frame/scan roundtrip" `Quick test_wal_roundtrip
+       :: Alcotest.test_case "length near max_int" `Quick test_wal_huge_length
        :: List.map QCheck_alcotest.to_alcotest
-            [ prop_truncation; prop_bitflip; prop_garbage_total ]);
+            [ prop_truncation; prop_bitflip; prop_garbage_total; prop_frame_bytes ]);
       ("store",
        [ Alcotest.test_case "log and read back" `Quick test_store_log_read;
          Alcotest.test_case "torn tail at every cut" `Quick test_store_torn_tail;
