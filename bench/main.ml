@@ -19,7 +19,6 @@
      main.exe                 all figures, scaled-down quick mode
      main.exe fig4a ... table1 | micro | stream     specific parts
      main.exe --full          paper-scale parameters (slow; hours)
-     main.exe --stream-n N    large stream point at N voters (CI smoke)
 
    Quick mode scales the cast-ballot counts down (the paper casts
    200,000 ballots per configuration); shapes are preserved. See
@@ -33,7 +32,8 @@ module Liveness = Ddemos.Liveness
 module Ballot_gen = Ddemos.Ballot_gen
 module Ballot_store = Ddemos.Ballot_store
 module Election_store = Ddemos.Election_store
-module Segment = Dd_segment.Segment
+module Board = Ddemos.Board
+module Auditor = Ddemos.Auditor
 module File_device = Dd_store.File_device
 module Net = Dd_sim.Net
 module Stats = Dd_sim.Stats
@@ -54,22 +54,6 @@ let bench_domains =
       match int_of_string_opt Sys.argv.(i + 1) with
       | Some d when d >= 1 -> min d 64
       | _ -> 4
-    else scan (i + 1)
-  in
-  scan 1
-
-(* [--stream-n N] overrides the stream section's large point (default
-   100_000, the committed-baseline scale): CI's streaming-smoke job
-   runs 10_000 on pull requests and the full 100_000 nightly. The
-   small 1k anchor point is fixed — it is the denominator of the
-   memory-flatness guard. *)
-let stream_big_n =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then 100_000
-    else if Sys.argv.(i) = "--stream-n" then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n > 1_000 -> n
-      | _ -> 100_000
     else scan (i + 1)
   in
   scan 1
@@ -518,14 +502,6 @@ let micro () =
         (Staged.stage (fun () -> Dd_zkp.Ballot_proof.finalize state ~challenge));
       Test.make ~name:"fig5c.opening-verify"
         (Staged.stage (fun () -> Dd_commit.Elgamal.verify commitment opening));
-      (* fig 5c: the whole-election audit, batched vs equation-by-equation *)
-      Test.make ~name:"fig5c.audit-full.100"
-        (Staged.stage (fun () ->
-             [ Ddemos.Auditor.check_openings audit_view; Ddemos.Auditor.check_zk audit_view ]));
-      Test.make ~name:"fig5c.audit-full.100.loop"
-        (Staged.stage (fun () ->
-             [ Ddemos.Auditor.check_openings ~batch:false audit_view;
-               Ddemos.Auditor.check_zk ~batch:false audit_view ]));
       (* table 1: the Tcomp building block *)
       Test.make ~name:"table1.ucert-entry-verify"
         (Staged.stage (fun () ->
@@ -599,15 +575,41 @@ let micro () =
          else (name, est))
       (measure tests)
   in
+  (* Whole-election workloads take hundreds of ms, so bechamel's quota
+     would give them one or two samples: they are timed directly, one
+     warm-up run and then [direct_runs] timed runs, and the row is the
+     median. The audit runs batched and equation by equation. *)
+  let direct_runs = 5 in
+  let time_direct name f =
+    ignore (Sys.opaque_identity (f ()));
+    let runs =
+      Array.init direct_runs (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Sys.opaque_identity (f ()));
+          (Unix.gettimeofday () -. t0) *. 1e9)
+    in
+    Array.sort compare runs;
+    pr "  %-40s median of %d: %.0f ms [%.0f, %.0f]\n" name direct_runs
+      (runs.(direct_runs / 2) /. 1e6) (runs.(0) /. 1e6) (runs.(direct_runs - 1) /. 1e6);
+    ("micro " ^ name, runs.(direct_runs / 2))
+  in
+  let audit_full ?batch ?pool () =
+    [ Ddemos.Auditor.check_openings ?batch ?pool audit_view;
+      Ddemos.Auditor.check_zk ?batch ?pool audit_view ]
+  in
+  pr "# Timed directly (ms)\n";
+  let direct_rows =
+    [ time_direct "fig5c.audit-full.100" audit_full;
+      time_direct "fig5c.audit-full.100.loop" (audit_full ~batch:false) ]
+  in
   (* Multicore scaling points: the same audit and EA-setup workloads
      driven through explicit pools of 1/2/4 domains. Each domain count
-     is measured in its OWN Benchmark.all phase with only its own pool
-     alive: even idle worker domains turn every minor GC into a
-     multi-domain stop-the-world barrier, which would distort the
-     serial kernels above by several x. The .d1 entry takes the
-     bit-identical serial fast path, so dN/d1 is a pure scheduling
-     ratio (bench_guard compares those ratios, not absolute times,
-     across machines). *)
+     is measured with only its own pool alive: even idle worker domains
+     turn every minor GC into a multi-domain stop-the-world barrier,
+     which would distort the serial kernels above by several x. The .d1
+     entry takes the bit-identical serial fast path, so dN/d1 is a pure
+     scheduling ratio (bench_guard compares those ratios, not absolute
+     times, across machines). *)
   let ea_cfg =
     { Types.default_config with
       Types.n_voters = 100; Types.m_options = 2; Types.election_id = "bench-ea" }
@@ -619,17 +621,15 @@ let micro () =
          else begin
            let pool = Dd_parallel.Pool.create ~domains:d () in
            let audit =
-             Test.make ~name:(Printf.sprintf "fig5c.audit-full.100.d%d" d)
-               (Staged.stage (fun () ->
-                    [ Ddemos.Auditor.check_openings ~pool audit_view;
-                      Ddemos.Auditor.check_zk ~pool audit_view ]))
+             time_direct (Printf.sprintf "fig5c.audit-full.100.d%d" d) (audit_full ~pool)
            in
            let setup =
-             Test.make ~name:(Printf.sprintf "ea-setup.100.d%d" d)
-               (Staged.stage (fun () ->
-                    Ddemos.Ea.setup_chunks ~pool ea_cfg ~seed:"bench-ea" ~emit:ignore))
+             if d = 2 then []
+             else
+               [ time_direct (Printf.sprintf "ea-setup.100.d%d" d) (fun () ->
+                     Ddemos.Ea.setup_chunks ~pool ea_cfg ~seed:"bench-ea" ~emit:ignore) ]
            in
-           let r = measure (if d = 2 then [ audit ] else [ audit; setup ]) in
+           let r = audit :: setup in
            Dd_parallel.Pool.shutdown pool;
            r
          end)
@@ -639,7 +639,7 @@ let micro () =
     [ ("alloc.verify_batch.62x5.words_per_sig", verify_batch_words);
       ("alloc.write_setup.60.major_words", write_setup_major_words ()) ]
   in
-  let rows = List.sort compare (rows @ scaling_rows) in
+  let rows = List.sort compare (rows @ direct_rows @ scaling_rows) in
   pr "# Microbenchmarks (this machine), one per table/figure kernel\n";
   List.iter (fun (name, est) -> pr "%-50s %12.0f ns/op\n" name est) rows;
   List.iter (fun (name, v) -> pr "%-50s %12.1f words\n" name v) counts;
@@ -678,8 +678,8 @@ let vm_hwm_bytes () =
    and reports (wall ns, top-heap bytes, VmHWM bytes) on stdout. Both
    memory figures are process-lifetime high-water marks that never go
    back down, so measuring in-process would report whatever earlier
-   section peaked highest (the bechamel suite, the 100k point when
-   measuring the 1k one after it); a pristine process per point gives
+   section peaked highest (the bechamel suite, the n = 1000 point when
+   measuring the n = 100 one after it); a pristine process per point gives
    each workload its own clean water line. (Unix.fork would do too,
    but OCaml 5 forbids it once the micro suite has created domains.) *)
 let measure_spawned args =
@@ -701,41 +701,49 @@ let measure_spawned args =
     Scanf.sscanf l "%f %f %f" (fun ns heap hwm -> (ns, heap, hwm))
   | _ -> failwith "bench stream: measurement child failed"
 
-let stream_cfg ~tag ~n =
-  { Types.default_config with
-    Types.n_voters = n; Types.m_options = 4;
-    Types.election_id = "bench-stream-" ^ tag }
-
-(* Full-crypto set-up at election-day's shape (m = 3), default chunk. *)
-let full_setup_cfg ~tag ~n =
+(* Full-crypto elections at election-day's shape (m = 3). *)
+let full_cfg ~n =
   { Types.default_config with
     Types.n_voters = n; Types.m_options = 3;
-    Types.election_id = "bench-full-setup-" ^ tag }
+    Types.election_id = Printf.sprintf "bench-full-setup-%d" n }
+
+(* Records per segment chunk in the stream points. n = 100 spans four
+   chunks, as many as a board's chunk cache holds, so the n = 100 audit
+   point already holds the audit's whole working set; n = 1000 spans
+   forty. Set-up memory does not depend on it (one wave of lockstep
+   groups). *)
+let stream_chunk = 25
 
 (* The child side of [measure_spawned]: run one workload, print the
-   measurements, exit. *)
-let stream_point_child ~op ~tag ~n ~dir =
-  let cfg = stream_cfg ~tag ~n in
-  let dev () = File_device.create ~dir ~name:("plain-" ^ tag) in
+   measurements, exit. "full-audit" reads the state "full-setup" left
+   in [dir] for the same [n]. *)
+let stream_point_child ~op ~n ~dir =
+  let cfg = full_cfg ~n and seed = "bench-stream" in
+  let files =
+    Dd_store.Device.by_name (fun name ->
+        File_device.create ~dir ~name:(Printf.sprintf "full-%d-%s" n name))
+  in
   let t0 = Unix.gettimeofday () in
   (match op with
-   | "setup" -> ignore (Election_store.write_plain (dev ()) cfg ~seed:"bench-stream")
    | "full-setup" ->
-     let files name = File_device.create ~dir ~name:(Printf.sprintf "full-%s-%s" tag name) in
-     ignore
-       (Election_store.write_setup (Dd_store.Device.by_name files) (full_setup_cfg ~tag ~n)
-          ~seed:"bench-stream"
-        : Election_store.layout)
-   | "audit" ->
-     let m =
-       match Segment.load (dev ()) with
-       | Segment.Sealed m -> m
-       | _ -> failwith "bench stream: segment did not seal"
+     ignore (Election_store.write_setup ~chunk_size:stream_chunk files cfg ~seed
+             : Election_store.layout)
+   | "full-audit" ->
+     (* the check `ddemos deploy --audit-slice` runs, on every chunk *)
+     let layout =
+       match Election_store.load_layout files cfg ~seed with
+       | Some l -> l
+       | None -> failwith "bench stream: no sealed layout"
      in
-     (match Election_store.verify_plain (dev ()) cfg m with
-      | Ok k when k = n -> ()
-      | Ok k -> failwith (Printf.sprintf "bench stream: verified %d of %d" k n)
-      | Error e -> failwith ("bench stream: " ^ e))
+     let board = Board.create (files Election_store.bb_segment) layout.Election_store.l_bb in
+     let ballots = ref 0 in
+     for chunk = 0 to Board.n_chunks board - 1 do
+       match Auditor.check_slice board ~chunk with
+       | checks, Some (_, b) when Auditor.all_ok checks -> ballots := !ballots + Array.length b
+       | _ -> failwith (Printf.sprintf "bench stream: chunk %d failed" chunk)
+     done;
+     if !ballots <> n then
+       failwith (Printf.sprintf "bench stream: audited %d of %d ballots" !ballots n)
    | _ -> failwith "bench stream: unknown op");
   let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
   let heap =
@@ -745,19 +753,17 @@ let stream_point_child ~op ~tag ~n ~dir =
   Printf.printf "%.1f %.1f %.1f\n" ns heap (vm_hwm_bytes ());
   flush stdout
 
-(* The million-voter streaming pipeline at its CI-scale points: stream
-   the plain-profile validation material to a real on-disk segment
-   ([Election_store.write_plain]), then audit it slice-by-slice against
-   the sealed Merkle root ([verify_plain]). Single-shot wall-clock
-   timing (these are multi-second whole-pipeline runs, not nanosecond
-   kernels — bechamel's repeated-sampling machinery buys nothing here)
-   plus per-point RSS. bench_guard enforces that the 100k RSS stays
-   within 2x of the 1k RSS: memory is bounded by the chunk size, not
-   the electorate. Then full-crypto set-up ([Election_store.write_setup]
-   onto File_device) at n = 100 and n = 1000, whose RSS bench_guard
-   holds to the same 2x of the n = 100 point. *)
+(* Full-crypto set-up ([Election_store.write_setup] onto File_device)
+   and the board's slice audit ([Auditor.check_slice] of every chunk of
+   the sealed [bb] segment) at n = 100 and 1000. Single-shot wall-clock
+   timing (multi-second whole-pipeline runs, not nanosecond kernels)
+   plus per-point peak RSS. bench_guard holds each RSS family's n = 1000
+   point within 2x of its n = 100 point: memory is bounded by a wave of
+   lockstep groups (set-up) or the board's chunk cache (audit), not the
+   electorate. *)
 let stream () =
-  pr "# Streaming pipeline: plain-profile setup & slice audit, full-crypto setup (fresh child per point)\n";
+  pr "# Streaming pipeline: full-crypto set-up and slice audit, chunk %d (fresh child per point)\n"
+    stream_chunk;
   let tmp =
     let d =
       Filename.concat (Filename.get_temp_dir_name ())
@@ -766,58 +772,28 @@ let stream () =
     if not (Sys.file_exists d) then Sys.mkdir d 0o755;
     d
   in
-  let big_tag =
-    if stream_big_n mod 1_000 = 0 then string_of_int (stream_big_n / 1_000) ^ "k"
-    else string_of_int stream_big_n
-  in
-  let points = [ ("1k", 1_000); (big_tag, stream_big_n) ] in
   let rows =
-    List.concat_map
-      (fun (tag, n) ->
-         let point op =
-           measure_spawned [| "_stream_point"; op; tag; string_of_int n; tmp |]
-         in
-         let setup_ns, setup_heap, setup_hwm = point "setup" in
-         let audit_ns, audit_heap, audit_hwm = point "audit" in
-         (* prefer the kernel's RSS; fall back to the OCaml heap
-            high-water where /proc is unavailable *)
-         let rss hwm heap = if hwm > 0. then hwm else heap in
-         pr "  n=%-5s setup %9.1f ms  rss %7.1f MiB   audit %9.1f ms  rss %7.1f MiB\n"
-           tag (setup_ns /. 1e6)
-           (rss setup_hwm setup_heap /. 1024. /. 1024.)
-           (audit_ns /. 1e6)
-           (rss audit_hwm audit_heap /. 1024. /. 1024.);
-         [ ("ea-setup." ^ tag, setup_ns);
-           ("audit-stream." ^ tag, audit_ns);
-           ("ea-setup.rss." ^ tag, rss setup_hwm setup_heap);
-           ("audit-stream.rss." ^ tag, rss audit_hwm audit_heap);
-           ("ea-setup.heap." ^ tag, setup_heap);
-           ("audit-stream.heap." ^ tag, audit_heap) ])
-      points
-  in
-  let v k = List.assoc k rows in
-  pr "  rss growth %s/1k: setup %.2fx, audit %.2fx (guard: < 2x)\n" big_tag
-    (v ("ea-setup.rss." ^ big_tag) /. v "ea-setup.rss.1k")
-    (v ("audit-stream.rss." ^ big_tag) /. v "audit-stream.rss.1k");
-  (* full-crypto set-up ([write_setup] onto File_device, the default
-     chunk holding the whole electorate): peak memory is one wave of
-     lockstep groups, so the n = 1000 point stays within 2x of n = 100 *)
-  let full =
     List.concat_map
       (fun n ->
          let tag = string_of_int n in
-         let ns, heap, hwm =
-           measure_spawned [| "_stream_point"; "full-setup"; tag; tag; tmp |]
-         in
-         let rss = if hwm > 0. then hwm else heap in
-         pr "  full-crypto n=%-5d setup %9.1f ms  rss %7.1f MiB\n" n (ns /. 1e6)
-           (rss /. 1024. /. 1024.);
-         [ ("full-setup." ^ tag, ns); ("full-setup.rss." ^ tag, rss) ])
+         List.concat_map
+           (fun op ->
+              let ns, heap, hwm = measure_spawned [| "_stream_point"; op; tag; tmp |] in
+              (* prefer the kernel's RSS; fall back to the OCaml heap
+                 high-water where /proc is unavailable *)
+              let rss = if hwm > 0. then hwm else heap in
+              pr "  n=%-5d %-10s %9.1f ms  rss %7.1f MiB\n" n op (ns /. 1e6)
+                (rss /. 1024. /. 1024.);
+              [ (op ^ "." ^ tag, ns); (op ^ ".rss." ^ tag, rss) ])
+           [ "full-setup"; "full-audit" ])
       [ 100; 1000 ]
   in
-  pr "  full-crypto rss growth 1000/100: %.2fx (guard: < 2x)\n\n"
-    (List.assoc "full-setup.rss.1000" full /. List.assoc "full-setup.rss.100" full);
-  let rows = rows @ full in
+  List.iter
+    (fun op ->
+       pr "  %s rss growth 1000/100: %.2fx (guard: < 2x)\n" op
+         (List.assoc (op ^ ".rss.1000") rows /. List.assoc (op ^ ".rss.100") rows))
+    [ "full-setup"; "full-audit" ];
+  pr "\n";
   Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) (Sys.readdir tmp);
   (try Sys.rmdir tmp with Sys_error _ -> ());
   if json_mode then json_rows := !json_rows @ rows;
@@ -1003,15 +979,15 @@ let thm1 () =
 let () =
   (* hidden child mode for the stream section's per-point measurement *)
   (match Sys.argv with
-   | [| _; "_stream_point"; op; tag; n; dir |] ->
-     stream_point_child ~op ~tag ~n:(int_of_string n) ~dir;
+   | [| _; "_stream_point"; op; n; dir |] ->
+     stream_point_child ~op ~n:(int_of_string n) ~dir;
      exit 0
    | _ -> ());
   let want name =
     let rec drop_flags = function
-      | ("--domains" | "--stream-n" | "--serve-votes" | "--serve-cc-max") :: _ :: rest ->
+      | ("--domains" | "--serve-votes" | "--serve-cc-max") :: _ :: rest ->
         drop_flags rest
-      | [ ("--domains" | "--stream-n" | "--serve-votes" | "--serve-cc-max") ] -> []
+      | [ ("--domains" | "--serve-votes" | "--serve-cc-max") ] -> []
       | ("--full" | "--json") :: rest -> drop_flags rest
       | a :: rest -> a :: drop_flags rest
       | [] -> []

@@ -18,7 +18,7 @@
 
    Memory entries from the `stream` section (keys containing ".rss." or
    ".heap.") get a different rule: same-run flatness under 2x against
-   the smallest n of their family (100k against 1k, full-crypto 1000
+   the smallest n of their family (full-crypto set-up and audit at 1000
    against 100), the bounded-memory contract of the streaming pipeline
    (see DESIGN.md 6.5).
 
@@ -71,14 +71,13 @@ let contains hay needle =
 (* Memory high-water entries ([...].rss.* / [...].heap.*, in bytes) are
    never compared across runs: absolute RSS depends on the box's
    allocator, page size, and binary layout. What the streaming pipeline
-   promises is FLATNESS — peak memory bounded by the chunk (or, for
-   full-crypto set-up, one wave of lockstep groups), not the
-   electorate — so the guard checks, within each file separately, that
-   every memory entry of a family (the key up to its last '.', e.g.
-   [ea-setup.rss.] or [full-setup.rss.]) stays under [mem_factor] (2x)
-   of the family's anchor: its entry at the smallest n ([1k] for the
-   plain profile's [1k]/[10k]/[100k], [100] for [full-setup.rss.100]
-   and [.1000]), measured in the same run. *)
+   promises is FLATNESS — peak memory bounded by one wave of lockstep
+   groups (set-up) or one chunk (audit), not the electorate — so the
+   guard checks, within each file separately, that every memory entry
+   of a family (the key up to its last '.', e.g. [full-setup.rss.] or
+   [full-audit.rss.]) stays under [mem_factor] (2x) of the family's
+   anchor: its entry at the smallest n ([100] for [.100] and [.1000];
+   a [k] suffix counts thousands), measured in the same run. *)
 let is_memory_key key = contains key ".rss." || contains key ".heap."
 
 (* Throughput entries from the serving benchmarks ([...].rps.*, in

@@ -162,13 +162,6 @@ let deploy_cmd =
          & info [ "state-dir" ] ~docv:"DIR"
              ~doc:"Directory holding the election's segment files (created if missing).")
   in
-  let plain =
-    Arg.(value & flag
-         & info [ "plain" ]
-             ~doc:"Plain profile: stream only the vote-code validation material \
-                   (salted hashes) instead of the full cryptographic setup; \
-                   scales to millions of voters.")
-  in
   let chunk =
     Arg.(value & opt int 0
          & info [ "chunk-size" ] ~docv:"C"
@@ -186,15 +179,14 @@ let deploy_cmd =
   let run_election =
     Arg.(value & flag
          & info [ "run" ]
-             ~doc:"Run a full election served from the on-disk segments \
-                   (full profile only).")
+             ~doc:"Run a full election served from the on-disk segments.")
   in
   let turnout =
     Arg.(value & opt int 0
          & info [ "turnout" ] ~docv:"K" ~doc:"With --run: voters actually casting (default: all).")
   in
   let hex = Dd_crypto.Sha256.hex_of_string in
-  let deploy voters m nv fv seed state_dir plain chunk verify audit_slice run_election turnout =
+  let deploy voters m nv fv seed state_dir chunk verify audit_slice run_election turnout =
     let cfg = cfg_of ~voters ~m ~nv ~fv in
     (match Types.validate_config cfg with
      | Error e -> prerr_endline ("invalid configuration: " ^ e); exit 1
@@ -202,89 +194,64 @@ let deploy_cmd =
     if not (Sys.file_exists state_dir) then Sys.mkdir state_dir 0o755;
     let chunk_size = if chunk > 0 then Some chunk else None in
     let devices = Dd_store.Device.by_name (fun name -> File_device.create ~dir:state_dir ~name) in
-    if plain then begin
-      let dev = devices Election_store.plain_segment in
-      Printf.printf "streaming plain validation material for %d voters to %s...\n%!"
-        voters state_dir;
-      let t0 = Sys.time () in
-      let manifest = Election_store.write_plain ?chunk_size dev cfg ~seed in
-      Printf.printf "sealed %S: %d records, %d chunks, root %s (%.2fs cpu)\n"
-        Election_store.plain_segment manifest.Segment.total
-        (Segment.n_chunks manifest) (hex manifest.Segment.root) (Sys.time () -. t0);
-      if audit_slice >= 0 then begin
-        match
-          Election_store.verify_plain_slice dev cfg manifest
-            ~root:manifest.Segment.root audit_slice
-        with
-        | Ok k -> Printf.printf "slice %d: %d records verified against the root\n" audit_slice k
-        | Error e -> Printf.printf "slice %d: FAIL — %s\n" audit_slice e; exit 1
-      end;
-      if verify then begin
-        match Election_store.verify_plain dev cfg manifest with
-        | Ok k -> Printf.printf "verified %d records (streaming, one chunk resident)\n" k
-        | Error e -> Printf.printf "verify: FAIL — %s\n" e; exit 1
+    Printf.printf "streaming full-crypto setup for %d voters to %s...\n%!" voters state_dir;
+    let t0 = Sys.time () in
+    let layout = Election_store.resume_setup ?chunk_size devices cfg ~seed in
+    let pr name (mf : Segment.manifest) =
+      Printf.printf "  %-12s %7d records %5d chunks %9d B  root %s\n" name mf.Segment.total
+        (Segment.n_chunks mf) ((devices name).Dd_store.Device.log_size ())
+        (String.sub (hex mf.Segment.root) 0 16)
+    in
+    Printf.printf "sealed layout (%.2fs cpu):\n" (Sys.time () -. t0);
+    pr Election_store.bb_segment layout.Election_store.l_bb;
+    pr Election_store.ballots_segment layout.Election_store.l_ballots;
+    Array.iteri (fun i mf -> pr (Election_store.vc_segment i) mf)
+      layout.Election_store.l_vc;
+    Array.iteri (fun i mf -> pr (Election_store.trustee_segment i) mf)
+      layout.Election_store.l_trustee;
+    let board () =
+      Board.create (devices Election_store.bb_segment)
+        layout.Election_store.l_bb
+    in
+    if audit_slice >= 0 then begin
+      let b = board () in
+      let checks, slice = Auditor.check_slice b ~chunk:audit_slice in
+      Auditor.pp_checks Format.std_formatter checks;
+      match slice with
+      | Some (first, ballots) when Auditor.all_ok checks ->
+        Printf.printf "slice %d: %d ballots (serials %d..%d) verified against root %s\n"
+          audit_slice (Array.length ballots) first
+          (first + Array.length ballots - 1)
+          (String.sub (hex (Board.root b)) 0 16)
+      | _ -> Printf.printf "slice %d: FAIL\n" audit_slice; exit 1
+    end;
+    if verify then begin
+      let b = board () in
+      let count = ref 0 in
+      if Board.iter b (fun _ -> incr count) && !count = voters then
+        Printf.printf "verified %d board ballots (streaming, cache %s)\n" !count
+          (match Board.cache_stats b with
+           | Some (h, m) -> Printf.sprintf "%d hits / %d misses" h m
+           | None -> "-")
+      else begin
+        Printf.printf "verify: FAIL — board stream stopped at %d\n" !count;
+        exit 1
       end
-    end
-    else begin
-      Printf.printf "streaming full-crypto setup for %d voters to %s...\n%!" voters state_dir;
-      let t0 = Sys.time () in
-      let layout = Election_store.resume_setup ?chunk_size devices cfg ~seed in
-      let pr name (mf : Segment.manifest) =
-        Printf.printf "  %-12s %7d records %5d chunks %9d B  root %s\n" name mf.Segment.total
-          (Segment.n_chunks mf) ((devices name).Dd_store.Device.log_size ())
-          (String.sub (hex mf.Segment.root) 0 16)
-      in
-      Printf.printf "sealed layout (%.2fs cpu):\n" (Sys.time () -. t0);
-      pr Election_store.bb_segment layout.Election_store.l_bb;
-      pr Election_store.ballots_segment layout.Election_store.l_ballots;
-      Array.iteri (fun i mf -> pr (Election_store.vc_segment i) mf)
-        layout.Election_store.l_vc;
-      Array.iteri (fun i mf -> pr (Election_store.trustee_segment i) mf)
-        layout.Election_store.l_trustee;
-      let board () =
-        Board.create (devices Election_store.bb_segment)
-          layout.Election_store.l_bb
-      in
-      if audit_slice >= 0 then begin
-        let b = board () in
-        let checks, slice = Auditor.check_slice b ~chunk:audit_slice in
-        Auditor.pp_checks Format.std_formatter checks;
-        match slice with
-        | Some (first, ballots) when Auditor.all_ok checks ->
-          Printf.printf "slice %d: %d ballots (serials %d..%d) verified against root %s\n"
-            audit_slice (Array.length ballots) first
-            (first + Array.length ballots - 1)
-            (String.sub (hex (Board.root b)) 0 16)
-        | _ -> Printf.printf "slice %d: FAIL\n" audit_slice; exit 1
-      end;
-      if verify then begin
-        let b = board () in
-        let count = ref 0 in
-        if Board.iter b (fun _ -> incr count) && !count = voters then
-          Printf.printf "verified %d board ballots (streaming, cache %s)\n" !count
-            (match Board.cache_stats b with
-             | Some (h, m) -> Printf.sprintf "%d hits / %d misses" h m
-             | None -> "-")
-        else begin
-          Printf.printf "verify: FAIL — board stream stopped at %d\n" !count;
-          exit 1
-        end
-      end;
-      if run_election then begin
-        let turnout, votes = votes_of ~voters ~m turnout in
-        let fidelity = Election.Source (Node_source.of_layout ~devices layout) in
-        let p = Election.default_params ~fidelity cfg ~votes in
-        let p = { p with Election.seed; voter_patience = 5. } in
-        Printf.printf "running election from on-disk state: n=%d turnout=%d\n%!" voters turnout;
-        run_and_report ~detail:false ~audit:true ~turnout p
-      end
+    end;
+    if run_election then begin
+      let turnout, votes = votes_of ~voters ~m turnout in
+      let fidelity = Election.Source (Node_source.of_layout ~devices layout) in
+      let p = Election.default_params ~fidelity cfg ~votes in
+      let p = { p with Election.seed; voter_patience = 5. } in
+      Printf.printf "running election from on-disk state: n=%d turnout=%d\n%!" voters turnout;
+      run_and_report ~detail:false ~audit:true ~turnout p
     end
   in
   Cmd.v
     (Cmd.info "deploy"
        ~doc:"Stream election state into segment files under --state-dir and serve from them. \
              Re-running after a crash resumes from the last durable checkpoint.")
-    Term.(const deploy $ voters $ options_ $ nv $ fv $ seed $ state_dir $ plain $ chunk
+    Term.(const deploy $ voters $ options_ $ nv $ fv $ seed $ state_dir $ chunk
           $ verify $ audit_slice $ run_election $ turnout)
 
 (* --- serve ---------------------------------------------------------------- *)

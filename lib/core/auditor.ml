@@ -339,8 +339,10 @@ let check_zk ?(batch = true) ?pool v =
    auditor takes a disjoint chunk range and verifies its chunks against
    the shared root using only those chunks' bytes — nothing outside
    the chunk's byte span is read, so auditing parallelizes across
-   parties with per-party work O(n / n_chunks) (pinned by test: every
-   other chunk of the device can be corrupt). *)
+   parties with per-party work O(n / n_chunks). Pinned by
+   test_election_store "slice audit ignores other chunks": with every
+   other chunk of a sealed bb segment corrupted, the target chunk still
+   passes and every other chunk fails [s:slice-readable]. *)
 let check_slice ?root board ~chunk =
   let root = match root with Some r -> r | None -> Board.root board in
   match Board.slice_proof board chunk with

@@ -150,7 +150,6 @@ let bb_segment = "bb"
 let ballots_segment = "ballots"
 let vc_segment i = Printf.sprintf "vc-%d" i
 let trustee_segment i = Printf.sprintf "trustee-%d" i
-let plain_segment = "plain"
 
 (* --- full-crypto streaming setup ----------------------------------------- *)
 
@@ -408,130 +407,3 @@ let voter_ballot_reader devices layout =
        | None -> invalid_arg "Election_store: ballot record undecodable")
     (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
     | None -> invalid_arg "Election_store: ballot segment unreadable"
-
-(* --- plain profile -------------------------------------------------------- *)
-
-let encode_plain_record ~code_hashes ~salts =
-  let w = Wire.writer () in
-  Wire.put_array w
-    (fun w hs -> Wire.put_array w Wire.put_bytes hs)
-    code_hashes;
-  Wire.put_array w (fun w ss -> Wire.put_array w Wire.put_bytes ss) salts;
-  Wire.contents w
-
-let decode_plain_record s =
-  Wire.decode s (fun r ->
-      let hashes = Wire.get_array r (fun r -> Wire.get_array r Wire.get_bytes) in
-      let salts = Wire.get_array r (fun r -> Wire.get_array r Wire.get_bytes) in
-      (hashes, salts))
-
-let plain_record cfg ~seed ~serial =
-  let m = cfg.Types.m_options in
-  let parts =
-    Array.map
-      (fun part -> Ballot_gen.gen_part ~seed ~serial ~part ~m)
-      [| Types.A; Types.B |]
-  in
-  encode_plain_record
-    ~code_hashes:(Array.map (fun p -> p.Ballot_gen.hashes) parts)
-    ~salts:(Array.map (fun p -> p.Ballot_gen.salts) parts)
-
-let write_plain ?(chunk_size = Segment.default_chunk_size) dev cfg ~seed =
-  let n = cfg.Types.n_voters in
-  let finish w from =
-    for serial = from to n - 1 do
-      Segment.append w (plain_record cfg ~seed ~serial)
-    done;
-    Segment.seal w
-  in
-  match Segment.load dev with
-  | Segment.Empty ->
-      finish (Segment.create_writer ~chunk_size dev ~kind:plain_segment) 0
-  | Segment.Partial _ ->
-      let w, from = Segment.resume dev ~kind:plain_segment in
-      finish w from
-  | Segment.Sealed m ->
-      (* idempotent reopen of a finished run *)
-      if m.Segment.total = n then m
-      (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-      else invalid_arg "Election_store.write_plain: sealed with wrong total"
-  | Segment.Corrupt msg ->
-      (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-      invalid_arg ("Election_store.write_plain: corrupt: " ^ msg)
-
-(* One chunk of a plain segment, verified against a trusted [root]
-   using only that chunk's bytes: slice binding, CRC/Merkle, record
-   structure, within-part hash distinctness. The unit of both the
-   streaming whole-segment audit and independent slice auditors. *)
-let verify_plain_slice dev cfg (m : Segment.manifest) ~root c =
-  let mo = cfg.Types.m_options in
-  let err = ref None in
-  let fail msg =
-    if !err = None then err := Some (Printf.sprintf "chunk %d: %s" c msg)
-  in
-  if c < 0 || c >= Segment.n_chunks m then fail "no such chunk"
-  else if
-    (* slice binding: this chunk's root commits into the trusted root *)
-    not
-      (Segment.verify_slice ~root ~chunk_root:m.Segment.chunk_root.(c)
-         (Segment.slice_proof m c))
-  then fail "slice proof does not verify"
-  else begin
-    match Segment.read_chunk dev m c with
-    | None -> fail "chunk bytes fail CRC/Merkle verification"
-    | Some records ->
-        Array.iter
-          (fun rec_bytes ->
-            match decode_plain_record rec_bytes with
-            | None -> fail "undecodable record"
-            | Some (hashes, salts) ->
-                if
-                  Array.length hashes <> 2
-                  || Array.length salts <> 2
-                  || Array.exists (fun h -> Array.length h <> mo) hashes
-                  || Array.exists (fun s -> Array.length s <> mo) salts
-                then fail "record shape does not match the configuration"
-                else if
-                  Array.exists
-                    (fun hs ->
-                      Array.exists (fun h -> String.length h <> 32) hs)
-                    hashes
-                  || Array.exists
-                       (fun ss ->
-                         Array.exists
-                           (fun s -> String.length s <> Types.salt_bytes)
-                           ss)
-                       salts
-                then fail "malformed hash or salt length"
-                else
-                  (* within a part, the m salted hashes must be
-                     distinct — else two options would share a
-                     validation line *)
-                  Array.iter
-                    (fun hs ->
-                      let tbl = Hashtbl.create mo in
-                      Array.iter
-                        (fun h ->
-                          if Hashtbl.mem tbl h then
-                            fail "duplicate code hash within a part"
-                          else Hashtbl.add tbl h ())
-                        hs)
-                    hashes)
-          records
-  end;
-  match !err with None -> Ok m.Segment.chunk_count.(c) | Some e -> Error e
-
-let verify_plain dev cfg (m : Segment.manifest) =
-  if m.Segment.total <> cfg.Types.n_voters then
-    Error "record count does not match the configuration"
-  else begin
-    let err = ref None in
-    let c = ref 0 in
-    while !err = None && !c < Segment.n_chunks m do
-      (match verify_plain_slice dev cfg m ~root:m.Segment.root !c with
-       | Ok _ -> ()
-       | Error e -> err := Some e);
-      incr c
-    done;
-    match !err with None -> Ok m.Segment.total | Some e -> Error e
-  end

@@ -11,13 +11,7 @@
     resume unit, and set-up memory does not depend on it. A crash
     mid-setup therefore loses at most the current chunk; {!resume_setup}
     picks up from the least-complete segment and reproduces a
-    bit-identical set of files (pinned by test).
-
-    The ["plain"] profile stores only the vote-code validation material
-    (salted hashes), the part served on the vote-collection hot path —
-    this is the profile the n=100k streaming benches and the CI smoke
-    run at, since full-crypto generation is ~75 ms/voter (see
-    EXPERIMENTS.md). *)
+    bit-identical set of files (pinned by test). *)
 
 module Device = Dd_store.Device
 module Segment = Dd_segment.Segment
@@ -52,7 +46,6 @@ val bb_segment : string
 val ballots_segment : string
 val vc_segment : int -> string
 val trustee_segment : int -> string
-val plain_segment : string
 
 (* --- full-crypto streaming setup -------------------------------------- *)
 
@@ -106,29 +99,3 @@ val read_trustee_init : (string -> Device.t) -> layout -> int -> Ea.trustee_init
     which is opened on the first read. Raises [Invalid_argument] on an
     unreadable or undecodable record. *)
 val voter_ballot_reader : (string -> Device.t) -> layout -> int -> Types.ballot
-
-(* --- plain profile ----------------------------------------------------- *)
-
-(** Stream the plain validation material for all [n_voters] serials
-    into the ["plain"] segment (device must be empty, or partially
-    written by a crashed earlier run — it is resumed, not restarted). *)
-val write_plain :
-  ?chunk_size:int -> Device.t -> Types.config -> seed:string ->
-  Segment.manifest
-
-(** Verify one chunk of a plain segment against a trusted [root],
-    reading only that chunk's bytes: slice proof, frame CRCs, chunk
-    Merkle root, record structure against [cfg], within-part hash
-    distinctness. Independent auditors split the chunk range and each
-    call this against the same root. Returns the chunk's record
-    count. *)
-val verify_plain_slice :
-  Device.t -> Types.config -> Segment.manifest -> root:string -> int ->
-  (int, string) result
-
-(** Streaming audit of a plain segment: {!verify_plain_slice} for every
-    chunk against [manifest.root] (peak memory one chunk), plus the
-    total-count check. Returns the number of records verified, or
-    [Error] with the first offending chunk. *)
-val verify_plain :
-  Device.t -> Types.config -> Segment.manifest -> (int, string) result

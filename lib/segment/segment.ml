@@ -12,7 +12,6 @@ module Device = Dd_store.Device
 module Wal = Dd_store.Wal
 module Merkle = Dd_crypto.Merkle
 
-let default_chunk_size = 1024
 let magic = "DSEG1"
 
 (* payload tags *)
@@ -119,7 +118,7 @@ let push_frame ?head w payload =
   w.dev.Device.log_append fr;
   w.off <- w.off + String.length fr
 
-let create_writer ?(chunk_size = default_chunk_size) dev ~kind =
+let create_writer ~chunk_size dev ~kind =
   if chunk_size <= 0 then invalid_arg "Segment.create_writer: chunk_size";
   dev.Device.log_sync ();
   if dev.Device.log_size () > 0 then

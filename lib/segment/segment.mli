@@ -36,9 +36,6 @@
 module Device = Dd_store.Device
 module Merkle = Dd_crypto.Merkle
 
-(** Records per chunk used when the caller does not choose one. *)
-val default_chunk_size : int
-
 (** Sealed-segment summary: everything a reader needs to fetch and
     verify chunks with random access. Reconstructed from the file by
     {!load}; never trusted beyond what the per-chunk CRCs and Merkle
@@ -65,7 +62,7 @@ type writer
 (** Open a fresh segment on an empty device: writes and syncs the
     header. Raises [Invalid_argument] on a non-empty device (use
     {!resume}) or a non-positive [chunk_size]. *)
-val create_writer : ?chunk_size:int -> Device.t -> kind:string -> writer
+val create_writer : chunk_size:int -> Device.t -> kind:string -> writer
 
 (** Records appended so far (including ones already durable). *)
 val written : writer -> int

@@ -5,9 +5,9 @@
      devices and on File_device alike;
    - write_setup / resume_setup reproduce byte-identical segment files
      after a crash at an arbitrary torn byte;
-   - a slice audit needs only its own chunk's bytes: every other chunk
-     of the device can be garbage (the independent-auditor soundness
-     pin, see docs/INVARIANTS.md);
+   - a board slice check needs only its own chunk's bytes: every other
+     chunk of the bb segment can be garbage (the independent-auditor
+     soundness pin, see docs/INVARIANTS.md);
    - an election served from sealed segments (Node_source.of_layout)
      issues every receipt, publishes the cast votes' tally, and passes
      the full audit plus every slice audit;
@@ -271,13 +271,20 @@ let test_crash_mid_chunk_resumes () =
 
 (* --- a slice audit reads only its own chunk ----------------------------- *)
 
+(* The board's [bb] segment, sealed by write_setup in two-ballot
+   chunks, with the data span of every chunk but the middle one
+   XOR-flipped: the middle chunk still passes [check_slice] against the
+   sealed root and reads the ballots it was sealed with; every other
+   chunk fails [s:slice-readable], and streaming the board stops. *)
 let test_slice_audit_ignores_other_chunks () =
-  let pcfg = { cfg with Types.n_voters = 40; Types.election_id = "estore-plain" } in
-  let b = Device.Mem.create () in
-  let m = Election_store.write_plain ~chunk_size:8 (Device.Mem.device b) pcfg ~seed:"plain" in
-  let target = 2 in
-  (* corrupt the data span of every chunk except the target *)
-  let bytes = Bytes.of_string (Device.Mem.durable_log b) in
+  let tbl, dev = mem_family () in
+  let layout = Election_store.write_setup ~chunk_size:2 dev cfg ~seed:"estore" in
+  let m = layout.Election_store.l_bb in
+  Alcotest.(check int) "three chunks" 3 (Segment.n_chunks m);
+  let target = 1 in
+  let bytes =
+    Bytes.of_string (Device.Mem.durable_log (Hashtbl.find tbl Election_store.bb_segment))
+  in
   Array.iteri
     (fun c pos ->
        if c <> target then
@@ -285,25 +292,30 @@ let test_slice_audit_ignores_other_chunks () =
            Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0xff))
          done)
     m.Segment.chunk_pos;
-  let b2 = Device.Mem.create () in
-  let d2 = Device.Mem.device b2 in
-  d2.Device.log_append (Bytes.to_string bytes);
-  d2.Device.log_sync ();
-  (* the intact slice still verifies against the trusted root... *)
-  (match Election_store.verify_plain_slice d2 pcfg m ~root:m.Segment.root target with
-   | Ok k -> Alcotest.(check int) "records in the intact slice" 8 k
-   | Error e -> Alcotest.failf "intact slice must verify: %s" e);
+  let corrupt = Device.Mem.device (Device.Mem.create ()) in
+  corrupt.Device.log_append (Bytes.to_string bytes);
+  corrupt.Device.log_sync ();
+  let board = Board.create corrupt m in
+  let verdicts checks = List.map (fun c -> (c.Auditor.name, c.Auditor.ok)) checks in
+  (* the intact slice still verifies against the sealed root... *)
+  let checks, slice = Auditor.check_slice ~root:m.Segment.root board ~chunk:target in
+  Alcotest.(check (list (pair string bool))) "intact slice passes"
+    [ ("s:slice-in-root", true); ("s:slice-readable", true) ] (verdicts checks);
+  let sealed = Board.create (dev Election_store.bb_segment) m in
+  let encoded (first, ballots) = (first, Array.map Election_store.encode_bb_ballot ballots) in
+  Alcotest.(check (pair int (array string))) "the sealed ballots"
+    (encoded (req "sealed slice" (Board.slice sealed target)))
+    (encoded (req "intact slice" slice));
   (* ...every corrupted slice fails... *)
   for c = 0 to Segment.n_chunks m - 1 do
     if c <> target then
-      match Election_store.verify_plain_slice d2 pcfg m ~root:m.Segment.root c with
-      | Ok _ -> Alcotest.failf "corrupted chunk %d must fail" c
-      | Error _ -> ()
+      Alcotest.(check (list (pair string bool)))
+        (Printf.sprintf "corrupted chunk %d fails" c)
+        [ ("s:slice-in-root", true); ("s:slice-readable", false) ]
+        (verdicts (fst (Auditor.check_slice ~root:m.Segment.root board ~chunk:c)))
   done;
-  (* ...and so does the whole-segment audit *)
-  match Election_store.verify_plain d2 pcfg m with
-  | Ok _ -> Alcotest.fail "whole-segment audit must fail"
-  | Error _ -> ()
+  (* ...and so does streaming the whole board *)
+  Alcotest.(check bool) "board stream stops" false (Board.iter board ignore)
 
 (* --- an election served from sealed segments ---------------------------- *)
 
