@@ -375,7 +375,7 @@ let micro () =
   let sg_table = Seed_baseline.make_base_table sc sg in
   let pk_seed = Seed_baseline.of_curve_point pk in
   let scalar = Dd_group.Curve.random_scalar rng in
-  let point = Curve.mul scalar Curve.generator in
+  let point = Dd_group.Group_ctx.mul_g scalar in
   let spoint = Seed_baseline.of_curve_point point in
   let pk_table = Dd_sig.Schnorr.make_pk_table pk in
   let sig_s, sig_e =
@@ -388,14 +388,14 @@ let micro () =
      Dd_sig.Schnorr.challenge ~commitment:r ~pk "endorse|bench|7|code")
   in
   let pts64 =
-    Array.init 64 (fun i -> Curve.mul_int (i + 2) Curve.generator)
+    Array.init 64 (fun i -> Dd_group.Group_ctx.mul_g (Nat.of_int (i + 2)))
   in
   (* msm operands: random scalars on random points, batch-verifier shape *)
   let msm_pairs n =
     Array.init n (fun i ->
         (Dd_group.Curve.random_scalar rng,
-         Curve.mul (Dd_group.Curve.random_scalar rng)
-           (Curve.mul_int (i + 2) Curve.generator)))
+         Curve.mul_vartime (Dd_group.Curve.random_scalar rng)
+           (Dd_group.Group_ctx.mul_g (Nat.of_int (i + 2)))))
   in
   let msm64 = msm_pairs 64 and msm512 = msm_pairs 512 in
   (* cast-rush's batch shape: 62 128-bit weights on the signatures' R
@@ -522,8 +522,6 @@ let micro () =
       Test.make ~name:"arith.field-inv.secp256k1"
         (Staged.stage (fun () -> Dd_bignum.Fe.inv edst efx));
       (* arithmetic stack: scalar multiplication variants *)
-      Test.make ~name:"arith.point-mul.fixed-window"
-        (Staged.stage (fun () -> Curve.mul scalar point));
       Test.make ~name:"arith.point-mul.wnaf-vartime"
         (Staged.stage (fun () -> Curve.mul_vartime scalar point));
       Test.make ~name:"arith.point-mul.seed-baseline"

@@ -189,8 +189,9 @@ let sto_affine c = function
     let zi2 = fsqr b zi in
     Some (field_mul b x zi2, field_mul b y (field_mul b zi2 zi))
 
-(* The seed's Curve.mul: MSB-first double-and-add over however many
-   bits the scalar happens to have. Expects a reduced scalar. *)
+(* The seed's general scalar multiplication: MSB-first double-and-add
+   over however many bits the scalar happens to have. Expects a reduced
+   scalar. *)
 let point_mul c k pt =
   let nbits = Nat.bit_length k in
   let acc = ref Inf in

@@ -196,7 +196,16 @@ let deploy_cmd =
     let devices = Dd_store.Device.by_name (fun name -> File_device.create ~dir:state_dir ~name) in
     Printf.printf "streaming full-crypto setup for %d voters to %s...\n%!" voters state_dir;
     let t0 = Sys.time () in
-    let layout = Election_store.resume_setup ?chunk_size devices cfg ~seed in
+    let layout =
+      match Election_store.resume_setup ?chunk_size devices cfg ~seed with
+      | Some l -> l
+      | None ->
+        Printf.eprintf
+          "deploy: the sealed layout under %s is not this configuration's — \
+           deal it into an empty --state-dir\n"
+          state_dir;
+        exit 1
+    in
     let pr name (mf : Segment.manifest) =
       Printf.printf "  %-12s %7d records %5d chunks %9d B  root %s\n" name mf.Segment.total
         (Segment.n_chunks mf) ((devices name).Dd_store.Device.log_size ())

@@ -335,11 +335,10 @@ let wire_exhaustive ~constructors =
    and their openings — may flow in. The scalar field's extended-Euclid
    inverse [Modular.inv_vartime] is on it too: its step count depends on
    its argument (lib/bignum/modular.mli). R7 [secret-taint] reports any
-   secret reaching one; secret-dependent scalars must use the
-   fixed-window [Curve.mul] / [mul_base_table] paths instead. *)
+   secret reaching one; secret-dependent scalars must use the comb-table
+   paths [Curve.mul_base_table] / [mul_base_batch] instead. *)
 let vartime_callees =
-  [ "mul_vartime"; "mul2_endo"; "endo_split"; "msm";
-    "verify_batch"; "verify_batch_find"; "inv_vartime" ]
+  [ "mul_vartime"; "mul2_endo"; "endo_split"; "msm"; "verify_batch"; "inv_vartime" ]
 
 (* === R6: domain-safe-state ============================================= *)
 

@@ -22,8 +22,8 @@
    [.mli] states that its *result* is public even when its inputs are
    secret — one-way functions ([Sha256.digest], [Hmac.mac]),
    ciphertext ([Aes128]), and computing in the exponent
-   ([Curve.mul]: a public key or commitment does not reveal its scalar
-   under DL). Their results carry no taint; their bodies
+   ([Curve.mul_base_table], [mul_base_batch]: a public key or
+   commitment does not reveal its scalar under DL). Their results carry no taint; their bodies
    are still analyzed.
 
    Propagation is {!Dataflow} (let/pattern/aggregate flow) plus
@@ -203,8 +203,8 @@ let sink_of lid =
       { sink_desc = "variable-time `" ^ dotted ^ "`";
         remedy =
           "the vartime surface is public-data only; secret scalars use the \
-           constant-time Curve.mul / comb-table paths and are never inverted \
-           through Modular.inv_vartime" }
+           comb-table paths (Curve.mul_base_table / mul_base_batch) and are \
+           never inverted through Modular.inv_vartime" }
   else
     match Rules.banned_comparison lid with
     | Some op ->

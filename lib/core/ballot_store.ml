@@ -71,6 +71,10 @@ let msk_share = function
   | Segmented s -> s.sg_msk_share
   | Virtual v -> v.msk_share
 
+let share_tags = function
+  | Segmented _ -> true
+  | Virtual _ -> false
+
 (* Locate a vote code in a ballot: scan both parts' salted hashes, as
    Algorithm 1's VerifyVoteCode does. Returns (part, position, line). *)
 let verify_vote_code t ~serial ~vote_code =

@@ -25,6 +25,12 @@ val lines : t -> serial:int -> part:Types.part_id -> Types.vc_line array
 
 val msk_share : t -> Dd_vss.Shamir_bytes.share
 
+(** Whether the lines carry the EA's tags over their receipt shares:
+    a sealed segment's do ({!segmented}); {!virtual_prf}'s, modeled
+    without EA tags, do not, and a collector then accepts a disclosed
+    share on its shape alone. *)
+val share_tags : t -> bool
+
 (** Algorithm 1's VerifyVoteCode: scan both parts' salted hashes for
     the code; returns its (part, position, line) or [None]. *)
 val verify_vote_code :

@@ -504,7 +504,6 @@ let run (p : params) : result =
             (if gen = 0 then Printf.sprintf "vc-rng|%s|%d" p.seed i
              else Printf.sprintf "vc-rng|%s|%d|g%d" p.seed i gen);
       consensus_coin = p.coin;
-      verify_share_tags = src.Node_source.sv_verify_share_tags;
       verify_tag = None;
       durable }
   in

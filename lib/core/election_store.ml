@@ -238,6 +238,74 @@ let write_setup ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
   in
   run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk:0
 
+(* Whether [st] is the static the EA sealed this layout under: serial
+   0's first receipt share in vc-0 and its part-A ZK-state share in
+   trustee-0 carry EA authenticators, and the EA signs as index nv
+   (resp. nt) of a clique dealt from the seed, so a layout dealt under
+   another seed, nv or nt fails here. *)
+let ea_sealed devices (st : Ea.static) ~vc0 ~trustee0 =
+  let cfg = st.Ea.st_cfg in
+  let election_id = cfg.Types.election_id in
+  let first name m decode =
+    match Segment.read_chunk (devices name) m 0 with
+    | Some records when Array.length records > 0 -> decode records.(0)
+    | Some _ | None -> None
+  in
+  let vc_ok =
+    match first (vc_segment 0) vc0 decode_vc_record with
+    | Some parts when Array.length parts = 2 && Array.length parts.(0) > 0 ->
+      let line = parts.(0).(0) in
+      let share = line.Types.receipt_share in
+      (match line.Types.share_tag with
+       | Some tag ->
+         Auth.verify st.Ea.st_vc_keys.(0) ~signer:cfg.Types.nv
+           (Messages.share_body ~election_id ~serial:0 ~part:Types.A ~pos:0 ~node:0 ~share)
+           tag
+       | None -> false)
+    | Some _ | None -> false
+  in
+  vc_ok
+  && begin
+    match first (trustee_segment 0) trustee0 (decode_trustee_record st.Ea.st_gctx) with
+    | Some parts when Array.length parts > 0 ->
+      let d = parts.(0) in
+      Auth.verify st.Ea.st_trustee_keys.(0) ~signer:cfg.Types.nt
+        (Ea.zk_state_body ~election_id ~serial:0 ~part:Types.A ~trustee:0
+           d.Ea.t_zk_state_share)
+        d.Ea.t_zk_state_tag
+    | Some _ | None -> false
+  end
+
+(* [l] if it is the layout [cfg] names: every segment holds one record
+   per voter and the EA tags check under [l]'s static. *)
+let checked devices cfg (l : layout) =
+  let full (m : Segment.manifest) = m.Segment.total = cfg.Types.n_voters in
+  if full l.l_bb && full l.l_ballots && Array.for_all full l.l_vc
+     && Array.for_all full l.l_trustee
+     && ea_sealed devices l.l_static ~vc0:l.l_vc.(0) ~trustee0:l.l_trustee.(0)
+  then Some l
+  else None
+
+let load_layout devices cfg ~seed =
+  let sealed name =
+    match Segment.load (devices name) with Segment.Sealed m -> Some m | _ -> None
+  in
+  let all names = List.filter_map sealed names in
+  let vc = all (List.init cfg.Types.nv vc_segment) in
+  let tr = all (List.init cfg.Types.nt trustee_segment) in
+  match (sealed bb_segment, sealed ballots_segment) with
+  | Some l_bb, Some l_ballots
+    when List.length vc = cfg.Types.nv && List.length tr = cfg.Types.nt ->
+    (* re-derive the static part: cheap (no per-ballot crypto) *)
+    let l_static =
+      Ea.setup_chunks ~chunk_size:l_bb.Segment.chunk_size ~from_chunk:max_int cfg ~seed
+        ~emit:(fun _ -> ())
+    in
+    (* lint: allow secret-taint — the static's keys only verify EA tags; the comparisons are on record shapes, never secret bytes *)
+    checked devices cfg
+      { l_static; l_bb; l_ballots; l_vc = Array.of_list vc; l_trustee = Array.of_list tr }
+  | _ -> None
+
 let resume_setup ?pool ?chunk_size devices cfg ~seed =
   (* classify every segment, discovering the on-disk chunk size *)
   let discovered = ref None in
@@ -300,78 +368,11 @@ let resume_setup ?pool ?chunk_size devices cfg ~seed =
   in
   (* from_chunk = max_int means every slot is already sealed: keep it,
      so setup_chunks generates nothing (an O(1) static re-derivation)
-     and run_setup merely returns the existing manifests *)
-  run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk
-
-(* Whether [st] is the static the EA sealed this layout under: serial
-   0's first receipt share in vc-0 and its part-A ZK-state share in
-   trustee-0 carry EA authenticators, and the EA signs as index nv
-   (resp. nt) of a clique dealt from the seed, so a layout dealt under
-   another seed, nv or nt fails here. *)
-let ea_sealed devices (st : Ea.static) ~vc0 ~trustee0 =
-  let cfg = st.Ea.st_cfg in
-  let election_id = cfg.Types.election_id in
-  let first name m decode =
-    match Segment.read_chunk (devices name) m 0 with
-    | Some records when Array.length records > 0 -> decode records.(0)
-    | Some _ | None -> None
-  in
-  let vc_ok =
-    match first (vc_segment 0) vc0 decode_vc_record with
-    | Some parts when Array.length parts = 2 && Array.length parts.(0) > 0 ->
-      let line = parts.(0).(0) in
-      let share = line.Types.receipt_share in
-      (match line.Types.share_tag with
-       | Some tag ->
-         Auth.verify st.Ea.st_vc_keys.(0) ~signer:cfg.Types.nv
-           (Messages.share_body ~election_id ~serial:0 ~part:Types.A ~pos:0 ~node:0 ~share)
-           tag
-       | None -> false)
-    | Some _ | None -> false
-  in
-  vc_ok
-  && begin
-    match first (trustee_segment 0) trustee0 (decode_trustee_record st.Ea.st_gctx) with
-    | Some parts when Array.length parts > 0 ->
-      let d = parts.(0) in
-      Auth.verify st.Ea.st_trustee_keys.(0) ~signer:cfg.Types.nt
-        (Ea.zk_state_body ~election_id ~serial:0 ~part:Types.A ~trustee:0
-           d.Ea.t_zk_state_share)
-        d.Ea.t_zk_state_tag
-    | Some _ | None -> false
-  end
-
-let load_layout devices cfg ~seed =
-  (* every segment holds one record per voter *)
-  let manifest name =
-    match Segment.load (devices name) with
-    | Segment.Sealed m when m.Segment.total = cfg.Types.n_voters -> Some m
-    | _ -> None
-  in
-  let all names = List.filter_map manifest names in
-  match (manifest bb_segment, manifest ballots_segment) with
-  | Some l_bb, Some l_ballots -> (
-      let vc = all (List.init cfg.Types.nv vc_segment) in
-      let tr = all (List.init cfg.Types.nt trustee_segment) in
-      match (vc, tr) with
-      | vc0 :: _, trustee0 :: _
-        when List.length vc = cfg.Types.nv && List.length tr = cfg.Types.nt ->
-        (* re-derive the static part: cheap (no per-ballot crypto) *)
-        let static =
-          Ea.setup_chunks ~chunk_size:l_bb.Segment.chunk_size
-            ~from_chunk:max_int cfg ~seed ~emit:(fun _ -> ())
-        in
-        (* lint: allow secret-taint — the static's keys only verify EA tags; the comparisons are on record shapes, never secret bytes *)
-        if ea_sealed devices static ~vc0 ~trustee0 then
-          Some
-            { l_static = static;
-              l_bb;
-              l_ballots;
-              l_vc = Array.of_list vc;
-              l_trustee = Array.of_list tr }
-        else None
-      | _ -> None)
-  | _ -> None
+     and run_setup writes nothing and returns the existing manifests.
+     Sealed or freshly written, the layout is returned only if it is
+     the one [cfg] and [seed] name. *)
+  (* lint: allow secret-taint — the static's keys only verify EA tags; the comparisons are on record shapes, never secret bytes *)
+  checked devices cfg (run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk)
 
 (* --- readers over a sealed layout ----------------------------------------- *)
 

@@ -74,10 +74,12 @@ val write_setup :
     least-complete one (skipping appends already durable elsewhere), and
     seals. The resulting files are byte-identical to an uninterrupted
     run. Also callable over untouched devices (full run) or fully
-    sealed ones (no-op reload). *)
+    sealed ones (a reload, which writes nothing). The layout passes
+    {!load_layout}'s checks or is [None]: a state dir sealed under
+    another seed or [n_voters] is refused, not served. *)
 val resume_setup :
   ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
-  (string -> Device.t) -> Types.config -> seed:string -> layout
+  (string -> Device.t) -> Types.config -> seed:string -> layout option
 
 (** Reload the manifests of a previously sealed layout without
     generating anything. The static part is re-derived from [seed]

@@ -1,7 +1,9 @@
-(* Protocol messages. In the simulator they travel as typed values
-   inside delivery closures (the wire codec in Dd_codec handles the
-   byte-level formats where bytes actually matter: consensus payloads
-   and BB contents); [size] estimates drive the network model. *)
+(* Protocol messages and their byte-level wire format. The simulator
+   delivers them as typed values inside delivery closures, and its
+   network model samples a latency per message, not per byte. The
+   serving runtime sends them as bytes ([encode_vc_msg],
+   [encode_bb_msg], framed by Mux), and a board journals the messages
+   it accepts in the same encoding. *)
 
 (* A uniqueness certificate: Nv - fv endorsements binding (serial,
    vote-code). Its formation guarantees no second vote code can ever be

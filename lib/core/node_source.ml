@@ -5,7 +5,6 @@ type t = {
   sv_bb : (Ea.bb_init * (int -> Board.t)) option;
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
   sv_ballot_for : int -> Types.ballot;
-  sv_verify_share_tags : bool;
   sv_seed : string;
 }
 
@@ -18,7 +17,6 @@ let prf ?(scheme = Auth.Schnorr_scheme) cfg ~seed =
     sv_trustees = None;
     sv_ballot_for =
       (fun serial -> Ballot_gen.voter_ballot ~seed ~serial ~m:cfg.Types.m_options);
-    sv_verify_share_tags = false;
     sv_seed = seed }
 
 let of_layout ~devices (layout : Election_store.layout) =
@@ -41,7 +39,6 @@ let of_layout ~devices (layout : Election_store.layout) =
     sv_trustees =
       Some (st.Ea.st_trustee_keys, Election_store.read_trustee_init devices layout);
     sv_ballot_for = Election_store.voter_ballot_reader devices layout;
-    sv_verify_share_tags = true;
     (* no node is seeded from an EA secret: the node RNG seed only
        drives timers and coin draws, so a public per-election string
        works *)

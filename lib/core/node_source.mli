@@ -19,7 +19,6 @@ type t = {
       (** trustee clique + per-trustee init (read on each call);
           [None] without full cryptography *)
   sv_ballot_for : int -> Types.ballot;  (** a voter's printed ballot *)
-  sv_verify_share_tags : bool;
   sv_seed : string;
       (** seeds node timers and coin draws on the serving runtime (the
           simulator seeds them from its run seed); public, never an EA

@@ -52,9 +52,6 @@ type env = {
   send_bb : dst:int -> Messages.bb_msg -> unit;
   rng : Dd_crypto.Drbg.t;
   consensus_coin : Binary_batch.coin;
-  (* when false (modeled runs without EA tags), receipt shares are
-     accepted based on shape alone *)
-  verify_share_tags : bool;
   (* override for authenticator checks; must be semantically identical
      to [Auth.verify] (the serving runtime's amortizing verifier) *)
   verify_tag : (signer:int -> string -> Auth.tag -> bool) option;
@@ -274,7 +271,7 @@ let verify_receipt_share t ~serial ~part ~pos ~node (share : Shamir_bytes.share)
   share.Shamir_bytes.x = node + 1
   && String.length share.Shamir_bytes.data = Types.receipt_bytes
   && begin
-    if not t.env.verify_share_tags then true
+    if not (Ballot_store.share_tags t.env.store) then true
     else
       match tag with
       | None -> false
@@ -957,7 +954,7 @@ let obligations t (msg : Messages.vc_msg) =
     List.map (fun (signer, tag) -> (signer, body, tag)) u.Messages.endorsements
   in
   let share_obls ~serial ~part ~pos ~sender ~share = function
-    | Some tag when t.env.verify_share_tags ->
+    | Some tag when Ballot_store.share_tags t.env.store ->
       [ (t.env.cfg.Types.nv,
          Messages.share_body ~election_id ~serial ~part ~pos ~node:sender ~share, tag) ]
     | Some _ | None -> []

@@ -15,7 +15,6 @@ type env = {
   send_bb : dst:int -> Messages.bb_msg -> unit;
   rng : Dd_crypto.Drbg.t;
   consensus_coin : Dd_consensus.Binary_batch.coin;
-  verify_share_tags : bool;        (** [false] only in modeled runs without EA tags *)
   verify_tag : (signer:int -> string -> Auth.tag -> bool) option;
       (** Override for authenticator checks on the hot path. [None]
           verifies each tag directly with {!Auth.verify} (and UCERTs
@@ -93,7 +92,8 @@ val handle : t -> Messages.vc_msg -> unit
 (** The authenticator checks {!handle} may make on [msg] in this
     node's current state, as (signer, body, tag): an ENDORSEMENT's tag
     over the code the node is collecting, the EA's tag over a disclosed
-    share (with [env.verify_share_tags]), and each endorsement of a
+    share (when the store's lines carry share tags,
+    {!Ballot_store.share_tags}), and each endorsement of a
     carried UCERT. A host batch-verifies them ahead of [handle] and
     answers [env.verify_tag] from the verdicts. *)
 val obligations : t -> Messages.vc_msg -> (int * string * Auth.tag) list

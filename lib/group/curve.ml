@@ -294,37 +294,6 @@ let neg p =
 
 let sub p q = add p (neg q)
 
-(* 4-bit window digit w of scalar k (little-endian window index). *)
-let window4 k w =
-  (if Nat.testbit k (4*w) then 1 else 0)
-  lor (if Nat.testbit k (4*w + 1) then 2 else 0)
-  lor (if Nat.testbit k (4*w + 2) then 4 else 0)
-  lor (if Nat.testbit k (4*w + 3) then 8 else 0)
-
-(* Scalar multiplication for secret scalars: fixed 4-bit windows,
-   MSB-first. The window count is fixed by the order's bit length and
-   every window performs four doublings, one table lookup and one add
-   (the d = 0 slot holds the identity), so the sequence of group
-   operations does not depend on the scalar's value — see the timing
-   contract in curve.mli. *)
-let mul k pt =
-  let k = Modular.reduce scalar_field k in
-  let s = scratch () in
-  let tbl = Array.init 16 (fun _ -> jac ()) in
-  load pt tbl.(1);
-  for d = 2 to 15 do add_j s tbl.(d) tbl.(d - 1) tbl.(1) done;
-  let windows = (Nat.bit_length order + 3) / 4 in
-  let acc = jac () in
-  for w = windows - 1 downto 0 do
-    for _ = 1 to 4 do dbl s acc acc done;
-    add_j s acc acc tbl.(window4 k w)
-  done;
-  store acc
-
-let mul_int k pt =
-  if k < 0 then invalid_arg "Curve.mul_int: negative scalar";
-  mul (Nat.of_int k) pt
-
 (* --- the variable-time arena ---------------------------------------------- *)
 
 (* Working memory of the variable-time paths, one per domain

@@ -23,20 +23,13 @@
     the secrecy of the scalar, not by speed alone:
 
     - {b Secret scalars} (signing nonces, VSS shares and evaluation
-      points, ElGamal randomness): use {!mul}, {!mul_base_table} or
-      {!mul_base_batch}. Each processes a fixed number of windows
-      determined by the group order's bit length, performing one table
-      lookup and one add per window unconditionally — the sequence of
-      group operations does not depend on the scalar.
-    - What {!mul} guarantees, exactly: 4-bit windows, as many as the
-      order has nibbles; per window four doublings, one read of a
-      16-entry Jacobian table indexed by the window's digit, and one
-      add; every field operation on {!Dd_bignum.Fe}. It is not fully
-      constant-time: the digit is an array index, and the add takes a
-      shortcut when an operand is the identity (the accumulator before
-      the first nonzero window, the entry of a zero digit) or when the
-      operands are equal. Doubling needs no case: the identity doubles
-      to Z = 0 through the formula.
+      points, ElGamal randomness, ZK nonces): use {!mul_base_table} or
+      {!mul_base_batch}, on the comb table of a fixed base. Each
+      processes one signed digit per table row, a number fixed by the
+      group order's bit length, performing one table read and one add
+      per row unconditionally — the sequence of group operations does
+      not depend on the scalar. There is no secret-scalar path for a
+      point without a comb table.
     - The comb tables ({!base_table}) use signed odd digits. A digit
       picks its entry by index arithmetic and its sign by a mask select
       between y and -y ([Fe.select]), with no branch on the digit.
@@ -112,13 +105,6 @@ val on_curve : Nat.t * Nat.t -> bool
 val add : point -> point -> point
 val neg : point -> point
 val sub : point -> point -> point
-
-(** [mul k p] is [k] dot [p]; [k] is reduced mod the group order.
-    Fixed 4-bit windows with a scalar-independent operation sequence —
-    safe for secret scalars (see the timing contract above). *)
-(* lint: public — computing in the exponent: k*P reveals k only by breaking DL *)
-val mul : Nat.t -> point -> point
-val mul_int : int -> point -> point
 
 (** [mul_vartime k p] computes [k] dot [p] by width-5 wNAF.
     {b Variable time}: only for public scalars and points (verification

@@ -27,19 +27,11 @@ let h_table () = Dd_parallel.Once.force h_cell
 let mul_g k = Curve.mul_base_table (g_table ()) k
 let mul_h k = Curve.mul_base_table (h_table ()) k
 
-(* General multiplication that recognizes the two fixed bases by
-   physical equality and takes the precomputed-table fast path. *)
-let mul k pt =
-  if pt == g then mul_g k
-  else if pt == h then mul_h k
-  else Curve.mul k pt
-
 (* --- MSM accumulator for the verifiers ------------------------------ *)
 (* An accumulator holds one equation sum_j k_j * P_j = O (a serial
    check) or many folded into one random linear combination (a batch).
    Most terms hit the two fixed generators, so the
-   accumulator recognizes G and H by physical equality (the same trick
-   as [mul]) and folds their coefficients into two scalars; at check
+   accumulator recognizes G and H by physical equality and folds their coefficients into two scalars; at check
    time those two legs go through the doubling-free comb tables and
    only the remaining terms pay for the MSM. *)
 

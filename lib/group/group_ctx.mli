@@ -32,13 +32,10 @@ val h : Curve.point
 val g_table : unit -> Curve.base_table
 val h_table : unit -> Curve.base_table
 
-(** Fixed-base multiplications by G and H using the precomputed tables. *)
+(** Fixed-base multiplications by G and H using the precomputed tables.
+    Safe for secret scalars ({!Curve.mul_base_table}). *)
 val mul_g : Nat.t -> Curve.point
 val mul_h : Nat.t -> Curve.point
-
-(** General multiplication; physically-equal G or H arguments take the
-    fixed-base fast path. Safe for secret scalars. *)
-val mul : Nat.t -> Curve.point -> Curve.point
 
 (** MSM accumulator for the verifiers: collects terms [k * P] (or
     [k * -P] via {!acc_sub}) of one verification equation or of many

@@ -29,7 +29,6 @@ type source = Ddemos.Node_source.t = {
   sv_bb : (Ea.bb_init * (int -> Board.t)) option;
   sv_trustees : (Auth.keys array * (int -> Ea.trustee_init)) option;
   sv_ballot_for : int -> Types.ballot;
-  sv_verify_share_tags : bool;
   sv_seed : string;
 }
 
@@ -166,7 +165,6 @@ let make_env t i : Vc_node.env =
     send_bb = (fun ~dst msg -> t.staging.(i) := S_bb (dst, msg) :: !(t.staging.(i)));
     rng = Drbg.create ~seed:(Printf.sprintf "vc-rng|%s|%d" t.src.sv_seed i);
     consensus_coin = Dd_consensus.Binary_batch.Local;
-    verify_share_tags = t.src.sv_verify_share_tags;
     verify_tag =
       (if t.batching then Some (Batcher.verify t.batchers.(i)) else None);
     durable = None }

@@ -58,7 +58,6 @@ type source = Ddemos.Node_source.t = {
   sv_bb : (Ddemos.Ea.bb_init * (int -> Ddemos.Board.t)) option;
   sv_trustees : (Ddemos.Auth.keys array * (int -> Ddemos.Ea.trustee_init)) option;
   sv_ballot_for : int -> Ddemos.Types.ballot;
-  sv_verify_share_tags : bool;
   sv_seed : string;
 }
 

@@ -134,14 +134,6 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
     Group_ctx.acc_check acc
   end
 
-(* Localize the invalid signatures of a failing batch (sorted indices;
-   [] iff the whole batch verifies). *)
-let verify_batch_find rng items =
-  Batch.find_failures ~n:(Array.length items)
-    ~check:(fun ~lo ~len ->
-        if len = 1 then (let pk, msg, sg = items.(lo) in verify ~pk msg sg)
-        else verify_batch rng (Array.sub items lo len))
-
 let commitment { r; _ } = r
 
 let encode { s; r } =

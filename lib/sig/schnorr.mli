@@ -67,13 +67,6 @@ val verify_batch :
   Dd_crypto.Drbg.t ->
   (public_key * string * signature) array -> bool
 
-(** Sorted indices of the invalid signatures, found by bisecting
-    sub-batches; [[]] iff every signature verifies. *)
-(* lint: allow unused-export — test_sig checks the bisection names the forged items *)
-val verify_batch_find :
-  Dd_crypto.Drbg.t ->
-  (public_key * string * signature) array -> int list
-
 (** The nonce commitment R a signature carries. *)
 (* lint: allow unused-export — test_core "chunk points affine" *)
 val commitment : signature -> Curve.point

@@ -62,7 +62,3 @@ let reconstruct fn ~threshold (shares : share list) =
   Array.iteri (fun i s -> acc := Modular.add fn !acc (Modular.mul fn basis.(i) s.value)) shares;
   !acc
 
-let add fn a b =
-  if a.x <> b.x then invalid_arg "Shamir_scalar.add: mismatched evaluation points";
-  { x = a.x; value = Modular.add fn a.value b.value }
-

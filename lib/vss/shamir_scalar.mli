@@ -1,6 +1,6 @@
-(** Shamir secret sharing of field scalars (mod the curve order), with
-    share-wise additive homomorphism — the trustees' sharing of
-    commitment openings. *)
+(** Shamir secret sharing of field scalars (mod the curve order) — the
+    trustees' sharing of commitment openings. Shares add share-wise
+    ([Elgamal_vss.sum_shares]). *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
@@ -20,7 +20,3 @@ val split :
 
 (** Exactly [threshold] shares with distinct positive [x]. *)
 val reconstruct : Modular.ctx -> threshold:int -> share list -> Nat.t
-
-(** Share-wise addition: valid only for shares at the same [x]. *)
-(* lint: allow unused-export — test_vss "additive homomorphism" *)
-val add : Modular.ctx -> share -> share -> share

@@ -74,9 +74,9 @@ let sum_statement ?(k = 1) (commitments : Elgamal.t array) : Chaum_pedersen.stat
   { g1 = Group_ctx.g; g2 = Group_ctx.h; h1 = c1;
     h2 = Curve.sub c2 (Group_ctx.mul_g (Nat.of_int k)) }
 
-(* The first move Chaum_pedersen.simulate would give the branch that
-   [opening] does not satisfy, for challenge c and response z, computed
-   from the witness instead of the statement. That branch claims
+(* The simulated first move (t = z*g - c*h on each base) of the branch
+   that [opening] does not satisfy, for challenge c and response z,
+   computed from the witness instead of the statement. That branch claims
    h1 = r*G and h2 = (2b-1)*G + r*H (b the committed bit), so
    t1 = z*G - c*h1 = (z - c*r)*G and
    t2 = z*H - c*h2 = (z - c*r)*H + c*(1-2b)*G:
@@ -91,9 +91,8 @@ let simulated_jobs (o : Elgamal.opening) ~challenge ~response =
   ([ (g, s) ], [ (h, s); (g, Modular.mul fn challenge sign) ])
 
 (* Draw the prover's randomness for a ballot part: per row the real
-   branch's nonce w, then the simulated branch's challenge and response
-   (Chaum_pedersen.commit's and simulate's draw order), then the sum
-   proof's nonce. The openings must commit to a unit vector (this is
+   branch's nonce w, then the simulated branch's challenge and response,
+   then the sum proof's nonce. The openings must commit to a unit vector (this is
    the honest-prover path; EA misbehaviour is exactly what verification
    later catches). *)
 let draw_state rng ~(openings : Elgamal.opening array) =

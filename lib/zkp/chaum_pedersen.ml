@@ -23,14 +23,7 @@ type first_move = {
   t2 : Curve.point;
 }
 
-(* The prover's secret nonce, kept until the challenge arrives. *)
-type prover_state = Nat.t
-
-let commit rng (st : statement) : prover_state * first_move =
-  let w = Curve.random_scalar rng in
-  (w, { t1 = Group_ctx.mul w st.g1; t2 = Group_ctx.mul w st.g2 })
-
-let respond ~(state : prover_state) ~witness ~challenge =
+let respond ~state ~witness ~challenge =
   let fn = Curve.scalar_field in
   Modular.add fn state (Modular.mul fn challenge witness)
 
@@ -58,18 +51,3 @@ let equations sink (inst : instance) =
   in
   Group_ctx.equation sink (eq inst.stmt.g1 inst.fm.t1 inst.stmt.h1);
   Group_ctx.equation sink (eq inst.stmt.g2 inst.fm.t2 inst.stmt.h2)
-
-let verify stmt fm ~challenge ~response =
-  let sink = Group_ctx.serial () in
-  equations sink { stmt; fm; challenge; response };
-  Group_ctx.verdict sink
-
-(* Simulate an accepting transcript for a chosen challenge (used by the
-   OR composition for the branch the prover cannot prove). *)
-let simulate rng (st : statement) ~challenge =
-  let z = Curve.random_scalar rng in
-  let fm =
-    { t1 = Curve.sub (Group_ctx.mul z st.g1) (Group_ctx.mul challenge st.h1);
-      t2 = Curve.sub (Group_ctx.mul z st.g2) (Group_ctx.mul challenge st.h2) }
-  in
-  (fm, z)

@@ -1,6 +1,9 @@
-(** Chaum-Pedersen discrete-log-equality sigma protocol, with the three
-    moves exposed separately (D-DEMOS spreads them over the election:
-    EA commits, voter coins challenge, trustees respond). *)
+(** Chaum-Pedersen discrete-log-equality sigma protocol: its transcript
+    types, the third move and the verification equations. D-DEMOS
+    spreads the moves over the election: the EA commits, the voters'
+    coins challenge, the trustees respond. The EA forms every first move
+    as comb jobs ([Ballot_proof.first_move_jobs]), the nonce times the
+    statement bases G and H. *)
 
 module Nat = Dd_bignum.Nat
 module Curve = Dd_group.Curve
@@ -17,15 +20,9 @@ type first_move = {
   t2 : Curve.point;
 }
 
-type prover_state = Nat.t
-
-(** First move; keep the returned state secret until the challenge. *)
-(* lint: allow unused-export — test_zkp runs the Sigma protocol's moves *)
-val commit :
-  Dd_crypto.Drbg.t -> statement -> prover_state * first_move
-
-(** Third move: [state + challenge * witness]. *)
-val respond : state:prover_state -> witness:Nat.t -> challenge:Nat.t -> Nat.t
+(** Third move: [state + challenge * witness], [state] the prover's
+    secret nonce. *)
+val respond : state:Nat.t -> witness:Nat.t -> challenge:Nat.t -> Nat.t
 
 (** A complete transcript. *)
 type instance = {
@@ -40,15 +37,3 @@ type instance = {
     [(g2, t2, h2)], to [sink]. {b Variable time} — public transcripts
     only. *)
 val equations : Dd_group.Group_ctx.sink -> instance -> unit
-
-(** Both equations, each alone at weight one. *)
-(* lint: allow unused-export — test_zkp's chaum-pedersen cases check transcripts with it *)
-val verify :
-  statement -> first_move -> challenge:Nat.t -> response:Nat.t -> bool
-
-(** Accepting transcript for a chosen challenge without the witness
-    (honest-verifier zero-knowledge simulator; used in OR proofs). *)
-(* lint: allow unused-export — test_zkp runs the Sigma protocol's moves *)
-val simulate :
-  Dd_crypto.Drbg.t -> statement -> challenge:Nat.t ->
-  first_move * Nat.t

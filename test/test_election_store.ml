@@ -158,7 +158,7 @@ let test_resume_bit_identical () =
          d.Device.log_sync ()
        end)
     names;
-  let layout = Election_store.resume_setup crash_dev cfg ~seed:"estore" in
+  let layout = req "resume" (Election_store.resume_setup crash_dev cfg ~seed:"estore") in
   Alcotest.(check string) "same top root"
     ref_layout.Election_store.l_bb.Segment.root
     layout.Election_store.l_bb.Segment.root;
@@ -255,7 +255,7 @@ let test_crash_mid_chunk_resumes () =
             file.Device.log_sync ())
          !caches;
        let files name = Dd_store.File_device.create ~dir ~name in
-       ignore (Election_store.resume_setup files group_cfg ~seed:"groups"
+       ignore (req "resume" (Election_store.resume_setup files group_cfg ~seed:"groups")
                : Election_store.layout);
        Hashtbl.iter
          (fun name b ->
@@ -457,6 +457,24 @@ let test_layout_matches_config_and_seed () =
   Alcotest.(check bool) "fewer collectors" false
     (loads { cfg with Types.nv = cfg.Types.nv - 1; Types.fv = 0 } "estore")
 
+(* Resuming a sealed state dir is a reload, and it obeys [load_layout]:
+   a 6-voter layout dealt under one seed is refused under another seed
+   and under n = 8, and neither probe writes a byte. *)
+let test_resume_refuses_other_layout () =
+  let tbl, dev = mem_family () in
+  ignore (Election_store.write_setup dev cfg ~seed:"estore" : Election_store.layout);
+  let bytes () =
+    List.sort compare
+      (Hashtbl.fold (fun name b acc -> (name, Device.Mem.durable_log b) :: acc) tbl [])
+  in
+  let before = bytes () in
+  let resumes cfg seed = Option.is_some (Election_store.resume_setup dev cfg ~seed) in
+  Alcotest.(check bool) "another seed refused" false (resumes cfg "not-the-deploy-seed");
+  Alcotest.(check bool) "n = 8 refused" false
+    (resumes { cfg with Types.n_voters = 8 } "estore");
+  Alcotest.(check bool) "devices unchanged" true (before = bytes ());
+  Alcotest.(check bool) "its own config and seed reload" true (resumes cfg "estore")
+
 (* Loading only reads: probing a layout dealt for four collectors
    under five finds no vc-4 segment, and must not leave an empty one
    behind; nor may a load make a state dir that does not exist. *)
@@ -490,6 +508,8 @@ let () =
             test_layout_matches_config_and_seed;
           Alcotest.test_case "loading a layout writes nothing" `Quick
             test_load_writes_nothing;
+          Alcotest.test_case "resume refuses another seed or size" `Quick
+            test_resume_refuses_other_layout;
           Alcotest.test_case "one group per emission" `Quick test_one_group_per_emission;
           Alcotest.test_case "crash mid-chunk resumes on File_device" `Quick
             test_crash_mid_chunk_resumes ] );

@@ -8,6 +8,7 @@ module Curve = Dd_group.Curve
 module Group_ctx = Dd_group.Group_ctx
 
 let g = Group_ctx.g
+let mul_g = Group_ctx.mul_g
 
 let point = Alcotest.testable (fun fmt _ -> Format.fprintf fmt "<point>") Curve.equal
 
@@ -27,7 +28,7 @@ let test_generator_on_curve () =
   | Some xy -> Alcotest.(check bool) "on curve" true (Curve.on_curve xy)
 
 let test_2g_known () =
-  match Curve.to_affine (Curve.mul_int 2 g) with
+  match Curve.to_affine (mul_g Nat.two) with
   | None -> Alcotest.fail "2G infinity"
   | Some (x, y) ->
     Alcotest.(check string) "2G.x"
@@ -36,24 +37,24 @@ let test_2g_known () =
       "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a" (nat_hex ~len:32 y)
 
 let test_5g_known () =
-  match Curve.to_affine (Curve.mul_int 5 g) with
+  match Curve.to_affine (mul_g (Nat.of_int 5)) with
   | None -> Alcotest.fail "5G infinity"
   | Some (x, _) ->
     Alcotest.(check string) "5G.x"
       "2f8bde4d1a07209355b4a7250a5c5128e88b84bddc619ab7cba8d569b240efe4" (nat_hex ~len:32 x)
 
 let test_order_annihilates () =
-  Alcotest.check point "nG = O" Curve.infinity (Curve.mul Curve.order g);
-  Alcotest.check point "(n+1)G = G" g (Curve.mul (Nat.add Curve.order Nat.one) g)
+  Alcotest.check point "nG = O" Curve.infinity (mul_g Curve.order);
+  Alcotest.check point "(n+1)G = G" g (mul_g (Nat.add Curve.order Nat.one))
 
 let test_identity_laws () =
   Alcotest.check point "O + G = G" g (Curve.add Curve.infinity g);
   Alcotest.check point "G + O = G" g (Curve.add g Curve.infinity);
   Alcotest.check point "G - G = O" Curve.infinity (Curve.sub g g);
-  Alcotest.check point "0 * G = O" Curve.infinity (Curve.mul Nat.zero g)
+  Alcotest.check point "0 * G = O" Curve.infinity (mul_g Nat.zero)
 
 let test_codec () =
-  let p = Curve.mul_int 123456789 g in
+  let p = mul_g (Nat.of_int 123456789) in
   (match Curve.decode (Curve.encode p) with
    | Some p' -> Alcotest.check point "roundtrip" p p'
    | None -> Alcotest.fail "decode failed");
@@ -83,18 +84,10 @@ let test_hash_to_scalar () =
   Alcotest.(check bool) "part boundaries matter" false (Nat.equal s1 s3);
   Alcotest.(check bool) "reduced" true (Nat.compare s1 Curve.order < 0)
 
-let test_group_ctx_mul_fast_path () =
-  let k = Nat.of_hex "123456789abcdef123456789abcdef" in
-  Alcotest.check point "mul g" (Curve.mul k g) (Group_ctx.mul k g);
-  Alcotest.check point "mul h" (Curve.mul k Group_ctx.h)
-    (Group_ctx.mul k Group_ctx.h);
-  let other = Curve.mul_int 2 g in
-  Alcotest.check point "mul other" (Curve.mul k other) (Group_ctx.mul k other)
-
 let test_compressed_codec () =
   List.iter
     (fun k ->
-       let p = Curve.mul_int k g in
+       let p = mul_g (Nat.of_int k) in
        let enc = Curve.encode_compressed p in
        Alcotest.(check int) "33 bytes" 33 (String.length enc);
        match Curve.decode_compressed enc with
@@ -136,39 +129,39 @@ let test_field_sqrt () =
 let prop_add_comm =
   QCheck.Test.make ~name:"P+Q = Q+P" ~count:30 (QCheck.pair arb_scalar arb_scalar)
     (fun (a, b) ->
-       let p = Curve.mul a g and q = Curve.mul b g in
+       let p = mul_g a and q = mul_g b in
        Curve.equal (Curve.add p q) (Curve.add q p))
 
 let prop_add_assoc =
   QCheck.Test.make ~name:"(P+Q)+R = P+(Q+R)" ~count:20
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (a, b, d) ->
-       let p = Curve.mul a g and q = Curve.mul b g and r = Curve.mul d g in
+       let p = mul_g a and q = mul_g b and r = mul_g d in
        Curve.equal (Curve.add (Curve.add p q) r) (Curve.add p (Curve.add q r)))
 
 let prop_scalar_distributes =
   QCheck.Test.make ~name:"(a+b)G = aG + bG" ~count:30 (QCheck.pair arb_scalar arb_scalar)
     (fun (a, b) ->
        Curve.equal
-         (Curve.mul (Nat.add a b) g)
-         (Curve.add (Curve.mul a g) (Curve.mul b g)))
+         (mul_g (Nat.add a b))
+         (Curve.add (mul_g a) (mul_g b)))
 
 let prop_double_is_add =
   QCheck.Test.make ~name:"2P = P+P" ~count:30 arb_scalar
     (fun a ->
-       let p = Curve.mul a g in
-       Curve.equal (Curve.mul_int 2 p) (Curve.add p p))
+       let p = mul_g a in
+       Curve.equal (Curve.mul_vartime Nat.two p) (Curve.add p p))
 
 let prop_neg_inverse =
   QCheck.Test.make ~name:"P + (-P) = O" ~count:30 arb_scalar
     (fun a ->
-       let p = Curve.mul a g in
+       let p = mul_g a in
        Curve.is_infinity (Curve.add p (Curve.neg p)))
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"decode . encode = id" ~count:30 arb_scalar
     (fun a ->
-       let p = Curve.mul a g in
+       let p = mul_g a in
        match Curve.decode (Curve.encode p) with
        | Some p' -> Curve.equal p p'
        | None -> false)
@@ -189,7 +182,7 @@ let prop_point_bytes_fuzz =
     Bytes.to_string b
   in
   let encoded compressed k =
-    let p = Curve.mul k g in
+    let p = mul_g k in
     if compressed then Curve.encode_compressed p else Curve.encode p
   in
   let with_prefix b s = String.make 1 (Char.chr b) ^ String.sub s 1 (String.length s - 1) in
@@ -228,7 +221,7 @@ let prop_point_bytes_fuzz =
 
 let prop_table_matches_plain =
   QCheck.Test.make ~name:"table mul = plain mul" ~count:30 arb_scalar
-    (fun a -> Curve.equal (Group_ctx.mul_g a) (Curve.mul a g))
+    (fun a -> Curve.equal (mul_g a) (Curve.mul_vartime a g))
 
 (* --- differential: fast scalar-multiplication paths ---------------------- *)
 
@@ -295,7 +288,7 @@ let prop_add_cases_match_ref =
     (fun a ->
        let rp = Ref.mul a Ref.gen in
        let twice = Ref.add rp rp in
-       let pj = Curve.mul a g and pa = of_ref rp and o = Curve.infinity in
+       let pj = Curve.mul_vartime a g and pa = of_ref rp and o = Curve.infinity in
        List.for_all
          (fun (p, q, want) -> agrees want (Curve.add p q))
          [ (pj, pj, twice); (pj, Curve.neg pj, None); (o, pj, rp); (pj, o, rp);
@@ -372,14 +365,14 @@ let test_base_table_edge_scalars () =
          (fun k ->
             Alcotest.(check bool)
               (Printf.sprintf "w%d k = %s" width (nat_hex k)) true
-              (Curve.equal (Curve.mul k g) (Curve.mul_base_table (table_of_width width) k)))
+              (Curve.equal (Curve.mul_vartime k g) (Curve.mul_base_table (table_of_width width) k)))
          (edge_scalars ~width))
     [ 4; 8 ]
 
-(* mul_base_table against the fixed-window [mul]. *)
+(* mul_base_table against the reference double-and-add. *)
 let prop_base_table_matches_mul =
   QCheck.Test.make ~name:"mul_base_table = mul on the generator" ~count:20 arb_scalar
-    (fun k -> Curve.equal (Curve.mul k g) (Curve.mul_base_table table k))
+    (fun k -> Curve.equal (naive_mul k g) (Curve.mul_base_table table k))
 
 (* --- GLV verification tables ------------------------------------------- *)
 
@@ -437,15 +430,15 @@ let test_endo_split_bound () =
 
 (* The walk's cases, each half in turn: zero, odd, even, negative, and
    the row bound (32 rows of width 4 cover 128 bits: 2^128 - 1 odd and
-   2^128 - 2 even), all against u*G + (k1 + k2 lambda) * P by the
-   fixed-window [mul]. A half one bit past the bound is refused, and a
+   2^128 - 2 even), all against u*G + (k1 + k2 lambda) * P by
+   [mul_vartime]. A half one bit past the bound is refused, and a
    table over the identity takes only zero halves. *)
 let endo_base = Curve.hash_to_point "glv table base"
 let endo_table = (Curve.make_endo_tables [| endo_base |]).(0)
 
 let endo_matches u halves =
   Curve.equal (Curve.mul2_endo table u endo_table halves)
-    (Curve.add (Curve.mul u g) (Curve.mul (recombine halves) endo_base))
+    (Curve.add (Curve.mul_vartime u g) (Curve.mul_vartime (recombine halves) endo_base))
 
 let test_endo_table_halves () =
   let bound = Nat.sub (Nat.shift_left Nat.one 128) Nat.one in
@@ -480,7 +473,7 @@ let test_endo_table_halves () =
   Alcotest.(check bool) "second half past the rows" true
     (refused endo_table ((false, Nat.one), (true, past)));
   let void = (Curve.make_endo_tables [| Curve.infinity |]).(0) in
-  Alcotest.(check point) "identity table, zero halves" (Curve.mul u g)
+  Alcotest.(check point) "identity table, zero halves" (Curve.mul_vartime u g)
     (Curve.mul2_endo table u void ((false, Nat.zero), (true, Nat.zero)));
   Alcotest.(check bool) "identity table, a nonzero half" true
     (refused void ((false, Nat.one), (false, Nat.zero)))
@@ -497,9 +490,9 @@ let prop_endo_table_matches_mul =
 let hv = Curve.hash_to_point "d-demos second generator H"
 let h_table = Curve.make_base_table ~width:8 hv
 
-(* The reference sum of a job, by the fixed-window [mul]. *)
+(* The reference sum of a job, by [mul_vartime]. *)
 let job_by_mul bases job =
-  List.fold_left (fun acc (b, k) -> Curve.add acc (Curve.mul k b)) Curve.infinity
+  List.fold_left (fun acc (b, k) -> Curve.add acc (Curve.mul_vartime k b)) Curve.infinity
     (List.map2 (fun b (_, k) -> (b, k)) bases job)
 
 let batch_matches jobs bases =
@@ -534,7 +527,7 @@ let test_batch_edge_scalars () =
     (batch_matches (List.map fst cases) (List.map snd cases))
 
 (* Batch sizes 0 and 1, and one group's size plus and minus one (the
-   last against mul_base_table, itself pinned to [mul] above). *)
+   last against mul_base_table, itself pinned to [naive_mul] above). *)
 let test_batch_sizes () =
   Alcotest.(check int) "empty batch" 0 (Array.length (Curve.mul_base_batch [||]));
   Alcotest.(check bool) "one job" true
@@ -571,13 +564,16 @@ let prop_batch_matches_mul =
        in
        batch_matches (List.map fst cases) (List.map snd cases))
 
+(* Both paths on a base other than G: a comb table of the point's own
+   (width 4, as a signer's), and wNAF. *)
 let prop_mul_matches_naive =
-  QCheck.Test.make ~name:"mul and mul_vartime = naive double-and-add" ~count:25
+  QCheck.Test.make ~name:"mul_base_table and mul_vartime = naive double-and-add" ~count:25
     (QCheck.pair arb_scalar arb_scalar)
     (fun (a, k) ->
        let pt = naive_mul a g in
        let want = naive_mul k pt in
-       Curve.equal want (Curve.mul k pt) && Curve.equal want (Curve.mul_vartime k pt))
+       Curve.equal want (Curve.mul_base_table (Curve.make_base_table ~width:4 pt) k)
+       && Curve.equal want (Curve.mul_vartime k pt))
 
 (* u*G + v*P - Q = O as one verification equation, checked alone at
    weight one ([Group_ctx.holds]): the serial verifiers' kernel. *)
@@ -593,8 +589,8 @@ let prop_one_equation_matches_parts =
   QCheck.Test.make ~name:"one equation uG + vP - Q = O" ~count:25
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (u, v, a) ->
-       let p = Curve.mul a g in
-       let q = Curve.add (Curve.mul u g) (Curve.mul v p) in
+       let p = mul_g a in
+       let q = Curve.add (Curve.mul_vartime u g) (Curve.mul_vartime v p) in
        one_equation u v p q && not (one_equation u v p (Curve.add q g)))
 
 let prop_to_affine_batch_matches =
@@ -604,7 +600,7 @@ let prop_to_affine_batch_matches =
        (* interleave finite points with infinities *)
        let pts =
          Array.of_list
-           (List.concat_map (fun k -> [ Curve.mul k g; Curve.infinity ]) ks)
+           (List.concat_map (fun k -> [ mul_g k; Curve.infinity ]) ks)
        in
        let batch = Curve.to_affine_batch pts in
        Array.for_all2
@@ -623,25 +619,25 @@ let test_mul_edge_cases () =
   chk "vartime n*G = O" Curve.infinity (Curve.mul_vartime order g);
   chk "vartime (n-1)*G = -G" (Curve.neg g) (Curve.mul_vartime (Nat.sub order Nat.one) g);
   chk "vartime (n+1)*G = G" g (Curve.mul_vartime (Nat.add order Nat.one) g);
-  chk "fixed-window n*G = O" Curve.infinity (Curve.mul order g);
-  chk "fixed-window (n-1)*G = -G" (Curve.neg g) (Curve.mul (Nat.sub order Nat.one) g);
+  chk "comb n*G = O" Curve.infinity (mul_g order);
+  chk "comb (n-1)*G = -G" (Curve.neg g) (mul_g (Nat.sub order Nat.one));
   (* P + (-P) through the vartime adds *)
   chk "P + (-P) = O" Curve.infinity
     (Curve.add (Curve.mul_vartime Nat.two g) (Curve.neg (Curve.mul_vartime Nat.two g)));
   (* one equation u*G + v*P - Q = O, degenerate inputs; P is not G
      itself, so its term reaches the MSM rather than G's comb leg *)
-  let p = Curve.mul (Nat.of_int 3) g in
+  let p = mul_g (Nat.of_int 3) in
   let holds label u v p q = Alcotest.(check bool) label true (one_equation u v p q) in
   let fails label u v p q = Alcotest.(check bool) label false (one_equation u v p q) in
   holds "0G + 0P = O" Nat.zero Nat.zero p Curve.infinity;
   fails "0G + 0P <> G" Nat.zero Nat.zero p g;
-  holds "uG + 0P = uG" (Nat.of_int 9) Nat.zero p (Curve.mul (Nat.of_int 9) g);
-  fails "uG + 0P <> (u+1)G" (Nat.of_int 9) Nat.zero p (Curve.mul (Nat.of_int 10) g);
-  holds "0G + vP = vP" Nat.zero (Nat.of_int 11) p (Curve.mul (Nat.of_int 33) g);
+  holds "uG + 0P = uG" (Nat.of_int 9) Nat.zero p (mul_g (Nat.of_int 9));
+  fails "uG + 0P <> (u+1)G" (Nat.of_int 9) Nat.zero p (mul_g (Nat.of_int 10));
+  holds "0G + vP = vP" Nat.zero (Nat.of_int 11) p (mul_g (Nat.of_int 33));
   holds "uG + vO = uG" (Nat.of_int 5) (Nat.of_int 13) Curve.infinity
-    (Curve.mul (Nat.of_int 5) g);
+    (mul_g (Nat.of_int 5));
   fails "uG + vO <> uG + vG" (Nat.of_int 5) (Nat.of_int 13) Curve.infinity
-    (Curve.mul (Nat.of_int 18) g);
+    (mul_g (Nat.of_int 18));
   holds "nG + nP = O" Curve.order Curve.order p Curve.infinity;
   holds "(n-1)G + (n+1)P = -G + P" (Nat.sub order Nat.one) (Nat.add order Nat.one) p
     (Curve.sub p g)
@@ -686,16 +682,16 @@ let test_msm_edge_cases () =
   let order = Curve.order in
   let chk label want got = Alcotest.(check bool) label true (Curve.equal want got) in
   let chk_naive label pairs = chk label (naive_msm pairs) (Curve.msm pairs) in
-  let p = Curve.mul_int 7 g in
+  let p = mul_g (Nat.of_int 7) in
   chk "n=0" Curve.infinity (Curve.msm [||]);
   chk_naive "n=1" [| (Nat.of_int 42, p) |];
-  chk "zero and order scalars drop" (Curve.mul_int 5 p)
+  chk "zero and order scalars drop" (Curve.mul_vartime (Nat.of_int 5) p)
     (Curve.msm [| (Nat.zero, g); (Nat.of_int 5, p); (order, g) |]);
-  chk "infinity points drop" (Curve.mul_int 9 g)
+  chk "infinity points drop" (mul_g (Nat.of_int 9))
     (Curve.msm [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, g) |]);
   chk "all-degenerate batch" Curve.infinity
     (Curve.msm [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, g) |]);
-  chk "duplicate points merge" (Curve.mul_int 10 p)
+  chk "duplicate points merge" (Curve.mul_vartime (Nat.of_int 10) p)
     (Curve.msm [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
   chk "P and -P cancel" Curve.infinity
     (Curve.msm [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg p) |]);
@@ -786,7 +782,6 @@ let () =
          Alcotest.test_case "hash to scalar" `Quick test_hash_to_scalar;
          Alcotest.test_case "base table" `Quick test_base_table_matches;
          Alcotest.test_case "wide base table" `Quick test_wide_table_matches;
-         Alcotest.test_case "Group_ctx.mul fast path" `Quick test_group_ctx_mul_fast_path;
          Alcotest.test_case "compressed codec" `Quick test_compressed_codec;
          Alcotest.test_case "field sqrt" `Quick test_field_sqrt ]);
       ("group-laws",

@@ -149,6 +149,12 @@ let make_batch ?(seed = "batch") n =
       let msg = Printf.sprintf "batch message %d" i in
       (pk, msg, Schnorr.sign rng ~sk ~pk msg))
 
+(* Sorted indices of the invalid signatures, by bisecting sub-batches,
+   as the auditor localizes a failing batch. *)
+let find_forged rng items =
+  Dd_group.Batch.find_failures ~n:(Array.length items)
+    ~check:(fun ~lo ~len -> Schnorr.verify_batch rng (Array.sub items lo len))
+
 let test_batch_accepts_valid () =
   let rng = rng () in
   Alcotest.(check bool) "empty batch" true (Schnorr.verify_batch rng [||]);
@@ -156,7 +162,7 @@ let test_batch_accepts_valid () =
   let items = make_batch 9 in
   Alcotest.(check bool) "9 valid" true (Schnorr.verify_batch rng items);
   Alcotest.(check (list int)) "find on a clean batch" []
-    (Schnorr.verify_batch_find rng items)
+    (find_forged rng items)
 
 let test_batch_rejects_forged () =
   (* one forged item among n: cover index 0 (the pinned weight), a
@@ -170,14 +176,14 @@ let test_batch_rejects_forged () =
        Alcotest.(check bool) (Printf.sprintf "forged %d rejected" j) false
          (Schnorr.verify_batch rng items);
        Alcotest.(check (list int)) (Printf.sprintf "bisection names %d" j) [ j ]
-         (Schnorr.verify_batch_find rng items))
+         (find_forged rng items))
     [ 0; 3; 6 ]
 
 let test_batch_find_multiple () =
   let items = make_batch ~seed:"multi" 8 in
   List.iter (fun j -> let pk, _, s = items.(j) in items.(j) <- (pk, "bad", s)) [ 2; 5 ];
   Alcotest.(check (list int)) "both forged indices named" [ 2; 5 ]
-    (Schnorr.verify_batch_find (rng ()) items)
+    (find_forged (rng ()) items)
 
 (* Batches over a few signers, as in a UCERT: each signer's key terms
    fold into one coefficient. Two signatures by one signer with their
@@ -189,7 +195,7 @@ let test_batch_one_signer_swapped () =
   let s1 = Schnorr.sign rng ~sk ~pk "first" and s2 = Schnorr.sign rng ~sk ~pk "second" in
   let items = [| (pk, "first", s2); (pk, "second", s1) |] in
   Alcotest.(check bool) "swapped messages rejected" false (Schnorr.verify_batch rng items);
-  Alcotest.(check (list int)) "both named" [ 0; 1 ] (Schnorr.verify_batch_find rng items);
+  Alcotest.(check (list int)) "both named" [ 0; 1 ] (find_forged rng items);
   Alcotest.(check bool) "unswapped accepted" true
     (Schnorr.verify_batch rng [| (pk, "first", s1); (pk, "second", s2) |])
 
@@ -227,7 +233,7 @@ let prop_batch_few_signers =
        let serial = Array.for_all (fun (pk, msg, sg) -> Schnorr.verify ~pk msg sg) items in
        serial = Option.is_none forged
        && Schnorr.verify_batch rng items = serial
-       && Schnorr.verify_batch_find rng items = Option.to_list forged)
+       && find_forged rng items = Option.to_list forged)
 
 (* A batch of 62 signatures under 5 keys (a cast-rush tick's shape)
    allocates at most 1,400 minor words per signature once the domain's

@@ -271,7 +271,6 @@ let vc_env c i =
     send_bb = (fun ~dst:_ _ -> ());
     rng = Drbg.create ~seed:(Printf.sprintf "rng|%s|%d" vc_seed i);
     consensus_coin = Dd_consensus.Binary_batch.Local;
-    verify_share_tags = false;
     verify_tag = None;
     durable = Option.map (fun b -> counting c (Mem.device b)) c.backings.(i) }
 

@@ -62,7 +62,6 @@ let make_cluster ?(cfg = cfg) ?(now = 1.0) ?(durable = false)
       send_bb = (fun ~dst msg -> bb_submissions := (dst, msg) :: !bb_submissions);
       rng = Drbg.create ~seed:(Printf.sprintf "rng%d" i);
       consensus_coin = Dd_consensus.Binary_batch.Local;
-      verify_share_tags = false;
       verify_tag = None;
       durable = Option.map Mem.device cluster.backings.(i) }
   in

@@ -95,22 +95,28 @@ let test_shamir_scalar_roundtrip () =
   Alcotest.(check bool) "reconstructs" true
     (Nat.equal secret (Shamir_scalar.reconstruct fn ~threshold:3 subset))
 
+(* Share-wise addition, as a trustee sums its shares over the tally set
+   ([Elgamal_vss.sum_shares]): both scalars of an opening add. *)
 let test_shamir_scalar_homomorphic () =
   let rng = rng () in
-  let a = Nat.of_int 111 and b = Nat.of_int 222 in
-  let sa = Shamir_scalar.split fn rng ~secret:a ~threshold:2 ~shares:4 in
-  let sb = Shamir_scalar.split fn rng ~secret:b ~threshold:2 ~shares:4 in
-  let sum = Array.init 4 (fun i -> Shamir_scalar.add fn sa.(i) sb.(i)) in
+  let a = { Elgamal.msg = Nat.of_int 111; rand = Nat.of_int 5 }
+  and b = { Elgamal.msg = Nat.of_int 222; rand = Nat.of_int 6 } in
+  let sa = Elgamal_vss.deal rng ~opening:a ~threshold:2 ~shares:4 in
+  let sb = Elgamal_vss.deal rng ~opening:b ~threshold:2 ~shares:4 in
+  let sum = Array.init 4 (fun i -> Elgamal_vss.sum_shares ~x:(i + 1) [ sa.(i); sb.(i) ]) in
+  let o = Elgamal_vss.reconstruct ~threshold:2 [ sum.(1); sum.(3) ] in
   Alcotest.(check bool) "share-wise sum reconstructs a+b" true
-    (Nat.equal (Nat.of_int 333)
-       (Shamir_scalar.reconstruct fn ~threshold:2 [ sum.(1); sum.(3) ]))
+    (Nat.equal (Nat.of_int 333) o.Elgamal.msg && Nat.equal (Nat.of_int 11) o.Elgamal.rand)
 
 let test_shamir_scalar_mismatched_x () =
   let rng = rng () in
-  let sa = Shamir_scalar.split fn rng ~secret:Nat.one ~threshold:2 ~shares:3 in
+  let sa =
+    Elgamal_vss.deal rng ~opening:{ Elgamal.msg = Nat.one; rand = Nat.one } ~threshold:2
+      ~shares:3
+  in
   Alcotest.check_raises "x mismatch"
-    (Invalid_argument "Shamir_scalar.add: mismatched evaluation points")
-    (fun () -> ignore (Shamir_scalar.add fn sa.(0) sa.(1)))
+    (Invalid_argument "Elgamal_vss.add_shares: mismatched evaluation points")
+    (fun () -> ignore (Elgamal_vss.sum_shares ~x:1 [ sa.(0); sa.(1) ]))
 
 (* --- ElGamal-opening VSS ------------------------------------------------------ *)
 

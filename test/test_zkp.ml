@@ -20,25 +20,45 @@ let ddh_statement x =
     h1 = Group_ctx.mul_g x;
     h2 = Group_ctx.mul_h x }
 
+(* The prover's first move and the simulator, for statements over the
+   bases G and H, as the EA forms them: nonce times each base, off the
+   comb tables. A simulated move subtracts the public challenge times
+   the claims, a variable-time multiplication on public data. *)
+let cp_commit rng =
+  let w = Curve.random_scalar rng in
+  (w, { Chaum_pedersen.t1 = Group_ctx.mul_g w; t2 = Group_ctx.mul_h w })
+
+let cp_simulate rng (st : Chaum_pedersen.statement) ~challenge =
+  let z = Curve.random_scalar rng in
+  ({ Chaum_pedersen.t1 = Curve.sub (Group_ctx.mul_g z) (Curve.mul_vartime challenge st.h1);
+     t2 = Curve.sub (Group_ctx.mul_h z) (Curve.mul_vartime challenge st.h2) },
+   z)
+
+(* Both equations of a transcript, each alone at weight one. *)
+let cp_verify stmt fm ~challenge ~response =
+  let sink = Group_ctx.serial () in
+  Chaum_pedersen.equations sink { stmt; fm; challenge; response };
+  Group_ctx.verdict sink
+
 let test_cp_completeness () =
   let rng = rng () in
   let x = Curve.random_scalar rng in
   let st = ddh_statement x in
-  let w, fm = Chaum_pedersen.commit rng st in
+  let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
   let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
   Alcotest.(check bool) "accepts" true
-    (Chaum_pedersen.verify st fm ~challenge ~response)
+    (cp_verify st fm ~challenge ~response)
 
 let test_cp_wrong_witness_rejected () =
   let rng = rng () in
   let x = Curve.random_scalar rng in
   let st = ddh_statement x in
-  let w, fm = Chaum_pedersen.commit rng st in
+  let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
   let bad = Chaum_pedersen.respond ~state:w ~witness:(Nat.add x Nat.one) ~challenge in
   Alcotest.(check bool) "rejects" false
-    (Chaum_pedersen.verify st fm ~challenge ~response:bad)
+    (cp_verify st fm ~challenge ~response:bad)
 
 let test_cp_non_ddh_rejected () =
   (* statement where h2 uses a different exponent: no response should
@@ -46,11 +66,11 @@ let test_cp_non_ddh_rejected () =
   let rng = rng () in
   let x = Curve.random_scalar rng in
   let st = { (ddh_statement x) with Chaum_pedersen.h2 = Group_ctx.mul_h (Nat.add x Nat.one) } in
-  let w, fm = Chaum_pedersen.commit rng st in
+  let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
   let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
   Alcotest.(check bool) "rejects non-DDH" false
-    (Chaum_pedersen.verify st fm ~challenge ~response)
+    (cp_verify st fm ~challenge ~response)
 
 let test_cp_simulator () =
   (* the simulator produces accepting transcripts without the witness —
@@ -59,12 +79,12 @@ let test_cp_simulator () =
   let x = Curve.random_scalar rng in
   let st = ddh_statement x in
   let challenge = Curve.random_scalar rng in
-  let fm, z = Chaum_pedersen.simulate rng st ~challenge in
+  let fm, z = cp_simulate rng st ~challenge in
   Alcotest.(check bool) "simulated accepts" true
-    (Chaum_pedersen.verify st fm ~challenge ~response:z);
+    (cp_verify st fm ~challenge ~response:z);
   (* but only for its designed challenge *)
   Alcotest.(check bool) "other challenge rejects" false
-    (Chaum_pedersen.verify st fm ~challenge:(Nat.add challenge Nat.one) ~response:z)
+    (cp_verify st fm ~challenge:(Nat.add challenge Nat.one) ~response:z)
 
 (* --- ballot proofs ---------------------------------------------------- *)
 
@@ -143,14 +163,14 @@ let test_ballot_proof_sum_violation () =
     { Chaum_pedersen.g1 = Group_ctx.g; g2 = Group_ctx.h;
       h1 = c1; h2 = Curve.sub c2 Group_ctx.g }
   in
-  let w, fm = Chaum_pedersen.commit rng sum_st in
+  let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
   (* even with the "right" randomness sum as witness the statement is
      false (message sum is 2, not 1), so the proof cannot verify *)
   let fake_witness = Curve.random_scalar rng in
   let response = Chaum_pedersen.respond ~state:w ~witness:fake_witness ~challenge in
   Alcotest.(check bool) "sum=2 rejected" false
-    (Chaum_pedersen.verify sum_st fm ~challenge ~response)
+    (cp_verify sum_st fm ~challenge ~response)
 
 let test_state_serialization () =
   let rng, commitments, openings = make_part ~m:3 ~choice:1 in
@@ -266,7 +286,7 @@ let test_cp_cancelling_forgery () =
   let rng = rng () in
   let x = Curve.random_scalar rng in
   let st = ddh_statement x in
-  let w, fm = Chaum_pedersen.commit rng st in
+  let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
   let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
   let forged = cancel_offset fm in
@@ -280,7 +300,7 @@ let test_cp_cancelling_forgery () =
          Group_ctx.acc_sub acc w forged.t2;
          Group_ctx.acc_sub acc (times w challenge) st.h2));
   Alcotest.(check bool) "serial rejects" false
-    (Chaum_pedersen.verify st forged ~challenge ~response);
+    (cp_verify st forged ~challenge ~response);
   let batch fms =
     let sink = Group_ctx.folded rng in
     List.iter
@@ -385,10 +405,10 @@ let prop_cp_random_witness =
        let rng = Drbg.create ~seed:(string_of_int seed) in
        let x = Curve.random_scalar rng in
        let st = ddh_statement x in
-       let w, fm = Chaum_pedersen.commit rng st in
+       let w, fm = cp_commit rng in
        let challenge = Curve.random_scalar rng in
        let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
-       Chaum_pedersen.verify st fm ~challenge ~response)
+       cp_verify st fm ~challenge ~response)
 
 let () =
   Alcotest.run "zkp"
