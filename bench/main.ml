@@ -279,8 +279,8 @@ let json_mode = Array.exists (( = ) "--json") Sys.argv
    ran, so `micro stream --json` produces a single combined baseline. *)
 let json_rows : (string * float) list ref = ref []
 
-module Nat = Dd_bignum.Nat
 module Curve = Dd_group.Curve
+module Sc = Dd_bignum.Sc
 
 (* Write the microbenchmark rows as a JSON baseline artifact. The
    [*.seed-baseline] entries are the seed revision's algorithms measured
@@ -350,7 +350,7 @@ let micro () =
     Dd_vss.Shamir_bytes.split rng ~secret:"receipt!" ~threshold:3 ~shares:4
   in
   let share_subset = [ shares.(0); shares.(1); shares.(2) ] in
-  let commitment, opening = Dd_commit.Elgamal.commit_random rng ~msg:Dd_bignum.Nat.one in
+  let commitment, opening = Dd_commit.Elgamal.commit_random rng ~msg:Sc.one in
   let state, first_move =
     let commitments, openings =
       Dd_commit.Unit_vector.commit rng ~options:4 ~choice:1
@@ -364,11 +364,12 @@ let micro () =
   let enc = Dd_crypto.Aes128.cbc_encrypt ~key:aes_key ~iv:(Dd_crypto.Drbg.bytes rng 16) code in
   ignore enc;
   (* arithmetic-stack operands: fast contexts vs frozen seed baselines *)
-  let bar_secp = Seed_baseline.barrett Dd_bignum.Fe.prime in
-  let draw () = Nat.rem (Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 32)) Dd_bignum.Fe.prime in
+  let bar_secp = Seed_baseline.barrett Seed_baseline.prime in
+  let draw () = Nat.rem (Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 32)) Seed_baseline.prime in
   let fx = draw () and fy = draw () in
   (* the field rows time Fe, the arithmetic Curve runs on *)
-  let efx = Dd_bignum.Fe.of_nat fx and efy = Dd_bignum.Fe.of_nat fy and edst = Dd_bignum.Fe.make () in
+  let efx = Seed_baseline.fe_of_nat fx and efy = Seed_baseline.fe_of_nat fy in
+  let edst = Dd_bignum.Fe.make () in
   (* the full seed arithmetic stack, replicated (see seed_baseline.ml) *)
   let sc = Seed_baseline.scurve () in
   let sg = Seed_baseline.of_curve_point Curve.generator in
@@ -377,6 +378,7 @@ let micro () =
   let scalar = Dd_group.Curve.random_scalar rng in
   let point = Dd_group.Group_ctx.mul_g scalar in
   let spoint = Seed_baseline.of_curve_point point in
+  let seed_scalar = Seed_baseline.nat_of_sc scalar in
   let pk_table = Dd_sig.Schnorr.make_pk_table pk in
   let sig_s, sig_e =
     (* signatures now encode (s, compressed R); the seed baseline's
@@ -385,17 +387,17 @@ let micro () =
     let len = Curve.byte_len in
     let r = Option.get (Curve.decode_compressed (String.sub bytes len (len + 1))) in
     (Nat.of_bytes_be (String.sub bytes 0 len),
-     Dd_sig.Schnorr.challenge ~commitment:r ~pk "endorse|bench|7|code")
+     Seed_baseline.nat_of_sc (Dd_sig.Schnorr.challenge ~commitment:r ~pk "endorse|bench|7|code"))
   in
   let pts64 =
-    Array.init 64 (fun i -> Dd_group.Group_ctx.mul_g (Nat.of_int (i + 2)))
+    Array.init 64 (fun i -> Dd_group.Group_ctx.mul_g (Sc.of_int (i + 2)))
   in
   (* msm operands: random scalars on random points, batch-verifier shape *)
   let msm_pairs n =
     Array.init n (fun i ->
         (Dd_group.Curve.random_scalar rng,
          Curve.mul_vartime (Dd_group.Curve.random_scalar rng)
-           (Dd_group.Group_ctx.mul_g (Nat.of_int (i + 2)))))
+           (Dd_group.Group_ctx.mul_g (Sc.of_int (i + 2)))))
   in
   let msm64 = msm_pairs 64 and msm512 = msm_pairs 512 in
   (* cast-rush's batch shape: 62 128-bit weights on the signatures' R
@@ -525,7 +527,7 @@ let micro () =
       Test.make ~name:"arith.point-mul.wnaf-vartime"
         (Staged.stage (fun () -> Curve.mul_vartime scalar point));
       Test.make ~name:"arith.point-mul.seed-baseline"
-        (Staged.stage (fun () -> Seed_baseline.point_mul sc scalar spoint));
+        (Staged.stage (fun () -> Seed_baseline.point_mul sc seed_scalar spoint));
       (* per multiplication: the measured group is divided by its size below *)
       Test.make ~name:"arith.comb-batch"
         (Staged.stage (fun () -> Curve.mul_base_batch comb_jobs));
@@ -576,7 +578,7 @@ let micro () =
   (* Whole-election workloads take hundreds of ms, so bechamel's quota
      would give them one or two samples: they are timed directly, one
      warm-up run and then [direct_runs] timed runs, and the row is the
-     median. The audit runs batched and equation by equation. *)
+     median. *)
   let direct_runs = 5 in
   let time_direct name f =
     ignore (Sys.opaque_identity (f ()));
@@ -591,15 +593,12 @@ let micro () =
       (runs.(direct_runs / 2) /. 1e6) (runs.(0) /. 1e6) (runs.(direct_runs - 1) /. 1e6);
     ("micro " ^ name, runs.(direct_runs / 2))
   in
-  let audit_full ?batch ?pool () =
-    [ Ddemos.Auditor.check_openings ?batch ?pool audit_view;
-      Ddemos.Auditor.check_zk ?batch ?pool audit_view ]
+  let audit_full ?pool () =
+    [ Ddemos.Auditor.check_openings ?pool audit_view;
+      Ddemos.Auditor.check_zk ?pool audit_view ]
   in
   pr "# Timed directly (ms)\n";
-  let direct_rows =
-    [ time_direct "fig5c.audit-full.100" audit_full;
-      time_direct "fig5c.audit-full.100.loop" (audit_full ~batch:false) ]
-  in
+  let direct_rows = [ time_direct "fig5c.audit-full.100" audit_full ] in
   (* Multicore scaling points: the same audit and EA-setup workloads
      driven through explicit pools of 1/2/4 domains. Each domain count
      is measured with only its own pool alive: even idle worker domains

@@ -11,9 +11,18 @@
    verify formula) run their Jacobian formulas over that replicated
    field, so the whole seed stack is reproduced end to end. *)
 
-module Nat = Dd_bignum.Nat
 module Curve = Dd_group.Curve
 module Schnorr = Dd_sig.Schnorr
+module Fe = Dd_bignum.Fe
+module Sc = Dd_bignum.Sc
+
+(* The library's fixed-width values as naturals, and back. *)
+let nat_of_fe x = Nat.of_bytes_be (Fe.to_bytes x)
+let fe_of_nat x = Fe.of_bytes (Nat.to_bytes_be ~len:32 x)
+let nat_of_sc k = Nat.of_bytes_be (Sc.to_bytes k)
+
+(* secp256k1's prime, as the seed held it. *)
+let prime = Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
 
 (* The seed stored Nat values as 30-bit limbs; the library has since
    moved to 62-bit limbs, so the seed's schoolbook (whose partial
@@ -126,17 +135,14 @@ let finv b x = fpow b x (Nat.sub b.m Nat.two)
    schoolbook + Barrett arithmetic. *)
 type scurve = { fb : barrett; ca : Nat.t; order_bits : int }
 
-let scurve () =
-  { fb = barrett Dd_bignum.Fe.prime;
-    ca = Nat.zero;
-    order_bits = Nat.bit_length Curve.order }
+let scurve () = { fb = barrett prime; ca = Nat.zero; order_bits = 256 }
 
 type spoint = Inf | Jac of Nat.t * Nat.t * Nat.t
 
 let of_curve_point pt =
   match Curve.to_affine pt with
   | None -> Inf
-  | Some (x, y) -> Jac (x, y, Nat.one)
+  | Some (x, y) -> Jac (nat_of_fe x, nat_of_fe y, Nat.one)
 
 let sdouble c = function
   | Inf -> Inf
@@ -237,6 +243,6 @@ let schnorr_verify c ~g_table ~pk_seed ~pk msg ~s ~e =
   let r' = sadd c (mul_base_table c g_table s) (point_mul c e pk_seed) in
   match sto_affine c r' with
   | None -> false
-  | Some xy ->
-    let commitment = Curve.of_affine xy in
-    Nat.equal e (Schnorr.challenge ~commitment ~pk msg)
+  | Some (x, y) ->
+    let commitment = Curve.of_affine (fe_of_nat x, fe_of_nat y) in
+    Nat.equal e (nat_of_sc (Schnorr.challenge ~commitment ~pk msg))

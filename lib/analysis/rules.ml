@@ -332,9 +332,9 @@ let wire_exhaustive ~constructors =
    on their scalar inputs (wNAF digit patterns, GLV splits and the
    halves' lengths, bucket occupancy), so only
    public data — signatures, proof transcripts, published commitments
-   and their openings — may flow in. The scalar field's extended-Euclid
-   inverse [Modular.inv_vartime] is on it too: its step count depends on
-   its argument (lib/bignum/modular.mli). R7 [secret-taint] reports any
+   and their openings — may flow in. The scalar inverse
+   [Sc.inv_vartime] is on it too: it takes an exact division for a
+   small value and Fermat's chain otherwise (lib/bignum/sc.mli). R7 [secret-taint] reports any
    secret reaching one; secret-dependent scalars must use the comb-table
    paths [Curve.mul_base_table] / [mul_base_batch] instead. *)
 let vartime_callees =

@@ -204,7 +204,7 @@ let sink_of lid =
         remedy =
           "the vartime surface is public-data only; secret scalars use the \
            comb-table paths (Curve.mul_base_table / mul_base_batch) and are \
-           never inverted through Modular.inv_vartime" }
+           never inverted through Sc.inv_vartime" }
   else
     match Rules.banned_comparison lid with
     | Some op ->
@@ -312,13 +312,12 @@ type mode =
   | Summarize of (int * string) list ref  (* collect param -> sink hits *)
   | Report of string                      (* reporting pass over this file *)
 
-(* The limb-level arithmetic kernels are not constant-time at
-   comparison granularity — operand-dependent limb compares are
-   inherent to the [Nat] representation and documented in
-   lib/bignum/nat.ml. Mirroring R1's scope, files under lib/bignum and
-   lib/group are exempt from the *comparison* sink: without this,
-   every secret scalar entering [Modular.mul] would transitively
-   "reach" the [<>] inside the limb loops. The vartime, wire-encoder
+(* The limb-level arithmetic kernels compare loop indices, and the
+   vartime recodings ([Sc.bit_length], the wNAF and MSM digit walks)
+   compare limbs and digits. Mirroring R1's scope, files under
+   lib/bignum and lib/group are exempt from the *comparison* sink:
+   without this, every secret scalar entering [Curve]'s recodings would
+   transitively "reach" a [<>] inside those loops. The vartime, wire-encoder
    and format sinks still apply inside the kernels. *)
 let comparison_exempt path =
   Rules.under [ "lib"; "bignum" ] path || Rules.under [ "lib"; "group" ] path

@@ -25,35 +25,17 @@ let mask = (1 lsl 26) - 1
 external ( +! ) : int64 -> int64 -> int64 = "%int64_add"
 external ( *! ) : int64 -> int64 -> int64 = "%int64_mul"
 
-let prime = Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
-
 (* p's ten 26-bit limbs *)
 let p0 = 0x3fffc2f and p1 = 0x3ffffbf and p2 = mask and p3 = mask and p4 = mask
 let p5 = mask and p6 = mask and p7 = mask and p8 = mask and p9 = 0x3fffff
 
-let inv_e = Nat.sub prime Nat.two
-let sqrt_e = Nat.shift_right (Nat.add prime Nat.one) 2 (* p = 3 mod 4 *)
+(* the public exponents of [inv] and [sqrt]: p - 2 and (p + 1) / 4 *)
+let inv_e = Limbs.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2d" 10
+let sqrt_e = Limbs.of_hex "3fffffffffffffffffffffffffffffffffffffffffffffffffffffffbfffff0c" 10
 
 type t = int array
 
 let make () = Array.make 10 0
-
-(* The ten 26-bit limbs of a value below 2^260, from Nat's (at most
-   five) 62-bit limbs, which are first copied into [dst] itself. *)
-let limbs_of_nat (x : Nat.t) (dst : t) =
-  Array.fill dst 0 10 0;
-  ignore (Nat.to_limbs_into x dst);
-  let l0 = dst.(0) and l1 = dst.(1) and l2 = dst.(2) and l3 = dst.(3) and l4 = dst.(4) in
-  dst.(0) <- l0 land mask;
-  dst.(1) <- (l0 lsr 26) land mask;
-  dst.(2) <- ((l0 lsr 52) lor (l1 lsl 10)) land mask;
-  dst.(3) <- (l1 lsr 16) land mask;
-  dst.(4) <- ((l1 lsr 42) lor (l2 lsl 20)) land mask;
-  dst.(5) <- (l2 lsr 6) land mask;
-  dst.(6) <- (l2 lsr 32) land mask;
-  dst.(7) <- ((l2 lsr 58) lor (l3 lsl 4)) land mask;
-  dst.(8) <- (l3 lsr 22) land mask;
-  dst.(9) <- ((l3 lsr 48) lor (l4 lsl 14)) land mask
 
 let reduce (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 =
   (* the high columns (each < 2^56) carried into ten 26-bit limbs *)
@@ -329,35 +311,27 @@ let equal (x : t) (y : t) =
   for i = 0 to 9 do acc := !acc lor (Array.unsafe_get x i lxor Array.unsafe_get y i) done;
   !acc = 0
 
-let of_nat x =
-  let r = make () in
-  limbs_of_nat (if Nat.compare x prime >= 0 then Nat.rem x prime else x) r;
-  r
+(* A value below 2^256 is below 2p: [add]'s conditional subtraction
+   of p reduces it. *)
+let of_bytes s =
+  let x = Limbs.of_bytes s 10 in
+  add x x (make ());
+  x
 
-(* The residue as Nat's five 62-bit limbs. *)
-let to_nat (x : t) =
-  let buf = Array.make 5 0 in
-  buf.(0) <- x.(0) lor (x.(1) lsl 26) lor ((x.(2) land 0x3ff) lsl 52);
-  buf.(1) <- (x.(2) lsr 10) lor (x.(3) lsl 16) lor ((x.(4) land 0xfffff) lsl 42);
-  buf.(2) <- (x.(4) lsr 20) lor (x.(5) lsl 6) lor (x.(6) lsl 32) lor ((x.(7) land 0xf) lsl 58);
-  buf.(3) <- (x.(7) lsr 4) lor (x.(8) lsl 22) lor ((x.(9) land 0x3fff) lsl 48);
-  buf.(4) <- x.(9) lsr 14;
-  Nat.of_limbs buf 5
+let to_bytes (x : t) = Limbs.to_bytes x 32
 
-(* dst := a^e for a public exponent, by fixed 4-bit windows: four
-   squarings and one multiplication per window, the window's power
-   read from a table of a^0 .. a^15. *)
-let pow (dst : t) (a : t) e =
+(* dst := a^e for a public exponent below 2^256, by fixed 4-bit
+   windows: four squarings and one multiplication per window, the
+   window's power read from a table of a^0 .. a^15. *)
+let pow (dst : t) (a : t) (e : t) =
   let tbl = Array.init 16 (fun _ -> make ()) in
   set_one tbl.(0);
   for d = 1 to 15 do mul tbl.(d) tbl.(d - 1) a done;
   let acc = make () in
   set_one acc;
-  for w = (Nat.bit_length e + 3) / 4 - 1 downto 0 do
+  for w = 63 downto 0 do
     for _ = 1 to 4 do sqr acc acc done;
-    let d = ref 0 in
-    for j = 3 downto 0 do d := (2 * !d) + Bool.to_int (Nat.testbit e ((4 * w) + j)) done;
-    mul acc acc tbl.(!d)
+    mul acc acc tbl.(Limbs.bits e (4 * w) 4)
   done;
   set dst acc
 

@@ -19,19 +19,16 @@
 (** An element: ten 26-bit limbs, least significant first. *)
 type t = int array
 
-(** The field prime p. *)
-val prime : Nat.t
-
 (** A fresh element holding zero. *)
 val make : unit -> t
 
-(** [of_nat x] is [x mod p] as a fresh element. *)
+(** [of_bytes s] is the big-endian value of [s] (at most 32 bytes)
+    mod p, as a fresh element. [to_bytes x] is its 32-byte big-endian
+    encoding, so [to_bytes (of_bytes s) = s] exactly when [s] is 32
+    bytes below p: the point codecs' coordinate check. *)
 (* lint: secret *)
-val of_nat : Nat.t -> t
-
-(** The residue an element holds. *)
-(* lint: secret *)
-val to_nat : t -> Nat.t
+val of_bytes : string -> t
+val to_bytes : t -> string
 
 (** [set dst src] copies [src]'s limbs into [dst]. *)
 val set : t -> t -> unit

@@ -9,7 +9,7 @@
    components, which makes the scheme binding under the discrete-log
    assumption and hiding because r*H is a one-time pad over <H>. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 
@@ -19,8 +19,8 @@ type t = {
 }
 
 type opening = {
-  msg : Nat.t;
-  rand : Nat.t;
+  msg : Sc.t;
+  rand : Sc.t;
 }
 
 let commit ~msg ~rand =
@@ -44,26 +44,20 @@ let add a b = { c1 = Curve.add a.c1 b.c1; c2 = Curve.add a.c2 b.c2 }
 
 let sum = List.fold_left add zero_commitment
 
-let add_opening a b =
-  let fn = Curve.scalar_field in
-  let module Modular = Dd_bignum.Modular in
-  { msg = Modular.add fn a.msg b.msg; rand = Modular.add fn a.rand b.rand }
+let add_opening a b = { msg = Sc.add a.msg b.msg; rand = Sc.add a.rand b.rand }
 
 (* The two opening equations, in this order: rand*G - c1 = O and
    msg*G + rand*H - c2 = O, each scalar times the weight. The G/H legs
    collapse into the accumulator's comb-table coefficients, so a batch
    of n openings costs one 2n-point MSM instead of 3n fixed-base
    multiplications, and a serial check costs three combs. *)
-let equations sink commitment (opening : opening) =
-  let fn = Curve.scalar_field in
-  let module Modular = Dd_bignum.Modular in
-  let msg = Modular.reduce fn opening.msg and rand = Modular.reduce fn opening.rand in
+let equations sink commitment { msg; rand } =
   Group_ctx.equation sink (fun acc w ->
-      Group_ctx.acc_add acc (Modular.mul fn w rand) Group_ctx.g;
+      Group_ctx.acc_add acc (Sc.mul w rand) Group_ctx.g;
       Group_ctx.acc_sub acc w commitment.c1);
   Group_ctx.equation sink (fun acc w ->
-      Group_ctx.acc_add acc (Modular.mul fn w msg) Group_ctx.g;
-      Group_ctx.acc_add acc (Modular.mul fn w rand) Group_ctx.h;
+      Group_ctx.acc_add acc (Sc.mul w msg) Group_ctx.g;
+      Group_ctx.acc_add acc (Sc.mul w rand) Group_ctx.h;
       Group_ctx.acc_sub acc w commitment.c2)
 
 let verify commitment opening =

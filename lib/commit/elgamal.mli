@@ -3,19 +3,19 @@
     scheme. A unit-vector option encoding is a vector of these, one per
     option (see {!Unit_vector}). *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 
 type t
 
 type opening = {
-  msg : Nat.t;
-  rand : Nat.t;
+  msg : Sc.t;
+  rand : Sc.t;
 }
 
 (** Commit to [msg] with explicit randomness. *)
-val commit : msg:Nat.t -> rand:Nat.t -> t
+val commit : msg:Sc.t -> rand:Sc.t -> t
 
 (** The comb jobs of [(c1, c2)] for an opening whose message is 0 or 1,
     [rand*G] and [msg*G + rand*H], to evaluate with
@@ -24,7 +24,7 @@ val commit : msg:Nat.t -> rand:Nat.t -> t
 val commit_bit_jobs : opening -> Curve.comb_job * Curve.comb_job
 
 (** Commit with fresh randomness drawn from the DRBG. *)
-val commit_random : Dd_crypto.Drbg.t -> msg:Nat.t -> t * opening
+val commit_random : Dd_crypto.Drbg.t -> msg:Sc.t -> t * opening
 
 (** The identity commitment (to 0 with randomness 0). *)
 val zero_commitment : t

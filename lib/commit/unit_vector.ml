@@ -4,7 +4,7 @@
    the scheme the paper adopts instead of DEMOS's N^(i-1) encoding, so
    the curve size no longer grows with the number of options. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
 type t = Elgamal.t array
 
@@ -13,7 +13,7 @@ type opening = Elgamal.opening array
 let openings rng ~options ~choice =
   if choice < 0 || choice >= options then invalid_arg "Unit_vector.commit: choice out of range";
   Array.init options (fun i ->
-      { Elgamal.msg = (if i = choice then Nat.one else Nat.zero);
+      { Elgamal.msg = (if i = choice then Sc.one else Sc.zero);
         rand = Dd_group.Curve.random_scalar rng })
 
 let commit rng ~options ~choice =
@@ -31,7 +31,7 @@ let commit_k rng ~options ~choices =
     invalid_arg "Unit_vector.commit_k: duplicate choice";
   let pairs =
     Array.init options (fun i ->
-        let msg = if List.mem i choices then Nat.one else Nat.zero in
+        let msg = if List.mem i choices then Sc.one else Sc.zero in
         Elgamal.commit_random rng ~msg)
   in
   (Array.map fst pairs, Array.map snd pairs)
@@ -47,7 +47,7 @@ let add_opening (a : opening) (b : opening) : opening =
   Array.mapi (fun i ai -> Elgamal.add_opening ai b.(i)) a
 
 let sum_openings ~options l =
-  let zero = Array.make options Elgamal.{ msg = Nat.zero; rand = Nat.zero } in
+  let zero = Array.make options Elgamal.{ msg = Sc.zero; rand = Sc.zero } in
   List.fold_left add_opening zero l
 
 let verify (c : t) (o : opening) =
@@ -78,7 +78,7 @@ let encode (c : t) = String.concat "" (Array.to_list (Array.map Elgamal.encode c
    because the data is fixed before the weights exist. *)
 let verify_published ~label (items : (t * opening) array) =
   let scalar n =
-    let b = Nat.to_bytes_be n in
+    let b = Sc.to_bytes_trimmed n in
     string_of_int (String.length b) ^ ":" ^ b
   in
   let item_parts ((c : t), (o : opening)) =
@@ -93,4 +93,4 @@ let verify_published ~label (items : (t * opening) array) =
 
 (* Read a tally vector out of openings of a homomorphic sum. *)
 let counts_of_opening (o : opening) =
-  Array.map (fun oi -> Nat.to_int oi.Elgamal.msg) o
+  Array.map (fun oi -> Sc.to_int oi.Elgamal.msg) o

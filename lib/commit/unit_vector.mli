@@ -2,7 +2,7 @@
     among [options] coordinates, with homomorphic addition so the tally
     is the opening of the coordinate-wise sum. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
 type t = Elgamal.t array
 type opening = Elgamal.opening array

@@ -11,7 +11,7 @@ module Unit_vector = Dd_commit.Unit_vector
 module Ballot_proof = Dd_zkp.Ballot_proof
 module Challenge = Dd_zkp.Challenge
 module Batch = Dd_group.Batch
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Pool = Dd_parallel.Pool
 
 type check = {
@@ -192,25 +192,19 @@ let par_find_first pool ~n ~check =
          | None, o -> o)
       None firsts
 
-(* First invalid index of [items]: with [batch], sub-ranges settle
-   through [check_range] and [par_find_first]; without, [check_one]
-   runs item by item. Both name the same index. *)
-let first_invalid ~batch ?pool ~check_one ~check_range items =
-  if batch then par_find_first pool ~n:(Array.length items) ~check:check_range
-  else Array.find_index (fun x -> not (check_one x)) items
-
 (* (d) openings of unused parts are valid unit vectors.
 
-   With [batch] (the default), all opening equations fold into one MSM
-   through [Unit_vector.verify_published], the check the bulletin
-   board ran on the same openings before publishing them: its
-   Fiat-Shamir weights come from the verified data itself (the
-   auditor holds no entropy source), so audits replay. A failing
-   batch (or sub-range of it) is bisected to name
-   the first offending (serial, part). The unit-ness of the committed
-   vectors is a cheap scalar check and stays serial on both paths.
-   [?pool] shards the batch across domains (see [par_find_first]). *)
-let check_openings ?(batch = true) ?pool v =
+   All opening equations fold into one MSM through
+   [Unit_vector.verify_published], the check the bulletin board ran on
+   the same openings before publishing them: its Fiat-Shamir weights
+   come from the verified data itself (the auditor holds no entropy
+   source), so audits replay. A failing batch (or sub-range of it) is
+   bisected down to single items, which [Unit_vector.verify] settles
+   at weight one, to name the first offending (serial, part). The
+   unit-ness of the committed vectors is a cheap scalar check and
+   stays serial. [?pool] shards the batch across domains (see
+   [par_find_first]). *)
+let check_openings ?pool v =
   let items =
     Hashtbl.fold (fun key op acc -> (key, op) :: acc) v.unused_openings []
     |> List.sort (fun ((s1, p1), _) ((s2, p2), _) ->
@@ -233,8 +227,8 @@ let check_openings ?(batch = true) ?pool v =
               let ones =
                 Array.fold_left
                   (fun acc (o : Elgamal.opening) ->
-                     if Nat.equal o.Elgamal.msg Nat.one then acc + 1
-                     else if Nat.is_zero o.Elgamal.msg then acc
+                     if Sc.equal o.Elgamal.msg Sc.one then acc + 1
+                     else if Sc.is_zero o.Elgamal.msg then acc
                      else acc + 1000)
                   0 per_coord
               in
@@ -247,9 +241,9 @@ let check_openings ?(batch = true) ?pool v =
   let crypto = Array.of_list (List.rev !crypto) in
   let items = Array.map (fun (_, _, _, cv) -> cv) crypto in
   (match
-     first_invalid ~batch ?pool items
-       ~check_one:(fun (c, o) -> Unit_vector.verify c o)
-       ~check_range:(fun ~lo ~len ->
+     par_find_first pool ~n:(Array.length items) ~check:(fun ~lo ~len ->
+         if len = 1 then Unit_vector.verify (fst items.(lo)) (snd items.(lo))
+         else
            Unit_vector.verify_published ~label:v.cfg.Types.election_id
              (Array.sub items lo len))
    with
@@ -276,7 +270,7 @@ let master_challenge v =
    part folds into one MSM under Fiat-Shamir weights; bisection names
    the first offending (serial, part) when the batch fails. [?pool]
    shards the batch across domains (see [par_find_first]). *)
-let check_zk ?(batch = true) ?pool v =
+let check_zk ?pool v =
   let master = master_challenge v in
   let bad = ref None and checked = ref 0 in
   let crypto = ref [] in
@@ -315,7 +309,7 @@ let check_zk ?(batch = true) ?pool v =
          [ Printf.sprintf "%d:%s:%d" serial (Types.part_label part) pos;
            Ballot_proof.encode_first_move inst.Ballot_proof.fm;
            Ballot_proof.encode_final_move inst.Ballot_proof.fin;
-           Nat.to_bytes_be ~len:32 inst.Ballot_proof.challenge ])
+           Sc.to_bytes inst.Ballot_proof.challenge ])
       (Array.to_list crypto)
   in
   let check_range ~lo ~len =
@@ -326,7 +320,7 @@ let check_zk ?(batch = true) ?pool v =
       in
       Ballot_proof.verify_batch rng (Array.sub insts lo len)
   in
-  (match first_invalid ~batch ?pool insts ~check_one:verify_one ~check_range with
+  (match par_find_first pool ~n:(Array.length insts) ~check:check_range with
    | None -> ()
    | Some idx ->
      let serial, part, pos, _ = crypto.(idx) in
@@ -416,7 +410,7 @@ let check_voter_unused v (info : Voter.audit_info) =
          let option = ref (-1) in
          Array.iteri
            (fun j (o : Elgamal.opening) ->
-              if Nat.equal o.Elgamal.msg Nat.one then option := j)
+              if Sc.equal o.Elgamal.msg Sc.one then option := j)
            per_coord;
          if !option < 0 || !option >= Array.length info.Voter.a_unused_lines then ok := false
          else begin
@@ -430,12 +424,12 @@ let check_voter_unused v (info : Voter.audit_info) =
     check "g:unused-part-matches" !ok
       (Printf.sprintf "ballot %d's unused part matches the printed ballot" serial)
 
-let audit ?(voter_audits = []) ?batch ?pool v =
+let audit ?(voter_audits = []) ?pool v =
   [ check_distinct_codes v;
     check_single_submission v;
     check_single_part v;
-    check_openings ?batch ?pool v;
-    check_zk ?batch ?pool v;
+    check_openings ?pool v;
+    check_zk ?pool v;
     check_tally v ]
   @ List.concat_map (fun info -> [ check_voter_code v info; check_voter_unused v info ])
     voter_audits

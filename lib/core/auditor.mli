@@ -58,25 +58,23 @@ val audit_slice : ?root:string -> view -> chunk:int -> check list
     (f) the cast code is in the final set and (g) the opened unused
     part matches the printed ballot.
 
-    With [batch] (the default), the expensive checks (d) and (e) fold
-    their group equations into one multi-scalar multiplication each,
-    under random weights derived Fiat-Shamir-style from the audited
-    data (sound — the EA commits before the weights exist — and
-    replayable). A failing batch is bisected so the report still
-    names the first offending (serial, part). [~batch:false] keeps
-    the equation-by-equation reference path.
+    The expensive checks (d) and (e) fold their group equations into
+    one multi-scalar multiplication each, under random weights derived
+    Fiat-Shamir-style from the audited data (sound — the EA commits
+    before the weights exist — and replayable). A failing batch is
+    bisected down to single equations, each checked alone at weight
+    one, so the report still names the first offending (serial, part).
 
     A multi-domain [?pool] shards (d) and (e) across domains; the
     verdict and the named first offender are identical to the serial
     path (pinned by tests). *)
 val audit :
-  ?voter_audits:Voter.audit_info list -> ?batch:bool ->
-  ?pool:Dd_parallel.Pool.t -> view -> check list
+  ?voter_audits:Voter.audit_info list -> ?pool:Dd_parallel.Pool.t -> view -> check list
 
 val all_ok : check list -> bool
 val pp_checks : Format.formatter -> check list -> unit
 
 (** Exposed for targeted testing and benchmarks. On failure, [detail]
-    names the first offending (serial, part) on both paths. *)
-val check_zk : ?batch:bool -> ?pool:Dd_parallel.Pool.t -> view -> check
-val check_openings : ?batch:bool -> ?pool:Dd_parallel.Pool.t -> view -> check
+    names the first offending (serial, part), with or without a pool. *)
+val check_zk : ?pool:Dd_parallel.Pool.t -> view -> check
+val check_openings : ?pool:Dd_parallel.Pool.t -> view -> check

@@ -48,10 +48,10 @@ val sign : ?rng:Dd_crypto.Drbg.t -> keys -> string -> tag
     and [sign_prepared k ~nonce:(Some (n, r)) msg] finishes the tag given
     [r = n*G] in affine form. Under [Mac_scheme] it is {!sign}. Raises
     [Invalid_argument] on a Schnorr key without a nonce. *)
-val draw_nonce : rng:Dd_crypto.Drbg.t -> keys -> Dd_bignum.Nat.t option
+val draw_nonce : rng:Dd_crypto.Drbg.t -> keys -> Dd_bignum.Sc.t option
 
 val sign_prepared :
-  keys -> nonce:(Dd_bignum.Nat.t * Dd_group.Curve.point) option -> string -> tag
+  keys -> nonce:(Dd_bignum.Sc.t * Dd_group.Curve.point) option -> string -> tag
 
 (** [verify k ~signer msg tag]: does [tag] authenticate [msg] from
     [signer], as seen by node [k.me]? Cross-scheme tags never verify. *)

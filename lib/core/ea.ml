@@ -100,13 +100,13 @@ type drawn_part = {
   d_part : Types.part_id;
   d_mat : Ballot_gen.part_material;
   d_receipt_shares : Shamir_bytes.share array array;     (* pos -> node *)
-  d_vc_nonces : Dd_bignum.Nat.t option array array;      (* node -> pos *)
+  d_vc_nonces : Dd_bignum.Sc.t option array array;      (* node -> pos *)
   d_openings : Elgamal.opening array array;              (* pos -> coordinate *)
   d_states : Ballot_proof.prover_state array;            (* pos *)
   d_shares : Elgamal_vss.share array array array;        (* pos -> coordinate -> trustee *)
   d_ivs : string array;                                  (* pos *)
   d_state_shares : Shamir_bytes.share array;             (* trustee *)
-  d_trustee_nonces : Dd_bignum.Nat.t option array;       (* trustee *)
+  d_trustee_nonces : Dd_bignum.Sc.t option array;       (* trustee *)
 }
 
 let draw_part cfg ~seed ~ea_vc ~ea_trustee rng ~serial ~part =

@@ -238,11 +238,13 @@ let write_setup ?pool ?(chunk_size = Ea.default_setup_chunk) devices cfg
   in
   run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk:0
 
-(* Whether [st] is the static the EA sealed this layout under: serial
-   0's first receipt share in vc-0 and its part-A ZK-state share in
-   trustee-0 carry EA authenticators, and the EA signs as index nv
-   (resp. nt) of a clique dealt from the seed, so a layout dealt under
-   another seed, nv or nt fails here. *)
+(* Whether [st] is the static the EA dealt these segments under:
+   serial 0's first receipt share in vc-0 and its part-A ZK-state share
+   in trustee-0 carry EA authenticators, and the EA signs as index nv
+   (resp. nt) of a clique dealt from the seed, so segments dealt under
+   another seed, nv or nt fail here. [vc0] and [trustee0] are manifests
+   whose chunk 0 is read, sealed or durable in a partial segment; a
+   segment given as [None] is not checked. *)
 let ea_sealed devices (st : Ea.static) ~vc0 ~trustee0 =
   let cfg = st.Ea.st_cfg in
   let election_id = cfg.Types.election_id in
@@ -251,7 +253,7 @@ let ea_sealed devices (st : Ea.static) ~vc0 ~trustee0 =
     | Some records when Array.length records > 0 -> decode records.(0)
     | Some _ | None -> None
   in
-  let vc_ok =
+  let vc_ok vc0 =
     match first (vc_segment 0) vc0 decode_vc_record with
     | Some parts when Array.length parts = 2 && Array.length parts.(0) > 0 ->
       let line = parts.(0).(0) in
@@ -264,8 +266,7 @@ let ea_sealed devices (st : Ea.static) ~vc0 ~trustee0 =
        | None -> false)
     | Some _ | None -> false
   in
-  vc_ok
-  && begin
+  let trustee_ok trustee0 =
     match first (trustee_segment 0) trustee0 (decode_trustee_record st.Ea.st_gctx) with
     | Some parts when Array.length parts > 0 ->
       let d = parts.(0) in
@@ -274,7 +275,8 @@ let ea_sealed devices (st : Ea.static) ~vc0 ~trustee0 =
            d.Ea.t_zk_state_share)
         d.Ea.t_zk_state_tag
     | Some _ | None -> false
-  end
+  in
+  Option.fold ~none:true ~some:vc_ok vc0 && Option.fold ~none:true ~some:trustee_ok trustee0
 
 (* [l] if it is the layout [cfg] names: every segment holds one record
    per voter and the EA tags check under [l]'s static. *)
@@ -282,9 +284,14 @@ let checked devices cfg (l : layout) =
   let full (m : Segment.manifest) = m.Segment.total = cfg.Types.n_voters in
   if full l.l_bb && full l.l_ballots && Array.for_all full l.l_vc
      && Array.for_all full l.l_trustee
-     && ea_sealed devices l.l_static ~vc0:l.l_vc.(0) ~trustee0:l.l_trustee.(0)
+     && ea_sealed devices l.l_static ~vc0:(Some l.l_vc.(0)) ~trustee0:(Some l.l_trustee.(0))
   then Some l
   else None
+
+(* The static part of a layout, re-derived from the seed: cheap (no
+   per-ballot crypto). *)
+let rederive_static ~chunk_size cfg ~seed =
+  Ea.setup_chunks ~chunk_size ~from_chunk:max_int cfg ~seed ~emit:(fun _ -> ())
 
 let load_layout devices cfg ~seed =
   let sealed name =
@@ -296,54 +303,16 @@ let load_layout devices cfg ~seed =
   match (sealed bb_segment, sealed ballots_segment) with
   | Some l_bb, Some l_ballots
     when List.length vc = cfg.Types.nv && List.length tr = cfg.Types.nt ->
-    (* re-derive the static part: cheap (no per-ballot crypto) *)
-    let l_static =
-      Ea.setup_chunks ~chunk_size:l_bb.Segment.chunk_size ~from_chunk:max_int cfg ~seed
-        ~emit:(fun _ -> ())
-    in
+    let l_static = rederive_static ~chunk_size:l_bb.Segment.chunk_size cfg ~seed in
     (* lint: allow secret-taint — the static's keys only verify EA tags; the comparisons are on record shapes, never secret bytes *)
     checked devices cfg
       { l_static; l_bb; l_ballots; l_vc = Array.of_list vc; l_trustee = Array.of_list tr }
   | _ -> None
 
-let resume_setup ?pool ?chunk_size devices cfg ~seed =
-  (* classify every segment, discovering the on-disk chunk size *)
-  let discovered = ref None in
-  let see cs =
-    match !discovered with
-    | None -> discovered := Some cs
-    | Some cs' ->
-        if cs <> cs' then
-          (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-          invalid_arg "Election_store.resume_setup: inconsistent chunk sizes"
-  in
-  let classified =
-    List.map
-      (fun name ->
-        let dev = devices name in
-        match Segment.load dev with
-        | Segment.Empty -> (name, `Fresh dev)
-        | Segment.Sealed m ->
-            see m.Segment.chunk_size;
-            (name, `Sealed m)
-        | Segment.Partial { chunk_size = cs; _ } ->
-            see cs;
-            (name, `Partial dev)
-        | Segment.Corrupt msg ->
-            (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-            invalid_arg
-              (Printf.sprintf "Election_store.resume_setup: %s: %s" name msg))
-      (segment_names cfg)
-  in
-  let chunk_size =
-    match (!discovered, chunk_size) with
-    | Some cs, Some cs' when cs <> cs' ->
-        (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
-        invalid_arg "Election_store.resume_setup: chunk_size mismatch"
-    | Some cs, _ -> cs
-    | None, Some cs' -> cs'
-    | None, None -> Ea.default_setup_chunk
-  in
+(* Resume over classified segments once they are known to be this
+   seed's: reopen each partial one at its last checkpoint (truncating
+   what follows), regenerate from the least-complete one, and seal. *)
+let resume_classified ?pool ~chunk_size ~classified devices cfg ~seed =
   let slots =
     List.map
       (fun (name, c) ->
@@ -351,7 +320,7 @@ let resume_setup ?pool ?chunk_size devices cfg ~seed =
         | `Sealed m -> (name, Done m)
         | `Fresh dev ->
             (name, Writing (Segment.create_writer ~chunk_size dev ~kind:name))
-        | `Partial dev ->
+        | `Partial (dev, _) ->
             let w, _already = Segment.resume dev ~kind:name in
             (name, Writing w))
       classified
@@ -373,6 +342,59 @@ let resume_setup ?pool ?chunk_size devices cfg ~seed =
      the one [cfg] and [seed] name. *)
   (* lint: allow secret-taint — the static's keys only verify EA tags; the comparisons are on record shapes, never secret bytes *)
   checked devices cfg (run_setup ?pool ~chunk_size ~slots cfg ~seed ~from_chunk)
+
+let resume_setup ?pool ?chunk_size devices cfg ~seed =
+  (* classify every segment, discovering the on-disk chunk size *)
+  let discovered = ref None in
+  let see cs =
+    match !discovered with
+    | None -> discovered := Some cs
+    | Some cs' ->
+        if cs <> cs' then
+          (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+          invalid_arg "Election_store.resume_setup: inconsistent chunk sizes"
+  in
+  let classified =
+    List.map
+      (fun name ->
+        let dev = devices name in
+        match Segment.load dev with
+        | Segment.Empty -> (name, `Fresh dev)
+        | Segment.Sealed m ->
+            see m.Segment.chunk_size;
+            (name, `Sealed m)
+        | Segment.Partial m ->
+            see m.Segment.chunk_size;
+            (name, `Partial (dev, m))
+        | Segment.Corrupt msg ->
+            (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+            invalid_arg
+              (Printf.sprintf "Election_store.resume_setup: %s: %s" name msg))
+      (segment_names cfg)
+  in
+  let chunk_size =
+    match (!discovered, chunk_size) with
+    | Some cs, Some cs' when cs <> cs' ->
+        (* lint: allow exception-hygiene — operator-facing local-disk validation, not a network input *)
+        invalid_arg "Election_store.resume_setup: chunk_size mismatch"
+    | Some cs, _ -> cs
+    | None, Some cs' -> cs'
+    | None, None -> Ea.default_setup_chunk
+  in
+  (* Serial 0's EA tags, wherever a durable chunk holds them, must
+     check under this seed's static before any segment is truncated or
+     appended to: a dir dealt under another seed is refused untouched. *)
+  let durable name =
+    match List.assoc_opt name classified with
+    | Some (`Sealed m | `Partial (_, m)) when Segment.n_chunks m > 0 -> Some m
+    | Some _ | None -> None
+  in
+  let vc0 = durable (vc_segment 0) and trustee0 = durable (trustee_segment 0) in
+  if (Option.is_some vc0 || Option.is_some trustee0)
+     (* lint: allow secret-taint — the static's keys only verify EA tags; the comparisons are on record shapes, never secret bytes *)
+     && not (ea_sealed devices (rederive_static ~chunk_size cfg ~seed) ~vc0 ~trustee0)
+  then None
+  else resume_classified ?pool ~chunk_size ~classified devices cfg ~seed
 
 (* --- readers over a sealed layout ----------------------------------------- *)
 

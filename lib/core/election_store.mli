@@ -76,7 +76,17 @@ val write_setup :
     run. Also callable over untouched devices (full run) or fully
     sealed ones (a reload, which writes nothing). The layout passes
     {!load_layout}'s checks or is [None]: a state dir sealed under
-    another seed or [n_voters] is refused, not served. *)
+    another seed or [n_voters] is refused, not served.
+
+    Before any segment is truncated or appended to, serial 0's EA tags
+    are checked against the static re-derived from [seed] in vc-0 and
+    in trustee-0, in each one where a durable chunk (sealed, or
+    checkpointed in a partial segment) holds them; on a mismatch the
+    result is [None] and no device is written. The case that stays
+    unchecked: durable records only in segments that carry no EA tag
+    (vc-0 and trustee-0 both empty or torn before their first
+    checkpoint), which a resume under another seed extends with its own
+    records before the final check refuses the layout. *)
 val resume_setup :
   ?pool:Dd_parallel.Pool.t -> ?chunk_size:int ->
   (string -> Device.t) -> Types.config -> seed:string -> layout option

@@ -274,20 +274,20 @@ let decode_vc_msg frame =
    durable input journal (Dd_store): a cold-restarted board replays
    exactly the verified submissions it accepted. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
-let put_nat w n = Wire.put_bytes w (Nat.to_bytes_be n)
+let put_scalar w n = Wire.put_bytes w (Sc.to_bytes_trimmed n)
 
 (* A VSS scalar comes from a trustee post or segment: canonical only. *)
 let get_scalar r =
-  match Dd_group.Curve.decode_scalar (Wire.get_bytes r) with
+  match Sc.of_bytes (Wire.get_bytes r) with
   | Some k -> k
   | None -> raise (Wire.Malformed "vss share: scalar not canonical")
 
 let put_vss_share w (sh : Dd_vss.Elgamal_vss.share) =
   Wire.put_varint w sh.Dd_vss.Elgamal_vss.x;
-  put_nat w sh.Dd_vss.Elgamal_vss.msg;
-  put_nat w sh.Dd_vss.Elgamal_vss.rand
+  put_scalar w sh.Dd_vss.Elgamal_vss.msg;
+  put_scalar w sh.Dd_vss.Elgamal_vss.rand
 
 let get_vss_share r =
   let x = Wire.get_varint r in

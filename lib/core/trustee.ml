@@ -17,7 +17,7 @@ module Elgamal_vss = Dd_vss.Elgamal_vss
 module Ballot_proof = Dd_zkp.Ballot_proof
 module Challenge = Dd_zkp.Challenge
 module Group_ctx = Dd_group.Group_ctx
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Wal = Dd_store.Wal
 module Wire = Dd_codec.Wire
 
@@ -45,7 +45,7 @@ type t = {
   (* (serial, part) -> collected state shares *)
   state_shares : (int * Types.part_id, Shamir_bytes.share list ref) Hashtbl.t;
   mutable used_parts : (int * Types.part_id) list;  (* serial, voted part *)
-  mutable master_challenge : Nat.t option;
+  mutable master_challenge : Sc.t option;
   mutable zk_posted : (int * Types.part_id, unit) Hashtbl.t;
   mutable started : bool;
   mutable journal : Dd_store.Device.t option;
@@ -283,7 +283,7 @@ let observable t =
   let w = Wire.writer () in
   Wire.put_varint w 1;
   Wire.put_bool w t.started;
-  Wire.put_option w (fun w n -> Wire.put_bytes w (Nat.to_bytes_be n)) t.master_challenge;
+  Wire.put_option w (fun w n -> Wire.put_bytes w (Sc.to_bytes_trimmed n)) t.master_challenge;
   Wire.put_list w
     (fun w (s, p) ->
        Wire.put_varint w s;

@@ -10,7 +10,7 @@
    verifications. On failure, [find_failures] localizes the offending
    items by bisection over sub-batches. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
 (* 128 bits keeps the weight half the scalar width (cheaper wNAF
    chains) while already pushing the cheat probability below the
@@ -20,8 +20,8 @@ let weight_bits = 128
 (* A fresh nonzero weight. Zero (probability 2^-128) would void the
    soundness argument for its item, so it maps to 1. *)
 let weight rng =
-  let w = Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng (weight_bits / 8)) in
-  if Nat.is_zero w then Nat.one else w
+  let w = Sc.of_bytes_mod (Dd_crypto.Drbg.bytes rng (weight_bits / 8)) in
+  if Sc.is_zero w then Sc.one else w
 
 (* Derive a weight DRBG from the data being verified (Fiat-Shamir
    style): a cheating prover must commit to the batch items before it

@@ -3,10 +3,8 @@
     Soundness: a batch accepting despite a bad item is a 2^-128 event
     per batch (see DESIGN.md, "Batch verification"). *)
 
-module Nat = Dd_bignum.Nat
-
 (** A fresh uniform nonzero 128-bit weight. *)
-val weight : Dd_crypto.Drbg.t -> Nat.t
+val weight : Dd_crypto.Drbg.t -> Dd_bignum.Sc.t
 
 (** [derive_rng ~label parts] seeds a weight DRBG from the batch items
     themselves (Fiat-Shamir): sound for verifying published data,

@@ -3,14 +3,16 @@
    lifted-ElGamal option-encoding commitments, Chaum-Pedersen proofs,
    and Schnorr signatures (replacing MIRACL).
 
-   Every base-field operation runs on [Fe]'s fixed-width limbs. [Nat]
-   crosses into [Fe] only at the edges: the curve constants,
-   [of_affine], [to_affine], the codecs, [on_curve] and
-   [hash_to_point]. *)
+   Every base-field operation runs on [Fe]'s fixed-width limbs, and
+   every scalar is an [Sc]: fixed-width too, fully reduced mod the
+   order n. Bytes cross into either only at the edges: the curve
+   constants, the codecs and [hash_to_point]. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
 module Fe = Dd_bignum.Fe
+module Sc = Dd_bignum.Sc
+
+(* A constant from its big-endian hex digits. *)
+let hex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 (* GLV endomorphism data (secp256k1 has j-invariant 0): with beta a
    primitive cube root of unity mod p, (x, y) -> (beta*x, y) is
@@ -19,12 +21,14 @@ module Fe = Dd_bignum.Fe
    ~128-bit halves. Used only by the vartime paths: msm and
    the endomorphism tables. *)
 type endo = {
-  e_lambda : Nat.t;     (* phi(P) = lambda * P *)
+  e_lambda : Sc.t;      (* phi(P) = lambda * P *)
   e_beta : Fe.t;        (* phi(x, y) = (beta * x, y) *)
-  e_a1 : Nat.t;
-  e_b1 : Nat.t;         (* magnitude; the basis vector is (a1, -b1) *)
-  e_a2 : Nat.t;
-  e_b2 : Nat.t;
+  e_a1 : Sc.t;
+  e_b1 : Sc.t;          (* magnitude; the basis vector is (a1, -b1) *)
+  e_a2 : Sc.t;
+  e_b2 : Sc.t;
+  e_g1 : Sc.t;          (* round(2^384 b2 / n), for [endo_split] *)
+  e_g2 : Sc.t;          (* round(2^384 b1 / n) *)
 }
 
 (* A point is X, Y and Z as [Fe] limbs in one array: X at 0, Y at 10, Z
@@ -44,32 +48,25 @@ type scratch = {
   ex : Fe.t; ey : Fe.t;
 }
 
-(* The prime order n of the generator, and the 32-byte width of an
-   encoded coordinate. *)
-let order = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
+(* The 32-byte width of an encoded coordinate or scalar, the order's
+   bit length, and 2^-1 = (n + 1) / 2 mod n. *)
 let byte_len = 32
-
-(* Arithmetic mod the order. *)
-let scalar_field = Modular.create order
-
-(* A scalar from outside the program: big-endian, at most [byte_len]
-   bytes, and canonical (below the order). *)
-let decode_scalar s =
-  let k = Nat.of_bytes_be s in
-  if String.length s <= byte_len && Nat.compare k order < 0 then Some k else None
+let order_bits = 256
+let half = Sc.of_bytes_mod (hex "7fffffffffffffffffffffffffffffff5d576e7357a4501ddfe92f46681b20a1")
 
 (* Draw a uniform scalar in [1, order) from a DRBG. *)
 let random_scalar rng =
   let rec draw () =
-    let k = Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng byte_len) in
-    if Nat.is_zero k || Nat.compare k order >= 0 then draw () else k
+    match Sc.of_bytes (Dd_crypto.Drbg.bytes rng byte_len) with
+    | Some k when not (Sc.is_zero k) -> k
+    | _ -> draw ()
   in
   draw ()
 
 (* --- points and registers ---------------------------------------------- *)
 
 let one = let o = Fe.make () in Fe.set_one o; o (* shared, never written *)
-let seven = Fe.of_nat (Nat.of_int 7) (* b, likewise *)
+let seven = Fe.of_bytes "\x07" (* b, likewise *)
 
 (* lint: allow domain-safe-state — the identity, never written *)
 let infinity : point = Array.make 30 0
@@ -102,8 +99,8 @@ let affine_point x y = store { x; y; z = one }
 
 let generator =
   affine_point
-    (Fe.of_nat (Nat.of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"))
-    (Fe.of_nat (Nat.of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"))
+    (Fe.of_bytes (hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"))
+    (Fe.of_bytes (hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"))
 
 let is_affine (p : point) = not (is_infinity p) && Fe.equal (loaded p).z one
 
@@ -151,11 +148,11 @@ let to_affine_batch pts =
   let pending = List.filter pending (Array.to_list js) in
   let aff = normalize (Array.of_list pending) in
   List.iteri (fun i j -> let x, y = aff.(i) in Fe.set j.x x; Fe.set j.y y) pending;
-  Array.map (fun j -> if Fe.is_zero j.z then None else Some (Fe.to_nat j.x, Fe.to_nat j.y)) js
+  Array.map (fun j -> if Fe.is_zero j.z then None else Some (j.x, j.y)) js
 
 let to_affine pt = (to_affine_batch [| pt |]).(0)
 
-let of_affine (x, y) = affine_point (Fe.of_nat x) (Fe.of_nat y)
+let of_affine (x, y) = affine_point x y
 
 (* dst := x^3 + 7. *)
 let curve_rhs dst x =
@@ -164,9 +161,9 @@ let curve_rhs dst x =
   Fe.add dst dst seven
 
 let on_curve (x, y) =
-  let lhs = Fe.of_nat y and rhs = Fe.make () in
-  Fe.sqr lhs lhs;
-  curve_rhs rhs (Fe.of_nat x);
+  let lhs = Fe.make () and rhs = Fe.make () in
+  Fe.sqr lhs y;
+  curve_rhs rhs x;
   Fe.equal lhs rhs
 
 (* --- the group law on registers ----------------------------------------- *)
@@ -306,7 +303,6 @@ type arena = {
   mutable fe : int array;     (* field elements, [Fe.pack]ed *)
   mutable ix : int array;     (* per-term and per-walk integers *)
   mutable dg : Bytes.t;       (* wNAF digit rows *)
-  limbs : int array;          (* one scalar's limbs *)
   s : scratch;
   acc : jac;
   tiny : jac;
@@ -321,7 +317,7 @@ let wnaf_cols = 264
 
 let arena_key =
   Domain.DLS.new_key (fun () ->
-      { fe = [||]; ix = [||]; dg = Bytes.create wnaf_cols; limbs = Array.make 8 0;
+      { fe = [||]; ix = [||]; dg = Bytes.create wnaf_cols;
         s = scratch (); acc = jac (); tiny = jac (); r1 = jac (); r2 = jac (); r3 = jac () })
 
 let arena () = Domain.DLS.get arena_key
@@ -341,29 +337,16 @@ let ix_words a n =
 
 let set_identity r = Array.fill r.z 0 10 0
 
-(* Bits i .. i + len - 1 (len < 62) of the scalar whose nl limbs start
-   at lb.(base); bits past the top read 0. *)
-let limb_bits (lb : int array) base nl i len =
-  let q = i / Nat.base_bits and r = i mod Nat.base_bits in
-  let lo = if q < nl then lb.(base + q) lsr r else 0 in
-  let hi =
-    if r + len > Nat.base_bits && q + 1 < nl then lb.(base + q + 1) lsl (Nat.base_bits - r)
-    else 0
-  in
-  (lo lor hi) land ((1 lsl len) - 1)
-
-(* Width-w wNAF digits of [k] (below 2^256) as signed bytes in
-   dg.(off ..), least significant first: odd digits in
-   {+-1, +-3, ..., +-(2^(w-1)-1)}, each followed by at least w-1 zeros.
-   Read from k's limbs (copied into [limbs]) with an int carry; returns
-   the number of digits up to the top nonzero one. *)
-let wnaf_into w limbs k dg off =
-  let nl = Nat.to_limbs_into k limbs in
-  let nbits = Nat.bit_length k in
+(* Width-w wNAF digits of [k] as signed bytes in dg.(off ..), least
+   significant first: odd digits in {+-1, +-3, ..., +-(2^(w-1)-1)}, each
+   followed by at least w-1 zeros. Read from k's bits with an int carry;
+   returns the number of digits up to the top nonzero one. *)
+let wnaf_into w k dg off =
+  let nbits = Sc.bit_length k in
   let half = 1 lsl (w - 1) and full = 1 lsl w in
   let i = ref 0 and carry = ref 0 and top = ref 0 in
   while !i < nbits || !carry = 1 do
-    let b = limb_bits limbs 0 nl !i 1 + !carry in
+    let b = Sc.bits k !i 1 + !carry in
     if b land 1 = 0 then begin
       Bytes.set dg (off + !i) '\000';
       carry := b lsr 1;
@@ -372,7 +355,7 @@ let wnaf_into w limbs k dg off =
     else begin
       (* odd position: take w bits; subtracting 2^w when the window
          tops 2^(w-1)-1 pushes a carry into the next window *)
-      let d = b lor (limb_bits limbs 0 nl (!i + 1) (w - 1) lsl 1) in
+      let d = b lor (Sc.bits k (!i + 1) (w - 1) lsl 1) in
       carry := Bool.to_int (d >= half);
       Bytes.set_int8 dg (off + !i) (d - (!carry * full));
       Bytes.fill dg (off + !i + 1) (w - 1) '\000';
@@ -389,14 +372,13 @@ let wnaf_into w limbs k dg off =
    [ey]. Public inputs only — see curve.mli. *)
 let mul_vartime_j s k pt =
   let acc = jac () in
-  let k = Modular.reduce scalar_field k in
-  if not (Nat.is_zero k || is_infinity pt) then begin
+  if not (Sc.is_zero k || is_infinity pt) then begin
     let tbl = Array.init 8 (fun _ -> jac ()) and p2 = jac () in
     load pt tbl.(0);
     dbl s p2 tbl.(0);
     for i = 1 to 7 do add_j s tbl.(i) tbl.(i - 1) p2 done;
     let a = arena () in
-    for pos = wnaf_into 5 a.limbs k a.dg 0 - 1 downto 0 do
+    for pos = wnaf_into 5 k a.dg 0 - 1 downto 0 do
       dbl s acc acc;
       let d = Bytes.get_int8 a.dg pos in
       if d > 0 then add_j s acc acc tbl.(d / 2)
@@ -432,14 +414,16 @@ let equal p q =
    basis, as in libsecp256k1. They are verified algebraically below,
    and a bad constant raises rather than let [msm] produce wrong
    results. *)
-let glv = {
-  e_lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
-  e_beta = Fe.of_nat (Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
-  e_a1 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
-  e_b1 = Nat.of_hex "e4437ed6010e88286f547fa90abfe4c3";
-  e_a2 = Nat.of_hex "114ca50f7a8e2f3f657c1108d9d44cfd8";
-  e_b2 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
-}
+let glv =
+  let sc h = Sc.of_bytes_mod (hex h) in
+  { e_lambda = sc "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
+    e_beta = Fe.of_bytes (hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
+    e_a1 = sc "3086d221a7d46bcde86c90e49284eb15";
+    e_b1 = sc "e4437ed6010e88286f547fa90abfe4c3";
+    e_a2 = sc "0114ca50f7a8e2f3f657c1108d9d44cfd8";
+    e_b2 = sc "3086d221a7d46bcde86c90e49284eb15";
+    e_g1 = sc "3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031";
+    e_g2 = sc "e4437ed6010e88286f547fa90abfe4c4221208ac9df506c61571b4ae8ac47f71" }
 
 (* Accept the endomorphism only if it checks out, once per process,
    when the module initializes: beta must be a nontrivial cube root of
@@ -448,7 +432,6 @@ let glv = {
    multiplication by lambda rather than lambda^2), and the lattice basis
    must satisfy a1 = b1*lambda and a2 = -b2*lambda (mod n). *)
 let () =
-  let fn = scalar_field in
   let cube = Fe.make () and g = loaded generator in
   Fe.sqr cube glv.e_beta;
   Fe.mul cube cube glv.e_beta;
@@ -456,9 +439,8 @@ let () =
   let valid =
     not (Fe.equal glv.e_beta one)
     && Fe.equal cube one
-    && Nat.equal (Modular.mul fn glv.e_b1 glv.e_lambda) (Modular.reduce fn glv.e_a1)
-    && Nat.is_zero
-         (Modular.add fn (Modular.reduce fn glv.e_a2) (Modular.mul fn glv.e_b2 glv.e_lambda))
+    && Sc.equal (Sc.mul glv.e_b1 glv.e_lambda) glv.e_a1
+    && Sc.is_zero (Sc.add glv.e_a2 (Sc.mul glv.e_b2 glv.e_lambda))
     (* lint: allow secret-taint — curve constants and the generator are public *)
     && equal (store g) (mul_vartime glv.e_lambda generator)
   in
@@ -503,7 +485,7 @@ type base_table = {
      stride * j + 5 and, in an endomorphism table, beta x at
      stride * j + 10, packed by [Fe.pack]; no rows iff B is the
      identity *)
-  offset : Nat.t;          (* 2^(wW) - 1 mod n *)
+  offset : Sc.t;           (* 2^(wW) - 1 mod n *)
   bit : bool;              (* a {!mul_base_batch} term's scalar is 0 or 1 *)
 }
 
@@ -625,9 +607,11 @@ let comb_row n cx cy prefix ~x ~xy =
    need 2j+1 = +-2c mod n. With [endo], beta x goes beside each entry's
    x. *)
 let build_tables ~width ~rows ~endo pts =
-  let fn = scalar_field in
+  (* 2^(wW) - 1: wW one bits, big-endian (wW < 512) *)
+  let ones = width * rows in
   let offset =
-    Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one (width * rows)) Nat.one)
+    Sc.of_bytes_mod
+      (String.make 1 (Char.chr ((1 lsl (ones mod 8)) - 1)) ^ String.make (ones / 8) '\xff')
   in
   let stride = if endo then 15 else 10 in
   let empty = { width; stride; entries = [||]; offset; bit = false } in
@@ -704,7 +688,7 @@ let build_tables ~width ~rows ~endo pts =
 
 let make_base_tables ~width pts =
   if width < 2 || width > 10 then invalid_arg "Curve.make_base_table: width";
-  let rows = (Nat.bit_length order + width - 1) / width in
+  let rows = (order_bits + width - 1) / width in
   build_tables ~width ~rows ~endo:false pts
 
 let make_base_table ~width pt = (make_base_tables ~width [| pt |]).(0)
@@ -719,27 +703,14 @@ let base_table_rows (table : base_table) =
            affine_point x y))
     table.entries
 
-(* The recoding d of [k] (see above) as big-endian bytes, which hold the
-   table's digits b_i: b_i is bits w*i .. w*i + w - 1 of d. Only called
-   on tables with rows. A lane of a lockstep group keeps these few bytes
-   rather than an array of its digits. *)
-let comb_digits (table : base_table) k =
-  let fn = scalar_field in
-  (* s = k + 2^(wW) - 1 mod n; halving mod n adds n to an odd s first *)
-  let s = Modular.add fn (Modular.reduce fn k) table.offset in
-  let odd = Nat.of_int (Bool.to_int (Nat.is_odd s)) in
-  let d = Nat.shift_right (Nat.add s (Nat.mul odd order)) 1 in
-  Nat.to_bytes_be ~len:(((table.width * Array.length table.entries) + 7) / 8) d
+(* The recoding d of [k] (see above), which holds the table's digits
+   b_i: b_i is bits w*i .. w*i + w - 1 of d. Halving mod n is a product
+   with 2^-1 = (n + 1) / 2, the same for an odd or even sum. A lane of a
+   lockstep group keeps d rather than an array of its digits. *)
+let comb_digits (table : base_table) k = Sc.mul (Sc.add k table.offset) half
 
-(* Digit b_i: w <= 10 bits at offset w*i span at most three bytes. *)
-let comb_digit (table : base_table) digits i =
-  let nb = String.length digits in
-  let o = table.width * i in
-  let v = ref 0 in
-  for j = min (nb - 1) ((o lsr 3) + 2) downto o lsr 3 do
-    v := (!v lsl 8) lor Char.code (String.unsafe_get digits (nb - 1 - j))
-  done;
-  (!v lsr (o land 7)) land ((1 lsl table.width) - 1)
+(* Digit b_i: w <= 10 bits at offset w*i. *)
+let comb_digit (table : base_table) d i = Sc.bits d (table.width * i) table.width
 
 (* Row i's entry for recoded digit b is e * 2^(w*i) * B with
    e = 2b - (2^w - 1): column j of the row, where |e| = 2j + 1, and its
@@ -785,7 +756,7 @@ let mul_base_table (table : base_table) k =
 
 (* --- lockstep batch of fixed-base multiplications ---------------------- *)
 
-type comb_job = (base_table * Nat.t) list
+type comb_job = (base_table * Sc.t) list
 
 let batch_group = 1024
 
@@ -873,7 +844,8 @@ let lockstep_group (jobs : comb_job array) lo hi out =
   Array.iteri
     (fun l (_, (table : base_table), k) ->
        if table.bit then begin
-         if Nat.compare k Nat.one > 0 then invalid_arg "Curve.mul_base_batch: bit term above 1";
+         if not (Sc.is_zero k || Sc.equal k Sc.one) then
+           invalid_arg "Curve.mul_base_batch: bit term above 1";
          let x = Fe.make () and y = Fe.make () in
          (* entry 0 of row 0 is 1 * B *)
          if Array.length table.entries > 0 then begin
@@ -882,7 +854,7 @@ let lockstep_group (jobs : comb_job array) lo hi out =
          end;
          rx.(l) <- x;
          ry.(l) <- y;
-         rinf.(l) <- Array.length table.entries = 0 || not (Nat.is_odd k)
+         rinf.(l) <- Array.length table.entries = 0 || Sc.is_zero k
        end)
     terms;
   (* merge: job q's terms are the consecutive slots first.(q) .. *)
@@ -921,31 +893,23 @@ let mul_base_batch (jobs : comb_job array) =
 (* --- multi-scalar multiplication (batch verification kernel) ---------- *)
 
 (* GLV decomposition k = k1 + k2*lambda (mod n) from projections c1 ~
-   b2*k/n and c2 ~ b1*k/n onto the short basis: k1 = k - c1*a1 - c2*a2
-   and k2 = c1*b1 - c2*b2 come out signed, returned as (negate,
-   magnitude). The identity holds for *any* c1, c2 once the
-   initialization check has passed the basis congruences — the rounding
-   only controls how short the halves are, never soundness. *)
-let glv_halves k c1 c2 =
-  let signed_sub a b =
-    if Nat.compare a b >= 0 then (false, Nat.sub a b) else (true, Nat.sub b a)
-  in
-  let k1 = signed_sub k (Nat.add (Nat.mul c1 glv.e_a1) (Nat.mul c2 glv.e_a2)) in
-  let k2 = signed_sub (Nat.mul c1 glv.e_b1) (Nat.mul c2 glv.e_b2) in
-  (k1, k2)
-
-(* The split rounds to nearest, as in libsecp256k1: each c is
-   round(k*g / 2^384) with g = round(2^384 * b / n) fixed once. The
-   tables and the MSM both take it. *)
-let glv_g1, glv_g2 =
-  let round_div b = Nat.div (Nat.add (Nat.shift_left b 384) (Nat.shift_right order 1)) order in
-  (round_div glv.e_b2, round_div glv.e_b1)
-
-let half_384 = Nat.shift_left Nat.one 383
-
+   b2*k/n and c2 ~ b1*k/n onto the short basis: k2 = c1*b1 - c2*b2 and
+   k1 = k - k2*lambda, both mod n, whose integer values
+   k - c1*a1 - c2*a2 and c1*b1 - c2*b2 are short and signed (the basis
+   congruences a1 = b1*lambda, a2 = -b2*lambda make the two forms of k1
+   agree). A half below n/2 is positive; above, its magnitude is n
+   minus it. The identity holds for *any* c1, c2 once the
+   initialization check has passed the basis congruences: the rounding
+   only controls how short the halves are, never soundness. The split
+   rounds to nearest, as in libsecp256k1: each c is round(k*g / 2^384)
+   with g = round(2^384 * b / n) fixed. The tables and the MSM both take
+   it. *)
 let endo_split k =
-  let round g = Nat.shift_right (Nat.add (Nat.mul g k) half_384) 384 in
-  glv_halves k (round glv_g1) (round glv_g2)
+  let c1 = Sc.mul_shift k glv.e_g1 384 and c2 = Sc.mul_shift k glv.e_g2 384 in
+  let k2 = Sc.sub (Sc.mul c1 glv.e_b1) (Sc.mul c2 glv.e_b2) in
+  let k1 = Sc.sub k (Sc.mul k2 glv.e_lambda) in
+  let signed h = if Sc.bits h 255 1 = 0 then (false, h) else (true, Sc.neg h) in
+  (signed k1, signed k2)
 
 (* How long a GLV half of a scalar k < n can be: 128 bits. g is within
    1/2 of 2^384 b / n and k < 2^256, so c1 and c2 are within
@@ -969,7 +933,7 @@ let make_endo_tables pts = build_tables ~width:4 ~rows:(endo_bits / 4) ~endo:tru
    than the rows cover raises; no half of [endo_split] is. *)
 let mul2_endo (base : base_table) u (table : endo_table) ((n1, m1), (n2, m2)) =
   let cover = table.width * Array.length table.entries in
-  if Nat.bit_length m1 > cover || Nat.bit_length m2 > cover then
+  if Sc.bit_length m1 > cover || Sc.bit_length m2 > cover then
     invalid_arg "Curve.mul2_endo: a half is longer than the table's rows"
   else begin
     let s = scratch () and acc = jac () in
@@ -991,11 +955,11 @@ let mul2_endo (base : base_table) u (table : endo_table) ((n1, m1), (n2, m2)) =
     in
     if Array.length base.entries > 0 then rows ~xo:0 ~neg:false base u;
     let walk ~xo neg m =
-      if not (Nat.is_zero m) then
-        if Nat.is_odd m then rows ~xo ~neg table m
+      if not (Sc.is_zero m) then
+        if Sc.bits m 0 1 = 1 then rows ~xo ~neg table m
         else begin
           add ~xo ~neg table.entries.(0) 0;
-          rows ~xo ~neg table (Nat.sub m Nat.one)
+          rows ~xo ~neg table (Sc.sub m Sc.one)
         end
     in
     walk ~xo:0 n1 m1;
@@ -1046,8 +1010,7 @@ let normalize_slots s fe ~count at =
     Fe.pack v fe (o + 5)
   done
 
-let term_scalar a (pairs : (Nat.t * point) array) t =
-  Modular.reduce scalar_field (fst pairs.(a.ix.(t)))
+let term_scalar a (pairs : (Sc.t * point) array) t = fst pairs.(a.ix.(t))
 
 (* A Strauss digit string has at most 140 bits: a short scalar by the
    table-size rule below, a GLV half of [endo_split] by its bound (128
@@ -1085,7 +1048,7 @@ let digit_rows a rows =
    sign flip and its length. *)
 let msm_strauss a n pairs =
   let s = a.s in
-  let size t = if Nat.bit_length (term_scalar a pairs t) <= strauss_bits then 4 else 8 in
+  let size t = if Sc.bit_length (term_scalar a pairs t) <= strauss_bits then 4 else 8 in
   let entries = ref 0 and split = ref 0 in
   for t = 0 to n - 1 do
     entries := !entries + size t;
@@ -1121,9 +1084,9 @@ let msm_strauss a n pairs =
   normalize_slots s fe ~count:!entries (fun i -> slot * i);
   let walks = ref 0 and maxlen = ref 0 in
   let walk w tb ~phi (negate, m) =
-    if not (Nat.is_zero m) then begin
-      if Nat.bit_length m > strauss_bits then invalid_arg "Curve.msm: digit string too long";
-      let len = wnaf_into w a.limbs m dg (!walks * strauss_cols) in
+    if not (Sc.is_zero m) then begin
+      if Sc.bit_length m > strauss_bits then invalid_arg "Curve.msm: digit string too long";
+      let len = wnaf_into w m dg (!walks * strauss_cols) in
       let at = (2 * n) + (4 * !walks) in
       ix.(at) <- (if phi then tb + 10 else tb);
       ix.(at + 1) <- tb + 5;
@@ -1173,33 +1136,27 @@ let msm_strauss a n pairs =
    accumulate into their digit's bucket (mixed adds against the
    batch-normalized inputs) and the window sum comes out of a running
    suffix sum; cost is ~windows * (n + 2^(c+1)) adds + 256 doubles,
-   sublinear per point once n dominates the bucket count. The inputs,
-   the buckets (packed, after them) and the scalars' limbs
-   (ix.(n + 5t ..)) live in the arena. *)
+   sublinear per point once n dominates the bucket count. The inputs
+   and the buckets (packed, after them) live in the arena. *)
 let msm_pippenger a ~window:c n pairs =
   let s = a.s in
   let nbuckets = (1 lsl c) - 1 in
   let bk = slot * n in
   let fe = fe_words a (bk + (15 * (nbuckets + 1))) in
-  let ix = ix_words a (6 * n) in
+  let ix = a.ix in
   for t = 0 to n - 1 do
     load (snd pairs.(ix.(t))) a.r1;
     pack_jac fe (slot * t) a.r1
   done;
   normalize_slots s fe ~count:n (fun t -> slot * t);
-  for t = 0 to n - 1 do
-    let nl = Nat.to_limbs_into (term_scalar a pairs t) a.limbs in
-    Array.fill ix (n + (5 * t)) 5 0;
-    Array.blit a.limbs 0 ix (n + (5 * t)) nl
-  done;
-  let windows = (Nat.bit_length order + c - 1) / c in
+  let windows = (order_bits + c - 1) / c in
   let acc = a.acc and b = a.r1 and suffix = a.r2 and wsum = a.r3 in
   set_identity acc;
   for w = windows - 1 downto 0 do
     if w < windows - 1 then for _ = 1 to c do dbl s acc acc done;
     Array.fill fe bk (15 * (nbuckets + 1)) 0;
     for t = 0 to n - 1 do
-      let d = limb_bits ix (n + (5 * t)) 5 (w * c) c in
+      let d = Sc.bits (term_scalar a pairs t) (w * c) c in
       if d <> 0 then begin
         let o = bk + (15 * d) in
         unpack_jac fe o b;
@@ -1230,7 +1187,7 @@ let msm_pippenger a ~window:c n pairs =
    (differential tests use this to cover both paths at small n). Both
    work in the domain's arena. Variable time — public scalars and
    points only (curve.mli). *)
-let msm ?window (pairs : (Nat.t * point) array) =
+let msm ?window (pairs : (Sc.t * point) array) =
   let a = arena () in
   let s = a.s and tiny = a.tiny in
   set_identity tiny;
@@ -1239,18 +1196,17 @@ let msm ?window (pairs : (Nat.t * point) array) =
   let n = ref 0 in
   for i = 0 to Array.length pairs - 1 do
     let k, p = pairs.(i) in
-    let k = Modular.reduce scalar_field k in
-    if Nat.is_zero k || is_infinity p then ()
-    else if Nat.bit_length k <= 2 then begin
+    if Sc.is_zero k || is_infinity p then ()
+    else if Sc.bit_length k <= 2 then begin
       (* Scalars of one or two bits (notably the pinned weight 1 some
          batch verifiers use) are cheaper as a couple of direct
          additions than as a table-and-digit-string entry. *)
       load p a.r1;
-      if Nat.to_int k <> 1 then begin
+      if Sc.bits k 0 2 <> 1 then begin
         dbl s a.r2 a.r1;
         add_j s tiny tiny a.r2
       end;
-      if Nat.to_int k <> 2 then add_j s tiny tiny a.r1
+      if Sc.bits k 0 2 <> 2 then add_j s tiny tiny a.r1
     end
     else begin
       ix.(!n) <- i;
@@ -1284,21 +1240,25 @@ let encode_affine = function
   | Some (x, y) ->
     let b = Bytes.create (1 + (2 * byte_len)) in
     Bytes.set b 0 '\x04';
-    Bytes.blit_string (Nat.to_bytes_be ~len:byte_len x) 0 b 1 byte_len;
-    Bytes.blit_string (Nat.to_bytes_be ~len:byte_len y) 0 b (1 + byte_len) byte_len;
+    Bytes.blit_string (Fe.to_bytes x) 0 b 1 byte_len;
+    Bytes.blit_string (Fe.to_bytes y) 0 b (1 + byte_len) byte_len;
     Bytes.unsafe_to_string b
 
 let encode pt = encode_affine (to_affine pt)
 
+(* A coordinate: 32 bytes below p, which [Fe.of_bytes] returns
+   unchanged. *)
+let coordinate s off =
+  let b = String.sub s off byte_len in
+  let x = Fe.of_bytes b in
+  if String.equal (Fe.to_bytes x) b then Some x else None
+
 let decode s =
   if s = "\x00" then Some infinity
-  else if String.length s = 1 + 2 * byte_len && s.[0] = '\x04' then begin
-    let x = Nat.of_bytes_be (String.sub s 1 byte_len) in
-    let y = Nat.of_bytes_be (String.sub s (1 + byte_len) byte_len) in
-    if Nat.compare x Fe.prime < 0 && Nat.compare y Fe.prime < 0 && on_curve (x, y)
-    then Some (of_affine (x, y))
-    else None
-  end
+  else if String.length s = 1 + 2 * byte_len && s.[0] = '\x04' then
+    match coordinate s 1, coordinate s (1 + byte_len) with
+    | Some x, Some y when on_curve (x, y) -> Some (affine_point x y)
+    | _ -> None
   else None
 
 (* A y with y^2 = x^3 + 7, if x is on the curve. *)
@@ -1313,24 +1273,21 @@ let encode_compressed pt =
   match to_affine pt with
   | None -> "\x00"
   | Some (x, y) ->
-    let prefix = if Nat.is_odd y then "\x03" else "\x02" in
-    prefix ^ Nat.to_bytes_be ~len:byte_len x
+    (* a fully reduced element's parity is its low limb's *)
+    let prefix = if y.(0) land 1 = 1 then "\x03" else "\x02" in
+    prefix ^ Fe.to_bytes x
 
 let decode_compressed s =
   if s = "\x00" then Some infinity
-  else if String.length s = 1 + byte_len && (s.[0] = '\x02' || s.[0] = '\x03') then begin
-    let x = Nat.of_bytes_be (String.sub s 1 byte_len) in
-    if Nat.compare x Fe.prime >= 0 then None
-    else begin
-      let x = Fe.of_nat x in
+  else if String.length s = 1 + byte_len && (s.[0] = '\x02' || s.[0] = '\x03') then
+    match coordinate s 1 with
+    | None -> None
+    | Some x ->
       match lift_x x with
       | None -> None
       | Some y ->
-        (* a fully reduced element's parity is its low limb's *)
         if y.(0) land 1 <> Bool.to_int (s.[0] = '\x03') then Fe.neg y y;
         Some (affine_point x y)
-    end
-  end
   else None
 
 (* Hash-to-point by try-and-increment on SHA-256 outputs: used to derive
@@ -1340,7 +1297,7 @@ let hash_to_point label =
   let rec try_counter i =
     if i > 1000 then failwith "Curve.hash_to_point: no point found";
     let h = Dd_crypto.Sha256.digest_list [ label; string_of_int i ] in
-    let x = Fe.of_nat (Nat.of_bytes_be h) in
+    let x = Fe.of_bytes h in
     match lift_x x with
     | Some y -> affine_point x y
     | None -> try_counter (i + 1)
@@ -1365,4 +1322,4 @@ let hash_to_scalar parts =
     o + 10 + len
   in
   ignore (List.fold_left frame 0 parts);
-  Modular.of_bytes_be scalar_field (Dd_crypto.Sha256.digest (Bytes.unsafe_to_string buf))
+  Sc.of_bytes_mod (Dd_crypto.Sha256.digest (Bytes.unsafe_to_string buf))

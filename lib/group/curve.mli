@@ -1,11 +1,12 @@
 (** The secp256k1 elliptic-curve group (y^2 = x^3 + 7), with
     Jacobian-coordinate arithmetic. Every base-field operation runs on
-    {!Dd_bignum.Fe}: fixed-width limbs, fully reduced after every
-    operation, with no branch on a value.
+    {!Dd_bignum.Fe} and every scalar is a {!Dd_bignum.Sc}: fixed-width
+    limbs, fully reduced after every operation, with no branch on a
+    value.
 
     The module owns the group's constants and every operation on its
-    points: the order, the scalar field and the generator. There is no
-    context value. The GLV
+    points: the generator and the recodings of scalars mod its order.
+    There is no context value. The GLV
     endomorphism constants that {!endo_split}, {!msm} and the
     {!endo_table}s rely on are checked once, when
     the module initializes, which raises [Invalid_argument] if they do
@@ -30,7 +31,11 @@
       per row unconditionally — the sequence of group operations does
       not depend on the scalar. There is no secret-scalar path for a
       point without a comb table.
-    - The comb tables ({!base_table}) use signed odd digits. A digit
+    - The comb tables ({!base_table}) use signed odd digits. A
+      scalar's recoding is {!Dd_bignum.Sc} arithmetic, an add and a
+      multiplication on the fixed instruction sequence every [Sc]
+      operation runs, and each digit is read from it at a position
+      fixed by the row, not by the scalar. A digit
       picks its entry by index arithmetic and its sign by a mask select
       between y and -y ([Fe.select]), with no branch on the digit.
       Every entry is finite, and the recoding bounds the accumulator so
@@ -46,40 +51,32 @@
     - {b Public data} (signature verification, proof verification,
       checking commitments already on the wire): {!mul_vartime},
       {!mul2_endo}, {!endo_split} and {!msm} are the whole
-      variable-time surface: faster, but their operation count and
-      branching depend on the scalar's value. Never pass them a
-      secret. Every verifier, serial or batch, evaluates its equations
-      in a [Group_ctx] accumulator that ends in {!msm}, and inherits
+      variable-time surface of this module: faster, but their
+      operation count and branching depend on the scalar's value (its
+      bit length, wNAF digits and GLV halves). Never pass them a
+      secret. On the scalar side, [Sc.bit_length] (which only this
+      surface reads) and [Sc.inv_vartime] (the Lagrange denominators'
+      inverse, on public trustee indices) are the variable-time
+      operations. Every verifier, serial or batch, evaluates its
+      equations in a [Group_ctx] accumulator that ends in {!msm}, and inherits
       this rule: verification is for public transcripts only. A
       recurring point has one precomputed table, a
       comb {!base_table}, or an {!endo_table} over GLV halves for a
       signer's key; {!msm} builds its small odd-multiple tables per
       call, in its domain's arena. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
+module Fe = Dd_bignum.Fe
+module Sc = Dd_bignum.Sc
 
 (** An element of the group. Values compare equal through {!equal} even
     when their Jacobian representations differ. *)
 type point
 
-(** Modular context for Z_n, n the group order. *)
-val scalar_field : Modular.ctx
-
-(** The group order n, and the byte length of an encoded scalar or
-    coordinate (32). *)
-val order : Nat.t
+(** The byte length of an encoded scalar or coordinate (32). *)
 val byte_len : int
 
-(** [decode_scalar s] is the big-endian scalar [s] when [s] has at most
-    {!byte_len} bytes and its value is below the order; [None]
-    otherwise. For scalars read from outside the program: the group law
-    reduces mod n, so a non-canonical twin would act like its
-    canonical value. *)
-val decode_scalar : string -> Nat.t option
-
 (** Uniform scalar in [1, order). *)
-val random_scalar : Dd_crypto.Drbg.t -> Nat.t
+val random_scalar : Dd_crypto.Drbg.t -> Sc.t
 
 val infinity : point
 
@@ -87,18 +84,19 @@ val infinity : point
 val generator : point
 val is_infinity : point -> bool
 
-(** [to_affine p] is [None] for infinity and [Some (x, y)] otherwise. *)
-val to_affine : point -> (Nat.t * Nat.t) option
+(** [to_affine p] is [None] for infinity and [Some (x, y)] otherwise,
+    fresh elements the caller owns. *)
+val to_affine : point -> (Fe.t * Fe.t) option
 
 (** Normalize a whole array with a single field inversion
     (Montgomery's trick, in {!Dd_bignum.Fe}); element [i] is [None] iff
     [pts.(i)] is infinity. Cost: one inversion plus ~3 field mults per
     point, versus one inversion per point for repeated {!to_affine}. *)
-val to_affine_batch : point array -> (Nat.t * Nat.t) option array
+val to_affine_batch : point array -> (Fe.t * Fe.t) option array
 
-val of_affine : Nat.t * Nat.t -> point
+val of_affine : Fe.t * Fe.t -> point
 (* lint: allow unused-export — test_group checks points land on the curve *)
-val on_curve : Nat.t * Nat.t -> bool
+val on_curve : Fe.t * Fe.t -> bool
 
 (** [add p q] is [p + q]; a [q] stored with Z = 1 ({!is_affine}:
     decoded points, table entries) takes the mixed addition. *)
@@ -109,7 +107,7 @@ val sub : point -> point -> point
 (** [mul_vartime k p] computes [k] dot [p] by width-5 wNAF.
     {b Variable time}: only for public scalars and points (verification
     of signatures, proofs, and other on-the-wire data). *)
-val mul_vartime : Nat.t -> point -> point
+val mul_vartime : Sc.t -> point -> point
 
 (** Precomputed signed-odd comb table for a fixed base B, of window
     width w: row i (of [ceil (bits n / w)]) holds the odd multiples
@@ -148,11 +146,11 @@ val is_affine : point -> bool
     row does one lookup and one mixed addition unconditionally, the
     first from the identity. *)
 (* lint: public — computing in the exponent: k*B reveals k only by breaking DL *)
-val mul_base_table : base_table -> Nat.t -> point
+val mul_base_table : base_table -> Sc.t -> point
 
 (** One job of {!mul_base_batch}: the sum of [k * B] over its
     (table, scalar) terms, e.g. [[ (g, m); (h, r) ]] for [m*G + r*H]. *)
-type comb_job = (base_table * Nat.t) list
+type comb_job = (base_table * Sc.t) list
 
 (** The most jobs per lockstep group of {!mul_base_batch}: [n] jobs run
     in [ceil (n / batch_group)] groups of near-equal size. *)
@@ -200,10 +198,10 @@ type endo_table
 val make_endo_tables : point array -> endo_table array
 
 (** [endo_split k] is the GLV decomposition [k = k1 + k2 * lambda]
-    (mod n), each half a sign (true for negative) and a magnitude. For
-    [k < n] both halves are below [2^128] (the bound is derived at
-    [endo_bits] in curve.ml). Variable time: public scalars only. *)
-val endo_split : Nat.t -> (bool * Nat.t) * (bool * Nat.t)
+    (mod n), each half a sign (true for negative) and a magnitude:
+    both are below [2^128] (the bound is derived at [endo_bits] in
+    curve.ml). Variable time: public scalars only. *)
+val endo_split : Sc.t -> (bool * Sc.t) * (bool * Sc.t)
 
 (** [mul2_endo table u tbl (k1, k2)] is [u * B + k1 * P + k2 * lambda * P],
     B the fixed base behind [table] and P the one behind [tbl], each
@@ -212,10 +210,10 @@ val endo_split : Nat.t -> (bool * Nat.t) * (bool * Nat.t)
     additions: one per row of [table], one per row of [tbl] per nonzero
     half, two more at most for even halves, and no doublings. Raises
     [Invalid_argument] when a half has more bits than the rows cover
-    (128), which {!endo_split} never yields for [k < n]. {b Variable
+    (128), which {!endo_split} never yields. {b Variable
     time}: public inputs only. *)
 val mul2_endo :
-  base_table -> Nat.t -> endo_table -> (bool * Nat.t) * (bool * Nat.t) -> point
+  base_table -> Sc.t -> endo_table -> (bool * Sc.t) * (bool * Sc.t) -> point
 
 (** [msm pairs] is the multi-scalar multiplication
     [sum_i k_i * P_i]. Zero scalars and infinity points are skipped;
@@ -239,7 +237,7 @@ val mul2_endo :
     stays at that size, and each call overwrites it, so [msm]
     allocates per call (its GLV splits and its result), not per term;
     distinct domains may call it concurrently. *)
-val msm : ?window:int -> (Nat.t * point) array -> point
+val msm : ?window:int -> (Sc.t * point) array -> point
 
 val equal : point -> point -> bool
 
@@ -251,7 +249,7 @@ val decode : string -> point option
 
 (** [encode_affine (to_affine p)] is [encode p]: the encoding from
     affine coordinates already at hand, e.g. from {!to_affine_batch}. *)
-val encode_affine : (Nat.t * Nat.t) option -> string
+val encode_affine : (Fe.t * Fe.t) option -> string
 
 (** Compressed encoding: [0x02/0x03 || X] (33 bytes),
     ["\x00"] for infinity. [decode_compressed] validates and recovers
@@ -264,4 +262,4 @@ val decode_compressed : string -> point option
 val hash_to_point : string -> point
 
 (** Hash byte-string parts to a scalar mod the group order. *)
-val hash_to_scalar : string list -> Nat.t
+val hash_to_scalar : string list -> Sc.t

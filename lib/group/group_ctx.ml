@@ -3,8 +3,7 @@
    (hash-to-point, so nobody knows log_G H). Both are module values;
    each comb table is built on its first use. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
+module Sc = Dd_bignum.Sc
 
 type t = unit
 
@@ -36,24 +35,22 @@ let mul_h k = Curve.mul_base_table (h_table ()) k
    only the remaining terms pay for the MSM. *)
 
 type msm_acc = {
-  mutable ag : Nat.t;                        (* coefficient of G *)
-  mutable ah : Nat.t;                        (* coefficient of H *)
-  mutable terms : (Nat.t * Curve.point) list;
+  mutable ag : Sc.t;                         (* coefficient of G *)
+  mutable ah : Sc.t;                         (* coefficient of H *)
+  mutable terms : (Sc.t * Curve.point) list;
 }
 
-let msm_acc () = { ag = Nat.zero; ah = Nat.zero; terms = [] }
+let msm_acc () = { ag = Sc.zero; ah = Sc.zero; terms = [] }
 
 let acc_add a k p =
-  let fn = Curve.scalar_field in
-  if p == g then a.ag <- Modular.add fn a.ag k
-  else if p == h then a.ah <- Modular.add fn a.ah k
+  if p == g then a.ag <- Sc.add a.ag k
+  else if p == h then a.ah <- Sc.add a.ah k
   else a.terms <- (k, p) :: a.terms
 
 (* Accumulate k * (-P): subtraction side of a verification equation. *)
 let acc_sub a k p =
-  let fn = Curve.scalar_field in
-  if p == g then a.ag <- Modular.sub fn a.ag k
-  else if p == h then a.ah <- Modular.sub fn a.ah k
+  if p == g then a.ag <- Sc.sub a.ag k
+  else if p == h then a.ah <- Sc.sub a.ah k
   else a.terms <- (k, Curve.neg p) :: a.terms
 
 (* Does the accumulated combination equal the identity? The G and H
@@ -61,7 +58,7 @@ let acc_sub a k p =
    leg is skipped, so a verifier that never folds an H term (Schnorr
    batches) never builds H's table. The free terms go to one MSM. *)
 let acc_check a =
-  let leg table k = if Nat.is_zero k then Curve.infinity else Curve.mul_base_table (table ()) k in
+  let leg table k = if Sc.is_zero k then Curve.infinity else Curve.mul_base_table (table ()) k in
   Curve.is_infinity
     (Curve.add (Curve.msm (Array.of_list a.terms))
        (Curve.add (leg g_table a.ag) (leg h_table a.ah)))
@@ -73,11 +70,11 @@ let acc_check a =
    so it builds no table for a point it only subtracts. A batch folds
    every equation into one accumulator under a fresh weight each. *)
 
-type equation = msm_acc -> Nat.t -> unit
+type equation = msm_acc -> Sc.t -> unit
 
 let holds (eq : equation) =
   let acc = msm_acc () in
-  eq acc Nat.one;
+  eq acc Sc.one;
   acc_check acc
 
 type sink =

@@ -3,11 +3,11 @@
     operations that use them, and the accumulator in which every
     verification equation is evaluated, serial or batched
     ({!equation}). G is {!Curve.generator}; H is hashed once, when the
-    module initializes. Everything else about the group (its order,
-    scalar field, codecs and general multiplications) lives in
-    {!Curve}. There is no context value to pass around. *)
+    module initializes. Everything else about the group (its codecs
+    and general multiplications) lives in {!Curve}. There is no
+    context value to pass around. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
 (** An opaque token with one value. Nothing reads it: it survives only
     because perfbench names it, through [Mux.encode] and [decode],
@@ -34,8 +34,8 @@ val h_table : unit -> Curve.base_table
 
 (** Fixed-base multiplications by G and H using the precomputed tables.
     Safe for secret scalars ({!Curve.mul_base_table}). *)
-val mul_g : Nat.t -> Curve.point
-val mul_h : Nat.t -> Curve.point
+val mul_g : Sc.t -> Curve.point
+val mul_h : Sc.t -> Curve.point
 
 (** MSM accumulator for the verifiers: collects terms [k * P] (or
     [k * -P] via {!acc_sub}) of one verification equation or of many
@@ -48,8 +48,8 @@ val mul_h : Nat.t -> Curve.point
 type msm_acc
 
 val msm_acc : unit -> msm_acc
-val acc_add : msm_acc -> Nat.t -> Curve.point -> unit
-val acc_sub : msm_acc -> Nat.t -> Curve.point -> unit
+val acc_add : msm_acc -> Sc.t -> Curve.point -> unit
+val acc_sub : msm_acc -> Sc.t -> Curve.point -> unit
 
 (** [acc_check a] holds iff the accumulated combination is the
     identity: the one equation it holds holds exactly, and folded
@@ -60,7 +60,7 @@ val acc_check : msm_acc -> bool
 (** One verification equation [sum_j k_j P_j = O]: [eq acc w] adds
     [w * k_j] on each [P_j]. Every verifier states each of its
     equations once, this way, for its serial and its batch check. *)
-type equation = msm_acc -> Nat.t -> unit
+type equation = msm_acc -> Sc.t -> unit
 
 (** [holds eq] evaluates [eq] alone, at weight one, in an accumulator of
     its own: exact, with no randomness. *)

@@ -18,7 +18,7 @@
      serial loop would have raised first.
 
    Workers hold no work-specific state of their own; per-domain scratch
-   (Modular's reduction buffers, Sha256's message schedule) lives in
+   (Curve's MSM arena, Sha256's message schedule) lives in
    Domain.DLS and materializes lazily in whichever domain touches it,
    so any chunk can run on any worker. *)
 

@@ -242,7 +242,7 @@ let fold_frames (dev : Device.t) f acc =
 type load_result =
   | Empty
   | Sealed of manifest
-  | Partial of { kind : string; chunk_size : int; next_index : int }
+  | Partial of manifest
   | Corrupt of string
 
 (* Decoded view of one payload. *)
@@ -354,25 +354,21 @@ let load dev =
     | Some msg, _ -> Corrupt msg
     | None, None -> Corrupt "missing header"
     | None, Some (kind, chunk_size) -> (
+        let m =
+          manifest_of_chunks ~kind ~chunk_size ~total:st.s_covered
+            (List.rev st.s_chunks_rev)
+        in
         match st.s_footer with
         | None ->
             (* a torn tail past the last checkpoint is the expected
                crash shape: everything after it is garbage-by-design *)
-            Partial { kind; chunk_size; next_index = st.s_covered }
+            Partial m
         | Some (total, chunks, root) ->
             if clean_end < size then Corrupt "trailing bytes after footer"
-            else begin
-              let m =
-                manifest_of_chunks ~kind ~chunk_size ~total
-                  (List.rev st.s_chunks_rev)
-              in
-              if total <> st.s_covered then Corrupt "footer total mismatch"
-              else if chunks <> n_chunks m then
-                Corrupt "footer chunk count mismatch"
-              else if not (String.equal root m.root) then
-                Corrupt "footer root mismatch"
-              else Sealed m
-            end)
+            else if total <> st.s_covered then Corrupt "footer total mismatch"
+            else if chunks <> n_chunks m then Corrupt "footer chunk count mismatch"
+            else if not (String.equal root m.root) then Corrupt "footer root mismatch"
+            else Sealed m)
   end
 
 let resume dev ~kind =

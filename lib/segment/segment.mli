@@ -79,11 +79,12 @@ val seal : writer -> manifest
 type load_result =
   | Empty  (** no bytes at all: a fresh device *)
   | Sealed of manifest
-  | Partial of { kind : string; chunk_size : int; next_index : int }
+  | Partial of manifest
       (** header plus zero or more complete chunks, but no footer — a
-          writer crashed. [next_index] is the first record not covered
-          by a durable checkpoint; data frames past the last trailer
-          (and any torn tail) are ignored. *)
+          writer crashed. The manifest covers the durable chunks, which
+          {!read_chunk} reads as a sealed segment's: its [total] is the
+          first record not covered by a durable checkpoint; data frames
+          past the last trailer (and any torn tail) are ignored. *)
   | Corrupt of string  (** structurally broken beyond the torn-tail model *)
 
 (** Scan the device with a sliding window (never materializing the

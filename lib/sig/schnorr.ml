@@ -3,13 +3,12 @@
    ENDORSEMENT messages, UCERT certificates, trustee writes to the BB,
    and the EA's signatures on initialization data. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
+module Sc = Dd_bignum.Sc
 module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 module Batch = Dd_group.Batch
 
-type secret_key = Nat.t
+type secret_key = Sc.t
 type public_key = Curve.point
 
 (* The signature carries the nonce commitment R rather than the
@@ -21,7 +20,7 @@ type public_key = Curve.point
    multiplication). The serial check is the same equation at weight
    one: a comb on G, a wNAF chain on PK and an add of -R. *)
 type signature = {
-  s : Nat.t;
+  s : Sc.t;
   r : Curve.point;
 }
 
@@ -40,9 +39,8 @@ let nonce rng = Curve.random_scalar rng
    and a decoded signature must compare structurally equal to the
    original. *)
 let sign_with_nonce ~nonce ~commitment ~sk ~pk msg =
-  let fn = Curve.scalar_field in
   let e = challenge ~commitment ~pk msg in
-  { s = Modular.sub fn nonce (Modular.mul fn e sk); r = commitment }
+  { s = Sc.sub nonce (Sc.mul e sk); r = commitment }
 
 let sign rng ~sk ~pk msg =
   let k = nonce rng in
@@ -60,9 +58,8 @@ let sign rng ~sk ~pk msg =
    [acc]. Public data only, so the variable-time paths are fine (see
    the timing contract in curve.mli). *)
 let terms acc w ~key ~e { s; r } =
-  let fn = Curve.scalar_field in
-  Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn s)) Group_ctx.g;
-  key (Modular.mul fn w e);
+  Group_ctx.acc_add acc (Sc.mul w s) Group_ctx.g;
+  key (Sc.mul w e);
   Group_ctx.acc_sub acc w r
 
 let verify ~pk msg sg =
@@ -100,7 +97,6 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
   if n = 0 then true
   else if n = 1 then (let pk, msg, sg = items.(0) in verify ~pk msg sg)
   else begin
-    let fn = Curve.scalar_field in
     let pts = Array.make (2 * n) Curve.infinity in
     Array.iteri
       (fun i (pk, _, sg) ->
@@ -117,7 +113,7 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
          let e = Curve.hash_to_scalar [ domain; Curve.encode_affine aff.(2 * i); epk; msg ] in
          let key we =
            match Hashtbl.find_opt keys epk with
-           | Some (p, c) -> Hashtbl.replace keys epk (p, Modular.add fn c we)
+           | Some (p, c) -> Hashtbl.replace keys epk (p, Sc.add c we)
            | None ->
              (* hand the MSM the affine form of PK we already paid for:
                 its input normalization then has less left to invert *)
@@ -128,7 +124,7 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
             caught except with probability 2^-128 over its own weight,
             and a bad item 0 alone leaves the sum off the identity
             deterministically. It saves item 0's R table in the MSM. *)
-         terms acc (if i = 0 then Nat.one else Batch.weight rng) ~key ~e sg)
+         terms acc (if i = 0 then Sc.one else Batch.weight rng) ~key ~e sg)
       items;
     Hashtbl.iter (fun _ (p, c) -> Group_ctx.acc_add acc c p) keys;
     Group_ctx.acc_check acc
@@ -136,9 +132,7 @@ let verify_batch rng (items : (Curve.point * string * signature) array) =
 
 let commitment { r; _ } = r
 
-let encode { s; r } =
-  let len = Curve.byte_len in
-  Nat.to_bytes_be ~len s ^ Curve.encode_compressed r
+let encode { s; r } = Sc.to_bytes s ^ Curve.encode_compressed r
 
 (* Only the canonical s < n is accepted: the group law would reduce a
    larger one, so its twin s - n would verify as well. *)
@@ -147,7 +141,7 @@ let decode bytes =
   if String.length bytes <> 2 * len + 1 then None
   else
     match
-      Curve.decode_scalar (String.sub bytes 0 len),
+      Sc.of_bytes (String.sub bytes 0 len),
       Curve.decode_compressed (String.sub bytes len (len + 1))
     with
     | Some s, Some r when not (Curve.is_infinity r) -> Some { s; r }

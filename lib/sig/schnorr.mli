@@ -3,10 +3,10 @@
     random-oracle model — the signature scheme assumed by the paper's
     Theorem 2 safety analysis. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Curve = Dd_group.Curve
 
-type secret_key = Nat.t
+type secret_key = Sc.t
 type public_key = Curve.point
 type signature
 
@@ -21,15 +21,15 @@ val sign :
     finishes the signature given [commitment = k*G] in affine form
     (Z = 1). [sign] is [nonce], one comb, one normalization and
     [sign_with_nonce]. *)
-val nonce : Dd_crypto.Drbg.t -> Nat.t
+val nonce : Dd_crypto.Drbg.t -> Sc.t
 
 val sign_with_nonce :
-  nonce:Nat.t -> commitment:Curve.point -> sk:secret_key -> pk:public_key -> string -> signature
+  nonce:Sc.t -> commitment:Curve.point -> sk:secret_key -> pk:public_key -> string -> signature
 
 (** [challenge ~commitment ~pk msg] is the Fiat-Shamir challenge
     scalar. Exposed so benchmarks and tests can reconstruct the
     verification equation from its parts. *)
-val challenge : commitment:Curve.point -> pk:public_key -> string -> Nat.t
+val challenge : commitment:Curve.point -> pk:public_key -> string -> Sc.t
 
 (** [verify ~pk msg sg] checks the equation [s*G + e*PK - R = O] that
     {!verify_batch} folds, alone at weight one

@@ -11,41 +11,36 @@
    sum its shares over the tally set Etally and submit one opening
    share of the homomorphic total Esum. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
-module Curve = Dd_group.Curve
+module Sc = Dd_bignum.Sc
 module Elgamal = Dd_commit.Elgamal
 
 type share = {
   x : int;
-  msg : Nat.t;    (* F_m(x) *)
-  rand : Nat.t;   (* F_r(x) *)
+  msg : Sc.t;    (* F_m(x) *)
+  rand : Sc.t;   (* F_r(x) *)
 }
 
 let deal rng ~(opening : Elgamal.opening) ~threshold ~shares =
-  let fn = Curve.scalar_field in
-  let mshares = Shamir_scalar.split fn rng ~secret:opening.Elgamal.msg ~threshold ~shares in
-  let rshares = Shamir_scalar.split fn rng ~secret:opening.Elgamal.rand ~threshold ~shares in
+  let mshares = Shamir_scalar.split rng ~secret:opening.Elgamal.msg ~threshold ~shares in
+  let rshares = Shamir_scalar.split rng ~secret:opening.Elgamal.rand ~threshold ~shares in
   Array.init shares (fun i ->
       { x = mshares.(i).Shamir_scalar.x;
         msg = mshares.(i).Shamir_scalar.value;
         rand = rshares.(i).Shamir_scalar.value })
 
 let reconstruct ~threshold (shares : share list) : Elgamal.opening =
-  let fn = Curve.scalar_field in
   let msg =
-    Shamir_scalar.reconstruct fn ~threshold
+    Shamir_scalar.reconstruct ~threshold
       (List.map (fun s -> { Shamir_scalar.x = s.x; Shamir_scalar.value = s.msg }) shares)
   in
   let rand =
-    Shamir_scalar.reconstruct fn ~threshold
+    Shamir_scalar.reconstruct ~threshold
       (List.map (fun s -> { Shamir_scalar.x = s.x; Shamir_scalar.value = s.rand }) shares)
   in
   { Elgamal.msg; Elgamal.rand }
 
 let add_shares a b =
   if a.x <> b.x then invalid_arg "Elgamal_vss.add_shares: mismatched evaluation points";
-  let fn = Curve.scalar_field in
-  { x = a.x; msg = Modular.add fn a.msg b.msg; rand = Modular.add fn a.rand b.rand }
+  { x = a.x; msg = Sc.add a.msg b.msg; rand = Sc.add a.rand b.rand }
 
-let sum_shares ~x l = List.fold_left add_shares { x; msg = Nat.zero; rand = Nat.zero } l
+let sum_shares ~x l = List.fold_left add_shares { x; msg = Sc.zero; rand = Sc.zero } l

@@ -5,13 +5,13 @@
     opening must open the public commitment. Shares add
     homomorphically, so a sum of shares opens a sum of commitments. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Elgamal = Dd_commit.Elgamal
 
 type share = {
   x : int;
-  msg : Nat.t;
-  rand : Nat.t;
+  msg : Sc.t;
+  rand : Sc.t;
 }
 
 (** [deal rng ~opening ~threshold ~shares] splits both scalars of

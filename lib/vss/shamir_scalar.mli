@@ -2,21 +2,19 @@
     trustees' sharing of commitment openings. Shares add share-wise
     ([Elgamal_vss.sum_shares]). *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
+module Sc = Dd_bignum.Sc
 
 type share = {
   x : int;
-  value : Nat.t;
+  value : Sc.t;
 }
 
-(** [split fn rng ~secret ~threshold ~shares] draws the
+(** [split rng ~secret ~threshold ~shares] draws the
     [threshold - 1] random coefficients of a polynomial whose constant
-    term is the reduced secret and returns its shares at
-    [x = 1..shares]. *)
+    term is the secret (each a 40-byte DRBG draw reduced mod n, so its
+    bias is below 2^-64) and returns its shares at [x = 1..shares]. *)
 val split :
-  Modular.ctx -> Dd_crypto.Drbg.t -> secret:Nat.t -> threshold:int -> shares:int ->
-  share array
+  Dd_crypto.Drbg.t -> secret:Sc.t -> threshold:int -> shares:int -> share array
 
 (** Exactly [threshold] shares with distinct positive [x]. *)
-val reconstruct : Modular.ctx -> threshold:int -> share list -> Nat.t
+val reconstruct : threshold:int -> share list -> Sc.t

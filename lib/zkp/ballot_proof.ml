@@ -14,24 +14,23 @@
    - post-election: trustees reconstruct the state, compute [final_move]
      and publish it; anyone verifies. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
+module Sc = Dd_bignum.Sc
 module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 module Elgamal = Dd_commit.Elgamal
 
 type or_state = {
   branch : int;       (* the true message, 0 or 1 *)
-  w : Nat.t;          (* nonce of the real branch *)
-  c_sim : Nat.t;      (* pre-chosen challenge of the simulated branch *)
-  z_sim : Nat.t;      (* pre-chosen response of the simulated branch *)
-  witness : Nat.t;    (* the commitment randomness r *)
+  w : Sc.t;          (* nonce of the real branch *)
+  c_sim : Sc.t;      (* pre-chosen challenge of the simulated branch *)
+  z_sim : Sc.t;      (* pre-chosen response of the simulated branch *)
+  witness : Sc.t;    (* the commitment randomness r *)
 }
 
 type prover_state = {
   rows : or_state array;     (* one per option commitment *)
-  sum_w : Nat.t;             (* nonce of the sum proof *)
-  sum_witness : Nat.t;       (* sum of the commitment randomness *)
+  sum_w : Sc.t;             (* nonce of the sum proof *)
+  sum_witness : Sc.t;       (* sum of the commitment randomness *)
 }
 
 type or_first_move = {
@@ -45,15 +44,15 @@ type first_move = {
 }
 
 type or_final = {
-  c0 : Nat.t;
-  c1 : Nat.t;
-  z0 : Nat.t;
-  z1 : Nat.t;
+  c0 : Sc.t;
+  c1 : Sc.t;
+  z0 : Sc.t;
+  z1 : Sc.t;
 }
 
 type final_move = {
   row_finals : or_final array;
-  sum_z : Nat.t;
+  sum_z : Sc.t;
 }
 
 (* The two Chaum-Pedersen statements for commitment (c1, c2):
@@ -72,7 +71,7 @@ let sum_statement ?(k = 1) (commitments : Elgamal.t array) : Chaum_pedersen.stat
   let total = Elgamal.sum (Array.to_list commitments) in
   let c1, c2 = Elgamal.components total in
   { g1 = Group_ctx.g; g2 = Group_ctx.h; h1 = c1;
-    h2 = Curve.sub c2 (Group_ctx.mul_g (Nat.of_int k)) }
+    h2 = Curve.sub c2 (Group_ctx.mul_g (Sc.of_int k)) }
 
 (* The simulated first move (t = z*g - c*h on each base) of the branch
    that [opening] does not satisfy, for challenge c and response z,
@@ -84,11 +83,10 @@ let sum_statement ?(k = 1) (commitments : Elgamal.t array) : Chaum_pedersen.stat
    scalar arithmetic, so the group operations are the same for either
    bit. *)
 let simulated_jobs (o : Elgamal.opening) ~challenge ~response =
-  let fn = Curve.scalar_field in
   let g = Group_ctx.g_table () and h = Group_ctx.h_table () in
-  let s = Modular.sub fn response (Modular.mul fn challenge o.Elgamal.rand) in
-  let sign = Modular.sub fn Nat.one (Modular.add fn o.Elgamal.msg o.Elgamal.msg) in
-  ([ (g, s) ], [ (h, s); (g, Modular.mul fn challenge sign) ])
+  let s = Sc.sub response (Sc.mul challenge o.Elgamal.rand) in
+  let sign = Sc.sub Sc.one (Sc.add o.Elgamal.msg o.Elgamal.msg) in
+  ([ (g, s) ], [ (h, s); (g, Sc.mul challenge sign) ])
 
 (* Draw the prover's randomness for a ballot part: per row the real
    branch's nonce w, then the simulated branch's challenge and response,
@@ -96,11 +94,10 @@ let simulated_jobs (o : Elgamal.opening) ~challenge ~response =
    the honest-prover path; EA misbehaviour is exactly what verification
    later catches). *)
 let draw_state rng ~(openings : Elgamal.opening array) =
-  let fn = Curve.scalar_field in
   let rows =
     Array.map
       (fun (o : Elgamal.opening) ->
-         let branch = Nat.to_int o.Elgamal.msg in
+         let branch = Sc.to_int o.Elgamal.msg in
          if branch <> 0 && branch <> 1 then
            invalid_arg "Ballot_proof.prove_commit: message not 0/1";
          let w = Curve.random_scalar rng in
@@ -110,7 +107,7 @@ let draw_state rng ~(openings : Elgamal.opening array) =
       openings
   in
   let sum_witness =
-    Array.fold_left (fun acc o -> Modular.add fn acc o.Elgamal.rand) Nat.zero openings
+    Array.fold_left (fun acc o -> Sc.add acc o.Elgamal.rand) Sc.zero openings
   in
   { rows; sum_w = Curve.random_scalar rng; sum_witness }
 
@@ -153,11 +150,10 @@ let prove_commit rng ~(commitments : Elgamal.t array)
 
 (* Third move, given the challenge extracted from the voters' coins. *)
 let finalize (state : prover_state) ~challenge : final_move =
-  let fn = Curve.scalar_field in
   let row_finals =
     Array.map
       (fun st ->
-         let c_real = Modular.sub fn challenge st.c_sim in
+         let c_real = Sc.sub challenge st.c_sim in
          let z_real =
            Chaum_pedersen.respond ~state:st.w ~witness:st.witness ~challenge:c_real
          in
@@ -172,7 +168,7 @@ let finalize (state : prover_state) ~challenge : final_move =
 type instance = {
   commitments : Elgamal.t array;
   fm : first_move;
-  challenge : Nat.t;
+  challenge : Sc.t;
   fin : final_move;
 }
 
@@ -181,7 +177,6 @@ type instance = {
    equations (per row a0's two, then a1's, then the sum proof's) go to
    [sink]. A part whose arities are off sends no equation. *)
 let check ~k sink inst =
-  let fn = Curve.scalar_field in
   let n = Array.length inst.commitments in
   Array.length inst.fm.row_moves = n
   && Array.length inst.fin.row_finals = n
@@ -193,7 +188,7 @@ let check ~k sink inst =
     Array.iteri
       (fun i c ->
          let m = inst.fm.row_moves.(i) and f = inst.fin.row_finals.(i) in
-         if not (Nat.equal (Modular.add fn f.c0 f.c1) (Modular.reduce fn inst.challenge)) then
+         if not (Sc.equal (Sc.add f.c0 f.c1) inst.challenge) then
            ok := false;
          cp (branch_statement c 0) m.a0 f.c0 f.z0;
          cp (branch_statement c 1) m.a1 f.c1 f.z1)
@@ -229,9 +224,10 @@ let verify_batch ?(k = 1) rng (instances : instance array) =
 
 let scalar_len = 32
 
-let put_scalar buf n = Buffer.add_string buf (Nat.to_bytes_be ~len:scalar_len n)
+let put_scalar buf n = Buffer.add_string buf (Sc.to_bytes n)
 
-let get_scalar s off = (Nat.of_bytes_be (String.sub s off scalar_len), off + scalar_len)
+(* The prover state comes from the EA's own sealing: lenient, reduced. *)
+let get_scalar s off = (Sc.of_bytes_mod (String.sub s off scalar_len), off + scalar_len)
 
 let encode_state (st : prover_state) =
   let buf = Buffer.create 256 in
@@ -324,7 +320,7 @@ let encode_final_move (fin : final_move) =
 
 (* The moves come off the BB, so every scalar must be canonical. *)
 let get_canonical s off =
-  match Curve.decode_scalar (String.sub s off scalar_len) with
+  match Sc.of_bytes (String.sub s off scalar_len) with
   | Some k -> (k, off + scalar_len)
   | None -> raise Exit
 

@@ -5,7 +5,7 @@
     challenge, trustees respond post-election from the VSS-shared
     prover state. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Elgamal = Dd_commit.Elgamal
 
 type prover_state
@@ -46,19 +46,19 @@ val first_move_of_points : Dd_group.Curve.point array -> first_move
 val first_move_points : first_move -> Dd_group.Curve.point array
 
 (** Compute the response for the (voter-coin-derived) challenge. *)
-val finalize : prover_state -> challenge:Nat.t -> final_move
+val finalize : prover_state -> challenge:Sc.t -> final_move
 
 (** The scalar checks and Chaum-Pedersen equations {!verify_batch}
     folds, each equation alone at weight one. *)
 val verify :
   ?k:int -> commitments:Elgamal.t array -> first_move ->
-  challenge:Nat.t -> final_move -> bool
+  challenge:Sc.t -> final_move -> bool
 
 (** One ballot part's complete transcript, for batch verification. *)
 type instance = {
   commitments : Elgamal.t array;
   fm : first_move;
-  challenge : Nat.t;
+  challenge : Sc.t;
   fin : final_move;
 }
 

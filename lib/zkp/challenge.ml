@@ -5,7 +5,7 @@
    have min-entropy >= theta, and by the min-entropy Schwartz-Zippel
    argument of [KZZ15] the soundness error is 2^-theta. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Curve = Dd_group.Curve
 
 (* Master challenge for the election. *)
@@ -21,6 +21,6 @@ let master ~election_id ~coins =
 let for_proof ~master_challenge ~serial ~part =
   Curve.hash_to_scalar
     [ "d-demos-proof-challenge";
-      Nat.to_bytes_be ~len:32 master_challenge;
+      Sc.to_bytes master_challenge;
       string_of_int serial;
       (match part with `A -> "A" | `B -> "B") ]

@@ -3,10 +3,10 @@
     of the collected coins, so soundness rests on the voters' entropy
     rather than on a random oracle alone. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
 (** Master election challenge from the ordered coin list. *)
-val master : election_id:string -> coins:bool list -> Nat.t
+val master : election_id:string -> coins:bool list -> Sc.t
 
 (** Per-ballot-part challenge derived from the master. *)
-val for_proof : master_challenge:Nat.t -> serial:int -> part:[ `A | `B ] -> Nat.t
+val for_proof : master_challenge:Sc.t -> serial:int -> part:[ `A | `B ] -> Sc.t

@@ -6,8 +6,7 @@
    and the trustees (holding the shared prover state) publish the
    response after the election. *)
 
-module Nat = Dd_bignum.Nat
-module Modular = Dd_bignum.Modular
+module Sc = Dd_bignum.Sc
 module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 
@@ -23,16 +22,14 @@ type first_move = {
   t2 : Curve.point;
 }
 
-let respond ~state ~witness ~challenge =
-  let fn = Curve.scalar_field in
-  Modular.add fn state (Modular.mul fn challenge witness)
+let respond ~state ~witness ~challenge = Sc.add state (Sc.mul challenge witness)
 
 (* A complete transcript. *)
 type instance = {
   stmt : statement;
   fm : first_move;
-  challenge : Nat.t;
-  response : Nat.t;
+  challenge : Sc.t;
+  response : Sc.t;
 }
 
 (* The transcript's two equations z*g - t - c*h = O, for (g1, t1, h1)
@@ -43,11 +40,10 @@ type instance = {
    transcript data, so the variable-time paths are fine (curve.mli
    contract). *)
 let equations sink (inst : instance) =
-  let fn = Curve.scalar_field in
   let eq g t h acc w =
-    Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn inst.response)) g;
+    Group_ctx.acc_add acc (Sc.mul w inst.response) g;
     Group_ctx.acc_sub acc w t;
-    Group_ctx.acc_sub acc (Modular.mul fn w (Modular.reduce fn inst.challenge)) h
+    Group_ctx.acc_sub acc (Sc.mul w inst.challenge) h
   in
   Group_ctx.equation sink (eq inst.stmt.g1 inst.fm.t1 inst.stmt.h1);
   Group_ctx.equation sink (eq inst.stmt.g2 inst.fm.t2 inst.stmt.h2)

@@ -5,7 +5,7 @@
     as comb jobs ([Ballot_proof.first_move_jobs]), the nonce times the
     statement bases G and H. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Curve = Dd_group.Curve
 
 type statement = {
@@ -22,14 +22,14 @@ type first_move = {
 
 (** Third move: [state + challenge * witness], [state] the prover's
     secret nonce. *)
-val respond : state:Nat.t -> witness:Nat.t -> challenge:Nat.t -> Nat.t
+val respond : state:Sc.t -> witness:Sc.t -> challenge:Sc.t -> Sc.t
 
 (** A complete transcript. *)
 type instance = {
   stmt : statement;
   fm : first_move;
-  challenge : Nat.t;
-  response : Nat.t;
+  challenge : Sc.t;
+  response : Sc.t;
 }
 
 (** [equations sink inst] sends the transcript's two equations,

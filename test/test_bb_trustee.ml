@@ -211,9 +211,9 @@ let test_full_audit_after_direct_pipeline () =
 
 module Trustee_payload = Ddemos.Trustee_payload
 module Elgamal = Dd_commit.Elgamal
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
-let nat_hex = Test_helpers.nat_hex
+let sc_hex k = Dd_crypto.Sha256.hex_of_string (Sc.to_bytes_trimmed k)
 
 (* Every trustee's posts of an honest run, per trustee in posting order,
    captured instead of delivered. *)
@@ -243,7 +243,7 @@ let honest_posts =
 (* A Byzantine trustee's version of a post: every opening and tally
    share carries a wrong message scalar. *)
 let corrupt (payload : Trustee_payload.t) =
-  let bad (sh : Dd_vss.Elgamal_vss.share) = { sh with Dd_vss.Elgamal_vss.msg = Nat.of_int 7 } in
+  let bad (sh : Dd_vss.Elgamal_vss.share) = { sh with Dd_vss.Elgamal_vss.msg = Sc.of_int 7 } in
   match payload with
   | Trustee_payload.Openings entries ->
     Trustee_payload.Openings
@@ -269,7 +269,7 @@ let openings_and_tally bb =
          let scalars =
            Array.map
              (Array.map (fun (op : Elgamal.opening) ->
-                  (nat_hex op.Elgamal.msg, nat_hex op.Elgamal.rand)))
+                  (sc_hex op.Elgamal.msg, sc_hex op.Elgamal.rand)))
              o
          in
          ((serial, Types.part_index part), scalars) :: acc)

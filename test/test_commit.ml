@@ -1,9 +1,9 @@
 (* Commitment-scheme tests: lifted ElGamal (hiding/binding interface,
    homomorphism), unit-vector encodings. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 
-let nat_hex = Test_helpers.nat_hex
+let sc_hex m = Dd_crypto.Sha256.hex_of_string (Sc.to_bytes_trimmed m)
 module Group_ctx = Dd_group.Group_ctx
 module Elgamal = Dd_commit.Elgamal
 module Unit_vector = Dd_commit.Unit_vector
@@ -13,28 +13,28 @@ let rng () = Drbg.create ~seed:"commit-tests"
 
 let test_commit_verify () =
   let rng = rng () in
-  let c, o = Elgamal.commit_random rng ~msg:(Nat.of_int 7) in
+  let c, o = Elgamal.commit_random rng ~msg:(Sc.of_int 7) in
   Alcotest.(check bool) "verifies" true (Elgamal.verify c o);
   Alcotest.(check bool) "wrong msg rejected" false
-    (Elgamal.verify c { o with Elgamal.msg = Nat.of_int 8 });
+    (Elgamal.verify c { o with Elgamal.msg = Sc.of_int 8 });
   Alcotest.(check bool) "wrong rand rejected" false
-    (Elgamal.verify c { o with Elgamal.rand = Nat.add o.Elgamal.rand Nat.one })
+    (Elgamal.verify c { o with Elgamal.rand = Sc.add o.Elgamal.rand Sc.one })
 
 let test_homomorphism () =
   let rng = rng () in
-  let c1, o1 = Elgamal.commit_random rng ~msg:(Nat.of_int 3) in
-  let c2, o2 = Elgamal.commit_random rng ~msg:(Nat.of_int 4) in
+  let c1, o1 = Elgamal.commit_random rng ~msg:(Sc.of_int 3) in
+  let c2, o2 = Elgamal.commit_random rng ~msg:(Sc.of_int 4) in
   let c = Elgamal.add c1 c2 in
   let o = Elgamal.add_opening o1 o2 in
   Alcotest.(check bool) "sum verifies" true (Elgamal.verify c o);
-  Alcotest.(check bool) "sum message is 7" true (Nat.equal o.Elgamal.msg (Nat.of_int 7))
+  Alcotest.(check bool) "sum message is 7" true (Sc.equal o.Elgamal.msg (Sc.of_int 7))
 
 let test_zero_commitment () =
   let z = Elgamal.zero_commitment in
   Alcotest.(check bool) "opens to 0/0" true
-    (Elgamal.verify z { Elgamal.msg = Nat.zero; Elgamal.rand = Nat.zero });
+    (Elgamal.verify z { Elgamal.msg = Sc.zero; Elgamal.rand = Sc.zero });
   let rng = rng () in
-  let c, o = Elgamal.commit_random rng ~msg:(Nat.of_int 5) in
+  let c, o = Elgamal.commit_random rng ~msg:(Sc.of_int 5) in
   Alcotest.(check bool) "identity element" true
     (Elgamal.encode c = Elgamal.encode (Elgamal.add c z));
   ignore o
@@ -42,13 +42,13 @@ let test_zero_commitment () =
 let test_hiding_representation () =
   (* same message, different randomness: different commitments *)
   let rng = rng () in
-  let c1, _ = Elgamal.commit_random rng ~msg:(Nat.of_int 1) in
-  let c2, _ = Elgamal.commit_random rng ~msg:(Nat.of_int 1) in
+  let c1, _ = Elgamal.commit_random rng ~msg:(Sc.of_int 1) in
+  let c2, _ = Elgamal.commit_random rng ~msg:(Sc.of_int 1) in
   Alcotest.(check bool) "distinct commitments" false (Elgamal.encode c1 = Elgamal.encode c2)
 
 let test_encode_deterministic () =
   let rng = rng () in
-  let c, _ = Elgamal.commit_random rng ~msg:Nat.one in
+  let c, _ = Elgamal.commit_random rng ~msg:Sc.one in
   Alcotest.(check string) "stable encoding" (Elgamal.encode c) (Elgamal.encode c)
 
 (* --- unit vectors -------------------------------------------------------- *)
@@ -90,14 +90,14 @@ module Batch = Dd_group.Batch
 
 let test_elgamal_batch () =
   let rng = rng () in
-  let items = Array.init 10 (fun i -> Elgamal.commit_random rng ~msg:(Nat.of_int i)) in
+  let items = Array.init 10 (fun i -> Elgamal.commit_random rng ~msg:(Sc.of_int i)) in
   Alcotest.(check bool) "empty batch" true (Elgamal.verify_batch rng [||]);
   Alcotest.(check bool) "10 valid" true (Elgamal.verify_batch rng items);
   List.iter
     (fun j ->
        let tampered = Array.copy items in
        let c, o = tampered.(j) in
-       tampered.(j) <- (c, { o with Elgamal.rand = Nat.add o.Elgamal.rand Nat.one });
+       tampered.(j) <- (c, { o with Elgamal.rand = Sc.add o.Elgamal.rand Sc.one });
        Alcotest.(check bool) (Printf.sprintf "bad opening %d rejected" j) false
          (Elgamal.verify_batch rng tampered);
        let found =
@@ -124,7 +124,7 @@ let test_unit_vector_batch () =
            (c,
             Array.mapi
               (fun j (op : Elgamal.opening) ->
-                 if j = 1 then { op with Elgamal.rand = Nat.add op.Elgamal.rand Nat.one }
+                 if j = 1 then { op with Elgamal.rand = Sc.add op.Elgamal.rand Sc.one }
                  else op)
               o))
       items
@@ -152,10 +152,10 @@ let cancel_offset c =
 
 let test_elgamal_cancelling_forgery () =
   let rng = rng () in
-  let c, o = Elgamal.commit_random rng ~msg:(Nat.of_int 3) in
+  let c, o = Elgamal.commit_random rng ~msg:(Sc.of_int 3) in
   let forged = cancel_offset c in
   let c1, c2 = Elgamal.components forged in
-  let times w k = Dd_bignum.Modular.mul Dd_group.Curve.scalar_field w k in
+  let times = Sc.mul in
   Alcotest.(check bool) "the two equations sum to O" true
     (Group_ctx.holds (fun acc w ->
          Group_ctx.acc_add acc (times w o.Elgamal.rand) Group_ctx.g;
@@ -164,25 +164,25 @@ let test_elgamal_cancelling_forgery () =
          Group_ctx.acc_add acc (times w o.Elgamal.rand) Group_ctx.h;
          Group_ctx.acc_sub acc w c2));
   Alcotest.(check bool) "serial rejects" false (Elgamal.verify forged o);
-  let other = Elgamal.commit_random rng ~msg:Nat.one in
+  let other = Elgamal.commit_random rng ~msg:Sc.one in
   Alcotest.(check bool) "batch rejects" false
     (Elgamal.verify_batch rng [| other; (forged, o) |])
 
 (* --- properties ----------------------------------------------------------- *)
 
-let arb_msg = QCheck.map Nat.of_int QCheck.(int_range 0 1000)
+let arb_msg = QCheck.map Sc.of_int QCheck.(int_range 0 1000)
 
 let prop_commit_verify =
   QCheck.Test.make ~name:"commit/verify completeness" ~count:20 arb_msg
     (fun m ->
-       let rng = Drbg.create ~seed:("p1" ^ nat_hex m) in
+       let rng = Drbg.create ~seed:("p1" ^ sc_hex m) in
        let c, o = Elgamal.commit_random rng ~msg:m in
        Elgamal.verify c o)
 
 let prop_homomorphic =
   QCheck.Test.make ~name:"homomorphic addition" ~count:20 (QCheck.pair arb_msg arb_msg)
     (fun (a, b) ->
-       let rng = Drbg.create ~seed:(nat_hex a ^ "." ^ nat_hex b) in
+       let rng = Drbg.create ~seed:(sc_hex a ^ "." ^ sc_hex b) in
        let c1, o1 = Elgamal.commit_random rng ~msg:a in
        let c2, o2 = Elgamal.commit_random rng ~msg:b in
        Elgamal.verify (Elgamal.add c1 c2) (Elgamal.add_opening o1 o2))
@@ -192,8 +192,7 @@ let prop_homomorphic =
    with ordinary one- and two-lane jobs: every commitment's bytes equal
    [Elgamal.commit]'s, for b in {0, 1} and edge or random r. *)
 let edge_rands =
-  let n = Dd_group.Curve.order in
-  [| Nat.zero; Nat.one; Nat.two; Nat.sub n Nat.one; Nat.sub n Nat.two |]
+  [| Sc.zero; Sc.one; Sc.of_int 2; Sc.neg Sc.one; Sc.neg (Sc.of_int 2) |]
 
 let prop_bit_jobs_match_commit =
   QCheck.Test.make ~name:"bit-term commitment jobs = commit" ~count:20
@@ -206,7 +205,7 @@ let prop_bit_jobs_match_commit =
        let openings =
          List.map
            (fun (b, e) ->
-              { Elgamal.msg = (if b then Nat.one else Nat.zero);
+              { Elgamal.msg = (if b then Sc.one else Sc.zero);
                 rand =
                   (if e < Array.length edge_rands then edge_rands.(e)
                    else Dd_group.Curve.random_scalar rng) })
@@ -217,7 +216,7 @@ let prop_bit_jobs_match_commit =
          List.concat_map
            (fun (o : Elgamal.opening) ->
               let c1, c2 = Elgamal.commit_bit_jobs o in
-              [ c1; c2; [ (g, o.rand); (h, Nat.two) ] ])
+              [ c1; c2; [ (g, o.rand); (h, (Sc.of_int 2)) ] ])
            openings
        in
        let pts = Dd_group.Curve.mul_base_batch (Array.of_list jobs) in
@@ -226,7 +225,7 @@ let prop_bit_jobs_match_commit =
             (fun i (o : Elgamal.opening) ->
                let want = Elgamal.commit ~msg:o.msg ~rand:o.rand in
                let filler =
-                 Dd_group.Curve.add (Group_ctx.mul_g o.rand) (Group_ctx.mul_h Nat.two)
+                 Dd_group.Curve.add (Group_ctx.mul_g o.rand) (Group_ctx.mul_h (Sc.of_int 2))
                in
                String.equal (Elgamal.encode want)
                  (Elgamal.encode (Elgamal.make ~c1:pts.(3 * i) ~c2:pts.((3 * i) + 1)))
@@ -234,7 +233,7 @@ let prop_bit_jobs_match_commit =
             openings))
 
 let test_bit_jobs_reject_non_bit () =
-  let c1, c2 = Elgamal.commit_bit_jobs { Elgamal.msg = Nat.two; rand = Nat.one } in
+  let c1, c2 = Elgamal.commit_bit_jobs { Elgamal.msg = (Sc.of_int 2); rand = Sc.one } in
   Alcotest.check_raises "msg 2" (Invalid_argument "Curve.mul_base_batch: bit term above 1")
     (fun () -> ignore (Dd_group.Curve.mul_base_batch [| c1; c2 |]))
 
@@ -256,8 +255,8 @@ let prop_unit_vector_sum_counts =
    exactly the forged index. *)
 let forge_opening kind ((c : Elgamal.t), (o : Elgamal.opening)) =
   match kind with
-  | 0 -> (c, { o with Elgamal.msg = Nat.add o.Elgamal.msg Nat.one })
-  | 1 -> (c, { o with Elgamal.rand = Nat.add o.Elgamal.rand Nat.one })
+  | 0 -> (c, { o with Elgamal.msg = Sc.add o.Elgamal.msg Sc.one })
+  | 1 -> (c, { o with Elgamal.rand = Sc.add o.Elgamal.rand Sc.one })
   | _ -> (cancel_offset c, o)
 
 let arb_batch = QCheck.(triple (int_range 2 12) (option (int_bound 11)) (int_bound 2))
@@ -270,7 +269,7 @@ let prop_openings_batch_serial =
     arb_batch
     (fun ((n, forge, kind) as case) ->
        let rng = Drbg.create ~seed:(batch_seed "openings" case) in
-       let items = Array.init n (fun i -> Elgamal.commit_random rng ~msg:(Nat.of_int (i mod 3))) in
+       let items = Array.init n (fun i -> Elgamal.commit_random rng ~msg:(Sc.of_int (i mod 3))) in
        let forged = Option.map (fun f -> f mod n) forge in
        Option.iter (fun f -> items.(f) <- forge_opening kind items.(f)) forged;
        let serial = Array.for_all (fun (c, o) -> Elgamal.verify c o) items in

@@ -236,7 +236,7 @@ let test_ea_commitments_match_printed_options () =
     let committed = ref (-1) in
     Array.iteri
       (fun j (o : Dd_commit.Elgamal.opening) ->
-         if Dd_bignum.Nat.equal o.Dd_commit.Elgamal.msg Dd_bignum.Nat.one then committed := j)
+         if Dd_bignum.Sc.equal o.Dd_commit.Elgamal.msg Dd_bignum.Sc.one then committed := j)
       opening;
     Alcotest.(check int) (Printf.sprintf "pos %d option" pos)
       (let inv = ref (-1) in

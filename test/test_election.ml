@@ -349,10 +349,10 @@ let test_honest_ea_passes_delegated_audit () =
     Alcotest.(check bool) "delegated audit passes" true (Auditor.all_ok checks)
 
 let test_audit_names_first_offender () =
-  (* the batch path (MSM + bisection) and the serial reference path
-     must name the same first offending (serial, part) *)
+  (* the batch path (MSM + bisection down to weight-one checks) must
+     name the first offending (serial, part) *)
   let module Elgamal = Dd_commit.Elgamal in
-  let module Nat = Dd_bignum.Nat in
+  let module Sc = Dd_bignum.Sc in
   let r = run_full ~seed:"offender" [ (0, 0); (1, 1); (2, 2); (3, 1); (4, 0) ] in
   match Auditor.assemble ~cfg:small_cfg r.Election.bb_nodes with
   | None -> Alcotest.fail "no audit view"
@@ -367,7 +367,7 @@ let test_audit_names_first_offender () =
     let tamper (serial, part) =
       let ops = Hashtbl.find view.Auditor.unused_openings (serial, part) in
       let o = ops.(0).(0) in
-      ops.(0).(0) <- { o with Elgamal.rand = Nat.add o.Elgamal.rand Nat.one }
+      ops.(0).(0) <- { o with Elgamal.rand = Sc.add o.Elgamal.rand Sc.one }
     in
     let expected (serial, part) =
       Printf.sprintf "ballot %d part %s: position 0 opening invalid" serial
@@ -375,20 +375,15 @@ let test_audit_names_first_offender () =
     in
     let first = List.hd keys and last = List.nth keys (List.length keys - 1) in
     tamper last;
-    let batch_check = Auditor.check_openings ~batch:true view in
+    let batch_check = Auditor.check_openings view in
     Alcotest.(check bool) "batch path fails" false batch_check.Auditor.ok;
     Alcotest.(check string) "batch path names the offender" (expected last)
       batch_check.Auditor.detail;
-    let serial_check = Auditor.check_openings ~batch:false view in
-    Alcotest.(check bool) "serial path fails" false serial_check.Auditor.ok;
-    Alcotest.(check string) "serial path agrees" (expected last) serial_check.Auditor.detail;
-    (* a second, earlier offender takes precedence on both paths *)
+    (* a second, earlier offender takes precedence *)
     tamper first;
     Alcotest.(check string) "batch names the smallest key" (expected first)
-      (Auditor.check_openings ~batch:true view).Auditor.detail;
-    Alcotest.(check string) "serial names the smallest key" (expected first)
-      (Auditor.check_openings ~batch:false view).Auditor.detail;
-    (* check_zk names its offender the same way on both paths *)
+      (Auditor.check_openings view).Auditor.detail;
+    (* check_zk names its offender the same way *)
     let vserial, (vpart, _) = List.hd (List.sort compare view.Auditor.voted) in
     Hashtbl.remove view.Auditor.zk_finals (vserial, vpart);
     let expect_zk =
@@ -396,9 +391,7 @@ let test_audit_names_first_offender () =
         (Types.part_label vpart)
     in
     Alcotest.(check string) "zk batch path" expect_zk
-      (Auditor.check_zk ~batch:true view).Auditor.detail;
-    Alcotest.(check string) "zk serial path" expect_zk
-      (Auditor.check_zk ~batch:false view).Auditor.detail;
+      (Auditor.check_zk view).Auditor.detail;
     (* the parallel path (below the shard threshold here, so it must
        degrade to exactly the serial batch) agrees on everything *)
     let pool = Dd_parallel.Pool.create ~domains:4 () in
@@ -414,7 +407,7 @@ let test_audit_names_first_offender () =
    — verdict and first offender must still match the serial paths. *)
 let test_parallel_audit_at_scale () =
   let module Elgamal = Dd_commit.Elgamal in
-  let module Nat = Dd_bignum.Nat in
+  let module Sc = Dd_bignum.Sc in
   let cfg = { Types.default_config with Types.n_voters = 32; Types.m_options = 2 } in
   let votes = List.init 32 (fun i -> (i, i mod 2)) in
   let p =
@@ -442,7 +435,7 @@ let test_parallel_audit_at_scale () =
     let victim = List.nth keys (List.length keys / 2) in
     let ops = Hashtbl.find view.Auditor.unused_openings victim in
     let o = ops.(1).(0) in
-    ops.(1).(0) <- { o with Elgamal.rand = Nat.add o.Elgamal.rand Nat.one };
+    ops.(1).(0) <- { o with Elgamal.rand = Sc.add o.Elgamal.rand Sc.one };
     let serial_check = Auditor.check_openings view in
     let par_check = Auditor.check_openings ~pool view in
     Alcotest.(check bool) "serial catches it" false serial_check.Auditor.ok;

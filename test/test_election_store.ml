@@ -475,6 +475,42 @@ let test_resume_refuses_other_layout () =
   Alcotest.(check bool) "devices unchanged" true (before = bytes ());
   Alcotest.(check bool) "its own config and seed reload" true (resumes cfg "estore")
 
+(* A crashed set-up resumed under another seed is refused before a
+   byte moves: with every segment of a two-ballot-chunk layout cut to
+   60 % (chunk 0 durable in every one, a torn tail after it), the EA
+   tags of serial 0 in vc-0 and trustee-0 fail under the other seed's
+   static, so nothing is truncated, appended or sealed; the right seed
+   then resumes to the uninterrupted run's bytes. *)
+let test_resume_refuses_other_seed_mid_setup () =
+  let ref_tbl, ref_dev = mem_family () in
+  ignore (Election_store.write_setup ~chunk_size:2 ref_dev cfg ~seed:"estore" : Election_store.layout);
+  let names = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) ref_tbl []) in
+  let tbl, dev = mem_family () in
+  List.iter
+    (fun name ->
+       let log = Device.Mem.durable_log (Hashtbl.find ref_tbl name) in
+       let d = dev name in
+       d.Device.log_append (String.sub log 0 (String.length log * 3 / 5));
+       d.Device.log_sync ())
+    names;
+  let bytes () =
+    List.map (fun name -> (name, Device.Mem.durable_log (Hashtbl.find tbl name))) names
+  in
+  let before = bytes () in
+  Alcotest.(check bool) "another seed refused" true
+    (Option.is_none (Election_store.resume_setup dev cfg ~seed:"another-seed"));
+  List.iter2
+    (fun (name, want) (_, got) ->
+       Alcotest.(check bool) (name ^ " unchanged") true (String.equal want got))
+    before (bytes ());
+  ignore (req "resume" (Election_store.resume_setup dev cfg ~seed:"estore"));
+  List.iter
+    (fun name ->
+       Alcotest.(check bool) (name ^ " = uninterrupted run") true
+         (String.equal (Device.Mem.durable_log (Hashtbl.find ref_tbl name))
+            (Device.Mem.durable_log (Hashtbl.find tbl name))))
+    names
+
 (* Loading only reads: probing a layout dealt for four collectors
    under five finds no vc-4 segment, and must not leave an empty one
    behind; nor may a load make a state dir that does not exist. *)
@@ -510,6 +546,8 @@ let () =
             test_load_writes_nothing;
           Alcotest.test_case "resume refuses another seed or size" `Quick
             test_resume_refuses_other_layout;
+          Alcotest.test_case "resume refuses another seed mid-setup" `Quick
+            test_resume_refuses_other_seed_mid_setup;
           Alcotest.test_case "one group per emission" `Quick test_one_group_per_emission;
           Alcotest.test_case "crash mid-chunk resumes on File_device" `Quick
             test_crash_mid_chunk_resumes ] );

@@ -1,14 +1,29 @@
 (* Elliptic-curve group tests: secp256k1 known answers, group laws as
    properties, point codec, hash-to-point/scalar. *)
 
-module Nat = Dd_bignum.Nat
-
 let nat_hex = Test_helpers.nat_hex
 module Curve = Dd_group.Curve
 module Group_ctx = Dd_group.Group_ctx
+module Sc = Dd_bignum.Sc
+module Fe = Dd_bignum.Fe
+module Ref_mod = Test_helpers.Ref_mod
+
+(* The scalars of these tests are reference naturals; they cross into
+   [Sc] (reduced mod n) at the curve's entry points. *)
+let sc = Test_helpers.sc
+let nat_of_sc = Test_helpers.nat_of_sc
+let order = Test_helpers.order
+let fe_hex x = Dd_crypto.Sha256.hex_of_string (Fe.to_bytes x)
 
 let g = Group_ctx.g
-let mul_g = Group_ctx.mul_g
+let mul_g k = Group_ctx.mul_g (sc k)
+let vartime k p = Curve.mul_vartime (sc k) p
+let base_mul table k = Curve.mul_base_table table (sc k)
+let msm ?window pairs = Curve.msm ?window (Array.map (fun (k, p) -> (sc k, p)) pairs)
+let sc_halves ((n1, m1), (n2, m2)) = ((n1, sc m1), (n2, sc m2))
+let split k =
+  let (n1, m1), (n2, m2) = Curve.endo_split (sc k) in
+  ((n1, nat_of_sc m1), (n2, nat_of_sc m2))
 
 let point = Alcotest.testable (fun fmt _ -> Format.fprintf fmt "<point>") Curve.equal
 
@@ -32,20 +47,20 @@ let test_2g_known () =
   | None -> Alcotest.fail "2G infinity"
   | Some (x, y) ->
     Alcotest.(check string) "2G.x"
-      "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5" (nat_hex ~len:32 x);
+      "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5" (fe_hex x);
     Alcotest.(check string) "2G.y"
-      "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a" (nat_hex ~len:32 y)
+      "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a" (fe_hex y)
 
 let test_5g_known () =
   match Curve.to_affine (mul_g (Nat.of_int 5)) with
   | None -> Alcotest.fail "5G infinity"
   | Some (x, _) ->
     Alcotest.(check string) "5G.x"
-      "2f8bde4d1a07209355b4a7250a5c5128e88b84bddc619ab7cba8d569b240efe4" (nat_hex ~len:32 x)
+      "2f8bde4d1a07209355b4a7250a5c5128e88b84bddc619ab7cba8d569b240efe4" (fe_hex x)
 
 let test_order_annihilates () =
-  Alcotest.check point "nG = O" Curve.infinity (mul_g Curve.order);
-  Alcotest.check point "(n+1)G = G" g (mul_g (Nat.add Curve.order Nat.one))
+  Alcotest.check point "nG = O" Curve.infinity (mul_g order);
+  Alcotest.check point "(n+1)G = G" g (mul_g (Nat.add order Nat.one))
 
 let test_identity_laws () =
   Alcotest.check point "O + G = G" g (Curve.add Curve.infinity g);
@@ -80,9 +95,9 @@ let test_hash_to_scalar () =
   let s1 = Curve.hash_to_scalar [ "a"; "b" ] in
   let s2 = Curve.hash_to_scalar [ "a"; "b" ] in
   let s3 = Curve.hash_to_scalar [ "ab" ] in
-  Alcotest.(check bool) "deterministic" true (Nat.equal s1 s2);
-  Alcotest.(check bool) "part boundaries matter" false (Nat.equal s1 s3);
-  Alcotest.(check bool) "reduced" true (Nat.compare s1 Curve.order < 0)
+  Alcotest.(check bool) "deterministic" true (Sc.equal s1 s2);
+  Alcotest.(check bool) "part boundaries matter" false (Sc.equal s1 s3);
+  Alcotest.(check bool) "reduced" true (Nat.compare (nat_of_sc s1) order < 0)
 
 let test_compressed_codec () =
   List.iter
@@ -108,20 +123,19 @@ let test_compressed_codec () =
 (* Square root in F_p through [Fe.sqrt] (p = 3 mod 4); [None] for a
    non-residue. *)
 let field_sqrt a =
-  let y = Dd_bignum.Fe.of_nat a in
-  if Dd_bignum.Fe.sqrt y y then Some (Dd_bignum.Fe.to_nat y) else None
+  let y = Test_helpers.fe a in
+  if Fe.sqrt y y then Some (Test_helpers.nat_of_fe y) else None
 
 let test_field_sqrt () =
-  let fp = Dd_bignum.Modular.create Dd_bignum.Fe.prime in
-  let x = Dd_bignum.Nat.of_int 1234567 in
-  let sq = Dd_bignum.Modular.sqr fp x in
+  let fp = Test_helpers.prime in
+  let x = Nat.of_int 1234567 in
+  let sq = Ref_mod.mul fp x x in
   (match field_sqrt sq with
    | Some r ->
-     Alcotest.(check bool) "sqrt of square" true
-       (Dd_bignum.Nat.equal (Dd_bignum.Modular.sqr fp r) sq)
+     Alcotest.(check bool) "sqrt of square" true (Nat.equal (Ref_mod.mul fp r r) sq)
    | None -> Alcotest.fail "square has no root?");
   (* find a non-residue: for p = 3 mod 4, -1 is one *)
-  let minus_one = Dd_bignum.Modular.sub fp Dd_bignum.Nat.zero Dd_bignum.Nat.one in
+  let minus_one = Ref_mod.sub fp Nat.zero Nat.one in
   Alcotest.(check bool) "-1 is a non-residue" true (field_sqrt minus_one = None)
 
 (* --- group-law properties ----------------------------------------------- *)
@@ -150,7 +164,7 @@ let prop_double_is_add =
   QCheck.Test.make ~name:"2P = P+P" ~count:30 arb_scalar
     (fun a ->
        let p = mul_g a in
-       Curve.equal (Curve.mul_vartime Nat.two p) (Curve.add p p))
+       Curve.equal (vartime Nat.two p) (Curve.add p p))
 
 let prop_neg_inverse =
   QCheck.Test.make ~name:"P + (-P) = O" ~count:30 arb_scalar
@@ -189,9 +203,9 @@ let prop_point_bytes_fuzz =
   (* x = i + p, for a small i on the curve when it has a y *)
   let above_p i =
     let x = Nat.of_int i in
-    let xp = Nat.to_bytes_be ~len:32 (Nat.add x Dd_bignum.Fe.prime) in
-    let fp = Dd_bignum.Modular.create Dd_bignum.Fe.prime in
-    let rhs = Dd_bignum.Modular.add fp (Dd_bignum.Modular.mul fp x (Dd_bignum.Modular.sqr fp x)) (Nat.of_int 7) in
+    let fp = Test_helpers.prime in
+    let xp = Nat.to_bytes_be ~len:32 (Nat.add x fp) in
+    let rhs = Ref_mod.add fp (Ref_mod.mul fp x (Ref_mod.mul fp x x)) (Nat.of_int 7) in
     match field_sqrt rhs with
     | Some y -> [ "\x02" ^ xp; "\x03" ^ xp; "\x04" ^ xp ^ Nat.to_bytes_be ~len:32 y ]
     | None -> [ "\x02" ^ xp; "\x03" ^ xp ]
@@ -221,20 +235,19 @@ let prop_point_bytes_fuzz =
 
 let prop_table_matches_plain =
   QCheck.Test.make ~name:"table mul = plain mul" ~count:30 arb_scalar
-    (fun a -> Curve.equal (mul_g a) (Curve.mul_vartime a g))
+    (fun a -> Curve.equal (mul_g a) (vartime a g))
 
 (* --- differential: fast scalar-multiplication paths ---------------------- *)
 
 (* The reference: a textbook affine group law (chord and tangent, None
-   the identity) over the Barrett field of [Modular.create], sharing no
-   code with Fe or the Jacobian formulas. Its tangent keeps the general
-   a term, and it takes secp256k1's constants as written here, not from
-   Curve. Extended-Euclid inversion keeps a reference multiplication
-   cheap. *)
+   the identity) over the reference naturals mod p ([Ref_mod]), sharing
+   no code with Fe or the Jacobian formulas. Its tangent keeps the
+   general a term, and it takes secp256k1's constants as written here,
+   not from Curve. *)
 module Ref = struct
-  module M = Dd_bignum.Modular
+  module M = Ref_mod
 
-  let fp = M.create (Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+  let fp = Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
   let a = Nat.zero
   let order = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
 
@@ -251,11 +264,11 @@ module Ref = struct
       else begin
         let l =
           if Nat.equal x1 x2 then
-            M.mul fp (M.add fp (M.mul fp (M.of_int fp 3) (M.sqr fp x1)) a)
-              (M.inv_vartime fp (M.add fp y1 y1))
-          else M.mul fp (M.sub fp y2 y1) (M.inv_vartime fp (M.sub fp x2 x1))
+            M.mul fp (M.add fp (M.mul fp (Nat.of_int 3) (M.mul fp x1 x1)) a)
+              (M.inv fp (M.add fp y1 y1))
+          else M.mul fp (M.sub fp y2 y1) (M.inv fp (M.sub fp x2 x1))
         in
-        let x3 = M.sub fp (M.sub fp (M.sqr fp l) x1) x2 in
+        let x3 = M.sub fp (M.sub fp (M.mul fp l l) x1) x2 in
         Some (x3, M.sub fp (M.mul fp l (M.sub fp x1 x3)) y1)
       end
 
@@ -271,15 +284,19 @@ module Ref = struct
 end
 
 (* Curve points in and out of the reference (the affine edge). *)
-let of_ref = function None -> Curve.infinity | Some xy -> Curve.of_affine xy
+let of_ref = function
+  | None -> Curve.infinity
+  | Some (x, y) -> Curve.of_affine (Test_helpers.fe x, Test_helpers.fe y)
+let to_ref pt =
+  Option.map (fun (x, y) -> (Test_helpers.nat_of_fe x, Test_helpers.nat_of_fe y)) (Curve.to_affine pt)
 let agrees want got =
-  match want, Curve.to_affine got with
+  match want, to_ref got with
   | None, None -> true
   | Some (x, y), Some (x', y') -> Nat.equal x x' && Nat.equal y y'
   | _ -> false
 
 (* The reference k * P of a curve point, as a curve point. *)
-let naive_mul k pt = of_ref (Ref.mul k (Curve.to_affine pt))
+let naive_mul k pt = of_ref (Ref.mul k (to_ref pt))
 
 (* P + P, P + (-P), O + P and P + O against the reference, through the
    general add (a Jacobian q) and the mixed add (an affine q). *)
@@ -288,7 +305,7 @@ let prop_add_cases_match_ref =
     (fun a ->
        let rp = Ref.mul a Ref.gen in
        let twice = Ref.add rp rp in
-       let pj = Curve.mul_vartime a g and pa = of_ref rp and o = Curve.infinity in
+       let pj = vartime a g and pa = of_ref rp and o = Curve.infinity in
        List.for_all
          (fun (p, q, want) -> agrees want (Curve.add p q))
          [ (pj, pj, twice); (pj, Curve.neg pj, None); (o, pj, rp); (pj, o, rp);
@@ -307,7 +324,7 @@ let table_of_width width = if width = 8 then table else narrow_table
 let check_table_layout ~width =
   let rows = Curve.base_table_rows (table_of_width width) in
   Alcotest.(check int) "rows"
-    ((Nat.bit_length Curve.order + width - 1) / width) (Array.length rows);
+    ((Nat.bit_length order + width - 1) / width) (Array.length rows);
   let base = ref g in
   Array.iteri
     (fun i row ->
@@ -332,29 +349,24 @@ let test_wide_table_matches () = check_table_layout ~width:8
    digits of k are 2 b_i - (2^w - 1) for the base-2^w digits b_i of d =
    (k + 2^(wW) - 1) / 2 mod n): k = 2d - (2^(wW) - 1) mod n. *)
 let scalar_of_recoded ~width d =
-  let fn = Curve.scalar_field in
-  let bits = Nat.bit_length Curve.order in
+  let bits = Nat.bit_length order in
   let ww = width * ((bits + width - 1) / width) in
-  Dd_bignum.Modular.sub fn (Dd_bignum.Modular.add fn d d)
-    (Dd_bignum.Modular.reduce fn (Nat.sub (Nat.shift_left Nat.one ww) Nat.one))
+  Ref_mod.sub order (Ref_mod.add order d d) (Nat.sub (Nat.shift_left Nat.one ww) Nat.one)
 
 (* Scalars at the table's edges, for a width-w table: 0, 1, 2, n-1,
    n-2; a top recoded digit of +max and -max (d = n-1 and d = 0); the
    two scalars whose last comb add meets the equal-point case,
    +-2 (2^w - 1) 2^(w(W-1)) mod n; and a maximal digit in every row. *)
 let edge_scalars ~width =
-  let order = Curve.order in
-  let fn = Curve.scalar_field in
   let rows = (Nat.bit_length order + width - 1) / width in
   let top = 2 * ((1 lsl width) - 1) in
   let equal_case =
-    Dd_bignum.Modular.reduce fn
-      (Nat.mul (Nat.of_int top) (Nat.shift_left Nat.one (width * (rows - 1))))
+    Nat.rem (Nat.mul (Nat.of_int top) (Nat.shift_left Nat.one (width * (rows - 1)))) order
   in
   [ Nat.zero; Nat.one; Nat.two; Nat.sub order Nat.one; Nat.sub order Nat.two;
     scalar_of_recoded ~width (Nat.sub order Nat.one);
     scalar_of_recoded ~width Nat.zero;
-    equal_case; Dd_bignum.Modular.sub fn Nat.zero equal_case ]
+    equal_case; Ref_mod.sub order Nat.zero equal_case ]
   @ List.init rows (fun i ->
       Nat.mul (Nat.of_int ((1 lsl width) - 1)) (Nat.shift_left Nat.one (width * i)))
 
@@ -365,14 +377,14 @@ let test_base_table_edge_scalars () =
          (fun k ->
             Alcotest.(check bool)
               (Printf.sprintf "w%d k = %s" width (nat_hex k)) true
-              (Curve.equal (Curve.mul_vartime k g) (Curve.mul_base_table (table_of_width width) k)))
+              (Curve.equal (vartime k g) (base_mul (table_of_width width) k)))
          (edge_scalars ~width))
     [ 4; 8 ]
 
 (* mul_base_table against the reference double-and-add. *)
 let prop_base_table_matches_mul =
   QCheck.Test.make ~name:"mul_base_table = mul on the generator" ~count:20 arb_scalar
-    (fun k -> Curve.equal (naive_mul k g) (Curve.mul_base_table table k))
+    (fun k -> Curve.equal (naive_mul k g) (base_mul table k))
 
 (* --- GLV verification tables ------------------------------------------- *)
 
@@ -382,20 +394,14 @@ let lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967
 let glv_b1 = Nat.of_hex "e4437ed6010e88286f547fa90abfe4c3"
 let glv_b2 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15"
 
-let signed (neg, m) =
-  let fn = Curve.scalar_field in
-  let m = Dd_bignum.Modular.reduce fn m in
-  if neg then Dd_bignum.Modular.sub fn Nat.zero m else m
+let signed (neg, m) = if neg then Ref_mod.sub order Nat.zero m else Nat.rem m order
 
 (* k1 + k2 * lambda mod n for two signed halves. *)
-let recombine (h1, h2) =
-  let fn = Curve.scalar_field in
-  Dd_bignum.Modular.add fn (signed h1) (Dd_bignum.Modular.mul fn (signed h2) lambda)
+let recombine (h1, h2) = Ref_mod.add order (signed h1) (Ref_mod.mul order (signed h2) lambda)
 
 (* Scalars that push the split's rounding to its worst: b k / n next to
    j + 1/2 for the largest such j below b, next to the usual edges. *)
 let split_edges =
-  let order = Curve.order in
   let near_half b =
     List.concat_map
       (fun d ->
@@ -405,9 +411,8 @@ let split_edges =
          [ k; Nat.add k Nat.one ])
       [ 0; 1; 2; 3 ]
   in
-  let fn = Curve.scalar_field in
   [ Nat.zero; Nat.one; Nat.two; Nat.sub order Nat.one; Nat.sub order Nat.two; lambda;
-    Dd_bignum.Modular.sub fn Nat.zero lambda; Dd_bignum.Modular.mul fn lambda lambda;
+    Ref_mod.sub order Nat.zero lambda; Ref_mod.mul order lambda lambda;
     Nat.shift_left Nat.one 128; Nat.shift_left Nat.one 255;
     Nat.sub order (Nat.shift_left Nat.one 128) ]
   @ near_half glv_b1 @ near_half glv_b2
@@ -420,11 +425,11 @@ let test_endo_split_bound () =
   let widest = ref 0 in
   List.iter
     (fun k ->
-       let (n1, m1), (n2, m2) = Curve.endo_split k in
+       let (n1, m1), (n2, m2) = split k in
        if not (Nat.equal (recombine ((n1, m1), (n2, m2))) k) then
          Alcotest.failf "split of %s does not recombine" (nat_hex k);
        widest := max !widest (max (Nat.bit_length m1) (Nat.bit_length m2)))
-    (split_edges @ List.init 2000 (fun _ -> Curve.random_scalar rng));
+    (split_edges @ List.init 2000 (fun _ -> nat_of_sc (Curve.random_scalar rng)));
   Alcotest.(check bool) (Printf.sprintf "widest half %d bits, at most 128" !widest) true
     (!widest <= 128)
 
@@ -437,8 +442,8 @@ let endo_base = Curve.hash_to_point "glv table base"
 let endo_table = (Curve.make_endo_tables [| endo_base |]).(0)
 
 let endo_matches u halves =
-  Curve.equal (Curve.mul2_endo table u endo_table halves)
-    (Curve.add (Curve.mul_vartime u g) (Curve.mul_vartime (recombine halves) endo_base))
+  Curve.equal (Curve.mul2_endo table (sc u) endo_table (sc_halves halves))
+    (Curve.add (vartime u g) (vartime (recombine halves) endo_base))
 
 let test_endo_table_halves () =
   let bound = Nat.sub (Nat.shift_left Nat.one 128) Nat.one in
@@ -464,7 +469,7 @@ let test_endo_table_halves () =
   Alcotest.(check bool) "u = 0" true (endo_matches Nat.zero ((true, odd128), (false, Nat.two)));
   let past = Nat.shift_left Nat.one 128 in
   let refused tbl halves =
-    match Curve.mul2_endo table u tbl halves with
+    match Curve.mul2_endo table (sc u) tbl (sc_halves halves) with
     | _ -> false
     | exception Invalid_argument _ -> true
   in
@@ -473,8 +478,8 @@ let test_endo_table_halves () =
   Alcotest.(check bool) "second half past the rows" true
     (refused endo_table ((false, Nat.one), (true, past)));
   let void = (Curve.make_endo_tables [| Curve.infinity |]).(0) in
-  Alcotest.(check point) "identity table, zero halves" (Curve.mul_vartime u g)
-    (Curve.mul2_endo table u void ((false, Nat.zero), (true, Nat.zero)));
+  Alcotest.(check point) "identity table, zero halves" (vartime u g)
+    (Curve.mul2_endo table (sc u) void (sc_halves ((false, Nat.zero), (true, Nat.zero))));
   Alcotest.(check bool) "identity table, a nonzero half" true
     (refused void ((false, Nat.one), (false, Nat.zero)))
 
@@ -482,8 +487,7 @@ let prop_endo_table_matches_mul =
   QCheck.Test.make ~name:"mul2_endo u tbl (endo_split k) = uG + kP" ~count:20
     (QCheck.pair arb_scalar arb_scalar)
     (fun (u, k) ->
-       let k = Dd_bignum.Modular.reduce Curve.scalar_field k in
-       endo_matches u (Curve.endo_split k))
+       endo_matches u (split k))
 
 (* --- lockstep batch ------------------------------------------------------- *)
 
@@ -492,11 +496,13 @@ let h_table = Curve.make_base_table ~width:8 hv
 
 (* The reference sum of a job, by [mul_vartime]. *)
 let job_by_mul bases job =
-  List.fold_left (fun acc (b, k) -> Curve.add acc (Curve.mul_vartime k b)) Curve.infinity
+  List.fold_left (fun acc (b, k) -> Curve.add acc (vartime k b)) Curve.infinity
     (List.map2 (fun b (_, k) -> (b, k)) bases job)
 
 let batch_matches jobs bases =
-  let got = Curve.mul_base_batch (Array.of_list jobs) in
+  let got =
+    Curve.mul_base_batch (Array.of_list (List.map (List.map (fun (t, k) -> (t, sc k))) jobs))
+  in
   Array.length got = List.length jobs
   && List.for_all2
     (fun (job, bs) p ->
@@ -519,7 +525,7 @@ let test_batch_edge_scalars () =
            ([ (table, k); (h_table, r) ], [ g; hv ]);
            (* the same base twice: the merge meets P + P and P + (-P) *)
            ([ (table, k); (table, k) ], [ g; g ]);
-           ([ (table, k); (table, Dd_bignum.Modular.sub Curve.scalar_field Nat.zero k) ], [ g; g ]) ])
+           ([ (table, k); (table, Ref_mod.sub order Nat.zero k) ], [ g; g ]) ])
       wide
   in
   let cases = single @ narrow @ two @ [ ([], []) ] in
@@ -538,7 +544,7 @@ let test_batch_sizes () =
        let jobs =
          Array.init n (fun i ->
              let k = Curve.random_scalar rng in
-             if i mod 3 = 0 then [ (table, Nat.of_int (i land 1)); (h_table, k) ] else [ (table, k) ])
+             if i mod 3 = 0 then [ (table, Sc.of_int (i land 1)); (h_table, k) ] else [ (table, k) ])
        in
        let got = Curve.mul_base_batch jobs in
        Array.iteri
@@ -572,17 +578,15 @@ let prop_mul_matches_naive =
     (fun (a, k) ->
        let pt = naive_mul a g in
        let want = naive_mul k pt in
-       Curve.equal want (Curve.mul_base_table (Curve.make_base_table ~width:4 pt) k)
-       && Curve.equal want (Curve.mul_vartime k pt))
+       Curve.equal want (base_mul (Curve.make_base_table ~width:4 pt) k)
+       && Curve.equal want (vartime k pt))
 
 (* u*G + v*P - Q = O as one verification equation, checked alone at
    weight one ([Group_ctx.holds]): the serial verifiers' kernel. *)
 let one_equation u v p q =
-  let fn = Curve.scalar_field in
-  let module Modular = Dd_bignum.Modular in
   Group_ctx.holds (fun acc w ->
-      Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn u)) g;
-      Group_ctx.acc_add acc (Modular.mul fn w (Modular.reduce fn v)) p;
+      Group_ctx.acc_add acc (Sc.mul w (sc u)) g;
+      Group_ctx.acc_add acc (Sc.mul w (sc v)) p;
       Group_ctx.acc_sub acc w q)
 
 let prop_one_equation_matches_parts =
@@ -590,7 +594,7 @@ let prop_one_equation_matches_parts =
     (QCheck.triple arb_scalar arb_scalar arb_scalar)
     (fun (u, v, a) ->
        let p = mul_g a in
-       let q = Curve.add (Curve.mul_vartime u g) (Curve.mul_vartime v p) in
+       let q = Curve.add (vartime u g) (vartime v p) in
        one_equation u v p q && not (one_equation u v p (Curve.add q g)))
 
 let prop_to_affine_batch_matches =
@@ -607,23 +611,22 @@ let prop_to_affine_batch_matches =
          (fun got pt ->
             match got, Curve.to_affine pt with
             | None, None -> true
-            | Some (x, y), Some (x', y') -> Nat.equal x x' && Nat.equal y y'
+            | Some (x, y), Some (x', y') -> Fe.equal x x' && Fe.equal y y'
             | _ -> false)
          batch pts)
 
 let test_mul_edge_cases () =
-  let order = Curve.order in
   let chk label want got = Alcotest.(check bool) label true (Curve.equal want got) in
-  chk "vartime 0*G = O" Curve.infinity (Curve.mul_vartime Nat.zero g);
-  chk "vartime k*O = O" Curve.infinity (Curve.mul_vartime (Nat.of_int 7) Curve.infinity);
-  chk "vartime n*G = O" Curve.infinity (Curve.mul_vartime order g);
-  chk "vartime (n-1)*G = -G" (Curve.neg g) (Curve.mul_vartime (Nat.sub order Nat.one) g);
-  chk "vartime (n+1)*G = G" g (Curve.mul_vartime (Nat.add order Nat.one) g);
+  chk "vartime 0*G = O" Curve.infinity (vartime Nat.zero g);
+  chk "vartime k*O = O" Curve.infinity (vartime (Nat.of_int 7) Curve.infinity);
+  chk "vartime n*G = O" Curve.infinity (vartime order g);
+  chk "vartime (n-1)*G = -G" (Curve.neg g) (vartime (Nat.sub order Nat.one) g);
+  chk "vartime (n+1)*G = G" g (vartime (Nat.add order Nat.one) g);
   chk "comb n*G = O" Curve.infinity (mul_g order);
   chk "comb (n-1)*G = -G" (Curve.neg g) (mul_g (Nat.sub order Nat.one));
   (* P + (-P) through the vartime adds *)
   chk "P + (-P) = O" Curve.infinity
-    (Curve.add (Curve.mul_vartime Nat.two g) (Curve.neg (Curve.mul_vartime Nat.two g)));
+    (Curve.add (vartime Nat.two g) (Curve.neg (vartime Nat.two g)));
   (* one equation u*G + v*P - Q = O, degenerate inputs; P is not G
      itself, so its term reaches the MSM rather than G's comb leg *)
   let p = mul_g (Nat.of_int 3) in
@@ -638,7 +641,7 @@ let test_mul_edge_cases () =
     (mul_g (Nat.of_int 5));
   fails "uG + vO <> uG + vG" (Nat.of_int 5) (Nat.of_int 13) Curve.infinity
     (mul_g (Nat.of_int 18));
-  holds "nG + nP = O" Curve.order Curve.order p Curve.infinity;
+  holds "nG + nP = O" order order p Curve.infinity;
   holds "(n-1)G + (n+1)P = -G + P" (Nat.sub order Nat.one) (Nat.add order Nat.one) p
     (Curve.sub p g)
 
@@ -667,7 +670,7 @@ let prop_msm_matches_naive =
                  if i mod 3 = 2 then (k, g) else (k, naive_mul a g))
               seeds)
        in
-       Curve.equal (naive_msm pairs) (Curve.msm pairs))
+       Curve.equal (naive_msm pairs) (msm pairs))
 
 let prop_msm_forced_pippenger =
   QCheck.Test.make ~name:"forced-window Pippenger = naive" ~count:8
@@ -676,25 +679,24 @@ let prop_msm_forced_pippenger =
        (QCheck.int_range 1 16))
     (fun (seeds, w) ->
        let pairs = Array.of_list (List.map (fun (k, a) -> (k, naive_mul a g)) seeds) in
-       Curve.equal (naive_msm pairs) (Curve.msm ~window:w pairs))
+       Curve.equal (naive_msm pairs) (msm ~window:w pairs))
 
 let test_msm_edge_cases () =
-  let order = Curve.order in
   let chk label want got = Alcotest.(check bool) label true (Curve.equal want got) in
-  let chk_naive label pairs = chk label (naive_msm pairs) (Curve.msm pairs) in
+  let chk_naive label pairs = chk label (naive_msm pairs) (msm pairs) in
   let p = mul_g (Nat.of_int 7) in
   chk "n=0" Curve.infinity (Curve.msm [||]);
   chk_naive "n=1" [| (Nat.of_int 42, p) |];
-  chk "zero and order scalars drop" (Curve.mul_vartime (Nat.of_int 5) p)
-    (Curve.msm [| (Nat.zero, g); (Nat.of_int 5, p); (order, g) |]);
+  chk "zero and order scalars drop" (vartime (Nat.of_int 5) p)
+    (msm [| (Nat.zero, g); (Nat.of_int 5, p); (order, g) |]);
   chk "infinity points drop" (mul_g (Nat.of_int 9))
-    (Curve.msm [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, g) |]);
+    (msm [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, g) |]);
   chk "all-degenerate batch" Curve.infinity
-    (Curve.msm [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, g) |]);
-  chk "duplicate points merge" (Curve.mul_vartime (Nat.of_int 10) p)
-    (Curve.msm [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
+    (msm [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, g) |]);
+  chk "duplicate points merge" (vartime (Nat.of_int 10) p)
+    (msm [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
   chk "P and -P cancel" Curve.infinity
-    (Curve.msm [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg p) |]);
+    (msm [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg p) |]);
   (* tiny scalars ride the direct-add path (pinned batch weights) *)
   chk_naive "tiny scalars" [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.add p p) |];
   chk_naive "scalar above the order reduces" [| (Nat.add order (Nat.of_int 5), p) |]
@@ -708,9 +710,9 @@ let test_msm_edge_cases () =
 let msm_pool_scalars =
   let rng = Dd_crypto.Drbg.create ~seed:"msm pool" in
   Array.concat
-    [ [| Nat.zero; Nat.one; Nat.two; Nat.of_int 3; Nat.add Curve.order (Nat.of_int 5) |];
+    [ [| Nat.zero; Nat.one; Nat.two; Nat.of_int 3; Nat.add order (Nat.of_int 5) |];
       Array.init 3 (fun _ -> Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 16));
-      Array.init 3 (fun _ -> Curve.random_scalar rng) ]
+      Array.init 3 (fun _ -> nat_of_sc (Curve.random_scalar rng)) ]
 
 let msm_pool_points =
   Array.append [| Curve.infinity |]
@@ -745,7 +747,7 @@ let prop_msm_reuse =
            Array.fold_left (fun acc (i, j) -> Curve.add acc (naive_pool_mul i j)) Curve.infinity
              terms
          in
-         Curve.equal want (Curve.msm ?window pairs)))
+         Curve.equal want (msm ?window pairs)))
 
 (* A call allocates per call, not per term: after a warm-up at the
    larger size, 136 more terms of the batch verifiers' shape (128-bit
@@ -755,7 +757,7 @@ let test_msm_alloc_per_term () =
   let rng = Dd_crypto.Drbg.create ~seed:"msm alloc" in
   let terms n =
     Array.init (n + 5) (fun i ->
-        ((if i < n then Nat.of_bytes_be (Dd_crypto.Drbg.bytes rng 16) else Curve.random_scalar rng),
+        ((if i < n then Sc.of_bytes_mod (Dd_crypto.Drbg.bytes rng 16) else Curve.random_scalar rng),
          Curve.hash_to_point (Printf.sprintf "msm alloc %d" i)))
   in
   let small = terms 64 and large = terms 200 in

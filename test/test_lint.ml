@@ -228,7 +228,7 @@ let test_secret_taint () =
     "let leak1 sk = Curve.endo_split sk";
   check_fires "sk into mul2_endo" "secret-taint"
     ~file:"lib/sig/fixture.ml"
-    "let leak2 table u tbl sk = Curve.mul2_endo table u tbl ((false, sk), (false, Nat.zero))";
+    "let leak2 table u tbl sk = Curve.mul2_endo table u tbl ((false, sk), (false, Sc.zero))";
   check_fires "record field" "secret-taint"
     ~file:"lib/vss/fixture.ml"
     "let leak c st p = Curve.mul_vartime c st.nonce p";
@@ -244,13 +244,13 @@ let test_secret_taint () =
     "let leak c sk g tick = Curve.mul_vartime c (tick (); sk) g";
   check_clean "public scalars are fine" ~file:"lib/sig/fixture.ml"
     "let verify table s tbl e = Curve.mul2_endo table s tbl (Curve.endo_split e)";
-  (* the scalar field's Euclid inverse is on the same surface *)
+  (* the scalar inverse is on the same surface *)
   check_fires "sk into inv_vartime" "secret-taint"
     ~file:"lib/vss/fixture.ml"
-    "let leak fn sk = Modular.inv_vartime fn sk";
+    "let leak sk = Sc.inv_vartime sk";
   check_clean "public index difference into inv_vartime"
     ~file:"lib/vss/fixture.ml"
-    "let basis fn xi xj = Modular.inv_vartime fn (Modular.sub fn xj xi)";
+    "let basis xi xj = Sc.inv_vartime (Sc.sub xj xi)";
   check_clean "constant-time mul is the fix" ~file:"lib/sig/fixture.ml"
     "let ok table sk = Curve.mul_base_table table sk";
   check_clean "unrelated callee with secret arg" ~file:"lib/sig/fixture.ml"

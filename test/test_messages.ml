@@ -46,7 +46,7 @@ let samples scheme =
     Messages.Recover_request { sender = 2; serials = [ 1; 5; 900 ] };
     Messages.Recover_response { sender = 1; entries = [ (5, "codecodecodecodecode", u) ] } ]
 
-(* structural comparison is fine: tags contain strings/Nat arrays *)
+(* structural comparison is fine: tags contain strings and scalars *)
 let roundtrip scheme () =
   List.iteri
     (fun i msg ->
@@ -225,7 +225,6 @@ let prop_bitflip_never_crashes =
    that of a smaller twin. *)
 let test_canonical_scalars () =
   let module Curve = Dd_group.Curve in
-  let module Nat = Dd_bignum.Nat in
   let module Wire = Dd_codec.Wire in
   let scalar k = Nat.to_bytes_be ~len:32 k in
   let vss_share bytes =
@@ -243,7 +242,7 @@ let test_canonical_scalars () =
       ("Ballot_proof.decode_final_move",
        fun s -> Option.is_some (Dd_zkp.Ballot_proof.decode_final_move s)) ]
   in
-  let n = Curve.order in
+  let n = Test_helpers.order in
   List.iter
     (fun (decoder, accepts) ->
        List.iter

@@ -143,7 +143,8 @@ let test_msm_arena_concurrent () =
     let scalar i =
       let k = Curve.hash_to_scalar [ "msm arena"; string_of_int n; string_of_int i ] in
       (* every other term a 128-bit batch weight *)
-      if i mod 2 = 0 then Dd_bignum.Nat.shift_right k 128 else k
+      if i mod 2 = 0 then Dd_bignum.Sc.of_bytes_mod (String.sub (Dd_bignum.Sc.to_bytes k) 0 16)
+      else k
     in
     Curve.encode (Curve.msm ?window (Array.init n (fun i -> (scalar i, points.(i)))))
   in

@@ -253,7 +253,7 @@ let prop_truncation_total =
       match Segment.load dev' with
       | Segment.Empty -> cut = 0
       | Segment.Sealed m -> m.Segment.total = n (* cut landed after footer *)
-      | Segment.Partial { next_index; _ } ->
+      | Segment.Partial { Segment.total = next_index; _ } ->
           (* checkpoints land at full chunks, plus seal's final partial
              trailer just before the footer *)
           next_index <= n && (next_index mod 4 = 0 || next_index = n)

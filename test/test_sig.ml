@@ -3,7 +3,7 @@
 module Schnorr = Dd_sig.Schnorr
 module Group_ctx = Dd_group.Group_ctx
 module Drbg = Dd_crypto.Drbg
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Curve = Dd_group.Curve
 
 let rng () = Drbg.create ~seed:"sig-tests"

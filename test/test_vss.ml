@@ -6,12 +6,11 @@ module Gf256 = Dd_vss.Gf256
 module Shamir_bytes = Dd_vss.Shamir_bytes
 module Shamir_scalar = Dd_vss.Shamir_scalar
 module Elgamal_vss = Dd_vss.Elgamal_vss
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Drbg = Dd_crypto.Drbg
 module Group_ctx = Dd_group.Group_ctx
 module Elgamal = Dd_commit.Elgamal
 
-let fn = Dd_group.Curve.scalar_field
 let rng () = Drbg.create ~seed:"vss-tests"
 
 (* --- GF(256) ------------------------------------------------------------- *)
@@ -89,29 +88,29 @@ let prop_shamir_bytes =
 
 let test_shamir_scalar_roundtrip () =
   let rng = rng () in
-  let secret = Nat.of_hex "deadbeefcafebabe0123456789" in
-  let shares = Shamir_scalar.split fn rng ~secret ~threshold:3 ~shares:6 in
+  let secret = Option.get (Sc.of_bytes "\xde\xad\xbe\xef\xca\xfe\xba\xbe\x01\x23\x45\x67\x89") in
+  let shares = Shamir_scalar.split rng ~secret ~threshold:3 ~shares:6 in
   let subset = [ shares.(5); shares.(0); shares.(3) ] in
   Alcotest.(check bool) "reconstructs" true
-    (Nat.equal secret (Shamir_scalar.reconstruct fn ~threshold:3 subset))
+    (Sc.equal secret (Shamir_scalar.reconstruct ~threshold:3 subset))
 
 (* Share-wise addition, as a trustee sums its shares over the tally set
    ([Elgamal_vss.sum_shares]): both scalars of an opening add. *)
 let test_shamir_scalar_homomorphic () =
   let rng = rng () in
-  let a = { Elgamal.msg = Nat.of_int 111; rand = Nat.of_int 5 }
-  and b = { Elgamal.msg = Nat.of_int 222; rand = Nat.of_int 6 } in
+  let a = { Elgamal.msg = Sc.of_int 111; rand = Sc.of_int 5 }
+  and b = { Elgamal.msg = Sc.of_int 222; rand = Sc.of_int 6 } in
   let sa = Elgamal_vss.deal rng ~opening:a ~threshold:2 ~shares:4 in
   let sb = Elgamal_vss.deal rng ~opening:b ~threshold:2 ~shares:4 in
   let sum = Array.init 4 (fun i -> Elgamal_vss.sum_shares ~x:(i + 1) [ sa.(i); sb.(i) ]) in
   let o = Elgamal_vss.reconstruct ~threshold:2 [ sum.(1); sum.(3) ] in
   Alcotest.(check bool) "share-wise sum reconstructs a+b" true
-    (Nat.equal (Nat.of_int 333) o.Elgamal.msg && Nat.equal (Nat.of_int 11) o.Elgamal.rand)
+    (Sc.equal (Sc.of_int 333) o.Elgamal.msg && Sc.equal (Sc.of_int 11) o.Elgamal.rand)
 
 let test_shamir_scalar_mismatched_x () =
   let rng = rng () in
   let sa =
-    Elgamal_vss.deal rng ~opening:{ Elgamal.msg = Nat.one; rand = Nat.one } ~threshold:2
+    Elgamal_vss.deal rng ~opening:{ Elgamal.msg = Sc.one; rand = Sc.one } ~threshold:2
       ~shares:3
   in
   Alcotest.check_raises "x mismatch"
@@ -124,21 +123,21 @@ let test_shamir_scalar_mismatched_x () =
    the public commitment. *)
 let test_elgamal_vss_end_to_end () =
   let rng = rng () in
-  let commitment, opening = Elgamal.commit_random rng ~msg:(Nat.of_int 1) in
+  let commitment, opening = Elgamal.commit_random rng ~msg:(Sc.of_int 1) in
   let shares = Elgamal_vss.deal rng ~opening ~threshold:2 ~shares:3 in
   List.iter
     (fun (i, j) ->
        let o = Elgamal_vss.reconstruct ~threshold:2 [ shares.(i); shares.(j) ] in
        Alcotest.(check bool) (Printf.sprintf "shares %d, %d open the commitment" i j) true
          (Elgamal.verify commitment o);
-       Alcotest.(check bool) "message preserved" true (Nat.equal o.Elgamal.msg Nat.one))
+       Alcotest.(check bool) "message preserved" true (Sc.equal o.Elgamal.msg Sc.one))
     [ (0, 1); (0, 2); (1, 2) ]
 
 (* A tampered share, in either scalar, reconstructs an opening that
    fails to open the commitment. *)
 let test_elgamal_vss_tamper () =
   let rng = rng () in
-  let commitment, opening = Elgamal.commit_random rng ~msg:Nat.zero in
+  let commitment, opening = Elgamal.commit_random rng ~msg:Sc.zero in
   let shares = Elgamal_vss.deal rng ~opening ~threshold:2 ~shares:3 in
   let s = shares.(0) in
   List.iter
@@ -146,8 +145,8 @@ let test_elgamal_vss_tamper () =
        let o = Elgamal_vss.reconstruct ~threshold:2 [ bad; shares.(2) ] in
        Alcotest.(check bool) (what ^ " tampered: opening rejected") false
          (Elgamal.verify commitment o))
-    [ ("msg", { s with Elgamal_vss.msg = Nat.add s.Elgamal_vss.msg Nat.one });
-      ("rand", { s with Elgamal_vss.rand = Nat.add s.Elgamal_vss.rand Nat.one }) ]
+    [ ("msg", { s with Elgamal_vss.msg = Sc.add s.Elgamal_vss.msg Sc.one });
+      ("rand", { s with Elgamal_vss.rand = Sc.add s.Elgamal_vss.rand Sc.one }) ]
 
 let test_elgamal_vss_homomorphic_tally () =
   (* the trustee workflow in miniature: sum shares over a "tally set",
@@ -157,7 +156,7 @@ let test_elgamal_vss_homomorphic_tally () =
   let dealt =
     List.map
       (fun v ->
-         let c, o = Elgamal.commit_random rng ~msg:(Nat.of_int v) in
+         let c, o = Elgamal.commit_random rng ~msg:(Sc.of_int v) in
          (c, Elgamal_vss.deal rng ~opening:o ~threshold:2 ~shares:3))
       votes
   in
@@ -169,8 +168,8 @@ let test_elgamal_vss_homomorphic_tally () =
     Elgamal_vss.reconstruct ~threshold:2 [ trustee_share 1; trustee_share 3 ]
   in
   Alcotest.(check bool) "total opens Esum" true (Elgamal.verify esum total);
-  Alcotest.(check int) "count = 3" 3 (Nat.to_int total.Elgamal.msg);
-  let bad = { (trustee_share 3) with Elgamal_vss.msg = Nat.one } in
+  Alcotest.(check int) "count = 3" 3 (Sc.to_int total.Elgamal.msg);
+  let bad = { (trustee_share 3) with Elgamal_vss.msg = Sc.one } in
   Alcotest.(check bool) "tampered total share: opening rejected" false
     (Elgamal.verify esum (Elgamal_vss.reconstruct ~threshold:2 [ trustee_share 1; bad ]))
 
@@ -180,10 +179,10 @@ let prop_scalar_shamir =
     (fun (s, k) ->
        let n = k + 2 in
        let rng = Drbg.create ~seed:(Printf.sprintf "ss%d.%d" s k) in
-       let secret = Nat.of_int s in
-       let shares = Shamir_scalar.split fn rng ~secret ~threshold:k ~shares:n in
+       let secret = Sc.of_int s in
+       let shares = Shamir_scalar.split rng ~secret ~threshold:k ~shares:n in
        let subset = Array.to_list (Array.sub shares 1 k) in
-       Nat.equal secret (Shamir_scalar.reconstruct fn ~threshold:k subset))
+       Sc.equal secret (Shamir_scalar.reconstruct ~threshold:k subset))
 
 let () =
   Alcotest.run "vss"

@@ -2,7 +2,7 @@
    probes, ballot-correctness proofs (0/1 OR + sum), split-move
    serialization, and the voter-coin challenge extraction. *)
 
-module Nat = Dd_bignum.Nat
+module Sc = Dd_bignum.Sc
 module Group_ctx = Dd_group.Group_ctx
 module Curve = Dd_group.Curve
 module Elgamal = Dd_commit.Elgamal
@@ -56,7 +56,7 @@ let test_cp_wrong_witness_rejected () =
   let st = ddh_statement x in
   let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
-  let bad = Chaum_pedersen.respond ~state:w ~witness:(Nat.add x Nat.one) ~challenge in
+  let bad = Chaum_pedersen.respond ~state:w ~witness:(Sc.add x Sc.one) ~challenge in
   Alcotest.(check bool) "rejects" false
     (cp_verify st fm ~challenge ~response:bad)
 
@@ -65,7 +65,7 @@ let test_cp_non_ddh_rejected () =
      verify for a fresh random challenge *)
   let rng = rng () in
   let x = Curve.random_scalar rng in
-  let st = { (ddh_statement x) with Chaum_pedersen.h2 = Group_ctx.mul_h (Nat.add x Nat.one) } in
+  let st = { (ddh_statement x) with Chaum_pedersen.h2 = Group_ctx.mul_h (Sc.add x Sc.one) } in
   let w, fm = cp_commit rng in
   let challenge = Curve.random_scalar rng in
   let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
@@ -84,7 +84,7 @@ let test_cp_simulator () =
     (cp_verify st fm ~challenge ~response:z);
   (* but only for its designed challenge *)
   Alcotest.(check bool) "other challenge rejects" false
-    (cp_verify st fm ~challenge:(Nat.add challenge Nat.one) ~response:z)
+    (cp_verify st fm ~challenge:(Sc.add challenge Sc.one) ~response:z)
 
 (* --- ballot proofs ---------------------------------------------------- *)
 
@@ -118,19 +118,19 @@ let test_ballot_proof_wrong_challenge_rejected () =
   let challenge = Curve.random_scalar rng in
   let fin = Ballot_proof.finalize state ~challenge in
   Alcotest.(check bool) "rejects different challenge" false
-    (Ballot_proof.verify ~commitments fm ~challenge:(Nat.add challenge Nat.one) fin)
+    (Ballot_proof.verify ~commitments fm ~challenge:(Sc.add challenge Sc.one) fin)
 
 let test_ballot_proof_rejects_invalid_encoding () =
   (* a malicious EA committing to 2 in one coordinate cannot produce a
      prover state at all (the honest prover API refuses), and mixing
      proofs across different commitments must not verify *)
   let rng = rng () in
-  let bad_commitment, _ = Elgamal.commit_random rng ~msg:(Nat.of_int 2) in
+  let bad_commitment, _ = Elgamal.commit_random rng ~msg:(Sc.of_int 2) in
   let _, good_commitments, good_openings = make_part ~m:3 ~choice:2 in
   (* honest prover refuses non-binary openings *)
   let bad_openings =
     Array.mapi
-      (fun i o -> if i = 0 then { o with Elgamal.msg = Nat.of_int 2 } else o)
+      (fun i o -> if i = 0 then { o with Elgamal.msg = Sc.of_int 2 } else o)
       good_openings
   in
   Alcotest.check_raises "prover refuses"
@@ -155,7 +155,7 @@ let test_ballot_proof_sum_violation () =
   let rng = rng () in
   let commitments =
     Array.init 3 (fun i ->
-        fst (Elgamal.commit_random rng ~msg:(if i <= 1 then Nat.one else Nat.zero)))
+        fst (Elgamal.commit_random rng ~msg:(if i <= 1 then Sc.one else Sc.zero)))
   in
   let total = Elgamal.sum (Array.to_list commitments) in
   let c1, c2 = Elgamal.components total in
@@ -267,7 +267,7 @@ let test_ballot_proof_batch () =
     [ ("row z0", 64); ("sum response", -32) ];
   insts.(3) <-
     { insts.(3) with
-      Ballot_proof.challenge = Nat.add insts.(3).Ballot_proof.challenge Nat.one };
+      Ballot_proof.challenge = Sc.add insts.(3).Ballot_proof.challenge Sc.one };
   Alcotest.(check bool) "tampered proof rejected" false
     (Ballot_proof.verify_batch (rng ()) insts)
 
@@ -290,7 +290,7 @@ let test_cp_cancelling_forgery () =
   let challenge = Curve.random_scalar rng in
   let response = Chaum_pedersen.respond ~state:w ~witness:x ~challenge in
   let forged = cancel_offset fm in
-  let times w k = Dd_bignum.Modular.mul Curve.scalar_field w k in
+  let times = Sc.mul in
   Alcotest.(check bool) "the two equations sum to O" true
     (Group_ctx.holds (fun acc w ->
          Group_ctx.acc_add acc (times w response) st.g1;
@@ -363,7 +363,7 @@ let prop_ballot_proof_batch_serial =
                  let s = String.mapi (fun i c -> if i = last then Char.chr (Char.code c lxor 1) else c) s in
                  { inst with fin = Option.get (Ballot_proof.decode_final_move s) }
                | 1 -> { inst with fm = cancel_row0 inst.fm }
-               | _ -> { inst with challenge = Nat.add inst.challenge Nat.one }))
+               | _ -> { inst with challenge = Sc.add inst.challenge Sc.one }))
          forged;
        let serial =
          Array.for_all
@@ -384,19 +384,19 @@ let test_challenge_from_coins () =
   let coins = [ true; false; true; true ] in
   let c1 = Challenge.master ~election_id:"e" ~coins in
   let c2 = Challenge.master ~election_id:"e" ~coins in
-  Alcotest.(check bool) "deterministic" true (Nat.equal c1 c2);
+  Alcotest.(check bool) "deterministic" true (Sc.equal c1 c2);
   let c3 = Challenge.master ~election_id:"e" ~coins:[ true; false; true; false ] in
-  Alcotest.(check bool) "coin flip changes challenge" false (Nat.equal c1 c3);
+  Alcotest.(check bool) "coin flip changes challenge" false (Sc.equal c1 c3);
   let c4 = Challenge.master ~election_id:"other" ~coins in
-  Alcotest.(check bool) "election id separates" false (Nat.equal c1 c4)
+  Alcotest.(check bool) "election id separates" false (Sc.equal c1 c4)
 
 let test_per_proof_challenges_differ () =
   let master = Challenge.master ~election_id:"e" ~coins:[ true ] in
   let a = Challenge.for_proof ~master_challenge:master ~serial:1 ~part:`A in
   let b = Challenge.for_proof ~master_challenge:master ~serial:1 ~part:`B in
   let a2 = Challenge.for_proof ~master_challenge:master ~serial:2 ~part:`A in
-  Alcotest.(check bool) "parts differ" false (Nat.equal a b);
-  Alcotest.(check bool) "serials differ" false (Nat.equal a a2)
+  Alcotest.(check bool) "parts differ" false (Sc.equal a b);
+  Alcotest.(check bool) "serials differ" false (Sc.equal a a2)
 
 let prop_cp_random_witness =
   QCheck.Test.make ~name:"CP completeness over random witnesses" ~count:15
